@@ -82,6 +82,18 @@ func streamWordCount() *slider.Job {
 	}
 }
 
+// newRegistry registers every job this worker binary serves.
+func newRegistry() (*slider.JobRegistry, error) {
+	registry := &slider.JobRegistry{}
+	if err := registry.Register("wordcount", wordCount); err != nil {
+		return nil, err
+	}
+	if err := registry.Register("stream-wordcount", streamWordCount); err != nil {
+		return nil, err
+	}
+	return registry, nil
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "slider-worker:", err)
@@ -98,11 +110,8 @@ func run(args []string) error {
 		return err
 	}
 
-	registry := &slider.JobRegistry{}
-	if err := registry.Register("wordcount", wordCount); err != nil {
-		return err
-	}
-	if err := registry.Register("stream-wordcount", streamWordCount); err != nil {
+	registry, err := newRegistry()
+	if err != nil {
 		return err
 	}
 

@@ -6,14 +6,25 @@ import (
 	"slider"
 )
 
-func TestWordCountJobContract(t *testing.T) {
-	job := wordCount()
+// TestRegisteredJobContracts holds every job the worker serves to the
+// combiner and reducer contract the runtime relies on.
+func TestRegisteredJobContracts(t *testing.T) {
+	registry, err := newRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
 	samples := []slider.Split{{
 		ID:      "s0",
 		Records: []slider.Record{"a a b", "a b c c"},
 	}}
-	if err := slider.CheckJob(job, samples); err != nil {
-		t.Fatal(err)
+	for _, name := range registry.Names() {
+		job, err := registry.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := slider.CheckJob(job, samples); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

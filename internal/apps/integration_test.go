@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -66,6 +67,18 @@ func driveApp(t *testing.T, name string, job *mapreduce.Job, gen func(lo, hi int
 		t.Fatalf("%s/%v: %v", name, mode, err)
 	}
 	window := gen(0, 8)
+	// Every application must honour the combiner and reducer contract the
+	// runtime's scratch slices rely on, on the data it is about to run.
+	// K-Means accumulates float sums inside a struct, which CheckJob
+	// compares by exact fingerprint: its re-association check cannot pass,
+	// the mutation, retention and aliasing checks that run before it can.
+	err = mapreduce.CheckJob(job, window)
+	if name == "K-Means" && errors.Is(err, mapreduce.ErrNotAssociative) {
+		err = nil
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	res, err := rt.Initial(window)
 	if err != nil {
 		t.Fatalf("%s/%v initial: %v", name, mode, err)

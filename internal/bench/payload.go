@@ -46,8 +46,8 @@ type PayloadSlideCell struct {
 
 // PayloadResult is the full experiment, serialized to BENCH_payload.json.
 type PayloadResult struct {
-	Scale string `json:"scale"`
-	Cells []PayloadCodecCell `json:"cells"`
+	Scale  string             `json:"scale"`
+	Cells  []PayloadCodecCell `json:"cells"`
 	Slides []PayloadSlideCell `json:"slides"`
 	// EncodeAllocReductionPct is the steady-state allocation reduction of
 	// the flat encode path vs gob at the largest measured payload size.
@@ -201,9 +201,14 @@ func timeOp(reps int, fn func()) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(reps)
 }
 
-// measurePayloadSlides drives the wordcount slide loop under one payload
-// codec and returns per-slide averages, measureBackend-style.
-func measurePayloadSlides(s Scale, codec persist.Codec, slides int) (PayloadSlideCell, error) {
+// payloadSlideWindow is the window, in one-split buckets, of the payload
+// experiment's slide loop.
+const payloadSlideWindow = 16
+
+// measurePayloadSlides drives the wordcount slide loop (a window of
+// `window` one-split buckets, sliding by one) under one payload codec and
+// returns per-slide averages, measureBackend-style.
+func measurePayloadSlides(s Scale, codec persist.Codec, window, slides int) (PayloadSlideCell, error) {
 	name := "flat"
 	if codec == persist.CodecGob {
 		name = "gob"
@@ -213,7 +218,6 @@ func measurePayloadSlides(s Scale, codec persist.Codec, slides int) (PayloadSlid
 	defer persist.SetPayloadCodec(prev)
 
 	text := workload.NewText(s.Text)
-	window := 16
 	cfg := sliderrt.Config{
 		Mode:          sliderrt.Fixed,
 		BucketSplits:  1,
@@ -283,7 +287,7 @@ func RunPayload(s Scale) (*PayloadResult, string, error) {
 		slides = 32
 	}
 	for _, codec := range []persist.Codec{persist.CodecGob, persist.CodecFlat} {
-		cell, err := measurePayloadSlides(s, codec, slides)
+		cell, err := measurePayloadSlides(s, codec, payloadSlideWindow, slides)
 		if err != nil {
 			return nil, "", fmt.Errorf("payload slides: %w", err)
 		}

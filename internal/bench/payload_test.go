@@ -51,16 +51,38 @@ func TestPayloadAllocBudget(t *testing.T) {
 // flat encoder.
 func TestPayloadSlideAllocs(t *testing.T) {
 	s := Quick()
-	gob, err := measurePayloadSlides(s, persist.CodecGob, 12)
+	gob, err := measurePayloadSlides(s, persist.CodecGob, payloadSlideWindow, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := measurePayloadSlides(s, persist.CodecFlat, 12)
+	flat, err := measurePayloadSlides(s, persist.CodecFlat, payloadSlideWindow, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flat.AllocsPerSlide >= gob.AllocsPerSlide {
 		t.Errorf("flat slide loop allocates %.0f/slide, gob %.0f/slide — flat must be cheaper",
 			flat.AllocsPerSlide, gob.AllocsPerSlide)
+	}
+}
+
+// TestWideSlideAllocs gates what a slide allocates when the window is 64
+// times the delta — the shape where everything that walks the window
+// instead of the delta shows. Per slide the runtime may allocate for the
+// delta (one map task, its memo blob), for the O(1) merges of the DABA
+// backend (one output map each, plus one scratch pair per merge — not one
+// per combined key), for the root-path blobs, and for one presized output
+// map; nothing per key of the window except the reducer's own boxed
+// results. Allocation counts repeat up to map-growth jitter, so the
+// ceiling sits ~10 % above the measured value (315 when pinned; 1 365
+// before sizes travelled with payloads and reduce became one pass).
+func TestWideSlideAllocs(t *testing.T) {
+	const window, slides, ceiling = 64, 32, 345
+	cell, err := measurePayloadSlides(Quick(), persist.CodecFlat, window, slides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("window %d: %.1f allocs/slide", window, cell.AllocsPerSlide)
+	if cell.AllocsPerSlide > ceiling {
+		t.Errorf("wide-window slide allocates %.0f/slide, ceiling %d", cell.AllocsPerSlide, ceiling)
 	}
 }

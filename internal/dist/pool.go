@@ -967,6 +967,9 @@ func decodeResult(r MapResult, partitions int) (mapreduce.MapResult, error) {
 		Bytes:   r.Bytes,
 		Records: r.Records,
 	}
+	if len(r.PartBytes) == partitions {
+		out.PartBytes = r.PartBytes
+	}
 	for i, frame := range r.PartFrames {
 		p, err := persist.DecodePayload(frame)
 		if err != nil {

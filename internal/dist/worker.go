@@ -41,7 +41,11 @@ type MapResult struct {
 	PartFrames [][]byte // one encoded Payload per reduce partition
 	CostNs     int64
 	Bytes      int64
-	Records    int64
+	// PartBytes is the map task's per-partition payload sizes (they sum
+	// to Bytes); absent from workers older than the field, in which case
+	// the pool's runtime measures the decoded payloads itself.
+	PartBytes []int64
+	Records   int64
 }
 
 // MapResponse carries the batch's results.
@@ -349,6 +353,7 @@ func (s *workerService) RunMap(req MapRequest, resp *MapResponse) error {
 			PartFrames: parts,
 			CostNs:     int64(time.Since(start)),
 			Bytes:      result.Bytes,
+			PartBytes:  result.PartBytes,
 			Records:    result.Records,
 		})
 		s.w.mu.Lock()

@@ -24,13 +24,20 @@ var (
 	// concurrent merges; an aliased result turns later non-mutating use
 	// into a data race and corrupts memoized state.
 	ErrAliasesInput = errors.New("mapreduce: combiner returns a value aliasing an input")
+	// ErrRetainsArgs means Combine or Reduce kept (or returned) its values
+	// argument slice. The slice is scratch the caller overwrites for the
+	// next key — one pair per merge, one arena per K-way merge — so a
+	// retained slice changes under the value that holds it.
+	ErrRetainsArgs = errors.New("mapreduce: function retains its values argument slice")
 )
 
 // CheckJob property-tests a job's combiner contract against real sample
 // data: it maps the sample splits and then checks, on every key with at
 // least three values, that Combine is associative, commutative (when the
 // job declares it), does not mutate its inputs, and does not return a
-// value aliasing an input. Values are compared by Fingerprint with a
+// value aliasing an input; and that neither Combine nor Reduce retains
+// its values argument slice (the result must fingerprint the same after
+// the slice is overwritten). Values are compared by Fingerprint with a
 // relative tolerance for floats (contraction trees re-associate float
 // arithmetic by design).
 //
@@ -73,6 +80,15 @@ func CheckJob(job *Job, samples []Split) error {
 			return fmt.Errorf("%w (key %q)", ErrMutatesInput, key)
 		}
 
+		// Non-retention: the argument slice is the caller's scratch.
+		if retainsArgs(job.Combine, key, []Value{a, b}, []Value{b, c}) {
+			return fmt.Errorf("%w: Combine (key %q)", ErrRetainsArgs, key)
+		}
+		if retainsArgs(job.Reduce, key, []Value{a, b}, []Value{b, c}) ||
+			retainsArgs(job.Reduce, key, []Value{ab}, []Value{c}) {
+			return fmt.Errorf("%w: Reduce (key %q)", ErrRetainsArgs, key)
+		}
+
 		// Alias-freedom: the result must not share storage with an input.
 		if aliases(ab, a) || aliases(ab, b) {
 			return fmt.Errorf("%w (key %q)", ErrAliasesInput, key)
@@ -97,6 +113,16 @@ func CheckJob(job *Job, samples []Split) error {
 		return fmt.Errorf("mapreduce: samples produced no key with ≥3 values; provide more data")
 	}
 	return nil
+}
+
+// retainsArgs calls fn (a Combine or a Reduce) on args, then overwrites
+// args with next — what the caller's scratch holds by the following key —
+// and reports whether the result changed with it.
+func retainsArgs(fn func(string, []Value) Value, key string, args, next []Value) bool {
+	out := fn(key, args)
+	fp := Fingerprint(out)
+	copy(args, next)
+	return Fingerprint(out) != fp
 }
 
 // aliases reports whether two values share mutable storage: the same

@@ -140,3 +140,49 @@ func TestCheckJobDetectsAliasing(t *testing.T) {
 		t.Fatalf("err = %v, want ErrAliasesInput", err)
 	}
 }
+
+// TestCheckJobDetectsRetainedArgs covers the contract the runtime's
+// scratch slices rely on: the values slice handed to Combine and Reduce is
+// overwritten for the next key, so neither may keep or return it.
+func TestCheckJobDetectsRetainedArgs(t *testing.T) {
+	// A "collect" combiner that flattens lists but hands back the argument
+	// slice itself when nothing needs flattening.
+	retainingCombiner := &Job{
+		Name: "collect",
+		Map: func(rec Record, emit Emit) error {
+			for _, w := range strings.Fields(rec.(string)) {
+				emit("k", w)
+			}
+			return nil
+		},
+		Combine: func(_ string, values []Value) Value {
+			flat := values
+			for i, v := range values {
+				if list, ok := v.([]Value); ok {
+					flat = append(append(append([]Value(nil), values[:i]...), list...), values[i+1:]...)
+					break
+				}
+			}
+			return flat // aliases the argument slice when no element was a list
+		},
+		Reduce: func(_ string, values []Value) Value { return len(values) },
+	}
+	if err := CheckJob(retainingCombiner, checkSamples()); !errors.Is(err, ErrRetainsArgs) {
+		t.Fatalf("retaining combiner: err = %v, want ErrRetainsArgs", err)
+	}
+
+	// A lawful combiner under a reducer that returns its argument slice.
+	retainingReducer := sumJob(1)
+	retainingReducer.Reduce = func(_ string, values []Value) Value { return values }
+	err := CheckJob(retainingReducer, checkSamples())
+	if !errors.Is(err, ErrRetainsArgs) || !strings.Contains(err.Error(), "Reduce") {
+		t.Fatalf("retaining reducer: err = %v, want ErrRetainsArgs naming Reduce", err)
+	}
+
+	// Copying the values out is fine.
+	copying := sumJob(1)
+	copying.Reduce = func(_ string, values []Value) Value { return append([]Value(nil), values...) }
+	if err := CheckJob(copying, checkSamples()); err != nil {
+		t.Fatalf("copying reducer rejected: %v", err)
+	}
+}

@@ -20,6 +20,11 @@ type MapResult struct {
 	Cost time.Duration
 	// Bytes estimates the total output size across partitions.
 	Bytes int64
+	// PartBytes holds PayloadBytes of each entry of Parts (they sum to
+	// Bytes), so the runtime's contraction trees take the sizes over
+	// instead of walking the payloads again. A MapRunner that leaves it
+	// nil has its payloads measured on arrival (see PartSized).
+	PartBytes []int64
 	// Records is the number of input records processed.
 	Records int64
 }
@@ -63,10 +68,15 @@ func RunMapTask(job *Job, split Split) (MapResult, error) {
 		parts[i] = make(Payload)
 	}
 	var mapErr error
+	// One scratch pair for every map-side combine of the task: Combine's
+	// argument slice is only valid during the call (see Job.Combine), and a
+	// map task emits from one goroutine.
+	pair := make([]Value, 2)
 	emit := func(key string, value Value) {
 		p := parts[Partition(key, n)]
 		if existing, ok := p[key]; ok {
-			p[key] = job.Combine(key, []Value{existing, value})
+			pair[0], pair[1] = existing, value
+			p[key] = job.Combine(key, pair)
 		} else {
 			p[key] = value
 		}
@@ -81,16 +91,29 @@ func RunMapTask(job *Job, split Split) (MapResult, error) {
 		return MapResult{}, mapErr
 	}
 	var bytes int64
-	for _, p := range parts {
-		bytes += PayloadBytes(job, p)
+	partBytes := make([]int64, n)
+	for i, p := range parts {
+		partBytes[i] = PayloadBytes(job, p)
+		bytes += partBytes[i]
 	}
 	return MapResult{
-		SplitID: split.ID,
-		Parts:   parts,
-		Cost:    time.Since(start),
-		Bytes:   bytes,
-		Records: int64(len(split.Records)),
+		SplitID:   split.ID,
+		Parts:     parts,
+		Cost:      time.Since(start),
+		Bytes:     bytes,
+		PartBytes: partBytes,
+		Records:   int64(len(split.Records)),
 	}, nil
+}
+
+// PartSized returns partition p's payload with its size: the one the map
+// task measured when it built the payload, or — for results of a
+// MapRunner that does not fill PartBytes — one walk on arrival.
+func (r *MapResult) PartSized(job *Job, p int) Sized {
+	if len(r.PartBytes) == len(r.Parts) {
+		return Sized{P: r.Parts[p], Bytes: r.PartBytes[p]}
+	}
+	return Size(job, r.Parts[p])
 }
 
 // RunMapTasks executes the map phase over the given splits in parallel,
@@ -145,20 +168,75 @@ func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) (
 
 // ReducePayload applies the job's Reduce to every key of the root
 // payload(s) and returns the final output. Multiple payloads for the same
-// key are passed to Reduce together (the "union" reduction of §4.2's
-// foreground step).
+// key are passed to Reduce together, in window order (the "union"
+// reduction of §4.2's foreground step).
 func ReducePayload(job *Job, roots []Payload) (Output, int64) {
-	out := make(Output)
-	grouped := make(map[string][]Value)
+	total := 0
 	for _, p := range roots {
-		for k, v := range p {
-			grouped[k] = append(grouped[k], v)
+		total += len(p)
+	}
+	out := make(Output, total)
+	return out, ReduceInto(job, roots, out)
+}
+
+// ReduceInto is ReducePayload writing into a caller-owned output, so the
+// per-partition reduces of one run fill a single map (partitions are
+// key-disjoint). It returns the number of Reduce calls.
+//
+// A lone non-empty root — every slide outside split processing — takes
+// one pass: each value goes to Reduce through a one-element scratch slice
+// reused across keys. Several roots are grouped first, with the counting
+// pass and shared value arena of MergeOrderedK: O(1) bulk allocations
+// however many keys repeat. Either way the slice Reduce receives is only
+// valid for the duration of the call (see Job.Reduce).
+func ReduceInto(job *Job, roots []Payload, out Output) int64 {
+	nonEmpty, last, total := 0, -1, 0
+	for i, p := range roots {
+		if len(p) > 0 {
+			nonEmpty++
+			last = i
+			total += len(p)
 		}
 	}
-	for k, vs := range grouped {
-		out[k] = job.Reduce(k, vs)
+	switch nonEmpty {
+	case 0:
+		return 0
+	case 1:
+		one := make([]Value, 1)
+		for k, v := range roots[last] {
+			one[0] = v
+			out[k] = job.Reduce(k, one)
+		}
+		return int64(total)
 	}
-	return out, int64(len(grouped))
+	// Counting pass, then block starts, then a gather in window order
+	// (roots left to right; a key occurs at most once per root).
+	locs := make(map[string]runLoc, total)
+	for _, p := range roots {
+		for k := range p {
+			loc := locs[k]
+			loc.n++
+			locs[k] = loc
+		}
+	}
+	next := 0
+	for k, loc := range locs {
+		locs[k] = runLoc{start: next}
+		next += loc.n
+	}
+	arena := make([]Value, total)
+	for _, p := range roots {
+		for k, v := range p {
+			loc := locs[k]
+			arena[loc.start+loc.n] = v
+			loc.n++
+			locs[k] = loc
+		}
+	}
+	for k, loc := range locs {
+		out[k] = job.Reduce(k, arena[loc.start:loc.start+loc.n])
+	}
+	return int64(len(locs))
 }
 
 // RunScratch executes the whole job non-incrementally: map over every

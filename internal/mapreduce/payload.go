@@ -57,6 +57,23 @@ var emptyPayload = Payload{}
 // empty merge result.
 func EmptyPayload() Payload { return emptyPayload }
 
+// Sized is a payload together with its PayloadBytes. The size is computed
+// once, where the payload is created — by the merge that builds it, by
+// the map task that emits it, or by Size for a payload decoded from bytes
+// — and travels with it, so nothing downstream (the runtime's space
+// accounting, the cost model's task sizes) walks the map again.
+type Sized struct {
+	P     Payload
+	Bytes int64
+}
+
+// Size measures p once with PayloadBytes. It is for payloads that arrive
+// without a size (decoded from a checkpoint or from a foreign MapRunner);
+// payloads built by the merges below carry theirs already.
+func Size(job *Job, p Payload) Sized {
+	return Sized{P: p, Bytes: PayloadBytes(job, p)}
+}
+
 // MergeOrdered combines two payloads preserving left-to-right window
 // order: values from `left` precede values from `right` in combiner
 // argument order. Neither input is mutated, and a non-empty result never
@@ -65,32 +82,53 @@ func EmptyPayload() Payload { return emptyPayload }
 // mutations (or concurrent merges) silently corrupt tree-node state. An
 // empty result is the shared EmptyPayload sentinel (no allocation).
 func MergeOrdered(job *Job, left, right Payload) (Payload, int64) {
-	if len(left) == 0 {
-		return ClonePayload(right), 0
+	out, combines := MergeOrderedSized(job, Sized{P: left}, Sized{P: right})
+	return out.P, combines
+}
+
+// MergeOrderedSized is MergeOrdered over sized payloads: the result's
+// Bytes equals PayloadBytes of the result, derived inside the merge loop
+// from left.Bytes and the entries the loop touches anyway (one valueBytes
+// per key new to the result, two per combined key), honouring
+// Job.SizeOf/Sizer exactly as PayloadBytes does. Inputs whose Bytes are
+// wrong yield a wrong Bytes and nothing else.
+//
+// Every Combine call receives the same two-element scratch slice, valid
+// only for the duration of that call (see Job.Combine). The scratch is
+// local to this call, so concurrent merges never share one.
+func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
+	if len(left.P) == 0 {
+		return Sized{P: ClonePayload(right.P), Bytes: right.Bytes}, 0
 	}
-	if len(right) == 0 {
-		return ClonePayload(left), 0
+	if len(right.P) == 0 {
+		return Sized{P: ClonePayload(left.P), Bytes: left.Bytes}, 0
 	}
-	out := make(Payload, len(left)+len(right))
-	for k, v := range left {
+	out := make(Payload, len(left.P)+len(right.P))
+	for k, v := range left.P {
 		out[k] = v
 	}
+	bytes := left.Bytes
 	var combines int64
-	for k, v := range right {
+	pair := make([]Value, 2)
+	for k, v := range right.P {
 		if existing, ok := out[k]; ok {
-			out[k] = job.Combine(k, []Value{existing, v})
+			pair[0], pair[1] = existing, v
+			combined := job.Combine(k, pair)
+			out[k] = combined
+			bytes += valueBytes(job, combined) - valueBytes(job, existing)
 			combines++
 		} else {
 			out[k] = v
+			bytes += int64(len(k)) + valueBytes(job, v)
 		}
 	}
-	return out, combines
+	return Sized{P: out, Bytes: bytes}, combines
 }
 
-// runLoc tracks one duplicated key's reserved block in the K-way merge's
-// shared value arena: start is the block offset, n how many values have
-// been written so far (n reaches the key's occurrence count by the end of
-// the gather pass).
+// runLoc tracks one key's reserved block in a shared value arena (the
+// K-way merge's, the grouping reduce's): start is the block offset, n how
+// many values have been written so far (n reaches the key's occurrence
+// count by the end of the gather pass).
 type runLoc struct {
 	start, n int
 }
@@ -110,42 +148,59 @@ type runLoc struct {
 // merge makes O(1) bulk allocations — the occurrence-count map, the output
 // map, one shared value arena holding every duplicated key's run, and the
 // run-location map — instead of a fresh slice (and growth reallocations)
-// per duplicated key. Each Combine receives a sub-slice of the arena;
-// conforming combiners (CheckJob) do not mutate or retain their argument
-// slice, and the arena is dropped when the merge returns.
+// per duplicated key. Each Combine receives a sub-slice of the arena,
+// valid only for the duration of the call (see Job.Combine; CheckJob
+// enforces it); the arena is dropped when the merge returns.
 //
 // Like MergeOrdered, inputs are never mutated and a non-empty result
 // never aliases any input; an empty result is the EmptyPayload sentinel.
 func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
-	nonEmpty, last, total := 0, -1, 0
+	// Typical fold-ups fit the stack buffer; wider ones spill to the heap.
+	var buf [16]Sized
+	sized := buf[:]
+	if len(payloads) > len(buf) {
+		sized = make([]Sized, len(payloads))
+	}
+	sized = sized[:len(payloads)]
 	for i, p := range payloads {
-		if len(p) > 0 {
+		sized[i].P = p
+	}
+	out, combines := MergeOrderedKSized(job, sized)
+	return out.P, combines
+}
+
+// MergeOrderedKSized is MergeOrderedK over sized payloads: the result's
+// Bytes equals PayloadBytes of the result, accumulated as each entry is
+// written to the output map (or carried from the inputs where the result
+// is a copy of them).
+func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
+	nonEmpty, first, last, total := 0, -1, -1, 0
+	var inputBytes int64
+	for i, p := range payloads {
+		if len(p.P) > 0 {
+			if nonEmpty == 0 {
+				first = i
+			}
 			nonEmpty++
 			last = i
-			total += len(p)
+			total += len(p.P)
+			inputBytes += p.Bytes
 		}
 	}
 	switch nonEmpty {
 	case 0:
-		return emptyPayload, 0
+		return Sized{P: emptyPayload}, 0
 	case 1:
-		return ClonePayload(payloads[last]), 0
+		return Sized{P: ClonePayload(payloads[last].P), Bytes: inputBytes}, 0
 	case 2:
 		// The binary path avoids the run bookkeeping below.
-		first := -1
-		for i, p := range payloads {
-			if len(p) > 0 {
-				first = i
-				break
-			}
-		}
-		return MergeOrdered(job, payloads[first], payloads[last])
+		return MergeOrderedSized(job, payloads[first], payloads[last])
 	}
 	// Counting pass: per-key occurrence counts size the output map, the
 	// value arena, and the run-location map exactly.
 	counts := make(map[string]int, total)
 	for _, p := range payloads {
-		for k := range p {
+		for k := range p.P {
 			counts[k]++
 		}
 	}
@@ -160,11 +215,11 @@ func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 	if dupKeys == 0 {
 		// Disjoint key spaces: a straight copy, no combines.
 		for _, p := range payloads {
-			for k, v := range p {
+			for k, v := range p.P {
 				out[k] = v
 			}
 		}
-		return out, 0
+		return Sized{P: out, Bytes: inputBytes}, 0
 	}
 	// Gather pass: singleton keys go to out directly; each duplicated
 	// key's values land in its reserved arena block, in window order
@@ -173,11 +228,13 @@ func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 	arena := make([]Value, arenaLen)
 	locs := make(map[string]runLoc, dupKeys)
 	next := 0
+	var bytes int64
 	for _, p := range payloads {
-		for k, v := range p {
+		for k, v := range p.P {
 			c := counts[k]
 			if c == 1 {
 				out[k] = v
+				bytes += int64(len(k)) + valueBytes(job, v)
 				continue
 			}
 			loc, ok := locs[k]
@@ -193,10 +250,12 @@ func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 	// Combine pass: one multi-argument Combine per duplicated key.
 	var combines int64
 	for k, loc := range locs {
-		out[k] = job.Combine(k, arena[loc.start:loc.start+loc.n])
+		combined := job.Combine(k, arena[loc.start:loc.start+loc.n])
+		out[k] = combined
+		bytes += int64(len(k)) + valueBytes(job, combined)
 		combines++
 	}
-	return out, combines
+	return Sized{P: out, Bytes: bytes}, combines
 }
 
 // ClonePayload returns a shallow copy of p: a fresh map sharing p's
@@ -216,7 +275,11 @@ func ClonePayload(p Payload) Payload {
 }
 
 // PayloadBytes estimates the in-memory size of a payload, using the job's
-// SizeOf override, the Sizer interface, or per-type defaults.
+// SizeOf override, the Sizer interface, or per-type defaults. It walks
+// every entry: call it where a payload is created without a size (a map
+// task's output, a decoded checkpoint — see Size), and as the oracle the
+// carried sizes of Sized payloads are tested against; never per slide
+// over resident state.
 func PayloadBytes(job *Job, p Payload) int64 {
 	var total int64
 	for k, v := range p {

@@ -53,10 +53,16 @@ type Job struct {
 	Map func(rec Record, emit Emit) error
 	// Combine folds two or more values for a key into one. It must not
 	// mutate its inputs: payloads are shared between contraction-tree
-	// nodes across runs.
+	// nodes across runs. The values slice itself is only valid for the
+	// duration of the call — callers hand in scratch they overwrite for
+	// the next key — so Combine must not retain it, nor return it or a
+	// sub-slice of it (the values it holds may be kept). CheckJob
+	// enforces this (ErrRetainsArgs).
 	Combine func(key string, values []Value) Value
 	// Reduce produces the final per-key output from the combined
-	// value(s) at the contraction-tree root.
+	// value(s) at the contraction-tree root. Like Combine's, its values
+	// slice is only valid for the duration of the call and must not be
+	// retained or returned.
 	Reduce func(key string, values []Value) Value
 	// SizeOf overrides the default value size estimate (optional).
 	SizeOf func(v Value) int64

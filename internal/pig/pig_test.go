@@ -304,6 +304,31 @@ func pipelineMemo() memo.Config {
 	return cfg
 }
 
+// checkPlanJobs runs mapreduce.CheckJob over every stage's generated job,
+// feeding each later stage the pseudo-splits the stage before it produces
+// over the window (as RunScratch does).
+func checkPlanJobs(t *testing.T, plan *Plan, window []mapreduce.Split) {
+	t.Helper()
+	splits := window
+	for i, st := range plan.Stages {
+		if err := mapreduce.CheckJob(st.Job, splits); err != nil {
+			t.Fatalf("stage %d (%s): %v", i, st.Job.Name, err)
+		}
+		out, err := mapreduce.RunScratch(st.Job, splits, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := st.Finalize(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		splits = splits[:0:0]
+		for _, in := range pseudoSplits(rows, 8) {
+			splits = append(splits, in.split())
+		}
+	}
+}
+
 func TestPipelineIncrementalMatchesScratch(t *testing.T) {
 	gen := workload.NewPigMix(workload.PigMixConfig{Seed: 9, Users: 60, Pages: 30, RowsPerSplit: 50})
 	tblSchema, tblRows := gen.UserTable()
@@ -321,6 +346,7 @@ ordered = ORDER agg BY total DESC;
 STORE ordered INTO 'o';
 `
 	plan := compileTest(t, src, map[string]*Table{"users": table})
+	checkPlanJobs(t, plan, gen.Range(0, 8))
 
 	for _, mode := range []sliderrt.Mode{sliderrt.Append, sliderrt.Fixed, sliderrt.Variable} {
 		cfg := PipelineConfig{Mode: mode, Memo: pipelineMemo()}

@@ -160,6 +160,15 @@ type pseudoSplit struct {
 	rows []Row
 }
 
+// split presents the chunk as the map-task input of a later stage.
+func (in pseudoSplit) split() mapreduce.Split {
+	records := make([]mapreduce.Record, len(in.rows))
+	for i, r := range in.rows {
+		records[i] = mapreduce.Record(r)
+	}
+	return mapreduce.Split{ID: "pseudo-" + strconv.FormatUint(in.fp, 16), Records: records}
+}
+
 // pseudoSplits partitions rows into n content-addressed chunks: a row
 // always lands in the chunk selected by its own fingerprint, so unchanged
 // rows produce unchanged chunks regardless of what happened elsewhere.
@@ -190,15 +199,7 @@ func (ls *laterStage) run(inputs []pseudoSplit, rec *metrics.Recorder) (mapreduc
 	runStart := time.Now()
 	statsBefore := ls.ml.Stats()
 	roots, hasRoot, err := ls.ml.Run(fps, func(i int) ([]mapreduce.Payload, error) {
-		in := inputs[i]
-		records := make([]mapreduce.Record, len(in.rows))
-		for j, r := range in.rows {
-			records[j] = mapreduce.Record(r)
-		}
-		result, err := mapreduce.RunMapTask(job, mapreduce.Split{
-			ID:      "pseudo-" + strconv.FormatUint(in.fp, 16),
-			Records: records,
-		})
+		result, err := mapreduce.RunMapTask(job, inputs[i].split())
 		if err != nil {
 			return nil, err
 		}
@@ -277,14 +278,7 @@ func RunScratch(plan *Plan, window []mapreduce.Split, rec *metrics.Recorder) ([]
 		inputs := pseudoSplits(rows, 8)
 		splits := make([]mapreduce.Split, 0, len(inputs))
 		for _, in := range inputs {
-			records := make([]mapreduce.Record, len(in.rows))
-			for i, r := range in.rows {
-				records[i] = mapreduce.Record(r)
-			}
-			splits = append(splits, mapreduce.Split{
-				ID:      "pseudo-" + strconv.FormatUint(in.fp, 16),
-				Records: records,
-			})
+			splits = append(splits, in.split())
 		}
 		out, err := mapreduce.RunScratch(st.Job, splits, 0, rec)
 		if err != nil {

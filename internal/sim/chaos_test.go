@@ -82,7 +82,7 @@ func TestChaosSeedMatrix(t *testing.T) {
 // injected fault class shows up in the shared FaultRecorder, and the
 // window result still matches the from-scratch oracle.
 func TestChaosClusterCountsFaults(t *testing.T) {
-	chaos, err := newChaosCluster(chaosWorkers)
+	chaos, err := newChaosCluster(chaosWorkers, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestChaosClusterCountsFaults(t *testing.T) {
 	}
 	cfg.MapRunner = chaos.pool
 	cfg.Faults = chaos.rec
-	rt, err := sliderrt.New(simJob(), cfg)
+	rt, err := sliderrt.New(simJob(7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestChaosClusterCountsFaults(t *testing.T) {
 			t.Fatalf("advance: %v", err)
 		}
 		window = append(window[2:], adds...)
-		want, err := mapreduce.RunScratch(simJob(), window, 0, nil)
+		want, err := mapreduce.RunScratch(simJob(7), window, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"slider/internal/dist"
+	"slider/internal/mapreduce"
 	"slider/internal/metrics"
 )
 
@@ -35,10 +36,11 @@ type chaosCluster struct {
 	rec     *metrics.FaultRecorder
 }
 
-// newChaosCluster starts the workers and the pool.
-func newChaosCluster(n int) (*chaosCluster, error) {
+// newChaosCluster starts the workers and the pool; the workers serve the
+// sim job of the given trace seed.
+func newChaosCluster(n int, seed uint64) (*chaosCluster, error) {
 	c := &chaosCluster{reg: &dist.Registry{}, rec: &metrics.FaultRecorder{}}
-	if err := c.reg.Register("sim-wordcount", simJob); err != nil {
+	if err := c.reg.Register("sim-wordcount", func() *mapreduce.Job { return simJob(seed) }); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {

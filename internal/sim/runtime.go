@@ -8,6 +8,7 @@ import (
 
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
+	"slider/internal/persist"
 	"slider/internal/sliderrt"
 )
 
@@ -16,11 +17,45 @@ import (
 // splits).
 const runtimeBucketSplits = 2
 
+// tally is the count type of the Sizer variant of the sim job: its size
+// comes from the value itself (and depends on it, so a stale carried size
+// would show).
+type tally int64
+
+// SizeBytes implements mapreduce.Sizer.
+func (t tally) SizeBytes() int64 { return 8 + int64(t)%5 }
+
+func init() { persist.RegisterType(tally(0)) }
+
+// count unboxes a sim-job value of either variant.
+func count(v mapreduce.Value) int64 {
+	if t, ok := v.(tally); ok {
+		return int64(t)
+	}
+	return v.(int64)
+}
+
 // simJob is the wordcount job the runtime layer drives: associative,
 // commutative, and cheap, with a small vocabulary so keys collide across
-// splits and every merge exercises the combiner.
-func simJob() *mapreduce.Job {
-	return &mapreduce.Job{
+// splits and every merge exercises the combiner. The trace seed picks how
+// its values are sized, so that every seed matrix covers the three ways
+// mapreduce sizes a value and the sizes the runtime carries with its
+// payloads cannot drift from a PayloadBytes walk on any of them: per-type
+// defaults (seed%3 == 0), a value-dependent Job.SizeOf override (1), or
+// Sizer values (2).
+func simJob(seed uint64) *mapreduce.Job {
+	box := func(n int64) mapreduce.Value { return n }
+	if seed%3 == 2 {
+		box = func(n int64) mapreduce.Value { return tally(n) }
+	}
+	sum := func(_ string, values []mapreduce.Value) mapreduce.Value {
+		var sum int64
+		for _, v := range values {
+			sum += count(v)
+		}
+		return box(sum)
+	}
+	job := &mapreduce.Job{
 		Name:       "sim-wordcount",
 		Partitions: 3,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -29,26 +64,18 @@ func simJob() *mapreduce.Job {
 				return fmt.Errorf("sim: record %T is not a string", rec)
 			}
 			for _, w := range strings.Fields(line) {
-				emit(w, int64(1))
+				emit(w, box(1))
 			}
 			return nil
 		},
-		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			var sum int64
-			for _, v := range values {
-				sum += v.(int64)
-			}
-			return sum
-		},
-		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			var sum int64
-			for _, v := range values {
-				sum += v.(int64)
-			}
-			return sum
-		},
+		Combine:     sum,
+		Reduce:      sum,
 		Commutative: true,
 	}
+	if seed%3 == 1 {
+		job.SizeOf = func(v mapreduce.Value) int64 { return 5 + count(v)%3 }
+	}
+	return job
 }
 
 // mix64 is the split-content generator's avalanche hash.
@@ -149,7 +176,7 @@ func memoConfig() memo.Config {
 // round-trips through the real persist codec — while memo nodes fail,
 // recover, and the GC evicts under pressure.
 func runRuntime(tr Trace, opt Options) error {
-	job := simJob()
+	job := simJob(tr.Seed)
 	pars := opt.pars()
 	fail := func(step int, check, format string, args ...any) *CheckError {
 		return &CheckError{Trace: tr, Step: step, Check: check, Msg: fmt.Sprintf(format, args...)}
@@ -162,7 +189,7 @@ func runRuntime(tr Trace, opt Options) error {
 	var chaos *chaosCluster
 	if opt.DistFaults {
 		var err error
-		chaos, err = newChaosCluster(chaosWorkers)
+		chaos, err = newChaosCluster(chaosWorkers, tr.Seed)
 		if err != nil {
 			return fail(-1, "config", "chaos cluster: %v", err)
 		}
@@ -180,7 +207,7 @@ func runRuntime(tr Trace, opt Options) error {
 			cfg.MapRunner = chaos.pool
 			cfg.Faults = chaos.rec
 		}
-		rt, err := sliderrt.New(simJob(), cfg)
+		rt, err := sliderrt.New(simJob(tr.Seed), cfg)
 		if err != nil {
 			return fail(-1, "config", "par=%d: %v", par, err)
 		}
@@ -235,7 +262,7 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		results[i] = res
 	}
-	if err := checkRuntimeStep(tr, -1, job, pars, results, window); err != nil {
+	if err := checkRuntimeStep(tr, -1, job, pars, reps, results, window); err != nil {
 		return err
 	}
 
@@ -272,7 +299,7 @@ func runRuntime(tr Trace, opt Options) error {
 					sizes = append(sizes, splitWidth)
 				}
 			}
-			if err := checkRuntimeStep(tr, step, job, pars, results, window); err != nil {
+			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds && tr.Kind != Strawman {
@@ -298,7 +325,7 @@ func runRuntime(tr Trace, opt Options) error {
 				if err := rep.rt.Checkpoint(&buf); err != nil {
 					return fail(step, "checkpoint", "par=%d: %v", pars[i], err)
 				}
-				restored, err := sliderrt.Restore(simJob(), rep.cfg, bytes.NewReader(buf.Bytes()))
+				restored, err := sliderrt.Restore(simJob(tr.Seed), rep.cfg, bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					return fail(step, "restore", "par=%d: %v", pars[i], err)
 				}
@@ -350,7 +377,7 @@ func runRuntime(tr Trace, opt Options) error {
 			sizes = append(sizes, 0)
 			copy(sizes[pos+1:], sizes[pos:])
 			sizes[pos] = 1
-			if err := checkRuntimeStep(tr, step, job, pars, results, window); err != nil {
+			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
@@ -380,7 +407,7 @@ func runRuntime(tr Trace, opt Options) error {
 			}
 			window = window[dropSplits:]
 			sizes = append(sizes[:0], sizes[k:]...)
-			if err := checkRuntimeStep(tr, step, job, pars, results, window); err != nil {
+			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
@@ -412,7 +439,7 @@ func runRuntime(tr Trace, opt Options) error {
 			for i := 0; i < k; i++ {
 				sizes = append(sizes, splitWidth)
 			}
-			if err := checkRuntimeStep(tr, step, job, pars, results, window); err != nil {
+			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
@@ -449,11 +476,31 @@ func runRuntime(tr Trace, opt Options) error {
 	return nil
 }
 
+// spaceOracle re-measures a runtime's resident state from scratch: a
+// PayloadBytes walk over every key of every tree payload plus the memo
+// store's bytes — what RunResult.SpaceBytes must equal, although the
+// runtime only ever adds up sizes carried from where each payload was
+// created (map task, merge, checkpoint decode).
+func spaceOracle(rt *sliderrt.Runtime, job *mapreduce.Job) int64 {
+	total := rt.Store().Stats().Bytes
+	rt.ForEachPayload(func(p mapreduce.Payload) { total += mapreduce.PayloadBytes(job, p) })
+	return total
+}
+
 // checkRuntimeStep verifies one run's results: the output equals a
 // from-scratch MapReduce execution over the live window (the paper's
-// exact-answer claim), and outputs and contraction work counters agree
-// across parallelism levels.
-func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, results []*sliderrt.RunResult, window []mapreduce.Split) error {
+// exact-answer claim), outputs and contraction work counters agree
+// across parallelism levels, and every replica's reported SpaceBytes
+// equals a from-scratch walk of its state — including on the runs right
+// after a checkpoint→restore, a late insert, a bulk evict or insert, and
+// a folding-tree rebuild.
+func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps []*rtReplica, results []*sliderrt.RunResult, window []mapreduce.Split) error {
+	for i, rep := range reps {
+		if got, want := results[i].SpaceBytes, spaceOracle(rep.rt, job); got != want {
+			return &CheckError{Trace: tr, Step: step, Check: "space",
+				Msg: fmt.Sprintf("par=%d SpaceBytes %d, from-scratch walk says %d", pars[i], got, want)}
+		}
+	}
 	want, err := mapreduce.RunScratch(job, window, 0, nil)
 	if err != nil {
 		return &CheckError{Trace: tr, Step: step, Check: "oracle", Msg: fmt.Sprintf("from-scratch run: %v", err)}
@@ -492,8 +539,8 @@ func diffOutputs(got, want mapreduce.Output) string {
 		if !ok {
 			return fmt.Sprintf("missing key %q", k)
 		}
-		if gv.(int64) != wv.(int64) {
-			return fmt.Sprintf("key %q: got %d, want %d", k, gv.(int64), wv.(int64))
+		if count(gv) != count(wv) {
+			return fmt.Sprintf("key %q: got %d, want %d", k, count(gv), count(wv))
 		}
 	}
 	return ""

@@ -231,7 +231,7 @@ func (rt *Runtime) maybeSwitchBackend() {
 // (oldest first). Tree work counters restart with the rebuild, exactly
 // as on a checkpoint restore.
 func (rt *Runtime) rebuildFixedBackend(want Backend) {
-	buckets := make([][]Payload, rt.parts)
+	buckets := make([][]sized, rt.parts)
 	for p := 0; p < rt.parts; p++ {
 		switch rt.backend {
 		case BackendDaba:
@@ -248,7 +248,7 @@ func (rt *Runtime) rebuildFixedBackend(want Backend) {
 			// Leaf-position order → window order: the victim is the
 			// oldest bucket.
 			v := rt.rot[p].Victim()
-			buckets[p] = append(append([]Payload{}, bs[v:]...), bs[:v]...)
+			buckets[p] = append(append([]sized{}, bs[v:]...), bs[:v]...)
 		default:
 			return
 		}

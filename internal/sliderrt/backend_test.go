@@ -151,12 +151,19 @@ func TestBackendLiveSwitch(t *testing.T) {
 		t.Helper()
 		add := genSplits(next, 2, 4, 7)
 		next += 2
+		before := rt.Backend()
 		res, err := rt.Advance(2, add)
 		if err != nil {
 			t.Fatal(err)
 		}
 		window = append(window[2:], add...)
 		wantSameOutput(t, res.Output, scratch(t, job, window))
+		// SpaceBytes describes the structure the slide ran on; a switch at
+		// the end of the slide rebuilds it, and the next slide — the first
+		// on the rebuilt structure — is checked against the new one.
+		if rt.Backend() == before {
+			wantSpaceOracle(t, rt, job, res)
+		}
 	}
 	advance()
 	if rt.Backend() != BackendDaba || hookCalls == 0 {
@@ -203,6 +210,7 @@ func TestBackendLiveSwitch(t *testing.T) {
 	}
 	restWindow = append(restWindow[2:], add...)
 	wantSameOutput(t, res.Output, scratch(t, job, restWindow))
+	wantSpaceOracle(t, restored, job, res)
 	if restored.Backend() != BackendRotating {
 		t.Fatalf("restored runtime switched without a hook: %v", restored.Backend())
 	}

@@ -109,23 +109,23 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 			var leafPayloads []Payload
 			for _, leaf := range rt.leaves[p] {
 				pc.LeafIDs = append(pc.LeafIDs, leaf.ID)
-				leafPayloads = append(leafPayloads, leaf.Payload)
+				leafPayloads = append(leafPayloads, leaf.Payload.P)
 			}
 			pc.FlatLeaves, err = persist.EncodePayloadSet(leafPayloads)
 		case rt.cfg.Mode == Append:
-			var root, pending Payload
+			var root, pending sized
 			root, pc.HasRoot = rt.coal[p].Root()
 			pending, pc.HasPending = rt.coal[p].PendingPayload()
 			if pc.HasRoot {
-				if pc.FlatRoot, err = persist.EncodePayload(root); err != nil {
+				if pc.FlatRoot, err = persist.EncodePayload(root.P); err != nil {
 					break
 				}
 			}
 			if pc.HasPending {
-				pc.FlatPending, err = persist.EncodePayload(pending)
+				pc.FlatPending, err = persist.EncodePayload(pending.P)
 			}
 		case rt.cfg.Mode == Fixed:
-			var buckets []Payload
+			var buckets []sized
 			switch rt.backend {
 			case BackendDaba:
 				buckets, pc.Filled = rt.daba[p].BucketPayloads()
@@ -135,16 +135,16 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 				buckets, pc.Filled = rt.rot[p].BucketPayloads()
 				pc.Victim = rt.rot[p].Victim()
 			}
-			pc.FlatBuckets, err = persist.EncodePayloadSet(buckets)
+			pc.FlatBuckets, err = persist.EncodePayloadSet(unsized(buckets))
 		case rt.cfg.Randomized:
 			var leafPayloads []Payload
 			for _, item := range rt.rnd[p].Items() {
 				pc.LeafIDs = append(pc.LeafIDs, item.ID)
-				leafPayloads = append(leafPayloads, item.Payload)
+				leafPayloads = append(leafPayloads, item.Payload.P)
 			}
 			pc.FlatLeaves, err = persist.EncodePayloadSet(leafPayloads)
 		default:
-			pc.FlatLeaves, err = persist.EncodePayloadSet(rt.fold[p].Payloads())
+			pc.FlatLeaves, err = persist.EncodePayloadSet(unsized(rt.fold[p].Payloads()))
 		}
 		if err != nil {
 			return fmt.Errorf("sliderrt: checkpoint partition %d: %w", p, err)
@@ -158,6 +158,16 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("sliderrt: checkpoint write: %w", err)
 	}
 	return nil
+}
+
+// sizeAll measures payloads decoded from a checkpoint: restore is where
+// they are created, so this is the one walk they get (see sized).
+func (rt *Runtime) sizeAll(ps []Payload) []sized {
+	out := make([]sized, len(ps))
+	for i, p := range ps {
+		out[i] = mapreduce.Size(rt.job, p)
+	}
+	return out
 }
 
 // rootPayload returns the partition's coalescing root, version-dispatched:
@@ -258,9 +268,9 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 			}
-			items := make([]core.Item[Payload], len(leafPayloads))
-			for i := range leafPayloads {
-				items[i] = core.Item[Payload]{ID: pc.LeafIDs[i], Payload: leafPayloads[i]}
+			items := make([]core.Item[sized], len(leafPayloads))
+			for i, leaf := range rt.sizeAll(leafPayloads) {
+				items[i] = core.Item[sized]{ID: pc.LeafIDs[i], Payload: leaf}
 			}
 			rt.leaves[p] = items
 			rt.straw[p].Build(items)
@@ -273,15 +283,16 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 			}
-			rt.coal[p].Restore(root, pc.HasRoot, pending, pc.HasPending)
+			rt.coal[p].Restore(mapreduce.Size(rt.job, root), pc.HasRoot, mapreduce.Size(rt.job, pending), pc.HasPending)
 		case rt.cfg.Mode == Fixed:
 			if !pc.Filled {
 				return nil, fmt.Errorf("sliderrt: restore: partition %d window not filled", p)
 			}
-			buckets, err := pc.bucketPayloads(st.Version)
+			bucketPayloads, err := pc.bucketPayloads(st.Version)
 			if err != nil {
 				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 			}
+			buckets := rt.sizeAll(bucketPayloads)
 			if rt.backend == BackendDaba {
 				bs := buckets
 				if st.Backend == BackendAuto && pc.Victim != 0 {
@@ -295,7 +306,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 						return nil, fmt.Errorf("sliderrt: restore partition %d: victim %d out of range [0,%d)",
 							p, pc.Victim, len(bs))
 					}
-					bs = append(append(make([]Payload, 0, len(bs)), bs[pc.Victim:]...), bs[:pc.Victim]...)
+					bs = append(append(make([]sized, 0, len(bs)), bs[pc.Victim:]...), bs[:pc.Victim]...)
 				}
 				if err := rt.daba[p].Restore(bs); err != nil {
 					return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
@@ -312,7 +323,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 						return nil, fmt.Errorf("sliderrt: restore partition %d: victim %d out of range [0,%d)",
 							p, pc.Victim, len(bs))
 					}
-					bs = append(append(make([]Payload, 0, len(bs)), bs[pc.Victim:]...), bs[:pc.Victim]...)
+					bs = append(append(make([]sized, 0, len(bs)), bs[pc.Victim:]...), bs[:pc.Victim]...)
 				}
 				if err := rt.finger[p].Restore(bs); err != nil {
 					return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
@@ -332,9 +343,9 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 			}
-			items := make([]core.Item[Payload], len(leafPayloads))
-			for i := range leafPayloads {
-				items[i] = core.Item[Payload]{ID: pc.LeafIDs[i], Payload: leafPayloads[i]}
+			items := make([]core.Item[sized], len(leafPayloads))
+			for i, leaf := range rt.sizeAll(leafPayloads) {
+				items[i] = core.Item[sized]{ID: pc.LeafIDs[i], Payload: leaf}
 			}
 			rt.rnd[p].Init(items)
 		default:
@@ -342,7 +353,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 			}
-			rt.fold[p].Init(leafPayloads)
+			rt.fold[p].Init(rt.sizeAll(leafPayloads))
 		}
 	}
 	rt.seq = st.Seq

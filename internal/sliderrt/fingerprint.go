@@ -41,17 +41,17 @@ func (rt *Runtime) StateFingerprint() uint64 {
 			str(fmt.Sprintf("%T:%v", p[k], p[k]))
 		}
 	}
-	payloads := func(ps []Payload) {
+	payloads := func(ps []sized) {
 		u64(uint64(len(ps)))
 		for _, p := range ps {
-			payload(p)
+			payload(p.P)
 		}
 	}
-	items := func(list []core.Item[Payload]) {
+	items := func(list []core.Item[sized]) {
 		u64(uint64(len(list)))
 		for _, it := range list {
 			u64(it.ID)
-			payload(it.Payload)
+			payload(it.Payload.P)
 		}
 	}
 
@@ -67,17 +67,17 @@ func (rt *Runtime) StateFingerprint() uint64 {
 			root, hasRoot := rt.coal[p].Root()
 			pending, hasPending := rt.coal[p].PendingPayload()
 			if hasRoot {
-				payload(root)
+				payload(root.P)
 			} else {
 				u64(0)
 			}
 			if hasPending {
-				payload(pending)
+				payload(pending.P)
 			} else {
 				u64(0)
 			}
 		case rt.cfg.Mode == Fixed:
-			var buckets []Payload
+			var buckets []sized
 			var filled bool
 			switch rt.backend {
 			case BackendDaba:

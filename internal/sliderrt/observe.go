@@ -98,7 +98,7 @@ func (rt *Runtime) buildTreeSnapshot() *TreeSnapshot {
 	}
 	ms := rt.store.Stats()
 	snap.MemoHits, snap.MemoMisses = ms.Hits, ms.Misses
-	pfp := mapreduce.FingerprintPayload
+	pfp := func(s sized) uint64 { return mapreduce.FingerprintPayload(s.P) }
 	add := func(shape core.TreeShape, fp uint64) {
 		snap.Partitions = append(snap.Partitions, shape)
 		snap.Fingerprint = snap.Fingerprint*0x9e3779b97f4a7c15 + fp

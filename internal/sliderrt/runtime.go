@@ -19,6 +19,13 @@ import (
 // Payload aliases the contraction-phase payload type.
 type Payload = mapreduce.Payload
 
+// sized is the element the contraction trees hold: a payload with its
+// byte size, computed once where the payload was created (map task,
+// merge, checkpoint decode) and carried from then on. Everything a slide
+// needs to know about sizes — SpaceBytes, task InputBytes, root-path
+// state — is a sum over tree nodes, never a walk over their keys.
+type sized = mapreduce.Sized
+
 // RunResult is the outcome of one run (initial or incremental).
 type RunResult struct {
 	// Output is the job's final key→value output for the window.
@@ -67,14 +74,14 @@ type Runtime struct {
 	// phase can run partitions concurrently.
 	combines []int64
 
-	coal   []*core.CoalescingTree[Payload]
-	rot    []*core.RotatingTree[Payload]
-	daba   []*core.DabaLite[Payload]
-	fold   []*core.FoldingTree[Payload]
-	rnd    []*core.RandomizedFoldingTree[Payload]
-	straw  []*core.StrawmanTree[Payload]
-	finger []*core.FingerTree[Payload]
-	leaves [][]core.Item[Payload] // strawman window leaves per partition
+	coal   []*core.CoalescingTree[sized]
+	rot    []*core.RotatingTree[sized]
+	daba   []*core.DabaLite[sized]
+	fold   []*core.FoldingTree[sized]
+	rnd    []*core.RandomizedFoldingTree[sized]
+	straw  []*core.StrawmanTree[sized]
+	finger []*core.FingerTree[sized]
+	leaves [][]core.Item[sized] // strawman window leaves per partition
 
 	// Out-of-order (finger-tree) bucket ledger: splits per live bucket in
 	// window order, oldest first — late buckets may be narrower than w —
@@ -86,7 +93,7 @@ type Runtime struct {
 	oooEvict    int // buckets the in-flight Advance evicts (partition goroutines read only)
 
 	// Fixed+split: per-partition buckets awaiting background install.
-	pendingBuckets []Payload
+	pendingBuckets []sized
 	hasPending     bool
 
 	// treeSnap is the immutable tree snapshot served to concurrent
@@ -126,14 +133,15 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 }
 
 // mergeFor returns partition p's merge function: it combines two payloads
-// in window order and counts combiner calls into p's own counter. The
-// counter updates are atomic because the parallel contraction engine may
-// run several of one partition's merges concurrently; MergeOrdered is
-// pure and alias-free, so the merges themselves are safe.
-func (rt *Runtime) mergeFor(p int) core.MergeFunc[Payload] {
+// in window order, sizes the result as it builds it, and counts combiner
+// calls into p's own counter. The counter updates are atomic because the
+// parallel contraction engine may run several of one partition's merges
+// concurrently; MergeOrderedSized is pure and alias-free, so the merges
+// themselves are safe.
+func (rt *Runtime) mergeFor(p int) core.MergeFunc[sized] {
 	counter := &rt.combines[p]
-	return func(a, b Payload) Payload {
-		out, c := mapreduce.MergeOrdered(rt.job, a, b)
+	return func(a, b sized) sized {
+		out, c := mapreduce.MergeOrderedSized(rt.job, a, b)
 		atomic.AddInt64(counter, c)
 		return out
 	}
@@ -143,10 +151,10 @@ func (rt *Runtime) mergeFor(p int) core.MergeFunc[Payload] {
 // number of payloads in a single pass in window order and counts combiner
 // calls into p's own counter (atomically — ReduceOrderedK may run several
 // of one partition's leaf batches concurrently).
-func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[Payload] {
+func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 	counter := &rt.combines[p]
-	return func(items []Payload) Payload {
-		out, c := mapreduce.MergeOrderedK(rt.job, items...)
+	return func(items []sized) sized {
+		out, c := mapreduce.MergeOrderedKSized(rt.job, items)
 		atomic.AddInt64(counter, c)
 		return out
 	}
@@ -160,9 +168,9 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[Payload] {
 // issues one multi-argument Combine per key instead of len(ps)−1
 // intermediate maps. Batch boundaries are fixed (see kMergeLeafWidth), so
 // outputs and combine counts are identical at any worker count.
-func (rt *Runtime) foldPayloads(p int, ps []Payload) Payload {
+func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	if len(ps) == 0 {
-		return mapreduce.EmptyPayload()
+		return sized{P: mapreduce.EmptyPayload()}
 	}
 	out, _ := core.ReduceOrderedK(rt.treeParallelism(), rt.kmergeFor(p), ps)
 	return out
@@ -320,30 +328,30 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	statsBefore := rt.treeStats()
 
 	contractPh := so.phase("contract")
-	roots := make([][]Payload, rt.parts)
+	roots := make([][]sized, rt.parts)
 	if err := rt.forEachPartition(func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(contractPh.span, p)
 		treeBefore := rt.partitionTreeStats(p)
-		payloads := partPayloads(results, p)
+		payloads := rt.partPayloads(results, p)
 		switch rt.backend {
 		case BackendStrawman:
 			rt.leaves[p] = makeItems(baseSeq, payloads)
 			rt.straw[p].Build(rt.leaves[p])
 			if root, ok := rt.straw[p].Root(); ok {
-				roots[p] = []Payload{root}
+				roots[p] = []sized{root}
 			}
 		case BackendCoalescing:
 			c1 := rt.foldPayloads(p, payloads)
 			root := rt.coal[p].Append(c1)
-			roots[p] = []Payload{root}
+			roots[p] = []sized{root}
 		case BackendDaba:
 			buckets := rt.formBuckets(p, payloads)
 			if err := rt.daba[p].Init(buckets); err != nil {
 				return err
 			}
 			if root, ok := rt.daba[p].Root(); ok {
-				roots[p] = []Payload{root}
+				roots[p] = []sized{root}
 			}
 		case BackendFingerTree:
 			buckets := rt.formBuckets(p, payloads)
@@ -351,7 +359,7 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 				return err
 			}
 			if root, ok := rt.finger[p].Root(); ok {
-				roots[p] = []Payload{root}
+				roots[p] = []sized{root}
 			}
 		case BackendRotating:
 			buckets := rt.formBuckets(p, payloads)
@@ -359,17 +367,17 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 				return err
 			}
 			if root, ok := rt.rot[p].Root(); ok {
-				roots[p] = []Payload{root}
+				roots[p] = []sized{root}
 			}
 		case BackendRandomizedFolding:
 			rt.rnd[p].Init(makeItems(baseSeq, payloads))
 			if root, ok := rt.rnd[p].Root(); ok {
-				roots[p] = []Payload{root}
+				roots[p] = []sized{root}
 			}
 		default:
 			rt.fold[p].Init(payloads)
 			if root, ok := rt.fold[p].Root(); ok {
-				roots[p] = []Payload{root}
+				roots[p] = []sized{root}
 			}
 		}
 		// The initial run materializes every tree node into the
@@ -464,19 +472,19 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	rt.windowLo += uint64(drop)
 	rt.live -= drop
 
-	rt.pendingBuckets = make([]Payload, rt.parts)
+	rt.pendingBuckets = make([]sized, rt.parts)
 	// A single-bucket slide in Fixed+split mode takes the pre-combined
 	// foreground path; the decision is uniform across partitions and
 	// made here so partition goroutines only read it.
 	rt.hasPending = rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting &&
 		rt.cfg.SplitProcessing && len(add) == rt.cfg.BucketSplits
 	contractPh := so.phase("contract")
-	roots := make([][]Payload, rt.parts)
+	roots := make([][]sized, rt.parts)
 	if err := rt.forEachPartition(func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(contractPh.span, p)
 		treeBefore := rt.partitionTreeStats(p)
-		payloads := partPayloads(results, p)
+		payloads := rt.partPayloads(results, p)
 		var err error
 		roots[p], err = rt.advancePartition(p, drop, baseSeq, payloads)
 		if err != nil {
@@ -583,18 +591,18 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 
 	pos := len(rt.bucketSizes) - lateness
 	contractPh := so.phase("contract")
-	roots := make([][]Payload, rt.parts)
+	roots := make([][]sized, rt.parts)
 	if err := rt.forEachPartition(func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(contractPh.span, p)
 		treeBefore := rt.partitionTreeStats(p)
-		payloads := partPayloads(results, p)
+		payloads := rt.partPayloads(results, p)
 		bucket := rt.foldPayloads(p, payloads)
 		if err := rt.finger[p].InsertAt(pos, bucket); err != nil {
 			return err
 		}
 		if root, ok := rt.finger[p].Root(); ok {
-			roots[p] = []Payload{root}
+			roots[p] = []sized{root}
 		}
 		elapsed := time.Since(start)
 		rt.chargeStateRead(p, roots[p])
@@ -663,13 +671,13 @@ func statsDelta(before, after core.Stats) core.Stats {
 
 // advancePartition updates one partition's tree and returns the payloads
 // the final reduce consumes.
-func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payload) ([]Payload, error) {
+func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []sized) ([]sized, error) {
 	if rt.backend == BackendStrawman {
 		rt.leaves[p] = append(rt.leaves[p][:0], rt.leaves[p][drop:]...)
 		rt.leaves[p] = append(rt.leaves[p], makeItems(baseSeq, payloads)...)
 		rt.straw[p].Build(rt.leaves[p])
 		if root, ok := rt.straw[p].Root(); ok {
-			return []Payload{root}, nil
+			return []sized{root}, nil
 		}
 		return nil, nil
 	}
@@ -679,7 +687,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 		if rt.cfg.SplitProcessing {
 			return rt.coal[p].AppendSplit(cNew), nil
 		}
-		return []Payload{rt.coal[p].Append(cNew)}, nil
+		return []sized{rt.coal[p].Append(cNew)}, nil
 	case Fixed:
 		buckets := rt.formBuckets(p, payloads)
 		if rt.backend == BackendFingerTree {
@@ -693,7 +701,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 				return nil, err
 			}
 			if root, ok := rt.finger[p].Root(); ok {
-				return []Payload{root}, nil
+				return []sized{root}, nil
 			}
 			return nil, nil
 		}
@@ -706,7 +714,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 				}
 			}
 			if root, ok := rt.daba[p].Root(); ok {
-				return []Payload{root}, nil
+				return []sized{root}, nil
 			}
 			return nil, nil
 		}
@@ -716,7 +724,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 				return nil, err
 			}
 			rt.pendingBuckets[p] = buckets[0]
-			return []Payload{fg}, nil
+			return []sized{fg}, nil
 		}
 		for _, b := range buckets {
 			if err := rt.rot[p].Rotate(b); err != nil {
@@ -731,7 +739,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 			}
 		}
 		if root, ok := rt.rot[p].Root(); ok {
-			return []Payload{root}, nil
+			return []sized{root}, nil
 		}
 		return nil, nil
 	default: // Variable
@@ -740,7 +748,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 				return nil, err
 			}
 			if root, ok := rt.rnd[p].Root(); ok {
-				return []Payload{root}, nil
+				return []sized{root}, nil
 			}
 			return nil, nil
 		}
@@ -748,7 +756,7 @@ func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payl
 			return nil, err
 		}
 		if root, ok := rt.fold[p].Root(); ok {
-			return []Payload{root}, nil
+			return []sized{root}, nil
 		}
 		return nil, nil
 	}
@@ -793,41 +801,57 @@ func (rt *Runtime) runBackground(bg *metrics.Recorder) {
 	}
 }
 
-// reduceAll applies the final Reduce per partition, timed as reduce tasks.
-func (rt *Runtime) reduceAll(rec *metrics.Recorder, roots [][]Payload) mapreduce.Output {
-	out := make(mapreduce.Output)
+// reduceAll applies the final Reduce per partition, timed as reduce
+// tasks. Partitions are key-disjoint, so every partition reduces straight
+// into the one output map, presized to the roots' total key count.
+func (rt *Runtime) reduceAll(rec *metrics.Recorder, roots [][]sized) mapreduce.Output {
+	keys := 0
+	for _, rs := range roots {
+		for _, r := range rs {
+			keys += len(r.P)
+		}
+	}
+	out := make(mapreduce.Output, keys)
 	for p := 0; p < rt.parts; p++ {
 		start := time.Now()
-		partOut, calls := mapreduce.ReducePayload(rt.job, roots[p])
-		var bytes int64
-		for _, r := range roots[p] {
-			bytes += mapreduce.PayloadBytes(rt.job, r)
-		}
+		calls := mapreduce.ReduceInto(rt.job, unsized(roots[p]), out)
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseReduce,
 			Cost:          time.Since(start),
-			InputBytes:    bytes,
+			InputBytes:    sumBytes(roots[p]),
 			PreferredNode: rt.partNode(p),
 		})
 		rec.Add(metrics.Counters{ReduceCalls: calls})
-		for k, v := range partOut {
-			out[k] = v
-		}
+	}
+	return out
+}
+
+// sumBytes adds up the carried sizes of a list of payloads.
+func sumBytes(ps []sized) int64 {
+	var bytes int64
+	for _, s := range ps {
+		bytes += s.Bytes
+	}
+	return bytes
+}
+
+// unsized strips the carried sizes, for the codec and fingerprint
+// functions that take bare payloads.
+func unsized(ps []sized) []Payload {
+	out := make([]Payload, len(ps))
+	for i, s := range ps {
+		out[i] = s.P
 	}
 	return out
 }
 
 // recordContraction records one contraction task, transferring the
 // partition's merge counter into the recorder.
-func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Duration, roots []Payload) {
-	var bytes int64
-	for _, r := range roots {
-		bytes += mapreduce.PayloadBytes(rt.job, r)
-	}
+func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Duration, roots []sized) {
 	rec.RecordTask(metrics.Task{
 		Phase:         metrics.PhaseContraction,
 		Cost:          cost,
-		InputBytes:    bytes,
+		InputBytes:    sumBytes(roots),
 		PreferredNode: rt.partNode(p),
 	})
 	rec.Add(metrics.Counters{CombineCalls: atomic.SwapInt64(&rt.combines[p], 0)})
@@ -836,11 +860,8 @@ func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Dur
 // rootPathBytes estimates the memoized root-path state a partition's
 // update reads and rewrites: one root payload for append-only windows,
 // roughly twice the root payload for a log-depth path.
-func (rt *Runtime) rootPathBytes(roots []Payload) int64 {
-	var bytes int64
-	for _, r := range roots {
-		bytes += mapreduce.PayloadBytes(rt.job, r)
-	}
+func (rt *Runtime) rootPathBytes(roots []sized) int64 {
+	bytes := sumBytes(roots)
 	if rt.cfg.Mode != Append {
 		bytes *= 2
 	}
@@ -852,7 +873,7 @@ func (rt *Runtime) rootPathBytes(roots []Payload) int64 {
 // Every subsequent slide reads the entry back through chargeStateRead,
 // so node failures and GC evictions exercise the recompute path. Returns
 // the simulated write time.
-func (rt *Runtime) putPartState(p int, roots []Payload) int64 {
+func (rt *Runtime) putPartState(p int, roots []sized) int64 {
 	bytes := rt.rootPathBytes(roots)
 	if bytes == 0 {
 		return 0
@@ -861,7 +882,7 @@ func (rt *Runtime) putPartState(p int, roots []Payload) int64 {
 	// bytes a failover could restore from — rather than a placeholder; the
 	// accounted size stays the root-path estimate the cost model charges.
 	var stored any
-	if blob, err := persist.EncodePayloadSet(roots); err == nil {
+	if blob, err := persist.EncodePayloadSet(unsized(roots)); err == nil {
 		stored = blob
 	}
 	return rt.store.Put("part:"+strconv.Itoa(p), stored, bytes, rt.windowLo, rt.seq)
@@ -874,7 +895,7 @@ func (rt *Runtime) putPartState(p int, roots []Payload) int64 {
 // — the update degrades to recomputation: the contraction trees hold the
 // state in memory, so the slide still succeeds; the re-materialization
 // is charged to the cost model and the event counted.
-func (rt *Runtime) chargeStateRead(p int, roots []Payload) {
+func (rt *Runtime) chargeStateRead(p int, roots []sized) {
 	bytes := rt.rootPathBytes(roots)
 	if bytes == 0 {
 		return
@@ -929,9 +950,9 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 
 // formBuckets groups partition p's per-split payloads into buckets of w
 // splits each.
-func (rt *Runtime) formBuckets(p int, payloads []Payload) []Payload {
+func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 	w := rt.cfg.BucketSplits
-	buckets := make([]Payload, 0, (len(payloads)+w-1)/w)
+	buckets := make([]sized, 0, (len(payloads)+w-1)/w)
 	for i := 0; i < len(payloads); i += w {
 		end := i + w
 		if end > len(payloads) {
@@ -996,76 +1017,92 @@ func (rt *Runtime) allocTrees() {
 	rt.straw, rt.finger, rt.leaves = nil, nil, nil
 	switch rt.backend {
 	case BackendStrawman:
-		rt.straw = make([]*core.StrawmanTree[Payload], n)
-		rt.leaves = make([][]core.Item[Payload], n)
+		rt.straw = make([]*core.StrawmanTree[sized], n)
+		rt.leaves = make([][]core.Item[sized], n)
 		for p := range rt.straw {
 			rt.straw[p] = core.NewStrawman(rt.mergeFor(p))
 			rt.straw[p].SetParallelism(treePar)
 		}
 	case BackendCoalescing:
-		rt.coal = make([]*core.CoalescingTree[Payload], n)
+		rt.coal = make([]*core.CoalescingTree[sized], n)
 		for p := range rt.coal {
 			rt.coal[p] = core.NewCoalescing(rt.mergeFor(p))
 		}
 	case BackendDaba:
-		rt.daba = make([]*core.DabaLite[Payload], n)
+		rt.daba = make([]*core.DabaLite[sized], n)
 		for p := range rt.daba {
 			rt.daba[p] = core.NewDaba(rt.mergeFor(p), rt.cfg.WindowBuckets)
 		}
 	case BackendFingerTree:
-		rt.finger = make([]*core.FingerTree[Payload], n)
+		rt.finger = make([]*core.FingerTree[sized], n)
 		for p := range rt.finger {
 			rt.finger[p] = core.NewFingerTree(rt.mergeFor(p))
 		}
 	case BackendRotating:
-		rt.rot = make([]*core.RotatingTree[Payload], n)
+		rt.rot = make([]*core.RotatingTree[sized], n)
 		for p := range rt.rot {
 			rt.rot[p] = core.NewRotating(rt.mergeFor(p), rt.cfg.WindowBuckets)
 			rt.rot[p].SetParallelism(treePar)
 		}
 	case BackendRandomizedFolding:
-		rt.rnd = make([]*core.RandomizedFoldingTree[Payload], n)
+		rt.rnd = make([]*core.RandomizedFoldingTree[sized], n)
 		for p := range rt.rnd {
 			rt.rnd[p] = core.NewRandomizedFolding(rt.mergeFor(p), rt.cfg.Seed+uint64(p)+1)
 			rt.rnd[p].SetParallelism(treePar)
 		}
 	default: // BackendFolding
-		rt.fold = make([]*core.FoldingTree[Payload], n)
+		rt.fold = make([]*core.FoldingTree[sized], n)
 		factor := rt.cfg.RebuildFactor
 		for p := range rt.fold {
-			opts := []core.FoldingOption[Payload]{core.WithParallelism[Payload](treePar)}
+			opts := []core.FoldingOption[sized]{core.WithParallelism[sized](treePar)}
 			if factor < 0 {
-				opts = append(opts, core.WithRebuildFactor[Payload](0))
+				opts = append(opts, core.WithRebuildFactor[sized](0))
 			} else if factor > 0 {
-				opts = append(opts, core.WithRebuildFactor[Payload](factor))
+				opts = append(opts, core.WithRebuildFactor[sized](factor))
 			}
 			rt.fold[p] = core.NewFolding(rt.mergeFor(p), opts...)
 		}
 	}
 }
 
-// partitionTreeBytes sums the payload bytes materialized by partition p's
-// tree.
-func (rt *Runtime) partitionTreeBytes(p int) int64 {
-	var total int64
-	count := func(pl Payload) { total += mapreduce.PayloadBytes(rt.job, pl) }
+// forEachPartitionPayload calls fn for every payload partition p's tree
+// materializes: leaves, buckets and memoized internal nodes.
+func (rt *Runtime) forEachPartitionPayload(p int, fn func(sized)) {
 	switch {
 	case rt.straw != nil:
-		rt.straw[p].ForEachPayload(count)
+		rt.straw[p].ForEachPayload(fn)
 	case rt.coal != nil:
-		rt.coal[p].ForEachPayload(count)
+		rt.coal[p].ForEachPayload(fn)
 	case rt.rot != nil:
-		rt.rot[p].ForEachPayload(count)
+		rt.rot[p].ForEachPayload(fn)
 	case rt.daba != nil:
-		rt.daba[p].ForEachPayload(count)
+		rt.daba[p].ForEachPayload(fn)
 	case rt.finger != nil:
-		rt.finger[p].ForEachPayload(count)
+		rt.finger[p].ForEachPayload(fn)
 	case rt.rnd != nil:
-		rt.rnd[p].ForEachPayload(count)
+		rt.rnd[p].ForEachPayload(fn)
 	case rt.fold != nil:
-		rt.fold[p].ForEachPayload(count)
+		rt.fold[p].ForEachPayload(fn)
 	}
+}
+
+// partitionTreeBytes sums the carried sizes of the payloads partition
+// p's tree materializes: one addition per node.
+func (rt *Runtime) partitionTreeBytes(p int) int64 {
+	var total int64
+	rt.forEachPartitionPayload(p, func(s sized) { total += s.Bytes })
 	return total
+}
+
+// ForEachPayload calls fn for every payload the contraction trees hold,
+// partition by partition. It exists for diagnostics and for the test
+// oracle that re-measures SpaceBytes from scratch with
+// mapreduce.PayloadBytes; the runtime itself never walks payload keys to
+// size them. Payloads are shared with the trees and must not be mutated.
+func (rt *Runtime) ForEachPayload(fn func(Payload)) {
+	for p := 0; p < rt.parts; p++ {
+		rt.forEachPartitionPayload(p, func(s sized) { fn(s.P) })
+	}
 }
 
 // treeStats sums the work counters across all partitions' trees.
@@ -1101,36 +1138,16 @@ func (rt *Runtime) treeStats() core.Stats {
 }
 
 // spaceBytes sums all memoized state: tree payloads plus cached map
-// outputs. The walk re-measures payloads with mapreduce.PayloadBytes —
-// arithmetic over entries, no allocation — which replaced the retired
-// identity-keyed size cache (see DESIGN.md §14): the byte-shaped state
-// paths carry explicit lengths now, so live maps are only ever sized
-// here and in the per-slide root-path estimates.
+// outputs. Tree payloads carry their sizes from where they were created
+// (see sized), so this is one addition per tree node. It used to re-walk
+// every key of every payload with mapreduce.PayloadBytes — arithmetic
+// over entries, no allocation, and still half of a wide-window slide
+// (DESIGN.md §9).
 func (rt *Runtime) spaceBytes() int64 {
-	var total int64
-	count := func(p Payload) { total += mapreduce.PayloadBytes(rt.job, p) }
-	for _, t := range rt.coal {
-		t.ForEachPayload(count)
+	total := rt.store.Stats().Bytes
+	for p := 0; p < rt.parts; p++ {
+		total += rt.partitionTreeBytes(p)
 	}
-	for _, t := range rt.rot {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.daba {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.finger {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.fold {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.rnd {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.straw {
-		t.ForEachPayload(count)
-	}
-	total += rt.store.Stats().Bytes
 	return total
 }
 
@@ -1149,20 +1166,21 @@ func (rt *Runtime) finish(out mapreduce.Output, rec, bg *metrics.Recorder, befor
 	}
 }
 
-// partPayloads extracts partition p's payload from each map result.
-func partPayloads(results []mapreduce.MapResult, p int) []Payload {
-	out := make([]Payload, len(results))
-	for i, r := range results {
-		out[i] = r.Parts[p]
+// partPayloads extracts partition p's payload from each map result, with
+// the size the map task measured.
+func (rt *Runtime) partPayloads(results []mapreduce.MapResult, p int) []sized {
+	out := make([]sized, len(results))
+	for i := range results {
+		out[i] = results[i].PartSized(rt.job, p)
 	}
 	return out
 }
 
 // makeItems pairs payloads with their split sequence IDs.
-func makeItems(base uint64, payloads []Payload) []core.Item[Payload] {
-	items := make([]core.Item[Payload], len(payloads))
+func makeItems(base uint64, payloads []sized) []core.Item[sized] {
+	items := make([]core.Item[sized], len(payloads))
 	for i, p := range payloads {
-		items[i] = core.Item[Payload]{ID: base + uint64(i), Payload: p}
+		items[i] = core.Item[sized]{ID: base + uint64(i), Payload: p}
 	}
 	return items
 }

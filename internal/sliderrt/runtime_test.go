@@ -82,6 +82,18 @@ func wantSameOutput(t *testing.T, got, want mapreduce.Output) {
 	}
 }
 
+// wantSpaceOracle checks the run's SpaceBytes — a sum of sizes carried
+// from where each payload was created — against a from-scratch
+// PayloadBytes walk over every tree payload plus the memo store.
+func wantSpaceOracle(t *testing.T, rt *Runtime, job *mapreduce.Job, res *RunResult) {
+	t.Helper()
+	want := rt.Store().Stats().Bytes
+	rt.ForEachPayload(func(p Payload) { want += mapreduce.PayloadBytes(job, p) })
+	if res.SpaceBytes != want {
+		t.Fatalf("SpaceBytes = %d, from-scratch walk says %d", res.SpaceBytes, want)
+	}
+}
+
 func scratch(t *testing.T, job *mapreduce.Job, window []mapreduce.Split) mapreduce.Output {
 	t.Helper()
 	out, err := mapreduce.RunScratch(job, window, 0, nil)
@@ -114,6 +126,7 @@ func driveAndCheck(t *testing.T, cfg Config, initial int, slides [](struct{ drop
 		t.Fatal(err)
 	}
 	wantSameOutput(t, res.Output, scratch(t, job, window))
+	wantSpaceOracle(t, rt, job, res)
 
 	for i, s := range slides {
 		add := genSplits(next, s.add, 4, 7)
@@ -124,6 +137,7 @@ func driveAndCheck(t *testing.T, cfg Config, initial int, slides [](struct{ drop
 		}
 		window = append(window[s.drop:], add...)
 		wantSameOutput(t, res.Output, scratch(t, job, window))
+		wantSpaceOracle(t, rt, job, res)
 		if rt.Live() != len(window) {
 			t.Fatalf("slide %d: live=%d want %d", i, rt.Live(), len(window))
 		}
