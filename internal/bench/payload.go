@@ -20,10 +20,10 @@ import (
 // (internal/flatenc, frame version sld2) against the legacy whole-value
 // gob codec (sld1) it replaced on the byte-shaped paths: memo
 // persistence, dist framing, and checkpoints. Two views: a micro
-// head-to-head of encode/decode cost across payload sizes, and the
-// end-to-end wordcount slide loop run under each codec
-// (persist.SetPayloadCodec), where the codec serves the memoized
-// "map:"/"part:" state written on every slide.
+// head-to-head of encode/decode cost across payload sizes (the gob rows
+// call the gob encoder directly — no writer produces sld1 any more), and
+// the end-to-end wordcount slide loop, whose memoized "map:"/"part:"
+// state rides the flat encoder on every slide.
 
 // PayloadCodecCell is one (codec, payload size) micro measurement.
 type PayloadCodecCell struct {
@@ -36,7 +36,7 @@ type PayloadCodecCell struct {
 	DecodeAllocsPerOp float64 `json:"decodeAllocsPerOp"`
 }
 
-// PayloadSlideCell is the wordcount slide loop under one codec.
+// PayloadSlideCell is the wordcount slide loop.
 type PayloadSlideCell struct {
 	Codec          string  `json:"codec"`
 	Slides         int     `json:"slides"`
@@ -206,17 +206,10 @@ func timeOp(reps int, fn func()) float64 {
 const payloadSlideWindow = 16
 
 // measurePayloadSlides drives the wordcount slide loop (a window of
-// `window` one-split buckets, sliding by one) under one payload codec and
-// returns per-slide averages, measureBackend-style.
-func measurePayloadSlides(s Scale, codec persist.Codec, window, slides int) (PayloadSlideCell, error) {
-	name := "flat"
-	if codec == persist.CodecGob {
-		name = "gob"
-	}
-	cell := PayloadSlideCell{Codec: name, Slides: slides}
-	prev := persist.SetPayloadCodec(codec)
-	defer persist.SetPayloadCodec(prev)
-
+// `window` one-split buckets, sliding by one) and returns per-slide
+// averages, measureBackend-style.
+func measurePayloadSlides(s Scale, window, slides int) (PayloadSlideCell, error) {
+	cell := PayloadSlideCell{Codec: "flat", Slides: slides}
 	text := workload.NewText(s.Text)
 	cfg := sliderrt.Config{
 		Mode:          sliderrt.Fixed,
@@ -286,13 +279,11 @@ func RunPayload(s Scale) (*PayloadResult, string, error) {
 	if s.WindowSplits >= 60 {
 		slides = 32
 	}
-	for _, codec := range []persist.Codec{persist.CodecGob, persist.CodecFlat} {
-		cell, err := measurePayloadSlides(s, codec, payloadSlideWindow, slides)
-		if err != nil {
-			return nil, "", fmt.Errorf("payload slides: %w", err)
-		}
-		out.Slides = append(out.Slides, cell)
+	cell, err := measurePayloadSlides(s, payloadSlideWindow, slides)
+	if err != nil {
+		return nil, "", fmt.Errorf("payload slides: %w", err)
 	}
+	out.Slides = append(out.Slides, cell)
 
 	// Reduction figures at the largest payload size.
 	biggest := payloadSizes[len(payloadSizes)-1]
@@ -325,7 +316,7 @@ func RunPayload(s Scale) (*PayloadResult, string, error) {
 			c.Entries, c.Codec, c.FrameBytes, c.EncodeNsPerOp, c.EncodeAllocsPerOp,
 			c.DecodeNsPerOp, c.DecodeAllocsPerOp)
 	}
-	sb.WriteString("\nwordcount slide loop (memoized state through each codec)\n")
+	sb.WriteString("\nwordcount slide loop (memoized state through the flat codec)\n")
 	sb.WriteString("codec    allocs/slide      ns/slide\n")
 	for _, c := range out.Slides {
 		fmt.Fprintf(&sb, "%-6s  %12.0f  %12.0f\n", c.Codec, c.AllocsPerSlide, c.NsPerSlide)

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"slider/internal/persist"
-)
+import "testing"
 
 // TestPayloadAllocBudget pins the flat codec's acceptance bound from the
 // sld2 work: steady-state encode and typed-decode of a wordcount-shaped
@@ -45,23 +41,21 @@ func TestPayloadAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPayloadSlideAllocs runs the wordcount slide loop under both payload
-// codecs and requires the flat codec to allocate strictly less per slide:
-// the end-to-end check that the memoized-state paths actually ride the
-// flat encoder.
+// TestPayloadSlideAllocs pins what the wordcount slide loop allocates per
+// slide at the payload experiment's window: the end-to-end check that the
+// memoized-state paths ride the flat encoder. (It used to compare against
+// the same loop with every writer switched to gob; that switch is gone,
+// the budget it defended is pinned instead: 294 allocs/slide measured,
+// ~10 % headroom for map-growth jitter, as in TestWideSlideAllocs.)
 func TestPayloadSlideAllocs(t *testing.T) {
-	s := Quick()
-	gob, err := measurePayloadSlides(s, persist.CodecGob, payloadSlideWindow, 12)
+	const budget = 325
+	cell, err := measurePayloadSlides(Quick(), payloadSlideWindow, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := measurePayloadSlides(s, persist.CodecFlat, payloadSlideWindow, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.AllocsPerSlide >= gob.AllocsPerSlide {
-		t.Errorf("flat slide loop allocates %.0f/slide, gob %.0f/slide — flat must be cheaper",
-			flat.AllocsPerSlide, gob.AllocsPerSlide)
+	t.Logf("window %d: %.1f allocs/slide", payloadSlideWindow, cell.AllocsPerSlide)
+	if cell.AllocsPerSlide > budget {
+		t.Errorf("slide loop allocates %.0f/slide, budget %d", cell.AllocsPerSlide, budget)
 	}
 }
 
@@ -77,7 +71,7 @@ func TestPayloadSlideAllocs(t *testing.T) {
 // before sizes travelled with payloads and reduce became one pass).
 func TestWideSlideAllocs(t *testing.T) {
 	const window, slides, ceiling = 64, 32, 345
-	cell, err := measurePayloadSlides(Quick(), persist.CodecFlat, window, slides)
+	cell, err := measurePayloadSlides(Quick(), window, slides)
 	if err != nil {
 		t.Fatal(err)
 	}

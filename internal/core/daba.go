@@ -64,11 +64,6 @@ func NewDaba[T any](merge MergeFunc[T], n int) *DabaLite[T] {
 	}
 }
 
-// SetParallelism is a no-op: DABA Lite's per-op work is a handful of
-// combiner calls with strict sequential dependencies. Present so the
-// runtime can treat all backends uniformly.
-func (t *DabaLite[T]) SetParallelism(par int) {}
-
 func (t *DabaLite[T]) slot(i uint64) int { return int(i % uint64(t.n)) }
 
 // Init performs the initial run: it installs the first full window of

@@ -64,11 +64,6 @@ func NewFingerTree[T any](merge MergeFunc[T]) *FingerTree[T] {
 	return &FingerTree[T]{merge: merge}
 }
 
-// SetParallelism is a no-op: every operation touches one root path with
-// strict sequential dependencies. Present so the runtime can treat all
-// backends uniformly.
-func (t *FingerTree[T]) SetParallelism(par int) {}
-
 // SetBuggify installs fault-injection points (simulation harness
 // self-tests only).
 func (t *FingerTree[T]) SetBuggify(b Buggify) { t.bug = b }

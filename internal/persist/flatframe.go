@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sync/atomic"
 
 	"slider/internal/flatenc"
 	"slider/internal/mapreduce"
@@ -25,35 +24,6 @@ const (
 	kindSplit      byte = 2
 	kindPayloadSet byte = 3
 )
-
-// Codec selects the wire codec for payload-shaped data (payload frames,
-// split frames, payload sets). Checkpoint metadata and other arbitrary
-// values always travel as gob (Encode/Decode).
-type Codec int32
-
-// Codecs.
-const (
-	// CodecFlat — the default — frames payloads with the flat columnar
-	// encoding of internal/flatenc (frame version sld2).
-	CodecFlat Codec = iota
-	// CodecGob frames payloads as whole-value gob (frame version sld1),
-	// the pre-flat format. It exists for the gob-vs-flat benchmark
-	// baseline and for fabricating legacy frames in compatibility tests;
-	// decoders accept both formats regardless of this setting.
-	CodecGob
-)
-
-var payloadCodec atomic.Int32
-
-// SetPayloadCodec switches the codec used by the payload-shaped encoders
-// and returns the previous setting. Decoding is always version-negotiated
-// per frame, so flipping the codec never invalidates existing frames.
-func SetPayloadCodec(c Codec) Codec {
-	return Codec(payloadCodec.Swap(int32(c)))
-}
-
-// PayloadCodec reports the current payload codec.
-func PayloadCodec() Codec { return Codec(payloadCodec.Load()) }
 
 // appendFlatFrame wraps body (already appended to dst after the header
 // space) — helper used by the Append* encoders. It expects dst to hold
@@ -97,17 +67,11 @@ func isFlatFrame(frame []byte) bool {
 	return len(frame) >= 4 && bytes.Equal(frame[:4], frameMagicFlat[:])
 }
 
-// AppendPayload appends one framed payload to dst: a flat sld2 frame
-// under CodecFlat (allocation-free with a pooled dst at steady state), a
-// legacy gob sld1 frame under CodecGob.
+// AppendPayload appends one framed payload to dst as a flat sld2 frame
+// (allocation-free with a pooled dst at steady state). Writers only ever
+// produce sld2; the decoders below keep accepting the pre-flat gob sld1
+// frames that older writers left behind.
 func AppendPayload(dst []byte, p mapreduce.Payload) ([]byte, error) {
-	if PayloadCodec() == CodecGob {
-		frame, err := Encode(p)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, frame...), nil
-	}
 	start := len(dst)
 	dst = startFlatFrame(dst, kindPayload)
 	bodyStart := len(dst)
@@ -176,13 +140,6 @@ func DecodePayloadView(frame []byte) (flatenc.View, error) {
 // AppendPayloadSet appends one framed payload set (a split's
 // per-partition outputs, a checkpoint's buckets) to dst.
 func AppendPayloadSet(dst []byte, ps []mapreduce.Payload) ([]byte, error) {
-	if PayloadCodec() == CodecGob {
-		frame, err := Encode(ps)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, frame...), nil
-	}
 	start := len(dst)
 	dst = startFlatFrame(dst, kindPayloadSet)
 	bodyStart := len(dst)
@@ -254,7 +211,7 @@ func DecodePayloadSet(frame []byte) ([]mapreduce.Payload, error) {
 // structs — falls back to a whole-split gob frame, where one gob type
 // dictionary covers every record instead of one per record.
 func EncodeSplit(s mapreduce.Split) ([]byte, error) {
-	if PayloadCodec() == CodecGob || !recordsAreScalar(s.Records) {
+	if !recordsAreScalar(s.Records) {
 		return Encode(s)
 	}
 	buf := flatenc.GetBuffer()

@@ -36,25 +36,63 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPayloadFrameGobCompat(t *testing.T) {
-	// A legacy sld1 frame (whole-payload gob) must decode through the
-	// same entry point.
-	p := testPayload()
-	prev := SetPayloadCodec(CodecGob)
-	defer SetPayloadCodec(prev)
-	frame, err := EncodePayload(p)
+// legacyFrame fabricates the sld1 frame a pre-flat writer produced for a
+// payload-shaped value: whole-value gob. No writer emits it any more; the
+// decoders must keep reading it.
+func legacyFrame(t *testing.T, v any) []byte {
+	t.Helper()
+	frame, err := Encode(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if isFlatFrame(frame) {
-		t.Fatal("CodecGob emitted a flat frame")
+		t.Fatal("legacy helper produced a flat frame")
 	}
-	got, err := DecodePayload(frame)
+	return frame
+}
+
+// TestLegacyGobFramesDecode: sld1 frames of all three payload shapes decode
+// through the same entry points as sld2, while the encoders write sld2 only.
+func TestLegacyGobFramesDecode(t *testing.T) {
+	p := testPayload()
+	got, err := DecodePayload(legacyFrame(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("gob frame mismatch:\n got %#v\nwant %#v", got, p)
+		t.Fatalf("gob payload frame mismatch:\n got %#v\nwant %#v", got, p)
+	}
+
+	set := []mapreduce.Payload{p, {"k": int64(1)}}
+	gotSet, err := DecodePayloadSet(legacyFrame(t, set))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSet, set) {
+		t.Fatalf("gob payload-set frame mismatch:\n got %#v\nwant %#v", gotSet, set)
+	}
+
+	split := mapreduce.Split{ID: "s1", Records: []mapreduce.Record{"a b", "c"}}
+	gotSplit, err := DecodeSplit(legacyFrame(t, split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSplit, split) {
+		t.Fatalf("gob split frame mismatch:\n got %#v\nwant %#v", gotSplit, split)
+	}
+
+	for name, encode := range map[string]func() ([]byte, error){
+		"payload":     func() ([]byte, error) { return EncodePayload(p) },
+		"payload set": func() ([]byte, error) { return EncodePayloadSet(set) },
+		"split":       func() ([]byte, error) { return EncodeSplit(split) },
+	} {
+		frame, err := encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !isFlatFrame(frame) {
+			t.Fatalf("%s encoder wrote a non-flat frame", name)
+		}
 	}
 }
 

@@ -34,8 +34,59 @@ func pfp(p pay) uint64 {
 	return h
 }
 
-// singletons wraps ids into one payload each.
-func singletons(ids []uint64) []pay {
+// rndSeed is the coin-flip seed every randomized replica uses: it must be
+// identical across replicas and restores (in the runtime it is part of
+// the checkpointed configuration).
+const rndSeed = 0xc0ffee
+
+// treeDriver drives one core.Aggregator — built by the same constructor
+// the runtime uses, so the tree layer checks the adapters production runs —
+// the way a runtime does: slide, read what the reduce would consume, then
+// run the background step. All window logic lives in the aggregator.
+type treeDriver struct {
+	kind Kind
+	agg  core.Aggregator[pay]
+	// out is what the final reduce consumed after the last operation,
+	// read once per operation (a query may itself combine) and before the
+	// background step (a split-mode foreground result is only visible
+	// until then).
+	out []pay
+}
+
+// newTreeDriver builds the driver for a kind over a window of width
+// elements at the given intra-tree parallelism, with optional fault
+// injection.
+func newTreeDriver(kind Kind, width, par int, bug core.Buggify) *treeDriver {
+	opts := core.Options{Width: width, Parallelism: par, Seed: rndSeed, Buggify: bug}
+	var k core.Kind
+	switch kind {
+	case Folding:
+		k = core.KindFolding
+	case Randomized:
+		k = core.KindRandomizedFolding
+	case Rotating, RotatingSplit:
+		k, opts.Split = core.KindRotating, kind == RotatingSplit
+	case Coalescing, CoalescingSplit:
+		k, opts.Split = core.KindCoalescing, kind == CoalescingSplit
+	case Strawman:
+		k = core.KindStrawman
+	case Daba:
+		k = core.KindDaba
+	case FingerTree:
+		k = core.KindFingerTree
+	default:
+		panic(fmt.Sprintf("sim: unknown kind %v", kind))
+	}
+	return &treeDriver{kind: kind, agg: core.NewAggregator(k, pmerge, opts)}
+}
+
+// elements turns leaf IDs into aggregator elements: one singleton payload
+// each, except that an append-only window takes each run's new leaves
+// pre-folded into one C′ (as the runtime does for newly mapped splits).
+func (d *treeDriver) elements(ids []uint64) []pay {
+	if d.kind.appendOnly() {
+		return []pay{append(pay(nil), ids...)}
+	}
 	out := make([]pay, len(ids))
 	for i, id := range ids {
 		out[i] = pay{id}
@@ -43,483 +94,59 @@ func singletons(ids []uint64) []pay {
 	return out
 }
 
-// items wraps ids into identity-carrying leaves.
-func items(ids []uint64) []core.Item[pay] {
-	out := make([]core.Item[pay], len(ids))
-	for i, id := range ids {
-		out[i] = core.Item[pay]{ID: id, Payload: pay{id}}
-	}
-	return out
-}
-
-// treeDriver adapts one contraction tree to the harness: a uniform init /
-// slide / observe / checkpoint surface. Drivers are pure adapters — all
-// window logic lives in the tree under test.
-type treeDriver interface {
-	// init performs the initial run over the given leaf IDs.
-	init(ids []uint64) error
-	// slide applies one OpSlide (drop/add semantics per kind).
-	slide(drop int, ids []uint64) error
-	// root returns the payload the job's final reduce would consume.
-	root() (pay, bool)
-	// stats returns the tree's cumulative work counters.
-	stats() core.Stats
-	// fingerprint hashes the materialized structure deterministically.
-	fingerprint() uint64
-	// checkpoint captures restorable state; restore reinstates it (on a
-	// fresh driver, this is the crash-recovery path).
-	checkpoint() any
-	restore(snap any) error
-}
-
-// oooTreeDriver extends treeDriver with the out-of-order operations.
-// Only kinds whose structure supports them (the finger tree) implement
-// it; the harness skips out-of-order ops for everything else, the same
-// way the tree layer skips memo- and worker-layer ops.
-type oooTreeDriver interface {
-	treeDriver
-	// lateInsert lands one new bucket at window position pos (0 =
-	// oldest, live = newest).
-	lateInsert(pos int, id uint64) error
-	// bulkEvict drops the k oldest buckets in one bulk operation.
-	bulkEvict(k int) error
-	// bulkInsert appends the ids as new buckets in one bulk operation.
-	bulkInsert(ids []uint64) error
-}
-
-// newTreeDriver builds the driver for a kind at the given intra-tree
-// parallelism, with optional fault injection.
-func newTreeDriver(kind Kind, par int, bug core.Buggify) treeDriver {
-	switch kind {
-	case Folding:
-		return &foldDriver{par: par}
-	case Randomized:
-		return &rndDriver{par: par}
-	case Rotating, RotatingSplit:
-		return &rotDriver{par: par, split: kind == RotatingSplit, bug: bug}
-	case Coalescing, CoalescingSplit:
-		return &coalDriver{split: kind == CoalescingSplit}
-	case Strawman:
-		return &strawDriver{par: par}
-	case Daba:
-		return &dabaDriver{}
-	case FingerTree:
-		return &fingerDriver{bug: bug}
-	default:
-		panic(fmt.Sprintf("sim: unknown kind %v", kind))
-	}
-}
-
-// --- folding -----------------------------------------------------------
-
-type foldDriver struct {
-	t   *core.FoldingTree[pay]
-	par int
-}
-
-func (d *foldDriver) newTree() *core.FoldingTree[pay] {
-	return core.NewFolding(pmerge, core.WithParallelism[pay](d.par))
-}
-
-func (d *foldDriver) init(ids []uint64) error {
-	d.t = d.newTree()
-	d.t.Init(singletons(ids))
-	return nil
-}
-
-func (d *foldDriver) slide(drop int, ids []uint64) error {
-	return d.t.Slide(drop, singletons(ids))
-}
-
-func (d *foldDriver) root() (pay, bool)   { return d.t.Root() }
-func (d *foldDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *foldDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
-func (d *foldDriver) checkpoint() any     { return d.t.Payloads() }
-func (d *foldDriver) restore(snap any) error {
-	// Folding trees restore by re-initializing a fresh tree from the
-	// persisted leaf payloads, exactly as sliderrt's Restore does.
-	d.t = d.newTree()
-	d.t.Init(snap.([]pay))
-	return nil
-}
-
-// --- randomized folding ------------------------------------------------
-
-// rndSeed is the coin-flip seed every randomized driver uses: it must be
-// identical across replicas and restores (in the runtime it is part of
-// the checkpointed configuration), including fresh drivers restored from
-// a checkpoint without ever seeing init.
-const rndSeed = 0xc0ffee
-
-type rndDriver struct {
-	t   *core.RandomizedFoldingTree[pay]
-	par int
-}
-
-func (d *rndDriver) newTree() *core.RandomizedFoldingTree[pay] {
-	t := core.NewRandomizedFolding(pmerge, rndSeed)
-	t.SetParallelism(d.par)
-	return t
-}
-
-func (d *rndDriver) init(ids []uint64) error {
-	d.t = d.newTree()
-	d.t.Init(items(ids))
-	return nil
-}
-
-func (d *rndDriver) slide(drop int, ids []uint64) error {
-	return d.t.Slide(drop, items(ids))
-}
-
-func (d *rndDriver) root() (pay, bool)   { return d.t.Root() }
-func (d *rndDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *rndDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
-func (d *rndDriver) checkpoint() any     { return d.t.Items() }
-func (d *rndDriver) restore(snap any) error {
-	d.t = d.newTree()
-	d.t.Init(snap.([]core.Item[pay]))
-	return nil
-}
-
-// --- rotating ----------------------------------------------------------
-
-// rotSnap is a rotating checkpoint: buckets in leaf-position order plus
-// the rotation cursor.
-type rotSnap struct {
-	buckets []pay
-	victim  int
-	n       int
-}
-
-type rotDriver struct {
-	t     *core.RotatingTree[pay]
-	n     int
-	par   int
-	split bool
-	bug   core.Buggify
-	// fgRoot is the foreground result of the last split-mode slide; the
-	// oracle checks it because that is what the job would have emitted.
-	fgRoot pay
-	hasFg  bool
-}
-
-func (d *rotDriver) newTree(n int) *core.RotatingTree[pay] {
-	t := core.NewRotating(pmerge, n)
-	t.SetParallelism(d.par)
-	t.SetBuggify(d.bug)
-	return t
-}
-
-func (d *rotDriver) init(ids []uint64) error {
-	d.n = len(ids)
-	d.t = d.newTree(d.n)
-	if err := d.t.Init(singletons(ids)); err != nil {
+// settle completes an operation: read the reduce's input, then run the
+// background step.
+func (d *treeDriver) settle(err error) error {
+	if err != nil {
 		return err
 	}
-	d.hasFg = false
-	if d.split {
-		return d.t.PrepareBackground()
-	}
-	return nil
+	d.out = d.agg.Roots()
+	_, err = d.agg.Background()
+	return err
 }
 
-func (d *rotDriver) slide(drop int, ids []uint64) error {
-	if drop != len(ids) {
-		return fmt.Errorf("sim: rotating slide needs drop == add (got %d, %d)", drop, len(ids))
-	}
-	buckets := singletons(ids)
-	if d.split && len(buckets) == 1 {
-		// Split processing: the foreground merge against the
-		// pre-combined payload I is the run's output; the background
-		// step installs the bucket and prepares the next slide.
-		fg, err := d.t.RotateForeground(buckets[0])
-		if err != nil {
-			return err
-		}
-		d.fgRoot, d.hasFg = fg, true
-		return d.t.Background(buckets[0])
-	}
-	d.hasFg = false
-	for _, b := range buckets {
-		if err := d.t.Rotate(b); err != nil {
-			return err
-		}
-	}
-	if d.split {
-		// Multi-bucket slides fall back to in-place rotation; re-prepare
-		// so the next single-bucket slide takes the foreground path.
-		return d.t.PrepareBackground()
-	}
-	return nil
+// init performs the initial run over the given leaf IDs.
+func (d *treeDriver) init(ids []uint64) error {
+	return d.settle(d.agg.Init(d.elements(ids)))
 }
 
-func (d *rotDriver) root() (pay, bool) {
-	if d.hasFg {
-		return d.fgRoot, true
-	}
-	return d.t.Root()
+// slide applies one OpSlide (drop/add semantics per kind).
+func (d *treeDriver) slide(drop int, ids []uint64) error {
+	return d.settle(d.agg.Slide(drop, d.elements(ids)))
 }
 
-func (d *rotDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *rotDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
-
-func (d *rotDriver) checkpoint() any {
-	buckets, _ := d.t.BucketPayloads()
-	return rotSnap{buckets: buckets, victim: d.t.Victim(), n: d.n}
+// The out-of-order operations; the harness issues them only for kinds
+// whose aggregator has the capability.
+func (d *treeDriver) lateInsert(pos int, id uint64) error {
+	return d.settle(d.agg.(core.OutOfOrder[pay]).InsertAt(pos, pay{id}))
 }
 
-func (d *rotDriver) restore(snap any) error {
-	s := snap.(rotSnap)
-	if d.t == nil {
-		d.n = s.n
-		d.t = d.newTree(s.n)
-	}
-	if err := d.t.RestoreAt(s.buckets, s.victim); err != nil {
-		return err
-	}
-	d.hasFg = false
-	if d.split {
-		return d.t.PrepareBackground()
-	}
-	return nil
+func (d *treeDriver) bulkEvict(k int) error {
+	return d.settle(d.agg.(core.OutOfOrder[pay]).BulkEvict(k))
 }
 
-// --- daba --------------------------------------------------------------
-
-// dabaSnap is a DABA checkpoint: the raw bucket payloads in window order
-// (the queue keeps no rotation cursor).
-type dabaSnap struct {
-	buckets []pay
-	n       int
+func (d *treeDriver) bulkInsert(ids []uint64) error {
+	return d.settle(d.agg.(core.OutOfOrder[pay]).BulkInsert(d.elements(ids)))
 }
 
-type dabaDriver struct {
-	t *core.DabaLite[pay]
-	n int
-}
-
-func (d *dabaDriver) init(ids []uint64) error {
-	d.n = len(ids)
-	d.t = core.NewDaba(pmerge, d.n)
-	return d.t.Init(singletons(ids))
-}
-
-func (d *dabaDriver) slide(drop int, ids []uint64) error {
-	if drop != len(ids) {
-		return fmt.Errorf("sim: daba slide needs drop == add (got %d, %d)", drop, len(ids))
-	}
-	for _, b := range singletons(ids) {
-		if err := d.t.Slide(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *dabaDriver) root() (pay, bool)   { return d.t.Root() }
-func (d *dabaDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *dabaDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
-
-func (d *dabaDriver) checkpoint() any {
-	buckets, _ := d.t.BucketPayloads()
-	return dabaSnap{buckets: buckets, n: d.n}
-}
-
-func (d *dabaDriver) restore(snap any) error {
-	s := snap.(dabaSnap)
-	if d.t == nil {
-		d.n = s.n
-		d.t = core.NewDaba(pmerge, s.n)
-	}
-	return d.t.Restore(s.buckets)
-}
-
-// --- finger tree -------------------------------------------------------
-
-// fingerSnap is a finger-tree checkpoint: the raw bucket payloads in
-// window order (the deterministic priority stream rebuilds the same
-// shape on restore, so nothing else needs persisting).
-type fingerSnap struct {
-	buckets []pay
-}
-
-type fingerDriver struct {
-	t   *core.FingerTree[pay]
-	bug core.Buggify
-}
-
-func (d *fingerDriver) newTree() *core.FingerTree[pay] {
-	t := core.NewFingerTree(pmerge)
-	t.SetBuggify(d.bug)
-	return t
-}
-
-func (d *fingerDriver) init(ids []uint64) error {
-	d.t = d.newTree()
-	return d.t.Init(singletons(ids))
-}
-
-func (d *fingerDriver) slide(drop int, ids []uint64) error {
-	if drop != len(ids) {
-		return fmt.Errorf("sim: finger slide needs drop == add (got %d, %d)", drop, len(ids))
-	}
-	for _, b := range singletons(ids) {
-		if err := d.t.Slide(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *fingerDriver) lateInsert(pos int, id uint64) error { return d.t.InsertAt(pos, pay{id}) }
-func (d *fingerDriver) bulkEvict(k int) error               { return d.t.BulkEvict(k) }
-func (d *fingerDriver) bulkInsert(ids []uint64) error       { return d.t.BulkInsert(singletons(ids)) }
-
-func (d *fingerDriver) root() (pay, bool)   { return d.t.Root() }
-func (d *fingerDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *fingerDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
-
-func (d *fingerDriver) checkpoint() any {
-	buckets, _ := d.t.BucketPayloads()
-	return fingerSnap{buckets: buckets}
-}
-
-func (d *fingerDriver) restore(snap any) error {
-	if d.t == nil {
-		d.t = d.newTree()
-	}
-	return d.t.Restore(snap.(fingerSnap).buckets)
-}
-
-// --- coalescing --------------------------------------------------------
-
-// coalSnap is a coalescing checkpoint: the root and any pending payload.
-type coalSnap struct {
-	root, pending    pay
-	hasRoot, hasPend bool
-}
-
-type coalDriver struct {
-	t     *core.CoalescingTree[pay]
-	split bool
-	// union is the payload list the final reduce would consume after a
-	// split-mode append (previous root + C′, uncombined).
-	union []pay
-}
-
-func (d *coalDriver) init(ids []uint64) error {
-	d.t = core.NewCoalescing(pmerge)
-	d.union = nil
-	d.slideInto(ids)
-	return nil
-}
-
-// slideInto folds the new leaves into one C′ client-side (as the runtime
-// does for newly mapped splits) and appends it.
-func (d *coalDriver) slideInto(ids []uint64) {
-	c := make(pay, len(ids))
-	copy(c, ids)
-	if d.split {
-		d.union = d.t.AppendSplit(c)
-		d.t.Background()
-	} else {
-		d.t.Append(c)
-		d.union = nil
-	}
-}
-
-func (d *coalDriver) slide(drop int, ids []uint64) error {
-	if drop != 0 {
-		return fmt.Errorf("sim: coalescing cannot drop (drop=%d)", drop)
-	}
-	d.slideInto(ids)
-	return nil
-}
-
-func (d *coalDriver) root() (pay, bool) {
-	if d.union != nil {
-		// The reduce consumes the union of the previous root and C′;
-		// concatenating reproduces the window sequence.
-		var out pay
-		for _, p := range d.union {
-			out = append(out, p...)
-		}
-		return out, true
-	}
-	return d.t.Root()
-}
-
-func (d *coalDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *coalDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
-
-func (d *coalDriver) checkpoint() any {
-	var s coalSnap
-	s.root, s.hasRoot = d.t.Root()
-	s.pending, s.hasPend = d.t.PendingPayload()
-	return s
-}
-
-func (d *coalDriver) restore(snap any) error {
-	s := snap.(coalSnap)
-	if d.t == nil {
-		d.t = core.NewCoalescing(pmerge)
-	}
-	d.t.Restore(s.root, s.hasRoot, s.pending, s.hasPend)
-	d.union = nil
-	return nil
-}
-
-// --- strawman ----------------------------------------------------------
-
-type strawDriver struct {
-	t      *core.StrawmanTree[pay]
-	leaves []core.Item[pay]
-	par    int
-}
-
-func (d *strawDriver) newTree() *core.StrawmanTree[pay] {
-	t := core.NewStrawman(pmerge)
-	t.SetParallelism(d.par)
-	return t
-}
-
-func (d *strawDriver) init(ids []uint64) error {
-	d.t = d.newTree()
-	d.leaves = items(ids)
-	d.t.Build(d.leaves)
-	return nil
-}
-
-func (d *strawDriver) slide(drop int, ids []uint64) error {
-	if drop > len(d.leaves) {
-		return core.ErrUnderflow
-	}
-	d.leaves = append(d.leaves[drop:], items(ids)...)
-	d.t.Build(d.leaves)
-	return nil
-}
-
-func (d *strawDriver) root() (pay, bool) {
-	p, ok := d.t.Root()
-	if !ok && len(d.leaves) == 0 {
+// root returns the payload the job's final reduce would consume: the
+// union of what the aggregator handed out, in window order.
+func (d *treeDriver) root() (pay, bool) {
+	if len(d.out) == 0 {
 		return nil, false
 	}
-	return p, ok
+	var out pay
+	for _, p := range d.out {
+		out = append(out, p...)
+	}
+	return out, true
 }
 
-func (d *strawDriver) stats() core.Stats   { return d.t.Stats() }
-func (d *strawDriver) fingerprint() uint64 { return d.t.FingerprintWith(pfp) }
+func (d *treeDriver) stats() core.Stats   { return d.agg.Stats() }
+func (d *treeDriver) fingerprint() uint64 { return d.agg.FingerprintWith(pfp) }
 
-func (d *strawDriver) checkpoint() any {
-	out := make([]core.Item[pay], len(d.leaves))
-	copy(out, d.leaves)
-	return out
-}
-
-func (d *strawDriver) restore(snap any) error {
-	d.t = d.newTree()
-	d.leaves = append([]core.Item[pay](nil), snap.([]core.Item[pay])...)
-	d.t.Build(d.leaves)
-	return nil
+// restore reinstates a snapshot (on a fresh driver, this is the
+// crash-recovery path).
+func (d *treeDriver) restore(st core.State[pay]) error {
+	return d.settle(d.agg.Restore(st))
 }

@@ -99,9 +99,9 @@ func Run(tr Trace, opt Options) error {
 // runTree drives the trace through one tree driver per parallelism level.
 func runTree(tr Trace, opt Options) error {
 	pars := opt.pars()
-	drivers := make([]treeDriver, len(pars))
+	drivers := make([]*treeDriver, len(pars))
 	for i, par := range pars {
-		drivers[i] = newTreeDriver(tr.Kind, par, opt.Buggify)
+		drivers[i] = newTreeDriver(tr.Kind, tr.Initial, par, opt.Buggify)
 	}
 	fail := func(step int, check, format string, args ...any) *CheckError {
 		return &CheckError{Trace: tr, Step: step, Check: check, Msg: fmt.Sprintf(format, args...)}
@@ -130,6 +130,16 @@ func runTree(tr Trace, opt Options) error {
 	}
 
 	prevStats := drivers[0].stats()
+	// bulkBound holds one out-of-order operation over k buckets to the
+	// no-log-factor budget.
+	bulkBound := func(step int, what string, k int) error {
+		merges := drivers[0].stats().Merges - prevStats.Merges
+		if limit := bulkMergeBound(k, len(window)); !opt.NoBounds && merges > limit {
+			return fail(step, "bulk-bound", "%s k=%d window=%d performed %d merges, bound %d",
+				what, k, len(window), merges, limit)
+		}
+		return nil
+	}
 	for step, op := range tr.Ops {
 		switch op.Kind {
 		case OpSlide:
@@ -155,11 +165,11 @@ func runTree(tr Trace, opt Options) error {
 			}
 		case OpCheckpoint:
 			for i, d := range drivers {
-				snap := d.checkpoint()
+				snap := d.agg.Snapshot()
 				if err := d.restore(snap); err != nil {
 					return fail(step, "restore", "in-place: %v", err)
 				}
-				fresh := newTreeDriver(tr.Kind, pars[i], opt.Buggify)
+				fresh := newTreeDriver(tr.Kind, tr.Initial, pars[i], opt.Buggify)
 				if err := fresh.restore(snap); err != nil {
 					return fail(step, "restore", "fresh: %v", err)
 				}
@@ -186,7 +196,7 @@ func runTree(tr Trace, opt Options) error {
 			pos := len(window) - late
 			id := takeIDs(1)[0]
 			for _, d := range drivers {
-				if err := d.(oooTreeDriver).lateInsert(pos, id); err != nil {
+				if err := d.lateInsert(pos, id); err != nil {
 					return fail(step, "late-append", "pos=%d (lateness %d): %v", pos, late, err)
 				}
 			}
@@ -198,12 +208,8 @@ func runTree(tr Trace, opt Options) error {
 			if err := checkStep(tr, step, drivers, pars, window); err != nil {
 				return err
 			}
-			if !opt.NoBounds {
-				merges := drivers[0].stats().Merges - prevStats.Merges
-				if limit := bulkMergeBound(1, len(window)); merges > limit {
-					return fail(step, "bulk-bound",
-						"late append at window=%d performed %d merges, bound %d", len(window), merges, limit)
-				}
+			if err := bulkBound(step, "late append", 1); err != nil {
+				return err
 			}
 		case OpBulkEvict:
 			if !tr.Kind.outOfOrder() {
@@ -214,7 +220,7 @@ func runTree(tr Trace, opt Options) error {
 				break
 			}
 			for _, d := range drivers {
-				if err := d.(oooTreeDriver).bulkEvict(k); err != nil {
+				if err := d.bulkEvict(k); err != nil {
 					return fail(step, "bulk-evict", "k=%d: %v", k, err)
 				}
 			}
@@ -222,12 +228,8 @@ func runTree(tr Trace, opt Options) error {
 			if err := checkStep(tr, step, drivers, pars, window); err != nil {
 				return err
 			}
-			if !opt.NoBounds {
-				merges := drivers[0].stats().Merges - prevStats.Merges
-				if limit := bulkMergeBound(k, len(window)); merges > limit {
-					return fail(step, "bulk-bound",
-						"bulk evict k=%d window=%d performed %d merges, bound %d", k, len(window), merges, limit)
-				}
+			if err := bulkBound(step, "bulk evict", k); err != nil {
+				return err
 			}
 		case OpBulkInsert:
 			if !tr.Kind.outOfOrder() {
@@ -239,7 +241,7 @@ func runTree(tr Trace, opt Options) error {
 			}
 			ids := takeIDs(k)
 			for _, d := range drivers {
-				if err := d.(oooTreeDriver).bulkInsert(ids); err != nil {
+				if err := d.bulkInsert(ids); err != nil {
 					return fail(step, "bulk-insert", "k=%d: %v", k, err)
 				}
 			}
@@ -247,12 +249,8 @@ func runTree(tr Trace, opt Options) error {
 			if err := checkStep(tr, step, drivers, pars, window); err != nil {
 				return err
 			}
-			if !opt.NoBounds {
-				merges := drivers[0].stats().Merges - prevStats.Merges
-				if limit := bulkMergeBound(k, len(window)); merges > limit {
-					return fail(step, "bulk-bound",
-						"bulk insert k=%d window=%d performed %d merges, bound %d", k, len(window), merges, limit)
-				}
+			if err := bulkBound(step, "bulk insert", k); err != nil {
+				return err
 			}
 		case OpFailNode, OpRecoverNode, OpGCPressure,
 			OpWorkerCrash, OpWorkerRestart, OpWorkerDelay, OpWorkerDrop, OpWorkerCorrupt:
@@ -339,15 +337,9 @@ func clampBulkInsert(k, live int) int {
 
 // checkStep verifies the root against the from-scratch oracle and the
 // cross-parallelism parity of fingerprints and work counters.
-func checkStep(tr Trace, step int, drivers []treeDriver, pars []int, window []uint64) error {
+func checkStep(tr Trace, step int, drivers []*treeDriver, pars []int, window []uint64) error {
 	if err := checkOracle(tr, step, drivers[0], window); err != nil {
 		return err
-	}
-	// Query every replica's root before comparing counters: some
-	// structures do work at query time (DABA combines the front with the
-	// back sum), and checkOracle only queried replica 0.
-	for i := 1; i < len(drivers); i++ {
-		drivers[i].root()
 	}
 	fp0 := drivers[0].fingerprint()
 	st0 := drivers[0].stats()
@@ -382,7 +374,7 @@ func oracleRoot(window []uint64) pay {
 // Rotating trees reorder bucket age relative to tree position (their
 // merge must be commutative), so their root is compared as a multiset;
 // every other tree must reproduce the window sequence exactly.
-func checkOracle(tr Trace, step int, d treeDriver, window []uint64) error {
+func checkOracle(tr Trace, step int, d *treeDriver, window []uint64) error {
 	want := oracleRoot(window)
 	got, ok := d.root()
 	if len(window) == 0 {
@@ -435,8 +427,8 @@ func mergeBound(kind Kind, drop, add, liveAfter int) int64 {
 		// slide plus one root query — no log factor at all.
 		return 8 * (delta + 1)
 	case FingerTree:
-		// One treap root path per in-order evict/insert pair: the driver
-		// slides bucket-by-bucket, so delta single O(log w) slides. (The
+		// A slide is one bulk evict plus one bulk insert; the budget is
+		// the looser one of delta single O(log w) slides. (The explicit
 		// bulk ops get the tighter no-log-factor bulkMergeBound instead.)
 		return 8*(delta+1)*h + 32
 	case Randomized:

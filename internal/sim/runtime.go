@@ -266,6 +266,17 @@ func runRuntime(tr Trace, opt Options) error {
 		return err
 	}
 
+	// bulkBound holds one out-of-order operation over k buckets to the
+	// no-log-factor budget; TreeStats aggregates one tree per partition.
+	bulkBound := func(step int, what string, k int) error {
+		merges := results[0].TreeStats.Merges + results[0].TreeStatsBackground.Merges
+		limit := int64(job.Partitions) * bulkMergeBound(k, len(sizes))
+		if !opt.NoBounds && merges > limit {
+			return fail(step, "bulk-bound", "%s k=%d at %d buckets performed %d merges, bound %d",
+				what, k, len(sizes), merges, limit)
+		}
+		return nil
+	}
 	for step, op := range tr.Ops {
 		switch op.Kind {
 		case OpSlide:
@@ -380,13 +391,8 @@ func runRuntime(tr Trace, opt Options) error {
 			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
-			if !opt.NoBounds {
-				merges := results[0].TreeStats.Merges + results[0].TreeStatsBackground.Merges
-				limit := int64(job.Partitions) * bulkMergeBound(1, len(sizes))
-				if merges > limit {
-					return fail(step, "bulk-bound",
-						"late append at %d buckets performed %d merges, bound %d", len(sizes), merges, limit)
-				}
+			if err := bulkBound(step, "late append", 1); err != nil {
+				return err
 			}
 		case OpBulkEvict:
 			if tr.Kind != FingerTree {
@@ -410,13 +416,8 @@ func runRuntime(tr Trace, opt Options) error {
 			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
-			if !opt.NoBounds {
-				merges := results[0].TreeStats.Merges + results[0].TreeStatsBackground.Merges
-				limit := int64(job.Partitions) * bulkMergeBound(k, len(sizes))
-				if merges > limit {
-					return fail(step, "bulk-bound",
-						"bulk evict k=%d at %d buckets performed %d merges, bound %d", k, len(sizes), merges, limit)
-				}
+			if err := bulkBound(step, "bulk evict", k); err != nil {
+				return err
 			}
 		case OpBulkInsert:
 			if tr.Kind != FingerTree {
@@ -442,16 +443,11 @@ func runRuntime(tr Trace, opt Options) error {
 			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
 				return err
 			}
-			if !opt.NoBounds {
-				merges := results[0].TreeStats.Merges + results[0].TreeStatsBackground.Merges
-				// K buckets fold K·w split payloads before the O(K + log w)
-				// treap build-and-join, so the linear term scales by the
-				// bucket width — still no K·log w cross term.
-				limit := int64(job.Partitions) * bulkMergeBound(k*splitWidth, len(sizes))
-				if merges > limit {
-					return fail(step, "bulk-bound",
-						"bulk insert k=%d at %d buckets performed %d merges, bound %d", k, len(sizes), merges, limit)
-				}
+			// K buckets fold K·w split payloads before the O(K + log w)
+			// treap build-and-join, so the linear term scales by the
+			// bucket width — still no K·log w cross term.
+			if err := bulkBound(step, "bulk insert", k*splitWidth); err != nil {
+				return err
 			}
 		case OpFailNode:
 			for _, rep := range reps {

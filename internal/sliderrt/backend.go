@@ -3,6 +3,7 @@ package sliderrt
 import (
 	"fmt"
 
+	"slider/internal/core"
 	"slider/internal/mapreduce"
 	"slider/internal/metrics"
 )
@@ -37,35 +38,38 @@ import (
 // Config.AllowedLateness) require the finger tree: it is the only
 // backend whose window is a searchable structure a late record can land
 // in the middle of, so any other explicit backend is ErrBadBackend.
+//
+// Every concrete backend is a core.Kind under the runtime's name for it —
+// the declaration below is the whole mapping, and the value is what
+// checkpoints persist (see core.Kind).
 type Backend int
 
 // Backends.
 const (
 	// BackendAuto resolves to the cheapest legal backend for the query.
-	BackendAuto Backend = iota
+	BackendAuto Backend = 0
 	// BackendDaba is the DABA Lite worst-case O(1) in-order aggregator
 	// (fixed-width windows; associative combiner suffices).
-	BackendDaba
+	BackendDaba = Backend(core.KindDaba)
 	// BackendRotating is the rotating contraction tree of §4.1
 	// (fixed-width windows; requires a commutative combiner; the only
 	// backend supporting split processing in Fixed mode).
-	BackendRotating
+	BackendRotating = Backend(core.KindRotating)
 	// BackendCoalescing is the append-only coalescing tree of §4.2.
-	BackendCoalescing
+	BackendCoalescing = Backend(core.KindCoalescing)
 	// BackendFolding is the folding tree of §3.1 (variable windows).
-	BackendFolding
+	BackendFolding = Backend(core.KindFolding)
 	// BackendRandomizedFolding is the randomized folding tree of §3.2.
-	BackendRandomizedFolding
+	BackendRandomizedFolding = Backend(core.KindRandomizedFolding)
 	// BackendStrawman is the memoization-only baseline of §2.
-	BackendStrawman
+	BackendStrawman = Backend(core.KindStrawman)
 	// BackendFingerTree is the FiBA-style finger-tree aggregator for
 	// out-of-order fixed-width windows: late records land at their true
 	// window position (InsertAt) and K-bucket evictions/insertions cost
 	// O(K + log w) combines (BulkEvict/BulkInsert). The only backend
 	// serving jobs with Config.AllowedLateness > 0; also legal as an
-	// explicit choice for in-order Fixed jobs. Appended after the
-	// original six so persisted checkpoint backend values stay stable.
-	BackendFingerTree
+	// explicit choice for in-order Fixed jobs.
+	BackendFingerTree = Backend(core.KindFingerTree)
 )
 
 // String names the backend as it appears in flags and logs.
@@ -201,13 +205,13 @@ func (rt *Runtime) Backend() Backend { return rt.backend }
 // the contract-phase latency histogram (PR 5's obs layer) and returns
 // the backend it wants; the runtime follows it only across the legal
 // Fixed-mode pair (daba ↔ rotating, subject to the same property gates
-// as resolveBackend) and rebuilds the partition structures in place
-// from their raw buckets. Running after the slide's stats deltas are
-// taken keeps per-run TreeStats exact: the next slide reads a fresh
-// baseline.
-func (rt *Runtime) maybeSwitchBackend() {
+// as resolveBackend). Running after the slide's stats deltas are taken
+// keeps per-run TreeStats exact: the next slide reads a fresh baseline.
+// A refused or failed switch leaves the runtime on its current backend
+// and is noted on the slide's span.
+func (rt *Runtime) maybeSwitchBackend(span *metrics.Span) {
 	hook := rt.cfg.SwitchHook
-	if hook == nil || rt.cfg.Mode != Fixed || rt.cfg.Engine != SelfAdjusting || rt.hasPending {
+	if hook == nil || !rt.bucketed() {
 		return
 	}
 	var contract metrics.HistogramSnapshot
@@ -215,7 +219,8 @@ func (rt *Runtime) maybeSwitchBackend() {
 		contract = o.Contract.Snapshot()
 	}
 	want := hook(rt.backend, contract)
-	if want == rt.backend || (want != BackendDaba && want != BackendRotating) {
+	switchable := func(b Backend) bool { return b == BackendDaba || b == BackendRotating }
+	if want == rt.backend || !switchable(want) || !switchable(rt.backend) {
 		return
 	}
 	c2 := rt.cfg
@@ -223,51 +228,25 @@ func (rt *Runtime) maybeSwitchBackend() {
 	if _, err := c2.resolveBackend(rt.job); err != nil {
 		return // illegal target (non-commutative combiner, split mode): stay put
 	}
-	rt.rebuildFixedBackend(want)
+	if err := rt.switchBackend(want); err != nil {
+		span.Event("backend switch %v → %v abandoned: %v", rt.backend, want, err)
+	}
 }
 
-// rebuildFixedBackend re-homes every partition's window onto the target
-// Fixed-mode backend, carrying the raw buckets over in window order
-// (oldest first). Tree work counters restart with the rebuild, exactly
+// switchBackend re-homes every partition's window onto the target
+// backend: the target aggregators are built aside and restored from the
+// current ones' snapshots (each adapter converts to the order it keeps),
+// and replace them only once every partition restored — a failure leaves
+// the window exactly as it was. Work counters restart with the rebuild,
 // as on a checkpoint restore.
-func (rt *Runtime) rebuildFixedBackend(want Backend) {
-	buckets := make([][]sized, rt.parts)
-	for p := 0; p < rt.parts; p++ {
-		switch rt.backend {
-		case BackendDaba:
-			bs, ok := rt.daba[p].BucketPayloads()
-			if !ok {
-				return
-			}
-			buckets[p] = bs
-		case BackendRotating:
-			bs, ok := rt.rot[p].BucketPayloads()
-			if !ok {
-				return
-			}
-			// Leaf-position order → window order: the victim is the
-			// oldest bucket.
-			v := rt.rot[p].Victim()
-			buckets[p] = append(append([]sized{}, bs[v:]...), bs[:v]...)
-		default:
-			return
+func (rt *Runtime) switchBackend(want Backend) error {
+	aggs, combines := rt.newAggregators(want)
+	for p, agg := range aggs {
+		if err := agg.Restore(rt.aggs[p].Snapshot()); err != nil {
+			return fmt.Errorf("partition %d: %w", p, err)
 		}
 	}
-	rt.backend = want
-	rt.allocTrees()
-	for p := 0; p < rt.parts; p++ {
-		switch want {
-		case BackendDaba:
-			if err := rt.daba[p].Restore(buckets[p]); err != nil {
-				panic(fmt.Sprintf("sliderrt: backend switch rebuild: %v", err))
-			}
-		case BackendRotating:
-			// Window-order buckets with victim 0: leaf 0 holds the
-			// oldest bucket and is replaced by the next slide.
-			if err := rt.rot[p].RestoreAt(buckets[p], 0); err != nil {
-				panic(fmt.Sprintf("sliderrt: backend switch rebuild: %v", err))
-			}
-		}
-	}
+	rt.backend, rt.aggs, rt.combines = want, aggs, combines
 	rt.snapReq.Store(true)
+	return nil
 }

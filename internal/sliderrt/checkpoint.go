@@ -97,56 +97,12 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 		Parts:         rt.parts,
 		Partitions:    make([]partCheckpoint, rt.parts),
 	}
-	if rt.backend == BackendFingerTree {
+	if rt.outOfOrder() {
 		st.BucketSizes = append([]int(nil), rt.bucketSizes...)
 		st.BucketSeq = rt.bucketSeq
 	}
-	for p := 0; p < rt.parts; p++ {
-		pc := &st.Partitions[p]
-		var err error
-		switch {
-		case rt.cfg.Engine == Strawman:
-			var leafPayloads []Payload
-			for _, leaf := range rt.leaves[p] {
-				pc.LeafIDs = append(pc.LeafIDs, leaf.ID)
-				leafPayloads = append(leafPayloads, leaf.Payload.P)
-			}
-			pc.FlatLeaves, err = persist.EncodePayloadSet(leafPayloads)
-		case rt.cfg.Mode == Append:
-			var root, pending sized
-			root, pc.HasRoot = rt.coal[p].Root()
-			pending, pc.HasPending = rt.coal[p].PendingPayload()
-			if pc.HasRoot {
-				if pc.FlatRoot, err = persist.EncodePayload(root.P); err != nil {
-					break
-				}
-			}
-			if pc.HasPending {
-				pc.FlatPending, err = persist.EncodePayload(pending.P)
-			}
-		case rt.cfg.Mode == Fixed:
-			var buckets []sized
-			switch rt.backend {
-			case BackendDaba:
-				buckets, pc.Filled = rt.daba[p].BucketPayloads()
-			case BackendFingerTree:
-				buckets, pc.Filled = rt.finger[p].BucketPayloads()
-			default:
-				buckets, pc.Filled = rt.rot[p].BucketPayloads()
-				pc.Victim = rt.rot[p].Victim()
-			}
-			pc.FlatBuckets, err = persist.EncodePayloadSet(unsized(buckets))
-		case rt.cfg.Randomized:
-			var leafPayloads []Payload
-			for _, item := range rt.rnd[p].Items() {
-				pc.LeafIDs = append(pc.LeafIDs, item.ID)
-				leafPayloads = append(leafPayloads, item.Payload.P)
-			}
-			pc.FlatLeaves, err = persist.EncodePayloadSet(leafPayloads)
-		default:
-			pc.FlatLeaves, err = persist.EncodePayloadSet(unsized(rt.fold[p].Payloads()))
-		}
-		if err != nil {
+	for p, agg := range rt.aggs {
+		if err := rt.encodePartition(&st.Partitions[p], agg.Snapshot()); err != nil {
 			return fmt.Errorf("sliderrt: checkpoint partition %d: %w", p, err)
 		}
 	}
@@ -160,53 +116,105 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// sizeAll measures payloads decoded from a checkpoint: restore is where
-// they are created, so this is the one walk they get (see sized).
-func (rt *Runtime) sizeAll(ps []Payload) []sized {
-	out := make([]sized, len(ps))
-	for i, p := range ps {
-		out[i] = mapreduce.Size(rt.job, p)
+// stateGroup names the partCheckpoint field group a configuration's
+// aggregator state travels in. It follows the window mode — what the
+// elements are — never the structure behind the aggregator.
+type stateGroup int
+
+const (
+	groupLeaves  stateGroup = iota // per-split leaves (Variable mode, strawman engine)
+	groupRoot                      // coalescing root + pending (Append mode)
+	groupBuckets                   // fixed-width buckets (Fixed mode)
+)
+
+func (rt *Runtime) stateGroup() stateGroup {
+	switch {
+	case rt.cfg.Engine == Strawman:
+		return groupLeaves
+	case rt.cfg.Mode == Append:
+		return groupRoot
+	case rt.cfg.Mode == Fixed:
+		return groupBuckets
 	}
-	return out
+	return groupLeaves
 }
 
-// rootPayload returns the partition's coalescing root, version-dispatched:
-// flat frame for v2, live map for v1.
-func (pc *partCheckpoint) rootPayload(version int) (Payload, error) {
-	if version < 2 {
-		return pc.Root, nil
+// encodePartition writes one aggregator's snapshot into its version-2
+// field group.
+func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (err error) {
+	switch rt.stateGroup() {
+	case groupRoot:
+		pc.HasRoot, pc.HasPending = st.HasRoot, st.HasPending
+		if pc.HasRoot {
+			if pc.FlatRoot, err = persist.EncodePayload(st.Root.P); err != nil {
+				return err
+			}
+		}
+		if pc.HasPending {
+			pc.FlatPending, err = persist.EncodePayload(st.Pending.P)
+		}
+	case groupBuckets:
+		pc.Victim, pc.Filled = st.Victim, st.Filled
+		pc.FlatBuckets, err = persist.EncodePayloadSet(unsized(st.Elems))
+	default:
+		pc.LeafIDs = st.IDs
+		pc.FlatLeaves, err = persist.EncodePayloadSet(unsized(st.Elems))
 	}
-	if !pc.HasRoot {
-		return nil, nil
-	}
-	return persist.DecodePayload(pc.FlatRoot)
+	return err
 }
 
-// pendingPayload returns the partition's pending coalescing payload.
-func (pc *partCheckpoint) pendingPayload(version int) (Payload, error) {
-	if version < 2 {
-		return pc.Pending, nil
+// decodePartition is encodePartition's inverse for both frame versions
+// (flat frames for v2, live maps for v1). The frame is untrusted: every
+// length and presence flag is checked here, before any aggregator is
+// touched, and decoded payloads are measured — restore is where they are
+// created, so this is the one walk they get (see sized).
+func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq uint64) (core.State[sized], error) {
+	var st core.State[sized]
+	var elems []Payload
+	var err error
+	switch rt.stateGroup() {
+	case groupRoot:
+		root, pending := pc.Root, pc.Pending
+		if version >= 2 {
+			if pc.HasRoot != (len(pc.FlatRoot) > 0) || pc.HasPending != (len(pc.FlatPending) > 0) {
+				return st, fmt.Errorf("root/pending flags disagree with the persisted payloads")
+			}
+			if pc.HasRoot {
+				if root, err = persist.DecodePayload(pc.FlatRoot); err != nil {
+					return st, err
+				}
+			}
+			if pc.HasPending {
+				if pending, err = persist.DecodePayload(pc.FlatPending); err != nil {
+					return st, err
+				}
+			}
+		}
+		st.Root, st.HasRoot = mapreduce.Size(rt.job, root), pc.HasRoot
+		st.Pending, st.HasPending = mapreduce.Size(rt.job, pending), pc.HasPending
+		return st, nil
+	case groupBuckets:
+		if !pc.Filled {
+			return st, fmt.Errorf("window not filled")
+		}
+		st.Victim, st.Filled = pc.Victim, true
+		if elems = pc.Buckets; version >= 2 {
+			elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
+		}
+	default:
+		if elems = pc.LeafPayloads; version >= 2 {
+			elems, err = persist.DecodePayloadSet(pc.FlatLeaves)
+		}
+		st.IDs, st.NextID = pc.LeafIDs, seq
 	}
-	if !pc.HasPending {
-		return nil, nil
+	if err != nil {
+		return st, err
 	}
-	return persist.DecodePayload(pc.FlatPending)
-}
-
-// bucketPayloads returns the partition's Fixed-mode buckets.
-func (pc *partCheckpoint) bucketPayloads(version int) ([]Payload, error) {
-	if version < 2 {
-		return pc.Buckets, nil
+	st.Elems = make([]sized, len(elems))
+	for i, p := range elems {
+		st.Elems[i] = mapreduce.Size(rt.job, p)
 	}
-	return persist.DecodePayloadSet(pc.FlatBuckets)
-}
-
-// leafPayloadList returns the partition's leaf payload sequence.
-func (pc *partCheckpoint) leafPayloadList(version int) ([]Payload, error) {
-	if version < 2 {
-		return pc.LeafPayloads, nil
-	}
-	return persist.DecodePayloadSet(pc.FlatLeaves)
+	return st, nil
 }
 
 // Restore reconstructs a runtime from a checkpoint produced by
@@ -259,118 +267,34 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 		}
 		rt.backend = st.Backend
 	}
-	rt.allocTrees()
-	for p := 0; p < rt.parts; p++ {
-		pc := &st.Partitions[p]
-		switch {
-		case rt.cfg.Engine == Strawman:
-			leafPayloads, err := pc.leafPayloadList(st.Version)
-			if err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			items := make([]core.Item[sized], len(leafPayloads))
-			for i, leaf := range rt.sizeAll(leafPayloads) {
-				items[i] = core.Item[sized]{ID: pc.LeafIDs[i], Payload: leaf}
-			}
-			rt.leaves[p] = items
-			rt.straw[p].Build(items)
-		case rt.cfg.Mode == Append:
-			root, err := pc.rootPayload(st.Version)
-			if err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			pending, err := pc.pendingPayload(st.Version)
-			if err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			rt.coal[p].Restore(mapreduce.Size(rt.job, root), pc.HasRoot, mapreduce.Size(rt.job, pending), pc.HasPending)
-		case rt.cfg.Mode == Fixed:
-			if !pc.Filled {
-				return nil, fmt.Errorf("sliderrt: restore: partition %d window not filled", p)
-			}
-			bucketPayloads, err := pc.bucketPayloads(st.Version)
-			if err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			buckets := rt.sizeAll(bucketPayloads)
-			if rt.backend == BackendDaba {
-				bs := buckets
-				if st.Backend == BackendAuto && pc.Victim != 0 {
-					// Pre-backend checkpoints (Backend unrecorded, gob
-					// zero) were written by the rotating tree: Buckets are
-					// in leaf-position order and Victim marks the oldest
-					// bucket. Rotate into the window order the DABA
-					// aggregator expects; post-backend daba frames record
-					// a concrete Backend and leave Victim zero.
-					if pc.Victim < 0 || pc.Victim >= len(bs) {
-						return nil, fmt.Errorf("sliderrt: restore partition %d: victim %d out of range [0,%d)",
-							p, pc.Victim, len(bs))
-					}
-					bs = append(append(make([]sized, 0, len(bs)), bs[pc.Victim:]...), bs[:pc.Victim]...)
-				}
-				if err := rt.daba[p].Restore(bs); err != nil {
-					return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-				}
-				break
-			}
-			if rt.backend == BackendFingerTree {
-				bs := buckets
-				if st.Backend == BackendAuto && pc.Victim != 0 {
-					// Pre-backend rotating frames: leaf-position order with
-					// Victim marking the oldest bucket — rotate into window
-					// order, as on the DABA restore path.
-					if pc.Victim < 0 || pc.Victim >= len(bs) {
-						return nil, fmt.Errorf("sliderrt: restore partition %d: victim %d out of range [0,%d)",
-							p, pc.Victim, len(bs))
-					}
-					bs = append(append(make([]sized, 0, len(bs)), bs[pc.Victim:]...), bs[:pc.Victim]...)
-				}
-				if err := rt.finger[p].Restore(bs); err != nil {
-					return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-				}
-				break
-			}
-			if err := rt.rot[p].RestoreAt(buckets, pc.Victim); err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			if rt.cfg.SplitProcessing {
-				if err := rt.rot[p].PrepareBackground(); err != nil {
-					return nil, err
-				}
-			}
-		case rt.cfg.Randomized:
-			leafPayloads, err := pc.leafPayloadList(st.Version)
-			if err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			items := make([]core.Item[sized], len(leafPayloads))
-			for i, leaf := range rt.sizeAll(leafPayloads) {
-				items[i] = core.Item[sized]{ID: pc.LeafIDs[i], Payload: leaf}
-			}
-			rt.rnd[p].Init(items)
-		default:
-			leafPayloads, err := pc.leafPayloadList(st.Version)
-			if err != nil {
-				return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-			}
-			rt.fold[p].Init(rt.sizeAll(leafPayloads))
+	if len(st.Partitions) != rt.parts {
+		return nil, fmt.Errorf("sliderrt: restore: checkpoint holds %d partitions, header says %d",
+			len(st.Partitions), rt.parts)
+	}
+	// A partition's frame is decoded and validated before its aggregator
+	// is touched; the aggregator's Restore checks what only it can know
+	// (identity counts, the victim cursor against the bucket count).
+	rt.aggs, rt.combines = rt.newAggregators(rt.backend)
+	for p := range st.Partitions {
+		state, err := rt.decodePartition(&st.Partitions[p], st.Version, st.Seq)
+		if err == nil {
+			err = rt.aggs[p].Restore(state)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 		}
 	}
 	rt.seq = st.Seq
 	rt.windowLo = st.WindowLo
 	rt.live = st.Live
-	if rt.backend == BackendFingerTree {
+	if rt.outOfOrder() {
 		if len(st.BucketSizes) > 0 {
 			rt.bucketSizes = append([]int(nil), st.BucketSizes...)
 			rt.bucketSeq = st.BucketSeq
 		} else {
 			// Checkpoint written by an in-order backend (or pre-ledger
 			// frame): the window is WindowBuckets uniform buckets of w.
-			rt.bucketSizes = make([]int, st.WindowBuckets)
-			for i := range rt.bucketSizes {
-				rt.bucketSizes[i] = st.BucketSplits
-			}
-			rt.bucketSeq = uint64(st.WindowBuckets)
+			rt.uniformLedger(st.WindowBuckets, st.BucketSplits)
 		}
 	}
 	rt.publishWindowGauges()

@@ -274,3 +274,78 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 		t.Fatal("future checkpoint version accepted")
 	}
 }
+
+// TestRestoreRejectsInconsistentFrames fabricates frames that pass the
+// CRC and the header checks but whose partition state contradicts itself.
+// Each used to index past a slice (or restore a made-up window); each must
+// now come back as an error before any aggregator holds the state.
+func TestRestoreRejectsInconsistentFrames(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    Config
+		mangle func(st *checkpointState)
+	}{
+		{"fewer partitions than the header says", Config{Mode: Variable},
+			func(st *checkpointState) { st.Partitions = st.Partitions[:len(st.Partitions)-1] }},
+		{"no partitions at all", Config{Mode: Append},
+			func(st *checkpointState) { st.Partitions = nil }},
+		{"randomized: fewer leaf IDs than leaves", Config{Mode: Variable, Randomized: true},
+			func(st *checkpointState) { st.Partitions[1].LeafIDs = st.Partitions[1].LeafIDs[:1] }},
+		{"strawman: no leaf IDs", Config{Mode: Variable, Engine: Strawman},
+			func(st *checkpointState) { st.Partitions[0].LeafIDs = nil }},
+		{"strawman: more leaf IDs than leaves", Config{Mode: Fixed, Engine: Strawman, BucketSplits: 2, WindowBuckets: 2},
+			func(st *checkpointState) { st.Partitions[2].LeafIDs = append(st.Partitions[2].LeafIDs, 99) }},
+		{"append: root flagged but absent", Config{Mode: Append},
+			func(st *checkpointState) { st.Partitions[0].FlatRoot = nil }},
+		{"append: root present but not flagged", Config{Mode: Append},
+			func(st *checkpointState) { st.Partitions[0].HasRoot = false }},
+		{"append: pending flagged but absent", Config{Mode: Append},
+			func(st *checkpointState) { st.Partitions[1].HasPending = true }},
+		{"fixed: victim beyond the buckets", Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 2},
+			func(st *checkpointState) { st.Partitions[0].Victim = 2 }},
+		{"fixed: a bucket short", Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2},
+			func(st *checkpointState) {
+				buckets, err := persist.DecodePayloadSet(st.Partitions[0].FlatBuckets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Partitions[0].FlatBuckets, err = persist.EncodePayloadSet(buckets[:1]); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			job := wordCountJob()
+			cfg := c.cfg
+			cfg.Memo = testMemoConfig()
+			rt, err := New(job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.Initial(genSplits(0, 4, 4, 7)); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := rt.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Restore(wordCountJob(), cfg, bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("the unmangled frame does not restore: %v", err)
+			}
+			var st checkpointState
+			if err := persist.Decode(buf.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			c.mangle(&st)
+			frame, err := persist.Encode(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame)); err == nil {
+				t.Fatal("inconsistent frame accepted")
+			}
+		})
+	}
+}

@@ -47,11 +47,25 @@ func (rt *Runtime) StateFingerprint() uint64 {
 			payload(p.P)
 		}
 	}
-	items := func(list []core.Item[sized]) {
-		u64(uint64(len(list)))
-		for _, it := range list {
-			u64(it.ID)
-			payload(it.Payload.P)
+	items := func(st core.State[sized]) {
+		u64(uint64(len(st.Elems)))
+		for i, e := range st.Elems {
+			u64(st.IDs[i])
+			payload(e.P)
+		}
+	}
+	optional := func(p sized, has bool) {
+		if has {
+			payload(p.P)
+		} else {
+			u64(0)
+		}
+	}
+	flag := func(b bool) {
+		if b {
+			u64(1)
+		} else {
+			u64(0)
 		}
 	}
 
@@ -59,55 +73,34 @@ func (rt *Runtime) StateFingerprint() uint64 {
 	u64(rt.windowLo)
 	u64(uint64(rt.live))
 	u64(uint64(rt.backend))
-	for p := 0; p < rt.parts; p++ {
-		switch {
-		case rt.cfg.Engine == Strawman:
-			items(rt.leaves[p])
-		case rt.cfg.Mode == Append:
-			root, hasRoot := rt.coal[p].Root()
-			pending, hasPending := rt.coal[p].PendingPayload()
-			if hasRoot {
-				payload(root.P)
-			} else {
-				u64(0)
-			}
-			if hasPending {
-				payload(pending.P)
-			} else {
-				u64(0)
-			}
-		case rt.cfg.Mode == Fixed:
-			var buckets []sized
-			var filled bool
-			switch rt.backend {
-			case BackendDaba:
-				buckets, filled = rt.daba[p].BucketPayloads()
-			case BackendFingerTree:
-				buckets, filled = rt.finger[p].BucketPayloads()
-				if p == 0 {
-					// The bucket ledger and watermark clock are part of the
-					// logical window state (shared across partitions, so
-					// hashed once).
-					u64(uint64(len(rt.bucketSizes)))
-					for _, sz := range rt.bucketSizes {
-						u64(uint64(sz))
-					}
-					u64(rt.bucketSeq)
+	for p, agg := range rt.aggs {
+		st := agg.Snapshot()
+		switch rt.stateGroup() {
+		case groupRoot:
+			optional(st.Root, st.HasRoot)
+			optional(st.Pending, st.HasPending)
+		case groupBuckets:
+			if p == 0 && rt.outOfOrder() {
+				// The bucket ledger and watermark clock are part of the
+				// logical window state (shared across partitions, so
+				// hashed once).
+				u64(uint64(len(rt.bucketSizes)))
+				for _, sz := range rt.bucketSizes {
+					u64(uint64(sz))
 				}
-			default:
-				buckets, filled = rt.rot[p].BucketPayloads()
-				u64(uint64(rt.rot[p].Victim()))
+				u64(rt.bucketSeq)
 			}
-			if filled {
-				u64(1)
-			} else {
-				u64(0)
+			if st.Circular {
+				u64(uint64(st.Victim))
 			}
-			payloads(buckets)
-		case rt.cfg.Randomized:
-			items(rt.rnd[p].Items())
+			flag(st.Filled)
+			payloads(st.Elems)
 		default:
-			payloads(rt.fold[p].Payloads())
+			if st.IDs != nil {
+				items(st)
+			} else {
+				payloads(st.Elems)
+			}
 		}
 	}
 	return h.Sum64()

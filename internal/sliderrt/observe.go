@@ -99,39 +99,9 @@ func (rt *Runtime) buildTreeSnapshot() *TreeSnapshot {
 	ms := rt.store.Stats()
 	snap.MemoHits, snap.MemoMisses = ms.Hits, ms.Misses
 	pfp := func(s sized) uint64 { return mapreduce.FingerprintPayload(s.P) }
-	add := func(shape core.TreeShape, fp uint64) {
-		snap.Partitions = append(snap.Partitions, shape)
-		snap.Fingerprint = snap.Fingerprint*0x9e3779b97f4a7c15 + fp
-	}
-	switch {
-	case rt.straw != nil:
-		for _, t := range rt.straw {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
-	case rt.coal != nil:
-		for _, t := range rt.coal {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
-	case rt.rot != nil:
-		for _, t := range rt.rot {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
-	case rt.daba != nil:
-		for _, t := range rt.daba {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
-	case rt.finger != nil:
-		for _, t := range rt.finger {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
-	case rt.rnd != nil:
-		for _, t := range rt.rnd {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
-	case rt.fold != nil:
-		for _, t := range rt.fold {
-			add(t.Shape(), t.FingerprintWith(pfp))
-		}
+	for _, agg := range rt.aggs {
+		snap.Partitions = append(snap.Partitions, agg.Shape())
+		snap.Fingerprint = snap.Fingerprint*0x9e3779b97f4a7c15 + agg.FingerprintWith(pfp)
 	}
 	if len(snap.Partitions) > 0 {
 		snap.Variant = snap.Partitions[0].Variant
@@ -215,53 +185,11 @@ func (rt *Runtime) endPartitionSpan(ps *metrics.Span, p int, before core.Stats) 
 	if ps == nil {
 		return
 	}
-	d := statsDelta(before, rt.partitionTreeStats(p))
+	d := statsDelta(before, rt.aggs[p].Stats())
 	ps.Event("tree: merges=%d recomputed=%d reused=%d", d.Merges, d.NodesRecomputed, d.NodesReused)
-	sh := rt.partitionTreeShape(p)
+	sh := rt.aggs[p].Shape()
 	ps.Event("shape: %s height=%d live=%d nodes=%d levels=%v", sh.Variant, sh.Height, sh.Live, sh.Nodes, sh.Levels)
 	ps.End()
-}
-
-// partitionTreeStats returns partition p's own tree work counters.
-func (rt *Runtime) partitionTreeStats(p int) core.Stats {
-	switch {
-	case rt.straw != nil:
-		return rt.straw[p].Stats()
-	case rt.coal != nil:
-		return rt.coal[p].Stats()
-	case rt.rot != nil:
-		return rt.rot[p].Stats()
-	case rt.daba != nil:
-		return rt.daba[p].Stats()
-	case rt.finger != nil:
-		return rt.finger[p].Stats()
-	case rt.rnd != nil:
-		return rt.rnd[p].Stats()
-	case rt.fold != nil:
-		return rt.fold[p].Stats()
-	}
-	return core.Stats{}
-}
-
-// partitionTreeShape returns partition p's structural snapshot.
-func (rt *Runtime) partitionTreeShape(p int) core.TreeShape {
-	switch {
-	case rt.straw != nil:
-		return rt.straw[p].Shape()
-	case rt.coal != nil:
-		return rt.coal[p].Shape()
-	case rt.rot != nil:
-		return rt.rot[p].Shape()
-	case rt.daba != nil:
-		return rt.daba[p].Shape()
-	case rt.finger != nil:
-		return rt.finger[p].Shape()
-	case rt.rnd != nil:
-		return rt.rnd[p].Shape()
-	case rt.fold != nil:
-		return rt.fold[p].Shape()
-	}
-	return core.TreeShape{}
 }
 
 // finish completes a successful slide: the end-to-end histogram

@@ -74,27 +74,27 @@ type Runtime struct {
 	// phase can run partitions concurrently.
 	combines []int64
 
-	coal   []*core.CoalescingTree[sized]
-	rot    []*core.RotatingTree[sized]
-	daba   []*core.DabaLite[sized]
-	fold   []*core.FoldingTree[sized]
-	rnd    []*core.RandomizedFoldingTree[sized]
-	straw  []*core.StrawmanTree[sized]
-	finger []*core.FingerTree[sized]
-	leaves [][]core.Item[sized] // strawman window leaves per partition
+	// aggs holds each partition's window aggregator — whichever structure
+	// the backend resolved to, behind the one core.Aggregator contract.
+	aggs []core.Aggregator[sized]
+	// treeBytes[p] is the visitor that sums partition p's payload sizes.
+	// The walk goes through the interface, where a closure built per call
+	// escapes (two allocations per partition per slide), so each
+	// partition's is built once.
+	treeBytes []byteSum
 
-	// Out-of-order (finger-tree) bucket ledger: splits per live bucket in
-	// window order, oldest first — late buckets may be narrower than w —
-	// plus the in-order bucket clock (buckets ever appended at the window
-	// edge; late inserts do not advance it). The clock drives the
-	// effective watermark max(cfg.Watermark, bucketSeq−AllowedLateness).
+	// Bucket ledger of a window whose aggregator is core.OutOfOrder:
+	// splits per live bucket in window order, oldest first — late buckets
+	// may be narrower than w — plus the in-order bucket clock (buckets
+	// ever appended at the window edge; late inserts do not advance it).
+	// The clock drives the effective watermark
+	// max(cfg.Watermark, bucketSeq−AllowedLateness).
 	bucketSizes []int
 	bucketSeq   uint64
-	oooEvict    int // buckets the in-flight Advance evicts (partition goroutines read only)
 
-	// Fixed+split: per-partition buckets awaiting background install.
-	pendingBuckets []sized
-	hasPending     bool
+	// broken is set when a slide failed after it had started moving the
+	// window (see poison); every later slide is refused with it.
+	broken error
 
 	// treeSnap is the immutable tree snapshot served to concurrent
 	// readers (/debug/tree); snapReq asks the next slide to refresh it.
@@ -126,20 +126,24 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 		parts:   job.NumPartitions(),
 		faults:  cfg.Faults,
 	}
+	rt.treeBytes = make([]byteSum, rt.parts)
+	for p := range rt.treeBytes {
+		sum := &rt.treeBytes[p]
+		sum.add = func(s sized) { sum.n += s.Bytes }
+	}
 	if cfg.Obs != nil {
 		rt.store.SetLatencyObservers(&cfg.Obs.MemoRead, &cfg.Obs.MemoWrite)
 	}
 	return rt, nil
 }
 
-// mergeFor returns partition p's merge function: it combines two payloads
+// mergeInto returns a partition's merge function: it combines two payloads
 // in window order, sizes the result as it builds it, and counts combiner
-// calls into p's own counter. The counter updates are atomic because the
-// parallel contraction engine may run several of one partition's merges
-// concurrently; MergeOrderedSized is pure and alias-free, so the merges
-// themselves are safe.
-func (rt *Runtime) mergeFor(p int) core.MergeFunc[sized] {
-	counter := &rt.combines[p]
+// calls into the partition's own counter. The counter updates are atomic
+// because the parallel contraction engine may run several of one
+// partition's merges concurrently; MergeOrderedSized is pure and
+// alias-free, so the merges themselves are safe.
+func (rt *Runtime) mergeInto(counter *int64) core.MergeFunc[sized] {
 	return func(a, b sized) sized {
 		out, c := mapreduce.MergeOrderedSized(rt.job, a, b)
 		atomic.AddInt64(counter, c)
@@ -181,14 +185,15 @@ func (rt *Runtime) partNode(p int) int {
 	return rt.store.HomeNode("part:" + strconv.Itoa(p))
 }
 
-// mapAdds runs map tasks for new splits with input locality, memoizes
-// their outputs (charging the layer's write cost into each task), and
-// returns the per-split results.
-func (rt *Runtime) mapAdds(splits []mapreduce.Split, rec *metrics.Recorder) ([]mapreduce.MapResult, error) {
+// mapAdds is a run's map phase: it runs map tasks for new splits with
+// input locality, memoizes their outputs (charging the layer's write cost
+// into each task), and returns the per-split results.
+func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.Recorder) ([]mapreduce.MapResult, error) {
+	ph := so.phase("map")
 	base := rt.seq
 	runner := rt.cfg.MapRunner
 	if runner == nil {
-		runner = mapreduce.Executor{Parallelism: rt.parallelism()}
+		runner = mapreduce.Executor{Parallelism: rt.workers()}
 	}
 	results, err := runner.RunMap(rt.job, splits)
 	if err != nil {
@@ -222,6 +227,7 @@ func (rt *Runtime) mapAdds(splits []mapreduce.Split, rec *metrics.Recorder) ([]m
 	rec.Add(counters)
 	rt.seq += uint64(len(splits))
 	rt.live += len(splits)
+	ph.end()
 	return results, nil
 }
 
@@ -260,7 +266,7 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 			missingIdx = append(missingIdx, i)
 		}
 	}
-	local := mapreduce.Executor{Parallelism: rt.parallelism()}
+	local := mapreduce.Executor{Parallelism: rt.workers()}
 	fallback, err := local.RunMap(rt.job, missing)
 	if err != nil {
 		return nil, err
@@ -271,11 +277,13 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 	return results, nil
 }
 
-func (rt *Runtime) parallelism() int {
+// workers is the Parallelism budget with its default resolved: zero or
+// negative means one worker per CPU.
+func (rt *Runtime) workers() int {
 	if rt.cfg.Parallelism > 0 {
 		return rt.cfg.Parallelism
 	}
-	return 0
+	return runtime.GOMAXPROCS(0)
 }
 
 // treeParallelism splits the Parallelism budget between the two levels
@@ -285,15 +293,11 @@ func (rt *Runtime) parallelism() int {
 // total worker count stays bounded by the configured knob. With more
 // partitions than budget the trees run sequentially, exactly as before.
 func (rt *Runtime) treeParallelism() int {
-	par := rt.cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	partWorkers := rt.parts
-	if partWorkers > par {
+	par := rt.workers()
+	if rt.parts > par {
 		return 1
 	}
-	return par / partWorkers
+	return par / rt.parts
 }
 
 // Initial performs the initial run over the first window (§3: all input
@@ -317,117 +321,30 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	so := rt.beginSlide("initial")
 	defer so.abort()
 
-	baseSeq := rt.seq
-	mapPh := so.phase("map")
-	results, err := rt.mapAdds(splits, rec)
+	results, err := rt.mapAdds(&so, splits, rec)
 	if err != nil {
 		return nil, err
 	}
-	mapPh.end()
-	rt.allocTrees()
+	rt.aggs, rt.combines = rt.newAggregators(rt.backend)
 	statsBefore := rt.treeStats()
-
-	contractPh := so.phase("contract")
-	roots := make([][]sized, rt.parts)
-	if err := rt.forEachPartition(func(p int) error {
-		start := time.Now()
-		ps := partitionSpan(contractPh.span, p)
-		treeBefore := rt.partitionTreeStats(p)
-		payloads := rt.partPayloads(results, p)
-		switch rt.backend {
-		case BackendStrawman:
-			rt.leaves[p] = makeItems(baseSeq, payloads)
-			rt.straw[p].Build(rt.leaves[p])
-			if root, ok := rt.straw[p].Root(); ok {
-				roots[p] = []sized{root}
-			}
-		case BackendCoalescing:
-			c1 := rt.foldPayloads(p, payloads)
-			root := rt.coal[p].Append(c1)
-			roots[p] = []sized{root}
-		case BackendDaba:
-			buckets := rt.formBuckets(p, payloads)
-			if err := rt.daba[p].Init(buckets); err != nil {
-				return err
-			}
-			if root, ok := rt.daba[p].Root(); ok {
-				roots[p] = []sized{root}
-			}
-		case BackendFingerTree:
-			buckets := rt.formBuckets(p, payloads)
-			if err := rt.finger[p].Init(buckets); err != nil {
-				return err
-			}
-			if root, ok := rt.finger[p].Root(); ok {
-				roots[p] = []sized{root}
-			}
-		case BackendRotating:
-			buckets := rt.formBuckets(p, payloads)
-			if err := rt.rot[p].Init(buckets); err != nil {
-				return err
-			}
-			if root, ok := rt.rot[p].Root(); ok {
-				roots[p] = []sized{root}
-			}
-		case BackendRandomizedFolding:
-			rt.rnd[p].Init(makeItems(baseSeq, payloads))
-			if root, ok := rt.rnd[p].Root(); ok {
-				roots[p] = []sized{root}
-			}
-		default:
-			rt.fold[p].Init(payloads)
-			if root, ok := rt.fold[p].Root(); ok {
-				roots[p] = []sized{root}
-			}
-		}
-		// The initial run materializes every tree node into the
-		// memoization layer — the paper's Figure 13 overhead — and
-		// registers the partition's root-path entry that every later
-		// slide reads back (chargeStateRead).
-		writeNs := rt.store.ChargeWrite(rt.partitionTreeBytes(p))
-		writeNs += rt.putPartState(p, roots[p])
-		rt.recordContraction(rec, p, time.Since(start)+time.Duration(writeNs), roots[p])
-		rt.endPartitionSpan(ps, p, treeBefore)
-		return nil
-	}); err != nil {
+	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
+		return rt.aggs[p].Init(rt.elements(p, payloads))
+	})
+	if err != nil {
 		return nil, err
 	}
-	contractPh.end()
-
-	reducePh := so.phase("reduce")
-	out := rt.reduceAll(rec, roots)
-	reducePh.end()
-	statsFg := rt.treeStats()
-	rt.recordTreeCounters(rec, statsDelta(statsBefore, statsFg))
+	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
 
 	// Split processing: pave the way for the first incremental run.
-	if rt.cfg.SplitProcessing && rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting {
-		bgSpan := so.span.Child("background")
-		for p := 0; p < rt.parts; p++ {
-			start := time.Now()
-			if err := rt.rot[p].PrepareBackground(); err != nil {
-				return nil, err
-			}
-			bg.RecordTask(metrics.Task{
-				Phase:         metrics.PhaseContraction,
-				Cost:          time.Since(start),
-				PreferredNode: rt.partNode(p),
-			})
-		}
-		bgSpan.End()
+	if err := rt.runBackground(so.span, bg); err != nil {
+		return nil, err
 	}
 
-	if rt.backend == BackendFingerTree {
-		rt.bucketSizes = make([]int, rt.cfg.WindowBuckets)
-		for i := range rt.bucketSizes {
-			rt.bucketSizes[i] = rt.cfg.BucketSplits
-		}
-		rt.bucketSeq = uint64(rt.cfg.WindowBuckets)
+	if rt.outOfOrder() {
+		rt.uniformLedger(rt.cfg.WindowBuckets, rt.cfg.BucketSplits)
 	}
 	rt.started = true
-	res := rt.finish(out, rec, bg, statsBefore)
-	res.TreeStats = statsDelta(statsBefore, statsFg)
-	res.TreeStatsBackground = statsDelta(statsFg, rt.treeStats())
+	res := rt.finish(out, rec, bg, statsBefore, statsFg)
 	so.finish(res)
 	return res, nil
 }
@@ -442,17 +359,15 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	if !rt.started {
 		return nil, ErrNotInitial
 	}
+	if rt.broken != nil {
+		return nil, rt.broken
+	}
 	if err := rt.checkAdvance(drop, len(add)); err != nil {
 		return nil, err
 	}
-	if rt.backend == BackendFingerTree {
-		// drop must consume whole oldest buckets of the ledger (late
-		// buckets may be narrower than w, so the count is not drop/w).
-		k, err := rt.evictBucketCount(drop)
-		if err != nil {
-			return nil, err
-		}
-		rt.oooEvict = k
+	evict, err := rt.evictElements(drop)
+	if err != nil {
+		return nil, err
 	}
 	rec := metrics.NewRecorder()
 	bg := metrics.NewRecorder()
@@ -462,77 +377,39 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	defer so.abort()
 	so.span.Event("slide: drop=%d add=%d", drop, len(add))
 
-	baseSeq := rt.seq
-	mapPh := so.phase("map")
-	results, err := rt.mapAdds(add, rec)
+	results, err := rt.mapAdds(&so, add, rec)
 	if err != nil {
 		return nil, err
 	}
-	mapPh.end()
 	rt.windowLo += uint64(drop)
 	rt.live -= drop
-
-	rt.pendingBuckets = make([]sized, rt.parts)
-	// A single-bucket slide in Fixed+split mode takes the pre-combined
-	// foreground path; the decision is uniform across partitions and
-	// made here so partition goroutines only read it.
-	rt.hasPending = rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting &&
-		rt.cfg.SplitProcessing && len(add) == rt.cfg.BucketSplits
-	contractPh := so.phase("contract")
-	roots := make([][]sized, rt.parts)
-	if err := rt.forEachPartition(func(p int) error {
-		start := time.Now()
-		ps := partitionSpan(contractPh.span, p)
-		treeBefore := rt.partitionTreeStats(p)
-		payloads := rt.partPayloads(results, p)
-		var err error
-		roots[p], err = rt.advancePartition(p, drop, baseSeq, payloads)
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		// Read last run's memoized root-path state, then rewrite the
-		// recomputed nodes: one new root for append-only windows, roughly
-		// twice the root payload for a log-depth path. An unreadable
-		// entry — every replica down, or evicted — makes chargeStateRead
-		// degrade to recomputation instead of failing the slide.
-		rt.chargeStateRead(p, roots[p])
-		writeNs := rt.putPartState(p, roots[p])
-		rt.recordContraction(rec, p, elapsed+time.Duration(writeNs), roots[p])
-		rt.endPartitionSpan(ps, p, treeBefore)
-		return nil
-	}); err != nil {
-		return nil, err
+	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
+		return rt.aggs[p].Slide(evict, rt.elements(p, payloads))
+	})
+	if err != nil {
+		return nil, rt.poison(err)
 	}
-	contractPh.end()
-	if rt.backend == BackendFingerTree {
+	if rt.outOfOrder() {
 		w := rt.cfg.BucketSplits
-		rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[rt.oooEvict:]...)
+		rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...)
 		for i := 0; i < len(add)/w; i++ {
 			rt.bucketSizes = append(rt.bucketSizes, w)
 		}
 		rt.bucketSeq += uint64(len(add) / w)
 	}
-
-	reducePh := so.phase("reduce")
-	out := rt.reduceAll(rec, roots)
-	reducePh.end()
-	statsFg := rt.treeStats()
-	rt.recordTreeCounters(rec, statsDelta(statsBefore, statsFg))
-	bgSpan := so.span.Child("background")
-	rt.runBackground(bg)
-	bgSpan.End()
+	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
+	if err := rt.runBackground(so.span, bg); err != nil {
+		return nil, rt.poison(err)
+	}
 	rt.store.GC(rt.windowLo)
 	if rt.cfg.GCPolicy != nil {
 		rt.store.GCFunc(rt.cfg.GCPolicy)
 	}
-	res := rt.finish(out, rec, bg, statsBefore)
-	res.TreeStatsBackground = statsDelta(statsFg, rt.treeStats())
-	res.TreeStats = statsDelta(statsBefore, statsFg)
+	res := rt.finish(out, rec, bg, statsBefore, statsFg)
 	so.finish(res)
 	// After the slide's stats deltas are sealed: a backend switch here
 	// resets tree counters, and the next Advance reads a fresh baseline.
-	rt.maybeSwitchBackend()
+	rt.maybeSwitchBackend(so.span)
 	return res, nil
 }
 
@@ -550,7 +427,10 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 	if !rt.started {
 		return nil, ErrNotInitial
 	}
-	if rt.backend != BackendFingerTree {
+	if rt.broken != nil {
+		return nil, rt.broken
+	}
+	if !rt.outOfOrder() {
 		return nil, fmt.Errorf("%w: late arrivals require the finger-tree backend (set Config.AllowedLateness)", ErrBadBackend)
 	}
 	if len(late) == 0 {
@@ -582,54 +462,88 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 	defer so.abort()
 	so.span.Event("late: lateness=%d add=%d", lateness, len(late))
 
-	mapPh := so.phase("map")
-	results, err := rt.mapAdds(late, rec)
+	results, err := rt.mapAdds(&so, late, rec)
 	if err != nil {
 		return nil, err
 	}
-	mapPh.end()
-
 	pos := len(rt.bucketSizes) - lateness
-	contractPh := so.phase("contract")
-	roots := make([][]sized, rt.parts)
-	if err := rt.forEachPartition(func(p int) error {
-		start := time.Now()
-		ps := partitionSpan(contractPh.span, p)
-		treeBefore := rt.partitionTreeStats(p)
-		payloads := rt.partPayloads(results, p)
-		bucket := rt.foldPayloads(p, payloads)
-		if err := rt.finger[p].InsertAt(pos, bucket); err != nil {
-			return err
-		}
-		if root, ok := rt.finger[p].Root(); ok {
-			roots[p] = []sized{root}
-		}
-		elapsed := time.Since(start)
-		rt.chargeStateRead(p, roots[p])
-		writeNs := rt.putPartState(p, roots[p])
-		rt.recordContraction(rec, p, elapsed+time.Duration(writeNs), roots[p])
-		rt.endPartitionSpan(ps, p, treeBefore)
-		return nil
-	}); err != nil {
-		return nil, err
+	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
+		return rt.aggs[p].(core.OutOfOrder[sized]).InsertAt(pos, rt.foldPayloads(p, payloads))
+	})
+	if err != nil {
+		return nil, rt.poison(err)
 	}
-	contractPh.end()
 	// The late bucket joins the window's bucket ledger at its position;
 	// the in-order bucket clock does not advance, so the watermark holds.
 	rt.bucketSizes = append(rt.bucketSizes, 0)
 	copy(rt.bucketSizes[pos+1:], rt.bucketSizes[pos:])
 	rt.bucketSizes[pos] = len(late)
-
-	reducePh := so.phase("reduce")
-	out := rt.reduceAll(rec, roots)
-	reducePh.end()
-	statsFg := rt.treeStats()
-	rt.recordTreeCounters(rec, statsDelta(statsBefore, statsFg))
+	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
 	rt.gauges.lateAccepts.Add(1)
-	res := rt.finish(out, rec, bg, statsBefore)
-	res.TreeStats = statsDelta(statsBefore, statsFg)
+	res := rt.finish(out, rec, bg, statsBefore, statsFg)
 	so.finish(res)
 	return res, nil
+}
+
+// poison marks the window unusable: a slide failed in its contraction or
+// background phase, so some partitions' aggregators have moved and others
+// have not, and nothing computed from them can be trusted again.
+func (rt *Runtime) poison(err error) error {
+	rt.broken = fmt.Errorf("sliderrt: window unusable after a failed slide: %w", err)
+	return rt.broken
+}
+
+// outOfOrder reports whether the window's aggregators can take elements
+// mid-window (core.OutOfOrder) — the windows whose buckets vary in width
+// and are therefore tracked in the bucket ledger.
+func (rt *Runtime) outOfOrder() bool {
+	if len(rt.aggs) == 0 {
+		return false
+	}
+	_, ok := rt.aggs[0].(core.OutOfOrder[sized])
+	return ok
+}
+
+// uniformLedger resets the bucket ledger to n in-order buckets of w splits.
+func (rt *Runtime) uniformLedger(n, w int) {
+	rt.bucketSizes = make([]int, n)
+	for i := range rt.bucketSizes {
+		rt.bucketSizes[i] = w
+	}
+	rt.bucketSeq = uint64(n)
+}
+
+// bucketed reports whether the aggregators' elements are buckets of w
+// splits (Fixed mode under the self-adjusting engine) rather than splits.
+func (rt *Runtime) bucketed() bool {
+	return rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting
+}
+
+// elements turns partition p's per-split payloads into what its
+// aggregator's leaves hold — the one place the window mode shows: one
+// pre-folded C′ per run for append-only windows, buckets of w splits for
+// fixed-width ones, the splits themselves otherwise (and always for the
+// strawman engine, which memoizes per split).
+func (rt *Runtime) elements(p int, payloads []sized) []sized {
+	switch {
+	case rt.bucketed():
+		return rt.formBuckets(p, payloads)
+	case rt.cfg.Mode == Append && rt.cfg.Engine == SelfAdjusting:
+		return []sized{rt.foldPayloads(p, payloads)}
+	}
+	return payloads
+}
+
+// evictElements converts a drop in splits into aggregator elements.
+func (rt *Runtime) evictElements(drop int) (int, error) {
+	switch {
+	case !rt.bucketed():
+		return drop, nil
+	case rt.outOfOrder():
+		// Late buckets may be narrower than w, so the count is not drop/w.
+		return rt.evictBucketCount(drop)
+	}
+	return drop / rt.cfg.BucketSplits, nil
 }
 
 // evictBucketCount maps a drop expressed in splits onto the bucket
@@ -651,13 +565,47 @@ func (rt *Runtime) evictBucketCount(drop int) (int, error) {
 	return n, nil
 }
 
-// recordTreeCounters transfers a run's contraction-tree node work into
-// the recorder's counters (previously only available via TreeStats).
-func (rt *Runtime) recordTreeCounters(rec *metrics.Recorder, d core.Stats) {
-	rec.Add(metrics.Counters{
-		NodesComputed: d.NodesRecomputed,
-		NodesReused:   d.NodesReused,
-	})
+// contract is a run's contraction phase, the same for every kind of run:
+// apply updates partition p's aggregator from the run's new per-split
+// payloads, and the phase reads back what the reduce will consume, charges
+// the memoization layer and records the task.
+func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapreduce.MapResult,
+	apply func(p int, payloads []sized) error) ([][]sized, error) {
+	ph := so.phase("contract")
+	roots := make([][]sized, rt.parts)
+	if err := rt.forEachPartition(func(p int) error {
+		start := time.Now()
+		ps := partitionSpan(ph.span, p)
+		treeBefore := rt.aggs[p].Stats()
+		if err := apply(p, rt.partPayloads(results, p)); err != nil {
+			return err
+		}
+		roots[p] = rt.aggs[p].Roots()
+		elapsed := time.Since(start)
+		var writeNs int64
+		if !rt.started {
+			// The initial run materializes every tree node into the
+			// memoization layer — the paper's Figure 13 overhead — and
+			// registers the root-path entry every later slide reads back.
+			writeNs = rt.store.ChargeWrite(rt.partitionTreeBytes(p))
+		} else {
+			// Read last run's memoized root-path state, then rewrite the
+			// recomputed nodes: one new root for append-only windows,
+			// roughly twice the root payload for a log-depth path. An
+			// unreadable entry — every replica down, or evicted — makes
+			// chargeStateRead degrade to recomputation instead of failing
+			// the slide.
+			rt.chargeStateRead(p, roots[p])
+		}
+		writeNs += rt.putPartState(p, roots[p])
+		rt.recordContraction(rec, p, elapsed+time.Duration(writeNs), roots[p])
+		rt.endPartitionSpan(ps, p, treeBefore)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	ph.end()
+	return roots, nil
 }
 
 // statsDelta returns after − before.
@@ -669,142 +617,39 @@ func statsDelta(before, after core.Stats) core.Stats {
 	}
 }
 
-// advancePartition updates one partition's tree and returns the payloads
-// the final reduce consumes.
-func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []sized) ([]sized, error) {
-	if rt.backend == BackendStrawman {
-		rt.leaves[p] = append(rt.leaves[p][:0], rt.leaves[p][drop:]...)
-		rt.leaves[p] = append(rt.leaves[p], makeItems(baseSeq, payloads)...)
-		rt.straw[p].Build(rt.leaves[p])
-		if root, ok := rt.straw[p].Root(); ok {
-			return []sized{root}, nil
-		}
-		return nil, nil
-	}
-	switch rt.cfg.Mode {
-	case Append:
-		cNew := rt.foldPayloads(p, payloads)
-		if rt.cfg.SplitProcessing {
-			return rt.coal[p].AppendSplit(cNew), nil
-		}
-		return []sized{rt.coal[p].Append(cNew)}, nil
-	case Fixed:
-		buckets := rt.formBuckets(p, payloads)
-		if rt.backend == BackendFingerTree {
-			// Bulk path: one split for the K evicted buckets, one
-			// build+join for the K new ones — O(K + log w) combines
-			// instead of K root-path slides.
-			if err := rt.finger[p].BulkEvict(rt.oooEvict); err != nil {
-				return nil, err
-			}
-			if err := rt.finger[p].BulkInsert(buckets); err != nil {
-				return nil, err
-			}
-			if root, ok := rt.finger[p].Root(); ok {
-				return []sized{root}, nil
-			}
-			return nil, nil
-		}
-		if rt.backend == BackendDaba {
-			// O(1) in-order fast path: each bucket slide costs a bounded
-			// constant number of combines, independent of WindowBuckets.
-			for _, b := range buckets {
-				if err := rt.daba[p].Slide(b); err != nil {
-					return nil, err
-				}
-			}
-			if root, ok := rt.daba[p].Root(); ok {
-				return []sized{root}, nil
-			}
-			return nil, nil
-		}
-		if rt.hasPending {
-			fg, err := rt.rot[p].RotateForeground(buckets[0])
-			if err != nil {
-				return nil, err
-			}
-			rt.pendingBuckets[p] = buckets[0]
-			return []sized{fg}, nil
-		}
-		for _, b := range buckets {
-			if err := rt.rot[p].Rotate(b); err != nil {
-				return nil, err
-			}
-		}
-		if rt.cfg.SplitProcessing {
-			// Multi-bucket slides fall back to in-place rotation;
-			// re-prepare so the next single-bucket slide stays fast.
-			if err := rt.rot[p].PrepareBackground(); err != nil {
-				return nil, err
-			}
-		}
-		if root, ok := rt.rot[p].Root(); ok {
-			return []sized{root}, nil
-		}
-		return nil, nil
-	default: // Variable
-		if rt.backend == BackendRandomizedFolding {
-			if err := rt.rnd[p].Slide(drop, makeItems(baseSeq, payloads)); err != nil {
-				return nil, err
-			}
-			if root, ok := rt.rnd[p].Root(); ok {
-				return []sized{root}, nil
-			}
-			return nil, nil
-		}
-		if err := rt.fold[p].Slide(drop, payloads); err != nil {
-			return nil, err
-		}
-		if root, ok := rt.fold[p].Root(); ok {
-			return []sized{root}, nil
-		}
-		return nil, nil
-	}
-}
-
 // runBackground performs the deferred background pre-processing of split
-// mode, recording its cost separately (Figure 11).
-func (rt *Runtime) runBackground(bg *metrics.Recorder) {
-	if !rt.cfg.SplitProcessing || rt.cfg.Engine == Strawman {
-		return
+// mode under a "background" span, recording its cost separately (Figure
+// 11). A failure names the partition; the partitions after it have not run.
+func (rt *Runtime) runBackground(parent *metrics.Span, bg *metrics.Recorder) error {
+	span := parent.Child("background")
+	defer span.End()
+	if !rt.cfg.SplitProcessing {
+		return nil
 	}
-	switch rt.cfg.Mode {
-	case Append:
-		for p := 0; p < rt.parts; p++ {
-			start := time.Now()
-			rt.coal[p].Background()
+	for p, agg := range rt.aggs {
+		start := time.Now()
+		ran, err := agg.Background()
+		if err != nil {
+			return fmt.Errorf("sliderrt: background step of partition %d: %w", p, err)
+		}
+		if ran {
 			bg.RecordTask(metrics.Task{
 				Phase:         metrics.PhaseContraction,
 				Cost:          time.Since(start),
 				PreferredNode: rt.partNode(p),
 			})
 		}
-	case Fixed:
-		if !rt.hasPending {
-			return
-		}
-		for p := 0; p < rt.parts; p++ {
-			start := time.Now()
-			// Background installs the bucket and pre-combines for the
-			// next slide.
-			if err := rt.rot[p].Background(rt.pendingBuckets[p]); err != nil {
-				return
-			}
-			bg.RecordTask(metrics.Task{
-				Phase:         metrics.PhaseContraction,
-				Cost:          time.Since(start),
-				PreferredNode: rt.partNode(p),
-			})
-		}
-		rt.pendingBuckets = nil
-		rt.hasPending = false
 	}
+	return nil
 }
 
-// reduceAll applies the final Reduce per partition, timed as reduce
-// tasks. Partitions are key-disjoint, so every partition reduces straight
-// into the one output map, presized to the roots' total key count.
-func (rt *Runtime) reduceAll(rec *metrics.Recorder, roots [][]sized) mapreduce.Output {
+// reduceAll is a run's reduce phase: the final Reduce per partition, timed
+// as reduce tasks. Partitions are key-disjoint, so every partition reduces
+// straight into the one output map, presized to the roots' total key
+// count. It seals the run's foreground tree work — everything since before
+// — into the recorder's counters and returns the stats it sealed at.
+func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, roots [][]sized, before core.Stats) (mapreduce.Output, core.Stats) {
+	ph := so.phase("reduce")
 	keys := 0
 	for _, rs := range roots {
 		for _, r := range rs {
@@ -823,7 +668,11 @@ func (rt *Runtime) reduceAll(rec *metrics.Recorder, roots [][]sized) mapreduce.O
 		})
 		rec.Add(metrics.Counters{ReduceCalls: calls})
 	}
-	return out
+	ph.end()
+	fg := rt.treeStats()
+	d := statsDelta(before, fg)
+	rec.Add(metrics.Counters{NodesComputed: d.NodesRecomputed, NodesReused: d.NodesReused})
+	return out, fg
 }
 
 // sumBytes adds up the carried sizes of a list of payloads.
@@ -924,7 +773,7 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 			}
 			return nil
 		}
-		if rt.backend == BackendFingerTree {
+		if rt.outOfOrder() {
 			// The out-of-order window may drift: bulk evictions and bulk
 			// insertions need not balance. Adds still arrive in whole
 			// buckets of w; drops must consume whole oldest buckets of the
@@ -967,13 +816,7 @@ func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 // configured parallelism, and returns the first error. Each partition
 // touches only its own tree, counter, and result slots.
 func (rt *Runtime) forEachPartition(fn func(p int) error) error {
-	par := rt.cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > rt.parts {
-		par = rt.parts
-	}
+	par := min(rt.workers(), rt.parts)
 	if par <= 1 {
 		for p := 0; p < rt.parts; p++ {
 			if err := fn(p); err != nil {
@@ -1003,95 +846,39 @@ func (rt *Runtime) forEachPartition(fn func(p int) error) error {
 	return nil
 }
 
-// allocTrees instantiates the per-partition trees for the configuration,
-// each wired to its share of the parallelism budget so partition-level
-// and intra-tree concurrency compose. Coalescing trees have no internal
-// levels (their fold-up of new splits is parallelized in foldPayloads).
-func (rt *Runtime) allocTrees() {
-	n := rt.parts
-	treePar := rt.treeParallelism()
-	rt.combines = make([]int64, n)
-	// Drop any previous backend's structures: allocTrees also re-homes
-	// the runtime on a live backend switch.
-	rt.coal, rt.rot, rt.daba, rt.fold, rt.rnd = nil, nil, nil, nil, nil
-	rt.straw, rt.finger, rt.leaves = nil, nil, nil
-	switch rt.backend {
-	case BackendStrawman:
-		rt.straw = make([]*core.StrawmanTree[sized], n)
-		rt.leaves = make([][]core.Item[sized], n)
-		for p := range rt.straw {
-			rt.straw[p] = core.NewStrawman(rt.mergeFor(p))
-			rt.straw[p].SetParallelism(treePar)
-		}
-	case BackendCoalescing:
-		rt.coal = make([]*core.CoalescingTree[sized], n)
-		for p := range rt.coal {
-			rt.coal[p] = core.NewCoalescing(rt.mergeFor(p))
-		}
-	case BackendDaba:
-		rt.daba = make([]*core.DabaLite[sized], n)
-		for p := range rt.daba {
-			rt.daba[p] = core.NewDaba(rt.mergeFor(p), rt.cfg.WindowBuckets)
-		}
-	case BackendFingerTree:
-		rt.finger = make([]*core.FingerTree[sized], n)
-		for p := range rt.finger {
-			rt.finger[p] = core.NewFingerTree(rt.mergeFor(p))
-		}
-	case BackendRotating:
-		rt.rot = make([]*core.RotatingTree[sized], n)
-		for p := range rt.rot {
-			rt.rot[p] = core.NewRotating(rt.mergeFor(p), rt.cfg.WindowBuckets)
-			rt.rot[p].SetParallelism(treePar)
-		}
-	case BackendRandomizedFolding:
-		rt.rnd = make([]*core.RandomizedFoldingTree[sized], n)
-		for p := range rt.rnd {
-			rt.rnd[p] = core.NewRandomizedFolding(rt.mergeFor(p), rt.cfg.Seed+uint64(p)+1)
-			rt.rnd[p].SetParallelism(treePar)
-		}
-	default: // BackendFolding
-		rt.fold = make([]*core.FoldingTree[sized], n)
-		factor := rt.cfg.RebuildFactor
-		for p := range rt.fold {
-			opts := []core.FoldingOption[sized]{core.WithParallelism[sized](treePar)}
-			if factor < 0 {
-				opts = append(opts, core.WithRebuildFactor[sized](0))
-			} else if factor > 0 {
-				opts = append(opts, core.WithRebuildFactor[sized](factor))
-			}
-			rt.fold[p] = core.NewFolding(rt.mergeFor(p), opts...)
-		}
+// newAggregators instantiates one aggregator of the given backend per
+// partition, each wired to its own combine counter and to its share of the
+// parallelism budget so partition-level and intra-tree concurrency compose.
+// The caller installs both slices together (Initial, Restore, a live switch).
+func (rt *Runtime) newAggregators(b Backend) ([]core.Aggregator[sized], []int64) {
+	opts := core.Options{
+		Width:         rt.cfg.WindowBuckets,
+		Split:         rt.cfg.SplitProcessing,
+		Parallelism:   rt.treeParallelism(),
+		RebuildFactor: rt.cfg.RebuildFactor,
 	}
-}
-
-// forEachPartitionPayload calls fn for every payload partition p's tree
-// materializes: leaves, buckets and memoized internal nodes.
-func (rt *Runtime) forEachPartitionPayload(p int, fn func(sized)) {
-	switch {
-	case rt.straw != nil:
-		rt.straw[p].ForEachPayload(fn)
-	case rt.coal != nil:
-		rt.coal[p].ForEachPayload(fn)
-	case rt.rot != nil:
-		rt.rot[p].ForEachPayload(fn)
-	case rt.daba != nil:
-		rt.daba[p].ForEachPayload(fn)
-	case rt.finger != nil:
-		rt.finger[p].ForEachPayload(fn)
-	case rt.rnd != nil:
-		rt.rnd[p].ForEachPayload(fn)
-	case rt.fold != nil:
-		rt.fold[p].ForEachPayload(fn)
+	combines := make([]int64, rt.parts)
+	aggs := make([]core.Aggregator[sized], rt.parts)
+	for p := range aggs {
+		opts.Seed = rt.cfg.Seed + uint64(p) + 1
+		aggs[p] = core.NewAggregator(core.Kind(b), rt.mergeInto(&combines[p]), opts)
 	}
+	return aggs, combines
 }
 
 // partitionTreeBytes sums the carried sizes of the payloads partition
 // p's tree materializes: one addition per node.
 func (rt *Runtime) partitionTreeBytes(p int) int64 {
-	var total int64
-	rt.forEachPartitionPayload(p, func(s sized) { total += s.Bytes })
-	return total
+	sum := &rt.treeBytes[p]
+	sum.n = 0
+	rt.aggs[p].ForEachPayload(sum.add)
+	return sum.n
+}
+
+// byteSum accumulates carried payload sizes through its add visitor.
+type byteSum struct {
+	n   int64
+	add func(sized)
 }
 
 // ForEachPayload calls fn for every payload the contraction trees hold,
@@ -1100,39 +887,19 @@ func (rt *Runtime) partitionTreeBytes(p int) int64 {
 // mapreduce.PayloadBytes; the runtime itself never walks payload keys to
 // size them. Payloads are shared with the trees and must not be mutated.
 func (rt *Runtime) ForEachPayload(fn func(Payload)) {
-	for p := 0; p < rt.parts; p++ {
-		rt.forEachPartitionPayload(p, func(s sized) { fn(s.P) })
+	for _, agg := range rt.aggs {
+		agg.ForEachPayload(func(s sized) { fn(s.P) })
 	}
 }
 
 // treeStats sums the work counters across all partitions' trees.
 func (rt *Runtime) treeStats() core.Stats {
 	var total core.Stats
-	addStats := func(s core.Stats) {
+	for _, agg := range rt.aggs {
+		s := agg.Stats()
 		total.Merges += s.Merges
 		total.NodesRecomputed += s.NodesRecomputed
 		total.NodesReused += s.NodesReused
-	}
-	for _, t := range rt.coal {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.rot {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.daba {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.finger {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.fold {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.rnd {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.straw {
-		addStats(t.Stats())
 	}
 	return total
 }
@@ -1151,18 +918,19 @@ func (rt *Runtime) spaceBytes() int64 {
 	return total
 }
 
-// finish assembles the RunResult. Callers overwrite TreeStats /
-// TreeStatsBackground with precise foreground/background deltas.
-func (rt *Runtime) finish(out mapreduce.Output, rec, bg *metrics.Recorder, before core.Stats) *RunResult {
+// finish assembles the RunResult: the tree work between before and fg was
+// the run's foreground, whatever came after fg its background step.
+func (rt *Runtime) finish(out mapreduce.Output, rec, bg *metrics.Recorder, before, fg core.Stats) *RunResult {
 	rt.runs++
 	rt.publishWindowGauges()
 	return &RunResult{
-		Output:     out,
-		Report:     rec.Snapshot(),
-		Background: bg.Snapshot(),
-		TreeStats:  statsDelta(before, rt.treeStats()),
-		SpaceBytes: rt.spaceBytes(),
-		ReadTimeNs: rt.store.Stats().ReadTimeNs,
+		Output:              out,
+		Report:              rec.Snapshot(),
+		Background:          bg.Snapshot(),
+		TreeStats:           statsDelta(before, fg),
+		TreeStatsBackground: statsDelta(fg, rt.treeStats()),
+		SpaceBytes:          rt.spaceBytes(),
+		ReadTimeNs:          rt.store.Stats().ReadTimeNs,
 	}
 }
 
@@ -1174,15 +942,6 @@ func (rt *Runtime) partPayloads(results []mapreduce.MapResult, p int) []sized {
 		out[i] = results[i].PartSized(rt.job, p)
 	}
 	return out
-}
-
-// makeItems pairs payloads with their split sequence IDs.
-func makeItems(base uint64, payloads []sized) []core.Item[sized] {
-	items := make([]core.Item[sized], len(payloads))
-	for i, p := range payloads {
-		items[i] = core.Item[sized]{ID: base + uint64(i), Payload: p}
-	}
-	return items
 }
 
 // Store exposes the memoization layer (for fault injection in tests and

@@ -42,7 +42,7 @@ type windowGauges struct {
 func (rt *Runtime) publishWindowGauges() {
 	rt.gauges.liveBuckets.Store(int64(len(rt.bucketSizes)))
 	var lag uint64
-	if rt.backend == BackendFingerTree {
+	if rt.outOfOrder() {
 		eff := rt.cfg.Watermark
 		if rt.bucketSeq > uint64(rt.cfg.AllowedLateness) {
 			if floor := rt.bucketSeq - uint64(rt.cfg.AllowedLateness); floor > eff {
