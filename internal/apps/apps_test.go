@@ -84,8 +84,8 @@ func TestKMeansAssignsAllPoints(t *testing.T) {
 	var total int64
 	for _, r := range results {
 		for _, p := range r.Parts {
-			for _, v := range p {
-				total += v.(*CentroidAcc).Count
+			for _, e := range p {
+				total += e.Value.(*CentroidAcc).Count
 			}
 		}
 	}

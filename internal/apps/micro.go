@@ -177,10 +177,28 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 	}
 }
 
-// sqDist returns the squared Euclidean distance.
+// sqDist returns the squared Euclidean distance, summed in index order.
+//
+// Four elements per iteration, still one sum: the order of the additions,
+// and so every bit of the result, is that of the one-element loop. Written
+// that way the loop is 28 bytes that run as fast as instructions can be
+// fetched, and wherever the linker happened to lay them across a 64-byte
+// line — which any change in the size of code linked earlier flips, the
+// map function being 32-byte aligned — K-Means' map phase ran 25–40 %
+// slower. Unrolled, the chain of additions sets the pace at either
+// placement.
 func sqDist(a, b []float64) float64 {
+	b = b[:len(a)]
 	var d float64
-	for i := range a {
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0, d1, d2, d3 := a[i]-b[i], a[i+1]-b[i+1], a[i+2]-b[i+2], a[i+3]-b[i+3]
+		d += d0 * d0
+		d += d1 * d1
+		d += d2 * d2
+		d += d3 * d3
+	}
+	for ; i < len(a); i++ {
 		diff := a[i] - b[i]
 		d += diff * diff
 	}

@@ -361,10 +361,11 @@ func TestRunJSON(t *testing.T) {
 
 // TestBackendsDabaBeatsRotating is the CI smoke for the backend
 // head-to-head: on wordcount at a wide fixed width, the DABA queue must
-// beat the rotating tree on per-slide merge count and heap allocations,
-// its merge count must respect the worst-case constant bound at every
-// width, and the rotating tree's must grow with the window — the O(1)
-// vs O(log w) separation BENCH_daba.json records.
+// beat the rotating tree on per-slide merge count and allocate no more
+// than it does (to 1 %, both under a pinned ceiling), its merge count must
+// respect the worst-case constant bound at every width, and the rotating
+// tree's must grow with the window — the O(1) vs O(log w) separation
+// BENCH_daba.json records.
 func TestBackendsDabaBeatsRotating(t *testing.T) {
 	res, text, err := RunBackends(Quick())
 	if err != nil {
@@ -386,9 +387,9 @@ func TestBackendsDabaBeatsRotating(t *testing.T) {
 		}
 	}
 	// At the wide fixed width the asymptotics dominate: daba wins on
-	// merges and allocations. (At the narrowest window the rotating
-	// tree's root path is only a few levels deep — that is the crossover
-	// the sweep exists to show.)
+	// merges. (At the narrowest window the rotating tree's root path is
+	// only a few levels deep — that is the crossover the sweep exists to
+	// show.)
 	wide := windows[len(windows)-1]
 	daba, _ := res.Find("daba", wide)
 	rot, ok := res.Find("rotating", wide)
@@ -399,8 +400,27 @@ func TestBackendsDabaBeatsRotating(t *testing.T) {
 		t.Errorf("window %d: daba merges/slide %.1f not below rotating %.1f",
 			wide, daba.MergesPerSlide, rot.MergesPerSlide)
 	}
-	if daba.AllocsPerSlide >= rot.AllocsPerSlide {
-		t.Errorf("window %d: daba allocs/slide %.1f not below rotating %.1f",
+	// Allocations. While a merge built a hash map, the backend with fewer
+	// merges allocated less (347.6 against 354.4 per slide at this width)
+	// and the check here was daba < rotating. A merge-join allocates its
+	// output slice and one scratch pair, whatever it joins (pinned per
+	// merge in mapreduce's TestMergeAndReduceAllocs), which leaves the
+	// job's own combiner boxing every sum past 255 in the balance: DABA
+	// runs 2.5 merges fewer per slide (5 allocations) but joins wider
+	// aggregates, whose sums are larger (18.9 boxes per slide against
+	// 13.5), and the two cancel: 279.7 against 279.3. So both backends are
+	// held under one pinned ceiling, ~5 % over what they measure — which
+	// the map-based merges miss by 50 — and DABA to within 1 % of the
+	// rotating tree.
+	const allocCeiling = 294
+	for _, c := range []BackendCell{daba, rot} {
+		if c.AllocsPerSlide > allocCeiling {
+			t.Errorf("window %d: %s allocs/slide %.1f over the pinned ceiling %d",
+				wide, c.Backend, c.AllocsPerSlide, allocCeiling)
+		}
+	}
+	if daba.AllocsPerSlide > 1.01*rot.AllocsPerSlide {
+		t.Errorf("window %d: daba allocs/slide %.1f more than 1%% over rotating %.1f",
 			wide, daba.AllocsPerSlide, rot.AllocsPerSlide)
 	}
 	// The rotating tree's per-slide merges grow with the window; DABA's

@@ -52,8 +52,8 @@ type PayloadResult struct {
 	// EncodeAllocReductionPct is the steady-state allocation reduction of
 	// the flat encode path vs gob at the largest measured payload size.
 	EncodeAllocReductionPct float64 `json:"encodeAllocReductionPct"`
-	// RoundTripAllocReductionPct compares full encode+decode (flat view
-	// walk vs gob decode into a map) at the largest payload size.
+	// RoundTripAllocReductionPct compares full encode+decode (flat decode
+	// into a payload vs gob decode into a map) at the largest payload size.
 	RoundTripAllocReductionPct float64 `json:"roundTripAllocReductionPct"`
 	DurationMs                 int64   `json:"durationMs"`
 }
@@ -65,17 +65,20 @@ var payloadSizes = []int{4, 32, 256, 2048}
 // counts — the dominant shape on Slider's wire.
 func benchPayload(entries int) mapreduce.Payload {
 	p := make(mapreduce.Payload, entries)
-	for i := 0; i < entries; i++ {
-		p[fmt.Sprintf("word-%04d", i)] = int64(i*7 + 1)
+	for i := range p {
+		p[i] = mapreduce.Entry{Key: fmt.Sprintf("word-%04d", i), Value: int64(i*7 + 1)}
 	}
 	return p
 }
 
 // measureGobCodec measures the legacy sld1 path: whole-payload gob encode
-// and decode.
+// and decode of the map such frames carry.
 func measureGobCodec(entries int) (PayloadCodecCell, error) {
 	cell := PayloadCodecCell{Codec: "gob", Entries: entries}
-	p := benchPayload(entries)
+	p := make(map[string]mapreduce.Value, entries)
+	for _, e := range benchPayload(entries) {
+		p[e.Key] = e.Value
+	}
 	frame, err := persist.Encode(p)
 	if err != nil {
 		return cell, err
@@ -92,24 +95,20 @@ func measureGobCodec(entries int) (PayloadCodecCell, error) {
 			panic(err)
 		}
 	})
-	cell.DecodeAllocsPerOp = testing.AllocsPerRun(reps, func() {
-		var out mapreduce.Payload
+	decode := func() {
+		var out map[string]mapreduce.Value
 		if err := persist.Decode(frame, &out); err != nil {
 			panic(err)
 		}
-	})
-	cell.DecodeNsPerOp = timeOp(reps, func() {
-		var out mapreduce.Payload
-		if err := persist.Decode(frame, &out); err != nil {
-			panic(err)
-		}
-	})
+	}
+	cell.DecodeAllocsPerOp = testing.AllocsPerRun(reps, decode)
+	cell.DecodeNsPerOp = timeOp(reps, decode)
 	return cell, nil
 }
 
 // measureFlatCodec measures the sld2 path at steady state: pooled-buffer
-// append encode, and zero-copy view decode (the wire consumer's walk —
-// no map is materialized).
+// append encode, and decode into a fresh payload — one entry slice and
+// one key arena per payload, plus whatever boxing the values need.
 func measureFlatCodec(entries int) (PayloadCodecCell, error) {
 	cell := PayloadCodecCell{Codec: "flat", Entries: entries}
 	p := benchPayload(entries)
@@ -121,66 +120,23 @@ func measureFlatCodec(entries int) (PayloadCodecCell, error) {
 	// Steady state: one warm buffer reused across ops, like the memo and
 	// dist hot paths.
 	buf := make([]byte, 0, 2*len(frame))
-	if buf, err = persist.AppendPayload(buf[:0], p); err != nil {
-		return cell, err
-	}
 	reps := microReps(entries)
-	cell.EncodeAllocsPerOp = testing.AllocsPerRun(reps, func() {
+	encode := func() {
 		out, err := persist.AppendPayload(buf[:0], p)
 		if err != nil {
 			panic(err)
 		}
 		buf = out
-	})
-	cell.EncodeNsPerOp = timeOp(reps, func() {
-		out, err := persist.AppendPayload(buf[:0], p)
-		if err != nil {
-			panic(err)
-		}
-		buf = out
-	})
-	// The decode walk uses the typed iterator: counting consumers read
-	// int64 columns without boxing, so the whole walk allocates nothing.
-	var sink int64
-	walk := func() {
-		view, err := persist.DecodePayloadView(frame)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := view.ForEachInt64(func(_ string, n int64) bool {
-			sink += n
-			return true
-		}); err != nil {
-			panic(err)
-		}
 	}
-	cell.DecodeAllocsPerOp = testing.AllocsPerRun(reps, walk)
-	cell.DecodeNsPerOp = timeOp(reps, walk)
-	_ = sink
-	return cell, nil
-}
-
-// measureFlatMaterialize measures sld2 decode when the consumer does need
-// a fresh mutable map (restore paths).
-func measureFlatMaterialize(entries int) (PayloadCodecCell, error) {
-	cell := PayloadCodecCell{Codec: "flat-materialize", Entries: entries}
-	p := benchPayload(entries)
-	frame, err := persist.EncodePayload(p)
-	if err != nil {
-		return cell, err
-	}
-	cell.FrameBytes = len(frame)
-	reps := microReps(entries)
-	cell.DecodeAllocsPerOp = testing.AllocsPerRun(reps, func() {
+	cell.EncodeAllocsPerOp = testing.AllocsPerRun(reps, encode)
+	cell.EncodeNsPerOp = timeOp(reps, encode)
+	decode := func() {
 		if _, err := persist.DecodePayload(frame); err != nil {
 			panic(err)
 		}
-	})
-	cell.DecodeNsPerOp = timeOp(reps, func() {
-		if _, err := persist.DecodePayload(frame); err != nil {
-			panic(err)
-		}
-	})
+	}
+	cell.DecodeAllocsPerOp = testing.AllocsPerRun(reps, decode)
+	cell.DecodeNsPerOp = timeOp(reps, decode)
 	return cell, nil
 }
 
@@ -268,11 +224,7 @@ func RunPayload(s Scale) (*PayloadResult, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("payload flat n=%d: %w", entries, err)
 		}
-		mat, err := measureFlatMaterialize(entries)
-		if err != nil {
-			return nil, "", fmt.Errorf("payload flat-materialize n=%d: %w", entries, err)
-		}
-		out.Cells = append(out.Cells, gob, flat, mat)
+		out.Cells = append(out.Cells, gob, flat)
 	}
 
 	slides := 16

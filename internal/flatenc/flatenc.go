@@ -3,9 +3,14 @@
 // framing, and runtime checkpoints. It replaces per-value gob encoding
 // (reflection, interface boxing, a type dictionary per stream) with a
 // single-pass arena layout that encodes a payload with zero steady-state
-// allocations (pooled buffers) and decodes into a zero-copy View that
-// exposes keys and values directly off the wire bytes — no Go map is
-// materialized until a caller actually needs one to mutate.
+// allocations (pooled buffers) and decodes it by appending: one entry
+// slice and one copy of the key arena per payload, every key a substring
+// of that copy.
+//
+// Entry order on the wire is the order the payload holds its entries in,
+// which for a live payload is key order (mapreduce.Payload's invariant).
+// Frames written while payloads were hash maps carry map order; the
+// decoder checks the order as it appends and sorts such a frame once.
 //
 // # Wire layout (little-endian)
 //
@@ -32,7 +37,8 @@
 //
 // The same column machinery also encodes bare value lists (split records
 // on the dist wire — AppendValues) and payload sets (a split's
-// per-partition outputs, a checkpoint's buckets — AppendPayloadSet).
+// per-partition outputs, a checkpoint's buckets — AppendPayloadSet,
+// AppendSizedSet).
 package flatenc
 
 import (
@@ -42,14 +48,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
+
+	"slider/internal/mapreduce"
 )
 
-// Payload is the structural payload type this package encodes. It is the
-// underlying type of mapreduce.Payload; call sites convert with a plain
-// type conversion (the package deliberately does not import mapreduce so
-// that mapreduce could consume Views without an import cycle).
-type Payload = map[string]any
+// Payload is the payload type this package encodes.
+type Payload = mapreduce.Payload
 
 // ErrMalformed is returned when flat bytes fail structural validation.
 var ErrMalformed = errors.New("flatenc: malformed encoding")
@@ -169,21 +175,6 @@ func PutBuffer(b *[]byte) {
 // gobEncPool recycles the bytes.Buffer used for escape-hatch values.
 var gobEncPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-type entry struct {
-	k string
-	v any
-}
-
-// entsPool recycles the per-encode entry capture that pins one map
-// iteration order across the encoder's section passes (a second range
-// over a Go map visits entries in a different order).
-var entsPool = sync.Pool{
-	New: func() any {
-		s := make([]entry, 0, 64)
-		return &s
-	},
-}
-
 func appendU32(dst []byte, v uint32) []byte {
 	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -194,120 +185,143 @@ func appendU64(dst []byte, v uint64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// AppendPayload appends the flat encoding of p to dst and returns the
-// extended slice. With a pooled dst (GetBuffer) the append is
-// allocation-free at steady state for payloads of native scalar values;
-// escape-hatch values cost one pooled gob encoder pass each. On error dst
-// is returned truncated to its original length.
+// AppendPayload appends the flat encoding of p to dst, entries in the
+// order p holds them, and returns the extended slice. With a pooled dst
+// (GetBuffer) the append is allocation-free at steady state for payloads
+// of native scalar values; escape-hatch values cost one pooled gob encoder
+// pass each. On error dst is returned truncated to its original length.
 func AppendPayload(dst []byte, p Payload) ([]byte, error) {
-	ents := entsPool.Get().(*[]entry)
-	for k, v := range p {
-		*ents = append(*ents, entry{k, v})
+	w := beginBody(dst, len(p))
+	for i := range p {
+		w.tag(p[i].Value)
 	}
-	out, err := appendEntries(dst, *ents, true)
-	*ents = (*ents)[:0]
-	entsPool.Put(ents)
-	return out, err
+	keyArenaLen := 0
+	for i := range p {
+		w.dst = appendU32(w.dst, uint32(len(p[i].Key)))
+		keyArenaLen += len(p[i].Key)
+	}
+	for i := range p {
+		w.num(i, p[i].Value)
+	}
+	w.byteLens()
+	for i := range p {
+		w.dst = append(w.dst, p[i].Key...)
+	}
+	w.byteArenaOff = len(w.dst)
+	for i := range p {
+		if err := w.bytes(i, p[i].Value); err != nil {
+			return dst, err
+		}
+	}
+	return w.finish(keyArenaLen), nil
 }
 
 // AppendValues appends the flat encoding of a bare value list (no keys)
-// to dst: the same layout as a payload with count entries, zero-length
-// keys, and an empty key arena. Used for split records on the dist wire.
+// to dst: the same layout as a payload with count entries, minus the
+// keyLens section and the key arena (count alone describes them). Used
+// for split records on the dist wire.
 func AppendValues(dst []byte, vals []any) ([]byte, error) {
-	ents := entsPool.Get().(*[]entry)
+	w := beginBody(dst, len(vals))
 	for _, v := range vals {
-		*ents = append(*ents, entry{"", v})
+		w.tag(v)
 	}
-	out, err := appendEntries(dst, *ents, false)
-	*ents = (*ents)[:0]
-	entsPool.Put(ents)
-	return out, err
+	for i, v := range vals {
+		w.num(i, v)
+	}
+	w.byteLens()
+	w.byteArenaOff = len(w.dst)
+	for i, v := range vals {
+		if err := w.bytes(i, v); err != nil {
+			return dst, err
+		}
+	}
+	return w.finish(0), nil
 }
 
-// appendEntries lays out one flat body from a pinned entry order. keyed
-// controls whether the keyLens section and key arena are emitted (value
-// lists omit both; count alone describes them).
-func appendEntries(dst []byte, ents []entry, keyed bool) ([]byte, error) {
+// bodyWriter lays out one flat body section by section. Its callers walk
+// their entries once per section and hand each value over; the key
+// sections, which only a payload has, they write themselves.
+type bodyWriter struct {
+	dst                 []byte
+	hdrOff, tagsOff     int
+	numCount, byteCount int
+	byteLensOff         int // next byte-column length to patch
+	byteArenaOff        int // set by the caller once the key arena is written
+}
+
+// beginBody appends the header of an n-entry body, counts zeroed until
+// finish patches them.
+func beginBody(dst []byte, n int) bodyWriter {
 	EnsureBuiltins()
-	start := len(dst)
-	n := len(ents)
 	dst = append(dst, Version)
 	dst = appendU32(dst, uint32(n))
 	hdrOff := len(dst)
-	dst = appendU32(dst, 0) // keyArenaLen, patched below
-	dst = appendU32(dst, 0) // numCount
-	dst = appendU32(dst, 0) // byteCount
-	dst = appendU32(dst, 0) // byteArenaLen
-
-	// Tags and key lengths, and the column counts they imply.
-	numCount, byteCount, keyArenaLen := 0, 0, 0
-	for i := range ents {
-		tag := scalarTag(ents[i].v)
-		dst = append(dst, tag)
-		switch tag {
-		case tagInt, tagInt64, tagUint64, tagFloat64:
-			numCount++
-		case tagString, tagBytes, tagGob:
-			byteCount++
-		}
-		keyArenaLen += len(ents[i].k)
-	}
-	if keyed {
-		for i := range ents {
-			dst = appendU32(dst, uint32(len(ents[i].k)))
-		}
-	} else if keyArenaLen != 0 {
-		return dst[:start], fmt.Errorf("flatenc: value list with non-empty keys")
-	}
-
-	// Numeric column.
-	for i := range ents {
-		switch tag := scalarTag(ents[i].v); tag {
-		case tagInt, tagInt64, tagUint64, tagFloat64:
-			dst = appendU64(dst, numBits(tag, ents[i].v))
-		}
-	}
-
-	// Byte-column lengths are back-patched as the arena is written.
-	byteLensOff := len(dst)
-	for range byteCount {
+	for range 4 { // keyArenaLen, numCount, byteCount, byteArenaLen
 		dst = appendU32(dst, 0)
 	}
-	if keyed {
-		for i := range ents {
-			dst = append(dst, ents[i].k...)
-		}
+	return bodyWriter{dst: dst, hdrOff: hdrOff, tagsOff: len(dst)}
+}
+
+// tag appends v's type tag and counts the column it will occupy. The later
+// sections read the tags back from dst instead of classifying v again.
+func (w *bodyWriter) tag(v any) {
+	t := scalarTag(v)
+	w.dst = append(w.dst, t)
+	switch t {
+	case tagInt, tagInt64, tagUint64, tagFloat64:
+		w.numCount++
+	case tagString, tagBytes, tagGob:
+		w.byteCount++
 	}
-	bi := 0
-	byteArenaStart := len(dst)
-	for i := range ents {
-		var vb []byte
-		switch scalarTag(ents[i].v) {
-		case tagString:
-			s := ents[i].v.(string)
-			binary.LittleEndian.PutUint32(dst[byteLensOff+4*bi:], uint32(len(s)))
-			dst = append(dst, s...)
-			bi++
-			continue
-		case tagBytes:
-			vb = ents[i].v.([]byte)
-		case tagGob:
-			var err error
-			if vb, err = encodeGobValue(ents[i].v); err != nil {
-				return dst[:start], fmt.Errorf("flatenc: key %q: %w", ents[i].k, err)
-			}
-		default:
-			continue
-		}
-		binary.LittleEndian.PutUint32(dst[byteLensOff+4*bi:], uint32(len(vb)))
-		dst = append(dst, vb...)
-		bi++
+}
+
+// num appends entry i's value to the numeric column if it belongs there.
+func (w *bodyWriter) num(i int, v any) {
+	switch t := w.dst[w.tagsOff+i]; t {
+	case tagInt, tagInt64, tagUint64, tagFloat64:
+		w.dst = appendU64(w.dst, numBits(t, v))
 	}
-	binary.LittleEndian.PutUint32(dst[hdrOff:], uint32(keyArenaLen))
-	binary.LittleEndian.PutUint32(dst[hdrOff+4:], uint32(numCount))
-	binary.LittleEndian.PutUint32(dst[hdrOff+8:], uint32(byteCount))
-	binary.LittleEndian.PutUint32(dst[hdrOff+12:], uint32(len(dst)-byteArenaStart))
-	return dst, nil
+}
+
+// byteLens reserves the byte column's lengths; bytes patches them as it
+// writes the arena.
+func (w *bodyWriter) byteLens() {
+	w.byteLensOff = len(w.dst)
+	for range w.byteCount {
+		w.dst = appendU32(w.dst, 0)
+	}
+}
+
+// bytes appends entry i's value to the byte arena if it belongs there.
+func (w *bodyWriter) bytes(i int, v any) error {
+	before := len(w.dst)
+	switch w.dst[w.tagsOff+i] {
+	case tagString:
+		w.dst = append(w.dst, v.(string)...)
+	case tagBytes:
+		w.dst = append(w.dst, v.([]byte)...)
+	case tagGob:
+		vb, err := encodeGobValue(v)
+		if err != nil {
+			return fmt.Errorf("flatenc: entry %d: %w", i, err)
+		}
+		w.dst = append(w.dst, vb...)
+	default:
+		return nil
+	}
+	binary.LittleEndian.PutUint32(w.dst[w.byteLensOff:], uint32(len(w.dst)-before))
+	w.byteLensOff += 4
+	return nil
+}
+
+// finish patches the header counts and returns the completed body.
+func (w *bodyWriter) finish(keyArenaLen int) []byte {
+	hdr := w.dst[w.hdrOff:]
+	binary.LittleEndian.PutUint32(hdr, uint32(keyArenaLen))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(w.numCount))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(w.byteCount))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(w.dst)-w.byteArenaOff))
+	return w.dst
 }
 
 // encodeGobValue gob-encodes one escape-hatch value through a pooled
@@ -339,50 +353,57 @@ func EncodePayload(p Payload) ([]byte, error) {
 
 // AppendPayloadSet appends a length-prefixed sequence of flat payload
 // bodies: u32 count, then per payload u32 bodyLen + body. It carries a
-// split's per-partition outputs or a checkpoint's bucket list in one
-// blob.
+// split's per-partition outputs or a checkpoint's bucket list in one blob.
 func AppendPayloadSet(dst []byte, ps []Payload) ([]byte, error) {
-	start := len(dst)
-	dst = appendU32(dst, uint32(len(ps)))
+	out := appendU32(dst, uint32(len(ps)))
 	for _, p := range ps {
-		lenOff := len(dst)
-		dst = appendU32(dst, 0)
 		var err error
-		dst, err = AppendPayload(dst, p)
-		if err != nil {
-			return dst[:start], err
+		if out, err = appendSetMember(out, p); err != nil {
+			return dst, err
 		}
-		binary.LittleEndian.PutUint32(dst[lenOff:], uint32(len(dst)-lenOff-4))
 	}
-	return dst, nil
+	return out, nil
 }
 
-// EncodePayloadSet returns a fresh, exactly-sized payload-set blob.
-func EncodePayloadSet(ps []Payload) ([]byte, error) {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	out, err := AppendPayloadSet(*buf, ps)
+// AppendSizedSet is AppendPayloadSet over payloads held with their sizes
+// (a partition's tree roots, a snapshot's buckets), read where they lie.
+func AppendSizedSet(dst []byte, ps []mapreduce.Sized) ([]byte, error) {
+	out := appendU32(dst, uint32(len(ps)))
+	for i := range ps {
+		var err error
+		if out, err = appendSetMember(out, ps[i].P); err != nil {
+			return dst, err
+		}
+	}
+	return out, nil
+}
+
+// appendSetMember appends one payload of a set: its body behind the
+// body's length.
+func appendSetMember(dst []byte, p Payload) ([]byte, error) {
+	lenOff := len(dst)
+	out, err := AppendPayload(appendU32(dst, 0), p)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	final := append(make([]byte, 0, len(out)), out...)
-	*buf = out[:0]
-	return final, nil
+	binary.LittleEndian.PutUint32(out[lenOff:], uint32(len(out)-lenOff-4))
+	return out, nil
 }
 
-// DecodePayloadSet splits a payload-set blob into its per-payload Views.
-// The Views alias data; see View for the lifetime contract.
-func DecodePayloadSet(data []byte) ([]View, error) {
+// DecodePayloadSet decodes a payload-set blob into fresh payloads.
+func DecodePayloadSet(data []byte) ([]Payload, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: payload set too short", ErrMalformed)
 	}
 	n := int(binary.LittleEndian.Uint32(data))
-	if n < 0 || n > len(data) {
-		return nil, fmt.Errorf("%w: payload set count %d", ErrMalformed, n)
-	}
-	views := make([]View, 0, n)
 	rest := data[4:]
-	for i := 0; i < n; i++ {
+	// Every payload costs its length prefix and a header at least, so a
+	// count the bytes cannot hold is refused before anything is sized by it.
+	if n < 0 || n > len(rest)/(4+headerLen) {
+		return nil, fmt.Errorf("%w: payload set count %d in %d bytes", ErrMalformed, n, len(data))
+	}
+	out := make([]Payload, n)
+	for i := range out {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: payload set truncated at %d", ErrMalformed, i)
 		}
@@ -391,30 +412,61 @@ func DecodePayloadSet(data []byte) ([]View, error) {
 		if bodyLen < 0 || bodyLen > len(rest) {
 			return nil, fmt.Errorf("%w: payload set body %d overruns", ErrMalformed, i)
 		}
-		v, err := MakeView(rest[:bodyLen])
-		if err != nil {
+		var err error
+		if out[i], err = DecodePayload(rest[:bodyLen]); err != nil {
 			return nil, fmt.Errorf("payload set body %d: %w", i, err)
 		}
-		views = append(views, v)
 		rest = rest[bodyLen:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after payload set", ErrMalformed, len(rest))
 	}
-	return views, nil
+	return out, nil
 }
 
-// MaterializePayloadSet decodes a payload-set blob into fresh Go maps.
-func MaterializePayloadSet(data []byte) ([]Payload, error) {
-	views, err := DecodePayloadSet(data)
+// DecodePayload decodes one flat payload body into a fresh payload that
+// shares nothing with data: the key arena is copied once and every key is
+// a substring of the copy; string and []byte values are copied one by
+// one. Entries are appended in wire order with their order checked on the
+// way; a body that is not strictly sorted — written while payloads were
+// hash maps — is sorted once, and one that holds a key twice is malformed.
+func DecodePayload(data []byte) (Payload, error) {
+	v, err := makeView(data, true)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Payload, len(views))
-	for i := range views {
-		if out[i], err = views[i].Materialize(); err != nil {
-			return nil, err
+	if v.n == 0 {
+		return nil, nil
+	}
+	arena := string(data[v.keyArenaOff:v.byteArena])
+	out := make(Payload, v.n)
+	keyOff, sorted := 0, true
+	err = v.forEach(func(i int, val any) error {
+		kl := int(binary.LittleEndian.Uint32(data[v.keyLensOff+4*i:]))
+		if kl < 0 || kl > len(arena)-keyOff {
+			return fmt.Errorf("%w: key %d overruns arena", ErrMalformed, i)
 		}
+		out[i] = mapreduce.Entry{Key: arena[keyOff : keyOff+kl], Value: detach(val)}
+		keyOff += kl
+		sorted = sorted && (i == 0 || out[i-1].Key < out[i].Key)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !sorted && !mapreduce.SortEntries(out) {
+		return nil, fmt.Errorf("%w: duplicate key", ErrMalformed)
 	}
 	return out, nil
+}
+
+// detach copies a string or []byte value out of the frame it aliases.
+func detach(val any) any {
+	switch x := val.(type) {
+	case string:
+		return strings.Clone(x)
+	case []byte:
+		return append([]byte(nil), x...)
+	}
+	return val
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -86,16 +87,17 @@ func valueFromBytes(data []byte, off *int) any {
 	}
 }
 
-// gobRoundTrip pushes p through the legacy gob path (the sld1 codec's
-// core): one encoder, one decoder, payload as a whole.
-func gobRoundTrip(t *testing.T, p Payload) Payload {
+// gobRoundTrip pushes m through the legacy gob path (the sld1 codec's
+// core): one encoder, one decoder, the payload as the map such frames
+// carry.
+func gobRoundTrip(t *testing.T, m M) M {
 	t.Helper()
 	EnsureBuiltins()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		t.Fatalf("gob encode: %v", err)
 	}
-	var out Payload
+	var out M
 	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
 		t.Fatalf("gob decode: %v", err)
 	}
@@ -106,7 +108,10 @@ func gobRoundTrip(t *testing.T, p Payload) Payload {
 // payloads mixing every builtin value type plus a custom registered type:
 // the two codecs must agree value-for-value (same keys, same concrete
 // types, same contents), so swapping frame versions can never change what
-// a restore or a worker sees.
+// a restore or a worker sees. Every payload is also written in three
+// entry orders — sorted as live payloads are, shuffled as frames written
+// from hash maps were, and with one key repeated: decode(encode(p)) must
+// be p, strictly sorted, for the first two and ErrMalformed for the third.
 func FuzzFlatCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
@@ -118,41 +123,72 @@ func FuzzFlatCodec(f *testing.F) {
 			n = int(data[0]) % 32
 			off = 1
 		}
-		p := make(Payload, n)
+		m := make(M, n)
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("k%d-%c", i, 'a'+byte(i)%26)
-			p[key] = valueFromBytes(data, &off)
+			m[key] = valueFromBytes(data, &off)
+		}
+		p := fromMap(m)
+		// Both codecs decode an empty byte slice to a nil one.
+		want := append(Payload(nil), p...)
+		for i, e := range want {
+			if b, ok := e.Value.([]byte); ok && len(b) == 0 {
+				want[i].Value = []byte(nil)
+			}
 		}
 
-		frame, err := EncodePayload(p)
-		if err != nil {
-			t.Fatalf("flat encode: %v", err)
-		}
-		view, err := MakeView(frame)
-		if err != nil {
-			t.Fatalf("flat view: %v", err)
-		}
-		flat, err := view.Materialize()
-		if err != nil {
-			t.Fatalf("flat materialize: %v", err)
-		}
-		viaGob := gobRoundTrip(t, p)
-		if len(p) == 0 {
-			// gob decodes an empty map to nil; both must be empty.
-			if len(flat) != 0 || len(viaGob) != 0 {
-				t.Fatalf("empty payload mismatch: flat=%v gob=%v", flat, viaGob)
+		// The shuffle is drawn from the fuzz bytes too.
+		unsorted := append(Payload(nil), p...)
+		for i := len(unsorted) - 1; i > 0; i-- {
+			j := 0
+			if off < len(data) {
+				j = int(data[off]) % (i + 1)
+				off++
 			}
-			return
+			unsorted[i], unsorted[j] = unsorted[j], unsorted[i]
 		}
-		if !reflect.DeepEqual(flat, viaGob) {
-			t.Fatalf("codec divergence:\nflat %#v\ngob  %#v", flat, viaGob)
-		}
-		for k, v := range viaGob {
-			if v == nil {
-				continue
+		for name, written := range map[string]Payload{"sorted": p, "unsorted": unsorted} {
+			frame, err := EncodePayload(written)
+			if err != nil {
+				t.Fatalf("%s: flat encode: %v", name, err)
 			}
-			if reflect.TypeOf(flat[k]) != reflect.TypeOf(v) {
-				t.Fatalf("key %q: flat type %T, gob type %T", k, flat[k], v)
+			flat, err := DecodePayload(frame)
+			if err != nil {
+				t.Fatalf("%s: flat decode: %v", name, err)
+			}
+			if !flat.IsSorted() {
+				t.Fatalf("%s: decoded payload is not strictly sorted: %v", name, flat)
+			}
+			// Equal entry for entry, concrete types included.
+			if !reflect.DeepEqual(flat, want) {
+				t.Fatalf("%s: decode(encode(p)) != p:\n got %#v\nwant %#v", name, flat, want)
+			}
+			if viaGob := fromMap(gobRoundTrip(t, m)); !reflect.DeepEqual(flat, viaGob) {
+				t.Fatalf("%s: codec divergence:\nflat %#v\ngob  %#v", name, flat, viaGob)
+			}
+		}
+		if len(unsorted) > 0 {
+			dup := append(unsorted, unsorted[0])
+			frame, err := EncodePayload(dup)
+			if err != nil {
+				t.Fatalf("duplicate: flat encode: %v", err)
+			}
+			if got, err := DecodePayload(frame); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("duplicate key decoded to %v, %v; want ErrMalformed", got, err)
+			}
+		}
+
+		// Hostile bytes — the raw input, and a valid frame with one byte
+		// flipped — may be refused but must never panic.
+		hostile, _ := EncodePayload(p)
+		if off+1 < len(data) {
+			hostile[int(data[off])%len(hostile)] ^= data[off+1]
+		}
+		for _, frame := range [][]byte{data, hostile} {
+			_, _ = DecodePayload(frame)
+			_, _ = DecodePayloadSet(frame)
+			if v, err := MakeValuesView(frame); err == nil {
+				_, _ = v.Values()
 			}
 		}
 	})

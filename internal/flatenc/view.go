@@ -6,17 +6,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"strings"
 	"unsafe"
 )
 
-// View is a zero-copy reader over one flat payload body. It holds section
-// offsets into the raw bytes and materializes nothing: keys and string
-// values handed out by ForEach are unsafe.String views directly over the
-// frame, valid only while the frame bytes stay alive and unmodified.
-// Callers that retain keys or values past the frame's lifetime (a pooled
-// RPC buffer about to be recycled, a mutable copy) must go through
-// Materialize, which copies everything into independent memory.
+// View is a reader over one flat body: section offsets into the raw
+// bytes, nothing decoded until a section is walked. Payload bodies are
+// read through DecodePayload; the exported methods serve value lists
+// (MakeValuesView).
 //
 // A View is a small value type; copying it is free and no Close is
 // needed.
@@ -32,14 +28,11 @@ type View struct {
 	byteArena   int
 }
 
-// MakeView validates the structure of one flat body and returns a View
-// over it. Validation is O(1): section bounds are checked from the
-// header; per-entry lengths are checked lazily as sections are walked.
-func MakeView(data []byte) (View, error) {
-	return makeView(data, true)
-}
-
-// MakeValuesView validates a bare value-list body (AppendValues).
+// MakeValuesView validates the structure of a bare value-list body
+// (AppendValues) and returns a View over it. Validation is O(1): section
+// bounds are checked from the header — so a count the body cannot hold is
+// refused here, before anything is sized by it — and per-entry lengths
+// are checked as sections are walked.
 func MakeValuesView(data []byte) (View, error) {
 	return makeView(data, false)
 }
@@ -88,7 +81,7 @@ func makeView(data []byte, keyed bool) (View, error) {
 func (v View) Len() int { return v.n }
 
 // unsafeString exposes b as a string without copying. The result aliases
-// the view's frame; see the View lifetime contract.
+// the view's frame.
 func unsafeString(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -96,23 +89,14 @@ func unsafeString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// ForEach calls fn for every entry in encoded order, stopping early when
-// fn returns false. Keys and string values are zero-copy views over the
-// frame; []byte values are sub-slices of it; escape-hatch (gob) values
-// are freshly decoded. It returns an error only on structural corruption
-// (a per-entry length overrunning its arena).
-func (v View) ForEach(fn func(key string, value any) bool) error {
-	keyOff, numIdx, byteOff, byteIdx := v.keyArenaOff, 0, v.byteArena, 0
+// forEach calls fn with every entry's index and value, in encoded order,
+// stopping at fn's first error. String values are zero-copy views over
+// the frame and []byte values sub-slices of it; escape-hatch (gob) values
+// are freshly decoded. Structural corruption (a length overrunning its
+// arena, an unknown tag) is reported as ErrMalformed.
+func (v View) forEach(fn func(i int, value any) error) error {
+	numIdx, byteOff, byteIdx := 0, v.byteArena, 0
 	for i := 0; i < v.n; i++ {
-		var key string
-		if v.keyLensOff >= 0 {
-			kl := int(binary.LittleEndian.Uint32(v.data[v.keyLensOff+4*i:]))
-			if kl < 0 || keyOff+kl > v.byteArena {
-				return fmt.Errorf("%w: key %d overruns arena", ErrMalformed, i)
-			}
-			key = unsafeString(v.data[keyOff : keyOff+kl])
-			keyOff += kl
-		}
 		val, nBytes, err := v.value(i, numIdx, byteOff, byteIdx)
 		if err != nil {
 			return err
@@ -124,57 +108,11 @@ func (v View) ForEach(fn func(key string, value any) bool) error {
 			byteOff += nBytes
 			byteIdx++
 		}
-		if !fn(key, val) {
-			return nil
+		if err := fn(i, val); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// ForEachInt64 visits every entry whose value is an integer scalar (int
-// or int64) as an int64, stopping early when fn returns false. Unlike
-// ForEach it never boxes values into interfaces, so the walk allocates
-// nothing — the fast path for consumers that know their payload shape,
-// like counting reducers summing a wire frame. Entries of any other type
-// are skipped; the count of skipped entries is returned so callers can
-// detect a shape mismatch. Keys follow the View aliasing contract.
-func (v View) ForEachInt64(fn func(key string, value int64) bool) (skipped int, err error) {
-	keyOff, numIdx, byteOff, byteIdx := v.keyArenaOff, 0, v.byteArena, 0
-	for i := 0; i < v.n; i++ {
-		var key string
-		if v.keyLensOff >= 0 {
-			kl := int(binary.LittleEndian.Uint32(v.data[v.keyLensOff+4*i:]))
-			if kl < 0 || keyOff+kl > v.byteArena {
-				return skipped, fmt.Errorf("%w: key %d overruns arena", ErrMalformed, i)
-			}
-			key = unsafeString(v.data[keyOff : keyOff+kl])
-			keyOff += kl
-		}
-		switch tag := v.data[v.tagsOff+i]; tag {
-		case tagInt, tagInt64:
-			n := int64(binary.LittleEndian.Uint64(v.data[v.numOff+8*numIdx:]))
-			numIdx++
-			if !fn(key, n) {
-				return skipped, nil
-			}
-		case tagUint64, tagFloat64:
-			numIdx++
-			skipped++
-		case tagString, tagBytes, tagGob:
-			bl := int(binary.LittleEndian.Uint32(v.data[v.byteLensOff+4*byteIdx:]))
-			if bl < 0 || byteOff+bl > len(v.data) {
-				return skipped, fmt.Errorf("%w: value %d overruns arena", ErrMalformed, i)
-			}
-			byteOff += bl
-			byteIdx++
-			skipped++
-		case tagNil, tagFalse, tagTrue:
-			skipped++
-		default:
-			return skipped, fmt.Errorf("%w: unknown tag %d", ErrMalformed, tag)
-		}
-	}
-	return skipped, nil
 }
 
 // value decodes entry i given the current column cursors, returning the
@@ -188,7 +126,11 @@ func (v View) value(i, numIdx, byteOff, byteIdx int) (any, int, error) {
 	case tagTrue:
 		return true, 0, nil
 	case tagInt, tagInt64, tagUint64, tagFloat64:
-		bits := binary.LittleEndian.Uint64(v.data[v.numOff+8*numIdx:])
+		off := v.numOff + 8*numIdx
+		if off+8 > v.byteLensOff {
+			return nil, 0, fmt.Errorf("%w: value %d overruns the numeric column", ErrMalformed, i)
+		}
+		bits := binary.LittleEndian.Uint64(v.data[off:])
 		switch tag {
 		case tagInt:
 			return int(int64(bits)), 0, nil
@@ -200,8 +142,12 @@ func (v View) value(i, numIdx, byteOff, byteIdx int) (any, int, error) {
 			return math.Float64frombits(bits), 0, nil
 		}
 	case tagString, tagBytes, tagGob:
-		bl := int(binary.LittleEndian.Uint32(v.data[v.byteLensOff+4*byteIdx:]))
-		if bl < 0 || byteOff+bl > len(v.data) {
+		off := v.byteLensOff + 4*byteIdx
+		if off+4 > v.keyArenaOff {
+			return nil, 0, fmt.Errorf("%w: value %d overruns the length column", ErrMalformed, i)
+		}
+		bl := int(binary.LittleEndian.Uint32(v.data[off:]))
+		if bl < 0 || bl > len(v.data)-byteOff {
 			return nil, 0, fmt.Errorf("%w: value %d overruns arena", ErrMalformed, i)
 		}
 		raw := v.data[byteOff : byteOff+bl]
@@ -232,75 +178,24 @@ func decodeGobValue(raw []byte) (any, error) {
 	return w.V, nil
 }
 
-// Get returns the value stored under key, or (nil, false). The lookup is
-// a linear scan — Views are meant for full-pass consumers (merges,
-// materialization); random access over large payloads should materialize
-// first. The returned value follows ForEach's aliasing rules.
-func (v View) Get(key string) (any, bool) {
-	var out any
-	found := false
-	_ = v.ForEach(func(k string, val any) bool {
-		if k == key {
-			out, found = val, true
-			return false
-		}
-		return true
-	})
-	return out, found
-}
-
-// Materialize builds a fresh Go map from the view. Keys and string/[]byte
-// values are copied into independent memory, so the result is safe to
-// retain and mutate after the frame is recycled. The map is allocated at
-// exactly the entry count; this is the only map allocation on the decode
-// path.
-func (v View) Materialize() (Payload, error) {
-	out := make(Payload, v.n)
-	err := v.ForEach(func(key string, val any) bool {
-		k := strings.Clone(key) // detach from the frame
-		switch x := val.(type) {
-		case string:
-			val = strings.Clone(x)
-		case []byte:
-			val = append([]byte(nil), x...)
-		}
-		out[k] = val
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MaterializeValues decodes a value-list view into a fresh []any with
 // detached strings and byte slices.
 func (v View) MaterializeValues() ([]any, error) {
-	out := make([]any, 0, v.n)
-	err := v.ForEach(func(_ string, val any) bool {
-		switch x := val.(type) {
-		case string:
-			val = strings.Clone(x)
-		case []byte:
-			val = append([]byte(nil), x...)
-		}
-		out = append(out, val)
-		return true
-	})
-	if err != nil {
-		return nil, err
+	out, err := v.Values()
+	for i := range out {
+		out[i] = detach(out[i])
 	}
-	return out, nil
+	return out, err
 }
 
 // Values decodes a value-list view zero-copy: strings and []byte values
 // alias the frame. Valid only while the frame stays alive and unmodified
 // — the dist worker uses this to run map tasks straight off the wire.
 func (v View) Values() ([]any, error) {
-	out := make([]any, 0, v.n)
-	err := v.ForEach(func(_ string, val any) bool {
-		out = append(out, val)
-		return true
+	out := make([]any, v.n)
+	err := v.forEach(func(i int, val any) error {
+		out[i] = val
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,36 +64,41 @@ func RunMapTask(job *Job, split Split) (MapResult, error) {
 	}
 	start := time.Now()
 	n := job.NumPartitions()
+	// Emitted pairs are combined per key through a hash index — a map task
+	// sees each key many times — into entries held in first-emit order;
+	// every partition is sorted into payload form once, when the task is
+	// done.
 	parts := make([]Payload, n)
-	for i := range parts {
-		parts[i] = make(Payload)
+	index := make([]map[string]int, n)
+	for i := range index {
+		index[i] = make(map[string]int)
 	}
-	var mapErr error
 	// One scratch pair for every map-side combine of the task: Combine's
 	// argument slice is only valid during the call (see Job.Combine), and a
 	// map task emits from one goroutine.
 	pair := make([]Value, 2)
 	emit := func(key string, value Value) {
-		p := parts[Partition(key, n)]
-		if existing, ok := p[key]; ok {
-			pair[0], pair[1] = existing, value
-			p[key] = job.Combine(key, pair)
+		p := Partition(key, n)
+		if i, ok := index[p][key]; ok {
+			pair[0], pair[1] = parts[p][i].Value, value
+			parts[p][i].Value = job.Combine(key, pair)
 		} else {
-			p[key] = value
+			if parts[p] == nil { // a partition nothing is emitted to stays the nil empty payload
+				parts[p] = make(Payload, 0, 16) // skips the first four doublings
+			}
+			index[p][key] = len(parts[p])
+			parts[p] = append(parts[p], Entry{key, value})
 		}
 	}
 	for _, rec := range split.Records {
 		if err := job.Map(rec, emit); err != nil {
-			mapErr = fmt.Errorf("map task %s: %w", split.ID, err)
-			break
+			return MapResult{}, fmt.Errorf("map task %s: %w", split.ID, err)
 		}
-	}
-	if mapErr != nil {
-		return MapResult{}, mapErr
 	}
 	var bytes int64
 	partBytes := make([]int64, n)
 	for i, p := range parts {
+		slices.SortFunc(p, compareKeys)
 		partBytes[i] = PayloadBytes(job, p)
 		bytes += partBytes[i]
 	}
@@ -171,72 +177,33 @@ func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) (
 // key are passed to Reduce together, in window order (the "union"
 // reduction of §4.2's foreground step).
 func ReducePayload(job *Job, roots []Payload) (Output, int64) {
+	sized := make([]Sized, len(roots))
 	total := 0
-	for _, p := range roots {
+	for i, p := range roots {
+		sized[i].P = p
 		total += len(p)
 	}
 	out := make(Output, total)
-	return out, ReduceInto(job, roots, out)
+	return out, ReduceInto(job, sized, out)
 }
 
 // ReduceInto is ReducePayload writing into a caller-owned output, so the
 // per-partition reduces of one run fill a single map (partitions are
-// key-disjoint). It returns the number of Reduce calls.
+// key-disjoint); it takes the roots as the trees hold them and ignores
+// their sizes. It returns the number of Reduce calls.
 //
-// A lone non-empty root — every slide outside split processing — takes
-// one pass: each value goes to Reduce through a one-element scratch slice
-// reused across keys. Several roots are grouped first, with the counting
-// pass and shared value arena of MergeOrderedK: O(1) bulk allocations
-// however many keys repeat. Either way the slice Reduce receives is only
-// valid for the duration of the call (see Job.Reduce).
-func ReduceInto(job *Job, roots []Payload, out Output) int64 {
-	nonEmpty, last, total := 0, -1, 0
-	for i, p := range roots {
-		if len(p) > 0 {
-			nonEmpty++
-			last = i
-			total += len(p)
-		}
-	}
-	switch nonEmpty {
-	case 0:
-		return 0
-	case 1:
-		one := make([]Value, 1)
-		for k, v := range roots[last] {
-			one[0] = v
-			out[k] = job.Reduce(k, one)
-		}
-		return int64(total)
-	}
-	// Counting pass, then block starts, then a gather in window order
-	// (roots left to right; a key occurs at most once per root).
-	locs := make(map[string]runLoc, total)
-	for _, p := range roots {
-		for k := range p {
-			loc := locs[k]
-			loc.n++
-			locs[k] = loc
-		}
-	}
-	next := 0
-	for k, loc := range locs {
-		locs[k] = runLoc{start: next}
-		next += loc.n
-	}
-	arena := make([]Value, total)
-	for _, p := range roots {
-		for k, v := range p {
-			loc := locs[k]
-			arena[loc.start+loc.n] = v
-			loc.n++
-			locs[k] = loc
-		}
-	}
-	for k, loc := range locs {
-		out[k] = job.Reduce(k, arena[loc.start:loc.start+loc.n])
-	}
-	return int64(len(locs))
+// The roots are walked once, as one key-ordered stream (joinK): a lone
+// root — every slide outside split processing — hands each value to
+// Reduce through a one-element scratch slice, several roots hand each
+// key's values over together. Either way the slice Reduce receives is
+// only valid for the duration of the call (see Job.Reduce).
+func ReduceInto(job *Job, roots []Sized, out Output) int64 {
+	var calls int64
+	joinK(roots, func(key string, vals []Value) {
+		out[key] = job.Reduce(key, vals)
+		calls++
+	})
+	return calls
 }
 
 // RunScratch executes the whole job non-incrementally: map over every
@@ -260,13 +227,16 @@ func RunScratch(job *Job, splits []Split, par int, rec *metrics.Recorder) (Outpu
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			payloads := make([]Payload, 0, len(results))
+			roots := make([]Sized, len(results))
 			var bytes int64
-			for _, r := range results {
-				payloads = append(payloads, r.Parts[p])
-				bytes += PayloadBytes(job, r.Parts[p])
+			keys := 0
+			for i := range results {
+				roots[i] = results[i].PartSized(job, p)
+				bytes += roots[i].Bytes
+				keys += len(roots[i].P)
 			}
-			partOut, reduceCalls := ReducePayload(job, payloads)
+			partOut := make(Output, keys)
+			reduceCalls := ReduceInto(job, roots, partOut)
 			cost := time.Since(start)
 			mu.Lock()
 			for k, v := range partOut {

@@ -92,27 +92,27 @@ func TestMergeOrderedPreservesOrderAndInputs(t *testing.T) {
 		},
 		Reduce: func(_ string, values []Value) Value { return values[0] },
 	}
-	left := Payload{"k": "L", "only-left": "l"}
-	right := Payload{"k": "R", "only-right": "r"}
+	left := FromMap(M{"k": "L", "only-left": "l"})
+	right := FromMap(M{"k": "R", "only-right": "r"})
 	out, combines := MergeOrdered(job, left, right)
 	if combines != 1 {
 		t.Fatalf("combines = %d, want 1", combines)
 	}
-	if out["k"] != "LR" {
-		t.Fatalf("k = %v, want LR (window order)", out["k"])
+	if at(out, "k") != "LR" {
+		t.Fatalf("k = %v, want LR (window order)", at(out, "k"))
 	}
-	if out["only-left"] != "l" || out["only-right"] != "r" {
+	if at(out, "only-left") != "l" || at(out, "only-right") != "r" {
 		t.Fatal("non-overlapping keys lost")
 	}
 	// Inputs untouched.
-	if left["k"] != "L" || right["k"] != "R" || len(left) != 2 || len(right) != 2 {
+	if at(left, "k") != "L" || at(right, "k") != "R" || len(left) != 2 || len(right) != 2 {
 		t.Fatal("MergeOrdered mutated an input")
 	}
 }
 
 func TestMergeOrderedEmptySides(t *testing.T) {
 	job := sumJob(1)
-	p := Payload{"a": int64(1)}
+	p := FromMap(M{"a": int64(1)})
 	if out, c := MergeOrdered(job, nil, p); c != 0 || len(out) != 1 {
 		t.Fatal("nil left mishandled")
 	}
@@ -122,10 +122,10 @@ func TestMergeOrderedEmptySides(t *testing.T) {
 }
 
 // TestMergeOrderedNeverAliasesInputs is the regression test for the
-// empty-side fast path returning a caller-owned map by reference: a
+// empty-side fast path returning a caller-owned payload by reference: a
 // memoized tree node holding such a result would be corrupted by any
-// later mutation of the merge output (and is a data race under the
-// parallel contraction engine). The merged result must be mutable
+// later write through the merge output (and is a data race under the
+// parallel contraction engine). The merged result must be writable
 // without affecting either input, on every input shape.
 func TestMergeOrderedNeverAliasesInputs(t *testing.T) {
 	job := sumJob(1)
@@ -133,18 +133,19 @@ func TestMergeOrderedNeverAliasesInputs(t *testing.T) {
 		name        string
 		left, right Payload
 	}{
-		{"empty-left", Payload{}, Payload{"a": int64(1)}},
-		{"empty-right", Payload{"a": int64(1)}, Payload{}},
-		{"nil-left", nil, Payload{"a": int64(1)}},
-		{"both-live", Payload{"a": int64(1)}, Payload{"b": int64(2)}},
+		{"empty-left", Payload{}, FromMap(M{"a": int64(1)})},
+		{"empty-right", FromMap(M{"a": int64(1)}), Payload{}},
+		{"nil-left", nil, FromMap(M{"a": int64(1)})},
+		{"both-live", FromMap(M{"a": int64(1)}), FromMap(M{"b": int64(2)})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			leftFP := FingerprintPayload(tc.left)
 			rightFP := FingerprintPayload(tc.right)
 			out, _ := MergeOrdered(job, tc.left, tc.right)
-			out["smashed"] = int64(99)
-			delete(out, "a")
+			for i := range out {
+				out[i] = Entry{"smashed", int64(99)}
+			}
 			if FingerprintPayload(tc.left) != leftFP {
 				t.Fatal("mutating the merged result corrupted the left input")
 			}
@@ -152,16 +153,6 @@ func TestMergeOrderedNeverAliasesInputs(t *testing.T) {
 				t.Fatal("mutating the merged result corrupted the right input")
 			}
 		})
-	}
-}
-
-func TestClonePayload(t *testing.T) {
-	p := Payload{"a": int64(1), "b": int64(2)}
-	c := ClonePayload(p)
-	c["a"] = int64(7)
-	c["c"] = int64(3)
-	if p["a"] != int64(1) || len(p) != 2 {
-		t.Fatal("ClonePayload shares the underlying map")
 	}
 }
 
@@ -177,8 +168,11 @@ func TestRunMapTaskCombinesPerKey(t *testing.T) {
 	}
 	total := map[string]int64{}
 	for _, p := range res.Parts {
-		for k, v := range p {
-			total[k] = v.(int64)
+		if !p.IsSorted() {
+			t.Fatalf("map output %v is not sorted by key", p)
+		}
+		for _, e := range p {
+			total[e.Key] = e.Value.(int64)
 		}
 	}
 	if total["a"] != 3 || total["b"] != 1 || total["c"] != 1 {
@@ -186,10 +180,28 @@ func TestRunMapTaskCombinesPerKey(t *testing.T) {
 	}
 	// Each key must live in exactly its hash partition.
 	for pi, p := range res.Parts {
-		for k := range p {
-			if Partition(k, 2) != pi {
-				t.Fatalf("key %q in wrong partition %d", k, pi)
+		for _, e := range p {
+			if Partition(e.Key, 2) != pi {
+				t.Fatalf("key %q in wrong partition %d", e.Key, pi)
 			}
+		}
+	}
+}
+
+// TestRunMapTaskEmptyPartitionIsNil: a partition the task emits nothing to
+// is the nil empty payload, not an allocated slice of length zero.
+func TestRunMapTaskEmptyPartitionIsNil(t *testing.T) {
+	const parts = 8
+	res, err := RunMapTask(sumJob(parts), Split{ID: "s0", Records: []Record{"a a a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range res.Parts {
+		switch {
+		case pi == Partition("a", parts) && len(p) != 1:
+			t.Fatalf("partition %d = %v, want the one key", pi, p)
+		case pi != Partition("a", parts) && p != nil:
+			t.Fatalf("partition %d is a non-nil empty payload (cap %d)", pi, cap(p))
 		}
 	}
 }
@@ -261,8 +273,8 @@ func TestRunScratch(t *testing.T) {
 func TestReducePayloadUnion(t *testing.T) {
 	job := sumJob(1)
 	out, calls := ReducePayload(job, []Payload{
-		{"a": int64(1), "b": int64(2)},
-		{"a": int64(3)},
+		FromMap(M{"a": int64(1), "b": int64(2)}),
+		FromMap(M{"a": int64(3)}),
 	})
 	if calls != 2 {
 		t.Fatalf("reduce calls = %d", calls)
@@ -275,13 +287,13 @@ func TestReducePayloadUnion(t *testing.T) {
 func TestPayloadBytes(t *testing.T) {
 	job := sumJob(1)
 	empty := PayloadBytes(job, Payload{})
-	small := PayloadBytes(job, Payload{"k": int64(1)})
-	big := PayloadBytes(job, Payload{"k": int64(1), "longerkey": "some string value"})
+	small := PayloadBytes(job, FromMap(M{"k": int64(1)}))
+	big := PayloadBytes(job, FromMap(M{"k": int64(1), "longerkey": "some string value"}))
 	if !(empty < small && small < big) {
 		t.Fatalf("sizes not monotone: %d %d %d", empty, small, big)
 	}
 	withOverride := &Job{SizeOf: func(Value) int64 { return 1000 }}
-	if PayloadBytes(withOverride, Payload{"k": int64(1)}) < 1000 {
+	if PayloadBytes(withOverride, FromMap(M{"k": int64(1)})) < 1000 {
 		t.Fatal("SizeOf override ignored")
 	}
 }
@@ -321,12 +333,12 @@ func TestFingerprint(t *testing.T) {
 }
 
 func TestFingerprintPayload(t *testing.T) {
-	a := Payload{"k1": int64(1), "k2": "v"}
-	b := Payload{"k2": "v", "k1": int64(1)}
+	a := FromMap(M{"k1": int64(1), "k2": "v"})
+	b := Payload{{"k1", int64(1)}, {"k2", "v"}}
 	if FingerprintPayload(a) != FingerprintPayload(b) {
-		t.Fatal("payload fingerprint depends on map order")
+		t.Fatal("payload fingerprint depends on how the payload was built")
 	}
-	c := Payload{"k1": int64(2), "k2": "v"}
+	c := FromMap(M{"k1": int64(2), "k2": "v"})
 	if FingerprintPayload(a) == FingerprintPayload(c) {
 		t.Fatal("payload fingerprint ignores values")
 	}

@@ -2,13 +2,71 @@ package mapreduce
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
+// Entry is one key/value pair of a Payload.
+type Entry struct {
+	Key   string
+	Value Value
+}
+
 // Payload is the unit of data flowing through the contraction phase: the
-// combined key→value map a map task (or contraction-tree node) contributes
-// to one reduce partition.
-type Payload map[string]Value
+// combined key→value pairs a map task (or contraction-tree node)
+// contributes to one reduce partition, held as a slice of entries strictly
+// sorted by key (byte order, no key twice). The order is the invariant
+// everything downstream leans on: a merge is a merge-join over two
+// cursors, the codec writes entries as they lie, and fingerprints walk
+// them without sorting. A nil slice is the empty payload. Payloads are
+// immutable once built — tree nodes, memo entries and results share them.
+type Payload []Entry
+
+func compareKeys(a, b Entry) int { return strings.Compare(a.Key, b.Key) }
+
+// IsSorted reports whether p holds the payload invariant: keys strictly
+// ascending.
+func (p Payload) IsSorted() bool {
+	for i := 1; i < len(p); i++ {
+		if p[i-1].Key >= p[i].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// Get returns the value stored under key, by binary search.
+func (p Payload) Get(key string) (Value, bool) {
+	i, ok := slices.BinarySearchFunc(p, key, func(e Entry, k string) int { return strings.Compare(e.Key, k) })
+	if !ok {
+		return nil, false
+	}
+	return p[i].Value, true
+}
+
+// SortEntries establishes the payload invariant on entries gathered in
+// arbitrary order — a frame written when payloads were hash maps, a
+// foreign producer's output — with one in-place sort. It reports false
+// when two entries share a key.
+func SortEntries(p Payload) bool {
+	slices.SortFunc(p, compareKeys)
+	return p.IsSorted()
+}
+
+// FromMap builds the payload holding m's pairs (one sort): how a legacy
+// gob frame, which carries a map, and a test's literal become payloads.
+func FromMap(m map[string]Value) Payload {
+	if len(m) == 0 {
+		return nil
+	}
+	p := make(Payload, 0, len(m))
+	for k, v := range m {
+		p = append(p, Entry{k, v})
+	}
+	slices.SortFunc(p, compareKeys)
+	return p
+}
 
 // FNV-1a constants (32-bit), matching hash/fnv.
 const (
@@ -43,25 +101,11 @@ func Partition(key string, n int) int {
 	return int(HashKey32(key) % uint32(n))
 }
 
-// emptyPayload is the shared empty-payload sentinel. Empty payloads are
-// extremely common on the hot combine path — a partition that received no
-// keys from a split, a sparse slide's empty delta — and every one used to
-// cost a fresh zero-length map allocation through the ClonePayload fast
-// paths. The sentinel is immutable by contract: it is returned only where
-// the result is empty, and conforming callers (contraction trees, the
-// reduce phase) never mutate payloads they did not allocate.
-var emptyPayload = Payload{}
-
-// EmptyPayload returns the shared immutable empty payload. Callers must
-// treat it as read-only; writing to it would corrupt every holder of an
-// empty merge result.
-func EmptyPayload() Payload { return emptyPayload }
-
 // Sized is a payload together with its PayloadBytes. The size is computed
 // once, where the payload is created — by the merge that builds it, by
 // the map task that emits it, or by Size for a payload decoded from bytes
 // — and travels with it, so nothing downstream (the runtime's space
-// accounting, the cost model's task sizes) walks the map again.
+// accounting, the cost model's task sizes) walks the entries again.
 type Sized struct {
 	P     Payload
 	Bytes int64
@@ -77,66 +121,136 @@ func Size(job *Job, p Payload) Sized {
 // MergeOrdered combines two payloads preserving left-to-right window
 // order: values from `left` precede values from `right` in combiner
 // argument order. Neither input is mutated, and a non-empty result never
-// aliases either input map: contraction trees memoize merged payloads
-// across runs, so handing back a caller-owned map would let later
-// mutations (or concurrent merges) silently corrupt tree-node state. An
-// empty result is the shared EmptyPayload sentinel (no allocation).
+// shares its entry slice with either input: contraction trees memoize
+// merged payloads across runs, so handing back a caller-owned slice would
+// let a later write through one holder corrupt the other.
 func MergeOrdered(job *Job, left, right Payload) (Payload, int64) {
 	out, combines := MergeOrderedSized(job, Sized{P: left}, Sized{P: right})
 	return out.P, combines
 }
 
-// MergeOrderedSized is MergeOrdered over sized payloads: the result's
-// Bytes equals PayloadBytes of the result, derived inside the merge loop
-// from left.Bytes and the entries the loop touches anyway (one valueBytes
-// per key new to the result, two per combined key), honouring
-// Job.SizeOf/Sizer exactly as PayloadBytes does. Inputs whose Bytes are
-// wrong yield a wrong Bytes and nothing else.
+// MergeOrderedSized is MergeOrdered over sized payloads: a merge-join of
+// two cursors into one slice presized for the disjoint case, one key
+// comparison per output entry. The result's Bytes equals PayloadBytes of
+// the result, derived inside the loop from left.Bytes and the entries the
+// loop touches anyway (one valueBytes per key new to the result, two per
+// combined key), honouring Job.SizeOf/Sizer exactly as PayloadBytes does.
+// Inputs whose Bytes are wrong yield a wrong Bytes and nothing else.
+//
+// A key both sides hold keeps the right-hand side's string. Decoded
+// payloads cut their keys from one arena per payload, and right is the
+// newer side of the window: keeping its string lets the arena of a bucket
+// that has slid out go with it instead of living on inside an aggregate.
 //
 // Every Combine call receives the same two-element scratch slice, valid
 // only for the duration of that call (see Job.Combine). The scratch is
 // local to this call, so concurrent merges never share one.
 func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
-	if len(left.P) == 0 {
-		return Sized{P: ClonePayload(right.P), Bytes: right.Bytes}, 0
+	l, r := left.P, right.P
+	if len(l) == 0 {
+		return Sized{P: slices.Clone(r), Bytes: right.Bytes}, 0
 	}
-	if len(right.P) == 0 {
-		return Sized{P: ClonePayload(left.P), Bytes: left.Bytes}, 0
+	if len(r) == 0 {
+		return Sized{P: slices.Clone(l), Bytes: left.Bytes}, 0
 	}
-	out := make(Payload, len(left.P)+len(right.P))
-	for k, v := range left.P {
-		out[k] = v
-	}
+	out := make(Payload, 0, len(l)+len(r))
 	bytes := left.Bytes
 	var combines int64
 	pair := make([]Value, 2)
-	for k, v := range right.P {
-		if existing, ok := out[k]; ok {
-			pair[0], pair[1] = existing, v
-			combined := job.Combine(k, pair)
-			out[k] = combined
+	for len(l) > 0 && len(r) > 0 {
+		switch c := strings.Compare(l[0].Key, r[0].Key); {
+		case c < 0:
+			out = append(out, l[0])
+			l = l[1:]
+		case c > 0:
+			out = append(out, r[0])
+			bytes += int64(len(r[0].Key)) + valueBytes(job, r[0].Value)
+			r = r[1:]
+		default:
+			existing := l[0].Value
+			pair[0], pair[1] = existing, r[0].Value
+			combined := job.Combine(r[0].Key, pair)
+			out = append(out, Entry{r[0].Key, combined})
 			bytes += valueBytes(job, combined) - valueBytes(job, existing)
 			combines++
-		} else {
-			out[k] = v
-			bytes += int64(len(k)) + valueBytes(job, v)
+			l, r = l[1:], r[1:]
 		}
 	}
-	return Sized{P: out, Bytes: bytes}, combines
+	out = append(out, l...)
+	for _, e := range r {
+		bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+	}
+	return Sized{P: append(out, r...), Bytes: bytes}, combines
 }
 
-// runLoc tracks one key's reserved block in a shared value arena (the
-// K-way merge's, the grouping reduce's): start is the block offset, n how
-// many values have been written so far (n reaches the key's occurrence
-// count by the end of the gather pass).
-type runLoc struct {
-	start, n int
+// cursor is one input of a K-way merge-join.
+type cursor struct {
+	rest Payload // entries not yet visited; never empty while on the heap
+	idx  int     // position among the inputs: the tie-break that keeps window order
 }
 
-// MergeOrderedK merges any number of payloads in window order with a
-// single output-map allocation, replacing a fold of binary MergeOrdered
-// calls (which allocates len(payloads)−1 intermediate maps and combines
-// each duplicated key once per adjacent pair). Values for the same key are
+func (a cursor) before(b cursor) bool {
+	c := strings.Compare(a.rest[0].Key, b.rest[0].Key)
+	return c < 0 || c == 0 && a.idx < b.idx
+}
+
+func siftDown(h []cursor, i int) {
+	for {
+		min := 2*i + 1
+		if min >= len(h) {
+			return
+		}
+		if r := min + 1; r < len(h) && h[r].before(h[min]) {
+			min = r
+		}
+		if !h[min].before(h[i]) {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
+// joinK walks any number of payloads as one key-ordered stream — a min-heap
+// of cursors, ordered by head key and then input position. visit runs once
+// per distinct key, in key order, with the key's values in input (window)
+// order; a key occurs at most once per payload. key is the rightmost
+// holder's string (see MergeOrderedSized); vals is scratch, overwritten
+// for the next key (see Job.Combine). It allocates the scratch, and the
+// heap when more than a handful of payloads are live — nothing per key.
+func joinK(payloads []Sized, visit func(key string, vals []Value)) {
+	var few [8]cursor
+	h := few[:0]
+	for i, p := range payloads {
+		if len(p.P) > 0 {
+			h = append(h, cursor{p.P, i})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	vals := make([]Value, 0, len(h))
+	for len(h) > 0 {
+		key := h[0].rest[0].Key
+		vals = vals[:0]
+		for len(h) > 0 && h[0].rest[0].Key == key {
+			head := &h[0]
+			key = head.rest[0].Key
+			vals = append(vals, head.rest[0].Value)
+			if head.rest = head.rest[1:]; len(head.rest) == 0 {
+				*head = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(h, 0)
+		}
+		visit(key, vals)
+	}
+}
+
+// MergeOrderedK merges any number of payloads in window order into one
+// output slice, replacing a fold of binary MergeOrdered calls (which
+// allocates len(payloads)−1 intermediate payloads and combines each
+// duplicated key once per adjacent pair). Values for the same key are
 // gathered left-to-right across the inputs and handed to one
 // multi-argument Combine call per key — the combiner is declared
 // associative over value slices (see Job.Combine), so the result equals
@@ -144,16 +258,8 @@ type runLoc struct {
 // invocations (one per key with ≥ 2 occurrences); it is deterministic and
 // independent of any worker count.
 //
-// Allocation shape: a counting pass sizes everything up front, so the
-// merge makes O(1) bulk allocations — the occurrence-count map, the output
-// map, one shared value arena holding every duplicated key's run, and the
-// run-location map — instead of a fresh slice (and growth reallocations)
-// per duplicated key. Each Combine receives a sub-slice of the arena,
-// valid only for the duration of the call (see Job.Combine; CheckJob
-// enforces it); the arena is dropped when the merge returns.
-//
 // Like MergeOrdered, inputs are never mutated and a non-empty result
-// never aliases any input; an empty result is the EmptyPayload sentinel.
+// never shares its entry slice with any input.
 func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 	// Typical fold-ups fit the stack buffer; wider ones spill to the heap.
 	var buf [16]Sized
@@ -171,11 +277,11 @@ func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 
 // MergeOrderedKSized is MergeOrderedK over sized payloads: the result's
 // Bytes equals PayloadBytes of the result, accumulated as each entry is
-// written to the output map (or carried from the inputs where the result
-// is a copy of them).
+// appended (or carried from the inputs where the result is a copy of
+// one). Each Combine receives joinK's scratch, valid only for the
+// duration of the call.
 func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
 	nonEmpty, first, last, total := 0, -1, -1, 0
-	var inputBytes int64
 	for i, p := range payloads {
 		if len(p.P) > 0 {
 			if nonEmpty == 0 {
@@ -184,94 +290,29 @@ func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
 			nonEmpty++
 			last = i
 			total += len(p.P)
-			inputBytes += p.Bytes
 		}
 	}
 	switch nonEmpty {
 	case 0:
-		return Sized{P: emptyPayload}, 0
+		return Sized{}, 0
 	case 1:
-		return Sized{P: ClonePayload(payloads[last].P), Bytes: inputBytes}, 0
+		return Sized{P: slices.Clone(payloads[last].P), Bytes: payloads[last].Bytes}, 0
 	case 2:
-		// The binary path avoids the run bookkeeping below.
+		// Two cursors need no heap.
 		return MergeOrderedSized(job, payloads[first], payloads[last])
 	}
-	// Counting pass: per-key occurrence counts size the output map, the
-	// value arena, and the run-location map exactly.
-	counts := make(map[string]int, total)
-	for _, p := range payloads {
-		for k := range p.P {
-			counts[k]++
+	out := make(Payload, 0, total)
+	var bytes, combines int64
+	joinK(payloads, func(key string, vals []Value) {
+		v := vals[0]
+		if len(vals) > 1 {
+			v = job.Combine(key, vals)
+			combines++
 		}
-	}
-	out := make(Payload, len(counts))
-	arenaLen, dupKeys := 0, 0
-	for _, c := range counts {
-		if c > 1 {
-			arenaLen += c
-			dupKeys++
-		}
-	}
-	if dupKeys == 0 {
-		// Disjoint key spaces: a straight copy, no combines.
-		for _, p := range payloads {
-			for k, v := range p.P {
-				out[k] = v
-			}
-		}
-		return Sized{P: out, Bytes: inputBytes}, 0
-	}
-	// Gather pass: singleton keys go to out directly; each duplicated
-	// key's values land in its reserved arena block, in window order
-	// (payloads are walked left to right, and a key occurs at most once
-	// per payload).
-	arena := make([]Value, arenaLen)
-	locs := make(map[string]runLoc, dupKeys)
-	next := 0
-	var bytes int64
-	for _, p := range payloads {
-		for k, v := range p.P {
-			c := counts[k]
-			if c == 1 {
-				out[k] = v
-				bytes += int64(len(k)) + valueBytes(job, v)
-				continue
-			}
-			loc, ok := locs[k]
-			if !ok {
-				loc = runLoc{start: next}
-				next += c
-			}
-			arena[loc.start+loc.n] = v
-			loc.n++
-			locs[k] = loc
-		}
-	}
-	// Combine pass: one multi-argument Combine per duplicated key.
-	var combines int64
-	for k, loc := range locs {
-		combined := job.Combine(k, arena[loc.start:loc.start+loc.n])
-		out[k] = combined
-		bytes += int64(len(k)) + valueBytes(job, combined)
-		combines++
-	}
+		out = append(out, Entry{key, v})
+		bytes += int64(len(key)) + valueBytes(job, v)
+	})
 	return Sized{P: out, Bytes: bytes}, combines
-}
-
-// ClonePayload returns a shallow copy of p: a fresh map sharing p's
-// values. Values themselves are never mutated by conforming combiners
-// (see CheckJob), so a shallow copy is enough to decouple map ownership.
-// Cloning an empty payload returns the shared EmptyPayload sentinel
-// instead of allocating; empty results must be treated as read-only.
-func ClonePayload(p Payload) Payload {
-	if len(p) == 0 {
-		return emptyPayload
-	}
-	out := make(Payload, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
 }
 
 // PayloadBytes estimates the in-memory size of a payload, using the job's
@@ -282,8 +323,8 @@ func ClonePayload(p Payload) Payload {
 // over resident state.
 func PayloadBytes(job *Job, p Payload) int64 {
 	var total int64
-	for k, v := range p {
-		total += int64(len(k)) + valueBytes(job, v)
+	for _, e := range p {
+		total += int64(len(e.Key)) + valueBytes(job, e.Value)
 	}
 	return total
 }
@@ -440,21 +481,16 @@ func Fingerprint(v Value) uint64 {
 	return h
 }
 
-// FingerprintPayload hashes a whole payload deterministically.
+// FingerprintPayload hashes a whole payload in entry (key) order.
 func FingerprintPayload(p Payload) uint64 {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, k := range keys {
-		for i := 0; i < len(k); i++ {
-			h ^= uint64(k[i])
+	for _, e := range p {
+		for i := 0; i < len(e.Key); i++ {
+			h ^= uint64(e.Key[i])
 			h *= prime64
 		}
-		fp := Fingerprint(p[k])
+		fp := Fingerprint(e.Value)
 		for i := 0; i < 8; i++ {
 			h ^= fp & 0xff
 			h *= prime64

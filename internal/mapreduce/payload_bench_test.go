@@ -11,7 +11,7 @@ import (
 func benchPayloads(n, keysPer int) []Payload {
 	out := make([]Payload, n)
 	for i := range out {
-		p := make(Payload, keysPer)
+		p := make(M, keysPer)
 		for k := 0; k < keysPer; k++ {
 			// Half the keys are shared across all payloads, half are
 			// striped so they recur in every fourth payload.
@@ -21,13 +21,13 @@ func benchPayloads(n, keysPer int) []Payload {
 				p[fmt.Sprintf("cold-%d-%d", i%4, k)] = int64(i + k)
 			}
 		}
-		out[i] = p
+		out[i] = FromMap(p)
 	}
 	return out
 }
 
 // BenchmarkFoldPairwise is the old hot path: a left fold of binary
-// merges, allocating one intermediate output map per step.
+// merges, allocating one intermediate payload per step.
 func BenchmarkFoldPairwise(b *testing.B) {
 	for _, n := range []int{2, 8, 32, 128} {
 		b.Run(fmt.Sprintf("payloads=%d", n), func(b *testing.B) {
@@ -49,7 +49,7 @@ func BenchmarkFoldPairwise(b *testing.B) {
 }
 
 // BenchmarkFoldKWay is the new hot path: one MergeOrderedK pass with a
-// single output-map allocation and one multi-argument Combine per key.
+// single output allocation and one multi-argument Combine per key.
 func BenchmarkFoldKWay(b *testing.B) {
 	for _, n := range []int{2, 8, 32, 128} {
 		b.Run(fmt.Sprintf("payloads=%d", n), func(b *testing.B) {

@@ -93,13 +93,13 @@ func randomPayloadList(rng *rand.Rand, n int) []Payload {
 		case 1:
 			out[i] = Payload{}
 		default:
-			p := Payload{}
+			p := M{}
 			for _, k := range keys {
 				if rng.Intn(2) == 0 {
 					p[k] = fmt.Sprintf("<%d:%s>", i, k)
 				}
 			}
-			out[i] = p
+			out[i] = FromMap(p)
 		}
 	}
 	return out
@@ -130,13 +130,13 @@ func TestMergeOrderedKEquivalentToPairwiseFold(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d keys, want %d", trial, len(got), len(want))
 		}
-		for k, wv := range want {
-			gv, ok := got[k]
+		for _, w := range want {
+			gv, ok := got.Get(w.Key)
 			if !ok {
-				t.Fatalf("trial %d: missing key %q", trial, k)
+				t.Fatalf("trial %d: missing key %q", trial, w.Key)
 			}
-			if gv.(string) != wv.(string) {
-				t.Fatalf("trial %d key %q: got %q, want %q (window order violated)", trial, k, gv, wv)
+			if gv.(string) != w.Value.(string) {
+				t.Fatalf("trial %d key %q: got %q, want %q (window order violated)", trial, w.Key, gv, w.Value)
 			}
 		}
 		// Combine count: exactly one multi-argument call per key that
@@ -144,8 +144,8 @@ func TestMergeOrderedKEquivalentToPairwiseFold(t *testing.T) {
 		// fold's count).
 		occurrences := map[string]int{}
 		for _, p := range ps {
-			for k := range p {
-				occurrences[k]++
+			for _, e := range p {
+				occurrences[e.Key]++
 			}
 		}
 		var wantCombines int64
@@ -169,7 +169,7 @@ func TestMergeOrderedKEquivalentToPairwiseFold(t *testing.T) {
 }
 
 // TestMergeOrderedKFastPaths pins the no-combine fast paths: all-empty
-// input returns the shared sentinel, and a single live payload is cloned
+// input returns the empty payload, and a single live payload is cloned
 // without combining.
 func TestMergeOrderedKFastPaths(t *testing.T) {
 	job := orderTracingJob()
@@ -179,13 +179,13 @@ func TestMergeOrderedKFastPaths(t *testing.T) {
 	if out, _ := MergeOrderedK(job, nil, Payload{}, nil); len(out) != 0 {
 		t.Fatalf("all-empty: out=%v", out)
 	}
-	p := Payload{"k": "v"}
+	p := FromMap(M{"k": "v"})
 	out, c := MergeOrderedK(job, nil, p, Payload{})
-	if c != 0 || len(out) != 1 || out["k"] != "v" {
+	if c != 0 || len(out) != 1 || at(out, "k") != "v" {
 		t.Fatalf("single live payload: out=%v combines=%d", out, c)
 	}
-	out["smash"] = "x"
-	if len(p) != 1 {
+	out[0].Value = "x"
+	if at(p, "k") != "v" {
 		t.Fatal("single-payload fast path aliased its input")
 	}
 }
@@ -196,19 +196,20 @@ func TestMergeOrderedKFastPaths(t *testing.T) {
 func TestMergeOrderedKNeverAliasesInputs(t *testing.T) {
 	job := sumJob(1)
 	inputs := []Payload{
-		{"a": int64(1)},
+		{{"a", int64(1)}},
 		nil,
-		{"a": int64(2), "b": int64(3)},
+		{{"a", int64(2)}, {"b", int64(3)}},
 		{},
-		{"c": int64(4)},
+		{{"c", int64(4)}},
 	}
 	fps := make([]uint64, len(inputs))
 	for i, p := range inputs {
 		fps[i] = FingerprintPayload(p)
 	}
 	out, _ := MergeOrderedK(job, inputs...)
-	out["smashed"] = int64(99)
-	delete(out, "a")
+	for i := range out {
+		out[i] = Entry{"smashed", int64(99)}
+	}
 	for i, p := range inputs {
 		if FingerprintPayload(p) != fps[i] {
 			t.Fatalf("mutating the K-way result corrupted input %d", i)
@@ -216,25 +217,15 @@ func TestMergeOrderedKNeverAliasesInputs(t *testing.T) {
 	}
 }
 
-// TestEmptyPayloadSentinel pins the shared empty-payload sentinel: empty
-// merge and clone results reuse one allocation-free map.
-func TestEmptyPayloadSentinel(t *testing.T) {
+// TestEmptySidesAllocateNothing pins the empty paths: a merge or K-way
+// merge whose inputs are all empty returns the empty payload without
+// allocating.
+func TestEmptySidesAllocateNothing(t *testing.T) {
 	job := sumJob(1)
-	if len(EmptyPayload()) != 0 {
-		t.Fatal("sentinel is not empty")
-	}
-	if c := ClonePayload(nil); len(c) != 0 {
-		t.Fatal("clone of nil is not empty")
-	}
-	// Hoisted: the property is that the functions allocate nothing, not
-	// whether the compiler can keep a caller's map literal on the stack.
 	empty := Payload{}
 	allocs := testing.AllocsPerRun(100, func() {
 		if out, _ := MergeOrdered(job, empty, nil); len(out) != 0 {
 			t.Fatal("empty merge produced keys")
-		}
-		if out := ClonePayload(empty); len(out) != 0 {
-			t.Fatal("empty clone produced keys")
 		}
 		if out, _ := MergeOrderedK(job, nil, empty); len(out) != 0 {
 			t.Fatal("empty K-way merge produced keys")

@@ -39,7 +39,7 @@ func sizedJobs() map[string]*Job {
 func testPayloads(job *Job, n int) []Sized {
 	out := make([]Sized, n)
 	for i := range out {
-		p := make(Payload)
+		p := make(M)
 		for k := 0; k < 12; k++ {
 			var v Value = int64(i*k + 1)
 			if job.Name == "blobs" {
@@ -51,7 +51,7 @@ func testPayloads(job *Job, n int) []Sized {
 				p[fmt.Sprintf("own-%d-%d", i%3, k)] = v
 			}
 		}
-		out[i] = Size(job, p)
+		out[i] = Size(job, FromMap(p))
 	}
 	return out
 }
@@ -73,7 +73,7 @@ func TestCarriedSizesMatchWalk(t *testing.T) {
 			acc, _ = MergeOrderedSized(job, acc, p)
 			check(fmt.Sprintf("fold step %d", i), acc)
 		}
-		empty := Sized{P: EmptyPayload()}
+		empty := Sized{P: Payload{}}
 		left, _ := MergeOrderedSized(job, empty, ps[1])
 		check("empty left", left)
 		right, _ := MergeOrderedSized(job, ps[1], Sized{})
@@ -86,9 +86,9 @@ func TestCarriedSizesMatchWalk(t *testing.T) {
 		out, _ := MergeOrderedKSized(job, holes)
 		check("K with holes", out)
 		disjoint := []Sized{
-			Size(job, Payload{"a": ps[0].P["shared-0"]}),
-			Size(job, Payload{"b": ps[1].P["shared-0"]}),
-			Size(job, Payload{"c": ps[2].P["shared-0"]}),
+			Size(job, FromMap(M{"a": at(ps[0].P, "shared-0")})),
+			Size(job, FromMap(M{"b": at(ps[1].P, "shared-0")})),
+			Size(job, FromMap(M{"c": at(ps[2].P, "shared-0")})),
 		}
 		out, _ = MergeOrderedKSized(job, disjoint)
 		check("K disjoint", out)
@@ -122,22 +122,6 @@ func TestMapTaskPartSizes(t *testing.T) {
 	}
 }
 
-// reduceReference is ReducePayload as it stood before reduce became one
-// pass: group every root's values per key with append, then reduce.
-func reduceReference(job *Job, roots []Payload) (Output, int64) {
-	out := make(Output)
-	grouped := make(map[string][]Value)
-	for _, p := range roots {
-		for k, v := range p {
-			grouped[k] = append(grouped[k], v)
-		}
-	}
-	for k, vs := range grouped {
-		out[k] = job.Reduce(k, vs)
-	}
-	return out, int64(len(grouped))
-}
-
 // concatJob reduces by concatenation: neither commutative nor indifferent
 // to how many values it is handed, so it shows any reordering or
 // regrouping of a key's values.
@@ -166,29 +150,33 @@ func concatJob() *Job {
 
 func TestReducePathsEquivalent(t *testing.T) {
 	job := concatJob()
-	a := Payload{"x": "a1", "y": "a2", "z": "a3"}
-	b := Payload{"x": "b1", "z": "b3", "w": "b4"}
-	c := Payload{"x": "c1", "v": "c5"}
+	a := FromMap(M{"x": "a1", "y": "a2", "z": "a3"})
+	b := FromMap(M{"x": "b1", "z": "b3", "w": "b4"})
+	c := FromMap(M{"x": "c1", "v": "c5"})
 	cases := map[string][]Payload{
 		"no roots":              nil,
 		"nil root":              {nil},
-		"sentinel root":         {EmptyPayload()},
+		"empty root":            {{}},
 		"one root":              {a},
-		"one root among empty":  {EmptyPayload(), a, nil},
+		"one root among empty":  {{}, a, nil},
 		"two roots, shared":     {a, b},
 		"two roots, reversed":   {b, a},
 		"three roots":           {a, b, c},
-		"roots around an empty": {a, EmptyPayload(), b},
-		"key-disjoint halves":   {{"x": "a1"}, {"y": "a2", "z": "a3"}},
+		"roots around an empty": {a, {}, b},
+		"key-disjoint halves":   {{{"x", "a1"}}, {{"y", "a2"}, {"z", "a3"}}},
 	}
 	for name, roots := range cases {
-		want, wantCalls := reduceReference(job, roots)
+		want, wantCalls := refReducePayload(job, toMaps(roots))
 		got, calls := ReducePayload(job, roots)
 		if !reflect.DeepEqual(got, want) || calls != wantCalls {
 			t.Errorf("%s: got %v (%d calls), want %v (%d calls)", name, got, calls, want, wantCalls)
 		}
 		into := Output{"kept": "k"}
-		if n := ReduceInto(job, roots, into); n != wantCalls || len(into) != len(want)+1 || into["kept"] != "k" {
+		sized := make([]Sized, len(roots))
+		for i, p := range roots {
+			sized[i].P = p
+		}
+		if n := ReduceInto(job, sized, into); n != wantCalls || len(into) != len(want)+1 || into["kept"] != "k" {
 			t.Errorf("%s: ReduceInto made %d calls into %v", name, n, into)
 		}
 	}
@@ -221,7 +209,7 @@ func TestReduceZeroPartitionJob(t *testing.T) {
 		}
 		roots = append(roots, res.Parts[0])
 	}
-	want, _ := reduceReference(job, roots)
+	want, _ := refReducePayload(job, toMaps(roots))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scratch output %v, want %v", got, want)
 	}
@@ -251,45 +239,52 @@ func TestMergeScratchIsPerCall(t *testing.T) {
 }
 
 // TestMergeAndReduceAllocs pins the allocation shape: a binary merge
-// allocates its output map and one scratch pair however many keys it
-// combines, and a single-root reduce allocates one scratch slice beyond
-// the output map and whatever the reducer itself returns.
+// allocates its output slice and one scratch pair however many keys it
+// combines, a K-way merge its output slice, its scratch and (past a
+// handful of inputs) its cursor heap, and a single-root reduce one scratch
+// slice beyond the output map — beyond those, only what the combiner or
+// reducer itself returns.
 func TestMergeAndReduceAllocs(t *testing.T) {
 	job := sumJob(1)
-	few, many := make(Payload), make(Payload)
-	for i := 0; i < 4; i++ {
-		few[fmt.Sprintf("k%d", i)] = int64(1) // small ints box without allocating
+	build := func(n int) Sized {
+		m := make(M, n)
+		for i := 0; i < n; i++ {
+			m[fmt.Sprintf("k%d", i)] = int64(1) // small ints box without allocating
+		}
+		return Size(job, FromMap(m))
 	}
-	for i := 0; i < 400; i++ {
-		many[fmt.Sprintf("k%d", i)] = int64(1)
-	}
-	mergeAllocs := func(p Payload) float64 {
-		s := Size(job, p)
-		return testing.AllocsPerRun(20, func() {
-			if out, c := MergeOrderedSized(job, s, s); int(c) != len(p) || len(out.P) != len(p) {
+	few, many := build(4), build(400)
+	for _, s := range []Sized{few, many} {
+		n := len(s.P)
+		binary := testing.AllocsPerRun(20, func() {
+			if out, c := MergeOrderedSized(job, s, s); int(c) != n || len(out.P) != n {
 				t.Fatal("merge did not combine every key")
 			}
 		})
-	}
-	// The output map of a 400-key merge is several allocations (groups,
-	// directory); what must not appear is one allocation per combined key.
-	if a := mergeAllocs(few); a > 4 {
-		t.Errorf("4-key merge: %.0f allocs", a)
-	}
-	if a := mergeAllocs(many); a > 8 {
-		t.Errorf("400-key merge: %.0f allocs, a per-combine slice is back", a)
+		if binary != 2 {
+			t.Errorf("%d-key binary merge: %.0f allocs, want 2 (output slice, scratch pair)", n, binary)
+		}
+		three := []Sized{s, s, s}
+		kway := testing.AllocsPerRun(20, func() {
+			if out, c := MergeOrderedKSized(job, three); int(c) != n || len(out.P) != n {
+				t.Fatal("K-way merge did not combine every key")
+			}
+		})
+		if kway != 2 {
+			t.Errorf("%d-key 3-way merge: %.0f allocs, want 2 (output slice, scratch)", n, kway)
+		}
 	}
 
-	out := make(Output, len(many))
+	out := make(Output, len(many.P))
 	reduceAllocs := testing.AllocsPerRun(20, func() {
-		if calls := ReduceInto(job, []Payload{many}, out); int(calls) != len(many) {
+		if calls := ReduceInto(job, []Sized{many}, out); int(calls) != len(many.P) {
 			t.Fatal("reduce skipped keys")
 		}
 	})
-	if reduceAllocs > 1 {
+	if reduceAllocs != 1 {
 		t.Errorf("single-root reduce into a sized output: %.0f allocs, want 1 (the scratch slice)", reduceAllocs)
 	}
-	fresh := testing.AllocsPerRun(20, func() { ReducePayload(job, []Payload{many}) })
+	fresh := testing.AllocsPerRun(20, func() { ReducePayload(job, []Payload{many.P}) })
 	if fresh > 8 {
 		t.Errorf("single-root ReducePayload: %.0f allocs, a per-key slice is back", fresh)
 	}

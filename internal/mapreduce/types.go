@@ -7,7 +7,8 @@
 // non-incremental MapReduce program whose Combiner is associative (and,
 // for fixed-width windows, commutative). Slider interposes a contraction
 // phase between shuffle and reduce; the payloads flowing through that
-// phase are the per-partition key→value maps produced by map tasks.
+// phase are the per-partition key→value sets produced by map tasks, held
+// sorted by key (see Payload).
 package mapreduce
 
 import (

@@ -75,7 +75,7 @@ func AppendPayload(dst []byte, p mapreduce.Payload) ([]byte, error) {
 	start := len(dst)
 	dst = startFlatFrame(dst, kindPayload)
 	bodyStart := len(dst)
-	out, err := flatenc.AppendPayload(dst, map[string]any(p))
+	out, err := flatenc.AppendPayload(dst, p)
 	if err != nil {
 		return dst[:start], fmt.Errorf("persist: encode payload: %w", err)
 	}
@@ -84,9 +84,15 @@ func AppendPayload(dst []byte, p mapreduce.Payload) ([]byte, error) {
 
 // EncodePayload frames one payload in a fresh, exactly-sized slice.
 func EncodePayload(p mapreduce.Payload) ([]byte, error) {
+	return encodeFresh(func(dst []byte) ([]byte, error) { return AppendPayload(dst, p) })
+}
+
+// encodeFresh runs an Append* encoder over a pooled buffer and returns
+// the result in a fresh, exactly-sized slice.
+func encodeFresh(appendTo func(dst []byte) ([]byte, error)) ([]byte, error) {
 	buf := flatenc.GetBuffer()
 	defer flatenc.PutBuffer(buf)
-	out, err := AppendPayload(*buf, p)
+	out, err := appendTo(*buf)
 	if err != nil {
 		return nil, err
 	}
@@ -96,113 +102,96 @@ func EncodePayload(p mapreduce.Payload) ([]byte, error) {
 }
 
 // DecodePayload decodes a payload frame of either version into a fresh
-// Go map: sld2 flat frames materialize through a zero-copy view; sld1
-// gob frames take the legacy path.
+// payload: sld2 flat frames decode by appending (entries written before
+// payloads were sorted are sorted once), sld1 gob frames carry a map and
+// are sorted once.
 func DecodePayload(frame []byte) (mapreduce.Payload, error) {
 	if !isFlatFrame(frame) {
-		var p mapreduce.Payload
-		if err := Decode(frame, &p); err != nil {
+		var m map[string]mapreduce.Value
+		if err := Decode(frame, &m); err != nil {
 			return nil, err
 		}
-		return p, nil
+		return mapreduce.FromMap(m), nil
 	}
-	view, err := DecodePayloadView(frame)
+	body, err := openFlatKind(frame, kindPayload, "payload")
 	if err != nil {
 		return nil, err
 	}
-	m, err := view.Materialize()
+	p, err := flatenc.DecodePayload(body)
 	if err != nil {
-		return nil, fmt.Errorf("persist: decode payload: %w", err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return mapreduce.Payload(m), nil
+	return p, nil
 }
 
-// DecodePayloadView opens an sld2 payload frame as a zero-copy
-// flatenc.View: keys and values are read directly off the frame bytes
-// without materializing a map. The view is valid only while frame stays
-// alive and unmodified. Legacy gob frames have no view form; use
-// DecodePayload for version-negotiated decoding.
-func DecodePayloadView(frame []byte) (flatenc.View, error) {
+// openFlatKind validates an sld2 frame that must be of the given kind and
+// returns its body.
+func openFlatKind(frame []byte, want byte, name string) ([]byte, error) {
 	kind, body, err := openFlatFrame(frame)
 	if err != nil {
-		return flatenc.View{}, err
+		return nil, err
 	}
-	if kind != kindPayload {
-		return flatenc.View{}, fmt.Errorf("%w: frame kind %d, want payload", ErrCorrupt, kind)
+	if kind != want {
+		return nil, fmt.Errorf("%w: frame kind %d, want %s", ErrCorrupt, kind, name)
 	}
-	view, err := flatenc.MakeView(body)
-	if err != nil {
-		return flatenc.View{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return view, nil
+	return body, nil
 }
 
 // AppendPayloadSet appends one framed payload set (a split's
 // per-partition outputs, a checkpoint's buckets) to dst.
 func AppendPayloadSet(dst []byte, ps []mapreduce.Payload) ([]byte, error) {
-	start := len(dst)
-	dst = startFlatFrame(dst, kindPayloadSet)
-	bodyStart := len(dst)
-	out := dst
-	var err error
-	// []mapreduce.Payload and []map[string]any have identical layouts but
-	// Go will not convert slice element types; the set encoder walks the
-	// slice itself.
-	out = appendU32(out, uint32(len(ps)))
-	for _, p := range ps {
-		lenOff := len(out)
-		out = appendU32(out, 0)
-		if out, err = flatenc.AppendPayload(out, map[string]any(p)); err != nil {
-			return dst[:start], fmt.Errorf("persist: encode payload set: %w", err)
-		}
-		binary.LittleEndian.PutUint32(out[lenOff:], uint32(len(out)-lenOff-4))
+	out := startFlatFrame(dst, kindPayloadSet)
+	bodyStart := len(out)
+	out, err := flatenc.AppendPayloadSet(out, ps)
+	if err != nil {
+		return dst, fmt.Errorf("persist: encode payload set: %w", err)
 	}
 	return finishFlatFrame(out, bodyStart), nil
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
 // EncodePayloadSet frames a payload set in a fresh, exactly-sized slice.
 func EncodePayloadSet(ps []mapreduce.Payload) ([]byte, error) {
-	buf := flatenc.GetBuffer()
-	defer flatenc.PutBuffer(buf)
-	out, err := AppendPayloadSet(*buf, ps)
-	if err != nil {
-		return nil, err
-	}
-	final := append(make([]byte, 0, len(out)), out...)
-	*buf = out[:0]
-	return final, nil
+	return encodeFresh(func(dst []byte) ([]byte, error) { return AppendPayloadSet(dst, ps) })
+}
+
+// EncodeSizedSet is EncodePayloadSet over payloads held with their sizes
+// (a partition's tree roots, a snapshot's buckets): it frames them where
+// they lie instead of having the caller copy the payloads out first.
+func EncodeSizedSet(ps []mapreduce.Sized) ([]byte, error) {
+	return encodeFresh(func(dst []byte) ([]byte, error) {
+		out := startFlatFrame(dst, kindPayloadSet)
+		bodyStart := len(out)
+		out, err := flatenc.AppendSizedSet(out, ps)
+		if err != nil {
+			return dst, fmt.Errorf("persist: encode payload set: %w", err)
+		}
+		return finishFlatFrame(out, bodyStart), nil
+	})
 }
 
 // DecodePayloadSet decodes a payload-set frame of either version into
-// fresh Go maps.
+// fresh payloads.
 func DecodePayloadSet(frame []byte) ([]mapreduce.Payload, error) {
 	if !isFlatFrame(frame) {
-		var ps []mapreduce.Payload
-		if err := Decode(frame, &ps); err != nil {
+		var ms []map[string]mapreduce.Value
+		if err := Decode(frame, &ms); err != nil {
 			return nil, err
 		}
-		return ps, nil
+		out := make([]mapreduce.Payload, len(ms))
+		for i, m := range ms {
+			out[i] = mapreduce.FromMap(m)
+		}
+		return out, nil
 	}
-	kind, body, err := openFlatFrame(frame)
+	body, err := openFlatKind(frame, kindPayloadSet, "payload set")
 	if err != nil {
 		return nil, err
 	}
-	if kind != kindPayloadSet {
-		return nil, fmt.Errorf("%w: frame kind %d, want payload set", ErrCorrupt, kind)
-	}
-	ms, err := flatenc.MaterializePayloadSet(body)
+	ps, err := flatenc.DecodePayloadSet(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	out := make([]mapreduce.Payload, len(ms))
-	for i, m := range ms {
-		out[i] = mapreduce.Payload(m)
-	}
-	return out, nil
+	return ps, nil
 }
 
 // EncodeSplit frames one map-task split for the dist wire. Splits whose
@@ -214,21 +203,17 @@ func EncodeSplit(s mapreduce.Split) ([]byte, error) {
 	if !recordsAreScalar(s.Records) {
 		return Encode(s)
 	}
-	buf := flatenc.GetBuffer()
-	defer flatenc.PutBuffer(buf)
-	dst := startFlatFrame(*buf, kindSplit)
-	bodyStart := len(dst)
-	dst = appendU32(dst, uint32(len(s.ID)))
-	dst = append(dst, s.ID...)
-	out, err := flatenc.AppendValues(dst, s.Records)
-	if err != nil {
-		*buf = (*buf)[:0]
-		return nil, fmt.Errorf("persist: encode split: %w", err)
-	}
-	out = finishFlatFrame(out, bodyStart)
-	final := append(make([]byte, 0, len(out)), out...)
-	*buf = out[:0]
-	return final, nil
+	return encodeFresh(func(dst []byte) ([]byte, error) {
+		dst = startFlatFrame(dst, kindSplit)
+		bodyStart := len(dst)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.ID)))
+		dst = append(dst, s.ID...)
+		out, err := flatenc.AppendValues(dst, s.Records)
+		if err != nil {
+			return nil, fmt.Errorf("persist: encode split: %w", err)
+		}
+		return finishFlatFrame(out, bodyStart), nil
+	})
 }
 
 // recordsAreScalar reports whether every record encodes natively in the
@@ -268,12 +253,9 @@ func decodeSplit(frame []byte, zeroCopy bool) (mapreduce.Split, error) {
 		}
 		return s, nil
 	}
-	kind, body, err := openFlatFrame(frame)
+	body, err := openFlatKind(frame, kindSplit, "split")
 	if err != nil {
 		return mapreduce.Split{}, err
-	}
-	if kind != kindSplit {
-		return mapreduce.Split{}, fmt.Errorf("%w: frame kind %d, want split", ErrCorrupt, kind)
 	}
 	if len(body) < 4 {
 		return mapreduce.Split{}, fmt.Errorf("%w: split body too short", ErrCorrupt)

@@ -472,29 +472,42 @@ func runRuntime(tr Trace, opt Options) error {
 	return nil
 }
 
-// spaceOracle re-measures a runtime's resident state from scratch: a
-// PayloadBytes walk over every key of every tree payload plus the memo
-// store's bytes — what RunResult.SpaceBytes must equal, although the
-// runtime only ever adds up sizes carried from where each payload was
-// created (map task, merge, checkpoint decode).
-func spaceOracle(rt *sliderrt.Runtime, job *mapreduce.Job) int64 {
-	total := rt.Store().Stats().Bytes
-	rt.ForEachPayload(func(p mapreduce.Payload) { total += mapreduce.PayloadBytes(job, p) })
-	return total
+// walkState walks every payload a runtime's trees hold. It re-measures
+// the resident state from scratch — a PayloadBytes walk over every key
+// plus the memo store's bytes, what RunResult.SpaceBytes must equal
+// although the runtime only ever adds up sizes carried from where each
+// payload was created (map task, merge, checkpoint decode) — and counts
+// the payloads that break the representation's invariant, keys strictly
+// ascending, which every merge-join and the codec rely on.
+func walkState(rt *sliderrt.Runtime, job *mapreduce.Job) (spaceBytes int64, unsorted int) {
+	spaceBytes = rt.Store().Stats().Bytes
+	rt.ForEachPayload(func(p mapreduce.Payload) {
+		spaceBytes += mapreduce.PayloadBytes(job, p)
+		if !p.IsSorted() {
+			unsorted++
+		}
+	})
+	return spaceBytes, unsorted
 }
 
 // checkRuntimeStep verifies one run's results: the output equals a
 // from-scratch MapReduce execution over the live window (the paper's
 // exact-answer claim), outputs and contraction work counters agree
 // across parallelism levels, and every replica's reported SpaceBytes
-// equals a from-scratch walk of its state — including on the runs right
-// after a checkpoint→restore, a late insert, a bulk evict or insert, and
-// a folding-tree rebuild.
+// equals a from-scratch walk of its state, every payload of which is
+// strictly sorted — including on the runs right after a
+// checkpoint→restore, a late insert, a bulk evict or insert, and a
+// folding-tree rebuild.
 func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps []*rtReplica, results []*sliderrt.RunResult, window []mapreduce.Split) error {
 	for i, rep := range reps {
-		if got, want := results[i].SpaceBytes, spaceOracle(rep.rt, job); got != want {
+		want, unsorted := walkState(rep.rt, job)
+		if got := results[i].SpaceBytes; got != want {
 			return &CheckError{Trace: tr, Step: step, Check: "space",
 				Msg: fmt.Sprintf("par=%d SpaceBytes %d, from-scratch walk says %d", pars[i], got, want)}
+		}
+		if unsorted > 0 {
+			return &CheckError{Trace: tr, Step: step, Check: "sorted",
+				Msg: fmt.Sprintf("par=%d holds %d payloads whose keys are not strictly ascending", pars[i], unsorted)}
 		}
 	}
 	want, err := mapreduce.RunScratch(job, window, 0, nil)

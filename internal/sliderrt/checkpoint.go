@@ -11,7 +11,7 @@ import (
 
 // checkpointVersion guards the on-disk format. Version 2 carries payload
 // state as flat byte blobs (internal/flatenc via persist frames) inside
-// the gob-framed metadata; version 1 carried live Payload maps and is
+// the gob-framed metadata; version 1 carried payloads as gob maps and is
 // still restorable — gob tolerates the missing flat fields, and Restore
 // dispatches on Version per partition.
 const checkpointVersion = 2
@@ -52,20 +52,22 @@ type checkpointState struct {
 // (Root, Pending, Buckets, LeafPayloads); version 2 writes the same state
 // as flat frames in the Flat* fields and leaves the map fields nil. Both
 // decode through the same struct: gob silently skips fields absent from
-// the stream.
+// the stream. The v1 fields keep the map type payloads had when those
+// frames were written — every frame, of either version, names it in its
+// type descriptor — and are sorted into payloads on restore.
 type partCheckpoint struct {
 	// Append mode (coalescing tree).
-	Root       Payload // v1 only
+	Root       payloadV1 // v1 only
 	HasRoot    bool
-	Pending    Payload // v1 only
+	Pending    payloadV1 // v1 only
 	HasPending bool
 	// Fixed mode (rotating or daba buckets).
-	Buckets []Payload // v1 only
+	Buckets []payloadV1 // v1 only
 	Victim  int
 	Filled  bool
 	// Variable mode and the strawman engine (leaf sequences).
 	LeafIDs      []uint64
-	LeafPayloads []Payload // v1 only
+	LeafPayloads []payloadV1 // v1 only
 	// Version 2 flat state: payload frames (persist.EncodePayload) and
 	// payload-set frames (persist.EncodePayloadSet).
 	FlatRoot    []byte
@@ -139,6 +141,18 @@ func (rt *Runtime) stateGroup() stateGroup {
 	return groupLeaves
 }
 
+// payloadV1 is a payload as version-1 checkpoints carry it.
+type payloadV1 = map[string]mapreduce.Value
+
+// fromV1 sorts a version-1 payload list into payloads.
+func fromV1(ms []payloadV1) []Payload {
+	out := make([]Payload, len(ms))
+	for i, m := range ms {
+		out[i] = mapreduce.FromMap(m)
+	}
+	return out
+}
+
 // encodePartition writes one aggregator's snapshot into its version-2
 // field group.
 func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (err error) {
@@ -155,16 +169,16 @@ func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (er
 		}
 	case groupBuckets:
 		pc.Victim, pc.Filled = st.Victim, st.Filled
-		pc.FlatBuckets, err = persist.EncodePayloadSet(unsized(st.Elems))
+		pc.FlatBuckets, err = persist.EncodeSizedSet(st.Elems)
 	default:
 		pc.LeafIDs = st.IDs
-		pc.FlatLeaves, err = persist.EncodePayloadSet(unsized(st.Elems))
+		pc.FlatLeaves, err = persist.EncodeSizedSet(st.Elems)
 	}
 	return err
 }
 
 // decodePartition is encodePartition's inverse for both frame versions
-// (flat frames for v2, live maps for v1). The frame is untrusted: every
+// (flat frames for v2, gob maps for v1). The frame is untrusted: every
 // length and presence flag is checked here, before any aggregator is
 // touched, and decoded payloads are measured — restore is where they are
 // created, so this is the one walk they get (see sized).
@@ -174,7 +188,7 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq uint64) 
 	var err error
 	switch rt.stateGroup() {
 	case groupRoot:
-		root, pending := pc.Root, pc.Pending
+		root, pending := mapreduce.FromMap(pc.Root), mapreduce.FromMap(pc.Pending)
 		if version >= 2 {
 			if pc.HasRoot != (len(pc.FlatRoot) > 0) || pc.HasPending != (len(pc.FlatPending) > 0) {
 				return st, fmt.Errorf("root/pending flags disagree with the persisted payloads")
@@ -198,11 +212,11 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq uint64) 
 			return st, fmt.Errorf("window not filled")
 		}
 		st.Victim, st.Filled = pc.Victim, true
-		if elems = pc.Buckets; version >= 2 {
+		if elems = fromV1(pc.Buckets); version >= 2 {
 			elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
 		}
 	default:
-		if elems = pc.LeafPayloads; version >= 2 {
+		if elems = fromV1(pc.LeafPayloads); version >= 2 {
 			elems, err = persist.DecodePayloadSet(pc.FlatLeaves)
 		}
 		st.IDs, st.NextID = pc.LeafIDs, seq

@@ -7,6 +7,23 @@ import (
 	"slider/internal/persist"
 )
 
+// toV1 turns payloads back into the gob maps a version-1 checkpoint
+// carries.
+func toV1(t *testing.T, ps []Payload, err error) []payloadV1 {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]payloadV1, len(ps))
+	for i, p := range ps {
+		out[i] = make(payloadV1, len(p))
+		for _, e := range p {
+			out[i][e.Key] = e.Value
+		}
+	}
+	return out
+}
+
 // downgradeToV1 rewrites a current checkpoint frame into the version-1
 // layout: payload state moved back into the legacy gob map fields, flat
 // byte fields absent, Version 1. This is byte-for-byte what a pre-flat
@@ -23,26 +40,21 @@ func downgradeToV1(t *testing.T, frame []byte) []byte {
 	}
 	for p := range st.Partitions {
 		pc := &st.Partitions[p]
-		var err error
 		if pc.HasRoot {
-			if pc.Root, err = persist.DecodePayload(pc.FlatRoot); err != nil {
-				t.Fatal(err)
-			}
+			root, err := persist.DecodePayload(pc.FlatRoot)
+			pc.Root = toV1(t, []Payload{root}, err)[0]
 		}
 		if pc.HasPending {
-			if pc.Pending, err = persist.DecodePayload(pc.FlatPending); err != nil {
-				t.Fatal(err)
-			}
+			pending, err := persist.DecodePayload(pc.FlatPending)
+			pc.Pending = toV1(t, []Payload{pending}, err)[0]
 		}
 		if pc.FlatBuckets != nil {
-			if pc.Buckets, err = persist.DecodePayloadSet(pc.FlatBuckets); err != nil {
-				t.Fatal(err)
-			}
+			buckets, err := persist.DecodePayloadSet(pc.FlatBuckets)
+			pc.Buckets = toV1(t, buckets, err)
 		}
 		if pc.FlatLeaves != nil {
-			if pc.LeafPayloads, err = persist.DecodePayloadSet(pc.FlatLeaves); err != nil {
-				t.Fatal(err)
-			}
+			leaves, err := persist.DecodePayloadSet(pc.FlatLeaves)
+			pc.LeafPayloads = toV1(t, leaves, err)
 		}
 		pc.FlatRoot, pc.FlatPending, pc.FlatBuckets, pc.FlatLeaves = nil, nil, nil, nil
 	}

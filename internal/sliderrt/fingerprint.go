@@ -4,17 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"slider/internal/core"
 )
 
 // StateFingerprint returns a canonical hash of the runtime's window
 // state — the same state Checkpoint persists: per-partition tree
-// payloads plus the window bookkeeping. Payload maps are hashed in
-// sorted-key order, so two runtimes holding identical logical state
-// fingerprint identically regardless of map iteration order, codec
-// framing, or the parallelism they were computed at. Harnesses use it
+// payloads plus the window bookkeeping. Payloads are hashed in entry
+// order, which is key order, so two runtimes holding identical logical
+// state fingerprint identically regardless of codec framing or the
+// parallelism they were computed at. Harnesses use it
 // to assert that checkpoint/restore round-trips and parallelism changes
 // preserve state bit-for-bit at the logical level; it is not a wire
 // format and may change between releases.
@@ -30,15 +29,10 @@ func (rt *Runtime) StateFingerprint() uint64 {
 		h.Write([]byte(s))
 	}
 	payload := func(p Payload) {
-		keys := make([]string, 0, len(p))
-		for k := range p {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		u64(uint64(len(keys)))
-		for _, k := range keys {
-			str(k)
-			str(fmt.Sprintf("%T:%v", p[k], p[k]))
+		u64(uint64(len(p)))
+		for _, e := range p {
+			str(e.Key)
+			str(fmt.Sprintf("%T:%v", e.Value, e.Value))
 		}
 	}
 	payloads := func(ps []sized) {

@@ -36,7 +36,7 @@ func runWorkload(t *testing.T, cfg Config, par int) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fps := []uint64{mapreduce.FingerprintPayload(mapreduce.Payload(res.Output))}
+	fps := []uint64{mapreduce.FingerprintPayload(mapreduce.FromMap(res.Output))}
 	next := window
 	for step := 0; step < 4; step++ {
 		drop, add := 2, 2
@@ -48,7 +48,7 @@ func runWorkload(t *testing.T, cfg Config, par int) []uint64 {
 			t.Fatal(err)
 		}
 		next += add
-		fps = append(fps, mapreduce.FingerprintPayload(mapreduce.Payload(res.Output)))
+		fps = append(fps, mapreduce.FingerprintPayload(mapreduce.FromMap(res.Output)))
 	}
 	return fps
 }

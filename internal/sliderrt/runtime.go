@@ -168,13 +168,13 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // K-way merge — the fold-up of newly arrived splits into C′ for
 // coalescing appends and rotating-bucket formation. These fold-ups are
 // not memoized tree nodes, so they need not preserve binary fingerprints:
-// they batch through MergeOrderedK, which allocates one output map and
-// issues one multi-argument Combine per key instead of len(ps)−1
-// intermediate maps. Batch boundaries are fixed (see kMergeLeafWidth), so
+// they batch through MergeOrderedK, which allocates one output payload
+// and issues one multi-argument Combine per key instead of len(ps)−1
+// intermediate payloads. Batch boundaries are fixed (see kMergeLeafWidth), so
 // outputs and combine counts are identical at any worker count.
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	if len(ps) == 0 {
-		return sized{P: mapreduce.EmptyPayload()}
+		return sized{}
 	}
 	out, _ := core.ReduceOrderedK(rt.treeParallelism(), rt.kmergeFor(p), ps)
 	return out
@@ -205,7 +205,7 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 	var counters metrics.Counters
 	for i, r := range results {
 		id := base + uint64(i)
-		// Memoized map outputs live as flat bytes, not as live Go maps: one
+		// Memoized map outputs live as flat bytes, not as live payloads: one
 		// payload-set blob per split keeps the memo layer's resident state
 		// off the GC scan path. The entry's accounted size stays r.Bytes
 		// (the cost-model estimate), independent of the encoding.
@@ -659,7 +659,7 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, roots [][]size
 	out := make(mapreduce.Output, keys)
 	for p := 0; p < rt.parts; p++ {
 		start := time.Now()
-		calls := mapreduce.ReduceInto(rt.job, unsized(roots[p]), out)
+		calls := mapreduce.ReduceInto(rt.job, roots[p], out)
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseReduce,
 			Cost:          time.Since(start),
@@ -682,16 +682,6 @@ func sumBytes(ps []sized) int64 {
 		bytes += s.Bytes
 	}
 	return bytes
-}
-
-// unsized strips the carried sizes, for the codec and fingerprint
-// functions that take bare payloads.
-func unsized(ps []sized) []Payload {
-	out := make([]Payload, len(ps))
-	for i, s := range ps {
-		out[i] = s.P
-	}
-	return out
 }
 
 // recordContraction records one contraction task, transferring the
@@ -731,7 +721,7 @@ func (rt *Runtime) putPartState(p int, roots []sized) int64 {
 	// bytes a failover could restore from — rather than a placeholder; the
 	// accounted size stays the root-path estimate the cost model charges.
 	var stored any
-	if blob, err := persist.EncodePayloadSet(unsized(roots)); err == nil {
+	if blob, err := persist.EncodeSizedSet(roots); err == nil {
 		stored = blob
 	}
 	return rt.store.Put("part:"+strconv.Itoa(p), stored, bytes, rt.windowLo, rt.seq)

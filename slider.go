@@ -69,7 +69,12 @@ type (
 	Emit = mapreduce.Emit
 	// Output is the job's final key→value result.
 	Output = mapreduce.Output
-	// Payload is the contraction-phase key→value map.
+	// Payload is what a map task or a contraction-tree node contributes
+	// to one reduce partition: a slice of {Key, Value} entries strictly
+	// sorted by key (byte order, no key twice), nil when empty. Merges
+	// are merge-joins over that order and the codec writes entries as
+	// they lie, so a Payload must never be modified once built; look a
+	// key up with Get. Runtime.ForEachPayload hands these out.
 	Payload = mapreduce.Payload
 )
 
