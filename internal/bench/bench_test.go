@@ -141,6 +141,12 @@ func TestFigure10QuerySpeedups(t *testing.T) {
 	})
 }
 
+// TestFigure11SplitProcessing checks the figure's claim on what repeats
+// exactly — contraction-tree merges — not on the normalized wall-clock
+// times it prints, which on a shared host crossed any fixed limit now and
+// then: moving work to the background must leave a slide's critical path
+// strictly fewer merges (fixed-width: one combine instead of log N;
+// append: none, the new data was folded in ahead of time).
 func TestFigure11SplitProcessing(t *testing.T) {
 	s := Quick()
 	res, text, err := Figure11(s, quickApps(t, s))
@@ -149,19 +155,14 @@ func TestFigure11SplitProcessing(t *testing.T) {
 	}
 	for mode, rows := range res {
 		for _, r := range rows {
-			if r.Background <= 0 {
+			t.Logf("%v/%s: merges plain %d, foreground %d, background %d; times %.2f / %.2f",
+				mode, r.App, r.PlainMerges, r.ForegroundMerges, r.BackgroundMerges, r.Foreground, r.Background)
+			if r.BackgroundMerges <= 0 {
 				t.Errorf("%v/%s: no background work recorded", mode, r.App)
 			}
-			// The fixed-width saving is structural (1 combine instead of
-			// log N), so assert it strictly; the append-mode foreground
-			// only skips a single merge and can be noise-bound at test
-			// scale, so only sanity-check it.
-			limit := 2.5
-			if mode == sliderrt.Fixed {
-				limit = 1.2
-			}
-			if r.Foreground >= limit {
-				t.Errorf("%v/%s: foreground %.2f ≥ %.1f", mode, r.App, r.Foreground, limit)
+			if r.ForegroundMerges >= r.PlainMerges {
+				t.Errorf("%v/%s: %d foreground merges with split processing, %d without",
+					mode, r.App, r.ForegroundMerges, r.PlainMerges)
 			}
 		}
 	}

@@ -374,12 +374,22 @@ type Figure11Result struct {
 	App        string
 	Foreground float64 // foreground time, normalized to non-split update = 1
 	Background float64 // background time, same normalization
+	// Contraction-tree merges over the measured slides: on the critical
+	// path without and with split processing, and in the background step.
+	// Unlike the times they repeat exactly.
+	PlainMerges, ForegroundMerges, BackgroundMerges int64
 }
 
 // Figure11 measures the effectiveness of split processing (append-only
 // and fixed-width, 5% change): foreground and background update cost
 // normalized to the non-split update cost.
 func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, string, error) {
+	// run is one configuration's measured slides: median update times, and
+	// the merges summed over the slides.
+	type run struct {
+		fg, bg             time.Duration
+		fgMerges, bgMerges int64
+	}
 	out := make(map[sliderrt.Mode][]Figure11Result)
 	w := s.WindowSplits
 	delta := w * 5 / 100
@@ -392,19 +402,20 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 			initial := app.Gen(0, w)
 			add := app.Gen(w, w+delta)
 
-			runOnce := func(split bool) (fg, bg time.Duration, err error) {
+			runOnce := func(split bool) (run, error) {
 				cfg := modeConfig(mode, sliderrt.SelfAdjusting, delta, w, s.Cluster.Nodes)
 				cfg.SplitProcessing = split
 				rt, err := sliderrt.New(app.NewJob(), cfg)
 				if err != nil {
-					return 0, 0, err
+					return run{}, err
 				}
 				if _, err := rt.Initial(initial); err != nil {
-					return 0, 0, err
+					return run{}, err
 				}
 				// Take the median of several slides so wall-clock noise
 				// on the microsecond-scale update path washes out.
 				const slides = 5
+				var r run
 				fgs := make([]time.Duration, 0, slides)
 				bgs := make([]time.Duration, 0, slides)
 				next := w
@@ -416,7 +427,7 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 					next += delta
 					res, err := rt.Advance(drop, moreAdd)
 					if err != nil {
-						return 0, 0, err
+						return run{}, err
 					}
 					// The split-processing comparison is about the
 					// update (contraction + reduce) path; the map work
@@ -424,22 +435,28 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 					fgs = append(fgs, res.Report.PhaseWork[metrics.PhaseContraction]+
 						res.Report.PhaseWork[metrics.PhaseReduce])
 					bgs = append(bgs, res.Background.Work)
+					r.fgMerges += res.TreeStats.Merges
+					r.bgMerges += res.TreeStatsBackground.Merges
 				}
-				return medianDur(fgs), medianDur(bgs), nil
+				r.fg, r.bg = medianDur(fgs), medianDur(bgs)
+				return r, nil
 			}
-			plainFg, _, err := runOnce(false)
+			plain, err := runOnce(false)
 			if err != nil {
 				return nil, "", fmt.Errorf("figure11 %s/%v plain: %w", app.Name, mode, err)
 			}
-			splitFg, splitBg, err := runOnce(true)
+			split, err := runOnce(true)
 			if err != nil {
 				return nil, "", fmt.Errorf("figure11 %s/%v split: %w", app.Name, mode, err)
 			}
-			norm := float64(maxDur(plainFg, 1))
+			norm := float64(maxDur(plain.fg, 1))
 			out[mode] = append(out[mode], Figure11Result{
-				App:        app.Name,
-				Foreground: float64(splitFg) / norm,
-				Background: float64(splitBg) / norm,
+				App:              app.Name,
+				Foreground:       float64(split.fg) / norm,
+				Background:       float64(split.bg) / norm,
+				PlainMerges:      plain.fgMerges,
+				ForegroundMerges: split.fgMerges,
+				BackgroundMerges: split.bgMerges,
 			})
 		}
 	}

@@ -18,12 +18,13 @@ import (
 
 // The payload experiment measures the flat columnar payload codec
 // (internal/flatenc, frame version sld2) against the legacy whole-value
-// gob codec (sld1) it replaced on the byte-shaped paths: memo
-// persistence, dist framing, and checkpoints. Two views: a micro
-// head-to-head of encode/decode cost across payload sizes (the gob rows
-// call the gob encoder directly — no writer produces sld1 any more), and
-// the end-to-end wordcount slide loop, whose memoized "map:"/"part:"
-// state rides the flat encoder on every slide.
+// gob codec (sld1) it replaced on the byte-shaped paths: dist framing and
+// checkpoints. Two views: a micro head-to-head of encode/decode cost
+// across payload sizes (the gob rows call the gob encoder directly — no
+// writer produces sld1 any more), and the end-to-end wordcount slide loop,
+// which runs no codec at all: its "map:"/"part:" memo entries hold sizes
+// and placement, not encoded payloads, so the row shows what a slide
+// allocates once nothing on it is serialised.
 
 // PayloadCodecCell is one (codec, payload size) micro measurement.
 type PayloadCodecCell struct {
@@ -38,7 +39,6 @@ type PayloadCodecCell struct {
 
 // PayloadSlideCell is the wordcount slide loop.
 type PayloadSlideCell struct {
-	Codec          string  `json:"codec"`
 	Slides         int     `json:"slides"`
 	AllocsPerSlide float64 `json:"allocsPerSlide"`
 	NsPerSlide     float64 `json:"nsPerSlide"`
@@ -165,23 +165,28 @@ const payloadSlideWindow = 16
 // `window` one-split buckets, sliding by one) and returns per-slide
 // averages, measureBackend-style.
 func measurePayloadSlides(s Scale, window, slides int) (PayloadSlideCell, error) {
-	cell := PayloadSlideCell{Codec: "flat", Slides: slides}
-	text := workload.NewText(s.Text)
+	return measureSlideLoop(wordCount(s.Partitions), workload.NewText(s.Text).Range, window, slides)
+}
+
+// measureSlideLoop is measurePayloadSlides for any job over the splits gen
+// yields.
+func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split, window, slides int) (PayloadSlideCell, error) {
+	cell := PayloadSlideCell{Slides: slides}
 	cfg := sliderrt.Config{
 		Mode:          sliderrt.Fixed,
 		BucketSplits:  1,
 		WindowBuckets: window,
 		Memo:          memo.DefaultConfig(),
 	}
-	rt, err := sliderrt.New(wordCount(s.Partitions), cfg)
+	rt, err := sliderrt.New(job, cfg)
 	if err != nil {
 		return cell, err
 	}
-	if _, err := rt.Initial(text.Range(0, window)); err != nil {
+	if _, err := rt.Initial(gen(0, window)); err != nil {
 		return cell, err
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := rt.Advance(1, text.Range(window+i, window+i+1)); err != nil {
+		if _, err := rt.Advance(1, gen(window+i, window+i+1)); err != nil {
 			return cell, err
 		}
 	}
@@ -192,7 +197,7 @@ func measurePayloadSlides(s Scale, window, slides int) (PayloadSlideCell, error)
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < slides; i++ {
-		if _, err := rt.Advance(1, text.Range(next, next+1)); err != nil {
+		if _, err := rt.Advance(1, gen(next, next+1)); err != nil {
 			return cell, err
 		}
 		next++
@@ -268,10 +273,10 @@ func RunPayload(s Scale) (*PayloadResult, string, error) {
 			c.Entries, c.Codec, c.FrameBytes, c.EncodeNsPerOp, c.EncodeAllocsPerOp,
 			c.DecodeNsPerOp, c.DecodeAllocsPerOp)
 	}
-	sb.WriteString("\nwordcount slide loop (memoized state through the flat codec)\n")
-	sb.WriteString("codec    allocs/slide      ns/slide\n")
+	sb.WriteString("\nwordcount slide loop (no codec on it: memo entries hold sizes, not bytes)\n")
+	sb.WriteString("slides  allocs/slide      ns/slide\n")
 	for _, c := range out.Slides {
-		fmt.Fprintf(&sb, "%-6s  %12.0f  %12.0f\n", c.Codec, c.AllocsPerSlide, c.NsPerSlide)
+		fmt.Fprintf(&sb, "%6d  %12.0f  %12.0f\n", c.Slides, c.AllocsPerSlide, c.NsPerSlide)
 	}
 	fmt.Fprintf(&sb, "\nflat vs gob at %d entries: encode allocs −%.1f%%, round trip −%.1f%%\n",
 		biggest, out.EncodeAllocReductionPct, out.RoundTripAllocReductionPct)

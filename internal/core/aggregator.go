@@ -29,7 +29,8 @@ type Aggregator[T any] interface {
 	// window: one combined root, or — for the split-processing foreground
 	// paths — the uncombined payloads whose union is the window. Between a
 	// Slide and its Background call it is the foreground result. It may
-	// combine (DABA Lite's query costs one merge), so call it once per run.
+	// combine (DABA Lite's query costs one merge), so call it once per run;
+	// with RootReuser in use a result is valid until the next call.
 	Roots() []T
 	// Background runs the work split processing moved off the critical
 	// path (install the bucket and pre-combine for the next slide; fold C′
@@ -61,6 +62,14 @@ type OutOfOrder[T any] interface {
 	InsertAt(pos int, v T) error
 	BulkEvict(k int) error
 	BulkInsert(vs []T) error
+}
+
+// RootReuser is the capability of a structure whose combined root no node
+// keeps (DABA Lite): it can rebuild the root in the storage of the previous
+// one, see DabaLite.ReuseRoot. A caller that asks for it must be done with a
+// Roots result before it calls Roots again.
+type RootReuser[T any] interface {
+	ReuseRoot(mergeInto func(dst, a, b T) T)
 }
 
 // State is an aggregator's restorable state as plain values, the shape a

@@ -49,6 +49,9 @@ type DabaLite[T any] struct {
 
 	filled bool
 	stats  Stats
+
+	rootInto func(dst, a, b T) T // set by ReuseRoot
+	root     T                   // what rootInto returned last
 }
 
 // NewDaba returns a DABA Lite aggregator for a window of n buckets.
@@ -205,8 +208,21 @@ func (t *DabaLite[T]) Root() (T, bool) {
 		return front, true
 	}
 	t.stats.Merges++
-	return t.merge(front, t.backSum), true
+	if t.rootInto == nil {
+		return t.merge(front, t.backSum), true
+	}
+	t.root = t.rootInto(t.root, front, t.backSum)
+	return t.root, true
 }
+
+// ReuseRoot makes Root combine front and back with mergeInto in place of the
+// merge function, handing it as dst the aggregate the previous Root call
+// built. The window aggregate is the one merge result this structure keeps
+// in no slot — every slide rebuilds it whole — so with a mergeInto that
+// builds its result in dst's storage the query allocates nothing. mergeInto
+// must return what the merge function would, and may ignore dst. The price:
+// a root is valid only until the next Root call.
+func (t *DabaLite[T]) ReuseRoot(mergeInto func(dst, a, b T) T) { t.rootInto = mergeInto }
 
 // Buckets returns the number of buckets in the window.
 func (t *DabaLite[T]) Buckets() int { return t.n }

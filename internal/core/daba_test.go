@@ -121,6 +121,62 @@ func TestDabaSlide(t *testing.T) {
 	}
 }
 
+// TestDabaReuseRoot slides a plain aggregator and one with ReuseRoot side by
+// side: same roots (the left-fold oracle), same stats and fingerprint; the
+// destination Root hands to mergeInto is always what mergeInto returned
+// last — never a slot's aggregate, also after the queries that return the
+// front aggregate without merging — and once it is large enough the root
+// keeps its storage from one slide to the next.
+func TestDabaReuseRoot(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 33} {
+		plain, reuse := NewDaba(concatMerge, n), NewDaba(concatMerge, n)
+		var last []int
+		merged, kept := 0, 0
+		reuse.ReuseRoot(func(dst, a, b []int) []int {
+			if len(dst) != len(last) || len(dst) > 0 && &dst[0] != &last[0] {
+				t.Fatalf("n=%d: destination %v is not the previous root %v", n, dst, last)
+			}
+			merged++
+			if cap(dst) >= len(a)+len(b) {
+				kept++
+			}
+			last = append(append(dst[:0], a...), b...)
+			return last
+		})
+		var live [][]int
+		for i := 0; i < n; i++ {
+			live = append(live, []int{i})
+		}
+		for _, d := range []*DabaLite[[]int]{plain, reuse} {
+			if err := d.Init(live); err != nil {
+				t.Fatalf("n=%d: Init: %v", n, err)
+			}
+		}
+		const slides = 200
+		for step := 0; step < slides; step++ {
+			v := []int{n + step}
+			for _, d := range []*DabaLite[[]int]{plain, reuse} {
+				if err := d.Slide(v); err != nil {
+					t.Fatalf("n=%d step %d: Slide: %v", n, step, err)
+				}
+			}
+			live = append(live[1:], v)
+			checkDabaRoot(t, plain, live, step)
+			checkDabaRoot(t, reuse, live, step)
+		}
+		fp := func(v []int) uint64 { return uint64(len(v)) }
+		if plain.Stats() != reuse.Stats() || plain.FingerprintWith(fp) != reuse.FingerprintWith(fp) {
+			t.Fatalf("n=%d: reusing the root changed stats or state: %+v vs %+v", n, reuse.Stats(), plain.Stats())
+		}
+		// Every window here has n one-element buckets, so the first merged
+		// root is as large as any later one. (The smallest windows answer
+		// most queries from the front aggregate alone.)
+		if merged > 0 && kept != merged-1 || n >= 8 && merged < slides/2 {
+			t.Fatalf("n=%d: %d of %d queries merged, %d of them kept the root's storage", n, merged, slides, kept)
+		}
+	}
+}
+
 // TestDabaBucketPayloadsAndRestore checks that BucketPayloads returns
 // the raw buckets in window order and that a restored aggregator
 // matches a fresh one built from the same checkpoint: same root, same

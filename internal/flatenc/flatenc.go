@@ -1,6 +1,6 @@
 // Package flatenc implements the flat, length-prefixed columnar encoding
-// behind Slider's byte-shaped payload paths: memo persistence, dist RPC
-// framing, and runtime checkpoints. It replaces per-value gob encoding
+// behind Slider's byte-shaped payload paths: dist RPC framing and runtime
+// checkpoints. It replaces per-value gob encoding
 // (reflection, interface boxing, a type dictionary per stream) with a
 // single-pass arena layout that encodes a payload with zero steady-state
 // allocations (pooled buffers) and decodes it by appending: one entry

@@ -192,12 +192,33 @@ func ReducePayload(job *Job, roots []Payload) (Output, int64) {
 // key-disjoint); it takes the roots as the trees hold them and ignores
 // their sizes. It returns the number of Reduce calls.
 //
-// The roots are walked once, as one key-ordered stream (joinK): a lone
-// root — every slide outside split processing — hands each value to
-// Reduce through a one-element scratch slice, several roots hand each
-// key's values over together. Either way the slice Reduce receives is
-// only valid for the duration of the call (see Job.Reduce).
+// A lone non-empty root — every slide outside split processing — is
+// already the key-ordered stream: its entries are walked as they lie, each
+// value handed to Reduce through one reused one-element slice. Several
+// roots are joined into that stream (joinK) and hand each key's values
+// over together, in window order. Either way keys reach Reduce in
+// ascending order, and the slice it receives is only valid for the
+// duration of the call (see Job.Reduce).
 func ReduceInto(job *Job, roots []Sized, out Output) int64 {
+	var lone Payload
+	nonEmpty := 0
+	for _, r := range roots {
+		if len(r.P) > 0 {
+			lone = r.P
+			nonEmpty++
+		}
+	}
+	switch nonEmpty {
+	case 0:
+		return 0
+	case 1:
+		one := make([]Value, 1)
+		for _, e := range lone {
+			one[0] = e.Value
+			out[e.Key] = job.Reduce(e.Key, one)
+		}
+		return int64(len(lone))
+	}
 	var calls int64
 	joinK(roots, func(key string, vals []Value) {
 		out[key] = job.Reduce(key, vals)

@@ -20,7 +20,7 @@ type Entry struct {
 // everything downstream leans on: a merge is a merge-join over two
 // cursors, the codec writes entries as they lie, and fingerprints walk
 // them without sorting. A nil slice is the empty payload. Payloads are
-// immutable once built — tree nodes, memo entries and results share them.
+// immutable once built — tree nodes and results share them.
 type Payload []Entry
 
 func compareKeys(a, b Entry) int { return strings.Compare(a.Key, b.Key) }
@@ -146,41 +146,62 @@ func MergeOrdered(job *Job, left, right Payload) (Payload, int64) {
 // only for the duration of that call (see Job.Combine). The scratch is
 // local to this call, so concurrent merges never share one.
 func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
+	return MergeOrderedSizedInto(job, nil, left, right)
+}
+
+// MergeOrderedSizedInto is MergeOrderedSized with a destination: the result
+// is built in dst's storage when that holds the disjoint case, in a fresh
+// slice otherwise. It is for the one caller that rebuilds a payload nothing
+// else holds — a window aggregate no tree node keeps, rebuilt every slide —
+// so that the rebuild allocates nothing. dst is a payload the caller got
+// from an earlier call and no longer reads; it must not share storage with
+// left or right. What the result leaves unused of it is cleared, so a
+// reused buffer pins no key or value of the payload it held before. Same
+// entries, same Bytes, same combines as MergeOrderedSized.
+func MergeOrderedSizedInto(job *Job, dst Payload, left, right Sized) (Sized, int64) {
 	l, r := left.P, right.P
-	if len(l) == 0 {
-		return Sized{P: slices.Clone(r), Bytes: right.Bytes}, 0
+	out := dst[:0]
+	if n := len(l) + len(r); cap(out) < n {
+		out, dst = make(Payload, 0, n), nil
 	}
-	if len(r) == 0 {
-		return Sized{P: slices.Clone(l), Bytes: left.Bytes}, 0
-	}
-	out := make(Payload, 0, len(l)+len(r))
 	bytes := left.Bytes
 	var combines int64
-	pair := make([]Value, 2)
-	for len(l) > 0 && len(r) > 0 {
-		switch c := strings.Compare(l[0].Key, r[0].Key); {
-		case c < 0:
-			out = append(out, l[0])
-			l = l[1:]
-		case c > 0:
-			out = append(out, r[0])
-			bytes += int64(len(r[0].Key)) + valueBytes(job, r[0].Value)
-			r = r[1:]
-		default:
-			existing := l[0].Value
-			pair[0], pair[1] = existing, r[0].Value
-			combined := job.Combine(r[0].Key, pair)
-			out = append(out, Entry{r[0].Key, combined})
-			bytes += valueBytes(job, combined) - valueBytes(job, existing)
-			combines++
-			l, r = l[1:], r[1:]
+	switch {
+	case len(l) == 0:
+		out, bytes = append(out, r...), right.Bytes
+	case len(r) == 0:
+		out = append(out, l...)
+	default:
+		pair := make([]Value, 2)
+		for len(l) > 0 && len(r) > 0 {
+			switch c := strings.Compare(l[0].Key, r[0].Key); {
+			case c < 0:
+				out = append(out, l[0])
+				l = l[1:]
+			case c > 0:
+				out = append(out, r[0])
+				bytes += int64(len(r[0].Key)) + valueBytes(job, r[0].Value)
+				r = r[1:]
+			default:
+				existing := l[0].Value
+				pair[0], pair[1] = existing, r[0].Value
+				combined := job.Combine(r[0].Key, pair)
+				out = append(out, Entry{r[0].Key, combined})
+				bytes += valueBytes(job, combined) - valueBytes(job, existing)
+				combines++
+				l, r = l[1:], r[1:]
+			}
 		}
+		out = append(out, l...)
+		for _, e := range r {
+			bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+		}
+		out = append(out, r...)
 	}
-	out = append(out, l...)
-	for _, e := range r {
-		bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+	if len(out) < len(dst) {
+		clear(dst[len(out):])
 	}
-	return Sized{P: append(out, r...), Bytes: bytes}, combines
+	return Sized{P: out, Bytes: bytes}, combines
 }
 
 // cursor is one input of a K-way merge-join.

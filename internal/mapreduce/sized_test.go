@@ -2,7 +2,9 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -188,6 +190,57 @@ func TestReducePathsEquivalent(t *testing.T) {
 	}
 }
 
+// TestReduceIntoLoneRoot checks the direct pass ReduceInto takes over a lone
+// non-empty root against the join it bypasses, under a reducer that is
+// neither commutative nor blind to grouping: same output, same number of
+// calls, keys in ascending order, whether the root stands alone or among
+// empty and nil ones — and one allocation, the one-element scratch.
+func TestReduceIntoLoneRoot(t *testing.T) {
+	job := concatJob()
+	concat := job.Reduce
+	var order []string
+	job.Reduce = func(key string, values []Value) Value {
+		order = append(order, key)
+		return concat(key, values)
+	}
+	value := propertyJobs()["concat"].value
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		ps, _ := randomSized(rng, job, value, 1)
+		root := ps[0]
+		want := make(Output)
+		var wantCalls int64
+		joinK([]Sized{root}, func(key string, vals []Value) {
+			want[key] = job.Reduce(key, vals)
+			wantCalls++
+		})
+		for name, roots := range map[string][]Sized{
+			"alone":               {root},
+			"among empty and nil": {{}, {P: Payload{}}, root, {}},
+		} {
+			order = order[:0]
+			got := make(Output)
+			if calls := ReduceInto(job, roots, got); calls != wantCalls || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s:\n got %v (%d calls)\nwant %v (%d calls)", trial, name, got, calls, want, wantCalls)
+			}
+			if len(order) != len(root.P) || !sort.StringsAreSorted(order) {
+				t.Fatalf("trial %d, %s: Reduce saw keys %v of root %v", trial, name, order, root.P)
+			}
+		}
+	}
+
+	sum := sumJob(1)
+	counts := make(M, 400)
+	for i := 0; i < 400; i++ {
+		counts[fmt.Sprintf("k%d", i)] = int64(1) // sums stay below 256: boxed without allocating
+	}
+	roots := []Sized{{}, Size(sum, FromMap(counts)), {P: Payload{}}}
+	out := make(Output, len(counts))
+	if allocs := testing.AllocsPerRun(20, func() { ReduceInto(sum, roots, out) }); allocs != 1 {
+		t.Errorf("lone root among empty ones: %.0f allocs, want 1 (the scratch slice)", allocs)
+	}
+}
+
 // TestReduceZeroPartitionJob runs the scratch path (many roots per
 // partition, so the grouping pass) on a job that leaves Partitions unset.
 func TestReduceZeroPartitionJob(t *testing.T) {
@@ -235,6 +288,64 @@ func TestMergeScratchIsPerCall(t *testing.T) {
 	}
 	if want.Bytes != PayloadBytes(job, want.P) {
 		t.Fatalf("carried %d bytes, walk says %d", want.Bytes, PayloadBytes(job, want.P))
+	}
+}
+
+// TestMergeIntoDestination covers MergeOrderedSizedInto against
+// MergeOrderedSized on the three sizing kinds: a destination that is large
+// enough carries the result (same entries, Bytes and combines, one
+// allocation — the scratch pair) and what the result leaves of it is
+// cleared; one that is too small, or nil, is left alone and the result is
+// fresh; an empty side copies the other into the destination.
+func TestMergeIntoDestination(t *testing.T) {
+	stale := Entry{Key: "stale", Value: int64(7)}
+	for name, job := range sizedJobs() {
+		ps := testPayloads(job, 6)
+		for i := 1; i < len(ps); i++ {
+			left, right := ps[i-1], ps[i]
+			want, wantC := MergeOrderedSized(job, left, right)
+			need := len(left.P) + len(right.P)
+
+			dst := make(Payload, need+5)
+			for j := range dst {
+				dst[j] = stale
+			}
+			got, gotC := MergeOrderedSizedInto(job, dst, left, right)
+			if !reflect.DeepEqual(got, want) || gotC != wantC {
+				t.Fatalf("%s: merge into a destination differs: %v (%d combines), want %v (%d)", name, got, gotC, want, wantC)
+			}
+			if &got.P[0] != &dst[0] {
+				t.Fatalf("%s: a destination of %d entries was not used for %d", name, len(dst), need)
+			}
+			for j, e := range dst[len(got.P):] {
+				if e != (Entry{}) {
+					t.Fatalf("%s: destination entry %d beyond the result still holds %v", name, len(got.P)+j, e)
+				}
+			}
+
+			small := make(Payload, need-1)
+			small[0] = stale
+			got, _ = MergeOrderedSizedInto(job, small, left, right)
+			if !reflect.DeepEqual(got, want) || &got.P[0] == &small[0] || small[0] != stale {
+				t.Fatalf("%s: a destination one entry short was used or written", name)
+			}
+
+			for _, empty := range []Sized{{}, {P: Payload{}}} {
+				dst := append(make(Payload, 0, len(left.P)+1), stale)
+				l, _ := MergeOrderedSizedInto(job, dst, left, empty)
+				r, _ := MergeOrderedSizedInto(job, l.P, empty, left)
+				if !reflect.DeepEqual(l, left) || !reflect.DeepEqual(r, left) || &r.P[0] != &dst[0] {
+					t.Fatalf("%s: merge with an empty side into a destination: %v / %v, want %v", name, l, r, left)
+				}
+			}
+		}
+	}
+
+	job := sumJob(1)
+	ps := testPayloads(job, 2)
+	dst := make(Payload, 0, len(ps[0].P)+len(ps[1].P))
+	if n := testing.AllocsPerRun(20, func() { MergeOrderedSizedInto(job, dst, ps[0], ps[1]) }); n != 1 {
+		t.Errorf("merge into a large enough destination: %.0f allocs, want 1 (scratch pair)", n)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // FileStore persists named checksummed frames under a directory with
 // configurable replication: each object is written to Replicas
 // subdirectories (standing in for distinct machines' disks). Writes are
-// atomic (temp file + rename); reads verify the frame checksum and fall
-// back to the next replica on corruption or absence — the behaviour the
-// paper's fault-tolerant memoization layer guarantees.
+// atomic and durable (synced temp file, rename, synced directory); reads
+// verify the frame checksum and fall back to the next replica on
+// corruption or absence — the behaviour the paper's fault-tolerant
+// memoization layer guarantees.
 type FileStore struct {
 	dir      string
 	replicas int
@@ -69,22 +70,50 @@ func (s *FileStore) Save(name string, v any) error {
 	return nil
 }
 
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+// atomicWrite replaces path's content with data so that a crash at any
+// point leaves either the previous content or the new: the bytes go to a
+// temp file beside path and reach the disk before the rename makes them
+// visible, and the directory is synced after it so the rename itself
+// survives. A failure removes the temp file and, short of the final
+// directory sync, leaves path as it was.
+func atomicWrite(path string, data []byte) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer func() {
+		if err != nil {
+			tmp.Close() // a second Close after a failed one is harmless
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(data); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	if err = tmp.Sync(); err != nil {
 		return err
 	}
-	return os.Rename(tmpName, path)
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir flushes a directory's entries — a rename in it — to disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads an object, trying each replica until one passes checksum

@@ -3,6 +3,9 @@ package persist
 import (
 	"errors"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -201,5 +204,44 @@ func TestFileStoreOverwrite(t *testing.T) {
 	}
 	if out.Count != 2 {
 		t.Fatalf("count = %d, want latest write", out.Count)
+	}
+}
+
+// TestAtomicWriteFailureLeavesNoTrace makes the rename fail — the one step
+// a test can fail as any user: a non-empty directory sits where the object
+// should go — and checks that what was there stays, that the temp file is
+// gone, and that a successful overwrite leaves none behind either.
+func TestAtomicWriteFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	obj := filepath.Join(dir, "k.obj")
+	for _, content := range []string{"old", "new"} {
+		if err := atomicWrite(obj, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := filepath.Join(dir, "blocked.obj")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocked, "previous"), []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicWrite(blocked, []byte("lost")); err == nil {
+		t.Fatal("write over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(filepath.Join(blocked, "previous")); err != nil || string(got) != "kept" {
+		t.Fatalf("previous content after the failed write: %q, %v", got, err)
+	}
+	if got, err := os.ReadFile(obj); err != nil || string(got) != "new" {
+		t.Fatalf("neighbouring object after the failed write: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp-") {
+			t.Errorf("temp file %s left behind", e.Name())
+		}
 	}
 }

@@ -3,6 +3,8 @@ package sliderrt
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,6 +121,62 @@ func TestDabaBeatsRotatingMergeCount(t *testing.T) {
 	// Worst case ≤ 6 combines per bucket slide per partition.
 	if max := int64(8 * 6 * job.Partitions); daba > max {
 		t.Fatalf("daba merges (%d) exceed the constant bound %d", daba, max)
+	}
+}
+
+// TestDabaRootRebuiltInPlace: the DABA backend rebuilds each partition's
+// window aggregate in the storage of the previous slide's (the reduce is
+// its only reader), so results handed out earlier must not depend on it —
+// every retained output still equals the copy taken when it was returned
+// and the last equals recomputation from scratch — and a second query
+// finds the first one's storage.
+func TestDabaRootRebuiltInPlace(t *testing.T) {
+	job := wordCountJob()
+	const width = 8
+	rt, err := New(job, Config{Mode: Fixed, Backend: BackendDaba, BucketSplits: 1, WindowBuckets: width, Memo: testMemoConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := genSplits(0, width, 4, 11)
+	res, err := rt.Initial(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept, copies []mapreduce.Output
+	merged := 0
+	for i := 0; i < 3*width; i++ {
+		add := genSplits(width+i, 1, 4, 11)
+		window = append(window[1:], add...)
+		if res, err = rt.Advance(1, add); err != nil {
+			t.Fatalf("advance %d: %v", i+1, err)
+		}
+		kept, copies = append(kept, res.Output), append(copies, maps.Clone(res.Output))
+		// A query that merges (some return the front aggregate as it is)
+		// builds its root where the previous merging query built its own.
+		for p, agg := range rt.aggs {
+			before := agg.Stats().Merges
+			first := agg.Roots()[0]
+			if agg.Stats().Merges == before {
+				continue
+			}
+			merged++
+			if again := agg.Roots()[0]; !reflect.DeepEqual(again, first) || &again.P[0] != &first.P[0] {
+				t.Fatalf("slide %d, partition %d: the second query did not rebuild the root in the first one's storage", i+1, p)
+			}
+		}
+	}
+	if merged == 0 {
+		t.Fatal("no query merged")
+	}
+	if !reflect.DeepEqual(kept, copies) {
+		t.Fatal("a later slide changed an output returned earlier")
+	}
+	want, err := mapreduce.RunScratch(job, window, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Output, want) {
+		t.Fatalf("last window: got %v, want %v", res.Output, want)
 	}
 }
 

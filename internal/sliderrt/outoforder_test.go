@@ -155,14 +155,14 @@ func TestResolveBackendOutOfOrder(t *testing.T) {
 func TestOutOfOrderOracle(t *testing.T) {
 	for _, par := range []int{1, 4, 8} {
 		h := newOOOHarness(t, oooConfig(par))
-		h.slide(1, 1)            // plain slide
-		h.late(1, 1)             // one split, one bucket behind the newest
-		h.late(3, 2)             // deeper: two splits, three buckets back
-		h.slide(2, 2)            // evicts the oldest two buckets
-		h.late(0, 1)             // lateness 0: lands at the newest edge
-		h.slide(3, 1)            // shrinks the window (bulk evict heavy)
-		h.slide(0, 2)            // pure bulk insert (window grows back)
-		h.slide(1, 1)            // and a normal slide to finish
+		h.slide(1, 1) // plain slide
+		h.late(1, 1)  // one split, one bucket behind the newest
+		h.late(3, 2)  // deeper: two splits, three buckets back
+		h.slide(2, 2) // evicts the oldest two buckets
+		h.late(0, 1)  // lateness 0: lands at the newest edge
+		h.slide(3, 1) // shrinks the window (bulk evict heavy)
+		h.slide(0, 2) // pure bulk insert (window grows back)
+		h.slide(1, 1) // and a normal slide to finish
 		if got := h.rt.Live(); got != len(h.window) {
 			t.Fatalf("par %d: Live = %d, model %d", par, got, len(h.window))
 		}

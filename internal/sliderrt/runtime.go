@@ -13,7 +13,6 @@ import (
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
 	"slider/internal/metrics"
-	"slider/internal/persist"
 )
 
 // Payload aliases the contraction-phase payload type.
@@ -41,8 +40,10 @@ type RunResult struct {
 	// TreeStatsBackground is the contraction-tree work performed by the
 	// background pre-processing step (split mode only).
 	TreeStatsBackground core.Stats
-	// SpaceBytes is the memoized state resident after the run
-	// (tree payloads plus cached map outputs).
+	// SpaceBytes is the memoized state accounted resident after the run:
+	// the carried sizes of the payloads the trees hold, plus the sizes of
+	// the memoization layer's entries (cached map outputs, root-path
+	// state). The entries are accounted, not stored — they hold no bytes.
 	SpaceBytes int64
 	// ReadTimeNs is the simulated time spent reading memoized state
 	// during this run.
@@ -138,14 +139,15 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 }
 
 // mergeInto returns a partition's merge function: it combines two payloads
-// in window order, sizes the result as it builds it, and counts combiner
-// calls into the partition's own counter. The counter updates are atomic
-// because the parallel contraction engine may run several of one
-// partition's merges concurrently; MergeOrderedSized is pure and
+// in window order — in dst's storage when dst is given and large enough,
+// see MergeOrderedSizedInto —, sizes the result as it builds it, and counts
+// combiner calls into the partition's own counter. The counter updates are
+// atomic because the parallel contraction engine may run several of one
+// partition's merges concurrently; the merge is pure and, dst apart,
 // alias-free, so the merges themselves are safe.
-func (rt *Runtime) mergeInto(counter *int64) core.MergeFunc[sized] {
-	return func(a, b sized) sized {
-		out, c := mapreduce.MergeOrderedSized(rt.job, a, b)
+func (rt *Runtime) mergeInto(counter *int64) func(dst, a, b sized) sized {
+	return func(dst, a, b sized) sized {
+		out, c := mapreduce.MergeOrderedSizedInto(rt.job, dst.P, a, b)
 		atomic.AddInt64(counter, c)
 		return out
 	}
@@ -171,11 +173,10 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // they batch through MergeOrderedK, which allocates one output payload
 // and issues one multi-argument Combine per key instead of len(ps)−1
 // intermediate payloads. Batch boundaries are fixed (see kMergeLeafWidth), so
-// outputs and combine counts are identical at any worker count.
+// outputs and combine counts are identical at any worker count. A lone
+// payload is handed through uncopied: payloads are immutable, and the memo
+// entry of its split holds no value, so the tree is its only holder.
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
-	if len(ps) == 0 {
-		return sized{}
-	}
 	out, _ := core.ReduceOrderedK(rt.treeParallelism(), rt.kmergeFor(p), ps)
 	return out
 }
@@ -205,15 +206,11 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 	var counters metrics.Counters
 	for i, r := range results {
 		id := base + uint64(i)
-		// Memoized map outputs live as flat bytes, not as live payloads: one
-		// payload-set blob per split keeps the memo layer's resident state
-		// off the GC scan path. The entry's accounted size stays r.Bytes
-		// (the cost-model estimate), independent of the encoding.
-		var stored any = r.Parts
-		if blob, err := persist.EncodePayloadSet(r.Parts); err == nil {
-			stored = blob
-		}
-		writeNs := rt.store.Put("map:"+r.SplitID, stored, r.Bytes, id, id)
+		// The entry is the split's accounted size, placement and interval —
+		// what the cost model and GC use. The payloads live on in the
+		// contraction trees and nothing reads them back from here, so no
+		// value is stored.
+		writeNs := rt.store.Put("map:"+r.SplitID, nil, r.Bytes, id, id)
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseMap,
 			Cost:          r.Cost + time.Duration(writeNs),
@@ -708,23 +705,18 @@ func (rt *Runtime) rootPathBytes(roots []sized) int64 {
 }
 
 // putPartState memoizes partition p's root-path state under its "part:"
-// key, placed on the partition's home node with the configured replicas.
-// Every subsequent slide reads the entry back through chargeStateRead,
-// so node failures and GC evictions exercise the recompute path. Returns
-// the simulated write time.
+// key, placed on the partition's home node with the configured replicas:
+// an entry of the root-path estimate's size over the window's interval,
+// with no value — the state itself is the partition's tree, and a restart
+// restores it from a checkpoint. Every subsequent slide reads the entry
+// back through chargeStateRead, so node failures and GC evictions exercise
+// the recompute path. Returns the simulated write time.
 func (rt *Runtime) putPartState(p int, roots []sized) int64 {
 	bytes := rt.rootPathBytes(roots)
 	if bytes == 0 {
 		return 0
 	}
-	// The root-path state is stored as one flat payload-set blob — real
-	// bytes a failover could restore from — rather than a placeholder; the
-	// accounted size stays the root-path estimate the cost model charges.
-	var stored any
-	if blob, err := persist.EncodeSizedSet(roots); err == nil {
-		stored = blob
-	}
-	return rt.store.Put("part:"+strconv.Itoa(p), stored, bytes, rt.windowLo, rt.seq)
+	return rt.store.Put("part:"+strconv.Itoa(p), nil, bytes, rt.windowLo, rt.seq)
 }
 
 // chargeStateRead reads partition p's memoized root-path state through
@@ -851,7 +843,12 @@ func (rt *Runtime) newAggregators(b Backend) ([]core.Aggregator[sized], []int64)
 	aggs := make([]core.Aggregator[sized], rt.parts)
 	for p := range aggs {
 		opts.Seed = rt.cfg.Seed + uint64(p) + 1
-		aggs[p] = core.NewAggregator(core.Kind(b), rt.mergeInto(&combines[p]), opts)
+		into := rt.mergeInto(&combines[p])
+		aggs[p] = core.NewAggregator(core.Kind(b), func(a, b sized) sized { return into(sized{}, a, b) }, opts)
+		// A root is consumed by this run's reduce and by nothing after it.
+		if r, ok := aggs[p].(core.RootReuser[sized]); ok {
+			r.ReuseRoot(into)
+		}
 	}
 	return aggs, combines
 }
@@ -894,12 +891,12 @@ func (rt *Runtime) treeStats() core.Stats {
 	return total
 }
 
-// spaceBytes sums all memoized state: tree payloads plus cached map
-// outputs. Tree payloads carry their sizes from where they were created
-// (see sized), so this is one addition per tree node. It used to re-walk
-// every key of every payload with mapreduce.PayloadBytes — arithmetic
-// over entries, no allocation, and still half of a wide-window slide
-// (DESIGN.md §9).
+// spaceBytes sums all memoized state: tree payloads plus the accounted
+// sizes of the memo entries. Tree payloads carry their sizes from where
+// they were created (see sized), so this is one addition per tree node. It
+// used to re-walk every key of every payload with mapreduce.PayloadBytes —
+// arithmetic over entries, no allocation, and still half of a wide-window
+// slide (DESIGN.md §9).
 func (rt *Runtime) spaceBytes() int64 {
 	total := rt.store.Stats().Bytes
 	for p := 0; p < rt.parts; p++ {
