@@ -109,7 +109,7 @@ STORE o INTO 'out';
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := slider.NewPipeline(plan, slider.PipelineConfig{Mode: slider.Append})
+	pl, err := slider.NewPipeline(plan, slider.PipelineConfig{Config: slider.Config{Mode: slider.Append}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +152,12 @@ STORE o INTO 'out';
 	}
 }
 
-func TestPublicAPIStrawmanEngine(t *testing.T) {
-	rt, err := slider.New(apiJob(), slider.Config{Mode: slider.Variable, Engine: slider.Strawman})
+func TestPublicAPIStrawmanBackend(t *testing.T) {
+	backend, err := slider.ParseKind("strawman")
+	if err != nil || backend != slider.BackendStrawman {
+		t.Fatalf("ParseKind = %v, %v", backend, err)
+	}
+	rt, err := slider.New(apiJob(), slider.Config{Mode: slider.Variable, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +169,6 @@ func TestPublicAPIStrawmanEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := res.Output["a"]; ok {
-		t.Fatal("strawman engine kept a dropped split")
+		t.Fatal("strawman kept a dropped split")
 	}
 }

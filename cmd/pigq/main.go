@@ -110,7 +110,7 @@ func run(args []string) error {
 	}
 	fmt.Println()
 
-	cfg := slider.PipelineConfig{Mode: mode}
+	cfg := slider.Config{Mode: mode}
 	if mode == slider.Fixed {
 		cfg.BucketSplits = *delta
 		cfg.WindowBuckets = *window / *delta
@@ -118,7 +118,7 @@ func run(args []string) error {
 			return fmt.Errorf("fixed mode needs window %% delta == 0")
 		}
 	}
-	pl, err := slider.NewPipeline(plan, cfg)
+	pl, err := slider.NewPipeline(plan, slider.PipelineConfig{Config: cfg})
 	if err != nil {
 		return err
 	}

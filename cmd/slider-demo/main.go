@@ -6,7 +6,7 @@
 // Usage:
 //
 //	slider-demo [-mode A|F|V] [-window N] [-delta D] [-slides K] [-split]
-//	            [-workers addr1,addr2]
+//	            [-backend NAME] [-lateness L] [-workers addr1,addr2]
 //
 // With -workers, the map phase executes on remote slider-worker
 // processes serving the "wordcount" job.
@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 
 	"slider"
@@ -63,13 +64,13 @@ func run(args []string) error {
 	delta := fs.Int("delta", 4, "splits per slide")
 	slides := fs.Int("slides", 5, "number of incremental slides")
 	split := fs.Bool("split", false, "enable split processing (A and F modes)")
-	backendName := fs.String("backend", "auto", "aggregation backend: auto, daba, rotating, coalescing, folding, randomized-folding, strawman, fingertree")
+	backendName := fs.String("backend", slider.BackendAuto.String(), fmt.Sprintf("aggregation backend: %v, or one of %v", slider.BackendAuto, slider.Kinds()))
 	lateness := fs.Int("lateness", 0, "accepted bucket lateness for out-of-order arrivals (F mode; >0 selects the fingertree backend)")
 	workerList := fs.String("workers", "", "comma-separated slider-worker addresses for remote maps")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, err := slider.ParseBackend(*backendName)
+	backend, err := slider.ParseKind(*backendName)
 	if err != nil {
 		return err
 	}
@@ -133,8 +134,12 @@ func run(args []string) error {
 		windowSplits = append(windowSplits[drop:], add...)
 
 		rec := slider.NewRecorder()
-		if _, err := slider.RunScratch(wordCount(), windowSplits, 0, rec); err != nil {
+		want, err := slider.RunScratch(wordCount(), windowSplits, 0, rec)
+		if err != nil {
 			return err
+		}
+		if !reflect.DeepEqual(res.Output, want) {
+			return fmt.Errorf("slide %d: the incremental output differs from recomputation from scratch", i)
 		}
 		scratch := rec.Snapshot()
 		line := fmt.Sprintf("slide %d: slider work=%-12v scratch work=%-12v speedup=%.1fx",

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -29,7 +30,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "slider-stream:", err)
 		os.Exit(1)
 	}
@@ -58,26 +59,22 @@ func wordCount() *slider.Job {
 	}
 }
 
-func run(args []string) error {
+// run streams the lines of in through the window and prints to out.
+func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("slider-stream", flag.ContinueOnError)
 	split := fs.Int("split", 100, "lines per split")
 	window := fs.Int("window", 20, "window length in splits")
 	slide := fs.Int("slide", 5, "slide width in splits (0 = append-only)")
 	top := fs.Int("top", 10, "words to print per window")
-	backendName := fs.String("backend", "auto", "aggregation backend: auto, daba, rotating, coalescing, folding, randomized-folding, strawman, fingertree")
+	backendName := fs.String("backend", slider.BackendAuto.String(), fmt.Sprintf("aggregation backend: %v, or one of %v", slider.BackendAuto, slider.Kinds()))
 	lateness := fs.Int("lateness", 0, "accepted bucket lateness for out-of-order arrivals (>0 selects the fingertree backend)")
-	switchPolicy := fs.String("switch-policy", "", "live backend-switch policy over the contract-phase latency, e.g. p95:high=20ms,low=5ms,n=3 (fixed windows only; empty = off)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/pprof, /debug/slides, /debug/tree and /debug/trace on this address (empty = no server)")
 	statsEvery := fs.Int("stats", 10, "print a runtime stats line every N windows (0 = never)")
 	workerAddrs := fs.String("workers", "", "comma-separated slider-worker addresses to run the map phase on (empty = in-process)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, err := slider.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-	switchHook, err := slider.ParseSwitchPolicy(*switchPolicy)
+	backend, err := slider.ParseKind(*backendName)
 	if err != nil {
 		return err
 	}
@@ -128,13 +125,13 @@ func run(args []string) error {
 			}
 			return words[i].word < words[j].word
 		})
-		fmt.Printf("window #%d [splits %d..%d): %d distinct words, update work %v\n",
+		fmt.Fprintf(out, "window #%d [splits %d..%d): %d distinct words, update work %v\n",
 			runNo, o.WindowStart, o.WindowEnd, len(words), o.Result.Report.Work.Round(1000))
 		for i, w := range words {
 			if i == *top {
 				break
 			}
-			fmt.Printf("  %6d  %s\n", w.count, w.word)
+			fmt.Fprintf(out, "  %6d  %s\n", w.count, w.word)
 		}
 		if *statsEvery > 0 && runNo%*statsEvery == 0 {
 			ms := cw.Runtime().Store().Stats()
@@ -146,17 +143,16 @@ func run(args []string) error {
 			if fsnap := cw.Runtime().FaultRecorder().Snapshot(); fsnap != (slider.FaultStats{}) {
 				faultLine = fsnap.String()
 			}
-			fmt.Printf("stats: slides=%d backend=%v memo-hit=%.1f%% slide-p95=%v faults: %s\n",
+			fmt.Fprintf(out, "stats: slides=%d backend=%v memo-hit=%.1f%% slide-p95=%v faults: %s\n",
 				runNo, cw.Runtime().Backend(), 100*hitRatio, so.Slide.Quantile(0.95), faultLine)
 			if pool != nil {
-				fmt.Printf("stats: %s\n", pool.ClusterStats())
+				fmt.Fprintf(out, "stats: %s\n", pool.ClusterStats())
 			}
 		}
 		return nil
 	}
 
-	rtCfg := slider.Config{Obs: so, Backend: backend, SwitchHook: switchHook,
-		AllowedLateness: *lateness, Faults: faults}
+	rtCfg := slider.Config{Obs: so, Backend: backend, AllowedLateness: *lateness, Faults: faults}
 	if pool != nil {
 		rtCfg.MapRunner = pool
 	}
@@ -176,10 +172,10 @@ func run(args []string) error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Printf("obs: serving introspection endpoints on http://%s/\n", srv.Addr())
+		fmt.Fprintf(out, "obs: serving introspection endpoints on http://%s/\n", srv.Addr())
 	}
 
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for scanner.Scan() {
 		if err := cw.Push(scanner.Text()); err != nil {
@@ -190,7 +186,7 @@ func run(args []string) error {
 		return err
 	}
 	if runNo == 0 {
-		fmt.Printf("stream ended before the first window filled (%d splits needed)\n", *window)
+		fmt.Fprintf(out, "stream ended before the first window filled (%d splits needed)\n", *window)
 	}
 	return nil
 }

@@ -91,6 +91,35 @@ func ExampleNew_appendOnly() {
 	// 16
 }
 
+// ExampleParseKind shows the one selector of the structure behind a
+// window: Config.Backend, by constant or by the name the daemons' -backend
+// flag takes. BackendAuto resolves from the mode; a name the mode cannot
+// run is refused when the runtime is built.
+func ExampleParseKind() {
+	job := &slider.Job{
+		Name:    "sum",
+		Map:     func(rec slider.Record, emit slider.Emit) error { emit("total", rec.(int64)); return nil },
+		Combine: sum,
+		Reduce:  sum,
+	}
+	fmt.Println(slider.Kinds())
+	for _, name := range []string{"auto", "randomized-folding", "strawman", "daba"} {
+		backend, _ := slider.ParseKind(name)
+		rt, err := slider.New(job, slider.Config{Mode: slider.Variable, Backend: backend})
+		if err != nil {
+			fmt.Println(name, "→", err)
+			continue
+		}
+		fmt.Println(name, "→", rt.Backend())
+	}
+	// Output:
+	// [daba rotating coalescing folding randomized-folding strawman fingertree]
+	// auto → folding
+	// randomized-folding → randomized-folding
+	// strawman → strawman
+	// daba → sliderrt: backend incompatible with the window mode, combiner or window options: backend daba does not serve mode V
+}
+
 // ExampleParseQuery compiles a Pig-lite script to a MapReduce pipeline
 // and prints its plan.
 func ExampleParseQuery() {

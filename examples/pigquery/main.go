@@ -55,7 +55,7 @@ func main() {
 	fmt.Println()
 
 	pl, err := slider.NewPipeline(plan, slider.PipelineConfig{
-		Mode: slider.Fixed, BucketSplits: 2, WindowBuckets: 10,
+		Config: slider.Config{Mode: slider.Fixed, BucketSplits: 2, WindowBuckets: 10},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -31,7 +31,7 @@ func AblationWindowScale(s Scale, app App) ([]AblationScaleResult, string, error
 	var results []AblationScaleResult
 	for _, w := range []int{s.WindowSplits / 2, s.WindowSplits, s.WindowSplits * 2} {
 		w = delta * (w / delta)
-		cfg := modeConfig(sliderrt.Fixed, sliderrt.SelfAdjusting, delta, w, s.Cluster.Nodes)
+		cfg := modeConfig(sliderrt.Fixed, delta, w, s.Cluster.Nodes)
 		rt, err := sliderrt.New(app.NewJob(), cfg)
 		if err != nil {
 			return nil, "", err
@@ -82,7 +82,7 @@ func AblationBucket(s Scale, app App) ([]AblationBucketResult, string, error) {
 		if w%bucket != 0 {
 			continue
 		}
-		cfg := modeConfig(sliderrt.Fixed, sliderrt.SelfAdjusting, bucket, w, s.Cluster.Nodes)
+		cfg := modeConfig(sliderrt.Fixed, bucket, w, s.Cluster.Nodes)
 		rt, err := sliderrt.New(app.NewJob(), cfg)
 		if err != nil {
 			return nil, "", err
@@ -129,7 +129,7 @@ func AblationRebuild(s Scale, app App) ([]AblationRebuildResult, string, error) 
 	w := s.WindowSplits * 2
 	var results []AblationRebuildResult
 	for _, factor := range []int{-1, 16, 4} {
-		cfg := modeConfig(sliderrt.Variable, sliderrt.SelfAdjusting, 0, w, s.Cluster.Nodes)
+		cfg := modeConfig(sliderrt.Variable, 0, w, s.Cluster.Nodes)
 		cfg.RebuildFactor = factor
 		rt, err := sliderrt.New(app.NewJob(), cfg)
 		if err != nil {

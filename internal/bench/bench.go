@@ -168,8 +168,8 @@ func (m Measurement) TimeSpeedupVsStrawman() float64 {
 }
 
 // modeConfig builds the slider configuration for one cell.
-func modeConfig(mode sliderrt.Mode, engine sliderrt.Engine, delta, window int, nodes int) sliderrt.Config {
-	cfg := sliderrt.Config{Mode: mode, Engine: engine}
+func modeConfig(mode sliderrt.Mode, delta, window int, nodes int) sliderrt.Config {
+	cfg := sliderrt.Config{Mode: mode}
 	cfg.Memo = memo.DefaultConfig()
 	if nodes > 0 {
 		cfg.Memo.Nodes = nodes
@@ -177,15 +177,13 @@ func modeConfig(mode sliderrt.Mode, engine sliderrt.Engine, delta, window int, n
 	if mode == sliderrt.Fixed {
 		cfg.BucketSplits = delta
 		cfg.WindowBuckets = window / delta
-		if engine != sliderrt.Strawman {
-			// The paper's Fixed-mode figures measure the rotating
-			// contraction tree; pin it so backend auto-selection (which
-			// prefers the DABA queue for plain fixed-width windows) cannot
-			// change what these experiments measure. The DABA-vs-rotating
-			// comparison has its own experiment (RunBackends /
-			// BENCH_daba.json).
-			cfg.Backend = sliderrt.BackendRotating
-		}
+		// The paper's Fixed-mode figures measure the rotating
+		// contraction tree; pin it so backend auto-selection (which
+		// prefers the DABA queue for plain fixed-width windows) cannot
+		// change what these experiments measure. The DABA-vs-rotating
+		// comparison has its own experiment (RunBackends /
+		// BENCH_daba.json).
+		cfg.Backend = sliderrt.BackendRotating
 	}
 	return cfg
 }
@@ -304,7 +302,7 @@ func RunCell(s Scale, app App, mode sliderrt.Mode, pct int) (Measurement, error)
 	m.InputBytes = estimateInputBytes(initial)
 
 	// Slider engine.
-	sliderRT, err := sliderrt.New(app.NewJob(), modeConfig(mode, sliderrt.SelfAdjusting, delta, w, s.Cluster.Nodes))
+	sliderRT, err := sliderrt.New(app.NewJob(), modeConfig(mode, delta, w, s.Cluster.Nodes))
 	if err != nil {
 		return m, err
 	}
@@ -324,8 +322,10 @@ func RunCell(s Scale, app App, mode sliderrt.Mode, pct int) (Measurement, error)
 	m.SliderTime = simulate(s, advRes.Report, scheduler.Hybrid{})
 	m.SpaceBytes = advRes.SpaceBytes
 
-	// Strawman engine.
-	strawRT, err := sliderrt.New(app.NewJob(), modeConfig(mode, sliderrt.Strawman, delta, w, s.Cluster.Nodes))
+	// The strawman baseline.
+	strawCfg := modeConfig(mode, delta, w, s.Cluster.Nodes)
+	strawCfg.Backend = sliderrt.BackendStrawman
+	strawRT, err := sliderrt.New(app.NewJob(), strawCfg)
 	if err != nil {
 		return m, err
 	}

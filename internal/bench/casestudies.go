@@ -25,7 +25,7 @@ func Table4(s Scale) ([]CaseStudyRow, string, error) {
 	if weekly < 1 {
 		weekly = 1
 	}
-	rt, err := sliderrt.New(job, modeConfig(sliderrt.Append, sliderrt.SelfAdjusting, 0, 0, s.Cluster.Nodes))
+	rt, err := sliderrt.New(job, modeConfig(sliderrt.Append, 0, 0, s.Cluster.Nodes))
 	if err != nil {
 		return nil, "", err
 	}
@@ -61,7 +61,7 @@ func Table3(s Scale) ([]CaseStudyRow, string, error) {
 
 	// Window = months {0,1,2}; slide by one month, eight times
 	// (Jan–Mar … Sep–Nov, as in the paper).
-	rt, err := sliderrt.New(newJob(), modeConfig(sliderrt.Variable, sliderrt.SelfAdjusting, 0, 0, s.Cluster.Nodes))
+	rt, err := sliderrt.New(newJob(), modeConfig(sliderrt.Variable, 0, 0, s.Cluster.Nodes))
 	if err != nil {
 		return nil, "", err
 	}
@@ -103,7 +103,7 @@ func Table5(s Scale) ([]CaseStudyRow, string, error) {
 
 	var rows []CaseStudyRow
 	for _, pct := range []int{100, 95, 90, 85, 80, 75} {
-		rt, err := sliderrt.New(newJob(), modeConfig(sliderrt.Variable, sliderrt.SelfAdjusting, 0, 0, s.Cluster.Nodes))
+		rt, err := sliderrt.New(newJob(), modeConfig(sliderrt.Variable, 0, 0, s.Cluster.Nodes))
 		if err != nil {
 			return nil, "", err
 		}

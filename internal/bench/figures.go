@@ -261,13 +261,11 @@ func Figure10(s Scale) ([]Figure10Result, string, error) {
 			return nil, "", fmt.Errorf("figure10 %s: %w", q.name, err)
 		}
 		for _, mode := range Modes {
-			cfg := pig.PipelineConfig{Mode: mode}
-			cfg.Memo = modeConfig(mode, sliderrt.SelfAdjusting, delta, w, s.Cluster.Nodes).Memo
-			if mode == sliderrt.Fixed {
-				cfg.BucketSplits = delta
-				cfg.WindowBuckets = w / delta
-			}
-			pl, err := pig.NewPipeline(plan, cfg)
+			cfg := modeConfig(mode, delta, w, s.Cluster.Nodes)
+			// Query pipelines have always run their first stage on the
+			// auto-selected backend, not the pinned rotating tree.
+			cfg.Backend = sliderrt.BackendAuto
+			pl, err := pig.NewPipeline(plan, pig.PipelineConfig{Config: cfg})
 			if err != nil {
 				return nil, "", err
 			}
@@ -403,7 +401,7 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 			add := app.Gen(w, w+delta)
 
 			runOnce := func(split bool) (run, error) {
-				cfg := modeConfig(mode, sliderrt.SelfAdjusting, delta, w, s.Cluster.Nodes)
+				cfg := modeConfig(mode, delta, w, s.Cluster.Nodes)
 				cfg.SplitProcessing = split
 				rt, err := sliderrt.New(app.NewJob(), cfg)
 				if err != nil {
@@ -528,9 +526,9 @@ func Figure12(s Scale, appList []App) ([]Figure12Result, string, error) {
 	}
 	for _, app := range chosen {
 		for _, removePct := range []int{25, 50} {
-			measure := func(randomized bool) (core.Stats, error) {
-				cfg := modeConfig(sliderrt.Variable, sliderrt.SelfAdjusting, 0, w, s.Cluster.Nodes)
-				cfg.Randomized = randomized
+			measure := func(backend sliderrt.Backend) (core.Stats, error) {
+				cfg := modeConfig(sliderrt.Variable, 0, w, s.Cluster.Nodes)
+				cfg.Backend = backend
 				cfg.Seed = 17
 				// Disable the fallback rebuild so the data structures
 				// themselves are compared (the paper's Figure 12).
@@ -575,11 +573,11 @@ func Figure12(s Scale, appList []App) ([]Figure12Result, string, error) {
 				}
 				return total, nil
 			}
-			foldWork, err := measure(false)
+			foldWork, err := measure(sliderrt.BackendFolding)
 			if err != nil {
 				return nil, "", fmt.Errorf("figure12 %s folding: %w", app.Name, err)
 			}
-			randWork, err := measure(true)
+			randWork, err := measure(sliderrt.BackendRandomizedFolding)
 			if err != nil {
 				return nil, "", fmt.Errorf("figure12 %s randomized: %w", app.Name, err)
 			}

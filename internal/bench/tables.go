@@ -41,7 +41,7 @@ func Table1(s Scale, appList []App) ([]Table1Result, string, error) {
 	}
 	var results []Table1Result
 	for _, app := range appList {
-		rt, err := sliderrt.New(app.NewJob(), modeConfig(sliderrt.Fixed, sliderrt.SelfAdjusting, delta, w, cfg.Nodes))
+		rt, err := sliderrt.New(app.NewJob(), modeConfig(sliderrt.Fixed, delta, w, cfg.Nodes))
 		if err != nil {
 			return nil, "", err
 		}
@@ -94,7 +94,7 @@ func Table2(s Scale, appList []App) ([]Table2Result, string, error) {
 	var results []Table2Result
 	for _, app := range appList {
 		readTime := func(inMemory bool) (int64, error) {
-			cfg := modeConfig(sliderrt.Fixed, sliderrt.SelfAdjusting, delta, w, s.Cluster.Nodes)
+			cfg := modeConfig(sliderrt.Fixed, delta, w, s.Cluster.Nodes)
 			cfg.Memo.InMemory = inMemory
 			rt, err := sliderrt.New(app.NewJob(), cfg)
 			if err != nil {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Aggregator is the one contract every window-aggregation structure of this
 // package satisfies: insert at the newest edge, evict at the oldest, query —
@@ -105,8 +108,11 @@ func (s State[T]) windowOrder() ([]T, error) {
 	return append(append(out, s.Elems[s.Victim:]...), s.Elems[:s.Victim]...), nil
 }
 
-// Kind names a window-aggregation structure. The values are persisted (as
-// sliderrt's Backend) in checkpoints: append, never renumber.
+// Kind names a window-aggregation structure — the one vocabulary for it:
+// sliderrt's Backend is this type, Shape().Variant and the daemons' -backend
+// flag are its String. The values are persisted in checkpoints: append,
+// never renumber. The zero Kind names no structure; selectors that accept
+// it ("auto") pick one.
 type Kind int
 
 // Kinds.
@@ -119,6 +125,36 @@ const (
 	KindStrawman
 	KindFingerTree
 )
+
+// String names the kind as it appears in flags, logs and tree snapshots.
+func (k Kind) String() string {
+	names := [...]string{0: "auto", KindDaba: "daba", KindRotating: "rotating",
+		KindCoalescing: "coalescing", KindFolding: "folding", KindRandomizedFolding: "randomized-folding",
+		KindStrawman: "strawman", KindFingerTree: "fingertree"}
+	if k < 0 || int(k) >= len(names) {
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+	return names[k]
+}
+
+// Kinds lists every structure, in value order.
+func Kinds() []Kind {
+	return []Kind{KindDaba, KindRotating, KindCoalescing, KindFolding,
+		KindRandomizedFolding, KindStrawman, KindFingerTree}
+}
+
+// ParseKind is String's inverse; "auto" parses to the zero Kind. The error
+// lists the names it would have taken.
+func ParseKind(s string) (Kind, error) {
+	all := append([]Kind{0}, Kinds()...)
+	names := make([]string, len(all))
+	for i, k := range all {
+		if names[i] = k.String(); s == names[i] {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown structure %q (want one of %s)", s, strings.Join(names, ", "))
+}
 
 // Options carries what the kinds' constructors need; each kind reads its
 // own fields and ignores the rest.

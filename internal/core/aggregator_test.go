@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -272,6 +273,46 @@ func TestAggregatorCrossRestore(t *testing.T) {
 	for _, kind := range []Kind{KindStrawman, KindRandomizedFolding} {
 		if err := NewAggregator(kind, concat, Options{}).Restore(ids); err == nil {
 			t.Fatalf("kind %d restored elements without identities", kind)
+		}
+	}
+}
+
+// TestKindVocabulary pins the one vocabulary for a structure: the numeric
+// values (persisted in checkpoints — append, never renumber), the names
+// round-tripping through ParseKind, and every adapter reporting its kind's
+// name as its Shape().Variant.
+func TestKindVocabulary(t *testing.T) {
+	pinned := map[Kind]string{
+		KindDaba: "daba", KindRotating: "rotating", KindCoalescing: "coalescing", KindFolding: "folding",
+		KindRandomizedFolding: "randomized-folding", KindStrawman: "strawman", KindFingerTree: "fingertree",
+	}
+	if len(Kinds()) != len(pinned) {
+		t.Fatalf("Kinds() lists %d kinds, %d are pinned", len(Kinds()), len(pinned))
+	}
+	for i, k := range Kinds() {
+		if int(k) != i+1 {
+			t.Fatalf("Kinds()[%d] = %d: the persisted values are 1..7 in declaration order", i, int(k))
+		}
+		if k.String() != pinned[k] {
+			t.Fatalf("Kind(%d).String() = %q, pinned %q", int(k), k, pinned[k])
+		}
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Fatalf("ParseKind(%q) = %v, %v", k, got, err)
+		}
+		if v := NewAggregator(k, concat, Options{Width: aggWidth}).Shape().Variant; v != k.String() {
+			t.Fatalf("%v aggregator reports variant %q", k, v)
+		}
+	}
+	if got, err := ParseKind("auto"); err != nil || got != 0 {
+		t.Fatalf(`ParseKind("auto") = %v, %v, want the zero Kind`, got, err)
+	}
+	_, err := ParseKind("btree")
+	if err == nil {
+		t.Fatal("unknown name parsed")
+	}
+	for _, k := range Kinds() {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Fatalf("error %q does not list %v", err, k)
 		}
 	}
 }

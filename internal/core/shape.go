@@ -6,7 +6,7 @@ package core
 // population — rendered as plain numbers an operator can read while the
 // system runs.
 type TreeShape struct {
-	// Variant names the tree kind ("folding", "rotating", ...).
+	// Variant is the tree's Kind.String().
 	Variant string
 	// Height is the tree height in edges (0 for a single node).
 	Height int
@@ -22,7 +22,7 @@ type TreeShape struct {
 
 // Shape returns the folding tree's structural snapshot.
 func (t *FoldingTree[T]) Shape() TreeShape {
-	s := TreeShape{Variant: "folding", Height: t.Height(), Live: t.Live()}
+	s := TreeShape{Variant: KindFolding.String(), Height: t.Height(), Live: t.Live()}
 	if t.root == nil {
 		return s
 	}
@@ -47,7 +47,7 @@ func (t *FoldingTree[T]) Shape() TreeShape {
 
 // Shape returns the rotating tree's structural snapshot.
 func (t *RotatingTree[T]) Shape() TreeShape {
-	s := TreeShape{Variant: "rotating", Height: t.height}
+	s := TreeShape{Variant: KindRotating.String(), Height: t.height}
 	if t.filled {
 		s.Live = t.n
 	}
@@ -72,7 +72,7 @@ func (t *RotatingTree[T]) Shape() TreeShape {
 // Shape returns the DABA Lite aggregator's structural snapshot (height
 // 0: a flat ring of per-bucket aggregates, no tree).
 func (t *DabaLite[T]) Shape() TreeShape {
-	s := TreeShape{Variant: "daba", Live: t.Len(), Nodes: t.NodeCount()}
+	s := TreeShape{Variant: KindDaba.String(), Live: t.Len(), Nodes: t.NodeCount()}
 	if s.Live > 0 {
 		s.Levels = []int{s.Live}
 	}
@@ -85,7 +85,7 @@ func (t *DabaLite[T]) Shape() TreeShape {
 // depth varies per node), so Levels is nil.
 func (t *FingerTree[T]) Shape() TreeShape {
 	return TreeShape{
-		Variant: "fingertree",
+		Variant: KindFingerTree.String(),
 		Height:  t.Height(),
 		Live:    t.Len(),
 		Nodes:   t.NodeCount(),
@@ -95,7 +95,7 @@ func (t *FingerTree[T]) Shape() TreeShape {
 // Shape returns the coalescing accumulator's structural snapshot (height
 // 0: the window collapses to at most a root and a pending payload).
 func (c *CoalescingTree[T]) Shape() TreeShape {
-	s := TreeShape{Variant: "coalescing", Nodes: c.NodeCount()}
+	s := TreeShape{Variant: KindCoalescing.String(), Nodes: c.NodeCount()}
 	if c.hasRoot {
 		s.Live = 1
 		s.Levels = []int{1}
@@ -108,7 +108,7 @@ func (c *CoalescingTree[T]) Shape() TreeShape {
 // Levels is nil; Height is the expected-log2 height of the last build.
 func (t *RandomizedFoldingTree[T]) Shape() TreeShape {
 	return TreeShape{
-		Variant: "randomized-folding",
+		Variant: KindRandomizedFolding.String(),
 		Height:  t.height,
 		Live:    len(t.leaves),
 		Nodes:   len(t.memo),
@@ -119,7 +119,7 @@ func (t *RandomizedFoldingTree[T]) Shape() TreeShape {
 // tree over the last Build's leaves, with the memo table as its node
 // population.
 func (t *StrawmanTree[T]) Shape() TreeShape {
-	s := TreeShape{Variant: "strawman", Live: t.live, Nodes: len(t.memo)}
+	s := TreeShape{Variant: KindStrawman.String(), Live: t.live, Nodes: len(t.memo)}
 	if t.live > 1 {
 		s.Height = ceilLog2(t.live)
 	}

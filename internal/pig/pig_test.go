@@ -349,12 +349,12 @@ STORE ordered INTO 'o';
 	checkPlanJobs(t, plan, gen.Range(0, 8))
 
 	for _, mode := range []sliderrt.Mode{sliderrt.Append, sliderrt.Fixed, sliderrt.Variable} {
-		cfg := PipelineConfig{Mode: mode, Memo: pipelineMemo()}
+		cfg := sliderrt.Config{Mode: mode, Memo: pipelineMemo()}
 		if mode == sliderrt.Fixed {
 			cfg.BucketSplits = 2
 			cfg.WindowBuckets = 4
 		}
-		pl, err := NewPipeline(plan, cfg)
+		pl, err := NewPipeline(plan, PipelineConfig{Config: cfg})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -414,7 +414,7 @@ STORE ordered INTO 'o';
 	if len(plan.Stages) != 3 {
 		t.Fatalf("stages = %d, want 3", len(plan.Stages))
 	}
-	pl, err := NewPipeline(plan, PipelineConfig{Mode: sliderrt.Variable, Memo: pipelineMemo()})
+	pl, err := NewPipeline(plan, PipelineConfig{Config: sliderrt.Config{Mode: sliderrt.Variable, Memo: pipelineMemo()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func BenchmarkPipelineAdvance(b *testing.B) {
 		}
 		return p
 	}()
-	pl, err := NewPipeline(plan, PipelineConfig{Mode: sliderrt.Variable, Memo: pipelineMemo()})
+	pl, err := NewPipeline(plan, PipelineConfig{Config: sliderrt.Config{Mode: sliderrt.Variable, Memo: pipelineMemo()}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,28 +8,18 @@ import (
 
 	"slider/internal/core"
 	"slider/internal/mapreduce"
-	"slider/internal/memo"
 	"slider/internal/metrics"
 	"slider/internal/sliderrt"
 )
 
 // PipelineConfig configures incremental execution of a compiled plan.
 type PipelineConfig struct {
-	// Mode is the sliding-window variant of the first stage.
-	Mode sliderrt.Mode
-	// Randomized, SplitProcessing, BucketSplits, WindowBuckets mirror
-	// sliderrt.Config for the first stage.
-	Randomized      bool
-	SplitProcessing bool
-	BucketSplits    int
-	WindowBuckets   int
+	// Config configures the first stage's runtime: window mode, bucket
+	// geometry, backend, memoization layer.
+	Config sliderrt.Config
 	// PseudoSplits is the number of pseudo-splits each stage boundary
 	// fans its rows into for the next stage (default 8).
 	PseudoSplits int
-	// Memo configures the first stage's memoization layer.
-	Memo memo.Config
-	// Seed fixes randomized-tree coin flips.
-	Seed uint64
 }
 
 // PipelineResult is the outcome of one pipeline run.
@@ -75,15 +65,7 @@ func NewPipeline(plan *Plan, cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.PseudoSplits <= 0 {
 		cfg.PseudoSplits = 8
 	}
-	rt, err := sliderrt.New(plan.Stages[0].Job, sliderrt.Config{
-		Mode:            cfg.Mode,
-		Randomized:      cfg.Randomized,
-		SplitProcessing: cfg.SplitProcessing,
-		BucketSplits:    cfg.BucketSplits,
-		WindowBuckets:   cfg.WindowBuckets,
-		Seed:            cfg.Seed,
-		Memo:            cfg.Memo,
-	})
+	rt, err := sliderrt.New(plan.Stages[0].Job, cfg.Config)
 	if err != nil {
 		return nil, err
 	}

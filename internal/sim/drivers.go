@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"slider/internal/core"
-)
+import "slider/internal/core"
 
 // pay is the tree-layer payload: the ordered sequence of leaf IDs below a
 // node. Merging is concatenation into a fresh slice (pure and alias-free,
@@ -57,27 +53,9 @@ type treeDriver struct {
 // elements at the given intra-tree parallelism, with optional fault
 // injection.
 func newTreeDriver(kind Kind, width, par int, bug core.Buggify) *treeDriver {
-	opts := core.Options{Width: width, Parallelism: par, Seed: rndSeed, Buggify: bug}
-	var k core.Kind
-	switch kind {
-	case Folding:
-		k = core.KindFolding
-	case Randomized:
-		k = core.KindRandomizedFolding
-	case Rotating, RotatingSplit:
-		k, opts.Split = core.KindRotating, kind == RotatingSplit
-	case Coalescing, CoalescingSplit:
-		k, opts.Split = core.KindCoalescing, kind == CoalescingSplit
-	case Strawman:
-		k = core.KindStrawman
-	case Daba:
-		k = core.KindDaba
-	case FingerTree:
-		k = core.KindFingerTree
-	default:
-		panic(fmt.Sprintf("sim: unknown kind %v", kind))
-	}
-	return &treeDriver{kind: kind, agg: core.NewAggregator(k, pmerge, opts)}
+	spec := kind.spec()
+	opts := core.Options{Width: width, Split: spec.split, Parallelism: par, Seed: rndSeed, Buggify: bug}
+	return &treeDriver{kind: kind, agg: core.NewAggregator(spec.kind, pmerge, opts)}
 }
 
 // elements turns leaf IDs into aggregator elements: one singleton payload

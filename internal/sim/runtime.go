@@ -122,43 +122,20 @@ func runtimeConfig(tr Trace, par int, gcAll *bool) (sliderrt.Config, error) {
 			return *gcAll
 		},
 	}
-	switch tr.Kind {
-	case Folding:
-		cfg.Mode = sliderrt.Variable
-	case Randomized:
-		cfg.Mode = sliderrt.Variable
-		cfg.Randomized = true
-	case Rotating, RotatingSplit:
-		cfg.Mode = sliderrt.Fixed
-		// Pin the rotating tree explicitly: backend auto-selection would
-		// otherwise route a plain Fixed window onto the DABA queue and
-		// these kinds would stop covering the rotating structure.
-		cfg.Backend = sliderrt.BackendRotating
-		cfg.BucketSplits = runtimeBucketSplits
-		cfg.WindowBuckets = tr.Initial
-		cfg.SplitProcessing = tr.Kind == RotatingSplit
-	case Daba:
-		cfg.Mode = sliderrt.Fixed
-		cfg.Backend = sliderrt.BackendDaba
-		cfg.BucketSplits = runtimeBucketSplits
-		cfg.WindowBuckets = tr.Initial
-	case FingerTree:
-		cfg.Mode = sliderrt.Fixed
-		cfg.BucketSplits = runtimeBucketSplits
-		cfg.WindowBuckets = tr.Initial
-		// AllowedLateness > 0 routes backend auto-selection onto the
-		// finger tree (the sim deliberately leaves Backend at Auto to
-		// cover that routing); simLateness matches the trace generator's
-		// deepest OpLateAppend.
-		cfg.AllowedLateness = simLateness
-	case Coalescing, CoalescingSplit:
-		cfg.Mode = sliderrt.Append
-		cfg.SplitProcessing = tr.Kind == CoalescingSplit
-	case Strawman:
-		cfg.Mode = sliderrt.Variable
-		cfg.Engine = sliderrt.Strawman
-	default:
+	spec := tr.Kind.spec()
+	if spec.mode == 0 {
 		return cfg, fmt.Errorf("sim: unknown kind %v", tr.Kind)
+	}
+	// The backend is pinned: auto-selection would route a plain Fixed
+	// window onto the DABA queue whatever the kind says.
+	cfg.Mode, cfg.Backend, cfg.SplitProcessing = spec.mode, spec.kind, spec.split
+	if tr.Kind.fixedWidth() {
+		cfg.BucketSplits = runtimeBucketSplits
+		cfg.WindowBuckets = tr.Initial
+	}
+	if tr.Kind.outOfOrder() {
+		// simLateness matches the trace generator's deepest OpLateAppend.
+		cfg.AllowedLateness = simLateness
 	}
 	return cfg, nil
 }

@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"slider/internal/core"
+	"slider/internal/sliderrt"
 )
 
-// Kind selects the contraction structure a trace drives. Tree-layer runs
-// drive the core tree directly; runtime-layer runs map the same kind onto
-// the equivalent sliderrt configuration (mode, engine, split processing).
+// Kind selects the contraction structure a trace drives, and how: each
+// trace kind is a row of kindTable. Tree-layer runs build the row's
+// core.Kind directly; runtime-layer runs configure a sliderrt runtime from
+// the same row.
 type Kind int
 
 // Trace kinds, one per contraction tree (split-processing variants drive
@@ -25,57 +29,71 @@ const (
 	FingerTree
 )
 
+// kindSpec is what a trace kind stands for.
+type kindSpec struct {
+	name  string        // the kind's Go identifier (FormatRepro)
+	kind  core.Kind     // the structure
+	split bool          // driven with split processing
+	mode  sliderrt.Mode // the window mode it is driven in
+}
+
+// kindTable is the one mapping from trace kinds to structures, read by the
+// tree driver, the runtime configuration and the kind predicates alike.
+var kindTable = [...]kindSpec{
+	Folding:         {"Folding", core.KindFolding, false, sliderrt.Variable},
+	Randomized:      {"Randomized", core.KindRandomizedFolding, false, sliderrt.Variable},
+	Rotating:        {"Rotating", core.KindRotating, false, sliderrt.Fixed},
+	RotatingSplit:   {"RotatingSplit", core.KindRotating, true, sliderrt.Fixed},
+	Coalescing:      {"Coalescing", core.KindCoalescing, false, sliderrt.Append},
+	CoalescingSplit: {"CoalescingSplit", core.KindCoalescing, true, sliderrt.Append},
+	Strawman:        {"Strawman", core.KindStrawman, false, sliderrt.Variable},
+	Daba:            {"Daba", core.KindDaba, false, sliderrt.Fixed},
+	FingerTree:      {"FingerTree", core.KindFingerTree, false, sliderrt.Fixed},
+}
+
+// spec returns the kind's row (the zero row for a value that is no kind).
+func (k Kind) spec() kindSpec {
+	if k < 0 || int(k) >= len(kindTable) {
+		return kindSpec{}
+	}
+	return kindTable[k]
+}
+
 // String returns the Go identifier of the kind (used by FormatRepro).
 func (k Kind) String() string {
-	switch k {
-	case Folding:
-		return "Folding"
-	case Randomized:
-		return "Randomized"
-	case Rotating:
-		return "Rotating"
-	case RotatingSplit:
-		return "RotatingSplit"
-	case Coalescing:
-		return "Coalescing"
-	case CoalescingSplit:
-		return "CoalescingSplit"
-	case Strawman:
-		return "Strawman"
-	case Daba:
-		return "Daba"
-	case FingerTree:
-		return "FingerTree"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if name := k.spec().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // fixedWidth reports whether the kind slides in fixed-width bucket units
 // (rotating trees, the DABA queue, and the finger tree — though the
 // finger tree's window additionally drifts under out-of-order ops).
-func (k Kind) fixedWidth() bool {
-	return k == Rotating || k == RotatingSplit || k == Daba || k == FingerTree
-}
+func (k Kind) fixedWidth() bool { return k.spec().mode == sliderrt.Fixed }
 
 // outOfOrder reports whether the kind supports the out-of-order
 // operations (late appends, bulk evictions, bulk insertions). Only the
 // finger tree does; every other kind skips those ops, which keeps a
 // single trace replayable across the whole family.
-func (k Kind) outOfOrder() bool { return k == FingerTree }
+func (k Kind) outOfOrder() bool { return k.spec().kind == core.KindFingerTree }
 
 // reorders reports whether the kind's root may permute bucket age relative
 // to window order (rotating trees, whose merge must therefore be
 // commutative). Order-preserving fixed-width kinds like Daba are checked
 // against the exact window sequence.
-func (k Kind) reorders() bool { return k == Rotating || k == RotatingSplit }
+func (k Kind) reorders() bool { return k.spec().kind == core.KindRotating }
 
 // appendOnly reports whether the kind's window only grows.
-func (k Kind) appendOnly() bool { return k == Coalescing || k == CoalescingSplit }
+func (k Kind) appendOnly() bool { return k.spec().mode == sliderrt.Append }
 
 // Kinds lists every trace kind (the full tree family).
 func Kinds() []Kind {
-	return []Kind{Folding, Randomized, Rotating, RotatingSplit, Coalescing, CoalescingSplit, Strawman, Daba, FingerTree}
+	kinds := make([]Kind, 0, len(kindTable)-1)
+	for k := Folding; int(k) < len(kindTable); k++ {
+		kinds = append(kinds, k)
+	}
+	return kinds
 }
 
 // OpKind tags one trace operation.

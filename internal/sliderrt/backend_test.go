@@ -2,14 +2,15 @@ package sliderrt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"reflect"
 	"strings"
 	"testing"
 
+	"slider/internal/core"
 	"slider/internal/mapreduce"
-	"slider/internal/metrics"
 )
 
 // concatJob is associative but NOT commutative: it joins every line in
@@ -180,125 +181,6 @@ func TestDabaRootRebuiltInPlace(t *testing.T) {
 	}
 }
 
-// TestBackendLiveSwitch drives the SwitchHook across the legal Fixed-mode
-// pair in both directions, checking outputs against scratch throughout,
-// and that a checkpoint taken after a switch restores onto the switched
-// backend under BackendAuto.
-func TestBackendLiveSwitch(t *testing.T) {
-	job := wordCountJob()
-	var want Backend = BackendDaba
-	hookCalls := 0
-	cfg := Config{
-		Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig(),
-		Obs: metrics.NewSlideObs(),
-		SwitchHook: func(cur Backend, contract metrics.HistogramSnapshot) Backend {
-			hookCalls++
-			return want
-		},
-	}
-	rt, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, 8, 4, 7)
-	next := 8
-	if _, err := rt.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	advance := func() {
-		t.Helper()
-		add := genSplits(next, 2, 4, 7)
-		next += 2
-		before := rt.Backend()
-		res, err := rt.Advance(2, add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[2:], add...)
-		wantSameOutput(t, res.Output, scratch(t, job, window))
-		// SpaceBytes describes the structure the slide ran on; a switch at
-		// the end of the slide rebuilds it, and the next slide — the first
-		// on the rebuilt structure — is checked against the new one.
-		if rt.Backend() == before {
-			wantSpaceOracle(t, rt, job, res)
-		}
-	}
-	advance()
-	if rt.Backend() != BackendDaba || hookCalls == 0 {
-		t.Fatalf("backend = %v after %d hook calls, want daba", rt.Backend(), hookCalls)
-	}
-	want = BackendRotating
-	advance() // hook fires at the end: switch happens after this slide
-	if rt.Backend() != BackendRotating {
-		t.Fatalf("backend = %v, want rotating after switch", rt.Backend())
-	}
-	advance() // a full slide on the rotating tree
-
-	// A checkpoint taken now records the switched backend; restore under
-	// BackendAuto must follow it.
-	var buf bytes.Buffer
-	if err := rt.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkpointWindow := append([]mapreduce.Split{}, window...)
-	restoreCfg := cfg
-	restoreCfg.SwitchHook = nil
-	restored, err := Restore(wordCountJob(), restoreCfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Backend() != BackendRotating {
-		t.Fatalf("restored backend = %v, want rotating from checkpoint", restored.Backend())
-	}
-
-	want = BackendDaba
-	advance() // switch back
-	if rt.Backend() != BackendDaba {
-		t.Fatalf("backend = %v, want daba after switch back", rt.Backend())
-	}
-	advance()
-
-	// The restored runtime (no hook) stays rotating and agrees with the
-	// scratch oracle when it resumes from the checkpointed window.
-	restWindow := checkpointWindow
-	add := genSplits(next, 2, 4, 7)
-	res, err := restored.Advance(2, add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restWindow = append(restWindow[2:], add...)
-	wantSameOutput(t, res.Output, scratch(t, job, restWindow))
-	wantSpaceOracle(t, restored, job, res)
-	if restored.Backend() != BackendRotating {
-		t.Fatalf("restored runtime switched without a hook: %v", restored.Backend())
-	}
-}
-
-// TestBackendLiveSwitchRefusesIllegalTarget: a non-commutative job may
-// never be switched onto the rotating tree, whatever the hook says.
-func TestBackendLiveSwitchRefusesIllegalTarget(t *testing.T) {
-	job := concatJob()
-	cfg := Config{
-		Mode: Fixed, BucketSplits: 1, WindowBuckets: 4, Memo: testMemoConfig(),
-		SwitchHook: func(Backend, metrics.HistogramSnapshot) Backend { return BackendRotating },
-	}
-	rt, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Initial(genSplits(0, 4, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := rt.Advance(1, genSplits(4+i, 1, 2, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rt.Backend() != BackendDaba {
-		t.Fatalf("non-commutative job switched to %v", rt.Backend())
-	}
-}
-
 // TestCheckpointFixedRotatingPinned keeps rotating-tree checkpoint
 // coverage now that plain Fixed mode resolves to DABA.
 func TestCheckpointFixedRotatingPinned(t *testing.T) {
@@ -329,3 +211,95 @@ func TestRestoreBackendMismatch(t *testing.T) {
 		t.Fatal("daba checkpoint restored under an explicit rotating override")
 	}
 }
+
+// matrixColumns are the option combinations of one (Mode, Backend) row of
+// the resolution matrix, in the order backendMatrix lists their results.
+var matrixColumns = []struct {
+	name                  string
+	split, noncomm, late2 bool
+}{
+	{"plain", false, false, false},
+	{"late", false, false, true},
+	{"noncomm", false, true, false},
+	{"noncomm+late", false, true, true},
+	{"split", true, false, false},
+	{"split+late", true, false, true},
+	{"split+noncomm", true, true, false},
+	{"split+noncomm+late", true, true, true},
+}
+
+// renderBackendMatrix runs New over Mode × the eight Backend values ×
+// SplitProcessing × Commutative × AllowedLateness ∈ {0, 2} and renders one
+// line per (Mode, Backend): the resolved backend of each column, "-" for
+// ErrBadBackend, "mode" for ErrBadMode (lateness outside Fixed mode).
+func renderBackendMatrix(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, mode := range []Mode{Append, Fixed, Variable} {
+		for _, backend := range append([]Backend{BackendAuto}, core.Kinds()...) {
+			fmt.Fprintf(&sb, "%v %-18v", mode, backend)
+			for _, col := range matrixColumns {
+				job := wordCountJob()
+				job.Commutative = !col.noncomm
+				cfg := Config{Mode: mode, Backend: backend, SplitProcessing: col.split,
+					BucketSplits: 1, WindowBuckets: 2, Memo: testMemoConfig()}
+				if col.late2 {
+					cfg.AllowedLateness = 2
+				}
+				rt, err := New(job, cfg)
+				switch {
+				case err == nil:
+					fmt.Fprintf(&sb, " %v", rt.Backend())
+				case errors.Is(err, ErrBadBackend):
+					if !strings.Contains(err.Error(), "backend ") {
+						t.Errorf("%v/%v/%s: error does not name the backend: %v", mode, backend, col.name, err)
+					}
+					sb.WriteString(" -")
+				case errors.Is(err, ErrBadMode):
+					sb.WriteString(" mode")
+				default:
+					t.Fatalf("%v/%v/%s: unexpected error %v", mode, backend, col.name, err)
+				}
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	return sb.String()
+}
+
+// TestBackendMatrix pins resolveBackend's result or error for every cell.
+func TestBackendMatrix(t *testing.T) {
+	got := renderBackendMatrix(t)
+	if got != backendMatrix {
+		t.Fatalf("resolution matrix moved (columns: %v):\n got:\n%s\nwant:\n%s", matrixColumns, got, backendMatrix)
+	}
+}
+
+// backendMatrix is the whole matrix. Columns, left to right: plain, late,
+// noncomm, noncomm+late, split, split+late, split+noncomm,
+// split+noncomm+late.
+const backendMatrix = `A auto               coalescing mode coalescing mode coalescing mode coalescing mode
+A daba               - mode - mode - mode - mode
+A rotating           - mode - mode - mode - mode
+A coalescing         coalescing mode coalescing mode coalescing mode coalescing mode
+A folding            - mode - mode - mode - mode
+A randomized-folding - mode - mode - mode - mode
+A strawman           strawman mode strawman mode - mode - mode
+A fingertree         - mode - mode - mode - mode
+F auto               daba fingertree daba fingertree rotating - - -
+F daba               daba - daba - - - - -
+F rotating           rotating - - - rotating - - -
+F coalescing         - - - - - - - -
+F folding            - - - - - - - -
+F randomized-folding - - - - - - - -
+F strawman           strawman - strawman - - - - -
+F fingertree         fingertree fingertree fingertree fingertree - - - -
+V auto               folding mode folding mode - mode - mode
+V daba               - mode - mode - mode - mode
+V rotating           - mode - mode - mode - mode
+V coalescing         - mode - mode - mode - mode
+V folding            folding mode folding mode - mode - mode
+V randomized-folding randomized-folding mode randomized-folding mode - mode - mode
+V strawman           strawman mode strawman mode - mode - mode
+V fingertree         - mode - mode - mode - mode
+`

@@ -20,15 +20,19 @@ const checkpointVersion = 2
 // window bookkeeping plus, per partition, the minimal tree state from
 // which the contraction structure is rebuilt on restore.
 type checkpointState struct {
-	Version    int
-	Mode       Mode
-	Engine     Engine
+	Version int
+	Mode    Mode
+	// Engine (1 = a self-adjusting tree, 2 = the strawman) and Randomized
+	// are how frames named the structure before Backend existed. They are
+	// still written, so frames stay byte-identical, and read only from
+	// frames without a Backend: see legacySelectors and backend.
+	Engine     int
 	Randomized bool
 	// Backend records the resolved aggregation backend: it decides how a
 	// Fixed-mode partition's Buckets are interpreted (window order for
 	// daba, leaf-position order plus Victim for rotating) and lets a
-	// live-switched runtime resume on the structure it was using.
-	// Zero (BackendAuto, pre-backend checkpoints) defers to resolution.
+	// runtime restored under BackendAuto resume on the structure a pinned
+	// writer was using. Zero in pre-backend checkpoints.
 	Backend       Backend
 	BucketSplits  int
 	WindowBuckets int
@@ -45,8 +49,34 @@ type checkpointState struct {
 	Partitions  []partCheckpoint
 }
 
+// legacySelectors is the pre-backend spelling of a backend, as frames
+// still carry it.
+func legacySelectors(b Backend) (engine int, randomized bool) {
+	if b == BackendStrawman {
+		return 2, false
+	}
+	return 1, b == BackendRandomizedFolding
+}
+
+// backend is the structure the frame's writer ran: Backend where the frame
+// has one, else what the legacy selectors named. A pre-backend frame of a
+// self-adjusting, non-randomized tree yields BackendAuto — the mode's tree,
+// which resolution picks again (and a Fixed frame's rotating-order buckets
+// restore into whichever Fixed structure that is).
+func (st *checkpointState) backend() Backend {
+	switch {
+	case st.Backend != BackendAuto:
+		return st.Backend
+	case st.Engine == 2:
+		return BackendStrawman
+	case st.Randomized:
+		return BackendRandomizedFolding
+	}
+	return BackendAuto
+}
+
 // partCheckpoint holds one partition's tree state. Exactly one field
-// group is populated, matching the runtime's mode and engine.
+// group is populated, matching the runtime's mode and backend.
 //
 // Version 1 checkpoints carried payloads in the gob-encoded map fields
 // (Root, Pending, Buckets, LeafPayloads); version 2 writes the same state
@@ -65,7 +95,7 @@ type partCheckpoint struct {
 	Buckets []payloadV1 // v1 only
 	Victim  int
 	Filled  bool
-	// Variable mode and the strawman engine (leaf sequences).
+	// Variable mode and the strawman (leaf sequences).
 	LeafIDs      []uint64
 	LeafPayloads []payloadV1 // v1 only
 	// Version 2 flat state: payload frames (persist.EncodePayload) and
@@ -85,11 +115,12 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if !rt.started {
 		return ErrNotInitial
 	}
+	engine, randomized := legacySelectors(rt.backend)
 	st := checkpointState{
 		Version:       checkpointVersion,
 		Mode:          rt.cfg.Mode,
-		Engine:        rt.cfg.Engine,
-		Randomized:    rt.cfg.Randomized,
+		Engine:        engine,
+		Randomized:    randomized,
 		Backend:       rt.backend,
 		BucketSplits:  rt.cfg.BucketSplits,
 		WindowBuckets: rt.cfg.WindowBuckets,
@@ -124,14 +155,14 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 type stateGroup int
 
 const (
-	groupLeaves  stateGroup = iota // per-split leaves (Variable mode, strawman engine)
+	groupLeaves  stateGroup = iota // per-split leaves (Variable mode, the strawman)
 	groupRoot                      // coalescing root + pending (Append mode)
 	groupBuckets                   // fixed-width buckets (Fixed mode)
 )
 
 func (rt *Runtime) stateGroup() stateGroup {
 	switch {
-	case rt.cfg.Engine == Strawman:
+	case rt.backend == BackendStrawman:
 		return groupLeaves
 	case rt.cfg.Mode == Append:
 		return groupRoot
@@ -233,7 +264,8 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq uint64) 
 
 // Restore reconstructs a runtime from a checkpoint produced by
 // Checkpoint. The job and configuration must match the checkpointed
-// runtime's (mode, engine, and bucket geometry are verified). The
+// runtime's (mode, backend, and bucket geometry are verified; under
+// BackendAuto the restore follows the checkpoint's backend). The
 // contraction trees are rebuilt from the persisted leaf state; the next
 // Advance continues the window where the checkpoint left it.
 func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
@@ -248,13 +280,20 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	if st.Version < 1 || st.Version > checkpointVersion {
 		return nil, fmt.Errorf("sliderrt: restore: unsupported checkpoint version %d", st.Version)
 	}
+	// A restore that names no backend follows the checkpoint's, so a pinned
+	// writer's state is never reinterpreted; New holds the followed backend
+	// to the same matrix as a named one.
+	written := st.backend()
+	if cfg.Backend == BackendAuto {
+		cfg.Backend = written
+	}
 	rt, err := New(job, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if rt.cfg.Mode != st.Mode || rt.cfg.Engine != st.Engine || rt.cfg.Randomized != st.Randomized {
-		return nil, fmt.Errorf("sliderrt: restore: configuration mismatch (checkpoint %v/%v, config %v/%v)",
-			st.Mode, st.Engine, rt.cfg.Mode, rt.cfg.Engine)
+	if rt.cfg.Mode != st.Mode || (written != BackendAuto && written != rt.backend) {
+		return nil, fmt.Errorf("%w: restore: configuration mismatch (checkpoint %v/%v, config %v/%v)",
+			ErrBadBackend, st.Mode, written, rt.cfg.Mode, rt.backend)
 	}
 	if rt.cfg.Mode == Fixed &&
 		(rt.cfg.BucketSplits != st.BucketSplits || rt.cfg.WindowBuckets != st.WindowBuckets) {
@@ -264,23 +303,6 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 		return nil, fmt.Errorf("sliderrt: restore: partition count mismatch (checkpoint %d, job %d)",
 			st.Parts, rt.parts)
 	}
-	if st.Backend != BackendAuto && st.Backend != rt.backend {
-		// The checkpointed runtime ran a different backend than this
-		// configuration resolves to (pinned writer, or a live switch
-		// before the checkpoint). An explicit conflicting override is an
-		// error; under BackendAuto the restore follows the checkpoint,
-		// subject to the same property gates as New.
-		if cfg.Backend != BackendAuto {
-			return nil, fmt.Errorf("%w: restore: backend mismatch (checkpoint %v, config %v)",
-				ErrBadBackend, st.Backend, rt.backend)
-		}
-		probe := rt.cfg
-		probe.Backend = st.Backend
-		if _, err := probe.resolveBackend(job); err != nil {
-			return nil, fmt.Errorf("sliderrt: restore: %w", err)
-		}
-		rt.backend = st.Backend
-	}
 	if len(st.Partitions) != rt.parts {
 		return nil, fmt.Errorf("sliderrt: restore: checkpoint holds %d partitions, header says %d",
 			len(st.Partitions), rt.parts)
@@ -288,7 +310,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	// A partition's frame is decoded and validated before its aggregator
 	// is touched; the aggregator's Restore checks what only it can know
 	// (identity counts, the victim cursor against the bucket count).
-	rt.aggs, rt.combines = rt.newAggregators(rt.backend)
+	rt.aggs, rt.combines = rt.newAggregators()
 	for p := range st.Partitions {
 		state, err := rt.decodePartition(&st.Partitions[p], st.Version, st.Seq)
 		if err == nil {

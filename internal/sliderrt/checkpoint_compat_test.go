@@ -2,6 +2,11 @@ package sliderrt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"slider/internal/persist"
@@ -134,7 +139,7 @@ func TestRestoreV1VariableFolding(t *testing.T) {
 }
 
 func TestRestoreV1Strawman(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Variable, Engine: Strawman}, 8,
+	v1RoundTrip(t, Config{Mode: Variable, Backend: BackendStrawman}, 8,
 		[]slide{{3, 1}}, []slide{{0, 4}})
 }
 
@@ -301,11 +306,11 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			func(st *checkpointState) { st.Partitions = st.Partitions[:len(st.Partitions)-1] }},
 		{"no partitions at all", Config{Mode: Append},
 			func(st *checkpointState) { st.Partitions = nil }},
-		{"randomized: fewer leaf IDs than leaves", Config{Mode: Variable, Randomized: true},
+		{"randomized: fewer leaf IDs than leaves", Config{Mode: Variable, Backend: BackendRandomizedFolding},
 			func(st *checkpointState) { st.Partitions[1].LeafIDs = st.Partitions[1].LeafIDs[:1] }},
-		{"strawman: no leaf IDs", Config{Mode: Variable, Engine: Strawman},
+		{"strawman: no leaf IDs", Config{Mode: Variable, Backend: BackendStrawman},
 			func(st *checkpointState) { st.Partitions[0].LeafIDs = nil }},
-		{"strawman: more leaf IDs than leaves", Config{Mode: Fixed, Engine: Strawman, BucketSplits: 2, WindowBuckets: 2},
+		{"strawman: more leaf IDs than leaves", Config{Mode: Fixed, Backend: BackendStrawman, BucketSplits: 2, WindowBuckets: 2},
 			func(st *checkpointState) { st.Partitions[2].LeafIDs = append(st.Partitions[2].LeafIDs, 99) }},
 		{"append: root flagged but absent", Config{Mode: Append},
 			func(st *checkpointState) { st.Partitions[0].FlatRoot = nil }},
@@ -359,5 +364,133 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 				t.Fatal("inconsistent frame accepted")
 			}
 		})
+	}
+}
+
+// TestGoldenFramesAcrossFormats restores every golden checkpoint — as
+// written (version 2), downgraded to version 1, and, for both, with the
+// Backend field zeroed the way a pre-backend writer left it — and requires
+// the pinned fingerprint (which covers the backend the restore landed on)
+// and a re-checkpoint with the golden frame's decoded content and exactly
+// the bytes pinned in goldenRewritten. Each form is
+// restored under the writer's configuration and under BackendAuto: a restore
+// that names no backend follows the checkpoint's, so a pinned writer's state
+// is never reinterpreted. Pre-backend frames name their structure only
+// through the legacy Engine/Randomized selectors, which is what lands the
+// strawman and randomized frames on their backends.
+func TestGoldenFramesAcrossFormats(t *testing.T) {
+	zeroBackend := func(t *testing.T, frame []byte) []byte {
+		var st checkpointState
+		if err := persist.Decode(frame, &st); err != nil {
+			t.Fatal(err)
+		}
+		st.Backend = BackendAuto
+		out, err := persist.Encode(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, c := range identityCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			golden, err := os.ReadFile(goldenPath(c.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := c.cfg
+			cfg.Memo = testMemoConfig()
+			writer, err := New(wordCountJob(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto := cfg
+			auto.Backend = BackendAuto
+			v1 := downgradeToV1(t, golden)
+			type form struct {
+				name  string
+				frame []byte
+			}
+			forms := []form{{"v2", golden}, {"v1", v1}}
+			// The two structures a pre-backend frame names only through its
+			// legacy selectors. (Any other such frame is the mode's own
+			// tree, which resolution picks again; a Fixed one restores into
+			// it whatever its bucket order: TestRestoreV1LegacyVictimIntoDaba.)
+			if writer.Backend() == BackendStrawman || writer.Backend() == BackendRandomizedFolding {
+				forms = append(forms, form{"v2 pre-backend", zeroBackend(t, golden)}, form{"v1 pre-backend", zeroBackend(t, v1)})
+			}
+			for _, form := range forms {
+				for _, under := range []Config{cfg, auto} {
+					rt, err := Restore(wordCountJob(), under, bytes.NewReader(form.frame))
+					if err != nil {
+						t.Fatalf("%s under backend %v: %v", form.name, under.Backend, err)
+					}
+					if rt.Backend() != writer.Backend() {
+						t.Fatalf("%s under backend %v: landed on %v, the writer ran %v", form.name, under.Backend, rt.Backend(), writer.Backend())
+					}
+					if fp := rt.StateFingerprint(); fp != c.pin.MidFP {
+						t.Fatalf("%s under backend %v: fingerprint %#x, pinned %#x", form.name, under.Backend, fp, c.pin.MidFP)
+					}
+					var again bytes.Buffer
+					if err := rt.Checkpoint(&again); err != nil {
+						t.Fatal(err)
+					}
+					wantSameCheckpoint(t, again.Bytes(), golden)
+					if got := fmt.Sprintf("%x", sha256.Sum256(again.Bytes())); got != goldenRewritten[c.name] {
+						t.Fatalf("%s under backend %v: re-checkpoint bytes moved: sha256 %s, pinned %s", form.name, under.Backend, got, goldenRewritten[c.name])
+					}
+				}
+			}
+		})
+	}
+}
+
+// goldenRewritten pins, per golden checkpoint, the sha256 of the frame a
+// restored runtime writes back. (Not the golden file's own bytes: those
+// frames predate key-sorted payloads, and a rewrite lays the same entries
+// out in key order.) Computed at commit dbadf82, before Config.Engine and
+// Config.Randomized were folded into Config.Backend: the wire did not move.
+var goldenRewritten = map[string]string{
+	"folding":          "e12450cd5d9debfc50bc8009871d1529053e0e4680edb00870ea5d60e9f82ba0",
+	"randomized":       "0f606f806442ad9c60259019b709c831fe1ce3ddd3af2b95f56f042ffc5f8f92",
+	"rotating":         "cce2098342d336ab2d60d4a30f2da87af62e47ce3936e6927e4df372f783d218",
+	"rotating-split":   "cce2098342d336ab2d60d4a30f2da87af62e47ce3936e6927e4df372f783d218",
+	"coalescing":       "bce5b34bda223bb9ae67f7b7f1abd65ea88ae36cc73abb097268669eb5bea4d1",
+	"coalescing-split": "bce5b34bda223bb9ae67f7b7f1abd65ea88ae36cc73abb097268669eb5bea4d1",
+	"strawman":         "d2bd0874d28fbc69c9ebcb9e46aad4c4b61df09f41f837633efb80155cc6b621",
+	"daba":             "656edf94d325db33e291dade49c145c9aefcf9434ca940952316d2b029d2d957",
+	"fingertree":       "473a164bfb6724c0d29b0d196022efd061fa7a7e9fb1e76981ed817329b82f19",
+}
+
+// TestRestoreMismatchNamesBothBackends: a restore whose explicit backend
+// contradicts the checkpoint's is refused, and the error says which
+// structure each side names — also when the difference is one the old
+// mode/engine message could not show.
+func TestRestoreMismatchNamesBothBackends(t *testing.T) {
+	golden, err := os.ReadFile(goldenPath("randomized"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: Variable, Backend: BackendFolding, Memo: testMemoConfig()}
+	_, err = Restore(wordCountJob(), cfg, bytes.NewReader(golden))
+	if !errors.Is(err, ErrBadBackend) {
+		t.Fatalf("err = %v, want ErrBadBackend", err)
+	}
+	for _, want := range []string{"checkpoint V/randomized-folding", "config V/folding"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %q", err, want)
+		}
+	}
+	// Following the checkpoint is subject to the matrix: a rotating frame
+	// cannot be followed by a job without a commutative combiner.
+	golden, err = os.ReadFile(goldenPath("rotating"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob()
+	job.Commutative = false
+	cfg = Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 6, Memo: testMemoConfig()}
+	if _, err := Restore(job, cfg, bytes.NewReader(golden)); !errors.Is(err, ErrBadBackend) {
+		t.Fatalf("non-commutative job followed a rotating checkpoint: err = %v", err)
 	}
 }

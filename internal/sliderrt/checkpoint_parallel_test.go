@@ -38,12 +38,12 @@ func TestCheckpointParallelVariableFolding(t *testing.T) {
 }
 
 func TestCheckpointParallelVariableRandomized(t *testing.T) {
-	checkpointRoundTrip(t, Config{Mode: Variable, Randomized: true, Seed: 11, Parallelism: 4}, 8,
+	checkpointRoundTrip(t, Config{Mode: Variable, Backend: BackendRandomizedFolding, Seed: 11, Parallelism: 4}, 8,
 		[]slide{{3, 1}}, []slide{{0, 5}, {6, 2}})
 }
 
 func TestCheckpointParallelStrawman(t *testing.T) {
-	checkpointRoundTrip(t, Config{Mode: Variable, Engine: Strawman, Parallelism: 4}, 8,
+	checkpointRoundTrip(t, Config{Mode: Variable, Backend: BackendStrawman, Parallelism: 4}, 8,
 		[]slide{{3, 1}}, []slide{{0, 4}})
 }
 

@@ -91,12 +91,12 @@ func TestCheckpointVariableFolding(t *testing.T) {
 }
 
 func TestCheckpointVariableRandomized(t *testing.T) {
-	checkpointRoundTrip(t, Config{Mode: Variable, Randomized: true, Seed: 11}, 8,
+	checkpointRoundTrip(t, Config{Mode: Variable, Backend: BackendRandomizedFolding, Seed: 11}, 8,
 		[]slide{{3, 1}}, []slide{{0, 5}, {6, 2}})
 }
 
 func TestCheckpointStrawman(t *testing.T) {
-	checkpointRoundTrip(t, Config{Mode: Variable, Engine: Strawman}, 8,
+	checkpointRoundTrip(t, Config{Mode: Variable, Backend: BackendStrawman}, 8,
 		[]slide{{3, 1}}, []slide{{0, 4}})
 }
 

@@ -53,45 +53,22 @@ func (m Mode) String() string {
 	}
 }
 
-// Engine selects between the self-adjusting contraction trees and the
-// memoization-only strawman baseline of §2 (compared in Figure 8).
-type Engine int
-
-// Engines.
-const (
-	// SelfAdjusting uses the window-appropriate self-adjusting tree.
-	SelfAdjusting Engine = iota + 1
-	// Strawman uses the memoized balanced binary tree of §2.
-	Strawman
-)
-
 // Config configures a Runtime.
 type Config struct {
 	// Mode is the sliding-window variant. Required.
 	Mode Mode
-	// Engine selects self-adjusting trees (default) or the strawman.
-	Engine Engine
-	// Randomized switches Variable mode to the randomized folding tree
-	// of §3.2.
-	Randomized bool
-	// Backend overrides the automatic backend selection (see the Backend
-	// type's selection matrix). The zero value, BackendAuto, resolves to
-	// the cheapest structure legal for the mode and the job's declared
-	// combiner properties — for fixed-width in-order windows without
-	// split processing that is the DABA Lite O(1) aggregator. An
-	// explicit backend incompatible with the mode or combiner makes New
-	// fail with ErrBadBackend.
+	// Backend is the one selector of the structure behind the window (see
+	// the Backend type's selection matrix). The zero value, BackendAuto,
+	// resolves to the cheapest structure legal for the mode and the job's
+	// declared combiner properties — for fixed-width in-order windows
+	// without split processing that is the DABA Lite O(1) aggregator;
+	// BackendRandomizedFolding and BackendStrawman are only ever chosen
+	// explicitly. A backend that cannot serve the mode, the combiner,
+	// SplitProcessing or AllowedLateness makes New fail with ErrBadBackend.
 	Backend Backend
-	// SwitchHook, when set on a Fixed-mode runtime, is consulted after
-	// every completed slide with the current backend and a snapshot of
-	// the contract-phase latency histogram (Obs.Contract; zero-valued
-	// when Obs is nil). Returning a different backend asks the runtime
-	// to switch live between BackendDaba and BackendRotating; the window
-	// state carries over and the switch is skipped when the target is
-	// illegal for the job. Any other return value is ignored.
-	SwitchHook func(cur Backend, contract metrics.HistogramSnapshot) Backend
-	// SplitProcessing enables the background pre-processing of §4 for
-	// Append and Fixed modes.
+	// SplitProcessing enables the background pre-processing of §4, which
+	// the coalescing (Append) and rotating (Fixed) trees implement; it
+	// routes a Fixed window's backend selection to the rotating tree.
 	SplitProcessing bool
 	// AllowedLateness admits out-of-order arrivals on Fixed-mode windows:
 	// a late record may land up to AllowedLateness buckets behind the
@@ -161,7 +138,7 @@ type Config struct {
 // Validation errors.
 var (
 	ErrBadMode      = errors.New("sliderrt: invalid or missing window mode")
-	ErrBadBackend   = errors.New("sliderrt: backend incompatible with the window mode or combiner")
+	ErrBadBackend   = errors.New("sliderrt: backend incompatible with the window mode, combiner or window options")
 	ErrBadBuckets   = errors.New("sliderrt: Fixed mode requires positive BucketSplits and WindowBuckets")
 	ErrBadAdvance   = errors.New("sliderrt: advance shape does not match the window mode")
 	ErrNotInitial   = errors.New("sliderrt: Advance before Initial")
@@ -185,9 +162,6 @@ func (c *Config) validate() error {
 		}
 	default:
 		return ErrBadMode
-	}
-	if c.Engine == 0 {
-		c.Engine = SelfAdjusting
 	}
 	if c.Memo.Nodes == 0 {
 		c.Memo = memo.DefaultConfig()

@@ -65,7 +65,7 @@ func identityCases() []identityCase {
 	return []identityCase{
 		{name: "folding", cfg: Config{Mode: Variable}, initial: 7, ops: variable,
 			pin: identityPin{MidFP: 0xfe6b6c8fad30c4bb, FinalFP: 0x33faf025677bfa2e, Fg: core.Stats{Merges: 159, NodesRecomputed: 327, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 409, Space: 3265}},
-		{name: "randomized", cfg: Config{Mode: Variable, Randomized: true, Seed: 0xc0ffee}, initial: 7, ops: variable,
+		{name: "randomized", cfg: Config{Mode: Variable, Backend: BackendRandomizedFolding, Seed: 0xc0ffee}, initial: 7, ops: variable,
 			pin: identityPin{MidFP: 0x73bae7811333de52, FinalFP: 0x30c03a847b2e959e, Fg: core.Stats{Merges: 197, NodesRecomputed: 105, NodesReused: 56}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 507, Space: 2717}},
 		{name: "rotating", cfg: Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 6}, initial: 12, ops: fixed,
 			pin: identityPin{MidFP: 0xc811791f65913571, FinalFP: 0x10f34c4c84322e69, Fg: core.Stats{Merges: 168, NodesRecomputed: 192, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 635, Space: 2628}},
@@ -75,7 +75,7 @@ func identityCases() []identityCase {
 			pin: identityPin{MidFP: 0xc4d62a4c12d15231, FinalFP: 0xe7a4a9626763e7b5, Fg: core.Stats{Merges: 36, NodesRecomputed: 36, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 162, Space: 3185}},
 		{name: "coalescing-split", cfg: Config{Mode: Append, SplitProcessing: true}, initial: 4, ops: appendOnly,
 			pin: identityPin{MidFP: 0xc4d62a4c12d15231, FinalFP: 0xe7a4a9626763e7b5, Fg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Bg: core.Stats{Merges: 36, NodesRecomputed: 36, NodesReused: 0}, Combines: 154, Space: 3287}},
-		{name: "strawman", cfg: Config{Mode: Variable, Engine: Strawman}, initial: 7, ops: variable,
+		{name: "strawman", cfg: Config{Mode: Variable, Backend: BackendStrawman}, initial: 7, ops: variable,
 			pin: identityPin{MidFP: 0xdd04ce247e7f9c2f, FinalFP: 0xe9bf953beefe99dd, Fg: core.Stats{Merges: 201, NodesRecomputed: 201, NodesReused: 81}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 517, Space: 2084}},
 		{name: "daba", cfg: Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 6}, initial: 12, ops: fixed,
 			pin: identityPin{MidFP: 0x56d0746f3d2c2d0d, FinalFP: 0x2a2352d852910315, Fg: core.Stats{Merges: 174, NodesRecomputed: 210, NodesReused: 66}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 651, Space: 2730}},

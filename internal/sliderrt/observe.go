@@ -27,7 +27,7 @@ type TreeSnapshot struct {
 	SlideID uint64
 	// Mode is the window mode letter ("A", "F", "V").
 	Mode string
-	// Variant names the contraction-tree kind in use.
+	// Variant names the backend in use (Backend.String).
 	Variant string
 	// Partitions holds one shape per reduce partition.
 	Partitions []core.TreeShape
@@ -93,6 +93,7 @@ func (rt *Runtime) buildTreeSnapshot() *TreeSnapshot {
 	snap := &TreeSnapshot{
 		SlideID:  uint64(rt.runs),
 		Mode:     rt.cfg.Mode.String(),
+		Variant:  rt.backend.String(),
 		Live:     rt.live,
 		WindowLo: rt.windowLo,
 	}
@@ -102,9 +103,6 @@ func (rt *Runtime) buildTreeSnapshot() *TreeSnapshot {
 	for _, agg := range rt.aggs {
 		snap.Partitions = append(snap.Partitions, agg.Shape())
 		snap.Fingerprint = snap.Fingerprint*0x9e3779b97f4a7c15 + agg.FingerprintWith(pfp)
-	}
-	if len(snap.Partitions) > 0 {
-		snap.Variant = snap.Partitions[0].Variant
 	}
 	return snap
 }

@@ -17,8 +17,8 @@ func parallelCases() map[string]Config {
 		"fixed":       {Mode: Fixed, BucketSplits: 2, WindowBuckets: 8},
 		"fixed-split": {Mode: Fixed, BucketSplits: 2, WindowBuckets: 8, SplitProcessing: true},
 		"variable":    {Mode: Variable},
-		"randomized":  {Mode: Variable, Randomized: true, Seed: 7},
-		"strawman":    {Mode: Variable, Engine: Strawman},
+		"randomized":  {Mode: Variable, Backend: BackendRandomizedFolding, Seed: 7},
+		"strawman":    {Mode: Variable, Backend: BackendStrawman},
 	}
 }
 

@@ -59,7 +59,7 @@ type RunResult struct {
 type Runtime struct {
 	job     *mapreduce.Job
 	cfg     Config
-	backend Backend // resolved aggregation backend (may live-switch)
+	backend Backend // resolved aggregation backend
 	store   *memo.Store
 	parts   int
 	faults  *metrics.FaultRecorder
@@ -322,7 +322,7 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.aggs, rt.combines = rt.newAggregators(rt.backend)
+	rt.aggs, rt.combines = rt.newAggregators()
 	statsBefore := rt.treeStats()
 	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
 		return rt.aggs[p].Init(rt.elements(p, payloads))
@@ -404,9 +404,6 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	}
 	res := rt.finish(out, rec, bg, statsBefore, statsFg)
 	so.finish(res)
-	// After the slide's stats deltas are sealed: a backend switch here
-	// resets tree counters, and the next Advance reads a fresh baseline.
-	rt.maybeSwitchBackend(so.span)
 	return res, nil
 }
 
@@ -511,21 +508,21 @@ func (rt *Runtime) uniformLedger(n, w int) {
 }
 
 // bucketed reports whether the aggregators' elements are buckets of w
-// splits (Fixed mode under the self-adjusting engine) rather than splits.
+// splits (the Fixed-mode structures) rather than splits (the strawman).
 func (rt *Runtime) bucketed() bool {
-	return rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting
+	return rt.cfg.Mode == Fixed && rt.backend != BackendStrawman
 }
 
 // elements turns partition p's per-split payloads into what its
 // aggregator's leaves hold — the one place the window mode shows: one
 // pre-folded C′ per run for append-only windows, buckets of w splits for
 // fixed-width ones, the splits themselves otherwise (and always for the
-// strawman engine, which memoizes per split).
+// strawman, which memoizes per split).
 func (rt *Runtime) elements(p int, payloads []sized) []sized {
 	switch {
 	case rt.bucketed():
 		return rt.formBuckets(p, payloads)
-	case rt.cfg.Mode == Append && rt.cfg.Engine == SelfAdjusting:
+	case rt.backend == BackendCoalescing:
 		return []sized{rt.foldPayloads(p, payloads)}
 	}
 	return payloads
@@ -749,7 +746,7 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 		}
 	case Fixed:
 		w := rt.cfg.BucketSplits
-		if rt.cfg.Engine == Strawman {
+		if rt.backend == BackendStrawman {
 			if drop != add {
 				return fmt.Errorf("%w: fixed-width windows need drop == add (got %d, %d)", ErrBadAdvance, drop, add)
 			}
@@ -828,11 +825,11 @@ func (rt *Runtime) forEachPartition(fn func(p int) error) error {
 	return nil
 }
 
-// newAggregators instantiates one aggregator of the given backend per
+// newAggregators instantiates one aggregator of the resolved backend per
 // partition, each wired to its own combine counter and to its share of the
 // parallelism budget so partition-level and intra-tree concurrency compose.
-// The caller installs both slices together (Initial, Restore, a live switch).
-func (rt *Runtime) newAggregators(b Backend) ([]core.Aggregator[sized], []int64) {
+// The caller installs both slices together (Initial, Restore).
+func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64) {
 	opts := core.Options{
 		Width:         rt.cfg.WindowBuckets,
 		Split:         rt.cfg.SplitProcessing,
@@ -844,7 +841,7 @@ func (rt *Runtime) newAggregators(b Backend) ([]core.Aggregator[sized], []int64)
 	for p := range aggs {
 		opts.Seed = rt.cfg.Seed + uint64(p) + 1
 		into := rt.mergeInto(&combines[p])
-		aggs[p] = core.NewAggregator(core.Kind(b), func(a, b sized) sized { return into(sized{}, a, b) }, opts)
+		aggs[p] = core.NewAggregator(rt.backend, func(a, b sized) sized { return into(sized{}, a, b) }, opts)
 		// A root is consumed by this run's reduce and by nothing after it.
 		if r, ok := aggs[p].(core.RootReuser[sized]); ok {
 			r.ReuseRoot(into)

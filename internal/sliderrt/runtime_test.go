@@ -1,7 +1,6 @@
 package sliderrt
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -170,13 +169,13 @@ func TestVariableModeFolding(t *testing.T) {
 }
 
 func TestVariableModeRandomized(t *testing.T) {
-	cfg := Config{Mode: Variable, Randomized: true, Seed: 11}
+	cfg := Config{Mode: Variable, Backend: BackendRandomizedFolding, Seed: 11}
 	driveAndCheck(t, cfg, 8, []slide{{3, 1}, {0, 5}, {6, 2}, {1, 0}, {5, 3}})
 }
 
-func TestStrawmanEngineAllModes(t *testing.T) {
+func TestStrawmanAllModes(t *testing.T) {
 	for _, mode := range []Mode{Append, Fixed, Variable} {
-		cfg := Config{Mode: mode, Engine: Strawman, BucketSplits: 2, WindowBuckets: 4}
+		cfg := Config{Mode: mode, Backend: BackendStrawman, BucketSplits: 2, WindowBuckets: 4}
 		slides := []slide{{2, 2}, {2, 2}}
 		if mode == Append {
 			slides = []slide{{0, 2}, {0, 3}}
@@ -222,76 +221,6 @@ func TestAdvanceShapeValidation(t *testing.T) {
 	}
 	if _, err := fixed.Advance(2, genSplits(4, 3, 2, 1)); err == nil {
 		t.Fatal("fixed mode accepted drop != add")
-	}
-}
-
-func TestRotatingRequiresCommutativity(t *testing.T) {
-	job := wordCountJob()
-	job.Commutative = false
-	// Auto selection routes a non-commutative Fixed-mode job to the
-	// in-order DABA backend, which accepts it.
-	rt, err := New(job, Config{Mode: Fixed, BucketSplits: 1, WindowBuckets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Backend() != BackendDaba {
-		t.Fatalf("auto backend for non-commutative Fixed job = %v, want daba", rt.Backend())
-	}
-	// Explicitly requesting the rotating tree must fail: its circular
-	// buckets re-order window age relative to tree position.
-	if _, err := New(job, Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 1, WindowBuckets: 2}); !errors.Is(err, ErrBadBackend) {
-		t.Fatalf("non-commutative job routed to rotating tree: err = %v, want ErrBadBackend", err)
-	}
-	// Split processing implies the rotating tree, so auto must also fail.
-	if _, err := New(job, Config{Mode: Fixed, SplitProcessing: true, BucketSplits: 1, WindowBuckets: 2}); !errors.Is(err, ErrBadBackend) {
-		t.Fatalf("non-commutative job accepted for split processing: err = %v, want ErrBadBackend", err)
-	}
-	// The strawman engine preserves order, so it must accept it.
-	if _, err := New(job, Config{Mode: Fixed, Engine: Strawman, BucketSplits: 1, WindowBuckets: 2}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBackendSelectionMatrix(t *testing.T) {
-	commutative := wordCountJob()
-	cases := []struct {
-		name string
-		cfg  Config
-		want Backend
-		fail bool
-	}{
-		{"fixed-auto", Config{Mode: Fixed, BucketSplits: 1, WindowBuckets: 2}, BackendDaba, false},
-		{"fixed-split-auto", Config{Mode: Fixed, SplitProcessing: true, BucketSplits: 1, WindowBuckets: 2}, BackendRotating, false},
-		{"fixed-rotating-override", Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 1, WindowBuckets: 2}, BackendRotating, false},
-		{"fixed-daba-override", Config{Mode: Fixed, Backend: BackendDaba, BucketSplits: 1, WindowBuckets: 2}, BackendDaba, false},
-		{"fixed-daba-split", Config{Mode: Fixed, Backend: BackendDaba, SplitProcessing: true, BucketSplits: 1, WindowBuckets: 2}, 0, true},
-		{"fixed-folding", Config{Mode: Fixed, Backend: BackendFolding, BucketSplits: 1, WindowBuckets: 2}, 0, true},
-		{"append-auto", Config{Mode: Append}, BackendCoalescing, false},
-		{"append-daba", Config{Mode: Append, Backend: BackendDaba}, 0, true},
-		{"variable-auto", Config{Mode: Variable}, BackendFolding, false},
-		{"variable-randomized", Config{Mode: Variable, Randomized: true}, BackendRandomizedFolding, false},
-		{"variable-randomized-override", Config{Mode: Variable, Backend: BackendRandomizedFolding}, BackendRandomizedFolding, false},
-		{"variable-conflict", Config{Mode: Variable, Randomized: true, Backend: BackendFolding}, 0, true},
-		{"variable-daba", Config{Mode: Variable, Backend: BackendDaba}, 0, true},
-		{"strawman", Config{Mode: Fixed, Engine: Strawman, BucketSplits: 1, WindowBuckets: 2}, BackendStrawman, false},
-		{"strawman-daba", Config{Mode: Fixed, Engine: Strawman, Backend: BackendDaba, BucketSplits: 1, WindowBuckets: 2}, 0, true},
-	}
-	for _, tc := range cases {
-		tc.cfg.Memo = testMemoConfig()
-		rt, err := New(commutative, tc.cfg)
-		if tc.fail {
-			if !errors.Is(err, ErrBadBackend) {
-				t.Errorf("%s: err = %v, want ErrBadBackend", tc.name, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		if rt.Backend() != tc.want {
-			t.Errorf("%s: backend = %v, want %v", tc.name, rt.Backend(), tc.want)
-		}
 	}
 }
 

@@ -54,9 +54,9 @@ type CountConfig struct {
 	// SlideSplits is the slide width in splits; 0 means append-only
 	// (the window grows without bound).
 	SlideSplits int
-	// Runtime tweaks forwarded to the Slider runtime.
-	SplitProcessing bool
-	Config          sliderrt.Config // optional extra knobs (Memo etc.)
+	// Config carries extra runtime knobs (SplitProcessing, Memo etc.);
+	// the window mode and bucket geometry are set from the fields above.
+	Config sliderrt.Config
 }
 
 // CountWindow is the count-based driver.
@@ -93,7 +93,6 @@ func NewCountWindow(cfg CountConfig, sink Sink) (*CountWindow, error) {
 			return nil, fmt.Errorf("stream: WindowSplits must be a multiple of SlideSplits")
 		}
 	}
-	rc.SplitProcessing = cfg.SplitProcessing
 	rt, err := sliderrt.New(cfg.Job, rc)
 	if err != nil {
 		return nil, err

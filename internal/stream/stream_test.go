@@ -87,6 +87,44 @@ func TestCountWindowFixed(t *testing.T) {
 	}
 }
 
+// TestCountWindowSplitProcessing: split processing is asked for where every
+// other runtime knob is, in CountConfig.Config. (A separate
+// CountConfig.SplitProcessing used to overwrite it, so this configuration
+// silently ran without.) Fixed and append-only windows both hand their
+// background work to the sink.
+func TestCountWindowSplitProcessing(t *testing.T) {
+	for _, slide := range []int{2, 0} {
+		rc := smallMemo()
+		rc.SplitProcessing = true
+		var outputs []Output
+		w, err := NewCountWindow(CountConfig{
+			Job:             sumJob(),
+			RecordsPerSplit: 2,
+			WindowSplits:    4,
+			SlideSplits:     slide,
+			Config:          rc,
+		}, func(o Output) error { outputs = append(outputs, o); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if err := w.Push(fmt.Sprintf("w%d common", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(outputs) < 2 {
+			t.Fatalf("slide %d: %d outputs, want the initial window and at least one slide", slide, len(outputs))
+		}
+		// The coalescing tree has nothing to pre-combine before its first
+		// append, so the initial window is not held to it.
+		for i, o := range outputs[1:] {
+			if len(o.Result.Background.Tasks) == 0 {
+				t.Fatalf("slide %d: output %d reports no background work", slide, i+1)
+			}
+		}
+	}
+}
+
 func TestCountWindowAppend(t *testing.T) {
 	var outputs []Output
 	w, err := NewCountWindow(CountConfig{

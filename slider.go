@@ -29,10 +29,11 @@
 //	res, _ = rt.Advance(2, next2Splits) // incremental update
 //
 // Three window modes select the contraction tree (§3–§4 of the paper):
-// Append (coalescing trees), Fixed (rotating trees with optional split
-// processing), and Variable (folding trees, or randomized folding trees
-// with Config.Randomized). Config.Engine = Strawman selects the
-// memoization-only baseline the paper evaluates against.
+// Append (coalescing trees), Fixed (the DABA queue, or rotating trees with
+// split processing), and Variable (folding trees). Config.Backend names a
+// structure explicitly: BackendRandomizedFolding for the randomized folding
+// tree, BackendStrawman for the memoization-only baseline the paper
+// evaluates against.
 //
 // The query layer compiles Pig-Latin-like scripts into pipelines of
 // MapReduce jobs executed incrementally with multi-level trees (§5); see
@@ -43,6 +44,7 @@ import (
 	"io"
 
 	"slider/internal/cluster"
+	"slider/internal/core"
 	"slider/internal/dist"
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
@@ -84,11 +86,10 @@ type (
 	Config = sliderrt.Config
 	// Mode selects the sliding-window variant.
 	Mode = sliderrt.Mode
-	// Engine selects self-adjusting trees or the strawman baseline.
-	Engine = sliderrt.Engine
 	// Backend names the aggregation structure behind the reduce phase;
 	// the default BackendAuto resolves the cheapest legal structure from
-	// the window mode and the combiner's declared properties.
+	// the window mode and the combiner's declared properties. Config.Backend
+	// is the one selector of the structure; Backend.String is its one name.
 	Backend = sliderrt.Backend
 	// Runtime drives initial and incremental runs.
 	Runtime = sliderrt.Runtime
@@ -96,7 +97,7 @@ type (
 	RunResult = sliderrt.RunResult
 )
 
-// Window modes and engines.
+// Window modes.
 const (
 	// Append grows the window monotonically (coalescing trees, §4.2).
 	Append = sliderrt.Append
@@ -104,10 +105,6 @@ const (
 	Fixed = sliderrt.Fixed
 	// Variable allows arbitrary shrink/grow (folding trees, §3).
 	Variable = sliderrt.Variable
-	// SelfAdjusting is the default engine.
-	SelfAdjusting = sliderrt.SelfAdjusting
-	// Strawman is the memoization-only baseline engine (§2).
-	Strawman = sliderrt.Strawman
 )
 
 // Aggregation backends (Config.Backend).
@@ -125,7 +122,8 @@ const (
 	BackendFolding = sliderrt.BackendFolding
 	// BackendRandomizedFolding is the randomized folding tree of §3.2.
 	BackendRandomizedFolding = sliderrt.BackendRandomizedFolding
-	// BackendStrawman is the memoization-only baseline structure.
+	// BackendStrawman is the memoization-only baseline of §2, legal in
+	// every mode.
 	BackendStrawman = sliderrt.BackendStrawman
 	// BackendFingerTree is the out-of-order aggregator (FiBA-style):
 	// fixed-mode windows with late arrivals under Config.AllowedLateness
@@ -133,16 +131,21 @@ const (
 	BackendFingerTree = sliderrt.BackendFingerTree
 )
 
-// ParseBackend parses a backend name as printed by Backend.String
-// ("auto", "daba", "rotating", ...) — the daemons' -backend flag.
-func ParseBackend(s string) (Backend, error) { return sliderrt.ParseBackend(s) }
+// ParseKind parses a backend name as printed by Backend.String ("auto",
+// "daba", "rotating", ...) — the daemons' -backend flag; the error lists
+// the names.
+func ParseKind(s string) (Backend, error) { return core.ParseKind(s) }
+
+// Kinds lists every backend a Config can name, BackendAuto apart.
+func Kinds() []Backend { return core.Kinds() }
 
 // Sentinel errors callers are expected to test with errors.Is.
 var (
 	// ErrBadMode reports an invalid Config (mode/knob combination).
 	ErrBadMode = sliderrt.ErrBadMode
-	// ErrBadBackend reports an explicit Config.Backend the window mode or
-	// job cannot legally run on (e.g. any non-finger-tree backend combined
+	// ErrBadBackend reports a Config.Backend — named or auto-selected —
+	// that the window mode, the job's combiner, SplitProcessing or
+	// AllowedLateness rules out (e.g. any non-finger-tree backend combined
 	// with AllowedLateness > 0).
 	ErrBadBackend = sliderrt.ErrBadBackend
 	// ErrTooLate reports a Runtime.AdvanceLate arrival behind the
@@ -150,24 +153,6 @@ var (
 	// target bucket sequence below Config.Watermark.
 	ErrTooLate = sliderrt.ErrTooLate
 )
-
-// SwitchPolicyConfig configures ContractQuantileSwitchPolicy.
-type SwitchPolicyConfig = sliderrt.SwitchPolicyConfig
-
-// ContractQuantileSwitchPolicy builds a Config.SwitchHook that moves a
-// Fixed-mode runtime between the daba and rotating backends when the
-// per-slide contract-phase latency quantile crosses its thresholds for
-// several consecutive slides (hysteresis). Pair it with Config.Obs.
-func ContractQuantileSwitchPolicy(cfg SwitchPolicyConfig) (func(cur Backend, contract HistogramSnapshot) Backend, error) {
-	return sliderrt.ContractQuantileSwitchPolicy(cfg)
-}
-
-// ParseSwitchPolicy parses the daemons' -switch-policy flag syntax
-// ("p95:high=20ms,low=5ms,n=3") into a ready Config.SwitchHook; an empty
-// string yields a nil hook (policy disabled).
-func ParseSwitchPolicy(s string) (func(cur Backend, contract HistogramSnapshot) Backend, error) {
-	return sliderrt.ParseSwitchPolicy(s)
-}
 
 // New returns a Runtime executing job under cfg.
 func New(job *Job, cfg Config) (*Runtime, error) { return sliderrt.New(job, cfg) }
@@ -348,8 +333,7 @@ type (
 	TraceMode = metrics.TraceMode
 	// Histogram is a fixed-bucket, mergeable latency histogram.
 	Histogram = metrics.Histogram
-	// HistogramSnapshot is an immutable copy of a Histogram's counts;
-	// Config.SwitchHook receives one for the contract phase.
+	// HistogramSnapshot is an immutable copy of a Histogram's counts.
 	HistogramSnapshot = metrics.HistogramSnapshot
 	// FaultStats is a snapshot of fault-tolerance event counters and
 	// RPC latency quantiles.
