@@ -122,32 +122,56 @@ func (r *MapResult) PartSized(job *Job, p int) Sized {
 	return Size(job, r.Parts[p])
 }
 
-// RunMapTasks executes the map phase over the given splits in parallel,
-// recording one task per split into rec (when rec is non-nil). Results are
-// returned in split order.
-func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) ([]MapResult, error) {
-	par := e.Parallelism
+// ForEach runs fn(i) for every i in [0, n) with at most par running at once
+// (par ≤ 0 means GOMAXPROCS), waits for all of them, and returns the error
+// of the lowest failing index. One item or one worker runs inline on the
+// caller's goroutine and stops at the first error. It is the one
+// bounded-parallel loop of the Push → sink path: map tasks, scratch reduces
+// and the runtime's per-partition contraction all go through it. fn(i) must
+// touch only what belongs to index i.
+func ForEach(par, n int, fn func(i int) error) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	results := make([]MapResult, len(splits))
-	errs := make([]error, len(splits))
+	if n <= 1 || par == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	for i, split := range splits {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, split Split) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = RunMapTask(job, split)
-		}(i, split)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// RunMapTasks executes the map phase over the given splits in parallel,
+// recording one task per split into rec (when rec is non-nil). Results are
+// returned in split order.
+func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) ([]MapResult, error) {
+	results := make([]MapResult, len(splits))
+	if err := ForEach(e.Parallelism, len(splits), func(i int) (err error) {
+		results[i], err = RunMapTask(job, splits[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	if rec != nil {
 		for i, r := range results {
@@ -236,52 +260,35 @@ func RunScratch(job *Job, splits []Split, par int, rec *metrics.Recorder) (Outpu
 	if err != nil {
 		return nil, err
 	}
-	n := job.NumPartitions()
 	out := make(Output)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxInt(1, par))
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			roots := make([]Sized, len(results))
-			var bytes int64
-			keys := 0
-			for i := range results {
-				roots[i] = results[i].PartSized(job, p)
-				bytes += roots[i].Bytes
-				keys += len(roots[i].P)
-			}
-			partOut := make(Output, keys)
-			reduceCalls := ReduceInto(job, roots, partOut)
-			cost := time.Since(start)
-			mu.Lock()
-			for k, v := range partOut {
-				out[k] = v
-			}
-			mu.Unlock()
-			if rec != nil {
-				rec.RecordTask(metrics.Task{
-					Phase:         metrics.PhaseReduce,
-					Cost:          cost,
-					InputBytes:    bytes,
-					PreferredNode: -1,
-				})
-				rec.Add(metrics.Counters{ReduceCalls: reduceCalls})
-			}
-		}(p)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return out, ForEach(max(1, par), job.NumPartitions(), func(p int) error {
+		start := time.Now()
+		roots := make([]Sized, len(results))
+		var bytes int64
+		keys := 0
+		for i := range results {
+			roots[i] = results[i].PartSized(job, p)
+			bytes += roots[i].Bytes
+			keys += len(roots[i].P)
+		}
+		partOut := make(Output, keys)
+		reduceCalls := ReduceInto(job, roots, partOut)
+		cost := time.Since(start)
+		mu.Lock()
+		for k, v := range partOut {
+			out[k] = v
+		}
+		mu.Unlock()
+		if rec != nil {
+			rec.RecordTask(metrics.Task{
+				Phase:         metrics.PhaseReduce,
+				Cost:          cost,
+				InputBytes:    bytes,
+				PreferredNode: -1,
+			})
+			rec.Add(metrics.Counters{ReduceCalls: reduceCalls})
+		}
+		return nil
+	})
 }

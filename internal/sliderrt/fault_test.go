@@ -1,6 +1,12 @@
 package sliderrt
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"slider/internal/core"
+	"slider/internal/mapreduce"
+)
 
 // TestMemoUnavailableDegradesToRecompute fails a partition-state key's
 // home node and every persistent replica, then slides the window: the
@@ -103,4 +109,66 @@ func TestMemoRecomputeChargesCostModel(t *testing.T) {
 	if rt.Store().Stats().WriteTimeNs <= before {
 		t.Fatal("recompute did not charge the write-cost model")
 	}
+}
+
+// failingAgg is a partition's aggregator whose updates fail.
+type failingAgg struct {
+	core.Aggregator[sized]
+	core.OutOfOrder[sized]
+}
+
+var errApply = errors.New("apply failed")
+
+func (failingAgg) Slide(int, []sized) error  { return errApply }
+func (failingAgg) InsertAt(int, sized) error { return errApply }
+
+// TestFailedRunPoisonsStartedWindow: a run that fails once the window has
+// begun to move leaves some partitions moved and others not, so a started
+// window refuses every later run with the failure; a first window that
+// could not be built has lost nothing and Initial may be called again.
+func TestFailedRunPoisonsStartedWindow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(h *oooHarness) error
+	}{
+		{"advance", func(h *oooHarness) error { _, err := h.rt.Advance(2, h.take(2)); return err }},
+		{"late", func(h *oooHarness) error { _, err := h.rt.AdvanceLate(1, h.take(1)); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newOOOHarness(t, oooConfig(1))
+			h.rt.aggs[1] = failingAgg{h.rt.aggs[1], h.rt.aggs[1].(core.OutOfOrder[sized])}
+			if err := c.run(h); !errors.Is(err, errApply) {
+				t.Fatalf("err = %v, want the apply failure", err)
+			}
+			h.rt.aggs[1] = h.rt.aggs[1].(failingAgg).Aggregator
+			_, errSlide := h.rt.Advance(2, h.take(2))
+			_, errLate := h.rt.AdvanceLate(1, h.take(1))
+			if !errors.Is(errSlide, errApply) || !errors.Is(errLate, errApply) {
+				t.Fatalf("after a failed %s run: Advance err = %v, AdvanceLate err = %v, want both refused with it", c.name, errSlide, errLate)
+			}
+		})
+	}
+	t.Run("initial", func(t *testing.T) {
+		job := wordCountJob()
+		rt, err := New(job, oooConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := genSplits(0, 10, 4, 7)
+		bad := append([]mapreduce.Split{}, window...)
+		bad[9] = mapreduce.Split{ID: "bad", Records: []mapreduce.Record{42}}
+		if _, err := rt.Initial(bad); err == nil {
+			t.Fatal("initial run over an unmappable record succeeded")
+		}
+		res, err := rt.Initial(window)
+		if err != nil {
+			t.Fatalf("Initial after a failed first Initial: %v", err)
+		}
+		wantSameOutput(t, res.Output, scratch(t, job, window))
+		add := genSplits(10, 2, 4, 7)
+		if res, err = rt.Advance(2, add); err != nil {
+			t.Fatal(err)
+		}
+		wantSameOutput(t, res.Output, scratch(t, job, append(window[2:], add...)))
+	})
 }

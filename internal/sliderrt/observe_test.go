@@ -74,6 +74,37 @@ func TestObsInstrumentsSlides(t *testing.T) {
 	if obs.Tracer.Active() != nil {
 		t.Error("active span not cleared after slide")
 	}
+
+	// Every kind of run goes through one skeleton: an initial run, a slide
+	// and a late arrival each leave the same four phases under their own
+	// label, and the incremental ones their opening event.
+	cfg := oooConfig(1)
+	cfg.Obs = metrics.NewSlideObs()
+	h := newOOOHarness(t, cfg)
+	h.slide(1, 1)
+	h.late(1, 1)
+	kinds := []struct{ label, event string }{
+		{"initial", ""}, {"advance", "slide: drop=2 add=2"}, {"late", "late: lateness=1 add=1"},
+	}
+	for i, span := range cfg.Obs.Tracer.Recent(len(kinds)) {
+		want := kinds[len(kinds)-1-i] // newest first
+		out := span.Format()
+		var phases []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "  ") && line[2] != ' ' && line[2] != '@' {
+				phases = append(phases, strings.TrimSpace(line[:26]))
+			}
+		}
+		if got := strings.Join(phases, ","); got != "map phase,contract phase,reduce phase,background" {
+			t.Errorf("%s run has phases %q:\n%s", want.label, got, out)
+		}
+		if !strings.Contains(out, `"`+want.label+`"`) || !strings.Contains(out, want.event) {
+			t.Errorf("%s run: label or event %q missing:\n%s", want.label, want.event, out)
+		}
+		if want.event == "" && (strings.Contains(out, "slide: ") || strings.Contains(out, "late: ")) {
+			t.Errorf("initial run carries an incremental run's event:\n%s", out)
+		}
+	}
 }
 
 // TestObsDegradedSlideTrace fails every memo node mid-stream and checks

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,6 +62,10 @@ type Runtime struct {
 	store   *memo.Store
 	parts   int
 	faults  *metrics.FaultRecorder
+	// partKeys[p] is the memo key of partition p's root-path state and
+	// partNodes[p] the machine holding it — constants of the runtime.
+	partKeys  []string
+	partNodes []int
 
 	seq      uint64 // next split sequence number
 	windowLo uint64 // sequence number of the oldest live split
@@ -128,9 +131,13 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 		faults:  cfg.Faults,
 	}
 	rt.treeBytes = make([]byteSum, rt.parts)
+	rt.partKeys = make([]string, rt.parts)
+	rt.partNodes = make([]int, rt.parts)
 	for p := range rt.treeBytes {
 		sum := &rt.treeBytes[p]
 		sum.add = func(s sized) { sum.n += s.Bytes }
+		rt.partKeys[p] = "part:" + strconv.Itoa(p)
+		rt.partNodes[p] = rt.store.HomeNode(rt.partKeys[p])
 	}
 	if cfg.Obs != nil {
 		rt.store.SetLatencyObservers(&cfg.Obs.MemoRead, &cfg.Obs.MemoWrite)
@@ -179,11 +186,6 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	out, _ := core.ReduceOrderedK(rt.treeParallelism(), rt.kmergeFor(p), ps)
 	return out
-}
-
-// partNode returns the machine holding partition p's memoized state.
-func (rt *Runtime) partNode(p int) int {
-	return rt.store.HomeNode("part:" + strconv.Itoa(p))
 }
 
 // mapAdds is a run's map phase: it runs map tasks for new splits with
@@ -284,8 +286,8 @@ func (rt *Runtime) workers() int {
 }
 
 // treeParallelism splits the Parallelism budget between the two levels
-// of contraction concurrency: forEachPartition runs up to min(par,
-// partitions) partition workers, and each partition's tree gets the
+// of contraction concurrency: contract runs up to min(par, partitions)
+// partition workers, and each partition's tree gets the
 // remaining budget for its intra-tree (level-by-level) combines, so the
 // total worker count stays bounded by the configured knob. With more
 // partitions than budget the trees run sequentially, exactly as before.
@@ -312,38 +314,14 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	if len(splits) == 0 {
 		return nil, fmt.Errorf("%w: initial window is empty", ErrBadAdvance)
 	}
-	rec := metrics.NewRecorder()
-	bg := metrics.NewRecorder()
-	rt.store.ResetReadStats()
-	so := rt.beginSlide("initial")
-	defer so.abort()
-
-	results, err := rt.mapAdds(&so, splits, rec)
-	if err != nil {
-		return nil, err
-	}
-	rt.aggs, rt.combines = rt.newAggregators()
-	statsBefore := rt.treeStats()
-	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
+	return rt.run(initialRun, 0, splits, func(p int, payloads []sized) error {
 		return rt.aggs[p].Init(rt.elements(p, payloads))
+	}, func() {
+		rt.aggs, rt.combines = rt.newAggregators()
+		if rt.outOfOrder() {
+			rt.uniformLedger(rt.cfg.WindowBuckets, rt.cfg.BucketSplits)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
-
-	// Split processing: pave the way for the first incremental run.
-	if err := rt.runBackground(so.span, bg); err != nil {
-		return nil, err
-	}
-
-	if rt.outOfOrder() {
-		rt.uniformLedger(rt.cfg.WindowBuckets, rt.cfg.BucketSplits)
-	}
-	rt.started = true
-	res := rt.finish(out, rec, bg, statsBefore, statsFg)
-	so.finish(res)
-	return res, nil
 }
 
 // Advance performs an incremental run: drop oldest splits, add new ones.
@@ -366,45 +344,20 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	rec := metrics.NewRecorder()
-	bg := metrics.NewRecorder()
-	rt.store.ResetReadStats()
-	statsBefore := rt.treeStats()
-	so := rt.beginSlide("advance")
-	defer so.abort()
-	so.span.Event("slide: drop=%d add=%d", drop, len(add))
-
-	results, err := rt.mapAdds(&so, add, rec)
-	if err != nil {
-		return nil, err
-	}
-	rt.windowLo += uint64(drop)
-	rt.live -= drop
-	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
+	return rt.run(advanceRun, drop, add, func(p int, payloads []sized) error {
 		return rt.aggs[p].Slide(evict, rt.elements(p, payloads))
-	})
-	if err != nil {
-		return nil, rt.poison(err)
-	}
-	if rt.outOfOrder() {
-		w := rt.cfg.BucketSplits
-		rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...)
-		for i := 0; i < len(add)/w; i++ {
-			rt.bucketSizes = append(rt.bucketSizes, w)
+	}, func() {
+		rt.windowLo += uint64(drop)
+		rt.live -= drop
+		if rt.outOfOrder() {
+			w := rt.cfg.BucketSplits
+			rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...)
+			for i := 0; i < len(add)/w; i++ {
+				rt.bucketSizes = append(rt.bucketSizes, w)
+			}
+			rt.bucketSeq += uint64(len(add) / w)
 		}
-		rt.bucketSeq += uint64(len(add) / w)
-	}
-	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
-	if err := rt.runBackground(so.span, bg); err != nil {
-		return nil, rt.poison(err)
-	}
-	rt.store.GC(rt.windowLo)
-	if rt.cfg.GCPolicy != nil {
-		rt.store.GCFunc(rt.cfg.GCPolicy)
-	}
-	res := rt.finish(out, rec, bg, statsBefore, statsFg)
-	so.finish(res)
-	return res, nil
+	})
 }
 
 // AdvanceLate lands late-arriving splits in the window without sliding
@@ -448,41 +401,94 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 		rt.gauges.lateRejects.Add(1)
 		return nil, fmt.Errorf("%w: bucket sequence %d is below watermark %d", ErrTooLate, target, rt.cfg.Watermark)
 	}
+	pos := len(rt.bucketSizes) - lateness
+	return rt.run(lateRun, lateness, late, func(p int, payloads []sized) error {
+		return rt.aggs[p].(core.OutOfOrder[sized]).InsertAt(pos, rt.foldPayloads(p, payloads))
+	}, func() {
+		// The late bucket joins the window's bucket ledger at its position;
+		// the in-order bucket clock does not advance, so the watermark holds.
+		rt.bucketSizes = append(rt.bucketSizes, 0)
+		copy(rt.bucketSizes[pos+1:], rt.bucketSizes[pos:])
+		rt.bucketSizes[pos] = len(late)
+		rt.gauges.lateAccepts.Add(1)
+	})
+}
+
+// runKind is what the run skeleton knows about a kind of run besides its
+// two hooks.
+type runKind struct {
+	label string // the slide span's label
+	event string // format of the span's opening event over (arg, len(splits)); "" for none
+	gc    bool   // splits may have left the window: collect their memo entries after the run
+}
+
+var (
+	initialRun = runKind{label: "initial"}
+	advanceRun = runKind{label: "advance", event: "slide: drop=%d add=%d", gc: true}
+	lateRun    = runKind{label: "late", event: "late: lateness=%d add=%d"}
+)
+
+// run is the one skeleton under Initial, Advance and AdvanceLate — the
+// paper's Algorithm 1: map the new splits, push them through every
+// partition's aggregator, reduce the roots, pre-process in the background,
+// collect what fell out of the window. The caller has validated the request;
+// what differs between the kinds of run is kind and two hooks.
+//
+// moved does the window's bookkeeping — split cursors, the out-of-order
+// bucket ledger, for the initial run the aggregators themselves. It runs
+// once the map phase has succeeded: a failure up to there leaves the window
+// untouched, contraction reads the cursors it sets (putPartState memoizes
+// over [windowLo, seq)), and from there on a failure poisons a started
+// window, so a half-moved one is never used again. apply then updates
+// partition p's aggregator from the run's per-split payloads, concurrently
+// across partitions.
+func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split,
+	apply func(p int, payloads []sized) error, moved func()) (*RunResult, error) {
 	rec := metrics.NewRecorder()
 	bg := metrics.NewRecorder()
 	rt.store.ResetReadStats()
-	statsBefore := rt.treeStats()
-	so := rt.beginSlide("late")
+	so := rt.beginSlide(kind.label)
 	defer so.abort()
-	so.span.Event("late: lateness=%d add=%d", lateness, len(late))
+	if kind.event != "" {
+		so.span.Event(kind.event, arg, len(splits))
+	}
 
-	results, err := rt.mapAdds(&so, late, rec)
+	results, err := rt.mapAdds(&so, splits, rec)
 	if err != nil {
 		return nil, err
 	}
-	pos := len(rt.bucketSizes) - lateness
-	roots, err := rt.contract(&so, rec, results, func(p int, payloads []sized) error {
-		return rt.aggs[p].(core.OutOfOrder[sized]).InsertAt(pos, rt.foldPayloads(p, payloads))
-	})
+	moved()
+	statsBefore := rt.treeStats()
+	roots, err := rt.contract(&so, rec, results, apply)
 	if err != nil {
 		return nil, rt.poison(err)
 	}
-	// The late bucket joins the window's bucket ledger at its position;
-	// the in-order bucket clock does not advance, so the watermark holds.
-	rt.bucketSizes = append(rt.bucketSizes, 0)
-	copy(rt.bucketSizes[pos+1:], rt.bucketSizes[pos:])
-	rt.bucketSizes[pos] = len(late)
 	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
-	rt.gauges.lateAccepts.Add(1)
+	// Split processing: pave the way for the next incremental run.
+	if err := rt.runBackground(so.span, bg); err != nil {
+		return nil, rt.poison(err)
+	}
+	if kind.gc {
+		rt.store.GC(rt.windowLo)
+		if rt.cfg.GCPolicy != nil {
+			rt.store.GCFunc(rt.cfg.GCPolicy)
+		}
+	}
+	rt.started = true
 	res := rt.finish(out, rec, bg, statsBefore, statsFg)
 	so.finish(res)
 	return res, nil
 }
 
-// poison marks the window unusable: a slide failed in its contraction or
-// background phase, so some partitions' aggregators have moved and others
-// have not, and nothing computed from them can be trusted again.
+// poison marks a started window unusable: a slide failed in its contraction
+// or background phase, so some partitions' aggregators have moved and others
+// have not, and nothing computed from them can be trusted again. A failed
+// initial run has no window to lose: it hands the error through and may be
+// retried.
 func (rt *Runtime) poison(err error) error {
+	if !rt.started {
+		return err
+	}
 	rt.broken = fmt.Errorf("sliderrt: window unusable after a failed slide: %w", err)
 	return rt.broken
 }
@@ -567,7 +573,7 @@ func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapre
 	apply func(p int, payloads []sized) error) ([][]sized, error) {
 	ph := so.phase("contract")
 	roots := make([][]sized, rt.parts)
-	if err := rt.forEachPartition(func(p int) error {
+	if err := mapreduce.ForEach(rt.workers(), rt.parts, func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(ph.span, p)
 		treeBefore := rt.aggs[p].Stats()
@@ -630,7 +636,7 @@ func (rt *Runtime) runBackground(parent *metrics.Span, bg *metrics.Recorder) err
 			bg.RecordTask(metrics.Task{
 				Phase:         metrics.PhaseContraction,
 				Cost:          time.Since(start),
-				PreferredNode: rt.partNode(p),
+				PreferredNode: rt.partNodes[p],
 			})
 		}
 	}
@@ -658,7 +664,7 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, roots [][]size
 			Phase:         metrics.PhaseReduce,
 			Cost:          time.Since(start),
 			InputBytes:    sumBytes(roots[p]),
-			PreferredNode: rt.partNode(p),
+			PreferredNode: rt.partNodes[p],
 		})
 		rec.Add(metrics.Counters{ReduceCalls: calls})
 	}
@@ -685,7 +691,7 @@ func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Dur
 		Phase:         metrics.PhaseContraction,
 		Cost:          cost,
 		InputBytes:    sumBytes(roots),
-		PreferredNode: rt.partNode(p),
+		PreferredNode: rt.partNodes[p],
 	})
 	rec.Add(metrics.Counters{CombineCalls: atomic.SwapInt64(&rt.combines[p], 0)})
 }
@@ -701,8 +707,8 @@ func (rt *Runtime) rootPathBytes(roots []sized) int64 {
 	return bytes
 }
 
-// putPartState memoizes partition p's root-path state under its "part:"
-// key, placed on the partition's home node with the configured replicas:
+// putPartState memoizes partition p's root-path state under its memo key,
+// placed on the partition's home node with the configured replicas:
 // an entry of the root-path estimate's size over the window's interval,
 // with no value — the state itself is the partition's tree, and a restart
 // restores it from a checkpoint. Every subsequent slide reads the entry
@@ -713,7 +719,7 @@ func (rt *Runtime) putPartState(p int, roots []sized) int64 {
 	if bytes == 0 {
 		return 0
 	}
-	return rt.store.Put("part:"+strconv.Itoa(p), nil, bytes, rt.windowLo, rt.seq)
+	return rt.store.Put(rt.partKeys[p], nil, bytes, rt.windowLo, rt.seq)
 }
 
 // chargeStateRead reads partition p's memoized root-path state through
@@ -728,7 +734,7 @@ func (rt *Runtime) chargeStateRead(p int, roots []sized) {
 	if bytes == 0 {
 		return
 	}
-	if _, err := rt.store.Get("part:"+strconv.Itoa(p), rt.partNode(p)); err != nil {
+	if _, err := rt.store.Get(rt.partKeys[p], rt.partNodes[p]); err != nil {
 		rt.faults.MemoRecomputes.Add(1)
 		rt.store.ChargeWrite(bytes)
 	}
@@ -789,40 +795,6 @@ func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 		buckets = append(buckets, rt.foldPayloads(p, payloads[i:end]))
 	}
 	return buckets
-}
-
-// forEachPartition runs fn(p) for every partition, concurrently up to the
-// configured parallelism, and returns the first error. Each partition
-// touches only its own tree, counter, and result slots.
-func (rt *Runtime) forEachPartition(fn func(p int) error) error {
-	par := min(rt.workers(), rt.parts)
-	if par <= 1 {
-		for p := 0; p < rt.parts; p++ {
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, rt.parts)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for p := 0; p < rt.parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[p] = fn(p)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // newAggregators instantiates one aggregator of the resolved backend per

@@ -1,0 +1,212 @@
+package stream
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"slider/internal/mapreduce"
+)
+
+// The stream oracle: whatever the schedule of pushes, every window a driver
+// delivers must equal the job recomputed from scratch over exactly the
+// records its bounds name, one window must arrive per closed bucket, and the
+// bounds must advance one bucket at a time. One harness covers both front
+// ends; a case supplies the feed and a model of which records a bound names.
+
+// oracleRun is what a case hands the checker.
+type oracleRun struct {
+	outputs []Output
+	// ends are the window ends the schedule must deliver, in order; step is
+	// the distance between two of them and span the window length (0 for an
+	// append-only window, which starts at 0).
+	ends       []int64
+	step, span int64
+	// records returns the records of [start, end).
+	records func(start, end int64) []mapreduce.Record
+}
+
+func oracleRecord(i int) mapreduce.Record {
+	return fmt.Sprintf("k%d k%d all", i%7, i%3)
+}
+
+// countFeed pushes n records through a count window in seeded groups — a
+// mix of single records and bulk pushes that span several splits and slides.
+func countFeed(rps, window, slide, n int) func(*testing.T, int, *rand.Rand) oracleRun {
+	return func(t *testing.T, par int, rng *rand.Rand) oracleRun {
+		var run oracleRun
+		rc := smallMemo()
+		rc.Parallelism = par
+		w, err := NewCountWindow(CountConfig{
+			Job: sumJob(), RecordsPerSplit: rps, WindowSplits: window, SlideSplits: slide, Config: rc,
+		}, func(o Output) error { run.outputs = append(run.outputs, o); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; {
+			group := 1
+			if rng.Intn(3) == 0 {
+				group = 1 + rng.Intn(4*rps*max(1, slide))
+			}
+			group = min(group, n-i)
+			records := make([]mapreduce.Record, group)
+			for j := range records {
+				records[j] = oracleRecord(i + j)
+			}
+			if err := w.Push(records...); err != nil {
+				t.Fatal(err)
+			}
+			i += group
+		}
+		bucket := max(1, slide)
+		for closed := window / bucket; closed <= n/rps/bucket; closed++ {
+			run.ends = append(run.ends, int64(closed*bucket))
+		}
+		run.step = int64(bucket)
+		if slide > 0 {
+			run.span = int64(window)
+		}
+		run.records = func(start, end int64) []mapreduce.Record {
+			var out []mapreduce.Record
+			for i := int(start) * rps; i < int(end)*rps; i++ {
+				out = append(out, oracleRecord(i))
+			}
+			return out
+		}
+		return run
+	}
+}
+
+// timeFeed pushes a seeded schedule of periods — bursts, single records and
+// empty periods — through a time window of width periods and flushes the
+// last one. leading empty periods are closed before the first record, so
+// the first windows hold nothing and must be skipped, not delivered.
+func timeFeed(width, rps, periods, leading int) func(*testing.T, int, *rand.Rand) oracleRun {
+	return func(t *testing.T, par int, rng *rand.Rand) oracleRun {
+		var run oracleRun
+		rc := smallMemo()
+		rc.Parallelism = par
+		slide := time.Minute
+		w, err := NewTimeWindow(TimeConfig{
+			Job: sumJob(), Window: time.Duration(width) * slide, Slide: slide, RecordsPerSplit: rps, Config: rc,
+		}, func(o Output) error { run.outputs = append(run.outputs, o); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+		type stamped struct {
+			at  time.Time
+			rec mapreduce.Record
+		}
+		var pushed []stamped
+		// counts[p] is the number of records of period p.
+		counts := make([]int, leading+periods)
+		for p := leading; p < len(counts); p++ {
+			switch rng.Intn(4) {
+			case 0: // empty
+			case 1:
+				counts[p] = 1
+			default:
+				counts[p] = 1 + rng.Intn(3*rps)
+			}
+		}
+		counts[leading], counts[len(counts)-1] = 2, 1 // the first record sets the epoch, the last is flushed
+		if leading > 0 {
+			w.periodStart, w.hasEpoch = epoch, true
+			for p := 0; p < leading; p++ {
+				if err := w.closePeriod(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for p, n := range counts {
+			for i := 0; i < n; i++ {
+				at := epoch.Add(time.Duration(p)*slide + time.Duration(i)*slide/time.Duration(n))
+				rec := oracleRecord(len(pushed))
+				pushed = append(pushed, stamped{at, rec})
+				if err := w.Push(TimedRecord{At: at, Record: rec}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The first window delivered is the first full one that holds a
+		// record; from there on every period closes one.
+		started := false
+		for last := width - 1; last < len(counts); last++ {
+			for p := last - width + 1; p <= last && !started; p++ {
+				started = counts[p] > 0
+			}
+			if started {
+				run.ends = append(run.ends, epoch.Add(time.Duration(last+1)*slide).UnixNano())
+			}
+		}
+		run.step, run.span = int64(slide), int64(width)*int64(slide)
+		run.records = func(start, end int64) []mapreduce.Record {
+			var out []mapreduce.Record
+			for _, s := range pushed {
+				if at := s.at.UnixNano(); start <= at && at < end {
+					out = append(out, s.rec)
+				}
+			}
+			return out
+		}
+		return run
+	}
+}
+
+func TestStreamOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		feed func(*testing.T, int, *rand.Rand) oracleRun
+	}{
+		{"fixed", countFeed(2, 6, 2, 97)},
+		{"fixed-slide1", countFeed(3, 4, 1, 80)},
+		{"fixed-window1", countFeed(1, 1, 1, 9)},
+		{"append", countFeed(2, 3, 0, 41)},
+		{"time", timeFeed(4, 3, 40, 0)},
+		{"time-window1", timeFeed(1, 2, 12, 0)},
+		{"time-leading-empty", timeFeed(3, 2, 20, 5)},
+	}
+	job := sumJob()
+	for _, c := range cases {
+		for _, par := range []int{1, 4, 8} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/par%d/seed%d", c.name, par, seed), func(t *testing.T) {
+					run := c.feed(t, par, rand.New(rand.NewSource(seed)))
+					if len(run.ends) == 0 {
+						t.Fatal("the schedule closes no window")
+					}
+					if len(run.outputs) != len(run.ends) {
+						t.Fatalf("%d windows delivered, the schedule closes %d", len(run.outputs), len(run.ends))
+					}
+					for i, o := range run.outputs {
+						start := int64(0)
+						if run.span > 0 {
+							start = run.ends[i] - run.span
+						}
+						if o.WindowStart != start || o.WindowEnd != run.ends[i] || o.SlideID != uint64(i+1) {
+							t.Fatalf("window %d: slide %d over [%d,%d), want slide %d over [%d,%d)",
+								i, o.SlideID, o.WindowStart, o.WindowEnd, i+1, start, run.ends[i])
+						}
+						if i > 0 && o.WindowEnd-run.outputs[i-1].WindowEnd != run.step {
+							t.Fatalf("window %d ends %d after window %d, want %d", i, o.WindowEnd-run.outputs[i-1].WindowEnd, i-1, run.step)
+						}
+						split := mapreduce.Split{ID: "oracle", Records: run.records(o.WindowStart, o.WindowEnd)}
+						want, err := mapreduce.RunScratch(job, []mapreduce.Split{split}, 1, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(o.Result.Output, want) {
+							t.Fatalf("window %d [%d,%d): got %v, from scratch %v", i, o.WindowStart, o.WindowEnd, o.Result.Output, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -11,6 +11,10 @@
 //   - TimeWindow: records carry timestamps; the window covers a fixed
 //     duration and slides by a fixed period. Data volume per period
 //     varies, so Variable mode (folding trees) runs underneath.
+//
+// Both are front ends of one bucket driver. A front end only forms splits
+// and says when a bucket — one slide's worth of them — is closed and where
+// the window then ends; the driver owns the window.
 package stream
 
 import (
@@ -43,6 +47,90 @@ type Sink func(Output) error
 // ErrStopped is returned by Push after the stream is closed.
 var ErrStopped = errors.New("stream: stopped")
 
+// ErrOutOfOrder is returned by TimeWindow.Push for a record older than the
+// open period: that period's predecessors are closed and may have left the
+// window. The window is untouched and the stream stays usable.
+var ErrOutOfOrder = errors.New("stream: record older than the open period")
+
+// driver is the bucket driver under both windows. It is handed closed
+// buckets in order, each with the bound the window ends at once the bucket
+// is its newest, and runs the window: the initial run over the first width
+// buckets, then one slide per bucket — oldest live bucket out, new bucket
+// in — delivering every run's output to the sink.
+type driver struct {
+	rt   *sliderrt.Runtime
+	sink Sink
+	// width is the window length in buckets; span is WindowEnd −
+	// WindowStart, 0 for an append-only window, which drops nothing: it
+	// starts at split 0 and grows.
+	width int
+	span  int64
+	// ledger holds the split count of every live bucket — a ring once the
+	// window is full, head at the oldest. pending holds the splits of the
+	// first window until it runs.
+	ledger  []int
+	head    int
+	pending []mapreduce.Split
+	started bool
+}
+
+// close takes the next closed bucket — its splits, none for an empty
+// period — and runs the window forward. The caller keeps the slice. A run
+// that fails returns its error with the bucket left out of the window.
+func (d *driver) close(splits []mapreduce.Split, end int64) error {
+	var res *sliderrt.RunResult
+	var err error
+	if d.started {
+		drop := 0
+		if d.span > 0 {
+			drop = d.ledger[d.head]
+		}
+		if res, err = d.rt.Advance(drop, splits); err != nil {
+			return err
+		}
+		d.record(len(splits))
+	} else {
+		if len(d.ledger) == d.width {
+			// The first window did not run — all its buckets were empty,
+			// or the run failed: it moves on by one bucket.
+			d.pending = d.pending[d.ledger[d.head]:]
+		}
+		d.record(len(splits))
+		d.pending = append(d.pending, splits...)
+		if len(d.ledger) < d.width || len(d.pending) == 0 {
+			return nil
+		}
+		if res, err = d.rt.Initial(d.pending); err != nil {
+			return err
+		}
+		d.started, d.pending = true, nil
+	}
+	start := int64(0)
+	if d.span > 0 {
+		start = end - d.span
+	}
+	return d.sink(Output{Result: res, SlideID: res.SlideID, WindowStart: start, WindowEnd: end})
+}
+
+// record enters the newest bucket in the ledger, over the oldest once the
+// window is full.
+func (d *driver) record(splits int) {
+	if len(d.ledger) < d.width {
+		d.ledger = append(d.ledger, splits)
+		return
+	}
+	d.ledger[d.head] = splits
+	d.head = (d.head + 1) % d.width
+}
+
+// newSplit copies records into the stream's next split.
+func newSplit(prefix string, seq int, records []mapreduce.Record) mapreduce.Split {
+	return mapreduce.Split{
+		ID:      prefix + strconv.Itoa(seq),
+		Records: append([]mapreduce.Record{}, records...),
+	}
+}
+
 // CountConfig configures a count-based sliding window.
 type CountConfig struct {
 	// Job is the non-incremental computation.
@@ -59,15 +147,14 @@ type CountConfig struct {
 	Config sliderrt.Config
 }
 
-// CountWindow is the count-based driver.
+// CountWindow is the count-based driver: a bucket is SlideSplits splits
+// (one split when append-only) and the window ends at a split index.
 type CountWindow struct {
 	cfg     CountConfig
-	rt      *sliderrt.Runtime
-	sink    Sink
+	d       driver
 	buf     []mapreduce.Record
-	pending []mapreduce.Split
-	splits  int // total splits formed so far
-	started bool
+	bucket  []mapreduce.Split // the open bucket
+	splits  int               // total splits formed so far
 	stopped bool
 }
 
@@ -83,6 +170,7 @@ func NewCountWindow(cfg CountConfig, sink Sink) (*CountWindow, error) {
 		return nil, fmt.Errorf("stream: SlideSplits %d out of range", cfg.SlideSplits)
 	}
 	rc := cfg.Config
+	d := driver{sink: sink, width: cfg.WindowSplits}
 	if cfg.SlideSplits == 0 {
 		rc.Mode = sliderrt.Append
 	} else {
@@ -92,12 +180,13 @@ func NewCountWindow(cfg CountConfig, sink Sink) (*CountWindow, error) {
 		if cfg.WindowSplits%cfg.SlideSplits != 0 {
 			return nil, fmt.Errorf("stream: WindowSplits must be a multiple of SlideSplits")
 		}
+		d.width, d.span = rc.WindowBuckets, int64(cfg.WindowSplits)
 	}
-	rt, err := sliderrt.New(cfg.Job, rc)
-	if err != nil {
+	var err error
+	if d.rt, err = sliderrt.New(cfg.Job, rc); err != nil {
 		return nil, err
 	}
-	return &CountWindow{cfg: cfg, rt: rt, sink: sink}, nil
+	return &CountWindow{cfg: cfg, d: d}, nil
 }
 
 // Push appends records to the stream; full splits and full slides fire
@@ -108,70 +197,23 @@ func (w *CountWindow) Push(records ...mapreduce.Record) error {
 	}
 	w.buf = append(w.buf, records...)
 	for len(w.buf) >= w.cfg.RecordsPerSplit {
-		split := mapreduce.Split{
-			ID:      "stream-" + strconv.Itoa(w.splits),
-			Records: append([]mapreduce.Record{}, w.buf[:w.cfg.RecordsPerSplit]...),
-		}
+		w.bucket = append(w.bucket, newSplit("stream-", w.splits, w.buf[:w.cfg.RecordsPerSplit]))
 		w.buf = w.buf[w.cfg.RecordsPerSplit:]
 		w.splits++
-		w.pending = append(w.pending, split)
-		if err := w.maybeRun(); err != nil {
+		if len(w.bucket) < max(1, w.cfg.SlideSplits) {
+			continue
+		}
+		err := w.d.close(w.bucket, int64(w.splits))
+		w.bucket = w.bucket[:0]
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// maybeRun fires the initial run or a slide when enough splits queued.
-func (w *CountWindow) maybeRun() error {
-	if !w.started {
-		if len(w.pending) < w.cfg.WindowSplits {
-			return nil
-		}
-		res, err := w.rt.Initial(w.pending)
-		if err != nil {
-			return err
-		}
-		w.pending = nil
-		w.started = true
-		return w.deliver(res)
-	}
-	slide := w.cfg.SlideSplits
-	if slide == 0 {
-		// Append-only: every split is a run.
-		for len(w.pending) > 0 {
-			res, err := w.rt.Advance(0, w.pending[:1])
-			if err != nil {
-				return err
-			}
-			w.pending = w.pending[1:]
-			if err := w.deliver(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for len(w.pending) >= slide {
-		res, err := w.rt.Advance(slide, w.pending[:slide])
-		if err != nil {
-			return err
-		}
-		w.pending = w.pending[slide:]
-		if err := w.deliver(res); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *CountWindow) deliver(res *sliderrt.RunResult) error {
-	end := int64(w.splits - len(w.pending) - len(w.buf)/w.cfg.RecordsPerSplit)
-	start := int64(w.rt.WindowLo())
-	return w.sink(Output{Result: res, SlideID: res.SlideID, WindowStart: start, WindowEnd: end})
 }
 
 // Runtime exposes the underlying runtime (e.g. for checkpointing).
-func (w *CountWindow) Runtime() *sliderrt.Runtime { return w.rt }
+func (w *CountWindow) Runtime() *sliderrt.Runtime { return w.d.rt }
 
 // Close stops the stream; buffered records short of a split are dropped.
 func (w *CountWindow) Close() { w.stopped = true }
@@ -179,7 +221,8 @@ func (w *CountWindow) Close() { w.stopped = true }
 // TimedRecord is one timestamped record of a time window.
 type TimedRecord struct {
 	// At is the record's event time. Records must arrive in
-	// non-decreasing time order.
+	// non-decreasing time order; one older than the open period is
+	// refused with ErrOutOfOrder.
 	At time.Time
 	// Record is the payload handed to the job's Map.
 	Record mapreduce.Record
@@ -200,25 +243,20 @@ type TimeConfig struct {
 
 // TimeWindow is the time-based driver: a window of Window duration
 // slides every Slide, with whatever data volume each period carried
-// (Variable mode underneath).
+// (Variable mode underneath). A bucket is one period and the window ends
+// at a timestamp.
 type TimeWindow struct {
-	cfg     TimeConfig
-	rt      *sliderrt.Runtime
-	sink    Sink
-	splits  int
-	started bool
+	cfg    TimeConfig
+	d      driver
+	splits int
 
+	// periodStart is the start of the open period, once the first record
+	// has set the epoch. buf holds the open period's records; bucket is
+	// the slice its splits are formed in.
 	periodStart time.Time
 	hasEpoch    bool
 	buf         []mapreduce.Record
-	// periods/periodTimes hold the split counts and start times of each
-	// period currently in the window; pending/pendCnt/pendTimes hold
-	// completed periods not yet run.
-	periods     []int
-	periodTimes []time.Time
-	pending     []mapreduce.Split
-	pendCnt     []int
-	pendTimes   []time.Time
+	bucket      []mapreduce.Split
 }
 
 // NewTimeWindow returns a time-based driver delivering to sink.
@@ -235,115 +273,53 @@ func NewTimeWindow(cfg TimeConfig, sink Sink) (*TimeWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TimeWindow{cfg: cfg, rt: rt, sink: sink}, nil
+	d := driver{rt: rt, sink: sink, width: int(cfg.Window / cfg.Slide), span: int64(cfg.Window)}
+	return &TimeWindow{cfg: cfg, d: d}, nil
 }
 
 // Push adds a timestamped record. Crossing a slide boundary closes the
-// current period and may fire a run.
+// current period — and every empty one up to the record's — and may fire
+// runs. A record older than the open period is refused with ErrOutOfOrder.
 func (t *TimeWindow) Push(rec TimedRecord) error {
 	if !t.hasEpoch {
 		t.periodStart = rec.At.Truncate(t.cfg.Slide)
 		t.hasEpoch = true
 	}
+	if rec.At.Before(t.periodStart) {
+		return fmt.Errorf("%w: record at %v, period opened at %v", ErrOutOfOrder, rec.At, t.periodStart)
+	}
 	for rec.At.Sub(t.periodStart) >= t.cfg.Slide {
 		if err := t.closePeriod(); err != nil {
 			return err
 		}
-		t.periodStart = t.periodStart.Add(t.cfg.Slide)
 	}
 	t.buf = append(t.buf, rec.Record)
 	return nil
 }
 
 // Flush closes the in-progress period and fires any due runs (e.g. at
-// end of stream).
+// end of stream). The stream moves past the period: a later record must
+// belong to a later one. With no record in progress it does nothing.
 func (t *TimeWindow) Flush() error {
+	if len(t.buf) == 0 {
+		return nil
+	}
 	return t.closePeriod()
 }
 
-// closePeriod converts the buffered records into splits for one period
-// and runs the window forward if enough periods accumulated.
+// closePeriod turns the buffered records into the period's splits, moves
+// on to the next period and hands the closed one to the driver.
 func (t *TimeWindow) closePeriod() error {
-	count := 0
-	for len(t.buf) > 0 {
-		n := t.cfg.RecordsPerSplit
-		if n > len(t.buf) {
-			n = len(t.buf)
-		}
-		t.pending = append(t.pending, mapreduce.Split{
-			ID:      "tstream-" + strconv.Itoa(t.splits),
-			Records: append([]mapreduce.Record{}, t.buf[:n]...),
-		})
-		t.buf = t.buf[n:]
-		t.splits++
-		count++
+	t.bucket = t.bucket[:0]
+	for rest := t.buf; len(rest) > 0; t.splits++ {
+		n := min(t.cfg.RecordsPerSplit, len(rest))
+		t.bucket = append(t.bucket, newSplit("tstream-", t.splits, rest[:n]))
+		rest = rest[n:]
 	}
-	t.pendCnt = append(t.pendCnt, count)
-	t.pendTimes = append(t.pendTimes, t.periodStart)
-	return t.maybeRun()
-}
-
-func (t *TimeWindow) maybeRun() error {
-	periodsPerWindow := int(t.cfg.Window / t.cfg.Slide)
-	for {
-		if !t.started {
-			if len(t.pendCnt) < periodsPerWindow {
-				return nil
-			}
-			var take int
-			for _, c := range t.pendCnt[:periodsPerWindow] {
-				take += c
-			}
-			if take == 0 {
-				// A window of entirely empty periods: skip forward.
-				t.pendCnt = t.pendCnt[1:]
-				t.pendTimes = t.pendTimes[1:]
-				continue
-			}
-			res, err := t.rt.Initial(t.pending[:take])
-			if err != nil {
-				return err
-			}
-			t.periods = append([]int{}, t.pendCnt[:periodsPerWindow]...)
-			t.periodTimes = append([]time.Time{}, t.pendTimes[:periodsPerWindow]...)
-			t.pending = t.pending[take:]
-			t.pendCnt = t.pendCnt[periodsPerWindow:]
-			t.pendTimes = t.pendTimes[periodsPerWindow:]
-			if err := t.deliver(res); err != nil {
-				return err
-			}
-			t.started = true
-			continue
-		}
-		if len(t.pendCnt) == 0 {
-			return nil
-		}
-		add := t.pendCnt[0]
-		drop := t.periods[0]
-		res, err := t.rt.Advance(drop, t.pending[:add])
-		if err != nil {
-			return err
-		}
-		t.pending = t.pending[add:]
-		t.periods = append(t.periods[1:], add)
-		t.periodTimes = append(t.periodTimes[1:], t.pendTimes[0])
-		t.pendCnt = t.pendCnt[1:]
-		t.pendTimes = t.pendTimes[1:]
-		if err := t.deliver(res); err != nil {
-			return err
-		}
-	}
-}
-
-func (t *TimeWindow) deliver(res *sliderrt.RunResult) error {
-	end := t.periodTimes[len(t.periodTimes)-1].Add(t.cfg.Slide)
-	return t.sink(Output{
-		Result:      res,
-		SlideID:     res.SlideID,
-		WindowStart: end.Add(-t.cfg.Window).UnixNano(),
-		WindowEnd:   end.UnixNano(),
-	})
+	t.buf = t.buf[:0]
+	t.periodStart = t.periodStart.Add(t.cfg.Slide)
+	return t.d.close(t.bucket, t.periodStart.UnixNano())
 }
 
 // Runtime exposes the underlying runtime.
-func (t *TimeWindow) Runtime() *sliderrt.Runtime { return t.rt }
+func (t *TimeWindow) Runtime() *sliderrt.Runtime { return t.d.rt }

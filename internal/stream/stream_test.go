@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -320,5 +322,140 @@ func TestCountWindowCheckpointResume(t *testing.T) {
 	}
 	if res.Output["x"].(int64) != 4 {
 		t.Fatalf("x = %v after resume, want 4", res.Output["x"])
+	}
+}
+
+// windowKey is what a sink sees of one delivered window.
+type windowKey struct {
+	SlideID    uint64
+	Start, End int64
+	Output     string
+}
+
+func keyOf(o Output) windowKey {
+	return windowKey{o.SlideID, o.WindowStart, o.WindowEnd, fmt.Sprint(o.Result.Output)}
+}
+
+// TestCountWindowBulkPush: how records are grouped into Push calls is not
+// part of the stream. (WindowEnd used to be derived from counters a bulk
+// Push had not brought up to date: −2, 0, 2, 4… for this configuration.)
+func TestCountWindowBulkPush(t *testing.T) {
+	records := make([]mapreduce.Record, 20)
+	for i := range records {
+		records[i] = fmt.Sprintf("w%d common", i)
+	}
+	run := func(push func(*CountWindow) error) []windowKey {
+		var got []windowKey
+		w, err := NewCountWindow(CountConfig{
+			Job: sumJob(), RecordsPerSplit: 2, WindowSplits: 4, SlideSplits: 1, Config: smallMemo(),
+		}, func(o Output) error { got = append(got, keyOf(o)); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := push(w); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	bulk := run(func(w *CountWindow) error { return w.Push(records...) })
+	single := run(func(w *CountWindow) error {
+		for _, r := range records {
+			if err := w.Push(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if len(single) != 7 {
+		t.Fatalf("%d windows from 10 splits, want 7", len(single))
+	}
+	for i, k := range single {
+		if want := int64(4 + i); k.Start != want-4 || k.End != want {
+			t.Errorf("window %d covers [%d,%d), want [%d,%d)", i, k.Start, k.End, want-4, want)
+		}
+	}
+	if !reflect.DeepEqual(bulk, single) {
+		t.Errorf("one Push of 20 records delivered\n%v\n20 Pushes of one delivered\n%v", bulk, single)
+	}
+}
+
+// TestTimeWindowFlush: Flush closes the open period once. (It used to leave
+// the period open, so every further Flush — or the next boundary — closed
+// it again under the same bounds and slid real data out.)
+func TestTimeWindowFlush(t *testing.T) {
+	var got []windowKey
+	w, err := NewTimeWindow(TimeConfig{
+		Job: sumJob(), Window: 2 * time.Minute, Slide: time.Minute, RecordsPerSplit: 2, Config: smallMemo(),
+	}, func(o Output) error { got = append(got, keyOf(o)); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil || len(got) != 0 {
+		t.Fatalf("Flush before any record: err=%v, %d windows", err, len(got))
+	}
+	epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	for i, at := range []time.Duration{0, time.Minute} {
+		if err := w.Push(TimedRecord{At: epoch.Add(at), Record: fmt.Sprintf("m%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []windowKey{{1, epoch.UnixNano(), epoch.Add(2 * time.Minute).UnixNano(), "map[m0:1 m1:1]"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("two records and three Flushes delivered %v, want %v", got, want)
+	}
+	// The flushed period is over: the stream goes on from the next one.
+	if err := w.Push(TimedRecord{At: epoch.Add(90 * time.Second), Record: "late"}); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("record in the flushed period: err = %v, want ErrOutOfOrder", err)
+	}
+	if err := w.Push(TimedRecord{At: epoch.Add(2 * time.Minute), Record: "m2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, windowKey{2, epoch.Add(time.Minute).UnixNano(), epoch.Add(3 * time.Minute).UnixNano(), "map[m1:1 m2:1]"})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the next period: %v, want %v", got, want)
+	}
+}
+
+// TestTimeWindowOutOfOrder: a record from before the open period is refused
+// — it used to be counted into the open period — and costs the stream
+// nothing.
+func TestTimeWindowOutOfOrder(t *testing.T) {
+	var got []windowKey
+	w, err := NewTimeWindow(TimeConfig{
+		Job: sumJob(), Window: 2 * time.Minute, Slide: time.Minute, RecordsPerSplit: 2, Config: smallMemo(),
+	}, func(o Output) error { got = append(got, keyOf(o)); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	push := func(at time.Duration, rec string) error {
+		return w.Push(TimedRecord{At: epoch.Add(at), Record: rec})
+	}
+	for _, at := range []time.Duration{0, time.Minute, 90 * time.Second} {
+		if err := push(at, "a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := push(59*time.Second, "stale"); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("record before the open period: err = %v, want ErrOutOfOrder", err)
+	}
+	// Behind the newest record but inside the open period is in order.
+	if err := push(70*time.Second, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := push(2*time.Minute, "b"); err != nil {
+		t.Fatal(err)
+	}
+	want := []windowKey{{1, epoch.UnixNano(), epoch.Add(2 * time.Minute).UnixNano(), "map[a:4]"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
 	}
 }

@@ -152,6 +152,9 @@ var (
 	// effective watermark: lateness beyond Config.AllowedLateness, or a
 	// target bucket sequence below Config.Watermark.
 	ErrTooLate = sliderrt.ErrTooLate
+	// ErrOutOfOrder reports a TimedRecord older than a TimeWindow's open
+	// period; the window is untouched and the stream stays usable.
+	ErrOutOfOrder = stream.ErrOutOfOrder
 )
 
 // New returns a Runtime executing job under cfg.
