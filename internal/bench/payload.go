@@ -41,6 +41,7 @@ type PayloadCodecCell struct {
 type PayloadSlideCell struct {
 	Slides         int     `json:"slides"`
 	AllocsPerSlide float64 `json:"allocsPerSlide"`
+	BytesPerSlide  float64 `json:"bytesPerSlide"`
 	NsPerSlide     float64 `json:"nsPerSlide"`
 }
 
@@ -208,6 +209,7 @@ func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split
 
 	n := float64(slides)
 	cell.AllocsPerSlide = float64(after.Mallocs-before.Mallocs) / n
+	cell.BytesPerSlide = float64(after.TotalAlloc-before.TotalAlloc) / n
 	cell.NsPerSlide = float64(elapsed.Nanoseconds()) / n
 	return cell, nil
 }

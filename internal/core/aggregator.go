@@ -24,10 +24,12 @@ type Aggregator[T any] interface {
 	// first. It never takes a split-processing shortcut: the first
 	// Background call prepares the first incremental run.
 	Init(elems []T) error
-	// Slide evicts the drop oldest elements and inserts add as the newest.
-	// The fixed-width kinds need drop == len(add), the coalescing tree
-	// drop == 0.
-	Slide(drop int, add []T) error
+	// Slide evicts the drop oldest elements and inserts add as the newest,
+	// and returns the elements it evicted, oldest first — what the structure
+	// touches anyway, in storage the aggregator owns and reuses: valid until
+	// the next Slide. The fixed-width kinds need drop == len(add), the
+	// coalescing tree drop == 0.
+	Slide(drop int, add []T) (evicted []T, err error)
 	// Roots returns the payloads the final reduce consumes for the current
 	// window: one combined root, or — for the split-processing foreground
 	// paths — the uncombined payloads whose union is the window. Between a
@@ -265,18 +267,21 @@ func restoreBuckets[T any](w bucketWindow[T], st State[T]) error {
 type dabaAgg[T any] struct {
 	*DabaLite[T]
 	noBackground
+	evicted []T
 }
 
-func (a *dabaAgg[T]) Slide(drop int, add []T) error {
+func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop != len(add) {
-		return errFixedSlide(drop, len(add))
+		return nil, errFixedSlide(drop, len(add))
 	}
+	a.evicted = a.evicted[:0]
 	for _, b := range add {
+		a.evicted = append(a.evicted, a.raw[a.slot(a.f)])
 		if err := a.DabaLite.Slide(b); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return a.evicted, nil
 }
 
 func (a *dabaAgg[T]) Roots() []T { return rootOf(a.Root()) }
@@ -290,15 +295,19 @@ func (a *dabaAgg[T]) Restore(st State[T]) error { return restoreBuckets[T](a.Dab
 type fingerAgg[T any] struct {
 	*FingerTree[T]
 	noBackground
+	evicted []T
 }
 
 // Slide is one bulk eviction and one bulk insertion — O(K + log w), never K
-// root-path slides — and, unlike the in-order kinds, need not balance.
-func (a *fingerAgg[T]) Slide(drop int, add []T) error {
-	if err := a.BulkEvict(drop); err != nil {
-		return err
+// root-path slides — and, unlike the in-order kinds, need not balance. The
+// evicted elements are the prefix the eviction's one split cut off.
+func (a *fingerAgg[T]) Slide(drop int, add []T) ([]T, error) {
+	prefix, err := a.bulkEvict(drop)
+	if err != nil {
+		return nil, err
 	}
-	return a.BulkInsert(add)
+	a.evicted = appendVals(a.evicted[:0], prefix)
+	return a.evicted, a.BulkInsert(add)
 }
 
 func (a *fingerAgg[T]) Roots() []T { return rootOf(a.Root()) }
@@ -320,6 +329,7 @@ type rotatingAgg[T any] struct {
 	pending T // bucket RotateForeground answered for, not yet installed
 	fg      T // its foreground result
 	hasFg   bool
+	evicted []T
 }
 
 func (a *rotatingAgg[T]) Init(buckets []T) error {
@@ -327,27 +337,33 @@ func (a *rotatingAgg[T]) Init(buckets []T) error {
 	return a.RotatingTree.Init(buckets)
 }
 
-func (a *rotatingAgg[T]) Slide(drop int, add []T) error {
+// Slide's evicted elements are the victim leaves: the victim cursor walks
+// the leaves in window order, and the foreground path leaves the victim in
+// its leaf until Background installs the bucket over it.
+func (a *rotatingAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop != len(add) {
-		return errFixedSlide(drop, len(add))
+		return nil, errFixedSlide(drop, len(add))
 	}
+	a.evicted = a.evicted[:0]
 	if a.split && len(add) == 1 {
 		fg, err := a.RotateForeground(add[0])
 		if err != nil {
-			return err
+			return nil, err
 		}
+		a.evicted = append(a.evicted, a.nodes[a.leafIndex(a.victim)].payload)
 		a.pending, a.fg, a.hasFg = add[0], fg, true
-		return nil
+		return a.evicted, nil
 	}
 	for _, b := range add {
+		a.evicted = append(a.evicted, a.nodes[a.leafIndex(a.victim)].payload)
 		if err := a.Rotate(b); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if a.split {
-		return a.PrepareBackground()
+		return a.evicted, a.PrepareBackground()
 	}
-	return nil
+	return a.evicted, nil
 }
 
 func (a *rotatingAgg[T]) Roots() []T {
@@ -412,9 +428,9 @@ func (a *coalescingAgg[T]) Init(elems []T) error {
 	return nil
 }
 
-func (a *coalescingAgg[T]) Slide(drop int, add []T) error {
+func (a *coalescingAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop != 0 {
-		return fmt.Errorf("core: append-only windows cannot evict (drop=%d)", drop)
+		return nil, fmt.Errorf("core: append-only windows cannot evict (drop=%d)", drop)
 	}
 	for _, e := range add {
 		if a.split {
@@ -423,7 +439,7 @@ func (a *coalescingAgg[T]) Slide(drop int, add []T) error {
 			a.Append(e)
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 func (a *coalescingAgg[T]) Roots() []T {
@@ -463,11 +479,23 @@ func (a *coalescingAgg[T]) Restore(st State[T]) error {
 type foldingAgg[T any] struct {
 	*FoldingTree[T]
 	noBackground
+	evicted []T
 }
 
 func (a *foldingAgg[T]) Init(elems []T) error {
 	a.FoldingTree.Init(elems)
 	return nil
+}
+
+func (a *foldingAgg[T]) Slide(drop int, add []T) ([]T, error) {
+	if drop < 0 || drop > a.Live() {
+		return nil, ErrUnderflow
+	}
+	a.evicted = a.evicted[:0]
+	for _, leaf := range a.leaves[a.start : a.start+drop] {
+		a.evicted = append(a.evicted, leaf.payload)
+	}
+	return a.evicted, a.FoldingTree.Slide(drop, add)
 }
 
 func (a *foldingAgg[T]) Roots() []T { return rootOf(a.Root()) }
@@ -510,6 +538,14 @@ func itemState[T any](ids identities, leaves []Item[T]) State[T] {
 	return st
 }
 
+// appendPayloads appends the leaves' payloads to dst.
+func appendPayloads[T any](dst []T, leaves []Item[T]) []T {
+	for _, leaf := range leaves {
+		dst = append(dst, leaf.Payload)
+	}
+	return dst
+}
+
 // restoreItems rebuilds identity-carrying leaves from a snapshot.
 func restoreItems[T any](ids *identities, st State[T]) ([]Item[T], error) {
 	if len(st.IDs) != len(st.Elems) {
@@ -528,6 +564,7 @@ type randomizedAgg[T any] struct {
 	noBackground
 	ids     identities
 	scratch []Item[T] // reused: the tree copies what it is handed
+	evicted []T
 }
 
 func (a *randomizedAgg[T]) Init(elems []T) error {
@@ -537,12 +574,13 @@ func (a *randomizedAgg[T]) Init(elems []T) error {
 	return nil
 }
 
-func (a *randomizedAgg[T]) Slide(drop int, add []T) error {
+func (a *randomizedAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop < 0 || drop > a.Live() {
-		return ErrUnderflow
+		return nil, ErrUnderflow
 	}
+	a.evicted = appendPayloads(a.evicted[:0], a.leaves[:drop])
 	a.scratch = tag(&a.ids, a.scratch[:0], add)
-	return a.RandomizedFoldingTree.Slide(drop, a.scratch)
+	return a.evicted, a.RandomizedFoldingTree.Slide(drop, a.scratch)
 }
 
 func (a *randomizedAgg[T]) Roots() []T { return rootOf(a.Root()) }
@@ -564,8 +602,9 @@ func (a *randomizedAgg[T]) Restore(st State[T]) error {
 type strawmanAgg[T any] struct {
 	*StrawmanTree[T]
 	noBackground
-	ids    identities
-	leaves []Item[T]
+	ids     identities
+	leaves  []Item[T]
+	evicted []T
 }
 
 func (a *strawmanAgg[T]) Init(elems []T) error {
@@ -575,13 +614,14 @@ func (a *strawmanAgg[T]) Init(elems []T) error {
 	return nil
 }
 
-func (a *strawmanAgg[T]) Slide(drop int, add []T) error {
+func (a *strawmanAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop < 0 || drop > len(a.leaves) {
-		return ErrUnderflow
+		return nil, ErrUnderflow
 	}
+	a.evicted = appendPayloads(a.evicted[:0], a.leaves[:drop])
 	a.leaves = tag(&a.ids, append(a.leaves[:0], a.leaves[drop:]...), add)
 	a.Build(a.leaves)
-	return nil
+	return a.evicted, nil
 }
 
 func (a *strawmanAgg[T]) Roots() []T { return rootOf(a.Root()) }

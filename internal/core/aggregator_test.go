@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -118,11 +119,19 @@ func TestAggregatorConformance(t *testing.T) {
 			live := c.new(2) // never stopped
 			slide := func(what string, aggs []Aggregator[leafSeq], drop, add int) {
 				t.Helper()
+				gone := m.window[:drop:drop]
 				m.window = m.window[drop:]
 				elems := m.take(add)
 				for _, a := range aggs {
-					if err := a.Slide(drop, elems); err != nil {
+					evicted, err := a.Slide(drop, elems)
+					if err != nil {
 						t.Fatalf("%s: slide(%d,%d): %v", what, drop, add, err)
+					}
+					// What Slide says it evicted is the model's oldest drop
+					// leaves, one element each, in window order — for the
+					// rotating tree too, whose victim cursor walks in age order.
+					if len(evicted) != len(gone) || !slices.Equal(slices.Concat(evicted...), gone) {
+						t.Fatalf("%s: slide(%d,%d) evicted %v, want %v", what, drop, add, evicted, gone)
 					}
 					m.wantRoots(t, what, a)
 					if _, err := a.Background(); err != nil {
@@ -205,20 +214,23 @@ func TestAggregatorConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.wantRoots(t, "bulk evict+insert", live)
+				// And its slides need not balance.
+				slide("shrinking", []Aggregator[leafSeq]{live}, 3, 1)
+				slide("growing", []Aggregator[leafSeq]{live}, 0, 2)
 			}
 
 			// Shape errors come back as errors.
 			switch {
 			case c.appendOnly:
-				if err := live.Slide(1, nil); err == nil {
+				if _, err := live.Slide(1, nil); err == nil {
 					t.Fatal("append-only window evicted")
 				}
 			case c.fixed && !ok:
-				if err := live.Slide(1, nil); err == nil {
+				if _, err := live.Slide(1, nil); err == nil {
 					t.Fatal("unbalanced fixed-width slide accepted")
 				}
 			default:
-				if err := live.Slide(len(m.window)+1, nil); err == nil {
+				if _, err := live.Slide(len(m.window)+1, nil); err == nil {
 					t.Fatal("evicted more than the window holds")
 				}
 			}
@@ -239,7 +251,7 @@ func TestAggregatorCrossRestore(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ { // victim cursor ends mid-window
 		m.window = m.window[1:]
-		if err := src.Slide(1, m.take(1)); err != nil {
+		if _, err := src.Slide(1, m.take(1)); err != nil {
 			t.Fatal(err)
 		}
 	}

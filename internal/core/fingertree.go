@@ -187,7 +187,7 @@ func (t *FingerTree[T]) Slide(bucket T) error {
 	if t.root == nil {
 		return ErrEmpty
 	}
-	if err := t.evictOldest(1); err != nil {
+	if _, err := t.evictOldest(1); err != nil {
 		return err
 	}
 	return t.BulkInsert([]T{bucket})
@@ -212,22 +212,39 @@ func (t *FingerTree[T]) InsertAt(pos int, v T) error {
 // BulkEvict drops the k oldest buckets in one split — O(log w) combines
 // regardless of k, against k·O(log w) for k single-bucket evictions.
 func (t *FingerTree[T]) BulkEvict(k int) error {
+	_, err := t.bulkEvict(k)
+	return err
+}
+
+// bulkEvict is BulkEvict handing back what it cut off: the treap of the k
+// evicted buckets (aggregates stale along the cut).
+func (t *FingerTree[T]) bulkEvict(k int) (*tnode[T], error) {
 	if t.bug&BuggifyFingerBulkEvictOffByOne != 0 && k > 1 {
 		k-- // injected off-by-one: leaves the oldest bucket live
 	}
 	return t.evictOldest(k)
 }
 
-func (t *FingerTree[T]) evictOldest(k int) error {
+func (t *FingerTree[T]) evictOldest(k int) (*tnode[T], error) {
 	if k < 0 || k > t.Len() {
-		return ErrUnderflow
+		return nil, ErrUnderflow
 	}
 	if k == 0 {
-		return nil
+		return nil, nil
 	}
-	_, b := t.split(t.root, k)
+	a, b := t.split(t.root, k)
 	t.root = b
-	return nil
+	return a, nil
+}
+
+// appendVals appends the bucket payloads below n to dst in window order.
+func appendVals[T any](dst []T, n *tnode[T]) []T {
+	if n == nil {
+		return dst
+	}
+	dst = appendVals(dst, n.left)
+	dst = append(dst, n.val)
+	return appendVals(dst, n.right)
 }
 
 // BulkInsert appends vs as the K newest buckets in one build-and-join —
@@ -313,18 +330,7 @@ func (t *FingerTree[T]) BucketPayloads() ([]T, bool) {
 	if t.root == nil {
 		return nil, false
 	}
-	out := make([]T, 0, t.Len())
-	var walk func(n *tnode[T])
-	walk = func(n *tnode[T]) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.val)
-		walk(n.right)
-	}
-	walk(t.root)
-	return out, true
+	return appendVals(make([]T, 0, t.Len()), t.root), true
 }
 
 // Restore reinstates a checkpointed window from its raw buckets in

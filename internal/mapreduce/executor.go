@@ -251,6 +251,80 @@ func ReduceInto(job *Job, roots []Sized, out Output) int64 {
 	return calls
 }
 
+// ReduceDelta is ReduceInto for an output that already holds the previous
+// window's result: instead of reducing every key of the roots it re-reduces
+// the keys of the payloads that left the window (evicted) and of those that
+// entered it (added) — the only keys whose value can differ between two
+// consecutive windows — and leaves every other entry of out as it is. Each
+// of those keys, in ascending order (joinK; the values that moved are not
+// read), is looked up in the roots with one forward-only cursor per root
+// (seek): a key the roots still hold is reduced again over its values in
+// root (window) order, a key they no longer hold is deleted. An assignment
+// refreshes the entry's key string to the roots' (the rightmost holder's, as
+// in joinK), so out never keeps a string cut from a payload that has left
+// the window.
+//
+// It appends every key it rewrote or deleted to changed — a superset of the
+// true difference, a key whose removed and added values cancel is listed; a
+// deleted key carries the departed payload's string — and returns the list
+// with the number of Reduce calls. It allocates its scratch and nothing per
+// key.
+func ReduceDelta(job *Job, evicted, added, roots []Sized, out Output, changed []string) ([]string, int64) {
+	var buf [16]Sized // one slide's elements of one partition, typically two
+	moved := append(append(buf[:0], evicted...), added...)
+	var few [4]Payload
+	rest := few[:0] // per non-empty root, the entries no lookup has passed yet
+	for _, r := range roots {
+		if len(r.P) > 0 {
+			rest = append(rest, r.P)
+		}
+	}
+	vals := make([]Value, 0, len(rest))
+	var calls int64
+	joinK(moved, func(key string, _ []Value) {
+		vals = vals[:0]
+		for i, r := range rest {
+			if r = seek(r, key); len(r) > 0 && r[0].Key == key {
+				key = r[0].Key
+				vals = append(vals, r[0].Value)
+			}
+			rest[i] = r
+		}
+		if len(vals) == 0 {
+			delete(out, key)
+		} else {
+			out[key] = job.Reduce(key, vals)
+			calls++
+		}
+		changed = append(changed, key)
+	})
+	return changed, calls
+}
+
+// seek returns the suffix of p that starts at its first entry with a key
+// ≥ key, by galloping from the front: doubling steps until one overshoots,
+// then a binary search inside that step. A run of lookups in ascending key
+// order therefore costs O(log gap) each and O(len(p)) at most in total.
+func seek(p Payload, key string) Payload {
+	if len(p) == 0 || p[0].Key >= key {
+		return p
+	}
+	lo, step := 0, 1 // p[lo].Key < key
+	for lo+step < len(p) && p[lo+step].Key < key {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(p)) // hi == len(p) or p[hi].Key ≥ key
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); p[mid].Key < key {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return p[hi:]
+}
+
 // RunScratch executes the whole job non-incrementally: map over every
 // split, then one reduce task per partition that — like vanilla Hadoop —
 // groups the (map-side combined) values per key and applies Reduce once

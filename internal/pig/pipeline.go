@@ -112,6 +112,7 @@ func (p *Pipeline) runLater(first *sliderrt.RunResult) (*PipelineResult, error) 
 		Background:   first.Background,
 		StageReports: []metrics.Report{first.Report},
 	}
+	// first.Output is the runtime's until its next run: it becomes rows here.
 	rows, err := p.plan.Stages[0].Finalize(first.Output)
 	if err != nil {
 		return nil, err

@@ -47,6 +47,8 @@ type treeDriver struct {
 	// background step (a split-mode foreground result is only visible
 	// until then).
 	out []pay
+	// evicted is what the last slide said it evicted, flattened to leaf IDs.
+	evicted pay
 }
 
 // newTreeDriver builds the driver for a kind over a window of width
@@ -90,7 +92,12 @@ func (d *treeDriver) init(ids []uint64) error {
 
 // slide applies one OpSlide (drop/add semantics per kind).
 func (d *treeDriver) slide(drop int, ids []uint64) error {
-	return d.settle(d.agg.Slide(drop, d.elements(ids)))
+	evicted, err := d.agg.Slide(drop, d.elements(ids))
+	d.evicted = d.evicted[:0]
+	for _, e := range evicted {
+		d.evicted = append(d.evicted, e...)
+	}
+	return d.settle(err)
 }
 
 // The out-of-order operations; the harness issues them only for kinds

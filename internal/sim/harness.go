@@ -21,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"slider/internal/core"
@@ -145,9 +146,16 @@ func runTree(tr Trace, opt Options) error {
 		case OpSlide:
 			drop, add := clampSlide(tr.Kind, op, len(window))
 			ids := takeIDs(add)
-			for _, d := range drivers {
+			for i, d := range drivers {
 				if err := d.slide(drop, ids); err != nil {
 					return fail(step, "slide", "drop=%d add=%d: %v", drop, add, err)
+				}
+				// What a slide reports as evicted — the runtime re-reduces
+				// those elements' keys — is exactly the model's oldest drop
+				// leaves, in window order, for the reordering kinds too.
+				if !slices.Equal(d.evicted, pay(window[:drop])) {
+					return fail(step, "evicted", "par=%d drop=%d: slide reports %v evicted, the window's oldest are %v",
+						pars[i], drop, d.evicted, window[:drop])
 				}
 			}
 			window = append(window[drop:], ids...)

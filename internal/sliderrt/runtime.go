@@ -26,8 +26,22 @@ type sized = mapreduce.Sized
 
 // RunResult is the outcome of one run (initial or incremental).
 type RunResult struct {
-	// Output is the job's final key→value output for the window.
+	// Output is the job's final key→value output for the window. The map is
+	// owned by the runtime, which keeps it and patches it on the next run:
+	// it is valid until the runtime's next run, and a consumer that keeps a
+	// window's output longer clones it (maps.Clone). It is the job's
+	// product, not memoized state: SpaceBytes does not count it.
 	Output mapreduce.Output
+	// Changed lists the keys of Output this run rewrote or deleted — the
+	// keys of the splits that left the window and of those that entered it,
+	// a superset of the keys whose value differs from the previous run's (a
+	// key whose dropped and added values cancel is listed). Rebuilt reports
+	// instead that the run refilled the whole map — the initial run, the
+	// first run after Restore or after a failed one, and any slide that
+	// touches more than half of the window's entries — and leaves Changed
+	// empty. Changed shares Output's lifetime.
+	Changed []string
+	Rebuilt bool
 	// Report carries the foreground work and task list of the run.
 	Report metrics.Report
 	// Background carries the background pre-processing work of split
@@ -99,6 +113,13 @@ type Runtime struct {
 	// broken is set when a slide failed after it had started moving the
 	// window (see poison); every later slide is refused with it.
 	broken error
+
+	// out is the window's output as the last successful run left it, patched
+	// by the next (see reduceAll); nil when there is none to patch — before
+	// the initial run, after Restore, after a failed run. changed is the
+	// storage of RunResult.Changed.
+	out     mapreduce.Output
+	changed []string
 
 	// treeSnap is the immutable tree snapshot served to concurrent
 	// readers (/debug/tree); snapReq asks the next slide to refresh it.
@@ -314,8 +335,8 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	if len(splits) == 0 {
 		return nil, fmt.Errorf("%w: initial window is empty", ErrBadAdvance)
 	}
-	return rt.run(initialRun, 0, splits, func(p int, payloads []sized) error {
-		return rt.aggs[p].Init(rt.elements(p, payloads))
+	return rt.run(initialRun, 0, splits, func(p int, payloads []sized) (partDelta, error) {
+		return partDelta{}, rt.aggs[p].Init(rt.elements(p, payloads))
 	}, func() {
 		rt.aggs, rt.combines = rt.newAggregators()
 		if rt.outOfOrder() {
@@ -344,8 +365,10 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return rt.run(advanceRun, drop, add, func(p int, payloads []sized) error {
-		return rt.aggs[p].Slide(evict, rt.elements(p, payloads))
+	return rt.run(advanceRun, drop, add, func(p int, payloads []sized) (partDelta, error) {
+		added := rt.elements(p, payloads)
+		evicted, err := rt.aggs[p].Slide(evict, added)
+		return partDelta{evicted: evicted, added: added}, err
 	}, func() {
 		rt.windowLo += uint64(drop)
 		rt.live -= drop
@@ -402,8 +425,9 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 		return nil, fmt.Errorf("%w: bucket sequence %d is below watermark %d", ErrTooLate, target, rt.cfg.Watermark)
 	}
 	pos := len(rt.bucketSizes) - lateness
-	return rt.run(lateRun, lateness, late, func(p int, payloads []sized) error {
-		return rt.aggs[p].(core.OutOfOrder[sized]).InsertAt(pos, rt.foldPayloads(p, payloads))
+	return rt.run(lateRun, lateness, late, func(p int, payloads []sized) (partDelta, error) {
+		bucket := rt.foldPayloads(p, payloads)
+		return partDelta{added: []sized{bucket}}, rt.aggs[p].(core.OutOfOrder[sized]).InsertAt(pos, bucket)
 	}, func() {
 		// The late bucket joins the window's bucket ledger at its position;
 		// the in-order bucket clock does not advance, so the watermark holds.
@@ -441,9 +465,15 @@ var (
 // over [windowLo, seq)), and from there on a failure poisons a started
 // window, so a half-moved one is never used again. apply then updates
 // partition p's aggregator from the run's per-split payloads, concurrently
-// across partitions.
-func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split,
-	apply func(p int, payloads []sized) error, moved func()) (*RunResult, error) {
+// across partitions, and returns the elements that left and entered the
+// partition's window (none for the initial run, which reduces everything).
+//
+// The retained output is taken out of the runtime for the run's duration and
+// put back by the run that succeeds: whatever way a run fails, the next one
+// finds none and reduces in full.
+func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply applyFunc, moved func()) (*RunResult, error) {
+	out := rt.out
+	rt.out = nil
 	rec := metrics.NewRecorder()
 	bg := metrics.NewRecorder()
 	rt.store.ResetReadStats()
@@ -459,11 +489,11 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split,
 	}
 	moved()
 	statsBefore := rt.treeStats()
-	roots, err := rt.contract(&so, rec, results, apply)
+	parts, err := rt.contract(&so, rec, results, apply)
 	if err != nil {
 		return nil, rt.poison(err)
 	}
-	out, statsFg := rt.reduceAll(&so, rec, roots, statsBefore)
+	out, rebuilt, statsFg := rt.reduceAll(&so, rec, parts, out, statsBefore)
 	// Split processing: pave the way for the next incremental run.
 	if err := rt.runBackground(so.span, bg); err != nil {
 		return nil, rt.poison(err)
@@ -475,7 +505,8 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split,
 		}
 	}
 	rt.started = true
-	res := rt.finish(out, rec, bg, statsBefore, statsFg)
+	rt.out = out
+	res := rt.finish(rebuilt, rec, bg, statsBefore, statsFg)
 	so.finish(res)
 	return res, nil
 }
@@ -565,22 +596,37 @@ func (rt *Runtime) evictBucketCount(drop int) (int, error) {
 	return n, nil
 }
 
+// applyFunc is the hook of a kind of run that updates one partition's
+// aggregator, see run. It leaves the result's roots to contract.
+type applyFunc func(p int, payloads []sized) (partDelta, error)
+
+// partDelta is what the contraction phase hands the reduce for one
+// partition: the roots of the window as it now stands, and the elements that
+// left and entered it since the retained output was written — theirs are the
+// only keys whose value can have changed. evicted is the aggregator's own
+// storage, valid until its next slide.
+type partDelta struct {
+	roots, evicted, added []sized
+}
+
 // contract is a run's contraction phase, the same for every kind of run:
 // apply updates partition p's aggregator from the run's new per-split
 // payloads, and the phase reads back what the reduce will consume, charges
 // the memoization layer and records the task.
-func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapreduce.MapResult,
-	apply func(p int, payloads []sized) error) ([][]sized, error) {
+func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapreduce.MapResult, apply applyFunc) ([]partDelta, error) {
 	ph := so.phase("contract")
-	roots := make([][]sized, rt.parts)
+	parts := make([]partDelta, rt.parts)
 	if err := mapreduce.ForEach(rt.workers(), rt.parts, func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(ph.span, p)
 		treeBefore := rt.aggs[p].Stats()
-		if err := apply(p, rt.partPayloads(results, p)); err != nil {
+		part, err := apply(p, rt.partPayloads(results, p))
+		if err != nil {
 			return err
 		}
-		roots[p] = rt.aggs[p].Roots()
+		roots := rt.aggs[p].Roots()
+		part.roots = roots
+		parts[p] = part
 		elapsed := time.Since(start)
 		var writeNs int64
 		if !rt.started {
@@ -595,17 +641,17 @@ func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapre
 			// unreadable entry — every replica down, or evicted — makes
 			// chargeStateRead degrade to recomputation instead of failing
 			// the slide.
-			rt.chargeStateRead(p, roots[p])
+			rt.chargeStateRead(p, roots)
 		}
-		writeNs += rt.putPartState(p, roots[p])
-		rt.recordContraction(rec, p, elapsed+time.Duration(writeNs), roots[p])
+		writeNs += rt.putPartState(p, roots)
+		rt.recordContraction(rec, p, elapsed+time.Duration(writeNs), roots)
 		rt.endPartitionSpan(ps, p, treeBefore)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	ph.end()
-	return roots, nil
+	return parts, nil
 }
 
 // statsDelta returns after − before.
@@ -645,25 +691,56 @@ func (rt *Runtime) runBackground(parent *metrics.Span, bg *metrics.Recorder) err
 
 // reduceAll is a run's reduce phase: the final Reduce per partition, timed
 // as reduce tasks. Partitions are key-disjoint, so every partition reduces
-// straight into the one output map, presized to the roots' total key
-// count. It seals the run's foreground tree work — everything since before
-// — into the recorder's counters and returns the stats it sealed at.
-func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, roots [][]sized, before core.Stats) (mapreduce.Output, core.Stats) {
+// straight into the one output map — out, the previous run's, when there is
+// one. The only keys whose value can differ from the previous window's are
+// those of the elements that left and entered, so the run patches them
+// (mapreduce.ReduceDelta) and leaves the rest of the map alone: an untouched
+// key keeps the value an earlier run reduced from an equally valid grouping
+// of the same values (the same bits for an exactly associative combiner).
+// When patching would not pay — the touched elements hold more than half as
+// many entries as the roots (DESIGN.md §9 has the measurement), or there is
+// no previous output — the map is emptied and every key reduced, as the
+// initial run does; rebuilt reports that. The choice reads payload lengths
+// and nothing else, so it is the same at any parallelism.
+//
+// reduceAll seals the run's foreground tree work — everything since before —
+// into the recorder's counters and returns the stats it sealed at.
+func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDelta, out mapreduce.Output, before core.Stats) (_ mapreduce.Output, rebuilt bool, _ core.Stats) {
 	ph := so.phase("reduce")
-	keys := 0
-	for _, rs := range roots {
-		for _, r := range rs {
+	keys, touched := 0, 0
+	for _, part := range parts {
+		for _, r := range part.roots {
 			keys += len(r.P)
 		}
+		for _, e := range part.evicted {
+			touched += len(e.P)
+		}
+		for _, e := range part.added {
+			touched += len(e.P)
+		}
 	}
-	out := make(mapreduce.Output, keys)
-	for p := 0; p < rt.parts; p++ {
+	// Strings of the last run's list may be cut from payloads now gone.
+	clear(rt.changed)
+	rt.changed = rt.changed[:0]
+	switch {
+	case out == nil:
+		out, rebuilt = make(mapreduce.Output, keys), true
+	case 2*touched > keys:
+		clear(out)
+		rebuilt = true
+	}
+	for p, part := range parts {
 		start := time.Now()
-		calls := mapreduce.ReduceInto(rt.job, roots[p], out)
+		var calls int64
+		if rebuilt {
+			calls = mapreduce.ReduceInto(rt.job, part.roots, out)
+		} else {
+			rt.changed, calls = mapreduce.ReduceDelta(rt.job, part.evicted, part.added, part.roots, out, rt.changed)
+		}
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseReduce,
 			Cost:          time.Since(start),
-			InputBytes:    sumBytes(roots[p]),
+			InputBytes:    sumBytes(part.roots),
 			PreferredNode: rt.partNodes[p],
 		})
 		rec.Add(metrics.Counters{ReduceCalls: calls})
@@ -672,7 +749,7 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, roots [][]size
 	fg := rt.treeStats()
 	d := statsDelta(before, fg)
 	rec.Add(metrics.Counters{NodesComputed: d.NodesRecomputed, NodesReused: d.NodesReused})
-	return out, fg
+	return out, rebuilt, fg
 }
 
 // sumBytes adds up the carried sizes of a list of payloads.
@@ -874,13 +951,16 @@ func (rt *Runtime) spaceBytes() int64 {
 	return total
 }
 
-// finish assembles the RunResult: the tree work between before and fg was
-// the run's foreground, whatever came after fg its background step.
-func (rt *Runtime) finish(out mapreduce.Output, rec, bg *metrics.Recorder, before, fg core.Stats) *RunResult {
+// finish assembles the RunResult around the retained output: the tree work
+// between before and fg was the run's foreground, whatever came after fg its
+// background step.
+func (rt *Runtime) finish(rebuilt bool, rec, bg *metrics.Recorder, before, fg core.Stats) *RunResult {
 	rt.runs++
 	rt.publishWindowGauges()
 	return &RunResult{
-		Output:              out,
+		Output:              rt.out,
+		Changed:             rt.changed,
+		Rebuilt:             rebuilt,
 		Report:              rec.Snapshot(),
 		Background:          bg.Snapshot(),
 		TreeStats:           statsDelta(before, fg),

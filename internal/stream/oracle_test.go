@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,8 +14,11 @@ import (
 // The stream oracle: whatever the schedule of pushes, every window a driver
 // delivers must equal the job recomputed from scratch over exactly the
 // records its bounds name, one window must arrive per closed bucket, and the
-// bounds must advance one bucket at a time. One harness covers both front
-// ends; a case supplies the feed and a model of which records a bound names.
+// bounds must advance one bucket at a time; what a run reports as changed
+// must cover every key whose value moved, name no key outside the records
+// that left or entered, and be the same at any parallelism. One harness
+// covers both front ends; a case supplies the feed and a model of which
+// records a bound names.
 
 // oracleRun is what a case hands the checker.
 type oracleRun struct {
@@ -29,7 +33,7 @@ type oracleRun struct {
 }
 
 func oracleRecord(i int) mapreduce.Record {
-	return fmt.Sprintf("k%d k%d all", i%7, i%3)
+	return fmt.Sprintf("k%d k%d all", i%29, i%3)
 }
 
 // countFeed pushes n records through a count window in seeded groups — a
@@ -41,7 +45,7 @@ func countFeed(rps, window, slide, n int) func(*testing.T, int, *rand.Rand) orac
 		rc.Parallelism = par
 		w, err := NewCountWindow(CountConfig{
 			Job: sumJob(), RecordsPerSplit: rps, WindowSplits: window, SlideSplits: slide, Config: rc,
-		}, func(o Output) error { run.outputs = append(run.outputs, o); return nil })
+		}, keep(&run.outputs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +95,7 @@ func timeFeed(width, rps, periods, leading int) func(*testing.T, int, *rand.Rand
 		slide := time.Minute
 		w, err := NewTimeWindow(TimeConfig{
 			Job: sumJob(), Window: time.Duration(width) * slide, Slide: slide, RecordsPerSplit: rps, Config: rc,
-		}, func(o Output) error { run.outputs = append(run.outputs, o); return nil })
+		}, keep(&run.outputs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,16 +167,29 @@ func TestStreamOracle(t *testing.T) {
 	cases := []struct {
 		name string
 		feed func(*testing.T, int, *rand.Rand) oracleRun
+		// patches: the window is wide enough against its slide for some
+		// slides to patch the retained output instead of refilling it.
+		patches bool
 	}{
-		{"fixed", countFeed(2, 6, 2, 97)},
-		{"fixed-slide1", countFeed(3, 4, 1, 80)},
-		{"fixed-window1", countFeed(1, 1, 1, 9)},
-		{"append", countFeed(2, 3, 0, 41)},
-		{"time", timeFeed(4, 3, 40, 0)},
-		{"time-window1", timeFeed(1, 2, 12, 0)},
-		{"time-leading-empty", timeFeed(3, 2, 20, 5)},
+		{"fixed", countFeed(2, 6, 2, 97), false},
+		{"fixed-slide1", countFeed(3, 4, 1, 80), false},
+		{"fixed-window1", countFeed(1, 1, 1, 9), false},
+		{"fixed-wide", countFeed(1, 24, 1, 90), true},
+		{"append", countFeed(2, 3, 0, 41), true},
+		{"time", timeFeed(4, 3, 40, 0), true},
+		{"time-window1", timeFeed(1, 2, 12, 0), false},
+		{"time-wide", timeFeed(12, 2, 60, 0), true},
+		{"time-leading-empty", timeFeed(3, 2, 20, 5), false},
 	}
 	job := sumJob()
+	scratch := func(t *testing.T, records []mapreduce.Record) mapreduce.Output {
+		t.Helper()
+		want, err := mapreduce.RunScratch(job, []mapreduce.Split{{ID: "oracle", Records: records}}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
 	for _, c := range cases {
 		for _, par := range []int{1, 4, 8} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -182,27 +199,77 @@ func TestStreamOracle(t *testing.T) {
 						t.Fatal("the schedule closes no window")
 					}
 					if len(run.outputs) != len(run.ends) {
-						t.Fatalf("%d windows delivered, the schedule closes %d", len(run.outputs), len(run.ends))
+						t.Fatalf("par %d: %d windows delivered, the schedule closes %d", par, len(run.outputs), len(run.ends))
 					}
+					patched := 0
+					var prev Output
+					var prevWant mapreduce.Output
 					for i, o := range run.outputs {
 						start := int64(0)
 						if run.span > 0 {
 							start = run.ends[i] - run.span
 						}
 						if o.WindowStart != start || o.WindowEnd != run.ends[i] || o.SlideID != uint64(i+1) {
-							t.Fatalf("window %d: slide %d over [%d,%d), want slide %d over [%d,%d)",
-								i, o.SlideID, o.WindowStart, o.WindowEnd, i+1, start, run.ends[i])
+							t.Fatalf("par %d, window %d: slide %d over [%d,%d), want slide %d over [%d,%d)",
+								par, i, o.SlideID, o.WindowStart, o.WindowEnd, i+1, start, run.ends[i])
 						}
-						if i > 0 && o.WindowEnd-run.outputs[i-1].WindowEnd != run.step {
-							t.Fatalf("window %d ends %d after window %d, want %d", i, o.WindowEnd-run.outputs[i-1].WindowEnd, i-1, run.step)
+						if i > 0 && o.WindowEnd-prev.WindowEnd != run.step {
+							t.Fatalf("par %d: window %d ends %d after window %d, want %d", par, i, o.WindowEnd-prev.WindowEnd, i-1, run.step)
 						}
-						split := mapreduce.Split{ID: "oracle", Records: run.records(o.WindowStart, o.WindowEnd)}
-						want, err := mapreduce.RunScratch(job, []mapreduce.Split{split}, 1, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := scratch(t, run.records(o.WindowStart, o.WindowEnd))
 						if !reflect.DeepEqual(o.Result.Output, want) {
-							t.Fatalf("window %d [%d,%d): got %v, from scratch %v", i, o.WindowStart, o.WindowEnd, o.Result.Output, want)
+							t.Fatalf("par %d, window %d [%d,%d): got %v, from scratch %v", par, i, o.WindowStart, o.WindowEnd, o.Result.Output, want)
+						}
+						// What the run says it changed: everything (the first
+						// window, a dense slide), or a list that holds every key
+						// whose value moved and no key outside the records that
+						// left or entered. A slide that moves no record reduces
+						// nothing and changes nothing.
+						res := o.Result
+						switch {
+						case i == 0 && !res.Rebuilt:
+							t.Fatalf("par %d: the first window was not rebuilt", par)
+						case res.Rebuilt && len(res.Changed) != 0:
+							t.Fatalf("par %d, window %d: rebuilt and changed %v", par, i, res.Changed)
+						case !res.Rebuilt:
+							moved := append(run.records(prev.WindowStart, o.WindowStart), run.records(prev.WindowEnd, o.WindowEnd)...)
+							may := scratch(t, moved)
+							if len(moved) == 0 && res.Report.Counters.ReduceCalls != 0 {
+								t.Fatalf("par %d, window %d: an empty slide made %d Reduce calls", par, i, res.Report.Counters.ReduceCalls)
+							}
+							listed := map[string]bool{}
+							for _, k := range res.Changed {
+								if _, ok := may[k]; !ok || listed[k] {
+									t.Fatalf("par %d, window %d: changed key %q is listed twice or is no key of the records that moved (%v)", par, i, k, may)
+								}
+								listed[k] = true
+							}
+							for k := range may {
+								if v, ok := want[k]; (!ok || v != prevWant[k]) && !listed[k] {
+									t.Fatalf("par %d, window %d: key %q went from %v to %v and is not in changed %v", par, i, k, prevWant[k], want[k], res.Changed)
+								}
+							}
+							if len(res.Changed) > 0 {
+								patched++
+							}
+						}
+						prev, prevWant = o, want
+					}
+					if c.patches && patched == 0 {
+						t.Fatalf("par %d: every slide rebuilt the output, none patched it", par)
+					}
+					// The path a slide takes and what it reports depend on the
+					// input alone: the sequential run of the same schedule
+					// agrees.
+					if par == 1 {
+						return
+					}
+					first := c.feed(t, 1, rand.New(rand.NewSource(seed)))
+					for i, o := range run.outputs {
+						a, b := first.outputs[i].Result, o.Result
+						if a.Rebuilt != b.Rebuilt || !slices.Equal(a.Changed, b.Changed) || a.Report.Counters.ReduceCalls != b.Report.Counters.ReduceCalls {
+							t.Fatalf("window %d: par 1 rebuilt=%v changed=%v calls=%d, par %d rebuilt=%v changed=%v calls=%d", i,
+								a.Rebuilt, a.Changed, a.Report.Counters.ReduceCalls, par, b.Rebuilt, b.Changed, b.Report.Counters.ReduceCalls)
 						}
 					}
 				})

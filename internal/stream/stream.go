@@ -29,7 +29,10 @@ import (
 
 // Output delivers one run's results.
 type Output struct {
-	// Result is the runtime's run result (output, work reports).
+	// Result is the runtime's run result (output, work reports). Its Output
+	// map and Changed list are the runtime's, which patches the map on the
+	// next run: they are valid until the sink returns and the next window
+	// runs, and a sink that keeps a window's output clones it (maps.Clone).
 	Result *sliderrt.RunResult
 	// SlideID is the run's 1-based sequence number — the correlation key
 	// for span traces and tree snapshots (Result.SlideID, hoisted here

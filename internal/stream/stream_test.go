@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +39,19 @@ func sumJob() *mapreduce.Job {
 	}
 }
 
+// keep is the sink of a test that reads a window's result after later
+// slides: Result.Output and Result.Changed are the runtime's until its next
+// run, so a sink that holds on to them clones.
+func keep(outputs *[]Output) Sink {
+	return func(o Output) error {
+		res := *o.Result
+		res.Output, res.Changed = maps.Clone(res.Output), slices.Clone(res.Changed)
+		o.Result = &res
+		*outputs = append(*outputs, o)
+		return nil
+	}
+}
+
 func smallMemo() sliderrt.Config {
 	cfg := memo.DefaultConfig()
 	cfg.Nodes = 4
@@ -51,7 +66,7 @@ func TestCountWindowFixed(t *testing.T) {
 		WindowSplits:    4,
 		SlideSplits:     2,
 		Config:          smallMemo(),
-	}, func(o Output) error { outputs = append(outputs, o); return nil })
+	}, keep(&outputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +120,7 @@ func TestCountWindowSplitProcessing(t *testing.T) {
 			WindowSplits:    4,
 			SlideSplits:     slide,
 			Config:          rc,
-		}, func(o Output) error { outputs = append(outputs, o); return nil })
+		}, keep(&outputs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +150,7 @@ func TestCountWindowAppend(t *testing.T) {
 		WindowSplits:    2,
 		SlideSplits:     0, // append-only
 		Config:          smallMemo(),
-	}, func(o Output) error { outputs = append(outputs, o); return nil })
+	}, keep(&outputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +204,7 @@ func TestTimeWindowSlides(t *testing.T) {
 		Slide:           time.Minute,
 		RecordsPerSplit: 2,
 		Config:          smallMemo(),
-	}, func(o Output) error { outputs = append(outputs, o); return nil })
+	}, keep(&outputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +256,7 @@ func TestTimeWindowEmptyPeriods(t *testing.T) {
 		Slide:           time.Minute,
 		RecordsPerSplit: 2,
 		Config:          smallMemo(),
-	}, func(o Output) error { outputs = append(outputs, o); return nil })
+	}, keep(&outputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +304,7 @@ func TestCountWindowCheckpointResume(t *testing.T) {
 		SlideSplits:     2,
 		Config:          smallMemo(),
 	}
-	w, err := NewCountWindow(cfg, func(o Output) error {
-		outputs = append(outputs, o)
-		return nil
-	})
+	w, err := NewCountWindow(cfg, keep(&outputs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,9 @@ type (
 	Value = mapreduce.Value
 	// Emit is the map-side emission callback.
 	Emit = mapreduce.Emit
-	// Output is the job's final key→value result.
+	// Output is the job's final key→value result. The map a run returns
+	// (RunResult.Output) is owned by the runtime and valid until its next
+	// run; keep a window's output longer by cloning it (maps.Clone).
 	Output = mapreduce.Output
 	// Payload is what a map task or a contraction-tree node contributes
 	// to one reduce partition: a slice of {Key, Value} entries strictly
@@ -93,7 +95,10 @@ type (
 	Backend = sliderrt.Backend
 	// Runtime drives initial and incremental runs.
 	Runtime = sliderrt.Runtime
-	// RunResult is the outcome of one run.
+	// RunResult is the outcome of one run. Its Output map is the runtime's,
+	// patched in place by the next run: valid until then, clone it to keep
+	// it. Changed lists the keys this run rewrote or deleted (a superset of
+	// the keys whose value moved), unless Rebuilt says it refilled the map.
 	RunResult = sliderrt.RunResult
 )
 
@@ -396,7 +401,9 @@ type (
 	TimeWindow = stream.TimeWindow
 	// TimedRecord is one timestamped record for a TimeWindow.
 	TimedRecord = stream.TimedRecord
-	// WindowOutput delivers one run's results to a window sink.
+	// WindowOutput delivers one run's results to a window sink. Result.Output
+	// and Result.Changed are valid until the sink returns and the next window
+	// runs; a sink that keeps them clones them.
 	WindowOutput = stream.Output
 	// WindowSink consumes window outputs.
 	WindowSink = stream.Sink
