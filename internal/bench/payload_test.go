@@ -58,13 +58,14 @@ func TestPayloadAllocBudget(t *testing.T) {
 // slide at the payload experiment's window: the end-to-end check that no
 // slide serialises its state. (It used to compare against the same loop
 // with every writer switched to gob; that switch is gone, the budget it
-// defended is pinned instead: 236 allocs/slide measured — 238 while every
-// slide allocated its window aggregate, 249 while each slide flat-encoded
-// its map output and root path into the memo store, 294 while payloads were
-// hash maps — ~5 % headroom for map-growth jitter, as in
-// TestWideSlideAllocs.)
+// defended is pinned instead: 201 allocs/slide measured — 222 before the
+// structures' dead aggregates carried their next merges and DABA's halves
+// went to the reduce unmerged, 238 while every slide allocated its window
+// aggregate, 249 while each slide flat-encoded its map output and root path
+// into the memo store, 294 while payloads were hash maps — ~5 % headroom for
+// map-growth jitter, as in TestWideSlideAllocs.)
 func TestPayloadSlideAllocs(t *testing.T) {
-	const budget = 248
+	const budget = 211
 	cell, err := measurePayloadSlides(Quick(), payloadSlideWindow, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -79,21 +80,24 @@ func TestPayloadSlideAllocs(t *testing.T) {
 // times the delta — the shape where everything that walks the window
 // instead of the delta shows. Per slide the runtime may allocate for the
 // delta (one map task), for the O(1) merges of the DABA backend (one
-// output slice each — except the window aggregate, rebuilt in the previous
-// one's storage — plus one scratch pair per merge, not one per combined
-// key), and for the memo entries (an index record each, no bytes); nothing
-// per key of the window — the output map is kept from slide to slide, and
-// the reducer's boxed results are those of the delta's keys. Allocation
-// counts repeat up to map-growth jitter, so the ceiling sits ~5 % above the
-// measured value (236 when pinned; 252 before DABA's window aggregate was
+// scratch pair per merge, not one per combined key, and an output slice for
+// the few that find none large enough among the aggregates the queue has
+// released — the window aggregate is not built at all, the reduce takes the
+// two halves), and for the memo entries (an index record each, no bytes);
+// nothing per key of the window — the output map is kept from slide to
+// slide, and the reducer's boxed results are those of the delta's keys.
+// Allocation counts repeat up to map-growth jitter, so the ceiling sits ~5 %
+// above the measured value (211 when pinned; 236 while every merge but the
+// query's allocated its output; 252 before DABA's window aggregate was
 // rebuilt in place and the output map kept; 265 while the root path was
 // encoded every slide; 315 while payloads were hash maps; 1 365 before
 // sizes travelled with payloads and reduce became one pass). The bytes are
 // where a per-window cost shows that a count hides — one map is one
-// allocation at any size — so they are held too: 76.9 KB a slide measured,
-// 93.6 KB while every slide allocated its output map.
+// allocation at any size — so they are held too: 32.0 KB a slide measured,
+// 76.7 KB while the merges allocated their outputs, 93.6 KB while every
+// slide allocated its output map.
 func TestWideSlideAllocs(t *testing.T) {
-	const window, slides, ceiling, byteCeiling = 64, 32, 248, 81_000
+	const window, slides, ceiling, byteCeiling = 64, 32, 222, 34_000
 	cell, err := measurePayloadSlides(Quick(), window, slides)
 	if err != nil {
 		t.Fatal(err)

@@ -26,16 +26,21 @@ type Aggregator[T any] interface {
 	Init(elems []T) error
 	// Slide evicts the drop oldest elements and inserts add as the newest,
 	// and returns the elements it evicted, oldest first — what the structure
-	// touches anyway, in storage the aggregator owns and reuses: valid until
-	// the next Slide. The fixed-width kinds need drop == len(add), the
-	// coalescing tree drop == 0.
+	// touches anyway, in a list the aggregator owns and reuses: valid until
+	// the next Slide. The elements themselves are the caller's, as it handed
+	// them to Init or Slide; no structure ever releases one (see Releaser).
+	// The fixed-width kinds need drop == len(add), the coalescing tree
+	// drop == 0.
 	Slide(drop int, add []T) (evicted []T, err error)
 	// Roots returns the payloads the final reduce consumes for the current
-	// window: one combined root, or — for the split-processing foreground
-	// paths — the uncombined payloads whose union is the window. Between a
-	// Slide and its Background call it is the foreground result. It may
-	// combine (DABA Lite's query costs one merge), so call it once per run;
-	// with RootReuser in use a result is valid until the next call.
+	// window, in window order: one combined root, or the uncombined payloads
+	// whose union is the window — the split-processing foreground paths, and
+	// DABA Lite's front and back halves, which it never merges for a query.
+	// Between a Slide and its Background call it is the foreground result.
+	// The list and the payloads are the structure's own: a slot owns its
+	// storage, so what Roots, ForEachPayload or Snapshot hand out is read
+	// within the run that obtained it — the next Slide may rewrite the list
+	// and, with a Releaser's hook installed, recycle the payloads.
 	Roots() []T
 	// Background runs the work split processing moved off the critical
 	// path (install the bucket and pre-combine for the next slide; fold C′
@@ -69,12 +74,18 @@ type OutOfOrder[T any] interface {
 	BulkInsert(vs []T) error
 }
 
-// RootReuser is the capability of a structure whose combined root no node
-// keeps (DABA Lite): it can rebuild the root in the storage of the previous
-// one, see DabaLite.ReuseRoot. A caller that asks for it must be done with a
-// Roots result before it calls Roots again.
-type RootReuser[T any] interface {
-	ReuseRoot(mergeInto func(dst, a, b T) T)
+// Releaser is the capability of a structure that knows which of the
+// aggregates it holds it built with its merge function, and when one of them
+// dies — overwritten by the aggregate that replaces it, or evicted (DABA
+// Lite, the folding tree). With a hook installed, before Init, the structure
+// hands it every such aggregate exactly once, after its own last read, so
+// that the caller can build a later merge in the storage; the merge function
+// must then return storage of its own on every call. Elements — what Init
+// and Slide were handed — are never released, nor is anything a structure
+// merely drops (a rebuilt tree, a re-initialized window): a missed release
+// is garbage, a wrong one is corruption. The other kinds release nothing.
+type Releaser[T any] interface {
+	OnRelease(release func(T))
 }
 
 // State is an aggregator's restorable state as plain values, the shape a
@@ -182,7 +193,9 @@ type Options struct {
 func NewAggregator[T any](kind Kind, merge MergeFunc[T], o Options) Aggregator[T] {
 	switch kind {
 	case KindDaba:
-		return &dabaAgg[T]{DabaLite: NewDaba(merge, o.Width)}
+		t := NewDaba(merge, o.Width)
+		t.SetBuggify(o.Buggify)
+		return &dabaAgg[T]{DabaLite: t}
 	case KindRotating:
 		t := NewRotating(merge, o.Width)
 		t.SetParallelism(o.Parallelism)
@@ -268,6 +281,7 @@ type dabaAgg[T any] struct {
 	*DabaLite[T]
 	noBackground
 	evicted []T
+	roots   []T
 }
 
 func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
@@ -284,7 +298,13 @@ func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	return a.evicted, nil
 }
 
-func (a *dabaAgg[T]) Roots() []T { return rootOf(a.Root()) }
+// Roots is the window's two halves as the queue holds them: the reduce takes
+// several roots in window order, so the one merge result no slot would keep
+// is never built.
+func (a *dabaAgg[T]) Roots() []T {
+	a.roots = a.Halves(a.roots[:0])
+	return a.roots
+}
 
 func (a *dabaAgg[T]) Snapshot() State[T] { return snapshotBuckets[T](a.DabaLite) }
 

@@ -23,9 +23,17 @@
 //   - StrawmanTree (§2): the memoization-only balanced tree used as the
 //     evaluation baseline.
 //
-// Trees are generic over the payload type T. Payloads are treated as
-// immutable values: merge functions must return fresh payloads and never
-// mutate their arguments, because nodes share payloads across runs.
+// Trees are generic over the payload type T. Nothing writes to a payload
+// that is live: merge functions must return fresh payloads and never mutate
+// their arguments, because nodes share payloads across runs — a node that
+// passes a single child through holds the child's payload, a leaf holds the
+// caller's. But a slot owns its storage: an aggregate a structure built with
+// its merge function is that structure's alone, and when it is overwritten
+// or evicted it is dead. The structures that track this (Releaser: DabaLite,
+// FoldingTree) hand each dead aggregate to a release hook, whose owner may
+// build a later merge in its storage; the others leave theirs to the
+// collector. Either way a payload obtained from a structure — Roots,
+// ForEachPayload, Snapshot — is read within the run that obtained it.
 package core
 
 import "errors"

@@ -31,6 +31,23 @@ package core
 // overwrite them), which serves checkpointing (BucketPayloads in window
 // order) and restore.
 //
+// A slot owns its storage. The aggregates the structure built with its merge
+// function — and only those — are its own, and it knows when one dies:
+//
+//	q[s]     owned iff a merge wrote it. A raw slot (R, B), an A-conversion
+//	         with a+1 == b and an L-completion without midSum alias raw[s]
+//	         and are not. Dies when a fixup merge overwrites it, or on evict.
+//	backSum  owned from its first merge (the first bucket after a flip is
+//	         the raw payload). Dies when the next push overwrites it.
+//	midSum   takes backSum's ownership at the flip. Dies at the next flip:
+//	         L has drained, nothing reads it again.
+//	raw[s]   never owned — the caller's payload, also what Slide reports as
+//	         evicted.
+//
+// OnRelease installs a hook that is handed each owned aggregate when it dies,
+// after the merge that overwrites it has read it. The aggregate Root merges
+// is kept in no slot and never released.
+//
 // DabaLite is not safe for concurrent use.
 type DabaLite[T any] struct {
 	merge MergeFunc[T]
@@ -50,8 +67,11 @@ type DabaLite[T any] struct {
 	filled bool
 	stats  Stats
 
-	rootInto func(dst, a, b T) T // set by ReuseRoot
-	root     T                   // what rootInto returned last
+	// Ownership, see the type's comment. owned parallels q.
+	release             func(T) // nil: dead aggregates are left to the collector
+	owned               []bool
+	midOwned, backOwned bool
+	bug                 Buggify
 }
 
 // NewDaba returns a DABA Lite aggregator for a window of n buckets.
@@ -64,6 +84,23 @@ func NewDaba[T any](merge MergeFunc[T], n int) *DabaLite[T] {
 		n:     n,
 		q:     make([]T, n),
 		raw:   make([]T, n),
+		owned: make([]bool, n),
+	}
+}
+
+// OnRelease implements Releaser. The hook must be installed before Init;
+// with one installed, the merge function must return storage of its own on
+// every call — never one of its arguments.
+func (t *DabaLite[T]) OnRelease(release func(T)) { t.release = release }
+
+// SetBuggify installs fault-injection points (simulation harness
+// self-tests only).
+func (t *DabaLite[T]) SetBuggify(b Buggify) { t.bug = b }
+
+// free hands a dead aggregate to the release hook if the structure owned it.
+func (t *DabaLite[T]) free(v T, owned bool) {
+	if owned && t.release != nil {
+		t.release(v)
 	}
 }
 
@@ -79,10 +116,11 @@ func (t *DabaLite[T]) Init(buckets []T) error {
 	for i := range t.q {
 		t.q[i] = zero
 		t.raw[i] = zero
+		t.owned[i] = false
 	}
 	t.f, t.l, t.r, t.a, t.b, t.e = 0, 0, 0, 0, 0, 0
-	t.midSum, t.hasMid = zero, false
-	t.backSum, t.hasBack = zero, false
+	t.midSum, t.hasMid, t.midOwned = zero, false, false
+	t.backSum, t.hasBack, t.backOwned = zero, false, false
 	for _, b := range buckets {
 		t.push(b)
 	}
@@ -110,8 +148,11 @@ func (t *DabaLite[T]) push(v T) {
 	t.raw[s] = v
 	t.e++
 	if t.hasBack {
-		t.backSum = t.merge(t.backSum, v)
+		old := t.backSum
+		t.backSum = t.merge(old, v)
 		t.stats.Merges++
+		t.free(old, t.backOwned)
+		t.backOwned = true
 	} else {
 		t.backSum = v
 		t.hasBack = true
@@ -127,7 +168,8 @@ func (t *DabaLite[T]) evict() error {
 	}
 	var zero T
 	s := t.slot(t.f)
-	t.q[s] = zero
+	t.free(t.q[s], t.owned[s])
+	t.q[s], t.owned[s] = zero, false
 	t.raw[s] = zero
 	t.f++
 	t.fixup()
@@ -151,10 +193,14 @@ func (t *DabaLite[T]) fixup() {
 	// value itself — no merge.
 	if t.a != t.r {
 		t.a--
+		sa := t.slot(t.a)
 		if t.a+1 != t.b {
-			sa := t.slot(t.a)
+			// q[sa] is the raw bucket: nothing dies.
 			t.q[sa] = t.merge(t.q[sa], t.q[t.slot(t.a+1)])
 			t.stats.Merges++
+			t.owned[sa] = true
+		} else if t.bug&BuggifyDabaReleaseRaw != 0 {
+			t.free(t.q[sa], true)
 		}
 		t.stats.NodesRecomputed++
 	}
@@ -165,8 +211,11 @@ func (t *DabaLite[T]) fixup() {
 	if t.l != t.r {
 		if t.hasMid {
 			sl := t.slot(t.l)
-			t.q[sl] = t.merge(t.q[sl], t.midSum)
+			old := t.q[sl]
+			t.q[sl] = t.merge(old, t.midSum)
 			t.stats.Merges++
+			t.free(old, t.owned[sl])
+			t.owned[sl] = true
 		}
 		t.stats.NodesRecomputed++
 		t.l++
@@ -181,19 +230,22 @@ func (t *DabaLite[T]) fixup() {
 // flip runs when F drains (l == b): by then L and R are empty and every
 // entry of [f, b) holds Σ[i, b), so the old front becomes the new L,
 // the old back raws become the new R, and backSum becomes midSum — a
-// pure cursor relabeling, no payload work.
+// pure cursor relabeling, no payload work. The old midSum completed the
+// last L entry before l reached b: it dies here.
 func (t *DabaLite[T]) flip() {
 	t.l = t.f
 	t.r = t.b
 	t.a = t.e
 	t.b = t.e
-	t.midSum, t.hasMid = t.backSum, t.hasBack
+	t.free(t.midSum, t.midOwned)
+	t.midSum, t.hasMid, t.midOwned = t.backSum, t.hasBack, t.backOwned
 	var zero T
-	t.backSum, t.hasBack = zero, false
+	t.backSum, t.hasBack, t.backOwned = zero, false, false
 }
 
 // Root returns the combined payload of the whole window: at most one
-// combiner call (front suffix aggregate with the back running sum).
+// combiner call (front suffix aggregate with the back running sum). A caller
+// that can consume the two unmerged takes Halves and saves the call.
 func (t *DabaLite[T]) Root() (T, bool) {
 	if t.f == t.e {
 		var zero T
@@ -208,21 +260,22 @@ func (t *DabaLite[T]) Root() (T, bool) {
 		return front, true
 	}
 	t.stats.Merges++
-	if t.rootInto == nil {
-		return t.merge(front, t.backSum), true
-	}
-	t.root = t.rootInto(t.root, front, t.backSum)
-	return t.root, true
+	return t.merge(front, t.backSum), true
 }
 
-// ReuseRoot makes Root combine front and back with mergeInto in place of the
-// merge function, handing it as dst the aggregate the previous Root call
-// built. The window aggregate is the one merge result this structure keeps
-// in no slot — every slide rebuilds it whole — so with a mergeInto that
-// builds its result in dst's storage the query allocates nothing. mergeInto
-// must return what the merge function would, and may ignore dst. The price:
-// a root is valid only until the next Root call.
-func (t *DabaLite[T]) ReuseRoot(mergeInto func(dst, a, b T) T) { t.rootInto = mergeInto }
+// Halves appends to dst the aggregates whose merge, in order, is Root — the
+// front suffix aggregate Σ[f, b) and the back running sum Σ[b, e), whichever
+// exist — as the structure holds them: no combiner call, and the payloads
+// are slots' own, read before the next Slide.
+func (t *DabaLite[T]) Halves(dst []T) []T {
+	if t.f != t.b {
+		dst = append(dst, t.q[t.slot(t.f)])
+	}
+	if t.hasBack {
+		dst = append(dst, t.backSum)
+	}
+	return dst
+}
 
 // Buckets returns the number of buckets in the window.
 func (t *DabaLite[T]) Buckets() int { return t.n }

@@ -121,58 +121,87 @@ func TestDabaSlide(t *testing.T) {
 	}
 }
 
-// TestDabaReuseRoot slides a plain aggregator and one with ReuseRoot side by
-// side: same roots (the left-fold oracle), same stats and fingerprint; the
-// destination Root hands to mergeInto is always what mergeInto returned
-// last — never a slot's aggregate, also after the queries that return the
-// front aggregate without merging — and once it is large enough the root
-// keeps its storage from one slide to the next.
-func TestDabaReuseRoot(t *testing.T) {
+// TestDabaRecyclesDeadSlots slides a plain aggregator and one with a release
+// hook side by side: same roots (the left-fold oracle), same halves, same
+// stats and fingerprint. The hook is the ownership oracle, which scribbles
+// what it is handed: every release must be of a merge's result, handed over
+// once, and nothing the structure still exposes — halves, slots, running
+// sums, raw buckets — may be released storage afterwards. Every aggregate
+// built into a slot is released or still held at the end: none leaks.
+func TestDabaRecyclesDeadSlots(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 33} {
-		plain, reuse := NewDaba(concatMerge, n), NewDaba(concatMerge, n)
-		var last []int
-		merged, kept := 0, 0
-		reuse.ReuseRoot(func(dst, a, b []int) []int {
-			if len(dst) != len(last) || len(dst) > 0 && &dst[0] != &last[0] {
-				t.Fatalf("n=%d: destination %v is not the previous root %v", n, dst, last)
+		oracle := NewOwnershipOracle(-1, func(v int) bool { return v < 0 })
+		built, builds := map[*int]bool{}, 0
+		plain, hooked := NewDaba(concatMerge, n), NewDaba(func(a, b []int) []int {
+			out := concatMerge(a, b)
+			built[&out[0]] = true
+			builds++
+			return out
+		}, n)
+		hooked.OnRelease(func(v []int) {
+			if !built[&v[0]] {
+				t.Fatalf("n=%d: released %v, which no merge built", n, v)
 			}
-			merged++
-			if cap(dst) >= len(a)+len(b) {
-				kept++
-			}
-			last = append(append(dst[:0], a...), b...)
-			return last
+			oracle.Release(v)
 		})
 		var live [][]int
 		for i := 0; i < n; i++ {
 			live = append(live, []int{i})
 		}
-		for _, d := range []*DabaLite[[]int]{plain, reuse} {
+		rootMerges := 0 // Root's results are built and kept in no slot: never released
+		check := func(step int) {
+			t.Helper()
+			checkDabaRoot(t, plain, live, step)
+			before := hooked.Stats().Merges
+			checkDabaRoot(t, hooked, live, step)
+			rootMerges += int(hooked.Stats().Merges - before)
+			halves := hooked.Halves(nil)
+			if !reflect.DeepEqual(halves, plain.Halves(nil)) || !reflect.DeepEqual(dabaOracle(halves), dabaOracle(live)) {
+				t.Fatalf("n=%d step %d: halves %v do not concatenate to the window", n, step, halves)
+			}
+			for _, h := range halves {
+				oracle.Scan("a half", h)
+			}
+			hooked.ForEachPayload(func(v []int) { oracle.Scan("a slot", v) })
+			raws, _ := hooked.BucketPayloads()
+			for _, v := range raws {
+				oracle.Scan("a raw bucket", v)
+			}
+			if err := oracle.Err(); err != nil {
+				t.Fatalf("n=%d step %d: %v", n, step, err)
+			}
+		}
+		for _, d := range []*DabaLite[[]int]{plain, hooked} {
 			if err := d.Init(live); err != nil {
 				t.Fatalf("n=%d: Init: %v", n, err)
 			}
 		}
+		check(-1)
 		const slides = 200
 		for step := 0; step < slides; step++ {
 			v := []int{n + step}
-			for _, d := range []*DabaLite[[]int]{plain, reuse} {
+			for _, d := range []*DabaLite[[]int]{plain, hooked} {
 				if err := d.Slide(v); err != nil {
 					t.Fatalf("n=%d step %d: Slide: %v", n, step, err)
 				}
 			}
 			live = append(live[1:], v)
-			checkDabaRoot(t, plain, live, step)
-			checkDabaRoot(t, reuse, live, step)
+			check(step)
 		}
 		fp := func(v []int) uint64 { return uint64(len(v)) }
-		if plain.Stats() != reuse.Stats() || plain.FingerprintWith(fp) != reuse.FingerprintWith(fp) {
-			t.Fatalf("n=%d: reusing the root changed stats or state: %+v vs %+v", n, reuse.Stats(), plain.Stats())
+		if plain.Stats() != hooked.Stats() || plain.FingerprintWith(fp) != hooked.FingerprintWith(fp) {
+			t.Fatalf("n=%d: the release hook changed stats or state: %+v vs %+v", n, hooked.Stats(), plain.Stats())
 		}
-		// Every window here has n one-element buckets, so the first merged
-		// root is as large as any later one. (The smallest windows answer
-		// most queries from the front aggregate alone.)
-		if merged > 0 && kept != merged-1 || n >= 8 && merged < slides/2 {
-			t.Fatalf("n=%d: %d of %d queries merged, %d of them kept the root's storage", n, merged, slides, kept)
+		// Every other merge result is released when it dies, unless a slot or
+		// a running sum still holds it.
+		held := 0
+		for _, owned := range append([]bool{hooked.midOwned, hooked.backOwned}, hooked.owned...) {
+			if owned {
+				held++
+			}
+		}
+		if got, want := oracle.Released()+held, builds-rootMerges; got != want || n >= 3 && oracle.Released() < slides {
+			t.Fatalf("n=%d: %d aggregates released and %d held, %d built into slots", n, oracle.Released(), held, want)
 		}
 	}
 }

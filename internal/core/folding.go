@@ -2,9 +2,12 @@ package core
 
 // fnode is a node of a folding contraction tree. Leaves hold map-task
 // payloads; internal nodes hold combined payloads. A node is void when no
-// live payload exists below it (§3.1).
+// live payload exists below it (§3.1). A node owns its payload iff
+// recomputeNode merged it: a leaf's is the caller's, a node passing a single
+// live child through aliases the child's.
 type fnode[T any] struct {
 	payload T
+	owned   bool
 	void    bool
 	leaf    bool
 	left    *fnode[T]
@@ -38,6 +41,10 @@ type FoldingTree[T any] struct {
 	// their combines are independent.
 	par   int
 	stats Stats
+	// release, when set, is handed a node's own payload when the node is
+	// recomputed (OnRelease). Nodes folded away or dropped by Init and
+	// rebuild are left to the collector.
+	release func(T)
 }
 
 // FoldingOption customizes a FoldingTree.
@@ -66,6 +73,12 @@ func NewFolding[T any](merge MergeFunc[T], opts ...FoldingOption[T]) *FoldingTre
 	}
 	return t
 }
+
+// OnRelease implements Releaser. The hook must be installed before Init and
+// be safe for concurrent use when the tree runs with parallelism above 1;
+// with one installed, the merge function must return storage of its own on
+// every call.
+func (t *FoldingTree[T]) OnRelease(release func(T)) { t.release = release }
 
 // SetParallelism bounds the worker pool used for level-by-level
 // recomputation (1 = sequential). Safe to change between operations.
@@ -142,9 +155,17 @@ func (t *FoldingTree[T]) computeAll(n *fnode[T]) {
 // work into st (a per-worker shard under parallel recomputation — the
 // tree's own counters must never be mutated concurrently). A node with a
 // single live child passes that child's payload through without a
-// combiner call.
+// combiner call. The node's own old payload dies first — it is no input of
+// the merge, whose inputs are the children's — so the merge that replaces it
+// may already be built in its storage. An old payload that aliased a child's
+// is the child's to release: every node above a recomputed one is recomputed
+// in the same slide, so no alias outlives what it points at.
 func (t *FoldingTree[T]) recomputeNode(n *fnode[T], st *Stats) {
+	if n.owned && t.release != nil {
+		t.release(n.payload)
+	}
 	l, r := n.left, n.right
+	n.owned = false
 	switch {
 	case l.void && r.void:
 		var zero T
@@ -159,6 +180,7 @@ func (t *FoldingTree[T]) recomputeNode(n *fnode[T], st *Stats) {
 	default:
 		n.payload = t.merge(l.payload, r.payload)
 		n.void = false
+		n.owned = true
 		st.Merges++
 	}
 	st.NodesRecomputed++
@@ -175,7 +197,6 @@ func (t *FoldingTree[T]) Slide(drop int, add []T) error {
 	if drop > t.Live() {
 		return ErrUnderflow
 	}
-	dirty := make(map[*fnode[T]]struct{})
 
 	// Drop the oldest leaves by marking them void.
 	for i := 0; i < drop; i++ {
@@ -183,7 +204,6 @@ func (t *FoldingTree[T]) Slide(drop int, add []T) error {
 		leaf.void = true
 		var zero T
 		leaf.payload = zero
-		dirty[leaf] = struct{}{}
 		t.start++
 	}
 	if t.start == t.end {
@@ -214,11 +234,10 @@ func (t *FoldingTree[T]) Slide(drop int, add []T) error {
 		leaf := t.leaves[t.end]
 		leaf.payload = p
 		leaf.void = false
-		dirty[leaf] = struct{}{}
 		t.end++
 	}
 
-	t.propagate(dirty)
+	t.propagate(drop, len(add))
 
 	// Rare-case rebalance: if the structure is much larger than the
 	// live window, rebuild from scratch (§3.2's fallback strategy).
@@ -249,40 +268,33 @@ func (t *FoldingTree[T]) unfold() {
 }
 
 // propagate recomputes the internal nodes on all leaf→root paths of the
-// dirty leaves, level by level (children before parents). All leaves sit
-// at the same depth of the complete tree, so each frontier holds nodes
-// of a single level with pairwise-disjoint children — the level's
-// combines run concurrently over the worker pool. Leaves whose subtree
-// was discarded by folding no longer reach the root and are skipped.
-func (t *FoldingTree[T]) propagate(dirty map[*fnode[T]]struct{}) {
+// dirty leaves, level by level (children before parents). The dirty leaves
+// are two runs of slots — the drop leaves before start, less those whose
+// subtree folding discarded (they sit below slot 0 now), and the add leaves
+// before end — so a frontier is built in slot order and the parents of an
+// ordered frontier repeat only side by side: no set is needed, and the
+// order merges run in is the same from run to run. All leaves sit at the
+// same depth of the complete tree, so each frontier holds nodes of a single
+// level with pairwise-disjoint children — the level's combines run
+// concurrently over the worker pool.
+func (t *FoldingTree[T]) propagate(drop, add int) {
 	var frontier []*fnode[T]
-	seen := make(map[*fnode[T]]struct{}, len(dirty))
-	for leaf := range dirty {
-		if !t.reachesRoot(leaf) {
-			continue
-		}
-		if p := leaf.parent; p != nil {
-			if _, ok := seen[p]; !ok {
-				seen[p] = struct{}{}
+	parents := func(nodes []*fnode[T]) {
+		for _, n := range nodes {
+			if p := n.parent; p != nil && (len(frontier) == 0 || frontier[len(frontier)-1] != p) {
 				frontier = append(frontier, p)
 			}
 		}
 	}
+	parents(t.leaves[max(t.start-drop, 0):t.start])
+	parents(t.leaves[t.end-add : t.end])
 	for len(frontier) > 0 {
-		parallelFor(t.par, len(frontier), &t.stats, func(i int, shard *Stats) {
-			t.recomputeNode(frontier[i], shard)
+		level := frontier
+		parallelFor(t.par, len(level), &t.stats, func(i int, shard *Stats) {
+			t.recomputeNode(level[i], shard)
 		})
-		next := frontier[:0:0]
-		nextSeen := make(map[*fnode[T]]struct{}, len(frontier))
-		for _, n := range frontier {
-			if p := n.parent; p != nil {
-				if _, ok := nextSeen[p]; !ok {
-					nextSeen[p] = struct{}{}
-					next = append(next, p)
-				}
-			}
-		}
-		frontier = next
+		frontier = nil
+		parents(level)
 	}
 }
 
@@ -294,15 +306,6 @@ func (t *FoldingTree[T]) rebuild() {
 		live = append(live, t.leaves[i].payload)
 	}
 	t.Init(live)
-}
-
-// reachesRoot reports whether walking parent pointers from n arrives at
-// the current root (false for nodes in folded-away subtrees).
-func (t *FoldingTree[T]) reachesRoot(n *fnode[T]) bool {
-	for n.parent != nil {
-		n = n.parent
-	}
-	return n == t.root
 }
 
 // Root returns the combined payload of the whole window, or false when the

@@ -24,6 +24,11 @@ const (
 	// k−1 buckets when k > 1 — the classic bulk-boundary off-by-one whose
 	// only symptom is a stale oldest bucket lingering in the aggregate.
 	BuggifyFingerBulkEvictOffByOne
+	// BuggifyDabaReleaseRaw makes DabaLite release the aggregate slot of an
+	// A-conversion that took no merge (a+1 == b) — the slot aliases the raw
+	// bucket, which the structure does not own: the wrong release whose
+	// only symptom is a live bucket rewritten by whoever recycles it.
+	BuggifyDabaReleaseRaw
 )
 
 // SetBuggify installs fault-injection points on a rotating tree (for the

@@ -1,0 +1,95 @@
+package mapreduce
+
+import "sync"
+
+// FreeListBuffers bounds what a FreeList holds, in slices. A window
+// structure releases about as many aggregates a slide as it builds, but not
+// of the sizes it builds next, so the stock has to span the sizes of one
+// cycle of the structure; what it holds is real memory no space accounting
+// counts. DESIGN.md §9 has the table the constant was read from (allocation
+// per slide against bytes held, 4 to 64 slices).
+const FreeListBuffers = 16
+
+// FreeList is a bounded stock of dead payload storage: entry slices of
+// aggregates a window structure has overwritten or evicted (see
+// core.Releaser), kept for the next merges to be built in
+// (MergeOrderedSizedInto's dst). It holds at most FreeListBuffers slices,
+// cleared — it pins no key and no value —, and is safe for concurrent use:
+// one partition's merges may run on several goroutines. The zero value is
+// an empty list.
+type FreeList struct {
+	mu           sync.Mutex
+	bufs         []Payload // len 0 each, every entry up to cap zero
+	hits, misses int64
+}
+
+// Get takes the smallest slice that holds n entries out of the list and
+// returns it with length 0; nil when none does — MergeOrderedSizedInto then
+// allocates one of exactly n — or when n is 0.
+func (f *FreeList) Get(n int) Payload {
+	if n == 0 {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	best := -1
+	for i, b := range f.bufs {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(f.bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		f.misses++
+		return nil
+	}
+	f.hits++
+	b := f.bufs[best]
+	last := len(f.bufs) - 1
+	f.bufs[best], f.bufs[last] = f.bufs[last], nil
+	f.bufs = f.bufs[:last]
+	return b
+}
+
+// Put hands the list a payload nothing reads any more. The payload must be
+// a merge's result (nothing beyond its length is set) that no one else
+// holds. A full list keeps its largest slices: they serve any request.
+func (f *FreeList) Put(p Payload) {
+	if cap(p) == 0 {
+		return
+	}
+	clear(p)
+	p = p[:0]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.bufs) < FreeListBuffers {
+		f.bufs = append(f.bufs, p)
+		return
+	}
+	smallest := 0
+	for i, b := range f.bufs {
+		if cap(b) < cap(f.bufs[smallest]) {
+			smallest = i
+		}
+	}
+	if cap(p) > cap(f.bufs[smallest]) {
+		f.bufs[smallest] = p
+	}
+}
+
+// FreeListStats is a FreeList's bookkeeping: requests served from the list
+// and not, and what it holds now.
+type FreeListStats struct {
+	Hits, Misses     int64
+	Buffers, Entries int // slices held and their summed capacity
+}
+
+// Stats returns the list's bookkeeping.
+func (f *FreeList) Stats() FreeListStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st := FreeListStats{Hits: f.hits, Misses: f.misses, Buffers: len(f.bufs)}
+	for _, b := range f.bufs {
+		st.Entries += cap(b)
+	}
+	return st
+}

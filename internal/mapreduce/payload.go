@@ -19,8 +19,11 @@ type Entry struct {
 // sorted by key (byte order, no key twice). The order is the invariant
 // everything downstream leans on: a merge is a merge-join over two
 // cursors, the codec writes entries as they lie, and fingerprints walk
-// them without sorting. A nil slice is the empty payload. Payloads are
-// immutable once built — tree nodes and results share them.
+// them without sorting. A nil slice is the empty payload. Nothing writes to
+// a payload while it is live; the storage of one that has died — an
+// aggregate its structure overwrote or evicted — may carry a later merge
+// (see FreeList), so a reader keeps a payload no longer than the run that
+// handed it over.
 type Payload []Entry
 
 func compareKeys(a, b Entry) int { return strings.Compare(a.Key, b.Key) }
@@ -129,13 +132,14 @@ func MergeOrdered(job *Job, left, right Payload) (Payload, int64) {
 	return out.P, combines
 }
 
-// MergeOrderedSized is MergeOrdered over sized payloads: a merge-join of
-// two cursors into one slice presized for the disjoint case, one key
-// comparison per output entry. The result's Bytes equals PayloadBytes of
-// the result, derived inside the loop from left.Bytes and the entries the
-// loop touches anyway (one valueBytes per key new to the result, two per
-// combined key), honouring Job.SizeOf/Sizer exactly as PayloadBytes does.
-// Inputs whose Bytes are wrong yield a wrong Bytes and nothing else.
+// MergeOrderedSized is MergeOrdered over sized payloads: one pass over the
+// two sides into one slice presized for the disjoint case (how the sides are
+// walked depends on their lengths, see MergeOrderedSizedInto). The result's
+// Bytes equals PayloadBytes of the result, derived inside the loop from the
+// larger side's Bytes and the entries the loop touches anyway (one
+// valueBytes per key new to the result, two per combined key), honouring
+// Job.SizeOf/Sizer exactly as PayloadBytes does. Inputs whose Bytes are
+// wrong yield a wrong Bytes and nothing else.
 //
 // A key both sides hold keeps the right-hand side's string. Decoded
 // payloads cut their keys from one arena per payload, and right is the
@@ -151,13 +155,19 @@ func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
 
 // MergeOrderedSizedInto is MergeOrderedSized with a destination: the result
 // is built in dst's storage when that holds the disjoint case, in a fresh
-// slice otherwise. It is for the one caller that rebuilds a payload nothing
-// else holds — a window aggregate no tree node keeps, rebuilt every slide —
-// so that the rebuild allocates nothing. dst is a payload the caller got
-// from an earlier call and no longer reads; it must not share storage with
-// left or right. What the result leaves unused of it is cleared, so a
-// reused buffer pins no key or value of the payload it held before. Same
-// entries, same Bytes, same combines as MergeOrderedSized.
+// slice otherwise. It is for the caller that has a payload nothing reads any
+// more — an aggregate a structure overwrote or evicted, see FreeList — so
+// that the next merge allocates nothing. dst must not share storage with
+// left or right. What the result leaves unused of it is cleared, so a reused
+// buffer pins no key or value of the payload it held before. Same entries,
+// same Bytes, same combines as MergeOrderedSized.
+//
+// The inputs' lengths pick how the two sides are walked. Sides of like size
+// are merge-joined, one comparison per output entry. When one side holds at
+// most 1/gallopRatio of the other's entries — a bucket entering a running
+// sum, a raw bucket meeting a suffix aggregate — the small side's entries
+// are looked up in the large one (gallop) and the runs between them copied
+// whole. Both ways build the same payload.
 func MergeOrderedSizedInto(job *Job, dst Payload, left, right Sized) (Sized, int64) {
 	l, r := left.P, right.P
 	out := dst[:0]
@@ -171,37 +181,88 @@ func MergeOrderedSizedInto(job *Job, dst Payload, left, right Sized) (Sized, int
 		out, bytes = append(out, r...), right.Bytes
 	case len(r) == 0:
 		out = append(out, l...)
+	case len(r)*gallopRatio <= len(l):
+		out, bytes, combines = gallop(job, out, r, l, false, left.Bytes)
+	case len(l)*gallopRatio <= len(r):
+		out, bytes, combines = gallop(job, out, l, r, true, right.Bytes)
 	default:
-		pair := make([]Value, 2)
-		for len(l) > 0 && len(r) > 0 {
-			switch c := strings.Compare(l[0].Key, r[0].Key); {
-			case c < 0:
-				out = append(out, l[0])
-				l = l[1:]
-			case c > 0:
-				out = append(out, r[0])
-				bytes += int64(len(r[0].Key)) + valueBytes(job, r[0].Value)
-				r = r[1:]
-			default:
-				existing := l[0].Value
-				pair[0], pair[1] = existing, r[0].Value
-				combined := job.Combine(r[0].Key, pair)
-				out = append(out, Entry{r[0].Key, combined})
-				bytes += valueBytes(job, combined) - valueBytes(job, existing)
-				combines++
-				l, r = l[1:], r[1:]
-			}
-		}
-		out = append(out, l...)
-		for _, e := range r {
-			bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
-		}
-		out = append(out, r...)
+		out, bytes, combines = mergeJoin(job, out, l, r, left.Bytes)
 	}
 	if len(out) < len(dst) {
 		clear(dst[len(out):])
 	}
 	return Sized{P: out, Bytes: bytes}, combines
+}
+
+// mergeJoin appends to out the merge of l and r by walking both, one key
+// comparison per output entry. bytes is l's carried size and comes back as
+// the result's.
+func mergeJoin(job *Job, out, l, r Payload, bytes int64) (Payload, int64, int64) {
+	pair := make([]Value, 2)
+	var combines int64
+	for len(l) > 0 && len(r) > 0 {
+		switch c := strings.Compare(l[0].Key, r[0].Key); {
+		case c < 0:
+			out = append(out, l[0])
+			l = l[1:]
+		case c > 0:
+			out = append(out, r[0])
+			bytes += int64(len(r[0].Key)) + valueBytes(job, r[0].Value)
+			r = r[1:]
+		default:
+			existing := l[0].Value
+			pair[0], pair[1] = existing, r[0].Value
+			combined := job.Combine(r[0].Key, pair)
+			out = append(out, Entry{r[0].Key, combined})
+			bytes += valueBytes(job, combined) - valueBytes(job, existing)
+			combines++
+			l, r = l[1:], r[1:]
+		}
+	}
+	out = append(out, l...)
+	for _, e := range r {
+		bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+	}
+	return append(out, r...), bytes, combines
+}
+
+// gallopRatio is the size ratio from which a merge gallops: below it the
+// lookups cost more comparisons than the merge-join's one per entry saves in
+// copying (DESIGN.md §9 has the crossover table).
+const gallopRatio = 4
+
+// gallop appends to out the merge of small and large, small being the
+// left-hand side of the merge when smallIsLeft: each of small's entries is
+// looked up in what is left of large (seek, O(log gap) comparisons) and the
+// run of large before it appended in one copy. bytes is large's carried size
+// and comes back as the result's, small's entries accounted as they land. A
+// shared key keeps the right-hand side's string and Combine sees left before
+// right, as in the merge-join; the returned combine count is the same too.
+func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64) (Payload, int64, int64) {
+	pair := make([]Value, 2)
+	var combines int64
+	for _, e := range small {
+		rest := seek(large, e.Key)
+		out = append(out, large[:len(large)-len(rest)]...)
+		large = rest
+		if len(large) == 0 || large[0].Key != e.Key {
+			out = append(out, e)
+			bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+			continue
+		}
+		held, key := large[0], e.Key
+		if smallIsLeft {
+			pair[0], pair[1], key = e.Value, held.Value, held.Key
+		} else {
+			pair[0], pair[1] = held.Value, e.Value
+		}
+		combined := job.Combine(key, pair)
+		out = append(out, Entry{key, combined})
+		bytes += valueBytes(job, combined) - valueBytes(job, held.Value)
+		combines++
+		large = large[1:]
+	}
+	return append(out, large...), bytes, combines
 }
 
 // cursor is one input of a K-way merge-join.

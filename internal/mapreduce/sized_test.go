@@ -350,8 +350,9 @@ func TestMergeIntoDestination(t *testing.T) {
 }
 
 // TestMergeAndReduceAllocs pins the allocation shape: a binary merge
-// allocates its output slice and one scratch pair however many keys it
-// combines, a K-way merge its output slice, its scratch and (past a
+// allocates its output slice — none when it is handed a destination — and one
+// scratch pair however many keys it combines and whichever way it walks its
+// sides, a K-way merge its output slice, its scratch and (past a
 // handful of inputs) its cursor heap, and a single-root reduce one scratch
 // slice beyond the output map — beyond those, only what the combiner or
 // reducer itself returns.
@@ -383,6 +384,21 @@ func TestMergeAndReduceAllocs(t *testing.T) {
 		})
 		if kway != 2 {
 			t.Errorf("%d-key 3-way merge: %.0f allocs, want 2 (output slice, scratch)", n, kway)
+		}
+	}
+
+	// A small side gallops into a large one: in a destination that holds the
+	// result the merge allocates its Combine scratch and nothing else — no
+	// output slice, nothing per lookup or per copied run.
+	dst := make(Payload, 0, len(many.P)+len(few.P))
+	for _, sides := range [][2]Sized{{many, few}, {few, many}} {
+		galloping := testing.AllocsPerRun(20, func() {
+			if out, c := MergeOrderedSizedInto(job, dst, sides[0], sides[1]); int(c) != len(few.P) || len(out.P) != len(many.P) || &out.P[0] != &dst[:1][0] {
+				t.Fatal("galloping merge did not combine the small side's keys in the destination")
+			}
+		})
+		if galloping != 1 {
+			t.Errorf("%d keys into %d, galloping into a destination: %.0f allocs, want 1 (scratch pair)", len(sides[1].P), len(sides[0].P), galloping)
 		}
 	}
 

@@ -49,7 +49,15 @@ type treeDriver struct {
 	out []pay
 	// evicted is what the last slide said it evicted, flattened to leaf IDs.
 	evicted pay
+	// own is the release hook of the kinds that release (core.Releaser):
+	// nothing recycles storage at this layer, so a released payload is
+	// scribbled over and whatever still reaches it shows in ownership.
+	own *core.OwnershipOracle[uint64]
 }
+
+// released is what the ownership oracle writes over a released payload; no
+// leaf ever carries it as its ID.
+const released = ^uint64(0)
 
 // newTreeDriver builds the driver for a kind over a window of width
 // elements at the given intra-tree parallelism, with optional fault
@@ -57,7 +65,31 @@ type treeDriver struct {
 func newTreeDriver(kind Kind, width, par int, bug core.Buggify) *treeDriver {
 	spec := kind.spec()
 	opts := core.Options{Width: width, Split: spec.split, Parallelism: par, Seed: rndSeed, Buggify: bug}
-	return &treeDriver{kind: kind, agg: core.NewAggregator(spec.kind, pmerge, opts)}
+	d := &treeDriver{kind: kind, agg: core.NewAggregator(spec.kind, pmerge, opts)}
+	d.own = core.NewOwnershipOracle(released, func(id uint64) bool { return id == released })
+	if r, ok := d.agg.(core.Releaser[pay]); ok {
+		r.OnRelease(func(p pay) { d.own.Release(p) })
+	}
+	return d
+}
+
+// ownership holds everything the aggregator still exposes — what the reduce
+// consumed, every payload it materializes, its snapshot, the last slide's
+// evicted elements — against the payloads it has released: none of it may be
+// released storage.
+func (d *treeDriver) ownership() error {
+	for _, p := range d.out {
+		d.own.Scan("a root", p)
+	}
+	d.agg.ForEachPayload(func(p pay) { d.own.Scan("a materialized payload", p) })
+	snap := d.agg.Snapshot()
+	for _, p := range snap.Elems {
+		d.own.Scan("a snapshot element", p)
+	}
+	d.own.Scan("the snapshot's root", snap.Root)
+	d.own.Scan("the snapshot's pending payload", snap.Pending)
+	d.own.Scan("the evicted list", d.evicted)
+	return d.own.Err()
 }
 
 // elements turns leaf IDs into aggregator elements: one singleton payload

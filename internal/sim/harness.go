@@ -8,6 +8,8 @@
 // through replicas at parallelism 1/4/8 and checks, after every step:
 //
 //   - the incremental root equals a from-scratch recomputation oracle,
+//   - nothing reachable is storage the structure released (the ownership
+//     oracle: a released payload is scribbled over, never recycled),
 //   - fingerprints and work counters are identical across parallelism
 //     levels,
 //   - delta-proportional work bounds hold (merge count ≤ c·(delta + log
@@ -59,6 +61,12 @@ type Options struct {
 	Buggify core.Buggify
 	// NoBounds disables the delta-proportional work-bound checks.
 	NoBounds bool
+	// Ownership replaces the runtime layer's recycling of released payload
+	// storage by the ownership oracle: what a structure releases is
+	// scribbled over instead, and after every run nothing the runtime holds
+	// or has delivered may carry the scribble. (The tree layer recycles
+	// nothing and always runs under the oracle.)
+	Ownership bool
 	// DistFaults runs the runtime layer's map phase on a real dist
 	// worker cluster and lets the trace's worker ops (crash, restart,
 	// delay, drop, corrupt — see GenerateChaos) inject faults into it.
@@ -343,9 +351,15 @@ func clampBulkInsert(k, live int) int {
 	return k
 }
 
-// checkStep verifies the root against the from-scratch oracle and the
-// cross-parallelism parity of fingerprints and work counters.
+// checkStep verifies that no replica exposes released storage, the root
+// against the from-scratch oracle and the cross-parallelism parity of
+// fingerprints and work counters.
 func checkStep(tr Trace, step int, drivers []*treeDriver, pars []int, window []uint64) error {
+	for i, d := range drivers {
+		if err := d.ownership(); err != nil {
+			return &CheckError{Trace: tr, Step: step, Check: "ownership", Msg: fmt.Sprintf("par=%d: %v", pars[i], err)}
+		}
+	}
 	if err := checkOracle(tr, step, drivers[0], window); err != nil {
 		return err
 	}

@@ -64,6 +64,51 @@ func TestInjectedBugIsCaughtAndShrinks(t *testing.T) {
 	}
 }
 
+// TestInjectedBugWrongRelease is the ownership oracle's acceptance test:
+// inject the wrong release — DabaLite handing the release hook an aggregate
+// slot that aliases the raw bucket, via the BuggifyDabaReleaseRaw fault point
+// — and demonstrate that the tree-layer matrix catches it as an ownership
+// failure (the bucket is live: a root, a slot, the snapshot and later the
+// evicted list all reach it), that the failing trace shrinks to a short
+// reproducer, and that the same trace passes with the injection reverted.
+func TestInjectedBugWrongRelease(t *testing.T) {
+	buggy := Options{Buggify: core.BuggifyDabaReleaseRaw}
+
+	var failing Trace
+	var firstErr error
+	for _, seed := range []uint64{1, 2, 3, 4, 5, 6, 7, 8} {
+		tr := Generate(Daba, seed, 1000)
+		if err := Run(tr, buggy); err != nil {
+			failing, firstErr = tr, err
+			break
+		}
+	}
+	if firstErr == nil {
+		t.Fatal("injected bug (release of a raw-aliased DABA slot) was not caught within 1000 steps on any seed")
+	}
+	ce, ok := firstErr.(*CheckError)
+	if !ok {
+		t.Fatalf("expected *CheckError, got %T: %v", firstErr, firstErr)
+	}
+	if ce.Check != "ownership" {
+		t.Fatalf("caught by the %s check, want the ownership oracle to name it first: %v", ce.Check, ce)
+	}
+	t.Logf("caught at step %d: %s\n%s", ce.Step, ce.Msg, ReplayLine(failing))
+
+	min := Shrink(failing, buggy, 0)
+	if err := Run(min, buggy); err == nil {
+		t.Fatal("shrunken trace no longer fails")
+	}
+	if len(min.Ops) > 20 {
+		t.Fatalf("shrunken reproducer has %d steps, want ≤ 20", len(min.Ops))
+	}
+	t.Logf("shrunk %d ops → %d ops:\n%s", len(failing.Ops), len(min.Ops), FormatRepro("DabaReleasedRawBucketRepro", min, buggy))
+
+	if err := Run(min, Options{}); err != nil {
+		t.Fatalf("trace fails even without the injected bug — harness found a real bug?\n%v", err)
+	}
+}
+
 // TestBuggifyOffByDefault: the fault point must be inert unless armed.
 func TestBuggifyOffByDefault(t *testing.T) {
 	tr := Generate(RotatingSplit, 11, 300)

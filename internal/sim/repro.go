@@ -55,6 +55,9 @@ func optionsLiteral(opt Options) string {
 	if opt.NoBounds {
 		fields = append(fields, "NoBounds: true")
 	}
+	if opt.Ownership {
+		fields = append(fields, "Ownership: true")
+	}
 	if opt.DistFaults {
 		fields = append(fields, "DistFaults: true")
 	}

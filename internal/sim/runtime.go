@@ -117,6 +117,17 @@ type rtReplica struct {
 	rt    *sliderrt.Runtime
 	cfg   sliderrt.Config
 	gcAll *bool // toggled by OpGCPressure, read by the GC policy
+	// own, under Options.Ownership, watches rt and whatever it is restored
+	// into; nil otherwise.
+	own *sliderrt.Ownership
+}
+
+// adopt makes rt the replica's runtime.
+func (rep *rtReplica) adopt(rt *sliderrt.Runtime) {
+	rep.rt = rt
+	if rep.own != nil {
+		rep.own.Watch(rt)
+	}
 }
 
 // runtimeConfig maps a trace kind onto the equivalent runtime
@@ -196,7 +207,11 @@ func runRuntime(tr Trace, opt Options) error {
 		if err != nil {
 			return fail(-1, "config", "par=%d: %v", par, err)
 		}
-		reps[i] = &rtReplica{rt: rt, cfg: cfg, gcAll: gcAll}
+		reps[i] = &rtReplica{cfg: cfg, gcAll: gcAll}
+		if opt.Ownership {
+			reps[i].own = sliderrt.NewOwnership()
+		}
+		reps[i].adopt(rt)
 	}
 
 	// splitWidth converts trace units (buckets for fixed kinds, splits
@@ -347,7 +362,7 @@ func runRuntime(tr Trace, opt Options) error {
 					return fail(step, "restore-fingerprint",
 						"par=%d restored fingerprint %#x != checkpointed %#x", pars[i], fps[i], before)
 				}
-				rep.rt = restored // continue from the restored state
+				rep.adopt(restored) // continue from the restored state
 			}
 			restored = true
 			// And identical across parallelism levels: the window state a
@@ -496,6 +511,9 @@ func walkState(rt *sliderrt.Runtime, job *mapreduce.Job) (spaceBytes int64, unso
 // checkpoint→restore, a late insert, a bulk evict or insert, and a
 // folding-tree rebuild.
 //
+// Under Options.Ownership the step first holds everything a replica's
+// runtime holds and has delivered against the payloads it released.
+//
 // The output is a map the runtime keeps and patches, so the step also holds
 // what the run says it did to it against prev, the from-scratch output of
 // the previous step, and moved, the splits that left and entered since:
@@ -512,6 +530,11 @@ func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps [
 		return nil, &CheckError{Trace: tr, Step: step, Check: check, Msg: fmt.Sprintf(format, args...)}
 	}
 	for i, rep := range reps {
+		if rep.own != nil {
+			if err := rep.own.Check(rep.rt, results[i]); err != nil {
+				return fail("ownership", "par=%d: %v", pars[i], err)
+			}
+		}
 		want, unsorted := walkState(rep.rt, job)
 		if got := results[i].SpaceBytes; got != want {
 			return fail("space", "par=%d SpaceBytes %d, from-scratch walk says %d", pars[i], got, want)

@@ -99,6 +99,45 @@ func TestRuntimeSeedMatrix(t *testing.T) {
 	}
 }
 
+// TestOwnershipRuntimeMatrix runs the runtime layer's matrices — the seed
+// matrix, the out-of-order one, the chaos one — with the storage the
+// structures release scribbled over instead of recycled, at parallelism
+// 1/4/8: after every run nothing a runtime holds, would checkpoint or has
+// delivered may be released storage, no payload is released twice, and every
+// other check of the layer holds as it does when the storage is recycled.
+// (The tree layer's matrices always run this way.) Only the kinds that
+// release have anything to show; the finger tree's out-of-order traces ride
+// along for the day it does.
+func TestOwnershipRuntimeMatrix(t *testing.T) {
+	steps, chaosSteps := 60, 35
+	if testing.Short() {
+		steps, chaosSteps = 25, 12
+	}
+	own := Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}, Ownership: true}
+	chaos := own
+	chaos.DistFaults = true
+	for _, kind := range []Kind{Daba, Folding, FingerTree} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range simSeeds[:2] {
+				for _, run := range []struct {
+					tr  Trace
+					opt Options
+				}{
+					{Generate(kind, seed, steps), own},
+					{GenerateOutOfOrder(kind, seed, steps), own},
+					{GenerateChaos(kind, seed, chaosSteps), chaos},
+				} {
+					if err := Run(run.tr, run.opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestShrinkPreservesPassingTrace: shrinking a passing trace is a no-op.
 func TestShrinkPreservesPassingTrace(t *testing.T) {
 	tr := Generate(Folding, 5, 40)

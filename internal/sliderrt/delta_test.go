@@ -120,15 +120,26 @@ type deltaModel struct {
 	window []mapreduce.Split
 	next   int
 	prev   mapreduce.Output // from scratch, over the previous window
+	// own, when set, is handed what the aggregators release, scribbles over
+	// it, and is asked after every run whether anything still reaches it.
+	own *Ownership
 }
 
 func newDeltaModel(t *testing.T, job *mapreduce.Job, cfg Config) (*deltaModel, *RunResult) {
+	t.Helper()
+	return newWatchedDeltaModel(t, job, cfg, nil)
+}
+
+func newWatchedDeltaModel(t *testing.T, job *mapreduce.Job, cfg Config, own *Ownership) (*deltaModel, *RunResult) {
 	t.Helper()
 	rt, err := New(job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &deltaModel{t: t, job: job, rt: rt, window: sparseSplits(0, deltaBuckets), next: deltaBuckets}
+	if own != nil {
+		own.Watch(rt)
+	}
+	m := &deltaModel{t: t, job: job, rt: rt, window: sparseSplits(0, deltaBuckets), next: deltaBuckets, own: own}
 	res, err := rt.Initial(m.window)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +196,11 @@ func (m *deltaModel) fullPass() mapreduce.Output {
 // value moved is listed, and only keys of the splits that moved, each once.
 func (m *deltaModel) check(res *RunResult, moved []mapreduce.Split) {
 	m.t.Helper()
+	if m.own != nil {
+		if err := m.own.Check(m.rt, res); err != nil {
+			m.t.Fatal(err)
+		}
+	}
 	want := scratch(m.t, m.job, m.window)
 	if !reflect.DeepEqual(res.Output, want) {
 		m.t.Fatalf("output differs from recomputation from scratch (rebuilt=%v):\n got %v\nwant %v", res.Rebuilt, res.Output, want)
@@ -245,7 +261,10 @@ func mapID(m mapreduce.Output) unsafe.Pointer { return reflect.ValueOf(m).Unsafe
 // splits that moved —, a slide that replaces most of the window refills, an
 // empty period makes no Reduce call and changes nothing, every run keeps the
 // one map the initial run made, and the path, the keys and the calls are the
-// same at every parallelism.
+// same at every parallelism — and the same again with the storage the
+// structures release scribbled over instead of recycled (the ownership
+// oracle), where in addition nothing the runtime holds or has delivered may
+// be released storage.
 func TestDeltaReduceMatrix(t *testing.T) {
 	type outcome struct {
 		rebuilt bool
@@ -255,11 +274,19 @@ func TestDeltaReduceMatrix(t *testing.T) {
 	for _, c := range deltaCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			var first []outcome
-			for _, par := range []int{1, 4, 8} {
+			for _, run := range []struct {
+				par     int
+				watched bool
+			}{{1, false}, {4, false}, {8, false}, {1, true}, {4, true}, {8, true}} {
+				par := run.par
 				cfg := c.cfg
 				cfg.Parallelism = par
 				job := wordCountJob()
-				m, res := newDeltaModel(t, job, cfg)
+				var own *Ownership
+				if run.watched {
+					own = NewOwnership()
+				}
+				m, res := newWatchedDeltaModel(t, job, cfg, own)
 				id := mapID(res.Output)
 				var got []outcome
 				for i, s := range deltaSchedule(cfg) {

@@ -95,6 +95,13 @@ type Runtime struct {
 	// aggs holds each partition's window aggregator — whichever structure
 	// the backend resolved to, behind the one core.Aggregator contract.
 	aggs []core.Aggregator[sized]
+	// free[p] stocks the storage of the aggregates partition p's structure
+	// released (core.Releaser) for its next merges to be built in. What it
+	// holds is bounded and is not memoized state: SpaceBytes leaves it out.
+	// releaseTo, when set, receives the released payloads instead (see
+	// Ownership).
+	free      []mapreduce.FreeList
+	releaseTo func(Payload)
 	// treeBytes[p] is the visitor that sums partition p's payload sizes.
 	// The walk goes through the interface, where a closure built per call
 	// escapes (two allocations per partition per slide), so each
@@ -166,16 +173,17 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// mergeInto returns a partition's merge function: it combines two payloads
-// in window order — in dst's storage when dst is given and large enough,
-// see MergeOrderedSizedInto —, sizes the result as it builds it, and counts
-// combiner calls into the partition's own counter. The counter updates are
-// atomic because the parallel contraction engine may run several of one
-// partition's merges concurrently; the merge is pure and, dst apart,
-// alias-free, so the merges themselves are safe.
-func (rt *Runtime) mergeInto(counter *int64) func(dst, a, b sized) sized {
-	return func(dst, a, b sized) sized {
-		out, c := mapreduce.MergeOrderedSizedInto(rt.job, dst.P, a, b)
+// mergeFor returns a partition's merge function: it combines two payloads in
+// window order — in storage taken from the partition's free list when that
+// has a slice large enough, see MergeOrderedSizedInto —, sizes the result as
+// it builds it, and counts combiner calls into counter. The counter updates
+// are atomic and the free list is locked because the parallel contraction
+// engine may run several of one partition's merges concurrently; the merge
+// is pure and its result shares no storage with its inputs, so the merges
+// themselves are safe.
+func (rt *Runtime) mergeFor(free *mapreduce.FreeList, counter *int64) core.MergeFunc[sized] {
+	return func(a, b sized) sized {
+		out, c := mapreduce.MergeOrderedSizedInto(rt.job, free.Get(len(a.P)+len(b.P)), a, b)
 		atomic.AddInt64(counter, c)
 		return out
 	}
@@ -338,7 +346,7 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	return rt.run(initialRun, 0, splits, func(p int, payloads []sized) (partDelta, error) {
 		return partDelta{}, rt.aggs[p].Init(rt.elements(p, payloads))
 	}, func() {
-		rt.aggs, rt.combines = rt.newAggregators()
+		rt.aggs, rt.combines, rt.free = rt.newAggregators()
 		if rt.outOfOrder() {
 			rt.uniformLedger(rt.cfg.WindowBuckets, rt.cfg.BucketSplits)
 		}
@@ -707,11 +715,16 @@ func (rt *Runtime) runBackground(parent *metrics.Span, bg *metrics.Recorder) err
 // into the recorder's counters and returns the stats it sealed at.
 func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDelta, out mapreduce.Output, before core.Stats) (_ mapreduce.Output, rebuilt bool, _ core.Stats) {
 	ph := so.phase("reduce")
-	keys, touched := 0, 0
+	// keys is what a full pass walks, distinct what it yields at least: a
+	// partition's roots may share keys (DABA Lite's halves do).
+	keys, distinct, touched := 0, 0, 0
 	for _, part := range parts {
+		largest := 0
 		for _, r := range part.roots {
 			keys += len(r.P)
+			largest = max(largest, len(r.P))
 		}
+		distinct += largest
 		for _, e := range part.evicted {
 			touched += len(e.P)
 		}
@@ -724,7 +737,7 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDe
 	rt.changed = rt.changed[:0]
 	switch {
 	case out == nil:
-		out, rebuilt = make(mapreduce.Output, keys), true
+		out, rebuilt = make(mapreduce.Output, distinct), true
 	case 2*touched > keys:
 		clear(out)
 		rebuilt = true
@@ -774,14 +787,20 @@ func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Dur
 }
 
 // rootPathBytes estimates the memoized root-path state a partition's
-// update reads and rewrites: one root payload for append-only windows,
-// roughly twice the root payload for a log-depth path.
+// update reads and rewrites: one root payload for append-only windows —
+// root ∪ C′ is the next root, so several roots add up —, roughly twice the
+// root payload for a log-depth path. A sliding window's several roots are
+// DABA Lite's halves, which overlap in every key both hold and whose merge
+// is stored nowhere: the largest stands for the root (DESIGN.md §9).
 func (rt *Runtime) rootPathBytes(roots []sized) int64 {
-	bytes := sumBytes(roots)
-	if rt.cfg.Mode != Append {
-		bytes *= 2
+	if rt.cfg.Mode == Append {
+		return sumBytes(roots)
 	}
-	return bytes
+	var largest int64
+	for _, r := range roots {
+		largest = max(largest, r.Bytes)
+	}
+	return 2 * largest
 }
 
 // putPartState memoizes partition p's root-path state under its memo key,
@@ -876,9 +895,10 @@ func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 
 // newAggregators instantiates one aggregator of the resolved backend per
 // partition, each wired to its own combine counter and to its share of the
-// parallelism budget so partition-level and intra-tree concurrency compose.
-// The caller installs both slices together (Initial, Restore).
-func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64) {
+// parallelism budget so partition-level and intra-tree concurrency compose,
+// and to its own free list. The caller installs the three slices together
+// (Initial, Restore).
+func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64, []mapreduce.FreeList) {
 	opts := core.Options{
 		Width:         rt.cfg.WindowBuckets,
 		Split:         rt.cfg.SplitProcessing,
@@ -886,17 +906,25 @@ func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64) {
 		RebuildFactor: rt.cfg.RebuildFactor,
 	}
 	combines := make([]int64, rt.parts)
+	free := make([]mapreduce.FreeList, rt.parts)
 	aggs := make([]core.Aggregator[sized], rt.parts)
 	for p := range aggs {
 		opts.Seed = rt.cfg.Seed + uint64(p) + 1
-		into := rt.mergeInto(&combines[p])
-		aggs[p] = core.NewAggregator(rt.backend, func(a, b sized) sized { return into(sized{}, a, b) }, opts)
-		// A root is consumed by this run's reduce and by nothing after it.
-		if r, ok := aggs[p].(core.RootReuser[sized]); ok {
-			r.ReuseRoot(into)
+		aggs[p] = core.NewAggregator(rt.backend, rt.mergeFor(&free[p], &combines[p]), opts)
+		// A structure that knows when an aggregate it merged dies says so, and
+		// the partition's next merge is built in what the dead one left.
+		if r, ok := aggs[p].(core.Releaser[sized]); ok {
+			list := &free[p]
+			r.OnRelease(func(s sized) {
+				if rt.releaseTo != nil {
+					rt.releaseTo(s.P)
+				} else {
+					list.Put(s.P)
+				}
+			})
 		}
 	}
-	return aggs, combines
+	return aggs, combines, free
 }
 
 // partitionTreeBytes sums the carried sizes of the payloads partition
@@ -918,7 +946,8 @@ type byteSum struct {
 // partition by partition. It exists for diagnostics and for the test
 // oracle that re-measures SpaceBytes from scratch with
 // mapreduce.PayloadBytes; the runtime itself never walks payload keys to
-// size them. Payloads are shared with the trees and must not be mutated.
+// size them. Payloads are the trees' own: they must not be mutated, nor kept
+// beyond the next run, which may rebuild them in place.
 func (rt *Runtime) ForEachPayload(fn func(Payload)) {
 	for _, agg := range rt.aggs {
 		agg.ForEachPayload(func(s sized) { fn(s.P) })

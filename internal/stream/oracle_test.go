@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"slider/internal/mapreduce"
+	"slider/internal/sliderrt"
 )
 
 // The stream oracle: whatever the schedule of pushes, every window a driver
@@ -18,7 +19,24 @@ import (
 // must cover every key whose value moved, name no key outside the records
 // that left or entered, and be the same at any parallelism. One harness
 // covers both front ends; a case supplies the feed and a model of which
-// records a bound names.
+// records a bound names. Every schedule runs a second time under the
+// ownership oracle — the storage the window's structure releases is scribbled
+// over instead of recycled — and must deliver the same windows while nothing
+// the runtime holds or delivers is released storage.
+
+// watch makes own, when set, the release hook of the stream's runtime and
+// checks it ahead of sink on every window.
+func watch(t *testing.T, own *sliderrt.Ownership, rt func() *sliderrt.Runtime, sink Sink) Sink {
+	if own == nil {
+		return sink
+	}
+	return func(o Output) error {
+		if err := own.Check(rt(), o.Result); err != nil {
+			t.Fatalf("window %d: %v", o.SlideID, err)
+		}
+		return sink(o)
+	}
+}
 
 // oracleRun is what a case hands the checker.
 type oracleRun struct {
@@ -32,22 +50,30 @@ type oracleRun struct {
 	records func(start, end int64) []mapreduce.Record
 }
 
+// oracleFeed pushes a case's seeded schedule through a fresh stream at the
+// given parallelism, under the ownership oracle when one is handed in.
+type oracleFeed func(t *testing.T, par int, rng *rand.Rand, own *sliderrt.Ownership) oracleRun
+
 func oracleRecord(i int) mapreduce.Record {
 	return fmt.Sprintf("k%d k%d all", i%29, i%3)
 }
 
 // countFeed pushes n records through a count window in seeded groups — a
 // mix of single records and bulk pushes that span several splits and slides.
-func countFeed(rps, window, slide, n int) func(*testing.T, int, *rand.Rand) oracleRun {
-	return func(t *testing.T, par int, rng *rand.Rand) oracleRun {
+func countFeed(rps, window, slide, n int) oracleFeed {
+	return func(t *testing.T, par int, rng *rand.Rand, own *sliderrt.Ownership) oracleRun {
 		var run oracleRun
 		rc := smallMemo()
 		rc.Parallelism = par
+		var w *CountWindow
 		w, err := NewCountWindow(CountConfig{
 			Job: sumJob(), RecordsPerSplit: rps, WindowSplits: window, SlideSplits: slide, Config: rc,
-		}, keep(&run.outputs))
+		}, watch(t, own, func() *sliderrt.Runtime { return w.Runtime() }, keep(&run.outputs)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if own != nil {
+			own.Watch(w.Runtime())
 		}
 		for i := 0; i < n; {
 			group := 1
@@ -87,17 +113,21 @@ func countFeed(rps, window, slide, n int) func(*testing.T, int, *rand.Rand) orac
 // empty periods — through a time window of width periods and flushes the
 // last one. leading empty periods are closed before the first record, so
 // the first windows hold nothing and must be skipped, not delivered.
-func timeFeed(width, rps, periods, leading int) func(*testing.T, int, *rand.Rand) oracleRun {
-	return func(t *testing.T, par int, rng *rand.Rand) oracleRun {
+func timeFeed(width, rps, periods, leading int) oracleFeed {
+	return func(t *testing.T, par int, rng *rand.Rand, own *sliderrt.Ownership) oracleRun {
 		var run oracleRun
 		rc := smallMemo()
 		rc.Parallelism = par
 		slide := time.Minute
+		var w *TimeWindow
 		w, err := NewTimeWindow(TimeConfig{
 			Job: sumJob(), Window: time.Duration(width) * slide, Slide: slide, RecordsPerSplit: rps, Config: rc,
-		}, keep(&run.outputs))
+		}, watch(t, own, func() *sliderrt.Runtime { return w.Runtime() }, keep(&run.outputs)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if own != nil {
+			own.Watch(w.Runtime())
 		}
 		epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 		type stamped struct {
@@ -166,7 +196,7 @@ func timeFeed(width, rps, periods, leading int) func(*testing.T, int, *rand.Rand
 func TestStreamOracle(t *testing.T) {
 	cases := []struct {
 		name string
-		feed func(*testing.T, int, *rand.Rand) oracleRun
+		feed oracleFeed
 		// patches: the window is wide enough against its slide for some
 		// slides to patch the retained output instead of refilling it.
 		patches bool
@@ -194,7 +224,7 @@ func TestStreamOracle(t *testing.T) {
 		for _, par := range []int{1, 4, 8} {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/par%d/seed%d", c.name, par, seed), func(t *testing.T) {
-					run := c.feed(t, par, rand.New(rand.NewSource(seed)))
+					run := c.feed(t, par, rand.New(rand.NewSource(seed)), nil)
 					if len(run.ends) == 0 {
 						t.Fatal("the schedule closes no window")
 					}
@@ -260,17 +290,25 @@ func TestStreamOracle(t *testing.T) {
 					}
 					// The path a slide takes and what it reports depend on the
 					// input alone: the sequential run of the same schedule
-					// agrees.
-					if par == 1 {
-						return
-					}
-					first := c.feed(t, 1, rand.New(rand.NewSource(seed)))
-					for i, o := range run.outputs {
-						a, b := first.outputs[i].Result, o.Result
-						if a.Rebuilt != b.Rebuilt || !slices.Equal(a.Changed, b.Changed) || a.Report.Counters.ReduceCalls != b.Report.Counters.ReduceCalls {
-							t.Fatalf("window %d: par 1 rebuilt=%v changed=%v calls=%d, par %d rebuilt=%v changed=%v calls=%d", i,
-								a.Rebuilt, a.Changed, a.Report.Counters.ReduceCalls, par, b.Rebuilt, b.Changed, b.Report.Counters.ReduceCalls)
+					// agrees, and so does the run whose released storage is
+					// scribbled over, window for window.
+					same := func(what string, other oracleRun, outputs bool) {
+						t.Helper()
+						if len(other.outputs) != len(run.outputs) {
+							t.Fatalf("%s delivered %d windows, par %d delivered %d", what, len(other.outputs), par, len(run.outputs))
 						}
+						for i, o := range run.outputs {
+							a, b := other.outputs[i].Result, o.Result
+							if a.Rebuilt != b.Rebuilt || !slices.Equal(a.Changed, b.Changed) || a.Report.Counters.ReduceCalls != b.Report.Counters.ReduceCalls ||
+								outputs && !reflect.DeepEqual(a.Output, b.Output) {
+								t.Fatalf("window %d: %s rebuilt=%v changed=%v calls=%d, par %d rebuilt=%v changed=%v calls=%d (or another output)", i,
+									what, a.Rebuilt, a.Changed, a.Report.Counters.ReduceCalls, par, b.Rebuilt, b.Changed, b.Report.Counters.ReduceCalls)
+							}
+						}
+					}
+					same("the ownership oracle's run", c.feed(t, par, rand.New(rand.NewSource(seed)), sliderrt.NewOwnership()), true)
+					if par > 1 {
+						same("par 1", c.feed(t, 1, rand.New(rand.NewSource(seed)), nil), false)
 					}
 				})
 			}
