@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"slider"
+	"slider/internal/apps"
 	"slider/internal/workload"
 )
 
@@ -27,33 +28,6 @@ func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "slider-demo:", err)
 		os.Exit(1)
-	}
-}
-
-func wordCount() *slider.Job {
-	sum := func(_ string, values []slider.Value) slider.Value {
-		var total int64
-		for _, v := range values {
-			total += v.(int64)
-		}
-		return total
-	}
-	return &slider.Job{
-		Name:       "wordcount",
-		Partitions: 4,
-		Map: func(rec slider.Record, emit slider.Emit) error {
-			line, ok := rec.(string)
-			if !ok {
-				return fmt.Errorf("record %T is not a string", rec)
-			}
-			for _, w := range strings.Fields(line) {
-				emit(w, int64(1))
-			}
-			return nil
-		},
-		Combine:     sum,
-		Reduce:      sum,
-		Commutative: true,
 	}
 }
 
@@ -107,7 +81,7 @@ func run(args []string) error {
 	gen := workload.NewText(workload.TextConfig{
 		Seed: 1, LinesPerSplit: 200, WordsPerLine: 12, Vocabulary: 5000, ZipfS: 1.2,
 	})
-	rt, err := slider.New(wordCount(), cfg)
+	rt, err := slider.New(apps.WordCount(4), cfg)
 	if err != nil {
 		return err
 	}
@@ -134,7 +108,7 @@ func run(args []string) error {
 		windowSplits = append(windowSplits[drop:], add...)
 
 		rec := slider.NewRecorder()
-		want, err := slider.RunScratch(wordCount(), windowSplits, 0, rec)
+		want, err := slider.RunScratch(apps.WordCount(4), windowSplits, 0, rec)
 		if err != nil {
 			return err
 		}

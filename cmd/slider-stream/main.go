@@ -27,35 +27,13 @@ import (
 	"time"
 
 	"slider"
+	"slider/internal/apps"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "slider-stream:", err)
 		os.Exit(1)
-	}
-}
-
-func wordCount() *slider.Job {
-	sum := func(_ string, values []slider.Value) slider.Value {
-		var total int64
-		for _, v := range values {
-			total += v.(int64)
-		}
-		return total
-	}
-	return &slider.Job{
-		Name:       "stream-wordcount",
-		Partitions: 4,
-		Map: func(rec slider.Record, emit slider.Emit) error {
-			for _, w := range strings.Fields(rec.(string)) {
-				emit(strings.ToLower(strings.Trim(w, ".,;:!?\"'()[]")), int64(1))
-			}
-			return nil
-		},
-		Combine:     sum,
-		Reduce:      sum,
-		Commutative: true,
 	}
 }
 
@@ -157,7 +135,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		rtCfg.MapRunner = pool
 	}
 	cw, err = slider.NewCountWindow(slider.CountWindowConfig{
-		Job:             wordCount(),
+		Job:             apps.StreamWordCount(4),
 		RecordsPerSplit: *split,
 		WindowSplits:    *window,
 		SlideSplits:     *slide,

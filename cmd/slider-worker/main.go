@@ -27,60 +27,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"slider"
+	"slider/internal/apps"
 )
 
-func wordCount() *slider.Job {
-	sum := func(_ string, values []slider.Value) slider.Value {
-		var total int64
-		for _, v := range values {
-			total += v.(int64)
-		}
-		return total
-	}
-	return &slider.Job{
-		Name:       "wordcount",
-		Partitions: 4,
-		Map: func(rec slider.Record, emit slider.Emit) error {
-			for _, w := range strings.Fields(rec.(string)) {
-				emit(w, int64(1))
-			}
-			return nil
-		},
-		Combine:     sum,
-		Reduce:      sum,
-		Commutative: true,
-	}
-}
-
-// streamWordCount is slider-stream's normalized word count; the factory
-// here must match the one in cmd/slider-stream byte-for-byte semantics
-// (jobs travel by name, the Map function does not cross the wire).
-func streamWordCount() *slider.Job {
-	sum := func(_ string, values []slider.Value) slider.Value {
-		var total int64
-		for _, v := range values {
-			total += v.(int64)
-		}
-		return total
-	}
-	return &slider.Job{
-		Name:       "stream-wordcount",
-		Partitions: 4,
-		Map: func(rec slider.Record, emit slider.Emit) error {
-			for _, w := range strings.Fields(rec.(string)) {
-				emit(strings.ToLower(strings.Trim(w, ".,;:!?\"'()[]")), int64(1))
-			}
-			return nil
-		},
-		Combine:     sum,
-		Reduce:      sum,
-		Commutative: true,
-	}
-}
+// The jobs this binary serves, with the partition count the drivers that
+// name them use.
+func wordCount() *slider.Job       { return apps.WordCount(4) }
+func streamWordCount() *slider.Job { return apps.StreamWordCount(4) }
 
 // newRegistry registers every job this worker binary serves.
 func newRegistry() (*slider.JobRegistry, error) {

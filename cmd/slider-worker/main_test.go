@@ -1,9 +1,13 @@
 package main
 
 import (
+	"errors"
+	"net/rpc"
+	"strings"
 	"testing"
 
 	"slider"
+	"slider/internal/dist"
 )
 
 // TestRegisteredJobContracts holds every job the worker serves to the
@@ -56,6 +60,40 @@ func TestWorkerServesAndShutsDown(t *testing.T) {
 	}
 	if err := worker.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkerRefusesForeignRecord: a split holding a record that is not a
+// string fails its batch with the job's error, and the same worker answers
+// the next Ping and serves the next batch.
+func TestWorkerRefusesForeignRecord(t *testing.T) {
+	registry, err := newRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, err := slider.NewWorker("t", "127.0.0.1:0", registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+	for _, job := range []*slider.Job{wordCount(), streamWordCount()} {
+		pool, err := slider.NewWorkerPool(job.Name, []string{worker.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		_, err = pool.RunMap(job, []slider.Split{{ID: "s0", Records: []slider.Record{"x y", 7}}})
+		var served rpc.ServerError
+		if !errors.As(err, &served) || !strings.Contains(err.Error(), "record int is not a string") {
+			t.Fatalf("%s: err = %v, want the worker's ServerError naming the record", job.Name, err)
+		}
+		if _, err := dist.Ping(worker.Addr()); err != nil {
+			t.Fatalf("%s: ping after the foreign record: %v", job.Name, err)
+		}
+		results, err := pool.RunMap(job, []slider.Split{{ID: "s1", Records: []slider.Record{"x y x"}}})
+		if err != nil || len(results) != 1 {
+			t.Fatalf("%s: batch after the foreign record: %d results, err %v", job.Name, len(results), err)
+		}
 	}
 }
 

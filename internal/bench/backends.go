@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"slider/internal/mapreduce"
+	"slider/internal/apps"
 	"slider/internal/memo"
 	"slider/internal/sliderrt"
 	"slider/internal/workload"
@@ -22,34 +22,6 @@ import (
 // time, and heap allocations across a sweep of window widths, exposing
 // the crossover the asymptotics predict: the rotating tree's per-slide
 // cost grows with the window while DABA's stays flat.
-
-// wordCount is the canonical streaming benchmark job.
-func wordCount(partitions int) *mapreduce.Job {
-	sum := func(_ string, values []mapreduce.Value) mapreduce.Value {
-		var total int64
-		for _, v := range values {
-			total += v.(int64)
-		}
-		return total
-	}
-	return &mapreduce.Job{
-		Name:       "wordcount",
-		Partitions: partitions,
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			line, ok := rec.(string)
-			if !ok {
-				return fmt.Errorf("wordcount: record %T is not a string", rec)
-			}
-			for _, w := range strings.Fields(line) {
-				emit(w, int64(1))
-			}
-			return nil
-		},
-		Combine:     sum,
-		Reduce:      sum,
-		Commutative: true,
-	}
-}
 
 // BackendCell is one (window, backend) measurement, normalized per slide.
 type BackendCell struct {
@@ -94,7 +66,7 @@ func measureBackend(s Scale, backend sliderrt.Backend, window, slides int) (Back
 		WindowBuckets: window,
 		Memo:          memo.DefaultConfig(),
 	}
-	rt, err := sliderrt.New(wordCount(s.Partitions), cfg)
+	rt, err := sliderrt.New(apps.WordCount(s.Partitions), cfg)
 	if err != nil {
 		return cell, err
 	}

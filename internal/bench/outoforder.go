@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"slider/internal/apps"
 	"slider/internal/memo"
 	"slider/internal/sliderrt"
 	"slider/internal/workload"
@@ -61,7 +62,7 @@ func newOOORuntime(s Scale, text *workload.Text, window int) (*sliderrt.Runtime,
 		WindowBuckets: window,
 		Memo:          memo.DefaultConfig(),
 	}
-	rt, err := sliderrt.New(wordCount(s.Partitions), cfg)
+	rt, err := sliderrt.New(apps.WordCount(s.Partitions), cfg)
 	if err != nil {
 		return nil, err
 	}

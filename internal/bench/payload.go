@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"slider/internal/apps"
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
 	"slider/internal/persist"
@@ -166,7 +167,7 @@ const payloadSlideWindow = 16
 // `window` one-split buckets, sliding by one) and returns per-slide
 // averages, measureBackend-style.
 func measurePayloadSlides(s Scale, window, slides int) (PayloadSlideCell, error) {
-	return measureSlideLoop(wordCount(s.Partitions), workload.NewText(s.Text).Range, window, slides)
+	return measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, window, slides)
 }
 
 // measureSlideLoop is measurePayloadSlides for any job over the splits gen

@@ -176,9 +176,6 @@ type Options struct {
 	Width int
 	// Split enables split processing (rotating, coalescing).
 	Split bool
-	// Parallelism bounds the intra-structure worker pool of the kinds that
-	// have levels to recompute concurrently; < 1 means sequential.
-	Parallelism int
 	// Seed fixes the randomized folding tree's coin flips.
 	Seed uint64
 	// RebuildFactor is the folding tree's slots/live rebuild threshold:
@@ -198,25 +195,20 @@ func NewAggregator[T any](kind Kind, merge MergeFunc[T], o Options) Aggregator[T
 		return &dabaAgg[T]{DabaLite: t}
 	case KindRotating:
 		t := NewRotating(merge, o.Width)
-		t.SetParallelism(o.Parallelism)
 		t.SetBuggify(o.Buggify)
 		return &rotatingAgg[T]{RotatingTree: t, split: o.Split}
 	case KindCoalescing:
 		return &coalescingAgg[T]{CoalescingTree: NewCoalescing(merge), split: o.Split}
 	case KindFolding:
-		opts := []FoldingOption[T]{WithParallelism[T](o.Parallelism)}
+		var opts []FoldingOption[T]
 		if o.RebuildFactor != 0 {
 			opts = append(opts, WithRebuildFactor[T](max(o.RebuildFactor, 0)))
 		}
 		return &foldingAgg[T]{FoldingTree: NewFolding(merge, opts...)}
 	case KindRandomizedFolding:
-		t := NewRandomizedFolding(merge, o.Seed)
-		t.SetParallelism(o.Parallelism)
-		return &randomizedAgg[T]{RandomizedFoldingTree: t}
+		return &randomizedAgg[T]{RandomizedFoldingTree: NewRandomizedFolding(merge, o.Seed)}
 	case KindStrawman:
-		t := NewStrawman(merge)
-		t.SetParallelism(o.Parallelism)
-		return &strawmanAgg[T]{StrawmanTree: t}
+		return &strawmanAgg[T]{StrawmanTree: NewStrawman(merge)}
 	case KindFingerTree:
 		t := NewFingerTree(merge)
 		t.SetBuggify(o.Buggify)

@@ -53,8 +53,8 @@ func aggCases() []aggCase {
 
 const aggWidth = 6
 
-func (c aggCase) new(par int) Aggregator[leafSeq] {
-	return NewAggregator(c.kind, concat, Options{Width: aggWidth, Split: c.split, Parallelism: par, Seed: 7})
+func (c aggCase) new() Aggregator[leafSeq] {
+	return NewAggregator(c.kind, concat, Options{Width: aggWidth, Split: c.split, Seed: 7})
 }
 
 // aggModel is the from-scratch window the aggregators are checked against.
@@ -116,7 +116,7 @@ func TestAggregatorConformance(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			m := &aggModel{c: c}
-			live := c.new(2) // never stopped
+			live := c.new() // never stopped
 			slide := func(what string, aggs []Aggregator[leafSeq], drop, add int) {
 				t.Helper()
 				gone := m.window[:drop:drop]
@@ -168,7 +168,7 @@ func TestAggregatorConformance(t *testing.T) {
 			// third: both are indistinguishable, counters zero, and from here
 			// on they answer exactly as the instance that never stopped.
 			snap := live.Snapshot()
-			fresh, again := c.new(2), c.new(1)
+			fresh, again := c.new(), c.new()
 			for _, a := range []Aggregator[leafSeq]{fresh, again} {
 				if err := a.Restore(snap); err != nil {
 					t.Fatalf("restore: %v", err)
@@ -245,7 +245,7 @@ func TestAggregatorConformance(t *testing.T) {
 func TestAggregatorCrossRestore(t *testing.T) {
 	rot := aggCase{kind: KindRotating, fixed: true, reorders: true}
 	m := &aggModel{c: rot}
-	src := rot.new(1)
+	src := rot.new()
 	if err := src.Init(m.take(aggWidth)); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestAggregatorCrossRestore(t *testing.T) {
 			t.Fatalf("kind %d: %v", kind, err)
 		}
 		inOrder.wantRoots(t, "rotating snapshot in window order", dst)
-		back := rot.new(1)
+		back := rot.new()
 		if err := back.Restore(dst.Snapshot()); err != nil {
 			t.Fatalf("kind %d → rotating: %v", kind, err)
 		}

@@ -129,99 +129,58 @@ func BenchmarkStrawmanShift(b *testing.B) {
 	}
 }
 
-// Parallel-contraction benchmarks: the same workload at Parallelism 1
-// and 4, so multicore hardware (e.g. CI runners) shows the level-by-level
-// worker pool's wall-clock speedup. On a single-CPU machine the par=4
-// runs should match par=1 within scheduling noise, never regress badly.
+// The operations a single-split slide does not reach: an initial run, a
+// slide whose delta dirties many leaves, split mode's pre-combine. (A
+// strawman build over 1024 leaves is BenchmarkStrawmanShift/1024.)
 
-func parLevels() []int { return []int{1, 4} }
-
-func BenchmarkParallelFoldingInit(b *testing.B) {
-	for _, par := range parLevels() {
-		b.Run("par"+strconv.Itoa(par), func(b *testing.B) {
-			payloads := countPayloads(0, 1024)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr := NewFolding(mergeCounts, WithParallelism[map[string]int64](par))
-				tr.Init(payloads)
-			}
-		})
+func BenchmarkFoldingInit(b *testing.B) {
+	payloads := countPayloads(0, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := NewFolding(mergeCounts)
+		tr.Init(payloads)
 	}
 }
 
-func BenchmarkParallelFoldingWideSlide(b *testing.B) {
-	// A wide delta dirties many leaves, giving each tree level real
-	// intra-level parallelism (single-split slides touch one path only).
+func BenchmarkFoldingWideSlide(b *testing.B) {
 	const size, delta = 1024, 64
-	for _, par := range parLevels() {
-		b.Run("par"+strconv.Itoa(par), func(b *testing.B) {
-			tr := NewFolding(mergeCounts, WithParallelism[map[string]int64](par))
-			tr.Init(countPayloads(0, size))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := size + i*delta
-				if err := tr.Slide(delta, countPayloads(lo, lo+delta)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	tr := NewFolding(mergeCounts)
+	tr.Init(countPayloads(0, size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := size + i*delta
+		if err := tr.Slide(delta, countPayloads(lo, lo+delta)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkParallelStrawmanBuild(b *testing.B) {
-	const size = 1024
-	for _, par := range parLevels() {
-		b.Run("par"+strconv.Itoa(par), func(b *testing.B) {
-			tr := NewStrawman(mergeCounts)
-			tr.SetParallelism(par)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				items := make([]Item[map[string]int64], size)
-				for j := range items {
-					items[j] = Item[map[string]int64]{ID: uint64(i + j), Payload: countPayload(i + j)}
-				}
-				tr.Build(items)
-			}
-		})
-	}
-}
-
-func BenchmarkParallelRotatingPrepare(b *testing.B) {
+func BenchmarkRotatingPrepare(b *testing.B) {
 	const size = 256
-	for _, par := range parLevels() {
-		b.Run("par"+strconv.Itoa(par), func(b *testing.B) {
-			tr := NewRotating(mergeCounts, size)
-			tr.SetParallelism(par)
-			if err := tr.Init(countPayloads(0, size)); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := tr.PrepareBackground(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tr.RotateForeground(countPayload(size + i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	tr := NewRotating(mergeCounts, size)
+	if err := tr.Init(countPayloads(0, size)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.PrepareBackground(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tr.RotateForeground(countPayload(size + i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkParallelRandomizedInit(b *testing.B) {
+func BenchmarkRandomizedInit(b *testing.B) {
 	const size = 1024
-	for _, par := range parLevels() {
-		b.Run("par"+strconv.Itoa(par), func(b *testing.B) {
-			items := make([]Item[map[string]int64], size)
-			for i := range items {
-				items[i] = Item[map[string]int64]{ID: uint64(i), Payload: countPayload(i)}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr := NewRandomizedFolding(mergeCounts, 42)
-				tr.SetParallelism(par)
-				tr.Init(items)
-			}
-		})
+	items := make([]Item[map[string]int64], size)
+	for i := range items {
+		items[i] = Item[map[string]int64]{ID: uint64(i), Payload: countPayload(i)}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := NewRandomizedFolding(mergeCounts, 42)
+		tr.Init(items)
 	}
 }

@@ -29,7 +29,7 @@ package core
 //
 // Determinism: node priorities are not random. They are splitmix64
 // hashes of a monotone insertion counter, so two trees that execute the
-// same operation sequence — at any parallelism, on any host — have
+// same operation sequence — on any host — have
 // bit-identical shape, and FingerprintWith is reproducible across
 // replicas. Init and Restore reset the counter, so a restored tree is
 // identical to a freshly restored one (the parity the simulation

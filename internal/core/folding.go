@@ -36,11 +36,7 @@ type FoldingTree[T any] struct {
 	// count exceeds rebuildFactor × live leaves (§3.2's "initial run"
 	// rebalancing fallback for rare drastic shrinks).
 	rebuildFactor int
-	// par bounds the worker pool recomputing one frontier level; 1 runs
-	// sequentially. Nodes within a level have disjoint children, so
-	// their combines are independent.
-	par   int
-	stats Stats
+	stats         Stats
 	// release, when set, is handed a node's own payload when the node is
 	// recomputed (OnRelease). Nodes folded away or dropped by Init and
 	// rebuild are left to the collector.
@@ -57,32 +53,20 @@ func WithRebuildFactor[T any](factor int) FoldingOption[T] {
 	return func(t *FoldingTree[T]) { t.rebuildFactor = factor }
 }
 
-// WithParallelism sets the number of workers recomputing each frontier
-// level during propagation (1 = sequential). The merge function must be
-// pure and alias-free to run with par > 1.
-func WithParallelism[T any](par int) FoldingOption[T] {
-	return func(t *FoldingTree[T]) { t.par = normalizeParallelism(par) }
-}
-
 // NewFolding returns an empty folding tree using merge to combine
 // payloads.
 func NewFolding[T any](merge MergeFunc[T], opts ...FoldingOption[T]) *FoldingTree[T] {
-	t := &FoldingTree[T]{merge: merge, rebuildFactor: 8, par: 1}
+	t := &FoldingTree[T]{merge: merge, rebuildFactor: 8}
 	for _, opt := range opts {
 		opt(t)
 	}
 	return t
 }
 
-// OnRelease implements Releaser. The hook must be installed before Init and
-// be safe for concurrent use when the tree runs with parallelism above 1;
+// OnRelease implements Releaser. The hook must be installed before Init;
 // with one installed, the merge function must return storage of its own on
 // every call.
 func (t *FoldingTree[T]) OnRelease(release func(T)) { t.release = release }
-
-// SetParallelism bounds the worker pool used for level-by-level
-// recomputation (1 = sequential). Safe to change between operations.
-func (t *FoldingTree[T]) SetParallelism(par int) { t.par = normalizeParallelism(par) }
 
 // Init performs the initial run (§3): it constructs a complete binary tree
 // of height ⌈log2 M⌉ over the given payloads, padding with void leaves.
@@ -100,7 +84,7 @@ func (t *FoldingTree[T]) Init(payloads []T) {
 		t.leaves[i].void = false
 	}
 	t.end = len(payloads)
-	t.computeAll(t.root)
+	t.recomputeAbove(t.leaves)
 }
 
 // buildComplete builds an all-void complete binary tree with 2^height
@@ -124,43 +108,14 @@ func buildComplete[T any](height int) (*fnode[T], []*fnode[T]) {
 	return build(height), leaves
 }
 
-// computeAll recomputes every internal node below n, as in an initial
-// run: level by level from the deepest internal nodes upward, each level
-// over the worker pool (a level's nodes have disjoint children).
-func (t *FoldingTree[T]) computeAll(n *fnode[T]) {
-	if n == nil || n.leaf {
-		return
-	}
-	var levels [][]*fnode[T]
-	cur := []*fnode[T]{n}
-	for len(cur) > 0 {
-		var next []*fnode[T]
-		for _, m := range cur {
-			if !m.left.leaf {
-				next = append(next, m.left, m.right)
-			}
-		}
-		levels = append(levels, cur)
-		cur = next
-	}
-	for d := len(levels) - 1; d >= 0; d-- {
-		lvl := levels[d]
-		parallelFor(t.par, len(lvl), &t.stats, func(i int, shard *Stats) {
-			t.recomputeNode(lvl[i], shard)
-		})
-	}
-}
-
-// recomputeNode recombines an internal node from its children, counting
-// work into st (a per-worker shard under parallel recomputation — the
-// tree's own counters must never be mutated concurrently). A node with a
-// single live child passes that child's payload through without a
+// recomputeNode recombines an internal node from its children. A node with
+// a single live child passes that child's payload through without a
 // combiner call. The node's own old payload dies first — it is no input of
 // the merge, whose inputs are the children's — so the merge that replaces it
 // may already be built in its storage. An old payload that aliased a child's
 // is the child's to release: every node above a recomputed one is recomputed
 // in the same slide, so no alias outlives what it points at.
-func (t *FoldingTree[T]) recomputeNode(n *fnode[T], st *Stats) {
+func (t *FoldingTree[T]) recomputeNode(n *fnode[T]) {
 	if n.owned && t.release != nil {
 		t.release(n.payload)
 	}
@@ -181,9 +136,9 @@ func (t *FoldingTree[T]) recomputeNode(n *fnode[T], st *Stats) {
 		n.payload = t.merge(l.payload, r.payload)
 		n.void = false
 		n.owned = true
-		st.Merges++
+		t.stats.Merges++
 	}
-	st.NodesRecomputed++
+	t.stats.NodesRecomputed++
 }
 
 // Slide moves the window: the oldest drop leaves are removed and the add
@@ -237,7 +192,7 @@ func (t *FoldingTree[T]) Slide(drop int, add []T) error {
 		t.end++
 	}
 
-	t.propagate(drop, len(add))
+	t.recomputeAbove(t.leaves[max(t.start-drop, 0):t.start], t.leaves[t.end-len(add):t.end])
 
 	// Rare-case rebalance: if the structure is much larger than the
 	// live window, rebuild from scratch (§3.2's fallback strategy).
@@ -267,17 +222,17 @@ func (t *FoldingTree[T]) unfold() {
 	t.height++
 }
 
-// propagate recomputes the internal nodes on all leaf→root paths of the
-// dirty leaves, level by level (children before parents). The dirty leaves
-// are two runs of slots — the drop leaves before start, less those whose
+// recomputeAbove recomputes the internal nodes on the leaf→root paths of
+// the given runs of leaves, level by level (children before parents), each
+// level left to right. The runs are in slot order — every leaf for an
+// initial run; for a slide the drop leaves before start, less those whose
 // subtree folding discarded (they sit below slot 0 now), and the add leaves
 // before end — so a frontier is built in slot order and the parents of an
 // ordered frontier repeat only side by side: no set is needed, and the
 // order merges run in is the same from run to run. All leaves sit at the
 // same depth of the complete tree, so each frontier holds nodes of a single
-// level with pairwise-disjoint children — the level's combines run
-// concurrently over the worker pool.
-func (t *FoldingTree[T]) propagate(drop, add int) {
+// level.
+func (t *FoldingTree[T]) recomputeAbove(runs ...[]*fnode[T]) {
 	var frontier []*fnode[T]
 	parents := func(nodes []*fnode[T]) {
 		for _, n := range nodes {
@@ -286,13 +241,14 @@ func (t *FoldingTree[T]) propagate(drop, add int) {
 			}
 		}
 	}
-	parents(t.leaves[max(t.start-drop, 0):t.start])
-	parents(t.leaves[t.end-add : t.end])
+	for _, run := range runs {
+		parents(run)
+	}
 	for len(frontier) > 0 {
 		level := frontier
-		parallelFor(t.par, len(level), &t.stats, func(i int, shard *Stats) {
-			t.recomputeNode(level[i], shard)
-		})
+		for _, n := range level {
+			t.recomputeNode(n)
+		}
 		frontier = nil
 		parents(level)
 	}

@@ -27,7 +27,6 @@ type RandomizedFoldingTree[T any] struct {
 	rootP  T
 	hasP   bool
 	height int
-	par    int // worker pool bound for per-level group combines
 	stats  Stats
 }
 
@@ -48,17 +47,8 @@ func NewRandomizedFolding[T any](merge MergeFunc[T], seed uint64) *RandomizedFol
 		merge: merge,
 		seed:  seed,
 		memo:  make(map[uint64]T),
-		par:   1,
 	}
 }
-
-// SetParallelism bounds the worker pool combining one level's groups
-// concurrently (1 = sequential). Groups of a level cover disjoint node
-// ranges and only read the previous build's memo table, so their
-// combines are independent; the merge must be pure and alias-free to
-// run with par > 1. The structure and payloads are identical at any
-// parallelism.
-func (t *RandomizedFoldingTree[T]) SetParallelism(par int) { t.par = normalizeParallelism(par) }
 
 // Init performs the initial run over the given leaves.
 func (t *RandomizedFoldingTree[T]) Init(items []Item[T]) {
@@ -122,7 +112,7 @@ func (t *RandomizedFoldingTree[T]) build() {
 		if len(next) == len(cur) {
 			// Pathological all-heads level: force a single group so
 			// the construction terminates.
-			forced := t.makeGroup(cur, height, &t.stats)
+			forced := t.makeGroup(cur, height)
 			nextMemo[forced.sig] = forced.payload
 			next = []rnode[T]{forced}
 		}
@@ -134,38 +124,28 @@ func (t *RandomizedFoldingTree[T]) build() {
 	t.memo = nextMemo
 }
 
-// buildLevel groups the nodes of one level into the nodes of the next.
-// The boundary scan is cheap integer hashing and runs sequentially; the
-// groups it yields cover disjoint slices of cur and read only the
-// previous build's (frozen) memo table, so their combines run
-// concurrently over the worker pool. Memo inserts happen afterwards on
-// one goroutine.
+// buildLevel groups the nodes of one level into the nodes of the next: a
+// group ends where the next node's coin says a new one starts.
 func (t *RandomizedFoldingTree[T]) buildLevel(cur []rnode[T], level int, memo map[uint64]T) []rnode[T] {
-	bounds := make([]int, 1, (len(cur)+1)/2+1)
-	bounds[0] = 0
-	for i := 1; i < len(cur); i++ {
-		if t.boundary(cur[i].id, level) {
-			bounds = append(bounds, i)
+	next := make([]rnode[T], 0, len(cur))
+	lo := 0
+	for i := 1; i <= len(cur); i++ {
+		if i == len(cur) || t.boundary(cur[i].id, level) {
+			n := t.makeGroup(cur[lo:i], level)
+			// Singleton groups keep their signature so higher levels can
+			// still reuse them; combined groups memoize the fresh payload.
+			memo[n.sig] = n.payload
+			next = append(next, n)
+			lo = i
 		}
-	}
-	bounds = append(bounds, len(cur))
-	next := make([]rnode[T], len(bounds)-1)
-	parallelFor(t.par, len(next), &t.stats, func(i int, shard *Stats) {
-		next[i] = t.makeGroup(cur[bounds[i]:bounds[i+1]], level, shard)
-	})
-	for _, n := range next {
-		// Singleton groups keep their signature so higher levels can
-		// still reuse them; combined groups memoize the fresh payload.
-		memo[n.sig] = n.payload
 	}
 	return next
 }
 
 // makeGroup builds one next-level node from a group of nodes, reusing the
 // prior build's memoized payload when the group's child signature is
-// unchanged. It reads only frozen state (the group slice and t.memo) and
-// counts work into st, so a level's groups may be built concurrently.
-func (t *RandomizedFoldingTree[T]) makeGroup(group []rnode[T], level int, st *Stats) rnode[T] {
+// unchanged.
+func (t *RandomizedFoldingTree[T]) makeGroup(group []rnode[T], level int) rnode[T] {
 	if len(group) == 1 {
 		// Singleton groups pass through without a combine.
 		return group[0]
@@ -177,15 +157,15 @@ func (t *RandomizedFoldingTree[T]) makeGroup(group []rnode[T], level int, st *St
 	node := rnode[T]{id: group[0].id, sig: sig}
 	if payload, ok := t.memo[sig]; ok {
 		node.payload = payload
-		st.NodesReused++
+		t.stats.NodesReused++
 	} else {
 		payload := group[0].payload
 		for _, g := range group[1:] {
 			payload = t.merge(payload, g.payload)
-			st.Merges++
+			t.stats.Merges++
 		}
 		node.payload = payload
-		st.NodesRecomputed++
+		t.stats.NodesRecomputed++
 	}
 	return node
 }

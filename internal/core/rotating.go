@@ -27,7 +27,6 @@ type RotatingTree[T any] struct {
 	pre    T    // pre-combined siblings along victim's root path
 	preOK  bool // PrepareBackground has run for the current victim
 	preHas bool // pre holds a payload (false only for N == 1)
-	par    int  // worker pool bound for level-parallel recomputation
 	bug    Buggify
 	stats  Stats
 }
@@ -50,15 +49,8 @@ func NewRotating[T any](merge MergeFunc[T], n int) *RotatingTree[T] {
 		height: ceilLog2(pad),
 		nodes:  make([]rtnode[T], 2*pad-1),
 		victim: 0,
-		par:    1,
 	}
 }
-
-// SetParallelism bounds the worker pool used by Init's level-by-level
-// build and PrepareBackground's balanced pre-combine (1 = sequential).
-// The merge must be pure and alias-free to run with par > 1; rotating
-// trees already require it to be associative and commutative.
-func (t *RotatingTree[T]) SetParallelism(par int) { t.par = normalizeParallelism(par) }
 
 // Init performs the initial run: it installs the first full window of
 // buckets (len(buckets) must equal N) and builds the balanced tree with
@@ -75,15 +67,12 @@ func (t *RotatingTree[T]) Init(buckets []T) error {
 		leaf := t.leafIndex(i)
 		t.nodes[leaf] = rtnode[T]{payload: b}
 	}
-	// Build level by level from the deepest internal row upward; the
-	// heap nodes of one level [2^d−1, 2^{d+1}−2] have disjoint children,
-	// so each level recomputes concurrently over the worker pool.
+	// Build level by level from the deepest internal row upward, each row
+	// [2^d−1, 2^{d+1}−2] left to right.
 	for d := t.height - 1; d >= 0; d-- {
-		first := (1 << d) - 1
-		width := 1 << d
-		parallelFor(t.par, width, &t.stats, func(i int, shard *Stats) {
-			t.recomputeNode(first+i, shard)
-		})
+		for i := (1 << d) - 1; i < (2<<d)-1; i++ {
+			t.recomputeNode(i)
+		}
 	}
 	t.victim = 0
 	t.filled = true
@@ -94,9 +83,8 @@ func (t *RotatingTree[T]) Init(buckets []T) error {
 // leafIndex maps a bucket position to its heap index.
 func (t *RotatingTree[T]) leafIndex(pos int) int { return t.pad - 1 + pos }
 
-// recomputeNode recombines heap node i from its children, counting work
-// into st (a per-worker shard under parallel recomputation).
-func (t *RotatingTree[T]) recomputeNode(i int, st *Stats) {
+// recomputeNode recombines heap node i from its children.
+func (t *RotatingTree[T]) recomputeNode(i int) {
 	l, r := 2*i+1, 2*i+2
 	ln, rn := t.nodes[l], t.nodes[r]
 	switch {
@@ -109,9 +97,9 @@ func (t *RotatingTree[T]) recomputeNode(i int, st *Stats) {
 		t.nodes[i] = rtnode[T]{payload: ln.payload}
 	default:
 		t.nodes[i] = rtnode[T]{payload: t.merge(ln.payload, rn.payload)}
-		st.Merges++
+		t.stats.Merges++
 	}
-	st.NodesRecomputed++
+	t.stats.NodesRecomputed++
 }
 
 // Rotate replaces the oldest bucket with b and updates the root path
@@ -122,10 +110,9 @@ func (t *RotatingTree[T]) Rotate(b T) error {
 	}
 	i := t.leafIndex(t.victim)
 	t.nodes[i] = rtnode[T]{payload: b}
-	// The root path has one node per level — inherently sequential.
 	for i > 0 {
 		i = (i - 1) / 2
-		t.recomputeNode(i, &t.stats)
+		t.recomputeNode(i)
 	}
 	t.victim = (t.victim + 1) % t.n
 	t.preOK = false
@@ -157,10 +144,7 @@ func (t *RotatingTree[T]) PrepareBackground() error {
 		// pairwise merge from the pre-combined payload.
 		sibs = sibs[:len(sibs)-1]
 	}
-	// Pre-combine the collected siblings; the balanced parallel
-	// reduction re-associates, which the required associative +
-	// commutative merge permits, with the same merge count.
-	t.pre, t.preHas = reduceOrdered(t.par, t.merge, sibs, &t.stats)
+	t.pre, t.preHas = reduceOrdered(t.merge, sibs, &t.stats)
 	t.preOK = true
 	return nil
 }

@@ -19,7 +19,6 @@ type StrawmanTree[T any] struct {
 	rootP T
 	hasP  bool
 	live  int // leaves of the last Build (shape introspection)
-	par   int // worker pool bound for per-level pair combines
 	stats Stats
 }
 
@@ -30,14 +29,8 @@ type strawKey struct {
 
 // NewStrawman returns an empty strawman tree.
 func NewStrawman[T any](merge MergeFunc[T]) *StrawmanTree[T] {
-	return &StrawmanTree[T]{merge: merge, memo: make(map[strawKey]T), par: 1}
+	return &StrawmanTree[T]{merge: merge, memo: make(map[strawKey]T)}
 }
-
-// SetParallelism bounds the worker pool combining one level's pairs
-// concurrently (1 = sequential). The merge must be pure and alias-free
-// to run with par > 1. Results and work counters are identical at any
-// parallelism.
-func (t *StrawmanTree[T]) SetParallelism(par int) { t.par = normalizeParallelism(par) }
 
 // Build (re)constructs the balanced tree over the given leaves, reusing
 // memoized node payloads where both children are unchanged, and returns
@@ -64,21 +57,12 @@ func (t *StrawmanTree[T]) Build(leaves []Item[T]) bool {
 	return true
 }
 
-// buildLevel pairs one level's nodes into the next. A sequential
-// classification pass resolves every pair against the previous build's
-// memo and this build's accumulating memo (nextMemo); only the genuinely
-// missing combines — all independent — run over the worker pool. The
-// produced payloads, memo contents, and work counters match the
-// sequential order exactly: a key that appears twice in one level is
-// combined once and reused on its later occurrences.
+// buildLevel pairs one level's nodes into the next, resolving every pair
+// against the previous build's memo, then this build's (nextMemo, which
+// holds a key that appeared earlier in the level), and merging only what
+// neither has.
 func (t *StrawmanTree[T]) buildLevel(cur []rnode[T], nextMemo map[strawKey]T) []rnode[T] {
 	next := make([]rnode[T], 0, (len(cur)+1)/2)
-	type job struct{ l, r int } // cur indices of a pair to combine
-	var jobs []job
-	jobOf := make(map[strawKey]int) // key → index into jobs
-	// fill[i] routes pair i of this level to its payload source: ≥ 0 is
-	// a job index, −1 means the payload was resolved from a memo table.
-	fill := make([]int, 0, (len(cur)+1)/2)
 	for i := 0; i+1 < len(cur); i += 2 {
 		l, r := cur[i], cur[i+1]
 		key := strawKey{left: l.sig, right: r.sig}
@@ -87,36 +71,16 @@ func (t *StrawmanTree[T]) buildLevel(cur []rnode[T], nextMemo map[strawKey]T) []
 			node.payload = payload
 			t.stats.NodesReused++
 			nextMemo[key] = payload
-			fill = append(fill, -1)
 		} else if payload, ok := nextMemo[key]; ok {
 			node.payload = payload
 			t.stats.NodesReused++
-			fill = append(fill, -1)
-		} else if j, ok := jobOf[key]; ok {
-			// A duplicate pair earlier in this level already scheduled
-			// the combine; reuse its result, as the sequential pass
-			// would have via nextMemo.
-			t.stats.NodesReused++
-			fill = append(fill, j)
 		} else {
-			jobOf[key] = len(jobs)
-			jobs = append(jobs, job{l: i, r: i + 1})
+			node.payload = t.merge(l.payload, r.payload)
 			t.stats.Merges++
 			t.stats.NodesRecomputed++
-			fill = append(fill, len(jobs)-1)
+			nextMemo[key] = node.payload
 		}
 		next = append(next, node)
-	}
-	computed := make([]T, len(jobs))
-	parallelFor(t.par, len(jobs), &t.stats, func(i int, _ *Stats) {
-		computed[i] = t.merge(cur[jobs[i].l].payload, cur[jobs[i].r].payload)
-	})
-	for i := range fill {
-		if j := fill[i]; j >= 0 {
-			next[i].payload = computed[j]
-			key := strawKey{left: cur[2*i].sig, right: cur[2*i+1].sig}
-			nextMemo[key] = computed[j]
-		}
 	}
 	if len(cur)%2 == 1 {
 		next = append(next, cur[len(cur)-1])

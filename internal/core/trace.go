@@ -2,7 +2,7 @@ package core
 
 // This file is the tracing surface the deterministic simulation harness
 // (internal/sim) drives the trees through: structure fingerprints that
-// must be bit-identical across parallelism levels, and FoundationDB-style
+// must be bit-identical across restores, and FoundationDB-style
 // buggify points that let the harness's own acceptance tests inject a
 // targeted bug and prove the differential oracle catches it.
 
@@ -53,8 +53,7 @@ func fpBool(h uint64, b bool) uint64 {
 // FingerprintWith hashes the tree's materialized structure and payloads
 // deterministically: shape, voidness, live-window bounds, and every
 // payload via fp, in a fixed depth-first order. Two folding trees that
-// went through the same operations — at any parallelism — fingerprint
-// identically.
+// went through the same operations fingerprint identically.
 func (t *FoldingTree[T]) FingerprintWith(fp func(T) uint64) uint64 {
 	h := uint64(0x6c62272e07bb0142)
 	h = fpMix(h, uint64(t.height))
@@ -128,9 +127,9 @@ func (t *DabaLite[T]) FingerprintWith(fp func(T) uint64) uint64 {
 // FingerprintWith hashes the finger tree's full treap structure — node
 // priorities, bucket payloads, and cached aggregates in a fixed
 // depth-first order. Priorities come from the deterministic counter
-// stream, so two trees that executed the same operation sequence — at
-// any parallelism — fingerprint identically, and a restored tree
-// matches a freshly restored one.
+// stream, so two trees that executed the same operation sequence
+// fingerprint identically, and a restored tree matches a freshly
+// restored one.
 func (t *FingerTree[T]) FingerprintWith(fp func(T) uint64) uint64 {
 	h := uint64(0x6c62272e07bb0148)
 	h = fpMix(h, t.ctr)

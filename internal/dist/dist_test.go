@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"net/rpc"
 	"strconv"
 	"strings"
 	"testing"
@@ -231,6 +232,48 @@ func TestPoolNoAddresses(t *testing.T) {
 	}
 	if _, err := NewPool("j", []string{"127.0.0.1:1"}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
+	}
+}
+
+// TestWorkerSurvivesPanickingJob: a registered job whose Map panics fails
+// its batch with the worker's answer — a ServerError, which the pool neither
+// retries nor reports as partial — and the same worker answers the next
+// Ping and serves the next batch.
+func TestWorkerSurvivesPanickingJob(t *testing.T) {
+	_, addrs, reg := newCluster(t, 1)
+	panics := func() *mapreduce.Job {
+		job := testJob()
+		job.Name = "panics"
+		job.Map = func(mapreduce.Record, mapreduce.Emit) error { panic("map blew up") }
+		return job
+	}
+	if err := reg.Register("panics", panics); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := NewPool("panics", addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	_, err = bad.RunMap(panics(), textSplits(0, 2))
+	var served rpc.ServerError
+	if !errors.As(err, &served) || !strings.Contains(err.Error(), "map blew up") {
+		t.Fatalf("err = %v, want the worker's ServerError naming the panic", err)
+	}
+	var partial *IncompleteError
+	if errors.As(err, &partial) || bad.Retries() != 0 {
+		t.Fatalf("err = %v after %d retries, want a fatal error and no retry", err, bad.Retries())
+	}
+	if _, err := Ping(addrs[0]); err != nil {
+		t.Fatalf("ping after the panic: %v", err)
+	}
+	good, err := NewPool("dist-wordcount", addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	if results, err := good.RunMap(testJob(), textSplits(0, 2)); err != nil || len(results) != 2 {
+		t.Fatalf("batch after the panic: %d results, err %v", len(results), err)
 	}
 }
 

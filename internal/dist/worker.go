@@ -263,6 +263,20 @@ type workerService struct {
 	w *Worker
 }
 
+// runMapTask is mapreduce.RunMapTask with a panic in the job's Map or
+// Combine — user code run on records off the wire — turned into the task's
+// error. net/rpc does not recover a handler's panic, so without this one
+// bad record ends the worker process; with it the batch fails with a
+// ServerError, which the pool does not retry, and the worker keeps serving.
+func runMapTask(job *mapreduce.Job, split mapreduce.Split) (res mapreduce.MapResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("job %q panicked on split %s: %v", job.Name, split.ID, r)
+		}
+	}()
+	return mapreduce.RunMapTask(job, split)
+}
+
 // RunMap executes a batch of map tasks for a registered job. Armed
 // one-shot faults (WorkerFaults) fire here: crash kills the worker after
 // the first split, drop computes everything but hangs up before
@@ -324,7 +338,7 @@ func (s *workerService) RunMap(req MapRequest, resp *MapResponse) error {
 		// this one span covers both (there is no separate combine pass).
 		mc := sp.Child("map+combine")
 		start := time.Now()
-		result, err := mapreduce.RunMapTask(job, split)
+		result, err := runMapTask(job, split)
 		mc.End()
 		if err != nil {
 			batch.End()

@@ -20,9 +20,8 @@ var (
 	ErrMutatesInput = errors.New("mapreduce: combiner mutates its inputs")
 	// ErrAliasesInput means Combine returned a value sharing mutable
 	// state (the same map, slice, or pointer) with one of its inputs.
-	// The parallel contraction engine may combine a payload in two
-	// concurrent merges; an aliased result turns later non-mutating use
-	// into a data race and corrupts memoized state.
+	// A payload lives on in several aggregates; a result aliasing one
+	// lets a later write through either corrupt memoized state.
 	ErrAliasesInput = errors.New("mapreduce: combiner returns a value aliasing an input")
 	// ErrRetainsArgs means Combine or Reduce kept (or returned) its values
 	// argument slice. The slice is scratch the caller overwrites for the

@@ -131,7 +131,7 @@ func TestCheckJobDetectsAliasing(t *testing.T) {
 		},
 		Combine: func(_ string, values []Value) Value {
 			// Returns its first argument unchanged — pure, but the result
-			// aliases the input, which the parallel engine forbids.
+			// aliases the input, which the combiner contract forbids.
 			return values[0]
 		},
 		Reduce: func(_ string, values []Value) Value { return values[0] },

@@ -1,7 +1,5 @@
 package mapreduce
 
-import "sync"
-
 // FreeListBuffers bounds what a FreeList holds, in slices. A window
 // structure releases about as many aggregates a slide as it builds, but not
 // of the sizes it builds next, so the stock has to span the sizes of one
@@ -14,11 +12,10 @@ const FreeListBuffers = 16
 // aggregates a window structure has overwritten or evicted (see
 // core.Releaser), kept for the next merges to be built in
 // (MergeOrderedSizedInto's dst). It holds at most FreeListBuffers slices,
-// cleared — it pins no key and no value —, and is safe for concurrent use:
-// one partition's merges may run on several goroutines. The zero value is
+// cleared — it pins no key and no value. A list belongs to one window
+// structure and, like it, is not safe for concurrent use. The zero value is
 // an empty list.
 type FreeList struct {
-	mu           sync.Mutex
 	bufs         []Payload // len 0 each, every entry up to cap zero
 	hits, misses int64
 }
@@ -30,8 +27,6 @@ func (f *FreeList) Get(n int) Payload {
 	if n == 0 {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	best := -1
 	for i, b := range f.bufs {
 		if cap(b) >= n && (best < 0 || cap(b) < cap(f.bufs[best])) {
@@ -59,8 +54,6 @@ func (f *FreeList) Put(p Payload) {
 	}
 	clear(p)
 	p = p[:0]
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if len(f.bufs) < FreeListBuffers {
 		f.bufs = append(f.bufs, p)
 		return
@@ -85,8 +78,6 @@ type FreeListStats struct {
 
 // Stats returns the list's bookkeeping.
 func (f *FreeList) Stats() FreeListStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	st := FreeListStats{Hits: f.hits, Misses: f.misses, Buffers: len(f.bufs)}
 	for _, b := range f.bufs {
 		st.Entries += cap(b)

@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // filled returns a payload of n set entries in a slice of capacity c, as a
 // merge leaves one: nothing set beyond its length.
@@ -65,34 +62,5 @@ func TestFreeList(t *testing.T) {
 	}
 	if st.Buffers != FreeListBuffers || st.Entries != wantEntries {
 		t.Fatalf("a full list holds %d slices of %d entries, want the %d largest (%d entries)", st.Buffers, st.Entries, FreeListBuffers, wantEntries)
-	}
-}
-
-// TestFreeListConcurrent puts and gets from several goroutines (run under
-// -race): every slice handed out is handed to one taker only.
-func TestFreeListConcurrent(t *testing.T) {
-	var f FreeList
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				p := f.Get(8)
-				if p == nil {
-					p = make(Payload, 0, 8+i%5)
-				}
-				p = append(p, Entry{Key: "w", Value: int64(w)}, Entry{Key: "w", Value: int64(w)})
-				if p[0].Value != p[1].Value || p[0].Value != int64(w) {
-					t.Errorf("worker %d shares a slice with another", w)
-					return
-				}
-				f.Put(p)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if st := f.Stats(); st.Buffers > FreeListBuffers || st.Hits == 0 {
-		t.Fatalf("after the run: %+v", st)
 	}
 }

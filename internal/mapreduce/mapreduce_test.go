@@ -124,8 +124,7 @@ func TestMergeOrderedEmptySides(t *testing.T) {
 // TestMergeOrderedNeverAliasesInputs is the regression test for the
 // empty-side fast path returning a caller-owned payload by reference: a
 // memoized tree node holding such a result would be corrupted by any
-// later write through the merge output (and is a data race under the
-// parallel contraction engine). The merged result must be writable
+// later write through the merge output. The merged result must be writable
 // without affecting either input, on every input shape.
 func TestMergeOrderedNeverAliasesInputs(t *testing.T) {
 	job := sumJob(1)

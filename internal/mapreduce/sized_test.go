@@ -6,9 +6,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
-
-	"slider/internal/core"
 )
 
 // blob is a value whose size comes from the Sizer interface.
@@ -268,22 +267,34 @@ func TestReduceZeroPartitionJob(t *testing.T) {
 	}
 }
 
-// TestMergeScratchIsPerCall drives MergeOrderedSized from the parallel
-// contraction engine: concurrent merges must each use their own scratch
-// pair (run under -race), and the balanced reduction must equal the
-// sequential fold in output and carried size.
+// TestMergeScratchIsPerCall folds the same payloads on several goroutines at
+// once, as the partitions of a run do: concurrent merges must each use their
+// own scratch pair (run under -race), and every fold must equal the lone one
+// in output and carried size.
 func TestMergeScratchIsPerCall(t *testing.T) {
 	job := sumJob(1)
 	items := testPayloads(job, 64)
-	merge := func(a, b Sized) Sized {
-		out, _ := MergeOrderedSized(job, a, b)
-		return out
+	fold := func() Sized {
+		acc := items[0]
+		for _, it := range items[1:] {
+			acc, _ = MergeOrderedSized(job, acc, it)
+		}
+		return acc
 	}
-	want, _ := core.ReduceOrdered(1, merge, items)
-	for round := 0; round < 10; round++ {
-		got, _ := core.ReduceOrdered(8, merge, items)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: parallel reduction differs from the sequential fold", round)
+	want := fold()
+	got := make([]Sized, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = fold()
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w], want) {
+			t.Fatalf("goroutine %d: concurrent fold differs from the lone one", w)
 		}
 	}
 	if want.Bytes != PayloadBytes(job, want.P) {

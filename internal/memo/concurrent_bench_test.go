@@ -3,13 +3,14 @@ package memo
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 )
 
 // mutexStore replicates the pre-shard design for benchmarking: one mutex
-// guarding the whole index AND every counter, so concurrent readers,
-// writers, and cost-model charges all serialize. The cost arithmetic is
+// guarding the whole index AND every counter, so concurrent readers and
+// writers all serialize. The cost arithmetic is
 // identical to Store's; only the locking differs.
 type mutexStore struct {
 	cfg     Config
@@ -83,36 +84,19 @@ func (s *mutexStore) get(key string, fromNode int) (any, error) {
 	return e.value, nil
 }
 
-func (s *mutexStore) chargeRead(key string, size int64, fromNode int) {
+func (s *mutexStore) gc(windowLo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	home := s.homeNode(key)
-	kb := (size + 1023) / 1024
-	if s.cfg.InMemory && !s.failed[home] {
-		cost := s.cfg.MemReadOverheadNs + kb*s.cfg.MemReadNsPerKB
-		if fromNode >= 0 && fromNode != home {
-			cost += kb * s.cfg.NetReadNsPerKB
+	for k, e := range s.index {
+		if e.hi < windowLo {
+			delete(s.index, k)
 		}
-		s.hits++
-		s.readNs += cost
-		return
 	}
-	s.misses++
-	s.readNs += s.cfg.DiskReadOverheadNs + kb*s.cfg.DiskReadNsPerKB + kb*s.cfg.NetReadNsPerKB
-}
-
-func (s *mutexStore) chargeWrite(size int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kb := (size + 1023) / 1024
-	cost := kb*s.cfg.MemWriteNsPerKB + int64(s.cfg.Replicas)*kb*s.cfg.DiskWriteNsPerKB
-	s.writeNs += cost
-	return cost
 }
 
 // stats replicates the pre-shard Stats: resident bytes and entry counts
 // were not maintained incrementally, so the snapshot walked the whole
-// index — under the same mutex every reader and charge serializes on.
+// index — under the same mutex every reader and writer serializes on.
 func (s *mutexStore) stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -124,104 +108,110 @@ func (s *mutexStore) stats() Stats {
 	return st
 }
 
-// memoOps abstracts the hot read path shared by Store and mutexStore so
-// one benchmark body drives both.
+// memoOps abstracts what a slide asks of its store, so one driver runs
+// Store and mutexStore.
 type memoOps interface {
+	put(key string, value any, size int64, lo, hi uint64) int64
 	get(key string, fromNode int) (any, error)
-	chargeRead(key string, size int64, fromNode int)
-	chargeWrite(size int64) int64
+	gc(windowLo uint64)
 	stats() Stats
 }
 
 // shardedOps adapts *Store to memoOps.
 type shardedOps struct{ s *Store }
 
-func (a shardedOps) get(key string, fromNode int) (any, error) { return a.s.Get(key, fromNode) }
-func (a shardedOps) chargeRead(key string, size int64, fromNode int) {
-	a.s.ChargeRead(key, size, fromNode)
+func (a shardedOps) put(key string, value any, size int64, lo, hi uint64) int64 {
+	return a.s.Put(key, value, size, lo, hi)
 }
-func (a shardedOps) chargeWrite(size int64) int64 { return a.s.ChargeWrite(size) }
-func (a shardedOps) stats() Stats                 { return a.s.Stats() }
+func (a shardedOps) get(key string, fromNode int) (any, error) { return a.s.Get(key, fromNode) }
+func (a shardedOps) gc(windowLo uint64)                        { a.s.GC(windowLo) }
+func (a shardedOps) stats() Stats                              { return a.s.Stats() }
 
-// benchKeys is the resident window state: a few thousand memoized tree
-// nodes, the steady state of a contraction tree over a window of a few
-// hundred splits × partitions.
-const benchKeys = 8192
+// The driven runtime: slideAdds splits enter a window of slideWindow each
+// slide, over slideParts partitions.
+const (
+	slideAdds   = 2
+	slideParts  = 8
+	slideWindow = 64
+)
 
-// statsEvery is how often a worker snapshots stats relative to node
-// charges: roughly one end-of-run metrics snapshot per ~hundred
-// charged nodes, matching the runtime's per-run accounting cadence.
-const statsEvery = 128
+// driveSlide does to a store what slide i of a runtime does (sliderrt's
+// mapAdds, contract and finish): a Put per added split; then, partitions
+// spread over the given number of goroutines as contract spreads them, a Get
+// of the partition's root-path entry and a Put of its successor; then one GC
+// and two Stats. Every cost depends on the key and the reading node only, so
+// the store's totals do not depend on the goroutine count.
+func driveSlide(ops memoOps, i, goroutines int) {
+	seq := uint64(i * slideAdds)
+	for id := seq; id < seq+slideAdds; id++ {
+		ops.put("map:s"+strconv.FormatUint(id, 10), nil, 4096, id, id)
+	}
+	hi := seq + slideAdds
+	lo := hi - min(hi, slideWindow)
+	partition := func(p int) {
+		key := "part:" + strconv.Itoa(p)
+		if i > 0 {
+			if _, err := ops.get(key, p%4); err != nil {
+				panic(err)
+			}
+		}
+		ops.put(key, nil, int64(2048+64*p), lo, hi)
+	}
+	if goroutines <= 1 {
+		for p := 0; p < slideParts; p++ {
+			partition(p)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for p := g; p < slideParts; p += goroutines {
+					partition(p)
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	ops.gc(lo)
+	ops.stats()
+	if st := ops.stats(); st.Entries < slideParts {
+		panic("partition entries lost")
+	}
+}
 
-func benchKey(i int) string { return fmt.Sprintf("node-%d", i%benchKeys) }
-
-// runMemoBench drives the contraction engine's per-node access pattern —
-// an indexed Get, a bulk ChargeRead, a bulk ChargeWrite, and a stats
-// snapshot every statsEvery nodes — from the given number of goroutines.
-// GOMAXPROCS is raised to the goroutine count for the duration so
-// contention is real even on a single-core runner (oversubscribed
-// goroutines park on the contended mutex futex instead of merely
-// time-slicing).
+// runMemoBench drives b.N slides, the partition phase on the given number
+// of goroutines. GOMAXPROCS is raised to the goroutine count for the
+// duration so contention is real even on a single-core runner
+// (oversubscribed goroutines park on the contended mutex futex instead of
+// merely time-slicing).
 func runMemoBench(b *testing.B, ops memoOps, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var wg sync.WaitGroup
-	per := b.N / goroutines
-	if b.N%goroutines != 0 {
-		per++
+	for i := 0; i < b.N; i++ {
+		driveSlide(ops, i, goroutines)
 	}
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := g * per
-			for i := 0; i < per; i++ {
-				key := benchKey(base + i)
-				if _, err := ops.get(key, (base+i)%8); err != nil {
-					panic(err)
-				}
-				ops.chargeRead(key, 4096, (base+i)%8)
-				ops.chargeWrite(2048)
-				if i%statsEvery == statsEvery-1 {
-					if st := ops.stats(); st.Entries < benchKeys {
-						panic("entries lost during benchmark")
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
-// BenchmarkMemoSharded measures the sharded store's per-node access
-// pattern at 1 and 8 goroutines: shard locks only on Get, lock-free
-// charges, O(1) stats from atomics.
+// BenchmarkMemoSharded measures a slide's store traffic on the sharded
+// store at 1 and 8 goroutines.
 func BenchmarkMemoSharded(b *testing.B) {
 	for _, goroutines := range []int{1, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
-			s := NewStore(testConfig())
-			for i := 0; i < benchKeys; i++ {
-				s.Put(benchKey(i), i, 4096, uint64(i), uint64(i))
-			}
-			runMemoBench(b, shardedOps{s}, goroutines)
+			runMemoBench(b, shardedOps{NewStore(testConfig())}, goroutines)
 		})
 	}
 }
 
 // BenchmarkMemoSingleMutex is the pre-shard baseline under the identical
-// workload — every op and every O(entries) stats walk serializes on one
-// mutex. The goroutines=8 comparison against BenchmarkMemoSharded is the
-// contention win recorded in BENCH_merge.json.
+// slides: every op and every O(entries) stats walk serializes on one mutex.
 func BenchmarkMemoSingleMutex(b *testing.B) {
 	for _, goroutines := range []int{1, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
-			s := newMutexStore(testConfig())
-			for i := 0; i < benchKeys; i++ {
-				s.put(benchKey(i), i, 4096, uint64(i), uint64(i))
-			}
-			runMemoBench(b, s, goroutines)
+			runMemoBench(b, newMutexStore(testConfig()), goroutines)
 		})
 	}
 }

@@ -7,67 +7,31 @@ import (
 	"testing"
 )
 
-// hammerOps drives one goroutine's deterministic slice of work against a
-// store: puts of goroutine-private keys, gets and bulk charges over the
-// shared key space. Every op's simulated cost depends only on the key and
-// fromNode (no failures, in-memory cache on), so the Stats totals are
-// interleaving-independent and must equal a sequential run's.
-func hammerOps(s *Store, goroutine, rounds int) {
-	for r := 0; r < rounds; r++ {
-		key := fmt.Sprintf("g%d-r%d", goroutine, r)
-		s.Put(key, r, int64(1024*(1+r%7)), uint64(r), uint64(r))
-		if _, err := s.Get(key, s.HomeNode(key)); err != nil {
-			panic(err)
-		}
-		shared := fmt.Sprintf("shared-%d", r%16)
-		s.ChargeRead(shared, int64(2048+r%512), goroutine%s.cfg.Nodes)
-		s.ChargeWrite(int64(512 * (1 + r%3)))
-	}
-}
-
 // TestStoreConcurrentStatsMatchSequential is the contention satellite
-// test: GOMAXPROCS goroutines hammer the sharded store concurrently
-// (under -race in CI), and every Stats total must equal the sum a
-// sequential execution of the same ops produces. Hits, misses, and
-// read/write time are atomics; entries and resident bytes are maintained
-// under shard locks — any lost update or double count diverges the
-// totals.
+// test: the slides of driveSlide with their partition phase on several
+// goroutines (under -race in CI) must leave every Stats total equal to what
+// the same slides leave on one goroutine. Hits, misses, and read/write time
+// are atomics; entries and resident bytes are maintained under shard locks —
+// any lost update or double count diverges the totals.
 func TestStoreConcurrentStatsMatchSequential(t *testing.T) {
-	goroutines := runtime.GOMAXPROCS(0)
-	if goroutines < 4 {
-		goroutines = 4
+	goroutines := max(runtime.GOMAXPROCS(0), 4)
+	const slides = 200
+
+	seq, conc := NewStore(testConfig()), NewStore(testConfig())
+	for i := 0; i < slides; i++ {
+		driveSlide(shardedOps{seq}, i, 1)
+		driveSlide(shardedOps{conc}, i, goroutines)
 	}
-	const rounds = 200
-
-	cfg := testConfig()
-	cfg.Nodes = 8
-
-	seq := NewStore(cfg)
-	for g := 0; g < goroutines; g++ {
-		hammerOps(seq, g, rounds)
-	}
-	want := seq.Stats()
-
-	conc := NewStore(cfg)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			hammerOps(conc, g, rounds)
-		}(g)
-	}
-	wg.Wait()
-	got := conc.Stats()
-
-	if got != want {
+	if got, want := conc.Stats(), seq.Stats(); got != want {
 		t.Fatalf("concurrent stats diverge from sequential sum:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Every goroutine-private key must be retrievable afterwards.
-	for g := 0; g < goroutines; g++ {
-		key := fmt.Sprintf("g%d-r%d", g, rounds-1)
-		if !conc.Contains(key) {
+	// The window's splits and every partition's entry are what is left.
+	if got, want := conc.Stats().Entries, int64(slideWindow+slideParts); got != want {
+		t.Fatalf("%d entries after %d slides, want %d", got, slides, want)
+	}
+	for p := 0; p < slideParts; p++ {
+		if key := fmt.Sprintf("part:%d", p); !conc.Contains(key) {
 			t.Fatalf("key %s lost under concurrency", key)
 		}
 	}

@@ -136,8 +136,8 @@ var ErrNotFound = errors.New("memo: not found")
 var ErrUnavailable = errors.New("memo: all replicas unavailable")
 
 // numShards is the power-of-two number of index shards. 64 comfortably
-// exceeds any worker count the contraction engine runs (partition workers
-// × intra-tree workers), so two concurrent accesses rarely collide on a
+// exceeds the partition workers a run has in flight, so two concurrent
+// accesses rarely collide on a
 // shard lock; the per-shard footprint (a map header and a mutex) keeps the
 // empty store cheap.
 const numShards = 64
@@ -163,7 +163,7 @@ type Store struct {
 	shards [numShards]indexShard
 
 	// down is a copy-on-write snapshot of the failed-node set, read on
-	// every Get/Put/ChargeRead without locking. failMu serializes the
+	// every Get/Put without locking. failMu serializes the
 	// rare writers (FailNode/RecoverNode).
 	down   atomic.Pointer[map[int]bool]
 	failMu sync.Mutex
@@ -261,9 +261,8 @@ func (s *Store) HomeNode(key string) int {
 }
 
 // replicaNodes returns the persistent-replica placement for a key's home
-// node — the single source of truth shared by Put (placement), Get
-// (lookup), and ChargeRead (bulk accounting), so the locality rules of
-// the read-cost model cannot drift between the indexed and bulk paths.
+// node — the single source of truth shared by Put (placement) and Get
+// (lookup).
 func (s *Store) replicaNodes(home int) []int {
 	nodes := s.cfg.Nodes
 	if nodes <= 0 {
@@ -488,44 +487,6 @@ func (s *Store) copyDown() map[int]bool {
 		}
 	}
 	return next
-}
-
-// ChargeRead charges the read-cost model for size bytes of memoized state
-// read by a task on fromNode whose data lives under key's placement,
-// without an index lookup. It is used for bulk accounting of
-// contraction-tree state reads. Its locality rules mirror Get exactly:
-// an in-memory read is local only on the home node, and a persistent
-// read is local when fromNode holds any live replica — not just the
-// first one — so a read served from the second replica (Replicas ≥ 2)
-// is no longer wrongly charged a network hop. The charge is lock-free
-// (atomic counters only): it sits on every partition's critical path.
-func (s *Store) ChargeRead(key string, size int64, fromNode int) {
-	home := s.HomeNode(key)
-	kb := (size + 1023) / 1024
-	if s.cfg.InMemory && !s.isDown(home) {
-		cost := s.cfg.MemReadOverheadNs + kb*s.cfg.MemReadNsPerKB
-		if fromNode >= 0 && fromNode != home {
-			cost += kb * s.cfg.NetReadNsPerKB
-		}
-		s.hits.Add(1)
-		s.readNs.Add(cost)
-		s.observeRead(cost)
-		return
-	}
-	cost := s.cfg.DiskReadOverheadNs + kb*s.cfg.DiskReadNsPerKB
-	local := false
-	for _, r := range s.replicaNodes(home) {
-		if r == fromNode && !s.isDown(r) {
-			local = true
-			break
-		}
-	}
-	if !local {
-		cost += kb * s.cfg.NetReadNsPerKB
-	}
-	s.misses.Add(1)
-	s.readNs.Add(cost)
-	s.observeRead(cost)
 }
 
 // Stats returns a snapshot of the layer's counters. Resident bytes and

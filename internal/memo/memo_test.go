@@ -174,18 +174,6 @@ func TestDelete(t *testing.T) {
 	s.Delete("k") // idempotent
 }
 
-func TestChargeReadModes(t *testing.T) {
-	s := NewStore(testConfig())
-	s.ChargeRead("part-0", 10240, s.HomeNode("part-0"))
-	local := s.Stats().ReadTimeNs
-	s.ResetReadStats()
-	s.ChargeRead("part-0", 10240, s.HomeNode("part-0")+1)
-	remote := s.Stats().ReadTimeNs
-	if remote <= local {
-		t.Fatalf("remote charge (%d) should exceed local (%d)", remote, local)
-	}
-}
-
 func TestHomeNodeDeterministic(t *testing.T) {
 	s := NewStore(testConfig())
 	property := func(key string) bool {
@@ -205,53 +193,42 @@ func TestConfigNormalization(t *testing.T) {
 	}
 }
 
-// TestChargeReadReplicaLocality is the regression test for ChargeRead
-// hardcoding the first replica in its disk-path locality check: with
-// Replicas ≥ 2 a read served from any live replica must be charged local
-// disk cost, exactly as Get charges it.
-func TestChargeReadReplicaLocality(t *testing.T) {
+// TestGetReplicaLocality holds Get's persistent-read locality: with
+// Replicas ≥ 2 a read served from any live replica — not only the first —
+// is charged local disk cost, and one from anywhere else a network hop.
+func TestGetReplicaLocality(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 8
 	cfg.Replicas = 2
 	cfg.InMemory = false // force the persistent-read path
 	const size = 10240
-	probe := NewStore(cfg)
-	home := probe.HomeNode("part-0")
-	firstReplica := (home + 1) % cfg.Nodes
-	secondReplica := (home + 2) % cfg.Nodes
+	home := NewStore(cfg).HomeNode("part-0")
 	cases := []struct {
 		name     string
 		fromNode int
 		wantNet  bool
 	}{
-		{"first-replica", firstReplica, false},
-		{"second-replica", secondReplica, false},
+		{"first-replica", (home + 1) % cfg.Nodes, false},
+		{"second-replica", (home + 2) % cfg.Nodes, false},
 		{"home-not-a-replica", home, true},
 		{"unrelated-node", (home + 3) % cfg.Nodes, true},
 		{"no-locality", -1, true},
 	}
 	kb := int64(size / 1024)
 	localCost := cfg.DiskReadOverheadNs + kb*cfg.DiskReadNsPerKB
-	remoteCost := localCost + kb*cfg.NetReadNsPerKB
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore(cfg)
-			s.ChargeRead("part-0", size, tc.fromNode)
-			want := localCost
-			if tc.wantNet {
-				want = remoteCost
-			}
-			if got := s.Stats().ReadTimeNs; got != want {
-				t.Fatalf("ChargeRead from node %d cost %d, want %d", tc.fromNode, got, want)
-			}
-			// The bulk path must agree with the indexed Get path.
-			s.ResetReadStats()
 			s.Put("part-0", "v", size, 0, 1)
 			if _, err := s.Get("part-0", tc.fromNode); err != nil {
 				t.Fatal(err)
 			}
+			want := localCost
+			if tc.wantNet {
+				want += kb * cfg.NetReadNsPerKB
+			}
 			if got := s.Stats().ReadTimeNs; got != want {
-				t.Fatalf("Get from node %d cost %d, ChargeRead charged %d", tc.fromNode, got, want)
+				t.Fatalf("Get from node %d cost %d, want %d", tc.fromNode, got, want)
 			}
 		})
 	}
@@ -269,5 +246,4 @@ func TestZeroValueStoreDoesNotPanic(t *testing.T) {
 	if n := ns.HomeNode("k"); n < 0 || n >= 1 {
 		t.Fatalf("normalized zero config home = %d, want 0", n)
 	}
-	ns.ChargeRead("k", 1024, 0) // must not panic either
 }

@@ -3,8 +3,8 @@ package sim
 import "slider/internal/core"
 
 // pay is the tree-layer payload: the ordered sequence of leaf IDs below a
-// node. Merging is concatenation into a fresh slice (pure and alias-free,
-// as the parallel engine requires), so the root payload is the exact leaf
+// node. Merging is concatenation into a fresh slice (a merge's result
+// shares no storage with its inputs), so the root payload is the exact leaf
 // sequence the tree believes is in the window — the strongest possible
 // differential signal against the from-scratch oracle.
 type pay []uint64
@@ -30,8 +30,8 @@ func pfp(p pay) uint64 {
 	return h
 }
 
-// rndSeed is the coin-flip seed every randomized replica uses: it must be
-// identical across replicas and restores (in the runtime it is part of
+// rndSeed is the coin-flip seed every randomized tree uses: it must be
+// identical across restores (in the runtime it is part of
 // the checkpointed configuration).
 const rndSeed = 0xc0ffee
 
@@ -60,11 +60,10 @@ type treeDriver struct {
 const released = ^uint64(0)
 
 // newTreeDriver builds the driver for a kind over a window of width
-// elements at the given intra-tree parallelism, with optional fault
-// injection.
-func newTreeDriver(kind Kind, width, par int, bug core.Buggify) *treeDriver {
+// elements, with optional fault injection.
+func newTreeDriver(kind Kind, width int, bug core.Buggify) *treeDriver {
 	spec := kind.spec()
-	opts := core.Options{Width: width, Split: spec.split, Parallelism: par, Seed: rndSeed, Buggify: bug}
+	opts := core.Options{Width: width, Split: spec.split, Seed: rndSeed, Buggify: bug}
 	d := &treeDriver{kind: kind, agg: core.NewAggregator(spec.kind, pmerge, opts)}
 	d.own = core.NewOwnershipOracle(released, func(id uint64) bool { return id == released })
 	if r, ok := d.agg.(core.Releaser[pay]); ok {

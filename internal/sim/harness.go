@@ -5,13 +5,14 @@
 // A Trace is a randomized but reproducible window schedule — appends,
 // variable-width slides, wild width fluctuation, checkpoint/restore
 // cycles, memo fail/recover events, and GC pressure. Run drives the trace
-// through replicas at parallelism 1/4/8 and checks, after every step:
+// through one aggregator (tree layer) or through runtimes at
+// Config.Parallelism 1/4/8 (runtime layer) and checks, after every step:
 //
 //   - the incremental root equals a from-scratch recomputation oracle,
 //   - nothing reachable is storage the structure released (the ownership
 //     oracle: a released payload is scribbled over, never recycled),
-//   - fingerprints and work counters are identical across parallelism
-//     levels,
+//   - at the runtime layer, outputs, fingerprints and work counters are
+//     identical across parallelism levels,
 //   - delta-proportional work bounds hold (merge count ≤ c·(delta + log
 //     window) with a generous constant),
 //   - restored state matches a freshly restored copy (fingerprint and
@@ -53,8 +54,9 @@ func (l Layer) String() string {
 type Options struct {
 	// Layer selects the tree layer (default) or the full runtime.
 	Layer Layer
-	// Pars are the parallelism levels run in lockstep and compared;
-	// defaults to 1, 4, 8.
+	// Pars are the Config.Parallelism levels the runtime layer runs in
+	// lockstep and compares; defaults to 1, 4, 8. A tree is single-threaded
+	// and the tree layer ignores them.
 	Pars []int
 	// Buggify enables fault-injection points in the trees under test
 	// (the harness's own acceptance tests only).
@@ -105,13 +107,9 @@ func Run(tr Trace, opt Options) error {
 	return runTree(tr, opt)
 }
 
-// runTree drives the trace through one tree driver per parallelism level.
+// runTree drives the trace through one tree driver.
 func runTree(tr Trace, opt Options) error {
-	pars := opt.pars()
-	drivers := make([]*treeDriver, len(pars))
-	for i, par := range pars {
-		drivers[i] = newTreeDriver(tr.Kind, tr.Initial, par, opt.Buggify)
-	}
+	d := newTreeDriver(tr.Kind, tr.Initial, opt.Buggify)
 	fail := func(step int, check, format string, args ...any) *CheckError {
 		return &CheckError{Trace: tr, Step: step, Check: check, Msg: fmt.Sprintf(format, args...)}
 	}
@@ -128,21 +126,19 @@ func runTree(tr Trace, opt Options) error {
 	}
 
 	initIDs := takeIDs(tr.Initial)
-	for _, d := range drivers {
-		if err := d.init(initIDs); err != nil {
-			return fail(-1, "init", "%v", err)
-		}
+	if err := d.init(initIDs); err != nil {
+		return fail(-1, "init", "%v", err)
 	}
 	window = initIDs
-	if err := checkStep(tr, -1, drivers, pars, window); err != nil {
+	if err := checkStep(tr, -1, d, window); err != nil {
 		return err
 	}
 
-	prevStats := drivers[0].stats()
+	prevStats := d.stats()
 	// bulkBound holds one out-of-order operation over k buckets to the
 	// no-log-factor budget.
 	bulkBound := func(step int, what string, k int) error {
-		merges := drivers[0].stats().Merges - prevStats.Merges
+		merges := d.stats().Merges - prevStats.Merges
 		if limit := bulkMergeBound(k, len(window)); !opt.NoBounds && merges > limit {
 			return fail(step, "bulk-bound", "%s k=%d window=%d performed %d merges, bound %d",
 				what, k, len(window), merges, limit)
@@ -154,24 +150,22 @@ func runTree(tr Trace, opt Options) error {
 		case OpSlide:
 			drop, add := clampSlide(tr.Kind, op, len(window))
 			ids := takeIDs(add)
-			for i, d := range drivers {
-				if err := d.slide(drop, ids); err != nil {
-					return fail(step, "slide", "drop=%d add=%d: %v", drop, add, err)
-				}
-				// What a slide reports as evicted — the runtime re-reduces
-				// those elements' keys — is exactly the model's oldest drop
-				// leaves, in window order, for the reordering kinds too.
-				if !slices.Equal(d.evicted, pay(window[:drop])) {
-					return fail(step, "evicted", "par=%d drop=%d: slide reports %v evicted, the window's oldest are %v",
-						pars[i], drop, d.evicted, window[:drop])
-				}
+			if err := d.slide(drop, ids); err != nil {
+				return fail(step, "slide", "drop=%d add=%d: %v", drop, add, err)
+			}
+			// What a slide reports as evicted — the runtime re-reduces
+			// those elements' keys — is exactly the model's oldest drop
+			// leaves, in window order, for the reordering kinds too.
+			if !slices.Equal(d.evicted, pay(window[:drop])) {
+				return fail(step, "evicted", "drop=%d: slide reports %v evicted, the window's oldest are %v",
+					drop, d.evicted, window[:drop])
 			}
 			window = append(window[drop:], ids...)
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, d, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
-				cur := drivers[0].stats()
+				cur := d.stats()
 				merges := cur.Merges - prevStats.Merges
 				if limit := mergeBound(tr.Kind, drop, add, len(window)); merges > limit {
 					return fail(step, "work-bound",
@@ -180,28 +174,26 @@ func runTree(tr Trace, opt Options) error {
 				}
 			}
 		case OpCheckpoint:
-			for i, d := range drivers {
-				snap := d.agg.Snapshot()
-				if err := d.restore(snap); err != nil {
-					return fail(step, "restore", "in-place: %v", err)
-				}
-				fresh := newTreeDriver(tr.Kind, tr.Initial, pars[i], opt.Buggify)
-				if err := fresh.restore(snap); err != nil {
-					return fail(step, "restore", "fresh: %v", err)
-				}
-				// A restored tree must be indistinguishable from a tree
-				// freshly restored from the same checkpoint: same
-				// structure, same work counters.
-				if got, want := d.fingerprint(), fresh.fingerprint(); got != want {
-					return fail(step, "restore-fingerprint",
-						"par=%d in-place restore fingerprint %#x != fresh restore %#x", pars[i], got, want)
-				}
-				if got, want := d.stats(), fresh.stats(); got != want {
-					return fail(step, "restore-stats",
-						"par=%d in-place restore stats %+v != fresh restore %+v", pars[i], got, want)
-				}
+			snap := d.agg.Snapshot()
+			if err := d.restore(snap); err != nil {
+				return fail(step, "restore", "in-place: %v", err)
 			}
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			fresh := newTreeDriver(tr.Kind, tr.Initial, opt.Buggify)
+			if err := fresh.restore(snap); err != nil {
+				return fail(step, "restore", "fresh: %v", err)
+			}
+			// A restored tree must be indistinguishable from a tree
+			// freshly restored from the same checkpoint: same
+			// structure, same work counters.
+			if got, want := d.fingerprint(), fresh.fingerprint(); got != want {
+				return fail(step, "restore-fingerprint",
+					"in-place restore fingerprint %#x != fresh restore %#x", got, want)
+			}
+			if got, want := d.stats(), fresh.stats(); got != want {
+				return fail(step, "restore-stats",
+					"in-place restore stats %+v != fresh restore %+v", got, want)
+			}
+			if err := checkStep(tr, step, d, window); err != nil {
 				return err
 			}
 		case OpLateAppend:
@@ -211,17 +203,15 @@ func runTree(tr Trace, opt Options) error {
 			late := clampLateness(op.Pos, len(window))
 			pos := len(window) - late
 			id := takeIDs(1)[0]
-			for _, d := range drivers {
-				if err := d.lateInsert(pos, id); err != nil {
-					return fail(step, "late-append", "pos=%d (lateness %d): %v", pos, late, err)
-				}
+			if err := d.lateInsert(pos, id); err != nil {
+				return fail(step, "late-append", "pos=%d (lateness %d): %v", pos, late, err)
 			}
 			nw := make([]uint64, 0, len(window)+1)
 			nw = append(nw, window[:pos]...)
 			nw = append(nw, id)
 			nw = append(nw, window[pos:]...)
 			window = nw
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, d, window); err != nil {
 				return err
 			}
 			if err := bulkBound(step, "late append", 1); err != nil {
@@ -235,13 +225,11 @@ func runTree(tr Trace, opt Options) error {
 			if k == 0 {
 				break
 			}
-			for _, d := range drivers {
-				if err := d.bulkEvict(k); err != nil {
-					return fail(step, "bulk-evict", "k=%d: %v", k, err)
-				}
+			if err := d.bulkEvict(k); err != nil {
+				return fail(step, "bulk-evict", "k=%d: %v", k, err)
 			}
 			window = window[k:]
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, d, window); err != nil {
 				return err
 			}
 			if err := bulkBound(step, "bulk evict", k); err != nil {
@@ -256,13 +244,11 @@ func runTree(tr Trace, opt Options) error {
 				break
 			}
 			ids := takeIDs(k)
-			for _, d := range drivers {
-				if err := d.bulkInsert(ids); err != nil {
-					return fail(step, "bulk-insert", "k=%d: %v", k, err)
-				}
+			if err := d.bulkInsert(ids); err != nil {
+				return fail(step, "bulk-insert", "k=%d: %v", k, err)
 			}
 			window = append(window, ids...)
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, d, window); err != nil {
 				return err
 			}
 			if err := bulkBound(step, "bulk insert", k); err != nil {
@@ -272,7 +258,7 @@ func runTree(tr Trace, opt Options) error {
 			OpWorkerCrash, OpWorkerRestart, OpWorkerDelay, OpWorkerDrop, OpWorkerCorrupt:
 			// Memo- and dist-layer events; nothing to do at the tree layer.
 		}
-		prevStats = drivers[0].stats()
+		prevStats = d.stats()
 	}
 	return nil
 }
@@ -351,31 +337,13 @@ func clampBulkInsert(k, live int) int {
 	return k
 }
 
-// checkStep verifies that no replica exposes released storage, the root
-// against the from-scratch oracle and the cross-parallelism parity of
-// fingerprints and work counters.
-func checkStep(tr Trace, step int, drivers []*treeDriver, pars []int, window []uint64) error {
-	for i, d := range drivers {
-		if err := d.ownership(); err != nil {
-			return &CheckError{Trace: tr, Step: step, Check: "ownership", Msg: fmt.Sprintf("par=%d: %v", pars[i], err)}
-		}
+// checkStep verifies that the driver exposes no released storage and its
+// root against the from-scratch oracle.
+func checkStep(tr Trace, step int, d *treeDriver, window []uint64) error {
+	if err := d.ownership(); err != nil {
+		return &CheckError{Trace: tr, Step: step, Check: "ownership", Msg: err.Error()}
 	}
-	if err := checkOracle(tr, step, drivers[0], window); err != nil {
-		return err
-	}
-	fp0 := drivers[0].fingerprint()
-	st0 := drivers[0].stats()
-	for i := 1; i < len(drivers); i++ {
-		if fp := drivers[i].fingerprint(); fp != fp0 {
-			return &CheckError{Trace: tr, Step: step, Check: "par-fingerprint",
-				Msg: fmt.Sprintf("par=%d fingerprint %#x != par=%d fingerprint %#x", pars[i], fp, pars[0], fp0)}
-		}
-		if st := drivers[i].stats(); st != st0 {
-			return &CheckError{Trace: tr, Step: step, Check: "par-stats",
-				Msg: fmt.Sprintf("par=%d stats %+v != par=%d stats %+v", pars[i], st, pars[0], st0)}
-		}
-	}
-	return nil
+	return checkOracle(tr, step, d, window)
 }
 
 // oracleRoot recomputes the window's combined payload from scratch — an

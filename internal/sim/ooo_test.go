@@ -104,9 +104,8 @@ func TestGenerateOutOfOrderOpsAreLegal(t *testing.T) {
 }
 
 // TestOutOfOrderTreeSeedMatrix is the tentpole check at the tree layer:
-// out-of-order traces over the finger tree, replicas at parallelism
-// 1/4/8 compared after every step against each other and the
-// non-commutative left-fold oracle, with the no-log-factor bulk bound
+// out-of-order traces over the finger tree, compared after every step
+// against the non-commutative left-fold oracle, with the no-log-factor bulk bound
 // c·(K + log w) asserted per bulk op and checkpoint round-trips
 // enforced.
 func TestOutOfOrderTreeSeedMatrix(t *testing.T) {

@@ -56,9 +56,9 @@ func TestGenerateSlidesAreLegal(t *testing.T) {
 }
 
 // TestTreeSeedMatrix is the tentpole check at the tree layer: every kind,
-// several seeds, a few hundred steps each, replicas at parallelism 1/4/8
-// compared after every step against each other and the from-scratch
-// oracle, with work bounds and checkpoint round-trips enforced.
+// several seeds, a few hundred steps each, one aggregator compared after
+// every step against the from-scratch oracle, with ownership, work bounds
+// and checkpoint round-trips enforced.
 func TestTreeSeedMatrix(t *testing.T) {
 	steps := 250
 	if testing.Short() {

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Checkpoint/restore under Parallelism > 1: the engine guarantees outputs
-// and work counters are independent of the worker count, so checkpoints
+// Checkpoint/restore under Parallelism > 1: outputs and work counters are
+// independent of how many partition updates run at once, so checkpoints
 // written by a parallel runtime must restore and continue exactly like
-// their sequential counterparts — across every mode and engine.
+// their sequential counterparts — across every mode and backend.
 
 func TestCheckpointParallelAppend(t *testing.T) {
 	checkpointRoundTrip(t, Config{Mode: Append, Parallelism: 4}, 4,

@@ -94,12 +94,10 @@ type Config struct {
 	// RebuildFactor is the folding tree's rebalance trigger (§3.2);
 	// 0 uses the default, negative disables rebuilding.
 	RebuildFactor int
-	// Parallelism bounds the run's total worker budget: concurrent map
-	// tasks, concurrent partition updates, and — when partitions don't
-	// exhaust the budget — the intra-tree workers of the parallel
-	// contraction engine that recompute one tree level's independent
-	// combines concurrently (0 = GOMAXPROCS). Combiners must be pure
-	// and alias-free (see mapreduce.CheckJob) for any setting > 1.
+	// Parallelism bounds how many map tasks, and then how many partition
+	// updates, a run has in flight at once (0 = GOMAXPROCS). A partition's
+	// contraction runs on one goroutine; to use more cores on it, use more
+	// partitions (DESIGN.md §4.9).
 	Parallelism int
 	// Seed fixes the randomized tree's coin flips.
 	Seed uint64

@@ -1,42 +1,71 @@
 package sliderrt
 
 import (
+	"fmt"
 	"testing"
 
+	"slider/internal/core"
 	"slider/internal/mapreduce"
+	"slider/internal/metrics"
 )
 
-// parallelCases enumerates one configuration per tree type, so the
-// parallel contraction engine is exercised end-to-end on every window
-// mode: coalescing (Append), rotating (Fixed, with and without split
-// processing), folding and randomized folding (Variable), and the
-// strawman baseline.
+// parallelCases enumerates every legal (mode, backend) of the resolution
+// matrix (TestBackendMatrix), the rotating tree with and without split
+// processing.
 func parallelCases() map[string]Config {
+	fixed := func(backend Backend, split bool) Config {
+		return Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 8, Backend: backend, SplitProcessing: split}
+	}
 	return map[string]Config{
-		"append":      {Mode: Append},
-		"fixed":       {Mode: Fixed, BucketSplits: 2, WindowBuckets: 8},
-		"fixed-split": {Mode: Fixed, BucketSplits: 2, WindowBuckets: 8, SplitProcessing: true},
-		"variable":    {Mode: Variable},
-		"randomized":  {Mode: Variable, Backend: BackendRandomizedFolding, Seed: 7},
-		"strawman":    {Mode: Variable, Backend: BackendStrawman},
+		"append":           {Mode: Append},
+		"append-strawman":  {Mode: Append, Backend: BackendStrawman},
+		"fixed":            fixed(BackendDaba, false),
+		"fixed-rotating":   fixed(BackendRotating, false),
+		"fixed-split":      fixed(BackendAuto, true),
+		"fixed-strawman":   fixed(BackendStrawman, false),
+		"fixed-fingertree": fixed(BackendFingerTree, false),
+		"variable":         {Mode: Variable},
+		"randomized":       {Mode: Variable, Backend: BackendRandomizedFolding, Seed: 7},
+		"strawman":         {Mode: Variable, Backend: BackendStrawman},
 	}
 }
 
-// runWorkload drives one Initial plus several Advances at the given
-// parallelism and returns the fingerprint of every run's output.
-func runWorkload(t *testing.T, cfg Config, par int) []uint64 {
+// runDigest is what a run leaves that must not depend on Config.Parallelism.
+type runDigest struct {
+	output, state   uint64
+	space           int64
+	tree, treeBg    core.Stats
+	counters, bgCtr metrics.Counters
+}
+
+// runWorkload drives one Initial plus several Advances over the given
+// number of partitions at the given parallelism and digests every run.
+func runWorkload(t *testing.T, cfg Config, parts, par int) []runDigest {
 	t.Helper()
 	cfg.Parallelism = par
-	rt, err := New(wordCountJob(), cfg)
+	job := wordCountJob()
+	job.Partitions = parts
+	rt, err := New(job, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	digest := func(res *RunResult) runDigest {
+		return runDigest{
+			output:   mapreduce.FingerprintPayload(mapreduce.FromMap(res.Output)),
+			state:    rt.StateFingerprint(),
+			space:    res.SpaceBytes,
+			tree:     res.TreeStats,
+			treeBg:   res.TreeStatsBackground,
+			counters: res.Report.Counters,
+			bgCtr:    res.Background.Counters,
+		}
 	}
 	window := 16
 	res, err := rt.Initial(genSplits(0, window, 4, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fps := []uint64{mapreduce.FingerprintPayload(mapreduce.FromMap(res.Output))}
+	runs := []runDigest{digest(res)}
 	next := window
 	for step := 0; step < 4; step++ {
 		drop, add := 2, 2
@@ -48,94 +77,62 @@ func runWorkload(t *testing.T, cfg Config, par int) []uint64 {
 			t.Fatal(err)
 		}
 		next += add
-		fps = append(fps, mapreduce.FingerprintPayload(mapreduce.FromMap(res.Output)))
+		runs = append(runs, digest(res))
 	}
-	return fps
+	return runs
+}
+
+// acrossParallelism runs check(seq, par, what) for every case, over one
+// partition and over four, with par the digests at Parallelism 2 and 8 and
+// seq those at 1. One partition is the case where map tasks are the only
+// thing a budget above 1 runs concurrently; with four, partition updates
+// are too.
+func acrossParallelism(t *testing.T, check func(t *testing.T, seq, par runDigest, what string)) {
+	for name, cfg := range parallelCases() {
+		t.Run(name, func(t *testing.T) {
+			for _, parts := range []int{1, 4} {
+				seq := runWorkload(t, cfg, parts, 1)
+				for _, p := range []int{2, 8} {
+					par := runWorkload(t, cfg, parts, p)
+					for i := range seq {
+						check(t, seq[i], par[i], fmt.Sprintf("%d partitions, run %d, Parallelism %d", parts, i, p))
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestRuntimeParallelismEquivalence checks the user-visible contract of
-// the parallel contraction engine: for every tree type, runs at
-// Parallelism 1 and Parallelism 8 produce byte-identical outputs
-// (fingerprint equality on every run, not just the last). With
-// `go test -race` this also drives every tree's concurrent combines,
-// shard merging, and the atomic combine counters under the detector.
+// Config.Parallelism: it changes how many map tasks and partition updates
+// are in flight, and nothing a run produces — the output, the accounted
+// space and the window state are identical on every run. With
+// `go test -race` this also drives the concurrent partition updates, each
+// with its own free list and combine counter, under the detector.
 func TestRuntimeParallelismEquivalence(t *testing.T) {
-	for name, cfg := range parallelCases() {
-		t.Run(name, func(t *testing.T) {
-			seq := runWorkload(t, cfg, 1)
-			par := runWorkload(t, cfg, 8)
-			if len(seq) != len(par) {
-				t.Fatalf("run counts diverge: %d vs %d", len(seq), len(par))
-			}
-			for i := range seq {
-				if seq[i] != par[i] {
-					t.Fatalf("run %d: parallel output fingerprint %x, sequential %x", i, par[i], seq[i])
-				}
-			}
-		})
-	}
+	acrossParallelism(t, func(t *testing.T, seq, par runDigest, what string) {
+		if par.output != seq.output {
+			t.Fatalf("%s: output fingerprint %x, sequential %x", what, par.output, seq.output)
+		}
+		if par.space != seq.space {
+			t.Fatalf("%s: SpaceBytes %d, sequential %d", what, par.space, seq.space)
+		}
+		if par.state != seq.state {
+			t.Fatalf("%s: StateFingerprint %x, sequential %x", what, par.state, seq.state)
+		}
+	})
 }
 
 // TestRuntimeParallelismCounters checks the deterministic work counters
-// are independent of the worker count: combiner calls and recomputed
-// nodes must not depend on how the work was scheduled.
+// are independent of Config.Parallelism: tree work and the run's counters,
+// foreground and background, must not depend on how the work was scheduled.
 func TestRuntimeParallelismCounters(t *testing.T) {
-	for name, cfg := range parallelCases() {
-		t.Run(name, func(t *testing.T) {
-			counters := func(par int) (int64, int64) {
-				c := cfg
-				c.Parallelism = par
-				rt, err := New(wordCountJob(), c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := rt.Initial(genSplits(0, 16, 4, 5)); err != nil {
-					t.Fatal(err)
-				}
-				drop := 2
-				if c.Mode == Append {
-					drop = 0
-				}
-				res, err := rt.Advance(drop, genSplits(16, 2, 4, 5))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Report.Counters.CombineCalls, res.TreeStats.NodesRecomputed
-			}
-			seqCombines, seqNodes := counters(1)
-			parCombines, parNodes := counters(8)
-			if seqCombines != parCombines {
-				t.Fatalf("combine calls diverge: seq %d, par %d", seqCombines, parCombines)
-			}
-			if seqNodes != parNodes {
-				t.Fatalf("recomputed nodes diverge: seq %d, par %d", seqNodes, parNodes)
-			}
-		})
-	}
-}
-
-// TestTreeParallelismBudget pins the budget split between partition
-// workers and intra-tree workers.
-func TestTreeParallelismBudget(t *testing.T) {
-	cases := []struct {
-		par, parts, want int
-	}{
-		{8, 2, 4},   // budget left over: trees share it
-		{8, 8, 1},   // partitions exhaust the budget
-		{2, 8, 1},   // more partitions than budget
-		{9, 2, 4},   // integer division
-		{1, 1, 1},   // sequential
-		{16, 1, 16}, // one partition gets everything
-	}
-	for _, tc := range cases {
-		job := wordCountJob()
-		job.Partitions = tc.parts
-		rt, err := New(job, Config{Mode: Variable, Parallelism: tc.par})
-		if err != nil {
-			t.Fatal(err)
+	acrossParallelism(t, func(t *testing.T, seq, par runDigest, what string) {
+		if par.tree != seq.tree || par.treeBg != seq.treeBg {
+			t.Fatalf("%s: TreeStats %+v / background %+v, sequential %+v / %+v", what, par.tree, par.treeBg, seq.tree, seq.treeBg)
 		}
-		if got := rt.treeParallelism(); got != tc.want {
-			t.Fatalf("par=%d parts=%d: treeParallelism = %d, want %d", tc.par, tc.parts, got, tc.want)
+		if par.counters != seq.counters || par.bgCtr != seq.bgCtr {
+			t.Fatalf("%s: Report.Counters %+v / background %+v, sequential %+v / %+v", what, par.counters, par.bgCtr, seq.counters, seq.bgCtr)
 		}
-	}
+	})
 }

@@ -3,7 +3,6 @@ package sliderrt
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -176,28 +175,25 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 // mergeFor returns a partition's merge function: it combines two payloads in
 // window order — in storage taken from the partition's free list when that
 // has a slice large enough, see MergeOrderedSizedInto —, sizes the result as
-// it builds it, and counts combiner calls into counter. The counter updates
-// are atomic and the free list is locked because the parallel contraction
-// engine may run several of one partition's merges concurrently; the merge
-// is pure and its result shares no storage with its inputs, so the merges
-// themselves are safe.
+// it builds it, and counts combiner calls into counter. Both are the
+// partition's own: contract runs partitions concurrently, and one
+// partition's merges one at a time.
 func (rt *Runtime) mergeFor(free *mapreduce.FreeList, counter *int64) core.MergeFunc[sized] {
 	return func(a, b sized) sized {
 		out, c := mapreduce.MergeOrderedSizedInto(rt.job, free.Get(len(a.P)+len(b.P)), a, b)
-		atomic.AddInt64(counter, c)
+		*counter += c
 		return out
 	}
 }
 
 // kmergeFor returns partition p's K-way merge function: it merges any
 // number of payloads in a single pass in window order and counts combiner
-// calls into p's own counter (atomically — ReduceOrderedK may run several
-// of one partition's leaf batches concurrently).
+// calls into p's own counter.
 func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 	counter := &rt.combines[p]
 	return func(items []sized) sized {
 		out, c := mapreduce.MergeOrderedKSized(rt.job, items)
-		atomic.AddInt64(counter, c)
+		*counter += c
 		return out
 	}
 }
@@ -208,12 +204,11 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // not memoized tree nodes, so they need not preserve binary fingerprints:
 // they batch through MergeOrderedK, which allocates one output payload
 // and issues one multi-argument Combine per key instead of len(ps)−1
-// intermediate payloads. Batch boundaries are fixed (see kMergeLeafWidth), so
-// outputs and combine counts are identical at any worker count. A lone
-// payload is handed through uncopied: payloads are immutable, and the memo
-// entry of its split holds no value, so the tree is its only holder.
+// intermediate payloads. A lone payload is handed through uncopied:
+// payloads are immutable, and the memo entry of its split holds no value,
+// so the tree is its only holder.
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
-	out, _ := core.ReduceOrderedK(rt.treeParallelism(), rt.kmergeFor(p), ps)
+	out, _ := core.ReduceOrderedK(rt.kmergeFor(p), ps)
 	return out
 }
 
@@ -225,7 +220,7 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 	base := rt.seq
 	runner := rt.cfg.MapRunner
 	if runner == nil {
-		runner = mapreduce.Executor{Parallelism: rt.workers()}
+		runner = mapreduce.Executor{Parallelism: rt.cfg.Parallelism}
 	}
 	results, err := runner.RunMap(rt.job, splits)
 	if err != nil {
@@ -294,7 +289,7 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 			missingIdx = append(missingIdx, i)
 		}
 	}
-	local := mapreduce.Executor{Parallelism: rt.workers()}
+	local := mapreduce.Executor{Parallelism: rt.cfg.Parallelism}
 	fallback, err := local.RunMap(rt.job, missing)
 	if err != nil {
 		return nil, err
@@ -303,29 +298,6 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 		results[i] = fallback[k]
 	}
 	return results, nil
-}
-
-// workers is the Parallelism budget with its default resolved: zero or
-// negative means one worker per CPU.
-func (rt *Runtime) workers() int {
-	if rt.cfg.Parallelism > 0 {
-		return rt.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// treeParallelism splits the Parallelism budget between the two levels
-// of contraction concurrency: contract runs up to min(par, partitions)
-// partition workers, and each partition's tree gets the
-// remaining budget for its intra-tree (level-by-level) combines, so the
-// total worker count stays bounded by the configured knob. With more
-// partitions than budget the trees run sequentially, exactly as before.
-func (rt *Runtime) treeParallelism() int {
-	par := rt.workers()
-	if rt.parts > par {
-		return 1
-	}
-	return par / rt.parts
 }
 
 // Initial performs the initial run over the first window (§3: all input
@@ -624,7 +596,7 @@ type partDelta struct {
 func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapreduce.MapResult, apply applyFunc) ([]partDelta, error) {
 	ph := so.phase("contract")
 	parts := make([]partDelta, rt.parts)
-	if err := mapreduce.ForEach(rt.workers(), rt.parts, func(p int) error {
+	if err := mapreduce.ForEach(rt.cfg.Parallelism, rt.parts, func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(ph.span, p)
 		treeBefore := rt.aggs[p].Stats()
@@ -783,7 +755,8 @@ func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Dur
 		InputBytes:    sumBytes(roots),
 		PreferredNode: rt.partNodes[p],
 	})
-	rec.Add(metrics.Counters{CombineCalls: atomic.SwapInt64(&rt.combines[p], 0)})
+	rec.Add(metrics.Counters{CombineCalls: rt.combines[p]})
+	rt.combines[p] = 0
 }
 
 // rootPathBytes estimates the memoized root-path state a partition's
@@ -894,15 +867,13 @@ func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 }
 
 // newAggregators instantiates one aggregator of the resolved backend per
-// partition, each wired to its own combine counter and to its share of the
-// parallelism budget so partition-level and intra-tree concurrency compose,
-// and to its own free list. The caller installs the three slices together
+// partition, each wired to its own combine counter and its own free list.
+// The caller installs the three slices together
 // (Initial, Restore).
 func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64, []mapreduce.FreeList) {
 	opts := core.Options{
 		Width:         rt.cfg.WindowBuckets,
 		Split:         rt.cfg.SplitProcessing,
-		Parallelism:   rt.treeParallelism(),
 		RebuildFactor: rt.cfg.RebuildFactor,
 	}
 	combines := make([]int64, rt.parts)

@@ -198,8 +198,9 @@ func RunScratch(job *Job, window []Split, parallelism int, rec *Recorder) (Outpu
 // CheckJob property-tests a job's combiner contract (associativity,
 // declared commutativity, non-mutation, alias-free results) against real
 // sample splits. Run it in a test before trusting a new job to the
-// incremental runtime — especially before setting Config.Parallelism > 1,
-// which relies on the purity/alias-freedom contract.
+// incremental runtime: its structures share payloads between aggregates
+// and recycle dead storage, and its partitions call Combine concurrently,
+// all of which rely on the purity/alias-freedom contract.
 func CheckJob(job *Job, samples []Split) error {
 	return mapreduce.CheckJob(job, samples)
 }
