@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,47 @@ func TestCentroidAddDoesNotMutate(t *testing.T) {
 	}
 	if c.Sum[0] != 4 || c.Sum[1] != 6 || c.Count != 3 {
 		t.Fatalf("c = %+v", c)
+	}
+}
+
+// TestKMeansCombineIsLeftFold: handed a key's accumulators in one call,
+// K-Means' Combine gives the sums of the chain of binary calls bit for bit —
+// floating-point addition is not associative, a map task's output must not
+// depend on how its emits were batched — in an accumulator of its own, with
+// every input as it was; Reduce averages the same sums.
+func TestKMeansCombineIsLeftFold(t *testing.T) {
+	job := KMeans(1, 4, 6, 3)
+	gen := workload.NewPoints(workload.PointsConfig{Seed: 5, PointsPerSplit: 9, Dim: 6})
+	var values []mapreduce.Value
+	var before []uint64
+	for i, rec := range gen.Split(0).Records {
+		acc := &CentroidAcc{Sum: rec.([]float64), Count: int64(i + 1)}
+		values = append(values, acc)
+		before = append(before, acc.Fingerprint())
+	}
+	chain := values[0]
+	for _, v := range values[1:] {
+		chain = job.Combine("c0", []mapreduce.Value{chain, v})
+	}
+	got := job.Combine("c0", values).(*CentroidAcc)
+	if got.Fingerprint() != chain.(*CentroidAcc).Fingerprint() {
+		t.Fatalf("one call over %d accumulators: %+v, the chain of binary calls: %+v", len(values), got, chain)
+	}
+	for i, v := range values {
+		acc := v.(*CentroidAcc)
+		if acc.Fingerprint() != before[i] {
+			t.Fatalf("Combine modified its argument %d", i)
+		}
+		if acc == got || &acc.Sum[0] == &got.Sum[0] {
+			t.Fatalf("Combine's result shares storage with its argument %d", i)
+		}
+	}
+	if lone := job.Combine("c0", values[:1]); lone != values[0] {
+		t.Fatal("a lone accumulator is not handed back as it is")
+	}
+	mean := job.Reduce("c0", values).([]float64)
+	if want := chain.(*CentroidAcc).Mean(); !reflect.DeepEqual(mean, want) {
+		t.Fatalf("Reduce = %v, want the mean of the chain's sums %v", mean, want)
 	}
 }
 

@@ -123,18 +123,10 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*CentroidAcc)
-			for _, v := range values[1:] {
-				acc = acc.Add(v.(*CentroidAcc))
-			}
-			return acc
+			return sumCentroidAccs(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*CentroidAcc)
-			for _, v := range values[1:] {
-				acc = acc.Add(v.(*CentroidAcc))
-			}
-			return acc.Mean()
+			return sumCentroidAccs(values).Mean()
 		},
 		Commutative: true,
 	}

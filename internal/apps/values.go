@@ -28,10 +28,27 @@ var (
 // Add returns a fresh accumulator holding a + b (inputs unmodified, as
 // required by the contraction trees).
 func (a *CentroidAcc) Add(b *CentroidAcc) *CentroidAcc {
-	out := &CentroidAcc{Sum: make([]float64, len(a.Sum)), Count: a.Count + b.Count}
-	copy(out.Sum, a.Sum)
-	for i, v := range b.Sum {
-		out.Sum[i] += v
+	return sumCentroidAccs([]mapreduce.Value{a, b})
+}
+
+// sumCentroidAccs is K-Means' Combine: the left fold of the accumulators
+// in values, in one fresh accumulator however many there are — the sums are
+// those of a chain of Add calls, bit for bit, without the accumulator each of
+// them would allocate. The inputs are not modified; a lone accumulator is
+// returned as it is.
+func sumCentroidAccs(values []mapreduce.Value) *CentroidAcc {
+	first := values[0].(*CentroidAcc)
+	if len(values) == 1 {
+		return first
+	}
+	out := &CentroidAcc{Sum: make([]float64, len(first.Sum)), Count: first.Count}
+	copy(out.Sum, first.Sum)
+	for _, v := range values[1:] {
+		b := v.(*CentroidAcc)
+		out.Count += b.Count
+		for i, x := range b.Sum {
+			out.Sum[i] += x
+		}
 	}
 	return out
 }

@@ -1,6 +1,27 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"slider/internal/israce"
+)
+
+// coldScratch is what the ceilings on a slide's allocations give way by in
+// a binary built with -race, and nothing in a plain one. A map task works in
+// a sync.Pool'ed scratch; under the detector the pool drops a quarter of what
+// it is handed, at random, and the task that then finds none grows a new one
+// from nothing: allocs allocations and bytes bytes on the split shape at hand
+// (measured: a task straight after two collections against the one after
+// it). Every slide below maps one split, so none pays that more than once —
+// the ceiling plus one cold scratch holds whatever the pool drops. That is
+// the looser gate (an encode or a per-key allocation on the slide path is
+// hundreds of allocations and shows in both); the plain run holds the pin.
+func coldScratch(allocs, bytes float64) (float64, float64) {
+	if israce.Enabled {
+		return allocs, bytes
+	}
+	return 0, 0
+}
 
 // TestPayloadAllocBudget pins the flat codec's acceptance bound from the
 // sld2 work on a wordcount-shaped payload: steady-state encode allocates
@@ -58,21 +79,23 @@ func TestPayloadAllocBudget(t *testing.T) {
 // slide at the payload experiment's window: the end-to-end check that no
 // slide serialises its state. (It used to compare against the same loop
 // with every writer switched to gob; that switch is gone, the budget it
-// defended is pinned instead: 201 allocs/slide measured — 222 before the
-// structures' dead aggregates carried their next merges and DABA's halves
-// went to the reduce unmerged, 238 while every slide allocated its window
-// aggregate, 249 while each slide flat-encoded its map output and root path
-// into the memo store, 294 while payloads were hash maps — ~5 % headroom for
-// map-growth jitter, as in TestWideSlideAllocs.)
+// defended is pinned instead: 175 allocs/slide measured — 196 while a map
+// task kept a Go map per partition and grew its payloads by doubling, 222
+// before the structures' dead aggregates carried their next merges and DABA's
+// halves went to the reduce unmerged, 238 while every slide allocated its
+// window aggregate, 249 while each slide flat-encoded its map output and root
+// path into the memo store, 294 while payloads were hash maps — ~5 % headroom
+// for what still varies from run to run, as in TestWideSlideAllocs.)
 func TestPayloadSlideAllocs(t *testing.T) {
-	const budget = 211
+	const budget = 184
+	cold, _ := coldScratch(42, 0)
 	cell, err := measurePayloadSlides(Quick(), payloadSlideWindow, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("window %d: %.1f allocs/slide", payloadSlideWindow, cell.AllocsPerSlide)
-	if cell.AllocsPerSlide > budget {
-		t.Errorf("slide loop allocates %.0f/slide, budget %d", cell.AllocsPerSlide, budget)
+	if cell.AllocsPerSlide > budget+cold {
+		t.Errorf("slide loop allocates %.0f/slide, budget %.0f", cell.AllocsPerSlide, budget+cold)
 	}
 }
 
@@ -86,40 +109,50 @@ func TestPayloadSlideAllocs(t *testing.T) {
 // two halves), and for the memo entries (an index record each, no bytes);
 // nothing per key of the window — the output map is kept from slide to
 // slide, and the reducer's boxed results are those of the delta's keys.
-// Allocation counts repeat up to map-growth jitter, so the ceiling sits ~5 %
-// above the measured value (211 when pinned; 236 while every merge but the
-// query's allocated its output; 252 before DABA's window aggregate was
-// rebuilt in place and the output map kept; 265 while the root path was
-// encoded every slide; 315 while payloads were hash maps; 1 365 before
-// sizes travelled with payloads and reduce became one pass). The bytes are
-// where a per-window cost shows that a count hides — one map is one
-// allocation at any size — so they are held too: 32.0 KB a slide measured,
-// 76.7 KB while the merges allocated their outputs, 93.6 KB while every
-// slide allocated its output map.
+// The map task's own maps are gone and with them the map-growth jitter; what
+// still varies, by a fraction of an allocation a slide, is the pool behind the
+// map task — a task that the scheduler resumed on another P, or that comes
+// after two collections, finds no scratch and grows a new one — and when the
+// retained output map grows. The ceiling
+// sits ~5 % above the measured value (185 when pinned; 207 while a map task
+// kept a Go map per partition and grew its payloads by doubling; 236 while
+// every merge but the query's allocated its output; 252 before DABA's window
+// aggregate was rebuilt in place and the output map kept; 265 while the root
+// path was encoded every slide; 315 while payloads were hash maps; 1 365
+// before sizes travelled with payloads and reduce became one pass). The bytes
+// are where a per-window cost shows that a count hides — one map is one
+// allocation at any size — so they are held too: 26.9 KB a slide measured,
+// 31.9 KB with the per-task maps, 76.7 KB while the merges allocated their
+// outputs, 93.6 KB while every slide allocated its output map.
 func TestWideSlideAllocs(t *testing.T) {
-	const window, slides, ceiling, byteCeiling = 64, 32, 222, 34_000
+	const window, slides, ceiling, byteCeiling = 64, 32, 195, 28_300
+	cold, coldBytes := coldScratch(42, 14_400)
 	cell, err := measurePayloadSlides(Quick(), window, slides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("window %d: %.1f allocs/slide, %.0f bytes/slide", window, cell.AllocsPerSlide, cell.BytesPerSlide)
-	if cell.AllocsPerSlide > ceiling {
-		t.Errorf("wide-window slide allocates %.0f/slide, ceiling %d", cell.AllocsPerSlide, ceiling)
+	if cell.AllocsPerSlide > ceiling+cold {
+		t.Errorf("wide-window slide allocates %.0f/slide, ceiling %.0f", cell.AllocsPerSlide, ceiling+cold)
 	}
-	if cell.BytesPerSlide > byteCeiling {
-		t.Errorf("wide-window slide allocates %.0f bytes/slide, ceiling %d", cell.BytesPerSlide, byteCeiling)
+	if cell.BytesPerSlide > byteCeiling+coldBytes {
+		t.Errorf("wide-window slide allocates %.0f bytes/slide, ceiling %.0f", cell.BytesPerSlide, byteCeiling+coldBytes)
 	}
 }
 
 // TestStructValueSlideAllocs is the same gate over K-Means, whose values
 // are structs behind an interface: the only codec that takes them is gob,
-// so an encode anywhere on the slide path shows here first. 605 allocs/slide
-// measured, ~5 % headroom; 730 while every slide offered its map output and
+// so an encode anywhere on the slide path shows here first. 461 allocs/slide
+// measured, ~5 % headroom; 566 while the map side combined every emit into
+// its key's accumulator with a call of its own and K-Means' Combine allocated
+// an accumulator per value it was handed — now one call per key and one
+// accumulator per call; 730 while every slide offered its map output and
 // root path to the encoder (which here, the type unregistered, gave up part
 // way; with it registered, as the kmeans-map-local benchmark does, the
 // encode was 3 207 of that workload's 13 854 allocations a slide).
 func TestStructValueSlideAllocs(t *testing.T) {
-	const window, slides, ceiling = 16, 12, 635
+	const window, slides, ceiling = 16, 12, 484
+	cold, _ := coldScratch(32, 0)
 	s := Quick()
 	kmeans := MicroApps(s)[0]
 	if kmeans.Name != "K-Means" {
@@ -130,7 +163,7 @@ func TestStructValueSlideAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("window %d: %.1f allocs/slide", window, cell.AllocsPerSlide)
-	if cell.AllocsPerSlide > ceiling {
-		t.Errorf("K-Means slide allocates %.0f/slide, ceiling %d", cell.AllocsPerSlide, ceiling)
+	if cell.AllocsPerSlide > ceiling+cold {
+		t.Errorf("K-Means slide allocates %.0f/slide, ceiling %.0f", cell.AllocsPerSlide, ceiling+cold)
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net/rpc"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
@@ -274,6 +277,85 @@ func TestWorkerSurvivesPanickingJob(t *testing.T) {
 	defer good.Close()
 	if results, err := good.RunMap(testJob(), textSplits(0, 2)); err != nil || len(results) != 2 {
 		t.Fatalf("batch after the panic: %d results, err %v", len(results), err)
+	}
+}
+
+// tracked is a value the test below can see die; see trackedValue.
+type tracked struct{ pad [64]byte }
+
+// trackedValue returns a value for a Map to emit and a channel closed when
+// the collector has freed it. It is its own function so that no frame of the
+// test keeps the pointer.
+//
+//go:noinline
+func trackedValue() (mapreduce.Value, <-chan struct{}) {
+	freed := make(chan struct{})
+	v := new(tracked)
+	runtime.SetFinalizer(v, func(*tracked) { close(freed) })
+	return v, freed
+}
+
+// TestFailedMapTaskLeavesNothingBehind: map tasks work in pooled scratch, and
+// a worker runs task after task on one goroutine. A split whose Map panics
+// half-way (recovered by runMapTask) or returns an error is followed by a
+// good split on the same goroutine: the good split's output is exact, and
+// what the failed task had emitted is unreachable afterwards.
+func TestFailedMapTaskLeavesNothingBehind(t *testing.T) {
+	// One P, one pool slot: every task below takes the scratch the one
+	// before it put back, wherever the scheduler resumes this goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	good := mapreduce.Split{ID: "good", Records: []mapreduce.Record{"beta alpha beta", "gamma alpha beta"}}
+	want := make([]mapreduce.Payload, 3)
+	for word, n := range map[string]int64{"alpha": 2, "beta": 3, "gamma": 1} {
+		p := mapreduce.Partition(word, 3)
+		want[p] = append(want[p], mapreduce.Entry{Key: word, Value: n})
+	}
+	for _, p := range want {
+		mapreduce.SortEntries(p)
+	}
+	for _, failure := range []string{"panic", "error"} {
+		var freed <-chan struct{}
+		bad := testJob()
+		bad.Combine = func(_ string, values []mapreduce.Value) mapreduce.Value { return values[0] }
+		bad.Map = func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			// Past everything the good split will write over.
+			for i := 0; i < 32; i++ {
+				emit("filler-"+strconv.Itoa(i%20), new(tracked))
+			}
+			var v mapreduce.Value
+			v, freed = trackedValue()
+			emit("alpha", v)
+			emit("alpha", new(tracked))
+			if failure == "panic" {
+				panic("map blew up half-way")
+			}
+			return errors.New("map gave up half-way")
+		}
+		if _, err := runMapTask(bad, textSplits(0, 1)[0]); err == nil || !strings.Contains(err.Error(), "half-way") {
+			t.Fatalf("%s: err = %v, want the task's failure", failure, err)
+		}
+		// Every round runs the good split again before it collects: a pool
+		// keeps what is used between two collections, so the scratch the
+		// failed task worked in stays alive, and with it whatever it holds.
+		for round := 0; ; round++ {
+			res, err := runMapTask(testJob(), good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Parts, want) {
+				t.Fatalf("split after a map task that ended in %s:\n got %v\nwant %v", failure, res.Parts, want)
+			}
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(10 * time.Millisecond):
+				if round == 50 {
+					t.Fatalf("%s: a value the failed task emitted is still reachable", failure)
+				}
+				continue
+			}
+			break
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // Contract violations reported by CheckJob.
 var (
-	// ErrNotAssociative means Combine((a,b),c) ≠ Combine(a,(b,c)).
+	// ErrNotAssociative means Combine((a,b),c) ≠ Combine(a,(b,c)), or that
+	// Combine(a,b,c) is not their left fold Combine((a,b),c).
 	ErrNotAssociative = errors.New("mapreduce: combiner is not associative")
 	// ErrNotCommutative means Combine(a,b) ≠ Combine(b,a) although the
 	// job declares Commutative (required for Fixed windows, §4.1).
@@ -32,11 +33,12 @@ var (
 
 // CheckJob property-tests a job's combiner contract against real sample
 // data: it maps the sample splits and then checks, on every key with at
-// least three values, that Combine is associative, commutative (when the
-// job declares it), does not mutate its inputs, and does not return a
-// value aliasing an input; and that neither Combine nor Reduce retains
-// its values argument slice (the result must fingerprint the same after
-// the slice is overwritten). Values are compared by Fingerprint with a
+// least three values, that Combine is associative — over two values and
+// over three handed over in one call, which must equal their left fold —,
+// commutative (when the job declares it), does not mutate its inputs, and
+// does not return a value aliasing an input; and that neither Combine nor
+// Reduce retains its values argument slice (the result must fingerprint the
+// same after the slice is overwritten). Values are compared by Fingerprint with a
 // relative tolerance for floats (contraction trees re-associate float
 // arithmetic by design).
 //
@@ -93,8 +95,26 @@ func CheckJob(job *Job, samples []Split) error {
 			return fmt.Errorf("%w (key %q)", ErrAliasesInput, key)
 		}
 
-		// Associativity: (a⊕b)⊕c == a⊕(b⊕c).
+		// More than two values: the runtime hands a key's values over
+		// together — a bucket fold-up of three or more splits
+		// (MergeOrderedK), a map task's fold — so the call must equal the
+		// left fold of binary ones, under the same rules. A combiner that
+		// folds left to right meets this exactly, floats included, so it
+		// is held before the re-association below.
 		left := job.Combine(key, []Value{ab, c})
+		fpC := Fingerprint(c)
+		abc := job.Combine(key, []Value{a, b, c})
+		if Fingerprint(a) != fpA || Fingerprint(b) != fpB || Fingerprint(c) != fpC {
+			return fmt.Errorf("%w (key %q, three values)", ErrMutatesInput, key)
+		}
+		if retainsArgs(job.Combine, key, []Value{a, b, c}, []Value{c, a, b}) {
+			return fmt.Errorf("%w: Combine (key %q, three values)", ErrRetainsArgs, key)
+		}
+		if !valuesEquivalent(abc, left) {
+			return fmt.Errorf("%w (key %q): three values in one call differ from their left fold", ErrNotAssociative, key)
+		}
+
+		// Associativity: (a⊕b)⊕c == a⊕(b⊕c).
 		right := job.Combine(key, []Value{a, job.Combine(key, []Value{b, c})})
 		if !valuesEquivalent(left, right) {
 			return fmt.Errorf("%w (key %q)", ErrNotAssociative, key)

@@ -33,6 +33,50 @@ func TestCheckJobDetectsNonAssociativity(t *testing.T) {
 	}
 }
 
+// TestCheckJobDetectsBinaryOnlyCombiner: the runtime calls Combine with all of
+// a key's values at once — a bucket fold-up of three or more splits, a map
+// task's fold — so a combiner that reads its first two arguments and drops
+// the rest loses data although every binary law holds for it.
+func TestCheckJobDetectsBinaryOnlyCombiner(t *testing.T) {
+	job := sumJob(1)
+	job.Combine = func(_ string, values []Value) Value {
+		return values[0].(int64) + values[1].(int64)
+	}
+	if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrNotAssociative) {
+		t.Fatalf("err = %v, want ErrNotAssociative", err)
+	}
+
+	// A collecting combiner that is lawful on two values and hands back its
+	// argument slice when it gets more and finds nothing to flatten.
+	retaining := &Job{
+		Name: "collect",
+		Map: func(rec Record, emit Emit) error {
+			for _, w := range strings.Fields(rec.(string)) {
+				emit("k", w)
+			}
+			return nil
+		},
+		Combine: func(_ string, values []Value) Value {
+			flat, flattened := make([]Value, 0, len(values)), false
+			for _, v := range values {
+				if list, ok := v.([]Value); ok {
+					flat, flattened = append(flat, list...), true
+				} else {
+					flat = append(flat, v)
+				}
+			}
+			if len(values) > 2 && !flattened {
+				return values
+			}
+			return flat
+		},
+		Reduce: func(_ string, values []Value) Value { return len(values) },
+	}
+	if err := CheckJob(retaining, checkSamples()); !errors.Is(err, ErrRetainsArgs) {
+		t.Fatalf("err = %v, want ErrRetainsArgs", err)
+	}
+}
+
 func TestCheckJobDetectsNonCommutativity(t *testing.T) {
 	job := &Job{
 		Name: "concat",

@@ -1,9 +1,7 @@
 package mapreduce
 
 import (
-	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -52,64 +50,6 @@ var _ MapRunner = Executor{}
 // RunMap implements MapRunner.
 func (e Executor) RunMap(job *Job, splits []Split) ([]MapResult, error) {
 	return e.RunMapTasks(job, splits, nil)
-}
-
-// RunMapTask executes the job's map function over one split and combines
-// the emitted values per key per partition (the standard map-side
-// combiner, which Slider keeps: §2 uses Combiners *additionally* at the
-// reduce side to form the contraction tree).
-func RunMapTask(job *Job, split Split) (MapResult, error) {
-	if err := job.Validate(); err != nil {
-		return MapResult{}, err
-	}
-	start := time.Now()
-	n := job.NumPartitions()
-	// Emitted pairs are combined per key through a hash index — a map task
-	// sees each key many times — into entries held in first-emit order;
-	// every partition is sorted into payload form once, when the task is
-	// done.
-	parts := make([]Payload, n)
-	index := make([]map[string]int, n)
-	for i := range index {
-		index[i] = make(map[string]int)
-	}
-	// One scratch pair for every map-side combine of the task: Combine's
-	// argument slice is only valid during the call (see Job.Combine), and a
-	// map task emits from one goroutine.
-	pair := make([]Value, 2)
-	emit := func(key string, value Value) {
-		p := Partition(key, n)
-		if i, ok := index[p][key]; ok {
-			pair[0], pair[1] = parts[p][i].Value, value
-			parts[p][i].Value = job.Combine(key, pair)
-		} else {
-			if parts[p] == nil { // a partition nothing is emitted to stays the nil empty payload
-				parts[p] = make(Payload, 0, 16) // skips the first four doublings
-			}
-			index[p][key] = len(parts[p])
-			parts[p] = append(parts[p], Entry{key, value})
-		}
-	}
-	for _, rec := range split.Records {
-		if err := job.Map(rec, emit); err != nil {
-			return MapResult{}, fmt.Errorf("map task %s: %w", split.ID, err)
-		}
-	}
-	var bytes int64
-	partBytes := make([]int64, n)
-	for i, p := range parts {
-		slices.SortFunc(p, compareKeys)
-		partBytes[i] = PayloadBytes(job, p)
-		bytes += partBytes[i]
-	}
-	return MapResult{
-		SplitID:   split.ID,
-		Parts:     parts,
-		Cost:      time.Since(start),
-		Bytes:     bytes,
-		PartBytes: partBytes,
-		Records:   int64(len(split.Records)),
-	}, nil
 }
 
 // PartSized returns partition p's payload with its size: the one the map

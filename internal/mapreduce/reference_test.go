@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -301,4 +302,54 @@ func TestMergeJoinsMatchMapReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refRunMapTask is the map task as it stood before the pooled kernel: every
+// emit finds its partition with FNV and its key in that partition's Go map
+// and is combined pairwise into the entry it finds, and each partition is
+// sorted once with full string comparisons. RunMapTask is held to it —
+// entries, values, order, sizes, nil empty partitions (maptask_test.go).
+func refRunMapTask(job *Job, split Split) (MapResult, error) {
+	if err := job.Validate(); err != nil {
+		return MapResult{}, err
+	}
+	n := job.NumPartitions()
+	parts := make([]Payload, n)
+	index := make([]map[string]int, n)
+	for i := range index {
+		index[i] = make(map[string]int)
+	}
+	pair := make([]Value, 2)
+	emit := func(key string, value Value) {
+		p := Partition(key, n)
+		if i, ok := index[p][key]; ok {
+			pair[0], pair[1] = parts[p][i].Value, value
+			parts[p][i].Value = job.Combine(key, pair)
+		} else {
+			if parts[p] == nil {
+				parts[p] = make(Payload, 0, 16)
+			}
+			index[p][key] = len(parts[p])
+			parts[p] = append(parts[p], Entry{key, value})
+		}
+	}
+	for _, rec := range split.Records {
+		if err := job.Map(rec, emit); err != nil {
+			return MapResult{}, fmt.Errorf("map task %s: %w", split.ID, err)
+		}
+	}
+	var bytes int64
+	partBytes := make([]int64, n)
+	for i, p := range parts {
+		slices.SortFunc(p, compareKeys)
+		partBytes[i] = PayloadBytes(job, p)
+		bytes += partBytes[i]
+	}
+	return MapResult{
+		SplitID:   split.ID,
+		Parts:     parts,
+		Bytes:     bytes,
+		PartBytes: partBytes,
+		Records:   int64(len(split.Records)),
+	}, nil
 }

@@ -23,7 +23,9 @@ type Record = any
 // Value is an intermediate or final value associated with a key.
 type Value = any
 
-// Emit is the callback map functions use to produce key/value pairs.
+// Emit is the callback map functions use to produce key/value pairs. It is
+// valid during the Map call it was passed to, on the goroutine making that
+// call, and nowhere else: a call after the map task has returned is dropped.
 type Emit func(key string, value Value)
 
 // Sizer lets application value types report their approximate in-memory
@@ -42,7 +44,8 @@ type Fingerprinter interface {
 // Job describes a non-incremental data-parallel computation.
 //
 // Combine must be associative: Combine(k, [a, Combine(k, [b, c])]) must
-// equal Combine(k, [Combine(k, [a, b]), c]). Jobs used with fixed-width
+// equal Combine(k, [Combine(k, [a, b]), c]), and a call with more values
+// must equal their left fold. Jobs used with fixed-width
 // (rotating) windows must additionally set Commutative and guarantee
 // order-insensitivity, as required by §4.1.
 type Job struct {
@@ -52,9 +55,13 @@ type Job struct {
 	Partitions int
 	// Map processes one record, emitting intermediate key/value pairs.
 	Map func(rec Record, emit Emit) error
-	// Combine folds two or more values for a key into one. It must not
-	// mutate its inputs: payloads are shared between contraction-tree
-	// nodes across runs. The values slice itself is only valid for the
+	// Combine folds two or more values for a key into one, equal to the
+	// left fold: Combine(k, [a, b, c]) is Combine(k, [Combine(k, [a, b]), c]).
+	// The runtime hands a key's values over together wherever it has them
+	// together — a map task's emits, a bucket of three or more splits — so
+	// every element counts, not the first two. It must not mutate its
+	// inputs: payloads are shared between contraction-tree nodes across
+	// runs. The values slice itself is only valid for the
 	// duration of the call — callers hand in scratch they overwrite for
 	// the next key — so Combine must not retain it, nor return it or a
 	// sub-slice of it (the values it holds may be kept). CheckJob

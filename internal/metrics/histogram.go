@@ -38,7 +38,7 @@ func HistogramUpperBound(i int) time.Duration {
 }
 
 // Histogram is a fixed-bucket latency histogram designed for hot paths:
-// recording is three atomic adds (no locks, no allocation), histograms
+// recording is two atomic adds (no locks, no allocation), histograms
 // merge bucket-by-bucket because every instance shares the same bounds,
 // and quantiles are read without stopping writers. The zero value is
 // ready to use; use by pointer and do not copy after first use.
@@ -49,27 +49,32 @@ func HistogramUpperBound(i int) time.Duration {
 type Histogram struct {
 	counts [HistBuckets]atomic.Int64
 	sum    atomic.Int64
-	count  atomic.Int64
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) { h.ObserveNs(int64(d)) }
 
 // ObserveNs records one duration given in nanoseconds. Negative values
-// are clamped to zero. The bucket and sum are updated before the total
-// count, so a concurrent Snapshot never sees a count exceeding the sum
-// of its buckets (counters are monotone, never torn).
+// are clamped to zero. There is no separate observation count to keep in
+// step: the count is the total of the buckets, added up by whoever reads
+// it, so the recording side pays for a bucket and the sum and nothing else
+// (counters are monotone, never torn).
 func (h *Histogram) ObserveNs(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
 	h.counts[histIndex(ns)].Add(1)
 	h.sum.Add(ns)
-	h.count.Add(1)
 }
 
 // Count returns how many observations were recorded.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the total of all recorded durations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
@@ -86,36 +91,31 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o == h {
 		return
 	}
-	var n int64
 	for i := range o.counts {
-		c := o.counts[i].Load()
-		if c != 0 {
+		if c := o.counts[i].Load(); c != 0 {
 			h.counts[i].Add(c)
-			n += c
 		}
 	}
 	h.sum.Add(o.sum.Load())
-	h.count.Add(n)
 }
 
 // Snapshot freezes the histogram into a value. It does not stop writers,
 // so a snapshot taken mid-run is not a single point in time — but every
 // counter in it is monotone (never exceeds a later snapshot) and the
-// total count never exceeds the sum of the bucket counts.
+// total count is the sum of the bucket counts.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
 	s.SumNs = h.sum.Load()
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }
 
 // HistogramSnapshot is an immutable, comparable copy of a Histogram.
 type HistogramSnapshot struct {
-	// Count is the number of observations (may trail the bucket sum by
-	// in-flight recordings; see Histogram.Snapshot).
+	// Count is the number of observations: the total of Counts.
 	Count int64
 	// SumNs is the total of all observed durations in nanoseconds.
 	SumNs int64

@@ -8,23 +8,10 @@ import (
 	"time"
 
 	"slider/internal/cpuclock"
+	"slider/internal/israce"
 	"slider/internal/mapreduce"
 	"slider/internal/metrics"
 )
-
-// underRaceDetector reports whether this test binary was built with -race
-// (the go command records the flag in the binary's build settings).
-func underRaceDetector() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info != nil {
-		for _, s := range info.Settings {
-			if s.Key == "-race" {
-				return s.Value == "true"
-			}
-		}
-	}
-	return false
-}
 
 // obsBenchBackends are the backend configurations the tracing-off
 // overhead bound is pinned on: the Variable-mode folding tree (the
@@ -131,7 +118,7 @@ func TestObsOffOverhead(t *testing.T) {
 		t.Skip("timing-sensitive; skipped in -short")
 	}
 	budget := 1.02
-	if underRaceDetector() {
+	if israce.Enabled {
 		budget = 1.05
 	}
 	_, clockErr := cpuclock.Process(0)
@@ -170,15 +157,22 @@ func TestObsOffOverhead(t *testing.T) {
 			}
 
 			// Allocations: the off path adds none. Both arms allocate the
-			// same up to what hash seeds and pool evictions make wander
-			// (a few allocations in hundreds of slides), so their mean
-			// counts per slide must agree to within half an allocation;
-			// anything the off path allocated would add a whole one.
+			// same up to what hash seeds make wander (a few allocations
+			// in hundreds of slides), so their mean counts per slide must
+			// agree to within half an allocation; anything the off path
+			// allocated would add a whole one. What a slide finds in a
+			// sync.Pool — the map task's scratch — must not differ
+			// between the arms either, and under the race detector a pool
+			// drops a quarter of what it is handed, at random: two
+			// collections before each slide empty every pool, so each
+			// slide of each arm starts from none.
 			allocs := func(obs *metrics.SlideObs) float64 {
 				rt := start(obs)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				for i := range adds {
+					runtime.GC()
+					runtime.GC()
 					slide(rt, i)
 				}
 				runtime.ReadMemStats(&after)
