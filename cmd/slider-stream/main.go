@@ -11,7 +11,7 @@
 //
 // With -workers the map phase runs remotely on slider-worker processes
 // (which register the same "stream-wordcount" job), the periodic stats
-// line grows a cluster section federated from the workers' Stats RPCs,
+// line grows a cluster section federated from the workers' stats calls,
 // and the obs server's /metrics exposes per-worker and cluster-level
 // series next to the driver's own.
 package main
@@ -68,7 +68,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	// With -workers the map phase runs on remote slider-worker processes.
 	// The pool shares the runtime's fault recorder and tracer so retries,
 	// hedges, and the workers' own span trees all land in one place, and
-	// polls every worker's Stats RPC to keep a federated cluster view.
+	// polls every worker's stats to keep a federated cluster view.
 	faults := &slider.FaultRecorder{}
 	var pool *slider.WorkerPool
 	if *workerAddrs != "" {

@@ -18,7 +18,7 @@
 // endpoints: /metrics (self stats: tasks served, per-phase latency
 // histograms, fault counters) and /debug/trace (recent batch traces as
 // Chrome trace JSON). The same instrumentation makes the worker answer
-// the pool's Stats RPCs, feeding cluster-level federation on the
+// the pool's stats calls, feeding cluster-level federation on the
 // driver's /metrics.
 package main
 
@@ -83,7 +83,7 @@ func run(args []string) error {
 	if *obsAddr != "" {
 		// Instrumentation rides the obs flag: without it the batch
 		// handler stays a zero-allocation no-op; with it the worker
-		// records batch span trees, answers the pool's Stats RPCs, and
+		// records batch span trees, answers the pool's stats calls, and
 		// stitches its spans into the driver's slide traces.
 		obs := slider.NewWorkerObs()
 		worker.SetObs(obs)

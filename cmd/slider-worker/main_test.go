@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"net/rpc"
 	"strings"
 	"testing"
 
@@ -83,9 +82,9 @@ func TestWorkerRefusesForeignRecord(t *testing.T) {
 		}
 		defer pool.Close()
 		_, err = pool.RunMap(job, []slider.Split{{ID: "s0", Records: []slider.Record{"x y", 7}}})
-		var served rpc.ServerError
+		var served *dist.RemoteError
 		if !errors.As(err, &served) || !strings.Contains(err.Error(), "record int is not a string") {
-			t.Fatalf("%s: err = %v, want the worker's ServerError naming the record", job.Name, err)
+			t.Fatalf("%s: err = %v, want the worker's RemoteError naming the record", job.Name, err)
 		}
 		if _, err := dist.Ping(worker.Addr()); err != nil {
 			t.Fatalf("%s: ping after the foreign record: %v", job.Name, err)

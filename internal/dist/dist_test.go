@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"net/rpc"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -239,7 +238,7 @@ func TestPoolNoAddresses(t *testing.T) {
 }
 
 // TestWorkerSurvivesPanickingJob: a registered job whose Map panics fails
-// its batch with the worker's answer — a ServerError, which the pool neither
+// its batch with the worker's answer — a RemoteError, which the pool neither
 // retries nor reports as partial — and the same worker answers the next
 // Ping and serves the next batch.
 func TestWorkerSurvivesPanickingJob(t *testing.T) {
@@ -259,9 +258,9 @@ func TestWorkerSurvivesPanickingJob(t *testing.T) {
 	}
 	defer bad.Close()
 	_, err = bad.RunMap(panics(), textSplits(0, 2))
-	var served rpc.ServerError
+	var served *RemoteError
 	if !errors.As(err, &served) || !strings.Contains(err.Error(), "map blew up") {
-		t.Fatalf("err = %v, want the worker's ServerError naming the panic", err)
+		t.Fatalf("err = %v, want the worker's RemoteError naming the panic", err)
 	}
 	var partial *IncompleteError
 	if errors.As(err, &partial) || bad.Retries() != 0 {

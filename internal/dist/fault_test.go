@@ -217,6 +217,101 @@ func TestHedgeRescuesSlowWorker(t *testing.T) {
 	}
 }
 
+// TestStragglerHoldsUpNobody: when a hedge wins, RunMap returns while the
+// batch it beat is still in flight — its sender holds the worker's
+// connection until the late reply or the deadline. The next RunMap passes
+// that worker over instead of queueing behind it, and the straggler, whose
+// reply comes after the caller has its splits back and has overwritten
+// them, reads none of them (under -race a read would be reported).
+func TestStragglerHoldsUpNobody(t *testing.T) {
+	workers, addrs, _ := newCluster(t, 2)
+	pool, err := NewPoolConfig("dist-wordcount", addrs, PoolConfig{
+		TaskTimeout:    5 * time.Second,
+		Hedge:          true,
+		HedgeMin:       5 * time.Millisecond,
+		HealthInterval: -1,
+		StatsInterval:  -1,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	job := testJob()
+	if _, err := pool.RunMap(job, textSplits(0, 2)); err != nil { // the cursor returns to worker 0
+		t.Fatal(err)
+	}
+	const delay = time.Second
+	workers[0].Faults().InjectDelay(delay)
+	first := textSplits(2, 4)
+	if _, err := pool.RunMap(job, first); err != nil {
+		t.Fatal(err)
+	}
+	hedges := pool.FaultStats().HedgesLaunched
+	if pool.FaultStats().HedgesWon == 0 {
+		t.Fatal("the delayed batch was not hedged")
+	}
+	for i := range first {
+		first[i] = mapreduce.Split{} // the caller's again
+	}
+	held := workers[0].Served()
+
+	second := textSplits(4, 8)
+	start := time.Now()
+	remote, err := pool.RunMap(job, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= delay/2 {
+		t.Fatalf("the next RunMap took %v: it queued behind the straggler", elapsed)
+	}
+	matchesLocal(t, job, second, remote)
+	if n := workers[0].Served(); n != held {
+		t.Fatalf("the straggling worker was handed %d splits of the next RunMap", n-held)
+	}
+	if n := pool.FaultStats().HedgesLaunched; n != hedges {
+		t.Fatal("the next RunMap gave the straggling worker a batch and needed a hedge to get past it")
+	}
+
+	// The late reply is read, checked against the ids it answers and
+	// dropped; the worker is idle and healthy again, and is used.
+	waitFor(t, "the straggler's reply", func() bool {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return pool.workers[0].inflight == 0
+	})
+	third := textSplits(8, 10)
+	if remote, err = pool.RunMap(job, third); err != nil {
+		t.Fatal(err)
+	}
+	matchesLocal(t, job, third, remote)
+	if st := pool.FaultStats(); workers[0].Served() == held || st.Retries != 0 || pool.LiveWorkers() != 2 {
+		t.Fatalf("after the straggler: worker 0 served %d (was %d), retries %d, live %d", workers[0].Served(), held, st.Retries, pool.LiveWorkers())
+	}
+}
+
+// TestLateSenderSendsNothing: a sender that comes to its connection after
+// its RunMap has returned (it queued behind a straggler and a hedge
+// finished the round) frames nothing — the splits are the caller's again —
+// and leaves the connection in step and the worker in service.
+func TestLateSenderSendsNothing(t *testing.T) {
+	job := testJob()
+	p := loopPool(job.Name)
+	lc := &loopConn{}
+	worker := &poolWorker{addr: "loop", conn: newWireConn(lc)}
+	p.workers = []*poolWorker{worker}
+	run := &mapRun{job: job, splits: textSplits(0, 2)}
+	run.end()
+	o := batchOutcome{a: &batchAssign{w: worker, conn: worker.conn, indices: []int{0, 1}}}
+	p.runBatch(&o, call{op: opMap, items: 2}, "", run)
+	if o.err != errAbandoned || o.fatal || len(o.results) != 0 {
+		t.Fatalf("outcome = %+v, want the batch abandoned", o)
+	}
+	if len(lc.out) != 0 || worker.down || worker.conn == nil {
+		t.Fatalf("%d bytes sent, worker down = %v: an abandoned batch touched its connection", len(lc.out), worker.down)
+	}
+}
+
 // TestRetryBudgetExhausted drives a split that can never finish (its map
 // blocks forever) against a small retry budget: every attempt dies at
 // the task deadline, and once the budget is spent the pool reports

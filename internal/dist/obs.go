@@ -10,14 +10,14 @@ import (
 // a nil pointer load plus nil-safe span calls, with zero allocations —
 // the property TestWorkerNoObsZeroAllocDelta pins down. Installing a
 // bundle (Worker.SetObs) turns on the per-batch span ring that trace
-// propagation exports and the histograms the Stats RPC federates.
+// propagation exports and the histograms the stats call federates.
 
 // DefaultWorkerTraceCapacity is the worker batch-span ring size.
 const DefaultWorkerTraceCapacity = 128
 
 // WorkerObs bundles a worker's observability state: a bounded span ring
 // for batch traces plus the fault counters and per-phase latency
-// histograms the Stats RPC exports for federation.
+// histograms the stats call exports for federation.
 type WorkerObs struct {
 	// Tracer retains the last batches' span trees (decode, map+combine,
 	// encode per split). Batch spans are keyed by the originating slide ID.
@@ -69,8 +69,8 @@ func (w *Worker) SetObs(o *WorkerObs) { w.obs.Store(o) }
 func (w *Worker) Obs() *WorkerObs { return w.obs.Load() }
 
 // StatsSnapshot exports the worker's federation snapshot: identity, work
-// count, fault counters, and per-phase histograms — the Stats RPC's
-// payload, also usable in-process.
+// count, fault counters, and per-phase histograms — what a stats call is
+// answered with (one value frame), also usable in-process.
 func (w *Worker) StatsSnapshot() metrics.NodeStats {
 	out := metrics.NodeStats{Node: w.name, Served: w.Served()}
 	if o := w.obs.Load(); o != nil {
@@ -78,31 +78,4 @@ func (w *Worker) StatsSnapshot() metrics.NodeStats {
 		out.Hists = o.histSnapshots()
 	}
 	return out
-}
-
-// StatsArgs is the (empty) Stats RPC request.
-type StatsArgs struct{}
-
-// StatsReply is one worker's federation snapshot in wire form.
-type StatsReply struct {
-	// Worker identifies the responding worker.
-	Worker string
-	// Served counts map tasks executed since the worker started.
-	Served int64
-	// Faults is the worker's fault-counter snapshot.
-	Faults metrics.FaultStats
-	// Hists holds the worker's per-phase latency histograms
-	// ("batch", "decode", "map", "encode"); empty with no obs installed.
-	Hists []metrics.NamedSnapshot
-}
-
-// Stats answers the metrics-federation poll with the worker's current
-// snapshot.
-func (s *workerService) Stats(_ StatsArgs, reply *StatsReply) error {
-	snap := s.w.StatsSnapshot()
-	reply.Worker = snap.Node
-	reply.Served = snap.Served
-	reply.Faults = snap.Faults
-	reply.Hists = snap.Hists
-	return nil
 }

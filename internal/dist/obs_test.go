@@ -143,7 +143,9 @@ func TestStatsRPCFederation(t *testing.T) {
 }
 
 // TestStatsLoopPolls checks the background poller populates the cache
-// without an explicit PollStats call.
+// without an explicit PollStats call — and that a poll never queues behind
+// a running batch: with a delayed batch holding the connection, a poll
+// skips it at once, keeps the previous snapshot, and trips nothing.
 func TestStatsLoopPolls(t *testing.T) {
 	workers, addrs, _ := newCluster(t, 1)
 	workers[0].SetObs(NewWorkerObs())
@@ -155,70 +157,137 @@ func TestStatsLoopPolls(t *testing.T) {
 	if _, err := pool.RunMap(testJob(), textSplits(0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if cs := pool.ClusterStats(); len(cs.Workers) == 1 && cs.Workers[0].Served == 2 {
-			return
+	federated := func(served int64) func() bool {
+		return func() bool {
+			cs := pool.ClusterStats()
+			return len(cs.Workers) == 1 && cs.Workers[0].Served == served
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats loop never federated the worker: %+v", pool.ClusterStats())
-		}
-		time.Sleep(time.Millisecond)
 	}
+	waitFor(t, "the stats loop to federate the worker", federated(2))
+
+	const delay = 300 * time.Millisecond
+	workers[0].Faults().InjectDelay(delay)
+	errC := make(chan error, 1)
+	go func() {
+		_, err := pool.RunMap(testJob(), textSplits(2, 4))
+		errC <- err
+	}()
+	waitFor(t, "the delayed batch to be computed", func() bool { return workers[0].Served() == 4 })
+	start := time.Now()
+	pool.PollStats()
+	if took := time.Since(start); took > delay/3 {
+		t.Fatalf("a stats poll took %v with a batch in flight: it queued behind it", took)
+	}
+	if !federated(2)() {
+		t.Fatalf("a skipped poll changed the snapshot: %+v", pool.ClusterStats())
+	}
+	if err := <-errC; err != nil {
+		t.Fatalf("the batch the polls skipped: %v", err)
+	}
+	if st := pool.FaultStats(); pool.LiveWorkers() != 1 || st.BreakerOpened != 0 || st.Retries != 0 {
+		t.Fatalf("skipped polls cost the worker: live = %d, %s", pool.LiveWorkers(), st)
+	}
+	waitFor(t, "the stats loop to catch up after the batch", federated(4))
 }
 
-// encodeSplitsForReq builds a traced MapRequest directly (no network) so
-// allocation counts are deterministic.
-func encodeSplitsForReq(t testing.TB, traced bool) MapRequest {
+// mapCall frames a map call for the two textSplits(0, 2) splits, as a
+// pool would send it.
+func mapCall(t testing.TB, traced bool) []byte {
 	t.Helper()
-	req := MapRequest{JobName: "dist-wordcount", Trace: traced, TraceID: 7, SlideID: 3, ParentSpan: "rpc x"}
-	for _, s := range textSplits(0, 2) {
-		frame, err := persist.EncodeSplit(s)
-		if err != nil {
+	splits := textSplits(0, 2)
+	msg := appendCall(nil, call{id: 1, op: opMap, traced: traced, items: uint32(len(splits)), traceID: 7, slideID: 3}, "dist-wordcount", "rpc x")
+	for _, s := range splits {
+		var err error
+		if msg, err = persist.AppendSplit(msg, s); err != nil {
 			t.Fatal(err)
 		}
-		req.SplitFrames = append(req.SplitFrames, frame)
 	}
-	return req
+	return msg
 }
 
-// TestWorkerNoObsZeroAllocDelta is the satellite guarantee: with no
-// observability bundle installed, a traced request allocates exactly as
-// much as an untraced one on the RunMap hot path — the instrumentation
-// is pure nil checks.
+// TestWorkerNoObsZeroAllocDelta is the satellite guarantee, on the
+// connection's own handler with its buffers warm: with no observability
+// bundle installed, a traced call allocates exactly as much as an untraced
+// one — the instrumentation is pure nil checks — and a batch costs what
+// decoding its splits in place and running its map tasks cost, nothing per
+// frame: no request copy, no result frame, no reply.
 func TestWorkerNoObsZeroAllocDelta(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is nondeterministic under the race detector")
 	}
 	workers, _, _ := newCluster(t, 1)
-	svc := &workerService{w: workers[0]}
-	run := func(req MapRequest) func() {
+	run := func(msg []byte) (func(), *loopConn) {
+		lc := &loopConn{}
+		c := newWireConn(lc)
 		return func() {
-			var resp MapResponse
-			if err := svc.RunMap(req, &resp); err != nil {
+			lc.in = msg
+			if err := workers[0].serveCall(c); err != nil {
+				t.Fatal(err)
+			}
+		}, lc
+	}
+	untraced, _ := run(mapCall(t, false))
+	traced, lc := run(mapCall(t, true))
+	base := testing.AllocsPerRun(50, untraced)
+	if delta := testing.AllocsPerRun(50, traced) - base; delta != 0 {
+		t.Fatalf("traced call allocates %.1f more than untraced with no obs installed (base %.1f)", delta, base)
+	}
+	// What the batch's own work allocates: the job out of the registry,
+	// each split decoded where it lies, its map task.
+	job := testJob()
+	var frames [][]byte
+	for _, s := range textSplits(0, 2) {
+		frame, err := persist.EncodeSplit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	work := testing.AllocsPerRun(50, func() {
+		if _, err := workers[0].registry.Lookup("dist-wordcount"); err != nil {
+			t.Fatal(err)
+		}
+		for _, frame := range frames {
+			split, err := persist.DecodeSplitZeroCopy(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := runMapTask(job, split); err != nil {
 				t.Fatal(err)
 			}
 		}
+	})
+	// One more: the job's name as the string the registry is asked for.
+	if base > work+1 {
+		t.Fatalf("a warm batch allocates %.1f, its decode and map tasks %.1f: the handler allocates per frame", base, work)
 	}
-	base := testing.AllocsPerRun(50, run(encodeSplitsForReq(t, false)))
-	traced := testing.AllocsPerRun(50, run(encodeSplitsForReq(t, true)))
-	if delta := traced - base; delta != 0 {
-		t.Fatalf("traced request allocates %.1f more than untraced with no obs installed (base %.1f)", delta, base)
-	}
-	// Sanity: with a bundle installed the same traced request must
-	// actually record spans (the zero above is the no-op path, not a
-	// dead one).
+	// Sanity: with a bundle installed the same traced call must actually
+	// record spans (the zero above is the no-op path, not a dead one).
 	workers[0].SetObs(NewWorkerObs())
-	var resp MapResponse
-	if err := svc.RunMap(encodeSplitsForReq(t, true), &resp); err != nil {
+	lc.out = lc.out[:0]
+	traced()
+	c := newWireConn(&loopConn{in: lc.out})
+	frame, err := c.next()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Spans) == 0 {
-		t.Fatal("obs-enabled worker returned no spans for a traced request")
+	rep, err := decodeReply(frame)
+	if err != nil || rep.status != statusOK || rep.items != 3 {
+		t.Fatalf("traced reply = %+v, err %v, want two results and a frame of spans", rep, err)
+	}
+	if err := c.skip(2); err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = c.next(); err != nil {
+		t.Fatal(err)
+	}
+	var spans []metrics.WireSpan
+	if err := persist.Decode(frame, &spans); err != nil || len(spans) == 0 {
+		t.Fatalf("obs-enabled worker returned %d spans for a traced call (err %v)", len(spans), err)
 	}
 }
 
-// BenchmarkWorkerRunMapNoObs measures the RPC hot path with tracing
+// BenchmarkWorkerRunMapNoObs measures the handler's hot path with tracing
 // requested but no bundle installed (the -obs-addr-unset deployment);
 // compare against BenchmarkWorkerRunMapObs to see the tracing cost.
 func BenchmarkWorkerRunMapNoObs(b *testing.B) {
@@ -244,13 +313,14 @@ func benchmarkWorkerRunMap(b *testing.B, obs bool) {
 	if obs {
 		w.SetObs(NewWorkerObs())
 	}
-	svc := &workerService{w: w}
-	req := encodeSplitsForReq(b, true)
+	msg := mapCall(b, true)
+	lc := &loopConn{}
+	c := newWireConn(lc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var resp MapResponse
-		if err := svc.RunMap(req, &resp); err != nil {
+		lc.in, lc.out = msg, lc.out[:0]
+		if err := w.serveCall(c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,7 +25,7 @@ var ErrNoWorkers = errors.New("dist: no live workers")
 // the cause is flapping or slowness rather than total loss).
 var ErrRetryBudget = errors.New("dist: retry budget exhausted")
 
-// ErrDeadline marks an RPC abandoned at its per-task deadline.
+// ErrDeadline marks a call abandoned at its per-task deadline.
 var ErrDeadline = errors.New("dist: task deadline exceeded")
 
 // IncompleteError reports a RunMap batch that could not finish remotely.
@@ -67,9 +68,10 @@ type PoolConfig struct {
 	// DialTimeout bounds every TCP connect (initial and redial).
 	// Default 2s.
 	DialTimeout time.Duration
-	// TaskTimeout is the per-task deadline for one batched map RPC; an
-	// expired call is abandoned, its connection closed, and its splits
-	// re-executed elsewhere. Default 30s; negative disables deadlines.
+	// TaskTimeout is the per-task deadline for one batched map call, set
+	// on the socket for the whole exchange; an expired call is abandoned,
+	// its connection closed, and its splits re-executed elsewhere.
+	// Default 30s; negative disables deadlines.
 	TaskTimeout time.Duration
 	// RetryBudget caps, per RunMap batch, how many split re-executions
 	// (failure retries plus hedges) and failed redials may be spent
@@ -166,7 +168,7 @@ func (c *PoolConfig) normalize() {
 
 // Pool dispatches map tasks across a set of workers and implements the
 // runtime's MapRunner hook (sliderrt.Config.MapRunner). Splits are spread
-// round-robin; every RPC carries a per-task deadline; a failed worker's
+// round-robin; every call runs under a per-task deadline; a failed worker's
 // splits are re-executed on the survivors (map tasks are deterministic
 // and side-effect-free, so re-execution is always safe — the MapReduce
 // fault model). Down workers revive through a per-worker circuit breaker
@@ -203,7 +205,7 @@ type Pool struct {
 
 type poolWorker struct {
 	addr     string
-	client   *rpc.Client
+	conn     *wireConn
 	down     bool
 	probing  bool // a revival attempt is in flight
 	inflight int  // outstanding batches (hedges target idle workers)
@@ -235,8 +237,8 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 	now := time.Now()
 	for _, addr := range addrs {
 		w := &poolWorker{addr: addr}
-		if client, err := p.dial(addr); err == nil {
-			w.client = client
+		if conn, err := p.connect(addr); err == nil {
+			w.conn = conn
 			live++
 		} else {
 			w.down = true
@@ -262,13 +264,29 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 	return p, nil
 }
 
-// dial connects to one worker with the configured timeout.
-func (p *Pool) dial(addr string) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, p.cfg.DialTimeout)
+// connect dials one worker and pings it on the connection it then keeps,
+// so a peer that accepts and is no worker of this protocol never counts as
+// live. The timeout bounds the dial and the ping each.
+func (p *Pool) connect(addr string) (*wireConn, error) {
+	conn, _, err := dialPing(addr, p.cfg.DialTimeout)
+	return conn, err
+}
+
+func dialPing(addr string, timeout time.Duration) (*wireConn, PingReply, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, err
+		return nil, PingReply{}, err
 	}
-	return rpc.NewClient(conn), nil
+	conn := newWireConn(nc)
+	var reply PingReply
+	if err := conn.value(opPing, timeout, &reply); err != nil {
+		nc.Close()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = ErrDeadline
+		}
+		return nil, PingReply{}, fmt.Errorf("dist: ping %s: %w", addr, err)
+	}
+	return conn, reply, nil
 }
 
 func (p *Pool) brkCfg() breakerConfig {
@@ -280,15 +298,17 @@ func (p *Pool) brkCfg() breakerConfig {
 	}
 }
 
-// Close releases all connections and stops the health checker.
+// Close releases all connections and stops the health checker. A RunMap
+// in flight on another goroutine is unblocked — closing a socket fails the
+// read it waits in — and returns ErrNoWorkers with what it had.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	alreadyClosed := p.closed
 	p.closed = true
 	for _, w := range p.workers {
-		if w.client != nil {
-			w.client.Close()
-			w.client = nil
+		if w.conn != nil {
+			w.conn.c.Close()
+			w.conn = nil
 		}
 		w.down = true
 	}
@@ -319,11 +339,17 @@ func (p *Pool) LiveWorkers() int {
 	return n
 }
 
+func (p *Pool) isClosed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
+}
+
 // FaultStats snapshots the pool's fault-tolerance event counters.
 func (p *Pool) FaultStats() metrics.FaultStats { return p.faults.Snapshot() }
 
 // healthLoop is the background health checker: it periodically probes
-// down workers whose breaker cooldown has elapsed with the Ping RPC and
+// down workers whose breaker cooldown has elapsed with a ping and
 // revives them on success, driving the open → half-open → closed cycle
 // even while no batches run.
 func (p *Pool) healthLoop() {
@@ -357,14 +383,17 @@ func (p *Pool) statsLoop() {
 }
 
 // PollStats pulls a Stats snapshot from every live worker right now and
-// caches it for ClusterStats. A worker that fails to answer keeps its
-// previous snapshot; stats failures never trip the breaker — liveness is
-// the health checker's and the RunMap path's job, and poisoning a worker
-// over a monitoring RPC would let observability degrade the work.
+// caches it for ClusterStats. A poll never queues behind a batch: a
+// connection that is busy is skipped and, like a worker that fails to
+// answer, keeps its previous snapshot. Stats failures never trip the
+// breaker — liveness is the health checker's and the RunMap path's job,
+// and poisoning a worker over a monitoring call would let observability
+// degrade the work; a connection a poll failed on is out of step, so it
+// is dropped and the next contact redials at once.
 func (p *Pool) PollStats() {
 	type target struct {
-		addr   string
-		client *rpc.Client
+		w    *poolWorker
+		conn *wireConn
 	}
 	var targets []target
 	p.mu.Lock()
@@ -373,32 +402,25 @@ func (p *Pool) PollStats() {
 		return
 	}
 	for _, w := range p.workers {
-		if !w.down && w.client != nil {
-			targets = append(targets, target{addr: w.addr, client: w.client})
+		if !w.down && w.conn != nil {
+			targets = append(targets, target{w: w, conn: w.conn})
 		}
 	}
 	p.mu.Unlock()
 	for _, t := range targets {
-		var reply StatsReply
-		call := t.client.Go("Slider.Stats", StatsArgs{}, &reply, make(chan *rpc.Call, 1))
-		timer := time.NewTimer(p.cfg.DialTimeout)
-		select {
-		case c := <-call.Done:
-			timer.Stop()
-			if c.Error != nil {
-				continue
-			}
-		case <-timer.C:
+		if !t.conn.mu.TryLock() {
 			continue
 		}
-		p.statsMu.Lock()
-		p.stats[t.addr] = metrics.NodeStats{
-			Node:   reply.Worker,
-			Addr:   t.addr,
-			Served: reply.Served,
-			Faults: reply.Faults,
-			Hists:  reply.Hists,
+		var stats metrics.NodeStats
+		err := t.conn.value(opStats, p.cfg.DialTimeout, &stats)
+		t.conn.mu.Unlock()
+		if err != nil {
+			p.failContact(t.w, t.conn, false)
+			continue
 		}
+		stats.Addr = t.w.addr
+		p.statsMu.Lock()
+		p.stats[t.w.addr] = stats
 		p.statsMu.Unlock()
 	}
 }
@@ -442,39 +464,30 @@ func (p *Pool) probeDown() {
 	}
 	p.mu.Unlock()
 	for _, w := range cands {
-		_, err := pingAddr(w.addr, p.cfg.DialTimeout)
-		var client *rpc.Client
-		if err == nil {
-			client, err = p.dial(w.addr)
-		}
-		p.settleProbe(w, client, err)
+		conn, err := p.connect(w.addr)
+		p.settleProbe(w, conn, err)
 	}
 }
 
-// settleProbe installs the result of one revival attempt.
-func (p *Pool) settleProbe(w *poolWorker, client *rpc.Client, err error) {
+// settleProbe installs the result of one revival attempt: the connection
+// the ping went over, or the failure.
+func (p *Pool) settleProbe(w *poolWorker, conn *wireConn, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w.probing = false
 	if p.closed {
-		if client != nil {
-			client.Close()
+		if conn != nil {
+			conn.c.Close()
 		}
 		return
 	}
 	if err != nil {
-		if client != nil {
-			client.Close()
-		}
 		if w.brk.onFailure(time.Now(), p.brkCfg(), p.rng) {
 			p.faults.BreakerOpened.Add(1)
 		}
 		return
 	}
-	if w.client != nil {
-		w.client.Close()
-	}
-	w.client = client
+	w.conn = conn
 	w.down = false
 	if w.brk.onSuccess() {
 		p.faults.BreakerClosed.Add(1)
@@ -509,11 +522,11 @@ func (p *Pool) ensureLive(budget *int) (attempted, live int) {
 	for _, w := range cands {
 		attempted++
 		p.faults.Redials.Add(1)
-		client, err := p.dial(w.addr)
+		conn, err := p.connect(w.addr)
 		if err != nil && budget != nil {
 			*budget--
 		}
-		p.settleProbe(w, client, err)
+		p.settleProbe(w, conn, err)
 		if err == nil {
 			live++
 		}
@@ -524,22 +537,34 @@ func (p *Pool) ensureLive(budget *int) (attempted, live int) {
 // batchAssign is one worker's share of a round.
 type batchAssign struct {
 	w       *poolWorker
-	client  *rpc.Client
+	conn    *wireConn
 	indices []int
 }
 
-// assign spreads the unfinished splits round-robin across live workers.
+// assign spreads the unfinished splits round-robin across live workers. A
+// worker that still has a batch in flight — a straggler whose splits a
+// hedge delivered, so that its RunMap returned without it — is passed over
+// while anyone idle is live, as hedgeAssign passes it over: its connection
+// is held until it answers or its deadline expires, and a batch queued
+// behind it would wait that out before its own deadline even starts.
 func (p *Pool) assign(done []bool) []*batchAssign {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var live []*poolWorker
+	idle := 0
 	for _, w := range p.workers {
-		if !w.down && w.client != nil {
+		if !w.down && w.conn != nil {
 			live = append(live, w)
+			if w.inflight == 0 {
+				idle++
+			}
 		}
 	}
 	if len(live) == 0 {
 		return nil
+	}
+	if idle > 0 && idle < len(live) {
+		live = slices.DeleteFunc(live, func(w *poolWorker) bool { return w.inflight > 0 })
 	}
 	byWorker := make(map[*poolWorker]*batchAssign, len(live))
 	var out []*batchAssign
@@ -551,7 +576,7 @@ func (p *Pool) assign(done []bool) []*batchAssign {
 		p.next++
 		a := byWorker[w]
 		if a == nil {
-			a = &batchAssign{w: w, client: w.client}
+			a = &batchAssign{w: w, conn: w.conn}
 			byWorker[w] = a
 			out = append(out, a)
 		}
@@ -579,96 +604,201 @@ func (p *Pool) hedgeAssign(done []bool) *batchAssign {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, w := range p.workers {
-		if !w.down && w.client != nil && w.inflight == 0 {
+		if !w.down && w.conn != nil && w.inflight == 0 {
 			w.inflight++
-			return &batchAssign{w: w, client: w.client, indices: pending}
+			return &batchAssign{w: w, conn: w.conn, indices: pending}
 		}
 	}
 	return nil
 }
 
-// batchOutcome is one completed (or failed) batch RPC.
+// batchOutcome is one completed (or failed) batch call.
 type batchOutcome struct {
-	a       *batchAssign
-	resp    MapResponse
+	a *batchAssign
+	// results holds the decoded results of the batch's first len(results)
+	// splits: all of them, or those that arrived whole before err.
+	results []mapreduce.MapResult
 	err     error
-	fatal   bool // application-level error: do not retry
+	fatal   bool // deterministic failure: do not retry
 	elapsed time.Duration
 	hedge   bool
 }
 
-// launch issues one batch RPC asynchronously. The sender records the
-// transport outcome against the worker (breaker, latency) itself, so a
-// late result still heals or trips state even if the collector has moved
-// on; outcomes is buffered, so abandoned senders never block.
+// mapRun is what the batches of one RunMap share: the job, and the
+// caller's splits for as long as they are the pool's to read. A sender
+// frames its splits holding mu for reading and RunMap takes it for writing
+// once, to set over, before it returns — so a sender that comes to its
+// connection late (it queued behind a straggler, and a hedge finished the
+// round meanwhile) finds over set and sends nothing, and none reads a
+// split the caller has back and may be refilling.
+type mapRun struct {
+	job    *mapreduce.Job
+	splits []mapreduce.Split
+	mu     sync.RWMutex
+	over   bool
+}
+
+// frame appends the splits at indices to the call c is building and returns
+// their ids, which is all of them a sender needs from then on.
+func (r *mapRun) frame(c *wireConn, indices []int) ([]string, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.over {
+		return nil, errAbandoned
+	}
+	ids := make([]string, len(indices))
+	for k, i := range indices {
+		ids[k] = r.splits[i].ID
+		var err error
+		if c.wbuf, err = persist.AppendSplit(c.wbuf, r.splits[i]); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
+}
+
+// end is RunMap returning: the splits are the caller's again.
+func (r *mapRun) end() {
+	r.mu.Lock()
+	r.over = true
+	r.mu.Unlock()
+}
+
+// errAbandoned is the outcome of a batch whose RunMap returned before it
+// was sent. Nobody reads it off the outcomes channel.
+var errAbandoned = errors.New("dist: batch abandoned, its RunMap has returned")
+
+// launch issues one batch call asynchronously. The sender records the
+// transport outcome against the worker (breaker, latency) itself — a
+// failure where it happens, in runBatch — so a late result still heals or
+// trips state even if the collector has moved on; outcomes is buffered, so
+// abandoned senders never block. A sender ends when its exchange does — at
+// the reply, the deadline, or the connection's Close — and leaves nothing
+// behind.
 //
 // When a slide span is active, each launch — original, retry, or hedge —
 // gets its own attempt span under it carrying the trace context to the
 // worker, and a successful response's worker spans are stitched in
 // anchored at the pool-observed send time and clamped to the observed
-// RPC window (clock skew cannot move them outside the attempt).
-func (p *Pool) launch(a *batchAssign, frames [][]byte, outcomes chan<- batchOutcome, hedge bool) {
-	req := MapRequest{JobName: p.jobName, SplitFrames: make([][]byte, 0, len(a.indices))}
-	for _, i := range a.indices {
-		req.SplitFrames = append(req.SplitFrames, frames[i])
-	}
+// call window (clock skew cannot move them outside the attempt).
+func (p *Pool) launch(a *batchAssign, run *mapRun, outcomes chan<- batchOutcome, hedge bool) {
+	env := call{op: opMap, items: uint32(len(a.indices))}
 	var attempt *metrics.Span
+	var label string
 	if parent := p.span(); parent != nil {
-		label := "rpc " + a.w.addr
+		label = "rpc " + a.w.addr
 		if hedge {
 			label += " (hedge)"
 		}
 		attempt = parent.Child(label)
 		attempt.Event("%d splits", len(a.indices))
-		req.Trace = true
-		req.TraceID = attempt.TraceID()
-		req.SlideID = attempt.SlideID()
-		req.ParentSpan = label
+		env.traced, env.traceID, env.slideID = true, attempt.TraceID(), attempt.SlideID()
 	}
 	go func() {
 		start := time.Now()
-		var resp MapResponse
-		err := p.call(a.client, req, &resp)
-		elapsed := time.Since(start)
+		o := batchOutcome{a: a, hedge: hedge}
+		spans := p.runBatch(&o, env, label, run)
+		o.elapsed = time.Since(start)
 		p.mu.Lock()
 		a.w.inflight--
 		p.mu.Unlock()
-		fatal := false
-		if err == nil {
-			p.noteSuccess(a.w, elapsed)
-			metrics.StitchWireSpans(attempt, resp.Spans, start, elapsed)
-		} else if _, ok := err.(rpc.ServerError); ok {
-			// The worker answered: transport is healthy, the job itself
-			// failed (unknown job, map error). Deterministic — re-running
-			// elsewhere cannot help.
-			fatal = true
-			attempt.Event("rejected: %v", err)
-		} else {
-			p.failContact(a.w, a.client)
-			attempt.Event("failed after %v: %v", elapsed.Round(time.Millisecond), err)
+		switch {
+		case o.err == nil:
+			p.noteSuccess(a.w, o.elapsed)
+			metrics.StitchWireSpans(attempt, spans, start, o.elapsed)
+		case o.fatal:
+			attempt.Event("rejected: %v", o.err)
+		default:
+			attempt.Event("failed after %v: %v", o.elapsed.Round(time.Millisecond), o.err)
 		}
 		attempt.End()
-		outcomes <- batchOutcome{a: a, resp: resp, err: err, fatal: fatal, elapsed: elapsed, hedge: hedge}
+		outcomes <- o
 	}()
 }
 
-// call performs one RPC under the per-task deadline.
-func (p *Pool) call(client *rpc.Client, req MapRequest, resp *MapResponse) error {
-	if p.cfg.TaskTimeout <= 0 {
-		return client.Call("Slider.RunMap", req, resp)
+// runBatch is one exchange on the assignment's connection, which it holds
+// from the first split framed into the write buffer to the last result
+// decoded out of the read buffer: the call envelope and the batch's
+// splits are built where they are sent from and written once; each result
+// frame is decoded where it arrives — the payloads' key arenas and entry
+// slices are the only copy made, and they are the leaves the window keeps
+// — and checked against the id of the split it answers. The splits
+// themselves are read only while they are framed (mapRun): the reply may
+// come long after RunMap has returned. It fills o.results with what
+// arrived whole, and o.err/o.fatal; after any failure that leaves the
+// stream out of step the contact is failed here, before the lock is
+// released, so nobody reads a stranger's bytes.
+func (p *Pool) runBatch(o *batchOutcome, env call, parent string, run *mapRun) []metrics.WireSpan {
+	c, indices := o.a.conn, o.a.indices
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.begin(env, p.jobName, parent)
+	ids, err := run.frame(c, indices)
+	if err != nil {
+		// Nothing was sent: the connection is in step. A split that cannot
+		// be framed here cannot be framed anywhere.
+		o.err, o.fatal = err, err != errAbandoned
+		return nil
 	}
-	call := client.Go("Slider.RunMap", req, resp, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(p.cfg.TaskTimeout)
-	defer timer.Stop()
-	select {
-	case c := <-call.Done:
-		return c.Error
-	case <-timer.C:
+	rep, err := c.exchange(p.cfg.TaskTimeout)
+	if err != nil {
+		var remote *RemoteError
+		if errors.As(err, &remote) {
+			// The worker answered: transport is healthy, the job itself
+			// failed (unknown job, map error). Deterministic — re-running
+			// elsewhere cannot help.
+			o.err, o.fatal = fmt.Errorf("dist: worker rejected batch: %w", err), true
+			return nil
+		}
+		return p.broken(o, err)
+	}
+	if n := int(rep.items); n != len(indices) && !(env.traced && n == len(indices)+1) {
+		o.fatal = true
+		return p.broken(o, fmt.Errorf("dist: worker %s returned %d results for %d splits", rep.worker, n, len(indices)))
+	}
+	traced := int(rep.items) > len(indices)
+	o.results = make([]mapreduce.MapResult, 0, len(indices))
+	for _, id := range ids {
+		frame, err := c.next()
+		if err != nil {
+			return p.broken(o, err)
+		}
+		res, err := persist.DecodeMapResult(frame)
+		if err != nil {
+			return p.broken(o, err)
+		}
+		if res.SplitID != id || len(res.Parts) != run.job.NumPartitions() {
+			return p.broken(o, fmt.Errorf("%w: result for split %q with %d partitions where split %q with %d belongs",
+				persist.ErrCorrupt, res.SplitID, len(res.Parts), id, run.job.NumPartitions()))
+		}
+		o.results = append(o.results, res)
+	}
+	if !traced {
+		return nil
+	}
+	var spans []metrics.WireSpan
+	frame, err := c.next()
+	if err == nil {
+		err = persist.Decode(frame, &spans)
+	}
+	if err != nil {
+		return p.broken(o, err)
+	}
+	return spans
+}
+
+// broken records the failure of an exchange that leaves the connection
+// out of step — an expired deadline (a late reply must not be taken for
+// the next call's), a transport error, a frame that does not check out —
+// and fails the contact, which closes the socket.
+func (p *Pool) broken(o *batchOutcome, err error) []metrics.WireSpan {
+	p.failContact(o.a.w, o.a.conn, true)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
 		p.faults.DeadlinesExpired.Add(1)
-		// The reply may still arrive on this connection; failContact
-		// closes it so a late result cannot be misattributed.
-		return fmt.Errorf("%w (%v)", ErrDeadline, p.cfg.TaskTimeout)
+		err = fmt.Errorf("%w (%v)", ErrDeadline, p.cfg.TaskTimeout)
 	}
+	o.err = err
+	return nil
 }
 
 // noteSuccess heals the worker's breaker and records the batch latency
@@ -688,21 +818,23 @@ func (p *Pool) noteSuccess(w *poolWorker, elapsed time.Duration) {
 // nil-safe, so callers annotate unconditionally).
 func (p *Pool) span() *metrics.Span { return p.tracer.Active() }
 
-// failContact poisons the worker after a transport-level failure: the
-// connection is closed, the worker marked down, and its breaker backs
-// off. A stale client (already replaced by a redial) is ignored.
-func (p *Pool) failContact(w *poolWorker, client *rpc.Client) {
+// failContact takes a worker out of service after a failure on conn: the
+// connection is closed and the worker marked down. With trip its breaker
+// backs off as well — a transport-level failure or a corrupt frame; without
+// (a failed stats poll) the next contact redials at once. A stale
+// connection (already replaced by a redial) is ignored.
+func (p *Pool) failContact(w *poolWorker, conn *wireConn, trip bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if w.client != client {
+	if w.conn != conn {
 		return
 	}
-	if w.client != nil {
-		w.client.Close()
-		w.client = nil
+	if w.conn != nil {
+		w.conn.c.Close()
+		w.conn = nil
 	}
 	w.down = true
-	if w.brk.onFailure(time.Now(), p.brkCfg(), p.rng) {
+	if trip && w.brk.onFailure(time.Now(), p.brkCfg(), p.rng) {
 		p.faults.BreakerOpened.Add(1)
 	}
 }
@@ -721,7 +853,7 @@ func (p *Pool) hedgeThreshold() time.Duration {
 // RunMap implements mapreduce.MapRunner: it executes the splits on the
 // worker pool and returns results in split order. Each round assigns
 // every unfinished split round-robin to a live worker and issues one
-// batched, deadline-bounded RPC per worker in parallel; failed batches
+// batched, deadline-bounded call per worker in parallel; failed batches
 // are re-executed on survivors, slow rounds are hedged on idle workers,
 // and when the pool cannot finish (all workers dead, or the retry budget
 // exhausted) it returns an *IncompleteError carrying the completed
@@ -730,14 +862,8 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 	if job.Name != p.jobName {
 		return nil, fmt.Errorf("dist: pool serves job %q, got %q", p.jobName, job.Name)
 	}
-	frames := make([][]byte, len(splits))
-	for i := range splits {
-		frame, err := persist.EncodeSplit(splits[i])
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = frame
-	}
+	run := &mapRun{job: job, splits: splits}
+	defer run.end()
 	results := make([]mapreduce.MapResult, len(splits))
 	done := make([]bool, len(splits))
 	remaining := len(splits)
@@ -760,6 +886,9 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 	}
 	var idleSlept time.Duration
 	for round := 0; remaining > 0; round++ {
+		if p.isClosed() {
+			return nil, partial(ErrNoWorkers)
+		}
 		attempted, live := p.ensureLive(&budget)
 		assigns := p.assign(done)
 		if len(assigns) == 0 {
@@ -788,7 +917,7 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 		outcomes := make(chan batchOutcome, len(assigns)+1)
 		inflight := 0
 		for _, a := range assigns {
-			p.launch(a, frames, outcomes, false)
+			p.launch(a, run, outcomes, false)
 			inflight++
 		}
 		var hedgeC <-chan time.Time
@@ -802,7 +931,7 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 			select {
 			case o := <-outcomes:
 				inflight--
-				newDone, err := p.absorb(o, job, results, done, &remaining, &budget, &roundFailures)
+				newDone, err := p.absorb(o, results, done, &remaining, &budget, &roundFailures)
 				if err != nil {
 					if hedgeTimer != nil {
 						hedgeTimer.Stop()
@@ -819,7 +948,7 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 					p.faults.HedgesLaunched.Add(1)
 					p.span().Event("pool: hedge launched on %s (%d splits)", a.w.addr, len(a.indices))
 					budget -= len(a.indices)
-					p.launch(a, frames, outcomes, true)
+					p.launch(a, run, outcomes, true)
 					inflight++
 				}
 			}
@@ -853,42 +982,34 @@ func (p *Pool) roundBackoff(attempt int) time.Duration {
 // absorb folds one batch outcome into the result set and returns how
 // many splits it newly completed. First result wins: a split already
 // completed (by a hedge twin or an earlier round) is never re-counted,
-// so results cannot be double-counted when workers die mid-batch.
-func (p *Pool) absorb(o batchOutcome, job *mapreduce.Job, results []mapreduce.MapResult, done []bool, remaining, budget, roundFailures *int) (int, error) {
+// so results cannot be double-counted when workers die mid-batch. Of a
+// batch that failed part-way, the results that arrived whole — each under
+// its own checksum, each checked against the split it answers — are kept,
+// and the batch is re-executed from the first missing or corrupt one on.
+func (p *Pool) absorb(o batchOutcome, results []mapreduce.MapResult, done []bool, remaining, budget, roundFailures *int) (int, error) {
 	if o.fatal {
-		return 0, fmt.Errorf("dist: worker rejected batch: %w", o.err)
-	}
-	if o.err != nil {
-		p.span().Event("pool: batch on %s failed after %v: %v", o.a.w.addr, o.elapsed.Round(time.Millisecond), o.err)
-		p.requeue(o.a.indices, done, budget)
-		*roundFailures++
-		return 0, nil
-	}
-	if len(o.resp.Results) != len(o.a.indices) {
-		return 0, fmt.Errorf("dist: worker %s returned %d results for %d splits",
-			o.resp.Worker, len(o.resp.Results), len(o.a.indices))
+		return 0, o.err
 	}
 	newDone := 0
-	for k, i := range o.a.indices {
+	for k, res := range o.results {
+		i := o.a.indices[k]
 		if done[i] {
 			continue // hedge twin or earlier round already delivered it
 		}
-		decoded, err := decodeResult(o.resp.Results[k], job.NumPartitions())
-		if err != nil {
-			// Corrupted frame: the node produced garbage — treat it as a
-			// worker failure and re-execute the rest of the batch
-			// elsewhere (the checksummed codec caught it; never compute
-			// on corrupt data).
-			p.faults.CorruptFrames.Add(1)
-			p.failContact(o.a.w, o.a.client)
-			p.requeue(o.a.indices[k:], done, budget)
-			*roundFailures++
-			return newDone, nil
-		}
-		results[i] = decoded
+		results[i] = res
 		done[i] = true
 		*remaining--
 		newDone++
+	}
+	if o.err != nil {
+		if errors.Is(o.err, persist.ErrCorrupt) || errors.Is(o.err, errCorruptRequest) {
+			// A frame damaged on its way out or back: the checksummed
+			// codec caught it; never compute on corrupt data.
+			p.faults.CorruptFrames.Add(1)
+		}
+		p.span().Event("pool: batch on %s failed after %v: %v", o.a.w.addr, o.elapsed.Round(time.Millisecond), o.err)
+		p.requeue(o.a.indices[len(o.results):], done, budget)
+		*roundFailures++
 	}
 	return newDone, nil
 }
@@ -953,54 +1074,12 @@ func (p *Pool) nextRevival(now time.Time) time.Duration {
 	return best
 }
 
-// decodeResult converts a wire result back to a mapreduce.MapResult.
-func decodeResult(r MapResult, partitions int) (mapreduce.MapResult, error) {
-	if len(r.PartFrames) != partitions {
-		return mapreduce.MapResult{}, fmt.Errorf(
-			"dist: result for split %s has %d partitions, want %d",
-			r.SplitID, len(r.PartFrames), partitions)
-	}
-	out := mapreduce.MapResult{
-		SplitID: r.SplitID,
-		Parts:   make([]mapreduce.Payload, partitions),
-		Cost:    time.Duration(r.CostNs),
-		Bytes:   r.Bytes,
-		Records: r.Records,
-	}
-	if len(r.PartBytes) == partitions {
-		out.PartBytes = r.PartBytes
-	}
-	for i, frame := range r.PartFrames {
-		p, err := persist.DecodePayload(frame)
-		if err != nil {
-			return mapreduce.MapResult{}, err
-		}
-		out.Parts[i] = p
-	}
-	return out, nil
-}
-
 // Ping probes a worker address directly (diagnostics and tests).
 func Ping(addr string) (PingReply, error) {
-	return pingAddr(addr, 2*time.Second)
-}
-
-// pingAddr is Ping with an explicit connect + call deadline.
-func pingAddr(addr string, timeout time.Duration) (PingReply, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, reply, err := dialPing(addr, 2*time.Second)
 	if err != nil {
 		return PingReply{}, err
 	}
-	client := rpc.NewClient(conn)
-	defer client.Close()
-	var reply PingReply
-	call := client.Go("Slider.Ping", PingArgs{}, &reply, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case c := <-call.Done:
-		return reply, c.Error
-	case <-timer.C:
-		return PingReply{}, fmt.Errorf("dist: ping %s: %w", addr, ErrDeadline)
-	}
+	conn.c.Close()
+	return reply, nil
 }

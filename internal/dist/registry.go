@@ -1,15 +1,17 @@
 // Package dist adds real distributed map execution to Slider: worker
-// processes serve map tasks over TCP (net/rpc + gob), and a client-side
-// pool implements the runtime's MapRunner hook with round-robin
-// dispatch, failure detection, and automatic re-execution of tasks from
-// failed workers on the survivors — the task-level fault tolerance model
-// of MapReduce that the paper's system inherits from Hadoop.
+// processes serve map tasks over TCP, in messages made of persist's
+// checksummed frames (wire.go has the format), and a client-side pool
+// implements the runtime's MapRunner hook with round-robin dispatch,
+// failure detection, and automatic re-execution of tasks from failed
+// workers on the survivors — the task-level fault tolerance model of
+// MapReduce that the paper's system inherits from Hadoop.
 //
 // Because functions cannot travel over the wire, jobs are distributed by
 // *name*: both the driver and every worker register the same job factory
 // under the same name (the moral equivalent of shipping the job jar in
-// Hadoop). Record and value types inside splits and payloads cross the
-// wire via gob; custom types register once with persist.RegisterType.
+// Hadoop). Splits and payloads cross the wire in the flat columnar codec;
+// record and value types it has no column for travel as gob inside it,
+// and custom ones register once with persist.RegisterType.
 package dist
 
 import (

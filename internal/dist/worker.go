@@ -1,9 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,56 +13,6 @@ import (
 	"slider/internal/metrics"
 	"slider/internal/persist"
 )
-
-// MapRequest is one remote map-task batch: the named job applied to a
-// set of splits. Splits travel as checksummed frames (persist.Encode) so
-// the worker detects corruption instead of computing on garbage.
-type MapRequest struct {
-	// JobName selects the job from the worker's registry.
-	JobName string
-	// SplitFrames holds one encoded mapreduce.Split per task.
-	SplitFrames [][]byte
-	// Trace asks the worker to record and return spans for this batch
-	// (set when the pool itself is tracing the owning slide). A worker
-	// with no observability bundle installed ignores it.
-	Trace bool
-	// TraceID and SlideID propagate the owning slide's trace context so
-	// worker-retained spans are correlatable with the pool's trace even
-	// when the response is lost.
-	TraceID uint64
-	SlideID uint64
-	// ParentSpan names the pool-side span this batch hangs under
-	// (diagnostics; e.g. "rpc 127.0.0.1:7001 (hedge)").
-	ParentSpan string
-}
-
-// MapResult mirrors mapreduce.MapResult in wire-friendly form.
-type MapResult struct {
-	SplitID    string
-	PartFrames [][]byte // one encoded Payload per reduce partition
-	CostNs     int64
-	Bytes      int64
-	// PartBytes is the map task's per-partition payload sizes (they sum
-	// to Bytes); absent from workers older than the field, in which case
-	// the pool's runtime measures the decoded payloads itself.
-	PartBytes []int64
-	Records   int64
-}
-
-// MapResponse carries the batch's results.
-type MapResponse struct {
-	Results []MapResult
-	// Worker identifies the responding worker (diagnostics).
-	Worker string
-	// Spans carries the worker's span tree for this batch in wire form
-	// (offsets/durations only — no absolute timestamps, so clock skew
-	// cannot leak; see metrics.StitchWireSpans). Empty unless the request
-	// set Trace and the worker has an observability bundle.
-	Spans []metrics.WireSpan
-}
-
-// PingArgs/PingReply implement the health probe.
-type PingArgs struct{}
 
 // PingReply reports the worker's identity and registered jobs.
 type PingReply struct {
@@ -96,9 +47,9 @@ func (f *WorkerFaults) InjectDrop() {
 	f.mu.Unlock()
 }
 
-// InjectCorrupt arms a one-shot frame corruption: a byte is flipped in
-// the first result's payload frame, which the client's checksummed codec
-// must catch.
+// InjectCorrupt arms a one-shot frame corruption: a byte is flipped inside
+// the first result frame of the reply, in the write buffer, which the
+// pool's checksummed codec must catch.
 func (f *WorkerFaults) InjectCorrupt() {
 	f.mu.Lock()
 	f.corrupt = true
@@ -130,9 +81,10 @@ type Worker struct {
 	listener net.Listener
 	faults   WorkerFaults
 	obs      atomic.Pointer[WorkerObs]
+	served   atomic.Int64
+	stop     chan struct{} // closed by Close and Kill
 
 	mu     sync.Mutex
-	served int64
 	closed bool
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
@@ -148,12 +100,8 @@ func NewWorker(name, addr string, registry *Registry) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker listen: %w", err)
 	}
-	w := &Worker{name: name, registry: registry, listener: ln, conns: make(map[net.Conn]struct{})}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Slider", &workerService{w: w}); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("dist: worker register: %w", err)
-	}
+	w := &Worker{name: name, registry: registry, listener: ln,
+		stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
@@ -169,11 +117,12 @@ func NewWorker(name, addr string, registry *Registry) (*Worker, error) {
 				return
 			}
 			w.conns[conn] = struct{}{}
-			w.mu.Unlock()
 			w.wg.Add(1)
+			w.mu.Unlock()
 			go func() {
 				defer w.wg.Done()
-				srv.ServeConn(conn)
+				w.serve(conn)
+				conn.Close()
 				w.mu.Lock()
 				delete(w.conns, conn)
 				w.mu.Unlock()
@@ -190,31 +139,17 @@ func (w *Worker) Addr() string { return w.listener.Addr().String() }
 func (w *Worker) Faults() *WorkerFaults { return &w.faults }
 
 // Served returns the number of map tasks this worker has executed.
-func (w *Worker) Served() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.served
-}
+func (w *Worker) Served() int64 { return w.served.Load() }
 
 // Close stops the worker: the listener and every open connection are
 // shut down (in-flight calls fail on the client, which re-executes them
 // elsewhere), and all serving goroutines are waited for.
 func (w *Worker) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	if !w.shut() {
 		return nil
 	}
-	w.closed = true
-	conns := make([]net.Conn, 0, len(w.conns))
-	for c := range w.conns {
-		conns = append(conns, c)
-	}
-	w.mu.Unlock()
 	err := w.listener.Close()
-	for _, c := range conns {
-		c.Close()
-	}
+	w.dropConns()
 	w.wg.Wait()
 	return err
 }
@@ -225,26 +160,29 @@ func (w *Worker) Close() error {
 // closed before returning, so a handler that Kills its worker can never
 // deliver its reply: the client always observes a transport failure.
 func (w *Worker) Kill() {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	if !w.shut() {
 		return
 	}
-	w.closed = true
-	conns := make([]net.Conn, 0, len(w.conns))
-	for c := range w.conns {
-		conns = append(conns, c)
-	}
-	w.mu.Unlock()
 	w.listener.Close()
-	for _, c := range conns {
-		c.Close()
-	}
+	w.dropConns()
 }
 
-// dropConns closes every open connection but leaves the worker running
-// (the dropped-response fault: clients see a transport error and must
-// reconnect, which the healthy worker accepts).
+// shut marks the worker closed — no connection is accepted after it — and
+// reports whether this call was the one that did.
+func (w *Worker) shut() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return false
+	}
+	w.closed = true
+	close(w.stop)
+	return true
+}
+
+// dropConns closes every open connection. On a worker that keeps running
+// it is the dropped-response fault: clients see a transport error and
+// must reconnect, which the healthy worker accepts.
 func (w *Worker) dropConns() {
 	w.mu.Lock()
 	conns := make([]net.Conn, 0, len(w.conns))
@@ -257,17 +195,11 @@ func (w *Worker) dropConns() {
 	}
 }
 
-// workerService is the RPC surface (kept separate so Worker's exported
-// methods don't have to satisfy net/rpc's signature rules).
-type workerService struct {
-	w *Worker
-}
-
 // runMapTask is mapreduce.RunMapTask with a panic in the job's Map or
 // Combine — user code run on records off the wire — turned into the task's
-// error. net/rpc does not recover a handler's panic, so without this one
-// bad record ends the worker process; with it the batch fails with a
-// ServerError, which the pool does not retry, and the worker keeps serving.
+// error. Without this one bad record ends the worker process; with it the
+// batch is answered with statusJobError, which the pool does not retry,
+// and the worker keeps serving.
 func runMapTask(job *mapreduce.Job, split mapreduce.Split) (res mapreduce.MapResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -277,59 +209,157 @@ func runMapTask(job *mapreduce.Job, split mapreduce.Split) (res mapreduce.MapRes
 	return mapreduce.RunMapTask(job, split)
 }
 
-// RunMap executes a batch of map tasks for a registered job. Armed
-// one-shot faults (WorkerFaults) fire here: crash kills the worker after
-// the first split, drop computes everything but hangs up before
-// replying, corrupt flips a byte in a payload frame, delay stalls the
-// response.
+// refuseLinger bounds how long a connection that is being refused stays
+// open for the peer to read why.
+const refuseLinger = time.Second
+
+// serve is a connection's loop: one call read, answered, the next. It
+// returns when the peer hangs up, the worker closes the socket, or the
+// stream can no longer be trusted; the caller closes the connection.
+func (w *Worker) serve(conn net.Conn) {
+	c := newWireConn(conn)
+	for w.serveCall(c) == nil {
+	}
+}
+
+// serveCall reads one call off the connection and answers it. An error
+// ends the connection.
+func (w *Worker) serveCall(c *wireConn) error {
+	frame, err := c.next()
+	if err != nil {
+		if errors.Is(err, persist.ErrCorrupt) {
+			// Bytes arrived and they are no frame.
+			if !c.seen {
+				w.refuse(c, 0, statusRefused, errProtocol.Error())
+			} else {
+				w.refuse(c, 0, statusCorruptRequest, err.Error())
+			}
+		}
+		return err
+	}
+	env, err := decodeCall(frame)
+	if err != nil {
+		w.refuse(c, 0, statusCorruptRequest, err.Error())
+		return err
+	}
+	switch env.op {
+	case opMap:
+		return w.runMap(c, env)
+	case opPing:
+		return w.answer(c, env, PingReply{Worker: w.name, Jobs: w.registry.Names()})
+	case opStats:
+		return w.answer(c, env, w.StatsSnapshot())
+	}
+	err = fmt.Errorf("%w: unknown operation %d", persist.ErrCorrupt, env.op)
+	w.refuse(c, env.id, statusCorruptRequest, err.Error())
+	return err
+}
+
+// answer replies to a call that has no items with one value frame.
+func (w *Worker) answer(c *wireConn, env call, v any) error {
+	if err := c.skip(env.items); err != nil {
+		return err
+	}
+	c.wbuf = appendReply(c.wbuf[:0], env.id, statusOK, 1, w.name, "")
+	var err error
+	if c.wbuf, err = persist.AppendValue(c.wbuf, v); err != nil {
+		return w.fail(c, env.id, 0, err)
+	}
+	return c.flush()
+}
+
+// fail answers a call with statusJobError once the rest of its items
+// (unread of them) have been read past, so the connection stays in step
+// and serves the next call.
+func (w *Worker) fail(c *wireConn, id uint64, unread uint32, cause error) error {
+	if err := c.skip(unread); err != nil {
+		return err
+	}
+	c.wbuf = appendReply(c.wbuf[:0], id, statusJobError, 0, w.name, fmt.Sprintf("dist: worker %s: %v", w.name, cause))
+	return c.flush()
+}
+
+// refuse answers on a connection whose input cannot be followed any
+// further (a damaged frame, bytes that are no frame) and lingers, its
+// write side closed, until the peer has read the answer and hung up:
+// closing with input unread would reset the connection and could take the
+// answer with it.
+func (w *Worker) refuse(c *wireConn, id uint64, status byte, text string) {
+	c.wbuf = appendReply(c.wbuf[:0], id, status, 0, w.name, text)
+	_ = c.c.SetDeadline(time.Now().Add(refuseLinger)) // a closed socket fails the write below
+	if c.flush() != nil {
+		return
+	}
+	if half, ok := c.c.(interface{ CloseWrite() error }); ok && half.CloseWrite() == nil {
+		_, _ = io.Copy(io.Discard, c.c) // ends at the peer's hang-up or the deadline; either is the goal
+	}
+}
+
+// runMap executes a batch of map tasks for a registered job: each split is
+// decoded where it lies in the read buffer (its records alias it), mapped,
+// and its result framed straight into the write buffer, so split k+1 may
+// still be arriving while split k runs; the reply is written once, at the
+// end. Armed one-shot faults (WorkerFaults) fire here: crash kills the
+// worker after the first split, drop computes everything but hangs up
+// before replying, corrupt flips a byte inside the first result frame,
+// delay stalls the reply.
 //
 // With an observability bundle installed the handler records a span tree
 // (decode, map+combine, encode per split) into the worker's own ring and
-// — when the request asks for tracing — ships it back in resp.Spans for
-// the pool to stitch. With no bundle every instrumentation line below is
-// a nil check: the batch span is nil, Span methods are nil-receiver
-// no-ops, and the histogram branches are skipped, adding zero
-// allocations to the hot path (TestWorkerNoObsZeroAllocDelta).
-func (s *workerService) RunMap(req MapRequest, resp *MapResponse) error {
-	delay, drop, corrupt, crash := s.w.faults.take()
-	job, err := s.w.registry.Lookup(req.JobName)
+// — when the call asks for tracing — ships it back in a value frame
+// for the pool to stitch. With no bundle every instrumentation line below
+// is a nil check: the batch span is nil, Span methods are nil-receiver
+// no-ops, and the histogram branches are skipped, adding zero allocations
+// to the hot path (TestWorkerNoObsZeroAllocDelta).
+//
+// A returned error ends the connection.
+func (w *Worker) runMap(c *wireConn, env call) error {
+	delay, drop, corrupt, crash := w.faults.take()
+	jobName := string(env.job)
+	job, err := w.registry.Lookup(jobName)
 	if err != nil {
-		return err
+		return w.fail(c, env.id, env.items, err)
 	}
-	obs := s.w.obs.Load()
+	obs := w.obs.Load()
 	batchStart := time.Now()
 	var batch *metrics.Span
-	if obs != nil && req.Trace {
-		batch = obs.Tracer.StartSlide(req.SlideID, fmt.Sprintf("%s %s ×%d", s.w.name, req.JobName, len(req.SplitFrames)))
-		batch.Event("trace %d parent %q", req.TraceID, req.ParentSpan)
+	items := env.items
+	if obs != nil && env.traced {
+		batch = obs.Tracer.StartSlide(env.slideID, fmt.Sprintf("%s %s ×%d", w.name, jobName, env.items))
+		batch.Event("trace %d parent %q", env.traceID, env.parent)
+		items++ // the spans frame
 	}
-	resp.Worker = s.w.name
-	resp.Results = make([]MapResult, 0, len(req.SplitFrames))
-	for idx, frame := range req.SplitFrames {
+	// env's byte fields die with the first split read; nothing below uses them.
+	c.wbuf = appendReply(c.wbuf[:0], env.id, statusOK, items, w.name, "")
+	firstResult, firstEnd := len(c.wbuf), 0
+	for idx := uint32(0); idx < env.items; idx++ {
 		if crash && idx == 1 {
 			// Mid-batch crash: one split computed, nothing delivered.
-			// Kill closes the connection first, so the error below never
-			// reaches the client — it sees a transport failure.
-			s.w.Kill()
-			return fmt.Errorf("dist: worker %s: injected crash", s.w.name)
+			w.Kill()
+			return fmt.Errorf("dist: worker %s: injected crash", w.name)
 		}
 		var sp *metrics.Span
 		if batch != nil {
 			sp = batch.Child(fmt.Sprintf("split %d", idx))
 		}
-		// Zero-copy decode: record strings alias the request frame, which
-		// stays alive (and unmodified) for the duration of the map task.
+		frame, err := c.next()
+		if err != nil {
+			batch.End()
+			if errors.Is(err, persist.ErrCorrupt) {
+				w.corruptRequest(c, env.id, obs, sp, err)
+			}
+			return err
+		}
+		// Zero-copy decode: record strings alias the read buffer, which
+		// keeps this frame until the next one is asked for.
 		decStart := time.Now()
 		dec := sp.Child("decode")
 		split, err := persist.DecodeSplitZeroCopy(frame)
 		dec.End()
 		if err != nil {
-			if obs != nil {
-				obs.Faults.CorruptFrames.Add(1)
-			}
-			sp.Event("decode failed: %v", err)
 			batch.End()
-			return fmt.Errorf("dist: worker %s: %w", s.w.name, err)
+			w.corruptRequest(c, env.id, obs, sp, err)
+			return err
 		}
 		if obs != nil {
 			obs.Decode.Observe(time.Since(decStart))
@@ -342,70 +372,71 @@ func (s *workerService) RunMap(req MapRequest, resp *MapResponse) error {
 		mc.End()
 		if err != nil {
 			batch.End()
-			return fmt.Errorf("dist: worker %s: %w", s.w.name, err)
+			return w.fail(c, env.id, env.items-idx-1, err)
 		}
 		if obs != nil {
 			obs.Map.Observe(time.Since(start))
 		}
+		// result.Cost, which travels, is the map task's own time; the
+		// encoding below is in the encode histogram only.
 		encStart := time.Now()
 		enc := sp.Child("encode")
-		parts := make([][]byte, len(result.Parts))
-		for i, p := range result.Parts {
-			if parts[i], err = persist.EncodePayload(p); err != nil {
-				enc.End()
-				batch.End()
-				return fmt.Errorf("dist: worker %s: %w", s.w.name, err)
-			}
-		}
+		c.wbuf, err = persist.AppendMapResult(c.wbuf, result)
 		enc.End()
+		if err != nil {
+			batch.End()
+			return w.fail(c, env.id, env.items-idx-1, err)
+		}
 		sp.End()
 		if obs != nil {
 			obs.Encode.Observe(time.Since(encStart))
 		}
-		resp.Results = append(resp.Results, MapResult{
-			SplitID:    result.SplitID,
-			PartFrames: parts,
-			CostNs:     int64(time.Since(start)),
-			Bytes:      result.Bytes,
-			PartBytes:  result.PartBytes,
-			Records:    result.Records,
-		})
-		s.w.mu.Lock()
-		s.w.served++
-		s.w.mu.Unlock()
+		if idx == 0 {
+			firstEnd = len(c.wbuf)
+		}
+		w.served.Add(1)
 	}
 	if obs != nil {
 		obs.Batch.Observe(time.Since(batchStart))
 	}
 	if batch != nil {
 		batch.End()
-		resp.Spans = metrics.ExportWireSpans(batch)
-	}
-	if crash && len(req.SplitFrames) <= 1 {
-		// Single-split batch: crash after compute, before the reply.
-		s.w.Kill()
-		return fmt.Errorf("dist: worker %s: injected crash", s.w.name)
-	}
-	if corrupt && len(resp.Results) > 0 && len(resp.Results[0].PartFrames) > 0 {
-		if frame := resp.Results[0].PartFrames[0]; len(frame) > 0 {
-			frame[len(frame)/2] ^= 0xFF
+		if c.wbuf, err = persist.AppendValue(c.wbuf, metrics.ExportWireSpans(batch)); err != nil {
+			return w.fail(c, env.id, 0, err)
 		}
 	}
+	if crash {
+		// Single-split batch: crash after compute, before the reply.
+		w.Kill()
+		return fmt.Errorf("dist: worker %s: injected crash", w.name)
+	}
+	if corrupt && firstEnd > 0 {
+		// The middle of the first result frame: inside its checksummed body.
+		c.wbuf[(firstResult+firstEnd)/2] ^= 0xFF
+	}
 	if delay > 0 {
-		time.Sleep(delay)
+		timer := time.NewTimer(delay)
+		select {
+		case <-timer.C:
+		case <-w.stop:
+			timer.Stop()
+		}
 	}
 	if drop {
 		// Hang up before the reply is written; the healthy worker keeps
 		// accepting reconnects.
-		s.w.dropConns()
-		return fmt.Errorf("dist: worker %s: injected drop", s.w.name)
+		w.dropConns()
+		return fmt.Errorf("dist: worker %s: injected drop", w.name)
 	}
-	return nil
+	return c.flush()
 }
 
-// Ping answers the health probe.
-func (s *workerService) Ping(_ PingArgs, reply *PingReply) error {
-	reply.Worker = s.w.name
-	reply.Jobs = s.w.registry.Names()
-	return nil
+// corruptRequest counts and answers a call one of whose frames arrived
+// damaged.
+func (w *Worker) corruptRequest(c *wireConn, id uint64, obs *WorkerObs, sp *metrics.Span, cause error) {
+	if obs != nil {
+		obs.Faults.CorruptFrames.Add(1)
+	}
+	sp.Event("decode failed: %v", cause)
+	w.refuse(c, id, statusCorruptRequest, cause.Error())
 }

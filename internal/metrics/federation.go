@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the metrics-federation layer: every process exports its
-// counters and histograms as a NodeStats snapshot (the dist Stats RPC's
+// counters and histograms as a NodeStats snapshot (the dist stats call's
 // payload), the pool folds the per-worker snapshots into a ClusterStats,
 // and because every Histogram shares the same fixed bucket bounds the
 // cluster aggregate is an exact sum — Merged() loses nothing, and the
@@ -25,7 +25,7 @@ type NamedSnapshot struct {
 
 // NodeStats is one process's exportable observability state: identity,
 // work count, fault counters, and named latency histograms. It is the
-// unit of metrics federation — what a worker returns from the Stats RPC
+// unit of metrics federation — what a worker returns from a stats call
 // and what the pool caches per worker.
 type NodeStats struct {
 	// Node is the process's self-reported name.

@@ -15,7 +15,7 @@
 //
 // With cluster sources wired (a dist.Pool driving remote workers),
 // /metrics additionally exposes per-worker labeled families federated
-// over the Stats RPC plus their cluster aggregates, and /debug/trace
+// over the stats call plus their cluster aggregates, and /debug/trace
 // exports include the stitched worker spans.
 package obs
 
@@ -343,7 +343,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // each family's # TYPE exactly once across all worker label series (the
 // exposition format forbids repeating it).
 func writeWorkerFamilies(w http.ResponseWriter, nodes []metrics.NodeStats) {
-	fmt.Fprintln(w, "# HELP slider_worker_served_total Map tasks executed, by worker (federated over the Stats RPC).")
+	fmt.Fprintln(w, "# HELP slider_worker_served_total Map tasks executed, by worker (federated over the stats call).")
 	fmt.Fprintln(w, "# TYPE slider_worker_served_total counter")
 	for _, n := range nodes {
 		fmt.Fprintf(w, "slider_worker_served_total{worker=%q} %d\n", n.Node, n.Served)

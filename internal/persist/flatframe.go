@@ -11,32 +11,30 @@ import (
 )
 
 // Flat frame layout: magic (4) | kind (1) | length (8) | crc32 (4) |
-// flat body. The kind byte names the body shape so a frame is
-// self-describing (a payload, a split, or a payload set) without decoding
-// the body.
+// body. The kind byte names the body shape so a frame is self-describing
+// (a payload, a split, a payload set, a map task's result, or one of the
+// dist transport's messages) without decoding the body.
 var frameMagicFlat = [4]byte{'s', 'l', 'd', '2'}
 
 const flatHeaderLen = 4 + 1 + 8 + 4
 
-// Flat frame kinds.
+// Flat frame kinds: the body shapes this package encodes and decodes. The
+// kinds from KindTransport up are numbered by the transport that sends its
+// messages under the same header (internal/dist/wire.go has that table).
 const (
 	kindPayload    byte = 1
 	kindSplit      byte = 2
 	kindPayloadSet byte = 3
+	kindMapResult  byte = 4
+
+	KindTransport byte = 16
 )
 
-// appendFlatFrame wraps body (already appended to dst after the header
-// space) — helper used by the Append* encoders. It expects dst to hold
-// everything up to the body and patches length + checksum.
-func finishFlatFrame(dst []byte, bodyStart int) []byte {
-	body := dst[bodyStart:]
-	binary.LittleEndian.PutUint64(dst[bodyStart-12:], uint64(len(body)))
-	binary.LittleEndian.PutUint32(dst[bodyStart-4:], crc32.ChecksumIEEE(body))
-	return dst
-}
-
-// startFlatFrame appends the sld2 header with zeroed length/crc.
-func startFlatFrame(dst []byte, kind byte) []byte {
+// StartFrame appends the sld2 header of a frame of the given kind, its
+// length and checksum still zero; the body is appended behind it and
+// FinishFrame, told where the body starts (len of what StartFrame
+// returned), fills both in.
+func StartFrame(dst []byte, kind byte) []byte {
 	dst = append(dst, frameMagicFlat[:]...)
 	dst = append(dst, kind)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length
@@ -44,10 +42,20 @@ func startFlatFrame(dst []byte, kind byte) []byte {
 	return dst
 }
 
-// openFlatFrame validates an sld2 frame and returns its kind and body.
-func openFlatFrame(frame []byte) (byte, []byte, error) {
-	if len(frame) < flatHeaderLen {
-		return 0, nil, fmt.Errorf("%w: flat frame too short", ErrCorrupt)
+// FinishFrame patches the length and checksum of the frame whose body is
+// dst[bodyStart:].
+func FinishFrame(dst []byte, bodyStart int) []byte {
+	body := dst[bodyStart:]
+	binary.LittleEndian.PutUint64(dst[bodyStart-12:], uint64(len(body)))
+	binary.LittleEndian.PutUint32(dst[bodyStart-4:], crc32.ChecksumIEEE(body))
+	return dst
+}
+
+// OpenFrame validates one whole sld2 frame — magic, length, checksum — and
+// returns its kind and its body, which aliases frame.
+func OpenFrame(frame []byte) (byte, []byte, error) {
+	if len(frame) < flatHeaderLen || !isFlatFrame(frame) {
+		return 0, nil, fmt.Errorf("%w: no flat frame header", ErrCorrupt)
 	}
 	kind := frame[4]
 	length := binary.LittleEndian.Uint64(frame[5:13])
@@ -73,13 +81,13 @@ func isFlatFrame(frame []byte) bool {
 // frames that older writers left behind.
 func AppendPayload(dst []byte, p mapreduce.Payload) ([]byte, error) {
 	start := len(dst)
-	dst = startFlatFrame(dst, kindPayload)
+	dst = StartFrame(dst, kindPayload)
 	bodyStart := len(dst)
 	out, err := flatenc.AppendPayload(dst, p)
 	if err != nil {
 		return dst[:start], fmt.Errorf("persist: encode payload: %w", err)
 	}
-	return finishFlatFrame(out, bodyStart), nil
+	return FinishFrame(out, bodyStart), nil
 }
 
 // EncodePayload frames one payload in a fresh, exactly-sized slice.
@@ -127,7 +135,7 @@ func DecodePayload(frame []byte) (mapreduce.Payload, error) {
 // openFlatKind validates an sld2 frame that must be of the given kind and
 // returns its body.
 func openFlatKind(frame []byte, want byte, name string) ([]byte, error) {
-	kind, body, err := openFlatFrame(frame)
+	kind, body, err := OpenFrame(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -140,13 +148,13 @@ func openFlatKind(frame []byte, want byte, name string) ([]byte, error) {
 // AppendPayloadSet appends one framed payload set (a split's
 // per-partition outputs, a checkpoint's buckets) to dst.
 func AppendPayloadSet(dst []byte, ps []mapreduce.Payload) ([]byte, error) {
-	out := startFlatFrame(dst, kindPayloadSet)
+	out := StartFrame(dst, kindPayloadSet)
 	bodyStart := len(out)
 	out, err := flatenc.AppendPayloadSet(out, ps)
 	if err != nil {
 		return dst, fmt.Errorf("persist: encode payload set: %w", err)
 	}
-	return finishFlatFrame(out, bodyStart), nil
+	return FinishFrame(out, bodyStart), nil
 }
 
 // EncodePayloadSet frames a payload set in a fresh, exactly-sized slice.
@@ -159,13 +167,13 @@ func EncodePayloadSet(ps []mapreduce.Payload) ([]byte, error) {
 // they lie instead of having the caller copy the payloads out first.
 func EncodeSizedSet(ps []mapreduce.Sized) ([]byte, error) {
 	return encodeFresh(func(dst []byte) ([]byte, error) {
-		out := startFlatFrame(dst, kindPayloadSet)
+		out := StartFrame(dst, kindPayloadSet)
 		bodyStart := len(out)
 		out, err := flatenc.AppendSizedSet(out, ps)
 		if err != nil {
 			return dst, fmt.Errorf("persist: encode payload set: %w", err)
 		}
-		return finishFlatFrame(out, bodyStart), nil
+		return FinishFrame(out, bodyStart), nil
 	})
 }
 
@@ -194,26 +202,34 @@ func DecodePayloadSet(frame []byte) ([]mapreduce.Payload, error) {
 	return ps, nil
 }
 
-// EncodeSplit frames one map-task split for the dist wire. Splits whose
-// records are all native scalar types (text lines, byte blobs, numbers)
-// take the flat value-list form; anything else — application record
-// structs — falls back to a whole-split gob frame, where one gob type
-// dictionary covers every record instead of one per record.
-func EncodeSplit(s mapreduce.Split) ([]byte, error) {
+// AppendSplit appends one framed map-task split to dst, for the dist wire
+// (a connection's write buffer). Splits whose records are all native
+// scalar types (text lines, byte blobs, numbers) take the flat value-list
+// form; anything else — application record structs — falls back to a
+// whole-split gob frame, where one gob type dictionary covers every record
+// instead of one per record.
+func AppendSplit(dst []byte, s mapreduce.Split) ([]byte, error) {
 	if !recordsAreScalar(s.Records) {
-		return Encode(s)
-	}
-	return encodeFresh(func(dst []byte) ([]byte, error) {
-		dst = startFlatFrame(dst, kindSplit)
-		bodyStart := len(dst)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.ID)))
-		dst = append(dst, s.ID...)
-		out, err := flatenc.AppendValues(dst, s.Records)
+		data, err := gobBytes(s)
 		if err != nil {
-			return nil, fmt.Errorf("persist: encode split: %w", err)
+			return dst, err
 		}
-		return finishFlatFrame(out, bodyStart), nil
-	})
+		return appendGobFrame(dst, data), nil
+	}
+	out := StartFrame(dst, kindSplit)
+	bodyStart := len(out)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.ID)))
+	out = append(out, s.ID...)
+	out, err := flatenc.AppendValues(out, s.Records)
+	if err != nil {
+		return dst, fmt.Errorf("persist: encode split: %w", err)
+	}
+	return FinishFrame(out, bodyStart), nil
+}
+
+// EncodeSplit frames one split in a fresh, exactly-sized slice.
+func EncodeSplit(s mapreduce.Split) ([]byte, error) {
+	return encodeFresh(func(dst []byte) ([]byte, error) { return AppendSplit(dst, s) })
 }
 
 // recordsAreScalar reports whether every record encodes natively in the

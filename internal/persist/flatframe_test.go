@@ -180,8 +180,8 @@ func TestPayloadSetFrameRoundTrip(t *testing.T) {
 // way a hostile or buggy writer would: the checksum is right, the body is
 // whatever it is.
 func reframe(kind byte, body []byte) []byte {
-	frame := startFlatFrame(nil, kind)
-	return finishFlatFrame(append(frame, body...), len(frame))
+	frame := StartFrame(nil, kind)
+	return FinishFrame(append(frame, body...), len(frame))
 }
 
 // TestHostileFramesRefusedBeforeAllocating: a checksum only proves the

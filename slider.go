@@ -283,7 +283,7 @@ type (
 	WorkerPoolConfig = dist.PoolConfig
 	// WorkerObs bundles a worker's batch tracer, fault counters, and
 	// per-phase latency histograms; install one with Worker.SetObs to
-	// make the worker answer Stats RPCs and stitch spans into the
+	// make the worker answer stats calls and stitch spans into the
 	// pool's slide traces.
 	WorkerObs = dist.WorkerObs
 	// JobRegistry maps job names to factories on both sides of the
