@@ -93,8 +93,17 @@ func run(args []string) error {
 	fmt.Printf("initial run: %d splits, %d distinct words, work=%v\n",
 		*window, len(res.Output), res.Report.Work.Round(1000))
 
+	// With -split a slide's background step runs once its answer is out
+	// (rt.Background) and is reported by the next result: each slide's line
+	// is printed when that result is in, and one more slide runs to report
+	// the last one's.
+	total := *slides
+	if *split {
+		total++
+	}
 	next := *window
-	for i := 1; i <= *slides; i++ {
+	held := ""
+	for i := 1; i <= total; i++ {
 		drop := *delta
 		if mode == slider.Append {
 			drop = 0
@@ -115,14 +124,24 @@ func run(args []string) error {
 		if !reflect.DeepEqual(res.Output, want) {
 			return fmt.Errorf("slide %d: the incremental output differs from recomputation from scratch", i)
 		}
+		if held != "" {
+			fmt.Printf("%s  (background %v)\n", held, res.Background.Work.Round(1000))
+		}
+		if i > *slides {
+			break
+		}
 		scratch := rec.Snapshot()
 		line := fmt.Sprintf("slide %d: slider work=%-12v scratch work=%-12v speedup=%.1fx",
 			i, res.Report.Work.Round(1000), scratch.Work.Round(1000),
 			float64(scratch.Work)/float64(res.Report.Work))
-		if *split {
-			line += fmt.Sprintf("  (background %v)", res.Background.Work.Round(1000))
+		if !*split {
+			fmt.Println(line)
+			continue
 		}
-		fmt.Println(line)
+		held = line
+		if err := rt.Background(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"time"
 
 	"slider"
 	"slider/internal/apps"
@@ -43,35 +44,52 @@ func main() {
 	fmt.Printf("history: %d tweet splits, %d URLs tracked, work %v\n",
 		history, len(res.Output), res.Report.Work.Round(1000))
 
+	// A week's background fold runs once its answer is out (rt.Background)
+	// and is reported by the next result: each week's line is printed when
+	// the next week's result is in, the last week's after one more append.
+	const weeks = 4
 	next := history
-	for week := 1; week <= 4; week++ {
+	var update time.Duration
+	var top []urlStats
+	for week := 1; week <= weeks+1; week++ {
 		add := tw.Range(next, next+2) // ~5% of the history per week
 		next += 2
 		res, err = rt.Advance(0, add)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("week %d appended: update work %v (background %v)\n",
-			week, res.Report.Work.Round(1000), res.Background.Work.Round(1000))
+		if week > 1 {
+			fmt.Printf("week %d appended: update work %v (background %v)\n",
+				week-1, update.Round(1000), res.Background.Work.Round(1000))
+		}
+		if week == weeks {
+			top = topURLs(res.Output, 5)
+		}
+		update = res.Report.Work
+		if err := rt.Background(); err != nil {
+			log.Fatal(err)
+		}
 	}
 
-	// The most widely propagated URLs of the final window.
-	type urlStats struct {
-		url   string
-		stats apps.PropStats
-	}
-	var all []urlStats
-	for url, v := range res.Output {
-		all = append(all, urlStats{url, v.(apps.PropStats)})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].stats.Edges > all[j].stats.Edges })
-	fmt.Println("\ntop URLs by propagation edges:")
+	fmt.Printf("\ntop URLs by propagation edges after week %d:\n", weeks)
 	fmt.Printf("%-8s %8s %8s %8s %8s\n", "url", "posts", "edges", "roots", "depth")
-	for i, u := range all {
-		if i == 5 {
-			break
-		}
+	for _, u := range top {
 		s := u.stats
 		fmt.Printf("%-8s %8d %8d %8d %8d\n", u.url, s.Posts, s.Edges, s.Roots, s.Depth)
 	}
+}
+
+type urlStats struct {
+	url   string
+	stats apps.PropStats
+}
+
+// topURLs returns the n most widely propagated URLs of a window's output.
+func topURLs(out slider.Output, n int) []urlStats {
+	var all []urlStats
+	for url, v := range out {
+		all = append(all, urlStats{url, v.(apps.PropStats)})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].stats.Edges > all[j].stats.Edges })
+	return all[:min(n, len(all))]
 }

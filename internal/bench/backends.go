@@ -93,8 +93,10 @@ func measureBackend(s Scale, backend sliderrt.Backend, window, slides int) (Back
 			return cell, err
 		}
 		next++
+		// A result reports the previous slide's upkeep: over the measured
+		// slides the sums are the structures' work, shifted by one.
 		merges += res.TreeStats.Merges + res.TreeStatsBackground.Merges
-		combines += res.Report.Counters.CombineCalls
+		combines += res.Report.Counters.CombineCalls + res.Background.Counters.CombineCalls
 	}
 	elapsed := time.Since(start)
 	var after runtime.MemStats

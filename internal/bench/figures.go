@@ -411,13 +411,15 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 					return run{}, err
 				}
 				// Take the median of several slides so wall-clock noise
-				// on the microsecond-scale update path washes out.
+				// on the microsecond-scale update path washes out. A
+				// slide's upkeep is reported by the next result, so one
+				// more slide runs to report the last one's.
 				const slides = 5
 				var r run
 				fgs := make([]time.Duration, 0, slides)
 				bgs := make([]time.Duration, 0, slides)
 				next := w
-				for i := 0; i < slides; i++ {
+				for i := 0; i <= slides; i++ {
 					moreAdd := add
 					if i > 0 {
 						moreAdd = app.Gen(next, next+delta)
@@ -427,14 +429,19 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 					if err != nil {
 						return run{}, err
 					}
+					if i > 0 {
+						bgs = append(bgs, res.Background.Work)
+						r.bgMerges += res.TreeStatsBackground.Merges
+					}
+					if i == slides {
+						break
+					}
 					// The split-processing comparison is about the
 					// update (contraction + reduce) path; the map work
 					// of the new data is identical either way.
 					fgs = append(fgs, res.Report.PhaseWork[metrics.PhaseContraction]+
 						res.Report.PhaseWork[metrics.PhaseReduce])
-					bgs = append(bgs, res.Background.Work)
 					r.fgMerges += res.TreeStats.Merges
-					r.bgMerges += res.TreeStatsBackground.Merges
 				}
 				r.fg, r.bg = medianDur(fgs), medianDur(bgs)
 				return r, nil

@@ -187,22 +187,31 @@ func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split
 	if _, err := rt.Initial(gen(0, window)); err != nil {
 		return cell, err
 	}
+	// A slide is the run and its upkeep, as the stream driver does them: the
+	// measured slides then hold exactly their own upkeep, not the one the
+	// warm-up left pending.
+	next := window
+	slide := func() error {
+		if _, err := rt.Advance(1, gen(next, next+1)); err != nil {
+			return err
+		}
+		next++
+		return rt.Background()
+	}
 	for i := 0; i < 2; i++ {
-		if _, err := rt.Advance(1, gen(window+i, window+i+1)); err != nil {
+		if err := slide(); err != nil {
 			return cell, err
 		}
 	}
-	next := window + 2
 
 	quiesce()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < slides; i++ {
-		if _, err := rt.Advance(1, gen(next, next+1)); err != nil {
+		if err := slide(); err != nil {
 			return cell, err
 		}
-		next++
 	}
 	elapsed := time.Since(start)
 	var after runtime.MemStats

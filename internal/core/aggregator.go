@@ -39,20 +39,23 @@ type Aggregator[T any] interface {
 	// Between a Slide and its Background call it is the foreground result.
 	// The list and the payloads are the structure's own: a slot owns its
 	// storage, so what Roots, ForEachPayload or Snapshot hand out is read
-	// within the run that obtained it — the next Slide may rewrite the list
-	// and, with a Releaser's hook installed, recycle the payloads.
+	// within the run that obtained it — the payloads Roots hands out stay
+	// valid until Background, the next Slide may rewrite the list and, with a
+	// Releaser's hook installed, recycle the payloads.
 	Roots() []T
-	// Background runs the work split processing moved off the critical
-	// path (install the bucket and pre-combine for the next slide; fold C′
-	// into the root) and reports whether there was any.
+	// Background runs the upkeep a slide left for after its query — the
+	// work split processing moved off the critical path (install the bucket
+	// and pre-combine for the next slide; fold C′ into the root), DABA
+	// Lite's fixups that feed no query — and reports whether there was any.
+	// A caller runs it before the next Slide or Snapshot.
 	Background() (bool, error)
 	// Stats returns the accumulated work counters; ResetStats clears them.
 	Stats() Stats
 	ResetStats()
 	// Shape returns a structural snapshot for live introspection.
 	Shape() TreeShape
-	// ForEachPayload visits every payload the structure materializes
-	// (space accounting).
+	// ForEachPayload visits every payload the structure holds (space
+	// accounting), upkeep pending or not.
 	ForEachPayload(fn func(T))
 	// FingerprintWith hashes structure and payloads deterministically.
 	FingerprintWith(fp func(T) uint64) uint64
@@ -271,10 +274,13 @@ func restoreBuckets[T any](w bucketWindow[T], st State[T]) error {
 
 type dabaAgg[T any] struct {
 	*DabaLite[T]
-	noBackground
 	evicted []T
 	roots   []T
 }
+
+// Background replays the fixups the slides deferred because no query needs
+// them.
+func (a *dabaAgg[T]) Background() (bool, error) { return a.DabaLite.Background(), nil }
 
 func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop != len(add) {
@@ -383,6 +389,19 @@ func (a *rotatingAgg[T]) Roots() []T {
 		return []T{a.fg}
 	}
 	return rootOf(a.Root())
+}
+
+// ForEachPayload visits the tree and, until Background installs it, the
+// bucket the foreground answered for and its result (the bucket itself when
+// there were no siblings to merge it with).
+func (a *rotatingAgg[T]) ForEachPayload(fn func(T)) {
+	a.RotatingTree.ForEachPayload(fn)
+	if a.hasFg {
+		fn(a.pending)
+		if a.preHas {
+			fn(a.fg)
+		}
+	}
 }
 
 func (a *rotatingAgg[T]) Background() (bool, error) {

@@ -20,12 +20,26 @@ package core
 //	B = [b,e): raw bucket values; backSum = Σ[b, e)
 //
 // where m is the value of b at the last flip. The window aggregate is
-// merge(q[f], backSum): one combiner call. Every insert or evict runs
+// merge(q[f], backSum): one combiner call. Every insert or evict owes
 // one fixup step that converts at most one R entry into A form and one
 // L entry into F form, so by the time F drains (l reaches b) the back
 // half is fully converted and the cursors flip in O(1) without touching
 // any payload. Worst case: three combiner calls per insert, two per
 // evict, one per query — independent of n.
+//
+// A fixup runs when the query needs it, and otherwise after the query.
+// The query reads q[f] and backSum only. A fixup that does not flip
+// touches nothing but the L/R/A slots in [l, a) and reads midSum — never
+// q[f], q[e] or backSum — and advances l by exactly one, so it commutes
+// with the pushes and evicts that follow it. Such a fixup is recorded as
+// pending; Background, and Slide, Init and FingerprintWith as their first
+// step, replay the pending ones in the order they were owed. Two run at
+// once, after any pending ones: a fixup that flips (l, counted one
+// further per pending fixup, has reached b — a flip moves backSum), and
+// an evict's fixup that leaves the front empty (f == l: q[f] would be a
+// partial Σ[f, m) without it). Before the upkeep the query is already
+// right; after it the state is exactly what running every fixup at once
+// gives.
 //
 // A parallel ring keeps the raw bucket payloads (the aggregate slots
 // overwrite them), which serves checkpointing (BucketPayloads in window
@@ -64,8 +78,9 @@ type DabaLite[T any] struct {
 	backSum T // Σ[b, e) for the B region
 	hasBack bool
 
-	filled bool
-	stats  Stats
+	filled  bool
+	pending int // fixups owed and deferred, see the type's comment
+	stats   Stats
 
 	// Ownership, see the type's comment. owned parallels q.
 	release             func(T) // nil: dead aggregates are left to the collector
@@ -107,11 +122,13 @@ func (t *DabaLite[T]) free(v T, owned bool) {
 func (t *DabaLite[T]) slot(i uint64) int { return int(i % uint64(t.n)) }
 
 // Init performs the initial run: it installs the first full window of
-// buckets (len(buckets) must equal n) in window order, oldest first.
+// buckets (len(buckets) must equal n) in window order, oldest first, and
+// leaves no fixup pending — nothing queries the window while it fills.
 func (t *DabaLite[T]) Init(buckets []T) error {
 	if len(buckets) != t.n {
 		return ErrWindowNotFull
 	}
+	t.Background()
 	var zero T
 	for i := range t.q {
 		t.q[i] = zero
@@ -123,14 +140,17 @@ func (t *DabaLite[T]) Init(buckets []T) error {
 	t.backSum, t.hasBack, t.backOwned = zero, false, false
 	for _, b := range buckets {
 		t.push(b)
+		t.Background()
 	}
 	t.filled = true
 	return nil
 }
 
 // Slide evicts the oldest bucket and inserts bucket as the newest —
-// one window slide of one bucket, worst-case five combiner calls.
+// one window slide of one bucket, worst-case five combiner calls between
+// Slide and the Background that follows it.
 func (t *DabaLite[T]) Slide(bucket T) error {
+	t.Background()
 	if !t.filled {
 		return ErrWindowNotFull
 	}
@@ -141,7 +161,34 @@ func (t *DabaLite[T]) Slide(bucket T) error {
 	return nil
 }
 
-// push appends a raw bucket at the back and runs one fixup step.
+// Background replays the pending fixups in the order they were owed and
+// reports whether there were any.
+func (t *DabaLite[T]) Background() bool {
+	if t.pending == 0 {
+		return false
+	}
+	for ; t.pending > 0; t.pending-- {
+		t.fixup()
+	}
+	return true
+}
+
+// owe runs the fixup an insert or evict owes now — after the pending ones —
+// or records it as pending.
+func (t *DabaLite[T]) owe(now bool) {
+	if !now {
+		t.pending++
+		return
+	}
+	t.Background()
+	t.fixup()
+}
+
+// flipDue reports whether the next fixup owed would flip: l, once the
+// pending fixups have each advanced it by one, has reached b.
+func (t *DabaLite[T]) flipDue() bool { return t.l+uint64(t.pending) == t.b }
+
+// push appends a raw bucket at the back and owes one fixup step.
 func (t *DabaLite[T]) push(v T) {
 	s := t.slot(t.e)
 	t.q[s] = v
@@ -158,10 +205,12 @@ func (t *DabaLite[T]) push(v T) {
 		t.hasBack = true
 	}
 	t.stats.NodesRecomputed++
-	t.fixup()
+	t.owe(t.flipDue())
 }
 
-// evict drops the oldest bucket and runs one fixup step.
+// evict drops the oldest bucket and owes one fixup step. Without it an
+// emptied front would leave the query a partial aggregate, so then it runs
+// now (unless BuggifyDabaDeferEmptyFront is armed).
 func (t *DabaLite[T]) evict() error {
 	if t.f == t.e {
 		return ErrEmpty
@@ -172,13 +221,13 @@ func (t *DabaLite[T]) evict() error {
 	t.q[s], t.owned[s] = zero, false
 	t.raw[s] = zero
 	t.f++
-	t.fixup()
+	t.owe(t.flipDue() || t.f == t.l && t.bug&BuggifyDabaDeferEmptyFront == 0)
 	return nil
 }
 
-// fixup is the constant-work maintenance step run after every push and
-// evict: flip if the front drained, then convert at most one R entry to
-// A form and grow F by one entry.
+// fixup is the constant-work maintenance step every push and evict owes:
+// flip if the front drained, then convert at most one R entry to A form
+// and grow F by one entry.
 func (t *DabaLite[T]) fixup() {
 	if t.l == t.b {
 		t.flip()
@@ -266,7 +315,8 @@ func (t *DabaLite[T]) Root() (T, bool) {
 // Halves appends to dst the aggregates whose merge, in order, is Root — the
 // front suffix aggregate Σ[f, b) and the back running sum Σ[b, e), whichever
 // exist — as the structure holds them: no combiner call, and the payloads
-// are slots' own, read before the next Slide.
+// are slots' own, read before the next Slide. The pending fixups touch
+// neither: the halves outlive Background.
 func (t *DabaLite[T]) Halves(dst []T) []T {
 	if t.f != t.b {
 		dst = append(dst, t.q[t.slot(t.f)])
@@ -306,7 +356,8 @@ func (t *DabaLite[T]) NodeCount() int {
 }
 
 // ForEachPayload visits every materialized payload (space accounting):
-// the aggregate and raw rings over the live range plus the running sums.
+// the aggregate and raw rings over the live range plus the running sums,
+// as they are — before the pending fixups.
 func (t *DabaLite[T]) ForEachPayload(fn func(T)) {
 	for i := t.f; i != t.e; i++ {
 		fn(t.q[t.slot(i)])
@@ -336,9 +387,11 @@ func (t *DabaLite[T]) BucketPayloads() ([]T, bool) {
 
 // Restore reinstates a checkpointed window from its raw buckets in
 // window order, oldest first. Work counters restart from zero (plus the
-// rebuild itself), so a restored aggregator's Stats match a fresh one
-// restored from the same checkpoint.
+// rebuild itself) once what the old window still owed has run, so a
+// restored aggregator's Stats match a fresh one restored from the same
+// checkpoint.
 func (t *DabaLite[T]) Restore(buckets []T) error {
+	t.Background()
 	t.stats = Stats{}
 	return t.Init(buckets)
 }

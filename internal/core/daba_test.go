@@ -47,8 +47,9 @@ func checkDabaRoot(t *testing.T, d *DabaLite[[]int], live [][]int, step int) {
 
 // TestDabaDifferentialVsLeftFold drives random push/evict sequences
 // against a naive left fold with a non-commutative combiner, checking
-// the aggregate after every operation and the worst-case combiner-call
-// bounds (≤3 per push, ≤2 per evict, ≤1 per query).
+// the aggregate after every operation — before its upkeep — and the
+// worst-case combiner-call bounds of an operation and its upkeep (≤3 per
+// push, ≤2 per evict, ≤1 per query).
 func TestDabaDifferentialVsLeftFold(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 32} {
 		rng := rand.New(rand.NewSource(int64(n) * 7919))
@@ -58,27 +59,28 @@ func TestDabaDifferentialVsLeftFold(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			doPush := len(live) == 0 || (len(live) < n && rng.Intn(2) == 0)
 			before := d.Stats().Merges
+			limit, what := int64(2), "evict"
 			if doPush {
 				v := []int{next}
 				next++
 				d.push(v)
 				live = append(live, v)
-				if got := d.Stats().Merges - before; got > 3 {
-					t.Fatalf("n=%d step %d: push cost %d merges, worst case is 3", n, step, got)
-				}
+				limit, what = 3, "push"
 			} else {
 				if err := d.evict(); err != nil {
 					t.Fatalf("n=%d step %d: evict: %v", n, step, err)
 				}
 				live = live[1:]
-				if got := d.Stats().Merges - before; got > 2 {
-					t.Fatalf("n=%d step %d: evict cost %d merges, worst case is 2", n, step, got)
-				}
 			}
-			before = d.Stats().Merges
+			op := d.Stats().Merges
 			checkDabaRoot(t, d, live, step)
-			if got := d.Stats().Merges - before; got > 1 {
-				t.Fatalf("n=%d step %d: query cost %d merges, worst case is 1", n, step, got)
+			query := d.Stats().Merges - op
+			if query > 1 {
+				t.Fatalf("n=%d step %d: query cost %d merges, worst case is 1", n, step, query)
+			}
+			d.Background()
+			if got := d.Stats().Merges - before - query; got > limit {
+				t.Fatalf("n=%d step %d: %s and its upkeep cost %d merges, worst case is %d", n, step, what, got, limit)
 			}
 			if d.Len() != len(live) {
 				t.Fatalf("n=%d step %d: Len = %d, want %d", n, step, d.Len(), len(live))
@@ -87,8 +89,9 @@ func TestDabaDifferentialVsLeftFold(t *testing.T) {
 	}
 }
 
-// TestDabaSlide exercises the Init + Slide surface the runtime uses:
-// constant combiner work per slide at every window size.
+// TestDabaSlide exercises the Init + Slide + Background surface the runtime
+// uses: constant combiner work per slide and its upkeep at every window
+// size.
 func TestDabaSlide(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7, 64, 256} {
 		d := NewDaba(concatMerge, n)
@@ -106,17 +109,123 @@ func TestDabaSlide(t *testing.T) {
 			t.Fatalf("n=%d: Init: %v", n, err)
 		}
 		checkDabaRoot(t, d, live, -1)
+		d.Background()
 		for step := 0; step < 200; step++ {
 			v := []int{n + step}
 			before := d.Stats().Merges
 			if err := d.Slide(v); err != nil {
 				t.Fatalf("n=%d step %d: Slide: %v", n, step, err)
 			}
+			d.Background()
 			if got := d.Stats().Merges - before; got > 5 {
-				t.Fatalf("n=%d step %d: slide cost %d merges, worst case is 5", n, step, got)
+				t.Fatalf("n=%d step %d: slide and upkeep cost %d merges, worst case is 5", n, step, got)
 			}
 			live = append(live[1:], v)
 			checkDabaRoot(t, d, live, step)
+		}
+	}
+}
+
+// eagerDaba is DabaLite as it ran before a fixup could wait: every push and
+// every evict runs its fixup at once. It shares the structure's fields,
+// fixup and flip, and none of the deferral.
+type eagerDaba[T any] struct{ *DabaLite[T] }
+
+func newEagerDaba[T any](merge MergeFunc[T], buckets []T) eagerDaba[T] {
+	d := eagerDaba[T]{NewDaba(merge, len(buckets))}
+	for _, b := range buckets {
+		d.push(b)
+	}
+	d.filled = true
+	return d
+}
+
+func (d eagerDaba[T]) push(v T) {
+	s := d.slot(d.e)
+	d.q[s], d.raw[s] = v, v
+	d.e++
+	if d.hasBack {
+		d.backSum = d.merge(d.backSum, v)
+		d.stats.Merges++
+	} else {
+		d.backSum, d.hasBack = v, true
+	}
+	d.stats.NodesRecomputed++
+	d.fixup()
+}
+
+func (d eagerDaba[T]) slide(v T) {
+	var zero T
+	s := d.slot(d.f)
+	d.q[s], d.raw[s] = zero, zero
+	d.f++
+	d.fixup()
+	d.push(v)
+}
+
+// TestDabaDeferredFixupsMatchEager slides DABA Lite beside the eager
+// reference and the left fold, over several flips of windows of 1, 2, 3, 8
+// and 64 buckets, with the upkeep run after a seeded half of the slides and
+// left to the next Slide otherwise. The window aggregate the halves make is
+// the left fold's at every query, pending fixups or not; after every
+// Background the halves the query read are whole — the upkeep released
+// neither (a flip left for it would: it hands backSum to midSum and the
+// front to L) — and the cursors, the fingerprint and the work counters are
+// the eager reference's.
+func TestDabaDeferredFixupsMatchEager(t *testing.T) {
+	fp := func(p []int) uint64 {
+		h := uint64(0x51ed)
+		for _, v := range p {
+			h = fpMix(h, uint64(v))
+		}
+		return h
+	}
+	for _, n := range []int{1, 2, 3, 8, 64} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var live [][]int
+		for i := 0; i < n; i++ {
+			live = append(live, []int{i})
+		}
+		lazy := NewDaba(concatMerge, n)
+		oracle := NewOwnershipOracle(-1, func(v int) bool { return v < 0 })
+		lazy.OnRelease(oracle.Release)
+		if err := lazy.Init(live); err != nil {
+			t.Fatal(err)
+		}
+		ref := newEagerDaba(concatMerge, live)
+		deferred := 0
+		for step := 0; step < 6*n+12; step++ {
+			v := []int{n + step}
+			if err := lazy.Slide(v); err != nil {
+				t.Fatalf("n=%d step %d: %v", n, step, err)
+			}
+			ref.slide(v)
+			live = append(live[1:], v)
+			deferred += lazy.pending
+			halves := lazy.Halves(nil)
+			if got, want := dabaOracle(halves), dabaOracle(live); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d step %d (%d fixups pending): the halves make %v, the window is %v", n, step, lazy.pending, got, want)
+			}
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			lazy.Background()
+			for _, h := range halves {
+				oracle.Scan("a half the query read", h)
+			}
+			if err := oracle.Err(); err != nil {
+				t.Fatalf("n=%d step %d: %v", n, step, err)
+			}
+			cursors := func(d *DabaLite[[]int]) [6]uint64 { return [6]uint64{d.f, d.l, d.r, d.a, d.b, d.e} }
+			if cursors(lazy) != cursors(ref.DabaLite) {
+				t.Fatalf("n=%d step %d: cursors %v after the upkeep, eager %v", n, step, cursors(lazy), cursors(ref.DabaLite))
+			}
+			if lazy.FingerprintWith(fp) != ref.FingerprintWith(fp) || lazy.Stats() != ref.Stats() {
+				t.Fatalf("n=%d step %d: after the upkeep stats %+v, eager %+v (or the fingerprints differ)", n, step, lazy.Stats(), ref.Stats())
+			}
+		}
+		if n > 2 && deferred == 0 {
+			t.Fatalf("n=%d: no slide deferred a fixup", n)
 		}
 	}
 }

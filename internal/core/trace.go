@@ -29,6 +29,12 @@ const (
 	// bucket, which the structure does not own: the wrong release whose
 	// only symptom is a live bucket rewritten by whoever recycles it.
 	BuggifyDabaReleaseRaw
+	// BuggifyDabaDeferEmptyFront makes DabaLite defer an evict's fixup even
+	// when the evict emptied the front (f == l): the query then reads the
+	// partial suffix Σ[f, m) in q[f], which misses midSum — the wrong
+	// deferral whose only symptom is a window aggregate short of buckets,
+	// until the upkeep repairs the state as if nothing had happened.
+	BuggifyDabaDeferEmptyFront
 )
 
 // SetBuggify installs fault-injection points on a rotating tree (for the
@@ -95,12 +101,13 @@ func (t *RotatingTree[T]) FingerprintWith(fp func(T) uint64) uint64 {
 	return h
 }
 
-// FingerprintWith hashes the DABA Lite aggregator: the cursor offsets
-// relative to the front (restore-friendly: absolute positions reset on
-// rebuild), the running sums, and both rings over the live range in
-// window order. Two aggregators that went through the same operations
-// fingerprint identically.
+// FingerprintWith hashes the DABA Lite aggregator once its pending fixups
+// have run: the cursor offsets relative to the front (restore-friendly:
+// absolute positions reset on rebuild), the running sums, and both rings
+// over the live range in window order. Two aggregators that went through
+// the same operations fingerprint identically, whenever their upkeep ran.
 func (t *DabaLite[T]) FingerprintWith(fp func(T) uint64) uint64 {
+	t.Background()
 	h := uint64(0x6c62272e07bb0147)
 	h = fpMix(h, uint64(t.n))
 	h = fpBool(h, t.filled)

@@ -135,6 +135,16 @@ func (r *Recorder) Add(delta Counters) {
 	r.counters.Add(delta)
 }
 
+// Reset empties the recorder and keeps its storage for what it records
+// next.
+func (r *Recorder) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tasks = r.tasks[:0]
+	r.counters = Counters{}
+	clear(r.work)
+}
+
 // Counters returns a snapshot of the accumulated counters.
 func (r *Recorder) Counters() Counters {
 	r.mu.Lock()

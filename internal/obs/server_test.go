@@ -221,9 +221,16 @@ func TestServerEndpointsLive(t *testing.T) {
 	}
 
 	// /debug/tree: the snapshot is stale until a poll-then-slide cycle, so
-	// poll once, slide, and poll again for live data.
+	// run the last slide's upkeep, poll once, slide and run its upkeep, and
+	// poll again for live data.
+	if err := rt.Background(); err != nil {
+		t.Fatal(err)
+	}
 	get(t, base+"/debug/tree")
 	if _, err := rt.Advance(1, obsTestSplits(next, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Background(); err != nil {
 		t.Fatal(err)
 	}
 	tree := get(t, base+"/debug/tree")

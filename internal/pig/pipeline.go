@@ -30,7 +30,9 @@ type PipelineResult struct {
 	Schema Schema
 	// Report aggregates foreground work across every stage.
 	Report metrics.Report
-	// Background is the first stage's background pre-processing work.
+	// Background is the first stage's upkeep that ran since the previous
+	// result (sliderrt.RunResult.Background): the work the previous run left
+	// for after its answer.
 	Background metrics.Report
 	// StageReports holds per-stage foreground reports.
 	StageReports []metrics.Report

@@ -11,8 +11,9 @@
 //   - the incremental root equals a from-scratch recomputation oracle,
 //   - nothing reachable is storage the structure released (the ownership
 //     oracle: a released payload is scribbled over, never recycled),
-//   - at the runtime layer, outputs, fingerprints and work counters are
-//     identical across parallelism levels,
+//   - at the runtime layer, outputs, fingerprints, checkpoint bytes and
+//     work counters are identical across parallelism levels and whether or
+//     not a run's upkeep ran before the next entry point asked for it,
 //   - delta-proportional work bounds hold (merge count ≤ c·(delta + log
 //     window) with a generous constant),
 //   - restored state matches a freshly restored copy (fingerprint and
@@ -65,9 +66,10 @@ type Options struct {
 	NoBounds bool
 	// Ownership replaces the runtime layer's recycling of released payload
 	// storage by the ownership oracle: what a structure releases is
-	// scribbled over instead, and after every run nothing the runtime holds
-	// or has delivered may carry the scribble. (The tree layer recycles
-	// nothing and always runs under the oracle.)
+	// scribbled over instead, after every run nothing the runtime holds or
+	// has delivered may carry the scribble, and when a run's upkeep runs,
+	// neither may the roots the run handed to the reduce. (The tree layer
+	// recycles nothing and always runs under the oracle.)
 	Ownership bool
 	// DistFaults runs the runtime layer's map phase on a real dist
 	// worker cluster and lets the trace's worker ops (crash, restart,

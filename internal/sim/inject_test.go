@@ -109,6 +109,53 @@ func TestInjectedBugWrongRelease(t *testing.T) {
 	}
 }
 
+// TestInjectedBugWrongDeferral is the deferral's acceptance test: inject the
+// wrong deferral — DabaLite leaving an evict's fixup for the upkeep although
+// the evict emptied the front, via the BuggifyDabaDeferEmptyFront fault
+// point, so that the query reads a partial aggregate that misses midSum —
+// and demonstrate that the tree-layer matrix catches it within 1000 steps,
+// that the failing trace shrinks to a reproducer of ≤ 20 steps, and that the
+// same trace passes with the injection reverted. The upkeep repairs the
+// state as if nothing had happened, so only the answers given before it
+// can show the bug.
+func TestInjectedBugWrongDeferral(t *testing.T) {
+	buggy := Options{Buggify: core.BuggifyDabaDeferEmptyFront}
+
+	var failing Trace
+	var firstErr error
+	for _, seed := range []uint64{1, 2, 3, 4, 5, 6, 7, 8} {
+		tr := Generate(Daba, seed, 1000)
+		if err := Run(tr, buggy); err != nil {
+			failing, firstErr = tr, err
+			break
+		}
+	}
+	if firstErr == nil {
+		t.Fatal("injected bug (an evict's fixup deferred with the front empty) was not caught within 1000 steps on any seed")
+	}
+	ce, ok := firstErr.(*CheckError)
+	if !ok {
+		t.Fatalf("expected *CheckError, got %T: %v", firstErr, firstErr)
+	}
+	if ce.Step >= 1000 {
+		t.Fatalf("bug caught only at step %d", ce.Step)
+	}
+	t.Logf("caught at step %d: %s check: %s\n%s", ce.Step, ce.Check, ce.Msg, ReplayLine(failing))
+
+	min := Shrink(failing, buggy, 0)
+	if err := Run(min, buggy); err == nil {
+		t.Fatal("shrunken trace no longer fails")
+	}
+	if len(min.Ops) > 20 {
+		t.Fatalf("shrunken reproducer has %d steps, want ≤ 20", len(min.Ops))
+	}
+	t.Logf("shrunk %d ops → %d ops:\n%s", len(failing.Ops), len(min.Ops), FormatRepro("DabaDeferredEmptyFrontRepro", min, buggy))
+
+	if err := Run(min, Options{}); err != nil {
+		t.Fatalf("trace fails even without the injected bug — harness found a real bug?\n%v", err)
+	}
+}
+
 // TestBuggifyOffByDefault: the fault point must be inert unless armed.
 func TestBuggifyOffByDefault(t *testing.T) {
 	tr := Generate(RotatingSplit, 11, 300)

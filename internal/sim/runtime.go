@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -264,27 +265,88 @@ func runRuntime(tr Trace, opt Options) error {
 	}
 	// check verifies a run against the window it produced; moved are the
 	// splits that left and entered. restored: no run since the last restore.
+	// Then each replica runs the run's upkeep (Runtime.Background) after a
+	// seeded half of the runs and leaves it to the next entry point after the
+	// others, on a coin of its own: the replicas the checks hold to one
+	// another have taken both ways.
 	var prev mapreduce.Output
+	// answered is replica 0's tree merges when its last result was checked:
+	// what the trees did since is that run's upkeep.
+	var answered int64
 	restored := false
 	check := func(step int, moved ...[]mapreduce.Split) (err error) {
 		prev, err = checkRuntimeStep(tr, step, job, pars, reps, results, window, prev, slices.Concat(moved...), restored)
 		restored = false
-		return err
+		if err != nil {
+			return err
+		}
+		answered = reps[0].rt.Stats().TreeStats.Merges
+		for i, rep := range reps {
+			if mix64(tr.Seed^mix64(uint64(step+1)<<8|uint64(i)))&1 == 0 {
+				continue
+			}
+			if err := rep.rt.Background(); err != nil {
+				return fail(step, "background", "par=%d: %v", pars[i], err)
+			}
+		}
+		return nil
 	}
 	if err := check(-1); err != nil {
 		return err
 	}
 
-	// bulkBound holds one out-of-order operation over k buckets to the
-	// no-log-factor budget; TreeStats aggregates one tree per partition.
-	bulkBound := func(step int, what string, k int) error {
-		merges := results[0].TreeStats.Merges + results[0].TreeStatsBackground.Merges
-		limit := int64(job.Partitions) * bulkMergeBound(k, len(sizes))
-		if !opt.NoBounds && merges > limit {
-			return fail(step, "bulk-bound", "%s k=%d at %d buckets performed %d merges, bound %d",
-				what, k, len(sizes), merges, limit)
+	// workBound holds a run's merges to its bound; TreeStats aggregates one
+	// tree per partition. A run's upkeep is reported by the next result, so
+	// the run is held to the bound with its upkeep one result late: owed is
+	// the last run's foreground work and bound (limit 0: nothing owed), and
+	// pay settles it with the upkeep's merges.
+	var owed struct {
+		step          int
+		name, what    string
+		merges, limit int64
+	}
+	pay := func(upkeep int64) error {
+		if owed.limit > 0 && owed.merges+upkeep > owed.limit {
+			return fail(owed.step, owed.name, "%s performed %d merges with its upkeep (%d in the foreground), bound %d",
+				owed.what, owed.merges+upkeep, owed.merges, owed.limit)
+		}
+		owed.limit = 0
+		return nil
+	}
+	// settle pays what is owed where no result will report the upkeep: before
+	// a checkpoint, whose restored runtime the trace goes on with, and after
+	// the trace's last op. It runs replica 0's upkeep, if the coin left it
+	// pending, and reads its merges off the runtime's cumulative counters.
+	settle := func(step int) error {
+		if owed.limit == 0 {
+			return nil
+		}
+		rt := reps[0].rt
+		if err := rt.Background(); err != nil {
+			return fail(step, "background", "par=%d: %v", pars[0], err)
+		}
+		return pay(rt.Stats().TreeStats.Merges - answered)
+	}
+	workBound := func(step int, name string, limit int64, format string, args ...any) error {
+		if opt.NoBounds {
+			return nil
+		}
+		res := results[0]
+		if err := pay(res.TreeStatsBackground.Merges); err != nil {
+			return err
+		}
+		owed.step, owed.name, owed.what = step, name, fmt.Sprintf(format, args...)
+		owed.merges, owed.limit = res.TreeStats.Merges, limit
+		if owed.merges > limit {
+			return fail(step, name, "%s performed %d merges, bound %d", owed.what, owed.merges, limit)
 		}
 		return nil
+	}
+	// bulkBound holds one out-of-order operation over k buckets to the
+	// no-log-factor budget.
+	bulkBound := func(step int, what string, k int) error {
+		return workBound(step, "bulk-bound", int64(job.Partitions)*bulkMergeBound(k, len(sizes)),
+			"%s k=%d at %d buckets", what, k, len(sizes))
 	}
 	for step, op := range tr.Ops {
 		switch op.Kind {
@@ -323,29 +385,31 @@ func runRuntime(tr Trace, opt Options) error {
 			if err := check(step, dropped, adds); err != nil {
 				return err
 			}
-			if !opt.NoBounds && tr.Kind != Strawman {
-				liveAfter := len(window) / splitWidth
-				if tr.Kind == FingerTree {
-					liveAfter = len(sizes)
-				}
-				merges := results[0].TreeStats.Merges + results[0].TreeStatsBackground.Merges
-				// TreeStats aggregates one contraction tree per reduce
-				// partition, so the per-tree bound scales by Partitions.
-				limit := int64(job.Partitions) * mergeBound(tr.Kind, drop, add, liveAfter)
-				if merges > limit {
-					return fail(step, "work-bound",
-						"advance drop=%d add=%d window=%d performed %d merges, bound %d",
-						drop, add, liveAfter, merges, limit)
-				}
+			liveAfter := len(window) / splitWidth
+			if tr.Kind == FingerTree {
+				liveAfter = len(sizes)
+			}
+			// The per-tree bound scales by Partitions; the strawman is exempt.
+			limit := int64(math.MaxInt64)
+			if tr.Kind != Strawman {
+				limit = int64(job.Partitions) * mergeBound(tr.Kind, drop, add, liveAfter)
+			}
+			if err := workBound(step, "work-bound", limit, "advance drop=%d add=%d window=%d", drop, add, liveAfter); err != nil {
+				return err
 			}
 		case OpCheckpoint:
+			if err := settle(step); err != nil {
+				return err
+			}
 			fps := make([]uint64, len(reps))
+			frames := make([][]byte, len(reps))
 			for i, rep := range reps {
 				before := rep.rt.StateFingerprint()
 				var buf bytes.Buffer
 				if err := rep.rt.Checkpoint(&buf); err != nil {
 					return fail(step, "checkpoint", "par=%d: %v", pars[i], err)
 				}
+				frames[i] = buf.Bytes()
 				restored, err := sliderrt.Restore(simJob(tr.Seed), rep.cfg, bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					return fail(step, "restore", "par=%d: %v", pars[i], err)
@@ -365,14 +429,19 @@ func runRuntime(tr Trace, opt Options) error {
 				rep.adopt(restored) // continue from the restored state
 			}
 			restored = true
-			// And identical across parallelism levels: the window state a
-			// checkpoint captures may not depend on how many goroutines
-			// computed it.
+			// And identical across parallelism levels and upkeep schedules:
+			// the window state a checkpoint captures may not depend on how
+			// many goroutines computed it, nor on whether the last run's
+			// upkeep ran before the checkpoint asked for it.
 			for i := 1; i < len(fps); i++ {
 				if fps[i] != fps[0] {
 					return fail(step, "par-fingerprint",
 						"par=%d checkpoint fingerprint %#x != par=%d fingerprint %#x",
 						pars[i], fps[i], pars[0], fps[0])
+				}
+				if !bytes.Equal(frames[i], frames[0]) {
+					return fail(step, "par-checkpoint", "par=%d wrote a checkpoint of %d bytes that differs from par=%d's %d",
+						pars[i], len(frames[i]), pars[0], len(frames[0]))
 				}
 			}
 		case OpLateAppend:
@@ -481,6 +550,23 @@ func runRuntime(tr Trace, opt Options) error {
 			}
 		}
 	}
+	// The trace's last run: its upkeep is held to the run's bound, and the
+	// ownership oracle's scan of the roots it handed out is checked, although
+	// no result follows.
+	last := len(tr.Ops) - 1
+	if err := settle(last); err != nil {
+		return err
+	}
+	for i, rep := range reps {
+		if err := rep.rt.Background(); err != nil {
+			return fail(last, "background", "par=%d: %v", pars[i], err)
+		}
+		if rep.own != nil {
+			if err := rep.own.Check(rep.rt, results[i]); err != nil {
+				return fail(last, "ownership", "par=%d: %v", pars[i], err)
+			}
+		}
+	}
 	return nil
 }
 
@@ -504,10 +590,11 @@ func walkState(rt *sliderrt.Runtime, job *mapreduce.Job) (spaceBytes int64, unso
 
 // checkRuntimeStep verifies one run's results: the output equals a
 // from-scratch MapReduce execution over the live window (the paper's
-// exact-answer claim), outputs and contraction work counters agree
-// across parallelism levels, and every replica's reported SpaceBytes
-// equals a from-scratch walk of its state, every payload of which is
-// strictly sorted — including on the runs right after a
+// exact-answer claim), outputs and contraction work counters — foreground,
+// and the upkeep the result reports — agree across parallelism levels, and
+// every replica's reported SpaceBytes equals a from-scratch walk of its
+// state before the run's upkeep, every payload of which is strictly
+// sorted — including on the runs right after a
 // checkpoint→restore, a late insert, a bulk evict or insert, and a
 // folding-tree rebuild.
 //
@@ -588,6 +675,11 @@ func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps [
 				pars[i], results[i].TreeStatsBackground, pars[0], results[0].TreeStatsBackground)
 		}
 		a, b := results[0], results[i]
+		if a.Report.Counters.CombineCalls != b.Report.Counters.CombineCalls || a.Background.Counters.CombineCalls != b.Background.Counters.CombineCalls {
+			return fail("par-stats", "par=%d combiner calls %d + %d in the upkeep != par=%d %d + %d",
+				pars[i], b.Report.Counters.CombineCalls, b.Background.Counters.CombineCalls,
+				pars[0], a.Report.Counters.CombineCalls, a.Background.Counters.CombineCalls)
+		}
 		if a.Rebuilt != b.Rebuilt || !slices.Equal(a.Changed, b.Changed) || a.Report.Counters.ReduceCalls != b.Report.Counters.ReduceCalls {
 			return fail("par-changed", "par=%d rebuilt=%v, %d changed keys, %d Reduce calls != par=%d rebuilt=%v, %d changed keys, %d Reduce calls",
 				pars[i], b.Rebuilt, len(b.Changed), b.Report.Counters.ReduceCalls, pars[0], a.Rebuilt, len(a.Changed), a.Report.Counters.ReduceCalls)

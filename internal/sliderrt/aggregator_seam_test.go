@@ -27,7 +27,8 @@ func (f *fakeAgg) Background() (bool, error) {
 
 // TestBackgroundErrorFailsTheSlide: a background step that fails used to be
 // dropped — Advance reported success while the partitions after the failing
-// one never installed their bucket. Now the slide fails, names the
+// one never installed their bucket. Now the call that runs it fails — here
+// the next Advance, which runs the last slide's upkeep first — names the
 // partition, and the runtime refuses to slide a window it can no longer
 // vouch for.
 func TestBackgroundErrorFailsTheSlide(t *testing.T) {

@@ -109,11 +109,14 @@ type partCheckpoint struct {
 // Checkpoint serializes the runtime's window state so that processing can
 // resume after a driver crash or restart (Restore). Application value
 // types stored in payloads must be registered with persist.RegisterType
-// first. Checkpointing between runs captures a consistent state: split
-// processing's background step always completes within Advance.
+// first. Checkpointing between runs captures a consistent state: the last
+// run's upkeep (Background) runs first if nobody has run it.
 func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if !rt.started {
 		return ErrNotInitial
+	}
+	if err := rt.Background(); err != nil {
+		return err
 	}
 	engine, randomized := legacySelectors(rt.backend)
 	st := checkpointState{

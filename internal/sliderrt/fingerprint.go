@@ -16,8 +16,12 @@ import (
 // parallelism they were computed at. Harnesses use it
 // to assert that checkpoint/restore round-trips and parallelism changes
 // preserve state bit-for-bit at the logical level; it is not a wire
-// format and may change between releases.
+// format and may change between releases. Like Checkpoint it runs the last
+// run's upkeep first, so it is the same whether or not Background was
+// called; an upkeep that fails poisons the window, which the next run
+// reports.
 func (rt *Runtime) StateFingerprint() uint64 {
+	_ = rt.Background()
 	h := fnv.New64a()
 	var scratch [8]byte
 	u64 := func(v uint64) {

@@ -24,11 +24,23 @@ import (
 //
 //	go test ./internal/sliderrt -run TestIdentityPinned -args -pin
 //
-// and must only ever be regenerated together with a stated reason. One row
-// has moved since, in its work counters only: the daba row's Merges 174 → 150
-// and Combines 651 → 587 when the reduce began to take DABA Lite's two halves
-// unmerged (24 queries × one merge; DESIGN.md §9, seventh revision) — every
-// fingerprint, Space and golden frame stayed.
+// and must only ever be regenerated together with a stated reason. Three
+// rows have moved since, in their work counters only — every fingerprint,
+// Space and golden frame stayed. The daba row's Merges 174 → 150 and
+// Combines 651 → 587 when the reduce began to take DABA Lite's two halves
+// unmerged (24 queries × one merge; DESIGN.md §9, seventh revision); then
+// its Fg {150 210 66} split into Fg {126 186 48} + Bg {24 24 18} when the
+// fixups that feed no query moved into the upkeep after the answer (§9,
+// eleventh revision). At that revision Combines became the run's whole
+// count: the two split rows' 843 → 883 and 154 → 162 are the combiner calls
+// of their last pre-combine, which the runtime made before as well but no
+// result reported (coalescing-split now totals what coalescing does).
+//
+// A run's upkeep is reported by the next result, so the run's totals add the
+// last run's upkeep to the results': its tree work off Runtime.Stats, its
+// combiner calls off the background report no result has taken yet. Space
+// is the state's once that upkeep has run, which is what the last result's
+// SpaceBytes was while the upkeep ran inside the run.
 var pinIdentity = flag.Bool("pin", false, "print identity constants and rewrite the golden checkpoints")
 
 // identityOp is one step of a pinned run: a slide, or (late) a late bucket
@@ -74,15 +86,15 @@ func identityCases() []identityCase {
 		{name: "rotating", cfg: Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 6}, initial: 12, ops: fixed,
 			pin: identityPin{MidFP: 0xc811791f65913571, FinalFP: 0x10f34c4c84322e69, Fg: core.Stats{Merges: 168, NodesRecomputed: 192, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 635, Space: 2628}},
 		{name: "rotating-split", cfg: Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 6, SplitProcessing: true}, initial: 12, ops: fixed,
-			pin: identityPin{MidFP: 0xc811791f65913571, FinalFP: 0x10f34c4c84322e69, Fg: core.Stats{Merges: 144, NodesRecomputed: 120, NodesReused: 0}, Bg: core.Stats{Merges: 117, NodesRecomputed: 72, NodesReused: 0}, Combines: 843, Space: 2730}},
+			pin: identityPin{MidFP: 0xc811791f65913571, FinalFP: 0x10f34c4c84322e69, Fg: core.Stats{Merges: 144, NodesRecomputed: 120, NodesReused: 0}, Bg: core.Stats{Merges: 117, NodesRecomputed: 72, NodesReused: 0}, Combines: 883, Space: 2730}},
 		{name: "coalescing", cfg: Config{Mode: Append}, initial: 4, ops: appendOnly,
 			pin: identityPin{MidFP: 0xc4d62a4c12d15231, FinalFP: 0xe7a4a9626763e7b5, Fg: core.Stats{Merges: 36, NodesRecomputed: 36, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 162, Space: 3185}},
 		{name: "coalescing-split", cfg: Config{Mode: Append, SplitProcessing: true}, initial: 4, ops: appendOnly,
-			pin: identityPin{MidFP: 0xc4d62a4c12d15231, FinalFP: 0xe7a4a9626763e7b5, Fg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Bg: core.Stats{Merges: 36, NodesRecomputed: 36, NodesReused: 0}, Combines: 154, Space: 3287}},
+			pin: identityPin{MidFP: 0xc4d62a4c12d15231, FinalFP: 0xe7a4a9626763e7b5, Fg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Bg: core.Stats{Merges: 36, NodesRecomputed: 36, NodesReused: 0}, Combines: 162, Space: 3287}},
 		{name: "strawman", cfg: Config{Mode: Variable, Backend: BackendStrawman}, initial: 7, ops: variable,
 			pin: identityPin{MidFP: 0xdd04ce247e7f9c2f, FinalFP: 0xe9bf953beefe99dd, Fg: core.Stats{Merges: 201, NodesRecomputed: 201, NodesReused: 81}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 517, Space: 2084}},
 		{name: "daba", cfg: Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 6}, initial: 12, ops: fixed,
-			pin: identityPin{MidFP: 0x56d0746f3d2c2d0d, FinalFP: 0x2a2352d852910315, Fg: core.Stats{Merges: 150, NodesRecomputed: 210, NodesReused: 66}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 587, Space: 2730}},
+			pin: identityPin{MidFP: 0x56d0746f3d2c2d0d, FinalFP: 0x2a2352d852910315, Fg: core.Stats{Merges: 126, NodesRecomputed: 186, NodesReused: 48}, Bg: core.Stats{Merges: 24, NodesRecomputed: 24, NodesReused: 18}, Combines: 587, Space: 2730}},
 		{name: "fingertree", cfg: Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 8, AllowedLateness: 4}, initial: 16, ops: ooo,
 			pin: identityPin{MidFP: 0xfe39972cc00a2b12, FinalFP: 0xdd9dd887f5f59414, Fg: core.Stats{Merges: 291, NodesRecomputed: 267, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 941, Space: 3789}},
 	}
@@ -104,16 +116,28 @@ func (r *identityRun) record(res *RunResult) {
 	r.t.Helper()
 	wantSameOutput(r.t, res.Output, scratch(r.t, r.job, r.window))
 	wantSpaceOracle(r.t, r.rt, r.job, res)
-	for _, s := range []struct {
-		into *core.Stats
-		d    core.Stats
-	}{{&r.got.Fg, res.TreeStats}, {&r.got.Bg, res.TreeStatsBackground}} {
-		s.into.Merges += s.d.Merges
-		s.into.NodesRecomputed += s.d.NodesRecomputed
-		s.into.NodesReused += s.d.NodesReused
-	}
+	addStats(&r.got.Fg, res.TreeStats)
+	addStats(&r.got.Bg, res.TreeStatsBackground)
 	r.got.Combines += res.Report.Counters.CombineCalls + res.Background.Counters.CombineCalls
-	r.got.Space = res.SpaceBytes
+}
+
+// finish runs the last run's upkeep, adds its tree work and combiner calls
+// and takes the state's final space and fingerprint.
+func (r *identityRun) finish() {
+	before := r.rt.Stats().TreeStats
+	if err := r.rt.Background(); err != nil {
+		r.t.Fatal(err)
+	}
+	addStats(&r.got.Bg, statsDelta(before, r.rt.Stats().TreeStats))
+	r.got.Combines += r.rt.bg.Counters().CombineCalls
+	r.got.Space = r.rt.spaceBytes()
+	r.got.FinalFP = r.rt.StateFingerprint()
+}
+
+func addStats(into *core.Stats, d core.Stats) {
+	into.Merges += d.Merges
+	into.NodesRecomputed += d.NodesRecomputed
+	into.NodesReused += d.NodesReused
 }
 
 // apply runs one op through the runtime (when it is set) and the model.
@@ -181,7 +205,7 @@ func TestIdentityPinned(t *testing.T) {
 					}
 					r.apply(i, op)
 				}
-				r.got.FinalFP = rt.StateFingerprint()
+				r.finish()
 				if *pinIdentity {
 					if par == 1 {
 						fmt.Printf("PIN %s: identityPin{MidFP: %#x, FinalFP: %#x, Fg: core.Stats{Merges: %d, NodesRecomputed: %d, NodesReused: %d}, Bg: core.Stats{Merges: %d, NodesRecomputed: %d, NodesReused: %d}, Combines: %d, Space: %d}\n",

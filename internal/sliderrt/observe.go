@@ -17,13 +17,13 @@ import (
 // swapped in at slide boundaries.
 
 // TreeSnapshot is an immutable structural snapshot of the runtime's
-// contraction trees, published at the end of a slide. It is what
+// contraction trees, published at the end of a slide's upkeep. It is what
 // /debug/tree serves: the §3 shape invariants (height, per-level node
 // population), the memoization hit ratio, and the window fingerprint,
 // all safe to read while the next slide runs.
 type TreeSnapshot struct {
-	// SlideID identifies the slide that published this snapshot (1 =
-	// initial run).
+	// SlideID identifies the slide whose upkeep published this snapshot
+	// (1 = initial run).
 	SlideID uint64
 	// Mode is the window mode letter ("A", "F", "V").
 	Mode string
@@ -57,8 +57,9 @@ func (s *TreeSnapshot) HitRatio() float64 {
 }
 
 // TreeSnapshot returns the latest published tree snapshot (nil before
-// the first slide completes) and requests a fresh one: the runtime
-// re-publishes at the end of the next slide. Safe to call from any
+// the first slide's upkeep has run) and requests a fresh one: the runtime
+// re-publishes once the next slide's upkeep has run (Background, or the
+// entry point after it that runs it first). Safe to call from any
 // goroutine — repeated polling (the /debug/tree endpoint) therefore
 // stays at most one slide stale while costing the slide path nothing
 // beyond one atomic check.
@@ -76,8 +77,11 @@ func (rt *Runtime) Observability() *metrics.SlideObs { return rt.cfg.Obs }
 func (rt *Runtime) FaultRecorder() *metrics.FaultRecorder { return rt.faults }
 
 // publishTreeSnapshot swaps in a fresh snapshot when one was requested
-// (or none exists yet). Called at the end of every slide from the
-// runtime's own goroutine, where walking live trees is safe.
+// (or none exists yet). Called at the end of every slide's upkeep
+// (Background) from the runtime's own goroutine, where walking live trees
+// is safe: off the answer path, and with nothing left pending, so that the
+// shapes and the fingerprint describe one state and taking the fingerprint
+// replays nothing.
 func (rt *Runtime) publishTreeSnapshot() {
 	requested := rt.snapReq.Swap(false)
 	if !requested && rt.treeSnap.Load() != nil {
@@ -192,9 +196,8 @@ func (rt *Runtime) endPartitionSpan(ps *metrics.Span, p int, before core.Stats) 
 
 // finish completes a successful slide: the end-to-end histogram
 // observation, the fault-delta annotation (marking the slide degraded
-// when any degradation-path event fired during it), the span commit,
-// and the tree-snapshot publish. It also stamps the slide ID onto the
-// result.
+// when any degradation-path event fired during it) and the span commit.
+// It also stamps the slide ID onto the result.
 func (s *slideObs) finish(res *RunResult) {
 	s.ended = true
 	res.SlideID = uint64(s.rt.runs)
@@ -215,7 +218,6 @@ func (s *slideObs) finish(res *RunResult) {
 		})
 		s.span.End()
 	}
-	s.rt.publishTreeSnapshot()
 }
 
 // abort closes the slide's span on an error return (deferred; a no-op

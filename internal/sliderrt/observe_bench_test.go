@@ -1,6 +1,7 @@
 package sliderrt
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -99,10 +100,15 @@ func BenchmarkSlideObs(b *testing.B) {
 // microseconds. So the two arms are two runtimes advanced in lockstep —
 // the same slide on one, then on the other, the order alternating — each
 // Advance timed on the process CPU clock, which does not advance while
-// the process waits for a CPU, and the verdict is the median of the
-// per-slide off/none ratios: a slow second slows both arms of thousands
-// of pairs alike, and a stolen slice lands in the tail of the ratios, not
-// in their median.
+// the process waits for a CPU. A slow second slows both arms of thousands
+// of pairs alike, and a stolen slice lands in the tail of the per-slide
+// off/none ratios, not in their median. But the ratios are bimodal by which
+// arm ran the slide first — the first of a pair pays some 4 % more, whichever
+// it is, against the ~1.5 % being measured — so a pooled median sits on the
+// seam between the two modes. The verdict is the geometric mean of the two
+// per-order medians (off first, off second): a cost the order adds to
+// either arm appears once as a factor and once as its inverse, and cancels.
+// Each Advance also runs the previous slide's upkeep, on both arms alike.
 //
 // Under the race detector the test runs all the same, against what the
 // detector leaves measurable. It turns each of the off path's atomic
@@ -187,7 +193,13 @@ func TestObsOffOverhead(t *testing.T) {
 				t.Skipf("no process CPU clock to time the arms on: %v", clockErr)
 			}
 
-			var ratios []float64
+			// ratios[0] holds the slides the none arm ran first, ratios[1]
+			// those the off arm ran first.
+			var ratios [2][]float64
+			median := func(xs []float64) float64 {
+				sort.Float64s(xs)
+				return xs[len(xs)/2]
+			}
 			measure := func(rounds int) float64 {
 				for r := 0; r < rounds; r++ {
 					none, off := start(nil), start(obs)
@@ -204,12 +216,11 @@ func TestObsOffOverhead(t *testing.T) {
 						} else {
 							tOff, tNone = slide(off, i), slide(none, i)
 						}
-						ratios = append(ratios, float64(tOff)/float64(tNone))
+						ratios[i%2] = append(ratios[i%2], float64(tOff)/float64(tNone))
 					}
 					debug.SetGCPercent(gcPercent)
 				}
-				sort.Float64s(ratios)
-				return ratios[len(ratios)/2]
+				return math.Sqrt(median(ratios[0]) * median(ratios[1]))
 			}
 			ratio := measure(5) // the first round also pages in code and memo structures
 			for retries := 0; ratio > budget && retries < 2; retries++ {
@@ -217,10 +228,12 @@ func TestObsOffOverhead(t *testing.T) {
 				// must not fail CI, a real regression keeps reproducing.
 				ratio = measure(10)
 			}
-			t.Logf("%s obs-off overhead: median off/none over %d slides = %.4f", be.name, len(ratios), ratio)
+			n := len(ratios[0]) + len(ratios[1])
+			t.Logf("%s obs-off overhead: off/none over %d slides = %.4f (median %.4f with none first, %.4f with off first)",
+				be.name, n, ratio, median(ratios[0]), median(ratios[1]))
 			if ratio > budget {
-				t.Fatalf("%s: tracing-off overhead %.2f%% exceeds the %.0f%% budget (median of %d slides)",
-					be.name, (ratio-1)*100, (budget-1)*100, len(ratios))
+				t.Fatalf("%s: tracing-off overhead %.2f%% exceeds the %.0f%% budget (geometric mean of the per-order medians of %d slides)",
+					be.name, (ratio-1)*100, (budget-1)*100, n)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package sliderrt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,12 +78,17 @@ func TestObsInstrumentsSlides(t *testing.T) {
 
 	// Every kind of run goes through one skeleton: an initial run, a slide
 	// and a late arrival each leave the same four phases under their own
-	// label, and the incremental ones their opening event.
+	// label, and the incremental ones their opening event. The fourth is the
+	// run's upkeep, which goes under the run's span whenever it runs: at the
+	// start of the next run, or when the caller asks for it.
 	cfg := oooConfig(1)
 	cfg.Obs = metrics.NewSlideObs()
 	h := newOOOHarness(t, cfg)
 	h.slide(1, 1)
 	h.late(1, 1)
+	if err := h.rt.Background(); err != nil {
+		t.Fatal(err)
+	}
 	kinds := []struct{ label, event string }{
 		{"initial", ""}, {"advance", "slide: drop=2 add=2"}, {"late", "late: lateness=1 add=1"},
 	}
@@ -146,8 +152,8 @@ func TestObsDegradedSlideTrace(t *testing.T) {
 }
 
 // TestTreeSnapshotPublish covers the request-flag protocol: a snapshot
-// appears after the first slide, goes stale while nobody polls, and
-// refreshes on the slide after a poll.
+// appears after the first slide's upkeep — not on its answer path —, goes
+// stale while nobody polls, and refreshes on the slide after a poll.
 func TestTreeSnapshotPublish(t *testing.T) {
 	job := wordCountJob()
 	rt, err := New(job, Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig()})
@@ -157,10 +163,26 @@ func TestTreeSnapshotPublish(t *testing.T) {
 	if rt.TreeSnapshot() != nil {
 		t.Fatal("snapshot before any slide")
 	}
+	slide := func(from int) {
+		t.Helper()
+		if _, err := rt.Advance(2, genSplits(from, 2, 4, 7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := rt.Initial(genSplits(0, 8, 4, 7)); err != nil {
 		t.Fatal(err)
 	}
-	// The poll above left a pending request, so the initial run published.
+	if rt.treeSnap.Load() != nil {
+		t.Fatal("snapshot published before the initial run's upkeep")
+	}
+	if err := rt.Background(); err != nil {
+		t.Fatal(err)
+	}
+	// The poll above left a pending request, so the initial run's upkeep
+	// published.
 	snap := rt.TreeSnapshot()
 	if snap == nil || snap.SlideID != 1 {
 		t.Fatalf("snapshot after initial = %+v", snap)
@@ -176,23 +198,22 @@ func TestTreeSnapshotPublish(t *testing.T) {
 	}
 
 	// That poll requested a refresh; the next slide publishes slide 2.
-	if _, err := rt.Advance(2, genSplits(8, 2, 4, 7)); err != nil {
-		t.Fatal(err)
-	}
+	slide(8)
 	// No poll happened since publishing: a further slide must NOT rebuild.
-	if _, err := rt.Advance(2, genSplits(10, 2, 4, 7)); err != nil {
-		t.Fatal(err)
-	}
+	slide(10)
 	snap = rt.TreeSnapshot()
 	if snap.SlideID != 2 {
 		t.Fatalf("unpolled snapshot advanced to slide %d, want stale slide 2", snap.SlideID)
 	}
 	// Now a request is pending again: the next slide refreshes.
-	if _, err := rt.Advance(2, genSplits(12, 2, 4, 7)); err != nil {
-		t.Fatal(err)
-	}
+	slide(12)
 	if snap = rt.TreeSnapshot(); snap.SlideID != 4 {
 		t.Fatalf("snapshot after poll = slide %d, want 4", snap.SlideID)
+	}
+	// Published with nothing pending: shapes and fingerprint are of one
+	// state, the one the runtime holds until its next run.
+	if again := rt.buildTreeSnapshot(); !reflect.DeepEqual(again, snap) {
+		t.Fatalf("snapshot of slide 4 = %+v, the state it was taken of reads %+v", snap, again)
 	}
 	if snap.MemoHits == 0 {
 		t.Fatal("no memo hits after three slides")
@@ -218,6 +239,9 @@ func TestTreeSnapshotFingerprintAgrees(t *testing.T) {
 		if _, err := rt.Advance(2, genSplits(6, 2, 4, 7)); err != nil {
 			t.Fatal(err)
 		}
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
 		snap := rt.TreeSnapshot()
 		if snap == nil {
 			t.Fatal("no snapshot")
@@ -234,6 +258,9 @@ func TestTreeSnapshotFingerprintAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := rt.Initial(genSplits(0, 6, 4, 99)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Background(); err != nil {
 		t.Fatal(err)
 	}
 	if c := rt.TreeSnapshot(); c.Fingerprint == a.Fingerprint {
@@ -257,6 +284,9 @@ func TestObsNilIsInert(t *testing.T) {
 	}
 	if rt.Observability() != nil {
 		t.Fatal("Observability non-nil without Config.Obs")
+	}
+	if err := rt.Background(); err != nil {
+		t.Fatal(err)
 	}
 	if rt.TreeSnapshot() == nil {
 		t.Fatal("tree snapshot unavailable without Obs")

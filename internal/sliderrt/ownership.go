@@ -30,14 +30,26 @@ func NewOwnership() *Ownership {
 
 // Watch diverts the payloads rt's aggregators release from now on to the
 // oracle. Call it between runs.
-func (o *Ownership) Watch(rt *Runtime) { rt.releaseTo = func(p Payload) { o.oracle.Release(p) } }
+func (o *Ownership) Watch(rt *Runtime) { rt.own = o }
+
+// scanHanded holds the roots a run handed to the reduce against what its
+// upkeep released: the upkeep is where their lifetime ends, so none of
+// them may be released storage by then. A failure shows at the next Check.
+func (o *Ownership) scanHanded(parts []partDelta) {
+	for _, part := range parts {
+		for _, r := range part.roots {
+			o.oracle.Scan("a root the last run handed to the reduce", r.P)
+		}
+	}
+}
 
 // Check holds what is reachable after a run against what has been released:
 // no payload rt's aggregators hold (ForEachPayload — roots, slots, raw
 // buckets, tree nodes, what a checkpoint would write) may be released
 // storage, and neither the output res delivered nor the keys it lists as
 // changed may carry a released payload's key. It also reports a payload
-// released twice.
+// released twice, and a root the previous run handed out that its upkeep
+// released (see Runtime.Background).
 func (o *Ownership) Check(rt *Runtime, res *RunResult) error {
 	rt.ForEachPayload(func(p Payload) { o.oracle.Scan("a payload an aggregator holds", p) })
 	if err := o.oracle.Err(); err != nil {

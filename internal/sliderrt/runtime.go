@@ -43,19 +43,23 @@ type RunResult struct {
 	Rebuilt bool
 	// Report carries the foreground work and task list of the run.
 	Report metrics.Report
-	// Background carries the background pre-processing work of split
-	// mode (empty when split processing is disabled).
+	// Background carries the upkeep that ran since the previous result: the
+	// work the previous run left for after its answer (Runtime.Background)
+	// — split processing's pre-combine, DABA Lite's deferred fixups —, its
+	// tasks and the combiner calls its merges made. Empty when there was
+	// none; the initial run's is always empty.
 	Background metrics.Report
 	// TreeStats is the contraction-tree work performed on the
 	// foreground (critical) path of this run.
 	TreeStats core.Stats
-	// TreeStatsBackground is the contraction-tree work performed by the
-	// background pre-processing step (split mode only).
+	// TreeStatsBackground is the contraction-tree work of the upkeep that
+	// ran since the previous result, as Background.
 	TreeStatsBackground core.Stats
-	// SpaceBytes is the memoized state accounted resident after the run:
-	// the carried sizes of the payloads the trees hold, plus the sizes of
-	// the memoization layer's entries (cached map outputs, root-path
-	// state). The entries are accounted, not stored — they hold no bytes.
+	// SpaceBytes is the memoized state accounted resident when the result
+	// is built — before the run's upkeep: the carried sizes of the payloads
+	// the trees hold, plus the sizes of the memoization layer's entries
+	// (cached map outputs, root-path state). The entries are accounted, not
+	// stored — they hold no bytes.
 	SpaceBytes int64
 	// ReadTimeNs is the simulated time spent reading memoized state
 	// during this run.
@@ -97,10 +101,23 @@ type Runtime struct {
 	// free[p] stocks the storage of the aggregates partition p's structure
 	// released (core.Releaser) for its next merges to be built in. What it
 	// holds is bounded and is not memoized state: SpaceBytes leaves it out.
-	// releaseTo, when set, receives the released payloads instead (see
-	// Ownership).
-	free      []mapreduce.FreeList
-	releaseTo func(Payload)
+	// own, when set, receives the released payloads instead, and the roots
+	// the last run handed to the reduce (handed) when its upkeep ends their
+	// lifetime (see Ownership).
+	free   []mapreduce.FreeList
+	own    *Ownership
+	handed []partDelta
+
+	// The upkeep a successful run leaves for after its answer (Background):
+	// due until it has run; span is the run's slide span, which its
+	// "background" span goes under. bg collects the upkeep's tasks and
+	// combiner calls until the next result reports them, and sealed is the
+	// tree work counted when the last result was built, so that the next
+	// one reports whatever the trees did since as background.
+	upkeepDue bool
+	span      *metrics.Span
+	bg        metrics.Recorder
+	sealed    core.Stats
 	// treeBytes[p] is the visitor that sums partition p's payload sizes.
 	// The walk goes through the interface, where a closure built per call
 	// escapes (two allocations per partition per slide), so each
@@ -128,7 +145,8 @@ type Runtime struct {
 	changed []string
 
 	// treeSnap is the immutable tree snapshot served to concurrent
-	// readers (/debug/tree); snapReq asks the next slide to refresh it.
+	// readers (/debug/tree); snapReq asks the next slide's upkeep to
+	// refresh it.
 	treeSnap atomic.Pointer[TreeSnapshot]
 	snapReq  atomic.Bool
 
@@ -433,9 +451,10 @@ var (
 )
 
 // run is the one skeleton under Initial, Advance and AdvanceLate — the
-// paper's Algorithm 1: map the new splits, push them through every
-// partition's aggregator, reduce the roots, pre-process in the background,
-// collect what fell out of the window. The caller has validated the request;
+// paper's Algorithm 1: run the previous run's upkeep if nobody has, map the
+// new splits, push them through every partition's aggregator, reduce the
+// roots, collect what fell out of the window — and leave this run's upkeep
+// for after its answer (Background). The caller has validated the request;
 // what differs between the kinds of run is kind and two hooks.
 //
 // moved does the window's bookkeeping — split cursors, the out-of-order
@@ -452,10 +471,12 @@ var (
 // put back by the run that succeeds: whatever way a run fails, the next one
 // finds none and reduces in full.
 func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply applyFunc, moved func()) (*RunResult, error) {
+	if err := rt.Background(); err != nil {
+		return nil, err
+	}
 	out := rt.out
 	rt.out = nil
 	rec := metrics.NewRecorder()
-	bg := metrics.NewRecorder()
 	rt.store.ResetReadStats()
 	so := rt.beginSlide(kind.label)
 	defer so.abort()
@@ -474,10 +495,6 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 		return nil, rt.poison(err)
 	}
 	out, rebuilt, statsFg := rt.reduceAll(&so, rec, parts, out, statsBefore)
-	// Split processing: pave the way for the next incremental run.
-	if err := rt.runBackground(so.span, bg); err != nil {
-		return nil, rt.poison(err)
-	}
 	if kind.gc {
 		rt.store.GC(rt.windowLo)
 		if rt.cfg.GCPolicy != nil {
@@ -486,9 +503,59 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 	}
 	rt.started = true
 	rt.out = out
-	res := rt.finish(rebuilt, rec, bg, statsBefore, statsFg)
+	res := rt.finish(rebuilt, rec, statsBefore, statsFg)
+	rt.upkeepDue, rt.span = true, so.span
+	if rt.own != nil {
+		rt.handed = parts
+	}
 	so.finish(res)
 	return res, nil
+}
+
+// Background runs the upkeep the last run left for after its answer: on
+// every partition, the work its structure does only for the next slide —
+// split processing's install and pre-combine, DABA Lite's fixups that feed
+// no query. It runs under a "background" span of the run's slide, and what
+// it did is reported by the next run's result (RunResult.Background,
+// TreeStatsBackground). Then it publishes the run's tree snapshot, when one
+// was requested, of the state the upkeep left. A caller that answers first
+// calls it once the answer is out; one that does not leaves it to the next
+// Initial, Advance, AdvanceLate, Checkpoint or StateFingerprint, which run it
+// first. It does nothing when there is nothing to do. A failure names the
+// partition (the partitions after it have not run) and makes the window
+// unusable, as a failed slide does.
+func (rt *Runtime) Background() error {
+	if !rt.upkeepDue {
+		return nil
+	}
+	rt.upkeepDue = false
+	span := rt.span.Child("background")
+	defer span.End()
+	rt.span = nil
+	var combines int64
+	for p, agg := range rt.aggs {
+		start := time.Now()
+		ran, err := agg.Background()
+		if err != nil {
+			return rt.poison(fmt.Errorf("sliderrt: background step of partition %d: %w", p, err))
+		}
+		if ran {
+			rt.bg.RecordTask(metrics.Task{
+				Phase:         metrics.PhaseContraction,
+				Cost:          time.Since(start),
+				PreferredNode: rt.partNodes[p],
+			})
+		}
+		combines += rt.combines[p]
+		rt.combines[p] = 0
+	}
+	rt.bg.Add(metrics.Counters{CombineCalls: combines})
+	if rt.own != nil {
+		rt.own.scanHanded(rt.handed)
+		rt.handed = nil
+	}
+	rt.publishTreeSnapshot()
+	return nil
 }
 
 // poison marks a started window unusable: a slide failed in its contraction
@@ -641,32 +708,6 @@ func statsDelta(before, after core.Stats) core.Stats {
 		NodesRecomputed: after.NodesRecomputed - before.NodesRecomputed,
 		NodesReused:     after.NodesReused - before.NodesReused,
 	}
-}
-
-// runBackground performs the deferred background pre-processing of split
-// mode under a "background" span, recording its cost separately (Figure
-// 11). A failure names the partition; the partitions after it have not run.
-func (rt *Runtime) runBackground(parent *metrics.Span, bg *metrics.Recorder) error {
-	span := parent.Child("background")
-	defer span.End()
-	if !rt.cfg.SplitProcessing {
-		return nil
-	}
-	for p, agg := range rt.aggs {
-		start := time.Now()
-		ran, err := agg.Background()
-		if err != nil {
-			return fmt.Errorf("sliderrt: background step of partition %d: %w", p, err)
-		}
-		if ran {
-			bg.RecordTask(metrics.Task{
-				Phase:         metrics.PhaseContraction,
-				Cost:          time.Since(start),
-				PreferredNode: rt.partNodes[p],
-			})
-		}
-	}
-	return nil
 }
 
 // reduceAll is a run's reduce phase: the final Reduce per partition, timed
@@ -887,8 +928,8 @@ func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64, []mapred
 		if r, ok := aggs[p].(core.Releaser[sized]); ok {
 			list := &free[p]
 			r.OnRelease(func(s sized) {
-				if rt.releaseTo != nil {
-					rt.releaseTo(s.P)
+				if rt.own != nil {
+					rt.own.oracle.Release(s.P)
 				} else {
 					list.Put(s.P)
 				}
@@ -917,8 +958,10 @@ type byteSum struct {
 // partition by partition. It exists for diagnostics and for the test
 // oracle that re-measures SpaceBytes from scratch with
 // mapreduce.PayloadBytes; the runtime itself never walks payload keys to
-// size them. Payloads are the trees' own: they must not be mutated, nor kept
-// beyond the next run, which may rebuild them in place.
+// size them. It visits what the trees hold now — before the last run's
+// upkeep, if that has not run. Payloads are the trees' own: they must not be
+// mutated, nor kept beyond the next Background or run, which may rebuild
+// them in place.
 func (rt *Runtime) ForEachPayload(fn func(Payload)) {
 	for _, agg := range rt.aggs {
 		agg.ForEachPayload(func(s sized) { fn(s.P) })
@@ -952,22 +995,25 @@ func (rt *Runtime) spaceBytes() int64 {
 }
 
 // finish assembles the RunResult around the retained output: the tree work
-// between before and fg was the run's foreground, whatever came after fg its
-// background step.
-func (rt *Runtime) finish(rebuilt bool, rec, bg *metrics.Recorder, before, fg core.Stats) *RunResult {
+// between before and fg was the run's foreground, whatever the trees did
+// between the last result and before — the upkeep — its background.
+func (rt *Runtime) finish(rebuilt bool, rec *metrics.Recorder, before, fg core.Stats) *RunResult {
 	rt.runs++
 	rt.publishWindowGauges()
-	return &RunResult{
+	res := &RunResult{
 		Output:              rt.out,
 		Changed:             rt.changed,
 		Rebuilt:             rebuilt,
 		Report:              rec.Snapshot(),
-		Background:          bg.Snapshot(),
+		Background:          rt.bg.Snapshot(),
 		TreeStats:           statsDelta(before, fg),
-		TreeStatsBackground: statsDelta(fg, rt.treeStats()),
+		TreeStatsBackground: statsDelta(rt.sealed, before),
 		SpaceBytes:          rt.spaceBytes(),
 		ReadTimeNs:          rt.store.Stats().ReadTimeNs,
 	}
+	rt.bg.Reset()
+	rt.sealed = fg
+	return res
 }
 
 // partPayloads extracts partition p's payload from each map result, with

@@ -293,6 +293,8 @@ func TestSplitProcessingShiftsWorkToBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSameOutput(t, sr.Output, pr.Output)
+	// The slide reports the upkeep that ran since the initial run's result:
+	// the pre-combine for this slide.
 	if sr.Background.Work == 0 {
 		t.Fatal("split mode recorded no background work")
 	}

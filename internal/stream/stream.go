@@ -33,6 +33,8 @@ type Output struct {
 	// map and Changed list are the runtime's, which patches the map on the
 	// next run: they are valid until the sink returns and the next window
 	// runs, and a sink that keeps a window's output clones it (maps.Clone).
+	// The window's upkeep runs after the sink returns, so Result.Background
+	// reports the previous window's.
 	Result *sliderrt.RunResult
 	// SlideID is the run's 1-based sequence number — the correlation key
 	// for span traces and tree snapshots (Result.SlideID, hoisted here
@@ -78,8 +80,11 @@ type driver struct {
 }
 
 // close takes the next closed bucket — its splits, none for an empty
-// period — and runs the window forward. The caller keeps the slice. A run
-// that fails returns its error with the bucket left out of the window.
+// period — and runs the window forward: the run, then the sink, then the
+// run's upkeep (sliderrt.Runtime.Background), so that the sink has the
+// window before the structures prepare the next slide. The caller keeps the
+// slice. A run that fails returns its error with the bucket left out of the
+// window; a sink that fails leaves the upkeep to the next run.
 func (d *driver) close(splits []mapreduce.Split, end int64) error {
 	var res *sliderrt.RunResult
 	var err error
@@ -112,7 +117,10 @@ func (d *driver) close(splits []mapreduce.Split, end int64) error {
 	if d.span > 0 {
 		start = end - d.span
 	}
-	return d.sink(Output{Result: res, SlideID: res.SlideID, WindowStart: start, WindowEnd: end})
+	if err := d.sink(Output{Result: res, SlideID: res.SlideID, WindowStart: start, WindowEnd: end}); err != nil {
+		return err
+	}
+	return d.rt.Background()
 }
 
 // record enters the newest bucket in the ledger, over the oldest once the

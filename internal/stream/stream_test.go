@@ -108,7 +108,8 @@ func TestCountWindowFixed(t *testing.T) {
 // other runtime knob is, in CountConfig.Config. (A separate
 // CountConfig.SplitProcessing used to overwrite it, so this configuration
 // silently ran without.) Fixed and append-only windows both hand their
-// background work to the sink.
+// background work to the sink, one window late: a window's upkeep runs after
+// its sink returns and is reported with the next window.
 func TestCountWindowSplitProcessing(t *testing.T) {
 	for _, slide := range []int{2, 0} {
 		rc := smallMemo()
@@ -129,14 +130,14 @@ func TestCountWindowSplitProcessing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(outputs) < 2 {
-			t.Fatalf("slide %d: %d outputs, want the initial window and at least one slide", slide, len(outputs))
+		if len(outputs) < 3 {
+			t.Fatalf("slide %d: %d outputs, want the initial window and at least two slides", slide, len(outputs))
 		}
-		// The coalescing tree has nothing to pre-combine before its first
-		// append, so the initial window is not held to it.
-		for i, o := range outputs[1:] {
+		// The coalescing tree has nothing to fold after the initial window,
+		// so the first slide, which reports that upkeep, is not held to it.
+		for i, o := range outputs[2:] {
 			if len(o.Result.Background.Tasks) == 0 {
-				t.Fatalf("slide %d: output %d reports no background work", slide, i+1)
+				t.Fatalf("slide %d: output %d reports no background work", slide, i+2)
 			}
 		}
 	}
@@ -334,6 +335,82 @@ func TestCountWindowCheckpointResume(t *testing.T) {
 	}
 	if res.Output["x"].(int64) != 4 {
 		t.Fatalf("x = %v after resume, want 4", res.Output["x"])
+	}
+}
+
+// TestSinkCheckpointsBeforeTheUpkeep: a sink may checkpoint and fingerprint
+// the window it was handed, before the driver runs the window's upkeep —
+// both run it first, and the driver's call then finds nothing to do — and
+// the checkpoint restores to a runtime that continues exactly as the stream
+// does: the same outputs, the same foreground work, the same state. For the
+// three structures that leave upkeep: DABA Lite's fixups, split rotating's
+// install and pre-combine, split coalescing's fold.
+func TestSinkCheckpointsBeforeTheUpkeep(t *testing.T) {
+	record := func(i int) mapreduce.Record { return fmt.Sprintf("w%d w%d common", i%13, i%5) }
+	for _, c := range []struct {
+		name  string
+		slide int
+		split bool
+	}{{"daba", 1, false}, {"rotating-split", 1, true}, {"coalescing-split", 0, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			rc := smallMemo()
+			rc.SplitProcessing = c.split
+			const window, at = 8, 5 // at: the window whose sink checkpoints
+			var w *CountWindow
+			var ckpt bytes.Buffer
+			var inSink uint64
+			var outs []Output
+			kept := keep(&outs)
+			w, err := NewCountWindow(CountConfig{Job: sumJob(), RecordsPerSplit: 1, WindowSplits: window, SlideSplits: c.slide, Config: rc},
+				func(o Output) error {
+					if o.SlideID == at {
+						if err := w.Runtime().Checkpoint(&ckpt); err != nil {
+							return err
+						}
+						inSink = w.Runtime().StateFingerprint()
+					}
+					return kept(o)
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for len(outs) < at {
+				if err := w.Push(record(n)); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			rc.Mode, rc.BucketSplits, rc.WindowBuckets = sliderrt.Append, 0, 0
+			drop := 0
+			if c.slide > 0 {
+				rc.Mode, rc.BucketSplits, rc.WindowBuckets = sliderrt.Fixed, c.slide, window/c.slide
+				drop = 1
+			}
+			restored, err := sliderrt.Restore(sumJob(), rc, &ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp := restored.StateFingerprint(); fp != inSink || fp != w.Runtime().StateFingerprint() {
+				t.Fatalf("restored state %#x, fingerprinted in the sink %#x, the stream's %#x", fp, inSink, w.Runtime().StateFingerprint())
+			}
+			for ; n < 4*window; n++ {
+				if err := w.Push(record(n)); err != nil {
+					t.Fatal(err)
+				}
+				got := outs[len(outs)-1].Result
+				res, err := restored.Advance(drop, []mapreduce.Split{{ID: "stream-" + fmt.Sprint(n), Records: []mapreduce.Record{record(n)}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Output, got.Output) || res.TreeStats != got.TreeStats {
+					t.Fatalf("record %d: the restored runtime answers %v with %+v, the stream %v with %+v", n, res.Output, res.TreeStats, got.Output, got.TreeStats)
+				}
+				if a, b := restored.StateFingerprint(), w.Runtime().StateFingerprint(); a != b {
+					t.Fatalf("record %d: restored state %#x, the stream's %#x", n, a, b)
+				}
+			}
+		})
 	}
 }
 
