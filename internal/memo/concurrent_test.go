@@ -10,17 +10,17 @@ import (
 // TestStoreConcurrentStatsMatchSequential is the contention satellite
 // test: the slides of driveSlide with their partition phase on several
 // goroutines (under -race in CI) must leave every Stats total equal to what
-// the same slides leave on one goroutine. Hits, misses, and read/write time
-// are atomics; entries and resident bytes are maintained under shard locks —
-// any lost update or double count diverges the totals.
+// the same slides leave on one goroutine. Every counter, entries and
+// resident bytes included, changes under the store's lock with the index it
+// describes — any lost update or double count diverges the totals.
 func TestStoreConcurrentStatsMatchSequential(t *testing.T) {
 	goroutines := max(runtime.GOMAXPROCS(0), 4)
 	const slides = 200
 
 	seq, conc := NewStore(testConfig()), NewStore(testConfig())
 	for i := 0; i < slides; i++ {
-		driveSlide(shardedOps{seq}, i, 1)
-		driveSlide(shardedOps{conc}, i, goroutines)
+		driveSlide(seq, i, 1)
+		driveSlide(conc, i, goroutines)
 	}
 	if got, want := conc.Stats(), seq.Stats(); got != want {
 		t.Fatalf("concurrent stats diverge from sequential sum:\n got %+v\nwant %+v", got, want)

@@ -9,9 +9,9 @@ import (
 
 // TestFailNodeDuringInFlightOps crashes and recovers nodes while puts,
 // gets, and GC sweeps are in flight on other goroutines. Run under -race
-// (CI does): the COW failed-node set and per-shard locks must keep every
-// interleaving safe, and once the cluster heals every key must be
-// readable again.
+// (CI does): the store's lock must keep every interleaving of the
+// failed-node set, the cached flags and the index safe, and once the
+// cluster heals every key must be readable again.
 func TestFailNodeDuringInFlightOps(t *testing.T) {
 	s := NewStore(testConfig())
 	const (

@@ -4,25 +4,25 @@
 // memory when possible and falls back to persistent replicas, and a
 // garbage collector that frees state falling out of the sliding window.
 //
-// The cluster is simulated: entries carry node placements and the shim
-// layer charges a read-cost model (memory vs. disk vs. network), which is
-// what Table 2 of the paper measures. Correctness never depends on the
-// cache: a failed node only makes reads slower (replica fallback), exactly
-// as in the paper's design.
+// The cluster is simulated: a key's placement follows from the key, and
+// the shim layer charges a read-cost model (memory vs. disk vs. network),
+// which is what Table 2 of the paper measures. Correctness never depends
+// on the cache: a failed node only makes reads slower (replica fallback),
+// exactly as in the paper's design.
 package memo
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"slider/internal/metrics"
 )
 
 // Config describes the simulated memoization substrate.
 type Config struct {
-	// Nodes is the number of worker machines holding cache shards.
+	// Nodes is the number of worker machines the cache and replicas
+	// are spread over.
 	Nodes int
 	// Replicas is the number of persistent copies per entry (the paper
 	// uses two).
@@ -101,14 +101,14 @@ func (c *Config) normalize() {
 	}
 }
 
-// entry is one memoized object tracked by the master index. Its fields
-// are guarded by the owning shard's mutex.
+// entry is one memoized object tracked by the master index. Its placement
+// is not stored: the home node is HomeNode(key), and replica i (1 ≤ i ≤
+// Replicas) lives on (home+i) % Nodes.
 type entry struct {
-	value    any
-	size     int64
-	memNode  int   // node whose RAM caches the object (-1 when evicted)
-	replicas []int // nodes holding persistent copies
-	lo, hi   uint64
+	value  any
+	size   int64
+	lo, hi uint64
+	cached bool // the home node's RAM holds a copy
 }
 
 // Stats summarizes the layer's activity.
@@ -135,98 +135,51 @@ var ErrNotFound = errors.New("memo: not found")
 // inputs (the MapReduce fault model).
 var ErrUnavailable = errors.New("memo: all replicas unavailable")
 
-// numShards is the power-of-two number of index shards. 64 comfortably
-// exceeds the partition workers a run has in flight, so two concurrent
-// accesses rarely collide on a
-// shard lock; the per-shard footprint (a map header and a mutex) keeps the
-// empty store cheap.
-const numShards = 64
-
-// indexShard is one hash shard of the master index: a slice of the key
-// space behind its own mutex, padded so neighbouring shards' locks do
-// not share a cache line.
-type indexShard struct {
-	mu    sync.Mutex
-	index map[string]*entry
-	_     [48]byte
-}
-
 // Store is the fault-tolerant memoization layer. It is safe for concurrent
-// use: the master index is split into power-of-two hash shards with
-// per-shard mutexes, the activity counters are atomics, and the
-// failed-node set is a copy-on-write snapshot — so concurrent tree
-// workers reading, writing, and charging the cost model never serialize
-// behind a single lock. The read- and write-cost models and GC semantics
-// are identical to the single-mutex implementation.
+// use: one mutex guards the index, the failed-node set, the counters and
+// the latency observers. A slide makes a few operations per split and per
+// partition, each a map access and some arithmetic, so they do not queue
+// behind the lock for long.
 type Store struct {
-	cfg    Config
-	shards [numShards]indexShard
+	cfg Config
 
-	// down is a copy-on-write snapshot of the failed-node set, read on
-	// every Get/Put without locking. failMu serializes the
-	// rare writers (FailNode/RecoverNode).
-	down   atomic.Pointer[map[int]bool]
-	failMu sync.Mutex
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	readNs   atomic.Int64
-	writeNs  atomic.Int64
-	evicted  atomic.Int64
-	entries  atomic.Int64
-	resident atomic.Int64 // sum of live entry sizes
-	// unavailable counts reads refused because the home node and every
-	// replica were down (ErrUnavailable).
-	unavailable atomic.Int64
+	mu    sync.Mutex
+	index map[string]entry
+	down  map[int]bool // failed nodes
+	stats Stats        // Bytes and Entries are kept current by every change
 
 	// readObs and writeObs, when set, receive one observation per charged
 	// read/write — the simulated per-operation latency distribution the
-	// flat readNs/writeNs totals cannot show (SetLatencyObservers).
-	readObs  atomic.Pointer[metrics.Histogram]
-	writeObs atomic.Pointer[metrics.Histogram]
+	// flat ReadTimeNs/WriteTimeNs totals cannot show (SetLatencyObservers).
+	readObs, writeObs *metrics.Histogram
 }
 
 // NewStore returns an empty memoization layer.
 func NewStore(cfg Config) *Store {
 	cfg.normalize()
-	s := &Store{cfg: cfg}
-	for i := range s.shards {
-		s.shards[i].index = make(map[string]*entry)
-	}
-	return s
+	return &Store{cfg: cfg, index: make(map[string]entry), down: make(map[int]bool)}
 }
 
 // SetLatencyObservers installs histograms receiving one observation per
 // charged read and write (their simulated cost from the shim layer's
 // model). Either may be nil to leave that side unobserved. Safe to call
-// while the store is in use; the fast path is one atomic pointer load
-// when unset.
+// while the store is in use.
 func (s *Store) SetLatencyObservers(read, write *metrics.Histogram) {
-	s.readObs.Store(read)
-	s.writeObs.Store(write)
+	s.mu.Lock()
+	s.readObs, s.writeObs = read, write
+	s.mu.Unlock()
 }
 
-// observeRead/observeWrite report one charged cost (ns) to the installed
-// observer, if any.
-func (s *Store) observeRead(cost int64) {
-	if h := s.readObs.Load(); h != nil {
+// observe reports one charged cost (ns) to h, if set. Callers have
+// released the lock: the histogram synchronizes itself.
+func observe(h *metrics.Histogram, cost int64) {
+	if h != nil {
 		h.ObserveNs(cost)
 	}
 }
 
-func (s *Store) observeWrite(cost int64) {
-	if h := s.writeObs.Load(); h != nil {
-		h.ObserveNs(cost)
-	}
-}
-
-// shardFor returns the index shard owning key.
-func (s *Store) shardFor(key string) *indexShard {
-	return &s.shards[hashKey32(key)&(numShards-1)]
-}
-
-// hashKey32 is the allocation-free FNV-1a used for both node placement
-// and shard selection (bit-identical to hash/fnv over the same bytes).
+// hashKey32 is the allocation-free FNV-1a used for node placement
+// (bit-identical to hash/fnv over the same bytes).
 func hashKey32(key string) uint32 {
 	const (
 		offset32 uint32 = 2166136261
@@ -238,13 +191,6 @@ func hashKey32(key string) uint32 {
 		h *= prime32
 	}
 	return h
-}
-
-// isDown reports whether node's RAM and replicas are currently
-// unreachable, against the latest copy-on-write snapshot.
-func (s *Store) isDown(node int) bool {
-	m := s.down.Load()
-	return m != nil && (*m)[node]
 }
 
 // HomeNode returns the node whose RAM would cache the given key. The
@@ -260,19 +206,11 @@ func (s *Store) HomeNode(key string) int {
 	return int(hashKey32(key) % uint32(nodes))
 }
 
-// replicaNodes returns the persistent-replica placement for a key's home
-// node — the single source of truth shared by Put (placement) and Get
-// (lookup).
-func (s *Store) replicaNodes(home int) []int {
-	nodes := s.cfg.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	reps := make([]int, 0, s.cfg.Replicas)
-	for i := 1; i <= s.cfg.Replicas; i++ {
-		reps = append(reps, (home+i)%nodes)
-	}
-	return reps
+// writeCost is the simulated time to memoize size bytes: one in-memory
+// write plus one persistent write per replica.
+func (s *Store) writeCost(size int64) int64 {
+	kb := (size + 1023) / 1024
+	return kb*s.cfg.MemWriteNsPerKB + int64(s.cfg.Replicas)*kb*s.cfg.DiskWriteNsPerKB
 }
 
 // Put memoizes value under key and returns the simulated write time (the
@@ -281,40 +219,31 @@ func (s *Store) replicaNodes(home int) []int {
 // consumed by GC.
 func (s *Store) Put(key string, value any, size int64, lo, hi uint64) int64 {
 	home := s.HomeNode(key)
-	replicas := s.replicaNodes(home)
-	mem := home
-	if !s.cfg.InMemory || s.isDown(home) {
-		mem = -1
+	cost := s.writeCost(size)
+	s.mu.Lock()
+	old, existed := s.index[key]
+	s.index[key] = entry{value: value, size: size, lo: lo, hi: hi, cached: s.cfg.InMemory && !s.down[home]}
+	if !existed {
+		s.stats.Entries++
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	old, existed := sh.index[key]
-	sh.index[key] = &entry{value: value, size: size, memNode: mem, replicas: replicas, lo: lo, hi: hi}
-	sh.mu.Unlock()
-	if existed {
-		s.resident.Add(size - old.size)
-	} else {
-		s.entries.Add(1)
-		s.resident.Add(size)
-	}
-	kb := (size + 1023) / 1024
-	cost := kb * s.cfg.MemWriteNsPerKB
-	cost += int64(len(replicas)) * kb * s.cfg.DiskWriteNsPerKB
-	s.writeNs.Add(cost)
-	s.observeWrite(cost)
+	s.stats.Bytes += size - old.size
+	s.stats.WriteTimeNs += cost
+	obs := s.writeObs
+	s.mu.Unlock()
+	observe(obs, cost)
 	return cost
 }
 
 // ChargeWrite charges the write-cost model for memoizing size bytes of
 // state without creating an index entry (bulk accounting of
-// contraction-tree node writes). It touches only atomic counters, so
-// concurrent partition workers never serialize here.
+// contraction-tree node writes).
 func (s *Store) ChargeWrite(size int64) int64 {
-	kb := (size + 1023) / 1024
-	cost := kb * s.cfg.MemWriteNsPerKB
-	cost += int64(s.cfg.Replicas) * kb * s.cfg.DiskWriteNsPerKB
-	s.writeNs.Add(cost)
-	s.observeWrite(cost)
+	cost := s.writeCost(size)
+	s.mu.Lock()
+	s.stats.WriteTimeNs += cost
+	obs := s.writeObs
+	s.mu.Unlock()
+	observe(obs, cost)
 	return cost
 }
 
@@ -324,126 +253,107 @@ func (s *Store) ChargeWrite(size int64) int64 {
 // replica costs disk (+network) time. It returns ErrNotFound when the key
 // is unknown.
 func (s *Store) Get(key string, fromNode int) (any, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.index[key]
+	home := s.HomeNode(key)
+	s.mu.Lock()
+	e, ok := s.index[key]
 	if !ok {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("memo: key %q: %w", key, ErrNotFound)
 	}
 	kb := (e.size + 1023) / 1024
-	if e.memNode >= 0 && !s.isDown(e.memNode) {
-		memNode := e.memNode
-		value := e.value
-		sh.mu.Unlock()
-		cost := s.cfg.MemReadOverheadNs + kb*s.cfg.MemReadNsPerKB
-		if fromNode >= 0 && fromNode != memNode {
+	var cost int64
+	if e.cached && !s.down[home] {
+		cost = s.cfg.MemReadOverheadNs + kb*s.cfg.MemReadNsPerKB
+		if fromNode >= 0 && fromNode != home {
 			cost += kb * s.cfg.NetReadNsPerKB
 		}
-		s.hits.Add(1)
-		s.readNs.Add(cost)
-		s.observeRead(cost)
-		return value, nil
-	}
-	// Fall back to a persistent replica; prefer a local one. If every
-	// replica is on a failed node the value is temporarily unreadable —
-	// report the typed miss so the caller recomputes instead of erroring.
-	anyLive := false
-	for _, r := range e.replicas {
-		if !s.isDown(r) {
-			anyLive = true
-			break
+		s.stats.Hits++
+	} else {
+		// Fall back to a persistent replica; prefer a local one. If every
+		// replica is on a failed node the value is temporarily unreadable —
+		// report the typed miss so the caller recomputes instead of erroring.
+		live, local := false, false
+		for i := 1; i <= s.cfg.Replicas; i++ {
+			if r := (home + i) % s.cfg.Nodes; !s.down[r] {
+				live = true
+				local = local || r == fromNode
+			}
 		}
-	}
-	if !anyLive {
-		sh.mu.Unlock()
-		s.unavailable.Add(1)
-		return nil, fmt.Errorf("memo: key %q: %w", key, ErrUnavailable)
-	}
-	cost := s.cfg.DiskReadOverheadNs + kb*s.cfg.DiskReadNsPerKB
-	local := false
-	for _, r := range e.replicas {
-		if r == fromNode && !s.isDown(r) {
-			local = true
-			break
+		if !live {
+			s.stats.Unavailable++
+			s.mu.Unlock()
+			return nil, fmt.Errorf("memo: key %q: %w", key, ErrUnavailable)
 		}
+		cost = s.cfg.DiskReadOverheadNs + kb*s.cfg.DiskReadNsPerKB
+		if !local {
+			cost += kb * s.cfg.NetReadNsPerKB
+		}
+		// Re-populate the in-memory cache on the home node (read-repair).
+		if s.cfg.InMemory && !s.down[home] {
+			e.cached = true
+			s.index[key] = e
+		}
+		s.stats.Misses++
 	}
-	if !local {
-		cost += kb * s.cfg.NetReadNsPerKB
-	}
-	// Re-populate the in-memory cache on the home node (read-repair).
-	home := s.HomeNode(key)
-	if s.cfg.InMemory && !s.isDown(home) {
-		e.memNode = home
-	}
-	value := e.value
-	sh.mu.Unlock()
-	s.misses.Add(1)
-	s.readNs.Add(cost)
-	s.observeRead(cost)
-	return value, nil
+	s.stats.ReadTimeNs += cost
+	obs := s.readObs
+	s.mu.Unlock()
+	observe(obs, cost)
+	return e.value, nil
 }
 
 // Contains reports whether key is memoized, without charging a read.
 func (s *Store) Contains(key string) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.index[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.index[key]
 	return ok
 }
 
 // Delete removes a key outright.
 func (s *Store) Delete(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.index[key]
-	if ok {
-		delete(sh.index, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.index[key]; ok {
+		delete(s.index, key)
+		s.evict(e)
 	}
-	sh.mu.Unlock()
-	if ok {
-		s.entries.Add(-1)
-		s.resident.Add(-e.size)
-		s.evicted.Add(1)
-	}
+}
+
+// evict counts e out of the resident totals; the caller holds the lock and
+// has removed it from the index.
+func (s *Store) evict(e entry) {
+	s.stats.Entries--
+	s.stats.Bytes -= e.size
+	s.stats.Evicted++
 }
 
 // GC frees every entry whose interval ended before windowLo — the
 // automatic policy of §6 ("free the storage occupied by data items that
 // fall out of the current window"). It returns the number of entries
-// collected. Shards are swept one at a time, so concurrent readers of
-// other shards proceed undisturbed.
+// collected.
 func (s *Store) GC(windowLo uint64) int {
-	return s.sweep(func(_ string, e *entry) bool { return e.hi < windowLo })
+	return s.sweep(func(_ string, e entry) bool { return e.hi < windowLo })
 }
 
 // GCFunc frees entries selected by a user-defined policy (the paper's
-// "more aggressive user-defined policy").
+// "more aggressive user-defined policy"). drop runs with the store locked
+// and must not call it.
 func (s *Store) GCFunc(drop func(key string, lo, hi uint64, size int64) bool) int {
-	return s.sweep(func(k string, e *entry) bool { return drop(k, e.lo, e.hi, e.size) })
+	return s.sweep(func(k string, e entry) bool { return drop(k, e.lo, e.hi, e.size) })
 }
 
-// sweep removes every entry selected by drop, shard by shard.
-func (s *Store) sweep(drop func(key string, e *entry) bool) int {
+// sweep removes every entry selected by drop.
+func (s *Store) sweep(drop func(key string, e entry) bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	collected := 0
-	var bytes int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.index {
-			if drop(k, e) {
-				delete(sh.index, k)
-				collected++
-				bytes += e.size
-			}
+	for k, e := range s.index {
+		if drop(k, e) {
+			delete(s.index, k)
+			s.evict(e)
+			collected++
 		}
-		sh.mu.Unlock()
-	}
-	if collected > 0 {
-		s.entries.Add(int64(-collected))
-		s.resident.Add(-bytes)
-		s.evicted.Add(int64(collected))
 	}
 	return collected
 }
@@ -452,62 +362,36 @@ func (s *Store) sweep(drop func(key string, e *entry) bool) int {
 // are lost and its persistent replicas become unreachable until
 // RecoverNode. Reads transparently fall back to surviving replicas.
 func (s *Store) FailNode(node int) {
-	s.failMu.Lock()
-	next := s.copyDown()
-	next[node] = true
-	s.down.Store(&next)
-	s.failMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.index {
-			if e.memNode == node {
-				e.memNode = -1
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.down[node] = true
+	for k, e := range s.index {
+		if e.cached && s.HomeNode(k) == node {
+			e.cached = false
+			s.index[k] = e
 		}
-		sh.mu.Unlock()
 	}
 }
 
 // RecoverNode brings a failed machine back (with empty RAM).
 func (s *Store) RecoverNode(node int) {
-	s.failMu.Lock()
-	next := s.copyDown()
-	delete(next, node)
-	s.down.Store(&next)
-	s.failMu.Unlock()
-}
-
-// copyDown clones the current failed-node set; callers hold failMu.
-func (s *Store) copyDown() map[int]bool {
-	next := make(map[int]bool)
-	if m := s.down.Load(); m != nil {
-		for n, d := range *m {
-			next[n] = d
-		}
-	}
-	return next
+	s.mu.Lock()
+	delete(s.down, node)
+	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of the layer's counters. Resident bytes and
 // entry counts are maintained incrementally (Put/Delete/GC), so the
 // snapshot is O(1) instead of a walk over the whole index.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		ReadTimeNs:  s.readNs.Load(),
-		WriteTimeNs: s.writeNs.Load(),
-		Bytes:       s.resident.Load(),
-		Entries:     s.entries.Load(),
-		Evicted:     s.evicted.Load(),
-		Unavailable: s.unavailable.Load(),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // ResetReadStats clears the read counters (between measured runs).
 func (s *Store) ResetReadStats() {
-	s.hits.Store(0)
-	s.misses.Store(0)
-	s.readNs.Store(0)
+	s.mu.Lock()
+	s.stats.Hits, s.stats.Misses, s.stats.ReadTimeNs = 0, 0, 0
+	s.mu.Unlock()
 }

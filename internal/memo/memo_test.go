@@ -234,6 +234,41 @@ func TestGetReplicaLocality(t *testing.T) {
 	}
 }
 
+// TestStoreSteadyStateAllocs holds the store to allocating nothing once a
+// key is in the index: an overwrite, a read from the cache or from a
+// replica, a bulk write charge, a GC that collects nothing and a Stats
+// snapshot touch only what is already there.
+func TestStoreSteadyStateAllocs(t *testing.T) {
+	s := NewStore(testConfig())
+	value := any(42)
+	s.Put("k", value, 2048, 0, 1)
+	home := s.HomeNode("k")
+
+	down := NewStore(testConfig())
+	down.Put("k", value, 2048, 0, 1)
+	down.FailNode(home)
+
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"put-existing", func() { s.Put("k", value, 4096, 0, 1) }},
+		{"get-hit", func() { _, _ = s.Get("k", home) }},
+		{"get-replica", func() { _, _ = down.Get("k", (home+1)%4) }},
+		{"charge-write", func() { s.ChargeWrite(4096) }},
+		{"gc-nothing", func() { s.GC(0) }},
+		{"stats", func() { _ = s.Stats() }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, c.op); n != 0 {
+			t.Errorf("%s: %.1f allocations, want 0", c.name, n)
+		}
+	}
+	if st := down.Stats(); st.Misses == 0 || st.Hits != 0 {
+		t.Fatalf("replica reads were not served from a replica: %+v", st)
+	}
+}
+
 // TestZeroValueStoreDoesNotPanic guards HomeNode against a zero divisor:
 // a Store that skipped NewStore's normalization (zero-value Config fields)
 // must not panic on uint32(0) modulo.

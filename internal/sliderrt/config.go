@@ -161,7 +161,7 @@ func (c *Config) validate() error {
 	default:
 		return ErrBadMode
 	}
-	if c.Memo.Nodes == 0 {
+	if c.Memo.Nodes <= 0 {
 		c.Memo = memo.DefaultConfig()
 	}
 	if c.Faults == nil {

@@ -9,6 +9,7 @@ import (
 
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
+	"slider/internal/metrics"
 )
 
 // wordCountJob is a classic associative+commutative job used across the
@@ -393,6 +394,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(nil, Config{Mode: Append}); err == nil {
 		t.Fatal("nil job accepted")
+	}
+}
+
+// TestNegativeMemoNodesMeansDefault holds the runtime to the store's reading
+// of a node count below one as unset: both take the default cluster, so the
+// node a map task prefers is one of its nodes, not the split's sequence
+// number.
+func TestNegativeMemoNodesMeansDefault(t *testing.T) {
+	rt, err := New(wordCountJob(), Config{Mode: Append, Memo: memo.Config{Nodes: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := memo.DefaultConfig().Nodes
+	for i, splits := range [][]mapreduce.Split{genSplits(0, 4, 4, 7), genSplits(4, 40, 4, 7)} {
+		var res *RunResult
+		if i == 0 {
+			res, err = rt.Initial(splits)
+		} else {
+			res, err = rt.Advance(0, splits)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps := 0
+		for _, task := range res.Report.Tasks {
+			if task.Phase != metrics.PhaseMap {
+				continue
+			}
+			maps++
+			if task.PreferredNode < 0 || task.PreferredNode >= nodes {
+				t.Fatalf("run %d: map task prefers node %d, outside [0, %d)", i, task.PreferredNode, nodes)
+			}
+		}
+		if maps != len(splits) {
+			t.Fatalf("run %d: %d map tasks for %d splits", i, maps, len(splits))
+		}
 	}
 }
 
