@@ -103,6 +103,12 @@ func SubStr(partitions int) *mapreduce.Job {
 // the reduce side averages the per-centroid accumulators.
 func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 	centroids := randomPoints(seed, k, dim)
+	// A point's key names its centroid: k strings, built here once rather
+	// than one per point.
+	keys := make([]string, len(centroids))
+	for c := range keys {
+		keys[c] = "c" + strconv.Itoa(c)
+	}
 	return &mapreduce.Job{
 		Name:       "K-Means",
 		Partitions: partitions,
@@ -119,7 +125,7 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 			}
 			sum := make([]float64, len(pt))
 			copy(sum, pt)
-			emit("c"+strconv.Itoa(best), &CentroidAcc{Sum: sum, Count: 1})
+			emit(keys[best], &CentroidAcc{Sum: sum, Count: 1})
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {

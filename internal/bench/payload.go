@@ -167,16 +167,17 @@ const payloadSlideWindow = 16
 // `window` one-split buckets, sliding by one) and returns per-slide
 // averages, measureBackend-style.
 func measurePayloadSlides(s Scale, window, slides int) (PayloadSlideCell, error) {
-	return measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, window, slides)
+	return measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, 1, window, slides)
 }
 
 // measureSlideLoop is measurePayloadSlides for any job over the splits gen
-// yields.
-func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split, window, slides int) (PayloadSlideCell, error) {
+// yields, in buckets of bucket splits: a window of window buckets sliding by
+// one.
+func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split, bucket, window, slides int) (PayloadSlideCell, error) {
 	cell := PayloadSlideCell{Slides: slides}
 	cfg := sliderrt.Config{
 		Mode:          sliderrt.Fixed,
-		BucketSplits:  1,
+		BucketSplits:  bucket,
 		WindowBuckets: window,
 		Memo:          memo.DefaultConfig(),
 	}
@@ -184,18 +185,18 @@ func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split
 	if err != nil {
 		return cell, err
 	}
-	if _, err := rt.Initial(gen(0, window)); err != nil {
+	if _, err := rt.Initial(gen(0, bucket*window)); err != nil {
 		return cell, err
 	}
 	// A slide is the run and its upkeep, as the stream driver does them: the
 	// measured slides then hold exactly their own upkeep, not the one the
 	// warm-up left pending.
-	next := window
+	next := bucket * window
 	slide := func() error {
-		if _, err := rt.Advance(1, gen(next, next+1)); err != nil {
+		if _, err := rt.Advance(bucket, gen(next, next+bucket)); err != nil {
 			return err
 		}
-		next++
+		next += bucket
 		return rt.Background()
 	}
 	for i := 0; i < 2; i++ {

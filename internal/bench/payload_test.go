@@ -3,7 +3,9 @@ package bench
 import (
 	"testing"
 
+	"slider/internal/apps"
 	"slider/internal/israce"
+	"slider/internal/workload"
 )
 
 // coldScratch is what the ceilings on a slide's allocations give way by in
@@ -121,7 +123,9 @@ func TestPayloadSlideAllocs(t *testing.T) {
 // path was encoded every slide; 315 while payloads were hash maps; 1 365
 // before sizes travelled with payloads and reduce became one pass). The bytes
 // are where a per-window cost shows that a count hides — one map is one
-// allocation at any size — so they are held too: 26.9 KB a slide measured,
+// allocation at any size — so they are held too: 27.1 KB a slide measured
+// (26.9 KB while a merge took only storage that held both its inputs — the
+// fit bound lets more merges into recycled storage that some then outgrow),
 // 31.9 KB with the per-task maps, 76.7 KB while the merges allocated their
 // outputs, 93.6 KB while every slide allocated its output map.
 func TestWideSlideAllocs(t *testing.T) {
@@ -137,6 +141,29 @@ func TestWideSlideAllocs(t *testing.T) {
 	}
 	if cell.BytesPerSlide > byteCeiling+coldBytes {
 		t.Errorf("wide-window slide allocates %.0f bytes/slide, ceiling %.0f", cell.BytesPerSlide, byteCeiling+coldBytes)
+	}
+}
+
+// TestBucketFoldAllocs gates what a slide allocates when the window is two
+// buckets of eight splits, wc-ship-dist2's shape: eight map tasks, and a fold
+// of their payloads into one bucket per partition. The fold is built in the
+// storage of the bucket the window evicted the slide before, which nothing
+// reads once the upkeep has run, so it allocates its scratch and no output.
+// The bytes are the pin: 100.6 KB a slide measured, 115.5 KB while each fold
+// allocated its bucket; the ceiling sits ~4 % above. (886 allocations a
+// slide, 891 then: one per partition.) Every slide maps eight splits, so
+// under -race each may pay a cold scratch.
+func TestBucketFoldAllocs(t *testing.T) {
+	const bucket, window, slides, byteCeiling = 8, 2, 16, 105_000
+	_, coldBytes := coldScratch(42, 14_400)
+	s := Quick()
+	cell, err := measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, bucket, window, slides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d buckets of %d splits: %.1f allocs/slide, %.0f bytes/slide", window, bucket, cell.AllocsPerSlide, cell.BytesPerSlide)
+	if cell.BytesPerSlide > byteCeiling+bucket*coldBytes {
+		t.Errorf("a slide of %d-split buckets allocates %.0f bytes, ceiling %.0f: the bucket fold allocates its output again", bucket, cell.BytesPerSlide, byteCeiling+bucket*coldBytes)
 	}
 }
 
@@ -158,7 +185,7 @@ func TestStructValueSlideAllocs(t *testing.T) {
 	if kmeans.Name != "K-Means" {
 		t.Fatalf("first micro app is %q, want K-Means", kmeans.Name)
 	}
-	cell, err := measureSlideLoop(kmeans.NewJob(), kmeans.Gen, window, slides)
+	cell, err := measureSlideLoop(kmeans.NewJob(), kmeans.Gen, 1, window, slides)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package mapreduce
 
+import "unsafe"
+
 // FreeListBuffers bounds what a FreeList holds, in slices. A window
 // structure releases about as many aggregates a slide as it builds, but not
 // of the sizes it builds next, so the stock has to span the sizes of one
@@ -10,28 +12,43 @@ const FreeListBuffers = 16
 
 // FreeList is a bounded stock of dead payload storage: entry slices of
 // aggregates a window structure has overwritten or evicted (see
-// core.Releaser), kept for the next merges to be built in
-// (MergeOrderedSizedInto's dst). It holds at most FreeListBuffers slices,
-// cleared — it pins no key and no value. A list belongs to one window
-// structure and, like it, is not safe for concurrent use. The zero value is
-// an empty list.
+// core.Releaser), and of elements that have left the window, kept for the
+// next merges to be built in (MergeOrderedSizedInto's dst). It holds at most
+// FreeListBuffers slices, cleared — it pins no key and no value. A list
+// belongs to one window structure and, like it, is not safe for concurrent
+// use. The zero value is an empty list.
 type FreeList struct {
 	bufs         []Payload // len 0 each, every entry up to cap zero
 	hits, misses int64
 }
 
-// Get takes the smallest slice that holds n entries out of the list and
-// returns it with length 0; nil when none does — MergeOrderedSizedInto then
-// allocates one of exactly n — or when n is 0.
-func (f *FreeList) Get(n int) Payload {
-	if n == 0 {
+// Get takes the storage for a merge of inputs of total entries, the largest
+// of them largest entries, out of the list and returns it with length 0: the
+// smallest slice that holds total, which no union outgrows, else the largest
+// that holds the merge's fit bound (see MergeOrderedSizedInto), which a union
+// is least likely to outgrow. It returns nil when no slice holds the bound —
+// the merge then allocates total — or when total is 0.
+func (f *FreeList) Get(largest, total int) Payload {
+	if total == 0 {
 		return nil
 	}
-	best := -1
+	fit := fitBound(largest, total)
+	whole, part := -1, -1
 	for i, b := range f.bufs {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(f.bufs[best])) {
-			best = i
+		switch c := cap(b); {
+		case c >= total:
+			if whole < 0 || c < cap(f.bufs[whole]) {
+				whole = i
+			}
+		case c >= fit:
+			if part < 0 || c > cap(f.bufs[part]) {
+				part = i
+			}
 		}
+	}
+	best := whole
+	if best < 0 {
+		best = part
 	}
 	if best < 0 {
 		f.misses++
@@ -46,8 +63,9 @@ func (f *FreeList) Get(n int) Payload {
 }
 
 // Put hands the list a payload nothing reads any more. The payload must be
-// a merge's result (nothing beyond its length is set) that no one else
-// holds. A full list keeps its largest slices: they serve any request.
+// a merge's result or an element's (nothing beyond its length is set) that
+// no one else holds. A full list keeps its largest slices: they serve any
+// request.
 func (f *FreeList) Put(p Payload) {
 	if cap(p) == 0 {
 		return
@@ -74,6 +92,14 @@ func (f *FreeList) Put(p Payload) {
 type FreeListStats struct {
 	Hits, Misses     int64
 	Buffers, Entries int // slices held and their summed capacity
+}
+
+// Bytes is the memory the held slices take.
+func (s FreeListStats) Bytes() int64 { return int64(s.Entries) * int64(unsafe.Sizeof(Entry{})) }
+
+// Add returns the sum of two lists' bookkeeping.
+func (s FreeListStats) Add(o FreeListStats) FreeListStats {
+	return FreeListStats{s.Hits + o.Hits, s.Misses + o.Misses, s.Buffers + o.Buffers, s.Entries + o.Entries}
 }
 
 // Stats returns the list's bookkeeping.

@@ -153,14 +153,55 @@ func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
 	return MergeOrderedSizedInto(job, nil, left, right)
 }
 
+// fitShare sets how much room a destination needs: the larger input's
+// entries and 1/fitShare of the smaller's. A key both sides hold is written
+// once, and neighbouring aggregates of a window hold many of the same keys
+// (a word-count merge writes about 1/1.3 of its inputs' entries), so asking
+// for room for both inputs turns down storage most merges would fit in. A
+// merge that outgrows its destination moves to a fresh slice (see
+// MergeOrderedSizedInto). DESIGN.md §9 has the table the share was read from.
+const fitShare = 4
+
+// fitBound is the capacity a destination needs for a merge of inputs of
+// total entries, the largest of them largest entries.
+func fitBound(largest, total int) int { return largest + (total-largest)/fitShare }
+
+// mergeStorage returns the slice a merge of inputs of total entries, the
+// largest of them largest entries, appends to: dst emptied when it holds
+// fitBound (used), a fresh slice of total entries otherwise.
+func mergeStorage(dst Payload, largest, total int) (out Payload, used bool) {
+	if cap(dst) < fitBound(largest, total) {
+		return make(Payload, 0, total), false
+	}
+	return dst[:0], true
+}
+
+// releaseStorage clears what a merge that appended to dst's storage (used)
+// and returned out left of dst: the entries beyond the result, or — when the
+// union outgrew dst and out is a fresh slice — all of dst, which the caller
+// then drops. A dst the merge did not use is left as it was.
+func releaseStorage(dst, out Payload, used bool) {
+	switch {
+	case !used:
+	case cap(out) != cap(dst):
+		clear(dst[:cap(dst)])
+	case len(out) < len(dst):
+		clear(dst[len(out):])
+	}
+}
+
 // MergeOrderedSizedInto is MergeOrderedSized with a destination: the result
-// is built in dst's storage when that holds the disjoint case, in a fresh
-// slice otherwise. It is for the caller that has a payload nothing reads any
-// more — an aggregate a structure overwrote or evicted, see FreeList — so
-// that the next merge allocates nothing. dst must not share storage with
-// left or right. What the result leaves unused of it is cleared, so a reused
-// buffer pins no key or value of the payload it held before. Same entries,
-// same Bytes, same combines as MergeOrderedSized.
+// is built in dst's storage when that holds the larger input and a quarter of
+// the smaller (fitBound), in a fresh slice otherwise. It is for the caller
+// that has a payload nothing reads any more — an aggregate a structure
+// overwrote or evicted, see FreeList — so that the next merge allocates
+// nothing. dst must not share storage with left or right, and nothing beyond
+// its length may be set. A union larger than dst continues in a fresh slice
+// as append grows it; dst is then cleared and the result does not use it, so
+// a caller that finds the result outside dst drops dst. Otherwise what the
+// result leaves unused of dst is cleared. Either way a reused buffer pins no
+// key or value of the payload it held before. Same entries, same Bytes, same
+// combines as MergeOrderedSized.
 //
 // The inputs' lengths pick how the two sides are walked. Sides of like size
 // are merge-joined, one comparison per output entry. When one side holds at
@@ -170,10 +211,7 @@ func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
 // whole. Both ways build the same payload.
 func MergeOrderedSizedInto(job *Job, dst Payload, left, right Sized) (Sized, int64) {
 	l, r := left.P, right.P
-	out := dst[:0]
-	if n := len(l) + len(r); cap(out) < n {
-		out, dst = make(Payload, 0, n), nil
-	}
+	out, used := mergeStorage(dst, max(len(l), len(r)), len(l)+len(r))
 	bytes := left.Bytes
 	var combines int64
 	switch {
@@ -188,9 +226,7 @@ func MergeOrderedSizedInto(job *Job, dst Payload, left, right Sized) (Sized, int
 	default:
 		out, bytes, combines = mergeJoin(job, out, l, r, left.Bytes)
 	}
-	if len(out) < len(dst) {
-		clear(dst[len(out):])
-	}
+	releaseStorage(dst, out, used)
 	return Sized{P: out, Bytes: bytes}, combines
 }
 
@@ -363,7 +399,17 @@ func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 // one). Each Combine receives joinK's scratch, valid only for the
 // duration of the call.
 func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
-	nonEmpty, first, last, total := 0, -1, -1, 0
+	return MergeOrderedKSizedInto(job, nil, payloads)
+}
+
+// MergeOrderedKSizedInto is MergeOrderedKSized with a destination, on
+// MergeOrderedSizedInto's terms: the result is built in dst when that holds
+// the largest input and a quarter of the others' entries, dst is cleared and
+// dropped when the union outgrows it, and it is left alone when it is too
+// small to be used. Same entries, same Bytes, same combines as
+// MergeOrderedKSized.
+func MergeOrderedKSizedInto(job *Job, dst Payload, payloads []Sized) (Sized, int64) {
+	nonEmpty, first, last, largest, total := 0, -1, -1, 0, 0
 	for i, p := range payloads {
 		if len(p.P) > 0 {
 			if nonEmpty == 0 {
@@ -371,19 +417,23 @@ func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
 			}
 			nonEmpty++
 			last = i
+			largest = max(largest, len(p.P))
 			total += len(p.P)
 		}
 	}
 	switch nonEmpty {
 	case 0:
 		return Sized{}, 0
-	case 1:
-		return Sized{P: slices.Clone(payloads[last].P), Bytes: payloads[last].Bytes}, 0
 	case 2:
 		// Two cursors need no heap.
-		return MergeOrderedSized(job, payloads[first], payloads[last])
+		return MergeOrderedSizedInto(job, dst, payloads[first], payloads[last])
 	}
-	out := make(Payload, 0, total)
+	out, used := mergeStorage(dst, largest, total)
+	if nonEmpty == 1 {
+		out = append(out, payloads[last].P...)
+		releaseStorage(dst, out, used)
+		return Sized{P: out, Bytes: payloads[last].Bytes}, 0
+	}
 	var bytes, combines int64
 	joinK(payloads, func(key string, vals []Value) {
 		v := vals[0]
@@ -394,6 +444,7 @@ func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
 		out = append(out, Entry{key, v})
 		bytes += int64(len(key)) + valueBytes(job, v)
 	})
+	releaseStorage(dst, out, used)
 	return Sized{P: out, Bytes: bytes}, combines
 }
 

@@ -302,45 +302,87 @@ func TestMergeScratchIsPerCall(t *testing.T) {
 	}
 }
 
-// TestMergeIntoDestination covers MergeOrderedSizedInto against
-// MergeOrderedSized on the three sizing kinds: a destination that is large
-// enough carries the result (same entries, Bytes and combines, one
-// allocation — the scratch pair) and what the result leaves of it is
-// cleared; one that is too small, or nil, is left alone and the result is
-// fresh; an empty side copies the other into the destination.
+// TestMergeIntoDestination covers MergeOrderedSizedInto and
+// MergeOrderedKSizedInto against the fresh merges, on the three sizing kinds
+// and every kind of destination. One short of the fit bound (the largest
+// input and a quarter of the rest), or nil, is left alone and the result is
+// fresh. One that holds the bound and the union carries the result, and what
+// the result leaves of it is cleared. One that holds the bound but not the
+// union is outgrown: the result continues in a fresh slice and the
+// destination is cleared whole. An empty side copies the other into the
+// destination. Every way the entries, Bytes and combines are the fresh
+// merge's; a destination large enough costs one allocation, the scratch.
 func TestMergeIntoDestination(t *testing.T) {
 	stale := Entry{Key: "stale", Value: int64(7)}
+	staled := func(n int) Payload {
+		p := make(Payload, n)
+		for j := range p {
+			p[j] = stale
+		}
+		return p
+	}
 	for name, job := range sizedJobs() {
 		ps := testPayloads(job, 6)
-		for i := 1; i < len(ps); i++ {
-			left, right := ps[i-1], ps[i]
-			want, wantC := MergeOrderedSized(job, left, right)
-			need := len(left.P) + len(right.P)
-
-			dst := make(Payload, need+5)
-			for j := range dst {
-				dst[j] = stale
-			}
-			got, gotC := MergeOrderedSizedInto(job, dst, left, right)
-			if !reflect.DeepEqual(got, want) || gotC != wantC {
-				t.Fatalf("%s: merge into a destination differs: %v (%d combines), want %v (%d)", name, got, gotC, want, wantC)
-			}
-			if &got.P[0] != &dst[0] {
-				t.Fatalf("%s: a destination of %d entries was not used for %d", name, len(dst), need)
-			}
-			for j, e := range dst[len(got.P):] {
-				if e != (Entry{}) {
-					t.Fatalf("%s: destination entry %d beyond the result still holds %v", name, len(got.P)+j, e)
+		for i := 2; i < len(ps); i++ {
+			// Two and three neighbours: their unions (20 and 28 entries) lie
+			// between the fit bound (15, 18) and the inputs' total (24, 36).
+			for _, inputs := range [][]Sized{ps[i-1 : i+1], ps[i-2 : i+1]} {
+				want, wantC := MergeOrderedKSized(job, inputs)
+				into := func(dst Payload) (Sized, int64) {
+					if len(inputs) == 2 {
+						return MergeOrderedSizedInto(job, dst, inputs[0], inputs[1])
+					}
+					return MergeOrderedKSizedInto(job, dst, inputs)
+				}
+				largest, total := 0, 0
+				for _, in := range inputs {
+					largest, total = max(largest, len(in.P)), total+len(in.P)
+				}
+				fit, union := fitBound(largest, total), len(want.P)
+				if fit >= union || union >= total {
+					t.Fatalf("%s: the union of %d inputs (%d entries) is not between the fit bound %d and the total %d", name, len(inputs), union, fit, total)
+				}
+				for _, c := range []struct {
+					kind string
+					dst  Payload
+					used bool // the result lies in dst
+				}{
+					{"nil", nil, false},
+					{"short of the fit bound", staled(fit - 1), false},
+					{"outgrown", staled(fit), false},
+					{"fitting the union", staled(union), true},
+					{"larger than the inputs", staled(total + 5), true},
+				} {
+					got, gotC := into(c.dst)
+					if !reflect.DeepEqual(got, want) || gotC != wantC {
+						t.Fatalf("%s, %d inputs, %s destination: %v (%d combines), want %v (%d)", name, len(inputs), c.kind, got, gotC, want, wantC)
+					}
+					if c.dst == nil {
+						continue
+					}
+					if inDst := &got.P[0] == &c.dst[0]; inDst != c.used {
+						t.Fatalf("%s, %d inputs, %s destination of %d entries: result in it %v, want %v", name, len(inputs), c.kind, len(c.dst), inDst, c.used)
+					}
+					var rest Payload // what the result leaves of the destination
+					switch {
+					case c.used:
+						rest = c.dst[len(got.P):]
+					case c.kind == "outgrown":
+						rest = c.dst
+					default:
+						if !reflect.DeepEqual(c.dst, staled(len(c.dst))) {
+							t.Fatalf("%s, %d inputs: a destination %s was written", name, len(inputs), c.kind)
+						}
+					}
+					for j, e := range rest {
+						if e != (Entry{}) {
+							t.Fatalf("%s, %d inputs, %s destination: entry %d of what the result left still holds %v", name, len(inputs), c.kind, j, e)
+						}
+					}
 				}
 			}
 
-			small := make(Payload, need-1)
-			small[0] = stale
-			got, _ = MergeOrderedSizedInto(job, small, left, right)
-			if !reflect.DeepEqual(got, want) || &got.P[0] == &small[0] || small[0] != stale {
-				t.Fatalf("%s: a destination one entry short was used or written", name)
-			}
-
+			left := ps[i]
 			for _, empty := range []Sized{{}, {P: Payload{}}} {
 				dst := append(make(Payload, 0, len(left.P)+1), stale)
 				l, _ := MergeOrderedSizedInto(job, dst, left, empty)

@@ -53,7 +53,8 @@ type Config struct {
 	// points this at its WorkerObs tracer to expose batch traces.
 	Tracer *metrics.Tracer
 	// Window supplies the out-of-order window gauges (watermark lag,
-	// bucket-ledger width, late accept/reject counters). Typically
+	// bucket-ledger width, late accept/reject counters) and the free
+	// lists' holding. Typically
 	// (*sliderrt.Runtime).WindowStats.
 	Window func() sliderrt.WindowStats
 	// Cluster supplies the pool's federated per-worker stats; /metrics
@@ -313,6 +314,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# TYPE slider_late_arrivals_total counter")
 		fmt.Fprintf(w, "slider_late_arrivals_total{result=\"accept\"} %d\n", ws.LateAccepts)
 		fmt.Fprintf(w, "slider_late_arrivals_total{result=\"reject\"} %d\n", ws.LateRejects)
+		fmt.Fprintln(w, "# HELP slider_free_list_bytes Dead payload storage the partitions' free lists hold for the next merges (not in the memoized-state size).")
+		fmt.Fprintln(w, "# TYPE slider_free_list_bytes gauge")
+		fmt.Fprintf(w, "slider_free_list_bytes %d\n", ws.FreeListBytes)
 	}
 	if s.cfg.Cluster != nil {
 		cs := s.cfg.Cluster()

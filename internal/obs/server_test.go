@@ -241,6 +241,13 @@ func TestServerEndpointsLive(t *testing.T) {
 		}
 	}
 
+	// The free lists' holding, as of that upkeep: the folding tree's dead
+	// aggregates and the splits that left the window.
+	held := rt.Stats().FreeList.Bytes()
+	if got := metricValue(t, get(t, base+"/metrics"), "slider_free_list_bytes"); got != float64(held) || held == 0 {
+		t.Errorf("slider_free_list_bytes = %v, the runtime's free lists hold %d bytes", got, held)
+	}
+
 	// /debug/pprof and the index.
 	if p := get(t, base+"/debug/pprof/"); !strings.Contains(p, "goroutine") {
 		t.Error("pprof index missing goroutine profile")

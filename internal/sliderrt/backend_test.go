@@ -218,6 +218,104 @@ func TestSlideReusesDeadStorage(t *testing.T) {
 	}
 }
 
+// TestEarlyRecycleIsCaught: the elements a run evicts are recycled once its
+// upkeep has run, not when the structures report them. Recycled any earlier,
+// the ownership oracle catches it at the first slide: on DABA Lite because
+// the reduce still reads what left the window (the changed keys come out of
+// scribbled storage), on the split-processing rotating tree already because
+// its victim stays in its leaf until the upkeep installs the new bucket over
+// it. At the proper point the same slides pass.
+func TestEarlyRecycleIsCaught(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		caught string // what the oracle reports first
+	}{
+		{"daba", Config{Mode: Fixed, Backend: BackendDaba}, "the changed keys hold one read from a released payload"},
+		{"rotating/split", Config{Mode: Fixed, Backend: BackendRotating, SplitProcessing: true}, "a payload an aggregator holds holds a released payload"},
+	} {
+		for _, early := range []bool{false, true} {
+			cfg := c.cfg
+			cfg.BucketSplits, cfg.WindowBuckets, cfg.Memo = 1, deltaBuckets, testMemoConfig()
+			rt, err := New(wordCountJob(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := NewOwnership()
+			own.early = early
+			own.Watch(rt)
+			res, err := rt.Initial(sparseSplits(0, deltaBuckets))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := own.Check(rt, res); err != nil {
+				t.Fatalf("%s: the initial run evicts nothing, yet: %v", c.name, err)
+			}
+			for i := 0; i < 4; i++ {
+				if res, err = rt.Advance(1, sparseSplits(deltaBuckets+i, 1)); err != nil {
+					t.Fatal(err)
+				}
+				err = own.Check(rt, res)
+				switch {
+				case !early && err != nil:
+					t.Fatalf("%s, slide %d: recycled after the upkeep: %v", c.name, i+1, err)
+				case early && err == nil:
+					t.Fatalf("%s, slide %d: an element recycled before the upkeep went unnoticed", c.name, i+1)
+				case early && !strings.Contains(err.Error(), c.caught):
+					t.Fatalf("%s: caught as %q, want %q", c.name, err, c.caught)
+				}
+				if early {
+					break
+				}
+				if err := rt.Background(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestFreeListObservable: what the free lists hold is memory SpaceBytes
+// leaves out, so the runtime shows it. RuntimeStats.FreeList sums the
+// partitions' lists, and WindowStats.FreeListBytes publishes their bytes as
+// of the last run's upkeep, which is when the bucket a slide evicted joins
+// its list. On a window of two eight-split buckets every bucket after the
+// first slide is folded in the storage of the bucket evicted before it.
+func TestFreeListObservable(t *testing.T) {
+	const bucket = 8
+	rt, err := New(wordCountJob(), Config{Mode: Fixed, BucketSplits: bucket, WindowBuckets: 2, Memo: testMemoConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Initial(wideSplits(0, 2*bucket)); err != nil {
+		t.Fatal(err)
+	}
+	var before mapreduce.FreeListStats
+	for i := 0; i < 8; i++ {
+		if _, err := rt.Advance(bucket, wideSplits(2*bucket+i*bucket, bucket)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+		var want mapreduce.FreeListStats
+		for p := range rt.free {
+			want = want.Add(rt.free[p].Stats())
+		}
+		got := rt.Stats().FreeList
+		if got != want || got.Buffers < rt.parts {
+			t.Fatalf("slide %d: RuntimeStats.FreeList = %+v, the partitions' lists sum to %+v, each holding its evicted bucket", i+1, got, want)
+		}
+		if ws := rt.WindowStats(); ws.FreeListBytes != got.Bytes() || ws.FreeListBytes == 0 {
+			t.Fatalf("slide %d: WindowStats.FreeListBytes = %d, the lists hold %d", i+1, ws.FreeListBytes, got.Bytes())
+		}
+		if i > 0 && got.Hits-before.Hits < int64(rt.parts) {
+			t.Fatalf("slide %d: %d merges found storage in the free lists, fewer than one bucket fold per partition (%d)", i+1, got.Hits-before.Hits, rt.parts)
+		}
+		before = got
+	}
+}
+
 // TestCheckpointFixedRotatingPinned keeps rotating-tree checkpoint
 // coverage now that plain Fixed mode resolves to DABA.
 func TestCheckpointFixedRotatingPinned(t *testing.T) {

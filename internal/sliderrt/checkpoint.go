@@ -313,7 +313,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	// A partition's frame is decoded and validated before its aggregator
 	// is touched; the aggregator's Restore checks what only it can know
 	// (identity counts, the victim cursor against the bucket count).
-	rt.aggs, rt.combines, rt.free = rt.newAggregators()
+	rt.installAggregators()
 	for p := range st.Partitions {
 		state, err := rt.decodePartition(&st.Partitions[p], st.Version, st.Seq)
 		if err == nil {

@@ -13,20 +13,29 @@ const releasedKey = "\x00sliderrt: released storage"
 
 // Ownership is the ownership oracle over a runtime's payloads, for the
 // simulation harness and the oracle tests: a runtime it watches hands the
-// payloads its aggregators release to the oracle, which scribbles over them,
-// instead of recycling their storage — so a release of something still read
-// shows at the next Check, at the payload that was wrongly released, rather
-// than as a wrong output some slides later, if ever. One oracle may watch
-// several runtimes (a replica and what it is restored into).
+// payloads its aggregators release, and the elements that left its window, to
+// the oracle, which scribbles over them, instead of recycling their storage —
+// so a release of something still read shows at the next Check, at the
+// payload that was wrongly released, rather than as a wrong output some
+// slides later, if ever. One oracle may watch several runtimes (a replica and
+// what it is restored into).
 type Ownership struct {
 	oracle *core.OwnershipOracle[mapreduce.Entry]
+	// early moves the recycle of a run's evicted elements from after its
+	// upkeep to the moment the structures report them, before the reduce
+	// reads them: a wrong recycle the oracle tests inject to show it is
+	// caught.
+	early bool
 }
 
 // NewOwnership returns an oracle that watches nothing yet.
 func NewOwnership() *Ownership {
-	return &Ownership{core.NewOwnershipOracle(mapreduce.Entry{Key: releasedKey},
+	return &Ownership{oracle: core.NewOwnershipOracle(mapreduce.Entry{Key: releasedKey},
 		func(e mapreduce.Entry) bool { return e.Key == releasedKey })}
 }
+
+// recyclesEarly reports whether o is set and injects the early recycle.
+func (o *Ownership) recyclesEarly() bool { return o != nil && o.early }
 
 // Watch diverts the payloads rt's aggregators release from now on to the
 // oracle. Call it between runs.

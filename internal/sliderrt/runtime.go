@@ -99,11 +99,14 @@ type Runtime struct {
 	// the backend resolved to, behind the one core.Aggregator contract.
 	aggs []core.Aggregator[sized]
 	// free[p] stocks the storage of the aggregates partition p's structure
-	// released (core.Releaser) for its next merges to be built in. What it
-	// holds is bounded and is not memoized state: SpaceBytes leaves it out.
-	// own, when set, receives the released payloads instead, and the roots
-	// the last run handed to the reduce (handed) when its upkeep ends their
-	// lifetime (see Ownership).
+	// released (core.Releaser), and of the elements that left its window, for
+	// its next merges to be built in. What it holds is bounded and is not
+	// memoized state: SpaceBytes leaves it out (RuntimeStats.FreeList has
+	// it). handed is what the last run handed to the reduce: its roots, which
+	// its upkeep ends the lifetime of, and its evicted elements, which go to
+	// the free lists once the upkeep has run (recycle). own, when set,
+	// receives the released payloads and the evicted elements instead, and
+	// scans the roots (see Ownership).
 	free   []mapreduce.FreeList
 	own    *Ownership
 	handed []partDelta
@@ -192,25 +195,30 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 
 // mergeFor returns a partition's merge function: it combines two payloads in
 // window order — in storage taken from the partition's free list when that
-// has a slice large enough, see MergeOrderedSizedInto —, sizes the result as
-// it builds it, and counts combiner calls into counter. Both are the
+// has a slice that fits, see MergeOrderedSizedInto —, sizes the result as it
+// builds it, and counts combiner calls into counter. Both are the
 // partition's own: contract runs partitions concurrently, and one
 // partition's merges one at a time.
 func (rt *Runtime) mergeFor(free *mapreduce.FreeList, counter *int64) core.MergeFunc[sized] {
 	return func(a, b sized) sized {
-		out, c := mapreduce.MergeOrderedSizedInto(rt.job, free.Get(len(a.P)+len(b.P)), a, b)
+		dst := free.Get(max(len(a.P), len(b.P)), len(a.P)+len(b.P))
+		out, c := mapreduce.MergeOrderedSizedInto(rt.job, dst, a, b)
 		*counter += c
 		return out
 	}
 }
 
 // kmergeFor returns partition p's K-way merge function: it merges any
-// number of payloads in a single pass in window order and counts combiner
-// calls into p's own counter.
+// number of payloads in a single pass in window order — in storage from p's
+// free list, as mergeFor — and counts combiner calls into p's own counter.
 func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
-	counter := &rt.combines[p]
+	free, counter := &rt.free[p], &rt.combines[p]
 	return func(items []sized) sized {
-		out, c := mapreduce.MergeOrderedKSized(rt.job, items)
+		largest, total := 0, 0
+		for _, it := range items {
+			largest, total = max(largest, len(it.P)), total+len(it.P)
+		}
+		out, c := mapreduce.MergeOrderedKSizedInto(rt.job, free.Get(largest, total), items)
 		*counter += c
 		return out
 	}
@@ -220,11 +228,12 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // K-way merge — the fold-up of newly arrived splits into C′ for
 // coalescing appends and rotating-bucket formation. These fold-ups are
 // not memoized tree nodes, so they need not preserve binary fingerprints:
-// they batch through MergeOrderedK, which allocates one output payload
-// and issues one multi-argument Combine per key instead of len(ps)−1
-// intermediate payloads. A lone payload is handed through uncopied:
-// payloads are immutable, and the memo entry of its split holds no value,
-// so the tree is its only holder.
+// they batch through MergeOrderedK, which builds one output payload — in
+// the storage of an element that has left the window, once the window has
+// slid (see recycle) — and issues one multi-argument Combine per key instead
+// of len(ps)−1 intermediate payloads. A lone payload is handed through
+// uncopied: payloads are immutable, and the memo entry of its split holds no
+// value, so the tree is its only holder.
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	out, _ := core.ReduceOrderedK(rt.kmergeFor(p), ps)
 	return out
@@ -336,7 +345,7 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	return rt.run(initialRun, 0, splits, func(p int, payloads []sized) (partDelta, error) {
 		return partDelta{}, rt.aggs[p].Init(rt.elements(p, payloads))
 	}, func() {
-		rt.aggs, rt.combines, rt.free = rt.newAggregators()
+		rt.installAggregators()
 		if rt.outOfOrder() {
 			rt.uniformLedger(rt.cfg.WindowBuckets, rt.cfg.BucketSplits)
 		}
@@ -494,6 +503,9 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 	if err != nil {
 		return nil, rt.poison(err)
 	}
+	if rt.own.recyclesEarly() {
+		rt.recycle(parts)
+	}
 	out, rebuilt, statsFg := rt.reduceAll(&so, rec, parts, out, statsBefore)
 	if kind.gc {
 		rt.store.GC(rt.windowLo)
@@ -504,10 +516,7 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 	rt.started = true
 	rt.out = out
 	res := rt.finish(rebuilt, rec, statsBefore, statsFg)
-	rt.upkeepDue, rt.span = true, so.span
-	if rt.own != nil {
-		rt.handed = parts
-	}
+	rt.upkeepDue, rt.span, rt.handed = true, so.span, parts
 	so.finish(res)
 	return res, nil
 }
@@ -517,8 +526,11 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 // split processing's install and pre-combine, DABA Lite's fixups that feed
 // no query. It runs under a "background" span of the run's slide, and what
 // it did is reported by the next run's result (RunResult.Background,
-// TreeStatsBackground). Then it publishes the run's tree snapshot, when one
-// was requested, of the state the upkeep left. A caller that answers first
+// TreeStatsBackground). Then the elements the run evicted go to their
+// partitions' free lists — nothing reads them once the upkeep has run: a
+// split-processing victim stays in its leaf until then — and it publishes
+// the run's tree snapshot, when one was requested, of the state the upkeep
+// left, and the window gauges. A caller that answers first
 // calls it once the answer is out; one that does not leaves it to the next
 // Initial, Advance, AdvanceLate, Checkpoint or StateFingerprint, which run it
 // first. It does nothing when there is nothing to do. A failure names the
@@ -552,10 +564,30 @@ func (rt *Runtime) Background() error {
 	rt.bg.Add(metrics.Counters{CombineCalls: combines})
 	if rt.own != nil {
 		rt.own.scanHanded(rt.handed)
-		rt.handed = nil
 	}
+	if !rt.own.recyclesEarly() {
+		rt.recycle(rt.handed)
+	}
+	rt.handed = nil
 	rt.publishTreeSnapshot()
+	rt.publishWindowGauges()
 	return nil
+}
+
+// recycle hands the elements a run evicted to their partitions' free lists,
+// or to the oracle when one watches. The runtime built them — a bucket fold
+// or a map task, whose payloads nobody else holds — and no structure releases
+// an element (core.Releaser), so this is the one place they die.
+func (rt *Runtime) recycle(parts []partDelta) {
+	for p, part := range parts {
+		for _, e := range part.evicted {
+			if rt.own != nil {
+				rt.own.oracle.Release(e.P)
+			} else {
+				rt.free[p].Put(e.P)
+			}
+		}
+	}
 }
 
 // poison marks a started window unusable: a slide failed in its contraction
@@ -907,26 +939,27 @@ func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 	return buckets
 }
 
-// newAggregators instantiates one aggregator of the resolved backend per
-// partition, each wired to its own combine counter and its own free list.
-// The caller installs the three slices together
-// (Initial, Restore).
-func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64, []mapreduce.FreeList) {
+// installAggregators instantiates one aggregator of the resolved backend per
+// partition, each wired to its own combine counter and its own free list,
+// in place of whatever the runtime had (Initial, Restore). A recycle the
+// replaced window left pending is dropped with it.
+func (rt *Runtime) installAggregators() {
 	opts := core.Options{
 		Width:         rt.cfg.WindowBuckets,
 		Split:         rt.cfg.SplitProcessing,
 		RebuildFactor: rt.cfg.RebuildFactor,
 	}
-	combines := make([]int64, rt.parts)
-	free := make([]mapreduce.FreeList, rt.parts)
-	aggs := make([]core.Aggregator[sized], rt.parts)
-	for p := range aggs {
+	rt.combines = make([]int64, rt.parts)
+	rt.free = make([]mapreduce.FreeList, rt.parts)
+	rt.aggs = make([]core.Aggregator[sized], rt.parts)
+	rt.handed = nil
+	for p := range rt.aggs {
 		opts.Seed = rt.cfg.Seed + uint64(p) + 1
-		aggs[p] = core.NewAggregator(rt.backend, rt.mergeFor(&free[p], &combines[p]), opts)
+		list := &rt.free[p]
+		rt.aggs[p] = core.NewAggregator(rt.backend, rt.mergeFor(list, &rt.combines[p]), opts)
 		// A structure that knows when an aggregate it merged dies says so, and
 		// the partition's next merge is built in what the dead one left.
-		if r, ok := aggs[p].(core.Releaser[sized]); ok {
-			list := &free[p]
+		if r, ok := rt.aggs[p].(core.Releaser[sized]); ok {
 			r.OnRelease(func(s sized) {
 				if rt.own != nil {
 					rt.own.oracle.Release(s.P)
@@ -936,7 +969,6 @@ func (rt *Runtime) newAggregators() ([]core.Aggregator[sized], []int64, []mapred
 			})
 		}
 	}
-	return aggs, combines, free
 }
 
 // partitionTreeBytes sums the carried sizes of the payloads partition
@@ -1057,6 +1089,11 @@ type RuntimeStats struct {
 	TreeStats core.Stats
 	// Memo is the memoization layer's snapshot.
 	Memo memo.Stats
+	// FreeList sums the partitions' free lists: the dead storage they hold
+	// for the next merges — memory SpaceBytes leaves out — and how many
+	// merges found storage there and how many did not, since the aggregators
+	// were installed.
+	FreeList mapreduce.FreeListStats
 }
 
 // Stats returns a snapshot of the runtime's cumulative activity.
@@ -1067,5 +1104,15 @@ func (rt *Runtime) Stats() RuntimeStats {
 		WindowLo:   rt.windowLo,
 		TreeStats:  rt.treeStats(),
 		Memo:       rt.store.Stats(),
+		FreeList:   rt.freeListStats(),
 	}
+}
+
+// freeListStats sums the partitions' free-list bookkeeping.
+func (rt *Runtime) freeListStats() mapreduce.FreeListStats {
+	var total mapreduce.FreeListStats
+	for p := range rt.free {
+		total = total.Add(rt.free[p].Stats())
+	}
+	return total
 }
