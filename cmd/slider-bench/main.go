@@ -6,13 +6,10 @@
 //	slider-bench [-scale quick|full] [-exp all|fig7,table3,...] [-out file]
 //
 // Experiment names: fig7 fig8 fig9 fig10 fig11 fig12 fig13 table1 table2
-// table3 table4 table5 ablation backends.
+// table3 table4 table5 ablation backends outoforder.
 //
 // -backends-json writes the DABA-vs-rotating head-to-head sweep (the
 // "backends" experiment) as a standalone JSON document (BENCH_daba.json).
-//
-// -payload-json writes the gob-vs-flat payload codec head-to-head (the
-// "payload" experiment) as JSON (BENCH_payload.json).
 //
 // -ooo-json writes the finger-tree bulk-vs-sequential sweep (the
 // "outoforder" experiment) as JSON (BENCH_ooo.json).
@@ -43,7 +40,6 @@ func run(args []string) error {
 	outPath := fs.String("out", "", "write results to this file instead of stdout")
 	jsonPath := fs.String("json", "", "also write a machine-readable JSON record to this file")
 	backendsJSON := fs.String("backends-json", "", "write the backends head-to-head sweep as JSON to this file")
-	payloadJSON := fs.String("payload-json", "", "write the payload codec head-to-head as JSON to this file")
 	oooJSON := fs.String("ooo-json", "", "write the out-of-order bulk-vs-sequential sweep as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -100,17 +96,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Fprintf(out, "backends JSON written to %s\n", *backendsJSON)
-	}
-	if *payloadJSON != "" {
-		f, err := os.Create(*payloadJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WritePayloadJSON(f, scale); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "payload JSON written to %s\n", *payloadJSON)
 	}
 	if *oooJSON != "" {
 		f, err := os.Create(*oooJSON)

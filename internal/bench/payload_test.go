@@ -25,60 +25,8 @@ func coldScratch(allocs, bytes float64) (float64, float64) {
 	return 0, 0
 }
 
-// TestPayloadAllocBudget pins the flat codec's acceptance bound from the
-// sld2 work on a wordcount-shaped payload: steady-state encode allocates
-// nothing, decode allocates two per payload (the entry slice, one copy of
-// the key arena) and nothing per key, and the full encode+decode path
-// allocates at least 90% less than the legacy gob codec.
-//
-// Both decode bounds are net of the boxes: a payload holds its counts as
-// interface values, and Go allocates one word for every int64 above 255
-// put into an interface, whoever decodes it — the gob decoder pays the
-// same number for the same payload. (The bounds were ≤ 2 and ≥ 90% gross
-// while the measured decode was a typed walk that never built a payload;
-// that walk went with the map representation, the decode measured now is
-// the one every consumer runs.) Allocation counts are deterministic
-// (testing.AllocsPerRun), so unlike the timing bounds this smoke is safe
-// on loaded CI runners.
-func TestPayloadAllocBudget(t *testing.T) {
-	const entries = 256
-	flat, err := measureFlatCodec(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.EncodeAllocsPerOp != 0 {
-		t.Errorf("flat encode: %.1f allocs/op, want 0", flat.EncodeAllocsPerOp)
-	}
-	var boxed float64
-	for _, e := range benchPayload(entries) {
-		if e.Value.(int64) > 255 { // the runtime boxes single-byte values for free
-			boxed++
-		}
-	}
-	const budget = 2
-	if own := flat.DecodeAllocsPerOp - boxed; own != budget {
-		t.Errorf("flat decode: %.1f allocs/op of which %.0f boxed counts, leaves %.1f, want %d per payload",
-			flat.DecodeAllocsPerOp, boxed, own, budget)
-	}
-
-	gob, err := measureGobCodec(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobTotal := gob.EncodeAllocsPerOp + gob.DecodeAllocsPerOp - boxed
-	flatTotal := flat.EncodeAllocsPerOp + flat.DecodeAllocsPerOp - boxed
-	if gobTotal <= 0 {
-		t.Fatalf("gob codec reported %.1f allocs/op besides %.0f boxed counts", gobTotal, boxed)
-	}
-	reduction := 100 * (1 - flatTotal/gobTotal)
-	if reduction < 90 {
-		t.Errorf("flat round trip cuts allocations by %.1f%% vs gob (flat %.1f, gob %.1f, both besides %.0f boxed counts), want ≥ 90%%",
-			reduction, flatTotal, gobTotal, boxed)
-	}
-}
-
 // TestPayloadSlideAllocs pins what the wordcount slide loop allocates per
-// slide at the payload experiment's window: the end-to-end check that no
+// slide at a window of 16 one-split buckets: the end-to-end check that no
 // slide serialises its state. (It used to compare against the same loop
 // with every writer switched to gob; that switch is gone, the budget it
 // defended is pinned instead: 175 allocs/slide measured — 196 while a map

@@ -10,7 +10,7 @@ import (
 var Experiments = []string{
 	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 	"table1", "table2", "table3", "table4", "table5",
-	"ablation", "backends", "payload", "outoforder",
+	"ablation", "backends", "outoforder",
 }
 
 // Run executes the selected experiments at the given scale, streaming
@@ -107,13 +107,6 @@ func Run(w io.Writer, s Scale, selected []string) error {
 		_, text, err := RunBackends(s)
 		if err != nil {
 			return fmt.Errorf("backends: %w", err)
-		}
-		fmt.Fprintln(w, text)
-	}
-	if on("payload") {
-		_, text, err := RunPayload(s)
-		if err != nil {
-			return fmt.Errorf("payload: %w", err)
 		}
 		fmt.Fprintln(w, text)
 	}

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -23,26 +22,21 @@ import (
 // input two ways: as it is — headers, magics, lengths and truncation — and
 // reframed, cut into chunks that are each given a valid header, which puts
 // the mutations behind the checksum where the body decoders read them: the
-// envelopes, splits and map results under their flat kinds, and gob bodies
-// (a ping's, a stats poll's and a trace's answer, a gob-fallback split)
-// under the sld1 header. Every whole message among the seeds is also
-// seeded in its chunked form, so the mutations start from streams that
-// parse.
+// envelopes, splits, map results and gob values (a ping's, a stats poll's
+// and a trace's answer) under their kinds. Every whole message among the
+// seeds is also seeded in its chunked form, so the mutations start from
+// streams that parse.
 
 const (
 	fuzzBytesPerByte = 128     // map output and decoded entries per input byte
 	fuzzBytesFlat    = 1 << 18 // buffers, scratch, the job, gob's type machinery
 )
 
-// gobKind is reframed's selector for an sld1 frame; no flat kind is 0.
-const gobKind byte = 0
-
-// gobFramed appends the sld1 frame around body, whatever body is.
-func gobFramed(dst, body []byte) []byte {
-	dst = append(dst, "sld1"...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	return append(dst, body...)
+// framed appends a frame of the given kind around body, whatever body is.
+func framed(dst []byte, kind byte, body []byte) []byte {
+	dst = persist.StartFrame(dst, kind)
+	start := len(dst)
+	return persist.FinishFrame(append(dst, body...), start)
 }
 
 // reframed cuts data into chunks — kind selector, 16-bit length, body — and
@@ -56,13 +50,7 @@ func reframed(data []byte, kinds []byte) []byte {
 		if n > len(data) {
 			n = len(data)
 		}
-		if kind == gobKind {
-			out = gobFramed(out, data[:n])
-		} else {
-			out = persist.StartFrame(out, kind)
-			body := len(out)
-			out = persist.FinishFrame(append(out, data[:n]...), body)
-		}
+		out = framed(out, kind, data[:n])
 		data = data[n:]
 	}
 	return out
@@ -78,11 +66,9 @@ func chunked(t testing.TB, stream []byte, kinds []byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind, body := gobKind, stream[16:size]
-		if string(stream[:4]) != "sld1" {
-			if kind, body, err = persist.OpenFrame(stream[:size]); err != nil {
-				t.Fatal(err)
-			}
+		kind, body, err := persist.OpenFrame(stream[:size])
+		if err != nil {
+			t.Fatal(err)
 		}
 		sel := bytes.IndexByte(kinds, kind)
 		if sel < 0 || len(body) > math.MaxUint16 {
@@ -110,7 +96,16 @@ func frameKind(t testing.TB, stream []byte) byte {
 	return kind
 }
 
-// fuzzRecord makes a split travel whole in an sld1 gob frame.
+// valueKind is the kind of persist's value frames.
+func valueKind(t testing.TB) byte {
+	frame, err := persist.AppendValue(nil, PingReply{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameKind(t, frame)
+}
+
+// fuzzRecord puts a split's records in the gob column.
 type fuzzRecord struct {
 	Line string
 	N    int
@@ -129,8 +124,9 @@ func FuzzWireRequest(f *testing.F) {
 	w.SetObs(NewWorkerObs())
 
 	traced := mapCall(f, true)
-	kinds := []byte{kindCall, frameKind(f, traced[len(appendCall(nil, firstCall(opMap), "dist-wordcount", "rpc x")):]), kindReply, gobKind}
-	// A batch of one split whose record is no native scalar: an sld1 frame.
+	splitKind := frameKind(f, traced[len(appendCall(nil, firstCall(opMap), "dist-wordcount", "rpc x")):])
+	kinds := []byte{kindCall, splitKind, kindReply, valueKind(f)}
+	// A batch of one split whose record is no native scalar: the gob column.
 	persist.RegisterType(fuzzRecord{})
 	oneSplit := firstCall(opMap)
 	oneSplit.items = 1
@@ -148,9 +144,20 @@ func FuzzWireRequest(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\nHost: worker\r\n\r\n"), false)
 	f.Add(appendCall(nil, firstCall(opMap), "no-such-job", ""), false)
 	f.Add([]byte{0, 40, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0}, true)
-	// A split frame whose gob message claims the length byte count that
-	// does not fit an int8.
-	f.Add(gobFramed(appendCall(nil, oneSplit, "dist-wordcount", ""), []byte{0x80}), false)
+	// A split whose one record's gob message claims the length byte count
+	// that does not fit an int8: the record is framed as the []byte 0x80,
+	// and its tag, the body's only byte 8, becomes the gob column's 9.
+	badSplit, err := persist.EncodeSplit(mapreduce.Split{ID: "g", Records: []any{[]byte{0x80}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, body, err := persist.OpenFrame(badSplit)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body = append([]byte(nil), body...)
+	body[bytes.IndexByte(body, 8)] = 9
+	f.Add(framed(appendCall(nil, oneSplit, "dist-wordcount", ""), splitKind, body), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, reframe bool) {
 		if reframe {
@@ -196,7 +203,7 @@ func FuzzWireReply(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	kinds := []byte{kindReply, frameKind(f, mapReply[len(appendReply(nil, 1, statusOK, 3, "w0", "")):]), kindCall, gobKind}
+	kinds := []byte{kindReply, frameKind(f, mapReply[len(appendReply(nil, 1, statusOK, 3, "w0", "")):]), kindCall, valueKind(f)}
 	for _, msg := range [][]byte{withSpans, ping, stats} {
 		f.Add(msg, false)
 		f.Add(chunked(f, msg, kinds), true)
@@ -205,7 +212,7 @@ func FuzzWireReply(f *testing.F) {
 	f.Add(withSpans[:len(withSpans)-7], false)
 	// A value whose gob message claims the length byte count that does not
 	// fit an int8.
-	f.Add(gobFramed(appendReply(nil, 1, statusOK, 1, "w0", ""), []byte{0x80}), false)
+	f.Add(framed(appendReply(nil, 1, statusOK, 1, "w0", ""), valueKind(f), []byte{0x80}), false)
 	f.Add(appendReply(nil, 1, statusJobError, 0, "w0", "job \"j\" panicked"), false)
 	f.Add(appendReply(nil, 0, statusCorruptRequest, 0, "w0", "checksum mismatch"), false)
 	f.Add([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"), false)

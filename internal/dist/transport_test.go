@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"runtime"
@@ -271,6 +272,38 @@ func TestForeignPeerNamedNotHung(t *testing.T) {
 	}
 	if _, err := Ping(addrs[0]); err != nil {
 		t.Fatalf("ping after the foreign client: %v", err)
+	}
+}
+
+// TestSld1FrameIsAForeignPeer: the wire knows one header. sld1 — the
+// header value frames had before every frame took sld2 — is refused as a
+// foreign peer's: in answer to a connection's first call, and as the
+// first bytes a worker reads.
+func TestSld1FrameIsAForeignPeer(t *testing.T) {
+	value, err := persist.Encode(PingReply{Worker: "old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := value[persist.FramePrefixLen:]
+	old := append([]byte("sld1"), binary.LittleEndian.AppendUint64(nil, uint64(len(body)))...)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(body))
+	old = append(old, body...)
+
+	var pr PingReply
+	if err := newWireConn(&loopConn{in: old}).value(opPing, 0, &pr); !errors.Is(err, errProtocol) {
+		t.Fatalf("a ping answered with an sld1 frame: err = %v, want errProtocol", err)
+	}
+
+	w, err := NewWorker("w0", "127.0.0.1:0", &Registry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	lc := &loopConn{in: old}
+	w.serve(lc)
+	rep, err := decodeReply(lc.out)
+	if err != nil || rep.status != statusRefused {
+		t.Fatalf("a worker sent an sld1 frame answered %+v, %v; want a refusal", rep, err)
 	}
 }
 

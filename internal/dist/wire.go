@@ -36,10 +36,10 @@ import (
 //	           u64 traceID | u64 slideID | str job | str parentSpan
 //	kindReply  u64 id | u8 status | u32 items | str worker | str text
 //
-// A value frame is persist's sld1 frame around a gob value
-// (persist.AppendValue, persist.Decode) — the frame a gob-fallback split
-// already travels in. What it holds is said by the call's op and the
-// frame's place in the reply.
+// A value frame is persist's frame of a gob value (persist.AppendValue,
+// persist.Decode). What it holds is said by the call's op and the frame's
+// place in the reply. The wire knows one header: a peer whose frames are
+// sld1, the header value frames had before, is refused as foreign.
 //
 // A connection carries one request at a time. That is what the traffic
 // is: a Runtime is a single caller, a round sends each worker one batch,

@@ -1,6 +1,7 @@
-// Package flatenc implements the flat, length-prefixed columnar encoding
-// behind Slider's byte-shaped payload paths: dist RPC framing and runtime
-// checkpoints. It replaces per-value gob encoding
+package persist
+
+// This file is the flat, length-prefixed columnar body that payload-shaped
+// frames carry (kinds 1–4). It replaces per-value gob encoding
 // (reflection, interface boxing, a type dictionary per stream) with a
 // single-pass arena layout that encodes a payload with zero steady-state
 // allocations (pooled buffers) and decodes it by appending: one entry
@@ -12,7 +13,7 @@
 // Frames written while payloads were hash maps carry map order; the
 // decoder checks the order as it appends and sorts such a frame once.
 //
-// # Wire layout (little-endian)
+// # Body layout (little-endian)
 //
 //	u8  version (currently 1)
 //	u32 count        — number of key/value entries
@@ -30,22 +31,19 @@
 // The common scalar types carried by payloads — int, int64, uint64,
 // float64, bool, string, []byte, nil — encode natively into the numeric
 // or byte column. Anything else (slices, maps, application accumulator
-// types registered via persist.RegisterType) rides the gob escape-hatch
-// column: the value is gob-encoded individually into the byte arena under
-// tagGob, preserving exact round-trip types through the process-global
-// gob registry.
+// types registered via RegisterType) rides the gob escape-hatch column:
+// the value is gob-encoded individually into the byte arena under tagGob,
+// preserving exact round-trip types through the process-global gob
+// registry.
 //
 // The same column machinery also encodes bare value lists (split records
-// on the dist wire — AppendValues) and payload sets (a split's
-// per-partition outputs, a checkpoint's buckets — AppendPayloadSet,
-// AppendSizedSet).
-package flatenc
+// — appendValuesBody) and payload sets (a split's per-partition outputs, a
+// checkpoint's buckets — appendSetBody, appendSizedSetBody).
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -54,14 +52,8 @@ import (
 	"slider/internal/mapreduce"
 )
 
-// Payload is the payload type this package encodes.
-type Payload = mapreduce.Payload
-
-// ErrMalformed is returned when flat bytes fail structural validation.
-var ErrMalformed = errors.New("flatenc: malformed encoding")
-
-// Version is the current body-format version byte.
-const Version = 1
+// bodyVersion is the current body-format version byte.
+const bodyVersion = 1
 
 // Value type tags. The bool value is folded into the tag so true/false
 // consume no column space.
@@ -78,26 +70,7 @@ const (
 	tagGob
 )
 
-const headerLen = 1 + 5*4
-
-var registerOnce sync.Once
-
-// EnsureBuiltins registers the value types that appear inside payloads of
-// the bundled applications and the query layer, so they can travel
-// through the gob escape-hatch column (and through legacy gob frames).
-// It is idempotent and called by every encode/decode entry point.
-func EnsureBuiltins() {
-	registerOnce.Do(func() {
-		for _, v := range []any{
-			int(0), int64(0), uint64(0), float64(0), false, "",
-			[]byte(nil), []float64(nil), []int64(nil), []string(nil),
-			[]any(nil), map[string]int64(nil), map[string]float64(nil),
-			map[string]any(nil),
-		} {
-			gob.Register(v)
-		}
-	})
-}
+const bodyHeaderLen = 1 + 5*4
 
 // gobValue wraps an escape-hatch value so gob records its concrete type
 // (decoding into an interface field requires a registered concrete type).
@@ -145,7 +118,7 @@ func numBits(tag uint8, v any) uint64 {
 }
 
 // bufPool recycles encode buffers across slides. Buffers returned by
-// GetBuffer start empty with whatever capacity their previous life grew,
+// getBuffer start empty with whatever capacity their previous life grew,
 // so a streaming workload's steady state encodes every payload into
 // already-warm capacity, allocation-free.
 var bufPool = sync.Pool{
@@ -155,17 +128,16 @@ var bufPool = sync.Pool{
 	},
 }
 
-// GetBuffer returns a pooled, empty encode buffer. Pass *b as the dst of
-// AppendPayload and hand the pointer back with PutBuffer when the encoded
-// bytes have been copied out (or are no longer needed).
-func GetBuffer() *[]byte {
+// getBuffer returns a pooled, empty encode buffer; putBuffer hands it back
+// once the encoded bytes have been copied out.
+func getBuffer() *[]byte {
 	return bufPool.Get().(*[]byte)
 }
 
-// PutBuffer recycles a buffer obtained from GetBuffer. The caller must
-// not retain any slice of it afterwards.
-func PutBuffer(b *[]byte) {
-	if b == nil || cap(*b) > 1<<22 {
+// putBuffer recycles a buffer obtained from getBuffer. The caller must not
+// retain any slice of it afterwards.
+func putBuffer(b *[]byte) {
+	if cap(*b) > 1<<22 {
 		return // don't pin pathological giants in the pool
 	}
 	*b = (*b)[:0]
@@ -175,29 +147,19 @@ func PutBuffer(b *[]byte) {
 // gobEncPool recycles the bytes.Buffer used for escape-hatch values.
 var gobEncPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// AppendPayload appends the flat encoding of p to dst, entries in the
-// order p holds them, and returns the extended slice. With a pooled dst
-// (GetBuffer) the append is allocation-free at steady state for payloads
-// of native scalar values; escape-hatch values cost one pooled gob encoder
-// pass each. On error dst is returned truncated to its original length.
-func AppendPayload(dst []byte, p Payload) ([]byte, error) {
+// appendPayloadBody appends the flat encoding of p to dst, entries in the
+// order p holds them, and returns the extended slice. With a warm dst the
+// append is allocation-free for payloads of native scalar values;
+// escape-hatch values cost one pooled gob encoder pass each. On error dst
+// is returned truncated to its original length.
+func appendPayloadBody(dst []byte, p mapreduce.Payload) ([]byte, error) {
 	w := beginBody(dst, len(p))
 	for i := range p {
 		w.tag(p[i].Value)
 	}
 	keyArenaLen := 0
 	for i := range p {
-		w.dst = appendU32(w.dst, uint32(len(p[i].Key)))
+		w.dst = binary.LittleEndian.AppendUint32(w.dst, uint32(len(p[i].Key)))
 		keyArenaLen += len(p[i].Key)
 	}
 	for i := range p {
@@ -216,11 +178,11 @@ func AppendPayload(dst []byte, p Payload) ([]byte, error) {
 	return w.finish(keyArenaLen), nil
 }
 
-// AppendValues appends the flat encoding of a bare value list (no keys)
-// to dst: the same layout as a payload with count entries, minus the
+// appendValuesBody appends the flat encoding of a bare value list (no
+// keys) to dst: the same layout as a payload with count entries, minus the
 // keyLens section and the key arena (count alone describes them). Used
-// for split records on the dist wire.
-func AppendValues(dst []byte, vals []any) ([]byte, error) {
+// for split records.
+func appendValuesBody(dst []byte, vals []any) ([]byte, error) {
 	w := beginBody(dst, len(vals))
 	for _, v := range vals {
 		w.tag(v)
@@ -252,12 +214,11 @@ type bodyWriter struct {
 // beginBody appends the header of an n-entry body, counts zeroed until
 // finish patches them.
 func beginBody(dst []byte, n int) bodyWriter {
-	EnsureBuiltins()
-	dst = append(dst, Version)
-	dst = appendU32(dst, uint32(n))
+	dst = append(dst, bodyVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	hdrOff := len(dst)
 	for range 4 { // keyArenaLen, numCount, byteCount, byteArenaLen
-		dst = appendU32(dst, 0)
+		dst = binary.LittleEndian.AppendUint32(dst, 0)
 	}
 	return bodyWriter{dst: dst, hdrOff: hdrOff, tagsOff: len(dst)}
 }
@@ -279,7 +240,7 @@ func (w *bodyWriter) tag(v any) {
 func (w *bodyWriter) num(i int, v any) {
 	switch t := w.dst[w.tagsOff+i]; t {
 	case tagInt, tagInt64, tagUint64, tagFloat64:
-		w.dst = appendU64(w.dst, numBits(t, v))
+		w.dst = binary.LittleEndian.AppendUint64(w.dst, numBits(t, v))
 	}
 }
 
@@ -288,7 +249,7 @@ func (w *bodyWriter) num(i int, v any) {
 func (w *bodyWriter) byteLens() {
 	w.byteLensOff = len(w.dst)
 	for range w.byteCount {
-		w.dst = appendU32(w.dst, 0)
+		w.dst = binary.LittleEndian.AppendUint32(w.dst, 0)
 	}
 }
 
@@ -303,7 +264,7 @@ func (w *bodyWriter) bytes(i int, v any) error {
 	case tagGob:
 		vb, err := encodeGobValue(v)
 		if err != nil {
-			return fmt.Errorf("flatenc: entry %d: %w", i, err)
+			return fmt.Errorf("persist: entry %d: %w", i, err)
 		}
 		w.dst = append(w.dst, vb...)
 	default:
@@ -327,6 +288,7 @@ func (w *bodyWriter) finish(keyArenaLen int) []byte {
 // encodeGobValue gob-encodes one escape-hatch value through a pooled
 // buffer, returning a fresh copy of the encoded bytes.
 func encodeGobValue(v any) ([]byte, error) {
+	registerBuiltins()
 	buf := gobEncPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer gobEncPool.Put(buf)
@@ -336,26 +298,11 @@ func encodeGobValue(v any) ([]byte, error) {
 	return append([]byte(nil), buf.Bytes()...), nil
 }
 
-// EncodePayload returns the flat encoding of p in a fresh, exactly-sized
-// slice. Hot paths that can recycle buffers should prefer
-// AppendPayload(*GetBuffer(), p).
-func EncodePayload(p Payload) ([]byte, error) {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	out, err := AppendPayload(*buf, p)
-	if err != nil {
-		return nil, err
-	}
-	final := append(make([]byte, 0, len(out)), out...)
-	*buf = out[:0]
-	return final, nil
-}
-
-// AppendPayloadSet appends a length-prefixed sequence of flat payload
-// bodies: u32 count, then per payload u32 bodyLen + body. It carries a
-// split's per-partition outputs or a checkpoint's bucket list in one blob.
-func AppendPayloadSet(dst []byte, ps []Payload) ([]byte, error) {
-	out := appendU32(dst, uint32(len(ps)))
+// appendSetBody appends a length-prefixed sequence of flat payload bodies:
+// u32 count, then per payload u32 bodyLen + body. It carries a split's
+// per-partition outputs or a checkpoint's bucket list in one blob.
+func appendSetBody(dst []byte, ps []mapreduce.Payload) ([]byte, error) {
+	out := binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for _, p := range ps {
 		var err error
 		if out, err = appendSetMember(out, p); err != nil {
@@ -365,10 +312,10 @@ func AppendPayloadSet(dst []byte, ps []Payload) ([]byte, error) {
 	return out, nil
 }
 
-// AppendSizedSet is AppendPayloadSet over payloads held with their sizes
+// appendSizedSetBody is appendSetBody over payloads held with their sizes
 // (a partition's tree roots, a snapshot's buckets), read where they lie.
-func AppendSizedSet(dst []byte, ps []mapreduce.Sized) ([]byte, error) {
-	out := appendU32(dst, uint32(len(ps)))
+func appendSizedSetBody(dst []byte, ps []mapreduce.Sized) ([]byte, error) {
+	out := binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for i := range ps {
 		var err error
 		if out, err = appendSetMember(out, ps[i].P); err != nil {
@@ -380,9 +327,9 @@ func AppendSizedSet(dst []byte, ps []mapreduce.Sized) ([]byte, error) {
 
 // appendSetMember appends one payload of a set: its body behind the
 // body's length.
-func appendSetMember(dst []byte, p Payload) ([]byte, error) {
+func appendSetMember(dst []byte, p mapreduce.Payload) ([]byte, error) {
 	lenOff := len(dst)
-	out, err := AppendPayload(appendU32(dst, 0), p)
+	out, err := appendPayloadBody(binary.LittleEndian.AppendUint32(dst, 0), p)
 	if err != nil {
 		return dst, err
 	}
@@ -390,47 +337,48 @@ func appendSetMember(dst []byte, p Payload) ([]byte, error) {
 	return out, nil
 }
 
-// DecodePayloadSet decodes a payload-set blob into fresh payloads.
-func DecodePayloadSet(data []byte) ([]Payload, error) {
+// decodeSetBody decodes a payload-set blob into fresh payloads.
+func decodeSetBody(data []byte) ([]mapreduce.Payload, error) {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: payload set too short", ErrMalformed)
+		return nil, fmt.Errorf("%w: payload set too short", ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	rest := data[4:]
 	// Every payload costs its length prefix and a header at least, so a
 	// count the bytes cannot hold is refused before anything is sized by it.
-	if n < 0 || n > len(rest)/(4+headerLen) {
-		return nil, fmt.Errorf("%w: payload set count %d in %d bytes", ErrMalformed, n, len(data))
+	if n < 0 || n > len(rest)/(4+bodyHeaderLen) {
+		return nil, fmt.Errorf("%w: payload set count %d in %d bytes", ErrCorrupt, n, len(data))
 	}
-	out := make([]Payload, n)
+	out := make([]mapreduce.Payload, n)
 	for i := range out {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: payload set truncated at %d", ErrMalformed, i)
+			return nil, fmt.Errorf("%w: payload set truncated at %d", ErrCorrupt, i)
 		}
 		bodyLen := int(binary.LittleEndian.Uint32(rest))
 		rest = rest[4:]
 		if bodyLen < 0 || bodyLen > len(rest) {
-			return nil, fmt.Errorf("%w: payload set body %d overruns", ErrMalformed, i)
+			return nil, fmt.Errorf("%w: payload set body %d overruns", ErrCorrupt, i)
 		}
 		var err error
-		if out[i], err = DecodePayload(rest[:bodyLen]); err != nil {
+		if out[i], err = decodePayloadBody(rest[:bodyLen]); err != nil {
 			return nil, fmt.Errorf("payload set body %d: %w", i, err)
 		}
 		rest = rest[bodyLen:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after payload set", ErrMalformed, len(rest))
+		return nil, fmt.Errorf("%w: %d trailing bytes after payload set", ErrCorrupt, len(rest))
 	}
 	return out, nil
 }
 
-// DecodePayload decodes one flat payload body into a fresh payload that
-// shares nothing with data: the key arena is copied once and every key is
-// a substring of the copy; string and []byte values are copied one by
-// one. Entries are appended in wire order with their order checked on the
-// way; a body that is not strictly sorted — written while payloads were
-// hash maps — is sorted once, and one that holds a key twice is malformed.
-func DecodePayload(data []byte) (Payload, error) {
+// decodePayloadBody decodes one flat payload body into a fresh payload
+// that shares nothing with data: the key arena is copied once and every
+// key is a substring of the copy; string and []byte values are copied one
+// by one. Entries are appended in wire order with their order checked on
+// the way; a body that is not strictly sorted — written while payloads
+// were hash maps — is sorted once, and one that holds a key twice is
+// corrupt.
+func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 	v, err := makeView(data, true)
 	if err != nil {
 		return nil, err
@@ -439,12 +387,12 @@ func DecodePayload(data []byte) (Payload, error) {
 		return nil, nil
 	}
 	arena := string(data[v.keyArenaOff:v.byteArena])
-	out := make(Payload, v.n)
+	out := make(mapreduce.Payload, v.n)
 	keyOff, sorted := 0, true
 	err = v.forEach(func(i int, val any) error {
 		kl := int(binary.LittleEndian.Uint32(data[v.keyLensOff+4*i:]))
 		if kl < 0 || kl > len(arena)-keyOff {
-			return fmt.Errorf("%w: key %d overruns arena", ErrMalformed, i)
+			return fmt.Errorf("%w: key %d overruns arena", ErrCorrupt, i)
 		}
 		out[i] = mapreduce.Entry{Key: arena[keyOff : keyOff+kl], Value: detach(val)}
 		keyOff += kl
@@ -455,7 +403,7 @@ func DecodePayload(data []byte) (Payload, error) {
 		return nil, err
 	}
 	if !sorted && !mapreduce.SortEntries(out) {
-		return nil, fmt.Errorf("%w: duplicate key", ErrMalformed)
+		return nil, fmt.Errorf("%w: duplicate key", ErrCorrupt)
 	}
 	return out, nil
 }

@@ -2,72 +2,63 @@
 // machinery behind Slider's fault-tolerant state handling: checksummed
 // framing for memoized payloads, runtime checkpoints and every message of
 // the dist wire (whose envelopes use this package's frame header under
-// kinds of their own; wire.go) — a gob codec for arbitrary values (frame
-// version sld1) and the flat columnar payload codec of internal/flatenc
-// (frame version sld2) — and
-// an atomic file store with corruption detection and replica fallback,
-// the persistent half of the paper's memoization layer (§6), realized
-// with real bytes on a real filesystem.
+// kinds of their own; wire.go), and an atomic file store with corruption
+// detection and replica fallback, the persistent half of the paper's
+// memoization layer (§6), realized with real bytes on a real filesystem.
 //
-// Version negotiation is per frame: encoders emit the configured codec's
-// frames (flat by default for payload-shaped data); every decoder
-// dispatches on the frame magic, so legacy gob frames written before the
-// flat codec existed — checkpoints, persisted payloads, frames from an
-// old worker across a mixed-version cluster — still decode.
+// Every frame written has one header, sld2 (frame.go), and a kind byte
+// naming its body: the flat columnar body of a payload, a split, a
+// payload set or a map task's result (body.go), or the gob encoding of
+// an arbitrary value (kindValue: checkpoints, FileStore objects, a
+// transport's small answers). Decode also reads sld1, the gob-only header
+// that checkpoints and FileStore objects were written under before, so
+// that what older writers left on disk still restores.
 package persist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"reflect"
 	"sync"
-
-	"slider/internal/flatenc"
 )
 
 // ErrCorrupt is returned when a frame fails its checksum or is
 // structurally invalid.
 var ErrCorrupt = errors.New("persist: corrupt frame")
 
-var (
-	registerOnce sync.Once
-	registerMu   sync.Mutex
-)
+var builtinsOnce sync.Once
 
 // registerBuiltins registers the value types that appear inside payloads
 // of the bundled applications and the query layer, so they can travel
-// through interface-typed gob fields. The list lives in flatenc (whose
-// escape-hatch column shares the process-global gob registry).
+// through interface-typed gob fields and the flat body's gob column. Every
+// gob encode and decode calls it first.
 func registerBuiltins() {
-	flatenc.EnsureBuiltins()
+	builtinsOnce.Do(func() {
+		for _, v := range []any{
+			int(0), int64(0), uint64(0), float64(0), false, "",
+			[]byte(nil), []float64(nil), []int64(nil), []string(nil),
+			[]any(nil), map[string]int64(nil), map[string]float64(nil),
+			map[string]any(nil),
+		} {
+			gob.Register(v)
+		}
+	})
 }
 
 // RegisterType makes a concrete application value type serializable when
-// stored behind an interface (payload values, query rows) — both through
-// legacy gob frames and through the flat codec's gob escape-hatch
-// column. Call it once per custom Combine value type before
-// checkpointing, e.g. persist.RegisterType(&MyAccumulator{}).
+// stored behind an interface (payload values, query rows, split records)
+// — in value frames and in the flat body's gob column. Call it once per
+// custom Combine value type before checkpointing, e.g.
+// persist.RegisterType(&MyAccumulator{}).
 func RegisterType(v any) {
-	registerMu.Lock()
-	defer registerMu.Unlock()
 	gob.Register(v)
 }
 
-// frame layout: magic (4) | length (8) | crc32 (4) | gob bytes.
-var frameMagic = [4]byte{'s', 'l', 'd', '1'}
-
-const gobHeaderLen = 4 + 8 + 4
-
-// Encode serializes v with gob inside a checksummed frame.
+// Encode serializes v with gob inside a checksummed value frame.
 func Encode(v any) ([]byte, error) {
-	data, err := gobBytes(v)
-	if err != nil {
-		return nil, err
-	}
-	return appendGobFrame(make([]byte, 0, gobHeaderLen+len(data)), data), nil
+	return AppendValue(nil, v)
 }
 
 // AppendValue appends the frame Encode returns for v behind what dst
@@ -75,58 +66,99 @@ func Encode(v any) ([]byte, error) {
 // ping's answer, a stats snapshot, a span tree) into a message it is
 // building. Decode reads it back.
 func AppendValue(dst []byte, v any) ([]byte, error) {
-	data, err := gobBytes(v)
-	if err != nil {
-		return dst, err
-	}
-	return appendGobFrame(dst, data), nil
+	registerBuiltins()
+	return appendFramed(dst, kindValue, "value", func(out []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(out)
+		err := gob.NewEncoder(buf).Encode(v)
+		return buf.Bytes(), err
+	})
 }
 
-// gobBytes is v's gob encoding, with the builtin value types registered.
-func gobBytes(v any) ([]byte, error) {
-	registerOnce.Do(registerBuiltins)
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("persist: encode: %w", err)
-	}
-	return payload.Bytes(), nil
-}
-
-// appendGobFrame appends the sld1 frame around data.
-func appendGobFrame(dst, data []byte) []byte {
-	dst = append(dst, frameMagic[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(data)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(data))
-	return append(dst, data...)
-}
-
-// Decode deserializes a frame produced by Encode into out (a pointer).
+// Decode deserializes a value frame (Encode, AppendValue) into out (a
+// pointer). A frame under the sld1 header is read too.
 func Decode(frame []byte, out any) error {
-	if len(frame) < gobHeaderLen || !bytes.Equal(frame[:4], frameMagic[:]) {
-		return fmt.Errorf("%w: bad header", ErrCorrupt)
+	var body []byte
+	var err error
+	if isFlatFrame(frame) {
+		body, err = openFlatKind(frame, kindValue, "value")
+	} else {
+		body, err = openLegacyFrame(frame)
 	}
-	length := binary.LittleEndian.Uint64(frame[4:12])
-	want := binary.LittleEndian.Uint32(frame[12:16])
-	data := frame[gobHeaderLen:]
-	if uint64(len(data)) != length {
-		return fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(data), length)
+	if err != nil {
+		return err
 	}
-	if crc32.ChecksumIEEE(data) != want {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return gobDecode(data, out)
+	return gobDecode(body, out)
 }
 
-// gobDecode decodes checked gob bytes into out (a pointer).
+// gobDecode decodes a checked gob stream into out (a pointer). The decoder
+// makes a map with room for the count the stream claims before it reads
+// an entry, so where out can hold a map the stream is first walked
+// keeping nothing (DecodeValue of the zero Value), and the walk fails on a
+// count that the bytes behind it cannot hold.
 func gobDecode(data []byte, out any) error {
-	registerOnce.Do(registerBuiltins)
+	registerBuiltins()
 	if err := gobMessagesFit(data); err != nil {
 		return err
+	}
+	if holdsMap(reflect.TypeOf(out)) {
+		if err := gob.NewDecoder(bytes.NewReader(data)).DecodeValue(reflect.Value{}); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
 		return fmt.Errorf("persist: decode: %w", err)
 	}
 	return nil
+}
+
+// mapHolders caches holdsMap by type.
+var mapHolders sync.Map // reflect.Type → bool
+
+// holdsMap reports whether a map, or an interface, which can hold one, lies
+// anywhere in t: whether gob can make a map decoding into it.
+func holdsMap(t reflect.Type) bool {
+	if t == nil { // gob discards what it decodes into nothing
+		return false
+	}
+	if v, ok := mapHolders.Load(t); ok {
+		return v.(bool)
+	}
+	seen := map[reflect.Type]bool{}
+	var reaches func(t reflect.Type) bool
+	reaches = func(t reflect.Type) bool {
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		switch t.Kind() {
+		case reflect.Map, reflect.Interface:
+			return true
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			return reaches(t.Elem())
+		case reflect.Struct:
+			for i := range t.NumField() {
+				if reaches(t.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	holds := reaches(t)
+	mapHolders.Store(t, holds)
+	return holds
+}
+
+// openLegacyFrame validates an sld1 frame — magic (4) | length (8) |
+// crc32 (4) | gob bytes — and returns its body. Checkpoints and FileStore
+// objects written before every frame took the sld2 header have it; no
+// writer emits it any more.
+func openLegacyFrame(frame []byte) ([]byte, error) {
+	const headerLen = 4 + 8 + 4
+	if len(frame) < headerLen || string(frame[:4]) != "sld1" {
+		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
+	}
+	return checkedBody(frame[headerLen:], frame[4:12], frame[12:16])
 }
 
 // gobMessagesFit walks the length prefixes of a gob stream's messages. The

@@ -13,7 +13,7 @@ import (
 	"slider/internal/mapreduce"
 )
 
-// M is a payload in literal form, and the map an sld1 frame carries.
+// M is a payload in literal form; FromMap sorts it into a Payload.
 type M = map[string]mapreduce.Value
 
 func testMap() M {
@@ -47,104 +47,76 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyFrame fabricates the sld1 frame a pre-flat writer produced for a
-// payload-shaped value: whole-value gob. No writer emits it any more; the
-// decoders must keep reading it.
-func legacyFrame(t *testing.T, v any) []byte {
-	t.Helper()
-	frame, err := Encode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isFlatFrame(frame) {
-		t.Fatal("legacy helper produced a flat frame")
-	}
-	return frame
+// sld1Frame frames body under the sld1 header — magic (4) | length (8) |
+// crc32 (4) — as Encode wrote every value frame before all frames took the
+// sld2 header.
+func sld1Frame(body []byte) []byte {
+	frame := append([]byte("sld1"), binary.LittleEndian.AppendUint64(nil, uint64(len(body)))...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	return append(frame, body...)
 }
 
-// TestLegacyGobFramesDecode: sld1 frames of all three payload shapes decode
-// through the same entry points as sld2, while the encoders write sld2 only.
+// TestLegacyGobFramesDecode: an sld1 frame — the gob bytes of a value
+// frame under the old header — decodes through Decode, and through Decode
+// only, while every encoder writes sld2.
 func TestLegacyGobFramesDecode(t *testing.T) {
-	// An sld1 frame carries the payload as a gob map; it decodes to the
-	// sorted payload.
 	p := testPayload()
-	got, err := DecodePayload(legacyFrame(t, testMap()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("gob payload frame mismatch:\n got %#v\nwant %#v", got, p)
-	}
-
 	set := []mapreduce.Payload{p, mapreduce.FromMap(M{"k": int64(1)})}
-	gotSet, err := DecodePayloadSet(legacyFrame(t, []M{testMap(), {"k": int64(1)}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSet, set) {
-		t.Fatalf("gob payload-set frame mismatch:\n got %#v\nwant %#v", gotSet, set)
-	}
-
 	split := mapreduce.Split{ID: "s1", Records: []mapreduce.Record{"a b", "c"}}
-	gotSplit, err := DecodeSplit(legacyFrame(t, split))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSplit, split) {
-		t.Fatalf("gob split frame mismatch:\n got %#v\nwant %#v", gotSplit, split)
-	}
-
+	value := testValue{Name: "v", Count: 3}
 	for name, encode := range map[string]func() ([]byte, error){
 		"payload":     func() ([]byte, error) { return EncodePayload(p) },
 		"payload set": func() ([]byte, error) { return EncodePayloadSet(set) },
 		"split":       func() ([]byte, error) { return EncodeSplit(split) },
+		"value":       func() ([]byte, error) { return Encode(value) },
 	} {
 		frame, err := encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !isFlatFrame(frame) {
-			t.Fatalf("%s encoder wrote a non-flat frame", name)
+			t.Fatalf("%s encoder wrote a non-sld2 frame", name)
 		}
+	}
+
+	frame, err := Encode(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := sld1Frame(frame[flatHeaderLen:])
+	var out testValue
+	if err := Decode(legacy, &out); err != nil || !reflect.DeepEqual(out, value) {
+		t.Fatalf("sld1 value frame decoded to %+v, %v", out, err)
+	}
+	if _, err := DecodePayload(legacy); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodePayload of an sld1 frame: %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodePayloadSet(legacy); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodePayloadSet of an sld1 frame: %v, want ErrCorrupt", err)
 	}
 }
 
-// Frames written by the commit before payloads became sorted slices, when
-// mapreduce.Payload was a named map type: an sld1 payload and payload set
-// (whole-value gob of the maps), and an sld2 payload whose entries lie in
-// that writer's map iteration order ("word" first). All three hold
+// An sld2 payload frame written by the commit before payloads became
+// sorted slices, when mapreduce.Payload was a named map type: its entries
+// lie in that writer's map iteration order ("word" first). It holds
 // {"apple": true, "count": int64(42), "list": []int64{7, 8},
-// "ratio": 0.25, "word": "hello"}; the set adds {"k": int64(1)} and a nil.
-const (
-	parentGobPayload    = "736c643185000000000000008c2535d6167f040101075061796c6f616401ff8000010c011000001dff800005046c697374075b5d696e743634ff81020102ff8200010400004fff820400020e10056170706c6504626f6f6c0202000104776f726406737472696e670c07000568656c6c6f05636f756e7405696e7436340402005405726174696f07666c6f61743634080400fed03f"
-	parentGobPayloadSet = "736c6431a200000000000000fcb825f30dff83020102ff840001ff800000167f040101075061796c6f616401ff8000010c0110000032ff8400030505726174696f07666c6f61743634080400fed03f046c697374075b5d696e743634ff81020102ff82000104000049ff820400020e10056170706c6504626f6f6c0202000104776f726406737472696e670c07000568656c6c6f05636f756e7405696e7436340402005401016b05696e7436340402000200"
-	parentFlatUnsorted  = "736c643201a000000000000000dc8c9f3c010500000017000000020000000200000043000000070406090204000000050000000500000004000000050000002a00000000000000000000000000d03f050000003e000000776f7264636f756e74726174696f6c6973746170706c6568656c6c6f1cff8503010108676f6256616c756501ff86000101010156011000000017ff8601075b5d696e743634ff81020102ff82000104000008ff820400020e1000"
-)
+// "ratio": 0.25, "word": "hello"}.
+const parentFlatUnsorted = "736c643201a000000000000000dc8c9f3c010500000017000000020000000200000043000000070406090204000000050000000500000004000000050000002a00000000000000000000000000d03f050000003e000000776f7264636f756e74726174696f6c6973746170706c6568656c6c6f1cff8503010108676f6256616c756501ff86000101010156011000000017ff8601075b5d696e743634ff81020102ff82000104000008ff820400020e1000"
 
 // TestFramesFromBeforeSortedPayloadsDecode: bytes an older writer left in
-// a memo directory or a checkpoint decode, unmodified, to the sorted
-// payload.
+// a checkpoint decode, unmodified, to the sorted payload.
 func TestFramesFromBeforeSortedPayloadsDecode(t *testing.T) {
 	want := mapreduce.FromMap(M{"apple": true, "count": int64(42), "list": []int64{7, 8}, "ratio": 0.25, "word": "hello"})
-	frame := func(h string) []byte {
-		b, err := hex.DecodeString(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	frame, err := hex.DecodeString(parentFlatUnsorted)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, h := range map[string]string{"sld1": parentGobPayload, "sld2 in map order": parentFlatUnsorted} {
-		got, err := DecodePayload(frame(h))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s decoded to %#v, want %#v", name, got, want)
-		}
+	got, err := DecodePayload(frame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	set, err := DecodePayloadSet(frame(parentGobPayloadSet))
-	if wantSet := []mapreduce.Payload{want, mapreduce.FromMap(M{"k": int64(1)}), nil}; err != nil || !reflect.DeepEqual(set, wantSet) {
-		t.Errorf("sld1 set decoded to %#v (%v), want %#v", set, err, wantSet)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded to %#v, want %#v", got, want)
 	}
 }
 
@@ -300,46 +272,46 @@ type fancyRecord struct {
 	B string
 }
 
+// TestSplitFrameGobFallback: records that are no native scalar — an
+// application's record structs — ride the value list's gob column, one
+// value each, in the same split frame as scalar records.
 func TestSplitFrameGobFallback(t *testing.T) {
 	RegisterType(fancyRecord{})
 	s := mapreduce.Split{
 		ID:      "structured",
-		Records: []any{fancyRecord{A: 1, B: "x"}, fancyRecord{A: 2, B: "y"}},
+		Records: []any{fancyRecord{A: 1, B: "x"}, "a line", fancyRecord{A: 2, B: "y"}},
 	}
 	frame, err := EncodeSplit(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if isFlatFrame(frame) {
-		t.Fatal("struct-record split should fall back to gob framing")
-	}
-	got, err := DecodeSplit(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("fallback split mismatch:\n got %#v\nwant %#v", got, s)
+	for name, decode := range map[string]func([]byte) (mapreduce.Split, error){
+		"DecodeSplit": DecodeSplit, "DecodeSplitZeroCopy": DecodeSplitZeroCopy,
+	} {
+		got, err := decode(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("%s: split mismatch:\n got %#v\nwant %#v", name, got, s)
+		}
 	}
 }
 
+// TestSplitFrameLegacyGob: a split framed wholesale as gob under sld1 —
+// what a worker sent before splits took the value list — is refused by
+// both decoders, as ErrCorrupt: the wire knows one header.
 func TestSplitFrameLegacyGob(t *testing.T) {
-	// A split framed wholesale as gob (what a pre-flat worker sends) must
-	// decode through both entry points.
-	s := mapreduce.Split{ID: "old", Records: []any{"legacy line"}}
-	frame, err := Encode(s)
+	frame, err := Encode(mapreduce.Split{ID: "old", Records: []any{"legacy line"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSplit(frame)
-	if err != nil {
-		t.Fatal(err)
+	legacy := sld1Frame(frame[flatHeaderLen:])
+	if got, err := DecodeSplit(legacy); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeSplit of an sld1 frame: %#v, %v; want ErrCorrupt", got, err)
 	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("legacy split mismatch: %#v", got)
-	}
-	got2, err := DecodeSplitZeroCopy(frame)
-	if err != nil || !reflect.DeepEqual(got2, s) {
-		t.Fatalf("legacy split (zero-copy path): %#v %v", got2, err)
+	if got, err := DecodeSplitZeroCopy(legacy); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeSplitZeroCopy of an sld1 frame: %#v, %v; want ErrCorrupt", got, err)
 	}
 }
 

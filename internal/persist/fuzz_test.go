@@ -1,4 +1,4 @@
-package flatenc
+package persist
 
 import (
 	"bytes"
@@ -9,6 +9,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"slider/internal/mapreduce"
 )
 
 // valueFromBytes deterministically builds one payload value from the fuzz
@@ -87,12 +89,11 @@ func valueFromBytes(data []byte, off *int) any {
 	}
 }
 
-// gobRoundTrip pushes m through the legacy gob path (the sld1 codec's
-// core): one encoder, one decoder, the payload as the map such frames
-// carry.
+// gobRoundTrip pushes m through whole-value gob: one encoder, one decoder,
+// the payload as the map version-1 checkpoints carry.
 func gobRoundTrip(t *testing.T, m M) M {
 	t.Helper()
-	EnsureBuiltins()
+	registerBuiltins()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		t.Fatalf("gob encode: %v", err)
@@ -107,11 +108,12 @@ func gobRoundTrip(t *testing.T, m M) M {
 // FuzzFlatCodec asserts flat encode→decode ≡ gob encode→decode on
 // payloads mixing every builtin value type plus a custom registered type:
 // the two codecs must agree value-for-value (same keys, same concrete
-// types, same contents), so swapping frame versions can never change what
-// a restore or a worker sees. Every payload is also written in three
-// entry orders — sorted as live payloads are, shuffled as frames written
-// from hash maps were, and with one key repeated: decode(encode(p)) must
-// be p, strictly sorted, for the first two and ErrMalformed for the third.
+// types, same contents), so a version-1 checkpoint's gob maps and a
+// version-2 checkpoint's flat frames restore to the same state. Every
+// payload is also written in three entry orders — sorted as live payloads
+// are, shuffled as frames written from hash maps were, and with one key
+// repeated: decode(encode(p)) must be p, strictly sorted, for the first
+// two and ErrCorrupt for the third.
 func FuzzFlatCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
@@ -130,7 +132,7 @@ func FuzzFlatCodec(f *testing.F) {
 		}
 		p := fromMap(m)
 		// Both codecs decode an empty byte slice to a nil one.
-		want := append(Payload(nil), p...)
+		want := append(mapreduce.Payload(nil), p...)
 		for i, e := range want {
 			if b, ok := e.Value.([]byte); ok && len(b) == 0 {
 				want[i].Value = []byte(nil)
@@ -138,7 +140,7 @@ func FuzzFlatCodec(f *testing.F) {
 		}
 
 		// The shuffle is drawn from the fuzz bytes too.
-		unsorted := append(Payload(nil), p...)
+		unsorted := append(mapreduce.Payload(nil), p...)
 		for i := len(unsorted) - 1; i > 0; i-- {
 			j := 0
 			if off < len(data) {
@@ -147,7 +149,7 @@ func FuzzFlatCodec(f *testing.F) {
 			}
 			unsorted[i], unsorted[j] = unsorted[j], unsorted[i]
 		}
-		for name, written := range map[string]Payload{"sorted": p, "unsorted": unsorted} {
+		for name, written := range map[string]mapreduce.Payload{"sorted": p, "unsorted": unsorted} {
 			frame, err := EncodePayload(written)
 			if err != nil {
 				t.Fatalf("%s: flat encode: %v", name, err)
@@ -173,22 +175,22 @@ func FuzzFlatCodec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("duplicate: flat encode: %v", err)
 			}
-			if got, err := DecodePayload(frame); !errors.Is(err, ErrMalformed) {
-				t.Fatalf("duplicate key decoded to %v, %v; want ErrMalformed", got, err)
+			if got, err := DecodePayload(frame); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("duplicate key decoded to %v, %v; want ErrCorrupt", got, err)
 			}
 		}
 
-		// Hostile bytes — the raw input, and a valid frame with one byte
+		// Hostile bytes — the raw input, and a valid body with one byte
 		// flipped — may be refused but must never panic.
-		hostile, _ := EncodePayload(p)
+		hostile, _ := appendPayloadBody(nil, p)
 		if off+1 < len(data) {
 			hostile[int(data[off])%len(hostile)] ^= data[off+1]
 		}
-		for _, frame := range [][]byte{data, hostile} {
-			_, _ = DecodePayload(frame)
-			_, _ = DecodePayloadSet(frame)
-			if v, err := MakeValuesView(frame); err == nil {
-				_, _ = v.Values()
+		for _, body := range [][]byte{data, hostile} {
+			_, _ = decodePayloadBody(body)
+			_, _ = decodeSetBody(body)
+			if v, err := valuesView(body); err == nil {
+				_, _ = v.values()
 			}
 		}
 	})

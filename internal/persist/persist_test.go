@@ -1,10 +1,12 @@
 package persist
 
 import (
+	"encoding/hex"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,41 @@ func TestFileStoreSaveLoad(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "obj_one" {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// parentFileStoreObject is the object file FileStore.Save wrote, under the
+// sld1 header, for "obj/parent" = testValue{Name: "parent", Count: 7,
+// Inner: {"list": []float64{1, 2}}} before every frame took the sld2
+// header.
+const parentFileStoreObject = "736c6431920000000000000021b67a34347f030101097465737456616c756501ff8000010301044e616d65010c000105436f756e740104000105496e6e657201ff8200000027ff81040101176d61705b737472696e675d696e74657266616365207b7d01ff8200010c0110000029ff800106706172656e74010e0101046c697374095b5d666c6f61743634ff83020102ff8400010800000aff84060002fef03f4000"
+
+// TestFileStoreLoadsObjectsFromBeforeSld2: an object an older writer left
+// on disk still loads, and saving over it writes sld2.
+func TestFileStoreLoadsObjectsFromBeforeSld2(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewFileStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := hex.DecodeString(parentFileStoreObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(replicaDir(dir, 0), sanitize("obj/parent"))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := testValue{Name: "parent", Count: 7, Inner: map[string]any{"list": []float64{1, 2}}}
+	var out testValue
+	if err := store.Load("obj/parent", &out); err != nil || !reflect.DeepEqual(out, want) {
+		t.Fatalf("loaded %+v, %v; want %+v", out, err, want)
+	}
+	if err := store.Save("obj/parent", out); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten, err := os.ReadFile(path); err != nil || !isFlatFrame(rewritten) {
+		t.Fatalf("the object saved over it is no sld2 frame (%v)", err)
 	}
 }
 

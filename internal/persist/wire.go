@@ -1,12 +1,10 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
 
-	"slider/internal/flatenc"
 	"slider/internal/mapreduce"
 )
 
@@ -14,11 +12,10 @@ import (
 // frame beyond StartFrame/FinishFrame/OpenFrame: where a frame read off a
 // socket ends, and the one body shape that exists only in flight — a map
 // task's result. (A transport's small structured values — a ping's answer,
-// a stats snapshot — ride AppendValue's sld1 frames; codec.go.)
+// a stats snapshot — ride AppendValue's value frames; codec.go.)
 
-// FramePrefixLen is how much of a frame FrameSize reads: the sld1 header,
-// the shorter of the two, which reaches past the length field of both.
-const FramePrefixLen = gobHeaderLen
+// FramePrefixLen is how much of a frame FrameSize reads: the header.
+const FramePrefixLen = flatHeaderLen
 
 // MaxFrameLen is the longest frame FrameSize accepts. The header's length
 // field is 64 bits wide and arrives before the checksum can vouch for it,
@@ -28,28 +25,22 @@ const FramePrefixLen = gobHeaderLen
 // 256 MiB is far above either and far below what hurts.
 const MaxFrameLen = 1 << 28
 
-// FrameSize returns the length, header included, of the frame of either
-// version that starts with prefix, which holds at least FramePrefixLen
-// bytes. Only the magic and the length are looked at: the checksum is the
-// decoder's to verify once the whole frame is there.
+// FrameSize returns the length, header included, of the frame that starts
+// with prefix, which holds at least FramePrefixLen bytes. Only the magic
+// and the length are looked at: the checksum is the decoder's to verify
+// once the whole frame is there.
 func FrameSize(prefix []byte) (int, error) {
 	if len(prefix) < FramePrefixLen {
 		return 0, fmt.Errorf("%w: %d bytes hold no frame header", ErrCorrupt, len(prefix))
 	}
-	var header int
-	var length uint64
-	switch {
-	case isFlatFrame(prefix):
-		header, length = flatHeaderLen, binary.LittleEndian.Uint64(prefix[5:13])
-	case bytes.Equal(prefix[:4], frameMagic[:]):
-		header, length = gobHeaderLen, binary.LittleEndian.Uint64(prefix[4:12])
-	default:
+	if !isFlatFrame(prefix) {
 		return 0, fmt.Errorf("%w: no frame magic in %q", ErrCorrupt, prefix[:4])
 	}
-	if length > uint64(MaxFrameLen-header) {
+	length := binary.LittleEndian.Uint64(prefix[5:13])
+	if length > MaxFrameLen-flatHeaderLen {
 		return 0, fmt.Errorf("%w: frame of %d bytes is over the %d limit", ErrCorrupt, length, MaxFrameLen)
 	}
-	return header + int(length), nil
+	return flatHeaderLen + int(length), nil
 }
 
 // AppendMapResult appends one map task's result as a single frame:
@@ -63,22 +54,18 @@ func AppendMapResult(dst []byte, r mapreduce.MapResult) ([]byte, error) {
 	if len(r.PartBytes) != len(r.Parts) {
 		return dst, fmt.Errorf("persist: encode map result %s: %d sizes for %d partitions", r.SplitID, len(r.PartBytes), len(r.Parts))
 	}
-	out := StartFrame(dst, kindMapResult)
-	bodyStart := len(out)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.SplitID)))
-	out = append(out, r.SplitID...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(r.Records))
-	out = binary.LittleEndian.AppendUint64(out, uint64(r.Bytes))
-	out = binary.LittleEndian.AppendUint64(out, uint64(r.Cost))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.PartBytes)))
-	for _, b := range r.PartBytes {
-		out = binary.LittleEndian.AppendUint64(out, uint64(b))
-	}
-	out, err := flatenc.AppendPayloadSet(out, r.Parts)
-	if err != nil {
-		return dst, fmt.Errorf("persist: encode map result %s: %w", r.SplitID, err)
-	}
-	return FinishFrame(out, bodyStart), nil
+	return appendFramed(dst, kindMapResult, "map result", func(out []byte) ([]byte, error) {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.SplitID)))
+		out = append(out, r.SplitID...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.Records))
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.Bytes))
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.Cost))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.PartBytes)))
+		for _, b := range r.PartBytes {
+			out = binary.LittleEndian.AppendUint64(out, uint64(b))
+		}
+		return appendSetBody(out, r.Parts)
+	})
 }
 
 // DecodeMapResult decodes a map-result frame into a result that shares
@@ -117,9 +104,8 @@ func DecodeMapResult(frame []byte) (mapreduce.MapResult, error) {
 	for i := range r.PartBytes {
 		r.PartBytes[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	r.Parts, err = flatenc.DecodePayloadSet(body[8*parts:])
-	if err != nil {
-		return mapreduce.MapResult{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if r.Parts, err = decodeSetBody(body[8*parts:]); err != nil {
+		return mapreduce.MapResult{}, err
 	}
 	if len(r.Parts) != len(r.PartBytes) {
 		return mapreduce.MapResult{}, fmt.Errorf("%w: map result has %d payloads and %d sizes", ErrCorrupt, len(r.Parts), len(r.PartBytes))

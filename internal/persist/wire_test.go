@@ -25,13 +25,13 @@ func testMapResult() mapreduce.MapResult {
 }
 
 // TestAppendSplitBehindAMessage: AppendSplit writes behind what dst holds
-// exactly the frame EncodeSplit returns, in both split forms, and FrameSize
-// finds the frame's end from its first bytes.
+// exactly the frame EncodeSplit returns, whatever the records, and
+// FrameSize finds the frame's end from its first bytes.
 func TestAppendSplitBehindAMessage(t *testing.T) {
 	RegisterType(fancyRecord{})
 	for name, s := range map[string]mapreduce.Split{
-		"flat": {ID: "lines", Records: []any{"alpha beta", int64(7), []byte{1, 2}}},
-		"gob":  {ID: "structured", Records: []any{fancyRecord{A: 1, B: "x"}}},
+		"scalar records": {ID: "lines", Records: []any{"alpha beta", int64(7), []byte{1, 2}}},
+		"struct records": {ID: "structured", Records: []any{fancyRecord{A: 1, B: "x"}}},
 	} {
 		want, err := EncodeSplit(s)
 		if err != nil {
@@ -62,16 +62,15 @@ func TestFrameSizeRefusals(t *testing.T) {
 	}
 	over := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(over[5:], MaxFrameLen)
-	overGob, err := Encode("x")
+	value, err := Encode("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(overGob[4:], 1<<62)
 	for name, b := range map[string][]byte{
-		"short":         good[:FramePrefixLen-1],
-		"other magic":   []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"),
-		"over the cap":  over,
-		"sld1 over cap": overGob,
+		"short":        good[:FramePrefixLen-1],
+		"other magic":  []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"),
+		"over the cap": over,
+		"sld1":         sld1Frame(value[flatHeaderLen:]),
 	} {
 		if _, err := FrameSize(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
@@ -188,7 +187,9 @@ func TestAppendValueBehindAMessage(t *testing.T) {
 // with is refused as ErrCorrupt — no panic, and nothing sized by the claim
 // — when the bytes behind it cannot hold what it says: 0x80 (the negated
 // byte count that does not fit an int8) and the rest of the over-long
-// counts, a count the input is too short for, a length that overruns.
+// counts, a count the input is too short for, a length that overruns. It
+// holds for a value frame, for the sld1 frame Decode still reads, and for
+// a record in a split's gob column, the worker's way in.
 func TestHostileGobLengthsRefused(t *testing.T) {
 	cases := map[string][]byte{
 		"9 MiB follow":    {0xFC, 0x00, 0x90, 0x00, 0x00, 1, 2, 3},
@@ -203,28 +204,76 @@ func TestHostileGobLengthsRefused(t *testing.T) {
 		if err := gobMessagesFit(body); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: gobMessagesFit = %v, want ErrCorrupt", name, err)
 		}
-		var out struct{ A int }
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := Decode(appendGobFrame(nil, body), &out)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Decode = %v, want ErrCorrupt", name, err)
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
-			t.Errorf("%s: %d bytes allocated refusing a gob length claim", name, n)
+		for form, frame := range map[string][]byte{"value": reframe(kindValue, body), "sld1": sld1Frame(body)} {
+			var out struct{ A int }
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := Decode(frame, &out)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s in a %s frame: Decode = %v, want ErrCorrupt", name, form, err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+				t.Errorf("%s in a %s frame: %d bytes allocated refusing a gob length claim", name, form, n)
+			}
 		}
 	}
-	// The same byte inside a gob-fallback split frame, the worker's way in.
-	if _, err := DecodeSplitZeroCopy(appendGobFrame(nil, []byte{0x80})); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("split frame with body 0x80: %v, want ErrCorrupt", err)
-	}
-	// What an encoder writes passes: messages end to end.
-	data, err := gobBytes(map[string][]int64{"k": make([]int64, 300)})
+	// The same byte as a split's one record, in the gob column.
+	records, err := appendValuesBody(binary.LittleEndian.AppendUint32(nil, 0), []any{[]byte{0x80}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gobMessagesFit(data); err != nil {
+	records[4+bodyHeaderLen] = tagGob
+	if _, err := DecodeSplitZeroCopy(reframe(kindSplit, records)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("split whose gob record is 0x80: %v, want ErrCorrupt", err)
+	}
+	// What an encoder writes passes: messages end to end.
+	frame, err := Encode(map[string][]int64{"k": make([]int64, 300)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gobMessagesFit(frame[flatHeaderLen:]); err != nil {
 		t.Errorf("an encoder's own stream refused: %v", err)
+	}
+}
+
+// TestHostileGobMapCountRefused: gob makes a map with room for the count
+// the stream claims before it reads an entry, so a count of 2^20 in a
+// stream of two dozen bytes would cost tens of megabytes. It is refused as
+// ErrCorrupt, in a value frame and in an sld1 frame, before that.
+func TestHostileGobMapCountRefused(t *testing.T) {
+	frame, err := Encode(map[string]int64{"k": 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream is short messages, each behind a one-byte length; the
+	// last is the value: type id, singleton delta, count 1, key "k",
+	// value 7.
+	body := frame[flatHeaderLen:]
+	last := 0
+	for last+1+int(body[last]) < len(body) && body[last] < 0x80 {
+		last += 1 + int(body[last])
+	}
+	tail := []byte{0x00, 0x01, 0x01, 'k', 0x0e}
+	if !bytes.HasSuffix(body, tail) || body[last] >= 0x80 {
+		t.Fatalf("gob stream % x does not end in the expected value message", body)
+	}
+	typeID := body[last+1 : len(body)-len(tail)]
+	// The same message claiming 2^20 entries: the count takes three bytes
+	// behind its width byte.
+	msg := append(append([]byte(nil), typeID...), 0x00, 0xfd, 0x10, 0x00, 0x00, 0x01, 'k', 0x0e)
+	hostile := append(append(append([]byte(nil), body[:last]...), byte(len(msg))), msg...)
+	for form, frame := range map[string][]byte{"value": reframe(kindValue, hostile), "sld1": sld1Frame(hostile)} {
+		var out map[string]int64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Decode(frame, &out)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s frame: Decode = %v, want ErrCorrupt", form, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+			t.Errorf("%s frame: %d bytes allocated refusing a map count of 2^20", form, n)
+		}
 	}
 }

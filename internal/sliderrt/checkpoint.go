@@ -10,10 +10,10 @@ import (
 )
 
 // checkpointVersion guards the on-disk format. Version 2 carries payload
-// state as flat byte blobs (internal/flatenc via persist frames) inside
-// the gob-framed metadata; version 1 carried payloads as gob maps and is
-// still restorable — gob tolerates the missing flat fields, and Restore
-// dispatches on Version per partition.
+// state as persist's flat payload frames inside the gob-encoded metadata;
+// version 1 carried payloads as gob maps and is still restorable — gob
+// tolerates the missing flat fields, and Restore dispatches on Version per
+// partition.
 const checkpointVersion = 2
 
 // checkpointState is the serialized form of a Runtime between runs: the
@@ -310,22 +310,17 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 		return nil, fmt.Errorf("sliderrt: restore: checkpoint holds %d partitions, header says %d",
 			len(st.Partitions), rt.parts)
 	}
-	// A partition's frame is decoded and validated before its aggregator
-	// is touched; the aggregator's Restore checks what only it can know
-	// (identity counts, the victim cursor against the bucket count).
+	// Every partition's frame is decoded and validated, and the bucket
+	// ledger held to what they hold, before any aggregator is touched; the
+	// aggregator's Restore checks what only it can know (identity counts,
+	// the victim cursor against the bucket count).
 	rt.installAggregators()
+	states := make([]core.State[sized], rt.parts)
 	for p := range st.Partitions {
-		state, err := rt.decodePartition(&st.Partitions[p], st.Version, st.Seq)
-		if err == nil {
-			err = rt.aggs[p].Restore(state)
-		}
-		if err != nil {
+		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Version, st.Seq); err != nil {
 			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 		}
 	}
-	rt.seq = st.Seq
-	rt.windowLo = st.WindowLo
-	rt.live = st.Live
 	if rt.outOfOrder() {
 		if len(st.BucketSizes) > 0 {
 			rt.bucketSizes = append([]int(nil), st.BucketSizes...)
@@ -335,8 +330,43 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 			// frame): the window is WindowBuckets uniform buckets of w.
 			rt.uniformLedger(st.WindowBuckets, st.BucketSplits)
 		}
+		if err := checkLedger(rt.bucketSizes, st.Live, states); err != nil {
+			return nil, fmt.Errorf("sliderrt: restore: %w", err)
+		}
 	}
+	for p, state := range states {
+		if err := rt.aggs[p].Restore(state); err != nil {
+			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
+		}
+	}
+	rt.seq = st.Seq
+	rt.windowLo = st.WindowLo
+	rt.live = st.Live
 	rt.publishWindowGauges()
 	rt.started = true
 	return rt, nil
+}
+
+// checkLedger holds a bucket ledger to the window it describes: one size
+// per bucket every partition holds, each between 1 and the live splits,
+// summing to the live splits. Advance evicts and AdvanceLate inserts at
+// positions worked out from the ledger, so one that contradicts the
+// buckets would slide the wrong window.
+func checkLedger(sizes []int, live int, states []core.State[sized]) error {
+	sum := 0
+	for _, sz := range sizes {
+		if sz <= 0 || sz > live {
+			return fmt.Errorf("bucket ledger holds a bucket of %d splits in a window of %d", sz, live)
+		}
+		sum += sz
+	}
+	if sum != live {
+		return fmt.Errorf("bucket ledger sums to %d splits, the window holds %d", sum, live)
+	}
+	for p, st := range states {
+		if len(st.Elems) != len(sizes) {
+			return fmt.Errorf("bucket ledger lists %d buckets, partition %d holds %d", len(sizes), p, len(st.Elems))
+		}
+	}
+	return nil
 }

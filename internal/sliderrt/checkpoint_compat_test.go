@@ -14,7 +14,7 @@ import (
 
 // toV1 turns payloads back into the gob maps a version-1 checkpoint
 // carries.
-func toV1(t *testing.T, ps []Payload, err error) []payloadV1 {
+func toV1(t testing.TB, ps []Payload, err error) []payloadV1 {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func toV1(t *testing.T, ps []Payload, err error) []payloadV1 {
 // byte fields absent, Version 1. This is byte-for-byte what a pre-flat
 // writer produced (gob omits nil fields from the stream), so restoring it
 // exercises the real upgrade path.
-func downgradeToV1(t *testing.T, frame []byte) []byte {
+func downgradeToV1(t testing.TB, frame []byte) []byte {
 	t.Helper()
 	var st checkpointState
 	if err := persist.Decode(frame, &st); err != nil {
@@ -297,6 +297,7 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 // Each used to index past a slice (or restore a made-up window); each must
 // now come back as an error before any aggregator holds the state.
 func TestRestoreRejectsInconsistentFrames(t *testing.T) {
+	fingerTree := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2, AllowedLateness: 1}
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -320,6 +321,12 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			func(st *checkpointState) { st.Partitions[1].HasPending = true }},
 		{"fixed: victim beyond the buckets", Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 2},
 			func(st *checkpointState) { st.Partitions[0].Victim = 2 }},
+		{"fingertree: ledger a bucket short", fingerTree,
+			func(st *checkpointState) { st.BucketSizes = []int{4} }},
+		{"fingertree: ledger holds an empty bucket", fingerTree,
+			func(st *checkpointState) { st.BucketSizes = []int{4, 0} }},
+		{"fingertree: ledger sums past the live splits", fingerTree,
+			func(st *checkpointState) { st.BucketSizes = []int{2, 3} }},
 		{"fixed: a bucket short", Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2},
 			func(st *checkpointState) {
 				buckets, err := persist.DecodePayloadSet(st.Partitions[0].FlatBuckets)
@@ -368,29 +375,19 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 }
 
 // TestGoldenFramesAcrossFormats restores every golden checkpoint — as
-// written (version 2), downgraded to version 1, and, for both, with the
-// Backend field zeroed the way a pre-backend writer left it — and requires
-// the pinned fingerprint (which covers the backend the restore landed on)
-// and a re-checkpoint with the golden frame's decoded content and exactly
-// the bytes pinned in goldenRewritten. Each form is
-// restored under the writer's configuration and under BackendAuto: a restore
-// that names no backend follows the checkpoint's, so a pinned writer's state
-// is never reinterpreted. Pre-backend frames name their structure only
-// through the legacy Engine/Randomized selectors, which is what lands the
-// strawman and randomized frames on their backends.
+// written (version 2 under the sld1 header, through persist's legacy
+// reader), rewritten under the sld2 header, downgraded to version 1, and,
+// for the first and the third, with the Backend field zeroed the way a
+// pre-backend writer left it — and requires the pinned fingerprint (which
+// covers the backend the restore landed on) and a re-checkpoint with the
+// golden frame's decoded content, one sld2 frame whose gob body is exactly
+// the bytes pinned in goldenRewritten. Each form is restored under the
+// writer's configuration and under BackendAuto: a restore that names no
+// backend follows the checkpoint's, so a pinned writer's state is never
+// reinterpreted. Pre-backend frames name their structure only through the
+// legacy Engine/Randomized selectors, which is what lands the strawman and
+// randomized frames on their backends.
 func TestGoldenFramesAcrossFormats(t *testing.T) {
-	zeroBackend := func(t *testing.T, frame []byte) []byte {
-		var st checkpointState
-		if err := persist.Decode(frame, &st); err != nil {
-			t.Fatal(err)
-		}
-		st.Backend = BackendAuto
-		out, err := persist.Encode(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
 	for _, c := range identityCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -411,13 +408,13 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 				name  string
 				frame []byte
 			}
-			forms := []form{{"v2", golden}, {"v1", v1}}
+			forms := []form{{"v2", golden}, {"v2 sld2", rewriteFrame(t, golden, nil)}, {"v1", v1}}
 			// The two structures a pre-backend frame names only through its
 			// legacy selectors. (Any other such frame is the mode's own
 			// tree, which resolution picks again; a Fixed one restores into
 			// it whatever its bucket order: TestRestoreV1LegacyVictimIntoDaba.)
 			if writer.Backend() == BackendStrawman || writer.Backend() == BackendRandomizedFolding {
-				forms = append(forms, form{"v2 pre-backend", zeroBackend(t, golden)}, form{"v1 pre-backend", zeroBackend(t, v1)})
+				forms = append(forms, form{"v2 pre-backend", rewriteFrame(t, golden, zeroBackend)}, form{"v1 pre-backend", rewriteFrame(t, v1, zeroBackend)})
 			}
 			for _, form := range forms {
 				for _, under := range []Config{cfg, auto} {
@@ -436,8 +433,11 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 						t.Fatal(err)
 					}
 					wantSameCheckpoint(t, again.Bytes(), golden)
-					if got := fmt.Sprintf("%x", sha256.Sum256(again.Bytes())); got != goldenRewritten[c.name] {
-						t.Fatalf("%s under backend %v: re-checkpoint bytes moved: sha256 %s, pinned %s", form.name, under.Backend, got, goldenRewritten[c.name])
+					if size, err := persist.FrameSize(again.Bytes()); err != nil || size != again.Len() {
+						t.Fatalf("%s under backend %v: the re-checkpoint is no single sld2 frame (%d of %d bytes, %v)", form.name, under.Backend, size, again.Len(), err)
+					}
+					if got := fmt.Sprintf("%x", sha256.Sum256(again.Bytes()[persist.FramePrefixLen:])); got != goldenRewritten[c.name] {
+						t.Fatalf("%s under backend %v: re-checkpoint body moved: sha256 %s, pinned %s", form.name, under.Backend, got, goldenRewritten[c.name])
 					}
 				}
 			}
@@ -445,21 +445,44 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 	}
 }
 
-// goldenRewritten pins, per golden checkpoint, the sha256 of the frame a
-// restored runtime writes back. (Not the golden file's own bytes: those
-// frames predate key-sorted payloads, and a rewrite lays the same entries
-// out in key order.) Computed at commit dbadf82, before Config.Engine and
-// Config.Randomized were folded into Config.Backend: the wire did not move.
+// zeroBackend leaves a checkpoint without a Backend, as pre-backend writers
+// did.
+func zeroBackend(st *checkpointState) { st.Backend = BackendAuto }
+
+// rewriteFrame decodes a checkpoint frame, applies edit (if any) and
+// encodes it again, under the header every writer emits now.
+func rewriteFrame(t testing.TB, frame []byte, edit func(*checkpointState)) []byte {
+	t.Helper()
+	var st checkpointState
+	if err := persist.Decode(frame, &st); err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(&st)
+	}
+	out, err := persist.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// goldenRewritten pins, per golden checkpoint, the sha256 of the gob body
+// of the frame a restored runtime writes back. (Not the golden file's own
+// body: those frames predate key-sorted payloads, and a rewrite lays the
+// same entries out in key order.) Computed as the sha256 of frame[16:] at
+// the commit before every frame took the sld2 header, when checkpoints
+// were written under sld1's 16-byte header: the body did not move.
 var goldenRewritten = map[string]string{
-	"folding":          "e12450cd5d9debfc50bc8009871d1529053e0e4680edb00870ea5d60e9f82ba0",
-	"randomized":       "0f606f806442ad9c60259019b709c831fe1ce3ddd3af2b95f56f042ffc5f8f92",
-	"rotating":         "cce2098342d336ab2d60d4a30f2da87af62e47ce3936e6927e4df372f783d218",
-	"rotating-split":   "cce2098342d336ab2d60d4a30f2da87af62e47ce3936e6927e4df372f783d218",
-	"coalescing":       "bce5b34bda223bb9ae67f7b7f1abd65ea88ae36cc73abb097268669eb5bea4d1",
-	"coalescing-split": "bce5b34bda223bb9ae67f7b7f1abd65ea88ae36cc73abb097268669eb5bea4d1",
-	"strawman":         "d2bd0874d28fbc69c9ebcb9e46aad4c4b61df09f41f837633efb80155cc6b621",
-	"daba":             "656edf94d325db33e291dade49c145c9aefcf9434ca940952316d2b029d2d957",
-	"fingertree":       "473a164bfb6724c0d29b0d196022efd061fa7a7e9fb1e76981ed817329b82f19",
+	"folding":          "77472acb339d208402b3cc1edc1efdd5ba6d7685db92105b0e682dd1c0aed4f2",
+	"randomized":       "32c7fbeea4d48da5bcaa61eeb983cd2dfa02ebd05842715957eeebb89d80513e",
+	"rotating":         "e9274168f869ceb4b125602190cd7a10370e009b87517bbf5584c605308cd372",
+	"rotating-split":   "e9274168f869ceb4b125602190cd7a10370e009b87517bbf5584c605308cd372",
+	"coalescing":       "4b5008b5020197e00aaa84b10ed5d3d10490873b9486a18dd99c35b3ff0a9144",
+	"coalescing-split": "4b5008b5020197e00aaa84b10ed5d3d10490873b9486a18dd99c35b3ff0a9144",
+	"strawman":         "a2cc2babc96b2b6f26977c04abcfa507eb0e6fe36166c7df5592c79c5d9fa175",
+	"daba":             "a4a34b0cf8284d4d1507c9364c307fca07cdb5ab9201775599bb61945ac727c4",
+	"fingertree":       "6e0b6e432961b5b4c4dd42bc02e9c94ea9e74606079b3e50881b3c4f14cef7fb",
 }
 
 // TestRestoreMismatchNamesBothBackends: a restore whose explicit backend
