@@ -252,7 +252,8 @@ func TestStragglerHoldsUpNobody(t *testing.T) {
 		t.Fatal("the delayed batch was not hedged")
 	}
 	for i := range first {
-		first[i] = mapreduce.Split{} // the caller's again
+		clear(first[i].Records) // the caller's again, records and all (stream reuses them)
+		first[i] = mapreduce.Split{}
 	}
 	held := workers[0].Served()
 

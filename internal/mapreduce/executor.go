@@ -31,6 +31,12 @@ type MapResult struct {
 // MapRunner abstracts where map tasks execute: in-process (Executor) or
 // on remote workers (internal/dist.Pool). Implementations return results
 // in split order.
+//
+// The splits are the caller's again once RunMap returns, whatever it
+// returns: an implementation reads them only during the call — nothing it
+// started may read a split afterwards (dist's hedged senders stop at the
+// call's end) — and keeps no split and no Records slice, so the caller may
+// reuse their storage.
 type MapRunner interface {
 	// RunMap executes the job's map function over every split.
 	RunMap(job *Job, splits []Split) ([]MapResult, error)

@@ -152,14 +152,23 @@ func (s *mapScratch) fold() {
 // emitted — and where a partition is put in key order: by sorting
 // (prefix, entry) pairs in the scratch, reading the strings only where two
 // prefixes are equal.
+//
+// The keys are copied once, into one string for the task, in partition then
+// key order, and every output key is a substring of it — the layout a decoded
+// payload has. Until here entries hold the strings Map emitted, which the
+// index compares; copied, a window's state holds its keys' bytes and not the
+// records they were cut from, and a merge or a seek compares keys that lie
+// side by side.
 func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64) {
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	clear(s.counts)
 	s.part = s.part[:0]
+	keyBytes := 0
 	for _, e := range s.entries {
 		p := Partition(e.key, n)
 		s.part = append(s.part, int32(p))
 		s.counts[p]++
+		keyBytes += len(e.key)
 	}
 	// counts[p] becomes where partition p's next pair goes, and is the end
 	// of its run once every pair is placed.
@@ -177,13 +186,17 @@ func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64
 		s.counts[p]++
 	}
 	parts, partBytes = make([]Payload, n), make([]int64, n)
+	var arena strings.Builder
+	arena.Grow(keyBytes)
 	start := 0
 	for p, end := range s.counts {
 		if run := s.order[start:end]; len(run) > 0 {
 			slices.SortFunc(run, s.compare)
 			out := make(Payload, len(run))
 			for i, k := range run {
-				out[i] = Entry{s.entries[k.idx].key, s.vals[k.idx]}
+				off := arena.Len()
+				arena.WriteString(s.entries[k.idx].key)
+				out[i] = Entry{arena.String()[off:], s.vals[k.idx]}
 				partBytes[p] += int64(len(out[i].Key)) + valueBytes(s.job, out[i].Value)
 			}
 			parts[p] = out
@@ -237,7 +250,9 @@ func (s *mapScratch) reset() {
 // RunScratch. Emitted pairs go into one index for all partitions (emit), a
 // key's values are combined by one Combine call over all of them (fold), and
 // the partitions are cut and sorted once, when the split is done (cut). All
-// of that happens in a pooled scratch: the task allocates its outputs.
+// of that happens in a pooled scratch: the task allocates its outputs — the
+// payloads and the one string their keys are cut from, which holds nothing
+// of the split's records.
 func RunMapTask(job *Job, split Split) (MapResult, error) {
 	if err := job.Validate(); err != nil {
 		return MapResult{}, err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // script is a record that says what its Map emits: the pairs, in order.
@@ -125,6 +126,58 @@ func boundarySplit(ints bool) Split {
 	return Split{ID: "boundary", Records: []Record{emits}}
 }
 
+// span is the address range [lo, hi) of a string's bytes.
+type span struct{ lo, hi uintptr }
+
+func spanOf(s string) span {
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return span{lo, lo + uintptr(len(s))}
+}
+
+// scriptInputs lists the strings a script split's records hold.
+func scriptInputs(split Split) []string {
+	var in []string
+	for _, rec := range split.Records {
+		for _, e := range rec.(script) {
+			in = append(in, e.Key)
+			if v, ok := e.Value.(string); ok {
+				in = append(in, v)
+			}
+		}
+	}
+	return in
+}
+
+// assertOneKeyArena holds a task's output keys to their layout: read in
+// partition then key order, every non-empty key starts where the one before
+// it ends — they are substrings of one allocation, laid out in that order —
+// and none of them shares a byte with the strings the split's records hold
+// (inputs), which the keys were cut from before the task copied them.
+func assertOneKeyArena(t testing.TB, label string, res MapResult, inputs []string) {
+	t.Helper()
+	var arena span
+	for p, part := range res.Parts {
+		for i, e := range part {
+			if e.Key == "" {
+				continue
+			}
+			k := spanOf(e.Key)
+			if arena.hi != 0 && k.lo != arena.hi {
+				t.Fatalf("%s: partition %d, key %d (%q) does not follow the key before it in one arena", label, p, i, e.Key)
+			}
+			if arena.hi == 0 {
+				arena.lo = k.lo
+			}
+			arena.hi = k.hi
+		}
+	}
+	for _, in := range inputs {
+		if r := spanOf(in); len(in) > 0 && r.lo < arena.hi && arena.lo < r.hi {
+			t.Fatalf("%s: the key arena shares bytes with the input string %q", label, in)
+		}
+	}
+}
+
 // sameMapResult holds got to want in everything but the measured cost.
 func sameMapResult(t testing.TB, label string, got, want MapResult) {
 	t.Helper()
@@ -211,6 +264,7 @@ func TestMapTaskMatchesReference(t *testing.T) {
 				t.Fatalf("%s: partition %d holds %d entries in a slice of %d", c.label, p, len(part), cap(part))
 			}
 		}
+		assertOneKeyArena(t, c.label, got, scriptInputs(c.split))
 		assertScratchClean(t, warm)
 	}
 }
@@ -284,6 +338,13 @@ func FuzzMapTask(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameMapResult(t, "fuzz", got, want)
+		// Map emits every key as a substring of its line: the task's copies
+		// must lie elsewhere.
+		lines := make([]string, len(split.Records))
+		for i, rec := range split.Records {
+			lines[i] = rec.(string)
+		}
+		assertOneKeyArena(t, "fuzz", got, lines)
 	})
 }
 
@@ -322,9 +383,11 @@ func assertScratchClean(t testing.TB, s *mapScratch) {
 
 // TestMapTaskAllocs pins the kernel's allocation shape: a warm task of a job
 // whose Map and Combine allocate nothing allocates its outputs — one entry
-// slice per partition it emitted to, the Parts and PartBytes slices — and the
-// emit closure with the variable that kills it; nothing per pair and nothing
-// per key, at ten emits as at a hundred thousand. The test holds the scratch
+// slice per partition it emitted to, the Parts and PartBytes slices, and the
+// one string every output key is cut from (the keys' arena: copied there, a
+// key no longer holds the record it was emitted from) — and the emit closure
+// with the variable that kills it; nothing per pair and nothing per key, at
+// ten emits as at a hundred thousand. The test holds the scratch
 // itself: what the pool adds is a scratch regrown whenever it has let one go,
 // which is the collector's doing and, under the race detector, chance's.
 func TestMapTaskAllocs(t *testing.T) {
@@ -359,8 +422,8 @@ func TestMapTaskAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%d pairs: %.1f allocs", pairs, allocs)
-		if allocs > partitions+4 {
-			t.Errorf("%d emitted pairs: a warm task makes %.1f allocations, want ≤ %d", pairs, allocs, partitions+4)
+		if allocs > partitions+5 {
+			t.Errorf("%d emitted pairs: a warm task makes %.1f allocations, want ≤ %d", pairs, allocs, partitions+5)
 		}
 	}
 }

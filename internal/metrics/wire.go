@@ -117,7 +117,9 @@ func StitchWireSpans(parent *Span, spans []WireSpan, anchor time.Time, window ti
 		if dur < 0 {
 			dur = 0
 		}
-		if off+dur > window {
+		// off+dur can wrap negative for a duration near MaxInt64;
+		// window−off cannot, since 0 ≤ off ≤ window.
+		if dur > window-off {
 			dur = window - off
 		}
 		s := &Span{

@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +110,82 @@ func TestStitchClockSkewClamped(t *testing.T) {
 	if len(grand) != 2 || grand[0].Name != "map+combine" || grand[1].Name != "encode" {
 		t.Fatalf("remote tree structure lost: %+v", grand)
 	}
+}
+
+// TestStitchClampsOverflowingDuration: a duration near MaxInt64 behind a
+// positive offset is clamped like any other overlong one. (The clamp used to
+// test off+dur > window, which that sum wraps negative: the span kept its
+// 2 562 047-hour duration inside a 1 ms RPC.)
+func TestStitchClampsOverflowingDuration(t *testing.T) {
+	anchor := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	window := time.Millisecond
+	for _, off := range []int64{1, int64(window / 2), int64(window)} {
+		parent := &Span{Name: "rpc", Start: anchor}
+		StitchWireSpans(parent, []WireSpan{{Name: "batch", Parent: -1, OffsetNs: off, DurationNs: math.MaxInt64,
+			Events: []WireEvent{{AtNs: math.MaxInt64, Msg: "late"}}}}, anchor, window)
+		s := parent.children[0]
+		if end := s.Start.Add(s.dur); end.After(anchor.Add(window)) || s.dur < 0 {
+			t.Fatalf("offset %d: span lasts %v and ends %v after the anchor, window %v", off, s.dur, end.Sub(anchor), window)
+		}
+		if at := s.events[0].At; at < 0 || at > s.dur {
+			t.Fatalf("offset %d: event at %v, outside [0, %v]", off, at, s.dur)
+		}
+	}
+}
+
+// FuzzStitchWireSpans: whatever a reply carries — any offsets, durations,
+// event times and parent links — stitching does not panic, every span and
+// event lands inside [anchor, anchor+window], and the spans form a tree under
+// the local parent: each reached once, by a path that ends there.
+func FuzzStitchWireSpans(f *testing.F) {
+	f.Add([]byte{}, int64(time.Millisecond))
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11\x12"), int64(0))
+	f.Add(bytes.Repeat([]byte{0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 6), int64(time.Second))
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0xfe}, 6), int64(-1))
+	f.Fuzz(func(t *testing.T, data []byte, windowNs int64) {
+		// Each span takes 25 bytes: offset, duration and one event's time,
+		// eight big-endian bytes each, and a parent index (one signed byte).
+		var spans []WireSpan
+		for len(data) >= 25 && len(spans) < 64 {
+			word := func(i int) int64 { return int64(binary.BigEndian.Uint64(data[8*i:])) }
+			spans = append(spans, WireSpan{
+				Name:       fmt.Sprint("s", len(spans)),
+				Parent:     int(int8(data[24])),
+				OffsetNs:   word(0),
+				DurationNs: word(1),
+				Events:     []WireEvent{{AtNs: word(2), Msg: "e"}},
+			})
+			data = data[25:]
+		}
+		anchor := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+		window := time.Duration(windowNs)
+		parent := &Span{ID: 1, Trace: 2, Name: "rpc", Start: anchor}
+		StitchWireSpans(parent, spans, anchor, window)
+		hi := anchor.Add(max(window, 0))
+		seen := map[*Span]bool{}
+		var walk func(s *Span)
+		walk = func(s *Span) {
+			for _, c := range s.children {
+				if seen[c] {
+					t.Fatalf("span %q is reached twice", c.Name)
+				}
+				seen[c] = true
+				if c.Start.Before(anchor) || c.Start.Add(c.dur).After(hi) || c.dur < 0 {
+					t.Fatalf("span %q covers [%v, %v] after the anchor, window %v", c.Name, c.Start.Sub(anchor), c.Start.Add(c.dur).Sub(anchor), window)
+				}
+				for _, ev := range c.events {
+					if at := c.Start.Add(ev.At); ev.At < 0 || at.After(hi) {
+						t.Fatalf("span %q: event at %v after the anchor, window %v", c.Name, at.Sub(anchor), window)
+					}
+				}
+				walk(c)
+			}
+		}
+		walk(parent)
+		if len(seen) != len(spans) {
+			t.Fatalf("%d of %d spans hang under the local parent", len(seen), len(spans))
+		}
+	})
 }
 
 func TestStitchRejectsForwardAndCyclicParents(t *testing.T) {

@@ -329,6 +329,12 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 
 // Initial performs the initial run over the first window (§3: all input
 // data items are new; the contraction trees are built from scratch).
+//
+// The runtime reads the splits only while the call runs — its MapRunner
+// returns them by the same rule — and keeps no split and no Records slice.
+// So the splits are the caller's again once Initial returns, whatever it
+// returns, and their storage may be reused (stream lends each split a slice
+// of its buffer on that rule).
 func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	if rt.started {
 		return nil, ErrReinitialize
@@ -358,6 +364,9 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 //   - Fixed mode: drop must equal len(add), both a positive multiple of
 //     the bucket width w.
 //   - Variable mode: any combination.
+//
+// As with Initial, the splits are the caller's again once Advance returns,
+// whatever it returns.
 func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) {
 	if !rt.started {
 		return nil, ErrNotInitial

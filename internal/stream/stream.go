@@ -15,6 +15,13 @@
 // Both are front ends of one bucket driver. A front end only forms splits
 // and says when a bucket — one slide's worth of them — is closed and where
 // the window then ends; the driver owns the window.
+//
+// A split does not copy its records: it is lent a capped slice of the front
+// end's buffer, which the runtime reads during the run that maps the split
+// and keeps nothing of afterwards (sliderrt.Runtime.Initial and Advance).
+// Once the bucket's run has returned, the buffer's unsplit records move to
+// its front and the storage is reused — unless the driver still holds the
+// splits of a first window that has not run yet, which keep the old buffer.
 package stream
 
 import (
@@ -83,8 +90,10 @@ type driver struct {
 // period — and runs the window forward: the run, then the sink, then the
 // run's upkeep (sliderrt.Runtime.Background), so that the sink has the
 // window before the structures prepare the next slide. The caller keeps the
-// slice. A run that fails returns its error with the bucket left out of the
-// window; a sink that fails leaves the upkeep to the next run.
+// slice, and the splits' records are the caller's again when close returns
+// — unless the first window has not run, and pending still holds them (see
+// reclaim). A run that fails returns its error with the bucket left out of
+// the window; a sink that fails leaves the upkeep to the next run.
 func (d *driver) close(splits []mapreduce.Split, end int64) error {
 	var res *sliderrt.RunResult
 	var err error
@@ -134,11 +143,38 @@ func (d *driver) record(splits int) {
 	d.head = (d.head + 1) % d.width
 }
 
-// newSplit copies records into the stream's next split.
+// reclaim returns the front end's buffer to go on filling once close has
+// returned the splits lent out of buf[:cut] — the runtime keeps no split past
+// a run: the unsplit tail buf[cut:] moves to the front and the storage is
+// reused. Splits the driver still holds for a first window that has not run
+// are not back, so the tail then moves to a fresh buffer instead and the old
+// one stays theirs. A tail longer than the closed bucket, which only a bulk
+// push leaves, does not move at all: the buffer goes on from it, so no record
+// moves more than once.
+func (d *driver) reclaim(buf []mapreduce.Record, cut int) []mapreduce.Record {
+	tail := buf[cut:]
+	switch {
+	case len(tail) > cut:
+		if len(d.pending) == 0 {
+			clear(buf[:cut])
+		}
+		return tail
+	case len(d.pending) > 0:
+		return append([]mapreduce.Record(nil), tail...)
+	}
+	n := copy(buf, tail)
+	clear(buf[n:])
+	return buf[:n]
+}
+
+// newSplit lends records to the stream's next split: the split reads them
+// where the front end buffered them, in a slice capped at its last record, so
+// nothing the split is handed can append over the buffer. The buffer reuses
+// that storage only once the split is back (reclaim).
 func newSplit(prefix string, seq int, records []mapreduce.Record) mapreduce.Split {
 	return mapreduce.Split{
 		ID:      prefix + strconv.Itoa(seq),
-		Records: append([]mapreduce.Record{}, records...),
+		Records: records[:len(records):len(records)],
 	}
 }
 
@@ -161,9 +197,13 @@ type CountConfig struct {
 // CountWindow is the count-based driver: a bucket is SlideSplits splits
 // (one split when append-only) and the window ends at a split index.
 type CountWindow struct {
-	cfg     CountConfig
-	d       driver
+	cfg CountConfig
+	d   driver
+	// buf holds the records pushed since the last closed bucket: the open
+	// bucket's splits are lent buf[:cut], the records from cut on are not
+	// in a split yet.
 	buf     []mapreduce.Record
+	cut     int
 	bucket  []mapreduce.Split // the open bucket
 	splits  int               // total splits formed so far
 	stopped bool
@@ -207,15 +247,17 @@ func (w *CountWindow) Push(records ...mapreduce.Record) error {
 		return ErrStopped
 	}
 	w.buf = append(w.buf, records...)
-	for len(w.buf) >= w.cfg.RecordsPerSplit {
-		w.bucket = append(w.bucket, newSplit("stream-", w.splits, w.buf[:w.cfg.RecordsPerSplit]))
-		w.buf = w.buf[w.cfg.RecordsPerSplit:]
+	for len(w.buf)-w.cut >= w.cfg.RecordsPerSplit {
+		next := w.cut + w.cfg.RecordsPerSplit
+		w.bucket = append(w.bucket, newSplit("stream-", w.splits, w.buf[w.cut:next]))
+		w.cut = next
 		w.splits++
 		if len(w.bucket) < max(1, w.cfg.SlideSplits) {
 			continue
 		}
 		err := w.d.close(w.bucket, int64(w.splits))
 		w.bucket = w.bucket[:0]
+		w.buf, w.cut = w.d.reclaim(w.buf, w.cut), 0
 		if err != nil {
 			return err
 		}
@@ -327,9 +369,10 @@ func (t *TimeWindow) closePeriod() error {
 		t.bucket = append(t.bucket, newSplit("tstream-", t.splits, rest[:n]))
 		rest = rest[n:]
 	}
-	t.buf = t.buf[:0]
 	t.periodStart = t.periodStart.Add(t.cfg.Slide)
-	return t.d.close(t.bucket, t.periodStart.UnixNano())
+	err := t.d.close(t.bucket, t.periodStart.UnixNano())
+	t.buf = t.d.reclaim(t.buf, len(t.buf))
+	return err
 }
 
 // Runtime exposes the underlying runtime.

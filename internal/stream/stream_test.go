@@ -414,6 +414,132 @@ func TestSinkCheckpointsBeforeTheUpkeep(t *testing.T) {
 	}
 }
 
+// failFirst is a MapRunner whose first call fails with an error the runtime
+// cannot salvage (it carries no partial results); every later call maps in
+// process.
+type failFirst struct{ failed bool }
+
+var errFirstRun = errors.New("the first map batch fails")
+
+func (f *failFirst) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce.MapResult, error) {
+	if !f.failed {
+		f.failed = true
+		return nil, errFirstRun
+	}
+	return mapreduce.Executor{Parallelism: 1}.RunMap(job, splits)
+}
+
+// TestFirstWindowRunFails: when the first window's run fails, the driver
+// keeps its splits pending — lent slices of the front end's buffer — and the
+// window moves on by one bucket at the next close. Pushes in between, single
+// and bulk, must not write over the pending splits' records: the window that
+// runs next equals recomputation over exactly the records its bounds name, on
+// both front ends, and so does every window after it.
+func TestFirstWindowRunFails(t *testing.T) {
+	job := sumJob()
+	scratch := func(t *testing.T, records []mapreduce.Record) mapreduce.Output {
+		t.Helper()
+		want, err := mapreduce.RunScratch(job, []mapreduce.Split{{ID: "scratch", Records: records}}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	t.Run("count", func(t *testing.T) {
+		const rps, window, slide = 3, 4, 2
+		rc := smallMemo()
+		rc.MapRunner = &failFirst{}
+		var outs []Output
+		w, err := NewCountWindow(CountConfig{Job: job, RecordsPerSplit: rps, WindowSplits: window, SlideSplits: slide, Config: rc}, keep(&outs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records []mapreduce.Record
+		for i := 0; i < 200; i++ {
+			records = append(records, fmt.Sprintf("w%d w%d common", i%17, i%5))
+		}
+		// Single pushes up to the failure, which the push that closes the
+		// first window reports; then a bulk push across several buckets.
+		n := 0
+		for ; n < window*rps; n++ {
+			err := w.Push(records[n])
+			if n < window*rps-1 && err != nil {
+				t.Fatal(err)
+			}
+			if n == window*rps-1 && !errors.Is(err, errFirstRun) {
+				t.Fatalf("the push closing the first window: err = %v, want the map runner's", err)
+			}
+		}
+		if err := w.Push(records[n : n+slide*rps+1]...); err != nil {
+			t.Fatal(err)
+		}
+		n += slide*rps + 1
+		for ; n < len(records); n++ {
+			if err := w.Push(records[n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(outs) == 0 {
+			t.Fatal("no window ran after the failed one")
+		}
+		if first := outs[0]; first.WindowStart != slide || first.WindowEnd != window+slide {
+			t.Fatalf("the first window delivered covers splits [%d,%d), want [%d,%d)", first.WindowStart, first.WindowEnd, slide, window+slide)
+		}
+		for i, o := range outs {
+			if want := scratch(t, records[o.WindowStart*rps:o.WindowEnd*rps]); !reflect.DeepEqual(o.Result.Output, want) {
+				t.Fatalf("window %d [%d,%d): got %v, from scratch %v", i, o.WindowStart, o.WindowEnd, o.Result.Output, want)
+			}
+		}
+	})
+	t.Run("time", func(t *testing.T) {
+		rc := smallMemo()
+		rc.MapRunner = &failFirst{}
+		var outs []Output
+		w, err := NewTimeWindow(TimeConfig{Job: job, Window: 3 * time.Minute, Slide: time.Minute, RecordsPerSplit: 2, Config: rc}, keep(&outs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+		var accepted []TimedRecord
+		failed := false
+		// Periods of 1 to 9 records: the bursts span several splits.
+		for p, i := 0, 0; p < 12; p++ {
+			for k := 0; k <= (p*5)%9; k, i = k+1, i+1 {
+				rec := TimedRecord{At: epoch.Add(time.Duration(p)*time.Minute + time.Duration(k)*time.Second), Record: fmt.Sprintf("w%d common", i%7)}
+				switch err := w.Push(rec); {
+				case errors.Is(err, errFirstRun) && !failed:
+					// The record that closed the failed window was not taken.
+					failed = true
+				case err != nil:
+					t.Fatal(err)
+				default:
+					accepted = append(accepted, rec)
+				}
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !failed || len(outs) == 0 {
+			t.Fatalf("the first run failed: %v; %d windows delivered after it", failed, len(outs))
+		}
+		if start := outs[0].WindowStart; start != epoch.Add(time.Minute).UnixNano() {
+			t.Fatalf("the first window delivered starts %v after the epoch, want 1m", time.Duration(start-epoch.UnixNano()))
+		}
+		for i, o := range outs {
+			var records []mapreduce.Record
+			for _, r := range accepted {
+				if at := r.At.UnixNano(); o.WindowStart <= at && at < o.WindowEnd {
+					records = append(records, r.Record)
+				}
+			}
+			if want := scratch(t, records); !reflect.DeepEqual(o.Result.Output, want) {
+				t.Fatalf("window %d: got %v, from scratch %v", i, o.Result.Output, want)
+			}
+		}
+	})
+}
+
 // windowKey is what a sink sees of one delivered window.
 type windowKey struct {
 	SlideID    uint64
