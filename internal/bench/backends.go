@@ -16,12 +16,14 @@ import (
 
 // The backends experiment compares the Fixed-mode aggregation backends
 // head-to-head on wordcount: the rotating contraction tree (O(log w)
-// combines per slide, §4.1) against the DABA Lite queue (worst-case O(1)
-// combines per slide). Both serve the same windows and the same slides;
-// the experiment records per-slide foreground combines, merges, wall
-// time, and heap allocations across a sweep of window widths, exposing
-// the crossover the asymptotics predict: the rotating tree's per-slide
-// cost grows with the window while DABA's stays flat.
+// combines per slide, §4.1) against the daba kind's Two-Stacks Lite queue
+// (amortized O(1): two merges a bucket). Both serve the same windows and
+// the same slides; the experiment records per-slide combines, merges, wall
+// time, and heap allocations — upkeep included — across a sweep of window
+// widths, exposing the crossover the asymptotics predict: the rotating
+// tree's per-slide cost grows with the window while DABA's stays flat. A
+// window is measured over at least one whole cycle of its slots, so that
+// the span holds the flip Two-Stacks Lite makes once every w slides.
 
 // BackendCell is one (window, backend) measurement, normalized per slide.
 type BackendCell struct {
@@ -124,7 +126,7 @@ func RunBackends(s Scale) (*BackendsResult, string, error) {
 	}
 	for _, w := range backendWindows(s) {
 		for _, b := range []sliderrt.Backend{sliderrt.BackendDaba, sliderrt.BackendRotating} {
-			cell, err := measureBackend(s, b, w, slides)
+			cell, err := measureBackend(s, b, w, max(slides, w))
 			if err != nil {
 				return nil, "", fmt.Errorf("backends %s w=%d: %w", b, w, err)
 			}

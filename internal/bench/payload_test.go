@@ -52,32 +52,37 @@ func TestPayloadSlideAllocs(t *testing.T) {
 // TestWideSlideAllocs gates what a slide allocates when the window is 64
 // times the delta — the shape where everything that walks the window
 // instead of the delta shows. Per slide the runtime may allocate for the
-// delta (one map task), for the O(1) merges of the DABA backend (one
-// scratch pair per merge, not one per combined key, and an output slice for
-// the few that find none large enough among the aggregates the queue has
-// released — the window aggregate is not built at all, the reduce takes the
-// two halves), and for the memo entries (an index record each, no bytes);
-// nothing per key of the window — the output map is kept from slide to
-// slide, and the reducer's boxed results are those of the delta's keys.
+// delta (one map task), for the daba kind's merges (one scratch pair per
+// merge, not one per combined key, and an output slice for the few that find
+// none large enough among the aggregates the structure has released — the
+// window aggregate is not built at all, the reduce takes the two halves),
+// and for the memo entries (an index record each, no bytes); nothing per key
+// of the window — the output map is kept from slide to slide, and the
+// reducer's boxed results are those of the delta's keys. The daba kind
+// merges a bucket once when it arrives and once at the flip that comes every
+// 64 slides, so the measured span is one whole cycle: 64 slides, one flip.
 // The map task's own maps are gone and with them the map-growth jitter; what
 // still varies, by a fraction of an allocation a slide, is the pool behind the
 // map task — a task that the scheduler resumed on another P, or that comes
 // after two collections, finds no scratch and grows a new one — and when the
-// retained output map grows. The ceiling
-// sits ~5 % above the measured value (185 when pinned; 207 while a map task
-// kept a Go map per partition and grew its payloads by doubling; 236 while
-// every merge but the query's allocated its output; 252 before DABA's window
-// aggregate was rebuilt in place and the output map kept; 265 while the root
-// path was encoded every slide; 315 while payloads were hash maps; 1 365
-// before sizes travelled with payloads and reduce became one pass). The bytes
-// are where a per-window cost shows that a count hides — one map is one
-// allocation at any size — so they are held too: 27.1 KB a slide measured
-// (26.9 KB while a merge took only storage that held both its inputs — the
-// fit bound lets more merges into recycled storage that some then outgrow),
-// 31.9 KB with the per-task maps, 76.7 KB while the merges allocated their
-// outputs, 93.6 KB while every slide allocated its output map.
+// retained output map grows. The ceiling sits ~5 % above the measured value
+// (168.8 when pinned over a cycle; 176.6 under DABA Lite, 185 over 32 slides
+// when first pinned; 207 while a map task kept a Go map per partition and
+// grew its payloads by doubling; 236 while every merge but the query's
+// allocated its output; 252 before DABA's window aggregate was rebuilt in
+// place and the output map kept; 265 while the root path was encoded every
+// slide; 315 while payloads were hash maps; 1 365 before sizes travelled
+// with payloads and reduce became one pass). The bytes are where a
+// per-window cost shows that a count hides — one map is one allocation at
+// any size — so they are held too: 19.6 KB a slide measured over a cycle
+// (25.2 KB under DABA Lite, whose fixups merged every bucket three times;
+// 27.1 KB over 32 slides, 26.9 KB while a merge took only storage that held
+// both its inputs — the fit bound lets more merges into recycled storage
+// that some then outgrow —, 31.9 KB with the per-task maps, 76.7 KB while
+// the merges allocated their outputs, 93.6 KB while every slide allocated
+// its output map).
 func TestWideSlideAllocs(t *testing.T) {
-	const window, slides, ceiling, byteCeiling = 64, 32, 195, 28_300
+	const window, slides, ceiling, byteCeiling = 64, 64, 177, 20_600
 	cold, coldBytes := coldScratch(42, 14_400)
 	cell, err := measurePayloadSlides(Quick(), window, slides)
 	if err != nil {

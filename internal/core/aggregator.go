@@ -35,7 +35,8 @@ type Aggregator[T any] interface {
 	// Roots returns the payloads the final reduce consumes for the current
 	// window, in window order: one combined root, or the uncombined payloads
 	// whose union is the window — the split-processing foreground paths, and
-	// DABA Lite's front and back halves, which it never merges for a query.
+	// the daba kind's front and back halves, which it never merges for a
+	// query.
 	// Between a Slide and its Background call it is the foreground result.
 	// The list and the payloads are the structure's own: a slot owns its
 	// storage, so what Roots, ForEachPayload or Snapshot hand out is read
@@ -45,8 +46,8 @@ type Aggregator[T any] interface {
 	Roots() []T
 	// Background runs the upkeep a slide left for after its query — the
 	// work split processing moved off the critical path (install the bucket
-	// and pre-combine for the next slide; fold C′ into the root), DABA
-	// Lite's fixups that feed no query — and reports whether there was any.
+	// and pre-combine for the next slide; fold C′ into the root), the daba
+	// kind's flip, which no query needs — and reports whether there was any.
 	// A caller runs it before the next Slide or Snapshot.
 	Background() (bool, error)
 	// Stats returns the accumulated work counters; ResetStats clears them.
@@ -79,8 +80,8 @@ type OutOfOrder[T any] interface {
 
 // Releaser is the capability of a structure that knows which of the
 // aggregates it holds it built with its merge function, and when one of them
-// dies — overwritten by the aggregate that replaces it, or evicted (DABA
-// Lite, the folding tree). With a hook installed, before Init, the structure
+// dies — overwritten by the aggregate that replaces it, or evicted (the daba
+// kind, the folding tree). With a hook installed, before Init, the structure
 // hands it every such aggregate exactly once, after its own last read, so
 // that the caller can build a later merge in the storage; the merge function
 // must then return storage of its own on every call. Elements — what Init
@@ -89,6 +90,15 @@ type OutOfOrder[T any] interface {
 // is garbage, a wrong one is corruption. The other kinds release nothing.
 type Releaser[T any] interface {
 	OnRelease(release func(T))
+}
+
+// Spares is the capability of a Releaser that holds dead aggregates back
+// from its hook until the merge they are kept for is due (the daba kind keeps
+// each evicted slot's storage for the slot's next merge, at its next flip).
+// That storage is neither state nor in the hook's hands, so a caller that
+// accounts for dead storage counts it through ForEachSpare.
+type Spares[T any] interface {
+	ForEachSpare(fn func(T))
 }
 
 // State is an aggregator's restorable state as plain values, the shape a
@@ -102,6 +112,12 @@ type State[T any] struct {
 	Circular bool
 	// Filled reports that a fixed-width window holds its full complement.
 	Filled bool
+	// Pos is the absolute position of the oldest element: how many the
+	// window has evicted since its initial run. The daba kind flips on the
+	// multiples of its width, so its restore puts the boundary where the
+	// writer's was; a checkpoint does not carry Pos, its reader derives it
+	// from the window's bounds.
+	Pos uint64
 	// IDs are the elements' identities, for the kinds that memoize nodes by
 	// identity; NextID is the identity the next inserted element receives.
 	IDs    []uint64
@@ -175,7 +191,7 @@ func ParseKind(s string) (Kind, error) {
 // Options carries what the kinds' constructors need; each kind reads its
 // own fields and ignores the rest.
 type Options struct {
-	// Width is the window capacity in elements (rotating, DABA Lite).
+	// Width is the window capacity in elements (rotating, daba).
 	Width int
 	// Split enables split processing (rotating, coalescing).
 	Split bool
@@ -195,7 +211,7 @@ func NewAggregator[T any](kind Kind, merge MergeFunc[T], o Options) Aggregator[T
 	case KindDaba:
 		t := NewDaba(merge, o.Width)
 		t.SetBuggify(o.Buggify)
-		return &dabaAgg[T]{DabaLite: t}
+		return &dabaAgg[T]{TwoStacksLite: t}
 	case KindRotating:
 		t := NewRotating(merge, o.Width)
 		t.SetBuggify(o.Buggify)
@@ -244,43 +260,16 @@ func errFixedSlide(drop, add int) error {
 	return fmt.Errorf("core: fixed-width slide needs drop == add (got %d, %d)", drop, add)
 }
 
-// bucketWindow is what the structures that keep their buckets in window
-// order (DABA Lite, the finger tree) offer for checkpointing.
-type bucketWindow[T any] interface {
-	BucketPayloads() ([]T, bool)
-	Restore(buckets []T) error
-	ResetStats()
-}
-
-func snapshotBuckets[T any](w bucketWindow[T]) State[T] {
-	var st State[T]
-	st.Elems, st.Filled = w.BucketPayloads()
-	return st
-}
-
-func restoreBuckets[T any](w bucketWindow[T], st State[T]) error {
-	elems, err := st.windowOrder()
-	if err != nil {
-		return err
-	}
-	if err := w.Restore(elems); err != nil {
-		return err
-	}
-	w.ResetStats()
-	return nil
-}
-
-// --- DABA Lite -----------------------------------------------------------
+// --- daba (Two-Stacks Lite) ------------------------------------------------
 
 type dabaAgg[T any] struct {
-	*DabaLite[T]
+	*TwoStacksLite[T]
 	evicted []T
 	roots   []T
 }
 
-// Background replays the fixups the slides deferred because no query needs
-// them.
-func (a *dabaAgg[T]) Background() (bool, error) { return a.DabaLite.Background(), nil }
+// Background runs the flip a drained front left for after the query.
+func (a *dabaAgg[T]) Background() (bool, error) { return a.TwoStacksLite.Background(), nil }
 
 func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	if drop != len(add) {
@@ -289,24 +278,34 @@ func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
 	a.evicted = a.evicted[:0]
 	for _, b := range add {
 		a.evicted = append(a.evicted, a.raw[a.slot(a.f)])
-		if err := a.DabaLite.Slide(b); err != nil {
+		if err := a.TwoStacksLite.Slide(b); err != nil {
 			return nil, err
 		}
 	}
 	return a.evicted, nil
 }
 
-// Roots is the window's two halves as the queue holds them: the reduce takes
-// several roots in window order, so the one merge result no slot would keep
-// is never built.
+// Roots is the window's two halves as the structure holds them: the reduce
+// takes several roots in window order, so the one merge result no slot would
+// keep is never built.
 func (a *dabaAgg[T]) Roots() []T {
 	a.roots = a.Halves(a.roots[:0])
 	return a.roots
 }
 
-func (a *dabaAgg[T]) Snapshot() State[T] { return snapshotBuckets[T](a.DabaLite) }
+func (a *dabaAgg[T]) Snapshot() State[T] {
+	st := State[T]{Pos: a.f}
+	st.Elems, st.Filled = a.BucketPayloads()
+	return st
+}
 
-func (a *dabaAgg[T]) Restore(st State[T]) error { return restoreBuckets[T](a.DabaLite, st) }
+func (a *dabaAgg[T]) Restore(st State[T]) error {
+	elems, err := st.windowOrder()
+	if err != nil {
+		return err
+	}
+	return a.RestoreAt(elems, st.Pos)
+}
 
 // --- finger tree ---------------------------------------------------------
 
@@ -330,9 +329,23 @@ func (a *fingerAgg[T]) Slide(drop int, add []T) ([]T, error) {
 
 func (a *fingerAgg[T]) Roots() []T { return rootOf(a.Root()) }
 
-func (a *fingerAgg[T]) Snapshot() State[T] { return snapshotBuckets[T](a.FingerTree) }
+func (a *fingerAgg[T]) Snapshot() State[T] {
+	var st State[T]
+	st.Elems, st.Filled = a.BucketPayloads()
+	return st
+}
 
-func (a *fingerAgg[T]) Restore(st State[T]) error { return restoreBuckets[T](a.FingerTree, st) }
+func (a *fingerAgg[T]) Restore(st State[T]) error {
+	elems, err := st.windowOrder()
+	if err != nil {
+		return err
+	}
+	if err := a.FingerTree.Restore(elems); err != nil {
+		return err
+	}
+	a.ResetStats()
+	return nil
+}
 
 // --- rotating tree -------------------------------------------------------
 

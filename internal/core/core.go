@@ -29,8 +29,8 @@
 // passes a single child through holds the child's payload, a leaf holds the
 // caller's. But a slot owns its storage: an aggregate a structure built with
 // its merge function is that structure's alone, and when it is overwritten
-// or evicted it is dead. The structures that track this (Releaser: DabaLite,
-// FoldingTree) hand each dead aggregate to a release hook, whose owner may
+// or evicted it is dead. The structures that track this (Releaser:
+// TwoStacksLite, FoldingTree) hand each dead aggregate to a release hook, whose owner may
 // build a later merge in its storage; the others leave theirs to the
 // collector. Either way a payload obtained from a structure — Roots,
 // ForEachPayload, Snapshot — is read within the run that obtained it.

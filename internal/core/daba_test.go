@@ -27,7 +27,7 @@ func dabaOracle(live [][]int) []int {
 	return out
 }
 
-func checkDabaRoot(t *testing.T, d *DabaLite[[]int], live [][]int, step int) {
+func checkDabaRoot(t *testing.T, d *TwoStacksLite[[]int], live [][]int, step int) {
 	t.Helper()
 	want := dabaOracle(live)
 	got, ok := d.Root()
@@ -46,26 +46,26 @@ func checkDabaRoot(t *testing.T, d *DabaLite[[]int], live [][]int, step int) {
 }
 
 // TestDabaDifferentialVsLeftFold drives random push/evict sequences
-// against a naive left fold with a non-commutative combiner, checking
-// the aggregate after every operation — before its upkeep — and the
-// worst-case combiner-call bounds of an operation and its upkeep (≤3 per
-// push, ≤2 per evict, ≤1 per query).
+// against a naive left fold with a non-commutative combiner, checking the
+// aggregate after every operation — before its upkeep — and the merge bounds
+// of Two-Stacks Lite: a query costs at most one merge, an operation and its
+// upkeep at most one push merge plus one flip of at most n−2, and every
+// bucket is merged at most twice in all (once into the back's running sum,
+// once at its flip).
 func TestDabaDifferentialVsLeftFold(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 32} {
 		rng := rand.New(rand.NewSource(int64(n) * 7919))
 		d := NewDaba(concatMerge, n)
 		var live [][]int
-		next := 0
+		next, queries := 0, int64(0)
 		for step := 0; step < 2000; step++ {
 			doPush := len(live) == 0 || (len(live) < n && rng.Intn(2) == 0)
 			before := d.Stats().Merges
-			limit, what := int64(2), "evict"
 			if doPush {
 				v := []int{next}
 				next++
 				d.push(v)
 				live = append(live, v)
-				limit, what = 3, "push"
 			} else {
 				if err := d.evict(); err != nil {
 					t.Fatalf("n=%d step %d: evict: %v", n, step, err)
@@ -76,11 +76,15 @@ func TestDabaDifferentialVsLeftFold(t *testing.T) {
 			checkDabaRoot(t, d, live, step)
 			query := d.Stats().Merges - op
 			if query > 1 {
-				t.Fatalf("n=%d step %d: query cost %d merges, worst case is 1", n, step, query)
+				t.Fatalf("n=%d step %d: query cost %d merges, bound 1", n, step, query)
 			}
+			queries += query
 			d.Background()
-			if got := d.Stats().Merges - before - query; got > limit {
-				t.Fatalf("n=%d step %d: %s and its upkeep cost %d merges, worst case is %d", n, step, what, got, limit)
+			if got, limit := d.Stats().Merges-before-query, int64(1+max(n-2, 0)); got > limit {
+				t.Fatalf("n=%d step %d: an operation and its upkeep cost %d merges, bound %d", n, step, got, limit)
+			}
+			if got := d.Stats().Merges - queries; got > int64(2*next) {
+				t.Fatalf("n=%d step %d: %d merges for %d buckets pushed, bound two a bucket", n, step, got, next)
 			}
 			if d.Len() != len(live) {
 				t.Fatalf("n=%d step %d: Len = %d, want %d", n, step, d.Len(), len(live))
@@ -90,8 +94,8 @@ func TestDabaDifferentialVsLeftFold(t *testing.T) {
 }
 
 // TestDabaSlide exercises the Init + Slide + Background surface the runtime
-// uses: constant combiner work per slide and its upkeep at every window
-// size.
+// uses at every window size: a slide and its upkeep cost one merge, plus a
+// flip of n−2 once every n slides, which runs in the upkeep.
 func TestDabaSlide(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7, 64, 256} {
 		d := NewDaba(concatMerge, n)
@@ -108,71 +112,52 @@ func TestDabaSlide(t *testing.T) {
 		if err := d.Init(live); err != nil {
 			t.Fatalf("n=%d: Init: %v", n, err)
 		}
+		if got := d.Stats().Merges; got != int64(n-1) {
+			t.Fatalf("n=%d: Init cost %d merges, want the front's n−1", n, got)
+		}
 		checkDabaRoot(t, d, live, -1)
-		d.Background()
-		for step := 0; step < 200; step++ {
+		if d.Background() {
+			t.Fatalf("n=%d: Init left a flip for the upkeep", n)
+		}
+		start := d.Stats().Merges
+		const slides = 200
+		for step := 0; step < slides; step++ {
 			v := []int{n + step}
 			before := d.Stats().Merges
 			if err := d.Slide(v); err != nil {
 				t.Fatalf("n=%d step %d: Slide: %v", n, step, err)
 			}
-			d.Background()
-			if got := d.Stats().Merges - before; got > 5 {
-				t.Fatalf("n=%d step %d: slide and upkeep cost %d merges, worst case is 5", n, step, got)
+			if got := d.Stats().Merges - before; got > 1 {
+				t.Fatalf("n=%d step %d: the slide cost %d merges before its upkeep, want at most 1", n, step, got)
+			}
+			flipped := d.Background()
+			if got, want := flipped, (step+1)%n == 0; got != want {
+				t.Fatalf("n=%d step %d: upkeep flipped = %v, want %v (a flip every n slides)", n, step, got, want)
+			}
+			if got, limit := d.Stats().Merges-before, int64(max(n-1, 1)); got > limit {
+				t.Fatalf("n=%d step %d: slide and upkeep cost %d merges, bound %d", n, step, got, limit)
 			}
 			live = append(live[1:], v)
+			query := d.Stats().Merges
 			checkDabaRoot(t, d, live, step)
+			start += d.Stats().Merges - query
+		}
+		if got, limit := d.Stats().Merges-start, int64(2*slides); got > limit {
+			t.Fatalf("n=%d: %d slides cost %d merges, bound two a bucket (%d)", n, slides, got, limit)
 		}
 	}
 }
 
-// eagerDaba is DabaLite as it ran before a fixup could wait: every push and
-// every evict runs its fixup at once. It shares the structure's fields,
-// fixup and flip, and none of the deferral.
-type eagerDaba[T any] struct{ *DabaLite[T] }
-
-func newEagerDaba[T any](merge MergeFunc[T], buckets []T) eagerDaba[T] {
-	d := eagerDaba[T]{NewDaba(merge, len(buckets))}
-	for _, b := range buckets {
-		d.push(b)
-	}
-	d.filled = true
-	return d
-}
-
-func (d eagerDaba[T]) push(v T) {
-	s := d.slot(d.e)
-	d.q[s], d.raw[s] = v, v
-	d.e++
-	if d.hasBack {
-		d.backSum = d.merge(d.backSum, v)
-		d.stats.Merges++
-	} else {
-		d.backSum, d.hasBack = v, true
-	}
-	d.stats.NodesRecomputed++
-	d.fixup()
-}
-
-func (d eagerDaba[T]) slide(v T) {
-	var zero T
-	s := d.slot(d.f)
-	d.q[s], d.raw[s] = zero, zero
-	d.f++
-	d.fixup()
-	d.push(v)
-}
-
-// TestDabaDeferredFixupsMatchEager slides DABA Lite beside the eager
-// reference and the left fold, over several flips of windows of 1, 2, 3, 8
-// and 64 buckets, with the upkeep run after a seeded half of the slides and
-// left to the next Slide otherwise. The window aggregate the halves make is
-// the left fold's at every query, pending fixups or not; after every
-// Background the halves the query read are whole — the upkeep released
-// neither (a flip left for it would: it hands backSum to midSum and the
-// front to L) — and the cursors, the fingerprint and the work counters are
-// the eager reference's.
-func TestDabaDeferredFixupsMatchEager(t *testing.T) {
+// TestDabaHalvesAndRestoreMatchModel holds Two-Stacks Lite to its model.
+// Over random pushes and evicts, with the upkeep run after a seeded half of
+// the operations and left to the next evict otherwise, the halves fold to
+// the left fold of the live buckets under a non-commutative combiner after
+// every operation and again after its upkeep, which releases neither half.
+// Then, sliding a full window through three cycles, a restore at every
+// phase of a cycle reproduces the writer's fingerprint, and the restored
+// aggregator's next slide and upkeep do the writer's work and leave the
+// writer's state.
+func TestDabaHalvesAndRestoreMatchModel(t *testing.T) {
 	fp := func(p []int) uint64 {
 		h := uint64(0x51ed)
 		for _, v := range p {
@@ -182,50 +167,80 @@ func TestDabaDeferredFixupsMatchEager(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 3, 8, 64} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		var live [][]int
-		for i := 0; i < n; i++ {
-			live = append(live, []int{i})
-		}
-		lazy := NewDaba(concatMerge, n)
+		d := NewDaba(concatMerge, n)
 		oracle := NewOwnershipOracle(-1, func(v int) bool { return v < 0 })
-		lazy.OnRelease(oracle.Release)
-		if err := lazy.Init(live); err != nil {
-			t.Fatal(err)
-		}
-		ref := newEagerDaba(concatMerge, live)
-		deferred := 0
-		for step := 0; step < 6*n+12; step++ {
-			v := []int{n + step}
-			if err := lazy.Slide(v); err != nil {
-				t.Fatalf("n=%d step %d: %v", n, step, err)
+		d.OnRelease(oracle.Release)
+		var live [][]int
+		next, deferred := 0, 0
+		for step := 0; step < 40*n+40; step++ {
+			if len(live) == 0 || len(live) < n && rng.Intn(2) == 0 {
+				v := []int{next}
+				next++
+				d.push(v)
+				live = append(live, v)
+			} else {
+				if err := d.evict(); err != nil {
+					t.Fatalf("n=%d step %d: %v", n, step, err)
+				}
+				live = live[1:]
 			}
-			ref.slide(v)
-			live = append(live[1:], v)
-			deferred += lazy.pending
-			halves := lazy.Halves(nil)
+			halves := d.Halves(nil)
 			if got, want := dabaOracle(halves), dabaOracle(live); !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d step %d (%d fixups pending): the halves make %v, the window is %v", n, step, lazy.pending, got, want)
+				t.Fatalf("n=%d step %d: the halves make %v, the window is %v", n, step, got, want)
 			}
 			if rng.Intn(2) == 0 {
+				if d.f == d.b && d.b != d.e {
+					deferred++
+				}
 				continue
 			}
-			lazy.Background()
+			d.Background()
 			for _, h := range halves {
 				oracle.Scan("a half the query read", h)
 			}
 			if err := oracle.Err(); err != nil {
 				t.Fatalf("n=%d step %d: %v", n, step, err)
 			}
-			cursors := func(d *DabaLite[[]int]) [6]uint64 { return [6]uint64{d.f, d.l, d.r, d.a, d.b, d.e} }
-			if cursors(lazy) != cursors(ref.DabaLite) {
-				t.Fatalf("n=%d step %d: cursors %v after the upkeep, eager %v", n, step, cursors(lazy), cursors(ref.DabaLite))
-			}
-			if lazy.FingerprintWith(fp) != ref.FingerprintWith(fp) || lazy.Stats() != ref.Stats() {
-				t.Fatalf("n=%d step %d: after the upkeep stats %+v, eager %+v (or the fingerprints differ)", n, step, lazy.Stats(), ref.Stats())
+			if got, want := dabaOracle(d.Halves(nil)), dabaOracle(live); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d step %d: after the upkeep the halves make %v, the window is %v", n, step, got, want)
 			}
 		}
-		if n > 2 && deferred == 0 {
-			t.Fatalf("n=%d: no slide deferred a fixup", n)
+		if n > 1 && deferred == 0 {
+			t.Fatalf("n=%d: no flip was left to an evict", n)
+		}
+
+		live = live[:0]
+		for i := 0; i < n; i++ {
+			live = append(live, []int{i})
+		}
+		w := NewDaba(concatMerge, n)
+		if err := w.Init(live); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3*n; step++ {
+			buckets, _ := w.BucketPayloads()
+			r := NewDaba(concatMerge, n)
+			if err := r.RestoreAt(buckets, w.f); err != nil {
+				t.Fatal(err)
+			}
+			if r.FingerprintWith(fp) != w.FingerprintWith(fp) {
+				t.Fatalf("n=%d phase %d: the restore fingerprints differently from its writer", n, step%n)
+			}
+			v := []int{n + step}
+			work := func(d *TwoStacksLite[[]int]) Stats {
+				before := d.Stats()
+				if err := d.Slide(v); err != nil {
+					t.Fatal(err)
+				}
+				d.Background()
+				after := d.Stats()
+				return Stats{after.Merges - before.Merges, after.NodesRecomputed - before.NodesRecomputed, after.NodesReused - before.NodesReused}
+			}
+			if got, want := work(r), work(w); got != want || r.FingerprintWith(fp) != w.FingerprintWith(fp) {
+				t.Fatalf("n=%d phase %d: the restored slide did %+v, its writer's %+v (or left a different state)", n, step%n, got, want)
+			}
+			live = append(live[1:], v)
+			checkDabaRoot(t, r, live, step)
 		}
 	}
 }
@@ -280,7 +295,7 @@ func TestDabaRecyclesDeadSlots(t *testing.T) {
 				t.Fatalf("n=%d step %d: %v", n, step, err)
 			}
 		}
-		for _, d := range []*DabaLite[[]int]{plain, hooked} {
+		for _, d := range []*TwoStacksLite[[]int]{plain, hooked} {
 			if err := d.Init(live); err != nil {
 				t.Fatalf("n=%d: Init: %v", n, err)
 			}
@@ -289,7 +304,7 @@ func TestDabaRecyclesDeadSlots(t *testing.T) {
 		const slides = 200
 		for step := 0; step < slides; step++ {
 			v := []int{n + step}
-			for _, d := range []*DabaLite[[]int]{plain, hooked} {
+			for _, d := range []*TwoStacksLite[[]int]{plain, hooked} {
 				if err := d.Slide(v); err != nil {
 					t.Fatalf("n=%d step %d: Slide: %v", n, step, err)
 				}
@@ -301,15 +316,20 @@ func TestDabaRecyclesDeadSlots(t *testing.T) {
 		if plain.Stats() != hooked.Stats() || plain.FingerprintWith(fp) != hooked.FingerprintWith(fp) {
 			t.Fatalf("n=%d: the release hook changed stats or state: %+v vs %+v", n, hooked.Stats(), plain.Stats())
 		}
-		// Every other merge result is released when it dies, unless a slot or
-		// a running sum still holds it.
+		// Every other merge result is released when it dies, unless a slot,
+		// the running sum or a spare kept for the next flip still holds it.
 		held := 0
-		for _, owned := range append([]bool{hooked.midOwned, hooked.backOwned}, hooked.owned...) {
+		if hooked.f < hooked.b {
+			held = int(hooked.b-hooked.f) - 1 // the front's slots but its newest
+		}
+		for _, owned := range append([]bool{hooked.backOwned}, hooked.spared...) {
 			if owned {
 				held++
 			}
 		}
-		if got, want := oracle.Released()+held, builds-rootMerges; got != want || n >= 3 && oracle.Released() < slides {
+		// A cycle of n slides releases 2n−3: n−2 running sums, and the n−1
+		// spares its flip builds in.
+		if got, want := oracle.Released()+held, builds-rootMerges; got != want || n >= 3 && oracle.Released() < (slides/n-1)*(2*n-3) {
 			t.Fatalf("n=%d: %d aggregates released and %d held, %d built into slots", n, oracle.Released(), held, want)
 		}
 	}
@@ -318,7 +338,7 @@ func TestDabaRecyclesDeadSlots(t *testing.T) {
 // TestDabaBucketPayloadsAndRestore checks that BucketPayloads returns
 // the raw buckets in window order and that a restored aggregator
 // matches a fresh one built from the same checkpoint: same root, same
-// fingerprint, same (rebuild-only) stats.
+// fingerprint, stats zero.
 func TestDabaBucketPayloadsAndRestore(t *testing.T) {
 	n := 6
 	d := NewDaba(concatMerge, n)
@@ -348,15 +368,16 @@ func TestDabaBucketPayloadsAndRestore(t *testing.T) {
 		}
 		return h
 	}
+	pos := d.f
 	inPlace := d
-	if err := inPlace.Restore(got); err != nil {
+	if err := inPlace.RestoreAt(got, pos); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewDaba(concatMerge, n)
-	if err := fresh.Restore(got); err != nil {
+	if err := fresh.RestoreAt(got, pos); err != nil {
 		t.Fatal(err)
 	}
-	if inPlace.Stats() != fresh.Stats() {
+	if inPlace.Stats() != fresh.Stats() || fresh.Stats() != (Stats{}) {
 		t.Fatalf("restored stats diverge: in-place %+v, fresh %+v", inPlace.Stats(), fresh.Stats())
 	}
 	if inPlace.FingerprintWith(fp) != fresh.FingerprintWith(fp) {
@@ -376,7 +397,7 @@ func TestDabaFingerprintTracksState(t *testing.T) {
 		}
 		return h
 	}
-	build := func(vals []int) *DabaLite[[]int] {
+	build := func(vals []int) *TwoStacksLite[[]int] {
 		d := NewDaba(concatMerge, 4)
 		var buckets [][]int
 		for _, v := range vals[:4] {

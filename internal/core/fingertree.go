@@ -5,7 +5,7 @@ package core
 // Out-of-Order Sliding-Window Aggregation", and its bulk-operation
 // successor "Out-of-Order Sliding-Window Aggregation with Efficient
 // Bulk Evictions and Insertions"). Where the five contraction trees and
-// DABA Lite all assume FIFO arrival — the only mutations are "evict the
+// Two-Stacks Lite all assume FIFO arrival — the only mutations are "evict the
 // oldest, append the newest" — the finger tree keeps the window as a
 // balanced search tree ordered by window position, so three extra
 // operations become cheap:

@@ -69,9 +69,9 @@ func (t *RotatingTree[T]) Shape() TreeShape {
 	return s
 }
 
-// Shape returns the DABA Lite aggregator's structural snapshot (height
-// 0: a flat ring of per-bucket aggregates, no tree).
-func (t *DabaLite[T]) Shape() TreeShape {
+// Shape returns the daba kind's structural snapshot (height 0: a flat ring
+// of per-bucket aggregates, no tree).
+func (t *TwoStacksLite[T]) Shape() TreeShape {
 	s := TreeShape{Variant: KindDaba.String(), Live: t.Len(), Nodes: t.NodeCount()}
 	if s.Live > 0 {
 		s.Levels = []int{s.Live}

@@ -24,17 +24,16 @@ const (
 	// k−1 buckets when k > 1 — the classic bulk-boundary off-by-one whose
 	// only symptom is a stale oldest bucket lingering in the aggregate.
 	BuggifyFingerBulkEvictOffByOne
-	// BuggifyDabaReleaseRaw makes DabaLite release the aggregate slot of an
-	// A-conversion that took no merge (a+1 == b) — the slot aliases the raw
-	// bucket, which the structure does not own: the wrong release whose
-	// only symptom is a live bucket rewritten by whoever recycles it.
-	BuggifyDabaReleaseRaw
-	// BuggifyDabaDeferEmptyFront makes DabaLite defer an evict's fixup even
-	// when the evict emptied the front (f == l): the query then reads the
-	// partial suffix Σ[f, m) in q[f], which misses midSum — the wrong
-	// deferral whose only symptom is a window aggregate short of buckets,
-	// until the upkeep repairs the state as if nothing had happened.
-	BuggifyDabaDeferEmptyFront
+	// BuggifyDabaReleaseNewestRaw makes the daba kind's flip release the
+	// newest back slot's aggregate, which aliases the raw bucket the
+	// structure does not own: the wrong release whose only symptom is a
+	// live bucket rewritten by whoever recycles it.
+	BuggifyDabaReleaseNewestRaw
+	// BuggifyDabaEvictPastFront lets the daba kind's evict pass a drained
+	// front without flipping first: the evicted bucket stays in backSum, so
+	// the window aggregate holds a bucket that has left the window — the
+	// wrong deferral whose only symptom is the answers until the next flip.
+	BuggifyDabaEvictPastFront
 )
 
 // SetBuggify installs fault-injection points on a rotating tree (for the
@@ -101,25 +100,20 @@ func (t *RotatingTree[T]) FingerprintWith(fp func(T) uint64) uint64 {
 	return h
 }
 
-// FingerprintWith hashes the DABA Lite aggregator once its pending fixups
-// have run: the cursor offsets relative to the front (restore-friendly:
-// absolute positions reset on rebuild), the running sums, and both rings
-// over the live range in window order. Two aggregators that went through
-// the same operations fingerprint identically, whenever their upkeep ran.
-func (t *DabaLite[T]) FingerprintWith(fp func(T) uint64) uint64 {
+// FingerprintWith hashes the daba kind's Two-Stacks Lite once a pending
+// flip has run: the boundary and the end relative to the front
+// (restore-friendly: RestoreAt puts the boundary where the writer's was),
+// the running sum, and both rings over the live range in window order. Two
+// aggregators that went through the same operations fingerprint
+// identically, whenever their upkeep ran, and so does one restored from
+// either's snapshot.
+func (t *TwoStacksLite[T]) FingerprintWith(fp func(T) uint64) uint64 {
 	t.Background()
 	h := uint64(0x6c62272e07bb0147)
 	h = fpMix(h, uint64(t.n))
 	h = fpBool(h, t.filled)
-	h = fpMix(h, t.l-t.f)
-	h = fpMix(h, t.r-t.f)
-	h = fpMix(h, t.a-t.f)
 	h = fpMix(h, t.b-t.f)
 	h = fpMix(h, t.e-t.f)
-	h = fpBool(h, t.hasMid)
-	if t.hasMid {
-		h = fpMix(h, fp(t.midSum))
-	}
 	h = fpBool(h, t.hasBack)
 	if t.hasBack {
 		h = fpMix(h, fp(t.backSum))

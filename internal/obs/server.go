@@ -314,7 +314,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# TYPE slider_late_arrivals_total counter")
 		fmt.Fprintf(w, "slider_late_arrivals_total{result=\"accept\"} %d\n", ws.LateAccepts)
 		fmt.Fprintf(w, "slider_late_arrivals_total{result=\"reject\"} %d\n", ws.LateRejects)
-		fmt.Fprintln(w, "# HELP slider_free_list_bytes Dead payload storage the partitions' free lists hold for the next merges (not in the memoized-state size).")
+		fmt.Fprintln(w, "# HELP slider_free_list_bytes Dead payload storage the partitions' free lists and structures hold for the next merges (not in the memoized-state size).")
 		fmt.Fprintln(w, "# TYPE slider_free_list_bytes gauge")
 		fmt.Fprintf(w, "slider_free_list_bytes %d\n", ws.FreeListBytes)
 	}

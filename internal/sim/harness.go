@@ -137,6 +137,12 @@ func runTree(tr Trace, opt Options) error {
 	}
 
 	prevStats := d.stats()
+	// slid sums the slides' merges, upkeep included, and the buckets they
+	// pushed, for the trace-wide bound.
+	var slid struct {
+		merges int64
+		pushed int
+	}
 	// bulkBound holds one out-of-order operation over k buckets to the
 	// no-log-factor budget.
 	bulkBound := func(step int, what string, k int) error {
@@ -173,6 +179,12 @@ func runTree(tr Trace, opt Options) error {
 					return fail(step, "work-bound",
 						"slide drop=%d add=%d window=%d performed %d merges, bound %d",
 						drop, add, len(window), merges, limit)
+				}
+				slid.merges += merges
+				slid.pushed += add
+				if limit := dabaTraceBound(slid.pushed, tr.Initial); tr.Kind == Daba && slid.merges > limit {
+					return fail(step, "trace-bound", "%d slides' merges for %d buckets pushed, bound %d",
+						slid.merges, slid.pushed, limit)
 				}
 			}
 		case OpCheckpoint:
@@ -415,9 +427,14 @@ func mergeBound(kind Kind, drop, add, liveAfter int) int64 {
 		// One root path per rotated bucket, plus split pre-processing.
 		return 8 * (delta + 1) * h
 	case Daba:
-		// Worst-case constant per bucket: ≤5 combines per single-bucket
-		// slide plus one root query — no log factor at all.
-		return 8 * (delta + 1)
+		// Two-Stacks Lite: one merge per pushed bucket, plus at most one
+		// flip of at most n−2 merges per n buckets (the window of n is
+		// liveAfter) — its upkeep, which the bound includes. The query takes
+		// the two halves unmerged. No log factor; amortized, the trace-wide
+		// dabaTraceBound holds it to two merges a bucket.
+		n := int64(liveAfter)
+		flips := (int64(add) + n - 1) / n
+		return int64(add) + flips*max(n-2, 0)
 	case FingerTree:
 		// A slide is one bulk evict plus one bulk insert; the budget is
 		// the looser one of delta single O(log w) slides. (The explicit
@@ -438,6 +455,14 @@ func mergeBound(kind Kind, drop, add, liveAfter int) int64 {
 	default: // Strawman
 		return 1 << 62
 	}
+}
+
+// dabaTraceBound is the daba kind's amortized budget over a whole trace, per
+// tree: every bucket a slide pushed is merged at most twice — into the back's
+// running sum and at its flip — plus a window's worth of slack. (Init and a
+// restore build their front outside it.)
+func dabaTraceBound(pushed, width int) int64 {
+	return int64(2*pushed + width)
 }
 
 // bulkMergeBound is the budget for one out-of-order bulk operation over

@@ -65,14 +65,14 @@ func TestInjectedBugIsCaughtAndShrinks(t *testing.T) {
 }
 
 // TestInjectedBugWrongRelease is the ownership oracle's acceptance test:
-// inject the wrong release — DabaLite handing the release hook an aggregate
-// slot that aliases the raw bucket, via the BuggifyDabaReleaseRaw fault point
-// — and demonstrate that the tree-layer matrix catches it as an ownership
+// inject the wrong release — the daba kind's flip handing the release hook
+// the newest back slot, which aliases the raw bucket, via the
+// BuggifyDabaReleaseNewestRaw fault point — and demonstrate that the tree-layer matrix catches it as an ownership
 // failure (the bucket is live: a root, a slot, the snapshot and later the
 // evicted list all reach it), that the failing trace shrinks to a short
 // reproducer, and that the same trace passes with the injection reverted.
 func TestInjectedBugWrongRelease(t *testing.T) {
-	buggy := Options{Buggify: core.BuggifyDabaReleaseRaw}
+	buggy := Options{Buggify: core.BuggifyDabaReleaseNewestRaw}
 
 	var failing Trace
 	var firstErr error
@@ -84,7 +84,7 @@ func TestInjectedBugWrongRelease(t *testing.T) {
 		}
 	}
 	if firstErr == nil {
-		t.Fatal("injected bug (release of a raw-aliased DABA slot) was not caught within 1000 steps on any seed")
+		t.Fatal("injected bug (release of the raw-aliased newest slot at a flip) was not caught within 1000 steps on any seed")
 	}
 	ce, ok := firstErr.(*CheckError)
 	if !ok {
@@ -102,7 +102,7 @@ func TestInjectedBugWrongRelease(t *testing.T) {
 	if len(min.Ops) > 20 {
 		t.Fatalf("shrunken reproducer has %d steps, want ≤ 20", len(min.Ops))
 	}
-	t.Logf("shrunk %d ops → %d ops:\n%s", len(failing.Ops), len(min.Ops), FormatRepro("DabaReleasedRawBucketRepro", min, buggy))
+	t.Logf("shrunk %d ops → %d ops:\n%s", len(failing.Ops), len(min.Ops), FormatRepro("DabaReleasedNewestRawRepro", min, buggy))
 
 	if err := Run(min, Options{}); err != nil {
 		t.Fatalf("trace fails even without the injected bug — harness found a real bug?\n%v", err)
@@ -110,16 +110,16 @@ func TestInjectedBugWrongRelease(t *testing.T) {
 }
 
 // TestInjectedBugWrongDeferral is the deferral's acceptance test: inject the
-// wrong deferral — DabaLite leaving an evict's fixup for the upkeep although
-// the evict emptied the front, via the BuggifyDabaDeferEmptyFront fault
-// point, so that the query reads a partial aggregate that misses midSum —
-// and demonstrate that the tree-layer matrix catches it within 1000 steps,
-// that the failing trace shrinks to a reproducer of ≤ 20 steps, and that the
-// same trace passes with the injection reverted. The upkeep repairs the
-// state as if nothing had happened, so only the answers given before it
-// can show the bug.
+// wrong deferral — the daba kind's evict passing a drained front without
+// the flip it needs first, via the BuggifyDabaEvictPastFront fault point, so
+// that the running sum keeps a bucket that has left the window — and
+// demonstrate that the tree-layer matrix catches it within 1000 steps, that
+// the failing trace shrinks to a reproducer of ≤ 20 steps, and that the same
+// trace passes with the injection reverted. Only an evict that finds the
+// flip still owed can show the bug: the second bucket of a multi-bucket
+// slide that drained the front.
 func TestInjectedBugWrongDeferral(t *testing.T) {
-	buggy := Options{Buggify: core.BuggifyDabaDeferEmptyFront}
+	buggy := Options{Buggify: core.BuggifyDabaEvictPastFront}
 
 	var failing Trace
 	var firstErr error
@@ -131,7 +131,7 @@ func TestInjectedBugWrongDeferral(t *testing.T) {
 		}
 	}
 	if firstErr == nil {
-		t.Fatal("injected bug (an evict's fixup deferred with the front empty) was not caught within 1000 steps on any seed")
+		t.Fatal("injected bug (an evict past a drained front without its flip) was not caught within 1000 steps on any seed")
 	}
 	ce, ok := firstErr.(*CheckError)
 	if !ok {
@@ -149,7 +149,7 @@ func TestInjectedBugWrongDeferral(t *testing.T) {
 	if len(min.Ops) > 20 {
 		t.Fatalf("shrunken reproducer has %d steps, want ≤ 20", len(min.Ops))
 	}
-	t.Logf("shrunk %d ops → %d ops:\n%s", len(failing.Ops), len(min.Ops), FormatRepro("DabaDeferredEmptyFrontRepro", min, buggy))
+	t.Logf("shrunk %d ops → %d ops:\n%s", len(failing.Ops), len(min.Ops), FormatRepro("DabaEvictPastFrontRepro", min, buggy))
 
 	if err := Run(min, Options{}); err != nil {
 		t.Fatalf("trace fails even without the injected bug — harness found a real bug?\n%v", err)

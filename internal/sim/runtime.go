@@ -305,7 +305,15 @@ func runRuntime(tr Trace, opt Options) error {
 		name, what    string
 		merges, limit int64
 	}
+	// spent sums the merges of every run held to a bound, upkeep included,
+	// and pushed the buckets its slides pushed, for the daba kind's
+	// trace-wide bound.
+	var spent int64
+	pushed := 0
 	pay := func(upkeep int64) error {
+		if owed.limit > 0 {
+			spent += upkeep
+		}
 		if owed.limit > 0 && owed.merges+upkeep > owed.limit {
 			return fail(owed.step, owed.name, "%s performed %d merges with its upkeep (%d in the foreground), bound %d",
 				owed.what, owed.merges+upkeep, owed.merges, owed.limit)
@@ -337,6 +345,7 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		owed.step, owed.name, owed.what = step, name, fmt.Sprintf(format, args...)
 		owed.merges, owed.limit = res.TreeStats.Merges, limit
+		spent += owed.merges
 		if owed.merges > limit {
 			return fail(step, name, "%s performed %d merges, bound %d", owed.what, owed.merges, limit)
 		}
@@ -394,6 +403,7 @@ func runRuntime(tr Trace, opt Options) error {
 			if tr.Kind != Strawman {
 				limit = int64(job.Partitions) * mergeBound(tr.Kind, drop, add, liveAfter)
 			}
+			pushed += add
 			if err := workBound(step, "work-bound", limit, "advance drop=%d add=%d window=%d", drop, add, liveAfter); err != nil {
 				return err
 			}
@@ -556,6 +566,10 @@ func runRuntime(tr Trace, opt Options) error {
 	last := len(tr.Ops) - 1
 	if err := settle(last); err != nil {
 		return err
+	}
+	if limit := int64(job.Partitions) * dabaTraceBound(pushed, tr.Initial); tr.Kind == Daba && !opt.NoBounds && spent > limit {
+		return fail(last, "trace-bound", "%d merges for %d buckets pushed into %d partitions, bound %d",
+			spent, pushed, job.Partitions, limit)
 	}
 	for i, rep := range reps {
 		if err := rep.rt.Background(); err != nil {

@@ -24,7 +24,7 @@ import (
 //	Fixed     > 0              no               → BackendFingerTree
 //	                                              (O(K + log w) bulk/late ops)
 //	Fixed     0                yes              → BackendRotating (O(log N))
-//	Fixed     0                no               → BackendDaba (O(1)/slide)
+//	Fixed     0                no               → BackendDaba (amortized O(1))
 //
 // What any backend, picked or explicit, must satisfy — every violation is
 // ErrBadBackend at New:
@@ -47,8 +47,8 @@ type Backend = core.Kind
 const (
 	// BackendAuto resolves to the cheapest legal backend for the query.
 	BackendAuto Backend = 0
-	// BackendDaba is the DABA Lite worst-case O(1) in-order aggregator
-	// (fixed-width windows; associative combiner suffices).
+	// BackendDaba is the amortized O(1) in-order aggregator, Two-Stacks
+	// Lite (fixed-width windows; associative combiner suffices).
 	BackendDaba = core.KindDaba
 	// BackendRotating is the rotating contraction tree of §4.1
 	// (fixed-width windows; requires a commutative combiner; the only

@@ -215,8 +215,9 @@ func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (er
 // (flat frames for v2, gob maps for v1). The frame is untrusted: every
 // length and presence flag is checked here, before any aggregator is
 // touched, and decoded payloads are measured — restore is where they are
-// created, so this is the one walk they get (see sized).
-func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq uint64) (core.State[sized], error) {
+// created, so this is the one walk they get (see sized). A bucket window's
+// position is its lowest split's over the bucket width (see core.State.Pos).
+func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq, windowLo uint64) (core.State[sized], error) {
 	var st core.State[sized]
 	var elems []Payload
 	var err error
@@ -246,6 +247,7 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq uint64) 
 			return st, fmt.Errorf("window not filled")
 		}
 		st.Victim, st.Filled = pc.Victim, true
+		st.Pos = windowLo / uint64(rt.cfg.BucketSplits)
 		if elems = fromV1(pc.Buckets); version >= 2 {
 			elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
 		}
@@ -317,7 +319,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	rt.installAggregators()
 	states := make([]core.State[sized], rt.parts)
 	for p := range st.Partitions {
-		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Version, st.Seq); err != nil {
+		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Version, st.Seq, st.WindowLo); err != nil {
 			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 		}
 	}

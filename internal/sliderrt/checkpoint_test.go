@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"slider/internal/mapreduce"
 	"slider/internal/persist"
 )
 
@@ -159,6 +160,64 @@ func TestRestoreCorruptData(t *testing.T) {
 	}
 	if _, err := Restore(wordCountJob(), cfg, strings.NewReader("junk")); err == nil {
 		t.Fatal("junk checkpoint accepted")
+	}
+}
+
+// TestDabaRestoreKeepsTheFlipPhase: the daba kind flips once every
+// WindowBuckets buckets, on the multiples of the width, and a checkpoint
+// carries no structure — only the buckets and the window's bounds. A runtime
+// restored from a checkpoint taken at any phase of a cycle must flip when its
+// writer does: over the next two cycles both report the same foreground and
+// upkeep work, run by run, and end in the same state.
+func TestDabaRestoreKeepsTheFlipPhase(t *testing.T) {
+	const width, bucket = 4, 2
+	job := wordCountJob()
+	cfg := Config{Mode: Fixed, Backend: BackendDaba, BucketSplits: bucket, WindowBuckets: width, Memo: testMemoConfig()}
+	for phase := 0; phase < width; phase++ {
+		writer, err := New(job, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := width * bucket
+		if _, err := writer.Initial(genSplits(0, next, 4, 7)); err != nil {
+			t.Fatal(err)
+		}
+		advance := func(rt *Runtime, add []mapreduce.Split) *RunResult {
+			res, err := rt.Advance(bucket, add)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for i := 0; i < width+phase; i++ {
+			advance(writer, genSplits(next, bucket, 4, 7))
+			next += bucket
+		}
+		var ckpt bytes.Buffer
+		if err := writer.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(job, cfg, &ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2*width; i++ {
+			add := genSplits(next, bucket, 4, 7)
+			next += bucket
+			w, r := advance(writer, add), advance(restored, add)
+			if i == 0 {
+				// The writer's first result reports the upkeep its checkpoint
+				// ran, which the restore has no part in.
+				w.TreeStatsBackground = r.TreeStatsBackground
+			}
+			if w.TreeStats != r.TreeStats || w.TreeStatsBackground != r.TreeStatsBackground {
+				t.Fatalf("phase %d, slide %d after the restore: the restored runtime did %+v (upkeep %+v), its writer %+v (upkeep %+v)",
+					phase, i+1, r.TreeStats, r.TreeStatsBackground, w.TreeStats, w.TreeStatsBackground)
+			}
+		}
+		if writer.StateFingerprint() != restored.StateFingerprint() {
+			t.Fatalf("phase %d: the restored runtime ends in another state than its writer", phase)
+		}
 	}
 }
 

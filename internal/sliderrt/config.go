@@ -30,8 +30,9 @@ const (
 	// grows. Uses coalescing contraction trees (§4.2).
 	Append Mode = iota + 1
 	// Fixed is the fixed-width mode: every slide drops exactly as many
-	// splits as it adds. Served by the DABA Lite O(1) queue or the
-	// rotating contraction tree (§4.1) — see Backend.
+	// splits as it adds. Served by the daba kind's amortized O(1) queue
+	// (Two-Stacks Lite) or the rotating contraction tree (§4.1) — see
+	// Backend.
 	Fixed
 	// Variable is the general mode: the window may shrink and grow by
 	// arbitrary, different amounts. Uses folding trees (§3.1) or
@@ -61,7 +62,7 @@ type Config struct {
 	// the Backend type's selection matrix). The zero value, BackendAuto,
 	// resolves to the cheapest structure legal for the mode and the job's
 	// declared combiner properties — for fixed-width in-order windows
-	// without split processing that is the DABA Lite O(1) aggregator;
+	// without split processing that is the daba kind's O(1) aggregator;
 	// BackendRandomizedFolding and BackendStrawman are only ever chosen
 	// explicitly. A backend that cannot serve the mode, the combiner,
 	// SplitProcessing or AllowedLateness makes New fail with ErrBadBackend.

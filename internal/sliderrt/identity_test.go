@@ -31,8 +31,12 @@ import (
 // unmerged (24 queries × one merge; DESIGN.md §9, seventh revision); then
 // its Fg {150 210 66} split into Fg {126 186 48} + Bg {24 24 18} when the
 // fixups that feed no query moved into the upkeep after the answer (§9,
-// eleventh revision). At that revision Combines became the run's whole
-// count: the two split rows' 843 → 883 and 154 → 162 are the combiner calls
+// eleventh revision); then they became Fg {72 84 3} + Bg {24 24 6} and
+// Combines 587 → 443 when the daba kind became Two-Stacks Lite: a bucket is
+// merged twice, into the back's running sum and at its flip, where DABA
+// Lite merged it three times, and the initial run builds its front with
+// n−1 merges (§9, fifteenth revision). At the eleventh revision Combines
+// became the run's whole count: the two split rows' 843 → 883 and 154 → 162 are the combiner calls
 // of their last pre-combine, which the runtime made before as well but no
 // result reported (coalescing-split now totals what coalescing does).
 //
@@ -94,7 +98,7 @@ func identityCases() []identityCase {
 		{name: "strawman", cfg: Config{Mode: Variable, Backend: BackendStrawman}, initial: 7, ops: variable,
 			pin: identityPin{MidFP: 0xdd04ce247e7f9c2f, FinalFP: 0xe9bf953beefe99dd, Fg: core.Stats{Merges: 201, NodesRecomputed: 201, NodesReused: 81}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 517, Space: 2084}},
 		{name: "daba", cfg: Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 6}, initial: 12, ops: fixed,
-			pin: identityPin{MidFP: 0x56d0746f3d2c2d0d, FinalFP: 0x2a2352d852910315, Fg: core.Stats{Merges: 126, NodesRecomputed: 186, NodesReused: 48}, Bg: core.Stats{Merges: 24, NodesRecomputed: 24, NodesReused: 18}, Combines: 587, Space: 2730}},
+			pin: identityPin{MidFP: 0x56d0746f3d2c2d0d, FinalFP: 0x2a2352d852910315, Fg: core.Stats{Merges: 72, NodesRecomputed: 84, NodesReused: 3}, Bg: core.Stats{Merges: 24, NodesRecomputed: 24, NodesReused: 6}, Combines: 443, Space: 2730}},
 		{name: "fingertree", cfg: Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 8, AllowedLateness: 4}, initial: 16, ops: ooo,
 			pin: identityPin{MidFP: 0xfe39972cc00a2b12, FinalFP: 0xdd9dd887f5f59414, Fg: core.Stats{Merges: 291, NodesRecomputed: 267, NodesReused: 0}, Bg: core.Stats{Merges: 0, NodesRecomputed: 0, NodesReused: 0}, Combines: 941, Space: 3789}},
 	}

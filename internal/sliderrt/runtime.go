@@ -45,7 +45,7 @@ type RunResult struct {
 	Report metrics.Report
 	// Background carries the upkeep that ran since the previous result: the
 	// work the previous run left for after its answer (Runtime.Background)
-	// — split processing's pre-combine, DABA Lite's deferred fixups —, its
+	// — split processing's pre-combine, the daba kind's flip —, its
 	// tasks and the combiner calls its merges made. Empty when there was
 	// none; the initial run's is always empty.
 	Background metrics.Report
@@ -126,6 +126,9 @@ type Runtime struct {
 	// escapes (two allocations per partition per slide), so each
 	// partition's is built once.
 	treeBytes []byteSum
+	// spares counts the storage the structures hold back for merges not yet
+	// due (core.Spares), through a visitor built once for the same reason.
+	spares spareCount
 
 	// Bucket ledger of a window whose aggregator is core.OutOfOrder:
 	// splits per live bucket in window order, oldest first — late buckets
@@ -181,6 +184,10 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 	rt.treeBytes = make([]byteSum, rt.parts)
 	rt.partKeys = make([]string, rt.parts)
 	rt.partNodes = make([]int, rt.parts)
+	rt.spares.add = func(s sized) {
+		rt.spares.st.Buffers++
+		rt.spares.st.Entries += cap(s.P)
+	}
 	for p := range rt.treeBytes {
 		sum := &rt.treeBytes[p]
 		sum.add = func(s sized) { sum.n += s.Bytes }
@@ -532,9 +539,9 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 
 // Background runs the upkeep the last run left for after its answer: on
 // every partition, the work its structure does only for the next slide —
-// split processing's install and pre-combine, DABA Lite's fixups that feed
-// no query. It runs under a "background" span of the run's slide, and what
-// it did is reported by the next run's result (RunResult.Background,
+// split processing's install and pre-combine, the daba kind's flip, which
+// no query needs. It runs under a "background" span of the run's slide, and
+// what it did is reported by the next run's result (RunResult.Background,
 // TreeStatsBackground). Then the elements the run evicted go to their
 // partitions' free lists — nothing reads them once the upkeep has run: a
 // split-processing victim stays in its leaf until then — and it publishes
@@ -770,7 +777,7 @@ func statsDelta(before, after core.Stats) core.Stats {
 func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDelta, out mapreduce.Output, before core.Stats) (_ mapreduce.Output, rebuilt bool, _ core.Stats) {
 	ph := so.phase("reduce")
 	// keys is what a full pass walks, distinct what it yields at least: a
-	// partition's roots may share keys (DABA Lite's halves do).
+	// partition's roots may share keys (the daba kind's halves do).
 	keys, distinct, touched := 0, 0, 0
 	for _, part := range parts {
 		largest := 0
@@ -845,7 +852,7 @@ func (rt *Runtime) recordContraction(rec *metrics.Recorder, p int, cost time.Dur
 // update reads and rewrites: one root payload for append-only windows —
 // root ∪ C′ is the next root, so several roots add up —, roughly twice the
 // root payload for a log-depth path. A sliding window's several roots are
-// DABA Lite's halves, which overlap in every key both hold and whose merge
+// the daba kind's halves, which overlap in every key both hold and whose merge
 // is stored nowhere: the largest stands for the root (DESIGN.md §9).
 func (rt *Runtime) rootPathBytes(roots []sized) int64 {
 	if rt.cfg.Mode == Append {
@@ -995,6 +1002,12 @@ type byteSum struct {
 	add func(sized)
 }
 
+// spareCount accumulates held-back storage through its add visitor.
+type spareCount struct {
+	st  mapreduce.FreeListStats
+	add func(sized)
+}
+
 // ForEachPayload calls fn for every payload the contraction trees hold,
 // partition by partition. It exists for diagnostics and for the test
 // oracle that re-measures SpaceBytes from scratch with
@@ -1101,7 +1114,8 @@ type RuntimeStats struct {
 	// FreeList sums the partitions' free lists: the dead storage they hold
 	// for the next merges — memory SpaceBytes leaves out — and how many
 	// merges found storage there and how many did not, since the aggregators
-	// were installed.
+	// were installed. Buffers and Entries include the storage the structures
+	// hold back for merges not yet due (the daba kind's spares).
 	FreeList mapreduce.FreeListStats
 }
 
@@ -1117,11 +1131,16 @@ func (rt *Runtime) Stats() RuntimeStats {
 	}
 }
 
-// freeListStats sums the partitions' free-list bookkeeping.
+// freeListStats sums the partitions' free-list bookkeeping. The storage a
+// structure holds back from its list for a merge not yet due (core.Spares)
+// counts as held: it is dead storage that SpaceBytes leaves out as well.
 func (rt *Runtime) freeListStats() mapreduce.FreeListStats {
-	var total mapreduce.FreeListStats
+	rt.spares.st = mapreduce.FreeListStats{}
 	for p := range rt.free {
-		total = total.Add(rt.free[p].Stats())
+		if s, ok := rt.aggs[p].(core.Spares[sized]); ok {
+			s.ForEachSpare(rt.spares.add)
+		}
+		rt.spares.st = rt.spares.st.Add(rt.free[p].Stats())
 	}
-	return total
+	return rt.spares.st
 }

@@ -28,9 +28,9 @@ type WindowStats struct {
 	// LateRejects counts late arrivals refused with ErrTooLate (behind
 	// the effective watermark or deeper than AllowedLateness).
 	LateRejects int64
-	// FreeListBytes is the memory the partitions' free lists hold for the
-	// next merges to be built in — storage SpaceBytes leaves out, see
-	// RuntimeStats.FreeList.
+	// FreeListBytes is the memory the partitions' free lists, and the
+	// structures' spares, hold for the next merges to be built in — storage
+	// SpaceBytes leaves out, see RuntimeStats.FreeList.
 	FreeListBytes int64
 }
 

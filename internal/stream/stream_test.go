@@ -343,7 +343,7 @@ func TestCountWindowCheckpointResume(t *testing.T) {
 // both run it first, and the driver's call then finds nothing to do — and
 // the checkpoint restores to a runtime that continues exactly as the stream
 // does: the same outputs, the same foreground work, the same state. For the
-// three structures that leave upkeep: DABA Lite's fixups, split rotating's
+// three structures that leave upkeep: the daba kind's flip, split rotating's
 // install and pre-combine, split coalescing's fold.
 func TestSinkCheckpointsBeforeTheUpkeep(t *testing.T) {
 	record := func(i int) mapreduce.Record { return fmt.Sprintf("w%d w%d common", i%13, i%5) }

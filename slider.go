@@ -116,8 +116,8 @@ const (
 const (
 	// BackendAuto resolves the cheapest legal backend for the query.
 	BackendAuto = sliderrt.BackendAuto
-	// BackendDaba is the worst-case O(1) in-order aggregator for plain
-	// fixed-width windows (no commutativity required).
+	// BackendDaba is the amortized O(1) in-order aggregator (Two-Stacks
+	// Lite) for plain fixed-width windows (no commutativity required).
 	BackendDaba = sliderrt.BackendDaba
 	// BackendRotating is the rotating contraction tree of §4.1.
 	BackendRotating = sliderrt.BackendRotating
