@@ -30,19 +30,25 @@ const payloadSlideWindow = 16
 // `window` one-split buckets, sliding by one) and returns per-slide
 // averages, measureBackend-style.
 func measurePayloadSlides(s Scale, window, slides int) (slideCell, error) {
-	return measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, 1, window, slides)
+	return measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, 1, window, slides, false)
 }
 
 // measureSlideLoop is measurePayloadSlides for any job over the splits gen
 // yields, in buckets of bucket splits: a window of window buckets sliding by
-// one.
-func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split, bucket, window, slides int) (slideCell, error) {
+// one. A cold loop starts every measured slide in one known state: its map
+// tasks run one at a time, and two collections before the slide empty every
+// sync.Pool, so that each slide grows exactly one map-task scratch, whatever
+// the machine's core count and wherever the collector would have run.
+func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split, bucket, window, slides int, cold bool) (slideCell, error) {
 	var cell slideCell
 	cfg := sliderrt.Config{
 		Mode:          sliderrt.Fixed,
 		BucketSplits:  bucket,
 		WindowBuckets: window,
 		Memo:          memo.DefaultConfig(),
+	}
+	if cold {
+		cfg.Parallelism = 1
 	}
 	rt, err := sliderrt.New(job, cfg)
 	if err != nil {
@@ -72,6 +78,10 @@ func measureSlideLoop(job *mapreduce.Job, gen func(lo, hi int) []mapreduce.Split
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < slides; i++ {
+		if cold {
+			runtime.GC()
+			runtime.GC()
+		}
 		if err := slide(); err != nil {
 			return cell, err
 		}

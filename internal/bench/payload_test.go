@@ -102,15 +102,21 @@ func TestWideSlideAllocs(t *testing.T) {
 // of their payloads into one bucket per partition. The fold is built in the
 // storage of the bucket the window evicted the slide before, which nothing
 // reads once the upkeep has run, so it allocates its scratch and no output.
-// The bytes are the pin: 100.6 KB a slide measured, 115.5 KB while each fold
-// allocated its bucket; the ceiling sits ~4 % above. (886 allocations a
-// slide, 891 then: one per partition.) Every slide maps eight splits, so
-// under -race each may pay a cold scratch.
+// The bytes are the pin, read over a cold loop (measureSlideLoop): every
+// slide starts after two collections and maps its splits one at a time, so
+// it grows exactly one map-task scratch (~14.4 KB). 117.2–119.2 KB a slide
+// measured at GOMAXPROCS 1 to 8; the ceiling sits ~4 % above the typical
+// 118 KB. (The warm loop this pin replaced read 103.5–104.9 KB against
+// 105 KB, more with more cores: how many scratches a slide's concurrent
+// tasks found pooled, and whether a collection emptied the pools mid-loop,
+// varied from run to run.) A fold that allocates its bucket again reads
+// ~131 KB cold (115.5 KB a warm slide while it did). Under -race each of
+// the eight tasks may pay a cold scratch of its own.
 func TestBucketFoldAllocs(t *testing.T) {
-	const bucket, window, slides, byteCeiling = 8, 2, 16, 105_000
+	const bucket, window, slides, byteCeiling = 8, 2, 16, 123_000
 	_, coldBytes := coldScratch(42, 14_400)
 	s := Quick()
-	cell, err := measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, bucket, window, slides)
+	cell, err := measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, bucket, window, slides, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestStructValueSlideAllocs(t *testing.T) {
 	if kmeans.Name != "K-Means" {
 		t.Fatalf("first micro app is %q, want K-Means", kmeans.Name)
 	}
-	cell, err := measureSlideLoop(kmeans.NewJob(), kmeans.Gen, 1, window, slides)
+	cell, err := measureSlideLoop(kmeans.NewJob(), kmeans.Gen, 1, window, slides, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func runTree(tr Trace, opt Options) error {
 				}
 				slid.merges += merges
 				slid.pushed += add
-				if limit := dabaTraceBound(slid.pushed, tr.Initial); tr.Kind == Daba && slid.merges > limit {
+				if limit := dabaTraceBound(slid.pushed, tr.Initial); tr.Kind.daba() && slid.merges > limit {
 					return fail(step, "trace-bound", "%d slides' merges for %d buckets pushed, bound %d",
 						slid.merges, slid.pushed, limit)
 				}
@@ -426,7 +426,7 @@ func mergeBound(kind Kind, drop, add, liveAfter int) int64 {
 	case Rotating, RotatingSplit:
 		// One root path per rotated bucket, plus split pre-processing.
 		return 8 * (delta + 1) * h
-	case Daba:
+	case Daba, Periods:
 		// Two-Stacks Lite: one merge per pushed bucket, plus at most one
 		// flip of at most n−2 merges per n buckets (the window of n is
 		// liveAfter) — its upkeep, which the bound includes. The query takes

@@ -151,6 +151,9 @@ func runtimeConfig(tr Trace, par int, gcAll *bool) (sliderrt.Config, error) {
 	cfg.Mode, cfg.Backend, cfg.SplitProcessing = spec.mode, spec.kind, spec.split
 	if tr.Kind.fixedWidth() {
 		cfg.BucketSplits = runtimeBucketSplits
+		if tr.Kind.periods() {
+			cfg.BucketSplits = 0
+		}
 		cfg.WindowBuckets = tr.Initial
 	}
 	if tr.Kind.outOfOrder() {
@@ -158,6 +161,22 @@ func runtimeConfig(tr Trace, par int, gcAll *bool) (sliderrt.Config, error) {
 		cfg.AllowedLateness = simLateness
 	}
 	return cfg, nil
+}
+
+// initialPeriods is a Periods trace's first window: n buckets of zero to
+// three splits each, drawn from the seed, at least one of them not empty —
+// a first window holds a split.
+func initialPeriods(seed uint64, n int) []int {
+	sizes := make([]int, n)
+	total := 0
+	for i := range sizes {
+		sizes[i] = int(mix64(seed^mix64(uint64(i)+0x5e7)) % 4)
+		total += sizes[i]
+	}
+	if total == 0 {
+		sizes[n-1] = 1
+	}
+	return sizes
 }
 
 func memoConfig() memo.Config {
@@ -233,15 +252,17 @@ func runRuntime(tr Trace, opt Options) error {
 		return out
 	}
 
-	initial := takeSplits(tr.Initial * splitWidth)
-	window = initial
-
-	// sizes mirrors the finger-tree backend's bucket ledger: splits per
-	// live bucket, oldest first. Late buckets are one split wide, so the
-	// window's flat split count is not simply buckets·splitWidth for the
-	// finger-tree kind.
+	// sizes mirrors the bucket ledger of the kinds whose buckets vary in
+	// width: splits per live bucket, oldest first. A finger tree's late
+	// buckets are one split wide and a period's bucket holds what the
+	// period carried, so the window's flat split count is not simply
+	// buckets·splitWidth for them (ledgered).
+	ledgered := tr.Kind == FingerTree || tr.Kind.periods()
 	var sizes []int
-	if tr.Kind == FingerTree {
+	switch {
+	case tr.Kind.periods():
+		sizes = initialPeriods(tr.Seed, tr.Initial)
+	case ledgered:
 		sizes = make([]int, tr.Initial)
 		for i := range sizes {
 			sizes[i] = splitWidth
@@ -255,9 +276,23 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		return n
 	}
+	n := tr.Initial * splitWidth
+	if ledgered {
+		n = splitsOf(len(sizes))
+	}
+	initial := takeSplits(n)
+	window = initial
+
 	results := make([]*sliderrt.RunResult, len(reps))
 	for i, rep := range reps {
-		res, err := rep.rt.Initial(initial)
+		var res *sliderrt.RunResult
+		var err error
+		if tr.Kind.periods() {
+			// A window of period buckets learns their widths from its first run.
+			res, err = rep.rt.InitialBuckets(sizes, initial)
+		} else {
+			res, err = rep.rt.Initial(initial)
+		}
 		if err != nil {
 			return fail(-1, "initial", "par=%d: %v", pars[i], err)
 		}
@@ -361,7 +396,7 @@ func runRuntime(tr Trace, opt Options) error {
 		switch op.Kind {
 		case OpSlide:
 			liveUnits := len(window) / splitWidth
-			if tr.Kind == FingerTree {
+			if ledgered {
 				liveUnits = len(sizes)
 			}
 			drop, add := clampSlide(tr.Kind, op, liveUnits)
@@ -369,10 +404,14 @@ func runRuntime(tr Trace, opt Options) error {
 				continue
 			}
 			dropSplits, addSplits := drop*splitWidth, add*splitWidth
-			if tr.Kind == FingerTree {
+			if ledgered {
 				// Ledger buckets vary in width, so the drop is the exact
-				// flat width of the k oldest buckets.
+				// flat width of the k oldest buckets — none when a period
+				// bucket leaves empty.
 				dropSplits = splitsOf(drop)
+			}
+			if tr.Kind.periods() {
+				addSplits = max(op.Add, 0)
 			}
 			adds := takeSplits(addSplits)
 			for i, rep := range reps {
@@ -385,17 +424,21 @@ func runRuntime(tr Trace, opt Options) error {
 			}
 			dropped := window[:dropSplits]
 			window = append(window[dropSplits:], adds...)
-			if tr.Kind == FingerTree {
+			if ledgered {
 				sizes = append(sizes[:0], sizes[drop:]...)
-				for i := 0; i < add; i++ {
-					sizes = append(sizes, splitWidth)
+				if tr.Kind.periods() {
+					sizes = append(sizes, addSplits)
+				} else {
+					for range add {
+						sizes = append(sizes, splitWidth)
+					}
 				}
 			}
 			if err := check(step, dropped, adds); err != nil {
 				return err
 			}
 			liveAfter := len(window) / splitWidth
-			if tr.Kind == FingerTree {
+			if ledgered {
 				liveAfter = len(sizes)
 			}
 			// The per-tree bound scales by Partitions; the strawman is exempt.
@@ -567,7 +610,7 @@ func runRuntime(tr Trace, opt Options) error {
 	if err := settle(last); err != nil {
 		return err
 	}
-	if limit := int64(job.Partitions) * dabaTraceBound(pushed, tr.Initial); tr.Kind == Daba && !opt.NoBounds && spent > limit {
+	if limit := int64(job.Partitions) * dabaTraceBound(pushed, tr.Initial); tr.Kind.daba() && !opt.NoBounds && spent > limit {
 		return fail(last, "trace-bound", "%d merges for %d buckets pushed into %d partitions, bound %d",
 			spent, pushed, job.Partitions, limit)
 	}

@@ -32,6 +32,11 @@ func TestGenerateSlidesAreLegal(t *testing.T) {
 				continue
 			}
 			switch {
+			case kind.periods():
+				if op.Drop != 1 || op.Add < 0 {
+					t.Fatalf("%v op %d: period slide %+v", kind, i, op)
+				}
+				continue // one bucket in, one out
 			case kind.fixedWidth():
 				if op.Drop != op.Add || op.Drop < 1 {
 					t.Fatalf("%v op %d: fixed-width slide %+v", kind, i, op)
@@ -116,7 +121,7 @@ func TestOwnershipRuntimeMatrix(t *testing.T) {
 	own := Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}, Ownership: true}
 	chaos := own
 	chaos.DistFaults = true
-	for _, kind := range []Kind{Daba, Folding, FingerTree} {
+	for _, kind := range []Kind{Daba, Folding, FingerTree, Periods} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
@@ -171,6 +176,40 @@ func TestDabaRuntimeParallelismMatrix(t *testing.T) {
 	for _, seed := range simSeeds {
 		tr := Generate(Daba, seed, steps)
 		if err := Run(tr, Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPeriodsRuntimeMatrix drives the window of period buckets — one bucket
+// a slide of however many splits its period carried, empty periods among
+// them, so that a slide may drop nothing — through runtimes at parallelism
+// 1, 4 and 8 under the ownership oracle, at a longer horizon than the
+// all-kinds matrix: from-scratch outputs, cross-parallelism parity,
+// checkpoint round-trips and the daba kind's trace-wide bound of two merges
+// a bucket. It also holds the traces to what they are meant to cover.
+func TestPeriodsRuntimeMatrix(t *testing.T) {
+	steps := 120
+	if testing.Short() {
+		steps = 40
+	}
+	for _, seed := range simSeeds {
+		tr := Generate(Periods, seed, steps)
+		sizes := initialPeriods(tr.Seed, tr.Initial)
+		dropNone, widths := 0, map[int]bool{}
+		for _, op := range tr.Ops {
+			if op.Kind == OpSlide {
+				if sizes[0] == 0 {
+					dropNone++
+				}
+				widths[op.Add] = true
+				sizes = append(sizes[1:], op.Add)
+			}
+		}
+		if dropNone == 0 || !widths[0] || len(widths) < 4 {
+			t.Fatalf("seed %#x: %d slides drop no split, bucket widths %v", seed, dropNone, widths)
+		}
+		if err := Run(tr, Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}, Ownership: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,6 +27,11 @@ const (
 	Strawman
 	Daba
 	FingerTree
+	// Periods is the daba kind over a window of period buckets
+	// (sliderrt.Config.BucketSplits 0): every slide adds one bucket of
+	// however many splits its period carried — none for an empty one — and
+	// drops the oldest, whatever it holds.
+	Periods
 )
 
 // kindSpec is what a trace kind stands for.
@@ -49,6 +54,7 @@ var kindTable = [...]kindSpec{
 	Strawman:        {"Strawman", core.KindStrawman, false, sliderrt.Variable},
 	Daba:            {"Daba", core.KindDaba, false, sliderrt.Fixed},
 	FingerTree:      {"FingerTree", core.KindFingerTree, false, sliderrt.Fixed},
+	Periods:         {"Periods", core.KindDaba, false, sliderrt.Fixed},
 }
 
 // spec returns the kind's row (the zero row for a value that is no kind).
@@ -71,6 +77,15 @@ func (k Kind) String() string {
 // (rotating trees, the DABA queue, and the finger tree — though the
 // finger tree's window additionally drifts under out-of-order ops).
 func (k Kind) fixedWidth() bool { return k.spec().mode == sliderrt.Fixed }
+
+// daba reports whether the kind drives the daba kind's structure, which the
+// trace-wide bound dabaTraceBound holds.
+func (k Kind) daba() bool { return k.spec().kind == core.KindDaba }
+
+// periods reports whether the kind's window is one of period buckets, one
+// per slide, of varying width (OpSlide's Add is the new bucket's splits at
+// the runtime layer).
+func (k Kind) periods() bool { return k == Periods }
 
 // outOfOrder reports whether the kind supports the out-of-order
 // operations (late appends, bulk evictions, bulk insertions). Only the
@@ -105,7 +120,9 @@ type OpKind int
 const (
 	// OpSlide moves the window: Drop oldest items, Add new ones. For
 	// fixed-width kinds Drop == Add counts buckets; for append-only
-	// kinds Drop is 0.
+	// kinds Drop is 0. For Periods, Drop is 1 — the oldest bucket — and
+	// Add the new bucket's splits, 0 for an empty period: one bucket in
+	// and one out at the tree layer.
 	OpSlide OpKind = iota + 1
 	// OpCheckpoint round-trips the structure through its checkpoint /
 	// restore path and checks the restored state (fingerprint and work
@@ -289,6 +306,17 @@ func Generate(kind Kind, seed uint64, steps int) Trace {
 // genSlide draws one legal slide for the kind, tracking the live window.
 func genSlide(kind Kind, rng *rand.Rand, live *int) Op {
 	switch {
+	case kind.periods():
+		// A third of the periods are empty, one in six is a burst.
+		add := 0
+		switch rng.Intn(6) {
+		case 0, 1:
+		case 5:
+			add = 4 + rng.Intn(5)
+		default:
+			add = 1 + rng.Intn(3)
+		}
+		return Op{Kind: OpSlide, Drop: 1, Add: add}
 	case kind.fixedWidth():
 		k := 1
 		if rng.Intn(4) == 0 {

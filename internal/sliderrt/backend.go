@@ -26,6 +26,9 @@ import (
 //	Fixed     0                yes              → BackendRotating (O(log N))
 //	Fixed     0                no               → BackendDaba (amortized O(1))
 //
+// A Fixed window of period buckets (BucketSplits 0) resolves the same way;
+// AllowedLateness is refused for it (ErrBadBuckets).
+//
 // What any backend, picked or explicit, must satisfy — every violation is
 // ErrBadBackend at New:
 //
@@ -38,6 +41,8 @@ import (
 //	                       with a background step
 //	rotating               a commutative combiner (its circular buckets
 //	                       re-order window age relative to tree position)
+//	BucketSplits 0         daba or rotating — the structures whose element
+//	                       is a bucket, whatever its width
 //
 // DABA and the finger tree are order-preserving, so an associative
 // combiner suffices for them.
@@ -115,6 +120,8 @@ func (c *Config) resolveBackend(job *mapreduce.Job) (Backend, error) {
 		return bad("cannot take late records: AllowedLateness=%d needs backend %v", c.AllowedLateness, BackendFingerTree)
 	case c.SplitProcessing && b != BackendCoalescing && b != BackendRotating:
 		return bad("has no background step: SplitProcessing needs backend %v or %v", BackendCoalescing, BackendRotating)
+	case c.Mode == Fixed && c.BucketSplits == 0 && b != BackendDaba && b != BackendRotating:
+		return bad("keeps no buckets of varying width: BucketSplits=0 needs backend %v or %v", BackendDaba, BackendRotating)
 	case b == BackendRotating && !job.Commutative:
 		return bad("needs a commutative combiner, which job %q does not declare", job.Name)
 	}

@@ -371,21 +371,31 @@ var matrixColumns = []struct {
 	{"split+noncomm+late", true, true, true},
 }
 
-// renderBackendMatrix runs New over Mode × the eight Backend values ×
-// SplitProcessing × Commutative × AllowedLateness ∈ {0, 2} and renders one
-// line per (Mode, Backend): the resolved backend of each column, "-" for
-// ErrBadBackend, "mode" for ErrBadMode (lateness outside Fixed mode).
+// matrixWindows are the window shapes of the resolution matrix's rows: the
+// three modes, and a Fixed window of period buckets (BucketSplits 0), F0.
+var matrixWindows = []struct {
+	label        string
+	mode         Mode
+	bucketSplits int
+}{{"A", Append, 1}, {"F", Fixed, 1}, {"F0", Fixed, 0}, {"V", Variable, 1}}
+
+// renderBackendMatrix runs New over the window shapes × the eight Backend
+// values × SplitProcessing × Commutative × AllowedLateness ∈ {0, 2} and
+// renders one line per (shape, Backend): the resolved backend of each
+// column, "-" for ErrBadBackend, "mode" for ErrBadMode (lateness outside
+// Fixed mode), "buckets" for ErrBadBuckets (lateness over period buckets).
 func renderBackendMatrix(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
-	for _, mode := range []Mode{Append, Fixed, Variable} {
+	for _, win := range matrixWindows {
+		mode := win.mode
 		for _, backend := range append([]Backend{BackendAuto}, core.Kinds()...) {
-			fmt.Fprintf(&sb, "%v %-18v", mode, backend)
+			fmt.Fprintf(&sb, "%s %-18v", win.label, backend)
 			for _, col := range matrixColumns {
 				job := wordCountJob()
 				job.Commutative = !col.noncomm
 				cfg := Config{Mode: mode, Backend: backend, SplitProcessing: col.split,
-					BucketSplits: 1, WindowBuckets: 2, Memo: testMemoConfig()}
+					BucketSplits: win.bucketSplits, WindowBuckets: 2, Memo: testMemoConfig()}
 				if col.late2 {
 					cfg.AllowedLateness = 2
 				}
@@ -400,6 +410,8 @@ func renderBackendMatrix(t *testing.T) string {
 					sb.WriteString(" -")
 				case errors.Is(err, ErrBadMode):
 					sb.WriteString(" mode")
+				case errors.Is(err, ErrBadBuckets):
+					sb.WriteString(" buckets")
 				default:
 					t.Fatalf("%v/%v/%s: unexpected error %v", mode, backend, col.name, err)
 				}
@@ -418,9 +430,9 @@ func TestBackendMatrix(t *testing.T) {
 	}
 }
 
-// backendMatrix is the whole matrix. Columns, left to right: plain, late,
-// noncomm, noncomm+late, split, split+late, split+noncomm,
-// split+noncomm+late.
+// backendMatrix is the whole matrix. Rows: matrixWindows × backends.
+// Columns, left to right: plain, late, noncomm, noncomm+late, split,
+// split+late, split+noncomm, split+noncomm+late.
 const backendMatrix = `A auto               coalescing mode coalescing mode coalescing mode coalescing mode
 A daba               - mode - mode - mode - mode
 A rotating           - mode - mode - mode - mode
@@ -437,6 +449,14 @@ F folding            - - - - - - - -
 F randomized-folding - - - - - - - -
 F strawman           strawman - strawman - - - - -
 F fingertree         fingertree fingertree fingertree fingertree - - - -
+F0 auto               daba buckets daba buckets rotating buckets - buckets
+F0 daba               daba buckets daba buckets - buckets - buckets
+F0 rotating           rotating buckets - buckets rotating buckets - buckets
+F0 coalescing         - buckets - buckets - buckets - buckets
+F0 folding            - buckets - buckets - buckets - buckets
+F0 randomized-folding - buckets - buckets - buckets - buckets
+F0 strawman           - buckets - buckets - buckets - buckets
+F0 fingertree         - buckets - buckets - buckets - buckets
 V auto               folding mode folding mode - mode - mode
 V daba               - mode - mode - mode - mode
 V rotating           - mode - mode - mode - mode

@@ -40,10 +40,12 @@ type checkpointState struct {
 	WindowLo      uint64
 	Live          int
 	Parts         int
-	// Finger-tree (out-of-order) window ledger: splits per live bucket in
-	// window order, and the in-order bucket clock the watermark is
-	// computed from. Nil/zero for every other backend — gob tolerates the
-	// absent fields, so the format stays version 2.
+	// Bucket ledger of a window whose buckets vary in width (period
+	// buckets, the finger tree's out-of-order ones): splits per live bucket
+	// in window order, and the in-order bucket clock the watermark and the
+	// daba kind's flip phase are computed from. Nil/zero for every other
+	// window — gob tolerates the absent fields, so the format stays
+	// version 2.
 	BucketSizes []int
 	BucketSeq   uint64
 	Partitions  []partCheckpoint
@@ -133,7 +135,7 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 		Parts:         rt.parts,
 		Partitions:    make([]partCheckpoint, rt.parts),
 	}
-	if rt.outOfOrder() {
+	if rt.ledgered() {
 		st.BucketSizes = append([]int(nil), rt.bucketSizes...)
 		st.BucketSeq = rt.bucketSeq
 	}
@@ -215,9 +217,9 @@ func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (er
 // (flat frames for v2, gob maps for v1). The frame is untrusted: every
 // length and presence flag is checked here, before any aggregator is
 // touched, and decoded payloads are measured — restore is where they are
-// created, so this is the one walk they get (see sized). A bucket window's
-// position is its lowest split's over the bucket width (see core.State.Pos).
-func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq, windowLo uint64) (core.State[sized], error) {
+// created, so this is the one walk they get (see sized). pos is a bucket
+// window's position (see core.State.Pos and firstBucket).
+func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq, pos uint64) (core.State[sized], error) {
 	var st core.State[sized]
 	var elems []Payload
 	var err error
@@ -247,7 +249,7 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq, windowL
 			return st, fmt.Errorf("window not filled")
 		}
 		st.Victim, st.Filled = pc.Victim, true
-		st.Pos = windowLo / uint64(rt.cfg.BucketSplits)
+		st.Pos = pos
 		if elems = fromV1(pc.Buckets); version >= 2 {
 			elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
 		}
@@ -317,13 +319,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	// aggregator's Restore checks what only it can know (identity counts,
 	// the victim cursor against the bucket count).
 	rt.installAggregators()
-	states := make([]core.State[sized], rt.parts)
-	for p := range st.Partitions {
-		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Version, st.Seq, st.WindowLo); err != nil {
-			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
-		}
-	}
-	if rt.outOfOrder() {
+	if rt.ledgered() {
 		if len(st.BucketSizes) > 0 {
 			rt.bucketSizes = append([]int(nil), st.BucketSizes...)
 			rt.bucketSeq = st.BucketSeq
@@ -332,7 +328,19 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 			// frame): the window is WindowBuckets uniform buckets of w.
 			rt.uniformLedger(st.WindowBuckets, st.BucketSplits)
 		}
-		if err := checkLedger(rt.bucketSizes, st.Live, states); err != nil {
+	}
+	pos, err := rt.firstBucket(st.WindowLo)
+	if err != nil {
+		return nil, fmt.Errorf("sliderrt: restore: %w", err)
+	}
+	states := make([]core.State[sized], rt.parts)
+	for p := range st.Partitions {
+		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Version, st.Seq, pos); err != nil {
+			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
+		}
+	}
+	if rt.ledgered() {
+		if err := rt.checkLedger(st.Live, states); err != nil {
 			return nil, fmt.Errorf("sliderrt: restore: %w", err)
 		}
 	}
@@ -349,15 +357,35 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	return rt, nil
 }
 
-// checkLedger holds a bucket ledger to the window it describes: one size
-// per bucket every partition holds, each between 1 and the live splits,
-// summing to the live splits. Advance evicts and AdvanceLate inserts at
-// positions worked out from the ledger, so one that contradicts the
-// buckets would slide the wrong window.
-func checkLedger(sizes []int, live int, states []core.State[sized]) error {
+// firstBucket is the absolute position of a Fixed window's oldest bucket:
+// how many buckets the window has evicted since its initial run, which the
+// daba kind's flips are phased by (core.State.Pos). A window of period
+// buckets reads it off its bucket clock, one of buckets of w off its split
+// cursor windowLo.
+func (rt *Runtime) firstBucket(windowLo uint64) (uint64, error) {
+	if !rt.periods() {
+		return windowLo / uint64(max(rt.cfg.BucketSplits, 1)), nil
+	}
+	live := uint64(len(rt.bucketSizes))
+	if rt.bucketSeq < live {
+		return 0, fmt.Errorf("bucket clock %d is behind the %d live buckets", rt.bucketSeq, live)
+	}
+	return rt.bucketSeq - live, nil
+}
+
+// checkLedger holds the bucket ledger to the window it describes: one size
+// per bucket every partition holds, each between 1 — 0 for a period that
+// had no records — and the live splits, summing to the live splits. Advance
+// evicts and AdvanceLate inserts at positions worked out from the ledger,
+// so one that contradicts the buckets would slide the wrong window.
+func (rt *Runtime) checkLedger(live int, states []core.State[sized]) error {
+	sizes, least := rt.bucketSizes, 1
+	if rt.periods() {
+		least = 0
+	}
 	sum := 0
 	for _, sz := range sizes {
-		if sz <= 0 || sz > live {
+		if sz < least || sz > live {
 			return fmt.Errorf("bucket ledger holds a bucket of %d splits in a window of %d", sz, live)
 		}
 		sum += sz

@@ -298,6 +298,7 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 // now come back as an error before any aggregator holds the state.
 func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 	fingerTree := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2, AllowedLateness: 1}
+	periods := Config{Mode: Fixed, WindowBuckets: 2} // first window: periods of 3 and 1 splits
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -327,6 +328,12 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			func(st *checkpointState) { st.BucketSizes = []int{4, 0} }},
 		{"fingertree: ledger sums past the live splits", fingerTree,
 			func(st *checkpointState) { st.BucketSizes = []int{2, 3} }},
+		{"periods: no ledger", periods,
+			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = nil, 0 }},
+		{"periods: ledger sums past the live splits", periods,
+			func(st *checkpointState) { st.BucketSizes = []int{0, 5} }},
+		{"periods: bucket clock behind the live buckets", periods,
+			func(st *checkpointState) { st.BucketSeq = 1 }},
 		{"fixed: a bucket short", Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2},
 			func(st *checkpointState) {
 				buckets, err := persist.DecodePayloadSet(st.Partitions[0].FlatBuckets)
@@ -348,7 +355,13 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rt.Initial(genSplits(0, 4, 4, 7)); err != nil {
+			splits := genSplits(0, 4, 4, 7)
+			if cfg.Mode == Fixed && cfg.BucketSplits == 0 {
+				_, err = rt.InitialBuckets([]int{3, 1}, splits)
+			} else {
+				_, err = rt.Initial(splits)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer

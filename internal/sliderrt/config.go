@@ -29,10 +29,11 @@ const (
 	// Append is the append-only (bulk-appended) mode: the window only
 	// grows. Uses coalescing contraction trees (§4.2).
 	Append Mode = iota + 1
-	// Fixed is the fixed-width mode: every slide drops exactly as many
-	// splits as it adds. Served by the daba kind's amortized O(1) queue
-	// (Two-Stacks Lite) or the rotating contraction tree (§4.1) — see
-	// Backend.
+	// Fixed is the fixed-width mode: the window holds WindowBuckets
+	// buckets, and every slide drops as many buckets as it adds — of w
+	// splits each, or one period of any volume (BucketSplits 0). Served by
+	// the daba kind's amortized O(1) queue (Two-Stacks Lite) or the
+	// rotating contraction tree (§4.1) — see Backend.
 	Fixed
 	// Variable is the general mode: the window may shrink and grow by
 	// arbitrary, different amounts. Uses folding trees (§3.1) or
@@ -87,10 +88,15 @@ type Config struct {
 	// are within AllowedLateness. Zero — the default — trusts
 	// AllowedLateness alone.
 	Watermark uint64
-	// BucketSplits is w, the number of splits per bucket (Fixed mode).
+	// BucketSplits is w, the number of splits per bucket (Fixed mode). Zero
+	// makes a bucket whatever one run adds — a period of varying volume, none
+	// at all for an empty one: the window starts with InitialBuckets, and
+	// every Advance adds one bucket and drops the oldest, whose splits drop
+	// must count. The daba kind (the default) and the rotating tree serve
+	// such a window; AllowedLateness needs buckets of w.
 	BucketSplits int
 	// WindowBuckets is N, the number of buckets in the window (Fixed
-	// mode). The window thus holds N×w splits.
+	// mode). The window thus holds N×w splits — or N periods.
 	WindowBuckets int
 	// RebuildFactor is the folding tree's rebalance trigger (§3.2);
 	// 0 uses the default, negative disables rebuilding.
@@ -138,7 +144,7 @@ type Config struct {
 var (
 	ErrBadMode      = errors.New("sliderrt: invalid or missing window mode")
 	ErrBadBackend   = errors.New("sliderrt: backend incompatible with the window mode, combiner or window options")
-	ErrBadBuckets   = errors.New("sliderrt: Fixed mode requires positive BucketSplits and WindowBuckets")
+	ErrBadBuckets   = errors.New("sliderrt: Fixed mode requires positive WindowBuckets and non-negative BucketSplits")
 	ErrBadAdvance   = errors.New("sliderrt: advance shape does not match the window mode")
 	ErrNotInitial   = errors.New("sliderrt: Advance before Initial")
 	ErrReinitialize = errors.New("sliderrt: Initial called twice")
@@ -153,11 +159,14 @@ func (c *Config) validate() error {
 			return fmt.Errorf("%w: AllowedLateness applies to Fixed-mode windows only", ErrBadMode)
 		}
 	case Fixed:
-		if c.BucketSplits <= 0 || c.WindowBuckets <= 0 {
+		if c.BucketSplits < 0 || c.WindowBuckets <= 0 {
 			return ErrBadBuckets
 		}
 		if c.AllowedLateness < 0 {
 			return fmt.Errorf("%w: negative AllowedLateness", ErrBadMode)
+		}
+		if c.AllowedLateness > 0 && c.BucketSplits == 0 {
+			return fmt.Errorf("%w: AllowedLateness needs buckets of BucketSplits splits", ErrBadBuckets)
 		}
 	default:
 		return ErrBadMode

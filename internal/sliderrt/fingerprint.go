@@ -78,7 +78,7 @@ func (rt *Runtime) StateFingerprint() uint64 {
 			optional(st.Root, st.HasRoot)
 			optional(st.Pending, st.HasPending)
 		case groupBuckets:
-			if p == 0 && rt.outOfOrder() {
+			if p == 0 && rt.ledgered() {
 				// The bucket ledger and watermark clock are part of the
 				// logical window state (shared across partitions, so
 				// hashed once).

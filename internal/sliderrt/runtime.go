@@ -3,6 +3,7 @@ package sliderrt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -130,14 +131,19 @@ type Runtime struct {
 	// due (core.Spares), through a visitor built once for the same reason.
 	spares spareCount
 
-	// Bucket ledger of a window whose aggregator is core.OutOfOrder:
-	// splits per live bucket in window order, oldest first — late buckets
-	// may be narrower than w — plus the in-order bucket clock (buckets
+	// Bucket ledger of a window whose buckets vary in width (ledgered): a
+	// window of period buckets, or one whose aggregator is core.OutOfOrder
+	// (late buckets may be narrower than w). Splits per live bucket in
+	// window order, oldest first, plus the in-order bucket clock (buckets
 	// ever appended at the window edge; late inserts do not advance it).
 	// The clock drives the effective watermark
-	// max(cfg.Watermark, bucketSeq−AllowedLateness).
+	// max(cfg.Watermark, bucketSeq−AllowedLateness), and places the daba
+	// kind's flips on restore (firstBucket).
 	bucketSizes []int
 	bucketSeq   uint64
+	// adding is the widths of the buckets the current run forms from its
+	// new splits, oldest first (bucketed windows; see formBuckets).
+	adding []int
 
 	// broken is set when a slide failed after it had started moving the
 	// window (see poison); every later slide is refused with it.
@@ -335,7 +341,10 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 }
 
 // Initial performs the initial run over the first window (§3: all input
-// data items are new; the contraction trees are built from scratch).
+// data items are new; the contraction trees are built from scratch). A
+// Fixed window's splits form its WindowBuckets buckets of w splits each
+// (InitialBuckets); a window of period buckets (BucketSplits 0) starts with
+// InitialBuckets instead, which learns their widths.
 //
 // The runtime reads the splits only while the call runs — its MapRunner
 // returns them by the same rule — and keeps no split and no Records slice.
@@ -343,33 +352,75 @@ func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapredu
 // returns, and their storage may be reused (stream lends each split a slice
 // of its buffer on that rule).
 func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
+	var sizes []int
+	if rt.cfg.Mode == Fixed && rt.cfg.BucketSplits > 0 {
+		sizes = make([]int, rt.cfg.WindowBuckets)
+		for i := range sizes {
+			sizes[i] = rt.cfg.BucketSplits
+		}
+	}
+	return rt.InitialBuckets(sizes, splits)
+}
+
+// InitialBuckets is Initial told how many of the splits each of a Fixed
+// window's WindowBuckets buckets holds, oldest first: w each, or any number
+// — none included — for a window of period buckets. Append and Variable
+// windows keep no buckets and take nil. The splits are the caller's again
+// once it returns, as with Initial.
+func (rt *Runtime) InitialBuckets(sizes []int, splits []mapreduce.Split) (*RunResult, error) {
 	if rt.started {
 		return nil, ErrReinitialize
 	}
-	if rt.cfg.Mode == Fixed {
-		want := rt.cfg.BucketSplits * rt.cfg.WindowBuckets
-		if len(splits) != want {
-			return nil, fmt.Errorf("%w: Fixed initial window needs %d splits, got %d", ErrBadAdvance, want, len(splits))
-		}
+	if err := rt.checkInitial(sizes, len(splits)); err != nil {
+		return nil, err
 	}
-	if len(splits) == 0 {
-		return nil, fmt.Errorf("%w: initial window is empty", ErrBadAdvance)
-	}
+	rt.adding = append(rt.adding[:0], sizes...)
 	return rt.run(initialRun, 0, splits, func(p int, payloads []sized) (partDelta, error) {
 		return partDelta{}, rt.aggs[p].Init(rt.elements(p, payloads))
 	}, func() {
 		rt.installAggregators()
-		if rt.outOfOrder() {
-			rt.uniformLedger(rt.cfg.WindowBuckets, rt.cfg.BucketSplits)
+		if rt.ledgered() {
+			rt.bucketSizes = slices.Clone(sizes)
+			rt.bucketSeq = uint64(len(sizes))
 		}
 	})
+}
+
+// checkInitial holds a first window's bucket widths to the mode: a Fixed
+// window's WindowBuckets buckets of w splits each — or of any width, for
+// period buckets — that hold the splits; no buckets in the other modes. A
+// first window holds a split.
+func (rt *Runtime) checkInitial(sizes []int, splits int) error {
+	w := rt.cfg.BucketSplits
+	switch {
+	case rt.cfg.Mode != Fixed && sizes != nil:
+		return fmt.Errorf("%w: %v windows keep no buckets", ErrBadAdvance, rt.cfg.Mode)
+	case rt.cfg.Mode == Fixed && len(sizes) != rt.cfg.WindowBuckets:
+		return fmt.Errorf("%w: Fixed initial window needs %d buckets, got %d", ErrBadAdvance, rt.cfg.WindowBuckets, len(sizes))
+	}
+	sum := 0
+	for _, sz := range sizes {
+		if sz < 0 || w > 0 && sz != w {
+			return fmt.Errorf("%w: a bucket of %d splits in a window of buckets of %d", ErrBadAdvance, sz, w)
+		}
+		sum += sz
+	}
+	switch {
+	case sizes != nil && sum != splits:
+		return fmt.Errorf("%w: Fixed initial window needs %d splits, got %d", ErrBadAdvance, sum, splits)
+	case splits == 0:
+		return fmt.Errorf("%w: initial window is empty", ErrBadAdvance)
+	}
+	return nil
 }
 
 // Advance performs an incremental run: drop oldest splits, add new ones.
 //
 //   - Append mode: drop must be 0.
 //   - Fixed mode: drop must equal len(add), both a positive multiple of
-//     the bucket width w.
+//     the bucket width w. With period buckets (BucketSplits 0) add is one
+//     bucket of any number of splits, none included, and drop is the
+//     number of splits of the oldest bucket, which leaves.
 //   - Variable mode: any combination.
 //
 // As with Initial, the splits are the caller's again once Advance returns,
@@ -388,6 +439,7 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	if err != nil {
 		return nil, err
 	}
+	rt.addBuckets(len(add))
 	return rt.run(advanceRun, drop, add, func(p int, payloads []sized) (partDelta, error) {
 		added := rt.elements(p, payloads)
 		evicted, err := rt.aggs[p].Slide(evict, added)
@@ -395,15 +447,27 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	}, func() {
 		rt.windowLo += uint64(drop)
 		rt.live -= drop
-		if rt.outOfOrder() {
-			w := rt.cfg.BucketSplits
-			rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...)
-			for i := 0; i < len(add)/w; i++ {
-				rt.bucketSizes = append(rt.bucketSizes, w)
-			}
-			rt.bucketSeq += uint64(len(add) / w)
+		if rt.ledgered() {
+			rt.bucketSizes = append(append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...), rt.adding...)
+			rt.bucketSeq += uint64(len(rt.adding))
 		}
 	})
+}
+
+// addBuckets sets adding to the buckets a slide forms from n new splits:
+// one of all of them for period buckets, n/w of w otherwise, none when the
+// window's elements are not buckets.
+func (rt *Runtime) addBuckets(n int) {
+	rt.adding = rt.adding[:0]
+	switch {
+	case !rt.bucketed():
+	case rt.periods():
+		rt.adding = append(rt.adding, n)
+	default:
+		for range n / rt.cfg.BucketSplits {
+			rt.adding = append(rt.adding, rt.cfg.BucketSplits)
+		}
+	}
 }
 
 // AdvanceLate lands late-arriving splits in the window without sliding
@@ -620,8 +684,7 @@ func (rt *Runtime) poison(err error) error {
 }
 
 // outOfOrder reports whether the window's aggregators can take elements
-// mid-window (core.OutOfOrder) — the windows whose buckets vary in width
-// and are therefore tracked in the bucket ledger.
+// mid-window (core.OutOfOrder), so that its buckets vary in width.
 func (rt *Runtime) outOfOrder() bool {
 	if len(rt.aggs) == 0 {
 		return false
@@ -629,6 +692,15 @@ func (rt *Runtime) outOfOrder() bool {
 	_, ok := rt.aggs[0].(core.OutOfOrder[sized])
 	return ok
 }
+
+// periods reports whether the window is one of period buckets: a Fixed
+// window whose bucket is whatever one run adds (BucketSplits 0).
+func (rt *Runtime) periods() bool { return rt.cfg.Mode == Fixed && rt.cfg.BucketSplits == 0 }
+
+// ledgered reports whether the window's buckets vary in width, and are
+// therefore tracked in the bucket ledger: period buckets, or out-of-order
+// ones.
+func (rt *Runtime) ledgered() bool { return rt.periods() || rt.outOfOrder() }
 
 // uniformLedger resets the bucket ledger to n in-order buckets of w splits.
 func (rt *Runtime) uniformLedger(n, w int) {
@@ -647,9 +719,9 @@ func (rt *Runtime) bucketed() bool {
 
 // elements turns partition p's per-split payloads into what its
 // aggregator's leaves hold — the one place the window mode shows: one
-// pre-folded C′ per run for append-only windows, buckets of w splits for
-// fixed-width ones, the splits themselves otherwise (and always for the
-// strawman, which memoizes per split).
+// pre-folded C′ per run for append-only windows, the run's buckets for
+// fixed-width ones (formBuckets), the splits themselves otherwise (and
+// always for the strawman, which memoizes per split).
 func (rt *Runtime) elements(p int, payloads []sized) []sized {
 	switch {
 	case rt.bucketed():
@@ -665,6 +737,12 @@ func (rt *Runtime) evictElements(drop int) (int, error) {
 	switch {
 	case !rt.bucketed():
 		return drop, nil
+	case rt.periods():
+		// One bucket leaves a window of period buckets: the oldest.
+		if drop != rt.bucketSizes[0] {
+			return 0, fmt.Errorf("%w: drop=%d, the oldest bucket holds %d splits", ErrBadAdvance, drop, rt.bucketSizes[0])
+		}
+		return 1, nil
 	case rt.outOfOrder():
 		// Late buckets may be narrower than w, so the count is not drop/w.
 		return rt.evictBucketCount(drop)
@@ -916,6 +994,11 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 			}
 			return nil
 		}
+		if w == 0 {
+			// Any add is one period's bucket; evictElements holds the drop
+			// to the oldest's width.
+			return nil
+		}
 		if rt.outOfOrder() {
 			// The out-of-order window may drift: bulk evictions and bulk
 			// insertions need not balance. Adds still arrive in whole
@@ -940,17 +1023,14 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 	return nil
 }
 
-// formBuckets groups partition p's per-split payloads into buckets of w
-// splits each.
+// formBuckets folds partition p's per-split payloads into the run's
+// buckets, one per entry of adding in order — a bucket of no splits is the
+// empty payload.
 func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
-	w := rt.cfg.BucketSplits
-	buckets := make([]sized, 0, (len(payloads)+w-1)/w)
-	for i := 0; i < len(payloads); i += w {
-		end := i + w
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		buckets = append(buckets, rt.foldPayloads(p, payloads[i:end]))
+	buckets := make([]sized, 0, len(rt.adding))
+	for _, n := range rt.adding {
+		buckets = append(buckets, rt.foldPayloads(p, payloads[:n]))
+		payloads = payloads[n:]
 	}
 	return buckets
 }

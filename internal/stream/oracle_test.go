@@ -110,14 +110,15 @@ func countFeed(rps, window, slide, n int) oracleFeed {
 }
 
 // timeFeed pushes a seeded schedule of periods — bursts, single records and
-// empty periods — through a time window of width periods and flushes the
-// last one. leading empty periods are closed before the first record, so
-// the first windows hold nothing and must be skipped, not delivered.
-func timeFeed(width, rps, periods, leading int) oracleFeed {
+// empty periods — through a time window of width periods on the backend and
+// flushes the last one. leading empty periods are closed before the first
+// record, so the first windows hold nothing and must be skipped, not
+// delivered.
+func timeFeed(backend sliderrt.Backend, width, rps, periods, leading int) oracleFeed {
 	return func(t *testing.T, par int, rng *rand.Rand, own *sliderrt.Ownership) oracleRun {
 		var run oracleRun
 		rc := smallMemo()
-		rc.Parallelism = par
+		rc.Parallelism, rc.Backend = par, backend
 		slide := time.Minute
 		var w *TimeWindow
 		w, err := NewTimeWindow(TimeConfig{
@@ -206,10 +207,13 @@ func TestStreamOracle(t *testing.T) {
 		{"fixed-window1", countFeed(1, 1, 1, 9), false},
 		{"fixed-wide", countFeed(1, 24, 1, 90), true},
 		{"append", countFeed(2, 3, 0, 41), true},
-		{"time", timeFeed(4, 3, 40, 0), true},
-		{"time-window1", timeFeed(1, 2, 12, 0), false},
-		{"time-wide", timeFeed(12, 2, 60, 0), true},
-		{"time-leading-empty", timeFeed(3, 2, 20, 5), false},
+		{"time", timeFeed(sliderrt.BackendAuto, 4, 3, 40, 0), true},
+		{"time-window1", timeFeed(sliderrt.BackendAuto, 1, 2, 12, 0), false},
+		{"time-wide", timeFeed(sliderrt.BackendAuto, 12, 2, 60, 0), true},
+		{"time-leading-empty", timeFeed(sliderrt.BackendAuto, 3, 2, 20, 5), false},
+		{"time-rotating", timeFeed(sliderrt.BackendRotating, 4, 3, 40, 0), true},
+		{"time-folding", timeFeed(sliderrt.BackendFolding, 4, 3, 40, 0), true},
+		{"time-folding-leading-empty", timeFeed(sliderrt.BackendFolding, 3, 2, 20, 5), false},
 	}
 	job := sumJob()
 	scratch := func(t *testing.T, records []mapreduce.Record) mapreduce.Output {

@@ -9,8 +9,11 @@
 //     by a fixed number of splits (Fixed mode underneath — or Append
 //     mode when SlideSplits is 0).
 //   - TimeWindow: records carry timestamps; the window covers a fixed
-//     duration and slides by a fixed period. Data volume per period
-//     varies, so Variable mode (folding trees) runs underneath.
+//     duration and slides by a fixed period. It always holds the same
+//     number of periods, whatever volume each carried, so Fixed mode runs
+//     underneath with one bucket per period (BucketSplits 0) — the daba
+//     kind unless the caller picks a structure; one picked for Variable
+//     mode keeps a Variable window over the splits.
 //
 // Both are front ends of one bucket driver. A front end only forms splits
 // and says when a bucket — one slide's worth of them — is closed and where
@@ -27,6 +30,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -84,6 +88,9 @@ type driver struct {
 	head    int
 	pending []mapreduce.Split
 	started bool
+	// buckets says the runtime keeps the window's buckets (Fixed mode): its
+	// first run is told their widths (sliderrt.Runtime.InitialBuckets).
+	buckets bool
 }
 
 // close takes the next closed bucket — its splits, none for an empty
@@ -117,7 +124,12 @@ func (d *driver) close(splits []mapreduce.Split, end int64) error {
 		if len(d.ledger) < d.width || len(d.pending) == 0 {
 			return nil
 		}
-		if res, err = d.rt.Initial(d.pending); err != nil {
+		if d.buckets {
+			res, err = d.rt.InitialBuckets(slices.Concat(d.ledger[d.head:], d.ledger[:d.head]), d.pending)
+		} else {
+			res, err = d.rt.Initial(d.pending)
+		}
+		if err != nil {
 			return err
 		}
 		d.started, d.pending = true, nil
@@ -231,7 +243,7 @@ func NewCountWindow(cfg CountConfig, sink Sink) (*CountWindow, error) {
 		if cfg.WindowSplits%cfg.SlideSplits != 0 {
 			return nil, fmt.Errorf("stream: WindowSplits must be a multiple of SlideSplits")
 		}
-		d.width, d.span = rc.WindowBuckets, int64(cfg.WindowSplits)
+		d.width, d.span, d.buckets = rc.WindowBuckets, int64(cfg.WindowSplits), true
 	}
 	var err error
 	if d.rt, err = sliderrt.New(cfg.Job, rc); err != nil {
@@ -295,9 +307,12 @@ type TimeConfig struct {
 }
 
 // TimeWindow is the time-based driver: a window of Window duration
-// slides every Slide, with whatever data volume each period carried
-// (Variable mode underneath). A bucket is one period and the window ends
-// at a timestamp.
+// slides every Slide, with whatever data volume each period carried. A
+// bucket is one period and the window ends at a timestamp. Underneath runs
+// a Fixed window of Window/Slide buckets of varying width (BucketSplits 0),
+// each slide one period in and the oldest out — unless Config.Backend names
+// a structure of Variable mode (folding, randomized folding) or the
+// strawman, which then keeps a Variable window over the periods' splits.
 type TimeWindow struct {
 	cfg    TimeConfig
 	d      driver
@@ -320,13 +335,19 @@ func NewTimeWindow(cfg TimeConfig, sink Sink) (*TimeWindow, error) {
 	if cfg.RecordsPerSplit <= 0 {
 		return nil, fmt.Errorf("stream: RecordsPerSplit must be positive")
 	}
+	d := driver{sink: sink, width: int(cfg.Window / cfg.Slide), span: int64(cfg.Window)}
 	rc := cfg.Config
-	rc.Mode = sliderrt.Variable
-	rt, err := sliderrt.New(cfg.Job, rc)
-	if err != nil {
+	switch rc.Backend {
+	case sliderrt.BackendFolding, sliderrt.BackendRandomizedFolding, sliderrt.BackendStrawman:
+		rc.Mode = sliderrt.Variable
+	default:
+		rc.Mode, rc.WindowBuckets, rc.BucketSplits = sliderrt.Fixed, d.width, 0
+		d.buckets = true
+	}
+	var err error
+	if d.rt, err = sliderrt.New(cfg.Job, rc); err != nil {
 		return nil, err
 	}
-	d := driver{rt: rt, sink: sink, width: int(cfg.Window / cfg.Slide), span: int64(cfg.Window)}
 	return &TimeWindow{cfg: cfg, d: d}, nil
 }
 

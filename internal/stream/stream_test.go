@@ -284,6 +284,73 @@ func TestTimeWindowEmptyPeriods(t *testing.T) {
 	}
 }
 
+// TestTimeWindowBackends: a time window holds the same number of periods
+// whatever each carried, so by default it runs a Fixed window of one bucket
+// per period (BucketSplits 0) on the daba kind — or on the rotating tree,
+// picked or asked for by split processing. A structure picked for Variable
+// mode, or the strawman, keeps the Variable window over the periods' splits
+// it has always run, which keeps no buckets. Every one answers the same, and
+// lateness, which needs buckets of w splits, is refused.
+func TestTimeWindowBackends(t *testing.T) {
+	epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	perMinute := []int{3, 0, 1, 5, 0, 0, 2, 4}
+	var want []mapreduce.Output
+	for _, c := range []struct {
+		backend sliderrt.Backend
+		split   bool
+		resolve sliderrt.Backend
+		buckets int // live buckets the runtime keeps: the window's, or none
+	}{
+		{sliderrt.BackendAuto, false, sliderrt.BackendDaba, 3},
+		{sliderrt.BackendDaba, false, sliderrt.BackendDaba, 3},
+		{sliderrt.BackendAuto, true, sliderrt.BackendRotating, 3},
+		{sliderrt.BackendRotating, false, sliderrt.BackendRotating, 3},
+		{sliderrt.BackendFolding, false, sliderrt.BackendFolding, 0},
+		{sliderrt.BackendRandomizedFolding, false, sliderrt.BackendRandomizedFolding, 0},
+		{sliderrt.BackendStrawman, false, sliderrt.BackendStrawman, 0},
+	} {
+		rc := smallMemo()
+		rc.Backend, rc.SplitProcessing = c.backend, c.split
+		var outputs []Output
+		w, err := NewTimeWindow(TimeConfig{Job: sumJob(), Window: 3 * time.Minute, Slide: time.Minute, RecordsPerSplit: 2, Config: rc}, keep(&outputs))
+		if err != nil {
+			t.Fatalf("%v (split %v): %v", c.backend, c.split, err)
+		}
+		if got := w.Runtime().Backend(); got != c.resolve {
+			t.Fatalf("%v (split %v) resolved to %v, want %v", c.backend, c.split, got, c.resolve)
+		}
+		for minute, n := range perMinute {
+			for i := range n {
+				at := epoch.Add(time.Duration(minute)*time.Minute + time.Duration(i)*time.Second)
+				if err := w.Push(TimedRecord{At: at, Record: fmt.Sprintf("m%d common", minute)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Runtime().WindowStats().LiveBuckets; got != c.buckets {
+			t.Fatalf("%v (split %v): the runtime keeps %d buckets, want %d", c.backend, c.split, got, c.buckets)
+		}
+		got := make([]mapreduce.Output, len(outputs))
+		for i, o := range outputs {
+			got[i] = o.Result.Output
+		}
+		if want == nil {
+			want = got
+		}
+		if len(got) != 6 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v (split %v): windows %v, want six, as the daba kind's %v", c.backend, c.split, got, want)
+		}
+	}
+	rc := smallMemo()
+	rc.AllowedLateness = 1
+	if _, err := NewTimeWindow(TimeConfig{Job: sumJob(), Window: 3 * time.Minute, Slide: time.Minute, RecordsPerSplit: 2, Config: rc}, keep(new([]Output))); !errors.Is(err, sliderrt.ErrBadBuckets) {
+		t.Fatalf("AllowedLateness on a time window: err = %v, want ErrBadBuckets", err)
+	}
+}
+
 func TestTimeWindowValidation(t *testing.T) {
 	sink := func(Output) error { return nil }
 	if _, err := NewTimeWindow(TimeConfig{Job: sumJob(), Window: time.Minute, Slide: 0, RecordsPerSplit: 1}, sink); err == nil {

@@ -398,7 +398,10 @@ type (
 	// TimeWindowConfig configures a time-based sliding window driver.
 	TimeWindowConfig = stream.TimeConfig
 	// TimeWindow slides a fixed-duration window over timestamped
-	// records (data volume per period may vary).
+	// records: a Fixed window of one bucket per period, whatever volume
+	// the period carried (BucketSplits 0, the daba kind by default), or,
+	// with a Variable-mode Backend named, a Variable window over the
+	// periods' splits.
 	TimeWindow = stream.TimeWindow
 	// TimedRecord is one timestamped record for a TimeWindow.
 	TimedRecord = stream.TimedRecord
