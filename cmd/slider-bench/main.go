@@ -3,16 +3,13 @@
 //
 // Usage:
 //
-//	slider-bench [-scale quick|full] [-exp all|fig7,table3,...] [-out file]
+//	slider-bench [-scale quick|full] [-exp all|fig7,table3,...] [-out file] [-json file]
 //
 // Experiment names: fig7 fig8 fig9 fig10 fig11 fig12 fig13 table1 table2
-// table3 table4 table5 ablation backends outoforder.
+// table3 table4 table5 ablation. An unknown name is an error.
 //
-// -backends-json writes the DABA-vs-rotating head-to-head sweep (the
-// "backends" experiment) as a standalone JSON document (BENCH_daba.json).
-//
-// -ooo-json writes the finger-tree bulk-vs-sequential sweep (the
-// "outoforder" experiment) as JSON (BENCH_ooo.json).
+// -json also writes every experiment's results at the chosen scale as one
+// JSON document (experiments_full.json is the full-scale one).
 package main
 
 import (
@@ -39,8 +36,6 @@ func run(args []string) error {
 	expList := fs.String("exp", "all", "comma-separated experiments, or 'all': "+strings.Join(bench.Experiments, " "))
 	outPath := fs.String("out", "", "write results to this file instead of stdout")
 	jsonPath := fs.String("json", "", "also write a machine-readable JSON record to this file")
-	backendsJSON := fs.String("backends-json", "", "write the backends head-to-head sweep as JSON to this file")
-	oooJSON := fs.String("ooo-json", "", "write the out-of-order bulk-vs-sequential sweep as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,28 +80,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Fprintf(out, "JSON record written to %s\n", *jsonPath)
-	}
-	if *backendsJSON != "" {
-		f, err := os.Create(*backendsJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteBackendsJSON(f, scale); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "backends JSON written to %s\n", *backendsJSON)
-	}
-	if *oooJSON != "" {
-		f, err := os.Create(*oooJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteOOOJSON(f, scale); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "out-of-order JSON written to %s\n", *oooJSON)
 	}
 	return nil
 }

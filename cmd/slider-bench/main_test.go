@@ -49,3 +49,19 @@ func TestRunRejectsBadScale(t *testing.T) {
 		t.Fatal("bad scale accepted")
 	}
 }
+
+// TestRunRejectsUnknownExperiment: a name that is not an experiment — a
+// typo, or one that has been retired — fails the run and lists the valid
+// names, instead of running nothing and succeeding.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "res.txt")
+	for _, exp := range []string{"bogus", "fig12,backends"} {
+		err := run([]string{"-scale", "quick", "-exp", exp, "-out", out})
+		if err == nil {
+			t.Fatalf("-exp %s accepted", exp)
+		}
+		if !strings.Contains(err.Error(), "fig12") || !strings.Contains(err.Error(), "ablation") {
+			t.Fatalf("-exp %s: error does not list the experiments: %v", exp, err)
+		}
+	}
+}

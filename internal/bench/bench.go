@@ -181,8 +181,9 @@ func modeConfig(mode sliderrt.Mode, delta, window int, nodes int) sliderrt.Confi
 		// contraction tree; pin it so backend auto-selection (which
 		// prefers the DABA queue for plain fixed-width windows) cannot
 		// change what these experiments measure. The DABA-vs-rotating
-		// comparison has its own experiment (RunBackends /
-		// BENCH_daba.json).
+		// comparison is held by sliderrt's
+		// TestDabaBeatsRotatingMergeCount and the core.daba.* and
+		// core.rotating.* rows of the benchmark's per-layer trace.
 		cfg.Backend = sliderrt.BackendRotating
 	}
 	return cfg

@@ -359,93 +359,3 @@ func TestRunJSON(t *testing.T) {
 			len(decoded.CaseStudies), len(decoded.Randomized), len(decoded.WindowScale))
 	}
 }
-
-// TestBackendsDabaBeatsRotating is the CI smoke for the backend
-// head-to-head: on wordcount at a wide fixed width, the DABA queue must
-// beat the rotating tree on per-slide merge count and allocate no more
-// than it does (to 1 %, both under a pinned ceiling), its merge count must
-// respect the amortized constant bound at every width, and the rotating
-// tree's must grow with the window — the O(1) vs O(log w) separation
-// BENCH_daba.json records.
-func TestBackendsDabaBeatsRotating(t *testing.T) {
-	res, text, err := RunBackends(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", text)
-	windows := backendWindows(Quick())
-	// Amortized constant bound at every width, over a span that holds
-	// whole cycles: each bucket is merged at most twice per partition —
-	// into the back's running sum and at its flip — and the reduce takes
-	// the two halves unmerged, independent of the window.
-	bound := 2.0 * float64(Quick().Partitions)
-	for _, w := range windows {
-		daba, ok := res.Find("daba", w)
-		if !ok {
-			t.Fatalf("missing daba cell at window %d", w)
-		}
-		if daba.MergesPerSlide > bound {
-			t.Errorf("window %d: daba merges/slide %.1f exceeds constant bound %.1f",
-				w, daba.MergesPerSlide, bound)
-		}
-	}
-	// At the wide fixed width the asymptotics dominate: daba wins on
-	// merges. (At the narrowest window the rotating tree's root path is
-	// only a few levels deep — that is the crossover the sweep exists to
-	// show.)
-	wide := windows[len(windows)-1]
-	daba, _ := res.Find("daba", wide)
-	rot, ok := res.Find("rotating", wide)
-	if !ok {
-		t.Fatalf("missing rotating cell at window %d", wide)
-	}
-	if daba.MergesPerSlide >= rot.MergesPerSlide {
-		t.Errorf("window %d: daba merges/slide %.1f not below rotating %.1f",
-			wide, daba.MergesPerSlide, rot.MergesPerSlide)
-	}
-	// Allocations. While a merge built a hash map, the backend with fewer
-	// merges allocated less (347.6 against 354.4 per slide at this width)
-	// and the check here was daba < rotating. A merge-join allocates its
-	// output slice and one scratch pair, whatever it joins (pinned per
-	// merge in mapreduce's TestMergeAndReduceAllocs), which leaves the
-	// job's own combiner boxing every sum past 255 in the balance: DABA
-	// runs 2.5 merges fewer per slide (5 allocations) but joins wider
-	// aggregates, whose sums are larger (18.9 boxes per slide against
-	// 13.5), and the two cancel: 279.7 against 279.3. So both backends are
-	// held under one pinned ceiling, ~5 % over what they measure — which
-	// the map-based merges miss by 50 — and DABA to within 1 % of the
-	// rotating tree.
-	const allocCeiling = 294
-	for _, c := range []BackendCell{daba, rot} {
-		if c.AllocsPerSlide > allocCeiling {
-			t.Errorf("window %d: %s allocs/slide %.1f over the pinned ceiling %d",
-				wide, c.Backend, c.AllocsPerSlide, allocCeiling)
-		}
-	}
-	if daba.AllocsPerSlide > 1.01*rot.AllocsPerSlide {
-		t.Errorf("window %d: daba allocs/slide %.1f more than 1%% over rotating %.1f",
-			wide, daba.AllocsPerSlide, rot.AllocsPerSlide)
-	}
-	// The rotating tree's per-slide merges grow with the window; DABA's
-	// stay bounded (checked above), so the gap widens.
-	rotFirst, _ := res.Find("rotating", windows[0])
-	if rot.MergesPerSlide <= rotFirst.MergesPerSlide {
-		t.Errorf("rotating merges/slide did not grow with the window: %.1f at %d vs %.1f at %d",
-			rot.MergesPerSlide, wide, rotFirst.MergesPerSlide, windows[0])
-	}
-}
-
-// TestWriteBackendsJSON checks the BENCH_daba.json document shape.
-func TestWriteBackendsJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBackendsJSON(&buf, Quick()); err != nil {
-		t.Fatal(err)
-	}
-	var res BackendsResult
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if res.App != "wordcount" || len(res.Cells) != 2*len(backendWindows(Quick())) {
-		t.Fatalf("unexpected document: app=%q cells=%d", res.App, len(res.Cells))
-	}
-}

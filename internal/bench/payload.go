@@ -28,7 +28,7 @@ const payloadSlideWindow = 16
 
 // measurePayloadSlides drives the wordcount slide loop (a window of
 // `window` one-split buckets, sliding by one) and returns per-slide
-// averages, measureBackend-style.
+// averages.
 func measurePayloadSlides(s Scale, window, slides int) (slideCell, error) {
 	return measureSlideLoop(apps.WordCount(s.Partitions), workload.NewText(s.Text).Range, 1, window, slides, false)
 }

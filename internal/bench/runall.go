@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -10,18 +11,23 @@ import (
 var Experiments = []string{
 	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 	"table1", "table2", "table3", "table4", "table5",
-	"ablation", "backends", "outoforder",
+	"ablation",
 }
 
 // Run executes the selected experiments at the given scale, streaming
-// formatted results to w. Selecting "all" (or nil) runs everything.
+// formatted results to w. Selecting "all" (or nil) runs everything; a
+// name that is not in Experiments fails the call before anything runs.
 func Run(w io.Writer, s Scale, selected []string) error {
 	want := make(map[string]bool)
 	if len(selected) == 0 {
 		want["all"] = true
 	}
 	for _, e := range selected {
-		want[strings.ToLower(strings.TrimSpace(e))] = true
+		name := strings.ToLower(strings.TrimSpace(e))
+		if name != "all" && !slices.Contains(Experiments, name) {
+			return fmt.Errorf("unknown experiment %q (want all or any of: %s)", e, strings.Join(Experiments, " "))
+		}
+		want[name] = true
 	}
 	on := func(name string) bool { return want["all"] || want[name] }
 
@@ -100,20 +106,6 @@ func Run(w io.Writer, s Scale, selected []string) error {
 		_, text, err := Table5(s)
 		if err != nil {
 			return fmt.Errorf("table 5: %w", err)
-		}
-		fmt.Fprintln(w, text)
-	}
-	if on("backends") {
-		_, text, err := RunBackends(s)
-		if err != nil {
-			return fmt.Errorf("backends: %w", err)
-		}
-		fmt.Fprintln(w, text)
-	}
-	if on("outoforder") {
-		_, text, err := RunOutOfOrder(s)
-		if err != nil {
-			return fmt.Errorf("outoforder: %w", err)
 		}
 		fmt.Fprintln(w, text)
 	}

@@ -519,40 +519,3 @@ func TestRuntimeLocalFallback(t *testing.T) {
 		t.Fatalf("degraded slide not recorded: %s", st)
 	}
 }
-
-// TestRuntimeLocalFallbackDisabled: with the fallback rung switched off,
-// losing every worker must surface ErrNoWorkers to the caller.
-func TestRuntimeLocalFallbackDisabled(t *testing.T) {
-	workers, addrs, _ := newCluster(t, 2)
-	pool, err := NewPoolConfig("dist-wordcount", addrs, PoolConfig{
-		BackoffBase:    2 * time.Millisecond,
-		BackoffMax:     30 * time.Millisecond,
-		HealthInterval: -1,
-		Seed:           1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	memoCfg := memo.DefaultConfig()
-	memoCfg.Nodes = 4
-	rt, err := sliderrt.New(testJob(), sliderrt.Config{
-		Mode: sliderrt.Fixed, BucketSplits: 2, WindowBuckets: 4,
-		Memo:                 memoCfg,
-		MapRunner:            pool,
-		DisableLocalFallback: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Initial(textSplits(0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workers {
-		w.Kill()
-	}
-	if _, err := rt.Advance(2, textSplits(8, 10)); !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want ErrNoWorkers", err)
-	}
-}

@@ -326,7 +326,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 		} else {
 			// Checkpoint written by an in-order backend (or pre-ledger
 			// frame): the window is WindowBuckets uniform buckets of w.
-			rt.uniformLedger(st.WindowBuckets, st.BucketSplits)
+			rt.uniformLedger(st.WindowBuckets, st.BucketSplits, st.WindowLo)
 		}
 	}
 	pos, err := rt.firstBucket(st.WindowLo)

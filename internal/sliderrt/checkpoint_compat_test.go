@@ -458,6 +458,59 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 	}
 }
 
+// TestRestoreLedgerlessFrameKeepsBucketClock: an in-order Fixed frame
+// carries no bucket ledger. Restored into the finger tree — a pre-backend
+// frame under AllowedLateness — its window becomes WindowBuckets buckets of
+// w, and the in-order bucket clock goes on from where the window is, its
+// oldest bucket plus WindowBuckets, as it would had the finger tree run the
+// window from the start. A clock that restarted at WindowBuckets would
+// refuse a late arrival at the newest edge as below the watermark.
+func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
+	const w, n, slides = 1, 4, 10
+	job := wordCountJob()
+	cfg := Config{Mode: Fixed, BucketSplits: w, WindowBuckets: n, Memo: testMemoConfig()}
+	rt, err := New(job, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := genSplits(0, w*n, 4, 7)
+	next := w * n
+	if _, err := rt.Initial(window); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < slides; i++ {
+		add := genSplits(next, w, 4, 7)
+		next += w
+		if _, err := rt.Advance(w, add); err != nil {
+			t.Fatal(err)
+		}
+		window = append(window[w:], add...)
+	}
+	var buf bytes.Buffer
+	if err := rt.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	late := cfg
+	late.AllowedLateness, late.Watermark = 2, slides+n-2
+	restored, err := Restore(job, late, bytes.NewReader(rewriteFrame(t, buf.Bytes(), zeroBackend)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Backend() != BackendFingerTree {
+		t.Fatalf("restored backend = %v, want %v", restored.Backend(), BackendFingerTree)
+	}
+	if got, want := restored.bucketSeq, uint64(slides+n); got != want {
+		t.Fatalf("bucket clock %d after restoring a window whose oldest bucket is %d, want %d", got, slides, want)
+	}
+	add := genSplits(next, 1, 4, 7)
+	res, err := restored.AdvanceLate(0, add)
+	if err != nil {
+		t.Fatalf("late arrival at the newest edge: %v", err)
+	}
+	wantSameOutput(t, res.Output, scratch(t, job, append(window, add...)))
+}
+
 // zeroBackend leaves a checkpoint without a Backend, as pre-backend writers
 // did.
 func zeroBackend(st *checkpointState) { st.Backend = BackendAuto }

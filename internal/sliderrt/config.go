@@ -119,13 +119,6 @@ type Config struct {
 	// entries (the paper's "more aggressive user-defined policy", §6).
 	// Return true to evict the entry.
 	GCPolicy func(key string, lo, hi uint64, size int64) bool
-	// DisableLocalFallback turns off the degradation rung that
-	// re-executes a map batch in-process when the remote MapRunner cannot
-	// finish it (all workers dead or retry budget exhausted). Default
-	// off: the runtime degrades rather than failing the slide. Set it
-	// only to surface pool failures directly (testing hard-failure
-	// handling).
-	DisableLocalFallback bool
 	// Faults receives the runtime's degradation event counters
 	// (local fallbacks, memo recomputes). Share one recorder with
 	// dist.PoolConfig.Faults so the whole degradation ladder — remote →

@@ -169,9 +169,12 @@ func TestOutOfOrderOracle(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderBulkBound asserts the tentpole's cost claim at the
+// TestOutOfOrderBulkBound asserts the bulk operations' cost claim at the
 // runtime layer: a K-bucket advance costs O(K + log w) combines per
-// partition, with no K·log w cross term.
+// partition, with no K·log w cross term; and at w = 512 one K-bucket
+// advance costs fewer merges than the same K buckets as K one-bucket
+// advances (K root paths, c·K·log w), for K of 32 and 256: 174 against
+// 3 144 and 870 against 16 371 measured.
 func TestOutOfOrderBulkBound(t *testing.T) {
 	cfg := oooConfig(1)
 	cfg.WindowBuckets = 64
@@ -189,6 +192,52 @@ func TestOutOfOrderBulkBound(t *testing.T) {
 		bound := parts * (8*int64(k)*w + 16*7 + 32) // log2(64)+1 = 7
 		if got > bound {
 			t.Fatalf("K=%d: %d merges, bound %d (K+log w, no cross term)", k, got, bound)
+		}
+	}
+
+	// Bulk against sequential: two finger-tree runtimes take the same K
+	// fresh buckets, one in a single advance, one bucket at a time, and so
+	// serve the same window after each K.
+	const wide = 512
+	start := func() *Runtime {
+		rt, err := New(h.job, Config{Mode: Fixed, Backend: BackendFingerTree, BucketSplits: 1, WindowBuckets: wide, Memo: testMemoConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Initial(genSplits(0, wide, 4, 7)); err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	bulk, seq := start(), start()
+	merges := func(rt *Runtime) int64 {
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Stats().TreeStats.Merges
+	}
+	next := wide
+	for _, k := range []int{32, 256} {
+		add := genSplits(next, k, 4, 7)
+		next += k
+		before := merges(bulk)
+		want, err := bulk.Advance(k, add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bulkMerges := merges(bulk) - before
+		before = merges(seq)
+		var got *RunResult
+		for i := range add {
+			if got, err = seq.Advance(1, add[i:i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seqMerges := merges(seq) - before
+		wantSameOutput(t, got.Output, want.Output)
+		t.Logf("K=%d at w=%d: bulk %d merges, sequential %d", k, wide, bulkMerges, seqMerges)
+		if bulkMerges <= 0 || bulkMerges >= seqMerges {
+			t.Errorf("K=%d at w=%d: bulk advance cost %d merges, sequential %d: bulk must win", k, wide, bulkMerges, seqMerges)
 		}
 	}
 }

@@ -313,7 +313,7 @@ type partialResult interface {
 // pass through.
 func (rt *Runtime) salvageMap(splits []mapreduce.Split, runErr error) ([]mapreduce.MapResult, error) {
 	var pr partialResult
-	if rt.cfg.DisableLocalFallback || !errors.As(runErr, &pr) {
+	if !errors.As(runErr, &pr) {
 		return nil, runErr
 	}
 	rt.faults.LocalFallbacks.Add(1)
@@ -702,13 +702,15 @@ func (rt *Runtime) periods() bool { return rt.cfg.Mode == Fixed && rt.cfg.Bucket
 // ones.
 func (rt *Runtime) ledgered() bool { return rt.periods() || rt.outOfOrder() }
 
-// uniformLedger resets the bucket ledger to n in-order buckets of w splits.
-func (rt *Runtime) uniformLedger(n, w int) {
+// uniformLedger resets the bucket ledger to n in-order buckets of w splits,
+// the oldest starting at split windowLo. The in-order clock counts every
+// bucket the window has taken in, evicted ones too: windowLo/w + n.
+func (rt *Runtime) uniformLedger(n, w int, windowLo uint64) {
 	rt.bucketSizes = make([]int, n)
 	for i := range rt.bucketSizes {
 		rt.bucketSizes[i] = w
 	}
-	rt.bucketSeq = uint64(n)
+	rt.bucketSeq = windowLo/uint64(max(w, 1)) + uint64(n)
 }
 
 // bucketed reports whether the aggregators' elements are buckets of w
