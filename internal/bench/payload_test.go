@@ -5,6 +5,8 @@ import (
 
 	"slider/internal/apps"
 	"slider/internal/israce"
+	"slider/internal/memo"
+	"slider/internal/sliderrt"
 	"slider/internal/workload"
 )
 
@@ -151,5 +153,51 @@ func TestStructValueSlideAllocs(t *testing.T) {
 	t.Logf("window %d: %.1f allocs/slide", window, cell.AllocsPerSlide)
 	if cell.AllocsPerSlide > ceiling+cold {
 		t.Errorf("K-Means slide allocates %.0f/slide, ceiling %.0f", cell.AllocsPerSlide, ceiling+cold)
+	}
+}
+
+// TestWideLocatedShare pins how much of the wide window's reduce reads a
+// moved key's entry by the position the daba kind's merges recorded instead
+// of seeking it, on wc-wide-local's shape: four partitions, a window of 64
+// one-split buckets of 200 lines of 12 words over a 20 000-word Zipf
+// vocabulary, sliding by one, seed 1. A push locates its bucket's keys in the
+// back half, a flip each bucket's in the front half the reduce reads when it
+// leaves, so a key that left and one that entered need no seek on those
+// halves; the seeks left are an evicted key's in the back half and an added
+// key's in the front. Measured over a whole flip cycle (64 slides): 59.5 %
+// of the lookups located. A slide that refills reduces every key and looks
+// nothing up: it counts no lookup.
+func TestWideLocatedShare(t *testing.T) {
+	const window, slides, floor = 64, 64, 0.55
+	text := workload.NewText(workload.TextConfig{Seed: 1, LinesPerSplit: 200, WordsPerLine: 12, Vocabulary: 20_000, ZipfS: 1.2})
+	rt, err := sliderrt.New(apps.WordCount(4), sliderrt.Config{Mode: sliderrt.Fixed, BucketSplits: 1, WindowBuckets: window, Memo: memo.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Initial(text.Range(0, window)); err != nil {
+		t.Fatal(err)
+	}
+	var lookups, seeks int64
+	for i := range slides {
+		res, err := rt.Advance(1, text.Range(window+i, window+i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Report.Counters
+		if res.Rebuilt && c.RootLookups != 0 {
+			t.Fatalf("slide %d refilled the output and looked up %d keys", i+1, c.RootLookups)
+		}
+		if c.RootSeeks > c.RootLookups {
+			t.Fatalf("slide %d: %d seeks of %d lookups", i+1, c.RootSeeks, c.RootLookups)
+		}
+		lookups, seeks = lookups+c.RootLookups, seeks+c.RootSeeks
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	share := 1 - float64(seeks)/float64(lookups)
+	t.Logf("%d root lookups over %d slides, %.1f %% located", lookups, slides, 100*share)
+	if lookups == 0 || share < floor {
+		t.Errorf("%.1f %% of %d root lookups located, floor %.0f %%", 100*share, lookups, 100*floor)
 	}
 }

@@ -101,6 +101,23 @@ type Spares[T any] interface {
 	ForEachSpare(fn func(T))
 }
 
+// Locating is the capability of a structure whose merges can record where
+// the keys of the buckets they take in stand in the aggregates they build (the
+// daba kind), so that the reduce reads a moved key's entry in the roots by
+// index instead of seeking it. LocateWith installs the merge to do it with,
+// before Init; size counts an element's entries. Located then says, for the
+// last Slide, where the keys of the one evicted element stand in Roots()[0]
+// and those of the one added element in Roots()[len−1] (positions as
+// LocatingMerge records them), each nil where the structure does not know.
+// The positions are the structure's own, valid for as long as the Roots of
+// the same slide; they are neither state nor checkpointed, and PositionsCap
+// is the memory they hold, in positions.
+type Locating[T any] interface {
+	LocateWith(merge LocatingMerge[T], size func(T) int)
+	Located() (evicted, added []int32)
+	PositionsCap() int
+}
+
 // State is an aggregator's restorable state as plain values, the shape a
 // checkpoint codec persists.
 type State[T any] struct {
@@ -267,6 +284,16 @@ type dabaAgg[T any] struct {
 	*TwoStacksLite[T]
 	evicted []T
 	roots   []T
+	one     bool // the last Slide moved one bucket each way
+}
+
+// Located is the last Slide's positions when it moved one bucket each way,
+// nil otherwise.
+func (a *dabaAgg[T]) Located() (evicted, added []int32) {
+	if !a.one {
+		return nil, nil
+	}
+	return a.TwoStacksLite.Located()
 }
 
 // Background runs the flip a drained front left for after the query.
@@ -277,6 +304,7 @@ func (a *dabaAgg[T]) Slide(drop int, add []T) ([]T, error) {
 		return nil, errFixedSlide(drop, len(add))
 	}
 	a.evicted = a.evicted[:0]
+	a.one = len(add) == 1
 	for _, b := range add {
 		a.evicted = append(a.evicted, a.raw[a.slot(a.f)])
 		if err := a.TwoStacksLite.Slide(b); err != nil {

@@ -42,6 +42,14 @@ import "errors"
 // be associative; rotating trees additionally require commutativity.
 type MergeFunc[T any] func(a, b T) T
 
+// LocatingMerge is a MergeFunc that also records where the keys of its raw
+// operand — a bucket — stand, one position per entry in key order, appended
+// to at[:0], whose storage it reuses, and returned: for a push (flip false)
+// the bucket is b and each of its keys is located in the result; for a flip
+// (flip true) the bucket is a and each key is located in b, −(insertion
+// point)−1 where b lacks it. The result and the work are the MergeFunc's.
+type LocatingMerge[T any] func(a, b T, flip bool, at []int32) (T, []int32)
+
 // Stats counts the work a tree performed. Merge invocations are the
 // paper's unit of contraction work; node counts separate recomputation
 // from reuse.

@@ -64,6 +64,17 @@ package core
 // own last read. The aggregate Root merges is kept in no slot and never
 // released.
 //
+// With a locating merge installed (LocateWith) every merge a bucket takes
+// part in records where its keys stand, and a slide hands the reduce what
+// its merges found (Located). The push records where the bucket's keys
+// landed in backSum — the back half the reduce reads —, or, the first push
+// after a flip being backSum itself, the identity. The flip records, for each
+// raw[i] it merges into q[i+1], where its keys stand in q[i+1]: the front half
+// the reduce reads once bucket i has left. Those positions stay with slot i
+// until its evict hands them out. Where no merge took place no positions
+// exist: for q[b], which took backSum over, for the newest front slot, whose
+// evict leaves no front, and so for the evict a flip runs first.
+//
 // TwoStacksLite is not safe for concurrent use.
 type TwoStacksLite[T any] struct {
 	merge MergeFunc[T]
@@ -87,6 +98,22 @@ type TwoStacksLite[T any] struct {
 	spare     []T
 	spared    []bool
 	bug       Buggify
+
+	// locate is what a push and the flip merge with: merge, recording
+	// positions once LocateWith installed a locating merge (locating).
+	locate LocatingMerge[T]
+
+	// Positions, with a locating merge installed (see the type's comment).
+	// at[s] is where raw[s]'s keys stand in the next slot's aggregate, kept
+	// while atOK[s]: from the flip merge that built q[s] to its evict, which
+	// swaps it out to evAt. pushAt is the newest push's, in backSum; evOK
+	// and pushOK say whether the last Slide's exist.
+	locating     bool
+	size         func(T) int
+	at           [][]int32
+	atOK         []bool
+	evAt, pushAt []int32
+	evOK, pushOK bool
 }
 
 // NewDaba returns the daba kind's aggregator, Two-Stacks Lite, for a window
@@ -97,11 +124,14 @@ func NewDaba[T any](merge MergeFunc[T], n int) *TwoStacksLite[T] {
 	}
 	return &TwoStacksLite[T]{
 		merge:  merge,
+		locate: func(a, b T, _ bool, at []int32) (T, []int32) { return merge(a, b), at },
 		n:      n,
 		q:      make([]T, n),
 		raw:    make([]T, n),
 		spare:  make([]T, n),
 		spared: make([]bool, n),
+		at:     make([][]int32, n),
+		atOK:   make([]bool, n),
 	}
 }
 
@@ -109,6 +139,32 @@ func NewDaba[T any](merge MergeFunc[T], n int) *TwoStacksLite[T] {
 // with one installed, the merge function must return storage of its own on
 // every call — never one of its arguments.
 func (t *TwoStacksLite[T]) OnRelease(release func(T)) { t.release = release }
+
+// LocateWith implements Locating. It must be called before Init.
+func (t *TwoStacksLite[T]) LocateWith(merge LocatingMerge[T], size func(T) int) {
+	t.locate, t.size, t.locating = merge, size, true
+}
+
+// Located implements Locating for the last Slide: where the evicted bucket's
+// keys stand in the front half and the pushed bucket's in the back half.
+func (t *TwoStacksLite[T]) Located() (evicted, added []int32) {
+	if t.evOK {
+		evicted = t.evAt
+	}
+	if t.pushOK {
+		added = t.pushAt
+	}
+	return evicted, added
+}
+
+// PositionsCap implements Locating.
+func (t *TwoStacksLite[T]) PositionsCap() int {
+	n := cap(t.evAt) + cap(t.pushAt)
+	for _, at := range t.at {
+		n += cap(at)
+	}
+	return n
+}
 
 // SetBuggify installs fault-injection points (simulation harness
 // self-tests only).
@@ -162,6 +218,7 @@ func (t *TwoStacksLite[T]) fill(buckets []T, pos uint64) error {
 	clear(t.raw)
 	clear(t.spare)
 	clear(t.spared)
+	clear(t.atOK)
 	t.backSum, t.hasBack, t.backOwned = zero, false, false
 	front := t.n - t.slot(pos)
 	t.f, t.b, t.e = pos, pos+uint64(front), pos+uint64(front)
@@ -174,6 +231,7 @@ func (t *TwoStacksLite[T]) fill(buckets []T, pos uint64) error {
 		t.push(v)
 	}
 	t.filled = true
+	t.evOK, t.pushOK = false, false
 	return nil
 }
 
@@ -208,13 +266,20 @@ func (t *TwoStacksLite[T]) push(v T) {
 	t.e++
 	if t.hasBack {
 		old := t.backSum
-		t.backSum = t.merge(old, v)
+		t.backSum, t.pushAt = t.locate(old, v, false, t.pushAt)
 		t.stats.Merges++
 		t.free(old, t.backOwned)
 		t.backOwned = true
 	} else {
 		t.backSum, t.hasBack = v, true
+		if t.locating {
+			t.pushAt = t.pushAt[:0]
+			for i := range t.size(v) {
+				t.pushAt = append(t.pushAt, int32(i))
+			}
+		}
 	}
+	t.pushOK = t.locating
 	t.stats.NodesRecomputed++
 }
 
@@ -233,6 +298,12 @@ func (t *TwoStacksLite[T]) evict() error {
 	if t.release != nil && t.f+1 < t.b {
 		t.spare[s], t.spared[s] = t.q[s], true
 	}
+	// The positions go with the bucket; the slot keeps the storage of the
+	// last ones handed out, for its next flip to write.
+	if t.evOK = t.atOK[s] && t.f+1 < t.b; t.evOK {
+		t.evAt, t.at[s] = t.at[s], t.evAt
+	}
+	t.atOK[s] = false
 	t.q[s], t.raw[s] = zero, zero
 	t.f++
 	return nil
@@ -267,7 +338,8 @@ func (t *TwoStacksLite[T]) suffixes(lo, hi uint64) {
 	for i := hi - 1; i > lo; i-- {
 		s := t.slot(i - 1)
 		t.freeSpare(s)
-		t.q[s] = t.merge(t.raw[s], t.q[t.slot(i)])
+		t.q[s], t.at[s] = t.locate(t.raw[s], t.q[t.slot(i)], true, t.at[s])
+		t.atOK[s] = t.locating
 		t.stats.Merges++
 		t.stats.NodesRecomputed++
 	}

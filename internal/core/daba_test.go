@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -441,4 +442,180 @@ func TestDabaShape(t *testing.T) {
 	if len(s.Levels) != 1 || s.Levels[0] != 3 {
 		t.Fatalf("Levels = %v, want [3]", s.Levels)
 	}
+}
+
+// unionMerge merges two sorted sets of keys: the payload shape of the
+// reduce's roots, where a key both sides hold is written once.
+func unionMerge(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// searchAt is the binary-search reference for recorded positions: the index
+// of each of keys in set, or −(insertion point)−1 where set lacks it.
+func searchAt(keys, set []int) []int32 {
+	at := make([]int32, len(keys))
+	for i, k := range keys {
+		j, ok := slices.BinarySearch(set, k)
+		if at[i] = int32(j); !ok {
+			at[i] = int32(-j - 1)
+		}
+	}
+	return at
+}
+
+// locateUnion is unionMerge recording positions as a LocatingMerge does, by
+// binary search, into at's storage.
+func locateUnion(a, b []int, flip bool, at []int32) ([]int, []int32) {
+	out := unionMerge(a, b)
+	raw, in := b, out
+	if flip {
+		raw, in = a, b
+	}
+	return out, append(at[:0], searchAt(raw, in)...)
+}
+
+// TestTwoStacksLocatedMatchesSearch drives Two-Stacks Lite with a locating
+// merge through random slides of random buckets, its flips left to the
+// upkeep or to the next evict (a foreground flip) at random, and restored at
+// every phase of a flip cycle in turn: after every slide the positions Located hands
+// out are where a binary search finds the evicted bucket's keys in the front
+// half and the added bucket's in the back half — the identity for the first
+// push after a flip —, and they are nil exactly for the evicts no merge
+// located: the newest front slot's, which leaves no front, and q[b]'s, which
+// took the back's sum over — all but the first front of a fill, which Init
+// and RestoreAt build by merges. A twin without a locating merge
+// does the same merges to the same state. A slide of several buckets, and a
+// restore, hand out no positions.
+func TestTwoStacksLocatedMatchesSearch(t *testing.T) {
+	fp := func(p []int) uint64 {
+		h := uint64(0x10ca)
+		for _, v := range p {
+			h = fpMix(h, uint64(v))
+		}
+		return h
+	}
+	size := func(p []int) int { return len(p) }
+	for _, n := range []int{1, 2, 3, 5, 8, 16} {
+		rng := rand.New(rand.NewSource(int64(n) * 2009))
+		bucket := func() []int {
+			var b []int
+			for k := 0; k < 40; k++ {
+				if rng.Intn(4) == 0 {
+					b = append(b, k)
+				}
+			}
+			return b
+		}
+		window := make([][]int, n)
+		for i := range window {
+			window[i] = bucket()
+		}
+		located := NewDaba(unionMerge, n)
+		located.LocateWith(locateUnion, size)
+		plain := NewDaba(unionMerge, n)
+		for _, d := range []*TwoStacksLite[[]int]{located, plain} {
+			if err := d.Init(window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// fillEnd is where the last fill's front ended: the buckets before it
+		// were merged into their suffixes, the back's oldest after it not.
+		fillEnd := uint64(n)
+		cycles := max(n+2, 12)
+		evictsLocated, phases := 0, map[uint64]bool{}
+		for step := 0; step < cycles*n; step++ {
+			if step%(n+1) == n {
+				// Restore both at this phase; a restore hands out nothing.
+				buckets, _ := located.BucketPayloads()
+				pos := located.f
+				located, plain = NewDaba(unionMerge, n), NewDaba(unionMerge, n)
+				located.LocateWith(locateUnion, size)
+				for _, d := range []*TwoStacksLite[[]int]{located, plain} {
+					if err := d.RestoreAt(buckets, pos); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ev, ad := located.Located(); ev != nil || ad != nil {
+					t.Fatalf("n=%d step %d: a restore hands out positions %v, %v", n, step, ev, ad)
+				}
+				fillEnd = pos + uint64(n) - pos%uint64(n)
+				phases[pos%uint64(n)] = true
+			}
+			k := located.f
+			wantEv := k%uint64(n) != uint64(n-1) && (k%uint64(n) != 0 || k < fillEnd)
+			evicted, v := window[0], bucket()
+			window = append(window[1:], v)
+			for _, d := range []*TwoStacksLite[[]int]{located, plain} {
+				if err := d.Slide(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			halves := located.Halves(nil)
+			ev, ad := located.Located()
+			if ad == nil || !slices.Equal(ad, searchAt(v, halves[len(halves)-1])) {
+				t.Fatalf("n=%d step %d: the added bucket %v is located at %v in the back half %v", n, step, v, ad, halves[len(halves)-1])
+			}
+			if (ev != nil) != wantEv {
+				t.Fatalf("n=%d step %d: bucket %d evicted with positions %v, want them: %v", n, step, k, ev, wantEv)
+			}
+			if ev != nil {
+				evictsLocated++
+				if len(halves) != 2 || !slices.Equal(ev, searchAt(evicted, halves[0])) {
+					t.Fatalf("n=%d step %d: the evicted bucket %v is located at %v in the halves %v", n, step, evicted, ev, halves)
+				}
+			}
+			if got, want := unionAll(halves), unionAll(window); !slices.Equal(got, want) {
+				t.Fatalf("n=%d step %d: the halves hold %v, the window %v", n, step, got, want)
+			}
+			if rng.Intn(2) == 0 {
+				located.Background()
+				plain.Background()
+			}
+			if located.Stats() != plain.Stats() || located.FingerprintWith(fp) != plain.FingerprintWith(fp) {
+				t.Fatalf("n=%d step %d: locating changed the work (%+v, plain %+v) or the state", n, step, located.Stats(), plain.Stats())
+			}
+		}
+		if evictsLocated < (cycles-2)*max(n-2, 0) || len(phases) != n {
+			t.Fatalf("n=%d: %d of %d evicts located, want all but two a cycle; restored at %d of %d phases", n, evictsLocated, cycles*n, len(phases), n)
+		}
+
+		// A slide of several buckets hands out nothing; the next single one does.
+		agg := NewAggregator(KindDaba, unionMerge, Options{Width: n})
+		agg.(Locating[[]int]).LocateWith(locateUnion, size)
+		if err := agg.Init(window); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := agg.Slide(2, [][]int{bucket(), bucket()}); err != nil {
+			t.Fatal(err)
+		}
+		if ev, ad := agg.(Locating[[]int]).Located(); ev != nil || ad != nil {
+			t.Fatalf("n=%d: a two-bucket slide hands out positions %v, %v", n, ev, ad)
+		}
+		if _, err := agg.Slide(1, [][]int{bucket()}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ad := agg.(Locating[[]int]).Located(); ad == nil {
+			t.Fatalf("n=%d: a one-bucket slide hands out no positions for its push", n)
+		}
+	}
+}
+
+// unionAll is the set of keys the window's buckets hold.
+func unionAll(window [][]int) []int {
+	var out []int
+	for _, b := range window {
+		out = unionMerge(out, b)
+	}
+	return out
 }

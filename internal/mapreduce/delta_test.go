@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -84,17 +85,74 @@ func TestReduceDeltaMatchesFullPass(t *testing.T) {
 
 		order = order[:0]
 		cut := rng.Intn(len(ts) + 1)
-		changed, calls := ReduceDelta(job, ts[:cut], ts[cut:], after, out, []string{"earlier"})
+		// A slide of one payload each way may say where its keys stand: in
+		// the first root for the evicted one, in the last for the added one.
+		var at Located
+		if len(after) > 0 && cut <= 1 && len(ts)-cut <= 1 {
+			if cut == 1 && rng.Intn(3) > 0 {
+				at.Evicted = searchPositions(ts[0].P, after[0].P)
+			}
+			if cut < len(ts) && rng.Intn(3) > 0 {
+				at.Added = searchPositions(ts[cut].P, after[len(after)-1].P)
+			}
+		}
+		changed, got := ReduceDelta(job, ts[:cut], ts[cut:], at, after, out, []string{"earlier"})
 		if !reflect.DeepEqual(out, want) {
 			t.Fatalf("trial %d: touched %v over roots %v:\n got %v\nwant %v", trial, ts, after, out, want)
 		}
-		if !slices.Equal(changed, wantChanged) || calls != wantCalls {
-			t.Fatalf("trial %d: changed %v (%d calls), want %v (%d calls)", trial, changed, calls, wantChanged, wantCalls)
+		if !slices.Equal(changed, wantChanged) || got.Calls != wantCalls {
+			t.Fatalf("trial %d: changed %v (%d calls), want %v (%d calls)", trial, changed, got.Calls, wantChanged, wantCalls)
 		}
-		if int64(len(order)) != calls || !sort.StringsAreSorted(order) {
+		if int64(len(order)) != got.Calls || !sort.StringsAreSorted(order) {
 			t.Fatalf("trial %d: Reduce saw keys %v", trial, order)
 		}
+		// Every touched key is looked up once in every non-empty root, and
+		// sought there unless a position was read.
+		var lookups, located int64
+		for i, r := range after {
+			if len(r.P) == 0 {
+				continue
+			}
+			lookups += int64(len(keys))
+			switch {
+			case i == 0 && at.Evicted != nil:
+				located += int64(len(ts[0].P))
+				if i == len(after)-1 && at.Added != nil {
+					located += int64(len(onlyIn(ts[cut].P, ts[0].P)))
+				}
+			case i == len(after)-1 && at.Added != nil:
+				located += int64(len(ts[cut].P))
+			}
+		}
+		if got.Lookups != lookups || got.Seeks != lookups-located {
+			t.Fatalf("trial %d: %d lookups, %d sought; want %d, %d", trial, got.Lookups, got.Seeks, lookups, lookups-located)
+		}
 	}
+}
+
+// searchPositions is the binary-search reference for recorded positions:
+// for each entry of raw, the index of its key in p, or −(insertion point)−1
+// where p lacks it.
+func searchPositions(raw, p Payload) []int32 {
+	at := make([]int32, len(raw))
+	for i, e := range raw {
+		k, ok := slices.BinarySearchFunc(p, e.Key, func(x Entry, key string) int { return strings.Compare(x.Key, key) })
+		if at[i] = int32(k); !ok {
+			at[i] = int32(-k - 1)
+		}
+	}
+	return at
+}
+
+// onlyIn returns the entries of p whose keys q lacks.
+func onlyIn(p, q Payload) Payload {
+	var out Payload
+	for _, e := range p {
+		if _, ok := q.Get(e.Key); !ok {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestSeek checks the galloping cursor against a linear scan: from every
@@ -140,9 +198,9 @@ func TestReduceDeltaRefreshesKeyStrings(t *testing.T) {
 	out, _ := fullPass(job, []Sized{old})
 	left, right := payload("a", "b"), payload("b", "c")
 	gone := payload("a", "b", "c", "d") // the departed bucket: touches everything
-	changed, calls := ReduceDelta(job, []Sized{gone}, nil, []Sized{left, right}, out, nil)
-	if calls != 3 || len(out) != 3 || out["b"] != int64(2) {
-		t.Fatalf("patched output %v after %d calls", out, calls)
+	changed, got := ReduceDelta(job, []Sized{gone}, nil, Located{}, []Sized{left, right}, out, nil)
+	if got.Calls != 3 || len(out) != 3 || out["b"] != int64(2) {
+		t.Fatalf("patched output %v after %d calls", out, got.Calls)
 	}
 	holder := map[string]*byte{
 		"a": unsafe.StringData(left.P[0].Key),
@@ -165,10 +223,12 @@ func TestReduceDeltaRefreshesKeyStrings(t *testing.T) {
 }
 
 // TestDeltaReduceAllocs pins what the reduce of a slide allocates. A delta
-// reduce allocates its scratch — its value slice and joinK's — and nothing
-// per key: a hundred times the touched keys cost the same. A dense slide's
-// full pass into the retained map (emptied, not replaced) allocates the one
-// scratch slice of a lone root and no map.
+// reduce allocates its scratch and nothing per key: a hundred times the
+// touched keys cost the same. A slide of one payload each way walks them with
+// two cursors and allocates its value slice alone — read by recorded position
+// or sought, the same; joinK's scratch is a slide of several payloads' only.
+// A dense slide's full pass into the retained map (emptied, not replaced)
+// allocates the one scratch slice of a lone root and no map.
 func TestDeltaReduceAllocs(t *testing.T) {
 	job := sumJob(1)
 	build := func(n, stride int) Sized {
@@ -182,17 +242,28 @@ func TestDeltaReduceAllocs(t *testing.T) {
 	roots := []Sized{root}
 	out, _ := fullPass(job, roots)
 	changed := make([]string, 0, 1024)
-	delta := func(evicted, added Sized) float64 {
+	delta := func(evicted, added []Sized, at Located) float64 {
 		return testing.AllocsPerRun(20, func() {
-			var calls int64
-			if changed, calls = ReduceDelta(job, []Sized{evicted}, []Sized{added}, roots, out, changed[:0]); int(calls) != len(changed) {
+			var got DeltaCounts
+			if changed, got = ReduceDelta(job, evicted, added, at, roots, out, changed[:0]); int(got.Calls) != len(changed) {
 				t.Fatal("a touched key of the root was not reduced")
 			}
 		})
 	}
-	few, many := delta(build(4, 1000), build(4, 900)), delta(build(400, 10), build(400, 9))
-	if few != 2 || many != 2 {
-		t.Errorf("delta reduce: %.0f allocs for 8 touched keys, %.0f for 800 — want 2 (its value slice and joinK's)", few, many)
+	slide := func(n, stride int, located bool) float64 {
+		evicted, added := build(n, stride), build(n, stride-stride/10)
+		var at Located
+		if located {
+			at = Located{Evicted: searchPositions(evicted.P, root.P), Added: searchPositions(added.P, root.P)}
+		}
+		return delta([]Sized{evicted}, []Sized{added}, at)
+	}
+	few, many, located := slide(4, 1000, false), slide(400, 10, false), slide(400, 10, true)
+	if few != 1 || many != 1 || located != 1 {
+		t.Errorf("delta reduce: %.0f allocs for 8 touched keys, %.0f for 800, %.0f for 800 located — want 1 (its value slice: two cursors, no joinK scratch)", few, many, located)
+	}
+	if several := delta([]Sized{build(4, 1000), build(4, 700)}, []Sized{build(4, 900)}, Located{}); several != 2 {
+		t.Errorf("delta reduce of three payloads: %.0f allocs, want 2 (its value slice and joinK's)", several)
 	}
 	dense := testing.AllocsPerRun(20, func() {
 		clear(out)
@@ -202,5 +273,63 @@ func TestDeltaReduceAllocs(t *testing.T) {
 	})
 	if dense != 1 {
 		t.Errorf("full pass into the retained map: %.0f allocs, want 1 (the scratch slice)", dense)
+	}
+}
+
+// BenchmarkDeltaVsRefill is the table behind reduceAll's density rule
+// (DESIGN.md §9): the two ways a slide's reduce can go over the daba kind's
+// halves — a front of 6 000 keys and a back of 6 000, overlapping — patching
+// the retained output (ReduceDelta, an evicted payload located in the front
+// and an added one in the back as the structure's merges record them, or
+// sought) against refilling it (clear + ReduceInto), as the touched entries
+// grow from 5 % of the roots' to all of them. The three are timed turn by
+// turn inside one loop and reported side by side, in µs.
+func BenchmarkDeltaVsRefill(b *testing.B) {
+	job := sumJob(1)
+	const keys, half = 16_000, 6_000
+	rng := rand.New(rand.NewSource(1604))
+	key := func(i int) string { return fmt.Sprintf("w%05d", i) }
+	draw := func(n int, from []int) Sized {
+		m := make(M, n)
+		for len(m) < n {
+			i := rng.Intn(keys)
+			if from != nil {
+				i = from[rng.Intn(len(from))]
+			}
+			m[key(i)] = int64(1)
+		}
+		return Size(job, FromMap(m))
+	}
+	front, back := draw(half, nil), draw(half, nil)
+	backKeys := make([]int, len(back.P))
+	for i, e := range back.P {
+		fmt.Sscanf(e.Key, "w%d", &backKeys[i])
+	}
+	roots := []Sized{front, back}
+	out, _ := fullPass(job, roots)
+	changed := make([]string, 0, 2*half)
+	for _, pct := range []int{5, 12, 25, 50, 62, 75, 100} {
+		touched := pct * 2 * half / 100
+		evicted, added := draw(touched/2, nil), draw(touched/2, backKeys)
+		at := Located{Evicted: searchPositions(evicted.P, front.P), Added: searchPositions(added.P, back.P)}
+		b.Run(fmt.Sprintf("touched=%d%%", pct), func(b *testing.B) {
+			var located, sought, refill time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				changed, _ = ReduceDelta(job, []Sized{evicted}, []Sized{added}, at, roots, out, changed[:0])
+				t1 := time.Now()
+				changed, _ = ReduceDelta(job, []Sized{evicted}, []Sized{added}, Located{}, roots, out, changed[:0])
+				t2 := time.Now()
+				clear(out)
+				ReduceInto(job, roots, out)
+				located += t1.Sub(t0)
+				sought += t2.Sub(t1)
+				refill += time.Since(t2)
+			}
+			us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(us(located), "located-us")
+			b.ReportMetric(us(sought), "sought-us")
+			b.ReportMetric(us(refill), "refill-us")
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -197,54 +199,157 @@ func ReduceInto(job *Job, roots []Sized, out Output) int64 {
 	return calls
 }
 
+// Located says where the entries of a slide's moved payloads stand in the
+// roots, as the structure that built the roots recorded it with its merges
+// (the daba kind, see core.Locating): Evicted[i] is the index in the first
+// root of the key of the evicted payload's entry i, or −(insertion point)−1
+// where that root lacks it; Added[i] the index in the last root of the added
+// payload's entry i. A slide of one evicted and one added payload may carry
+// them, each or both; a nil side is sought.
+type Located struct {
+	Evicted, Added []int32
+}
+
+// DeltaCounts is what a delta reduce did: its Reduce calls, its root lookups
+// — one per touched key and non-empty root — and how many of those sought the
+// key (the rest read a position the roots' structure recorded, see Located).
+type DeltaCounts struct {
+	Calls, Lookups, Seeks int64
+}
+
 // ReduceDelta is ReduceInto for an output that already holds the previous
 // window's result: instead of reducing every key of the roots it re-reduces
 // the keys of the payloads that left the window (evicted) and of those that
 // entered it (added) — the only keys whose value can differ between two
 // consecutive windows — and leaves every other entry of out as it is. Each
-// of those keys, in ascending order (joinK; the values that moved are not
-// read), is looked up in the roots with one forward-only cursor per root
-// (seek): a key the roots still hold is reduced again over its values in
-// root (window) order, a key they no longer hold is deleted. An assignment
-// refreshes the entry's key string to the roots' (the rightmost holder's, as
-// in joinK), so out never keeps a string cut from a payload that has left
-// the window.
+// of those keys, in ascending order (the values that moved are not read), is
+// looked up in every root: read by index where at records its position (a
+// slide of at most one evicted and one added payload, which two cursors walk),
+// sought otherwise with one forward-only cursor per root (seek), which a
+// position read moves past its entry. A key the roots still hold is reduced
+// again over its values in root (window) order, a key they no longer hold is
+// deleted. An assignment refreshes the entry's key string to the roots' (the
+// rightmost holder's, as in joinK), so out never keeps a string cut from a
+// payload that has left the window.
 //
 // It appends every key it rewrote or deleted to changed — a superset of the
 // true difference, a key whose removed and added values cancel is listed; a
 // deleted key carries the departed payload's string — and returns the list
-// with the number of Reduce calls. It allocates its scratch and nothing per
-// key.
-func ReduceDelta(job *Job, evicted, added, roots []Sized, out Output, changed []string) ([]string, int64) {
-	var buf [16]Sized // one slide's elements of one partition, typically two
-	moved := append(append(buf[:0], evicted...), added...)
-	var few [4]Payload
-	rest := few[:0] // per non-empty root, the entries no lookup has passed yet
-	for _, r := range roots {
-		if len(r.P) > 0 {
-			rest = append(rest, r.P)
-		}
+// with what it did. It allocates its scratch and nothing per key.
+func ReduceDelta(job *Job, evicted, added []Sized, at Located, roots []Sized, out Output, changed []string) ([]string, DeltaCounts) {
+	// The cursors stay out of d: the values d hands to Reduce escape, and
+	// with them whatever else d points to.
+	var few [4]int
+	next := few[:0]
+	for range roots {
+		next = append(next, 0)
 	}
-	vals := make([]Value, 0, len(rest))
-	var calls int64
-	joinK(moved, func(key string, _ []Value) {
-		vals = vals[:0]
-		for i, r := range rest {
-			if r = seek(r, key); len(r) > 0 && r[0].Key == key {
-				key = r[0].Key
-				vals = append(vals, r[0].Value)
+	d := deltaReduce{job: job, roots: roots, out: out, changed: changed, vals: make([]Value, 0, len(roots))}
+	if len(evicted) > 1 || len(added) > 1 {
+		var buf [16]Sized // one slide's elements of one partition
+		moved := append(append(buf[:0], evicted...), added...)
+		joinK(moved, func(key string, _ []Value) { d.touch(next, key, unlocated, unlocated) })
+		return d.changed, d.counts
+	}
+	var e, a Payload
+	if len(evicted) == 1 {
+		e = evicted[0].P
+	}
+	if len(added) == 1 {
+		a = added[0].P
+	}
+	ea, aa := at.Evicted, at.Added
+	i, j := 0, 0
+	for i < len(e) || j < len(a) {
+		var c int
+		switch {
+		case j == len(a):
+			c = -1
+		case i == len(e):
+			c = 1
+		default:
+			c = strings.Compare(e[i].Key, a[j].Key)
+		}
+		front, back := unlocated, unlocated
+		var key string
+		if c <= 0 {
+			key = e[i].Key
+			if ea != nil {
+				front = ea[i]
 			}
-			rest[i] = r
+			i++
 		}
-		if len(vals) == 0 {
-			delete(out, key)
-		} else {
-			out[key] = job.Reduce(key, vals)
-			calls++
+		if c >= 0 {
+			key = a[j].Key
+			if aa != nil {
+				back = aa[j]
+			}
+			j++
 		}
-		changed = append(changed, key)
-	})
-	return changed, calls
+		d.touch(next, key, front, back)
+	}
+	return d.changed, d.counts
+}
+
+// unlocated marks a key whose position in a root is not recorded: no
+// recorded position, −(insertion point)−1 included, comes near it.
+const unlocated int32 = math.MinInt32
+
+// deltaReduce is one ReduceDelta's state.
+type deltaReduce struct {
+	job     *Job
+	roots   []Sized
+	out     Output
+	changed []string
+	vals    []Value
+	counts  DeltaCounts
+}
+
+// touch re-reduces one touched key over the roots. next is, per root, the
+// index of the first entry no lookup has passed yet; front and back are the
+// key's recorded positions in the first and the last root, or unlocated.
+func (d *deltaReduce) touch(next []int, key string, front, back int32) {
+	d.vals = d.vals[:0]
+	last := len(d.roots) - 1
+	for i, r := range d.roots {
+		p := r.P
+		if len(p) == 0 {
+			continue
+		}
+		d.counts.Lookups++
+		pos := unlocated
+		switch {
+		case i == 0 && front != unlocated:
+			pos = front
+		case i == last && back != unlocated:
+			pos = back
+		}
+		var k int
+		var found bool
+		switch {
+		case pos >= 0:
+			k, found = int(pos), true
+		case pos != unlocated:
+			k = int(-pos - 1)
+		default:
+			d.counts.Seeks++
+			k = len(p) - len(seek(p[next[i]:], key))
+			found = k < len(p) && p[k].Key == key
+		}
+		if found {
+			key = p[k].Key
+			d.vals = append(d.vals, p[k].Value)
+			k++
+		}
+		next[i] = k
+	}
+	if len(d.vals) == 0 {
+		delete(d.out, key)
+	} else {
+		d.out[key] = d.job.Reduce(key, d.vals)
+		d.counts.Calls++
+	}
+	d.changed = append(d.changed, key)
 }
 
 // seek returns the suffix of p that starts at its first entry with a key

@@ -88,18 +88,23 @@ func (f *FreeList) Put(p Payload) {
 }
 
 // FreeListStats is a FreeList's bookkeeping: requests served from the list
-// and not, and what it holds now.
+// and not, and what it holds now. Positions is what a structure keeps beside
+// its list of where its buckets' keys stand (Located), counted here because
+// it is not state either.
 type FreeListStats struct {
 	Hits, Misses     int64
 	Buffers, Entries int // slices held and their summed capacity
+	Positions        int // recorded positions' summed capacity
 }
 
-// Bytes is the memory the held slices take.
-func (s FreeListStats) Bytes() int64 { return int64(s.Entries) * int64(unsafe.Sizeof(Entry{})) }
+// Bytes is the memory the held slices and positions take.
+func (s FreeListStats) Bytes() int64 {
+	return int64(s.Entries)*int64(unsafe.Sizeof(Entry{})) + int64(s.Positions)*4
+}
 
 // Add returns the sum of two lists' bookkeeping.
 func (s FreeListStats) Add(o FreeListStats) FreeListStats {
-	return FreeListStats{s.Hits + o.Hits, s.Misses + o.Misses, s.Buffers + o.Buffers, s.Entries + o.Entries}
+	return FreeListStats{s.Hits + o.Hits, s.Misses + o.Misses, s.Buffers + o.Buffers, s.Entries + o.Entries, s.Positions + o.Positions}
 }
 
 // Stats returns the list's bookkeeping.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -72,7 +73,7 @@ func TestGallopMatchesMergeJoin(t *testing.T) {
 				if len(small.P) > 0 && len(small.P)*gallopRatio <= len(large.P) {
 					galloped++
 				}
-				wantP, wantBytes, wantC := mergeJoin(job, nil, left.P, right.P, left.Bytes)
+				wantP, wantBytes, wantC := mergeJoin(job, nil, left.P, right.P, left.Bytes, nil)
 				if len(left.P) == 0 {
 					wantBytes = right.Bytes
 				}
@@ -94,6 +95,63 @@ func TestGallopMatchesMergeJoin(t *testing.T) {
 		}
 		if galloped < 100 {
 			t.Fatalf("%s: only %d of the merges galloped", name, galloped)
+		}
+	}
+}
+
+// TestLocatedMatchesSearch is the property the reduce's position reads rest
+// on: whatever the sizes, the orientation and the overlap of the two sides —
+// so on all three ways a merge walks them (galloping with the raw operand the
+// small side, galloping with it the large one, merge-joining) and with either
+// side empty — the positions a merge records are those a binary search finds:
+// each entry of the right input in the result (LocateRightInResult), each of
+// the left in the right, −(insertion point)−1 where absent
+// (LocateLeftInRight). Recording changes nothing about the merge: the same
+// entries, Bytes and combines as the merge that records nothing. The position
+// buffer is reused from trial to trial.
+func TestLocatedMatchesSearch(t *testing.T) {
+	for name, pj := range propertyJobs() {
+		job := pj.job
+		rng := rand.New(rand.NewSource(2009_13768))
+		var at []int32
+		paths := map[string]int{}
+		for trial := 0; trial < 400; trial++ {
+			small, large := gallopSides(rng, job, pj.value)
+			for _, sides := range [][2]Sized{{small, large}, {large, small}} {
+				left, right := sides[0], sides[1]
+				want, wantC := MergeOrderedSizedInto(job, nil, left, right)
+				for _, mode := range []Locate{LocateRightInResult, LocateLeftInRight} {
+					raw, in := right.P, want.P
+					if mode == LocateLeftInRight {
+						raw, in = left.P, right.P
+					}
+					var got Sized
+					var gotC int64
+					got, gotC, at = MergeOrderedLocated(job, nil, left, right, mode, at)
+					if !reflect.DeepEqual(got, want) || gotC != wantC {
+						t.Fatalf("%s trial %d mode %d (%d into %d keys): the recording merge built %d entries, %d bytes, %d combines; the plain one %d, %d, %d",
+							name, trial, mode, len(left.P), len(right.P), len(got.P), got.Bytes, gotC, len(want.P), want.Bytes, wantC)
+					}
+					if ref := searchPositions(raw, in); !slices.Equal(at, ref) {
+						t.Fatalf("%s trial %d mode %d (%d into %d keys): positions %v, binary search %v", name, trial, mode, len(left.P), len(right.P), at, ref)
+					}
+					switch small, large := min(len(left.P), len(right.P)), max(len(left.P), len(right.P)); {
+					case small == 0:
+						paths["empty side"]++
+					case small*gallopRatio > large:
+						paths["merge-join"]++
+					case len(raw) == small:
+						paths["gallop, raw small"]++
+					default:
+						paths["gallop, raw large"]++
+					}
+				}
+			}
+		}
+		for _, path := range []string{"empty side", "merge-join", "gallop, raw small", "gallop, raw large"} {
+			if paths[path] < 50 {
+				t.Fatalf("%s: %d merges took the path %q: %v", name, paths[path], path, paths)
+			}
 		}
 	}
 }
@@ -124,9 +182,9 @@ func BenchmarkSmallIntoLarge(b *testing.B) {
 			var galloping, joining time.Duration
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				gallop(job, dst, s.P, l.P, false, l.Bytes)
+				gallop(job, dst, s.P, l.P, false, l.Bytes, nil)
 				t1 := time.Now()
-				mergeJoin(job, dst, l.P, s.P, l.Bytes)
+				mergeJoin(job, dst, l.P, s.P, l.Bytes, nil)
 				galloping += t1.Sub(t0)
 				joining += time.Since(t1)
 			}

@@ -210,56 +210,147 @@ func releaseStorage(dst, out Payload, used bool) {
 // are looked up in the large one (gallop) and the runs between them copied
 // whole. Both ways build the same payload.
 func MergeOrderedSizedInto(job *Job, dst Payload, left, right Sized) (Sized, int64) {
+	out, combines, _ := MergeOrderedLocated(job, dst, left, right, LocateNone, nil)
+	return out, combines
+}
+
+// Locate says whether a two-way merge records where the keys of one of its
+// inputs — the raw operand, a bucket — stand, and in what (see
+// MergeOrderedLocated). A structure that keeps the payloads it merged records
+// it so that the reduce reads a moved key's entry by index instead of
+// seeking it (ReduceDelta's Located).
+type Locate uint8
+
+const (
+	// LocateNone records nothing.
+	LocateNone Locate = iota
+	// LocateRightInResult locates each entry of the right input in the
+	// result: where the keys of a bucket pushed into a running sum landed.
+	LocateRightInResult
+	// LocateLeftInRight locates each entry of the left input in the right
+	// one, −(insertion point)−1 where the right lacks its key: where the keys
+	// of a bucket stand in the suffix aggregate it is merged into.
+	LocateLeftInRight
+)
+
+// MergeOrderedLocated is MergeOrderedSizedInto that also records, as mode
+// says, one position per entry of the raw operand, in order: appended to
+// at[:0], whose storage it reuses, and returned. Same entries, same Bytes,
+// same combines as the merge that records nothing, which is this one with
+// LocateNone (at is then returned as it came).
+func MergeOrderedLocated(job *Job, dst Payload, left, right Sized, mode Locate, at []int32) (Sized, int64, []int32) {
 	l, r := left.P, right.P
 	out, used := mergeStorage(dst, max(len(l), len(r)), len(l)+len(r))
+	var loc *locator
+	if mode != LocateNone {
+		loc = &locator{at: at[:0], rawLeft: mode == LocateLeftInRight}
+	}
 	bytes := left.Bytes
 	var combines int64
 	switch {
 	case len(l) == 0:
 		out, bytes = append(out, r...), right.Bytes
+		if loc != nil && !loc.rawLeft {
+			loc.run(0, len(r), 0)
+		}
 	case len(r) == 0:
 		out = append(out, l...)
+		if loc != nil && loc.rawLeft {
+			loc.run(0, len(l), 0)
+		}
 	case len(r)*gallopRatio <= len(l):
-		out, bytes, combines = gallop(job, out, r, l, false, left.Bytes)
+		out, bytes, combines = gallop(job, out, r, l, false, left.Bytes, loc)
 	case len(l)*gallopRatio <= len(r):
-		out, bytes, combines = gallop(job, out, l, r, true, right.Bytes)
+		out, bytes, combines = gallop(job, out, l, r, true, right.Bytes, loc)
 	default:
-		out, bytes, combines = mergeJoin(job, out, l, r, left.Bytes)
+		out, bytes, combines = mergeJoin(job, out, l, r, left.Bytes, loc)
 	}
 	releaseStorage(dst, out, used)
-	return Sized{P: out, Bytes: bytes}, combines
+	if loc != nil {
+		at = loc.at
+	}
+	return Sized{P: out, Bytes: bytes}, combines, at
+}
+
+// locator collects the positions a merge records (see Locate), one per entry
+// of the raw operand in key order. rawLeft: the raw operand is the left input
+// and is located in the right one (LocateLeftInRight); otherwise it is the
+// right input, located in the result.
+type locator struct {
+	at      []int32
+	rawLeft bool
+}
+
+// note records the next raw entry: it lands at index res of the result, and
+// other is the index in the other input of its key (present) or of the first
+// greater key.
+func (l *locator) note(res, other int, present bool) {
+	switch {
+	case !l.rawLeft:
+		l.at = append(l.at, int32(res))
+	case present:
+		l.at = append(l.at, int32(other))
+	default:
+		l.at = append(l.at, int32(-other-1))
+	}
+}
+
+// run records n raw entries in a row whose keys the other input lacks: they
+// land at res, res+1, … of the result, and other is the index of the first
+// key of the other input greater than them all.
+func (l *locator) run(res, n, other int) {
+	for i := range n {
+		l.note(res+i, other, false)
+	}
 }
 
 // mergeJoin appends to out the merge of l and r by walking both, one key
 // comparison per output entry. bytes is l's carried size and comes back as
-// the result's.
-func mergeJoin(job *Job, out, l, r Payload, bytes int64) (Payload, int64, int64) {
+// the result's. loc, when set, records the raw operand's positions.
+func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload, int64, int64) {
 	pair := make([]Value, 2)
 	var combines int64
-	for len(l) > 0 && len(r) > 0 {
-		switch c := strings.Compare(l[0].Key, r[0].Key); {
+	i, j := 0, 0
+	for i < len(l) && j < len(r) {
+		switch c := strings.Compare(l[i].Key, r[j].Key); {
 		case c < 0:
-			out = append(out, l[0])
-			l = l[1:]
+			if loc != nil && loc.rawLeft {
+				loc.note(len(out), j, false)
+			}
+			out = append(out, l[i])
+			i++
 		case c > 0:
-			out = append(out, r[0])
-			bytes += int64(len(r[0].Key)) + valueBytes(job, r[0].Value)
-			r = r[1:]
+			if loc != nil && !loc.rawLeft {
+				loc.note(len(out), 0, false)
+			}
+			out = append(out, r[j])
+			bytes += int64(len(r[j].Key)) + valueBytes(job, r[j].Value)
+			j++
 		default:
-			existing := l[0].Value
-			pair[0], pair[1] = existing, r[0].Value
-			combined := job.Combine(r[0].Key, pair)
-			out = append(out, Entry{r[0].Key, combined})
+			if loc != nil {
+				loc.note(len(out), j, true)
+			}
+			existing := l[i].Value
+			pair[0], pair[1] = existing, r[j].Value
+			combined := job.Combine(r[j].Key, pair)
+			out = append(out, Entry{r[j].Key, combined})
 			bytes += valueBytes(job, combined) - valueBytes(job, existing)
 			combines++
-			l, r = l[1:], r[1:]
+			i, j = i+1, j+1
 		}
 	}
-	out = append(out, l...)
-	for _, e := range r {
+	if loc != nil {
+		if loc.rawLeft {
+			loc.run(len(out), len(l)-i, len(r))
+		} else {
+			loc.run(len(out)+len(l)-i, len(r)-j, 0)
+		}
+	}
+	out = append(out, l[i:]...)
+	for _, e := range r[j:] {
 		bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
 	}
-	return append(out, r...), bytes, combines
+	return append(out, r[j:]...), bytes, combines
 }
 
 // gallopRatio is the size ratio from which a merge gallops: below it the
@@ -274,17 +365,33 @@ const gallopRatio = 4
 // and comes back as the result's, small's entries accounted as they land. A
 // shared key keeps the right-hand side's string and Combine sees left before
 // right, as in the merge-join; the returned combine count is the same too.
-func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64) (Payload, int64, int64) {
+// loc, when set, records the raw operand's positions, whichever side it is.
+func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64, loc *locator) (Payload, int64, int64) {
 	pair := make([]Value, 2)
 	var combines int64
-	for _, e := range small {
+	rawSmall := loc != nil && loc.rawLeft == smallIsLeft
+	rawLarge := loc != nil && !rawSmall
+	n := len(large) // large's entries are at n−len(large) onwards
+	for si, e := range small {
 		rest := seek(large, e.Key)
+		if rawLarge {
+			loc.run(len(out), len(large)-len(rest), si)
+		}
 		out = append(out, large[:len(large)-len(rest)]...)
 		large = rest
 		if len(large) == 0 || large[0].Key != e.Key {
+			if rawSmall {
+				loc.note(len(out), n-len(large), false)
+			}
 			out = append(out, e)
 			bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
 			continue
+		}
+		switch {
+		case rawSmall:
+			loc.note(len(out), n-len(large), true)
+		case rawLarge:
+			loc.note(len(out), si, true)
 		}
 		held, key := large[0], e.Key
 		if smallIsLeft {
@@ -297,6 +404,9 @@ func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64) 
 		bytes += valueBytes(job, combined) - valueBytes(job, held.Value)
 		combines++
 		large = large[1:]
+	}
+	if rawLarge {
+		loc.run(len(out), len(large), len(small))
 	}
 	return append(out, large...), bytes, combines
 }

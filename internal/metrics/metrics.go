@@ -73,6 +73,8 @@ type Counters struct {
 	CombineCalls   int64 // pairwise combiner invocations
 	CombineRecords int64 // values consumed by combiner invocations
 	ReduceCalls    int64 // reduce invocations (one per key at the root)
+	RootLookups    int64 // touched keys a delta reduce looked up, one per non-empty root
+	RootSeeks      int64 // of those, the lookups that sought the key (the rest read a recorded position)
 	NodesReused    int64 // contraction-tree nodes reused from memo
 	NodesComputed  int64 // contraction-tree nodes recomputed
 	CacheHits      int64 // memoization cache hits
@@ -92,6 +94,8 @@ func (c *Counters) Add(delta Counters) {
 	c.CombineCalls += delta.CombineCalls
 	c.CombineRecords += delta.CombineRecords
 	c.ReduceCalls += delta.ReduceCalls
+	c.RootLookups += delta.RootLookups
+	c.RootSeeks += delta.RootSeeks
 	c.NodesReused += delta.NodesReused
 	c.NodesComputed += delta.NodesComputed
 	c.CacheHits += delta.CacheHits

@@ -123,9 +123,12 @@ type rtReplica struct {
 	own *sliderrt.Ownership
 }
 
-// adopt makes rt the replica's runtime.
+// adopt makes rt the replica's runtime. Every position its structures
+// record is held to its key (Runtime.CheckPositions): a wrong one fails the
+// run that read it, and the trace shrinks to it.
 func (rep *rtReplica) adopt(rt *sliderrt.Runtime) {
 	rep.rt = rt
+	rt.CheckPositions()
 	if rep.own != nil {
 		rep.own.Watch(rt)
 	}

@@ -347,8 +347,8 @@ func TestEarlyRecycleIsCaught(t *testing.T) {
 
 // TestFreeListObservable: what the free lists hold is memory SpaceBytes
 // leaves out, so the runtime shows it. RuntimeStats.FreeList sums the
-// partitions' lists and the spares their structures keep for the next flip,
-// and WindowStats.FreeListBytes publishes their bytes as of the last run's
+// partitions' lists, the spares their structures keep for the next flip and
+// the positions they keep for the reduce, and WindowStats.FreeListBytes publishes their bytes as of the last run's
 // upkeep, which is when the bucket a slide evicted joins its list. On a window of two eight-split buckets every bucket after the
 // first slide is folded in the storage of the bucket evicted before it.
 func TestFreeListObservable(t *testing.T) {
@@ -377,6 +377,7 @@ func TestFreeListObservable(t *testing.T) {
 				want.Entries += cap(s.P)
 				spares++
 			})
+			want.Positions += rt.aggs[p].(core.Locating[sized]).PositionsCap()
 		}
 		got := rt.Stats().FreeList
 		if got != want || got.Buffers < rt.parts+spares {

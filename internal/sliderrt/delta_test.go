@@ -558,3 +558,54 @@ func TestDeltaKeepsEarlierGrouping(t *testing.T) {
 	}
 	t.Logf("%d patched slides; %d kept values differ from the current grouping's in the last bits", patched, drifted)
 }
+
+// TestCheckPositionsCatchesAWrongOne: the hook the simulation harness runs
+// (CheckPositions) holds on every genuine position a daba window's merges
+// record, and fails on one a single entry off — a present key's index read
+// as the insertion point after it, an absent key's insertion point as the
+// index of the key there — on the evicted side and on the added one.
+func TestCheckPositionsCatchesAWrongOne(t *testing.T) {
+	const window = 8
+	rt, err := New(wordCountJob(), Config{Mode: Fixed, BucketSplits: 1, WindowBuckets: window, Memo: testMemoConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.CheckPositions()
+	if _, err := rt.Initial(wideSplits(0, window)); err != nil {
+		t.Fatal(err)
+	}
+	wrongs := map[string]int{}
+	for i := 0; i < 3*window; i++ {
+		if _, err := rt.Advance(1, wideSplits(window+i, 1)); err != nil {
+			t.Fatalf("slide %d: %v", i+1, err)
+		}
+		for _, part := range rt.handed {
+			for side, at := range map[string]*[]int32{"evicted": &part.at.Evicted, "added": &part.at.Added} {
+				orig := *at
+				for k := range orig {
+					bad := slices.Clone(orig)
+					if bad[k] >= 0 {
+						bad[k] = -bad[k] - 2 // the key's index: the insertion point after it
+					} else {
+						bad[k] = -bad[k] - 1 // an insertion point: the index of the key there
+					}
+					*at = bad
+					if checkLocated(part) == nil {
+						t.Fatalf("slide %d: %s position %d moved from %d to %d passes the check", i+1, side, k, orig[k], bad[k])
+					}
+					wrongs[side]++
+				}
+				*at = orig
+			}
+			if err := checkLocated(part); err != nil {
+				t.Fatalf("slide %d: %v", i+1, err)
+			}
+		}
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wrongs["evicted"] == 0 || wrongs["added"] == 0 {
+		t.Fatalf("wrong positions tried: %v", wrongs)
+	}
+}

@@ -1,6 +1,7 @@
 package sliderrt
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,7 +65,15 @@ func TestObsInstrumentsSlides(t *testing.T) {
 		t.Fatalf("Recent(1) = %v", spans)
 	}
 	out := spans[0].Format()
-	for _, want := range []string{"map phase", "contract phase", "reduce phase", "partition 0", "slide: drop=1 add=1", "shape: "} {
+	// The reduce phase says how many keys it looked up and sought: the
+	// run's counters — none when it refilled, and every lookup sought in a
+	// folding tree's root, which records no position.
+	c := res.Report.Counters
+	if res.Rebuilt != (c.RootLookups == 0) || c.RootSeeks != c.RootLookups {
+		t.Errorf("a folding slide (refilled: %v) looked up %d keys and sought %d", res.Rebuilt, c.RootLookups, c.RootSeeks)
+	}
+	lookups := fmt.Sprintf("reduce: root lookups=%d sought=%d", c.RootLookups, c.RootSeeks)
+	for _, want := range []string{"map phase", "contract phase", "reduce phase", "partition 0", "slide: drop=1 add=1", "shape: ", lookups} {
 		if !strings.Contains(out, want) {
 			t.Errorf("span trace missing %q:\n%s", want, out)
 		}

@@ -165,6 +165,9 @@ type Runtime struct {
 	// gauges holds the concurrent-read-safe out-of-order window gauges
 	// (see window_stats.go).
 	gauges windowGauges
+
+	// checkPositions: see CheckPositions.
+	checkPositions bool
 }
 
 // New returns a runtime for the job under the given configuration.
@@ -214,11 +217,29 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 // partition's merges one at a time.
 func (rt *Runtime) mergeFor(free *mapreduce.FreeList, counter *int64) core.MergeFunc[sized] {
 	return func(a, b sized) sized {
-		dst := free.Get(max(len(a.P), len(b.P)), len(a.P)+len(b.P))
-		out, c := mapreduce.MergeOrderedSizedInto(rt.job, dst, a, b)
-		*counter += c
+		out, _ := rt.merge(free, counter, a, b, mapreduce.LocateNone, nil)
 		return out
 	}
+}
+
+// locatingMergeFor is mergeFor for a structure that records where its
+// buckets' keys stand (core.Locating): the same merge, recording as well.
+func (rt *Runtime) locatingMergeFor(free *mapreduce.FreeList, counter *int64) core.LocatingMerge[sized] {
+	return func(a, b sized, flip bool, at []int32) (sized, []int32) {
+		mode := mapreduce.LocateRightInResult
+		if flip {
+			mode = mapreduce.LocateLeftInRight
+		}
+		return rt.merge(free, counter, a, b, mode, at)
+	}
+}
+
+// merge is the one two-way merge of mergeFor and locatingMergeFor.
+func (rt *Runtime) merge(free *mapreduce.FreeList, counter *int64, a, b sized, mode mapreduce.Locate, at []int32) (sized, []int32) {
+	dst := free.Get(max(len(a.P), len(b.P)), len(a.P)+len(b.P))
+	out, c, at := mapreduce.MergeOrderedLocated(rt.job, dst, a, b, mode, at)
+	*counter += c
+	return out, at
 }
 
 // kmergeFor returns partition p's K-way merge function: it merges any
@@ -778,10 +799,62 @@ type applyFunc func(p int, payloads []sized) (partDelta, error)
 // partDelta is what the contraction phase hands the reduce for one
 // partition: the roots of the window as it now stands, and the elements that
 // left and entered it since the retained output was written — theirs are the
-// only keys whose value can have changed. evicted is the aggregator's own
-// storage, valid until its next slide.
+// only keys whose value can have changed —, with where their keys stand in
+// the roots when the structure recorded it (core.Locating). evicted and at
+// are the aggregator's own storage, valid until its next slide.
 type partDelta struct {
 	roots, evicted, added []sized
+	at                    mapreduce.Located
+}
+
+// CheckPositions makes every later run hold each position its structures
+// recorded (core.Locating) to the key it was recorded for, before the reduce
+// reads it, and fail — poisoning the window, as any failed contraction does —
+// at the first that does not hold. It is the simulation harness's hook: the
+// reduce trusts a position without comparing keys, so a wrong one would read
+// another key's value silently. It walks every moved entry; nothing else sets
+// it.
+func (rt *Runtime) CheckPositions() { rt.checkPositions = true }
+
+// checkLocated holds a partition's recorded positions to its roots, see
+// mapreduce.Located: every evicted key where its position in the first root
+// says, every added key where its position in the last root says.
+func checkLocated(part partDelta) error {
+	check := func(what string, moved []sized, at []int32, root sized) error {
+		if at == nil {
+			return nil
+		}
+		if len(moved) != 1 {
+			return fmt.Errorf("positions recorded for %d %s payloads", len(moved), what)
+		}
+		if len(at) != len(moved[0].P) {
+			return fmt.Errorf("%d positions recorded for %d %s entries", len(at), len(moved[0].P), what)
+		}
+		p := root.P
+		for i, e := range moved[0].P {
+			var ok bool
+			if k := int(at[i]); k >= 0 {
+				ok = k < len(p) && p[k].Key == e.Key
+			} else {
+				k = -k - 1 // the insertion point: between the keys either side
+				ok = k <= len(p) && (k == 0 || p[k-1].Key < e.Key) && (k == len(p) || e.Key < p[k].Key)
+			}
+			if !ok {
+				return fmt.Errorf("%s key %q recorded at %d of a root of %d entries, which does not hold it there", what, e.Key, at[i], len(p))
+			}
+		}
+		return nil
+	}
+	if len(part.roots) == 0 {
+		if part.at.Evicted != nil || part.at.Added != nil {
+			return fmt.Errorf("positions recorded with no root")
+		}
+		return nil
+	}
+	if err := check("evicted", part.evicted, part.at.Evicted, part.roots[0]); err != nil {
+		return err
+	}
+	return check("added", part.added, part.at.Added, part.roots[len(part.roots)-1])
 }
 
 // contract is a run's contraction phase, the same for every kind of run:
@@ -801,6 +874,14 @@ func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapre
 		}
 		roots := rt.aggs[p].Roots()
 		part.roots = roots
+		if l, ok := rt.aggs[p].(core.Locating[sized]); ok {
+			part.at.Evicted, part.at.Added = l.Located()
+			if rt.checkPositions {
+				if err := checkLocated(part); err != nil {
+					return fmt.Errorf("sliderrt: partition %d: %w", p, err)
+				}
+			}
+		}
 		parts[p] = part
 		elapsed := time.Since(start)
 		var writeNs int64
@@ -883,13 +964,14 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDe
 		clear(out)
 		rebuilt = true
 	}
+	var lookups, seeks int64
 	for p, part := range parts {
 		start := time.Now()
-		var calls int64
+		var d mapreduce.DeltaCounts
 		if rebuilt {
-			calls = mapreduce.ReduceInto(rt.job, part.roots, out)
+			d.Calls = mapreduce.ReduceInto(rt.job, part.roots, out)
 		} else {
-			rt.changed, calls = mapreduce.ReduceDelta(rt.job, part.evicted, part.added, part.roots, out, rt.changed)
+			rt.changed, d = mapreduce.ReduceDelta(rt.job, part.evicted, part.added, part.at, part.roots, out, rt.changed)
 		}
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseReduce,
@@ -897,7 +979,11 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDe
 			InputBytes:    sumBytes(part.roots),
 			PreferredNode: rt.partNodes[p],
 		})
-		rec.Add(metrics.Counters{ReduceCalls: calls})
+		rec.Add(metrics.Counters{ReduceCalls: d.Calls, RootLookups: d.Lookups, RootSeeks: d.Seeks})
+		lookups, seeks = lookups+d.Lookups, seeks+d.Seeks
+	}
+	if ph.span != nil {
+		ph.span.Event("reduce: root lookups=%d sought=%d", lookups, seeks)
 	}
 	ph.end()
 	fg := rt.treeStats()
@@ -1055,6 +1141,11 @@ func (rt *Runtime) installAggregators() {
 		opts.Seed = rt.cfg.Seed + uint64(p) + 1
 		list := &rt.free[p]
 		rt.aggs[p] = core.NewAggregator(rt.backend, rt.mergeFor(list, &rt.combines[p]), opts)
+		// A structure that can say where its buckets' keys stand in its roots
+		// does, and the reduce reads them there instead of seeking them.
+		if l, ok := rt.aggs[p].(core.Locating[sized]); ok {
+			l.LocateWith(rt.locatingMergeFor(list, &rt.combines[p]), func(s sized) int { return len(s.P) })
+		}
 		// A structure that knows when an aggregate it merged dies says so, and
 		// the partition's next merge is built in what the dead one left.
 		if r, ok := rt.aggs[p].(core.Releaser[sized]); ok {
@@ -1197,7 +1288,8 @@ type RuntimeStats struct {
 	// for the next merges — memory SpaceBytes leaves out — and how many
 	// merges found storage there and how many did not, since the aggregators
 	// were installed. Buffers and Entries include the storage the structures
-	// hold back for merges not yet due (the daba kind's spares).
+	// hold back for merges not yet due (the daba kind's spares), Positions
+	// what they keep of where their buckets' keys stand (core.Locating).
 	FreeList mapreduce.FreeListStats
 }
 
@@ -1221,6 +1313,9 @@ func (rt *Runtime) freeListStats() mapreduce.FreeListStats {
 	for p := range rt.free {
 		if s, ok := rt.aggs[p].(core.Spares[sized]); ok {
 			s.ForEachSpare(rt.spares.add)
+		}
+		if l, ok := rt.aggs[p].(core.Locating[sized]); ok {
+			rt.spares.st.Positions += l.PositionsCap()
 		}
 		rt.spares.st = rt.spares.st.Add(rt.free[p].Stats())
 	}
