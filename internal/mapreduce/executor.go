@@ -34,6 +34,11 @@ type MapResult struct {
 // on remote workers (internal/dist.Pool). Implementations return results
 // in split order.
 //
+// A split is one map task's input, which need not be one split of the
+// stream: sliderrt maps a Fixed window's bucket in ranges of its splits, each
+// range one Split holding the range's records in order, named for its first
+// split. A runner maps it as it maps any split.
+//
 // The splits are the caller's again once RunMap returns, whatever it
 // returns: an implementation reads them only during the call — nothing it
 // started may read a split afterwards (dist's hedged senders stop at the

@@ -20,9 +20,10 @@ const FramePrefixLen = flatHeaderLen
 // MaxFrameLen is the longest frame FrameSize accepts. The header's length
 // field is 64 bits wide and arrives before the checksum can vouch for it,
 // so a reader that trusted it would buffer whatever a flipped bit or a
-// hostile peer names; the largest frames a stream carries are one split
-// and one split's map output, and a flat body's own offsets are 32 bits.
-// 256 MiB is far above either and far below what hurts.
+// hostile peer names; the largest frames a stream carries are one map
+// task's split — a range of up to four of a bucket's splits, see sliderrt's
+// rangeSplits — and that task's map output, and a flat body's own offsets
+// are 32 bits. 256 MiB is far above either and far below what hurts.
 const MaxFrameLen = 1 << 28
 
 // FrameSize returns the length, header included, of the frame that starts

@@ -73,7 +73,7 @@ func TestObsInstrumentsSlides(t *testing.T) {
 		t.Errorf("a folding slide (refilled: %v) looked up %d keys and sought %d", res.Rebuilt, c.RootLookups, c.RootSeeks)
 	}
 	lookups := fmt.Sprintf("reduce: root lookups=%d sought=%d", c.RootLookups, c.RootSeeks)
-	for _, want := range []string{"map phase", "contract phase", "reduce phase", "partition 0", "slide: drop=1 add=1", "shape: ", lookups} {
+	for _, want := range []string{"map phase", "map: tasks=1 splits=1", "contract phase", "reduce phase", "partition 0", "slide: drop=1 add=1", "shape: ", lookups} {
 		if !strings.Contains(out, want) {
 			t.Errorf("span trace missing %q:\n%s", want, out)
 		}
@@ -89,7 +89,9 @@ func TestObsInstrumentsSlides(t *testing.T) {
 	// and a late arrival each leave the same four phases under their own
 	// label, and the incremental ones their opening event. The fourth is the
 	// run's upkeep, which goes under the run's span whenever it runs: at the
-	// start of the next run, or when the caller asks for it.
+	// start of the next run, or when the caller asks for it. The map phase
+	// says how its splits were cut into tasks: a range per bucket of two, a
+	// task for the late split.
 	cfg := oooConfig(1)
 	cfg.Obs = metrics.NewSlideObs()
 	h := newOOOHarness(t, cfg)
@@ -98,8 +100,10 @@ func TestObsInstrumentsSlides(t *testing.T) {
 	if err := h.rt.Background(); err != nil {
 		t.Fatal(err)
 	}
-	kinds := []struct{ label, event string }{
-		{"initial", ""}, {"advance", "slide: drop=2 add=2"}, {"late", "late: lateness=1 add=1"},
+	kinds := []struct{ label, event, cut string }{
+		{"initial", "", "map: tasks=5 splits=10"},
+		{"advance", "slide: drop=2 add=2", "map: tasks=1 splits=2"},
+		{"late", "late: lateness=1 add=1", "map: tasks=1 splits=1"},
 	}
 	for i, span := range cfg.Obs.Tracer.Recent(len(kinds)) {
 		want := kinds[len(kinds)-1-i] // newest first
@@ -113,8 +117,8 @@ func TestObsInstrumentsSlides(t *testing.T) {
 		if got := strings.Join(phases, ","); got != "map phase,contract phase,reduce phase,background" {
 			t.Errorf("%s run has phases %q:\n%s", want.label, got, out)
 		}
-		if !strings.Contains(out, `"`+want.label+`"`) || !strings.Contains(out, want.event) {
-			t.Errorf("%s run: label or event %q missing:\n%s", want.label, want.event, out)
+		if !strings.Contains(out, `"`+want.label+`"`) || !strings.Contains(out, want.event) || !strings.Contains(out, want.cut) {
+			t.Errorf("%s run: label, event %q or %q missing:\n%s", want.label, want.event, want.cut, out)
 		}
 		if want.event == "" && (strings.Contains(out, "slide: ") || strings.Contains(out, "late: ")) {
 			t.Errorf("initial run carries an incremental run's event:\n%s", out)

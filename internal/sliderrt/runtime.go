@@ -144,6 +144,13 @@ type Runtime struct {
 	// adding is the widths of the buckets the current run forms from its
 	// new splits, oldest first (bucketed windows; see formBuckets).
 	adding []int
+	// The map phase's ranges (cutRanges): the tasks of a run that forms
+	// buckets, their widths in splits, and recs, the storage the records of a
+	// range wider than one split are concatenated in. The phase empties all
+	// three before it returns (dropRanges).
+	tasks  []mapreduce.Split
+	widths []int
+	recs   []mapreduce.Record
 
 	// broken is set when a slide failed after it had started moving the
 	// window (see poison); every later slide is refused with it.
@@ -266,8 +273,8 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // the storage of an element that has left the window, once the window has
 // slid (see recycle) — and issues one multi-argument Combine per key instead
 // of len(ps)−1 intermediate payloads. A lone payload is handed through
-// uncopied: payloads are immutable, and the memo entry of its split holds no
-// value, so the tree is its only holder.
+// uncopied: payloads are immutable, and the memo entry of its map task holds
+// no value, so the tree is its only holder.
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	out, _ := core.ReduceOrderedK(rt.kmergeFor(p), ps)
 	return out
@@ -275,29 +282,46 @@ func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 
 // mapAdds is a run's map phase: it runs map tasks for new splits with
 // input locality, memoizes their outputs (charging the layer's write cost
-// into each task), and returns the per-split results.
-func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.Recorder) ([]mapreduce.MapResult, error) {
+// into each task), and returns the per-task results. A run that forms
+// buckets (cut) maps each bucket in ranges of up to rangeSplits splits, one
+// task and one result each (cutRanges); any other maps one task per split.
+// A task is recorded once, at its measured cost, and its memo entry spans
+// its splits' sequence numbers: a range never straddles a bucket, and
+// buckets leave the window whole, so GC finds every entry whole in or out.
+func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.Recorder, cut bool) ([]mapreduce.MapResult, error) {
 	ph := so.phase("map")
 	base := rt.seq
 	runner := rt.cfg.MapRunner
 	if runner == nil {
 		runner = mapreduce.Executor{Parallelism: rt.cfg.Parallelism}
 	}
-	results, err := runner.RunMap(rt.job, splits)
+	tasks, widths := splits, []int(nil)
+	if cut {
+		tasks, widths = rt.cutRanges(splits)
+		defer rt.dropRanges()
+	}
+	if ph.span != nil {
+		ph.span.Event("map: tasks=%d splits=%d", len(tasks), len(splits))
+	}
+	results, err := runner.RunMap(rt.job, tasks)
 	if err != nil {
-		results, err = rt.salvageMap(splits, err)
+		results, err = rt.salvageMap(tasks, err)
 		if err != nil {
 			return nil, err
 		}
 	}
 	var counters metrics.Counters
+	id := base
 	for i, r := range results {
-		id := base + uint64(i)
-		// The entry is the split's accounted size, placement and interval —
+		n := uint64(1)
+		if widths != nil {
+			n = uint64(widths[i])
+		}
+		// The entry is the task's accounted size, placement and interval —
 		// what the cost model and GC use. The payloads live on in the
 		// contraction trees and nothing reads them back from here, so no
 		// value is stored.
-		writeNs := rt.store.Put("map:"+r.SplitID, nil, r.Bytes, id, id)
+		writeNs := rt.store.Put("map:"+r.SplitID, nil, r.Bytes, id, id+n-1)
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseMap,
 			Cost:          r.Cost + time.Duration(writeNs),
@@ -307,12 +331,85 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 		counters.MapTasks++
 		counters.MapRecords += r.Records
 		counters.WriteTime += writeNs
+		id += n
 	}
 	rec.Add(counters)
 	rt.seq += uint64(len(splits))
 	rt.live += len(splits)
 	ph.end()
 	return results, nil
+}
+
+// rangeSplits is the most splits one map task takes of a bucket (cutRanges).
+// It is read from the table in DESIGN.md §9 (eighteenth revision): a wider
+// range combines more of a bucket's repeated keys in its task, and leaves
+// fewer payloads for the bucket fold to merge, but at 8 the eight-split
+// bucket of a window shipped to two workers is one task, and one worker
+// idles.
+const rangeSplits = 4
+
+// ranges returns how many ranges a bucket of n splits is mapped in.
+func ranges(n int) int { return (n + rangeSplits - 1) / rangeSplits }
+
+// cutRanges cuts the run's buckets (adding) into the map phase's tasks: a
+// bucket of n splits into ranges(n) contiguous ranges of near-equal width,
+// the wider first, and returns them with their widths. The cut reads the
+// bucket widths and nothing else — not the parallelism, not the runner — so
+// every counter and every payload is the same wherever the tasks run. A
+// range is a Split: a one-split range is the split itself, a wider one is
+// named for its first split and holds its splits' records in split order,
+// copied into recs, so its task combines what the splits share and sorts
+// once. A window of one-split buckets copies nothing: its splits are the
+// tasks, and widths is nil.
+func (rt *Runtime) cutRanges(splits []mapreduce.Split) ([]mapreduce.Split, []int) {
+	if !slices.ContainsFunc(rt.adding, func(n int) bool { return n > 1 }) {
+		return splits, nil
+	}
+	// Grown once: a range's records must not move when the next one's are
+	// appended.
+	copies := 0
+	for _, s := range splits {
+		copies += len(s.Records)
+	}
+	recs := slices.Grow(rt.recs[:0], copies)
+	tasks, widths := rt.tasks[:0], rt.widths[:0]
+	for _, n := range rt.adding {
+		m := ranges(n)
+		for j := range m {
+			w := n / m
+			if j < n%m {
+				w++
+			}
+			r := splits[:w]
+			splits = splits[w:]
+			widths = append(widths, w)
+			if w == 1 {
+				tasks = append(tasks, r[0])
+				continue
+			}
+			start := len(recs)
+			for _, s := range r {
+				recs = append(recs, s.Records...)
+			}
+			tasks = append(tasks, mapreduce.Split{ID: r[0].ID, Records: recs[start:len(recs):len(recs)]})
+		}
+	}
+	rt.tasks, rt.widths, rt.recs = tasks, widths, recs
+	return tasks, widths
+}
+
+// dropRanges empties the map phase's ranges once every task has run — the
+// local re-runs of salvageMap included — so that the runtime keeps no split
+// and no record past the call (Initial's contract). The initial run's are
+// the first window's size: they are let go rather than kept for the slides.
+func (rt *Runtime) dropRanges() {
+	clear(rt.tasks)
+	clear(rt.recs)
+	if !rt.started {
+		rt.tasks, rt.widths, rt.recs = nil, nil, nil
+		return
+	}
+	rt.tasks, rt.widths, rt.recs = rt.tasks[:0], rt.widths[:0], rt.recs[:0]
 }
 
 // partialResult is the carrier interface a failing MapRunner may
@@ -549,14 +646,15 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 // runKind is what the run skeleton knows about a kind of run besides its
 // two hooks.
 type runKind struct {
-	label string // the slide span's label
-	event string // format of the span's opening event over (arg, len(splits)); "" for none
-	gc    bool   // splits may have left the window: collect their memo entries after the run
+	label   string // the slide span's label
+	event   string // format of the span's opening event over (arg, len(splits)); "" for none
+	gc      bool   // splits may have left the window: collect their memo entries after the run
+	buckets bool   // the run forms the buckets of adding (formBuckets) when the window's elements are buckets
 }
 
 var (
-	initialRun = runKind{label: "initial"}
-	advanceRun = runKind{label: "advance", event: "slide: drop=%d add=%d", gc: true}
+	initialRun = runKind{label: "initial", buckets: true}
+	advanceRun = runKind{label: "advance", event: "slide: drop=%d add=%d", gc: true, buckets: true}
 	lateRun    = runKind{label: "late", event: "late: lateness=%d add=%d"}
 )
 
@@ -573,7 +671,8 @@ var (
 // untouched, contraction reads the cursors it sets (putPartState memoizes
 // over [windowLo, seq)), and from there on a failure poisons a started
 // window, so a half-moved one is never used again. apply then updates
-// partition p's aggregator from the run's per-split payloads, concurrently
+// partition p's aggregator from the run's per-task payloads (one per split,
+// or one per range of a bucket, see mapAdds), concurrently
 // across partitions, and returns the elements that left and entered the
 // partition's window (none for the initial run, which reduces everything).
 //
@@ -594,7 +693,7 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 		so.span.Event(kind.event, arg, len(splits))
 	}
 
-	results, err := rt.mapAdds(&so, splits, rec)
+	results, err := rt.mapAdds(&so, splits, rec, kind.buckets && rt.bucketed())
 	if err != nil {
 		return nil, err
 	}
@@ -740,11 +839,12 @@ func (rt *Runtime) bucketed() bool {
 	return rt.cfg.Mode == Fixed && rt.backend != BackendStrawman
 }
 
-// elements turns partition p's per-split payloads into what its
+// elements turns partition p's per-task payloads into what its
 // aggregator's leaves hold — the one place the window mode shows: one
 // pre-folded C′ per run for append-only windows, the run's buckets for
-// fixed-width ones (formBuckets), the splits themselves otherwise (and
-// always for the strawman, which memoizes per split).
+// fixed-width ones (formBuckets, from the ranges the buckets were mapped
+// in), the splits themselves otherwise (and always for the strawman, which
+// memoizes per split).
 func (rt *Runtime) elements(p int, payloads []sized) []sized {
 	switch {
 	case rt.bucketed():
@@ -858,7 +958,7 @@ func checkLocated(part partDelta) error {
 }
 
 // contract is a run's contraction phase, the same for every kind of run:
-// apply updates partition p's aggregator from the run's new per-split
+// apply updates partition p's aggregator from the run's new per-task
 // payloads, and the phase reads back what the reduce will consume, charges
 // the memoization layer and records the task.
 func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapreduce.MapResult, apply applyFunc) ([]partDelta, error) {
@@ -1111,14 +1211,16 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 	return nil
 }
 
-// formBuckets folds partition p's per-split payloads into the run's
-// buckets, one per entry of adding in order — a bucket of no splits is the
-// empty payload.
+// formBuckets folds partition p's per-range payloads into the run's
+// buckets, one per entry of adding in order, each from its ranges(n) ranges
+// (cutRanges) — a bucket of one range is that range's payload, one of no
+// splits the empty payload.
 func (rt *Runtime) formBuckets(p int, payloads []sized) []sized {
 	buckets := make([]sized, 0, len(rt.adding))
 	for _, n := range rt.adding {
-		buckets = append(buckets, rt.foldPayloads(p, payloads[:n]))
-		payloads = payloads[n:]
+		m := ranges(n)
+		buckets = append(buckets, rt.foldPayloads(p, payloads[:m]))
+		payloads = payloads[m:]
 	}
 	return buckets
 }
