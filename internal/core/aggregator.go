@@ -133,8 +133,7 @@ type State[T any] struct {
 	// window has evicted since its initial run. The daba kind flips on the
 	// multiples of its width, so its restore puts the boundary where the
 	// writer's was; a checkpoint does not carry Pos, its reader derives it
-	// from the window's bounds, or from its bucket clock where buckets vary
-	// in width.
+	// from the window's bucket clock.
 	Pos uint64
 	// IDs are the elements' identities, for the kinds that memoize nodes by
 	// identity; NextID is the identity the next inserted element receives.

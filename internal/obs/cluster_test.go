@@ -219,7 +219,7 @@ func TestClusterObservability(t *testing.T) {
 	if cnt := labeledValue(t, pm, "slider_cluster_batch_seconds_count"); cnt != float64(batchTotal) {
 		t.Fatalf("slider_cluster_batch_seconds_count = %v, want %d", cnt, batchTotal)
 	}
-	// Out-of-order gauges are exposed even for in-order backends (zero).
+	// The bucket-ledger gauges are exposed for every backend.
 	for _, name := range []string{"slider_window_live_buckets", "slider_window_watermark_lag_buckets"} {
 		labeledValue(t, pm, name)
 	}

@@ -304,7 +304,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Window != nil {
 		ws := s.cfg.Window()
-		fmt.Fprintln(w, "# HELP slider_window_live_buckets Bucket-ledger width: live window buckets including late inserts (0 for in-order backends).")
+		fmt.Fprintln(w, "# HELP slider_window_live_buckets Bucket-ledger width: live buckets of a Fixed window, late inserts included (0 for a window of splits: Append, Variable, the strawman).")
 		fmt.Fprintln(w, "# TYPE slider_window_live_buckets gauge")
 		fmt.Fprintf(w, "slider_window_live_buckets %d\n", ws.LiveBuckets)
 		fmt.Fprintln(w, "# HELP slider_window_watermark_lag_buckets How many buckets the effective watermark trails the newest in-order bucket.")

@@ -255,17 +255,15 @@ func runRuntime(tr Trace, opt Options) error {
 		return out
 	}
 
-	// sizes mirrors the bucket ledger of the kinds whose buckets vary in
-	// width: splits per live bucket, oldest first. A finger tree's late
-	// buckets are one split wide and a period's bucket holds what the
-	// period carried, so the window's flat split count is not simply
-	// buckets·splitWidth for them (ledgered).
-	ledgered := tr.Kind == FingerTree || tr.Kind.periods()
+	// sizes mirrors the bucket ledger every fixed-width kind's runtime keeps:
+	// splits per live bucket, oldest first — w each, but a finger tree's late
+	// buckets are one split wide and a period's bucket holds what the period
+	// carried. Nil for the other kinds, whose window is of splits.
 	var sizes []int
 	switch {
 	case tr.Kind.periods():
 		sizes = initialPeriods(tr.Seed, tr.Initial)
-	case ledgered:
+	case tr.Kind.fixedWidth():
 		sizes = make([]int, tr.Initial)
 		for i := range sizes {
 			sizes[i] = splitWidth
@@ -279,8 +277,8 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		return n
 	}
-	n := tr.Initial * splitWidth
-	if ledgered {
+	n := tr.Initial
+	if sizes != nil {
 		n = splitsOf(len(sizes))
 	}
 	initial := takeSplits(n)
@@ -301,7 +299,8 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		results[i] = res
 	}
-	// check verifies a run against the window it produced; moved are the
+	// check verifies a run against the window it produced, and every
+	// replica's live buckets against the model's ledger; moved are the
 	// splits that left and entered. restored: no run since the last restore.
 	// Then each replica runs the run's upkeep (Runtime.Background) after a
 	// seeded half of the runs and leaves it to the next entry point after the
@@ -317,6 +316,11 @@ func runRuntime(tr Trace, opt Options) error {
 		restored = false
 		if err != nil {
 			return err
+		}
+		for i, rep := range reps {
+			if got := rep.rt.WindowStats().LiveBuckets; got != len(sizes) {
+				return fail(step, "live-buckets", "par=%d reports %d live buckets, the model holds %d", pars[i], got, len(sizes))
+			}
 		}
 		answered = reps[0].rt.Stats().TreeStats.Merges
 		for i, rep := range reps {
@@ -398,16 +402,16 @@ func runRuntime(tr Trace, opt Options) error {
 	for step, op := range tr.Ops {
 		switch op.Kind {
 		case OpSlide:
-			liveUnits := len(window) / splitWidth
-			if ledgered {
+			liveUnits := len(window)
+			if sizes != nil {
 				liveUnits = len(sizes)
 			}
 			drop, add := clampSlide(tr.Kind, op, liveUnits)
 			if drop == 0 && add == 0 {
 				continue
 			}
-			dropSplits, addSplits := drop*splitWidth, add*splitWidth
-			if ledgered {
+			dropSplits, addSplits := drop, add*splitWidth
+			if sizes != nil {
 				// Ledger buckets vary in width, so the drop is the exact
 				// flat width of the k oldest buckets — none when a period
 				// bucket leaves empty.
@@ -427,7 +431,7 @@ func runRuntime(tr Trace, opt Options) error {
 			}
 			dropped := window[:dropSplits]
 			window = append(window[dropSplits:], adds...)
-			if ledgered {
+			if sizes != nil {
 				sizes = append(sizes[:0], sizes[drop:]...)
 				if tr.Kind.periods() {
 					sizes = append(sizes, addSplits)
@@ -440,8 +444,8 @@ func runRuntime(tr Trace, opt Options) error {
 			if err := check(step, dropped, adds); err != nil {
 				return err
 			}
-			liveAfter := len(window) / splitWidth
-			if ledgered {
+			liveAfter := len(window)
+			if sizes != nil {
 				liveAfter = len(sizes)
 			}
 			// The per-tree bound scales by Partitions; the strawman is exempt.
@@ -482,9 +486,22 @@ func runRuntime(tr Trace, opt Options) error {
 					return fail(step, "restore-fingerprint",
 						"par=%d restored fingerprint %#x != checkpointed %#x", pars[i], fps[i], before)
 				}
+				if got := restored.WindowStats().LiveBuckets; got != len(sizes) {
+					return fail(step, "live-buckets", "par=%d restored with %d live buckets, the model holds %d", pars[i], got, len(sizes))
+				}
 				rep.adopt(restored) // continue from the restored state
 			}
 			restored = true
+			// A torn write leaves the frame cut short or a bit of it wrong:
+			// a restore must refuse either, never carry on from a window
+			// nobody checkpointed.
+			cut, flipped := tornFrames(tr.Seed, step, frames[0])
+			for _, torn := range [][]byte{cut, flipped} {
+				if rt, err := sliderrt.Restore(simJob(tr.Seed), reps[0].cfg, bytes.NewReader(torn)); err == nil {
+					return fail(step, "torn-checkpoint", "a torn frame of %d bytes (%d written) restored, to fingerprint %#x; checkpointed %#x",
+						len(torn), len(frames[0]), rt.StateFingerprint(), fps[0])
+				}
+			}
 			// And identical across parallelism levels and upkeep schedules:
 			// the window state a checkpoint captures may not depend on how
 			// many goroutines computed it, nor on whether the last run's
@@ -628,6 +645,18 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 	}
 	return nil
+}
+
+// tornFrames returns the two frames a torn write of a checkpoint can leave,
+// at offsets drawn from the trace seed and the step: the frame cut short,
+// and the frame with one bit of its body flipped.
+func tornFrames(seed uint64, step int, frame []byte) (cut, flipped []byte) {
+	h := mix64(seed ^ mix64(uint64(step)+0x70e2))
+	cut = frame[:h%uint64(len(frame))]
+	flipped = slices.Clone(frame)
+	body := uint64(len(frame) - persist.FramePrefixLen)
+	flipped[persist.FramePrefixLen+int(mix64(h)%body)] ^= 1 << (h % 8)
+	return cut, flipped
 }
 
 // walkState walks every payload a runtime's trees hold. It re-measures

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -212,5 +213,37 @@ func TestPeriodsRuntimeMatrix(t *testing.T) {
 		if err := Run(tr, Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}, Ownership: true}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBucketLedgerRuntimeMatrix drives every kind whose window is of buckets
+// — the rotating tree with and without split processing, the daba kind over
+// buckets of w and over periods, the finger tree over its out-of-order
+// grammar — through runtimes at parallelism 1, 4 and 8: after every op, and
+// after every restore, each runtime reports the live buckets of the
+// harness's ledger model (Runtime.WindowStats), and every checkpoint, cut
+// at a seeded offset or with a seeded bit of its body flipped, is refused.
+func TestBucketLedgerRuntimeMatrix(t *testing.T) {
+	steps := 40
+	if testing.Short() {
+		steps = 20
+	}
+	for _, kind := range []Kind{Rotating, RotatingSplit, Daba, Periods, FingerTree} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range simSeeds[:2] {
+				tr := Generate(kind, seed, steps)
+				if kind.outOfOrder() {
+					tr = GenerateOutOfOrder(kind, seed, steps)
+				}
+				if !slices.ContainsFunc(tr.Ops, func(op Op) bool { return op.Kind == OpCheckpoint }) {
+					t.Fatalf("seed %#x: the trace takes no checkpoint", seed)
+				}
+				if err := Run(tr, Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

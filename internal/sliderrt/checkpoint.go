@@ -9,30 +9,25 @@ import (
 	"slider/internal/persist"
 )
 
-// checkpointVersion guards the on-disk format. Version 2 carries payload
-// state as persist's flat payload frames inside the gob-encoded metadata;
-// version 1 carried payloads as gob maps and is still restorable — gob
-// tolerates the missing flat fields, and Restore dispatches on Version per
-// partition.
-const checkpointVersion = 2
+// checkpointVersion is the body Checkpoint writes. Version 3 carries payload
+// state as persist's flat payload frames, names the structure by Backend
+// alone and holds the bucket ledger of every Fixed window whose elements are
+// buckets. Bodies of versions 1 and 2 are still restored: upgrade turns them
+// into version 3's, and nothing after it reads a version.
+const checkpointVersion = 3
 
-// checkpointState is the serialized form of a Runtime between runs: the
-// window bookkeeping plus, per partition, the minimal tree state from
-// which the contraction structure is rebuilt on restore.
+// checkpointState is the body of a checkpoint: the window bookkeeping plus,
+// per partition, the minimal tree state from which the contraction
+// structure is rebuilt on restore.
 type checkpointState struct {
 	Version int
 	Mode    Mode
-	// Engine (1 = a self-adjusting tree, 2 = the strawman) and Randomized
-	// are how frames named the structure before Backend existed. They are
-	// still written, so frames stay byte-identical, and read only from
-	// frames without a Backend: see legacySelectors and backend.
-	Engine     int
-	Randomized bool
 	// Backend records the resolved aggregation backend: it decides how a
 	// Fixed-mode partition's Buckets are interpreted (window order for
 	// daba, leaf-position order plus Victim for rotating) and lets a
 	// runtime restored under BackendAuto resume on the structure a pinned
-	// writer was using. Zero in pre-backend checkpoints.
+	// writer was using. BackendAuto only in a body upgraded from a
+	// pre-backend frame of the mode's own tree.
 	Backend       Backend
 	BucketSplits  int
 	WindowBuckets int
@@ -40,72 +35,107 @@ type checkpointState struct {
 	WindowLo      uint64
 	Live          int
 	Parts         int
-	// Bucket ledger of a window whose buckets vary in width (period
-	// buckets, the finger tree's out-of-order ones): splits per live bucket
-	// in window order, and the in-order bucket clock the watermark and the
-	// daba kind's flip phase are computed from. Nil/zero for every other
-	// window — gob tolerates the absent fields, so the format stays
-	// version 2.
+	// Bucket ledger of a Fixed window whose elements are buckets: splits per
+	// live bucket in window order, and the in-order bucket clock the
+	// watermark and the daba kind's flip phase are read off. Nil and zero
+	// for every other window.
 	BucketSizes []int
 	BucketSeq   uint64
 	Partitions  []partCheckpoint
 }
 
-// legacySelectors is the pre-backend spelling of a backend, as frames
-// still carry it.
-func legacySelectors(b Backend) (engine int, randomized bool) {
-	if b == BackendStrawman {
-		return 2, false
-	}
-	return 1, b == BackendRandomizedFolding
-}
-
-// backend is the structure the frame's writer ran: Backend where the frame
-// has one, else what the legacy selectors named. A pre-backend frame of a
-// self-adjusting, non-randomized tree yields BackendAuto — the mode's tree,
-// which resolution picks again (and a Fixed frame's rotating-order buckets
-// restore into whichever Fixed structure that is).
-func (st *checkpointState) backend() Backend {
-	switch {
-	case st.Backend != BackendAuto:
-		return st.Backend
-	case st.Engine == 2:
-		return BackendStrawman
-	case st.Randomized:
-		return BackendRandomizedFolding
-	}
-	return BackendAuto
-}
-
-// partCheckpoint holds one partition's tree state. Exactly one field
-// group is populated, matching the runtime's mode and backend.
-//
-// Version 1 checkpoints carried payloads in the gob-encoded map fields
-// (Root, Pending, Buckets, LeafPayloads); version 2 writes the same state
-// as flat frames in the Flat* fields and leaves the map fields nil. Both
-// decode through the same struct: gob silently skips fields absent from
-// the stream. The v1 fields keep the map type payloads had when those
-// frames were written — every frame, of either version, names it in its
-// type descriptor — and are sorted into payloads on restore.
+// partCheckpoint holds one partition's tree state as payload frames
+// (persist.EncodePayload) and payload-set frames (persist.EncodePayloadSet).
+// Exactly one field group is populated, matching the runtime's mode and
+// backend.
 type partCheckpoint struct {
 	// Append mode (coalescing tree).
-	Root       payloadV1 // v1 only
-	HasRoot    bool
-	Pending    payloadV1 // v1 only
-	HasPending bool
-	// Fixed mode (rotating or daba buckets).
-	Buckets []payloadV1 // v1 only
-	Victim  int
-	Filled  bool
-	// Variable mode and the strawman (leaf sequences).
-	LeafIDs      []uint64
-	LeafPayloads []payloadV1 // v1 only
-	// Version 2 flat state: payload frames (persist.EncodePayload) and
-	// payload-set frames (persist.EncodePayloadSet).
+	HasRoot     bool
+	HasPending  bool
 	FlatRoot    []byte
 	FlatPending []byte
+	// Fixed mode (rotating or daba buckets).
+	Victim      int
+	Filled      bool
 	FlatBuckets []byte
-	FlatLeaves  []byte
+	// Variable mode and the strawman (leaf sequences).
+	LeafIDs    []uint64
+	FlatLeaves []byte
+}
+
+// legacyBody is what only version-1 and -2 writers put in a body, read by
+// upgrade alone: the selectors that named the structure before Backend
+// existed (Engine 1 = a self-adjusting tree, 2 = the strawman; Randomized),
+// and version 1's payloads, gob maps of the type payloads had when those
+// frames were written — every frame names it in its type descriptor.
+type legacyBody struct {
+	Engine     int
+	Randomized bool
+	Partitions []legacyPart
+}
+
+type legacyPart struct {
+	Root, Pending         payloadV1
+	Buckets, LeafPayloads []payloadV1
+}
+
+// upgrade turns a decoded body into the version-3 state in place, reading
+// the fields only older writers wrote off frame, the body's frame: legacy
+// selectors become Backend; a window of buckets of w, which had no ledger,
+// gets WindowBuckets of them on the clock that counts every bucket it took
+// in (a count the body is too short to hold is refused before it sizes
+// anything); version 1's maps become payload frames.
+func upgrade(st *checkpointState, frame []byte) error {
+	if st.Version == checkpointVersion {
+		return nil
+	}
+	if st.Version < 1 || st.Version > checkpointVersion {
+		return fmt.Errorf("unsupported checkpoint version %d", st.Version)
+	}
+	var old legacyBody
+	if err := persist.Decode(frame, &old); err != nil {
+		return err
+	}
+	switch {
+	case st.Backend != BackendAuto:
+	case old.Engine == 2:
+		st.Backend = BackendStrawman
+	case old.Randomized:
+		st.Backend = BackendRandomizedFolding
+	}
+	group := groupOf(st.Mode, st.Backend)
+	if w := st.BucketSplits; group == groupBuckets && w > 0 && st.BucketSizes == nil {
+		if st.WindowBuckets < 1 || st.WindowBuckets > len(frame) {
+			return fmt.Errorf("a body of %d bytes holds no %d buckets", len(frame), st.WindowBuckets)
+		}
+		st.BucketSizes = make([]int, st.WindowBuckets)
+		for i := range st.BucketSizes {
+			st.BucketSizes[i] = w
+		}
+		st.BucketSeq = st.WindowLo/uint64(w) + uint64(st.WindowBuckets)
+	}
+	for p := 0; st.Version == 1 && p < min(len(st.Partitions), len(old.Partitions)); p++ {
+		pc, v1 := &st.Partitions[p], &old.Partitions[p]
+		var err error
+		switch group {
+		case groupRoot:
+			if pc.HasRoot {
+				pc.FlatRoot, err = persist.EncodePayload(mapreduce.FromMap(v1.Root))
+			}
+			if pc.HasPending && err == nil {
+				pc.FlatPending, err = persist.EncodePayload(mapreduce.FromMap(v1.Pending))
+			}
+		case groupBuckets:
+			pc.FlatBuckets, err = persist.EncodePayloadSet(fromV1(v1.Buckets))
+		default:
+			pc.FlatLeaves, err = persist.EncodePayloadSet(fromV1(v1.LeafPayloads))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	st.Version = checkpointVersion
+	return nil
 }
 
 // Checkpoint serializes the runtime's window state so that processing can
@@ -120,12 +150,9 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if err := rt.Background(); err != nil {
 		return err
 	}
-	engine, randomized := legacySelectors(rt.backend)
 	st := checkpointState{
 		Version:       checkpointVersion,
 		Mode:          rt.cfg.Mode,
-		Engine:        engine,
-		Randomized:    randomized,
 		Backend:       rt.backend,
 		BucketSplits:  rt.cfg.BucketSplits,
 		WindowBuckets: rt.cfg.WindowBuckets,
@@ -133,11 +160,9 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 		WindowLo:      rt.windowLo,
 		Live:          rt.live,
 		Parts:         rt.parts,
+		BucketSizes:   rt.bucketSizes,
+		BucketSeq:     rt.bucketSeq,
 		Partitions:    make([]partCheckpoint, rt.parts),
-	}
-	if rt.ledgered() {
-		st.BucketSizes = append([]int(nil), rt.bucketSizes...)
-		st.BucketSeq = rt.bucketSeq
 	}
 	for p, agg := range rt.aggs {
 		if err := rt.encodePartition(&st.Partitions[p], agg.Snapshot()); err != nil {
@@ -165,13 +190,15 @@ const (
 	groupBuckets                   // fixed-width buckets (Fixed mode)
 )
 
-func (rt *Runtime) stateGroup() stateGroup {
+// groupOf is the field group of a window of the mode over the backend;
+// BackendAuto stands for the mode's own structure.
+func groupOf(mode Mode, backend Backend) stateGroup {
 	switch {
-	case rt.backend == BackendStrawman:
+	case backend == BackendStrawman:
 		return groupLeaves
-	case rt.cfg.Mode == Append:
+	case mode == Append:
 		return groupRoot
-	case rt.cfg.Mode == Fixed:
+	case mode == Fixed:
 		return groupBuckets
 	}
 	return groupLeaves
@@ -189,18 +216,15 @@ func fromV1(ms []payloadV1) []Payload {
 	return out
 }
 
-// encodePartition writes one aggregator's snapshot into its version-2
-// field group.
+// encodePartition writes one aggregator's snapshot into its field group.
 func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (err error) {
-	switch rt.stateGroup() {
+	switch groupOf(rt.cfg.Mode, rt.backend) {
 	case groupRoot:
 		pc.HasRoot, pc.HasPending = st.HasRoot, st.HasPending
 		if pc.HasRoot {
-			if pc.FlatRoot, err = persist.EncodePayload(st.Root.P); err != nil {
-				return err
-			}
+			pc.FlatRoot, err = persist.EncodePayload(st.Root.P)
 		}
-		if pc.HasPending {
+		if pc.HasPending && err == nil {
 			pc.FlatPending, err = persist.EncodePayload(st.Pending.P)
 		}
 	case groupBuckets:
@@ -213,33 +237,29 @@ func (rt *Runtime) encodePartition(pc *partCheckpoint, st core.State[sized]) (er
 	return err
 }
 
-// decodePartition is encodePartition's inverse for both frame versions
-// (flat frames for v2, gob maps for v1). The frame is untrusted: every
-// length and presence flag is checked here, before any aggregator is
+// decodePartition is encodePartition's inverse. The frame is untrusted:
+// every length and presence flag is checked here, before any aggregator is
 // touched, and decoded payloads are measured — restore is where they are
 // created, so this is the one walk they get (see sized). pos is a bucket
 // window's position (see core.State.Pos and firstBucket).
-func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq, pos uint64) (core.State[sized], error) {
+func (rt *Runtime) decodePartition(pc *partCheckpoint, seq, pos uint64) (core.State[sized], error) {
 	var st core.State[sized]
 	var elems []Payload
 	var err error
-	switch rt.stateGroup() {
+	switch groupOf(rt.cfg.Mode, rt.backend) {
 	case groupRoot:
-		root, pending := mapreduce.FromMap(pc.Root), mapreduce.FromMap(pc.Pending)
-		if version >= 2 {
-			if pc.HasRoot != (len(pc.FlatRoot) > 0) || pc.HasPending != (len(pc.FlatPending) > 0) {
-				return st, fmt.Errorf("root/pending flags disagree with the persisted payloads")
-			}
-			if pc.HasRoot {
-				if root, err = persist.DecodePayload(pc.FlatRoot); err != nil {
-					return st, err
-				}
-			}
-			if pc.HasPending {
-				if pending, err = persist.DecodePayload(pc.FlatPending); err != nil {
-					return st, err
-				}
-			}
+		if pc.HasRoot != (len(pc.FlatRoot) > 0) || pc.HasPending != (len(pc.FlatPending) > 0) {
+			return st, fmt.Errorf("root/pending flags disagree with the persisted payloads")
+		}
+		var root, pending Payload
+		if pc.HasRoot {
+			root, err = persist.DecodePayload(pc.FlatRoot)
+		}
+		if pc.HasPending && err == nil {
+			pending, err = persist.DecodePayload(pc.FlatPending)
+		}
+		if err != nil {
+			return st, err
 		}
 		st.Root, st.HasRoot = mapreduce.Size(rt.job, root), pc.HasRoot
 		st.Pending, st.HasPending = mapreduce.Size(rt.job, pending), pc.HasPending
@@ -250,13 +270,9 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, version int, seq, pos uin
 		}
 		st.Victim, st.Filled = pc.Victim, true
 		st.Pos = pos
-		if elems = fromV1(pc.Buckets); version >= 2 {
-			elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
-		}
+		elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
 	default:
-		if elems = fromV1(pc.LeafPayloads); version >= 2 {
-			elems, err = persist.DecodePayloadSet(pc.FlatLeaves)
-		}
+		elems, err = persist.DecodePayloadSet(pc.FlatLeaves)
 		st.IDs, st.NextID = pc.LeafIDs, seq
 	}
 	if err != nil {
@@ -284,23 +300,22 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	if err := persist.Decode(frame, &st); err != nil {
 		return nil, fmt.Errorf("sliderrt: restore: %w", err)
 	}
-	if st.Version < 1 || st.Version > checkpointVersion {
-		return nil, fmt.Errorf("sliderrt: restore: unsupported checkpoint version %d", st.Version)
+	if err := upgrade(&st, frame); err != nil {
+		return nil, fmt.Errorf("sliderrt: restore: %w", err)
 	}
 	// A restore that names no backend follows the checkpoint's, so a pinned
 	// writer's state is never reinterpreted; New holds the followed backend
 	// to the same matrix as a named one.
-	written := st.backend()
 	if cfg.Backend == BackendAuto {
-		cfg.Backend = written
+		cfg.Backend = st.Backend
 	}
 	rt, err := New(job, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if rt.cfg.Mode != st.Mode || (written != BackendAuto && written != rt.backend) {
+	if rt.cfg.Mode != st.Mode || (st.Backend != BackendAuto && st.Backend != rt.backend) {
 		return nil, fmt.Errorf("%w: restore: configuration mismatch (checkpoint %v/%v, config %v/%v)",
-			ErrBadBackend, st.Mode, written, rt.cfg.Mode, rt.backend)
+			ErrBadBackend, st.Mode, st.Backend, rt.cfg.Mode, rt.backend)
 	}
 	if rt.cfg.Mode == Fixed &&
 		(rt.cfg.BucketSplits != st.BucketSplits || rt.cfg.WindowBuckets != st.WindowBuckets) {
@@ -319,30 +334,15 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	// aggregator's Restore checks what only it can know (identity counts,
 	// the victim cursor against the bucket count).
 	rt.installAggregators()
-	if rt.ledgered() {
-		if len(st.BucketSizes) > 0 {
-			rt.bucketSizes = append([]int(nil), st.BucketSizes...)
-			rt.bucketSeq = st.BucketSeq
-		} else {
-			// Checkpoint written by an in-order backend (or pre-ledger
-			// frame): the window is WindowBuckets uniform buckets of w.
-			rt.uniformLedger(st.WindowBuckets, st.BucketSplits, st.WindowLo)
-		}
-	}
-	pos, err := rt.firstBucket(st.WindowLo)
-	if err != nil {
-		return nil, fmt.Errorf("sliderrt: restore: %w", err)
-	}
+	rt.bucketSizes, rt.bucketSeq = st.BucketSizes, st.BucketSeq
 	states := make([]core.State[sized], rt.parts)
 	for p := range st.Partitions {
-		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Version, st.Seq, pos); err != nil {
+		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Seq, rt.firstBucket()); err != nil {
 			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
 		}
 	}
-	if rt.ledgered() {
-		if err := rt.checkLedger(st.Live, states); err != nil {
-			return nil, fmt.Errorf("sliderrt: restore: %w", err)
-		}
+	if err := rt.checkLedger(st.WindowLo, st.Live, states); err != nil {
+		return nil, fmt.Errorf("sliderrt: restore: %w", err)
 	}
 	for p, state := range states {
 		if err := rt.aggs[p].Restore(state); err != nil {
@@ -357,36 +357,47 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	return rt, nil
 }
 
-// firstBucket is the absolute position of a Fixed window's oldest bucket:
-// how many buckets the window has evicted since its initial run, which the
-// daba kind's flips are phased by (core.State.Pos). A window of period
-// buckets reads it off its bucket clock, one of buckets of w off its split
-// cursor windowLo.
-func (rt *Runtime) firstBucket(windowLo uint64) (uint64, error) {
-	if !rt.periods() {
-		return windowLo / uint64(max(rt.cfg.BucketSplits, 1)), nil
-	}
-	live := uint64(len(rt.bucketSizes))
-	if rt.bucketSeq < live {
-		return 0, fmt.Errorf("bucket clock %d is behind the %d live buckets", rt.bucketSeq, live)
-	}
-	return rt.bucketSeq - live, nil
+// firstBucket is the absolute position of a Fixed window's oldest bucket,
+// which the daba kind's flips are phased by (core.State.Pos): the buckets
+// the window has clocked in less the live ones. An out-of-order window's
+// late buckets were never clocked, so its clock may trail them; no
+// structure of it reads the position, 0 then.
+func (rt *Runtime) firstBucket() uint64 {
+	return rt.bucketSeq - min(rt.bucketSeq, uint64(len(rt.bucketSizes)))
 }
 
-// checkLedger holds the bucket ledger to the window it describes: one size
-// per bucket every partition holds, each between 1 — 0 for a period that
-// had no records — and the live splits, summing to the live splits. Advance
-// evicts and AdvanceLate inserts at positions worked out from the ledger,
-// so one that contradicts the buckets would slide the wrong window.
-func (rt *Runtime) checkLedger(live int, states []core.State[sized]) error {
-	sizes, least := rt.bucketSizes, 1
-	if rt.periods() {
+// checkLedger holds the bucket ledger to the window it describes: none for
+// a window of splits; else one size per bucket every partition holds,
+// summing to the live splits — each w on a clock at windowLo/w plus the
+// live buckets, each positive for out-of-order buckets, any (0 for an empty
+// period) on a clock not behind the live buckets for periods. Advance,
+// AdvanceLate and the daba kind's flips work at positions read off it, so
+// one that contradicts the buckets would slide the wrong window.
+func (rt *Runtime) checkLedger(windowLo uint64, live int, states []core.State[sized]) error {
+	sizes, w, n := rt.bucketSizes, rt.cfg.BucketSplits, uint64(len(rt.bucketSizes))
+	least, most := 1, live
+	switch {
+	case !rt.bucketed():
+		if sizes != nil || rt.bucketSeq != 0 {
+			return fmt.Errorf("a window of %v splits keeps no bucket ledger", rt.cfg.Mode)
+		}
+		return nil
+	case rt.outOfOrder():
+	case w > 0:
+		least, most = w, w
+		if want := windowLo/uint64(w) + n; rt.bucketSeq != want {
+			return fmt.Errorf("bucket clock %d, a window of %d buckets of %d from split %d is at %d", rt.bucketSeq, n, w, windowLo, want)
+		}
+	default:
 		least = 0
+		if rt.bucketSeq < n {
+			return fmt.Errorf("bucket clock %d is behind the %d live buckets", rt.bucketSeq, n)
+		}
 	}
 	sum := 0
 	for _, sz := range sizes {
-		if sz < least || sz > live {
-			return fmt.Errorf("bucket ledger holds a bucket of %d splits in a window of %d", sz, live)
+		if sz < least || sz > most {
+			return fmt.Errorf("bucket ledger holds a bucket of %d splits, want %d to %d", sz, least, most)
 		}
 		sum += sz
 	}

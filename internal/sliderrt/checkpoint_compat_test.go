@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,46 +31,85 @@ func toV1(t testing.TB, ps []Payload, err error) []payloadV1 {
 	return out
 }
 
-// downgradeToV1 rewrites a current checkpoint frame into the version-1
-// layout: payload state moved back into the legacy gob map fields, flat
-// byte fields absent, Version 1. This is byte-for-byte what a pre-flat
-// writer produced (gob omits nil fields from the stream), so restoring it
+// oldState is the body as version-1 and -2 writers laid it out: the
+// pre-backend selectors beside Backend, and version 1's payload maps beside
+// the flat fields. A frame of any version decoded into it and encoded again
+// keeps every field it had.
+type oldState struct {
+	Version       int
+	Mode          Mode
+	Engine        int
+	Randomized    bool
+	Backend       Backend
+	BucketSplits  int
+	WindowBuckets int
+	Seq           uint64
+	WindowLo      uint64
+	Live          int
+	Parts         int
+	BucketSizes   []int
+	BucketSeq     uint64
+	Partitions    []oldPart
+}
+
+type oldPart struct {
+	Root         payloadV1
+	HasRoot      bool
+	Pending      payloadV1
+	HasPending   bool
+	Buckets      []payloadV1
+	Victim       int
+	Filled       bool
+	LeafIDs      []uint64
+	LeafPayloads []payloadV1
+	FlatRoot     []byte
+	FlatPending  []byte
+	FlatBuckets  []byte
+	FlatLeaves   []byte
+}
+
+// downgrade rewrites a checkpoint frame of any version into the body a
+// version-1 or -2 writer left for the same state: the structure named by the
+// pre-backend selectors as well as by Backend, no ledger for an in-order
+// window of buckets of w, and for version 1 the payloads in the gob map
+// fields, the flat ones absent. Gob omits nil fields from the stream, so
+// this is what those writers produced, type names aside, and restoring it
 // exercises the real upgrade path.
-func downgradeToV1(t testing.TB, frame []byte) []byte {
+func downgrade(t testing.TB, frame []byte, version int) []byte {
 	t.Helper()
-	var st checkpointState
-	if err := persist.Decode(frame, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Version != checkpointVersion {
-		t.Fatalf("seed checkpoint version %d, want %d", st.Version, checkpointVersion)
-	}
-	for p := range st.Partitions {
-		pc := &st.Partitions[p]
-		if pc.HasRoot {
-			root, err := persist.DecodePayload(pc.FlatRoot)
-			pc.Root = toV1(t, []Payload{root}, err)[0]
+	return rewriteFrame(t, frame, func(st *oldState) {
+		st.Engine, st.Randomized = 1, st.Backend == BackendRandomizedFolding
+		if st.Backend == BackendStrawman {
+			st.Engine = 2
 		}
-		if pc.HasPending {
-			pending, err := persist.DecodePayload(pc.FlatPending)
-			pc.Pending = toV1(t, []Payload{pending}, err)[0]
+		if st.BucketSplits > 0 && st.Backend != BackendFingerTree {
+			st.BucketSizes, st.BucketSeq = nil, 0
 		}
-		if pc.FlatBuckets != nil {
-			buckets, err := persist.DecodePayloadSet(pc.FlatBuckets)
-			pc.Buckets = toV1(t, buckets, err)
+		st.Version = version
+		if version > 1 {
+			return
 		}
-		if pc.FlatLeaves != nil {
-			leaves, err := persist.DecodePayloadSet(pc.FlatLeaves)
-			pc.LeafPayloads = toV1(t, leaves, err)
+		for p := range st.Partitions {
+			pc := &st.Partitions[p]
+			if pc.HasRoot {
+				root, err := persist.DecodePayload(pc.FlatRoot)
+				pc.Root = toV1(t, []Payload{root}, err)[0]
+			}
+			if pc.HasPending {
+				pending, err := persist.DecodePayload(pc.FlatPending)
+				pc.Pending = toV1(t, []Payload{pending}, err)[0]
+			}
+			if pc.FlatBuckets != nil {
+				buckets, err := persist.DecodePayloadSet(pc.FlatBuckets)
+				pc.Buckets = toV1(t, buckets, err)
+			}
+			if pc.FlatLeaves != nil {
+				leaves, err := persist.DecodePayloadSet(pc.FlatLeaves)
+				pc.LeafPayloads = toV1(t, leaves, err)
+			}
+			pc.FlatRoot, pc.FlatPending, pc.FlatBuckets, pc.FlatLeaves = nil, nil, nil, nil
 		}
-		pc.FlatRoot, pc.FlatPending, pc.FlatBuckets, pc.FlatLeaves = nil, nil, nil, nil
-	}
-	st.Version = 1
-	out, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	})
 }
 
 // v1RoundTrip checkpoints a driven runtime, downgrades the frame to the
@@ -100,7 +141,7 @@ func v1RoundTrip(t *testing.T, cfg Config, initial int, firstHalf, secondHalf []
 	if err := original.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(downgradeToV1(t, buf.Bytes())))
+	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(downgrade(t, buf.Bytes(), 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +217,8 @@ func TestRestoreV1LegacyVictimIntoDaba(t *testing.T) {
 	if err := original.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v1 := downgradeToV1(t, buf.Bytes())
-	var st checkpointState
+	v1 := downgrade(t, buf.Bytes(), 1)
+	var st oldState
 	if err := persist.Decode(v1, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +231,7 @@ func TestRestoreV1LegacyVictimIntoDaba(t *testing.T) {
 	if victims == 0 {
 		t.Fatal("test needs a nonzero victim cursor to exercise the rotation")
 	}
-	st.Backend = BackendAuto // pre-backend writers had no Backend field
-	frame, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := rewriteFrame(t, v1, zeroBackend) // pre-backend writers had no Backend field
 
 	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame))
 	if err != nil {
@@ -295,46 +332,58 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 // TestRestoreRejectsInconsistentFrames fabricates frames that pass the
 // CRC and the header checks but whose partition state contradicts itself.
 // Each used to index past a slice (or restore a made-up window); each must
-// now come back as an error before any aggregator holds the state.
+// now come back as an error before any aggregator holds the state. A case
+// with a want names the check that refuses it, which runs before the
+// aggregators' Restore.
 func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 	fingerTree := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2, AllowedLateness: 1}
 	periods := Config{Mode: Fixed, WindowBuckets: 2} // first window: periods of 3 and 1 splits
+	daba := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2}
 	cases := []struct {
 		name   string
 		cfg    Config
 		mangle func(st *checkpointState)
+		want   string
 	}{
 		{"fewer partitions than the header says", Config{Mode: Variable},
-			func(st *checkpointState) { st.Partitions = st.Partitions[:len(st.Partitions)-1] }},
+			func(st *checkpointState) { st.Partitions = st.Partitions[:len(st.Partitions)-1] }, ""},
 		{"no partitions at all", Config{Mode: Append},
-			func(st *checkpointState) { st.Partitions = nil }},
+			func(st *checkpointState) { st.Partitions = nil }, ""},
 		{"randomized: fewer leaf IDs than leaves", Config{Mode: Variable, Backend: BackendRandomizedFolding},
-			func(st *checkpointState) { st.Partitions[1].LeafIDs = st.Partitions[1].LeafIDs[:1] }},
+			func(st *checkpointState) { st.Partitions[1].LeafIDs = st.Partitions[1].LeafIDs[:1] }, ""},
 		{"strawman: no leaf IDs", Config{Mode: Variable, Backend: BackendStrawman},
-			func(st *checkpointState) { st.Partitions[0].LeafIDs = nil }},
+			func(st *checkpointState) { st.Partitions[0].LeafIDs = nil }, ""},
 		{"strawman: more leaf IDs than leaves", Config{Mode: Fixed, Backend: BackendStrawman, BucketSplits: 2, WindowBuckets: 2},
-			func(st *checkpointState) { st.Partitions[2].LeafIDs = append(st.Partitions[2].LeafIDs, 99) }},
+			func(st *checkpointState) { st.Partitions[2].LeafIDs = append(st.Partitions[2].LeafIDs, 99) }, ""},
 		{"append: root flagged but absent", Config{Mode: Append},
-			func(st *checkpointState) { st.Partitions[0].FlatRoot = nil }},
+			func(st *checkpointState) { st.Partitions[0].FlatRoot = nil }, ""},
 		{"append: root present but not flagged", Config{Mode: Append},
-			func(st *checkpointState) { st.Partitions[0].HasRoot = false }},
+			func(st *checkpointState) { st.Partitions[0].HasRoot = false }, ""},
 		{"append: pending flagged but absent", Config{Mode: Append},
-			func(st *checkpointState) { st.Partitions[1].HasPending = true }},
+			func(st *checkpointState) { st.Partitions[1].HasPending = true }, ""},
 		{"fixed: victim beyond the buckets", Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 2},
-			func(st *checkpointState) { st.Partitions[0].Victim = 2 }},
+			func(st *checkpointState) { st.Partitions[0].Victim = 2 }, ""},
 		{"fingertree: ledger a bucket short", fingerTree,
-			func(st *checkpointState) { st.BucketSizes = []int{4} }},
+			func(st *checkpointState) { st.BucketSizes = []int{4} }, ""},
 		{"fingertree: ledger holds an empty bucket", fingerTree,
-			func(st *checkpointState) { st.BucketSizes = []int{4, 0} }},
+			func(st *checkpointState) { st.BucketSizes = []int{4, 0} }, ""},
 		{"fingertree: ledger sums past the live splits", fingerTree,
-			func(st *checkpointState) { st.BucketSizes = []int{2, 3} }},
+			func(st *checkpointState) { st.BucketSizes = []int{2, 3} }, ""},
 		{"periods: no ledger", periods,
-			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = nil, 0 }},
+			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = nil, 0 }, ""},
 		{"periods: ledger sums past the live splits", periods,
-			func(st *checkpointState) { st.BucketSizes = []int{0, 5} }},
+			func(st *checkpointState) { st.BucketSizes = []int{0, 5} }, ""},
 		{"periods: bucket clock behind the live buckets", periods,
-			func(st *checkpointState) { st.BucketSeq = 1 }},
-		{"fixed: a bucket short", Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 2},
+			func(st *checkpointState) { st.BucketSeq = 1 }, "bucket clock"},
+		{"daba: a bucket of other than w", daba,
+			func(st *checkpointState) { st.BucketSizes = []int{1, 3} }, "bucket ledger holds a bucket of 1 splits"},
+		{"daba: bucket clock off by one", daba,
+			func(st *checkpointState) { st.BucketSeq++ }, "bucket clock"},
+		{"daba: no ledger", daba,
+			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = nil, 0 }, "bucket ledger sums to 0"},
+		{"folding: a ledger", Config{Mode: Variable},
+			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = []int{4}, 1 }, "keeps no bucket ledger"},
+		{"fixed: a bucket short", daba,
 			func(st *checkpointState) {
 				buckets, err := persist.DecodePayloadSet(st.Partitions[0].FlatBuckets)
 				if err != nil {
@@ -343,7 +392,7 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 				if st.Partitions[0].FlatBuckets, err = persist.EncodePayloadSet(buckets[:1]); err != nil {
 					t.Fatal(err)
 				}
-			}},
+			}, ""},
 	}
 	for _, c := range cases {
 		c := c
@@ -380,8 +429,12 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame)); err == nil {
+			_, err = Restore(wordCountJob(), cfg, bytes.NewReader(frame))
+			if err == nil {
 				t.Fatal("inconsistent frame accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("refused with %q, want it refused by %q", err, c.want)
 			}
 		})
 	}
@@ -389,17 +442,17 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 
 // TestGoldenFramesAcrossFormats restores every golden checkpoint — as
 // written (version 2 under the sld1 header, through persist's legacy
-// reader), rewritten under the sld2 header, downgraded to version 1, and,
-// for the first and the third, with the Backend field zeroed the way a
+// reader), rewritten under the sld2 header, downgraded to version 1, as the
+// version-3 frame a restored runtime writes back, and, for the two
+// structures a pre-backend frame names only through the legacy
+// Engine/Randomized selectors, with the Backend field zeroed the way a
 // pre-backend writer left it — and requires the pinned fingerprint (which
 // covers the backend the restore landed on) and a re-checkpoint with the
-// golden frame's decoded content, one sld2 frame whose gob body is exactly
-// the bytes pinned in goldenRewritten. Each form is restored under the
-// writer's configuration and under BackendAuto: a restore that names no
-// backend follows the checkpoint's, so a pinned writer's state is never
-// reinterpreted. Pre-backend frames name their structure only through the
-// legacy Engine/Randomized selectors, which is what lands the strawman and
-// randomized frames on their backends.
+// content of upgrade(golden), one sld2 frame whose gob body is exactly the
+// bytes pinned in goldenRewritten. Each form is restored under the writer's
+// configuration and under BackendAuto: a restore that names no backend
+// follows the checkpoint's, so a pinned writer's state is never
+// reinterpreted.
 func TestGoldenFramesAcrossFormats(t *testing.T) {
 	for _, c := range identityCases() {
 		c := c
@@ -416,12 +469,12 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 			}
 			auto := cfg
 			auto.Backend = BackendAuto
-			v1 := downgradeToV1(t, golden)
+			v1 := downgrade(t, golden, 1)
 			type form struct {
 				name  string
 				frame []byte
 			}
-			forms := []form{{"v2", golden}, {"v2 sld2", rewriteFrame(t, golden, nil)}, {"v1", v1}}
+			forms := []form{{"v2", golden}, {"v2 sld2", rewriteFrame(t, golden, nil)}, {"v1", v1}, {"v3", recheckpoint(t, cfg, golden)}}
 			// The two structures a pre-backend frame names only through its
 			// legacy selectors. (Any other such frame is the mode's own
 			// tree, which resolution picks again; a Fixed one restores into
@@ -458,13 +511,70 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 	}
 }
 
-// TestRestoreLedgerlessFrameKeepsBucketClock: an in-order Fixed frame
-// carries no bucket ledger. Restored into the finger tree — a pre-backend
-// frame under AllowedLateness — its window becomes WindowBuckets buckets of
-// w, and the in-order bucket clock goes on from where the window is, its
-// oldest bucket plus WindowBuckets, as it would had the finger tree run the
-// window from the start. A clock that restarted at WindowBuckets would
-// refuse a late arrival at the newest edge as below the watermark.
+// TestUpgradeReadsOlderBodies holds upgrade itself to the version-3 body a
+// restored runtime writes back, field by field and payload by payload, for
+// every golden checkpoint as written (version 2), downgraded to version 1 and
+// without a backend: the legacy selectors become Backend, a window of
+// buckets of w gets its WindowBuckets buckets on the clock its oldest bucket
+// puts it at, and version 1's maps become payload frames. A version-3 body
+// it leaves as it is.
+func TestUpgradeReadsOlderBodies(t *testing.T) {
+	for _, c := range identityCases() {
+		golden, err := os.ReadFile(goldenPath(c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.cfg
+		cfg.Memo = testMemoConfig()
+		v3 := recheckpoint(t, cfg, golden)
+		v1 := downgrade(t, golden, 1)
+		forms := [][]byte{golden, v1, v3}
+		if c.name == "strawman" || c.name == "randomized" {
+			forms = append(forms, rewriteFrame(t, golden, zeroBackend), rewriteFrame(t, v1, zeroBackend))
+		}
+		for _, form := range forms {
+			wantSameCheckpoint(t, v3, form)
+		}
+		var st, before checkpointState
+		if err := errors.Join(persist.Decode(v3, &st), persist.Decode(v3, &before)); err != nil {
+			t.Fatal(err)
+		}
+		if w := st.BucketSplits; st.Mode == Fixed && c.name != "fingertree" {
+			if len(st.BucketSizes) != st.WindowBuckets || slices.ContainsFunc(st.BucketSizes, func(sz int) bool { return sz != w }) ||
+				st.BucketSeq != st.WindowLo/uint64(w)+uint64(st.WindowBuckets) {
+				t.Fatalf("%s: ledger %v on clock %d, want %d buckets of %d on clock %d", c.name, st.BucketSizes, st.BucketSeq,
+					st.WindowBuckets, w, st.WindowLo/uint64(w)+uint64(st.WindowBuckets))
+			}
+		}
+		if err := upgrade(&st, v3); err != nil || !reflect.DeepEqual(st, before) {
+			t.Fatalf("%s: upgrade moved a version-3 body (%v)", c.name, err)
+		}
+	}
+}
+
+// recheckpoint restores a frame under cfg and returns the checkpoint the
+// restored runtime writes.
+func recheckpoint(t testing.TB, cfg Config, frame []byte) []byte {
+	t.Helper()
+	rt, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rt.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreLedgerlessFrameKeepsBucketClock: a version-2 frame of an
+// in-order Fixed window carries no bucket ledger. Restored into the finger
+// tree — a pre-backend frame under AllowedLateness — its window becomes
+// WindowBuckets buckets of w (upgrade), and the in-order bucket clock goes
+// on from where the window is, its oldest bucket plus WindowBuckets, as it
+// would had the finger tree run the window from the start. A clock that
+// restarted at WindowBuckets would refuse a late arrival at the newest edge
+// as below the watermark.
 func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
 	const w, n, slides = 1, 4, 10
 	job := wordCountJob()
@@ -493,7 +603,7 @@ func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
 
 	late := cfg
 	late.AllowedLateness, late.Watermark = 2, slides+n-2
-	restored, err := Restore(job, late, bytes.NewReader(rewriteFrame(t, buf.Bytes(), zeroBackend)))
+	restored, err := Restore(job, late, bytes.NewReader(rewriteFrame(t, downgrade(t, buf.Bytes(), 2), zeroBackend)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,13 +623,13 @@ func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
 
 // zeroBackend leaves a checkpoint without a Backend, as pre-backend writers
 // did.
-func zeroBackend(st *checkpointState) { st.Backend = BackendAuto }
+func zeroBackend(st *oldState) { st.Backend = BackendAuto }
 
-// rewriteFrame decodes a checkpoint frame, applies edit (if any) and
-// encodes it again, under the header every writer emits now.
-func rewriteFrame(t testing.TB, frame []byte, edit func(*checkpointState)) []byte {
+// rewriteFrame decodes a checkpoint frame of any version, applies edit (if
+// any) and encodes it again, under the header every writer emits now.
+func rewriteFrame(t testing.TB, frame []byte, edit func(*oldState)) []byte {
 	t.Helper()
-	var st checkpointState
+	var st oldState
 	if err := persist.Decode(frame, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -534,21 +644,21 @@ func rewriteFrame(t testing.TB, frame []byte, edit func(*checkpointState)) []byt
 }
 
 // goldenRewritten pins, per golden checkpoint, the sha256 of the gob body
-// of the frame a restored runtime writes back. (Not the golden file's own
-// body: those frames predate key-sorted payloads, and a rewrite lays the
-// same entries out in key order.) Computed as the sha256 of frame[16:] at
-// the commit before every frame took the sld2 header, when checkpoints
-// were written under sld1's 16-byte header: the body did not move.
+// of the frame a restored runtime writes back: a version-3 body, the bytes
+// after the sld2 header. (Not the golden file's own body: those are
+// version-2 frames, which predate key-sorted payloads and name their
+// structure by the legacy selectors too, and carry no ledger for a window of
+// buckets of w.)
 var goldenRewritten = map[string]string{
-	"folding":          "77472acb339d208402b3cc1edc1efdd5ba6d7685db92105b0e682dd1c0aed4f2",
-	"randomized":       "32c7fbeea4d48da5bcaa61eeb983cd2dfa02ebd05842715957eeebb89d80513e",
-	"rotating":         "e9274168f869ceb4b125602190cd7a10370e009b87517bbf5584c605308cd372",
-	"rotating-split":   "e9274168f869ceb4b125602190cd7a10370e009b87517bbf5584c605308cd372",
-	"coalescing":       "4b5008b5020197e00aaa84b10ed5d3d10490873b9486a18dd99c35b3ff0a9144",
-	"coalescing-split": "4b5008b5020197e00aaa84b10ed5d3d10490873b9486a18dd99c35b3ff0a9144",
-	"strawman":         "a2cc2babc96b2b6f26977c04abcfa507eb0e6fe36166c7df5592c79c5d9fa175",
-	"daba":             "a4a34b0cf8284d4d1507c9364c307fca07cdb5ab9201775599bb61945ac727c4",
-	"fingertree":       "6e0b6e432961b5b4c4dd42bc02e9c94ea9e74606079b3e50881b3c4f14cef7fb",
+	"folding":          "868a8a68d29cab79ec8090238f44bfc0dc3fe722c7575060afe1b8d90dd23029",
+	"randomized":       "a12bd28012743088dcdfc200ddc596e8980900b2c4b64e26dd49f5e555c2de96",
+	"rotating":         "8d404736728ac74c5f1f34e7d3415ffd4a913fc3c7ef16d7971ad1df874012a1",
+	"rotating-split":   "8d404736728ac74c5f1f34e7d3415ffd4a913fc3c7ef16d7971ad1df874012a1",
+	"coalescing":       "d6e51c70fbd2a26c38e78083637706d87f33aa6e3377454dd939bd957b1a41c5",
+	"coalescing-split": "d6e51c70fbd2a26c38e78083637706d87f33aa6e3377454dd939bd957b1a41c5",
+	"strawman":         "3dd884bb2ee1e3384bcb9c43ecf198b63bf264e79bfe75f9592780f88921d0d8",
+	"daba":             "0472cdae9bac0ea1b3738218a09effa9bf5fd7520d8b775a1319384250d3ac5f",
+	"fingertree":       "9547675efd5feace1aeb369af7aaa4c2c0060a327532ce3b89b9b6f3832e222f",
 }
 
 // TestRestoreMismatchNamesBothBackends: a restore whose explicit backend

@@ -275,11 +275,7 @@ func TestRestoreLegacyFixedCheckpointIntoDaba(t *testing.T) {
 	}
 	// A pre-backend frame has no Backend field, which gob decodes as the
 	// zero value: BackendAuto.
-	st.Backend = BackendAuto
-	frame, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := rewriteFrame(t, downgrade(t, buf.Bytes(), 2), zeroBackend)
 
 	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame))
 	if err != nil {
@@ -318,22 +314,16 @@ func TestRestoreLegacyVictimOutOfRange(t *testing.T) {
 	if err := rt.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var st checkpointState
-	if err := persist.Decode(buf.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	st.Backend = BackendAuto
-	for p := range st.Partitions {
-		buckets, err := persist.DecodePayloadSet(st.Partitions[p].FlatBuckets)
-		if err != nil {
-			t.Fatal(err)
+	frame := rewriteFrame(t, downgrade(t, buf.Bytes(), 2), func(st *oldState) {
+		st.Backend = BackendAuto
+		for p := range st.Partitions {
+			buckets, err := persist.DecodePayloadSet(st.Partitions[p].FlatBuckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Partitions[p].Victim = len(buckets)
 		}
-		st.Partitions[p].Victim = len(buckets)
-	}
-	frame, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if _, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame)); err == nil {
 		t.Fatal("out-of-range victim accepted")
 	}

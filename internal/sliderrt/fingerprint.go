@@ -73,15 +73,17 @@ func (rt *Runtime) StateFingerprint() uint64 {
 	u64(uint64(rt.backend))
 	for p, agg := range rt.aggs {
 		st := agg.Snapshot()
-		switch rt.stateGroup() {
+		switch groupOf(rt.cfg.Mode, rt.backend) {
 		case groupRoot:
 			optional(st.Root, st.HasRoot)
 			optional(st.Pending, st.HasPending)
 		case groupBuckets:
-			if p == 0 && rt.ledgered() {
+			if p == 0 && (rt.periods() || rt.outOfOrder()) {
 				// The bucket ledger and watermark clock are part of the
 				// logical window state (shared across partitions, so
-				// hashed once).
+				// hashed once). A ledger of buckets of w is a function of
+				// windowLo, w and the bucket count, hashed already: only
+				// one whose buckets vary in width is hashed.
 				u64(uint64(len(rt.bucketSizes)))
 				for _, sz := range rt.bucketSizes {
 					u64(uint64(sz))

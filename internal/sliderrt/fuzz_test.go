@@ -21,8 +21,9 @@ import (
 // as it is — headers, magics, lengths, truncation — or as the gob body of
 // a value frame given a valid header, which puts the mutations where the
 // checkpoint decoder reads them. The seeds are every golden checkpoint as
-// written (sld1), rewritten under sld2, downgraded to version 1, and
-// without a backend, raw and as bodies to reframe.
+// written (sld1), rewritten under sld2, downgraded to version 1, without a
+// backend, and as the version-3 frame a restored runtime writes back, raw
+// and as bodies to reframe.
 func FuzzRestore(f *testing.F) {
 	cases := identityCases()
 	value, err := persist.Encode(0)
@@ -38,9 +39,11 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		v1 := downgradeToV1(f, golden)
+		cfg := c.cfg
+		cfg.Memo = testMemoConfig()
+		v1 := downgrade(f, golden, 1)
 		f.Add(golden, false, uint8(i))
-		for _, frame := range [][]byte{rewriteFrame(f, golden, nil), v1, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, v1, zeroBackend)} {
+		for _, frame := range [][]byte{rewriteFrame(f, golden, nil), v1, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, v1, zeroBackend), recheckpoint(f, cfg, golden)} {
 			f.Add(frame, false, uint8(i))
 			f.Add(frame[persist.FramePrefixLen:], true, uint8(i))
 		}

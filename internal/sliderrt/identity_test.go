@@ -286,9 +286,10 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 }
 
 // wantSameCheckpoint compares two checkpoint frames field by field after
-// decoding (flat payload frames are map-order dependent, so bytes may
-// differ where content does not): same metadata, same populated field
-// groups, same payloads.
+// decoding and upgrading each to the version-3 state (flat payload frames
+// are map-order dependent, so bytes may differ where content does not):
+// same metadata, bucket ledger included, same populated field groups, same
+// payloads.
 func wantSameCheckpoint(t *testing.T, got, want []byte) {
 	t.Helper()
 	type decodedPart struct {
@@ -301,6 +302,9 @@ func wantSameCheckpoint(t *testing.T, got, want []byte) {
 	decode := func(frame []byte) (checkpointState, []decodedPart) {
 		var st checkpointState
 		if err := persist.Decode(frame, &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := upgrade(&st, frame); err != nil {
 			t.Fatal(err)
 		}
 		parts := make([]decodedPart, len(st.Partitions))

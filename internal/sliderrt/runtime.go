@@ -131,14 +131,14 @@ type Runtime struct {
 	// due (core.Spares), through a visitor built once for the same reason.
 	spares spareCount
 
-	// Bucket ledger of a window whose buckets vary in width (ledgered): a
-	// window of period buckets, or one whose aggregator is core.OutOfOrder
-	// (late buckets may be narrower than w). Splits per live bucket in
-	// window order, oldest first, plus the in-order bucket clock (buckets
-	// ever appended at the window edge; late inserts do not advance it).
-	// The clock drives the effective watermark
-	// max(cfg.Watermark, bucketSeq−AllowedLateness), and places the daba
-	// kind's flips on restore (firstBucket).
+	// Bucket ledger of a window whose elements are buckets (bucketed): splits
+	// per live bucket in window order, oldest first — w each, of any number
+	// for period buckets, narrower than w for an out-of-order window's late
+	// ones — plus the in-order bucket clock (buckets ever appended at the
+	// window edge; late inserts do not advance it). A drop is evicted in
+	// whole buckets read off the ledger (evictElements). The clock drives the
+	// effective watermark max(cfg.Watermark, bucketSeq−AllowedLateness), and
+	// places the daba kind's flips on restore (firstBucket).
 	bucketSizes []int
 	bucketSeq   uint64
 	// adding is the widths of the buckets the current run forms from its
@@ -497,7 +497,7 @@ func (rt *Runtime) InitialBuckets(sizes []int, splits []mapreduce.Split) (*RunRe
 		return partDelta{}, rt.aggs[p].Init(rt.elements(p, payloads))
 	}, func() {
 		rt.installAggregators()
-		if rt.ledgered() {
+		if rt.bucketed() {
 			rt.bucketSizes = slices.Clone(sizes)
 			rt.bucketSeq = uint64(len(sizes))
 		}
@@ -565,7 +565,7 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	}, func() {
 		rt.windowLo += uint64(drop)
 		rt.live -= drop
-		if rt.ledgered() {
+		if rt.bucketed() {
 			rt.bucketSizes = append(append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...), rt.adding...)
 			rt.bucketSeq += uint64(len(rt.adding))
 		}
@@ -817,24 +817,9 @@ func (rt *Runtime) outOfOrder() bool {
 // window whose bucket is whatever one run adds (BucketSplits 0).
 func (rt *Runtime) periods() bool { return rt.cfg.Mode == Fixed && rt.cfg.BucketSplits == 0 }
 
-// ledgered reports whether the window's buckets vary in width, and are
-// therefore tracked in the bucket ledger: period buckets, or out-of-order
-// ones.
-func (rt *Runtime) ledgered() bool { return rt.periods() || rt.outOfOrder() }
-
-// uniformLedger resets the bucket ledger to n in-order buckets of w splits,
-// the oldest starting at split windowLo. The in-order clock counts every
-// bucket the window has taken in, evicted ones too: windowLo/w + n.
-func (rt *Runtime) uniformLedger(n, w int, windowLo uint64) {
-	rt.bucketSizes = make([]int, n)
-	for i := range rt.bucketSizes {
-		rt.bucketSizes[i] = w
-	}
-	rt.bucketSeq = windowLo/uint64(max(w, 1)) + uint64(n)
-}
-
-// bucketed reports whether the aggregators' elements are buckets of w
-// splits (the Fixed-mode structures) rather than splits (the strawman).
+// bucketed reports whether the aggregators' elements are buckets (the
+// Fixed-mode structures), which the bucket ledger describes, rather than
+// splits (the strawman).
 func (rt *Runtime) bucketed() bool {
 	return rt.cfg.Mode == Fixed && rt.backend != BackendStrawman
 }
@@ -855,7 +840,8 @@ func (rt *Runtime) elements(p int, payloads []sized) []sized {
 	return payloads
 }
 
-// evictElements converts a drop in splits into aggregator elements.
+// evictElements converts a drop in splits into aggregator elements: the
+// splits themselves, or the oldest buckets of the ledger.
 func (rt *Runtime) evictElements(drop int) (int, error) {
 	switch {
 	case !rt.bucketed():
@@ -866,17 +852,14 @@ func (rt *Runtime) evictElements(drop int) (int, error) {
 			return 0, fmt.Errorf("%w: drop=%d, the oldest bucket holds %d splits", ErrBadAdvance, drop, rt.bucketSizes[0])
 		}
 		return 1, nil
-	case rt.outOfOrder():
-		// Late buckets may be narrower than w, so the count is not drop/w.
-		return rt.evictBucketCount(drop)
 	}
-	return drop / rt.cfg.BucketSplits, nil
+	return rt.evictBucketCount(drop)
 }
 
 // evictBucketCount maps a drop expressed in splits onto the bucket
 // ledger: the number of whole oldest buckets whose sizes sum to exactly
 // drop. A drop that cuts a bucket in half is ErrBadAdvance — buckets
-// are the finger tree's eviction unit.
+// are the eviction unit.
 func (rt *Runtime) evictBucketCount(drop int) (int, error) {
 	n, sum := 0, 0
 	for _, sz := range rt.bucketSizes {
@@ -1175,33 +1158,26 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 			return fmt.Errorf("%w: append of zero splits", ErrBadAdvance)
 		}
 	case Fixed:
+		// A drop is held to whole oldest buckets of the ledger when they are
+		// evicted (evictElements); the width w validates what is added.
 		w := rt.cfg.BucketSplits
-		if rt.backend == BackendStrawman {
+		switch {
+		case rt.backend == BackendStrawman:
 			if drop != add {
 				return fmt.Errorf("%w: fixed-width windows need drop == add (got %d, %d)", ErrBadAdvance, drop, add)
 			}
-			return nil
-		}
-		if w == 0 {
-			// Any add is one period's bucket; evictElements holds the drop
-			// to the oldest's width.
-			return nil
-		}
-		if rt.outOfOrder() {
+		case w == 0:
+			// Any add is one period's bucket.
+		case add%w != 0:
+			return fmt.Errorf("%w: adds arrive in whole buckets of w (w=%d, got add=%d)", ErrBadAdvance, w, add)
+		case rt.outOfOrder():
 			// The out-of-order window may drift: bulk evictions and bulk
-			// insertions need not balance. Adds still arrive in whole
-			// buckets of w; drops must consume whole oldest buckets of the
-			// ledger, which Advance checks against the bucket sizes.
+			// insertions need not balance.
 			if drop == 0 && add == 0 {
 				return fmt.Errorf("%w: empty advance", ErrBadAdvance)
 			}
-			if add%w != 0 {
-				return fmt.Errorf("%w: finger-tree adds arrive in whole buckets of w (w=%d, got add=%d)", ErrBadAdvance, w, add)
-			}
-			return nil
-		}
-		if drop != add || add == 0 || add%w != 0 {
-			return fmt.Errorf("%w: fixed-width slides need drop == add == k×w (w=%d, got drop=%d add=%d)", ErrBadAdvance, w, drop, add)
+		case drop != add || add == 0:
+			return fmt.Errorf("%w: fixed-width slides need drop == add > 0 (got drop=%d add=%d)", ErrBadAdvance, drop, add)
 		}
 	case Variable:
 		if drop < 0 || drop > rt.live {

@@ -2,7 +2,7 @@ package sliderrt
 
 import "sync/atomic"
 
-// This file is the out-of-order observability surface. The Runtime is
+// This file is the bucket ledger's observability surface. The Runtime is
 // not safe for concurrent use, but /metrics scrapes from an arbitrary
 // goroutine — so the bucket-ledger gauges are published into atomics at
 // the points where the ledger is quiescent (slide end, upkeep end,
@@ -11,12 +11,13 @@ import "sync/atomic"
 // a slide mutating bucketSizes in place. The free lists' holding is
 // published the same way.
 
-// WindowStats is a concurrent-read-safe snapshot of the window's
-// out-of-order state and of the storage its free lists hold.
+// WindowStats is a concurrent-read-safe snapshot of the window's bucket
+// ledger, its out-of-order state and the storage its free lists hold.
 type WindowStats struct {
-	// LiveBuckets is the bucket-ledger width: live window buckets,
-	// including late-inserted ones (0 for in-order backends, which keep
-	// no ledger).
+	// LiveBuckets is the bucket-ledger width: the live buckets of a Fixed
+	// window, late-inserted ones included — WindowBuckets for a count
+	// window, the periods for a time window. 0 for a window of splits
+	// (Append and Variable modes, the strawman), which keeps no ledger.
 	LiveBuckets int
 	// WatermarkLag is how many buckets the effective watermark
 	// max(Config.Watermark, bucketSeq−AllowedLateness) trails the newest
@@ -64,8 +65,8 @@ func (rt *Runtime) publishWindowGauges() {
 	rt.gauges.watermarkLag.Store(int64(lag))
 }
 
-// WindowStats returns the out-of-order window gauges and the free lists'
-// holding. Safe to call concurrently with running slides (values are as of
+// WindowStats returns the bucket-ledger and out-of-order gauges and the
+// free lists' holding. Safe to call concurrently with running slides (values are as of
 // the last completed slide, upkeep or restore).
 func (rt *Runtime) WindowStats() WindowStats {
 	return WindowStats{

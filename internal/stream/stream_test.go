@@ -351,6 +351,47 @@ func TestTimeWindowBackends(t *testing.T) {
 	}
 }
 
+// TestCountWindowLiveBuckets: a count window of buckets keeps its
+// WindowBuckets buckets in the runtime's bucket ledger whichever structure
+// runs it, and every delivered window reports them, from the first; the
+// strawman's window of splits and an append-only window keep none.
+func TestCountWindowLiveBuckets(t *testing.T) {
+	for _, c := range []struct {
+		backend sliderrt.Backend
+		slide   int
+		buckets int
+	}{
+		{sliderrt.BackendAuto, 2, 3},
+		{sliderrt.BackendDaba, 2, 3},
+		{sliderrt.BackendRotating, 2, 3},
+		{sliderrt.BackendStrawman, 2, 0},
+		{sliderrt.BackendAuto, 0, 0},
+	} {
+		rc := smallMemo()
+		rc.Backend = c.backend
+		var w *CountWindow
+		windows := 0
+		w, err := NewCountWindow(CountConfig{Job: sumJob(), RecordsPerSplit: 2, WindowSplits: 6, SlideSplits: c.slide, Config: rc}, func(Output) error {
+			windows++
+			if got := w.Runtime().WindowStats().LiveBuckets; got != c.buckets {
+				return fmt.Errorf("window %d reports %d live buckets, want %d", windows, got, c.buckets)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v (slide %d): %v", c.backend, c.slide, err)
+		}
+		for i := range 30 {
+			if err := w.Push(fmt.Sprintf("r%d common", i)); err != nil {
+				t.Fatalf("%v (slide %d): %v", c.backend, c.slide, err)
+			}
+		}
+		if windows < 5 {
+			t.Fatalf("%v (slide %d): %d windows, want at least five", c.backend, c.slide, windows)
+		}
+	}
+}
+
 func TestTimeWindowValidation(t *testing.T) {
 	sink := func(Output) error { return nil }
 	if _, err := NewTimeWindow(TimeConfig{Job: sumJob(), Window: time.Minute, Slide: 0, RecordsPerSplit: 1}, sink); err == nil {
