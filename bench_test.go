@@ -249,7 +249,7 @@ func BenchmarkFullRunQuick(b *testing.B) {
 	}
 	s := bench.Quick()
 	for i := 0; i < b.N; i++ {
-		if err := bench.Run(io.Discard, s, []string{"fig10", "fig11", "table1", "table2"}); err != nil {
+		if _, err := bench.Run(io.Discard, s, []string{"fig10", "fig11", "table1", "table2"}); err != nil {
 			b.Fatal(err)
 		}
 	}

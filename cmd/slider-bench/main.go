@@ -8,11 +8,12 @@
 // Experiment names: fig7 fig8 fig9 fig10 fig11 fig12 fig13 table1 table2
 // table3 table4 table5 ablation. An unknown name is an error.
 //
-// -json also writes every experiment's results at the chosen scale as one
-// JSON document (experiments_full.json is the full-scale one).
+// -json also writes the run it printed as one JSON document: a section
+// per selected experiment, holding the values its text showed.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +36,7 @@ func run(args []string) error {
 	scaleName := fs.String("scale", "full", "experiment scale: quick or full")
 	expList := fs.String("exp", "all", "comma-separated experiments, or 'all': "+strings.Join(bench.Experiments, " "))
 	outPath := fs.String("out", "", "write results to this file instead of stdout")
-	jsonPath := fs.String("json", "", "also write a machine-readable JSON record to this file")
+	jsonPath := fs.String("json", "", "also write the run's machine-readable JSON record to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -66,17 +67,19 @@ func run(args []string) error {
 	}
 	start := time.Now()
 	fmt.Fprintf(out, "slider-bench: scale=%s experiments=%s\n\n", *scaleName, *expList)
-	if err := bench.Run(out, scale, selected); err != nil {
+	rec, err := bench.Run(out, scale, selected)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "total benchmark time: %v\n", time.Since(start).Round(time.Millisecond))
+	elapsed := time.Since(start)
+	fmt.Fprintf(out, "total benchmark time: %v\n", elapsed.Round(time.Millisecond))
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
+		rec.Scale, rec.DurationMs = *scaleName, elapsed.Milliseconds()
+		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := bench.RunJSON(f, scale, *scaleName); err != nil {
+		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "JSON record written to %s\n", *jsonPath)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"slider/internal/bench"
 )
 
 func TestRunSelectedExperiment(t *testing.T) {
@@ -42,6 +45,119 @@ func TestRunJSONRecord(t *testing.T) {
 	if decoded["scale"] != "quick" {
 		t.Fatalf("scale = %v", decoded["scale"])
 	}
+}
+
+// runRecorded runs slider-bench at quick scale on exp with -out and -json,
+// and returns what it printed, the record's top-level fields, and the
+// record.
+func runRecorded(t *testing.T, exp string) (string, map[string]json.RawMessage, bench.ResultsJSON) {
+	t.Helper()
+	dir := t.TempDir()
+	out, jsonPath := filepath.Join(dir, "res.txt"), filepath.Join(dir, "res.json")
+	if err := run([]string{"-scale", "quick", "-exp", exp, "-out", out, "-json", jsonPath}); err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	var rec bench.ResultsJSON
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.DurationMs <= 0 {
+		t.Fatalf("-exp %s: durationMs = %d", exp, rec.DurationMs)
+	}
+	return string(text), fields, rec
+}
+
+// printedRows returns the rows of the printed table titled title: the
+// lines after its column header, up to the first blank line.
+func printedRows(t *testing.T, text, title string) []string {
+	t.Helper()
+	_, rest, ok := strings.Cut(text, title)
+	if !ok {
+		t.Fatalf("no %q in the output:\n%s", title, text)
+	}
+	lines := strings.Split(rest, "\n")[2:] // the title line's rest, the column header
+	for i, l := range lines {
+		if strings.TrimSpace(l) == "" {
+			return lines[:i]
+		}
+	}
+	return lines
+}
+
+func speedup(v float64) string { return fmt.Sprintf("%.2fx", v) }
+
+// TestJSONRecordIsThePrintedRun: -json records the run the text shows —
+// a section only for the experiments selected, holding the numbers that
+// were printed, in the order they were printed.
+func TestJSONRecordIsThePrintedRun(t *testing.T) {
+	t.Run("fig12", func(t *testing.T) {
+		_, fields, _ := runRecorded(t, "fig12")
+		if _, ok := fields["randomizedFolding"]; !ok {
+			t.Fatal("no randomizedFolding section")
+		}
+		for _, name := range []string{"sweep", "queries", "schedulerNormalized", "cacheReadSavingPct", "caseStudies", "windowScale"} {
+			if _, ok := fields[name]; ok {
+				t.Errorf("unselected section %s recorded", name)
+			}
+		}
+	})
+	t.Run("ablation", func(t *testing.T) {
+		text, _, rec := runRecorded(t, "ablation")
+		rows := printedRows(t, text, "=== Ablation: speedup vs window size (app Matrix,")
+		if len(rec.WindowScale) != len(rows) || len(rows) != 3 {
+			t.Fatalf("%d window sizes recorded, %d printed, want 3", len(rec.WindowScale), len(rows))
+		}
+		for i, r := range rec.WindowScale {
+			want := fmt.Sprintf("%d %s %d", r.WindowSplits, speedup(r.WorkSpeedup), r.SliderCombines)
+			if got := strings.Join(strings.Fields(rows[i]), " "); got != want {
+				t.Errorf("window size %d: recorded %q, printed %q", i, want, got)
+			}
+		}
+	})
+	t.Run("table3,table4,table5", func(t *testing.T) {
+		text, _, rec := runRecorded(t, "table3,table4,table5")
+		var printed []string
+		for _, n := range []string{"3", "4", "5"} {
+			for _, row := range printedRows(t, text, "=== Table "+n+":") {
+				printed = append(printed, "table"+n+" "+strings.Join(strings.Fields(row), " "))
+			}
+		}
+		if len(rec.CaseStudies) != len(printed) {
+			t.Fatalf("%d case-study rows recorded, %d printed", len(rec.CaseStudies), len(printed))
+		}
+		for i, r := range rec.CaseStudies {
+			want := fmt.Sprintf("%s %s %.1f%% %s %s", r.Table, r.Label, r.ChangePct, speedup(r.TimeSpeedup), speedup(r.WorkSpeedup))
+			if want != printed[i] {
+				t.Errorf("row %d: recorded %q, printed %q", i, want, printed[i])
+			}
+		}
+	})
+	t.Run("fig10", func(t *testing.T) {
+		text, _, rec := runRecorded(t, "fig10")
+		rows := printedRows(t, text, "=== Figure 10:")
+		if len(rec.Queries) != len(rows) || len(rows) != 9 {
+			t.Fatalf("%d query cells recorded, %d printed, want 9", len(rec.Queries), len(rows))
+		}
+		for i, q := range rec.Queries {
+			row := strings.Join(strings.Fields(rows[i]), " ")
+			speedups := " " + speedup(q.WorkSpeedup) + " " + speedup(q.TimeSpeedup)
+			if !strings.HasPrefix(row, q.Query+" ") || !strings.HasSuffix(row, speedups) {
+				t.Errorf("row %d: recorded %s%s, printed %q", i, q.Query, speedups, row)
+			}
+		}
+	})
 }
 
 func TestRunRejectsBadScale(t *testing.T) {

@@ -11,6 +11,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -246,25 +247,7 @@ func sameValue(a, b mapreduce.Value) bool {
 }
 
 func closeEnough(x, y float64) bool {
-	diff := x - y
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := 1.0
-	if ax := abs64(x); ax > scale {
-		scale = ax
-	}
-	if ay := abs64(y); ay > scale {
-		scale = ay
-	}
-	return diff <= 1e-9*scale
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return math.Abs(x-y) <= 1e-9*max(1, math.Abs(x), math.Abs(y))
 }
 
 // simulate turns a report into a makespan under the given policy.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -322,7 +323,7 @@ func TestAblationWindowScale(t *testing.T) {
 
 func TestRunSelected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, Quick(), []string{"fig10"}); err != nil {
+	if _, err := Run(&buf, Quick(), []string{"fig10"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Figure 10") {
@@ -333,17 +334,20 @@ func TestRunSelected(t *testing.T) {
 	}
 }
 
+// TestRunJSON: one pass over every experiment returns a complete record,
+// and it survives the JSON round trip slider-bench -json puts it through.
 func TestRunJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunJSON(&buf, Quick(), "quick"); err != nil {
+	rec, err := Run(io.Discard, Quick(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded ResultsJSON
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if decoded.Scale != "quick" {
-		t.Fatalf("scale = %q", decoded.Scale)
 	}
 	if len(decoded.Sweep) != 5*3*5 {
 		t.Fatalf("sweep cells = %d, want 75", len(decoded.Sweep))

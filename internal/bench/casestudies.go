@@ -55,7 +55,7 @@ func Table3(s Scale) ([]CaseStudyRow, string, error) {
 	gen := workload.NewGlasnost(workload.GlasnostConfig{
 		Seed: 42, Servers: 8,
 		RunsPerSplit:   s.Text.LinesPerSplit * 20,
-		SplitsPerMonth: maxInt(4, s.WindowSplits/8),
+		SplitsPerMonth: max(4, s.WindowSplits/8),
 	})
 	newJob := func() *mapreduce.Job { return apps.GlasnostMonitor(s.Partitions) }
 
@@ -99,7 +99,7 @@ func Table5(s Scale) ([]CaseStudyRow, string, error) {
 		TamperRate:    0.02,
 	})
 	newJob := func() *mapreduce.Job { return apps.NetSessionAudit(s.Partitions, 64) }
-	fullSplits := maxInt(2, s.WindowSplits/5)
+	fullSplits := max(2, s.WindowSplits/5)
 
 	var rows []CaseStudyRow
 	for _, pct := range []int{100, 95, 90, 85, 80, 75} {

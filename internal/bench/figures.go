@@ -150,22 +150,26 @@ func Figure13(sw *Sweep) string {
 			if !ok {
 				continue
 			}
-			// Variance reduction: Slider's initial map phase is the
-			// same computation as vanilla's plus the memoization
-			// writes, so substitute vanilla's map measurement plus the
-			// recorded write time for Slider's own noisy re-measurement.
-			adjSlider := c.SliderInitReport.Work -
-				c.SliderInitReport.PhaseWork[metrics.PhaseMap] +
-				c.VanillaInitReport.PhaseWork[metrics.PhaseMap] +
-				time.Duration(c.SliderInitReport.Counters.WriteTime)
-			workOvh := overheadPct(c.VanillaInitReport.Work, adjSlider)
 			timeOvh := overheadPct(c.VanillaInitTime, c.SliderInitTime)
-			space := float64(c.SpaceBytes) / float64(maxInt64(1, c.InputBytes))
+			space := float64(c.SpaceBytes) / float64(max(1, c.InputBytes))
 			fmt.Fprintf(&b, "%-10s %-18s %11.1f%% %11.1f%% %14.2fx\n",
-				app, modeName(mode), workOvh, timeOvh, space)
+				app, modeName(mode), initWorkOverheadPct(c), timeOvh, space)
 		}
 	}
 	return b.String()
+}
+
+// initWorkOverheadPct is the cell's initial-run work overhead vs vanilla.
+// Variance reduction: Slider's initial map phase is the same computation
+// as vanilla's plus the memoization writes, so vanilla's map measurement
+// plus the recorded write time stands in for Slider's own noisy
+// re-measurement.
+func initWorkOverheadPct(c Measurement) float64 {
+	adjSlider := c.SliderInitReport.Work -
+		c.SliderInitReport.PhaseWork[metrics.PhaseMap] +
+		c.VanillaInitReport.PhaseWork[metrics.PhaseMap] +
+		time.Duration(c.SliderInitReport.Counters.WriteTime)
+	return overheadPct(c.VanillaInitReport.Work, adjSlider)
 }
 
 func overheadPct(base, with time.Duration) float64 {
@@ -173,13 +177,6 @@ func overheadPct(base, with time.Duration) float64 {
 		return 0
 	}
 	return 100 * (float64(with) - float64(base)) / float64(base)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Figure10Result holds one (query, mode) cell of the query-processing
@@ -454,7 +451,7 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 			if err != nil {
 				return nil, "", fmt.Errorf("figure11 %s/%v split: %w", app.Name, mode, err)
 			}
-			norm := float64(maxDur(plain.fg, 1))
+			norm := float64(max(plain.fg, 1))
 			out[mode] = append(out[mode], Figure11Result{
 				App:              app.Name,
 				Foreground:       float64(split.fg) / norm,
@@ -474,13 +471,6 @@ func Figure11(s Scale, appList []App) (map[sliderrt.Mode][]Figure11Result, strin
 		}
 	}
 	return out, b.String(), nil
-}
-
-func maxDur(a time.Duration, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // medianDur returns the median of a non-empty duration slice.

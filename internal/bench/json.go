@@ -1,12 +1,5 @@
 package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"time"
-)
-
 // CellJSON is one sweep cell in machine-readable form.
 type CellJSON struct {
 	App                   string  `json:"app"`
@@ -43,7 +36,8 @@ type CaseStudyJSON struct {
 	TimeSpeedup float64 `json:"timeSpeedup"`
 }
 
-// ResultsJSON is the machine-readable record of a full run.
+// ResultsJSON is the machine-readable record of one Run: a section per
+// selected experiment, holding the values its text printed.
 type ResultsJSON struct {
 	Scale        string                `json:"scale"`
 	DurationMs   int64                 `json:"durationMs"`
@@ -56,100 +50,23 @@ type ResultsJSON struct {
 	WindowScale  []AblationScaleResult `json:"windowScale,omitempty"`
 }
 
-// RunJSON executes the main experiments and writes a single JSON document
-// to w (for CI tracking and regression dashboards).
-func RunJSON(w io.Writer, s Scale, scaleName string) error {
-	start := time.Now()
-	appList := MicroApps(s)
-	out := ResultsJSON{Scale: scaleName}
-
-	sweep, err := RunSweep(s, appList, Pcts)
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
+// cellJSON is the sweep cell's record, read from the measurement the
+// figures print.
+func cellJSON(c Measurement) CellJSON {
+	return CellJSON{
+		App:                   c.App,
+		Mode:                  c.Mode.String(),
+		ChangePct:             c.Pct,
+		WorkSpeedupVsScratch:  c.WorkSpeedupVsScratch(),
+		TimeSpeedupVsScratch:  c.TimeSpeedupVsScratch(),
+		WorkSpeedupVsStrawman: c.WorkSpeedupVsStrawman(),
+		TimeSpeedupVsStrawman: c.TimeSpeedupVsStrawman(),
+		SliderWorkNs:          int64(c.SliderReport.Work),
+		ScratchWorkNs:         int64(c.ScratchReport.Work),
+		SliderCombines:        c.SliderReport.Counters.CombineCalls,
+		StrawmanCombines:      c.StrawReport.Counters.CombineCalls,
+		InitWorkOverheadPct:   initWorkOverheadPct(c),
+		SpaceBytes:            c.SpaceBytes,
+		InputBytes:            c.InputBytes,
 	}
-	for _, c := range sweep.Cells {
-		initOvh := 0.0
-		if c.VanillaInitReport.Work > 0 {
-			initOvh = 100 * (float64(c.SliderInitReport.Work) - float64(c.VanillaInitReport.Work)) /
-				float64(c.VanillaInitReport.Work)
-		}
-		out.Sweep = append(out.Sweep, CellJSON{
-			App:                   c.App,
-			Mode:                  c.Mode.String(),
-			ChangePct:             c.Pct,
-			WorkSpeedupVsScratch:  c.WorkSpeedupVsScratch(),
-			TimeSpeedupVsScratch:  c.TimeSpeedupVsScratch(),
-			WorkSpeedupVsStrawman: c.WorkSpeedupVsStrawman(),
-			TimeSpeedupVsStrawman: c.TimeSpeedupVsStrawman(),
-			SliderWorkNs:          int64(c.SliderReport.Work),
-			ScratchWorkNs:         int64(c.ScratchReport.Work),
-			SliderCombines:        c.SliderReport.Counters.CombineCalls,
-			StrawmanCombines:      c.StrawReport.Counters.CombineCalls,
-			InitWorkOverheadPct:   initOvh,
-			SpaceBytes:            c.SpaceBytes,
-			InputBytes:            c.InputBytes,
-		})
-	}
-
-	queries, _, err := Figure10(s)
-	if err != nil {
-		return err
-	}
-	for _, q := range queries {
-		out.Queries = append(out.Queries, QueryJSON{
-			Query: q.Query, Mode: q.Mode.String(), Stages: q.Stages,
-			WorkSpeedup: q.WorkSpeedup, TimeSpeedup: q.TimeSpeedup,
-		})
-	}
-
-	t1, _, err := Table1(s, appList)
-	if err != nil {
-		return err
-	}
-	out.Scheduler = make(map[string]float64, len(t1))
-	for _, r := range t1 {
-		out.Scheduler[r.App] = r.Normalized
-	}
-	t2, _, err := Table2(s, appList)
-	if err != nil {
-		return err
-	}
-	out.CacheSavings = make(map[string]float64, len(t2))
-	for _, r := range t2 {
-		out.CacheSavings[r.App] = r.ReductionPct
-	}
-
-	for name, run := range map[string]func(Scale) ([]CaseStudyRow, string, error){
-		"table3": Table3, "table4": Table4, "table5": Table5,
-	} {
-		rows, _, err := run(s)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			out.CaseStudies = append(out.CaseStudies, CaseStudyJSON{
-				Table: name, Label: r.Label, ChangePct: r.ChangePct,
-				WorkSpeedup: r.WorkSpeedup, TimeSpeedup: r.TimeSpeedup,
-			})
-		}
-	}
-
-	out.Randomized, _, err = Figure12(s, appList)
-	if err != nil {
-		return err
-	}
-	for _, app := range appList {
-		if app.Name != "K-Means" {
-			continue
-		}
-		out.WindowScale, _, err = AblationWindowScale(s, app)
-		if err != nil {
-			return err
-		}
-	}
-
-	out.DurationMs = time.Since(start).Milliseconds()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -23,7 +23,7 @@ type Table1Result struct {
 // stock Hadoop scheduler on the incremental runs' task mix, on a cluster
 // with one slow (straggler) machine, as in §7.3.
 func Table1(s Scale, appList []App) ([]Table1Result, string, error) {
-	// One straggler at half speed.
+	// One straggler at 0.4 of the others' speed.
 	cfg := s.Cluster
 	cfg.Speed = make([]float64, cfg.Nodes)
 	for i := range cfg.Speed {
@@ -63,7 +63,7 @@ func Table1(s Scale, appList []App) ([]Table1Result, string, error) {
 		hybrid := sim.Run(tasks, scheduler.Hybrid{})
 		results = append(results, Table1Result{
 			App:        app.Name,
-			Normalized: float64(hybrid.Makespan) / float64(maxDur(base.Makespan, 1)),
+			Normalized: float64(hybrid.Makespan) / float64(max(base.Makespan, 1)),
 		})
 	}
 	var b strings.Builder
@@ -174,19 +174,12 @@ func caseStudyAdvance(
 	scratch := rec.Snapshot()
 	return CaseStudyRow{
 		Label:       label,
-		ChangePct:   100 * float64(len(add)) / float64(maxInt(1, len(*window))),
+		ChangePct:   100 * float64(len(add)) / float64(max(1, len(*window))),
 		WorkSpeedup: metrics.Speedup(scratch.Work, res.Report.Work),
 		TimeSpeedup: metrics.Speedup(
 			simulate(s, scratch, scheduler.Baseline{}),
 			simulate(s, res.Report, scheduler.Hybrid{})),
 	}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // formatCaseStudy renders a case-study table.

@@ -15,8 +15,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -229,24 +227,4 @@ func Speedup(base, new time.Duration) float64 {
 		return 0
 	}
 	return float64(base) / float64(new)
-}
-
-// FormatBreakdown renders a per-phase percentage breakdown relative to a
-// baseline report, as used in Figure 9.
-func FormatBreakdown(base, run Report) string {
-	var b strings.Builder
-	phases := make([]Phase, 0, len(run.PhaseWork))
-	for p := range run.PhaseWork {
-		phases = append(phases, p)
-	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, p := range phases {
-		bw := base.PhaseWork[p]
-		if bw <= 0 {
-			continue
-		}
-		pct := 100 * float64(run.PhaseWork[p]) / float64(bw)
-		fmt.Fprintf(&b, "%s=%.1f%% ", p, pct)
-	}
-	return strings.TrimSpace(b.String())
 }

@@ -123,12 +123,3 @@ func TestPhaseString(t *testing.T) {
 		t.Fatal("unknown phase formatting")
 	}
 }
-
-func TestFormatBreakdown(t *testing.T) {
-	base := Report{PhaseWork: map[Phase]time.Duration{PhaseMap: 100, PhaseReduce: 100}}
-	run := Report{PhaseWork: map[Phase]time.Duration{PhaseMap: 25, PhaseReduce: 50}}
-	got := FormatBreakdown(base, run)
-	if !strings.Contains(got, "map=25.0%") || !strings.Contains(got, "reduce=50.0%") {
-		t.Fatalf("breakdown = %q", got)
-	}
-}
