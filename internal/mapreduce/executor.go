@@ -171,17 +171,21 @@ func ReducePayload(job *Job, roots []Payload) (Output, int64) {
 //
 // A lone non-empty root — every slide outside split processing — is
 // already the key-ordered stream: its entries are walked as they lie, each
-// value handed to Reduce through one reused one-element slice. Several
-// roots are joined into that stream (joinK) and hand each key's values
-// over together, in window order. Either way keys reach Reduce in
-// ascending order, and the slice it receives is only valid for the
+// value handed to Reduce through one reused one-element slice. Two — the
+// daba kind's halves when a slide refills the output — are walked with two
+// cursors (reduceTwo). More roots are joined into that stream (joinK). Each
+// way a key's values reach Reduce together, in window order, keys reach it
+// in ascending order, and the slice it receives is only valid for the
 // duration of the call (see Job.Reduce).
 func ReduceInto(job *Job, roots []Sized, out Output) int64 {
-	var lone Payload
+	var left, right Payload
 	nonEmpty := 0
 	for _, r := range roots {
 		if len(r.P) > 0 {
-			lone = r.P
+			if nonEmpty == 0 {
+				left = r.P
+			}
+			right = r.P
 			nonEmpty++
 		}
 	}
@@ -190,17 +194,56 @@ func ReduceInto(job *Job, roots []Sized, out Output) int64 {
 		return 0
 	case 1:
 		one := make([]Value, 1)
-		for _, e := range lone {
+		for _, e := range right {
 			one[0] = e.Value
 			out[e.Key] = job.Reduce(e.Key, one)
 		}
-		return int64(len(lone))
+		return int64(len(right))
+	case 2:
+		return reduceTwo(job, left, right, out)
 	}
 	var calls int64
 	joinK(roots, func(key string, vals []Value) {
 		out[key] = job.Reduce(key, vals)
 		calls++
 	})
+	return calls
+}
+
+// reduceTwo is ReduceInto over two non-empty roots, left before right in
+// window order: what joinK gives over them, without its heap. A key both
+// hold hands Reduce the left value then the right one, under the right
+// root's key string, as joinK's rightmost holder; the values pass through
+// one reused two-element slice.
+func reduceTwo(job *Job, left, right Payload, out Output) int64 {
+	pair := make([]Value, 2)
+	i, j := 0, 0
+	var calls int64
+	for i < len(left) && j < len(right) {
+		l, r := &left[i], &right[j]
+		switch c := strings.Compare(l.Key, r.Key); {
+		case c < 0:
+			pair[0] = l.Value
+			out[l.Key] = job.Reduce(l.Key, pair[:1])
+			i++
+		case c > 0:
+			pair[0] = r.Value
+			out[r.Key] = job.Reduce(r.Key, pair[:1])
+			j++
+		default:
+			pair[0], pair[1] = l.Value, r.Value
+			out[r.Key] = job.Reduce(r.Key, pair)
+			i, j = i+1, j+1
+		}
+		calls++
+	}
+	for _, rest := range [2]Payload{left[i:], right[j:]} {
+		for _, e := range rest {
+			pair[0] = e.Value
+			out[e.Key] = job.Reduce(e.Key, pair[:1])
+		}
+		calls += int64(len(rest))
+	}
 	return calls
 }
 

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"slices"
@@ -15,8 +14,18 @@ import (
 // key before it folds every key's chain to a single value (see
 // mapScratch.fold): what bounds a task's memory in values whatever it emits.
 // It is read from the table in DESIGN.md §9 (ninth revision): each halving
-// below it costs a job with few keys another round of Combine calls per split
-// of the size this repository maps, nothing above it is cheaper.
+// below it costs a job with few keys another round of Combine calls.
+//
+// What reaches it depends on the task. A 200-line wordcount split (2 400
+// emits over ~630 keys) never folds before its end; a range of four such
+// splits, as a Fixed window maps a multi-split bucket, repeats ~7 900 values
+// over ~1 730 keys and folds three times before its final fold, as a
+// 2 000-point K-Means split never does. A larger bound saves little of that
+// (DESIGN.md §9, nineteenth revision: 8 192 read within the noise of a range
+// task) and lets a task hold four times the pending values. Nor is the bound
+// free to move: it decides how a key's values are grouped into Combine calls,
+// which a combiner that is associative only up to rounding — a float sum in
+// any order but left to right — would see in its results. So it stays.
 const mapPendingBound = 2048
 
 // slotSeed keys the hash of the map task's index. Keys come from records off
@@ -25,6 +34,9 @@ const mapPendingBound = 2048
 // assigns partitions, is unkeyed and is not used to place a key in the table.
 var slotSeed = maphash.MakeSeed()
 
+// slotHash is the hash the index places a key by.
+func slotHash(key string) uint32 { return uint32(maphash.String(slotSeed, key)) }
+
 // mapSlot is one slot of the open-addressing index: the key's hash and the
 // position of its entry, plus one so that the zero slot is an empty one.
 type mapSlot struct {
@@ -32,20 +44,55 @@ type mapSlot struct {
 	ref  uint32
 }
 
-// mapEntry is one distinct key of the task, in first-emit order, with the
-// chain of its pending values: first and last index mapScratch.vals.
+// mapEntry is one distinct key of the task, in first-emit order, with its
+// prefix (see keyPrefix) and the chain of its pending values: first and last
+// index mapScratch.vals.
 type mapEntry struct {
 	key         string
+	prefix      uint64
 	first, last int32
 }
 
-// sortKey orders a partition's entries: the key's first eight bytes, big
-// endian and zero padded, decide nearly every comparison without touching the
-// strings; idx names the entry.
+// keyPrefix is a key's first eight bytes, big endian and zero padded. Two
+// keys with the same prefix and length are equal when neither is longer than
+// eight bytes, and a longer one differs from another only in its tail. The
+// prefixes of two keys compare as the keys do wherever they differ, since a
+// key that ends inside the prefix is padded with bytes that sort first.
+//
+// A key shorter than eight bytes is read as two overlapping words, its first
+// and its last four (or two) bytes, each shifted to where its bytes belong:
+// no loop over the bytes, whose exit a branch predictor misses on keys of
+// mixed lengths.
+func keyPrefix(key string) uint64 {
+	switch n := len(key); {
+	case n >= 8:
+		_ = key[7]
+		return uint64(key[7]) | uint64(key[6])<<8 | uint64(key[5])<<16 | uint64(key[4])<<24 |
+			uint64(key[3])<<32 | uint64(key[2])<<40 | uint64(key[1])<<48 | uint64(key[0])<<56
+	case n >= 4:
+		t := key[n-4:]
+		return (uint64(key[3])|uint64(key[2])<<8|uint64(key[1])<<16|uint64(key[0])<<24)<<32 |
+			(uint64(t[3])|uint64(t[2])<<8|uint64(t[1])<<16|uint64(t[0])<<24)<<(64-8*n)
+	case n >= 2:
+		t := key[n-2:]
+		return (uint64(key[1])|uint64(key[0])<<8)<<48 | (uint64(t[1])|uint64(t[0])<<8)<<(64-8*n)
+	case n == 1:
+		return uint64(key[0]) << 56
+	}
+	return 0
+}
+
+// sortKey orders a partition's entries: the key's prefix decides nearly
+// every comparison without touching the strings; idx names the entry.
 type sortKey struct {
 	prefix uint64
 	idx    int32
 }
+
+// radixCutover is the shortest partition cut orders with radixSort; shorter
+// ones go to slices.SortFunc, which has no 256-bucket passes to amortise. It
+// is read from the table in DESIGN.md §9 (nineteenth revision).
+const radixCutover = 128
 
 // mapScratch is everything a map task needs besides its outputs. A task
 // takes one from mapScratchPool, and returns it reset: the slices keep their
@@ -60,6 +107,7 @@ type mapScratch struct {
 	args    []Value    // one key's chain gathered for Combine
 	part    []int32    // the partition of each entry
 	order   []sortKey  // the entries grouped by partition, then sorted
+	spare   []sortKey  // the radix sort's second buffer
 	counts  []int      // entries per partition
 }
 
@@ -70,26 +118,34 @@ type mapScratch struct {
 // task pays for that capacity is nothing: see reset.
 var mapScratchPool = sync.Pool{New: func() any { return newMapScratch() }}
 
-func newMapScratch() *mapScratch { return &mapScratch{slots: make([]mapSlot, 64)} }
+// newMapScratch starts with room for the keys its index holds before it
+// first grows.
+func newMapScratch() *mapScratch {
+	return &mapScratch{slots: make([]mapSlot, 64), entries: make([]mapEntry, 0, 32)}
+}
 
 // emit records one pair: one hash, one probe sequence, and the value linked
-// to the end of its key's chain. Nothing is combined here; see fold.
+// to the end of its key's chain. Nothing is combined here; see fold. A key
+// meets an entry of its hash on prefix and length, and only a key longer than
+// its prefix has its tail's bytes compared.
 func (s *mapScratch) emit(key string, value Value) {
-	h := uint32(maphash.String(slotSeed, key))
+	h := slotHash(key)
+	p := keyPrefix(key)
 	v := int32(len(s.vals))
 	mask := uint32(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		slot := s.slots[i]
 		if slot.ref == 0 {
 			s.slots[i] = mapSlot{h, uint32(len(s.entries)) + 1}
-			s.entries = append(s.entries, mapEntry{key, v, v})
+			s.entries = append(s.entries, mapEntry{key, p, v, v})
 			s.vals, s.next = append(s.vals, value), append(s.next, -1)
 			if 2*len(s.entries) > len(s.slots) {
 				s.grow()
 			}
 			return
 		}
-		if e := &s.entries[slot.ref-1]; slot.hash == h && e.key == key {
+		if e := &s.entries[slot.ref-1]; slot.hash == h && e.prefix == p && len(e.key) == len(key) &&
+			(len(key) <= 8 || e.key[8:] == key[8:]) {
 			s.next[e.last], e.last = v, v
 			s.vals, s.next = append(s.vals, value), append(s.next, -1)
 			if len(s.vals)-len(s.entries) >= mapPendingBound {
@@ -150,7 +206,8 @@ func (s *mapScratch) fold() {
 // slice of exactly its length (nil when nothing was emitted to it), with the
 // payloads' sizes. This is where a key meets FNV — once, however often it was
 // emitted — and where a partition is put in key order: by sorting
-// (prefix, entry) pairs in the scratch, reading the strings only where two
+// (prefix, entry) pairs in the scratch — with compare below radixCutover
+// pairs, radixSort from there on — reading the strings only where two
 // prefixes are equal.
 //
 // The keys are copied once, into one string for the task, in partition then
@@ -162,7 +219,7 @@ func (s *mapScratch) fold() {
 func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64) {
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	clear(s.counts)
-	s.part = s.part[:0]
+	s.part = slices.Grow(s.part[:0], len(s.entries))
 	keyBytes := 0
 	for _, e := range s.entries {
 		p := Partition(e.key, n)
@@ -179,10 +236,8 @@ func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64
 	}
 	s.order = slices.Grow(s.order[:0], end)[:end] // every pair is written below
 	for i, e := range s.entries {
-		var b [8]byte
-		copy(b[:], e.key)
 		p := s.part[i]
-		s.order[s.counts[p]] = sortKey{binary.BigEndian.Uint64(b[:]), int32(i)}
+		s.order[s.counts[p]] = sortKey{e.prefix, int32(i)}
 		s.counts[p]++
 	}
 	parts, partBytes = make([]Payload, n), make([]int64, n)
@@ -191,7 +246,11 @@ func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64
 	start := 0
 	for p, end := range s.counts {
 		if run := s.order[start:end]; len(run) > 0 {
-			slices.SortFunc(run, s.compare)
+			if len(run) < radixCutover {
+				slices.SortFunc(run, s.compare)
+			} else {
+				s.radixSort(run)
+			}
 			out := make(Payload, len(run))
 			for i, k := range run {
 				off := arena.Len()
@@ -205,6 +264,54 @@ func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64
 		start = end
 	}
 	return parts, partBytes, bytes
+}
+
+// radixSort orders run by prefix with an LSD radix sort — one stable counting
+// pass per prefix byte, skipping the bytes every pair of the run shares, in
+// the scratch's spare buffer — and then each run of equal prefixes (keys that
+// share their first eight bytes, or differ only in trailing zero bytes) by
+// the full key. A task's keys are distinct, so that is the order compare
+// gives.
+func (s *mapScratch) radixSort(run []sortKey) {
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range run {
+		and, or = and&k.prefix, or|k.prefix
+	}
+	varying := and ^ or
+	s.spare = slices.Grow(s.spare[:0], len(run))[:len(run)]
+	src, dst := run, s.spare
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(varying>>shift) == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, k := range src {
+			at[byte(k.prefix>>shift)]++
+		}
+		var sum int32
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for _, k := range src {
+			b := byte(k.prefix >> shift)
+			dst[at[b]] = k
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &run[0] {
+		copy(run, src)
+	}
+	for i := 0; i < len(run); {
+		j := i + 1
+		for j < len(run) && run[j].prefix == run[i].prefix {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(run[i:j], s.compare)
+		}
+		i = j
+	}
 }
 
 func (s *mapScratch) compare(a, b sortKey) int {
@@ -227,7 +334,7 @@ func (s *mapScratch) reset() {
 	if 8*len(s.entries) < len(s.slots) {
 		mask := uint32(len(s.slots) - 1)
 		for _, e := range s.entries {
-			for i := uint32(maphash.String(slotSeed, e.key)) & mask; s.slots[i].ref != 0; i = (i + 1) & mask {
+			for i := slotHash(e.key) & mask; s.slots[i].ref != 0; i = (i + 1) & mask {
 				s.slots[i] = mapSlot{}
 			}
 		}

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -200,9 +201,76 @@ type differentialCase struct {
 	want  MapResult // the reference's result
 }
 
+// TestKeyPrefix holds keyPrefix to its definition — the first eight bytes,
+// zero padded, read big endian — at every length up to 16, over random bytes
+// (the zero byte and the top bit among them).
+func TestKeyPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for n := 0; n <= 16; n++ {
+		for trial := 0; trial < 200; trial++ {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = []byte{0, 1, 'a', 0x7f, 0x80, 0xff}[rng.Intn(6)]
+			}
+			var want [8]byte
+			copy(want[:], b)
+			if got := keyPrefix(string(b)); got != binary.BigEndian.Uint64(want[:]) {
+				t.Fatalf("keyPrefix(%q) = %#x, want %#x", b, got, binary.BigEndian.Uint64(want[:]))
+			}
+		}
+	}
+}
+
+// radixKeys are keys enough for every partition of up to seven to take the
+// radix sort, most of them in groups that share their padded prefix: per
+// group a 7-byte key, its extensions by one and two zero bytes (8 and 9
+// bytes), and a 16-byte one that shares its first eight bytes with the
+// 8-byte key — plus the empty key, "ab" and "ab\x00", which only their
+// lengths tell apart, and collidingKeys, which only their tails do.
+func radixKeys() []string {
+	a, b := collidingKeys()
+	keys := []string{"", "ab", "ab\x00", a, b}
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("w%06d", i*7919%1000000)
+		keys = append(keys, k, k+"\x00", k+"\x00\x00", k+"\x00"+fmt.Sprintf("%08d", i))
+	}
+	return keys
+}
+
+// collidingKeys are two 16-byte keys with the same first eight bytes and the
+// same slotHash in this process: where emit meets an entry it must compare
+// the tails. Found by a birthday search, some 2^16 keys.
+var collidingKeys = sync.OnceValues(func() (string, string) {
+	seen := make(map[uint32]string, 1<<17)
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("collide\x00%08x", i)
+		if other, ok := seen[slotHash(k)]; ok {
+			return other, k
+		}
+		seen[slotHash(k)] = k
+	}
+})
+
+// radixSplit emits every radixKeys key one to three times, shuffled, so that
+// a group's keys are first emitted in any order.
+func radixSplit(rng *rand.Rand, ints bool) Split {
+	var emits script
+	for _, k := range radixKeys() {
+		for i := rng.Intn(3); i >= 0; i-- {
+			if ints {
+				emits = append(emits, Entry{k, int64(1 + i)})
+			} else {
+				emits = append(emits, Entry{k, fmt.Sprintf("%d.", i)})
+			}
+		}
+	}
+	rng.Shuffle(len(emits), func(i, j int) { emits[i], emits[j] = emits[j], emits[i] })
+	return Split{ID: "radix", Records: []Record{emits[:len(emits)/2], emits[len(emits)/2:]}}
+}
+
 // differentialCases are seeded (job, split) pairs with the reference's
 // result: both combiners, every partition count of interest, and per job one
-// boundarySplit after the drawn ones.
+// boundarySplit and one radixSplit after the drawn ones.
 func differentialCases(t testing.TB, seed int64, perShape int) []differentialCase {
 	rng := rand.New(rand.NewSource(seed))
 	var cases []differentialCase
@@ -212,14 +280,18 @@ func differentialCases(t testing.TB, seed int64, perShape int) []differentialCas
 			if ints {
 				job = scriptJob(partitions, sumJob(1).Combine)
 			}
-			for i := 0; i <= perShape; i++ {
+			for i := 0; i <= perShape+1; i++ {
 				c := differentialCase{
 					label: fmt.Sprintf("seed %d, %d partitions, ints=%v, split %d", seed, partitions, ints, i),
 					job:   job,
-					split: boundarySplit(ints),
 				}
-				if i < perShape {
+				switch {
+				case i < perShape:
 					c.split = scriptSplit(rng, fmt.Sprintf("s%d", i), ints)
+				case i == perShape:
+					c.split = boundarySplit(ints)
+				default:
+					c.split = radixSplit(rng, ints)
 				}
 				var err error
 				if c.want, err = refRunMapTask(job, c.split); err != nil {
@@ -308,6 +380,15 @@ func FuzzMapTask(f *testing.F) {
 	f.Add([]byte("word-0001x word-0001y word-0002x\n\xff\xffz \xffz z"), uint8(3))
 	f.Add([]byte("ab\x00x ab\x00\x00x abx\nabcdefghi abcdefgh\x00 abcdefghij"), uint8(7))
 	f.Add(bytes.Repeat([]byte("kx ky lz\n"), mapPendingBound+3), uint8(1))
+	// radixKeys backwards, so that each group's keys come first in descending
+	// order; each word is a key and one byte more.
+	var radix bytes.Buffer
+	keys := radixKeys()
+	for i := len(keys) - 1; i >= 0; i-- {
+		radix.WriteString(keys[i] + "x")
+		radix.WriteByte(" \n"[i%2])
+	}
+	f.Add(radix.Bytes(), uint8(2))
 	f.Add([]byte{}, uint8(0))
 	job := &Job{
 		Name: "fuzz",

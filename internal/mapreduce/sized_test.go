@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // blob is a value whose size comes from the Sizer interface.
@@ -237,6 +239,97 @@ func TestReduceIntoLoneRoot(t *testing.T) {
 	out := make(Output, len(counts))
 	if allocs := testing.AllocsPerRun(20, func() { ReduceInto(sum, roots, out) }); allocs != 1 {
 		t.Errorf("lone root among empty ones: %.0f allocs, want 1 (the scratch slice)", allocs)
+	}
+}
+
+// TestReduceIntoTwoRoots checks the two-cursor pass ReduceInto takes over
+// exactly two non-empty roots against the joinK walk it bypasses, under a
+// reducer that is neither commutative nor blind to grouping, with key sets
+// that are disjoint, overlap or are identical, the roots alone or among
+// empty and nil ones: the same output and number of calls, keys in the same
+// (ascending) order, each key's values in the same (window) order, and the
+// same key string — the right root's, where both hold the key. Then the
+// allocation pin: one scratch slice a call, none per key.
+func TestReduceIntoTwoRoots(t *testing.T) {
+	type call struct {
+		key  string
+		data *byte // which string Reduce was handed, not only its bytes
+		vals string
+	}
+	job := concatJob()
+	concat := job.Reduce
+	var calls []call
+	job.Reduce = func(key string, values []Value) Value {
+		v := concat(key, values)
+		calls = append(calls, call{key, unsafe.StringData(key), v.(string)})
+		return v
+	}
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 200; trial++ {
+		keys := make([]string, 1+rng.Intn(40))
+		for i := range keys {
+			keys[i] = fmt.Sprintf("%x", rng.Intn(1<<20)*2654435761)
+		}
+		for _, shape := range []string{"disjoint", "overlapping", "identical"} {
+			lm, rm := make(M), make(M)
+			for i, k := range keys {
+				inLeft := shape == "identical" || shape == "disjoint" && i%2 == 0 || shape == "overlapping" && rng.Intn(3) > 0
+				inRight := shape == "identical" || shape == "disjoint" && i%2 == 1 || shape == "overlapping" && rng.Intn(3) > 0
+				if inLeft {
+					lm[k] = fmt.Sprintf("<l%d>", i)
+				}
+				if inRight {
+					rm[strings.Clone(k)] = fmt.Sprintf("<r%d>", i)
+				}
+			}
+			if len(lm) == 0 || len(rm) == 0 {
+				continue // not two non-empty roots
+			}
+			left, right := Size(job, FromMap(lm)), Size(job, FromMap(rm))
+			calls = calls[:0]
+			want := make(Output)
+			var wantCalls int64
+			joinK([]Sized{left, right}, func(key string, vals []Value) {
+				want[key] = job.Reduce(key, vals)
+				wantCalls++
+			})
+			wantSeq := slices.Clone(calls)
+			rightData := make(map[string]*byte, len(right.P))
+			for _, e := range right.P {
+				rightData[e.Key] = unsafe.StringData(e.Key)
+			}
+			for _, c := range wantSeq {
+				if p, ok := rightData[c.key]; ok && c.data != p {
+					t.Fatalf("trial %d, %s: the join handed %q under another string than the right root's", trial, shape, c.key)
+				}
+			}
+			for name, roots := range map[string][]Sized{
+				"alone":               {left, right},
+				"among empty and nil": {{}, left, {P: Payload{}}, right, {}},
+			} {
+				calls = calls[:0]
+				got := make(Output)
+				n := ReduceInto(job, roots, got)
+				if n != wantCalls || !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, %s, %s:\n got %v (%d calls)\nwant %v (%d calls)", trial, shape, name, got, n, want, wantCalls)
+				}
+				if !slices.Equal(calls, wantSeq) {
+					t.Fatalf("trial %d, %s, %s: Reduce saw\n %v\nwant\n %v", trial, shape, name, calls, wantSeq)
+				}
+			}
+		}
+	}
+
+	sum := sumJob(1)
+	lm, rm := make(M, 400), make(M, 400)
+	for i := 0; i < 400; i++ {
+		lm[fmt.Sprintf("k%d", i)] = int64(1) // sums stay below 256: boxed without allocating
+		rm[fmt.Sprintf("k%d", i+200)] = int64(1)
+	}
+	roots := []Sized{{}, Size(sum, FromMap(lm)), {P: Payload{}}, Size(sum, FromMap(rm)), {}}
+	out := make(Output, 600)
+	if allocs := testing.AllocsPerRun(20, func() { ReduceInto(sum, roots, out) }); allocs != 1 {
+		t.Errorf("two roots among empty ones: %.0f allocs, want 1 (the scratch slice)", allocs)
 	}
 }
 
