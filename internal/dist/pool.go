@@ -65,9 +65,6 @@ func (e *IncompleteError) Completed() ([]mapreduce.MapResult, []bool) { return e
 // selects the documented defaults; negative durations/counts disable the
 // corresponding mechanism where noted.
 type PoolConfig struct {
-	// DialTimeout bounds every TCP connect (initial and redial).
-	// Default 2s.
-	DialTimeout time.Duration
 	// TaskTimeout is the per-task deadline for one batched map call, set
 	// on the socket for the whole exchange; an expired call is abandoned,
 	// its connection closed, and its splits re-executed elsewhere.
@@ -101,14 +98,11 @@ type PoolConfig struct {
 	// negative disables polling (PollStats still works on demand).
 	StatsInterval time.Duration
 	// Hedge enables speculative execution: when a round's in-flight work
-	// has been outstanding longer than the HedgeQuantile of recent batch
+	// has been outstanding longer than the hedgeQuantile of recent batch
 	// latencies (and at least HedgeMin), the still-pending splits are
 	// duplicated on an idle live worker. First result wins — safe
 	// because map tasks are deterministic and side-effect-free.
 	Hedge bool
-	// HedgeQuantile is the latency quantile that arms a hedge.
-	// Default 0.95.
-	HedgeQuantile float64
 	// HedgeMin is the floor below which no hedge fires (also the
 	// threshold used before any latency samples exist). Default 20ms.
 	HedgeMin time.Duration
@@ -127,10 +121,16 @@ type PoolConfig struct {
 	Seed int64
 }
 
+const (
+	// dialTimeout bounds every TCP connect (initial and redial), the ping
+	// that follows it, and a stats poll.
+	dialTimeout = 2 * time.Second
+	// hedgeQuantile is the quantile of recent batch latencies that arms a
+	// hedge.
+	hedgeQuantile = 0.95
+)
+
 func (c *PoolConfig) normalize() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.TaskTimeout == 0 {
 		c.TaskTimeout = 30 * time.Second
 	}
@@ -151,9 +151,6 @@ func (c *PoolConfig) normalize() {
 	}
 	if c.StatsInterval == 0 {
 		c.StatsInterval = time.Second
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 20 * time.Millisecond
@@ -266,20 +263,20 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 
 // connect dials one worker and pings it on the connection it then keeps,
 // so a peer that accepts and is no worker of this protocol never counts as
-// live. The timeout bounds the dial and the ping each.
+// live. dialTimeout bounds the dial and the ping each.
 func (p *Pool) connect(addr string) (*wireConn, error) {
-	conn, _, err := dialPing(addr, p.cfg.DialTimeout)
+	conn, _, err := dialPing(addr)
 	return conn, err
 }
 
-func dialPing(addr string, timeout time.Duration) (*wireConn, PingReply, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+func dialPing(addr string) (*wireConn, PingReply, error) {
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, PingReply{}, err
 	}
 	conn := newWireConn(nc)
 	var reply PingReply
-	if err := conn.value(opPing, timeout, &reply); err != nil {
+	if err := conn.value(opPing, dialTimeout, &reply); err != nil {
 		nc.Close()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = ErrDeadline
@@ -412,7 +409,7 @@ func (p *Pool) PollStats() {
 			continue
 		}
 		var stats metrics.NodeStats
-		err := t.conn.value(opStats, p.cfg.DialTimeout, &stats)
+		err := t.conn.value(opStats, dialTimeout, &stats)
 		t.conn.mu.Unlock()
 		if err != nil {
 			p.failContact(t.w, t.conn, false)
@@ -840,10 +837,10 @@ func (p *Pool) failContact(w *poolWorker, conn *wireConn, trip bool) {
 }
 
 // hedgeThreshold returns how long a round may be outstanding before a
-// hedge fires: the configured quantile of observed batch latencies,
-// floored at HedgeMin.
+// hedge fires: the hedgeQuantile of observed batch latencies, floored at
+// HedgeMin.
 func (p *Pool) hedgeThreshold() time.Duration {
-	th := p.faults.RPCLatency.Quantile(p.cfg.HedgeQuantile)
+	th := p.faults.RPCLatency.Quantile(hedgeQuantile)
 	if th < p.cfg.HedgeMin {
 		th = p.cfg.HedgeMin
 	}
@@ -1076,7 +1073,7 @@ func (p *Pool) nextRevival(now time.Time) time.Duration {
 
 // Ping probes a worker address directly (diagnostics and tests).
 func Ping(addr string) (PingReply, error) {
-	conn, reply, err := dialPing(addr, 2*time.Second)
+	conn, reply, err := dialPing(addr)
 	if err != nil {
 		return PingReply{}, err
 	}

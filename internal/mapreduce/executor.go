@@ -53,9 +53,6 @@ type MapRunner interface {
 type Executor struct {
 	// Parallelism bounds concurrent map tasks; 0 means GOMAXPROCS.
 	Parallelism int
-	// NodeOf, when set, supplies the input-locality node of each split
-	// (by index), recorded as the map task's preferred node.
-	NodeOf func(splitIndex int) int
 }
 
 var _ MapRunner = Executor{}
@@ -127,16 +124,12 @@ func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) (
 		return nil, err
 	}
 	if rec != nil {
-		for i, r := range results {
-			node := -1
-			if e.NodeOf != nil {
-				node = e.NodeOf(i)
-			}
+		for _, r := range results {
 			rec.RecordTask(metrics.Task{
 				Phase:         metrics.PhaseMap,
 				Cost:          r.Cost,
 				InputBytes:    r.Bytes,
-				PreferredNode: node,
+				PreferredNode: -1,
 			})
 		}
 		var c metrics.Counters

@@ -223,7 +223,7 @@ func TestRunMapTasksParallelOrderAndRecording(t *testing.T) {
 		{ID: "s2", Records: []Record{"c"}},
 	}
 	rec := metrics.NewRecorder()
-	exec := Executor{Parallelism: 2, NodeOf: func(i int) int { return i }}
+	exec := Executor{Parallelism: 2}
 	results, err := exec.RunMapTasks(job, splits, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +238,8 @@ func TestRunMapTasksParallelOrderAndRecording(t *testing.T) {
 		t.Fatalf("recorded %d tasks", len(tasks))
 	}
 	for i, task := range tasks {
-		if task.PreferredNode != i {
-			t.Fatalf("task %d preferred node %d", i, task.PreferredNode)
+		if task.PreferredNode != -1 {
+			t.Fatalf("task %d preferred node %d, want none (-1)", i, task.PreferredNode)
 		}
 		if task.Phase != metrics.PhaseMap {
 			t.Fatalf("task %d phase %v", i, task.Phase)

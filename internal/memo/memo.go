@@ -30,45 +30,37 @@ type Config struct {
 	// InMemory enables the in-memory cache layer; when false every
 	// read is served from persistent storage (the ablation of Table 2).
 	InMemory bool
-	// MemReadNsPerKB, DiskReadNsPerKB and NetReadNsPerKB parameterize
-	// the per-byte part of the simulated read-cost model.
-	MemReadNsPerKB  int64
-	DiskReadNsPerKB int64
-	NetReadNsPerKB  int64
-	// MemReadOverheadNs and DiskReadOverheadNs are the fixed per-read
+}
+
+// The shim I/O layer's cost model, calibrated so that in-memory caching
+// saves roughly the 50–68% of read time the paper reports in Table 2 —
+// real deployments never see the raw RAM/disk gap because part of every
+// read is protocol and network overhead.
+const (
+	// memReadNsPerKB, diskReadNsPerKB and netReadNsPerKB are the per-KiB
+	// part of a read: from a node's RAM, from a persistent replica, and
+	// the network hop a read from another node adds to either.
+	memReadNsPerKB  = 4000
+	diskReadNsPerKB = 9000
+	netReadNsPerKB  = 4500
+	// memReadOverheadNs and diskReadOverheadNs are the fixed per-read
 	// latencies (RPC round trip vs. disk seek + RPC). They make the
 	// caching benefit depend on an application's state sizes: small
 	// payloads are latency-bound, large payloads bandwidth-bound.
-	MemReadOverheadNs  int64
-	DiskReadOverheadNs int64
-	// MemWriteNsPerKB and DiskWriteNsPerKB parameterize memoization
-	// write costs: every Put pays one in-memory write plus one
-	// persistent write per replica. These writes are the initial-run
-	// overhead the paper measures in Figure 13 ("I/O costs for
-	// memoizing the intermediate results").
-	MemWriteNsPerKB  int64
-	DiskWriteNsPerKB int64
-}
+	memReadOverheadNs  = 300_000
+	diskReadOverheadNs = 900_000
+	// memWriteNsPerKB and diskWriteNsPerKB are the write costs: every Put
+	// pays one in-memory write plus one persistent write per replica.
+	// These writes are the initial-run overhead the paper measures in
+	// Figure 13 ("I/O costs for memoizing the intermediate results").
+	memWriteNsPerKB  = 300
+	diskWriteNsPerKB = 1200
+)
 
 // DefaultConfig returns the memoization configuration used by the
-// experiments: 24 nodes, 2 replicas, in-memory caching on, and a read
-// cost model (RAM vs. disk vs. network hop) calibrated so that in-memory
-// caching saves roughly the 50–68% of read time the paper reports in
-// Table 2 — real deployments never see the raw RAM/disk gap because part
-// of every read is protocol and network overhead.
+// experiments: 24 nodes, 2 replicas, in-memory caching on.
 func DefaultConfig() Config {
-	return Config{
-		Nodes:              24,
-		Replicas:           2,
-		InMemory:           true,
-		MemReadNsPerKB:     4000,
-		DiskReadNsPerKB:    9000,
-		NetReadNsPerKB:     4500,
-		MemReadOverheadNs:  300_000,
-		DiskReadOverheadNs: 900_000,
-		MemWriteNsPerKB:    300,
-		DiskWriteNsPerKB:   1200,
-	}
+	return Config{Nodes: 24, Replicas: 2, InMemory: true}
 }
 
 func (c *Config) normalize() {
@@ -77,27 +69,6 @@ func (c *Config) normalize() {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.MemReadNsPerKB <= 0 {
-		c.MemReadNsPerKB = 250
-	}
-	if c.DiskReadNsPerKB <= 0 {
-		c.DiskReadNsPerKB = 10000
-	}
-	if c.NetReadNsPerKB <= 0 {
-		c.NetReadNsPerKB = 8000
-	}
-	if c.MemReadOverheadNs < 0 {
-		c.MemReadOverheadNs = 0
-	}
-	if c.DiskReadOverheadNs < 0 {
-		c.DiskReadOverheadNs = 0
-	}
-	if c.MemWriteNsPerKB < 0 {
-		c.MemWriteNsPerKB = 0
-	}
-	if c.DiskWriteNsPerKB < 0 {
-		c.DiskWriteNsPerKB = 0
 	}
 }
 
@@ -210,7 +181,7 @@ func (s *Store) HomeNode(key string) int {
 // write plus one persistent write per replica.
 func (s *Store) writeCost(size int64) int64 {
 	kb := (size + 1023) / 1024
-	return kb*s.cfg.MemWriteNsPerKB + int64(s.cfg.Replicas)*kb*s.cfg.DiskWriteNsPerKB
+	return kb*memWriteNsPerKB + int64(s.cfg.Replicas)*kb*diskWriteNsPerKB
 }
 
 // Put memoizes value under key and returns the simulated write time (the
@@ -263,9 +234,9 @@ func (s *Store) Get(key string, fromNode int) (any, error) {
 	kb := (e.size + 1023) / 1024
 	var cost int64
 	if e.cached && !s.down[home] {
-		cost = s.cfg.MemReadOverheadNs + kb*s.cfg.MemReadNsPerKB
+		cost = memReadOverheadNs + kb*memReadNsPerKB
 		if fromNode >= 0 && fromNode != home {
-			cost += kb * s.cfg.NetReadNsPerKB
+			cost += kb * netReadNsPerKB
 		}
 		s.stats.Hits++
 	} else {
@@ -284,9 +255,9 @@ func (s *Store) Get(key string, fromNode int) (any, error) {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("memo: key %q: %w", key, ErrUnavailable)
 		}
-		cost = s.cfg.DiskReadOverheadNs + kb*s.cfg.DiskReadNsPerKB
+		cost = diskReadOverheadNs + kb*diskReadNsPerKB
 		if !local {
-			cost += kb * s.cfg.NetReadNsPerKB
+			cost += kb * netReadNsPerKB
 		}
 		// Re-populate the in-memory cache on the home node (read-repair).
 		if s.cfg.InMemory && !s.down[home] {

@@ -8,14 +8,7 @@ import (
 )
 
 func testConfig() Config {
-	return Config{
-		Nodes:           4,
-		Replicas:        2,
-		InMemory:        true,
-		MemReadNsPerKB:  10,
-		DiskReadNsPerKB: 1000,
-		NetReadNsPerKB:  500,
-	}
+	return Config{Nodes: 4, Replicas: 2, InMemory: true}
 }
 
 func TestPutGet(t *testing.T) {
@@ -185,12 +178,52 @@ func TestHomeNodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestConfigNormalization holds a store built from a partial Config to the
+// cost model a DefaultConfig store with the same Nodes, Replicas and
+// InMemory charges: there is one table of rates, whatever the caller left
+// unset. The zero Config normalizes to one node, two replicas and no cache.
 func TestConfigNormalization(t *testing.T) {
-	s := NewStore(Config{})
-	s.Put("k", 1, 1, 0, 1)
-	if _, err := s.Get("k", 0); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []Config{{Nodes: 4, Replicas: 2, InMemory: true}, {}} {
+		ref := DefaultConfig()
+		ref.Nodes, ref.Replicas, ref.InMemory = cfg.Nodes, cfg.Replicas, cfg.InMemory
+		got, want := storeCharges(t, NewStore(cfg)), storeCharges(t, NewStore(ref))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%+v: %s charged %d ns, want %d", cfg, want[i].op, got[i].ns, want[i].ns)
+			}
+		}
 	}
+}
+
+type charge struct {
+	op string
+	ns int64
+}
+
+// storeCharges runs one 4 KiB Put, one ChargeWrite and reads of the entry
+// and returns what each charged: with a cache, a cached read from the home
+// node and from another node; then, with the home node failed when there
+// is a cache, a persistent read from a replica's node and from no node.
+func storeCharges(t *testing.T, s *Store) []charge {
+	t.Helper()
+	const key, size = "k", 4096
+	home, nodes := s.HomeNode(key), s.cfg.Nodes
+	out := []charge{{"put", s.Put(key, 1, size, 0, 1)}, {"charge-write", s.ChargeWrite(size)}}
+	read := func(op string, from int) {
+		s.ResetReadStats()
+		if _, err := s.Get(key, from); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		out = append(out, charge{op, s.Stats().ReadTimeNs})
+	}
+	if s.cfg.InMemory {
+		read("cached-get-local", home)
+		read("cached-get-remote", (home+1)%nodes)
+		s.FailNode(home)
+	}
+	read("persistent-get-local", (home+1)%nodes)
+	read("persistent-get-remote", -1)
+	return out
 }
 
 // TestGetReplicaLocality holds Get's persistent-read locality: with
@@ -215,7 +248,7 @@ func TestGetReplicaLocality(t *testing.T) {
 		{"no-locality", -1, true},
 	}
 	kb := int64(size / 1024)
-	localCost := cfg.DiskReadOverheadNs + kb*cfg.DiskReadNsPerKB
+	localCost := diskReadOverheadNs + kb*diskReadNsPerKB
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore(cfg)
@@ -225,7 +258,7 @@ func TestGetReplicaLocality(t *testing.T) {
 			}
 			want := localCost
 			if tc.wantNet {
-				want += kb * cfg.NetReadNsPerKB
+				want += kb * netReadNsPerKB
 			}
 			if got := s.Stats().ReadTimeNs; got != want {
 				t.Fatalf("Get from node %d cost %d, want %d", tc.fromNode, got, want)

@@ -69,16 +69,9 @@ type Counters struct {
 	MapTasksReused int64 // map tasks whose output was memoized
 	MapRecords     int64 // records processed by executed map tasks
 	CombineCalls   int64 // pairwise combiner invocations
-	CombineRecords int64 // values consumed by combiner invocations
 	ReduceCalls    int64 // reduce invocations (one per key at the root)
 	RootLookups    int64 // touched keys a delta reduce looked up, one per non-empty root
 	RootSeeks      int64 // of those, the lookups that sought the key (the rest read a recorded position)
-	NodesReused    int64 // contraction-tree nodes reused from memo
-	NodesComputed  int64 // contraction-tree nodes recomputed
-	CacheHits      int64 // memoization cache hits
-	CacheMisses    int64 // memoization cache misses
-	MemoBytes      int64 // bytes resident in the memoization layer
-	ReadTime       int64 // simulated ns spent reading memoized state
 	WriteTime      int64 // simulated ns spent writing memoized state
 }
 
@@ -90,16 +83,9 @@ func (c *Counters) Add(delta Counters) {
 	c.MapTasksReused += delta.MapTasksReused
 	c.MapRecords += delta.MapRecords
 	c.CombineCalls += delta.CombineCalls
-	c.CombineRecords += delta.CombineRecords
 	c.ReduceCalls += delta.ReduceCalls
 	c.RootLookups += delta.RootLookups
 	c.RootSeeks += delta.RootSeeks
-	c.NodesReused += delta.NodesReused
-	c.NodesComputed += delta.NodesComputed
-	c.CacheHits += delta.CacheHits
-	c.CacheMisses += delta.CacheMisses
-	c.MemoBytes += delta.MemoBytes
-	c.ReadTime += delta.ReadTime
 	c.WriteTime += delta.WriteTime
 }
 

@@ -70,10 +70,10 @@ func TestRecorderConcurrency(t *testing.T) {
 
 func TestCountersAccumulate(t *testing.T) {
 	r := NewRecorder()
-	r.Add(Counters{MapTasks: 1, CombineCalls: 2, ReadTime: 3})
-	r.Add(Counters{MapTasks: 4, CacheHits: 5})
+	r.Add(Counters{MapTasks: 1, CombineCalls: 2, WriteTime: 3})
+	r.Add(Counters{MapTasks: 4, MapTasksReused: 5})
 	c := r.Counters()
-	if c.MapTasks != 5 || c.CombineCalls != 2 || c.CacheHits != 5 || c.ReadTime != 3 {
+	if c.MapTasks != 5 || c.CombineCalls != 2 || c.MapTasksReused != 5 || c.WriteTime != 3 {
 		t.Fatalf("counters = %+v", c)
 	}
 }

@@ -23,7 +23,7 @@ func TestRecorderSnapshotMidRun(t *testing.T) {
 			phase := []Phase{PhaseMap, PhaseContraction, PhaseReduce}[w%3]
 			for i := 0; i < perWorker; i++ {
 				r.RecordTask(Task{Phase: phase, Cost: time.Microsecond, Reused: i%4 == 0})
-				r.Add(Counters{CacheHits: 1})
+				r.Add(Counters{MapTasksReused: 1})
 			}
 		}(w)
 	}
@@ -38,8 +38,8 @@ func TestRecorderSnapshotMidRun(t *testing.T) {
 		if rep.Work != phaseSum {
 			t.Fatalf("torn snapshot: Work %v != phase sum %v", rep.Work, phaseSum)
 		}
-		if rep.Counters.CacheHits < prev.Counters.CacheHits {
-			t.Fatalf("counter regressed: %d after %d", rep.Counters.CacheHits, prev.Counters.CacheHits)
+		if rep.Counters.MapTasksReused < prev.Counters.MapTasksReused {
+			t.Fatalf("counter regressed: %d after %d", rep.Counters.MapTasksReused, prev.Counters.MapTasksReused)
 		}
 		if len(rep.Tasks) < len(prev.Tasks) {
 			t.Fatalf("task list shrank: %d after %d", len(rep.Tasks), len(prev.Tasks))
@@ -52,8 +52,8 @@ func TestRecorderSnapshotMidRun(t *testing.T) {
 	if got, want := len(final.Tasks), workers*perWorker; got != want {
 		t.Fatalf("final task count = %d, want %d", got, want)
 	}
-	if got, want := final.Counters.CacheHits, int64(workers*perWorker); got != want {
-		t.Fatalf("final CacheHits = %d, want %d", got, want)
+	if got, want := final.Counters.MapTasksReused, int64(workers*perWorker); got != want {
+		t.Fatalf("final MapTasksReused = %d, want %d", got, want)
 	}
 	// 1 in 4 tasks was a reuse and must not have contributed work.
 	want := time.Duration(workers*perWorker) * time.Microsecond * 3 / 4

@@ -323,7 +323,7 @@ func checkPlanJobs(t *testing.T, plan *Plan, window []mapreduce.Split) {
 			t.Fatal(err)
 		}
 		splits = splits[:0:0]
-		for _, in := range pseudoSplits(rows, 8) {
+		for _, in := range pseudoSplits(rows, pseudoSplitCount) {
 			splits = append(splits, in.split())
 		}
 	}

@@ -17,10 +17,11 @@ type PipelineConfig struct {
 	// Config configures the first stage's runtime: window mode, bucket
 	// geometry, backend, memoization layer.
 	Config sliderrt.Config
-	// PseudoSplits is the number of pseudo-splits each stage boundary
-	// fans its rows into for the next stage (default 8).
-	PseudoSplits int
 }
+
+// pseudoSplitCount is the number of pseudo-splits each stage boundary fans
+// its rows into for the next stage, incrementally and from scratch alike.
+const pseudoSplitCount = 8
 
 // PipelineResult is the outcome of one pipeline run.
 type PipelineResult struct {
@@ -44,7 +45,6 @@ type PipelineResult struct {
 // change detection (§5).
 type Pipeline struct {
 	plan *Plan
-	cfg  PipelineConfig
 	rt   *sliderrt.Runtime
 	late []*laterStage
 }
@@ -64,14 +64,11 @@ func NewPipeline(plan *Plan, cfg PipelineConfig) (*Pipeline, error) {
 	if len(plan.Stages) == 0 {
 		return nil, fmt.Errorf("pig: empty plan")
 	}
-	if cfg.PseudoSplits <= 0 {
-		cfg.PseudoSplits = 8
-	}
 	rt, err := sliderrt.New(plan.Stages[0].Job, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{plan: plan, cfg: cfg, rt: rt}
+	p := &Pipeline{plan: plan, rt: rt}
 	for _, st := range plan.Stages[1:] {
 		ls := &laterStage{stage: st}
 		job := st.Job
@@ -120,7 +117,7 @@ func (p *Pipeline) runLater(first *sliderrt.RunResult) (*PipelineResult, error) 
 		return nil, err
 	}
 	for _, ls := range p.late {
-		inputs := pseudoSplits(rows, p.cfg.PseudoSplits)
+		inputs := pseudoSplits(rows, pseudoSplitCount)
 		rec := metrics.NewRecorder()
 		stageOut, err := ls.run(inputs, rec)
 		if err != nil {
@@ -195,7 +192,7 @@ func (ls *laterStage) run(inputs []pseudoSplit, rec *metrics.Recorder) (mapreduc
 			InputBytes:    result.Bytes,
 			PreferredNode: -1,
 		})
-		rec.Add(metrics.Counters{MapTasks: 1, MapRecords: result.Records, CacheMisses: 1})
+		rec.Add(metrics.Counters{MapTasks: 1, MapRecords: result.Records})
 		return result.Parts, nil
 	})
 	if err != nil {
@@ -205,7 +202,7 @@ func (ls *laterStage) run(inputs []pseudoSplit, rec *metrics.Recorder) (mapreduc
 	for i := int64(0); i < reused; i++ {
 		rec.RecordTask(metrics.Task{Phase: metrics.PhaseMap, Reused: true})
 	}
-	rec.Add(metrics.Counters{MapTasksReused: reused, CacheHits: reused})
+	rec.Add(metrics.Counters{MapTasksReused: reused})
 
 	// The contraction work is the Run time net of the map computes,
 	// attributed evenly across the per-partition strawman builds.
@@ -260,7 +257,7 @@ func RunScratch(plan *Plan, window []mapreduce.Split, rec *metrics.Recorder) ([]
 		return nil, nil, err
 	}
 	for _, st := range plan.Stages[1:] {
-		inputs := pseudoSplits(rows, 8)
+		inputs := pseudoSplits(rows, pseudoSplitCount)
 		splits := make([]mapreduce.Split, 0, len(inputs))
 		for _, in := range inputs {
 			splits = append(splits, in.split())

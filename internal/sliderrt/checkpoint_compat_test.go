@@ -573,8 +573,8 @@ func recheckpoint(t testing.TB, cfg Config, frame []byte) []byte {
 // WindowBuckets buckets of w (upgrade), and the in-order bucket clock goes
 // on from where the window is, its oldest bucket plus WindowBuckets, as it
 // would had the finger tree run the window from the start. A clock that
-// restarted at WindowBuckets would refuse a late arrival at the newest edge
-// as below the watermark.
+// restarted at WindowBuckets would put the effective watermark, and the
+// clock StateFingerprint hashes, behind where the window is.
 func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
 	const w, n, slides = 1, 4, 10
 	job := wordCountJob()
@@ -602,7 +602,7 @@ func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
 	}
 
 	late := cfg
-	late.AllowedLateness, late.Watermark = 2, slides+n-2
+	late.AllowedLateness = 2
 	restored, err := Restore(job, late, bytes.NewReader(rewriteFrame(t, downgrade(t, buf.Bytes(), 2), zeroBackend)))
 	if err != nil {
 		t.Fatal(err)

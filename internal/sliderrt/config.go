@@ -79,15 +79,9 @@ type Config struct {
 	// only structure whose window a late record can enter mid-sequence —
 	// so an explicit conflicting Backend fails with ErrBadBackend.
 	// Arrivals older than the allowance are refused with ErrTooLate: the
-	// effective low watermark is max(Watermark, newest bucket sequence −
-	// AllowedLateness).
+	// effective low watermark is the newest bucket sequence −
+	// AllowedLateness.
 	AllowedLateness int
-	// Watermark is the initial low watermark in bucket sequence numbers
-	// (buckets ever appended, starting at 0): late records destined for a
-	// bucket position below it are refused with ErrTooLate even when they
-	// are within AllowedLateness. Zero — the default — trusts
-	// AllowedLateness alone.
-	Watermark uint64
 	// BucketSplits is w, the number of splits per bucket (Fixed mode). Zero
 	// makes a bucket whatever one run adds — a period of varying volume, none
 	// at all for an empty one: the window starts with InitialBuckets, and

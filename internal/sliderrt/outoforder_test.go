@@ -249,16 +249,12 @@ func TestAdvanceLateRefusals(t *testing.T) {
 	if _, err := h.rt.AdvanceLate(4, h.take(1)); !errors.Is(err, ErrTooLate) {
 		t.Fatalf("lateness 4 > allowance 3: err = %v, want ErrTooLate", err)
 	}
-	// Below the configured low watermark, even within the allowance.
-	cfg := oooConfig(1)
-	cfg.Watermark = 4 // buckets 0..4 are sealed; newest is seq 4
-	h2 := newOOOHarness(t, cfg)
-	if _, err := h2.rt.AdvanceLate(2, h2.take(1)); !errors.Is(err, ErrTooLate) {
-		t.Fatalf("target seq 3 < watermark 4: err = %v, want ErrTooLate", err)
+	// The watermark trails the newest bucket by the allowance, and an
+	// arrival exactly on it lands.
+	if lag := h.rt.WindowStats().WatermarkLag; lag != 3 {
+		t.Fatalf("watermark lag %d, want the allowance 3", lag)
 	}
-	if _, err := h2.rt.AdvanceLate(0, h2.take(1)); err != nil {
-		t.Fatalf("lateness 0 at the watermark edge: %v", err)
-	}
+	h.late(3, 1)
 
 	// Late arrivals need the finger-tree backend.
 	inOrder := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 5, Memo: testMemoConfig()}

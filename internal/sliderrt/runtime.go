@@ -137,7 +137,7 @@ type Runtime struct {
 	// ones — plus the in-order bucket clock (buckets ever appended at the
 	// window edge; late inserts do not advance it). A drop is evicted in
 	// whole buckets read off the ledger (evictElements). The clock drives the
-	// effective watermark max(cfg.Watermark, bucketSeq−AllowedLateness), and
+	// effective watermark bucketSeq−AllowedLateness, and
 	// places the daba kind's flips on restore (firstBucket).
 	bucketSizes []int
 	bucketSeq   uint64
@@ -595,9 +595,9 @@ func (rt *Runtime) addBuckets(n int) {
 // affected root path of each partition's finger tree is re-contracted —
 // O(log w) combines, not a rebuild. Requires the finger-tree backend
 // (Config.AllowedLateness routes selection there); arrivals behind the
-// effective watermark — later than AllowedLateness buckets, or destined
-// below Config.Watermark on the bucket-sequence clock — are refused
-// with ErrTooLate, and the window is left untouched.
+// effective watermark bucketSeq−AllowedLateness — later than
+// AllowedLateness buckets — are refused with ErrTooLate, and the window
+// is left untouched.
 func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult, error) {
 	if !rt.started {
 		return nil, ErrNotInitial
@@ -617,17 +617,6 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 	if lateness > rt.cfg.AllowedLateness {
 		rt.gauges.lateRejects.Add(1)
 		return nil, fmt.Errorf("%w: lateness %d exceeds AllowedLateness %d", ErrTooLate, lateness, rt.cfg.AllowedLateness)
-	}
-	// Saturating: a lateness deeper than the in-order clock (possible when
-	// late buckets outnumber in-order ones) targets sequence 0, it must
-	// not wrap around and sail past the watermark.
-	target := uint64(0)
-	if uint64(lateness) <= rt.bucketSeq {
-		target = rt.bucketSeq - uint64(lateness)
-	}
-	if target < rt.cfg.Watermark {
-		rt.gauges.lateRejects.Add(1)
-		return nil, fmt.Errorf("%w: bucket sequence %d is below watermark %d", ErrTooLate, target, rt.cfg.Watermark)
 	}
 	pos := len(rt.bucketSizes) - lateness
 	return rt.run(lateRun, lateness, late, func(p int, payloads []sized) (partDelta, error) {
@@ -706,7 +695,7 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 	if rt.own.recyclesEarly() {
 		rt.recycle(parts)
 	}
-	out, rebuilt, statsFg := rt.reduceAll(&so, rec, parts, out, statsBefore)
+	out, rebuilt := rt.reduceAll(&so, rec, parts, out)
 	if kind.gc {
 		rt.store.GC(rt.windowLo)
 		if rt.cfg.GCPolicy != nil {
@@ -715,7 +704,7 @@ func (rt *Runtime) run(kind runKind, arg int, splits []mapreduce.Split, apply ap
 	}
 	rt.started = true
 	rt.out = out
-	res := rt.finish(rebuilt, rec, statsBefore, statsFg)
+	res := rt.finish(rebuilt, rec, statsBefore)
 	rt.upkeepDue, rt.span, rt.handed = true, so.span, parts
 	so.finish(res)
 	return res, nil
@@ -1015,10 +1004,7 @@ func statsDelta(before, after core.Stats) core.Stats {
 // no previous output — the map is emptied and every key reduced, as the
 // initial run does; rebuilt reports that. The choice reads payload lengths
 // and nothing else, so it is the same at any parallelism.
-//
-// reduceAll seals the run's foreground tree work — everything since before —
-// into the recorder's counters and returns the stats it sealed at.
-func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDelta, out mapreduce.Output, before core.Stats) (_ mapreduce.Output, rebuilt bool, _ core.Stats) {
+func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDelta, out mapreduce.Output) (_ mapreduce.Output, rebuilt bool) {
 	ph := so.phase("reduce")
 	// keys is what a full pass walks, distinct what it yields at least: a
 	// partition's roots may share keys (the daba kind's halves do).
@@ -1069,10 +1055,7 @@ func (rt *Runtime) reduceAll(so *slideObs, rec *metrics.Recorder, parts []partDe
 		ph.span.Event("reduce: root lookups=%d sought=%d", lookups, seeks)
 	}
 	ph.end()
-	fg := rt.treeStats()
-	d := statsDelta(before, fg)
-	rec.Add(metrics.Counters{NodesComputed: d.NodesRecomputed, NodesReused: d.NodesReused})
-	return out, rebuilt, fg
+	return out, rebuilt
 }
 
 // sumBytes adds up the carried sizes of a list of payloads.
@@ -1300,9 +1283,10 @@ func (rt *Runtime) spaceBytes() int64 {
 }
 
 // finish assembles the RunResult around the retained output: the tree work
-// between before and fg was the run's foreground, whatever the trees did
-// between the last result and before — the upkeep — its background.
-func (rt *Runtime) finish(rebuilt bool, rec *metrics.Recorder, before, fg core.Stats) *RunResult {
+// since before was the run's foreground, whatever the trees did between the
+// last result and before — the upkeep — its background.
+func (rt *Runtime) finish(rebuilt bool, rec *metrics.Recorder, before core.Stats) *RunResult {
+	fg := rt.treeStats()
 	rt.runs++
 	rt.publishWindowGauges()
 	res := &RunResult{

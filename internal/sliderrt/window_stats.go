@@ -20,7 +20,7 @@ type WindowStats struct {
 	// (Append and Variable modes, the strawman), which keeps no ledger.
 	LiveBuckets int
 	// WatermarkLag is how many buckets the effective watermark
-	// max(Config.Watermark, bucketSeq−AllowedLateness) trails the newest
+	// bucketSeq−AllowedLateness (saturating at 0) trails the newest
 	// in-order bucket — the width of the region still open to late
 	// arrivals. 0 for in-order backends.
 	WatermarkLag uint64
@@ -52,15 +52,7 @@ func (rt *Runtime) publishWindowGauges() {
 	rt.gauges.liveBuckets.Store(int64(len(rt.bucketSizes)))
 	var lag uint64
 	if rt.outOfOrder() {
-		eff := rt.cfg.Watermark
-		if rt.bucketSeq > uint64(rt.cfg.AllowedLateness) {
-			if floor := rt.bucketSeq - uint64(rt.cfg.AllowedLateness); floor > eff {
-				eff = floor
-			}
-		}
-		if rt.bucketSeq > eff {
-			lag = rt.bucketSeq - eff
-		}
+		lag = min(rt.bucketSeq, uint64(rt.cfg.AllowedLateness))
 	}
 	rt.gauges.watermarkLag.Store(int64(lag))
 }

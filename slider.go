@@ -154,8 +154,8 @@ var (
 	// with AllowedLateness > 0).
 	ErrBadBackend = sliderrt.ErrBadBackend
 	// ErrTooLate reports a Runtime.AdvanceLate arrival behind the
-	// effective watermark: lateness beyond Config.AllowedLateness, or a
-	// target bucket sequence below Config.Watermark.
+	// effective watermark, the newest bucket sequence −
+	// Config.AllowedLateness: lateness beyond Config.AllowedLateness.
 	ErrTooLate = sliderrt.ErrTooLate
 	// ErrOutOfOrder reports a TimedRecord older than a TimeWindow's open
 	// period; the window is untouched and the stream stays usable.
