@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 
 	"slider/internal/mapreduce"
 )
@@ -22,79 +21,50 @@ func sumValues(_ string, values []mapreduce.Value) mapreduce.Value {
 // HCT is the histogram-based computation of §7.1 (data-intensive): it
 // histograms word lengths and initial characters over the text window.
 func HCT(partitions int) *mapreduce.Job {
-	return &mapreduce.Job{
-		Name:       "HCT",
-		Partitions: partitions,
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			line, ok := rec.(string)
-			if !ok {
-				return fmt.Errorf("HCT: record %T is not a string", rec)
-			}
-			for _, w := range strings.Fields(line) {
-				emit("len:"+strconv.Itoa(len(w)), int64(1))
-				emit("first:"+w[:1], int64(1))
-			}
-			return nil
-		},
-		Combine:     sumValues,
-		Reduce:      sumValues,
-		Commutative: true,
-	}
+	return lineJob("HCT", partitions, func(line string, emit mapreduce.Emit) {
+		words(line, func(w string) {
+			emit("len:"+strconv.Itoa(len(w)), int64(1))
+			emit("first:"+w[:1], int64(1))
+		})
+	})
 }
 
 // Matrix is the word co-occurrence matrix computation of §7.1
 // (data-intensive): it counts ordered-normalized word pairs co-occurring
 // within a distance of two positions on a line.
 func Matrix(partitions int) *mapreduce.Job {
-	return &mapreduce.Job{
-		Name:       "Matrix",
-		Partitions: partitions,
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			line, ok := rec.(string)
-			if !ok {
-				return fmt.Errorf("Matrix: record %T is not a string", rec)
-			}
-			words := strings.Fields(line)
-			for i := range words {
-				for j := i + 1; j < len(words) && j <= i+2; j++ {
-					a, b := words[i], words[j]
-					if a > b {
-						a, b = b, a
-					}
-					emit(a+"|"+b, int64(1))
+	return lineJob("Matrix", partitions, func(line string, emit mapreduce.Emit) {
+		// Pairing each word with the two before it emits the same pairs,
+		// in the same order, as pairing it with the two after it. No word
+		// is "", so "" means no word yet.
+		var before2, before1 string
+		words(line, func(w string) {
+			for _, p := range [2]string{before2, before1} {
+				if p == "" {
+					continue
 				}
+				a, b := p, w
+				if a > b {
+					a, b = b, a
+				}
+				emit(a+"|"+b, int64(1))
 			}
-			return nil
-		},
-		Combine:     sumValues,
-		Reduce:      sumValues,
-		Commutative: true,
-	}
+			before2, before1 = before1, w
+		})
+	})
 }
 
 // SubStr is the frequently-occurring substring computation of §7.1
 // (data-intensive): it counts all substrings of length 4 of every word.
 func SubStr(partitions int) *mapreduce.Job {
 	const n = 4
-	return &mapreduce.Job{
-		Name:       "subStr",
-		Partitions: partitions,
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			line, ok := rec.(string)
-			if !ok {
-				return fmt.Errorf("subStr: record %T is not a string", rec)
+	return lineJob("subStr", partitions, func(line string, emit mapreduce.Emit) {
+		words(line, func(w string) {
+			for i := 0; i+n <= len(w); i++ {
+				emit(w[i:i+n], int64(1))
 			}
-			for _, w := range strings.Fields(line) {
-				for i := 0; i+n <= len(w); i++ {
-					emit(w[i:i+n], int64(1))
-				}
-			}
-			return nil
-		},
-		Combine:     sumValues,
-		Reduce:      sumValues,
-		Commutative: true,
-	}
+		})
+	})
 }
 
 // KMeans is the K-Means clustering micro-benchmark of §7.1

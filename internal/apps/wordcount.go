@@ -7,10 +7,10 @@ import (
 	"slider/internal/mapreduce"
 )
 
-// lineJob is a job over text lines that counts what words emits; a record
-// that is not a string — records arrive off the wire in a worker — is the
-// task's error.
-func lineJob(name string, partitions int, words func(line string, emit mapreduce.Emit)) *mapreduce.Job {
+// lineJob is a job over text lines that counts what mapLine emits; a
+// record that is not a string — records arrive off the wire in a worker —
+// is the task's error.
+func lineJob(name string, partitions int, mapLine func(line string, emit mapreduce.Emit)) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:       name,
 		Partitions: partitions,
@@ -19,7 +19,7 @@ func lineJob(name string, partitions int, words func(line string, emit mapreduce
 			if !ok {
 				return fmt.Errorf("%s: record %T is not a string", name, rec)
 			}
-			words(line, emit)
+			mapLine(line, emit)
 			return nil
 		},
 		Combine:     sumValues,
@@ -33,18 +33,19 @@ func lineJob(name string, partitions int, words func(line string, emit mapreduce
 // workers by name, so the driver and cmd/slider-worker must build it here.
 func WordCount(partitions int) *mapreduce.Job {
 	return lineJob("wordcount", partitions, func(line string, emit mapreduce.Emit) {
-		for _, w := range strings.Fields(line) {
-			emit(w, int64(1))
-		}
+		words(line, func(w string) { emit(w, int64(1)) })
 	})
 }
 
 // StreamWordCount is cmd/slider-stream's "stream-wordcount": WordCount over
-// words lower-cased and stripped of surrounding punctuation.
+// words lower-cased and stripped of surrounding punctuation. A token of
+// punctuation alone ("...", "!!") is no word and is not counted.
 func StreamWordCount(partitions int) *mapreduce.Job {
 	return lineJob("stream-wordcount", partitions, func(line string, emit mapreduce.Emit) {
-		for _, w := range strings.Fields(line) {
-			emit(strings.ToLower(strings.Trim(w, ".,;:!?\"'()[]")), int64(1))
-		}
+		words(line, func(w string) {
+			if w = strings.Trim(w, ".,;:!?\"'()[]"); w != "" {
+				emit(strings.ToLower(w), int64(1))
+			}
+		})
 	})
 }

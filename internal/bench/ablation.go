@@ -19,6 +19,9 @@ type AblationScaleResult struct {
 	// SliderCombines is the deterministic combiner-invocation count of
 	// the incremental update.
 	SliderCombines int64
+	// The two arms WorkSpeedup divides: the update's work and
+	// recomputation's.
+	sliderWork, scratchWork time.Duration
 }
 
 // AblationWindowScale grows the window at a constant absolute delta and
@@ -51,10 +54,13 @@ func AblationWindowScale(s Scale, app App) ([]AblationScaleResult, string, error
 		if _, err := mapreduce.RunScratch(app.NewJob(), newWindow, 0, rec); err != nil {
 			return nil, "", err
 		}
+		scratchWork := rec.Snapshot().Work
 		results = append(results, AblationScaleResult{
 			WindowSplits:   w,
-			WorkSpeedup:    metrics.Speedup(rec.Snapshot().Work, res.Report.Work),
+			WorkSpeedup:    metrics.Speedup(scratchWork, res.Report.Work),
 			SliderCombines: res.Report.Counters.CombineCalls,
+			sliderWork:     res.Report.Work,
+			scratchWork:    scratchWork,
 		})
 	}
 	var b strings.Builder

@@ -187,6 +187,9 @@ type Figure10Result struct {
 	Stages      int
 	WorkSpeedup float64
 	TimeSpeedup float64
+	// The two arms WorkSpeedup divides: the incremental pipeline's work
+	// and recomputation's.
+	sliderWork, scratchWork time.Duration
 }
 
 // pigmixQueries is the PigMix-style suite: pipelines of increasing depth
@@ -299,6 +302,8 @@ func Figure10(s Scale) ([]Figure10Result, string, error) {
 				TimeSpeedup: metrics.Speedup(
 					simulate(s, scratchReport, scheduler.Baseline{}),
 					simulate(s, res.Report, scheduler.Hybrid{})),
+				sliderWork:  res.Report.Work,
+				scratchWork: scratchReport.Work,
 			})
 		}
 	}
