@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"slider/internal/mapreduce"
 )
@@ -19,12 +20,15 @@ func sumValues(_ string, values []mapreduce.Value) mapreduce.Value {
 }
 
 // HCT is the histogram-based computation of §7.1 (data-intensive): it
-// histograms word lengths and initial characters over the text window.
+// histograms word lengths and initial characters over the text window. A
+// word's initial character is its first rune, however many bytes it takes
+// (a byte of invalid UTF-8 is one).
 func HCT(partitions int) *mapreduce.Job {
 	return lineJob("HCT", partitions, func(line string, emit mapreduce.Emit) {
 		words(line, func(w string) {
+			_, first := utf8.DecodeRuneInString(w)
 			emit("len:"+strconv.Itoa(len(w)), int64(1))
-			emit("first:"+w[:1], int64(1))
+			emit("first:"+w[:first], int64(1))
 		})
 	})
 }

@@ -9,7 +9,9 @@ import (
 
 // lineJob is a job over text lines that counts what mapLine emits; a
 // record that is not a string — records arrive off the wire in a worker —
-// is the task's error.
+// is the task's error. Every count is an int64 and Combine is their sum,
+// which the job declares (SumInt64): a map task adds each count as it is
+// emitted.
 func lineJob(name string, partitions int, mapLine func(line string, emit mapreduce.Emit)) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:       name,
@@ -25,6 +27,7 @@ func lineJob(name string, partitions int, mapLine func(line string, emit mapredu
 		Combine:     sumValues,
 		Reduce:      sumValues,
 		Commutative: true,
+		SumInt64:    true,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"slider/internal/israce"
 	"slider/internal/mapreduce"
@@ -21,6 +22,26 @@ func FuzzWords(f *testing.F) {
 		"\xff\xfe", "ab\xff cd", "trunc\xe2\x80", "\xe2\x80 \xe3", "\u200bzero-width is no space",
 	} {
 		f.Add(s)
+	}
+	// Around the eight-byte step, which starts on a field's second byte:
+	// a field that ends at its seventh, eighth or ninth byte, or at the end
+	// of the line; a space at its first and its last byte; U+3000 just
+	// after a whole step; and every byte the step must stop at and find no
+	// space in, inside a field.
+	for _, s := range []string{
+		"abcdefg z", "abcdefgh z", "abcdefghi z", "abcdefgh", "abcdefghi", "abcdefghijklmnopq r",
+		"a bcdefghij", "abcdefgh ijklmnopq", "abcdefghi\u3000next", "abcdefghijklmnopq\u3000",
+	} {
+		f.Add(s)
+	}
+	inside := []byte{0x21, 0x7f, 0x80}
+	for c := byte(0x00); c <= 0x1f; c++ {
+		if c < 0x09 || c > 0x0d {
+			inside = append(inside, c)
+		}
+	}
+	for _, c := range inside {
+		f.Add("abc" + string(c) + "defghijk lmn")
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		var got []string
@@ -75,8 +96,9 @@ func fieldsJobs(partitions int) map[string]*mapreduce.Job {
 		}),
 		"HCT": job("HCT", func(line string, emit mapreduce.Emit) {
 			for _, w := range strings.Fields(line) {
+				_, first := utf8.DecodeRuneInString(w)
 				emit("len:"+strconv.Itoa(len(w)), int64(1))
-				emit("first:"+w[:1], int64(1))
+				emit("first:"+w[:first], int64(1))
 			}
 		}),
 		"Matrix": job("Matrix", func(line string, emit mapreduce.Emit) {
@@ -138,4 +160,41 @@ func TestStreamWordCountSkipsPunctuation(t *testing.T) {
 	splits := []mapreduce.Split{{ID: "s0", Records: []mapreduce.Record{"wait ... what !!", "(Wait) WHAT?"}}}
 	got := runScratch(t, StreamWordCount(2), splits)
 	assertSameOutput(t, "stream-wordcount", got, mapreduce.Output{"wait": int64(2), "what": int64(2)})
+}
+
+// TestHCTKeysFirstRune: a word's initial character is its first rune, not
+// its first byte — every key of HCT's output is valid UTF-8, and words that
+// start with the same two-byte letter are counted under that letter.
+func TestHCTKeysFirstRune(t *testing.T) {
+	splits := []mapreduce.Split{{ID: "s0", Records: []mapreduce.Record{"élan été über Ñandú öl", "\xffbad ok"}}}
+	got := runScratch(t, HCT(2), splits)
+	for key := range got {
+		if !utf8.ValidString(key) && key != "first:\xff" {
+			t.Errorf("HCT key %q is not valid UTF-8", key)
+		}
+	}
+	for key, want := range map[string]int64{"first:é": 2, "first:ü": 1, "first:Ñ": 1, "first:ö": 1, "first:\xff": 1, "first:o": 1} {
+		if got[key] != want {
+			t.Errorf("HCT[%q] = %v, want %d", key, got[key], want)
+		}
+	}
+}
+
+// TestLineJobsDeclareSum: every line job declares its int64 sum, and
+// CheckJob holds each to the declaration on text and on the Unicode corpus.
+func TestLineJobsDeclareSum(t *testing.T) {
+	text := workload.NewText(workload.TextConfig{Seed: 9, LinesPerSplit: 20, WordsPerLine: 12, Vocabulary: 50})
+	samples := append(text.Range(0, 2), mapreduce.Split{ID: "unicode", Records: []mapreduce.Record{
+		"ÄÖÜ äöü Straße STRASSE Straße", "\u3000Ideographic\u3000space\u3000", "a a a b b b",
+	}})
+	for _, job := range []*mapreduce.Job{
+		WordCount(3), StreamWordCount(3), HCT(3), Matrix(3), SubStr(3),
+	} {
+		if !job.SumInt64 {
+			t.Errorf("%s does not declare SumInt64", job.Name)
+		}
+		if err := mapreduce.CheckJob(job, samples); err != nil {
+			t.Errorf("%s: %v", job.Name, err)
+		}
+	}
 }

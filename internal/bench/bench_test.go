@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -77,39 +76,27 @@ func TestRunCellAllModes(t *testing.T) {
 	}
 }
 
-// retryOnce runs a wall-clock-sensitive check up to twice: a systematic
-// regression fails both attempts, while one-off scheduler/GC noise (the
-// tests share a small CI machine with the benchmarks) does not.
-func retryOnce(t *testing.T, attempt func() error) {
-	t.Helper()
-	err := attempt()
-	if err == nil {
-		return
-	}
-	t.Logf("first attempt failed (%v); retrying once", err)
-	if err := attempt(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestSpeedupDecreasesWithChange: recomputation's least work over the
+// incremental arm's, at a 5 % change, exceeds the same ratio at 25 %.
 func TestSpeedupDecreasesWithChange(t *testing.T) {
 	s := Quick()
 	app := quickApps(t, s)[1] // K-Means: compute-bound, low noise
-	retryOnce(t, func() error {
-		small, err := RunCell(s, app, sliderrt.Fixed, 5)
-		if err != nil {
-			return err
+	var small, large armMins
+	for range minWorkRuns {
+		for _, cell := range []struct {
+			pct  int
+			work *armMins
+		}{{5, &small}, {25, &large}} {
+			m, err := RunCell(s, app, sliderrt.Fixed, cell.pct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell.work.add(m.SliderReport.Work, m.ScratchReport.Work)
 		}
-		large, err := RunCell(s, app, sliderrt.Fixed, 25)
-		if err != nil {
-			return err
-		}
-		if small.WorkSpeedupVsScratch() <= large.WorkSpeedupVsScratch() {
-			return fmt.Errorf("speedup should shrink as the delta grows: 5%%=%.2f 25%%=%.2f",
-				small.WorkSpeedupVsScratch(), large.WorkSpeedupVsScratch())
-		}
-		return nil
-	})
+	}
+	if small.speedup() <= large.speedup() {
+		t.Fatalf("speedup should shrink as the delta grows: 5%%=%.2f 25%%=%.2f", small.speedup(), large.speedup())
+	}
 }
 
 func TestSliderBeatsStrawman(t *testing.T) {
@@ -263,37 +250,50 @@ func TestTables(t *testing.T) {
 
 func TestCaseStudies(t *testing.T) {
 	s := Quick()
-	for name, run := range map[string]func(Scale) ([]CaseStudyRow, string, error){
-		"table3": Table3, "table4": Table4, "table5": Table5,
-	} {
-		retryOnce(t, func() error {
-			rows, text, err := run(s)
+	tables := []struct {
+		name string
+		run  func(Scale) ([]CaseStudyRow, string, error)
+	}{{"table3", Table3}, {"table4", Table4}, {"table5", Table5}}
+	work := make([][]armMins, len(tables))
+	rows := make([][]CaseStudyRow, len(tables))
+	for range minWorkRuns {
+		for i, table := range tables {
+			rs, text, err := table.run(s)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				t.Fatalf("%s: %v", table.name, err)
 			}
-			if len(rows) == 0 {
-				return fmt.Errorf("%s: no rows", name)
+			if len(rs) == 0 {
+				t.Fatalf("%s: no rows", table.name)
 			}
-			// Wall-clock work at test scale carries single-core
-			// scheduling and GC noise; assert on the median with a
-			// loose per-row floor rather than demanding every row
-			// individually beats 1×.
-			speedups := make([]float64, 0, len(rows))
-			for _, r := range rows {
-				if r.WorkSpeedup < 0.3 {
-					return fmt.Errorf("%s %s: work speedup %.2f below sanity floor", name, r.Label, r.WorkSpeedup)
-				}
-				speedups = append(speedups, r.WorkSpeedup)
-			}
-			sort.Float64s(speedups)
-			if median := speedups[len(speedups)/2]; median <= 1 {
-				return fmt.Errorf("%s: median work speedup %.2f ≤ 1", name, median)
+			if work[i] == nil {
+				work[i] = make([]armMins, len(rs))
+			} else if len(rs) != len(work[i]) {
+				t.Fatalf("%s: %d rows, then %d", table.name, len(work[i]), len(rs))
 			}
 			if !strings.Contains(text, "===") {
-				return fmt.Errorf("%s: missing header", name)
+				t.Fatalf("%s: missing header", table.name)
 			}
-			return nil
-		})
+			for j, r := range rs {
+				work[i][j].add(r.sliderWork, r.scratchWork)
+			}
+			rows[i] = rs
+		}
+	}
+	for i, table := range tables {
+		// Wall-clock work at test scale carries single-core scheduling
+		// and GC noise; assert on the median with a loose per-row floor
+		// rather than demanding every row individually beats 1×.
+		speedups := make([]float64, 0, len(work[i]))
+		for j, w := range work[i] {
+			if sp := w.speedup(); sp < 0.3 {
+				t.Errorf("%s %s: work speedup %.2f below sanity floor", table.name, rows[i][j].Label, sp)
+			}
+			speedups = append(speedups, w.speedup())
+		}
+		sort.Float64s(speedups)
+		if median := speedups[len(speedups)/2]; median <= 1 {
+			t.Errorf("%s: median work speedup %.2f ≤ 1", table.name, median)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"slider/internal/cluster"
 	"slider/internal/mapreduce"
@@ -143,6 +144,9 @@ type CaseStudyRow struct {
 	ChangePct   float64
 	WorkSpeedup float64
 	TimeSpeedup float64
+	// The two arms WorkSpeedup divides: the incremental window's work and
+	// recomputation's.
+	sliderWork, scratchWork time.Duration
 }
 
 // caseStudyAdvance measures one incremental case-study window against
@@ -179,6 +183,8 @@ func caseStudyAdvance(
 		TimeSpeedup: metrics.Speedup(
 			simulate(s, scratch, scheduler.Baseline{}),
 			simulate(s, res.Report, scheduler.Hybrid{})),
+		sliderWork:  res.Report.Work,
+		scratchWork: scratch.Work,
 	}, nil
 }
 

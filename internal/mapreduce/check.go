@@ -29,7 +29,43 @@ var (
 	// next key — one pair per merge, one arena per K-way merge — so a
 	// retained slice changes under the value that holds it.
 	ErrRetainsArgs = errors.New("mapreduce: function retains its values argument slice")
+	// ErrNotSum means the job declares SumInt64 but Map emitted a value
+	// that is no int64, or Combine is not the wrapping int64 sum: the map
+	// task would compute something other than what Combine does.
+	ErrNotSum = errors.New("mapreduce: job declares SumInt64 but is no int64 sum")
 )
+
+// sumCases are the value lists a declared sum's Combine is held to: one to
+// four values, zero, negatives and sums that wrap past MaxInt64 and MinInt64.
+var sumCases = [][]int64{
+	{0}, {7}, {-7}, {math.MaxInt64}, {math.MinInt64},
+	{0, 0}, {3, -3}, {-5, -9}, {math.MaxInt64, 1}, {math.MinInt64, -1},
+	{1, 2, 3}, {-1, 0, 1}, {math.MaxInt64, math.MaxInt64, 2},
+	{1, 1, 1, 1}, {math.MinInt64, -1, 5, 0}, {math.MaxInt64, 1, math.MaxInt64, 1},
+}
+
+// checkSum holds a declared job's Combine, on key, to the wrapping int64
+// sum of every sumCases list. A Combine that panics on int64 values is no
+// such sum either.
+func checkSum(job *Job, key string) (err error) {
+	var vs []int64
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: Combine(%q, %v) panicked: %v", ErrNotSum, key, vs, r)
+		}
+	}()
+	for _, vs = range sumCases {
+		args := make([]Value, len(vs))
+		var want int64
+		for i, v := range vs {
+			args[i], want = v, want+v
+		}
+		if got := job.Combine(key, args); got != Value(want) {
+			return fmt.Errorf("%w: Combine(%q, %v) = %v (%T), want %d", ErrNotSum, key, vs, got, got, want)
+		}
+	}
+	return nil
+}
 
 // CheckJob property-tests a job's combiner contract against real sample
 // data: it maps the sample splits and then checks, on every key with at
@@ -40,7 +76,10 @@ var (
 // Reduce retains its values argument slice (the result must fingerprint the
 // same after the slice is overwritten). Values are compared by Fingerprint with a
 // relative tolerance for floats (contraction trees re-associate float
-// arithmetic by design).
+// arithmetic by design). A job that declares SumInt64 must emit only int64
+// values, and its Combine must return their wrapping sum, on every sampled
+// key, for lists of one to four values that include zero, negatives and
+// overflow (ErrNotSum).
 //
 // Run it once in a test against representative inputs before trusting a
 // new job to the incremental runtime:
@@ -54,7 +93,11 @@ func CheckJob(job *Job, samples []Split) error {
 	}
 	// Gather per-key value sequences from real map output.
 	values := make(map[string][]Value)
+	var notSum error
 	emit := func(key string, value Value) {
+		if _, ok := value.(int64); job.SumInt64 && !ok && notSum == nil {
+			notSum = fmt.Errorf("%w: Map emitted a %T value (key %q)", ErrNotSum, value, key)
+		}
 		if len(values[key]) < 8 {
 			values[key] = append(values[key], value)
 		}
@@ -63,6 +106,16 @@ func CheckJob(job *Job, samples []Split) error {
 		for _, rec := range split.Records {
 			if err := job.Map(rec, emit); err != nil {
 				return fmt.Errorf("map on sample split %s: %w", split.ID, err)
+			}
+		}
+	}
+	if notSum != nil {
+		return notSum
+	}
+	if job.SumInt64 {
+		for key := range values {
+			if err := checkSum(job, key); err != nil {
+				return err
 			}
 		}
 	}

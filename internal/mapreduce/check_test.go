@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -228,5 +229,104 @@ func TestCheckJobDetectsRetainedArgs(t *testing.T) {
 	copying.Reduce = func(_ string, values []Value) Value { return append([]Value(nil), values...) }
 	if err := CheckJob(copying, checkSamples()); err != nil {
 		t.Fatalf("copying reducer rejected: %v", err)
+	}
+}
+
+// TestCheckJobAcceptsDeclaredSum: a job whose Combine is the wrapping int64
+// sum passes with SumInt64 declared.
+func TestCheckJobAcceptsDeclaredSum(t *testing.T) {
+	job := sumJob(2)
+	job.SumInt64 = true
+	if err := CheckJob(job, checkSamples()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckJobRefusesDeclaredMax: max is associative and commutative, and
+// equals the sum wherever every value is 1 — as on the samples — but not on
+// the generated lists.
+func TestCheckJobRefusesDeclaredMax(t *testing.T) {
+	job := sumJob(2)
+	job.SumInt64 = true
+	job.Combine = func(_ string, values []Value) Value {
+		m := values[0].(int64)
+		for _, v := range values[1:] {
+			m = max(m, v.(int64))
+		}
+		return m
+	}
+	if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrNotSum) {
+		t.Fatalf("err = %v, want ErrNotSum", err)
+	}
+}
+
+// TestCheckJobRefusesDeclaredFloats: a float sum declared as an int64 sum is
+// refused on its first sample value, before its Combine meets an int64.
+func TestCheckJobRefusesDeclaredFloats(t *testing.T) {
+	job := sumJob(2)
+	job.SumInt64 = true
+	job.Map = func(rec Record, emit Emit) error {
+		for _, w := range strings.Fields(rec.(string)) {
+			emit(w, 1.0)
+		}
+		return nil
+	}
+	job.Combine = func(_ string, values []Value) Value {
+		var sum float64
+		for _, v := range values {
+			sum += v.(float64)
+		}
+		return sum
+	}
+	err := CheckJob(job, checkSamples())
+	if !errors.Is(err, ErrNotSum) || !strings.Contains(err.Error(), "float64") {
+		t.Fatalf("err = %v, want ErrNotSum naming float64", err)
+	}
+}
+
+// TestCheckJobRefusesDeclaredNonWrappingSums: a sum that saturates instead
+// of wrapping, one that hands back another integer type, and one that
+// panics on values it was not shown are no wrapping int64 sum.
+func TestCheckJobRefusesDeclaredNonWrappingSums(t *testing.T) {
+	for name, combine := range map[string]func(string, []Value) Value{
+		"saturating": func(_ string, values []Value) Value {
+			var sum int64
+			for _, v := range values {
+				n := v.(int64)
+				switch {
+				case n > 0 && sum > math.MaxInt64-n:
+					sum = math.MaxInt64
+				case n < 0 && sum < math.MinInt64-n:
+					sum = math.MinInt64
+				default:
+					sum += n
+				}
+			}
+			return sum
+		},
+		"int": func(_ string, values []Value) Value {
+			var sum int
+			for _, v := range values {
+				sum += int(v.(int64))
+			}
+			return sum
+		},
+		"positive only": func(_ string, values []Value) Value {
+			var sum int64
+			for _, v := range values {
+				if v.(int64) < 0 {
+					panic("negative count")
+				}
+				sum += v.(int64)
+			}
+			return sum
+		},
+	} {
+		job := sumJob(2)
+		job.SumInt64 = true
+		job.Combine = combine
+		if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrNotSum) {
+			t.Fatalf("%s: err = %v, want ErrNotSum", name, err)
+		}
 	}
 }

@@ -26,6 +26,10 @@ import (
 // free to move: it decides how a key's values are grouped into Combine calls,
 // which a combiner that is associative only up to rounding — a float sum in
 // any order but left to right — would see in its results. So it stays.
+//
+// A task whose job declares Job.SumInt64 holds no pending values at all: it
+// adds each value into its key's total as it is emitted (emitSum), so the
+// bound never comes into play and Combine is never called.
 const mapPendingBound = 2048
 
 // slotSeed keys the hash of the map task's index. Keys come from records off
@@ -46,7 +50,8 @@ type mapSlot struct {
 
 // mapEntry is one distinct key of the task, in first-emit order, with its
 // prefix (see keyPrefix) and the chain of its pending values: first and last
-// index mapScratch.vals.
+// index mapScratch.vals. A declared sum's task keeps no chain; its entries'
+// totals are in mapScratch.sums.
 type mapEntry struct {
 	key         string
 	prefix      uint64
@@ -105,6 +110,8 @@ type mapScratch struct {
 	vals    []Value    // pending values, in emit order
 	next    []int32    // next[i] is the value after vals[i] in its key's chain, -1 at the end
 	args    []Value    // one key's chain gathered for Combine
+	sums    []int64    // a declared sum's totals: sums[i] is entry i's
+	notSum  string     // the type of the first value a declared sum's task emitted that is no int64
 	part    []int32    // the partition of each entry
 	order   []sortKey  // the entries grouped by partition, then sorted
 	spare   []sortKey  // the radix sort's second buffer
@@ -151,6 +158,42 @@ func (s *mapScratch) emit(key string, value Value) {
 			if len(s.vals)-len(s.entries) >= mapPendingBound {
 				s.fold()
 			}
+			return
+		}
+	}
+}
+
+// emitSum is emit for a task whose job declares SumInt64: the same index and
+// the same probe, but a key holds its running total, to which each value is
+// added as it is emitted — no chain, no fold, no Combine call. The loop is
+// emit's, repeated rather than shared, so that an undeclared task's emit is
+// what it was. A value that is no int64 breaks the declaration: it is left
+// out, and run fails the task naming the first one's type.
+func (s *mapScratch) emitSum(key string, value Value) {
+	n, ok := value.(int64)
+	if !ok {
+		if s.notSum == "" {
+			s.notSum = fmt.Sprintf("%T", value)
+		}
+		return
+	}
+	h := slotHash(key)
+	p := keyPrefix(key)
+	mask := uint32(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		slot := s.slots[i]
+		if slot.ref == 0 {
+			s.slots[i] = mapSlot{h, uint32(len(s.entries)) + 1}
+			s.entries = append(s.entries, mapEntry{key: key, prefix: p})
+			s.sums = append(s.sums, n)
+			if 2*len(s.entries) > len(s.slots) {
+				s.grow()
+			}
+			return
+		}
+		if e := &s.entries[slot.ref-1]; slot.hash == h && e.prefix == p && len(e.key) == len(key) &&
+			(len(key) <= 8 || e.key[8:] == key[8:]) {
+			s.sums[slot.ref-1] += n
 			return
 		}
 	}
@@ -204,7 +247,8 @@ func (s *mapScratch) fold() {
 
 // cut writes the folded entries out as one payload per partition, each in a
 // slice of exactly its length (nil when nothing was emitted to it), with the
-// payloads' sizes. This is where a key meets FNV — once, however often it was
+// payloads' sizes. With sum set the entries are a declared sum's, and their
+// totals are boxed here. This is where a key meets FNV — once, however often it was
 // emitted — and where a partition is put in key order: by sorting
 // (prefix, entry) pairs in the scratch — with compare below radixCutover
 // pairs, radixSort from there on — reading the strings only where two
@@ -216,7 +260,7 @@ func (s *mapScratch) fold() {
 // index compares; copied, a window's state holds its keys' bytes and not the
 // records they were cut from, and a merge or a seek compares keys that lie
 // side by side.
-func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64) {
+func (s *mapScratch) cut(n int, sum bool) (parts []Payload, partBytes []int64, bytes int64) {
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	clear(s.counts)
 	s.part = slices.Grow(s.part[:0], len(s.entries))
@@ -255,7 +299,13 @@ func (s *mapScratch) cut(n int) (parts []Payload, partBytes []int64, bytes int64
 			for i, k := range run {
 				off := arena.Len()
 				arena.WriteString(s.entries[k.idx].key)
-				out[i] = Entry{arena.String()[off:], s.vals[k.idx]}
+				var v Value
+				if sum {
+					v = s.sums[k.idx]
+				} else {
+					v = s.vals[k.idx]
+				}
+				out[i] = Entry{arena.String()[off:], v}
 				partBytes[p] += int64(len(out[i].Key)) + valueBytes(s.job, out[i].Value)
 			}
 			parts[p] = out
@@ -344,8 +394,8 @@ func (s *mapScratch) reset() {
 	clear(s.entries)
 	clear(s.vals)
 	clear(s.args)
-	s.job = nil
-	s.entries, s.vals, s.next, s.args = s.entries[:0], s.vals[:0], s.next[:0], s.args[:0]
+	s.job, s.notSum = nil, ""
+	s.entries, s.vals, s.next, s.args, s.sums = s.entries[:0], s.vals[:0], s.next[:0], s.args[:0], s.sums[:0]
 }
 
 // RunMapTask executes the job's map function over one split and combines
@@ -356,7 +406,9 @@ func (s *mapScratch) reset() {
 // It is the one map kernel — under Executor, dist's workers, pig and
 // RunScratch. Emitted pairs go into one index for all partitions (emit), a
 // key's values are combined by one Combine call over all of them (fold), and
-// the partitions are cut and sorted once, when the split is done (cut). All
+// the partitions are cut and sorted once, when the split is done (cut). A
+// job that declares SumInt64 has each value added to its key's total as it
+// is emitted instead (emitSum), and nothing to fold. All
 // of that happens in a pooled scratch: the task allocates its outputs — the
 // payloads and the one string their keys are cut from, which holds nothing
 // of the split's records.
@@ -381,9 +433,21 @@ func (s *mapScratch) run(job *Job, split Split) (MapResult, error) {
 		live = nil
 		s.reset()
 	}()
-	emit := func(key string, value Value) {
-		if live != nil {
-			live.emit(key, value)
+	// The declaration is read once, here: each kind of task runs its own
+	// emit, and an undeclared one's is the same closure as ever.
+	sum := job.SumInt64
+	var emit Emit
+	if sum {
+		emit = func(key string, value Value) {
+			if live != nil {
+				live.emitSum(key, value)
+			}
+		}
+	} else {
+		emit = func(key string, value Value) {
+			if live != nil {
+				live.emit(key, value)
+			}
 		}
 	}
 	for _, rec := range split.Records {
@@ -391,8 +455,12 @@ func (s *mapScratch) run(job *Job, split Split) (MapResult, error) {
 			return MapResult{}, fmt.Errorf("map task %s: %w", split.ID, err)
 		}
 	}
-	s.fold()
-	parts, partBytes, bytes := s.cut(job.NumPartitions())
+	if !sum {
+		s.fold()
+	} else if s.notSum != "" {
+		return MapResult{}, fmt.Errorf("map task %s: job %q declares SumInt64 but emitted a %s value", split.ID, job.Name, s.notSum)
+	}
+	parts, partBytes, bytes := s.cut(job.NumPartitions(), sum)
 	return MapResult{
 		SplitID:   split.ID,
 		Parts:     parts,

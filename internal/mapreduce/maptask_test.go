@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -198,6 +199,7 @@ type differentialCase struct {
 	label string
 	job   *Job
 	split Split
+	ints  bool      // every value is an int64 and job's Combine sums them
 	want  MapResult // the reference's result
 }
 
@@ -284,6 +286,7 @@ func differentialCases(t testing.TB, seed int64, perShape int) []differentialCas
 				c := differentialCase{
 					label: fmt.Sprintf("seed %d, %d partitions, ints=%v, split %d", seed, partitions, ints, i),
 					job:   job,
+					ints:  ints,
 				}
 				switch {
 				case i < perShape:
@@ -403,6 +406,17 @@ func FuzzMapTask(f *testing.F) {
 		Combine: joinStrings,
 		Reduce:  joinStrings,
 	}
+	// The same words summed: a word's value is its last byte in the top one
+	// of eight, so a key's total wraps as soon as it has a few.
+	sum := sumJob(0)
+	sum.Map = func(rec Record, emit Emit) error {
+		for _, w := range strings.Split(rec.(string), " ") {
+			if w != "" {
+				emit(w[:len(w)-1], int64(w[len(w)-1])<<56)
+			}
+		}
+		return nil
+	}
 	f.Fuzz(func(t *testing.T, data []byte, partitions uint8) {
 		job := *job
 		job.Partitions = int(partitions % 9)
@@ -426,7 +440,126 @@ func FuzzMapTask(f *testing.F) {
 			lines[i] = rec.(string)
 		}
 		assertOneKeyArena(t, "fuzz", got, lines)
+
+		chain := *sum
+		chain.Partitions = job.Partitions
+		declared := chain
+		declared.SumInt64 = true
+		if want, err = RunMapTask(&chain, split); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = RunMapTask(&declared, split); err != nil {
+			t.Fatal(err)
+		}
+		sameMapResult(t, "fuzz, declared sum", got, want)
 	})
+}
+
+// wrapSplit emits int64 values that make every key's total wrap past
+// MaxInt64 or MinInt64, some of them more than mapPendingBound times, so
+// that the fold groups them into several Combine calls.
+func wrapSplit() Split {
+	var emits script
+	for i := 0; i < 3*mapPendingBound; i++ {
+		emits = append(emits, Entry{"max", int64(math.MaxInt64 - i%3)}, Entry{"min", int64(math.MinInt64 + i%5)})
+		if i%7 == 0 {
+			emits = append(emits, Entry{fmt.Sprintf("mixed-%d", i%11), int64(i) << 60})
+		}
+	}
+	return Split{ID: "wrap", Records: []Record{emits[:len(emits)/3], emits[len(emits)/3:]}}
+}
+
+// TestMapTaskSumMatchesChain: a task whose job declares SumInt64 adds each
+// value as it is emitted and never calls Combine, and gives what the same
+// job gives undeclared — its values chained, folded and combined — Parts,
+// PartBytes, Bytes, every key string and every value's type: over every
+// int64-valued differential case, and over totals that wrap, on a cold
+// scratch, a reused one and through the pool.
+func TestMapTaskSumMatchesChain(t *testing.T) {
+	cases := differentialCases(t, 20141208, 6)
+	for _, partitions := range []int{1, 4} {
+		job := scriptJob(partitions, sumJob(1).Combine)
+		cases = append(cases, differentialCase{label: fmt.Sprintf("wrap, %d partitions", partitions), job: job, split: wrapSplit(), ints: true})
+	}
+	warm := newMapScratch()
+	n := 0
+	for _, c := range cases {
+		if !c.ints {
+			continue
+		}
+		n++
+		want, err := newMapScratch().run(c.job, c.split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := *c.job
+		declared.SumInt64 = true
+		declared.Combine = func(string, []Value) Value { panic("a declared sum's task called Combine") }
+		for _, run := range []struct {
+			label string
+			run   func() (MapResult, error)
+		}{
+			{"cold scratch", func() (MapResult, error) { return newMapScratch().run(&declared, c.split) }},
+			{"reused scratch", func() (MapResult, error) { return warm.run(&declared, c.split) }},
+			{"pooled", func() (MapResult, error) { return RunMapTask(&declared, c.split) }},
+		} {
+			got, err := run.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMapResult(t, c.label+", declared, "+run.label, got, want)
+			assertOneKeyArena(t, c.label, got, scriptInputs(c.split))
+		}
+		assertScratchClean(t, warm)
+		// The undeclared job still runs its chain in the scratch the
+		// declared one used.
+		got, err := warm.run(c.job, c.split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMapResult(t, c.label+", undeclared after declared", got, want)
+	}
+	if n == 0 {
+		t.Fatal("no int64-valued case")
+	}
+}
+
+// TestDeclaredSumRefusesOtherValues: a task whose job declares SumInt64 but
+// emits some other value fails with an error that names the job and the
+// value's type, without a panic, and leaves its scratch as a finished task
+// does: the next task run in it gets its exact output.
+func TestDeclaredSumRefusesOtherValues(t *testing.T) {
+	good := Split{ID: "good", Records: []Record{script{{"a", int64(1)}, {"b", int64(2)}, {"a", int64(3)}}}}
+	job := scriptJob(3, sumJob(1).Combine)
+	want, err := refRunMapTask(job, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := *job
+	declared.SumInt64 = true
+	for _, bad := range []struct {
+		value Value
+		typ   string
+	}{{1.5, "float64"}, {int(1), "int"}, {"1", "string"}, {nil, "<nil>"}} {
+		split := Split{ID: "bad", Records: []Record{
+			script{{"a", int64(1)}, {"b", int64(1)}},
+			script{{"a", bad.value}, {"c", int64(1)}},
+		}}
+		s := newMapScratch()
+		_, err := s.run(&declared, split)
+		if err == nil || !strings.Contains(err.Error(), `"script"`) || !strings.Contains(err.Error(), bad.typ) {
+			t.Fatalf("a declared sum emitting a %s: err = %v, want one naming the job and the type", bad.typ, err)
+		}
+		assertScratchClean(t, s)
+		got, err := s.run(&declared, good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMapResult(t, "after a "+bad.typ, got, want)
+		if _, err := RunMapTask(&declared, split); err == nil {
+			t.Fatalf("a pooled declared task emitting a %s did not fail", bad.typ)
+		}
+	}
 }
 
 // assertScratchClean: a scratch between tasks holds no key, no value and no
@@ -436,9 +569,9 @@ func assertScratchClean(t testing.TB, s *mapScratch) {
 	if s.job != nil {
 		t.Fatal("released scratch holds a job")
 	}
-	if len(s.entries)+len(s.vals)+len(s.next)+len(s.args) != 0 {
-		t.Fatalf("released scratch is not empty: %d entries, %d values, %d links, %d arguments",
-			len(s.entries), len(s.vals), len(s.next), len(s.args))
+	if len(s.entries)+len(s.vals)+len(s.next)+len(s.args)+len(s.sums) != 0 || s.notSum != "" {
+		t.Fatalf("released scratch is not empty: %d entries, %d values, %d links, %d arguments, %d totals, %q",
+			len(s.entries), len(s.vals), len(s.next), len(s.args), len(s.sums), s.notSum)
 	}
 	for i, slot := range s.slots {
 		if slot != (mapSlot{}) {
@@ -491,20 +624,28 @@ func TestMapTaskAllocs(t *testing.T) {
 		Combine: func(_ string, values []Value) Value { return values[0] },
 		Reduce:  func(_ string, values []Value) Value { return values[0] },
 	}
-	s := newMapScratch()
-	for _, pairs := range []int{10, 1000, 100000} {
-		split := Split{ID: "s", Records: []Record{pairs}}
-		if _, err := s.run(job, split); err != nil { // grows the scratch to this size
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := s.run(job, split); err != nil {
+	// Declared, the same emits are summed as they come: no key's total
+	// reaches 256, so boxing it allocates nothing either.
+	declared := *job
+	declared.SumInt64 = true
+	declared.Combine = sumJob(1).Combine
+	for _, job := range []*Job{job, &declared} {
+		s := newMapScratch()
+		for _, pairs := range []int{10, 1000, 100000} {
+			split := Split{ID: "s", Records: []Record{pairs}}
+			if _, err := s.run(job, split); err != nil { // grows the scratch to this size
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%d pairs: %.1f allocs", pairs, allocs)
-		if allocs > partitions+5 {
-			t.Errorf("%d emitted pairs: a warm task makes %.1f allocations, want ≤ %d", pairs, allocs, partitions+5)
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := s.run(job, split); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("declared %v, %d pairs: %.1f allocs", job.SumInt64, pairs, allocs)
+			if allocs > partitions+5 {
+				t.Errorf("declared %v, %d emitted pairs: a warm task makes %.1f allocations, want ≤ %d",
+					job.SumInt64, pairs, allocs, partitions+5)
+			}
 		}
 	}
 }

@@ -76,6 +76,15 @@ type Job struct {
 	SizeOf func(v Value) int64
 	// Commutative declares that Combine is order-insensitive.
 	Commutative bool
+	// SumInt64 declares that every value Map emits is an int64 and that
+	// Combine returns the wrapping int64 sum of its values. A map task then
+	// adds each value into its key's total as it is emitted, and calls
+	// Combine for none of them; the payloads are the same, since int64
+	// addition wraps alike under any grouping. Combine stays required:
+	// everything past the map task calls it. A declared task that emits
+	// anything else fails, and CheckJob refuses a job the declaration does
+	// not hold for (ErrNotSum).
+	SumInt64 bool
 }
 
 // Validate checks that the job is well formed.

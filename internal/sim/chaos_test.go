@@ -172,3 +172,46 @@ func TestChaosOpsIgnoredWithoutDistFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChaosWorkersServeDeclaredSum: the chaos cluster's workers serve the sim
+// job declared SumInt64 wherever its values are plain int64s, the
+// declaration holds (CheckJob), and a declared map task gives what the
+// replicas' undeclared one gives — the pair the chaos matrix then holds to
+// each other under faults.
+func TestChaosWorkersServeDeclaredSum(t *testing.T) {
+	for seed := uint64(0); seed < 6; seed++ {
+		c, err := newChaosCluster(1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := c.reg.Lookup("sim-wordcount")
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served.SumInt64 != (seed%3 != 2) {
+			t.Fatalf("seed %d: workers serve SumInt64 = %v", seed, served.SumInt64)
+		}
+		var splits []mapreduce.Split
+		for id := uint64(0); id < 40; id++ {
+			splits = append(splits, genSplit(seed, id))
+		}
+		if err := mapreduce.CheckJob(served, splits); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, split := range splits {
+			got, err := mapreduce.RunMapTask(served, split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mapreduce.RunMapTask(simJob(seed), split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Cost, want.Cost = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: the served job maps\n%+v\nthe replicas' maps\n%+v", seed, split.ID, got, want)
+			}
+		}
+	}
+}

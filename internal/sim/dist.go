@@ -37,10 +37,19 @@ type chaosCluster struct {
 }
 
 // newChaosCluster starts the workers and the pool; the workers serve the
-// sim job of the given trace seed.
+// sim job of the given trace seed. Where its values are plain int64s (every
+// seed but seed%3 == 2, whose values are tallies) they serve it declared
+// SumInt64, while the replicas' runtimes keep it undeclared: every map task
+// a worker runs is the declared kernel, every one mapped in process is the
+// chain-and-fold one, and the oracle holds the two to each other.
 func newChaosCluster(n int, seed uint64) (*chaosCluster, error) {
 	c := &chaosCluster{reg: &dist.Registry{}, rec: &metrics.FaultRecorder{}}
-	if err := c.reg.Register("sim-wordcount", func() *mapreduce.Job { return simJob(seed) }); err != nil {
+	served := func() *mapreduce.Job {
+		job := simJob(seed)
+		job.SumInt64 = seed%3 != 2
+		return job
+	}
+	if err := c.reg.Register("sim-wordcount", served); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
