@@ -74,32 +74,24 @@ func SubStr(partitions int) *mapreduce.Job {
 // KMeans is the K-Means clustering micro-benchmark of §7.1
 // (compute-intensive): one Lloyd iteration per job over fixed seed
 // centroids; the map side performs the k×dim distance computations and
-// the reduce side averages the per-centroid accumulators.
+// the reduce side averages the per-centroid accumulators. A point of
+// another dimension than dim is an error.
 func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 	centroids := randomPoints(seed, k, dim)
 	// A point's key names its centroid: k strings, built here once rather
 	// than one per point.
-	keys := make([]string, len(centroids))
-	for c := range keys {
-		keys[c] = "c" + strconv.Itoa(c)
-	}
+	keys := indexKeys("c", len(centroids))
 	return &mapreduce.Job{
 		Name:       "K-Means",
 		Partitions: partitions,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			pt, ok := rec.([]float64)
-			if !ok {
-				return fmt.Errorf("K-Means: record %T is not a point", rec)
-			}
-			best, bestD := 0, sqDist(pt, centroids[0])
-			for c := 1; c < len(centroids); c++ {
-				if d := sqDist(pt, centroids[c]); d < bestD {
-					best, bestD = c, d
-				}
+			pt, err := point("K-Means", rec, dim)
+			if err != nil {
+				return err
 			}
 			sum := make([]float64, len(pt))
 			copy(sum, pt)
-			emit(keys[best], &CentroidAcc{Sum: sum, Count: 1})
+			emit(keys[nearest(pt, centroids)], &CentroidAcc{Sum: sum, Count: 1})
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
@@ -114,20 +106,40 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 
 // KNN is the K-nearest-neighbors micro-benchmark of §7.1
 // (compute-intensive): for each of a fixed set of query points it finds
-// the k nearest data points in the window.
+// the k nearest data points in the window. The queries share one
+// dimension, and a point of another is an error.
 func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
+	dim := -1 // no query: a point of any dimension
+	for q, query := range queries {
+		if q == 0 {
+			dim = len(query)
+		} else if len(query) != dim {
+			panic(fmt.Sprintf("KNN: query %d has dimension %d, query 0 has %d", q, len(query), dim))
+		}
+	}
+	keys := indexKeys("q", len(queries))
 	return &mapreduce.Job{
 		Name:       "KNN",
 		Partitions: partitions,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			pt, ok := rec.([]float64)
-			if !ok {
-				return fmt.Errorf("KNN: record %T is not a point", rec)
+			pt, err := point("KNN", rec, dim)
+			if err != nil {
+				return err
 			}
 			id := pointID(pt)
-			for q, query := range queries {
-				d := sqDist(pt, query)
-				emit("q"+strconv.Itoa(q), &Neighbors{K: k, List: []Neighbor{{Dist: d, ID: id}}})
+			emitQuery := func(q int, d float64) {
+				emit(keys[q], &Neighbors{K: k, List: []Neighbor{{Dist: d, ID: id}}})
+			}
+			q := 0
+			for ; q+4 <= len(queries); q += 4 {
+				d0, d1, d2, d3 := sqDist4(pt, queries[q], queries[q+1], queries[q+2], queries[q+3])
+				emitQuery(q, d0)
+				emitQuery(q+1, d1)
+				emitQuery(q+2, d2)
+				emitQuery(q+3, d3)
+			}
+			for ; q < len(queries); q++ {
+				emitQuery(q, sqDist(pt, queries[q]))
 			}
 			return nil
 		},
@@ -147,6 +159,60 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 		},
 		Commutative: true,
 	}
+}
+
+// indexKeys returns prefix+"0" … prefix+strconv.Itoa(n-1): the keys a job
+// emits under, built once rather than one per record.
+func indexKeys(prefix string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = prefix + strconv.Itoa(i)
+	}
+	return keys
+}
+
+// point returns rec as a point of dimension dim (of any, for a negative
+// dim), or an error naming the job when it is not one.
+func point(job string, rec mapreduce.Record, dim int) ([]float64, error) {
+	pt, ok := rec.([]float64)
+	if !ok {
+		return nil, fmt.Errorf("%s: record %T is not a point", job, rec)
+	}
+	if dim >= 0 && len(pt) != dim {
+		return nil, fmt.Errorf("%s: record has dimension %d, the job's points have %d", job, len(pt), dim)
+	}
+	return pt, nil
+}
+
+// nearest returns the index of the centroid closest to p: the first of the
+// closest, as a scan that starts from centroid 0's distance and moves on
+// only to a strictly smaller one finds it — so a NaN distance never wins,
+// and a NaN at centroid 0 keeps 0. The distances are sqDist's, bit for
+// bit, four computed per pass (sqDist4) and compared in index order.
+func nearest(p []float64, centroids [][]float64) int {
+	best, bestD := 0, 0.0
+	c := 0
+	for ; c+4 <= len(centroids); c += 4 {
+		d0, d1, d2, d3 := sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
+		if c == 0 || d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = c+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = c+3, d3
+		}
+	}
+	for ; c < len(centroids); c++ {
+		if d := sqDist(p, centroids[c]); c == 0 || d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }
 
 // sqDist returns the squared Euclidean distance, summed in index order.
@@ -175,6 +241,46 @@ func sqDist(a, b []float64) float64 {
 		d += diff * diff
 	}
 	return d
+}
+
+// sqDist4 returns sqDist(p, a), sqDist(p, b), sqDist(p, c) and
+// sqDist(p, d), each bit for bit: one pass over p feeds four sums, each of
+// which adds its squared differences in index order, as sqDist does. The
+// four chains of additions are independent, so the core runs them side by
+// side where sqDist waits on one. x[i]-p[i] squares to the bits of
+// p[i]-x[i], and saves copying p[i] before each subtraction. A NaN result
+// is a NaN, but not always the same one: which NaN an operation on two
+// NaNs yields follows the order the compiler gave its operands, which Go
+// leaves open, in sqDist as here. a, b, c and d hold at least len(p)
+// elements.
+func sqDist4(p, a, b, c, d []float64) (da, db, dc, dd float64) {
+	n := len(p)
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
+	i := 0
+	for ; i < n-1; i += 2 {
+		p0, p1 := p[i], p[i+1]
+		a0, a1 := a[i]-p0, a[i+1]-p1
+		b0, b1 := b[i]-p0, b[i+1]-p1
+		c0, c1 := c[i]-p0, c[i+1]-p1
+		d0, d1 := d[i]-p0, d[i+1]-p1
+		da += a0 * a0
+		db += b0 * b0
+		dc += c0 * c0
+		dd += d0 * d0
+		da += a1 * a1
+		db += b1 * b1
+		dc += c1 * c1
+		dd += d1 * d1
+	}
+	if i < n {
+		p0 := p[i]
+		a0, b0, c0, d0 := a[i]-p0, b[i]-p0, c[i]-p0, d[i]-p0
+		da += a0 * a0
+		db += b0 * b0
+		dc += c0 * c0
+		dd += d0 * d0
+	}
+	return da, db, dc, dd
 }
 
 // pointID derives a stable identity from a point's coordinates.
