@@ -75,8 +75,12 @@ func SubStr(partitions int) *mapreduce.Job {
 // (compute-intensive): one Lloyd iteration per job over fixed seed
 // centroids; the map side performs the k×dim distance computations and
 // the reduce side averages the per-centroid accumulators. A point of
-// another dimension than dim is an error.
+// another dimension than dim is an error, and a k below one a panic here:
+// with no centroid there is no nearest one for Map to find.
 func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
+	if k < 1 {
+		panic(fmt.Sprintf("K-Means: k is %d, want at least one centroid", k))
+	}
 	centroids := randomPoints(seed, k, dim)
 	// A point's key names its centroid: k strings, built here once rather
 	// than one per point.

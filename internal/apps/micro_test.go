@@ -13,6 +13,28 @@ import (
 	"slider/internal/workload"
 )
 
+// TestKMeansRefusesNoCentroid: a K-Means job of fewer than one centroid is
+// refused where it is built, by a panic naming the job and k, not by one
+// in every Map call (k = 0) or in make (k < 0).
+func TestKMeansRefusesNoCentroid(t *testing.T) {
+	for _, k := range []int{0, -1, -64} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "K-Means") || !strings.Contains(msg, fmt.Sprintf("k is %d", k)) {
+					t.Errorf("KMeans(2, %d, 3, 1) panicked with %q, want a panic naming the job and k", k, msg)
+				}
+			}()
+			KMeans(2, k, 3, 1)
+		}()
+	}
+	// One centroid is a job: every point is its nearest.
+	job := KMeans(2, 1, 3, 1)
+	if _, err := mapreduce.RunMapTask(job, mapreduce.Split{ID: "one", Records: []mapreduce.Record{[]float64{1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSqDistMatchesIndexOrderSum: the unrolled loop adds in index order,
 // so it agrees with the plain loop to the last bit at every length on
 // either side of the unrolling step.

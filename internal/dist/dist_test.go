@@ -12,6 +12,7 @@ import (
 
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
+	"slider/internal/persist"
 	"slider/internal/sliderrt"
 )
 
@@ -294,9 +295,23 @@ func trackedValue() (mapreduce.Value, <-chan struct{}) {
 	return v, freed
 }
 
+// workerMapTask runs split as the worker's handler does — its output framed
+// from the task's scratch, a panic recovered — and decodes the frame.
+func workerMapTask(job *mapreduce.Job, split mapreduce.Split) (mapreduce.MapResult, error) {
+	var frame []byte
+	err := writeMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+		frame, err = persist.AppendTaskOutput(nil, out)
+		return err
+	})
+	if err != nil {
+		return mapreduce.MapResult{}, err
+	}
+	return persist.DecodeMapResult(frame)
+}
+
 // TestFailedMapTaskLeavesNothingBehind: map tasks work in pooled scratch, and
 // a worker runs task after task on one goroutine. A split whose Map panics
-// half-way (recovered by runMapTask) or returns an error is followed by a
+// half-way (recovered by writeMapTask) or returns an error is followed by a
 // good split on the same goroutine: the good split's output is exact, and
 // what the failed task had emitted is unreachable afterwards.
 func TestFailedMapTaskLeavesNothingBehind(t *testing.T) {
@@ -330,14 +345,14 @@ func TestFailedMapTaskLeavesNothingBehind(t *testing.T) {
 			}
 			return errors.New("map gave up half-way")
 		}
-		if _, err := runMapTask(bad, textSplits(0, 1)[0]); err == nil || !strings.Contains(err.Error(), "half-way") {
+		if _, err := workerMapTask(bad, textSplits(0, 1)[0]); err == nil || !strings.Contains(err.Error(), "half-way") {
 			t.Fatalf("%s: err = %v, want the task's failure", failure, err)
 		}
 		// Every round runs the good split again before it collects: a pool
 		// keeps what is used between two collections, so the scratch the
 		// failed task worked in stays alive, and with it whatever it holds.
 		for round := 0; ; round++ {
-			res, err := runMapTask(testJob(), good)
+			res, err := workerMapTask(testJob(), good)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slider/internal/mapreduce"
 	"slider/internal/metrics"
 	"slider/internal/persist"
 )
@@ -233,7 +234,8 @@ func TestWorkerNoObsZeroAllocDelta(t *testing.T) {
 		t.Fatalf("traced call allocates %.1f more than untraced with no obs installed (base %.1f)", delta, base)
 	}
 	// What the batch's own work allocates: the job out of the registry,
-	// each split decoded where it lies, its map task.
+	// each split decoded where it lies, its map task framed into a warm
+	// buffer.
 	job := testJob()
 	var frames [][]byte
 	for _, s := range textSplits(0, 2) {
@@ -243,6 +245,7 @@ func TestWorkerNoObsZeroAllocDelta(t *testing.T) {
 		}
 		frames = append(frames, frame)
 	}
+	var buf []byte
 	work := testing.AllocsPerRun(50, func() {
 		if _, err := workers[0].registry.Lookup("dist-wordcount"); err != nil {
 			t.Fatal(err)
@@ -252,7 +255,11 @@ func TestWorkerNoObsZeroAllocDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := runMapTask(job, split); err != nil {
+			err = writeMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+				buf, err = persist.AppendTaskOutput(buf[:0], out)
+				return err
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

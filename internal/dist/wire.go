@@ -24,7 +24,9 @@ import (
 //	         opStats  nothing
 //	reply  kindReply envelope, then, when its status is statusOK,
 //	         opMap    one map-result frame per split, in the call's order
-//	                  (persist.AppendMapResult), then a value frame of
+//	                  (persist.AppendTaskOutput, written from the map
+//	                  task's sorted index; persist.AppendMapResult writes
+//	                  the same bytes from a MapResult), then a value frame of
 //	                  []metrics.WireSpan when the call asked for a trace
 //	                  and the worker keeps one
 //	         opPing   one value frame of PingReply

@@ -195,18 +195,18 @@ func (w *Worker) dropConns() {
 	}
 }
 
-// runMapTask is mapreduce.RunMapTask with a panic in the job's Map or
+// writeMapTask is mapreduce.WriteMapTask with a panic in the job's Map or
 // Combine — user code run on records off the wire — turned into the task's
 // error. Without this one bad record ends the worker process; with it the
 // batch is answered with statusJobError, which the pool does not retry,
 // and the worker keeps serving.
-func runMapTask(job *mapreduce.Job, split mapreduce.Split) (res mapreduce.MapResult, err error) {
+func writeMapTask(job *mapreduce.Job, split mapreduce.Split, write func(*mapreduce.TaskOutput) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job %q panicked on split %s: %v", job.Name, split.ID, r)
 		}
 	}()
-	return mapreduce.RunMapTask(job, split)
+	return mapreduce.WriteMapTask(job, split, write)
 }
 
 // refuseLinger bounds how long a connection that is being refused stays
@@ -297,9 +297,9 @@ func (w *Worker) refuse(c *wireConn, id uint64, status byte, text string) {
 
 // runMap executes a batch of map tasks for a registered job: each split is
 // decoded where it lies in the read buffer (its records alias it), mapped,
-// and its result framed straight into the write buffer, so split k+1 may
-// still be arriving while split k runs; the reply is written once, at the
-// end. Armed one-shot faults (WorkerFaults) fire here: crash kills the
+// and its output framed straight from the task's scratch into the write
+// buffer, so split k+1 may still be arriving while split k runs; the reply
+// is written once, at the end. Armed one-shot faults (WorkerFaults) fire here: crash kills the
 // worker after the first split, drop computes everything but hangs up
 // before replying, corrupt flips a byte inside the first result frame,
 // delay stalls the reply.
@@ -365,32 +365,33 @@ func (w *Worker) runMap(c *wireConn, env call) error {
 			obs.Decode.Observe(time.Since(decStart))
 		}
 		// The map-side combiner is fused into the map task's emit path, so
-		// this one span covers both (there is no separate combine pass).
+		// this one span covers both (there is no separate combine pass). The
+		// task's output is framed straight from its scratch into the write
+		// buffer, which an encoding error leaves as it was; out.Cost, which
+		// travels, is the map task's own time, and the encoding is in the
+		// encode histogram only.
 		mc := sp.Child("map+combine")
 		start := time.Now()
-		result, err := runMapTask(job, split)
+		err = writeMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+			mc.End()
+			encStart := time.Now()
+			if obs != nil {
+				obs.Map.Observe(encStart.Sub(start))
+			}
+			enc := sp.Child("encode")
+			c.wbuf, err = persist.AppendTaskOutput(c.wbuf, out)
+			enc.End()
+			if err == nil && obs != nil {
+				obs.Encode.Observe(time.Since(encStart))
+			}
+			return err
+		})
 		mc.End()
 		if err != nil {
 			batch.End()
 			return w.fail(c, env.id, env.items-idx-1, err)
 		}
-		if obs != nil {
-			obs.Map.Observe(time.Since(start))
-		}
-		// result.Cost, which travels, is the map task's own time; the
-		// encoding below is in the encode histogram only.
-		encStart := time.Now()
-		enc := sp.Child("encode")
-		c.wbuf, err = persist.AppendMapResult(c.wbuf, result)
-		enc.End()
-		if err != nil {
-			batch.End()
-			return w.fail(c, env.id, env.items-idx-1, err)
-		}
 		sp.End()
-		if obs != nil {
-			obs.Encode.Observe(time.Since(encStart))
-		}
 		if idx == 0 {
 			firstEnd = len(c.wbuf)
 		}

@@ -105,6 +105,7 @@ const radixCutover = 128
 // the job's own functions allocate.
 type mapScratch struct {
 	job     *Job
+	sum     bool       // job.SumInt64, read once when the task starts
 	slots   []mapSlot  // the index: len a power of two, at most half full
 	entries []mapEntry // the distinct keys, in first-emit order
 	vals    []Value    // pending values, in emit order
@@ -115,7 +116,12 @@ type mapScratch struct {
 	part    []int32    // the partition of each entry
 	order   []sortKey  // the entries grouped by partition, then sorted
 	spare   []sortKey  // the radix sort's second buffer
-	counts  []int      // entries per partition
+	counts  []int      // entries per partition, then where each partition's run in order ends
+	// keyBytes is the length of the task's keys together, set by sortParts.
+	keyBytes int
+	// out is the view a writer is handed (WriteMapTask): it lives in the
+	// scratch so that handing it over allocates nothing.
+	out TaskOutput
 }
 
 // mapScratchPool holds the scratches between tasks. It lets go of them by
@@ -245,31 +251,29 @@ func (s *mapScratch) fold() {
 	s.vals, s.next = s.vals[:len(s.entries)], s.next[:len(s.entries)]
 }
 
-// cut writes the folded entries out as one payload per partition, each in a
-// slice of exactly its length (nil when nothing was emitted to it), with the
-// payloads' sizes. With sum set the entries are a declared sum's, and their
-// totals are boxed here. This is where a key meets FNV — once, however often it was
-// emitted — and where a partition is put in key order: by sorting
-// (prefix, entry) pairs in the scratch — with compare below radixCutover
-// pairs, radixSort from there on — reading the strings only where two
-// prefixes are equal.
+// sortParts puts the folded entries in the order every output of the task
+// is read in: grouped by partition, each partition in key order. This is
+// where a key meets FNV — once, however often it was emitted — and where a
+// partition is sorted: (prefix, entry) pairs in the scratch, with compare
+// below radixCutover pairs and radixSort from there on, reading the strings
+// only where two prefixes are equal. Afterwards counts[p] is the end of
+// partition p's run in order (partRun reads it), and keyBytes the length of
+// every key together.
 //
-// The keys are copied once, into one string for the task, in partition then
-// key order, and every output key is a substring of it — the layout a decoded
-// payload has. Until here entries hold the strings Map emitted, which the
-// index compares; copied, a window's state holds its keys' bytes and not the
-// records they were cut from, and a merge or a seek compares keys that lie
-// side by side.
-func (s *mapScratch) cut(n int, sum bool) (parts []Payload, partBytes []int64, bytes int64) {
+// The sorted index has two consumers, and neither copies the other: cut
+// builds payloads from it for in-process callers, and a TaskOutput hands it
+// to a writer (WriteMapTask), which dist's workers use to frame the output
+// for the wire without building a payload.
+func (s *mapScratch) sortParts(n int) {
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	clear(s.counts)
 	s.part = slices.Grow(s.part[:0], len(s.entries))
-	keyBytes := 0
+	s.keyBytes = 0
 	for _, e := range s.entries {
 		p := Partition(e.key, n)
 		s.part = append(s.part, int32(p))
 		s.counts[p]++
-		keyBytes += len(e.key)
+		s.keyBytes += len(e.key)
 	}
 	// counts[p] becomes where partition p's next pair goes, and is the end
 	// of its run once every pair is placed.
@@ -284,36 +288,66 @@ func (s *mapScratch) cut(n int, sum bool) (parts []Payload, partBytes []int64, b
 		s.order[s.counts[p]] = sortKey{e.prefix, int32(i)}
 		s.counts[p]++
 	}
-	parts, partBytes = make([]Payload, n), make([]int64, n)
-	var arena strings.Builder
-	arena.Grow(keyBytes)
 	start := 0
-	for p, end := range s.counts {
-		if run := s.order[start:end]; len(run) > 0 {
-			if len(run) < radixCutover {
-				slices.SortFunc(run, s.compare)
-			} else {
-				s.radixSort(run)
-			}
-			out := make(Payload, len(run))
-			for i, k := range run {
-				off := arena.Len()
-				arena.WriteString(s.entries[k.idx].key)
-				var v Value
-				if sum {
-					v = s.sums[k.idx]
-				} else {
-					v = s.vals[k.idx]
-				}
-				out[i] = Entry{arena.String()[off:], v}
-				partBytes[p] += int64(len(out[i].Key)) + valueBytes(s.job, out[i].Value)
-			}
-			parts[p] = out
-			bytes += partBytes[p]
+	for _, end := range s.counts {
+		if run := s.order[start:end]; len(run) >= radixCutover {
+			s.radixSort(run)
+		} else if len(run) > 1 {
+			slices.SortFunc(run, s.compare)
 		}
 		start = end
 	}
+}
+
+// partRun returns partition p's entries in key order, as sortParts left them.
+func (s *mapScratch) partRun(p int) []sortKey {
+	start := 0
+	if p > 0 {
+		start = s.counts[p-1]
+	}
+	return s.order[start:s.counts[p]]
+}
+
+// cut writes the sorted entries out as one payload per partition, each in a
+// slice of exactly its length (nil when nothing was emitted to it), with the
+// payloads' sizes. A declared sum's totals are boxed here.
+//
+// The keys are copied once, into one string for the task, in partition then
+// key order, and every output key is a substring of it — the layout a decoded
+// payload has. Until here entries hold the strings Map emitted, which the
+// index compares; copied, a window's state holds its keys' bytes and not the
+// records they were cut from, and a merge or a seek compares keys that lie
+// side by side.
+func (s *mapScratch) cut() (parts []Payload, partBytes []int64, bytes int64) {
+	n := len(s.counts)
+	parts, partBytes = make([]Payload, n), make([]int64, n)
+	var arena strings.Builder
+	arena.Grow(s.keyBytes)
+	for p := range n {
+		run := s.partRun(p)
+		if len(run) == 0 {
+			continue
+		}
+		out := make(Payload, len(run))
+		for i, k := range run {
+			off := arena.Len()
+			arena.WriteString(s.entries[k.idx].key)
+			out[i] = Entry{arena.String()[off:], s.value(k.idx)}
+			partBytes[p] += int64(len(out[i].Key)) + valueBytes(s.job, out[i].Value)
+		}
+		parts[p] = out
+		bytes += partBytes[p]
+	}
 	return parts, partBytes, bytes
+}
+
+// value is entry i's output value: its total, boxed, in a declared sum's
+// task, its folded value in any other.
+func (s *mapScratch) value(i int32) Value {
+	if s.sum {
+		return s.sums[i]
+	}
+	return s.vals[i]
 }
 
 // radixSort orders run by prefix with an LSD radix sort — one stable counting
@@ -394,7 +428,7 @@ func (s *mapScratch) reset() {
 	clear(s.entries)
 	clear(s.vals)
 	clear(s.args)
-	s.job, s.notSum = nil, ""
+	s.job, s.sum, s.notSum, s.out = nil, false, "", TaskOutput{}
 	s.entries, s.vals, s.next, s.args, s.sums = s.entries[:0], s.vals[:0], s.next[:0], s.args[:0], s.sums[:0]
 }
 
@@ -403,15 +437,16 @@ func (s *mapScratch) reset() {
 // combiner, which Slider keeps: §2 uses Combiners *additionally* at the
 // reduce side to form the contraction tree).
 //
-// It is the one map kernel — under Executor, dist's workers, pig and
-// RunScratch. Emitted pairs go into one index for all partitions (emit), a
-// key's values are combined by one Combine call over all of them (fold), and
-// the partitions are cut and sorted once, when the split is done (cut). A
-// job that declares SumInt64 has each value added to its key's total as it
-// is emitted instead (emitSum), and nothing to fold. All
-// of that happens in a pooled scratch: the task allocates its outputs — the
-// payloads and the one string their keys are cut from, which holds nothing
-// of the split's records.
+// It is the one map kernel — under Executor, pig and RunScratch, and, as
+// WriteMapTask, under dist's workers. Emitted pairs go into one index for
+// all partitions (emit), a key's values are combined by one Combine call
+// over all of them (fold), and the partitions are sorted once, when the
+// split is done (sortParts), and cut into payloads (cut). A job that
+// declares SumInt64 has each value added to its key's total as it is
+// emitted instead (emitSum), and nothing to fold. All of that happens in a
+// pooled scratch: the task allocates its outputs — the payloads and the one
+// string their keys are cut from, which holds nothing of the split's
+// records.
 func RunMapTask(job *Job, split Split) (MapResult, error) {
 	if err := job.Validate(); err != nil {
 		return MapResult{}, err
@@ -421,23 +456,72 @@ func RunMapTask(job *Job, split Split) (MapResult, error) {
 	return s.run(job, split)
 }
 
-// run is one task in s, which it leaves reset by whatever path it returns.
+// run is one RunMapTask in s, which it leaves reset by whatever path it
+// returns.
 func (s *mapScratch) run(job *Job, split Split) (MapResult, error) {
 	start := time.Now()
+	defer s.reset()
+	if err := s.mapSplit(job, split); err != nil {
+		return MapResult{}, err
+	}
+	parts, partBytes, bytes := s.cut()
+	return MapResult{
+		SplitID:   split.ID,
+		Parts:     parts,
+		Cost:      time.Since(start),
+		Bytes:     bytes,
+		PartBytes: partBytes,
+		Records:   int64(len(split.Records)),
+	}, nil
+}
+
+// WriteMapTask executes a map task as RunMapTask does, and hands its output
+// to write instead of cutting it into payloads: write reads the partitions
+// in key order where the task's scratch holds them, and what it returns is
+// the task's error. That is what a worker that frames the output for the
+// wire needs (persist.AppendTaskOutput): the payloads, their key arena and
+// the boxed totals would be built only for the encoder to read once.
+//
+// The view and everything read through it are valid during the call to
+// write only; the scratch is reset when it returns. A task whose Map fails,
+// or whose declared sum meets another value, fails with RunMapTask's error
+// and never calls write.
+func WriteMapTask(job *Job, split Split, write func(*TaskOutput) error) error {
+	if err := job.Validate(); err != nil {
+		return err
+	}
+	s := mapScratchPool.Get().(*mapScratch)
+	defer mapScratchPool.Put(s)
+	return s.writeTask(job, split, write)
+}
+
+// writeTask is one WriteMapTask in s, which it leaves reset by whatever path
+// it returns.
+func (s *mapScratch) writeTask(job *Job, split Split, write func(*TaskOutput) error) error {
+	start := time.Now()
+	defer s.reset()
+	if err := s.mapSplit(job, split); err != nil {
+		return err
+	}
+	s.out = TaskOutput{SplitID: split.ID, Records: int64(len(split.Records)), Cost: time.Since(start), s: s}
+	return write(&s.out)
+}
+
+// mapSplit is the task's body, whichever output it goes to: job's Map over
+// every record of split into s, the pending values folded, and the entries
+// put in order (sortParts). The caller resets s.
+func (s *mapScratch) mapSplit(job *Job, split Split) error {
 	s.job = job
-	// live is what emit writes to. It goes nil when the task is over: an
-	// emit the job kept finds nothing, and never the scratch of the task
+	// live is what emit writes to. It goes nil when the map phase is over:
+	// an emit the job kept finds nothing, and never the scratch of the task
 	// that took this one from the pool next.
 	live := s
-	defer func() {
-		live = nil
-		s.reset()
-	}()
+	defer func() { live = nil }()
 	// The declaration is read once, here: each kind of task runs its own
 	// emit, and an undeclared one's is the same closure as ever.
-	sum := job.SumInt64
+	s.sum = job.SumInt64
 	var emit Emit
-	if sum {
+	if s.sum {
 		emit = func(key string, value Value) {
 			if live != nil {
 				live.emitSum(key, value)
@@ -452,21 +536,72 @@ func (s *mapScratch) run(job *Job, split Split) (MapResult, error) {
 	}
 	for _, rec := range split.Records {
 		if err := job.Map(rec, emit); err != nil {
-			return MapResult{}, fmt.Errorf("map task %s: %w", split.ID, err)
+			return fmt.Errorf("map task %s: %w", split.ID, err)
 		}
 	}
-	if !sum {
+	if !s.sum {
 		s.fold()
 	} else if s.notSum != "" {
-		return MapResult{}, fmt.Errorf("map task %s: job %q declares SumInt64 but emitted a %s value", split.ID, job.Name, s.notSum)
+		return fmt.Errorf("map task %s: job %q declares SumInt64 but emitted a %s value", split.ID, job.Name, s.notSum)
 	}
-	parts, partBytes, bytes := s.cut(job.NumPartitions(), sum)
-	return MapResult{
-		SplitID:   split.ID,
-		Parts:     parts,
-		Cost:      time.Since(start),
-		Bytes:     bytes,
-		PartBytes: partBytes,
-		Records:   int64(len(split.Records)),
-	}, nil
+	s.sortParts(job.NumPartitions())
+	return nil
+}
+
+// TaskOutput is a read-only view of a finished map task's output, handed to
+// the writer WriteMapTask calls: the task's counts and its partitions, each
+// in key order, every entry holding its key as Map emitted it and its
+// declared int64 total (Declared) or its folded value. It is valid during
+// that call only.
+type TaskOutput struct {
+	SplitID string
+	Records int64
+	// Cost is the task's own time, the map and the ordering — what
+	// MapResult.Cost carries, taken before the output is written.
+	Cost time.Duration
+	s    *mapScratch
+}
+
+// Declared reports whether the task's job declares SumInt64: its entries'
+// totals are read with TaskPart.Sum; any other task's values with
+// TaskPart.Value.
+func (o *TaskOutput) Declared() bool { return o.s.sum }
+
+// NumPartitions is the job's partition count: every partition is there,
+// empty or not.
+func (o *TaskOutput) NumPartitions() int { return len(o.s.counts) }
+
+// Part is partition p's entries, in key order.
+func (o *TaskOutput) Part(p int) TaskPart { return TaskPart{o.s, o.s.partRun(p)} }
+
+// TaskPart is one partition of a TaskOutput: entry i is the i-th key of the
+// partition in key order.
+type TaskPart struct {
+	s   *mapScratch
+	run []sortKey
+}
+
+// Len is the number of entries in the partition.
+func (p TaskPart) Len() int { return len(p.run) }
+
+// Key is entry i's key.
+func (p TaskPart) Key(i int) string { return p.s.entries[p.run[i].idx].key }
+
+// Sum is entry i's total, in a declared sum's task.
+func (p TaskPart) Sum(i int) int64 { return p.s.sums[p.run[i].idx] }
+
+// Value is entry i's value as its payload entry would hold it: a declared
+// sum's total boxed, any other task's folded value.
+func (p TaskPart) Value(i int) Value { return p.s.value(p.run[i].idx) }
+
+// Bytes is entry i's size as cut accounts it in MapResult.PartBytes: its
+// key's length and its value's size, the job's SizeOf or Sizer honoured.
+// A declared sum's total is not boxed unless the job's SizeOf needs it.
+func (p TaskPart) Bytes(i int) int64 {
+	k := p.run[i].idx
+	n := int64(len(p.s.entries[k].key))
+	if p.s.sum && p.s.job.SizeOf == nil {
+		return n + 8 // an int64, as valueBytes sizes it
+	}
+	return n + valueBytes(p.s.job, p.s.value(k))
 }

@@ -46,6 +46,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -176,6 +177,69 @@ func appendPayloadBody(dst []byte, p mapreduce.Payload) ([]byte, error) {
 		}
 	}
 	return w.finish(keyArenaLen), nil
+}
+
+// appendPartBody is appendPayloadBody over one partition of a map task's
+// output, entries in key order as the payload cut from it would hold them,
+// and returns the partition's size as well (mapreduce.TaskPart.Bytes).
+func appendPartBody(dst []byte, part mapreduce.TaskPart) ([]byte, int64, error) {
+	n := part.Len()
+	w := beginBody(dst, n)
+	for i := range n {
+		w.tag(part.Value(i))
+	}
+	keyArenaLen := 0
+	for i := range n {
+		k := part.Key(i)
+		w.dst = binary.LittleEndian.AppendUint32(w.dst, uint32(len(k)))
+		keyArenaLen += len(k)
+	}
+	for i := range n {
+		w.num(i, part.Value(i))
+	}
+	w.byteLens()
+	var size int64
+	for i := range n {
+		w.dst = append(w.dst, part.Key(i)...)
+		size += part.Bytes(i)
+	}
+	w.byteArenaOff = len(w.dst)
+	for i := range n {
+		if err := w.bytes(i, part.Value(i)); err != nil {
+			return dst, 0, err
+		}
+	}
+	return w.finish(keyArenaLen), size, nil
+}
+
+// appendSumBody is appendPartBody for a declared sum's partition, whose
+// every value is an int64 total: its body has n numbers and no byte column,
+// so the tags, the key lengths and the totals are reserved up front and
+// filled in one pass over the entries, which appends each key to the arena
+// behind them. What the bodyWriter would write, in a fifth of the passes.
+func appendSumBody(dst []byte, part mapreduce.TaskPart) ([]byte, int64) {
+	n := part.Len()
+	out := append(dst, bodyVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	hdrOff := len(out)
+	out = binary.LittleEndian.AppendUint32(out, 0) // keyArenaLen, patched below
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	out = binary.LittleEndian.AppendUint32(out, 0) // byteCount
+	out = binary.LittleEndian.AppendUint32(out, 0) // byteArenaLen
+	tagsOff := len(out)
+	lensOff, numsOff := tagsOff+n, tagsOff+5*n
+	out = slices.Grow(out, 13*n)[:tagsOff+13*n]
+	var size int64
+	for i := range n {
+		k := part.Key(i)
+		out[tagsOff+i] = tagInt64
+		binary.LittleEndian.PutUint32(out[lensOff+4*i:], uint32(len(k)))
+		binary.LittleEndian.PutUint64(out[numsOff+8*i:], uint64(part.Sum(i)))
+		out = append(out, k...)
+		size += part.Bytes(i)
+	}
+	binary.LittleEndian.PutUint32(out[hdrOff:], uint32(len(out)-tagsOff-13*n))
+	return out, size
 }
 
 // appendValuesBody appends the flat encoding of a bare value list (no

@@ -1,0 +1,346 @@
+package persist
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"slider/internal/apps"
+	"slider/internal/israce"
+	"slider/internal/mapreduce"
+	"slider/internal/workload"
+)
+
+// framesOfTask writes split's map output behind prefix both ways: from the
+// task's sorted index (AppendTaskOutput in WriteMapTask's writer), and as
+// the reference, AppendMapResult of RunMapTask's result. The view's cost is
+// set to the result's, the one field the two may differ in. A task that
+// fails must fail alike both ways and never reach the writer; an encoding
+// that fails must fail alike and leave the buffer as it was. err is the
+// failure, if any.
+func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefix string) (got, want []byte, err error) {
+	t.Helper()
+	res, runErr := mapreduce.RunMapTask(job, split)
+	var encErr error
+	if runErr == nil {
+		want, encErr = AppendMapResult([]byte(prefix), res)
+	}
+	got = []byte(prefix)
+	wrote := false
+	writeErr := mapreduce.WriteMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+		wrote = true
+		out.Cost = res.Cost
+		got, err = AppendTaskOutput(got, out)
+		return err
+	})
+	switch {
+	case runErr != nil:
+		if wrote || fmt.Sprint(writeErr) != fmt.Sprint(runErr) {
+			t.Fatalf("%s: RunMapTask failed with %v; WriteMapTask with %v, having called its writer: %v", split.ID, runErr, writeErr, wrote)
+		}
+		return got, nil, runErr
+	case encErr != nil:
+		if fmt.Sprint(writeErr) != fmt.Sprint(encErr) || string(got) != prefix {
+			t.Fatalf("%s: AppendMapResult failed with %v; the writer with %v, leaving %d bytes behind the prefix", split.ID, encErr, writeErr, len(got)-len(prefix))
+		}
+		return got, nil, encErr
+	case writeErr != nil:
+		t.Fatalf("%s: the reference wrote its frame and the writer failed: %v", split.ID, writeErr)
+	}
+	return got, want, nil
+}
+
+// unregistered is a value gob refuses behind an interface: nobody
+// registered it.
+type unregistered struct{ N int }
+
+// entriesJob emits the entries a record lists; a key's values are combined
+// by combine, and its SumInt64 is declared.
+func entriesJob(partitions int, declared bool, combine func(string, []mapreduce.Value) mapreduce.Value) *mapreduce.Job {
+	return &mapreduce.Job{
+		Name:       "entries",
+		Partitions: partitions,
+		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			for _, e := range rec.([]mapreduce.Entry) {
+				emit(e.Key, e.Value)
+			}
+			return nil
+		},
+		Combine:  combine,
+		Reduce:   combine,
+		SumInt64: declared,
+	}
+}
+
+func sumValues(_ string, values []mapreduce.Value) mapreduce.Value {
+	var n int64
+	for _, v := range values {
+		n += v.(int64)
+	}
+	return n
+}
+
+// lastValue keeps a key's last value: associative, and any type will do.
+func lastValue(_ string, values []mapreduce.Value) mapreduce.Value { return values[len(values)-1] }
+
+// entriesSplit emits every key count times, values drawn by value, the
+// emits shuffled and cut into records of up to seven.
+func entriesSplit(rng *rand.Rand, id string, keys []string, count int, value func(i int) mapreduce.Value) mapreduce.Split {
+	var emits []mapreduce.Entry
+	for _, k := range keys {
+		for i := 0; i < count; i++ {
+			emits = append(emits, mapreduce.Entry{Key: k, Value: value(i)})
+		}
+	}
+	rng.Shuffle(len(emits), func(i, j int) { emits[i], emits[j] = emits[j], emits[i] })
+	split := mapreduce.Split{ID: id}
+	for len(emits) > 0 {
+		n := min(1+rng.Intn(7), len(emits))
+		split.Records = append(split.Records, emits[:n:n])
+		emits = emits[n:]
+	}
+	return split
+}
+
+// TestTaskOutputFrameMatchesMapResult: the frame a worker writes from the
+// task's sorted index is, byte for byte and behind what its buffer already
+// holds, the frame AppendMapResult writes for RunMapTask's result — for
+// declared sums and undeclared jobs alike, over an empty split, one record,
+// keys on both sides of the eight-byte prefix and keys sharing it,
+// partitions below and above the radix sort's cutover, a job that sizes its
+// values itself, every native value type and a gob-escaped struct
+// (K-Means); and a declared task that emits another value fails as
+// RunMapTask does, writing nothing.
+func TestTaskOutputFrameMatchesMapResult(t *testing.T) {
+	RegisterType(&apps.CentroidAcc{})
+	rng := rand.New(rand.NewSource(44))
+	short := []string{"", "a", "ab", "abc", "abcd", "abcdefg", "\x00", "\xff\xfe"}
+	long := []string{"abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghij", "abcdefgi", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
+	var shared, many []string
+	for i := 0; i < 40; i++ {
+		shared = append(shared, fmt.Sprintf("prefix-0%d", i))
+	}
+	for i := 0; i < 1000; i++ {
+		many = append(many, fmt.Sprintf("w%d", i*7919%100000))
+	}
+	big := func(i int) mapreduce.Value { return int64(i)<<40 + 300 } // totals no small-int box holds
+	one := func(int) mapreduce.Value { return int64(1) }
+	mixed := func(i int) mapreduce.Value {
+		return []mapreduce.Value{int64(i), int(-i), uint64(i), float64(i) / 3, i%2 == 0, fmt.Sprint(i), []byte{byte(i)}, nil, []float64{float64(i)}, map[string]int64{"n": int64(i)}}[i%10]
+	}
+	sizeOf := func(v mapreduce.Value) int64 { return int64(3 + len(fmt.Sprint(v))) }
+	points := mapreduce.Split{ID: "points"}
+	for i := 0; i < 500; i++ {
+		points.Records = append(points.Records, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
+	}
+	type tcase struct {
+		label string
+		job   *mapreduce.Job
+		split mapreduce.Split
+		fails bool // the task or its encoding fails
+	}
+	var cases []tcase
+	for _, declared := range []bool{false, true} {
+		name := fmt.Sprintf("declared %v", declared)
+		ints := func(label string, partitions int, split mapreduce.Split) {
+			cases = append(cases, tcase{label: name + ", " + label, job: entriesJob(partitions, declared, sumValues), split: split})
+		}
+		ints("empty split", 3, mapreduce.Split{ID: "empty"})
+		ints("a record that emits nothing", 2, mapreduce.Split{ID: "silent", Records: []mapreduce.Record{[]mapreduce.Entry(nil)}})
+		ints("one record", 4, mapreduce.Split{ID: "one", Records: []mapreduce.Record{[]mapreduce.Entry{{Key: "only", Value: int64(7)}}}})
+		ints("short keys", 3, entriesSplit(rng, "short", short, 3, big))
+		ints("long keys", 3, entriesSplit(rng, "long", long, 2, big))
+		ints("shared prefix", 2, entriesSplit(rng, "shared", shared, 5, one))
+		ints("above the radix cutover", 2, entriesSplit(rng, "radix", many, 2, big))
+		ints("below the radix cutover", 16, entriesSplit(rng, "no-radix", many, 2, one))
+		sized := entriesJob(5, declared, sumValues)
+		sized.SizeOf = sizeOf
+		cases = append(cases, tcase{label: name + ", SizeOf", job: sized, split: entriesSplit(rng, "sized", append(short, long...), 4, big)})
+	}
+	mixedSized := entriesJob(2, false, lastValue)
+	mixedSized.SizeOf = sizeOf
+	cases = append(cases,
+		tcase{label: "every value type", job: entriesJob(3, false, lastValue), split: entriesSplit(rng, "mixed", append(append(short, long...), shared...), 3, mixed)},
+		tcase{label: "every value type, SizeOf", job: mixedSized, split: entriesSplit(rng, "mixed-sized", append(short, long...), 2, mixed)},
+		tcase{label: "K-Means", job: apps.KMeans(3, 16, 4, 1), split: points},
+		tcase{label: "declared, a float emitted", job: entriesJob(3, true, sumValues), fails: true, split: mapreduce.Split{ID: "not-a-sum", Records: []mapreduce.Record{
+			[]mapreduce.Entry{{Key: "a", Value: int64(1)}, {Key: "b", Value: 2.5}, {Key: "a", Value: int64(2)}},
+		}}},
+		tcase{label: "a value gob refuses", job: entriesJob(2, false, lastValue), fails: true,
+			split: entriesSplit(rng, "unencodable", short, 1, func(int) mapreduce.Value { return unregistered{1} })},
+	)
+	for _, c := range cases {
+		got, want, err := framesOfTask(t, c.job, c.split, "behind a message")
+		if (err != nil) != c.fails {
+			t.Fatalf("%s: err = %v, want a failure: %v", c.label, err, c.fails)
+		}
+		if err != nil {
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the frame written from the task's view differs from AppendMapResult's (%d and %d bytes)", c.label, len(got), len(want))
+		}
+	}
+}
+
+// TestTaskOutputAllocs pins what a worker's map task costs besides its
+// Map: a warm declared task — four partitions, written into a warm buffer —
+// allocates the emit closure and the variable that kills it, and nothing
+// per pair, per key or per partition: the same at ten emits as at a hundred
+// thousand. (RunMapTask's payloads, their key arena and the result's
+// slices are what it does not build.)
+func TestTaskOutputAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	keys := make([]string, 20000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i*7919%len(keys))
+	}
+	job := &mapreduce.Job{
+		Name:       "no-allocs",
+		Partitions: 4,
+		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			for i, n := 0, rec.(int); i < n; i++ {
+				emit(keys[(i*31)%len(keys)%(n/3+1)], int64(i&0xff)) // a box of a byte allocates nothing
+			}
+			return nil
+		},
+		Combine:  sumValues,
+		Reduce:   sumValues,
+		SumInt64: true,
+	}
+	var buf []byte
+	write := func(split mapreduce.Split) {
+		err := mapreduce.WriteMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+			buf, err = AppendTaskOutput(buf[:0], out)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first float64
+	for i, pairs := range []int{10, 1000, 100000} {
+		split := mapreduce.Split{ID: "range", Records: []mapreduce.Record{pairs}}
+		write(split) // grows the scratch and the buffer to this size
+		allocs := testing.AllocsPerRun(20, func() { write(split) })
+		t.Logf("%d pairs: %.1f allocs", pairs, allocs)
+		if i == 0 {
+			first = allocs
+		}
+		if allocs != first || allocs > 2 {
+			t.Errorf("%d emitted pairs: a warm task writing its frame makes %.1f allocations, at 10 pairs %.1f; want the same, at most 2",
+				pairs, allocs, first)
+		}
+	}
+}
+
+// FuzzTaskOutput holds AppendTaskOutput to AppendMapResult(RunMapTask) over
+// arbitrary records, as FuzzMapTask holds RunMapTask to its reference: a
+// line's space-separated words are emitted under the word less its last
+// byte — keys that repeat, nest as prefixes and include the empty key —
+// with a value of any type the flat body carries drawn from the word
+// (undeclared), and as an int64 sum that wraps (declared).
+func FuzzTaskOutput(f *testing.F) {
+	f.Add([]byte("a ab abc\nab ab\n"), uint8(4))
+	f.Add([]byte("word-0001x word-0001y word-0002x\n\xff\xffz \xffz z"), uint8(3))
+	f.Add([]byte("ab\x00x ab\x00\x00x abx\nabcdefghi abcdefgh\x00 abcdefghij"), uint8(7))
+	var radix bytes.Buffer
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&radix, "k%03d%c ", i*37%400, 'a'+byte(i%26))
+	}
+	f.Add(radix.Bytes(), uint8(1))
+	f.Add([]byte{}, uint8(0))
+	words := func(rec mapreduce.Record, emit func(w string)) {
+		for _, w := range strings.Split(rec.(string), " ") {
+			if w != "" {
+				emit(w)
+			}
+		}
+	}
+	undeclared := &mapreduce.Job{
+		Name: "fuzz",
+		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			words(rec, func(w string) {
+				off := 0
+				emit(w[:len(w)-1], valueFromBytes([]byte(w), &off))
+			})
+			return nil
+		},
+		Combine: lastValue,
+		Reduce:  lastValue,
+	}
+	declared := &mapreduce.Job{
+		Name: "fuzz-sum",
+		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			words(rec, func(w string) { emit(w[:len(w)-1], int64(w[len(w)-1])<<56) })
+			return nil
+		},
+		Combine:  sumValues,
+		Reduce:   sumValues,
+		SumInt64: true,
+	}
+	f.Fuzz(func(t *testing.T, data []byte, partitions uint8) {
+		split := mapreduce.Split{ID: "fuzz"}
+		for _, line := range strings.Split(string(data), "\n") {
+			split.Records = append(split.Records, line)
+		}
+		for _, job := range []*mapreduce.Job{undeclared, declared} {
+			job := *job
+			job.Partitions = int(partitions % 9)
+			got, want, err := framesOfTask(t, &job, split, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: the frame written from the task's view differs from AppendMapResult's", job.Name)
+			}
+		}
+	})
+}
+
+// BenchmarkMapTaskFrame is a worker's map task over the benchmark's
+// wordcount range — 800 twelve-word lines drawn Zipf(1.2) from 20 000 words,
+// four partitions, the declared sum the workers serve — framed into a warm
+// buffer two ways: "payloads" cuts RunMapTask's payloads and encodes them
+// (AppendMapResult), "view" writes the frame from the task's sorted index
+// (AppendTaskOutput), as dist's workers do.
+func BenchmarkMapTaskFrame(b *testing.B) {
+	job := apps.WordCount(4)
+	text := workload.NewText(workload.TextConfig{Seed: 7, LinesPerSplit: 200, WordsPerLine: 12, Vocabulary: 20000, ZipfS: 1.2})
+	splits := make([]mapreduce.Split, 16)
+	for i := range splits {
+		splits[i] = text.Split(4 * i)
+		for j := 1; j < 4; j++ {
+			splits[i].Records = append(splits[i].Records, text.Split(4*i+j).Records...)
+		}
+	}
+	var buf []byte
+	b.Run("payloads", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := mapreduce.RunMapTask(job, splits[i%len(splits)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if buf, err = AppendMapResult(buf[:0], res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("view", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			err := mapreduce.WriteMapTask(job, splits[i%len(splits)], func(out *mapreduce.TaskOutput) (err error) {
+				buf, err = AppendTaskOutput(buf[:0], out)
+				return err
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

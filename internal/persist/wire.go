@@ -50,7 +50,10 @@ func FrameSize(prefix []byte) (int, error) {
 //	u32 parts | parts × i64 partBytes | flat payload set of parts payloads
 //
 // so the counts and sizes the runtime takes over from the task travel
-// under the same checksum as the payloads they describe.
+// under the same checksum as the payloads they describe. A worker writes
+// the same bytes without building the result (AppendTaskOutput); this is
+// the reference that writer is held to, and what a test that plays a
+// worker frames results with.
 func AppendMapResult(dst []byte, r mapreduce.MapResult) ([]byte, error) {
 	if len(r.PartBytes) != len(r.Parts) {
 		return dst, fmt.Errorf("persist: encode map result %s: %d sizes for %d partitions", r.SplitID, len(r.PartBytes), len(r.Parts))
@@ -66,6 +69,50 @@ func AppendMapResult(dst []byte, r mapreduce.MapResult) ([]byte, error) {
 			out = binary.LittleEndian.AppendUint64(out, uint64(b))
 		}
 		return appendSetBody(out, r.Parts)
+	})
+}
+
+// AppendTaskOutput appends a map task's output as the frame AppendMapResult
+// writes for the MapResult RunMapTask would have returned — byte for byte,
+// but for the cost, which is out's — reading the partitions where the
+// task's scratch holds them (mapreduce.WriteMapTask) instead of payloads
+// built for this one read. The sizes are reserved and patched once the
+// partitions are written. A declared sum's partition is written in one pass
+// (appendSumBody); any other goes through the bodyWriter, as a payload
+// does. On error dst comes back as it was.
+func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
+	return appendFramed(dst, kindMapResult, "map result", func(out []byte) ([]byte, error) {
+		n := o.NumPartitions()
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(o.SplitID)))
+		out = append(out, o.SplitID...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(o.Records))
+		bytesOff := len(out)
+		out = binary.LittleEndian.AppendUint64(out, 0)
+		out = binary.LittleEndian.AppendUint64(out, uint64(o.Cost))
+		out = binary.LittleEndian.AppendUint32(out, uint32(n))
+		partBytesOff := len(out)
+		out = append(out, make([]byte, 8*n)...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(n))
+		var total int64
+		for p := range n {
+			part := o.Part(p)
+			lenOff := len(out)
+			out = binary.LittleEndian.AppendUint32(out, 0)
+			var size int64
+			if o.Declared() {
+				out, size = appendSumBody(out, part)
+			} else {
+				var err error
+				if out, size, err = appendPartBody(out, part); err != nil {
+					return out, err
+				}
+			}
+			binary.LittleEndian.PutUint32(out[lenOff:], uint32(len(out)-lenOff-4))
+			binary.LittleEndian.PutUint64(out[partBytesOff+8*p:], uint64(size))
+			total += size
+		}
+		binary.LittleEndian.PutUint64(out[bytesOff:], uint64(total))
+		return out, nil
 	})
 }
 
