@@ -210,6 +210,20 @@ func FuzzWireReply(f *testing.F) {
 	}
 	f.Add(mapReply, false)
 	f.Add(withSpans[:len(withSpans)-7], false)
+	// A map reply whose results' sizes do not add up, under valid
+	// checksums: the pool must not take them over.
+	lying := appendReply(nil, 1, statusOK, 2, "w0", "")
+	for _, s := range splits {
+		res, err := mapreduce.RunMapTask(job, s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		res.PartBytes[0]++
+		if lying, err = persist.AppendMapResult(lying, res); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(lying, false)
 	// A value whose gob message claims the length byte count that does not
 	// fit an int8.
 	f.Add(framed(appendReply(nil, 1, statusOK, 1, "w0", ""), valueKind(f), []byte{0x80}), false)
@@ -232,6 +246,18 @@ func FuzzWireReply(f *testing.F) {
 			p.runBatch(&o, call{op: opMap, items: 2, traced: true}, "rpc fuzz", &mapRun{job: job, splits: splits})
 			if len(o.results) > 2 || (o.err == nil && len(o.results) != 2) {
 				t.Fatalf("%d results and err %v for a batch of two", len(o.results), o.err)
+			}
+			for _, r := range o.results {
+				sum := int64(0)
+				for _, b := range r.PartBytes {
+					if b < 0 {
+						t.Fatalf("result %s taken with a partition of %d bytes", r.SplitID, b)
+					}
+					sum += b
+				}
+				if r.Records < 0 || sum != r.Bytes {
+					t.Fatalf("result %s taken with %d records and partitions of %d bytes in a total of %d", r.SplitID, r.Records, sum, r.Bytes)
+				}
 			}
 			var pr PingReply
 			_ = newWireConn(&loopConn{in: data}).value(opPing, 0, &pr)

@@ -236,7 +236,7 @@ func TestDeltaReduceAllocs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m[fmt.Sprintf("k%05d", i*stride)] = int64(1) // small ints box without allocating
 		}
-		return Size(job, FromMap(m))
+		return Size(FromMap(m))
 	}
 	root := build(4000, 1)
 	roots := []Sized{root}
@@ -298,7 +298,7 @@ func BenchmarkDeltaVsRefill(b *testing.B) {
 			}
 			m[key(i)] = int64(1)
 		}
-		return Size(job, FromMap(m))
+		return Size(FromMap(m))
 	}
 	front, back := draw(half, nil), draw(half, nil)
 	backKeys := make([]int, len(back.P))

@@ -65,11 +65,11 @@ func (e Executor) RunMap(job *Job, splits []Split) ([]MapResult, error) {
 // PartSized returns partition p's payload with its size: the one the map
 // task measured when it built the payload, or — for results of a
 // MapRunner that does not fill PartBytes — one walk on arrival.
-func (r *MapResult) PartSized(job *Job, p int) Sized {
+func (r *MapResult) PartSized(p int) Sized {
 	if len(r.PartBytes) == len(r.Parts) {
 		return Sized{P: r.Parts[p], Bytes: r.PartBytes[p]}
 	}
-	return Size(job, r.Parts[p])
+	return Size(r.Parts[p])
 }
 
 // ForEach runs fn(i) for every i in [0, n) with at most par running at once
@@ -434,7 +434,7 @@ func RunScratch(job *Job, splits []Split, par int, rec *metrics.Recorder) (Outpu
 		var bytes int64
 		keys := 0
 		for i := range results {
-			roots[i] = results[i].PartSized(job, p)
+			roots[i] = results[i].PartSized(p)
 			bytes += roots[i].Bytes
 			keys += len(roots[i].P)
 		}

@@ -42,7 +42,7 @@ func gallopSides(rng *rand.Rand, job *Job, value func(*rand.Rand) Value) (small,
 				idx = append(idx, i)
 			}
 		}
-		return Size(job, FromMap(m)), idx
+		return Size(FromMap(m)), idx
 	}
 	large, inLarge := build(nLarge, func() int { return rng.Intn(4 * nLarge) })
 	small, _ = build(nSmall, func() int {
@@ -78,9 +78,9 @@ func TestGallopMatchesMergeJoin(t *testing.T) {
 					wantBytes = right.Bytes
 				}
 				got, gotC := MergeOrderedSizedInto(job, nil, left, right)
-				if len(got.P) != len(wantP) || gotC != wantC || got.Bytes != wantBytes || got.Bytes != PayloadBytes(job, got.P) {
+				if len(got.P) != len(wantP) || gotC != wantC || got.Bytes != wantBytes || got.Bytes != PayloadBytes(got.P) {
 					t.Fatalf("%s trial %d (%d into %d keys): %d entries, %d combines, %d bytes (walk %d); merge-join %d, %d, %d",
-						name, trial, len(left.P), len(right.P), len(got.P), gotC, got.Bytes, PayloadBytes(job, got.P), len(wantP), wantC, wantBytes)
+						name, trial, len(left.P), len(right.P), len(got.P), gotC, got.Bytes, PayloadBytes(got.P), len(wantP), wantC, wantBytes)
 				}
 				for i, e := range got.P {
 					if !reflect.DeepEqual(e, wantP[i]) || unsafe.StringData(e.Key) != unsafe.StringData(wantP[i].Key) {
@@ -170,13 +170,13 @@ func BenchmarkSmallIntoLarge(b *testing.B) {
 	for i := 0; i < nLarge; i++ {
 		large[fmt.Sprintf("w%d", 2*i)] = int64(1)
 	}
-	l := Size(job, FromMap(large))
+	l := Size(FromMap(large))
 	for _, ratio := range []int{2, 3, 4, 6, 8, 16, 32, 64} {
 		small := make(M, nLarge/ratio)
 		for len(small) < nLarge/ratio {
 			small[fmt.Sprintf("w%d", rng.Intn(2*nLarge))] = int64(1)
 		}
-		s := Size(job, FromMap(small))
+		s := Size(FromMap(small))
 		dst := make(Payload, 0, len(l.P)+len(s.P))
 		b.Run(fmt.Sprintf("ratio=%d", ratio), func(b *testing.B) {
 			var galloping, joining time.Duration

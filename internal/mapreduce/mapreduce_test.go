@@ -284,16 +284,14 @@ func TestReducePayloadUnion(t *testing.T) {
 }
 
 func TestPayloadBytes(t *testing.T) {
-	job := sumJob(1)
-	empty := PayloadBytes(job, Payload{})
-	small := PayloadBytes(job, FromMap(M{"k": int64(1)}))
-	big := PayloadBytes(job, FromMap(M{"k": int64(1), "longerkey": "some string value"}))
+	empty := PayloadBytes(Payload{})
+	small := PayloadBytes(FromMap(M{"k": int64(1)}))
+	big := PayloadBytes(FromMap(M{"k": int64(1), "longerkey": "some string value"}))
 	if !(empty < small && small < big) {
 		t.Fatalf("sizes not monotone: %d %d %d", empty, small, big)
 	}
-	withOverride := &Job{SizeOf: func(Value) int64 { return 1000 }}
-	if PayloadBytes(withOverride, FromMap(M{"k": int64(1)})) < 1000 {
-		t.Fatal("SizeOf override ignored")
+	if PayloadBytes(FromMap(M{"k": blob{n: 900}})) != 1+1000 {
+		t.Fatal("Sizer ignored")
 	}
 }
 

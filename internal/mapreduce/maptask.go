@@ -119,7 +119,7 @@ type mapScratch struct {
 	counts  []int      // entries per partition, then where each partition's run in order ends
 	// keyBytes is the length of the task's keys together, set by sortParts.
 	keyBytes int
-	// out is the view a writer is handed (WriteMapTask): it lives in the
+	// out is the view the task's writer is handed (run): it lives in the
 	// scratch so that handing it over allocates nothing.
 	out TaskOutput
 }
@@ -260,10 +260,9 @@ func (s *mapScratch) fold() {
 // partition p's run in order (partRun reads it), and keyBytes the length of
 // every key together.
 //
-// The sorted index has two consumers, and neither copies the other: cut
-// builds payloads from it for in-process callers, and a TaskOutput hands it
-// to a writer (WriteMapTask), which dist's workers use to frame the output
-// for the wire without building a payload.
+// The sorted index is read in place, through the TaskOutput the task's
+// writer is handed: RunMapTask's writer cuts payloads from it (cut), and
+// dist's workers frame it for the wire without building a payload.
 func (s *mapScratch) sortParts(n int) {
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	clear(s.counts)
@@ -306,48 +305,6 @@ func (s *mapScratch) partRun(p int) []sortKey {
 		start = s.counts[p-1]
 	}
 	return s.order[start:s.counts[p]]
-}
-
-// cut writes the sorted entries out as one payload per partition, each in a
-// slice of exactly its length (nil when nothing was emitted to it), with the
-// payloads' sizes. A declared sum's totals are boxed here.
-//
-// The keys are copied once, into one string for the task, in partition then
-// key order, and every output key is a substring of it — the layout a decoded
-// payload has. Until here entries hold the strings Map emitted, which the
-// index compares; copied, a window's state holds its keys' bytes and not the
-// records they were cut from, and a merge or a seek compares keys that lie
-// side by side.
-func (s *mapScratch) cut() (parts []Payload, partBytes []int64, bytes int64) {
-	n := len(s.counts)
-	parts, partBytes = make([]Payload, n), make([]int64, n)
-	var arena strings.Builder
-	arena.Grow(s.keyBytes)
-	for p := range n {
-		run := s.partRun(p)
-		if len(run) == 0 {
-			continue
-		}
-		out := make(Payload, len(run))
-		for i, k := range run {
-			off := arena.Len()
-			arena.WriteString(s.entries[k.idx].key)
-			out[i] = Entry{arena.String()[off:], s.value(k.idx)}
-			partBytes[p] += int64(len(out[i].Key)) + valueBytes(s.job, out[i].Value)
-		}
-		parts[p] = out
-		bytes += partBytes[p]
-	}
-	return parts, partBytes, bytes
-}
-
-// value is entry i's output value: its total, boxed, in a declared sum's
-// task, its folded value in any other.
-func (s *mapScratch) value(i int32) Value {
-	if s.sum {
-		return s.sums[i]
-	}
-	return s.vals[i]
 }
 
 // radixSort orders run by prefix with an LSD radix sort — one stable counting
@@ -437,73 +394,53 @@ func (s *mapScratch) reset() {
 // combiner, which Slider keeps: §2 uses Combiners *additionally* at the
 // reduce side to form the contraction tree).
 //
-// It is the one map kernel — under Executor, pig and RunScratch, and, as
-// WriteMapTask, under dist's workers. Emitted pairs go into one index for
-// all partitions (emit), a key's values are combined by one Combine call
-// over all of them (fold), and the partitions are sorted once, when the
-// split is done (sortParts), and cut into payloads (cut). A job that
-// declares SumInt64 has each value added to its key's total as it is
-// emitted instead (emitSum), and nothing to fold. All of that happens in a
-// pooled scratch: the task allocates its outputs — the payloads and the one
-// string their keys are cut from, which holds nothing of the split's
-// records.
-func RunMapTask(job *Job, split Split) (MapResult, error) {
-	if err := job.Validate(); err != nil {
-		return MapResult{}, err
-	}
-	s := mapScratchPool.Get().(*mapScratch)
-	defer mapScratchPool.Put(s)
-	return s.run(job, split)
+// It is the one map kernel — under Executor, pig and RunScratch, and, with
+// another writer, under dist's workers: WriteMapTask with a writer that cuts
+// the output into payloads (cut). Emitted pairs go into one index for all
+// partitions (emit), a key's values are combined by one Combine call over
+// all of them (fold), and the partitions are sorted once, when the split is
+// done (sortParts). A job that declares SumInt64 has each value added to
+// its key's total as it is emitted instead (emitSum), and nothing to fold.
+// All of that happens in a pooled scratch: the task allocates its outputs —
+// the payloads and the one string their keys are cut from, which holds
+// nothing of the split's records.
+func RunMapTask(job *Job, split Split) (res MapResult, err error) {
+	err = WriteMapTask(job, split, func(o *TaskOutput) error {
+		res = o.cut()
+		return nil
+	})
+	return res, err
 }
 
-// run is one RunMapTask in s, which it leaves reset by whatever path it
-// returns.
-func (s *mapScratch) run(job *Job, split Split) (MapResult, error) {
-	start := time.Now()
-	defer s.reset()
-	if err := s.mapSplit(job, split); err != nil {
-		return MapResult{}, err
-	}
-	parts, partBytes, bytes := s.cut()
-	return MapResult{
-		SplitID:   split.ID,
-		Parts:     parts,
-		Cost:      time.Since(start),
-		Bytes:     bytes,
-		PartBytes: partBytes,
-		Records:   int64(len(split.Records)),
-	}, nil
-}
-
-// WriteMapTask executes a map task as RunMapTask does, and hands its output
-// to write instead of cutting it into payloads: write reads the partitions
-// in key order where the task's scratch holds them, and what it returns is
-// the task's error. That is what a worker that frames the output for the
-// wire needs (persist.AppendTaskOutput): the payloads, their key arena and
-// the boxed totals would be built only for the encoder to read once.
+// WriteMapTask executes a map task and hands its output to write: write
+// reads the partitions in key order where the task's scratch holds them,
+// and what it returns is the task's error. RunMapTask's writer cuts them
+// into payloads; a worker that frames the output for the wire
+// (persist.AppendTaskOutput) reads them once, and no payload, key arena or
+// boxed total is built for it.
 //
 // The view and everything read through it are valid during the call to
 // write only; the scratch is reset when it returns. A task whose Map fails,
-// or whose declared sum meets another value, fails with RunMapTask's error
-// and never calls write.
+// or whose declared sum meets another value, fails with that error and
+// never calls write.
 func WriteMapTask(job *Job, split Split, write func(*TaskOutput) error) error {
 	if err := job.Validate(); err != nil {
 		return err
 	}
 	s := mapScratchPool.Get().(*mapScratch)
 	defer mapScratchPool.Put(s)
-	return s.writeTask(job, split, write)
+	return s.run(job, split, write)
 }
 
-// writeTask is one WriteMapTask in s, which it leaves reset by whatever path
-// it returns.
-func (s *mapScratch) writeTask(job *Job, split Split, write func(*TaskOutput) error) error {
+// run is one map task in s, whose output it hands to write; it leaves s
+// reset by whatever path it returns.
+func (s *mapScratch) run(job *Job, split Split, write func(*TaskOutput) error) error {
 	start := time.Now()
 	defer s.reset()
 	if err := s.mapSplit(job, split); err != nil {
 		return err
 	}
-	s.out = TaskOutput{SplitID: split.ID, Records: int64(len(split.Records)), Cost: time.Since(start), s: s}
+	s.out = TaskOutput{SplitID: split.ID, Records: int64(len(split.Records)), Cost: time.Since(start), start: start, s: s}
 	return write(&s.out)
 }
 
@@ -549,17 +486,18 @@ func (s *mapScratch) mapSplit(job *Job, split Split) error {
 }
 
 // TaskOutput is a read-only view of a finished map task's output, handed to
-// the writer WriteMapTask calls: the task's counts and its partitions, each
-// in key order, every entry holding its key as Map emitted it and its
+// the task's writer (WriteMapTask): the task's counts and its partitions,
+// each in key order, every entry holding its key as Map emitted it and its
 // declared int64 total (Declared) or its folded value. It is valid during
 // that call only.
 type TaskOutput struct {
 	SplitID string
 	Records int64
-	// Cost is the task's own time, the map and the ordering — what
-	// MapResult.Cost carries, taken before the output is written.
-	Cost time.Duration
-	s    *mapScratch
+	// Cost is the task's own time, the map and the ordering, taken before
+	// the output is written. RunMapTask's MapResult.Cost adds its cut.
+	Cost  time.Duration
+	start time.Time
+	s     *mapScratch
 }
 
 // Declared reports whether the task's job declares SumInt64: its entries'
@@ -590,18 +528,61 @@ func (p TaskPart) Key(i int) string { return p.s.entries[p.run[i].idx].key }
 // Sum is entry i's total, in a declared sum's task.
 func (p TaskPart) Sum(i int) int64 { return p.s.sums[p.run[i].idx] }
 
-// Value is entry i's value as its payload entry would hold it: a declared
-// sum's total boxed, any other task's folded value.
-func (p TaskPart) Value(i int) Value { return p.s.value(p.run[i].idx) }
+// Value is entry i's value as its payload entry holds it: a declared sum's
+// total boxed, any other task's folded value.
+func (p TaskPart) Value(i int) Value {
+	k := p.run[i].idx
+	if p.s.sum {
+		return p.s.sums[k]
+	}
+	return p.s.vals[k]
+}
 
-// Bytes is entry i's size as cut accounts it in MapResult.PartBytes: its
-// key's length and its value's size, the job's SizeOf or Sizer honoured.
-// A declared sum's total is not boxed unless the job's SizeOf needs it.
+// Bytes is entry i's size, the one rule a map task's output is sized by —
+// cut sums it into MapResult.PartBytes, a worker's writer into its frame:
+// its key's length and its value's valueBytes. A declared sum's total is an
+// int64, eight bytes, and is not boxed to be sized.
 func (p TaskPart) Bytes(i int) int64 {
 	k := p.run[i].idx
 	n := int64(len(p.s.entries[k].key))
-	if p.s.sum && p.s.job.SizeOf == nil {
-		return n + 8 // an int64, as valueBytes sizes it
+	if p.s.sum {
+		return n + 8
 	}
-	return n + valueBytes(p.s.job, p.s.value(k))
+	return n + valueBytes(p.s.vals[k])
+}
+
+// cut is RunMapTask's writer: the output cut into one payload per
+// partition, each in a slice of exactly its length (nil when nothing was
+// emitted to it), read and sized through the partition's TaskPart, with
+// the task's cost up to the end of the cut. A declared sum's totals are
+// boxed here.
+//
+// The keys are copied once, into one string for the task, in partition then
+// key order, and every output key is a substring of it — the layout a decoded
+// payload has. Until here entries hold the strings Map emitted, which the
+// index compares; copied, a window's state holds its keys' bytes and not the
+// records they were cut from, and a merge or a seek compares keys that lie
+// side by side.
+func (o *TaskOutput) cut() MapResult {
+	n := o.NumPartitions()
+	res := MapResult{SplitID: o.SplitID, Parts: make([]Payload, n), PartBytes: make([]int64, n), Records: o.Records}
+	var arena strings.Builder
+	arena.Grow(o.s.keyBytes)
+	for p := range n {
+		part := o.Part(p)
+		if part.Len() == 0 {
+			continue
+		}
+		out := make(Payload, part.Len())
+		for i := range out {
+			off := arena.Len()
+			arena.WriteString(part.Key(i))
+			out[i] = Entry{arena.String()[off:], part.Value(i)}
+			res.PartBytes[p] += part.Bytes(i)
+		}
+		res.Parts[p] = out
+		res.Bytes += res.PartBytes[p]
+	}
+	res.Cost = time.Since(o.start)
+	return res
 }

@@ -318,12 +318,12 @@ func TestMapTaskMatchesReference(t *testing.T) {
 	cases := differentialCases(t, 20141208, 6)
 	warm := newMapScratch()
 	for _, c := range cases {
-		got, err := newMapScratch().run(c.job, c.split)
+		got, err := runIn(newMapScratch(), c.job, c.split)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameMapResult(t, c.label+", cold scratch", got, c.want)
-		if got, err = warm.run(c.job, c.split); err != nil {
+		if got, err = runIn(warm, c.job, c.split); err != nil {
 			t.Fatal(err)
 		}
 		sameMapResult(t, c.label+", reused scratch", got, c.want)
@@ -488,7 +488,7 @@ func TestMapTaskSumMatchesChain(t *testing.T) {
 			continue
 		}
 		n++
-		want, err := newMapScratch().run(c.job, c.split)
+		want, err := runIn(newMapScratch(), c.job, c.split)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,8 +499,8 @@ func TestMapTaskSumMatchesChain(t *testing.T) {
 			label string
 			run   func() (MapResult, error)
 		}{
-			{"cold scratch", func() (MapResult, error) { return newMapScratch().run(&declared, c.split) }},
-			{"reused scratch", func() (MapResult, error) { return warm.run(&declared, c.split) }},
+			{"cold scratch", func() (MapResult, error) { return runIn(newMapScratch(), &declared, c.split) }},
+			{"reused scratch", func() (MapResult, error) { return runIn(warm, &declared, c.split) }},
 			{"pooled", func() (MapResult, error) { return RunMapTask(&declared, c.split) }},
 		} {
 			got, err := run.run()
@@ -513,7 +513,7 @@ func TestMapTaskSumMatchesChain(t *testing.T) {
 		assertScratchClean(t, warm)
 		// The undeclared job still runs its chain in the scratch the
 		// declared one used.
-		got, err := warm.run(c.job, c.split)
+		got, err := runIn(warm, c.job, c.split)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,12 +546,12 @@ func TestDeclaredSumRefusesOtherValues(t *testing.T) {
 			script{{"a", bad.value}, {"c", int64(1)}},
 		}}
 		s := newMapScratch()
-		_, err := s.run(&declared, split)
+		_, err := runIn(s, &declared, split)
 		if err == nil || !strings.Contains(err.Error(), `"script"`) || !strings.Contains(err.Error(), bad.typ) {
 			t.Fatalf("a declared sum emitting a %s: err = %v, want one naming the job and the type", bad.typ, err)
 		}
 		assertScratchClean(t, s)
-		got, err := s.run(&declared, good)
+		got, err := runIn(s, &declared, good)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,6 +560,16 @@ func TestDeclaredSumRefusesOtherValues(t *testing.T) {
 			t.Fatalf("a pooled declared task emitting a %s did not fail", bad.typ)
 		}
 	}
+}
+
+// runIn is RunMapTask in the scratch s instead of a pooled one: the task's
+// output cut into payloads by the writer RunMapTask hands it.
+func runIn(s *mapScratch, job *Job, split Split) (res MapResult, err error) {
+	err = s.run(job, split, func(o *TaskOutput) error {
+		res = o.cut()
+		return nil
+	})
+	return res, err
 }
 
 // assertScratchClean: a scratch between tasks holds no key, no value and no
@@ -633,11 +643,11 @@ func TestMapTaskAllocs(t *testing.T) {
 		s := newMapScratch()
 		for _, pairs := range []int{10, 1000, 100000} {
 			split := Split{ID: "s", Records: []Record{pairs}}
-			if _, err := s.run(job, split); err != nil { // grows the scratch to this size
+			if _, err := runIn(s, job, split); err != nil { // grows the scratch to this size
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := s.run(job, split); err != nil {
+				if _, err := runIn(s, job, split); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -661,7 +671,7 @@ func TestSmallTaskAfterLargeOne(t *testing.T) {
 		large = append(large, Entry{fmt.Sprintf("word-%04d", i), "x"})
 	}
 	s := newMapScratch()
-	if _, err := s.run(job, Split{ID: "large", Records: []Record{large}}); err != nil {
+	if _, err := runIn(s, job, Split{ID: "large", Records: []Record{large}}); err != nil {
 		t.Fatal(err)
 	}
 	assertScratchClean(t, s)
@@ -672,7 +682,7 @@ func TestSmallTaskAfterLargeOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.run(job, split)
+		got, err := runIn(s, job, split)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -685,7 +695,7 @@ func TestSmallTaskAfterLargeOne(t *testing.T) {
 	// Crowd a small table, so that runs of taken slots join and wrap around.
 	s = newMapScratch()
 	for n := 1; n <= 7; n++ {
-		if _, err := s.run(job, Split{ID: "crowded", Records: []Record{large[:n]}}); err != nil {
+		if _, err := runIn(s, job, Split{ID: "crowded", Records: []Record{large[:n]}}); err != nil {
 			t.Fatal(err)
 		}
 		assertScratchClean(t, s)
@@ -778,12 +788,12 @@ func TestScratchCleanAfterFailedTask(t *testing.T) {
 					panic(r)
 				}
 			}()
-			if _, err := s.run(bad, Split{ID: "bad", Records: []Record{script(nil)}}); !errors.Is(err, boom) {
+			if _, err := runIn(s, bad, Split{ID: "bad", Records: []Record{script(nil)}}); !errors.Is(err, boom) {
 				t.Fatalf("%s: err = %v", failure, err)
 			}
 		}()
 		assertScratchClean(t, s)
-		got, err := s.run(scriptJob(4, joinStrings), good)
+		got, err := runIn(s, scriptJob(4, joinStrings), good)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,8 +117,8 @@ type Sized struct {
 // Size measures p once with PayloadBytes. It is for payloads that arrive
 // without a size (decoded from a checkpoint or from a foreign MapRunner);
 // payloads built by the merges below carry theirs already.
-func Size(job *Job, p Payload) Sized {
-	return Sized{P: p, Bytes: PayloadBytes(job, p)}
+func Size(p Payload) Sized {
+	return Sized{P: p, Bytes: PayloadBytes(p)}
 }
 
 // MergeOrdered combines two payloads preserving left-to-right window
@@ -128,29 +128,8 @@ func Size(job *Job, p Payload) Sized {
 // merged payloads across runs, so handing back a caller-owned slice would
 // let a later write through one holder corrupt the other.
 func MergeOrdered(job *Job, left, right Payload) (Payload, int64) {
-	out, combines := MergeOrderedSized(job, Sized{P: left}, Sized{P: right})
+	out, combines := MergeOrderedSizedInto(job, nil, Sized{P: left}, Sized{P: right})
 	return out.P, combines
-}
-
-// MergeOrderedSized is MergeOrdered over sized payloads: one pass over the
-// two sides into one slice presized for the disjoint case (how the sides are
-// walked depends on their lengths, see MergeOrderedSizedInto). The result's
-// Bytes equals PayloadBytes of the result, derived inside the loop from the
-// larger side's Bytes and the entries the loop touches anyway (one
-// valueBytes per key new to the result, two per combined key), honouring
-// Job.SizeOf/Sizer exactly as PayloadBytes does. Inputs whose Bytes are
-// wrong yield a wrong Bytes and nothing else.
-//
-// A key both sides hold keeps the right-hand side's string. Decoded
-// payloads cut their keys from one arena per payload, and right is the
-// newer side of the window: keeping its string lets the arena of a bucket
-// that has slid out go with it instead of living on inside an aggregate.
-//
-// Every Combine call receives the same two-element scratch slice, valid
-// only for the duration of that call (see Job.Combine). The scratch is
-// local to this call, so concurrent merges never share one.
-func MergeOrderedSized(job *Job, left, right Sized) (Sized, int64) {
-	return MergeOrderedSizedInto(job, nil, left, right)
 }
 
 // fitShare sets how much room a destination needs: the larger input's
@@ -190,18 +169,33 @@ func releaseStorage(dst, out Payload, used bool) {
 	}
 }
 
-// MergeOrderedSizedInto is MergeOrderedSized with a destination: the result
-// is built in dst's storage when that holds the larger input and a quarter of
-// the smaller (fitBound), in a fresh slice otherwise. It is for the caller
-// that has a payload nothing reads any more — an aggregate a structure
-// overwrote or evicted, see FreeList — so that the next merge allocates
-// nothing. dst must not share storage with left or right, and nothing beyond
-// its length may be set. A union larger than dst continues in a fresh slice
-// as append grows it; dst is then cleared and the result does not use it, so
-// a caller that finds the result outside dst drops dst. Otherwise what the
-// result leaves unused of dst is cleared. Either way a reused buffer pins no
-// key or value of the payload it held before. Same entries, same Bytes, same
-// combines as MergeOrderedSized.
+// MergeOrderedSizedInto is MergeOrdered over sized payloads, built in a
+// destination: one pass over the two sides into dst's storage when that
+// holds the larger input and a quarter of the smaller (fitBound), into a
+// fresh slice presized for the disjoint case otherwise (a nil dst too). The
+// result's Bytes equals PayloadBytes of the result, derived inside the loop
+// from the larger side's Bytes and the entries the loop touches anyway (one
+// valueBytes per key new to the result, two per combined key). Inputs whose
+// Bytes are wrong yield a wrong Bytes and nothing else.
+//
+// A key both sides hold keeps the right-hand side's string. Decoded
+// payloads cut their keys from one arena per payload, and right is the
+// newer side of the window: keeping its string lets the arena of a bucket
+// that has slid out go with it instead of living on inside an aggregate.
+//
+// Every Combine call receives the same two-element scratch slice, valid
+// only for the duration of that call (see Job.Combine). The scratch is
+// local to this call, so concurrent merges never share one.
+//
+// A destination is for the caller that has a payload nothing reads any
+// more — an aggregate a structure overwrote or evicted, see FreeList — so
+// that the next merge allocates nothing. dst must not share storage with
+// left or right, and nothing beyond its length may be set. A union larger
+// than dst continues in a fresh slice as append grows it; dst is then
+// cleared and the result does not use it, so a caller that finds the result
+// outside dst drops dst. Otherwise what the result leaves unused of dst is
+// cleared. Either way a reused buffer pins no key or value of the payload
+// it held before. The entries, Bytes and combines do not depend on dst.
 //
 // The inputs' lengths pick how the two sides are walked. Sides of like size
 // are merge-joined, one comparison per output entry. When one side holds at
@@ -324,7 +318,7 @@ func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload,
 				loc.note(len(out), 0, false)
 			}
 			out = append(out, r[j])
-			bytes += int64(len(r[j].Key)) + valueBytes(job, r[j].Value)
+			bytes += int64(len(r[j].Key)) + valueBytes(r[j].Value)
 			j++
 		default:
 			if loc != nil {
@@ -334,7 +328,7 @@ func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload,
 			pair[0], pair[1] = existing, r[j].Value
 			combined := job.Combine(r[j].Key, pair)
 			out = append(out, Entry{r[j].Key, combined})
-			bytes += valueBytes(job, combined) - valueBytes(job, existing)
+			bytes += valueBytes(combined) - valueBytes(existing)
 			combines++
 			i, j = i+1, j+1
 		}
@@ -348,7 +342,7 @@ func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload,
 	}
 	out = append(out, l[i:]...)
 	for _, e := range r[j:] {
-		bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+		bytes += int64(len(e.Key)) + valueBytes(e.Value)
 	}
 	return append(out, r[j:]...), bytes, combines
 }
@@ -384,7 +378,7 @@ func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64, 
 				loc.note(len(out), n-len(large), false)
 			}
 			out = append(out, e)
-			bytes += int64(len(e.Key)) + valueBytes(job, e.Value)
+			bytes += int64(len(e.Key)) + valueBytes(e.Value)
 			continue
 		}
 		switch {
@@ -401,7 +395,7 @@ func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64, 
 		}
 		combined := job.Combine(key, pair)
 		out = append(out, Entry{key, combined})
-		bytes += valueBytes(job, combined) - valueBytes(job, held.Value)
+		bytes += valueBytes(combined) - valueBytes(held.Value)
 		combines++
 		large = large[1:]
 	}
@@ -443,7 +437,7 @@ func siftDown(h []cursor, i int) {
 // of cursors, ordered by head key and then input position. visit runs once
 // per distinct key, in key order, with the key's values in input (window)
 // order; a key occurs at most once per payload. key is the rightmost
-// holder's string (see MergeOrderedSized); vals is scratch, overwritten
+// holder's string (see MergeOrderedSizedInto); vals is scratch, overwritten
 // for the next key (see Job.Combine). It allocates the scratch, and the
 // heap when more than a handful of payloads are live — nothing per key.
 func joinK(payloads []Sized, visit func(key string, vals []Value)) {
@@ -499,25 +493,18 @@ func MergeOrderedK(job *Job, payloads ...Payload) (Payload, int64) {
 	for i, p := range payloads {
 		sized[i].P = p
 	}
-	out, combines := MergeOrderedKSized(job, sized)
+	out, combines := MergeOrderedKSizedInto(job, nil, sized)
 	return out.P, combines
 }
 
-// MergeOrderedKSized is MergeOrderedK over sized payloads: the result's
-// Bytes equals PayloadBytes of the result, accumulated as each entry is
-// appended (or carried from the inputs where the result is a copy of
-// one). Each Combine receives joinK's scratch, valid only for the
-// duration of the call.
-func MergeOrderedKSized(job *Job, payloads []Sized) (Sized, int64) {
-	return MergeOrderedKSizedInto(job, nil, payloads)
-}
-
-// MergeOrderedKSizedInto is MergeOrderedKSized with a destination, on
-// MergeOrderedSizedInto's terms: the result is built in dst when that holds
-// the largest input and a quarter of the others' entries, dst is cleared and
-// dropped when the union outgrows it, and it is left alone when it is too
-// small to be used. Same entries, same Bytes, same combines as
-// MergeOrderedKSized.
+// MergeOrderedKSizedInto is MergeOrderedK over sized payloads, built in a
+// destination on MergeOrderedSizedInto's terms: the result is built in dst
+// when that holds the largest input and a quarter of the others' entries,
+// dst is cleared and dropped when the union outgrows it, and it is left
+// alone when it is too small to be used (nil included). The result's Bytes
+// equals PayloadBytes of the result, accumulated as each entry is appended
+// (or carried from the inputs where the result is a copy of one). Each
+// Combine receives joinK's scratch, valid only for the duration of the call.
 func MergeOrderedKSizedInto(job *Job, dst Payload, payloads []Sized) (Sized, int64) {
 	nonEmpty, first, last, largest, total := 0, -1, -1, 0, 0
 	for i, p := range payloads {
@@ -552,30 +539,28 @@ func MergeOrderedKSizedInto(job *Job, dst Payload, payloads []Sized) (Sized, int
 			combines++
 		}
 		out = append(out, Entry{key, v})
-		bytes += int64(len(key)) + valueBytes(job, v)
+		bytes += int64(len(key)) + valueBytes(v)
 	})
 	releaseStorage(dst, out, used)
 	return Sized{P: out, Bytes: bytes}, combines
 }
 
-// PayloadBytes estimates the in-memory size of a payload, using the job's
-// SizeOf override, the Sizer interface, or per-type defaults. It walks
-// every entry: call it where a payload is created without a size (a map
-// task's output, a decoded checkpoint — see Size), and as the oracle the
-// carried sizes of Sized payloads are tested against; never per slide
-// over resident state.
-func PayloadBytes(job *Job, p Payload) int64 {
+// PayloadBytes estimates the in-memory size of a payload: each key's length
+// and its value's valueBytes. It walks every entry: call it where a payload
+// arrives without a size (a decoded checkpoint, a foreign MapRunner's
+// result — see Size), and as the oracle the carried sizes of Sized payloads
+// are tested against; never per slide over resident state.
+func PayloadBytes(p Payload) int64 {
 	var total int64
 	for _, e := range p {
-		total += int64(len(e.Key)) + valueBytes(job, e.Value)
+		total += int64(len(e.Key)) + valueBytes(e.Value)
 	}
 	return total
 }
 
-func valueBytes(job *Job, v Value) int64 {
-	if job != nil && job.SizeOf != nil {
-		return job.SizeOf(v)
-	}
+// valueBytes is the one rule a value's size is estimated by: a Sizer
+// reports its own, any other type has a per-type default.
+func valueBytes(v Value) int64 {
 	switch x := v.(type) {
 	case Sizer:
 		return x.SizeBytes()
@@ -604,7 +589,7 @@ func valueBytes(job *Job, v Value) int64 {
 	case []Value:
 		var n int64 = 24
 		for _, e := range x {
-			n += valueBytes(job, e)
+			n += valueBytes(e)
 		}
 		return n
 	case map[string]int64:

@@ -34,7 +34,7 @@ func refClone(p M) M {
 	return out
 }
 
-func refMergeOrderedSized(job *Job, left, right refSized) (refSized, int64) {
+func refMergeOrdered(job *Job, left, right refSized) (refSized, int64) {
 	if len(left.P) == 0 {
 		return refSized{P: refClone(right.P), Bytes: right.Bytes}, 0
 	}
@@ -53,11 +53,11 @@ func refMergeOrderedSized(job *Job, left, right refSized) (refSized, int64) {
 			pair[0], pair[1] = existing, v
 			combined := job.Combine(k, pair)
 			out[k] = combined
-			bytes += valueBytes(job, combined) - valueBytes(job, existing)
+			bytes += valueBytes(combined) - valueBytes(existing)
 			combines++
 		} else {
 			out[k] = v
-			bytes += int64(len(k)) + valueBytes(job, v)
+			bytes += int64(len(k)) + valueBytes(v)
 		}
 	}
 	return refSized{P: out, Bytes: bytes}, combines
@@ -67,7 +67,7 @@ type runLoc struct {
 	start, n int
 }
 
-func refMergeOrderedKSized(job *Job, payloads []refSized) (refSized, int64) {
+func refMergeOrderedK(job *Job, payloads []refSized) (refSized, int64) {
 	nonEmpty, first, last, total := 0, -1, -1, 0
 	var inputBytes int64
 	for i, p := range payloads {
@@ -87,7 +87,7 @@ func refMergeOrderedKSized(job *Job, payloads []refSized) (refSized, int64) {
 	case 1:
 		return refSized{P: refClone(payloads[last].P), Bytes: inputBytes}, 0
 	case 2:
-		return refMergeOrderedSized(job, payloads[first], payloads[last])
+		return refMergeOrdered(job, payloads[first], payloads[last])
 	}
 	counts := make(map[string]int, total)
 	for _, p := range payloads {
@@ -120,7 +120,7 @@ func refMergeOrderedKSized(job *Job, payloads []refSized) (refSized, int64) {
 			c := counts[k]
 			if c == 1 {
 				out[k] = v
-				bytes += int64(len(k)) + valueBytes(job, v)
+				bytes += int64(len(k)) + valueBytes(v)
 				continue
 			}
 			loc, ok := locs[k]
@@ -137,7 +137,7 @@ func refMergeOrderedKSized(job *Job, payloads []refSized) (refSized, int64) {
 	for k, loc := range locs {
 		combined := job.Combine(k, arena[loc.start:loc.start+loc.n])
 		out[k] = combined
-		bytes += int64(len(k)) + valueBytes(job, combined)
+		bytes += int64(len(k)) + valueBytes(combined)
 		combines++
 	}
 	return refSized{P: out, Bytes: bytes}, combines
@@ -223,8 +223,8 @@ type propertyJob struct {
 	value func(rng *rand.Rand) Value
 }
 
-// propertyJobs are the jobs the merge-joins are checked under: the three
-// ways a value is sized (sizedJobs) and a combiner that is neither
+// propertyJobs are the jobs the merge-joins are checked under: every way a
+// value is sized (sizedJobs) and a combiner that is neither
 // commutative nor blind to how its arguments were grouped (concatJob).
 // Each comes with a generator of the value type it combines.
 func propertyJobs() map[string]propertyJob {
@@ -232,7 +232,7 @@ func propertyJobs() map[string]propertyJob {
 	jobs := sizedJobs()
 	return map[string]propertyJob{
 		"default": {jobs["default"], ints},
-		"sizeof":  {jobs["sizeof"], ints},
+		"tally":   {jobs["tally"], func(rng *rand.Rand) Value { return tally(rng.Intn(1000)) }},
 		"sizer":   {jobs["sizer"], func(rng *rand.Rand) Value { return blob{n: int64(rng.Intn(50))} }},
 		"concat":  {concatJob(), func(rng *rand.Rand) Value { return fmt.Sprintf("<%d>", rng.Intn(100)) }},
 	}
@@ -253,7 +253,7 @@ func randomSized(rng *rand.Rand, job *Job, value func(*rand.Rand) Value, n int) 
 			// generation order.
 			m[fmt.Sprintf("%x", rng.Intn(keySpace)*2654435761)] = value(rng)
 		}
-		ps[i] = Size(job, FromMap(m))
+		ps[i] = Size(FromMap(m))
 		refs[i] = refSized{P: m, Bytes: ps[i].Bytes}
 	}
 	return ps, refs
@@ -282,12 +282,12 @@ func TestMergeJoinsMatchMapReference(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			ps, refs := randomSized(rng, job, pj.value, rng.Intn(10))
 			if len(ps) >= 2 {
-				got, n := MergeOrderedSized(job, ps[0], ps[1])
-				want, wantN := refMergeOrderedSized(job, refs[0], refs[1])
+				got, n := MergeOrderedSizedInto(job, nil, ps[0], ps[1])
+				want, wantN := refMergeOrdered(job, refs[0], refs[1])
 				same(fmt.Sprintf("trial %d binary", trial), got, n, want, wantN)
 			}
-			got, n := MergeOrderedKSized(job, ps)
-			want, wantN := refMergeOrderedKSized(job, refs)
+			got, n := MergeOrderedKSizedInto(job, nil, ps)
+			want, wantN := refMergeOrderedK(job, refs)
 			same(fmt.Sprintf("trial %d K=%d", trial, len(ps)), got, n, want, wantN)
 
 			roots := make([]M, len(refs))
@@ -342,7 +342,7 @@ func refRunMapTask(job *Job, split Split) (MapResult, error) {
 	partBytes := make([]int64, n)
 	for i, p := range parts {
 		slices.SortFunc(p, compareKeys)
-		partBytes[i] = PayloadBytes(job, p)
+		partBytes[i] = PayloadBytes(p)
 		bytes += partBytes[i]
 	}
 	return MapResult{

@@ -17,24 +17,46 @@ type blob struct{ n int64 }
 
 func (b blob) SizeBytes() int64 { return 100 + b.n }
 
-// sizedJobs returns jobs covering the three ways valueBytes sizes a value:
-// per-type defaults, a Job.SizeOf override, and Sizer values.
+// tally is a count whose size comes from the Sizer interface and moves
+// with the count, up and down: a size carried from a key's earlier value,
+// or from the other side of a merge, shows.
+type tally int64
+
+func (t tally) SizeBytes() int64 { return 3 + int64(t)%7 }
+
+// sizedJobs returns jobs covering the ways valueBytes sizes a value:
+// per-type defaults (int64 counts), and Sizer values — a scalar whose size
+// depends on its value (tally) and a struct (blob). Each maps a record's
+// words to its value type.
 func sizedJobs() map[string]*Job {
-	override := sumJob(1)
-	override.SizeOf = func(v Value) int64 { return 3 + v.(int64)%7 }
-	sizer := &Job{
-		Name: "blobs",
-		Map:  func(Record, Emit) error { return nil },
-		Combine: func(_ string, values []Value) Value {
-			var out blob
-			for _, v := range values {
-				out.n += v.(blob).n
-			}
-			return out
-		},
-		Reduce: func(_ string, values []Value) Value { return values[0] },
+	sizer := func(name string, one Value, sum func(values []Value) Value) *Job {
+		return &Job{
+			Name: name,
+			Map: func(rec Record, emit Emit) error {
+				for _, w := range strings.Fields(rec.(string)) {
+					emit(w, one)
+				}
+				return nil
+			},
+			Combine: func(_ string, values []Value) Value { return sum(values) },
+			Reduce:  func(_ string, values []Value) Value { return sum(values) },
+		}
 	}
-	return map[string]*Job{"default": sumJob(1), "sizeof": override, "sizer": sizer}
+	tallies := sizer("tallies", tally(1), func(values []Value) Value {
+		var out tally
+		for _, v := range values {
+			out += v.(tally)
+		}
+		return out
+	})
+	blobs := sizer("blobs", blob{n: 1}, func(values []Value) Value {
+		var out blob
+		for _, v := range values {
+			out.n += v.(blob).n
+		}
+		return out
+	})
+	return map[string]*Job{"default": sumJob(1), "tally": tallies, "sizer": blobs}
 }
 
 // testPayloads builds n overlapping payloads of the value type the job
@@ -45,7 +67,10 @@ func testPayloads(job *Job, n int) []Sized {
 		p := make(M)
 		for k := 0; k < 12; k++ {
 			var v Value = int64(i*k + 1)
-			if job.Name == "blobs" {
+			switch job.Name {
+			case "tallies":
+				v = tally(i*k + 1)
+			case "blobs":
 				v = blob{n: int64(i + k)}
 			}
 			if k%3 == 0 {
@@ -54,46 +79,69 @@ func testPayloads(job *Job, n int) []Sized {
 				p[fmt.Sprintf("own-%d-%d", i%3, k)] = v
 			}
 		}
-		out[i] = Size(job, FromMap(p))
+		out[i] = Size(FromMap(p))
 	}
 	return out
 }
 
 // TestCarriedSizesMatchWalk is the oracle for sizes that travel with
-// payloads: whatever merge builds a payload, its carried Bytes must equal
-// a from-scratch PayloadBytes walk, for every way a value can be sized.
+// payloads: whatever builds a payload — a map task's cut, through its
+// output's TaskPart.Bytes, or a merge — its carried Bytes must equal a
+// from-scratch PayloadBytes walk, for every way a value can be sized.
 func TestCarriedSizesMatchWalk(t *testing.T) {
 	for name, job := range sizedJobs() {
-		ps := testPayloads(job, 9)
 		check := func(label string, got Sized) {
 			t.Helper()
-			if want := PayloadBytes(job, got.P); got.Bytes != want {
+			if want := PayloadBytes(got.P); got.Bytes != want {
 				t.Errorf("%s/%s: carried %d bytes, walk says %d", name, label, got.Bytes, want)
 			}
 		}
+		task := *job
+		task.Partitions = 3
+		tasks := []*Job{&task}
+		if job.Name == "sum" { // int64 counts, also as a declared sum, whose totals are sized unboxed
+			declared := task
+			declared.SumInt64 = true
+			tasks = append(tasks, &declared)
+		}
+		for _, task := range tasks {
+			res, err := RunMapTask(task, Split{ID: "s", Records: []Record{"a b c d e f a b", "g h a a a", "a b b"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum int64
+			for p := range res.Parts {
+				check(fmt.Sprintf("map task partition %d, declared %v", p, task.SumInt64), res.PartSized(p))
+				sum += res.PartBytes[p]
+			}
+			if sum != res.Bytes {
+				t.Errorf("%s: map task partitions sum to %d bytes, its Bytes is %d", name, sum, res.Bytes)
+			}
+		}
+		ps := testPayloads(job, 9)
 		acc := ps[0]
 		for i, p := range ps[1:] {
-			acc, _ = MergeOrderedSized(job, acc, p)
+			acc, _ = MergeOrderedSizedInto(job, nil, acc, p)
 			check(fmt.Sprintf("fold step %d", i), acc)
 		}
 		empty := Sized{P: Payload{}}
-		left, _ := MergeOrderedSized(job, empty, ps[1])
+		left, _ := MergeOrderedSizedInto(job, nil, empty, ps[1])
 		check("empty left", left)
-		right, _ := MergeOrderedSized(job, ps[1], Sized{})
+		right, _ := MergeOrderedSizedInto(job, nil, ps[1], Sized{})
 		check("empty right", right)
 		for _, k := range []int{0, 1, 2, 3, 9} {
-			out, _ := MergeOrderedKSized(job, ps[:k])
+			out, _ := MergeOrderedKSizedInto(job, nil, ps[:k])
 			check(fmt.Sprintf("K=%d", k), out)
 		}
 		holes := []Sized{empty, ps[0], {}, ps[1], empty, ps[2]}
-		out, _ := MergeOrderedKSized(job, holes)
+		out, _ := MergeOrderedKSizedInto(job, nil, holes)
 		check("K with holes", out)
 		disjoint := []Sized{
-			Size(job, FromMap(M{"a": at(ps[0].P, "shared-0")})),
-			Size(job, FromMap(M{"b": at(ps[1].P, "shared-0")})),
-			Size(job, FromMap(M{"c": at(ps[2].P, "shared-0")})),
+			Size(FromMap(M{"a": at(ps[0].P, "shared-0")})),
+			Size(FromMap(M{"b": at(ps[1].P, "shared-0")})),
+			Size(FromMap(M{"c": at(ps[2].P, "shared-0")})),
 		}
-		out, _ = MergeOrderedKSized(job, disjoint)
+		out, _ = MergeOrderedKSizedInto(job, nil, disjoint)
 		check("K disjoint", out)
 	}
 }
@@ -108,8 +156,8 @@ func TestMapTaskPartSizes(t *testing.T) {
 	}
 	var sum int64
 	for p := range res.Parts {
-		s := res.PartSized(job, p)
-		if want := PayloadBytes(job, res.Parts[p]); s.Bytes != want {
+		s := res.PartSized(p)
+		if want := PayloadBytes(res.Parts[p]); s.Bytes != want {
 			t.Fatalf("partition %d: %d bytes, walk says %d", p, s.Bytes, want)
 		}
 		sum += s.Bytes
@@ -119,7 +167,7 @@ func TestMapTaskPartSizes(t *testing.T) {
 	}
 	res.PartBytes = nil // a foreign MapRunner
 	for p := range res.Parts {
-		if s := res.PartSized(job, p); s.Bytes != PayloadBytes(job, res.Parts[p]) {
+		if s := res.PartSized(p); s.Bytes != PayloadBytes(res.Parts[p]) {
 			t.Fatalf("partition %d: fallback size %d", p, s.Bytes)
 		}
 	}
@@ -235,7 +283,7 @@ func TestReduceIntoLoneRoot(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		counts[fmt.Sprintf("k%d", i)] = int64(1) // sums stay below 256: boxed without allocating
 	}
-	roots := []Sized{{}, Size(sum, FromMap(counts)), {P: Payload{}}}
+	roots := []Sized{{}, Size(FromMap(counts)), {P: Payload{}}}
 	out := make(Output, len(counts))
 	if allocs := testing.AllocsPerRun(20, func() { ReduceInto(sum, roots, out) }); allocs != 1 {
 		t.Errorf("lone root among empty ones: %.0f allocs, want 1 (the scratch slice)", allocs)
@@ -285,7 +333,7 @@ func TestReduceIntoTwoRoots(t *testing.T) {
 			if len(lm) == 0 || len(rm) == 0 {
 				continue // not two non-empty roots
 			}
-			left, right := Size(job, FromMap(lm)), Size(job, FromMap(rm))
+			left, right := Size(FromMap(lm)), Size(FromMap(rm))
 			calls = calls[:0]
 			want := make(Output)
 			var wantCalls int64
@@ -326,7 +374,7 @@ func TestReduceIntoTwoRoots(t *testing.T) {
 		lm[fmt.Sprintf("k%d", i)] = int64(1) // sums stay below 256: boxed without allocating
 		rm[fmt.Sprintf("k%d", i+200)] = int64(1)
 	}
-	roots := []Sized{{}, Size(sum, FromMap(lm)), {P: Payload{}}, Size(sum, FromMap(rm)), {}}
+	roots := []Sized{{}, Size(FromMap(lm)), {P: Payload{}}, Size(FromMap(rm)), {}}
 	out := make(Output, 600)
 	if allocs := testing.AllocsPerRun(20, func() { ReduceInto(sum, roots, out) }); allocs != 1 {
 		t.Errorf("two roots among empty ones: %.0f allocs, want 1 (the scratch slice)", allocs)
@@ -370,7 +418,7 @@ func TestMergeScratchIsPerCall(t *testing.T) {
 	fold := func() Sized {
 		acc := items[0]
 		for _, it := range items[1:] {
-			acc, _ = MergeOrderedSized(job, acc, it)
+			acc, _ = MergeOrderedSizedInto(job, nil, acc, it)
 		}
 		return acc
 	}
@@ -390,14 +438,14 @@ func TestMergeScratchIsPerCall(t *testing.T) {
 			t.Fatalf("goroutine %d: concurrent fold differs from the lone one", w)
 		}
 	}
-	if want.Bytes != PayloadBytes(job, want.P) {
-		t.Fatalf("carried %d bytes, walk says %d", want.Bytes, PayloadBytes(job, want.P))
+	if want.Bytes != PayloadBytes(want.P) {
+		t.Fatalf("carried %d bytes, walk says %d", want.Bytes, PayloadBytes(want.P))
 	}
 }
 
 // TestMergeIntoDestination covers MergeOrderedSizedInto and
-// MergeOrderedKSizedInto against the fresh merges, on the three sizing kinds
-// and every kind of destination. One short of the fit bound (the largest
+// MergeOrderedKSizedInto against the fresh merges (a nil destination), on
+// every sizing kind and every kind of destination. One short of the fit bound (the largest
 // input and a quarter of the rest), or nil, is left alone and the result is
 // fresh. One that holds the bound and the union carries the result, and what
 // the result leaves of it is cleared. One that holds the bound but not the
@@ -420,7 +468,7 @@ func TestMergeIntoDestination(t *testing.T) {
 			// Two and three neighbours: their unions (20 and 28 entries) lie
 			// between the fit bound (15, 18) and the inputs' total (24, 36).
 			for _, inputs := range [][]Sized{ps[i-1 : i+1], ps[i-2 : i+1]} {
-				want, wantC := MergeOrderedKSized(job, inputs)
+				want, wantC := MergeOrderedKSizedInto(job, nil, inputs)
 				into := func(dst Payload) (Sized, int64) {
 					if len(inputs) == 2 {
 						return MergeOrderedSizedInto(job, dst, inputs[0], inputs[1])
@@ -509,13 +557,13 @@ func TestMergeAndReduceAllocs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m[fmt.Sprintf("k%d", i)] = int64(1) // small ints box without allocating
 		}
-		return Size(job, FromMap(m))
+		return Size(FromMap(m))
 	}
 	few, many := build(4), build(400)
 	for _, s := range []Sized{few, many} {
 		n := len(s.P)
 		binary := testing.AllocsPerRun(20, func() {
-			if out, c := MergeOrderedSized(job, s, s); int(c) != n || len(out.P) != n {
+			if out, c := MergeOrderedSizedInto(job, nil, s, s); int(c) != n || len(out.P) != n {
 				t.Fatal("merge did not combine every key")
 			}
 		})
@@ -524,7 +572,7 @@ func TestMergeAndReduceAllocs(t *testing.T) {
 		}
 		three := []Sized{s, s, s}
 		kway := testing.AllocsPerRun(20, func() {
-			if out, c := MergeOrderedKSized(job, three); int(c) != n || len(out.P) != n {
+			if out, c := MergeOrderedKSizedInto(job, nil, three); int(c) != n || len(out.P) != n {
 				t.Fatal("K-way merge did not combine every key")
 			}
 		})

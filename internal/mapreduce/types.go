@@ -29,7 +29,9 @@ type Value = any
 type Emit func(key string, value Value)
 
 // Sizer lets application value types report their approximate in-memory
-// size so the memoization layer can account for space (Figure 13c).
+// size so the memoization layer can account for space (Figure 13c). It is
+// the one way a value overrides the per-type default estimate: a map task,
+// every merge and PayloadBytes size values alike.
 type Sizer interface {
 	SizeBytes() int64
 }
@@ -72,8 +74,6 @@ type Job struct {
 	// slice is only valid for the duration of the call and must not be
 	// retained or returned.
 	Reduce func(key string, values []Value) Value
-	// SizeOf overrides the default value size estimate (optional).
-	SizeOf func(v Value) int64
 	// Commutative declares that Combine is order-insensitive.
 	Commutative bool
 	// SumInt64 declares that every value Map emits is an int64 and that

@@ -148,76 +148,64 @@ func putBuffer(b *[]byte) {
 // gobEncPool recycles the bytes.Buffer used for escape-hatch values.
 var gobEncPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// appendPayloadBody appends the flat encoding of p to dst, entries in the
-// order p holds them, and returns the extended slice. With a warm dst the
-// append is allocation-free for payloads of native scalar values;
-// escape-hatch values cost one pooled gob encoder pass each. On error dst
-// is returned truncated to its original length.
-func appendPayloadBody(dst []byte, p mapreduce.Payload) ([]byte, error) {
-	w := beginBody(dst, len(p))
-	for i := range p {
-		w.tag(p[i].Value)
-	}
+// keyed is what a keyed body is written from: n entries, each read by
+// index, in the order they go on the wire — a payload's (payloadEntries) or
+// a map task partition's (mapreduce.TaskPart), which is the order the
+// payload cut from it holds.
+type keyed interface {
+	Len() int
+	Key(i int) string
+	Value(i int) any
+}
+
+// payloadEntries is a payload read as keyed entries.
+type payloadEntries mapreduce.Payload
+
+func (p payloadEntries) Len() int         { return len(p) }
+func (p payloadEntries) Key(i int) string { return p[i].Key }
+func (p payloadEntries) Value(i int) any  { return p[i].Value }
+
+// appendKeyedBody appends the flat encoding of es's entries to dst and
+// returns the extended slice: one routine for a payload's body and a map
+// task partition's, whose frames must be byte for byte alike. It is generic
+// rather than taking the interface so that handing it a payload or a
+// partition boxes neither. With a warm dst the append is allocation-free
+// for entries of native scalar values; escape-hatch values cost one pooled
+// gob encoder pass each. On error dst is returned truncated to its original
+// length.
+func appendKeyedBody[E keyed](dst []byte, es E) ([]byte, error) {
+	n := es.Len()
+	w := beginBody(dst, n, true)
+	lensOff := w.tagsOff + n
 	keyArenaLen := 0
-	for i := range p {
-		w.dst = binary.LittleEndian.AppendUint32(w.dst, uint32(len(p[i].Key)))
-		keyArenaLen += len(p[i].Key)
-	}
-	for i := range p {
-		w.num(i, p[i].Value)
+	for i := range n {
+		k := es.Key(i)
+		binary.LittleEndian.PutUint32(w.dst[lensOff+4*i:], uint32(len(k)))
+		keyArenaLen += len(k)
+		w.value(i, es.Value(i))
 	}
 	w.byteLens()
-	for i := range p {
-		w.dst = append(w.dst, p[i].Key...)
+	for i := range n {
+		w.dst = append(w.dst, es.Key(i)...)
 	}
 	w.byteArenaOff = len(w.dst)
-	for i := range p {
-		if err := w.bytes(i, p[i].Value); err != nil {
-			return dst, err
+	if w.byteCount > 0 {
+		for i := range n {
+			if err := w.bytes(i, es.Value(i)); err != nil {
+				return dst, err
+			}
 		}
 	}
 	return w.finish(keyArenaLen), nil
 }
 
-// appendPartBody is appendPayloadBody over one partition of a map task's
-// output, entries in key order as the payload cut from it would hold them,
-// and returns the partition's size as well (mapreduce.TaskPart.Bytes).
-func appendPartBody(dst []byte, part mapreduce.TaskPart) ([]byte, int64, error) {
-	n := part.Len()
-	w := beginBody(dst, n)
-	for i := range n {
-		w.tag(part.Value(i))
-	}
-	keyArenaLen := 0
-	for i := range n {
-		k := part.Key(i)
-		w.dst = binary.LittleEndian.AppendUint32(w.dst, uint32(len(k)))
-		keyArenaLen += len(k)
-	}
-	for i := range n {
-		w.num(i, part.Value(i))
-	}
-	w.byteLens()
-	var size int64
-	for i := range n {
-		w.dst = append(w.dst, part.Key(i)...)
-		size += part.Bytes(i)
-	}
-	w.byteArenaOff = len(w.dst)
-	for i := range n {
-		if err := w.bytes(i, part.Value(i)); err != nil {
-			return dst, 0, err
-		}
-	}
-	return w.finish(keyArenaLen), size, nil
-}
-
-// appendSumBody is appendPartBody for a declared sum's partition, whose
+// appendSumBody is appendKeyedBody for a declared sum's partition, whose
 // every value is an int64 total: its body has n numbers and no byte column,
 // so the tags, the key lengths and the totals are reserved up front and
 // filled in one pass over the entries, which appends each key to the arena
-// behind them. What the bodyWriter would write, in a fifth of the passes.
-func appendSumBody(dst []byte, part mapreduce.TaskPart) ([]byte, int64) {
+// behind them. What appendKeyedBody would write for the boxed totals, in
+// one pass instead of two, and with no total boxed.
+func appendSumBody(dst []byte, part mapreduce.TaskPart) []byte {
 	n := part.Len()
 	out := append(dst, bodyVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
@@ -229,17 +217,15 @@ func appendSumBody(dst []byte, part mapreduce.TaskPart) ([]byte, int64) {
 	tagsOff := len(out)
 	lensOff, numsOff := tagsOff+n, tagsOff+5*n
 	out = slices.Grow(out, 13*n)[:tagsOff+13*n]
-	var size int64
 	for i := range n {
 		k := part.Key(i)
 		out[tagsOff+i] = tagInt64
 		binary.LittleEndian.PutUint32(out[lensOff+4*i:], uint32(len(k)))
 		binary.LittleEndian.PutUint64(out[numsOff+8*i:], uint64(part.Sum(i)))
 		out = append(out, k...)
-		size += part.Bytes(i)
 	}
 	binary.LittleEndian.PutUint32(out[hdrOff:], uint32(len(out)-tagsOff-13*n))
-	return out, size
+	return out
 }
 
 // appendValuesBody appends the flat encoding of a bare value list (no
@@ -247,12 +233,9 @@ func appendSumBody(dst []byte, part mapreduce.TaskPart) ([]byte, int64) {
 // keyLens section and the key arena (count alone describes them). Used
 // for split records.
 func appendValuesBody(dst []byte, vals []any) ([]byte, error) {
-	w := beginBody(dst, len(vals))
-	for _, v := range vals {
-		w.tag(v)
-	}
+	w := beginBody(dst, len(vals), false)
 	for i, v := range vals {
-		w.num(i, v)
+		w.value(i, v)
 	}
 	w.byteLens()
 	w.byteArenaOff = len(w.dst)
@@ -264,9 +247,11 @@ func appendValuesBody(dst []byte, vals []any) ([]byte, error) {
 	return w.finish(0), nil
 }
 
-// bodyWriter lays out one flat body section by section. Its callers walk
-// their entries once per section and hand each value over; the key
-// sections, which only a payload has, they write themselves.
+// bodyWriter lays out one flat body in three walks over its entries: one
+// that fills each entry's tag (and a keyed body's key length) into slots
+// reserved up front and appends its number, if it has one, to the numeric
+// column behind them; one for the key arena, which the caller of a keyed
+// body writes itself; and one for the byte arena.
 type bodyWriter struct {
 	dst                 []byte
 	hdrOff, tagsOff     int
@@ -276,35 +261,34 @@ type bodyWriter struct {
 }
 
 // beginBody appends the header of an n-entry body, counts zeroed until
-// finish patches them.
-func beginBody(dst []byte, n int) bodyWriter {
+// finish patches them, and reserves the entries' tags and, in a keyed
+// body, their key lengths behind it, each filled in by its entry.
+func beginBody(dst []byte, n int, keyed bool) bodyWriter {
 	dst = append(dst, bodyVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	hdrOff := len(dst)
 	for range 4 { // keyArenaLen, numCount, byteCount, byteArenaLen
 		dst = binary.LittleEndian.AppendUint32(dst, 0)
 	}
-	return bodyWriter{dst: dst, hdrOff: hdrOff, tagsOff: len(dst)}
+	tagsOff, reserved := len(dst), n
+	if keyed {
+		reserved += 4 * n
+	}
+	return bodyWriter{dst: slices.Grow(dst, reserved)[:tagsOff+reserved], hdrOff: hdrOff, tagsOff: tagsOff}
 }
 
-// tag appends v's type tag and counts the column it will occupy. The later
-// sections read the tags back from dst instead of classifying v again.
-func (w *bodyWriter) tag(v any) {
+// value writes entry i's type tag into its slot and counts the column the
+// value occupies, appending it to the numeric column if it belongs there.
+// The byte arena reads the tags back instead of classifying v again.
+func (w *bodyWriter) value(i int, v any) {
 	t := scalarTag(v)
-	w.dst = append(w.dst, t)
+	w.dst[w.tagsOff+i] = t
 	switch t {
 	case tagInt, tagInt64, tagUint64, tagFloat64:
 		w.numCount++
+		w.dst = binary.LittleEndian.AppendUint64(w.dst, numBits(t, v))
 	case tagString, tagBytes, tagGob:
 		w.byteCount++
-	}
-}
-
-// num appends entry i's value to the numeric column if it belongs there.
-func (w *bodyWriter) num(i int, v any) {
-	switch t := w.dst[w.tagsOff+i]; t {
-	case tagInt, tagInt64, tagUint64, tagFloat64:
-		w.dst = binary.LittleEndian.AppendUint64(w.dst, numBits(t, v))
 	}
 }
 
@@ -393,7 +377,7 @@ func appendSizedSetBody(dst []byte, ps []mapreduce.Sized) ([]byte, error) {
 // body's length.
 func appendSetMember(dst []byte, p mapreduce.Payload) ([]byte, error) {
 	lenOff := len(dst)
-	out, err := appendPayloadBody(binary.LittleEndian.AppendUint32(dst, 0), p)
+	out, err := appendKeyedBody(binary.LittleEndian.AppendUint32(dst, 0), payloadEntries(p))
 	if err != nil {
 		return dst, err
 	}

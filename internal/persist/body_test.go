@@ -19,7 +19,7 @@ func kv(key string, value any) mapreduce.Entry { return mapreduce.Entry{Key: key
 // encodeBody is the flat body of p, unframed.
 func encodeBody(t testing.TB, p mapreduce.Payload) []byte {
 	t.Helper()
-	body, err := appendPayloadBody(nil, p)
+	body, err := appendKeyedBody(nil, payloadEntries(p))
 	if err != nil {
 		t.Fatal(err)
 	}

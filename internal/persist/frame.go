@@ -120,7 +120,7 @@ func encodeFresh(appendTo func(dst []byte) ([]byte, error)) ([]byte, error) {
 // warm dst).
 func AppendPayload(dst []byte, p mapreduce.Payload) ([]byte, error) {
 	return appendFramed(dst, kindPayload, "payload", func(out []byte) ([]byte, error) {
-		return appendPayloadBody(out, p)
+		return appendKeyedBody(out, payloadEntries(p))
 	})
 }
 

@@ -182,7 +182,7 @@ func FuzzFlatCodec(f *testing.F) {
 
 		// Hostile bytes — the raw input, and a valid body with one byte
 		// flipped — may be refused but must never panic.
-		hostile, _ := appendPayloadBody(nil, p)
+		hostile, _ := appendKeyedBody(nil, payloadEntries(p))
 		if off+1 < len(data) {
 			hostile[int(data[off])%len(hostile)] ^= data[off+1]
 		}

@@ -15,8 +15,11 @@ import (
 
 // framesOfTask writes split's map output behind prefix both ways: from the
 // task's sorted index (AppendTaskOutput in WriteMapTask's writer), and as
-// the reference, AppendMapResult of RunMapTask's result. The view's cost is
-// set to the result's, the one field the two may differ in. A task that
+// the reference, AppendMapResult of RunMapTask's result, whose partition
+// sizes are first held to a PayloadBytes walk of its payloads: both ways
+// size an entry by the one rule, TaskPart.Bytes, and the walk is what that
+// rule must agree with. The view's cost is set to the result's, the one
+// field the two may differ in. A task that
 // fails must fail alike both ways and never reach the writer; an encoding
 // that fails must fail alike and leave the buffer as it was. err is the
 // failure, if any.
@@ -25,6 +28,11 @@ func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefi
 	res, runErr := mapreduce.RunMapTask(job, split)
 	var encErr error
 	if runErr == nil {
+		for p, part := range res.Parts {
+			if walk := mapreduce.PayloadBytes(part); res.PartBytes[p] != walk {
+				t.Fatalf("%s: partition %d carries %d bytes, a walk of its payload says %d", split.ID, p, res.PartBytes[p], walk)
+			}
+		}
 		want, encErr = AppendMapResult([]byte(prefix), res)
 	}
 	got = []byte(prefix)
@@ -55,6 +63,21 @@ func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefi
 // unregistered is a value gob refuses behind an interface: nobody
 // registered it.
 type unregistered struct{ N int }
+
+// tally is a count that reports its own size (mapreduce.Sizer), one that
+// moves with the count: a partition's size is the sum of its values' sizes,
+// not their number times one size.
+type tally int64
+
+func (t tally) SizeBytes() int64 { return 3 + int64(t)%7 }
+
+func sumTallies(_ string, values []mapreduce.Value) mapreduce.Value {
+	var n tally
+	for _, v := range values {
+		n += v.(tally)
+	}
+	return n
+}
 
 // entriesJob emits the entries a record lists; a key's values are combined
 // by combine, and its SumInt64 is declared.
@@ -109,12 +132,13 @@ func entriesSplit(rng *rand.Rand, id string, keys []string, count int, value fun
 // holds, the frame AppendMapResult writes for RunMapTask's result — for
 // declared sums and undeclared jobs alike, over an empty split, one record,
 // keys on both sides of the eight-byte prefix and keys sharing it,
-// partitions below and above the radix sort's cutover, a job that sizes its
-// values itself, every native value type and a gob-escaped struct
+// partitions below and above the radix sort's cutover, values that size
+// themselves (a Sizer), every native value type and a gob-escaped struct
 // (K-Means); and a declared task that emits another value fails as
 // RunMapTask does, writing nothing.
 func TestTaskOutputFrameMatchesMapResult(t *testing.T) {
 	RegisterType(&apps.CentroidAcc{})
+	RegisterType(tally(0))
 	rng := rand.New(rand.NewSource(44))
 	short := []string{"", "a", "ab", "abc", "abcd", "abcdefg", "\x00", "\xff\xfe"}
 	long := []string{"abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghij", "abcdefgi", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
@@ -130,7 +154,7 @@ func TestTaskOutputFrameMatchesMapResult(t *testing.T) {
 	mixed := func(i int) mapreduce.Value {
 		return []mapreduce.Value{int64(i), int(-i), uint64(i), float64(i) / 3, i%2 == 0, fmt.Sprint(i), []byte{byte(i)}, nil, []float64{float64(i)}, map[string]int64{"n": int64(i)}}[i%10]
 	}
-	sizeOf := func(v mapreduce.Value) int64 { return int64(3 + len(fmt.Sprint(v))) }
+	tallies := func(i int) mapreduce.Value { return tally(i*i + 1) }
 	points := mapreduce.Split{ID: "points"}
 	for i := 0; i < 500; i++ {
 		points.Records = append(points.Records, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
@@ -155,15 +179,11 @@ func TestTaskOutputFrameMatchesMapResult(t *testing.T) {
 		ints("shared prefix", 2, entriesSplit(rng, "shared", shared, 5, one))
 		ints("above the radix cutover", 2, entriesSplit(rng, "radix", many, 2, big))
 		ints("below the radix cutover", 16, entriesSplit(rng, "no-radix", many, 2, one))
-		sized := entriesJob(5, declared, sumValues)
-		sized.SizeOf = sizeOf
-		cases = append(cases, tcase{label: name + ", SizeOf", job: sized, split: entriesSplit(rng, "sized", append(short, long...), 4, big)})
 	}
-	mixedSized := entriesJob(2, false, lastValue)
-	mixedSized.SizeOf = sizeOf
 	cases = append(cases,
 		tcase{label: "every value type", job: entriesJob(3, false, lastValue), split: entriesSplit(rng, "mixed", append(append(short, long...), shared...), 3, mixed)},
-		tcase{label: "every value type, SizeOf", job: mixedSized, split: entriesSplit(rng, "mixed-sized", append(short, long...), 2, mixed)},
+		tcase{label: "Sizer values", job: entriesJob(5, false, sumTallies), split: entriesSplit(rng, "sized", append(short, long...), 4, tallies)},
+		tcase{label: "Sizer values, above the radix cutover", job: entriesJob(2, false, sumTallies), split: entriesSplit(rng, "sized-radix", many, 3, tallies)},
 		tcase{label: "K-Means", job: apps.KMeans(3, 16, 4, 1), split: points},
 		tcase{label: "declared, a float emitted", job: entriesJob(3, true, sumValues), fails: true, split: mapreduce.Split{ID: "not-a-sum", Records: []mapreduce.Record{
 			[]mapreduce.Entry{{Key: "a", Value: int64(1)}, {Key: "b", Value: 2.5}, {Key: "a", Value: int64(2)}},

@@ -77,9 +77,10 @@ func AppendMapResult(dst []byte, r mapreduce.MapResult) ([]byte, error) {
 // but for the cost, which is out's — reading the partitions where the
 // task's scratch holds them (mapreduce.WriteMapTask) instead of payloads
 // built for this one read. The sizes are reserved and patched once the
-// partitions are written. A declared sum's partition is written in one pass
-// (appendSumBody); any other goes through the bodyWriter, as a payload
-// does. On error dst comes back as it was.
+// partitions are written, each the sum of its entries' TaskPart.Bytes — the
+// rule the payloads' PartBytes are summed by. A declared sum's partition is
+// written in one pass (appendSumBody); any other by appendKeyedBody, the
+// routine that writes a payload's body. On error dst comes back as it was.
 func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
 	return appendFramed(dst, kindMapResult, "map result", func(out []byte) ([]byte, error) {
 		n := o.NumPartitions()
@@ -98,16 +99,19 @@ func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
 			part := o.Part(p)
 			lenOff := len(out)
 			out = binary.LittleEndian.AppendUint32(out, 0)
-			var size int64
 			if o.Declared() {
-				out, size = appendSumBody(out, part)
+				out = appendSumBody(out, part)
 			} else {
 				var err error
-				if out, size, err = appendPartBody(out, part); err != nil {
+				if out, err = appendKeyedBody(out, part); err != nil {
 					return out, err
 				}
 			}
 			binary.LittleEndian.PutUint32(out[lenOff:], uint32(len(out)-lenOff-4))
+			var size int64
+			for i := range part.Len() {
+				size += part.Bytes(i)
+			}
 			binary.LittleEndian.PutUint64(out[partBytesOff+8*p:], uint64(size))
 			total += size
 		}
@@ -120,6 +124,11 @@ func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
 // nothing with frame: what it allocates is the result's own slices and,
 // per non-empty partition, the payload's key arena and entries — the leaf
 // the window keeps.
+//
+// The counts and sizes are the sender's claims, checksum or not, and the
+// runtime's space accounting takes the sizes over unchecked: a frame whose
+// records or sizes are negative, or whose partition sizes do not add up to
+// its total, is refused. Both writers always frame sizes that agree.
 func DecodeMapResult(frame []byte) (mapreduce.MapResult, error) {
 	body, err := openFlatKind(frame, kindMapResult, "map result")
 	if err != nil {
@@ -143,14 +152,25 @@ func DecodeMapResult(frame []byte) (mapreduce.MapResult, error) {
 		Bytes:   int64(binary.LittleEndian.Uint64(body[idLen+8:])),
 		Cost:    time.Duration(binary.LittleEndian.Uint64(body[idLen+16:])),
 	}
+	if r.Records < 0 || r.Bytes < 0 {
+		return mapreduce.MapResult{}, fmt.Errorf("%w: map result of %d records and %d bytes", ErrCorrupt, r.Records, r.Bytes)
+	}
 	parts := uint64(binary.LittleEndian.Uint32(body[idLen+24:]))
 	body = body[idLen+fixed:]
 	if parts*8 > uint64(len(body)) {
 		return short("partition sizes")
 	}
 	r.PartBytes = make([]int64, parts)
+	left := r.Bytes // what the partitions not yet read must add up to
 	for i := range r.PartBytes {
-		r.PartBytes[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
+		b := int64(binary.LittleEndian.Uint64(body[8*i:]))
+		if b < 0 || b > left {
+			return mapreduce.MapResult{}, fmt.Errorf("%w: map result partition %d of %d bytes in a total of %d", ErrCorrupt, i, b, r.Bytes)
+		}
+		r.PartBytes[i], left = b, left-b
+	}
+	if left != 0 {
+		return mapreduce.MapResult{}, fmt.Errorf("%w: map result partitions add up to %d bytes, its total is %d", ErrCorrupt, r.Bytes-left, r.Bytes)
 	}
 	if r.Parts, err = decodeSetBody(body[8*parts:]); err != nil {
 		return mapreduce.MapResult{}, err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -149,6 +150,44 @@ func TestHostileMapResultRefusedBeforeAllocating(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
 			t.Errorf("%s: %d bytes allocated refusing it; the count was believed", name, n)
 		}
+	}
+}
+
+// TestDishonestMapResultSizesRefused: a map result's record count and
+// sizes are the sender's claims even under a valid checksum, and the
+// runtime's space accounting takes them over. A frame with a negative
+// count or size, or with partition sizes that do not add up to its total,
+// is refused; the honest frame next to them decodes.
+func TestDishonestMapResultSizesRefused(t *testing.T) {
+	honest := testMapResult()
+	for name, lie := range map[string]func(r *mapreduce.MapResult){
+		"negative records":          func(r *mapreduce.MapResult) { r.Records = -1 },
+		"negative total":            func(r *mapreduce.MapResult) { r.Bytes = -r.Bytes },
+		"negative partition":        func(r *mapreduce.MapResult) { r.PartBytes[0], r.PartBytes[2] = -40, r.PartBytes[2]+r.PartBytes[0]+40 },
+		"partitions short of total": func(r *mapreduce.MapResult) { r.Bytes++ },
+		"partitions over the total": func(r *mapreduce.MapResult) { r.PartBytes[1]++ },
+		"partitions wrapping to total": func(r *mapreduce.MapResult) {
+			r.PartBytes[0], r.PartBytes[1], r.PartBytes[2] = math.MaxInt64, math.MaxInt64, r.Bytes+2 // 2⁶⁴ + Bytes
+		},
+		"no partitions, some bytes": func(r *mapreduce.MapResult) { r.Parts, r.PartBytes = nil, nil },
+	} {
+		r := honest
+		r.PartBytes = append([]int64(nil), honest.PartBytes...)
+		lie(&r)
+		frame, err := AppendMapResult(nil, r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeMapResult(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	frame, err := AppendMapResult(nil, honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMapResult(frame); err != nil {
+		t.Fatalf("the honest frame: %v", err)
 	}
 }
 

@@ -40,11 +40,11 @@ func count(v mapreduce.Value) int64 {
 // simJob is the wordcount job the runtime layer drives: associative,
 // commutative, and cheap, with a small vocabulary so keys collide across
 // splits and every merge exercises the combiner. The trace seed picks how
-// its values are sized, so that every seed matrix covers the three ways
+// its values are sized, so that every seed matrix covers both ways
 // mapreduce sizes a value and the sizes the runtime carries with its
-// payloads cannot drift from a PayloadBytes walk on any of them: per-type
-// defaults (seed%3 == 0), a value-dependent Job.SizeOf override (1), or
-// Sizer values (2).
+// payloads cannot drift from a PayloadBytes walk on either: int64 values
+// and their per-type default (seed%3 != 2), or tallies, a Sizer whose size
+// depends on the value (seed%3 == 2).
 func simJob(seed uint64) *mapreduce.Job {
 	box := func(n int64) mapreduce.Value { return n }
 	if seed%3 == 2 {
@@ -57,7 +57,7 @@ func simJob(seed uint64) *mapreduce.Job {
 		}
 		return box(sum)
 	}
-	job := &mapreduce.Job{
+	return &mapreduce.Job{
 		Name:       "sim-wordcount",
 		Partitions: 3,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -74,10 +74,6 @@ func simJob(seed uint64) *mapreduce.Job {
 		Reduce:      sum,
 		Commutative: true,
 	}
-	if seed%3 == 1 {
-		job.SizeOf = func(v mapreduce.Value) int64 { return 5 + count(v)%3 }
-	}
-	return job
 }
 
 // mix64 is the split-content generator's avalanche hash.
@@ -666,10 +662,10 @@ func tornFrames(seed uint64, step int, frame []byte) (cut, flipped []byte) {
 // payload was created (map task, merge, checkpoint decode) — and counts
 // the payloads that break the representation's invariant, keys strictly
 // ascending, which every merge-join and the codec rely on.
-func walkState(rt *sliderrt.Runtime, job *mapreduce.Job) (spaceBytes int64, unsorted int) {
+func walkState(rt *sliderrt.Runtime) (spaceBytes int64, unsorted int) {
 	spaceBytes = rt.Store().Stats().Bytes
 	rt.ForEachPayload(func(p mapreduce.Payload) {
-		spaceBytes += mapreduce.PayloadBytes(job, p)
+		spaceBytes += mapreduce.PayloadBytes(p)
 		if !p.IsSorted() {
 			unsorted++
 		}
@@ -711,7 +707,7 @@ func checkRuntimeStep(tr Trace, step int, job *mapreduce.Job, pars []int, reps [
 				return fail("ownership", "par=%d: %v", pars[i], err)
 			}
 		}
-		want, unsorted := walkState(rep.rt, job)
+		want, unsorted := walkState(rep.rt)
 		if got := results[i].SpaceBytes; got != want {
 			return fail("space", "par=%d SpaceBytes %d, from-scratch walk says %d", pars[i], got, want)
 		}

@@ -261,8 +261,8 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, seq, pos uint64) (core.St
 		if err != nil {
 			return st, err
 		}
-		st.Root, st.HasRoot = mapreduce.Size(rt.job, root), pc.HasRoot
-		st.Pending, st.HasPending = mapreduce.Size(rt.job, pending), pc.HasPending
+		st.Root, st.HasRoot = mapreduce.Size(root), pc.HasRoot
+		st.Pending, st.HasPending = mapreduce.Size(pending), pc.HasPending
 		return st, nil
 	case groupBuckets:
 		if !pc.Filled {
@@ -280,7 +280,7 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, seq, pos uint64) (core.St
 	}
 	st.Elems = make([]sized, len(elems))
 	for i, p := range elems {
-		st.Elems[i] = mapreduce.Size(rt.job, p)
+		st.Elems[i] = mapreduce.Size(p)
 	}
 	return st, nil
 }

@@ -1310,7 +1310,7 @@ func (rt *Runtime) finish(rebuilt bool, rec *metrics.Recorder, before core.Stats
 func (rt *Runtime) partPayloads(results []mapreduce.MapResult, p int) []sized {
 	out := make([]sized, len(results))
 	for i := range results {
-		out[i] = results[i].PartSized(rt.job, p)
+		out[i] = results[i].PartSized(p)
 	}
 	return out
 }

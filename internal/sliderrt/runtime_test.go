@@ -88,7 +88,7 @@ func wantSameOutput(t *testing.T, got, want mapreduce.Output) {
 func wantSpaceOracle(t *testing.T, rt *Runtime, job *mapreduce.Job, res *RunResult) {
 	t.Helper()
 	want := rt.Store().Stats().Bytes
-	rt.ForEachPayload(func(p Payload) { want += mapreduce.PayloadBytes(job, p) })
+	rt.ForEachPayload(func(p Payload) { want += mapreduce.PayloadBytes(p) })
 	if res.SpaceBytes != want {
 		t.Fatalf("SpaceBytes = %d, from-scratch walk says %d", res.SpaceBytes, want)
 	}
