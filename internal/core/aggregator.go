@@ -50,9 +50,8 @@ type Aggregator[T any] interface {
 	// kind's flip, which no query needs — and reports whether there was any.
 	// A caller runs it before the next Slide or Snapshot.
 	Background() (bool, error)
-	// Stats returns the accumulated work counters; ResetStats clears them.
+	// Stats returns the accumulated work counters.
 	Stats() Stats
-	ResetStats()
 	// Shape returns a structural snapshot for live introspection.
 	Shape() TreeShape
 	// ForEachPayload visits every payload the structure holds (space
@@ -254,8 +253,8 @@ func NewAggregator[T any](kind Kind, merge MergeFunc[T], o Options) Aggregator[T
 	}
 }
 
-// The adapters embed their tree, so Stats, ResetStats, Shape, ForEachPayload
-// and FingerprintWith are the tree's own; each adapter adds the uniform
+// The adapters embed their tree, so Stats, Shape, ForEachPayload and
+// FingerprintWith are the tree's own; each adapter adds the uniform
 // Init/Slide/Roots/Background/Snapshot/Restore over the tree's protocol.
 
 // rootOf wraps a tree's (root, ok) query as the reduce's input list.

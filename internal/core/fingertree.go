@@ -271,10 +271,6 @@ func (t *FingerTree[T]) Root() (T, bool) {
 // Len returns the number of live buckets.
 func (t *FingerTree[T]) Len() int { return tsize(t.root) }
 
-// Buckets returns the number of live buckets (the finger tree has no
-// fixed capacity; its width is whatever the window currently holds).
-func (t *FingerTree[T]) Buckets() int { return t.Len() }
-
 // Height returns the treap depth in edges (expected O(log w) by the
 // deterministic priority stream's uniformity).
 func (t *FingerTree[T]) Height() int {

@@ -91,9 +91,6 @@ func (m *MultiLevel[T]) Run(fps []uint64, compute func(i int) ([]T, error)) ([]T
 	return roots, ok, nil
 }
 
-// Partitions returns the stage's reduce parallelism.
-func (m *MultiLevel[T]) Partitions() int { return m.parts }
-
 // Stats returns the cumulative reuse counters.
 func (m *MultiLevel[T]) Stats() MultiLevelStats { return m.stats }
 

@@ -201,12 +201,3 @@ func (t *RandomizedFoldingTree[T]) ForEachPayload(fn func(T)) {
 		fn(p)
 	}
 }
-
-// Items returns the live leaves in window order (checkpointing support).
-// Restoring via Init rebuilds an identical structure because the tree's
-// shape depends only on leaf identities, not on history.
-func (t *RandomizedFoldingTree[T]) Items() []Item[T] {
-	out := make([]Item[T], len(t.leaves))
-	copy(out, t.leaves)
-	return out
-}

@@ -5,48 +5,20 @@ import (
 	"time"
 )
 
-// breakerState is one of the classic circuit-breaker states. A worker's
-// breaker decides whether the pool may send it work (closed), must leave
-// it alone while a cooldown elapses (open), or may issue exactly one
-// probe to test recovery (half-open).
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// String names the state (diagnostics).
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // breaker is the per-worker circuit-breaker and backoff state. It is not
 // self-locking: the owning Pool's mutex guards every access, which keeps
-// the state machine trivial. Failures below the threshold still push the
-// next contact attempt out by a jittered exponential backoff, so even a
-// closed breaker never produces a reconnect stampede.
+// the state machine trivial. A breaker is closed (the pool may send the
+// worker work) or open (it leaves the worker alone while a cooldown
+// elapses). Only a revival contacts a down worker, so the classic
+// half-open state is an open breaker whose revival is in flight.
+// Failures below the threshold still push the next contact attempt out by
+// a jittered exponential backoff, so even a closed breaker never produces
+// a reconnect stampede.
 type breaker struct {
-	state    breakerState
+	open     bool
 	failures int           // consecutive failures
 	until    time.Time     // earliest next contact (dial or probe)
 	cooldown time.Duration // current open-state cooldown (doubles per re-open)
-}
-
-// breakerConfig is the slice of PoolConfig the breaker consumes.
-type breakerConfig struct {
-	threshold   int
-	baseBackoff time.Duration
-	maxBackoff  time.Duration
-	cooldown    time.Duration
 }
 
 // allow reports whether the worker may be contacted now: closed breakers
@@ -56,50 +28,33 @@ func (b *breaker) allow(now time.Time) bool {
 	return now.After(b.until) || now.Equal(b.until)
 }
 
-// probe transitions an open breaker to half-open for one contact attempt.
-// Returns true when this contact is a half-open probe (for accounting).
-func (b *breaker) probe() bool {
-	if b.state == breakerOpen {
-		b.state = breakerHalfOpen
-		return true
-	}
-	return false
-}
-
 // onSuccess resets the breaker after a successful contact. Returns true
-// when this closed a previously open/half-open breaker.
+// when this closed an open breaker.
 func (b *breaker) onSuccess() bool {
-	reopened := b.state != breakerClosed
-	b.state = breakerClosed
-	b.failures = 0
-	b.until = time.Time{}
-	b.cooldown = 0
+	reopened := b.open
+	*b = breaker{}
 	return reopened
 }
 
 // onFailure records a failed contact: the next attempt is pushed out by a
 // jittered exponential backoff, and once the consecutive-failure count
-// reaches the threshold (or a half-open probe fails) the breaker opens.
-// Returns true when this transition newly opened the breaker.
-func (b *breaker) onFailure(now time.Time, cfg breakerConfig, rng *rand.Rand) bool {
+// reaches the threshold (or a half-open probe fails) the breaker opens
+// with a cooldown that doubles per re-open. Returns true when it (re)opened
+// the breaker.
+func (b *breaker) onFailure(now time.Time, cfg *PoolConfig, rng *rand.Rand) bool {
 	b.failures++
-	opened := false
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.failures >= cfg.threshold) {
-		if b.cooldown == 0 {
-			b.cooldown = cfg.cooldown
-		} else {
-			b.cooldown *= 2
-			if b.cooldown > cfg.maxBackoff {
-				b.cooldown = cfg.maxBackoff
-			}
-		}
-		opened = b.state != breakerOpen
-		b.state = breakerOpen
-		b.until = now.Add(jitter(b.cooldown, rng))
-		return opened
+	if !b.open && b.failures < cfg.BreakerThreshold {
+		b.until = now.Add(backoffDelay(cfg.BackoffBase, cfg.BackoffMax, b.failures, rng))
+		return false
 	}
-	b.until = now.Add(backoffDelay(cfg.baseBackoff, cfg.maxBackoff, b.failures, rng))
-	return false
+	if b.cooldown == 0 {
+		b.cooldown = cfg.BreakerCooldown
+	} else {
+		b.cooldown = min(2*b.cooldown, cfg.BackoffMax)
+	}
+	b.open = true
+	b.until = now.Add(jitter(b.cooldown, rng))
+	return true
 }
 
 // backoffDelay returns the attempt-th exponential backoff delay with

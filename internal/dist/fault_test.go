@@ -308,8 +308,8 @@ func TestLateSenderSendsNothing(t *testing.T) {
 	if o.err != errAbandoned || o.fatal || len(o.results) != 0 {
 		t.Fatalf("outcome = %+v, want the batch abandoned", o)
 	}
-	if len(lc.out) != 0 || worker.down || worker.conn == nil {
-		t.Fatalf("%d bytes sent, worker down = %v: an abandoned batch touched its connection", len(lc.out), worker.down)
+	if len(lc.out) != 0 || worker.conn == nil {
+		t.Fatalf("%d bytes sent, worker down = %v: an abandoned batch touched its connection", len(lc.out), worker.conn == nil)
 	}
 }
 
@@ -457,6 +457,46 @@ func TestWorkerRevivesThroughBreaker(t *testing.T) {
 	}
 	if revived.Served() == 0 {
 		t.Fatal("revived worker was never assigned work")
+	}
+}
+
+// TestHealthCheckerRedials: the health checker revives through the same
+// routine as a RunMap round, so its attempts count as redials too. A
+// worker dead when the pool is built and restarted later comes back with
+// no batch ever run.
+func TestHealthCheckerRedials(t *testing.T) {
+	workers, addrs, reg := newCluster(t, 2)
+	workers[1].Kill()
+	pool, err := NewPoolConfig("dist-wordcount", addrs, PoolConfig{
+		BackoffBase:     2 * time.Millisecond,
+		BreakerCooldown: 5 * time.Millisecond,
+		HealthInterval:  5 * time.Millisecond,
+		Seed:            1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		revived, err := NewWorker("w1b", addrs[1], reg)
+		if err == nil {
+			t.Cleanup(func() { revived.Close() })
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("could not rebind %s: %v", addrs[1], err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for pool.LiveWorkers() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("health checker never revived the worker; faults: %s", pool.FaultStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := pool.FaultStats(); st.Redials == 0 {
+		t.Fatalf("the health checker's revival went uncounted: %s", st)
 	}
 }
 

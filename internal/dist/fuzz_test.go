@@ -210,20 +210,32 @@ func FuzzWireReply(f *testing.F) {
 	}
 	f.Add(mapReply, false)
 	f.Add(withSpans[:len(withSpans)-7], false)
-	// A map reply whose results' sizes do not add up, under valid
-	// checksums: the pool must not take them over.
-	lying := appendReply(nil, 1, statusOK, 2, "w0", "")
-	for _, s := range splits {
-		res, err := mapreduce.RunMapTask(job, s)
-		if err != nil {
-			f.Fatal(err)
+	// Map replies that check out frame by frame but do not answer the
+	// splits sent, their results changed under valid checksums: sizes that
+	// do not add up, partitions shifted by one — every key where Partition
+	// does not put it — and a record more than the split holds. The pool
+	// must not take them over.
+	for _, lie := range []func(*mapreduce.MapResult){
+		func(r *mapreduce.MapResult) { r.PartBytes[0]++ },
+		func(r *mapreduce.MapResult) {
+			r.Parts = append(r.Parts[1:], r.Parts[0])
+			r.PartBytes = append(r.PartBytes[1:], r.PartBytes[0])
+		},
+		func(r *mapreduce.MapResult) { r.Records++ },
+	} {
+		lying := appendReply(nil, 1, statusOK, 2, "w0", "")
+		for _, s := range splits {
+			res, err := mapreduce.RunMapTask(job, s)
+			if err != nil {
+				f.Fatal(err)
+			}
+			lie(&res)
+			if lying, err = persist.AppendMapResult(lying, res); err != nil {
+				f.Fatal(err)
+			}
 		}
-		res.PartBytes[0]++
-		if lying, err = persist.AppendMapResult(lying, res); err != nil {
-			f.Fatal(err)
-		}
+		f.Add(lying, false)
 	}
-	f.Add(lying, false)
 	// A value whose gob message claims the length byte count that does not
 	// fit an int8.
 	f.Add(framed(appendReply(nil, 1, statusOK, 1, "w0", ""), valueKind(f), []byte{0x80}), false)
@@ -247,7 +259,17 @@ func FuzzWireReply(f *testing.F) {
 			if len(o.results) > 2 || (o.err == nil && len(o.results) != 2) {
 				t.Fatalf("%d results and err %v for a batch of two", len(o.results), o.err)
 			}
-			for _, r := range o.results {
+			for k, r := range o.results {
+				if r.Records != int64(len(splits[k].Records)) {
+					t.Fatalf("result %s taken with %d records for a split of %d", r.SplitID, r.Records, len(splits[k].Records))
+				}
+				for part, payload := range r.Parts {
+					for _, e := range payload {
+						if mapreduce.Partition(e.Key, len(r.Parts)) != part {
+							t.Fatalf("result %s taken with key %q in partition %d", r.SplitID, e.Key, part)
+						}
+					}
+				}
 				sum := int64(0)
 				for _, b := range r.PartBytes {
 					if b < 0 {

@@ -169,12 +169,12 @@ func (c *PoolConfig) normalize() {
 // splits are re-executed on the survivors (map tasks are deterministic
 // and side-effect-free, so re-execution is always safe — the MapReduce
 // fault model). Down workers revive through a per-worker circuit breaker
-// (closed → open → half-open) with jittered exponential backoff, probed
-// on demand and by a background health checker, so a dead host never
-// sees a reconnect stampede. Optionally the pool hedges slow rounds by
-// duplicating still-pending splits on an idle worker; the first result
-// wins. When a batch cannot finish remotely the pool returns an
-// *IncompleteError carrying the splits that did complete.
+// (closed → open → half-open) with jittered exponential backoff, by one
+// routine that each RunMap round and a background health checker call, so
+// a dead host never sees a reconnect stampede. Optionally the pool hedges
+// slow rounds by duplicating still-pending splits on an idle worker; the
+// first result wins. When a batch cannot finish remotely the pool returns
+// an *IncompleteError carrying the splits that did complete.
 type Pool struct {
 	jobName string
 	cfg     PoolConfig
@@ -184,13 +184,13 @@ type Pool struct {
 	mu      sync.Mutex
 	workers []*poolWorker
 	next    int
-	// retries counts splits that were re-queued after a worker error.
-	retries int64
 	rng     *rand.Rand
 	closed  bool
 
-	healthStop chan struct{}
-	healthWG   sync.WaitGroup
+	// stop ends the health checker and the stats poller; loops waits for
+	// them.
+	stop  chan struct{}
+	loops sync.WaitGroup
 
 	// statsMu guards the federation cache (latest Stats snapshot per
 	// worker address), written by the stats poller and read by
@@ -200,10 +200,11 @@ type Pool struct {
 	stats   map[string]metrics.NodeStats
 }
 
+// poolWorker is one worker as the pool sees it. It is down exactly when
+// conn is nil.
 type poolWorker struct {
 	addr     string
 	conn     *wireConn
-	down     bool
 	probing  bool // a revival attempt is in flight
 	inflight int  // outstanding batches (hedges target idle workers)
 	brk      breaker
@@ -228,18 +229,18 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 		faults:  cfg.Faults,
 		tracer:  cfg.Tracer,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		stop:    make(chan struct{}),
 		stats:   make(map[string]metrics.NodeStats),
 	}
 	live := 0
 	now := time.Now()
 	for _, addr := range addrs {
 		w := &poolWorker{addr: addr}
-		if conn, err := p.connect(addr); err == nil {
+		if conn, _, err := dialPing(addr); err == nil {
 			w.conn = conn
 			live++
 		} else {
-			w.down = true
-			w.brk.onFailure(now, p.brkCfg(), p.rng)
+			w.brk.onFailure(now, &p.cfg, p.rng)
 		}
 		p.workers = append(p.workers, w)
 	}
@@ -247,28 +248,38 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 		p.Close()
 		return nil, ErrNoWorkers
 	}
-	if cfg.HealthInterval > 0 || cfg.StatsInterval > 0 {
-		p.healthStop = make(chan struct{})
-	}
-	if cfg.HealthInterval > 0 {
-		p.healthWG.Add(1)
-		go p.healthLoop()
-	}
-	if cfg.StatsInterval > 0 {
-		p.healthWG.Add(1)
-		go p.statsLoop()
-	}
+	// The health checker drives the open → half-open → closed cycle even
+	// while no batches run; the stats poller fills the ClusterStats cache.
+	p.every(cfg.HealthInterval, func() { p.revive(nil) })
+	p.every(cfg.StatsInterval, p.PollStats)
 	return p, nil
 }
 
-// connect dials one worker and pings it on the connection it then keeps,
-// so a peer that accepts and is no worker of this protocol never counts as
-// live. dialTimeout bounds the dial and the ping each.
-func (p *Pool) connect(addr string) (*wireConn, error) {
-	conn, _, err := dialPing(addr)
-	return conn, err
+// every runs f each period d until Close; d ≤ 0 runs nothing.
+func (p *Pool) every(d time.Duration, f func()) {
+	if d <= 0 {
+		return
+	}
+	p.loops.Add(1)
+	go func() {
+		defer p.loops.Done()
+		ticker := time.NewTicker(d)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-ticker.C:
+				f()
+			}
+		}
+	}()
 }
 
+// dialPing dials one worker and pings it on the connection it returns for
+// the caller to keep, so a peer that accepts and is no worker of this
+// protocol never counts as live. dialTimeout bounds the dial and the ping
+// each.
 func dialPing(addr string) (*wireConn, PingReply, error) {
 	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -286,15 +297,6 @@ func dialPing(addr string) (*wireConn, PingReply, error) {
 	return conn, reply, nil
 }
 
-func (p *Pool) brkCfg() breakerConfig {
-	return breakerConfig{
-		threshold:   p.cfg.BreakerThreshold,
-		baseBackoff: p.cfg.BackoffBase,
-		maxBackoff:  p.cfg.BackoffMax,
-		cooldown:    p.cfg.BreakerCooldown,
-	}
-}
-
 // Close releases all connections and stops the health checker. A RunMap
 // in flight on another goroutine is unblocked — closing a socket fails the
 // read it waits in — and returns ErrNoWorkers with what it had.
@@ -307,21 +309,18 @@ func (p *Pool) Close() {
 			w.conn.c.Close()
 			w.conn = nil
 		}
-		w.down = true
 	}
 	p.mu.Unlock()
-	if !alreadyClosed && p.healthStop != nil {
-		close(p.healthStop)
-		p.healthWG.Wait()
+	if !alreadyClosed {
+		close(p.stop)
+		p.loops.Wait()
 	}
 }
 
-// Retries reports how many splits were re-queued after worker failures.
-func (p *Pool) Retries() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retries
-}
+// Retries reports how many splits were re-queued after worker failures:
+// FaultStats().Retries, which counts other pools' too where they share
+// the recorder.
+func (p *Pool) Retries() int64 { return p.faults.Retries.Load() }
 
 // LiveWorkers reports how many workers are currently considered up.
 func (p *Pool) LiveWorkers() int {
@@ -329,7 +328,7 @@ func (p *Pool) LiveWorkers() int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, w := range p.workers {
-		if !w.down {
+		if w.conn != nil {
 			n++
 		}
 	}
@@ -344,40 +343,6 @@ func (p *Pool) isClosed() bool {
 
 // FaultStats snapshots the pool's fault-tolerance event counters.
 func (p *Pool) FaultStats() metrics.FaultStats { return p.faults.Snapshot() }
-
-// healthLoop is the background health checker: it periodically probes
-// down workers whose breaker cooldown has elapsed with a ping and
-// revives them on success, driving the open → half-open → closed cycle
-// even while no batches run.
-func (p *Pool) healthLoop() {
-	defer p.healthWG.Done()
-	ticker := time.NewTicker(p.cfg.HealthInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.healthStop:
-			return
-		case <-ticker.C:
-			p.probeDown()
-		}
-	}
-}
-
-// statsLoop is the metrics-federation poller: it periodically pulls
-// every live worker's Stats snapshot into the ClusterStats cache.
-func (p *Pool) statsLoop() {
-	defer p.healthWG.Done()
-	ticker := time.NewTicker(p.cfg.StatsInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.healthStop:
-			return
-		case <-ticker.C:
-			p.PollStats()
-		}
-	}
-}
 
 // PollStats pulls a Stats snapshot from every live worker right now and
 // caches it for ClusterStats. A poll never queues behind a batch: a
@@ -399,7 +364,7 @@ func (p *Pool) PollStats() {
 		return
 	}
 	for _, w := range p.workers {
-		if !w.down && w.conn != nil {
+		if w.conn != nil {
 			targets = append(targets, target{w: w, conn: w.conn})
 		}
 	}
@@ -440,76 +405,31 @@ func (p *Pool) ClusterStats() metrics.ClusterStats {
 	return out
 }
 
-// probeDown pings every down worker the breaker allows and revives the
-// responsive ones.
-func (p *Pool) probeDown() {
+// revive redials the down workers whose breaker/backoff state permits a
+// contact attempt right now and installs the ones that answer the ping.
+// It is the one way a down worker comes back: each RunMap round calls it
+// with the batch's retry budget, which each failed redial charges, and the
+// health checker with none. Every attempt counts as a redial, and each is
+// stampede-proof because a failure pushes the worker's next eligible
+// contact further out. It returns how many redials were attempted and how
+// many workers are live afterwards.
+func (p *Pool) revive(budget *int) (attempted, live int) {
 	now := time.Now()
 	var cands []*poolWorker
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return
+		return 0, 0
 	}
 	for _, w := range p.workers {
-		if w.down && !w.probing && w.brk.allow(now) {
-			if w.brk.probe() {
-				p.faults.BreakerHalfOpen.Add(1)
-			}
-			w.probing = true
-			cands = append(cands, w)
-		}
-	}
-	p.mu.Unlock()
-	for _, w := range cands {
-		conn, err := p.connect(w.addr)
-		p.settleProbe(w, conn, err)
-	}
-}
-
-// settleProbe installs the result of one revival attempt: the connection
-// the ping went over, or the failure.
-func (p *Pool) settleProbe(w *poolWorker, conn *wireConn, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w.probing = false
-	if p.closed {
-		if conn != nil {
-			conn.c.Close()
-		}
-		return
-	}
-	if err != nil {
-		if w.brk.onFailure(time.Now(), p.brkCfg(), p.rng) {
-			p.faults.BreakerOpened.Add(1)
-		}
-		return
-	}
-	w.conn = conn
-	w.down = false
-	if w.brk.onSuccess() {
-		p.faults.BreakerClosed.Add(1)
-	}
-}
-
-// ensureLive redials down workers whose breaker/backoff state permits a
-// contact attempt right now — revival on demand, stampede-proof because
-// each failure pushes the worker's next eligible contact further out.
-// Failed redials charge the batch's retry budget when one is supplied.
-// It returns how many redials were attempted and how many workers are
-// live afterwards.
-func (p *Pool) ensureLive(budget *int) (attempted, live int) {
-	now := time.Now()
-	var cands []*poolWorker
-	p.mu.Lock()
-	for _, w := range p.workers {
-		if !w.down {
+		if w.conn != nil {
 			live++
 			continue
 		}
 		if w.probing || !w.brk.allow(now) {
 			continue
 		}
-		if w.brk.probe() {
+		if w.brk.open {
 			p.faults.BreakerHalfOpen.Add(1)
 		}
 		w.probing = true
@@ -519,14 +439,29 @@ func (p *Pool) ensureLive(budget *int) (attempted, live int) {
 	for _, w := range cands {
 		attempted++
 		p.faults.Redials.Add(1)
-		conn, err := p.connect(w.addr)
-		if err != nil && budget != nil {
-			*budget--
-		}
-		p.settleProbe(w, conn, err)
-		if err == nil {
+		conn, _, err := dialPing(w.addr)
+		p.mu.Lock()
+		w.probing = false
+		switch {
+		case p.closed:
+			if conn != nil {
+				conn.c.Close()
+			}
+		case err != nil:
+			if budget != nil {
+				*budget--
+			}
+			if w.brk.onFailure(time.Now(), &p.cfg, p.rng) {
+				p.faults.BreakerOpened.Add(1)
+			}
+		default:
+			w.conn = conn
 			live++
+			if w.brk.onSuccess() {
+				p.faults.BreakerClosed.Add(1)
+			}
 		}
+		p.mu.Unlock()
 	}
 	return attempted, live
 }
@@ -550,7 +485,7 @@ func (p *Pool) assign(done []bool) []*batchAssign {
 	var live []*poolWorker
 	idle := 0
 	for _, w := range p.workers {
-		if !w.down && w.conn != nil {
+		if w.conn != nil {
 			live = append(live, w)
 			if w.inflight == 0 {
 				idle++
@@ -601,7 +536,7 @@ func (p *Pool) hedgeAssign(done []bool) *batchAssign {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, w := range p.workers {
-		if !w.down && w.conn != nil && w.inflight == 0 {
+		if w.conn != nil && w.inflight == 0 {
 			w.inflight++
 			return &batchAssign{w: w, conn: w.conn, indices: pending}
 		}
@@ -635,23 +570,49 @@ type mapRun struct {
 	over   bool
 }
 
+// sentSplit is what a sender keeps of a split it framed: what the result
+// that answers it must carry.
+type sentSplit struct {
+	id      string
+	records int64
+}
+
 // frame appends the splits at indices to the call c is building and returns
-// their ids, which is all of them a sender needs from then on.
-func (r *mapRun) frame(c *wireConn, indices []int) ([]string, error) {
+// what a sender needs of them from then on.
+func (r *mapRun) frame(c *wireConn, indices []int) ([]sentSplit, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.over {
 		return nil, errAbandoned
 	}
-	ids := make([]string, len(indices))
+	sent := make([]sentSplit, len(indices))
 	for k, i := range indices {
-		ids[k] = r.splits[i].ID
+		sent[k] = sentSplit{r.splits[i].ID, int64(len(r.splits[i].Records))}
 		var err error
 		if c.wbuf, err = persist.AppendSplit(c.wbuf, r.splits[i]); err != nil {
 			return nil, err
 		}
 	}
-	return ids, nil
+	return sent, nil
+}
+
+// answers refuses, as persist.ErrCorrupt, a result whose split id, record
+// count or partition count is not the sent split's, or that holds a key in
+// a partition Partition does not give it: a checksum shows a frame arrived
+// as it was sent, not that the worker mapped the split the driver's way.
+func (s sentSplit) answers(res mapreduce.MapResult, n int) error {
+	if res.SplitID != s.id || res.Records != s.records || len(res.Parts) != n {
+		return fmt.Errorf("%w: result for split %q of %d records in %d partitions where split %q of %d in %d belongs",
+			persist.ErrCorrupt, res.SplitID, res.Records, len(res.Parts), s.id, s.records, n)
+	}
+	for part, payload := range res.Parts {
+		for _, e := range payload {
+			if mapreduce.Partition(e.Key, n) != part {
+				return fmt.Errorf("%w: split %q's key %q arrived in partition %d of %d", persist.ErrCorrupt, s.id, e.Key, part, n)
+			}
+		}
+	}
+	return nil
 }
 
 // end is RunMap returning: the splits are the caller's again.
@@ -719,7 +680,7 @@ func (p *Pool) launch(a *batchAssign, run *mapRun, outcomes chan<- batchOutcome,
 // splits are built where they are sent from and written once; each result
 // frame is decoded where it arrives — the payloads' key arenas and entry
 // slices are the only copy made, and they are the leaves the window keeps
-// — and checked against the id of the split it answers. The splits
+// — and checked against the split it answers (sentSplit.answers). The splits
 // themselves are read only while they are framed (mapRun): the reply may
 // come long after RunMap has returned. It fills o.results with what
 // arrived whole, and o.err/o.fatal; after any failure that leaves the
@@ -730,7 +691,7 @@ func (p *Pool) runBatch(o *batchOutcome, env call, parent string, run *mapRun) [
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.begin(env, p.jobName, parent)
-	ids, err := run.frame(c, indices)
+	sent, err := run.frame(c, indices)
 	if err != nil {
 		// Nothing was sent: the connection is in step. A split that cannot
 		// be framed here cannot be framed anywhere.
@@ -755,18 +716,17 @@ func (p *Pool) runBatch(o *batchOutcome, env call, parent string, run *mapRun) [
 	}
 	traced := int(rep.items) > len(indices)
 	o.results = make([]mapreduce.MapResult, 0, len(indices))
-	for _, id := range ids {
+	for _, s := range sent {
 		frame, err := c.next()
 		if err != nil {
 			return p.broken(o, err)
 		}
 		res, err := persist.DecodeMapResult(frame)
+		if err == nil {
+			err = s.answers(res, run.job.NumPartitions())
+		}
 		if err != nil {
 			return p.broken(o, err)
-		}
-		if res.SplitID != id || len(res.Parts) != run.job.NumPartitions() {
-			return p.broken(o, fmt.Errorf("%w: result for split %q with %d partitions where split %q with %d belongs",
-				persist.ErrCorrupt, res.SplitID, len(res.Parts), id, run.job.NumPartitions()))
 		}
 		o.results = append(o.results, res)
 	}
@@ -816,7 +776,7 @@ func (p *Pool) noteSuccess(w *poolWorker, elapsed time.Duration) {
 func (p *Pool) span() *metrics.Span { return p.tracer.Active() }
 
 // failContact takes a worker out of service after a failure on conn: the
-// connection is closed and the worker marked down. With trip its breaker
+// connection is closed, which marks the worker down. With trip its breaker
 // backs off as well — a transport-level failure or a corrupt frame; without
 // (a failed stats poll) the next contact redials at once. A stale
 // connection (already replaced by a redial) is ignored.
@@ -830,8 +790,7 @@ func (p *Pool) failContact(w *poolWorker, conn *wireConn, trip bool) {
 		w.conn.c.Close()
 		w.conn = nil
 	}
-	w.down = true
-	if trip && w.brk.onFailure(time.Now(), p.brkCfg(), p.rng) {
+	if trip && w.brk.onFailure(time.Now(), &p.cfg, p.rng) {
 		p.faults.BreakerOpened.Add(1)
 	}
 }
@@ -886,7 +845,7 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 		if p.isClosed() {
 			return nil, partial(ErrNoWorkers)
 		}
-		attempted, live := p.ensureLive(&budget)
+		attempted, live := p.revive(&budget)
 		assigns := p.assign(done)
 		if len(assigns) == 0 {
 			// Nobody is assignable. If a revival was just attempted and
@@ -894,7 +853,7 @@ func (p *Pool) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce
 			// fallback beats waiting, and the background health checker
 			// keeps probing for the next batch. Otherwise wait out the
 			// shortest backoff once, bounded so a batch never stalls.
-			if live == 0 && (attempted > 0 || !p.anyRevivalPending()) {
+			if live == 0 && attempted > 0 {
 				return nil, partial(ErrNoWorkers)
 			}
 			if budget <= 0 {
@@ -1023,9 +982,6 @@ func (p *Pool) requeue(indices []int, done []bool, budget *int) {
 	if n == 0 {
 		return
 	}
-	p.mu.Lock()
-	p.retries += int64(n)
-	p.mu.Unlock()
 	p.faults.Retries.Add(int64(n))
 	*budget -= n
 }
@@ -1038,19 +994,6 @@ func (p *Pool) deadCause() error {
 	return ErrRetryBudget
 }
 
-// anyRevivalPending reports whether some down worker could become
-// eligible for a revival attempt later (i.e. waiting can help).
-func (p *Pool) anyRevivalPending() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.down {
-			return true
-		}
-	}
-	return false
-}
-
 // nextRevival returns how long until the earliest down worker becomes
 // eligible for a revival attempt.
 func (p *Pool) nextRevival(now time.Time) time.Duration {
@@ -1058,7 +1001,7 @@ func (p *Pool) nextRevival(now time.Time) time.Duration {
 	defer p.mu.Unlock()
 	best := p.cfg.BackoffMax
 	for _, w := range p.workers {
-		if !w.down || w.probing {
+		if w.conn != nil || w.probing {
 			continue
 		}
 		if d := w.brk.until.Sub(now); d < best {

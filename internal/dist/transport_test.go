@@ -224,6 +224,61 @@ func TestSwappedResultsCaught(t *testing.T) {
 	}
 }
 
+// TestMisroutedKeysCaught: a result is checked against what the driver
+// knows, not only against its checksum. A worker that puts odd splits'
+// keys one partition over — another partitioner, or a hostile peer — is
+// treated as one that returned a corrupt result: counted, failed, its
+// batch re-executed elsewhere, and the answer is the local one.
+func TestMisroutedKeysCaught(t *testing.T) {
+	job := testJob()
+	shifting := stubWorker(t, func(c *wireConn, env call) error {
+		c.wbuf = appendReply(c.wbuf[:0], env.id, statusOK, env.items, "stub", "")
+		for i := uint32(0); i < env.items; i++ {
+			frame, err := c.next()
+			if err != nil {
+				return err
+			}
+			split, err := persist.DecodeSplit(frame)
+			if err != nil {
+				return err
+			}
+			res, err := mapreduce.RunMapTask(job, split)
+			if err != nil {
+				return err
+			}
+			if i%2 == 1 {
+				res.Parts = append(res.Parts[1:], res.Parts[0])
+				res.PartBytes = append(res.PartBytes[1:], res.PartBytes[0])
+			}
+			if c.wbuf, err = persist.AppendMapResult(c.wbuf, res); err != nil {
+				return err
+			}
+		}
+		return c.flush()
+	})
+	_, addrs, _ := newCluster(t, 1)
+	pool, err := NewPoolConfig("dist-wordcount", []string{shifting, addrs[0]}, PoolConfig{
+		BackoffBase:      2 * time.Millisecond,
+		BreakerThreshold: 1, // the stub is not asked twice
+		BreakerCooldown:  10 * time.Second,
+		HealthInterval:   -1,
+		Seed:             1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	splits := textSplits(0, 6)
+	remote, err := pool.RunMap(job, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesLocal(t, job, splits, remote)
+	if st := pool.FaultStats(); st.CorruptFrames == 0 || st.Retries == 0 {
+		t.Fatalf("corrupt frames = %d, retries = %d: the misrouted keys went unnoticed", st.CorruptFrames, st.Retries)
+	}
+}
+
 // TestForeignPeerNamedNotHung: a peer that speaks something else gets an
 // error that names the protocol, at either end, instead of a hang.
 func TestForeignPeerNamedNotHung(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync"
 
+	"slider/internal/mapreduce"
 	"slider/internal/metrics"
 )
 
@@ -149,21 +150,6 @@ func observe(h *metrics.Histogram, cost int64) {
 	}
 }
 
-// hashKey32 is the allocation-free FNV-1a used for node placement
-// (bit-identical to hash/fnv over the same bytes).
-func hashKey32(key string) uint32 {
-	const (
-		offset32 uint32 = 2166136261
-		prime32  uint32 = 16777619
-	)
-	h := offset32
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return h
-}
-
 // HomeNode returns the node whose RAM would cache the given key. The
 // scheduler uses it to co-locate contraction/reduce tasks with their
 // memoized inputs.
@@ -174,7 +160,7 @@ func (s *Store) HomeNode(key string) int {
 		// a zero-value Store must not panic on uint32(0) modulo.
 		nodes = 1
 	}
-	return int(hashKey32(key) % uint32(nodes))
+	return int(mapreduce.HashKey32(key) % uint32(nodes))
 }
 
 // writeCost is the simulated time to memoize size bytes: one in-memory

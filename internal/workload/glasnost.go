@@ -30,11 +30,6 @@ type GlasnostConfig struct {
 	SplitsPerMonth int
 }
 
-// DefaultGlasnostConfig returns a laptop-scale Glasnost trace.
-func DefaultGlasnostConfig() GlasnostConfig {
-	return GlasnostConfig{Seed: 42, Servers: 8, RunsPerSplit: 150, SplitsPerMonth: 4}
-}
-
 // Glasnost generates monthly measurement-trace splits. RTT distributions
 // are lognormal per server with a slow seasonal drift, so medians move
 // month over month (which is what the monitoring analysis watches).
@@ -55,9 +50,6 @@ func NewGlasnost(cfg GlasnostConfig) *Glasnost {
 	}
 	return &Glasnost{cfg: cfg}
 }
-
-// SplitsPerMonth returns the number of splits per calendar month.
-func (g *Glasnost) SplitsPerMonth() int { return g.cfg.SplitsPerMonth }
 
 // Split returns trace split i.
 func (g *Glasnost) Split(i int) mapreduce.Split {
