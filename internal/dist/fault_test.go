@@ -500,6 +500,50 @@ func TestHealthCheckerRedials(t *testing.T) {
 	}
 }
 
+// TestBreakerOpenedAtConstruction: a worker unreachable when the pool is
+// built fails its first contact there, and with a threshold of one that
+// opens its breaker — counted as every other open is. Once the health
+// checker has revived it, no breaker has closed that was not counted open.
+func TestBreakerOpenedAtConstruction(t *testing.T) {
+	workers, addrs, reg := newCluster(t, 2)
+	workers[1].Kill()
+	pool, err := NewPoolConfig("dist-wordcount", addrs, PoolConfig{
+		BackoffBase:      2 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  200 * time.Millisecond, // no probe before the first read
+		HealthInterval:   5 * time.Millisecond,
+		Seed:             1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if st := pool.FaultStats(); st.BreakerOpened != 1 {
+		t.Fatalf("the worker down at construction opened its breaker uncounted: %s", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		revived, err := NewWorker("w1b", addrs[1], reg)
+		if err == nil {
+			t.Cleanup(func() { revived.Close() })
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("could not rebind %s: %v", addrs[1], err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for pool.LiveWorkers() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("health checker never revived the worker; faults: %s", pool.FaultStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := pool.FaultStats(); st.BreakerClosed == 0 || st.BreakerOpened < st.BreakerClosed {
+		t.Fatalf("breakers closed that were never counted open: %s", st)
+	}
+}
+
 // TestRuntimeLocalFallback is the top rung of the degradation ladder: a
 // slide whose remote map phase loses every worker must still succeed by
 // re-executing the missing splits in-process, and the result must match

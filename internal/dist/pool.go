@@ -239,8 +239,8 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 		if conn, _, err := dialPing(addr); err == nil {
 			w.conn = conn
 			live++
-		} else {
-			w.brk.onFailure(now, &p.cfg, p.rng)
+		} else if w.brk.onFailure(now, &p.cfg, p.rng) {
+			p.faults.BreakerOpened.Add(1)
 		}
 		p.workers = append(p.workers, w)
 	}

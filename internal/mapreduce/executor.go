@@ -43,7 +43,10 @@ type MapResult struct {
 // returns: an implementation reads them only during the call — nothing it
 // started may read a split afterwards (dist's hedged senders stop at the
 // call's end) — and keeps no split and no Records slice, so the caller may
-// reuse their storage.
+// reuse their storage. The results are the caller's too: an implementation
+// keeps no reference to their payloads, whose storage sliderrt recycles once
+// the window is done with them (a bucket fold hands the map outputs it
+// merged to the task stock, see ReleaseTaskPayload).
 type MapRunner interface {
 	// RunMap executes the job's map function over every split.
 	RunMap(job *Job, splits []Split) ([]MapResult, error)

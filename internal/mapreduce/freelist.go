@@ -16,7 +16,9 @@ const FreeListBuffers = 16
 // next merges to be built in (MergeOrderedSizedInto's dst). It holds at most
 // FreeListBuffers slices, cleared — it pins no key and no value. A list
 // belongs to one window structure and, like it, is not safe for concurrent
-// use. The zero value is an empty list.
+// use; the one exception is the process's stock of task-output storage (see
+// TakeTaskPayload, taskstock.go), a list behind a lock. The zero value is an
+// empty list.
 type FreeList struct {
 	bufs         []Payload // len 0 each, every entry up to cap zero
 	hits, misses int64
@@ -46,18 +48,23 @@ func (f *FreeList) Get(largest, total int) Payload {
 			}
 		}
 	}
-	best := whole
-	if best < 0 {
-		best = part
+	if whole < 0 {
+		whole = part
 	}
-	if best < 0 {
+	return f.remove(whole)
+}
+
+// remove takes the i-th held slice out of the list and counts a hit, or a
+// miss when i < 0 and returns nil.
+func (f *FreeList) remove(i int) Payload {
+	if i < 0 {
 		f.misses++
 		return nil
 	}
 	f.hits++
-	b := f.bufs[best]
+	b := f.bufs[i]
 	last := len(f.bufs) - 1
-	f.bufs[best], f.bufs[last] = f.bufs[last], nil
+	f.bufs[i], f.bufs[last] = f.bufs[last], nil
 	f.bufs = f.bufs[:last]
 	return b
 }
@@ -85,6 +92,20 @@ func (f *FreeList) Put(p Payload) {
 	if cap(p) > cap(f.bufs[smallest]) {
 		f.bufs[smallest] = p
 	}
+}
+
+// take takes the storage for a task payload of n > 0 entries out of the list:
+// the smallest slice whose capacity is between n and 2n, else nil. A larger
+// slice would hold memory the payload does not use for as long as the window
+// keeps it.
+func (f *FreeList) take(n int) Payload {
+	best := -1
+	for i, b := range f.bufs {
+		if c := cap(b); c >= n && c <= 2*n && (best < 0 || c < cap(f.bufs[best])) {
+			best = i
+		}
+	}
+	return f.remove(best)
 }
 
 // FreeListStats is a FreeList's bookkeeping: requests served from the list

@@ -552,8 +552,9 @@ func (p TaskPart) Bytes(i int) int64 {
 }
 
 // cut is RunMapTask's writer: the output cut into one payload per
-// partition, each in a slice of exactly its length (nil when nothing was
-// emitted to it), read and sized through the partition's TaskPart, with
+// partition, each in storage from the task stock (TakeTaskPayload: a slice
+// at most twice its length, else one of exactly its length; nil when nothing
+// was emitted to it), read and sized through the partition's TaskPart, with
 // the task's cost up to the end of the cut. A declared sum's totals are
 // boxed here.
 //
@@ -573,7 +574,7 @@ func (o *TaskOutput) cut() MapResult {
 		if part.Len() == 0 {
 			continue
 		}
-		out := make(Payload, part.Len())
+		out := TakeTaskPayload(part.Len())
 		for i := range out {
 			off := arena.Len()
 			arena.WriteString(part.Key(i))

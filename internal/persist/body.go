@@ -419,13 +419,14 @@ func decodeSetBody(data []byte) ([]mapreduce.Payload, error) {
 	return out, nil
 }
 
-// decodePayloadBody decodes one flat payload body into a fresh payload
-// that shares nothing with data: the key arena is copied once and every
-// key is a substring of the copy; string and []byte values are copied one
-// by one. Entries are appended in wire order with their order checked on
-// the way; a body that is not strictly sorted — written while payloads
-// were hash maps — is sorted once, and one that holds a key twice is
-// corrupt.
+// decodePayloadBody decodes one flat payload body into a payload that
+// shares nothing with data, in entry storage from the task stock
+// (mapreduce.TakeTaskPayload), which a body that does not check out hands
+// back: the key arena is copied once and every key is a substring of the
+// copy; string and []byte values are copied one by one. Entries are
+// appended in wire order with their order checked on the way; a body that
+// is not strictly sorted — written while payloads were hash maps — is
+// sorted once, and one that holds a key twice is corrupt.
 func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 	v, err := makeView(data, true)
 	if err != nil {
@@ -435,7 +436,7 @@ func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 		return nil, nil
 	}
 	arena := string(data[v.keyArenaOff:v.byteArena])
-	out := make(mapreduce.Payload, v.n)
+	out := mapreduce.TakeTaskPayload(v.n)
 	keyOff, sorted := 0, true
 	err = v.forEach(func(i int, val any) error {
 		kl := int(binary.LittleEndian.Uint32(data[v.keyLensOff+4*i:]))
@@ -447,11 +448,12 @@ func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 		sorted = sorted && (i == 0 || out[i-1].Key < out[i].Key)
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && !sorted && !mapreduce.SortEntries(out) {
+		err = fmt.Errorf("%w: duplicate key", ErrCorrupt)
 	}
-	if !sorted && !mapreduce.SortEntries(out) {
-		return nil, fmt.Errorf("%w: duplicate key", ErrCorrupt)
+	if err != nil {
+		mapreduce.ReleaseTaskPayload(out)
+		return nil, err
 	}
 	return out, nil
 }

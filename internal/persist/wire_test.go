@@ -112,6 +112,70 @@ func TestMapResultFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoReleasedParts: a map result's payloads are decoded into the
+// task stock's storage (mapreduce.TakeTaskPayload). Once a decoded result's
+// parts are released, as a bucket fold releases the ranges it merged,
+// decoding the same frame again allocates only the key arenas and the
+// result's headers — its id, partition sizes and parts. A held slice more
+// than twice a part's need is not handed out; one of exactly twice is. The
+// test takes back what it released, so no other test finds it.
+func TestDecodeIntoReleasedParts(t *testing.T) {
+	const parts, keys = 4, 300 // 300, 200 and 100 keys, and an empty part
+	r := mapreduce.MapResult{SplitID: "range-3", Records: 9, Parts: make([]mapreduce.Payload, parts), PartBytes: make([]int64, parts)}
+	for p := range parts - 1 { // the last partition stays empty
+		m := make(M, keys)
+		for k := range keys - 100*p { // a slice of 2·300+1 fits no other part
+			m[fmt.Sprintf("w%d-%d", p, k)] = int64(k % 100) // unboxed
+		}
+		r.Parts[p] = mapreduce.FromMap(m)
+		r.PartBytes[p] = int64(16 * len(m))
+		r.Bytes += r.PartBytes[p]
+	}
+	frame, err := AppendMapResult(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() mapreduce.MapResult {
+		got, err := DecodeMapResult(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	release := func(res mapreduce.MapResult) {
+		for _, p := range res.Parts {
+			mapreduce.ReleaseTaskPayload(p)
+		}
+	}
+	got := decode()
+	if !reflect.DeepEqual(got, r) {
+		t.Fatal("the decoded result differs from the one framed")
+	}
+	release(got)
+	allocs := testing.AllocsPerRun(20, func() { release(decode()) })
+	for _, p := range r.Parts {
+		mapreduce.TakeTaskPayload(len(p)) // the loop's last release
+	}
+	if want := float64(3 + parts - 1); allocs != want {
+		t.Errorf("a decode into released parts makes %.0f allocations, want %.0f: %d key arenas and 3 headers", allocs, want, parts-1)
+	}
+	if again := decode(); !reflect.DeepEqual(again, r) {
+		t.Fatal("a decode into released storage differs from the result framed")
+	}
+
+	n := len(r.Parts[0])
+	for _, c := range []struct {
+		held, want int
+	}{{2*n + 1, n}, {2 * n, 2 * n}} {
+		mapreduce.ReleaseTaskPayload(make(mapreduce.Payload, c.held))
+		got := decode()
+		if len(got.Parts[0]) != n || cap(got.Parts[0]) != c.want {
+			t.Errorf("a stock holding a slice of %d entries gave a part of %d entries capacity %d, want %d", c.held, len(got.Parts[0]), cap(got.Parts[0]), c.want)
+		}
+	}
+	mapreduce.TakeTaskPayload(n + 1) // the slice of 2n+1 nobody took
+}
+
 func mustEncodePayload(t *testing.T) []byte {
 	t.Helper()
 	frame, err := EncodePayload(testPayload())

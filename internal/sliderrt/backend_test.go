@@ -345,6 +345,67 @@ func TestEarlyRecycleIsCaught(t *testing.T) {
 	}
 }
 
+// TestLoneRangeReleaseIsCaught: a bucket fold releases the map outputs it
+// merged, and never a lone range's payload, which it hands through as the
+// bucket itself. A fold that released that too is caught by the ownership
+// oracle at the first run: the window holds the scribbled bucket. Buckets
+// of two ranges release both, injected or not, and pass. The job's combiner
+// and reducer read a value that is not a count as none, so that the merges
+// and the reduce run over scribbled entries and the Check names the fault.
+func TestLoneRangeReleaseIsCaught(t *testing.T) {
+	const caught = "a payload an aggregator holds"
+	job := wordCountJob()
+	job.Combine = func(_ string, values []mapreduce.Value) mapreduce.Value {
+		var n int64
+		for _, v := range values {
+			c, _ := v.(int64)
+			n += c
+		}
+		return n
+	}
+	job.Reduce = job.Combine
+	for _, c := range []struct {
+		name   string
+		bucket int // splits a bucket: up to rangeSplits is one range
+		lone   bool
+	}{
+		{"one range", rangeSplits, true},
+		{"two ranges", 2 * rangeSplits, false},
+	} {
+		for _, lone := range []bool{false, true} {
+			rt, err := New(job, Config{Mode: Fixed, Backend: BackendDaba, BucketSplits: c.bucket, WindowBuckets: 4, Memo: testMemoConfig()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := NewOwnership()
+			own.lone = lone
+			own.Watch(rt)
+			window := sparseSplits(0, 4*c.bucket)
+			res, err := rt.Initial(window)
+			for i := 0; err == nil && i < 4; i++ {
+				if err = own.Check(rt, res); err != nil {
+					break
+				}
+				if i == 3 {
+					wantSameOutput(t, res.Output, scratch(t, job, window))
+				}
+				in := sparseSplits(len(window)+i*c.bucket, c.bucket)
+				window = append(window[c.bucket:], in...)
+				res, err = rt.Advance(c.bucket, in)
+			}
+			t.Logf("%s, lone %v: %v", c.name, lone, err)
+			switch {
+			case lone && c.lone && err == nil:
+				t.Fatalf("%s: a lone range's payload released by its fold went unnoticed", c.name)
+			case lone && c.lone && !strings.Contains(err.Error(), caught):
+				t.Fatalf("%s: caught as %q, want %q", c.name, err, caught)
+			case !(lone && c.lone) && err != nil:
+				t.Fatalf("%s, lone %v: %v", c.name, lone, err)
+			}
+		}
+	}
+}
+
 // TestFreeListObservable: what the free lists hold is memory SpaceBytes
 // leaves out, so the runtime shows it. RuntimeStats.FreeList sums the
 // partitions' lists, the spares their structures keep for the next flip and

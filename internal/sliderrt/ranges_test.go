@@ -3,12 +3,15 @@ package sliderrt
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"slider/internal/apps"
 	"slider/internal/dist"
+	"slider/internal/israce"
 	"slider/internal/mapreduce"
 	"slider/internal/persist"
 	"slider/internal/workload"
@@ -335,4 +338,69 @@ func firstDiff(got, want []string) string {
 		}
 	}
 	return fmt.Sprintf("%d runs, want %d", len(got), len(want))
+}
+
+// TestFoldReleaseFeedsTheNextMap: a bucket of two ranges is folded from two
+// map outputs, whose entry slices the fold hands to the task stock, and the
+// next slide's map tasks cut their payloads out of that storage. So a slide
+// allocates at least the entry bytes its folds consumed less than the same
+// slide whose folds drop what they consumed. Both loops start every measured
+// slide after two collections and map sequentially, so that each grows the
+// same map-task scratch (see internal/bench's measureSlideLoop); under -race
+// the pool behind that scratch drops what it is handed at random.
+func TestFoldReleaseFeedsTheNextMap(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	const bucket, slides = 2 * rangeSplits, 16
+	entry := int64(unsafe.Sizeof(mapreduce.Entry{}))
+	text := workload.NewText(workload.TextConfig{Seed: 5, LinesPerSplit: 20, WordsPerLine: 12, Vocabulary: 4000, ZipfS: 1.1})
+	measure := func(release bool) (bytes, consumed float64) {
+		var freed atomic.Int64
+		releaseTaskPayload = func(p mapreduce.Payload) {
+			freed.Add(int64(len(p)) * entry)
+			if release {
+				mapreduce.ReleaseTaskPayload(p)
+			}
+		}
+		defer func() { releaseTaskPayload = mapreduce.ReleaseTaskPayload }()
+		rt, err := New(wordCountJob(), Config{Mode: Fixed, BucketSplits: bucket, WindowBuckets: 2, Parallelism: 1, Memo: testMemoConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Initial(text.Range(0, 2*bucket)); err != nil {
+			t.Fatal(err)
+		}
+		var total uint64
+		for i := range slides + 2 {
+			add := text.Range((2+i)*bucket, (3+i)*bucket)
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			freed0 := freed.Load()
+			if _, err := rt.Advance(bucket, add); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Background(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i < 2 { // the warm-up fills the stock
+				continue
+			}
+			total += after.TotalAlloc - before.TotalAlloc
+			consumed += float64(freed.Load() - freed0)
+		}
+		return float64(total) / slides, consumed / slides
+	}
+	dropped, _ := measure(false)
+	released, consumed := measure(true)
+	t.Logf("a slide of two %d-split buckets: %.0f bytes with the folds' outputs released, %.0f dropped; the folds consumed %.0f bytes of entries", bucket, released, dropped, consumed)
+	if consumed == 0 {
+		t.Fatal("the folds of two ranges released nothing")
+	}
+	if released > dropped-consumed {
+		t.Errorf("releasing saves %.0f bytes a slide, less than the %.0f the folds consumed", dropped-released, consumed)
+	}
 }

@@ -275,10 +275,29 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // of len(ps)−1 intermediate payloads. A lone payload is handed through
 // uncopied: payloads are immutable, and the memo entry of its map task holds
 // no value, so the tree is its only holder.
+//
+// The payloads are map outputs (mapAdds) that nobody else holds, so the fold
+// of two or more is where they die: their entry slices go to the task stock
+// (mapreduce.ReleaseTaskPayload), which the next map outputs are decoded and
+// cut into, or to the oracle when one watches. A lone one, the bucket
+// itself, is never released.
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	out, _ := core.ReduceOrderedK(rt.kmergeFor(p), ps)
+	if len(ps) > 1 || rt.own.releasesLone() {
+		for _, s := range ps {
+			if rt.own != nil {
+				rt.own.oracle.Release(s.P)
+			} else {
+				releaseTaskPayload(s.P)
+			}
+		}
+	}
 	return out
 }
+
+// releaseTaskPayload is where foldPayloads hands a consumed map output; a
+// test that measures what the release saves swaps it.
+var releaseTaskPayload = mapreduce.ReleaseTaskPayload
 
 // mapAdds is a run's map phase: it runs map tasks for new splits with
 // input locality, memoizes their outputs (charging the layer's write cost
@@ -1352,6 +1371,9 @@ type RuntimeStats struct {
 	// were installed. Buffers and Entries include the storage the structures
 	// hold back for merges not yet due (the daba kind's spares), Positions
 	// what they keep of where their buckets' keys stand (core.Locating).
+	// The stock the bucket folds release map outputs to, which the next
+	// ones are cut and decoded into (mapreduce.TakeTaskPayload), is the
+	// process's, not a partition's: neither this nor SpaceBytes counts it.
 	FreeList mapreduce.FreeListStats
 }
 
