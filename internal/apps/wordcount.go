@@ -7,12 +7,17 @@ import (
 	"slider/internal/mapreduce"
 )
 
-// lineJob is a job over text lines that counts what mapLine emits; a
-// record that is not a string — records arrive off the wire in a worker —
-// is the task's error. Every count is an int64 and Combine is their sum,
-// which the job declares (SumInt64): a map task adds each count as it is
-// emitted.
+// lineJob is a job over text lines that counts what mapLine emits. It
+// declares MapLine, so a worker maps a split of lines without boxing one,
+// and its Map is MapLine over a record that is a string; any other record —
+// records arrive off the wire in a worker — is the task's error. Every count
+// is an int64 and Combine is their sum, which the job declares (SumInt64): a
+// map task adds each count as it is emitted.
 func lineJob(name string, partitions int, mapLine func(line string, emit mapreduce.Emit)) *mapreduce.Job {
+	mapText := func(line string, emit mapreduce.Emit) error {
+		mapLine(line, emit)
+		return nil
+	}
 	return &mapreduce.Job{
 		Name:       name,
 		Partitions: partitions,
@@ -21,9 +26,9 @@ func lineJob(name string, partitions int, mapLine func(line string, emit mapredu
 			if !ok {
 				return fmt.Errorf("%s: record %T is not a string", name, rec)
 			}
-			mapLine(line, emit)
-			return nil
+			return mapText(line, emit)
 		},
+		MapLine:     mapText,
 		Combine:     sumValues,
 		Reduce:      sumValues,
 		Commutative: true,

@@ -180,8 +180,9 @@ func TestHCTKeysFirstRune(t *testing.T) {
 	}
 }
 
-// TestLineJobsDeclareSum: every line job declares its int64 sum, and
-// CheckJob holds each to the declaration on text and on the Unicode corpus.
+// TestLineJobsDeclareSum: every line job declares its int64 sum and its
+// MapLine, and CheckJob holds each to both declarations on text and on the
+// Unicode corpus.
 func TestLineJobsDeclareSum(t *testing.T) {
 	text := workload.NewText(workload.TextConfig{Seed: 9, LinesPerSplit: 20, WordsPerLine: 12, Vocabulary: 50})
 	samples := append(text.Range(0, 2), mapreduce.Split{ID: "unicode", Records: []mapreduce.Record{
@@ -192,6 +193,9 @@ func TestLineJobsDeclareSum(t *testing.T) {
 	} {
 		if !job.SumInt64 {
 			t.Errorf("%s does not declare SumInt64", job.Name)
+		}
+		if job.MapLine == nil {
+			t.Errorf("%s does not declare MapLine", job.Name)
 		}
 		if err := mapreduce.CheckJob(job, samples); err != nil {
 			t.Errorf("%s: %v", job.Name, err)

@@ -299,7 +299,7 @@ func trackedValue() (mapreduce.Value, <-chan struct{}) {
 // from the task's scratch, a panic recovered — and decodes the frame.
 func workerMapTask(job *mapreduce.Job, split mapreduce.Split) (mapreduce.MapResult, error) {
 	var frame []byte
-	err := writeMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+	err := writeMapTask(job, task{split: split}, func(out *mapreduce.TaskOutput) (err error) {
 		frame, err = persist.AppendTaskOutput(nil, out)
 		return err
 	})

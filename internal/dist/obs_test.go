@@ -251,11 +251,11 @@ func TestWorkerNoObsZeroAllocDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, frame := range frames {
-			split, err := persist.DecodeSplitZeroCopy(frame)
+			task, err := decodeTask(job, frame, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = writeMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+			err = writeMapTask(job, task, func(out *mapreduce.TaskOutput) (err error) {
 				buf, err = persist.AppendTaskOutput(buf[:0], out)
 				return err
 			})

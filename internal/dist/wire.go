@@ -259,6 +259,8 @@ type wireConn struct {
 	rbuf []byte
 	r, w int  // rbuf[r:w] has arrived and not been handed out
 	seen bool // a frame has been read: the peer speaks frames
+
+	lines []string // worker end: the lines of the split in hand (decodeTask)
 }
 
 func newWireConn(c net.Conn) *wireConn { return &wireConn{c: c} }

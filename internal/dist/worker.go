@@ -195,18 +195,47 @@ func (w *Worker) dropConns() {
 	}
 }
 
-// writeMapTask is mapreduce.WriteMapTask with a panic in the job's Map or
-// Combine — user code run on records off the wire — turned into the task's
-// error. Without this one bad record ends the worker process; with it the
-// batch is answered with statusJobError, which the pool does not retry,
-// and the worker keeps serving.
-func writeMapTask(job *mapreduce.Job, split mapreduce.Split, write func(*mapreduce.TaskOutput) error) (err error) {
+// task is one split off the wire, decoded where it lies in the read buffer
+// (decodeTask): a text split for a job that maps lines as its lines, any
+// other as its records. Both, and the ID, alias the frame.
+type task struct {
+	split   mapreduce.Split // its ID; its records unless asLines
+	lines   []string
+	asLines bool
+}
+
+// decodeTask decodes a split frame for job. A job that declares MapLine
+// takes a split whose records are all strings as lines, appended to lines —
+// the connection's slice, reused split after split — and nothing is boxed;
+// any other split, or job, takes its records (DecodeSplitZeroCopy). The
+// task's lines are what the connection keeps for the next split.
+func decodeTask(job *mapreduce.Job, frame []byte, lines []string) (task, error) {
+	if job.MapLine != nil {
+		id, lines, err := persist.DecodeSplitLines(frame, lines)
+		if !errors.Is(err, persist.ErrNotLines) {
+			return task{split: mapreduce.Split{ID: id}, lines: lines, asLines: err == nil}, err
+		}
+	}
+	split, err := persist.DecodeSplitZeroCopy(frame)
+	return task{split: split, lines: lines[:0]}, err
+}
+
+// writeMapTask runs t's map task — mapreduce.WriteLineTask over its lines,
+// or WriteMapTask over its records — with a panic in the job's Map, MapLine
+// or Combine — user code run on records off the wire — turned into the
+// task's error. Without this one bad record ends the worker process; with
+// it the batch is answered with statusJobError, which the pool does not
+// retry, and the worker keeps serving.
+func writeMapTask(job *mapreduce.Job, t task, write func(*mapreduce.TaskOutput) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("job %q panicked on split %s: %v", job.Name, split.ID, r)
+			err = fmt.Errorf("job %q panicked on split %s: %v", job.Name, t.split.ID, r)
 		}
 	}()
-	return mapreduce.WriteMapTask(job, split, write)
+	if t.asLines {
+		return mapreduce.WriteLineTask(job, t.split.ID, t.lines, write)
+	}
+	return mapreduce.WriteMapTask(job, t.split, write)
 }
 
 // refuseLinger bounds how long a connection that is being refused stays
@@ -296,7 +325,8 @@ func (w *Worker) refuse(c *wireConn, id uint64, status byte, text string) {
 }
 
 // runMap executes a batch of map tasks for a registered job: each split is
-// decoded where it lies in the read buffer (its records alias it), mapped,
+// decoded where it lies in the read buffer (its lines or its records alias
+// it; decodeTask), mapped,
 // and its output framed straight from the task's scratch into the write
 // buffer, so split k+1 may still be arriving while split k runs; the reply
 // is written once, at the end. Armed one-shot faults (WorkerFaults) fire here: crash kills the
@@ -350,11 +380,12 @@ func (w *Worker) runMap(c *wireConn, env call) error {
 			}
 			return err
 		}
-		// Zero-copy decode: record strings alias the read buffer, which
-		// keeps this frame until the next one is asked for.
+		// Zero-copy decode: lines, or record strings, alias the read buffer,
+		// which keeps this frame until the next one is asked for.
 		decStart := time.Now()
 		dec := sp.Child("decode")
-		split, err := persist.DecodeSplitZeroCopy(frame)
+		t, err := decodeTask(job, frame, c.lines)
+		c.lines = t.lines
 		dec.End()
 		if err != nil {
 			batch.End()
@@ -372,7 +403,7 @@ func (w *Worker) runMap(c *wireConn, env call) error {
 		// encode histogram only.
 		mc := sp.Child("map+combine")
 		start := time.Now()
-		err = writeMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+		err = writeMapTask(job, t, func(out *mapreduce.TaskOutput) (err error) {
 			mc.End()
 			encStart := time.Now()
 			if obs != nil {
@@ -387,6 +418,7 @@ func (w *Worker) runMap(c *wireConn, env call) error {
 			return err
 		})
 		mc.End()
+		clear(c.lines) // what the next frame read may move is not kept
 		if err != nil {
 			batch.End()
 			return w.fail(c, env.id, env.items-idx-1, err)

@@ -33,7 +33,45 @@ var (
 	// that is no int64, or Combine is not the wrapping int64 sum: the map
 	// task would compute something other than what Combine does.
 	ErrNotSum = errors.New("mapreduce: job declares SumInt64 but is no int64 sum")
+	// ErrMapLine means the job declares MapLine but, on a string record,
+	// MapLine emitted other pairs than Map — another key, another value,
+	// another order, one more or one fewer — or failed otherwise: a worker
+	// that maps the split as lines would compute something else.
+	ErrMapLine = errors.New("mapreduce: MapLine does not map a line as Map does")
 )
+
+// checkMapLine holds a job's MapLine to its Map on every string record of
+// the samples: the same pairs in the same order, values by Fingerprint, and
+// the same error.
+func checkMapLine(job *Job, samples []Split) error {
+	var byMap, byLine []Entry
+	collect := func(into *[]Entry) Emit {
+		return func(key string, value Value) { *into = append(*into, Entry{key, value}) }
+	}
+	for _, split := range samples {
+		for _, rec := range split.Records {
+			line, ok := rec.(string)
+			if !ok {
+				continue
+			}
+			byMap, byLine = byMap[:0], byLine[:0]
+			mapErr := job.Map(line, collect(&byMap))
+			lineErr := job.MapLine(line, collect(&byLine))
+			if fmt.Sprint(mapErr) != fmt.Sprint(lineErr) {
+				return fmt.Errorf("%w: on %q Map fails with %v, MapLine with %v", ErrMapLine, line, mapErr, lineErr)
+			}
+			if len(byMap) != len(byLine) {
+				return fmt.Errorf("%w: on %q Map emits %d pairs, MapLine %d", ErrMapLine, line, len(byMap), len(byLine))
+			}
+			for i, m := range byMap {
+				if l := byLine[i]; m.Key != l.Key || Fingerprint(m.Value) != Fingerprint(l.Value) {
+					return fmt.Errorf("%w: on %q pair %d is %q: %v by Map, %q: %v by MapLine", ErrMapLine, line, i, m.Key, m.Value, l.Key, l.Value)
+				}
+			}
+		}
+	}
+	return nil
+}
 
 // sumCases are the value lists a declared sum's Combine is held to: one to
 // four values, zero, negatives and sums that wrap past MaxInt64 and MinInt64.
@@ -79,7 +117,8 @@ func checkSum(job *Job, key string) (err error) {
 // arithmetic by design). A job that declares SumInt64 must emit only int64
 // values, and its Combine must return their wrapping sum, on every sampled
 // key, for lists of one to four values that include zero, negatives and
-// overflow (ErrNotSum).
+// overflow (ErrNotSum). A job that declares MapLine must map every string
+// record of the samples by it as by Map (ErrMapLine).
 //
 // Run it once in a test against representative inputs before trusting a
 // new job to the incremental runtime:
@@ -90,6 +129,11 @@ func checkSum(job *Job, key string) (err error) {
 func CheckJob(job *Job, samples []Split) error {
 	if err := job.Validate(); err != nil {
 		return err
+	}
+	if job.MapLine != nil {
+		if err := checkMapLine(job, samples); err != nil {
+			return err
+		}
 	}
 	// Gather per-key value sequences from real map output.
 	values := make(map[string][]Value)

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -327,6 +328,51 @@ func TestCheckJobRefusesDeclaredNonWrappingSums(t *testing.T) {
 		job.Combine = combine
 		if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrNotSum) {
 			t.Fatalf("%s: err = %v, want ErrNotSum", name, err)
+		}
+	}
+}
+
+// TestCheckJobHoldsMapLineToMap: a MapLine that maps a line as Map does
+// passes, and three that lie are refused as ErrMapLine — one drops the
+// line's last word, one emits the words in reverse, one counts each word
+// twice.
+func TestCheckJobHoldsMapLineToMap(t *testing.T) {
+	fields := func(line string, emit Emit, value int64, reverse bool, drop int) {
+		ws := strings.Fields(line)
+		ws = ws[:len(ws)-drop]
+		if reverse {
+			slices.Reverse(ws)
+		}
+		for _, w := range ws {
+			emit(w, value)
+		}
+	}
+	honest := sumJob(2)
+	honest.MapLine = func(line string, emit Emit) error {
+		fields(line, emit, 1, false, 0)
+		return nil
+	}
+	if err := CheckJob(honest, checkSamples()); err != nil {
+		t.Fatalf("an honest MapLine is refused: %v", err)
+	}
+	for name, mapLine := range map[string]func(string, Emit) error{
+		"drops the last word": func(line string, emit Emit) error {
+			fields(line, emit, 1, false, 1)
+			return nil
+		},
+		"reorders": func(line string, emit Emit) error {
+			fields(line, emit, 1, true, 0)
+			return nil
+		},
+		"changes a value": func(line string, emit Emit) error {
+			fields(line, emit, 2, false, 0)
+			return nil
+		},
+	} {
+		job := sumJob(2)
+		job.MapLine = mapLine
+		if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrMapLine) {
+			t.Errorf("a MapLine that %s: err = %v, want ErrMapLine", name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -38,8 +39,70 @@ const mapPendingBound = 2048
 // assigns partitions, is unkeyed and is not used to place a key in the table.
 var slotSeed = maphash.MakeSeed()
 
-// slotHash is the hash the index places a key by.
-func slotHash(key string) uint32 { return uint32(maphash.String(slotSeed, key)) }
+// slotKeys are the index hash's keys, drawn once per process from slotSeed.
+var slotKeys = newHashKeys(slotSeed)
+
+// hashKeys keys slotHash: three random words for the mixer, and the maphash
+// seed under which a key longer than 16 bytes has its bytes past the eighth
+// hashed.
+type hashKeys struct {
+	seed       maphash.Seed
+	k0, k1, k2 uint64
+}
+
+// newHashKeys draws a hashKeys' three words from seed.
+func newHashKeys(seed maphash.Seed) hashKeys {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	word := func(i byte) uint64 {
+		h.Reset()
+		h.WriteByte(i)
+		return h.Sum64()
+	}
+	return hashKeys{seed: seed, k0: word(0), k1: word(1), k2: word(2)}
+}
+
+// slotHash is the hash the index places a key by, from the prefix emit has
+// already read (keyPrefix): that alone names a key of at most eight bytes,
+// given its length; a key of 9 to 16 bytes adds its last eight, read as one
+// word that overlaps the prefix; a longer one adds maphash of its bytes past
+// the eighth. These and the length are mixed with the process's keys by the
+// 64×64→128-bit multiply-fold of Go's non-AES memhash (wyhash): two
+// multiplies, and no call for a key of up to eight bytes. emit and emitSum
+// write it out, since the compiler inlines no function that makes a call.
+func slotHash(key string, prefix uint64) uint32 { return slotKeys.hash(key, prefix) }
+
+func (k *hashKeys) hash(key string, prefix uint64) uint32 {
+	tail := prefix
+	if len(key) > 8 {
+		tail = k.tail(key)
+	}
+	return k.mix(len(key), prefix, tail)
+}
+
+// tail is what a key longer than eight bytes adds to its hash: its last eight
+// bytes, little endian, up to 16 bytes, and maphash of its bytes past the
+// eighth beyond.
+func (k *hashKeys) tail(key string) uint64 {
+	n := len(key)
+	if n > 16 {
+		return maphash.String(k.seed, key[8:])
+	}
+	t := key[n-8:]
+	return uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+		uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
+}
+
+// mix is the hash of an n-byte key from its prefix and its tail.
+func (k *hashKeys) mix(n int, prefix, tail uint64) uint32 {
+	return uint32(fold(uint64(n)^k.k2, fold(prefix^k.k0, tail^k.k1)))
+}
+
+// fold folds the 128-bit product of a and b into 64 bits.
+func fold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
 
 // mapSlot is one slot of the open-addressing index: the key's hash and the
 // position of its entry, plus one so that the zero slot is an empty one.
@@ -142,8 +205,12 @@ func newMapScratch() *mapScratch {
 // meets an entry of its hash on prefix and length, and only a key longer than
 // its prefix has its tail's bytes compared.
 func (s *mapScratch) emit(key string, value Value) {
-	h := slotHash(key)
 	p := keyPrefix(key)
+	tail := p
+	if len(key) > 8 {
+		tail = slotKeys.tail(key)
+	}
+	h := slotKeys.mix(len(key), p, tail) // slotHash(key, p), written out
 	v := int32(len(s.vals))
 	mask := uint32(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -183,8 +250,12 @@ func (s *mapScratch) emitSum(key string, value Value) {
 		}
 		return
 	}
-	h := slotHash(key)
 	p := keyPrefix(key)
+	tail := p
+	if len(key) > 8 {
+		tail = slotKeys.tail(key)
+	}
+	h := slotKeys.mix(len(key), p, tail) // slotHash(key, p), written out
 	mask := uint32(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		slot := s.slots[i]
@@ -375,7 +446,7 @@ func (s *mapScratch) reset() {
 	if 8*len(s.entries) < len(s.slots) {
 		mask := uint32(len(s.slots) - 1)
 		for _, e := range s.entries {
-			for i := slotHash(e.key) & mask; s.slots[i].ref != 0; i = (i + 1) & mask {
+			for i := slotHash(e.key, e.prefix) & mask; s.slots[i].ref != 0; i = (i + 1) & mask {
 				s.slots[i] = mapSlot{}
 			}
 		}
@@ -424,30 +495,48 @@ func RunMapTask(job *Job, split Split) (res MapResult, err error) {
 // or whose declared sum meets another value, fails with that error and
 // never calls write.
 func WriteMapTask(job *Job, split Split, write func(*TaskOutput) error) error {
+	return writeTask(job, split.ID, split.Records, nil, write)
+}
+
+// WriteLineTask is WriteMapTask over a split whose records are the strings
+// lines, mapped by the job's MapLine: the output is the one WriteMapTask
+// hands over for that split, and no line is boxed to be mapped. It is the
+// worker's route for a split that arrived as text (persist.DecodeSplitLines);
+// a job that declares no MapLine fails.
+func WriteLineTask(job *Job, id string, lines []string, write func(*TaskOutput) error) error {
+	if job != nil && job.MapLine == nil {
+		return fmt.Errorf("mapreduce: job %q declares no MapLine", job.Name)
+	}
+	return writeTask(job, id, nil, lines, write)
+}
+
+// writeTask is one map task over records, by Map, or over lines, by MapLine
+// (one of them is empty), in a pooled scratch.
+func writeTask(job *Job, id string, records []Record, lines []string, write func(*TaskOutput) error) error {
 	if err := job.Validate(); err != nil {
 		return err
 	}
 	s := mapScratchPool.Get().(*mapScratch)
 	defer mapScratchPool.Put(s)
-	return s.run(job, split, write)
+	return s.run(job, id, records, lines, write)
 }
 
 // run is one map task in s, whose output it hands to write; it leaves s
 // reset by whatever path it returns.
-func (s *mapScratch) run(job *Job, split Split, write func(*TaskOutput) error) error {
+func (s *mapScratch) run(job *Job, id string, records []Record, lines []string, write func(*TaskOutput) error) error {
 	start := time.Now()
 	defer s.reset()
-	if err := s.mapSplit(job, split); err != nil {
+	if err := s.mapSplit(job, id, records, lines); err != nil {
 		return err
 	}
-	s.out = TaskOutput{SplitID: split.ID, Records: int64(len(split.Records)), Cost: time.Since(start), start: start, s: s}
+	s.out = TaskOutput{SplitID: id, Records: int64(len(records) + len(lines)), Cost: time.Since(start), start: start, s: s}
 	return write(&s.out)
 }
 
 // mapSplit is the task's body, whichever output it goes to: job's Map over
-// every record of split into s, the pending values folded, and the entries
-// put in order (sortParts). The caller resets s.
-func (s *mapScratch) mapSplit(job *Job, split Split) error {
+// every record, or its MapLine over every line, into s, the pending values
+// folded, and the entries put in order (sortParts). The caller resets s.
+func (s *mapScratch) mapSplit(job *Job, id string, records []Record, lines []string) error {
 	s.job = job
 	// live is what emit writes to. It goes nil when the map phase is over:
 	// an emit the job kept finds nothing, and never the scratch of the task
@@ -471,15 +560,20 @@ func (s *mapScratch) mapSplit(job *Job, split Split) error {
 			}
 		}
 	}
-	for _, rec := range split.Records {
+	for _, rec := range records {
 		if err := job.Map(rec, emit); err != nil {
-			return fmt.Errorf("map task %s: %w", split.ID, err)
+			return fmt.Errorf("map task %s: %w", id, err)
+		}
+	}
+	for _, line := range lines {
+		if err := job.MapLine(line, emit); err != nil {
+			return fmt.Errorf("map task %s: %w", id, err)
 		}
 	}
 	if !s.sum {
 		s.fold()
 	} else if s.notSum != "" {
-		return fmt.Errorf("map task %s: job %q declares SumInt64 but emitted a %s value", split.ID, job.Name, s.notSum)
+		return fmt.Errorf("map task %s: job %q declares SumInt64 but emitted a %s value", id, job.Name, s.notSum)
 	}
 	s.sortParts(job.NumPartitions())
 	return nil

@@ -2,12 +2,15 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -228,15 +231,104 @@ func TestKeyPrefix(t *testing.T) {
 // group a 7-byte key, its extensions by one and two zero bytes (8 and 9
 // bytes), and a 16-byte one that shares its first eight bytes with the
 // 8-byte key — plus the empty key, "ab" and "ab\x00", which only their
-// lengths tell apart, and collidingKeys, which only their tails do.
+// lengths tell apart, and collidingKeys, which only their tails do. Every
+// fourth group adds two 13-byte keys that differ only in their last byte,
+// which the hash reads in a word of its own, and two 27-byte keys that
+// differ only past their sixteenth, which it reads through maphash.
 func radixKeys() []string {
 	a, b := collidingKeys()
 	keys := []string{"", "ab", "ab\x00", a, b}
 	for i := 0; i < 400; i++ {
 		k := fmt.Sprintf("w%06d", i*7919%1000000)
 		keys = append(keys, k, k+"\x00", k+"\x00\x00", k+"\x00"+fmt.Sprintf("%08d", i))
+		if i%4 == 0 {
+			long := k + "\x00" + fmt.Sprintf("%08d", i) + "-tail-of-"
+			keys = append(keys, k+"-tail0", k+"-tail1", long+"x", long+"y")
+		}
 	}
 	return keys
+}
+
+// TestSlotHashIsKeyed: the index's hash is the process's. Under two seeds
+// the same thousand keys — of every length class the hash reads apart: up
+// to eight bytes, 9 to 16, and longer — take different slot orders in a
+// table of 2 048 slots, so no order fixed outside the process can aim them
+// at one probe sequence. Under one seed the order is the same every time.
+// And every byte counts: in each class, 256 keys that differ only in their
+// last byte take 256 hashes.
+func TestSlotHashIsKeyed(t *testing.T) {
+	for _, n := range []int{7, 8, 12, 16, 27} {
+		seen := make(map[uint32]bool)
+		for b := 0; b < 256; b++ {
+			k := strings.Repeat("k", n-1) + string([]byte{byte(b)})
+			seen[slotHash(k, keyPrefix(k))] = true
+		}
+		if len(seen) != 256 {
+			t.Errorf("256 keys of %d bytes that differ in their last byte take %d hashes", n, len(seen))
+		}
+	}
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%0*d", 1+i%24, i)
+	}
+	order := func(k *hashKeys) []string {
+		out := slices.Clone(keys)
+		slices.SortStableFunc(out, func(a, b string) int {
+			return cmp.Compare(k.hash(a, keyPrefix(a))&2047, k.hash(b, keyPrefix(b))&2047)
+		})
+		return out
+	}
+	one, other := newHashKeys(maphash.MakeSeed()), newHashKeys(maphash.MakeSeed())
+	if !slices.Equal(order(&one), order(&one)) {
+		t.Fatal("one seed orders the same keys two ways")
+	}
+	if slices.Equal(order(&one), order(&other)) {
+		t.Fatal("two seeds put a thousand keys in the same slot order")
+	}
+	all := keys
+	for _, n := range []int{8, 16, 24} { // and within each length class
+		keys = nil
+		for _, k := range all {
+			if len(k) <= n && len(k) > n-8 {
+				keys = append(keys, k)
+			}
+		}
+		if slices.Equal(order(&one), order(&other)) {
+			t.Fatalf("two seeds put %d keys of %d to %d bytes in the same slot order", len(keys), n-7, n)
+		}
+	}
+}
+
+// TestEmitPlacesBySlotHash: emit and emitSum write slotHash out by hand; the
+// hash each stores in its slot is slotHash of the slot's key, at every
+// length class, and reset empties the index by the same hash.
+func TestEmitPlacesBySlotHash(t *testing.T) {
+	for _, sum := range []bool{false, true} {
+		s := newMapScratch()
+		s.slots = make([]mapSlot, 1<<16) // never grown, and so sparse that reset walks the keys' runs
+		for _, k := range radixKeys() {
+			if sum {
+				s.emitSum(k, int64(1))
+			} else {
+				s.emit(k, int64(1))
+			}
+		}
+		for _, slot := range s.slots {
+			if slot.ref == 0 {
+				continue
+			}
+			e := s.entries[slot.ref-1]
+			if want := slotHash(e.key, keyPrefix(e.key)); slot.hash != want || e.prefix != keyPrefix(e.key) {
+				t.Fatalf("sum %v: %q sits under hash %#x and prefix %#x, want %#x and %#x", sum, e.key, slot.hash, e.prefix, want, keyPrefix(e.key))
+			}
+		}
+		s.reset()
+		for i, slot := range s.slots {
+			if slot != (mapSlot{}) {
+				t.Fatalf("sum %v: slot %d holds %+v after reset", sum, i, slot)
+			}
+		}
+	}
 }
 
 // collidingKeys are two 16-byte keys with the same first eight bytes and the
@@ -246,10 +338,10 @@ var collidingKeys = sync.OnceValues(func() (string, string) {
 	seen := make(map[uint32]string, 1<<17)
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("collide\x00%08x", i)
-		if other, ok := seen[slotHash(k)]; ok {
+		if other, ok := seen[slotHash(k, keyPrefix(k))]; ok {
 			return other, k
 		}
-		seen[slotHash(k)] = k
+		seen[slotHash(k, keyPrefix(k))] = k
 	}
 })
 
@@ -565,7 +657,7 @@ func TestDeclaredSumRefusesOtherValues(t *testing.T) {
 // runIn is RunMapTask in the scratch s instead of a pooled one: the task's
 // output cut into payloads by the writer RunMapTask hands it.
 func runIn(s *mapScratch, job *Job, split Split) (res MapResult, err error) {
-	err = s.run(job, split, func(o *TaskOutput) error {
+	err = s.run(job, split.ID, split.Records, nil, func(o *TaskOutput) error {
 		res = o.cut()
 		return nil
 	})

@@ -57,6 +57,13 @@ type Job struct {
 	Partitions int
 	// Map processes one record, emitting intermediate key/value pairs.
 	Map func(rec Record, emit Emit) error
+	// MapLine, when set, declares that the job maps a record that is a
+	// string as MapLine maps that line: the same pairs, in the same order,
+	// and the same error. A worker then maps a split whose records are all
+	// strings as lines, without boxing one (WriteLineTask); Map stays
+	// required and maps everything else. CheckJob refuses a declaration that
+	// does not hold on the samples' string records (ErrMapLine).
+	MapLine func(line string, emit Emit) error
 	// Combine folds two or more values for a key into one, equal to the
 	// left fold: Combine(k, [a, b, c]) is Combine(k, [Combine(k, [a, b]), c]).
 	// The runtime hands a key's values over together wherever it has them

@@ -28,6 +28,10 @@ import (
 // structurally invalid.
 var ErrCorrupt = errors.New("persist: corrupt frame")
 
+// ErrNotLines is DecodeSplitLines' answer to a split that holds a record
+// other than a string. The frame is not corrupt for it.
+var ErrNotLines = errors.New("persist: split holds a record that is no string")
+
 var builtinsOnce sync.Once
 
 // registerBuiltins registers the value types that appear inside payloads

@@ -205,20 +205,46 @@ func DecodeSplitZeroCopy(frame []byte) (mapreduce.Split, error) {
 	return decodeSplit(frame, true)
 }
 
-func decodeSplit(frame []byte, zeroCopy bool) (mapreduce.Split, error) {
+// DecodeSplitLines decodes a split frame whose records are all strings —
+// a text split — as lines: zero-copy strings appended to lines[:0], a slice
+// the caller owns and hands back for the next split, so that a warm decode
+// allocates nothing and boxes no line. The split's ID aliases the frame too;
+// both are valid only while frame stays alive and unmodified, as
+// DecodeSplitZeroCopy's records are. It accepts the frames
+// DecodeSplitZeroCopy accepts, and yields the strings it would; a split with
+// a record of another type is ErrNotLines, which only says the frame is to
+// be decoded by DecodeSplitZeroCopy instead.
+func DecodeSplitLines(frame []byte, lines []string) (string, []string, error) {
+	rawID, view, err := openSplit(frame)
+	if err == nil {
+		lines, err = view.lines(lines[:0])
+	}
+	if err != nil {
+		return "", lines[:0], err
+	}
+	return unsafeString(rawID), lines, nil
+}
+
+// openSplit validates a split frame and returns its ID's bytes and a view
+// over its records.
+func openSplit(frame []byte) ([]byte, bodyView, error) {
 	body, err := openFlatKind(frame, kindSplit, "split")
 	if err != nil {
-		return mapreduce.Split{}, err
+		return nil, bodyView{}, err
 	}
 	if len(body) < 4 {
-		return mapreduce.Split{}, fmt.Errorf("%w: split body too short", ErrCorrupt)
+		return nil, bodyView{}, fmt.Errorf("%w: split body too short", ErrCorrupt)
 	}
 	idLen := int(binary.LittleEndian.Uint32(body))
 	if idLen < 0 || 4+idLen > len(body) {
-		return mapreduce.Split{}, fmt.Errorf("%w: split id overruns", ErrCorrupt)
+		return nil, bodyView{}, fmt.Errorf("%w: split id overruns", ErrCorrupt)
 	}
-	id := string(body[4 : 4+idLen])
 	view, err := valuesView(body[4+idLen:])
+	return body[4 : 4+idLen], view, err
+}
+
+func decodeSplit(frame []byte, zeroCopy bool) (mapreduce.Split, error) {
+	rawID, view, err := openSplit(frame)
 	if err != nil {
 		return mapreduce.Split{}, err
 	}
@@ -231,5 +257,5 @@ func decodeSplit(frame []byte, zeroCopy bool) (mapreduce.Split, error) {
 	if err != nil {
 		return mapreduce.Split{}, err
 	}
-	return mapreduce.Split{ID: id, Records: records}, nil
+	return mapreduce.Split{ID: string(rawID), Records: records}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"slider/internal/mapreduce"
@@ -191,6 +192,66 @@ func FuzzFlatCodec(f *testing.F) {
 			_, _ = decodeSetBody(body)
 			if v, err := valuesView(body); err == nil {
 				_, _ = v.values()
+			}
+		}
+	})
+}
+
+// FuzzSplitLines holds DecodeSplitLines to DecodeSplitZeroCopy over
+// arbitrary bytes, read as a whole frame and as a split body behind a valid
+// header and checksum: the lines decode accepts exactly the frames the
+// records decode accepts whose records are all strings, yielding the same
+// ID and the same strings; a frame the records decode takes with a record of
+// another type is ErrNotLines, never lines; and any other frame is refused
+// by both. The lines land in a slice that already holds stale ones, as a
+// worker's connection hands its slice back split after split.
+func FuzzSplitLines(f *testing.F) {
+	for _, split := range []mapreduce.Split{
+		{ID: "text", Records: []mapreduce.Record{"alpha beta", "", "gamma\x00\xff"}},
+		{ID: "", Records: []mapreduce.Record{}},
+		{ID: "mixed", Records: []mapreduce.Record{"a line", int64(7), "another", []byte("raw"), nil}},
+		{ID: "tail", Records: []mapreduce.Record{"first", 2.5}},
+	} {
+		frame, err := EncodeSplit(split)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(frame[flatHeaderLen:])
+	}
+	f.Add([]byte{})
+	stale := []string{"stale", "lines", "from", "the", "last", "split"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		behind := FinishFrame(append(StartFrame(nil, kindSplit), data...), flatHeaderLen)
+		for _, frame := range [][]byte{data, behind} {
+			id, lines, err := DecodeSplitLines(frame, slices.Clone(stale))
+			split, zerr := DecodeSplitZeroCopy(frame)
+			text := zerr == nil
+			for _, rec := range split.Records {
+				if _, ok := rec.(string); !ok {
+					text = false
+				}
+			}
+			switch {
+			case err == nil:
+				if zerr != nil {
+					t.Fatalf("lines decode accepts a frame the records decode refuses: %v", zerr)
+				}
+				if !text || id != split.ID || len(lines) != len(split.Records) {
+					t.Fatalf("lines decode offers %d lines of split %q; the records decode %d records of %q, all strings: %v",
+						len(lines), id, len(split.Records), split.ID, text)
+				}
+				for i, line := range lines {
+					if line != split.Records[i] {
+						t.Fatalf("line %d is %q, record %d is %q", i, line, i, split.Records[i])
+					}
+				}
+			case errors.Is(err, ErrNotLines):
+				if text {
+					t.Fatalf("a split of %d strings is refused as lines", len(split.Records))
+				}
+			case !errors.Is(err, ErrCorrupt) || zerr == nil:
+				t.Fatalf("lines decode refuses with %v; the records decode with %v", err, zerr)
 			}
 		}
 	})

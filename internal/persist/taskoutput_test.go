@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -23,6 +24,11 @@ import (
 // fails must fail alike both ways and never reach the writer; an encoding
 // that fails must fail alike and leave the buffer as it was. err is the
 // failure, if any.
+//
+// A job that declares MapLine, over a split of strings, is written a third
+// way, as a worker writes a text split: the split framed (AppendSplit),
+// decoded as lines (DecodeSplitLines) and mapped by WriteLineTask. That
+// frame must be got's, byte for byte, or fail alike.
 func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefix string) (got, want []byte, err error) {
 	t.Helper()
 	res, runErr := mapreduce.RunMapTask(job, split)
@@ -37,12 +43,23 @@ func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefi
 	}
 	got = []byte(prefix)
 	wrote := false
-	writeErr := mapreduce.WriteMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
-		wrote = true
-		out.Cost = res.Cost
-		got, err = AppendTaskOutput(got, out)
-		return err
-	})
+	writer := func(got *[]byte, wrote *bool) func(*mapreduce.TaskOutput) error {
+		return func(out *mapreduce.TaskOutput) (err error) {
+			*wrote = true
+			out.Cost = res.Cost
+			*got, err = AppendTaskOutput(*got, out)
+			return err
+		}
+	}
+	writeErr := mapreduce.WriteMapTask(job, split, writer(&got, &wrote))
+	if lines, ok := splitLines(t, split); ok && job.MapLine != nil {
+		byLines, wroteLines := []byte(prefix), false
+		linesErr := mapreduce.WriteLineTask(job, split.ID, lines, writer(&byLines, &wroteLines))
+		if fmt.Sprint(linesErr) != fmt.Sprint(writeErr) || wroteLines != wrote || !bytes.Equal(byLines, got) {
+			t.Fatalf("%s: mapped as lines the task fails with %v and writes %d bytes; as records with %v and %d bytes",
+				split.ID, linesErr, len(byLines), writeErr, len(got))
+		}
+	}
 	switch {
 	case runErr != nil:
 		if wrote || fmt.Sprint(writeErr) != fmt.Sprint(runErr) {
@@ -58,6 +75,23 @@ func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefi
 		t.Fatalf("%s: the reference wrote its frame and the writer failed: %v", split.ID, writeErr)
 	}
 	return got, want, nil
+}
+
+// splitLines is what a worker maps when split arrives as text: the split
+// framed and decoded as lines. ok is false when a record is no string.
+func splitLines(t testing.TB, split mapreduce.Split) (lines []string, ok bool) {
+	frame, err := EncodeSplit(split)
+	if err != nil {
+		return nil, false // a record gob refuses: no frame to decode
+	}
+	id, lines, err := DecodeSplitLines(frame, nil)
+	switch {
+	case errors.Is(err, ErrNotLines):
+		return nil, false
+	case err != nil || id != split.ID:
+		t.Fatalf("%s: a text split decodes as lines to ID %q, err %v", split.ID, id, err)
+	}
+	return lines, true
 }
 
 // unregistered is a value gob refuses behind an interface: nobody
@@ -191,6 +225,36 @@ func TestTaskOutputFrameMatchesMapResult(t *testing.T) {
 		tcase{label: "a value gob refuses", job: entriesJob(2, false, lastValue), fails: true,
 			split: entriesSplit(rng, "unencodable", short, 1, func(int) mapreduce.Value { return unregistered{1} })},
 	)
+	// Text splits, which a job that declares MapLine has mapped as lines too
+	// (framesOfTask): every line job of apps over a range of four splits,
+	// an empty split, an empty line, an undeclared job emitting every value
+	// type, a MapLine that fails, and a record that is no string.
+	text := workload.NewText(workload.TextConfig{Seed: 49, LinesPerSplit: 50, WordsPerLine: 12, Vocabulary: 2000, ZipfS: 1.2})
+	textRange := text.Split(0)
+	for i := 1; i < 4; i++ {
+		textRange.Records = append(textRange.Records, text.Split(i).Records...)
+	}
+	for _, job := range []*mapreduce.Job{apps.WordCount(4), apps.StreamWordCount(3), apps.HCT(2), apps.Matrix(5), apps.SubStr(4)} {
+		cases = append(cases, tcase{label: job.Name + " over lines", job: job, split: textRange})
+	}
+	failing := wordsJob(false)
+	failing.Map = func(rec mapreduce.Record, emit mapreduce.Emit) error { return failing.MapLine(rec.(string), emit) }
+	failing.MapLine = func(line string, emit mapreduce.Emit) error {
+		if strings.Contains(line, "stop") {
+			return errors.New("a line says stop")
+		}
+		return fuzzWords(false)(line, emit)
+	}
+	cases = append(cases,
+		tcase{label: "an empty text split", job: apps.WordCount(3), split: mapreduce.Split{ID: "no-lines", Records: []mapreduce.Record{}}},
+		tcase{label: "an empty line", job: apps.WordCount(3), split: mapreduce.Split{ID: "blank", Records: []mapreduce.Record{""}}},
+		tcase{label: "undeclared, every value type, over lines", job: wordsJob(false), split: mapreduce.Split{ID: "typed", Records: []mapreduce.Record{
+			"ab0 ab1 ab2 ab3 ab4 ab5 ab6 ab7", "abcdefghijklmnopqrstuvwxyz0 abcdefghijklmnopqrstuvwxyz1", "\x00\x00 \xff\xff",
+		}}},
+		tcase{label: "declared, over lines", job: wordsJob(true), split: textRange},
+		tcase{label: "a MapLine that fails", job: failing, fails: true, split: mapreduce.Split{ID: "stops", Records: []mapreduce.Record{"go on", "now stop", "never read"}}},
+		tcase{label: "a record that is no string", job: apps.WordCount(2), fails: true, split: mapreduce.Split{ID: "not-text", Records: []mapreduce.Record{"a line", 7}}},
+	)
 	for _, c := range cases {
 		got, want, err := framesOfTask(t, c.job, c.split, "behind a message")
 		if (err != nil) != c.fails {
@@ -258,12 +322,48 @@ func TestTaskOutputAllocs(t *testing.T) {
 	}
 }
 
+// fuzzWords maps a line as FuzzTaskOutput's jobs do: its space-separated
+// words are emitted under the word less its last byte — keys that repeat,
+// nest as prefixes and include the empty key — with a value of any type the
+// flat body carries drawn from the word (undeclared), or as an int64 that
+// wraps when summed (declared).
+func fuzzWords(declared bool) func(line string, emit mapreduce.Emit) error {
+	return func(line string, emit mapreduce.Emit) error {
+		for _, w := range strings.Split(line, " ") {
+			switch {
+			case w == "":
+			case declared:
+				emit(w[:len(w)-1], int64(w[len(w)-1])<<56)
+			default:
+				off := 0
+				emit(w[:len(w)-1], valueFromBytes([]byte(w), &off))
+			}
+		}
+		return nil
+	}
+}
+
+// wordsJob maps lines by fuzzWords, and declares it as its MapLine.
+func wordsJob(declared bool) *mapreduce.Job {
+	mapLine := fuzzWords(declared)
+	job := &mapreduce.Job{
+		Name:    "fuzz",
+		Map:     func(rec mapreduce.Record, emit mapreduce.Emit) error { return mapLine(rec.(string), emit) },
+		MapLine: mapLine,
+		Combine: lastValue,
+		Reduce:  lastValue,
+	}
+	if declared {
+		job.Name, job.Combine, job.Reduce, job.SumInt64 = "fuzz-sum", sumValues, sumValues, true
+	}
+	return job
+}
+
 // FuzzTaskOutput holds AppendTaskOutput to AppendMapResult(RunMapTask) over
-// arbitrary records, as FuzzMapTask holds RunMapTask to its reference: a
-// line's space-separated words are emitted under the word less its last
-// byte — keys that repeat, nest as prefixes and include the empty key —
-// with a value of any type the flat body carries drawn from the word
-// (undeclared), and as an int64 sum that wraps (declared).
+// arbitrary lines, as FuzzMapTask holds RunMapTask to its reference, on both
+// of a worker's routes (framesOfTask): the records mapped by Map, and the
+// split framed, decoded as lines and mapped by MapLine. The jobs are
+// wordsJob's, declared and not.
 func FuzzTaskOutput(f *testing.F) {
 	f.Add([]byte("a ab abc\nab ab\n"), uint8(4))
 	f.Add([]byte("word-0001x word-0001y word-0002x\n\xff\xffz \xffz z"), uint8(3))
@@ -274,44 +374,15 @@ func FuzzTaskOutput(f *testing.F) {
 	}
 	f.Add(radix.Bytes(), uint8(1))
 	f.Add([]byte{}, uint8(0))
-	words := func(rec mapreduce.Record, emit func(w string)) {
-		for _, w := range strings.Split(rec.(string), " ") {
-			if w != "" {
-				emit(w)
-			}
-		}
-	}
-	undeclared := &mapreduce.Job{
-		Name: "fuzz",
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			words(rec, func(w string) {
-				off := 0
-				emit(w[:len(w)-1], valueFromBytes([]byte(w), &off))
-			})
-			return nil
-		},
-		Combine: lastValue,
-		Reduce:  lastValue,
-	}
-	declared := &mapreduce.Job{
-		Name: "fuzz-sum",
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			words(rec, func(w string) { emit(w[:len(w)-1], int64(w[len(w)-1])<<56) })
-			return nil
-		},
-		Combine:  sumValues,
-		Reduce:   sumValues,
-		SumInt64: true,
-	}
 	f.Fuzz(func(t *testing.T, data []byte, partitions uint8) {
 		split := mapreduce.Split{ID: "fuzz"}
 		for _, line := range strings.Split(string(data), "\n") {
 			split.Records = append(split.Records, line)
 		}
-		for _, job := range []*mapreduce.Job{undeclared, declared} {
-			job := *job
+		for _, declared := range []bool{false, true} {
+			job := wordsJob(declared)
 			job.Partitions = int(partitions % 9)
-			got, want, err := framesOfTask(t, &job, split, "")
+			got, want, err := framesOfTask(t, job, split, "")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -137,30 +137,61 @@ func (v bodyView) value(i, numIdx, byteOff, byteIdx int) (any, int, error) {
 			return math.Float64frombits(bits), 0, nil
 		}
 	case tagString, tagBytes, tagGob:
-		off := v.byteLensOff + 4*byteIdx
-		if off+4 > v.keyArenaOff {
-			return nil, 0, fmt.Errorf("%w: value %d overruns the length column", ErrCorrupt, i)
+		raw, err := v.byteValue(i, byteOff, byteIdx)
+		if err != nil {
+			return nil, 0, err
 		}
-		bl := int(binary.LittleEndian.Uint32(v.data[off:]))
-		if bl < 0 || bl > len(v.data)-byteOff {
-			return nil, 0, fmt.Errorf("%w: value %d overruns arena", ErrCorrupt, i)
-		}
-		raw := v.data[byteOff : byteOff+bl]
 		switch tag {
 		case tagString:
-			return unsafeString(raw), bl, nil
+			return unsafeString(raw), len(raw), nil
 		case tagBytes:
-			return raw, bl, nil
+			return raw, len(raw), nil
 		default:
 			val, err := decodeGobValue(raw)
 			if err != nil {
 				return nil, 0, fmt.Errorf("%w: entry %d: %v", ErrCorrupt, i, err)
 			}
-			return val, bl, nil
+			return val, len(raw), nil
 		}
 	default:
 		return nil, 0, fmt.Errorf("%w: unknown tag %d", ErrCorrupt, v.data[v.tagsOff+i])
 	}
+}
+
+// byteValue returns entry i's bytes, the byteIdx-th value of the byte column,
+// which starts at byteOff: a sub-slice of the frame.
+func (v bodyView) byteValue(i, byteOff, byteIdx int) ([]byte, error) {
+	off := v.byteLensOff + 4*byteIdx
+	if off+4 > v.keyArenaOff {
+		return nil, fmt.Errorf("%w: value %d overruns the length column", ErrCorrupt, i)
+	}
+	bl := int(binary.LittleEndian.Uint32(v.data[off:]))
+	if bl < 0 || bl > len(v.data)-byteOff {
+		return nil, fmt.Errorf("%w: value %d overruns arena", ErrCorrupt, i)
+	}
+	return v.data[byteOff : byteOff+bl], nil
+}
+
+// lines appends a value list's entries to dst as zero-copy strings when
+// every entry is one; a list with another entry is ErrNotLines, and nothing
+// is appended. Nothing is boxed either way, and structural corruption is
+// reported as forEach reports it.
+func (v bodyView) lines(dst []string) ([]string, error) {
+	for _, tag := range v.data[v.tagsOff : v.tagsOff+v.n] {
+		if tag != tagString {
+			return dst, ErrNotLines
+		}
+	}
+	byteOff := v.byteArena
+	for i := 0; i < v.n; i++ {
+		raw, err := v.byteValue(i, byteOff, i)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, unsafeString(raw))
+		byteOff += len(raw)
+	}
+	return dst, nil
 }
 
 // decodeGobValue decodes one escape-hatch value.
