@@ -10,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"slider/internal/apps"
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
 	"slider/internal/persist"
 	"slider/internal/sliderrt"
+	"slider/internal/workload"
 )
 
 // testJob is the wordcount used across the dist tests, registered once
@@ -117,39 +119,75 @@ func TestPing(t *testing.T) {
 	}
 }
 
-func TestPoolRunMapMatchesLocal(t *testing.T) {
-	_, addrs, _ := newCluster(t, 3)
-	pool, err := NewPool("dist-wordcount", addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+// sizedCount is a count whose size moves with its value, so a result sized
+// by anything but its own payloads reads another size.
+type sizedCount int64
 
-	splits := textSplits(0, 9)
-	remote, err := pool.RunMap(testJob(), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := mapreduce.Executor{}.RunMap(testJob(), splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote) != len(local) {
-		t.Fatalf("result counts differ: %d vs %d", len(remote), len(local))
-	}
-	for i := range remote {
-		if remote[i].SplitID != local[i].SplitID {
-			t.Fatalf("result %d out of order: %s", i, remote[i].SplitID)
+func (c sizedCount) SizeBytes() int64 { return 3 + int64(c)%7 }
+
+// sizedJob is wordcount over sizedCount values, which ride the payload
+// body's gob column.
+func sizedJob() *mapreduce.Job {
+	sum := func(_ string, values []mapreduce.Value) mapreduce.Value {
+		var total sizedCount
+		for _, v := range values {
+			total += v.(sizedCount)
 		}
-		if remote[i].Records != local[i].Records {
-			t.Fatalf("record counts differ for %s", remote[i].SplitID)
-		}
-		for p := range remote[i].Parts {
-			if mapreduce.FingerprintPayload(remote[i].Parts[p]) !=
-				mapreduce.FingerprintPayload(local[i].Parts[p]) {
-				t.Fatalf("payload %d/%d differs from local execution", i, p)
+		return total
+	}
+	return &mapreduce.Job{
+		Name:       "dist-sized",
+		Partitions: 3,
+		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			for _, w := range strings.Fields(rec.(string)) {
+				emit(w, sizedCount(1))
 			}
+			return nil
+		},
+		Combine:     sum,
+		Reduce:      sum,
+		Commutative: true,
+	}
+}
+
+// TestPoolRunMapMatchesLocal: results mapped on workers and decoded by the
+// pool are the in-process results — ids, record counts, payloads and every
+// partition's size (matchesLocal) — for the declared-sum wordcount, a job
+// of Sizer values and K-Means, whose *apps.CentroidAcc rides the gob
+// column. The sizes are measured where each side builds its payloads, and
+// must agree.
+func TestPoolRunMapMatchesLocal(t *testing.T) {
+	persist.RegisterType(sizedCount(0))
+	persist.RegisterType(&apps.CentroidAcc{})
+	kmeans := func() *mapreduce.Job { return apps.KMeans(3, 16, 4, 1) }
+	wordcount := func() *mapreduce.Job { return apps.WordCount(3) }
+	_, addrs, reg := newCluster(t, 3)
+	for name, job := range map[string]func() *mapreduce.Job{"wordcount": wordcount, "dist-sized": sizedJob, "K-Means": kmeans} {
+		if err := reg.Register(name, job); err != nil {
+			t.Fatal(err)
 		}
+	}
+	text := workload.NewText(workload.TextConfig{Seed: 50, LinesPerSplit: 40, WordsPerLine: 12, Vocabulary: 300})
+	points := workload.NewPoints(workload.PointsConfig{Seed: 50, PointsPerSplit: 60, Dim: 4})
+	for _, c := range []struct {
+		name   string
+		job    *mapreduce.Job
+		splits []mapreduce.Split
+	}{
+		{"wordcount", wordcount(), text.Range(0, 9)},
+		{"dist-sized", sizedJob(), text.Range(0, 9)},
+		{"K-Means", kmeans(), points.Range(0, 9)},
+	} {
+		pool, err := NewPool(c.name, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := pool.RunMap(c.job, c.splits)
+		pool.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		matchesLocal(t, c.job, c.splits, remote)
 	}
 }
 

@@ -9,18 +9,21 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"slider/internal/apps"
 	"slider/internal/mapreduce"
 	"slider/internal/persist"
 	"slider/internal/workload"
 )
 
 // matchesLocal fails the test unless remote is what the job's map tasks
-// produce in-process, split for split and payload for payload.
+// produce in-process, split for split and payload for payload, every
+// partition of the same size.
 func matchesLocal(t *testing.T, job *mapreduce.Job, splits []mapreduce.Split, remote []mapreduce.MapResult) {
 	t.Helper()
 	local, err := mapreduce.Executor{}.RunMap(job, splits)
@@ -31,9 +34,10 @@ func matchesLocal(t *testing.T, job *mapreduce.Job, splits []mapreduce.Split, re
 		t.Fatalf("%d results for %d splits", len(remote), len(local))
 	}
 	for i := range local {
-		if remote[i].SplitID != local[i].SplitID || remote[i].Records != local[i].Records || remote[i].Bytes != local[i].Bytes {
-			t.Fatalf("result %d = %s/%d records/%d bytes, local %s/%d/%d", i, remote[i].SplitID, remote[i].Records, remote[i].Bytes,
-				local[i].SplitID, local[i].Records, local[i].Bytes)
+		if remote[i].SplitID != local[i].SplitID || remote[i].Records != local[i].Records || remote[i].Bytes() != local[i].Bytes() ||
+			!slices.Equal(remote[i].PartBytes, local[i].PartBytes) {
+			t.Fatalf("result %d = %s/%d records/%d bytes %v, local %s/%d/%d %v", i, remote[i].SplitID, remote[i].Records, remote[i].Bytes(), remote[i].PartBytes,
+				local[i].SplitID, local[i].Records, local[i].Bytes(), local[i].PartBytes)
 		}
 		for p := range local[i].Parts {
 			if mapreduce.FingerprintPayload(remote[i].Parts[p]) != mapreduce.FingerprintPayload(local[i].Parts[p]) {
@@ -248,7 +252,6 @@ func TestMisroutedKeysCaught(t *testing.T) {
 			}
 			if i%2 == 1 {
 				res.Parts = append(res.Parts[1:], res.Parts[0])
-				res.PartBytes = append(res.PartBytes[1:], res.PartBytes[0])
 			}
 			if c.wbuf, err = persist.AppendMapResult(c.wbuf, res); err != nil {
 				return err
@@ -655,5 +658,51 @@ func BenchmarkPoolRunMap(b *testing.B) {
 		if _, err := pool.RunMap(job, splits); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeMapResult is what the pool spends on one reply frame
+// besides the wire: persist's BenchmarkMapTaskFrame range — 800 twelve-word
+// lines drawn Zipf(1.2) from 20 000 words, four partitions, the declared
+// wordcount — framed once as a worker frames it, then "decode" decodes it
+// (persist.DecodeMapResult, each partition sized as it is built) and
+// "decode+answers" also holds it to the split sent (sentSplit.answers: the
+// id, the record count and every key's partition). The decoded payloads go
+// back to the task stock after each round, as a bucket fold releases them.
+func BenchmarkDecodeMapResult(b *testing.B) {
+	job := apps.WordCount(4)
+	text := workload.NewText(workload.TextConfig{Seed: 7, LinesPerSplit: 200, WordsPerLine: 12, Vocabulary: 20000, ZipfS: 1.2})
+	split := text.Split(0)
+	for j := 1; j < 4; j++ {
+		split.Records = append(split.Records, text.Split(j).Records...)
+	}
+	var frame []byte
+	if err := mapreduce.WriteMapTask(job, split, func(out *mapreduce.TaskOutput) (err error) {
+		frame, err = persist.AppendTaskOutput(nil, out)
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	sent := sentSplit{split.ID, int64(len(split.Records))}
+	for _, check := range []bool{false, true} {
+		name := "decode"
+		if check {
+			name = "decode+answers"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := persist.DecodeMapResult(frame)
+				if err == nil && check {
+					err = sent.answers(res, job.NumPartitions())
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range res.Parts {
+					mapreduce.ReleaseTaskPayload(p)
+				}
+			}
+		})
 	}
 }

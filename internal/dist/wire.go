@@ -38,6 +38,11 @@ import (
 //	           u64 traceID | u64 slideID | str job | str parentSpan
 //	kindReply  u64 id | u8 status | u32 items | str worker | str text
 //
+// A map-result frame carries the split id, the record count, the task's
+// cost and the payloads, and no size: the pool sizes each payload as it
+// decodes it (persist.DecodeMapResult), so a worker has no size to claim.
+// The pool holds each result to the split it sent (sentSplit.answers).
+//
 // A value frame is persist's frame of a gob value (persist.AppendValue,
 // persist.Decode). What it holds is said by the call's op and the frame's
 // place in the reply. The wire knows one header: a peer whose frames are

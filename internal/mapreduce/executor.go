@@ -19,12 +19,12 @@ type MapResult struct {
 	Parts []Payload
 	// Cost is the measured active time of the task.
 	Cost time.Duration
-	// Bytes estimates the total output size across partitions.
-	Bytes int64
-	// PartBytes holds PayloadBytes of each entry of Parts (they sum to
-	// Bytes), so the runtime's contraction trees take the sizes over
-	// instead of walking the payloads again. A MapRunner that leaves it
-	// nil has its payloads measured on arrival (see PartSized).
+	// PartBytes holds PayloadBytes of each entry of Parts, measured where
+	// the payload was built (a map task's cut) or decoded
+	// (persist.DecodeMapResult) and never taken from a sender, so the
+	// runtime's contraction trees take the sizes over instead of walking
+	// the payloads again. A MapRunner that leaves it nil has its payloads
+	// measured on arrival (see PartSized).
 	PartBytes []int64
 	// Records is the number of input records processed.
 	Records int64
@@ -33,6 +33,10 @@ type MapResult struct {
 // MapRunner abstracts where map tasks execute: in-process (Executor) or
 // on remote workers (internal/dist.Pool). Implementations return results
 // in split order.
+//
+// A result's sizes are its own payloads' (PartBytes): a runner that gets
+// payloads from elsewhere measures them as it decodes them, or leaves
+// PartBytes nil.
 //
 // A split is one map task's input, which need not be one split of the
 // stream: sliderrt maps a Fixed window's bucket in ranges of its splits, each
@@ -63,6 +67,15 @@ var _ MapRunner = Executor{}
 // RunMap implements MapRunner.
 func (e Executor) RunMap(job *Job, splits []Split) ([]MapResult, error) {
 	return e.RunMapTasks(job, splits, nil)
+}
+
+// Bytes is the result's size across partitions: the sum of PartBytes.
+func (r *MapResult) Bytes() int64 {
+	var n int64
+	for _, b := range r.PartBytes {
+		n += b
+	}
+	return n
 }
 
 // PartSized returns partition p's payload with its size: the one the map
@@ -131,7 +144,7 @@ func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) (
 			rec.RecordTask(metrics.Task{
 				Phase:         metrics.PhaseMap,
 				Cost:          r.Cost,
-				InputBytes:    r.Bytes,
+				InputBytes:    r.Bytes(),
 				PreferredNode: -1,
 			})
 		}

@@ -632,25 +632,12 @@ func (p TaskPart) Value(i int) Value {
 	return p.s.vals[k]
 }
 
-// Bytes is entry i's size, the one rule a map task's output is sized by —
-// cut sums it into MapResult.PartBytes, a worker's writer into its frame:
-// its key's length and its value's valueBytes. A declared sum's total is an
-// int64, eight bytes, and is not boxed to be sized.
-func (p TaskPart) Bytes(i int) int64 {
-	k := p.run[i].idx
-	n := int64(len(p.s.entries[k].key))
-	if p.s.sum {
-		return n + 8
-	}
-	return n + valueBytes(p.s.vals[k])
-}
-
 // cut is RunMapTask's writer: the output cut into one payload per
 // partition, each in storage from the task stock (TakeTaskPayload: a slice
 // at most twice its length, else one of exactly its length; nil when nothing
-// was emitted to it), read and sized through the partition's TaskPart, with
-// the task's cost up to the end of the cut. A declared sum's totals are
-// boxed here.
+// was emitted to it), read through the partition's TaskPart and sized by
+// valueBytes as each entry is written, with the task's cost up to the end of
+// the cut. A declared sum's totals are boxed here.
 //
 // The keys are copied once, into one string for the task, in partition then
 // key order, and every output key is a substring of it — the layout a decoded
@@ -670,13 +657,13 @@ func (o *TaskOutput) cut() MapResult {
 		}
 		out := TakeTaskPayload(part.Len())
 		for i := range out {
+			key, v := part.Key(i), part.Value(i)
 			off := arena.Len()
-			arena.WriteString(part.Key(i))
-			out[i] = Entry{arena.String()[off:], part.Value(i)}
-			res.PartBytes[p] += part.Bytes(i)
+			arena.WriteString(key)
+			out[i] = Entry{arena.String()[off:], v}
+			res.PartBytes[p] += int64(len(key)) + valueBytes(v)
 		}
 		res.Parts[p] = out
-		res.Bytes += res.PartBytes[p]
 	}
 	res.Cost = time.Since(o.start)
 	return res

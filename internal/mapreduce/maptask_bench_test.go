@@ -65,8 +65,8 @@ func BenchmarkRunMapTask(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := mapreduce.RunMapTask(bc.job, splits[i%len(splits)])
-				if err != nil || res.Bytes == 0 {
-					b.Fatalf("map task: %d bytes, err %v", res.Bytes, err)
+				if err != nil || res.Bytes() == 0 {
+					b.Fatalf("map task: %d bytes, err %v", res.Bytes(), err)
 				}
 			}
 		})

@@ -403,7 +403,7 @@ func differentialCases(t testing.TB, seed int64, perShape int) []differentialCas
 // seeded splits — every key shape, per-key emit counts on both sides of the
 // pending bound, chains interleaved — under a combiner that records the order
 // of its arguments, RunMapTask gives the parent's Parts (keys, values, order,
-// nil where nothing was emitted), PartBytes, Bytes and Records: on a scratch
+// nil where nothing was emitted), PartBytes and Records: on a scratch
 // that has never run, on one that has just run something larger, and through
 // the pool.
 func TestMapTaskMatchesReference(t *testing.T) {
@@ -564,7 +564,7 @@ func wrapSplit() Split {
 // TestMapTaskSumMatchesChain: a task whose job declares SumInt64 adds each
 // value as it is emitted and never calls Combine, and gives what the same
 // job gives undeclared — its values chained, folded and combined — Parts,
-// PartBytes, Bytes, every key string and every value's type: over every
+// PartBytes, every key string and every value's type: over every
 // int64-valued differential case, and over totals that wrap, on a cold
 // scratch, a reused one and through the pool.
 func TestMapTaskSumMatchesChain(t *testing.T) {

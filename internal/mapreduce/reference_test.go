@@ -338,17 +338,14 @@ func refRunMapTask(job *Job, split Split) (MapResult, error) {
 			return MapResult{}, fmt.Errorf("map task %s: %w", split.ID, err)
 		}
 	}
-	var bytes int64
 	partBytes := make([]int64, n)
 	for i, p := range parts {
 		slices.SortFunc(p, compareKeys)
 		partBytes[i] = PayloadBytes(p)
-		bytes += partBytes[i]
 	}
 	return MapResult{
 		SplitID:   split.ID,
 		Parts:     parts,
-		Bytes:     bytes,
 		PartBytes: partBytes,
 		Records:   int64(len(split.Records)),
 	}, nil

@@ -86,7 +86,7 @@ func testPayloads(job *Job, n int) []Sized {
 
 // TestCarriedSizesMatchWalk is the oracle for sizes that travel with
 // payloads: whatever builds a payload — a map task's cut, through its
-// output's TaskPart.Bytes, or a merge — its carried Bytes must equal a
+// output, summed by valueBytes as it writes each entry, or a merge — its carried Bytes must equal a
 // from-scratch PayloadBytes walk, for every way a value can be sized.
 func TestCarriedSizesMatchWalk(t *testing.T) {
 	for name, job := range sizedJobs() {
@@ -114,8 +114,8 @@ func TestCarriedSizesMatchWalk(t *testing.T) {
 				check(fmt.Sprintf("map task partition %d, declared %v", p, task.SumInt64), res.PartSized(p))
 				sum += res.PartBytes[p]
 			}
-			if sum != res.Bytes {
-				t.Errorf("%s: map task partitions sum to %d bytes, its Bytes is %d", name, sum, res.Bytes)
+			if sum != res.Bytes() {
+				t.Errorf("%s: map task partitions sum to %d bytes, its Bytes is %d", name, sum, res.Bytes())
 			}
 		}
 		ps := testPayloads(job, 9)
@@ -162,8 +162,8 @@ func TestMapTaskPartSizes(t *testing.T) {
 		}
 		sum += s.Bytes
 	}
-	if sum != res.Bytes {
-		t.Fatalf("part sizes sum to %d, Bytes is %d", sum, res.Bytes)
+	if sum != res.Bytes() {
+		t.Fatalf("part sizes sum to %d, Bytes is %d", sum, res.Bytes())
 	}
 	res.PartBytes = nil // a foreign MapRunner
 	for p := range res.Parts {

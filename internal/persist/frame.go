@@ -20,12 +20,15 @@ const flatHeaderLen = 4 + 1 + 8 + 4
 // Frame kinds: the body shapes this package encodes and decodes. The
 // kinds from KindTransport up are numbered by the transport that sends its
 // messages under the same header (internal/dist/wire.go has that table).
+// Kind 4 is retired: it was the map-result layout that carried the sender's
+// sizes, and a frame of it is refused by its kind, never read field by
+// field.
 const (
 	kindPayload    byte = 1
 	kindSplit      byte = 2
 	kindPayloadSet byte = 3
-	kindMapResult  byte = 4
 	kindValue      byte = 5
+	kindMapResult  byte = 6
 
 	KindTransport byte = 16
 )

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,10 +18,10 @@ import (
 // framesOfTask writes split's map output behind prefix both ways: from the
 // task's sorted index (AppendTaskOutput in WriteMapTask's writer), and as
 // the reference, AppendMapResult of RunMapTask's result, whose partition
-// sizes are first held to a PayloadBytes walk of its payloads: both ways
-// size an entry by the one rule, TaskPart.Bytes, and the walk is what that
-// rule must agree with. The view's cost is set to the result's, the one
-// field the two may differ in. A task that
+// sizes are first held to a PayloadBytes walk of its payloads — the cut
+// sizes an entry by the one rule, valueBytes, that the walk applies — and
+// to the sizes its frame decodes with (decodedSizesHold). The view's cost
+// is set to the result's, the one field the two may differ in. A task that
 // fails must fail alike both ways and never reach the writer; an encoding
 // that fails must fail alike and leave the buffer as it was. err is the
 // failure, if any.
@@ -39,7 +40,9 @@ func framesOfTask(t testing.TB, job *mapreduce.Job, split mapreduce.Split, prefi
 				t.Fatalf("%s: partition %d carries %d bytes, a walk of its payload says %d", split.ID, p, res.PartBytes[p], walk)
 			}
 		}
-		want, encErr = AppendMapResult([]byte(prefix), res)
+		if want, encErr = AppendMapResult([]byte(prefix), res); encErr == nil {
+			decodedSizesHold(t, want[len(prefix):], res.PartBytes)
+		}
 	}
 	got = []byte(prefix)
 	wrote := false
@@ -390,7 +393,41 @@ func FuzzTaskOutput(f *testing.F) {
 				t.Fatalf("%s: the frame written from the task's view differs from AppendMapResult's", job.Name)
 			}
 		}
+		// Whatever the bytes, a frame that decodes is sized by its payloads.
+		frame, err := appendFramed(nil, kindMapResult, "map result", func(out []byte) ([]byte, error) { return append(out, data...), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodedSizesHold(t, frame, nil)
 	})
+}
+
+// decodedSizesHold fails the test unless a map-result frame that decodes
+// has each partition sized as a PayloadBytes walk of it, and Bytes their
+// sum; and, given the sizes the task measured as it cut its payloads
+// (local), those sizes too. A frame that does not decode holds nothing.
+func decodedSizesHold(t testing.TB, frame []byte, local []int64) {
+	t.Helper()
+	r, err := DecodeMapResult(frame)
+	if err != nil {
+		return
+	}
+	if local != nil && !slices.Equal(r.PartBytes, local) {
+		t.Fatalf("%s: decoded with partitions of %v bytes, the task cut them at %v", r.SplitID, r.PartBytes, local)
+	}
+	if len(r.PartBytes) != len(r.Parts) {
+		t.Fatalf("%s: %d sizes for %d partitions", r.SplitID, len(r.PartBytes), len(r.Parts))
+	}
+	var sum int64
+	for p, part := range r.Parts {
+		if walk := mapreduce.PayloadBytes(part); r.PartBytes[p] != walk {
+			t.Fatalf("%s: partition %d decoded with %d bytes, a walk of its payload says %d", r.SplitID, p, r.PartBytes[p], walk)
+		}
+		sum += r.PartBytes[p]
+	}
+	if r.Bytes() != sum {
+		t.Fatalf("%s: Bytes is %d, its partitions sum to %d", r.SplitID, r.Bytes(), sum)
+	}
 }
 
 // BenchmarkMapTaskFrame is a worker's map task over the benchmark's

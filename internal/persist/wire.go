@@ -46,55 +46,43 @@ func FrameSize(prefix []byte) (int, error) {
 
 // AppendMapResult appends one map task's result as a single frame:
 //
-//	u32 idLen | id | i64 records | i64 bytes | i64 costNs |
-//	u32 parts | parts × i64 partBytes | flat payload set of parts payloads
+//	u32 idLen | id | i64 records | i64 costNs | flat payload set of the parts
 //
-// so the counts and sizes the runtime takes over from the task travel
-// under the same checksum as the payloads they describe. A worker writes
-// the same bytes without building the result (AppendTaskOutput); this is
-// the reference that writer is held to, and what a test that plays a
-// worker frames results with.
+// so the count and cost the runtime takes over from the task travel under
+// the same checksum as the payloads they describe. No size travels: the
+// decoder measures the payloads it builds (DecodeMapResult), so what a
+// result's sizes say cannot differ from what its payloads hold. A worker
+// writes the same bytes without building the result (AppendTaskOutput);
+// this is the reference that writer is held to, and what a test that plays
+// a worker frames results with.
 func AppendMapResult(dst []byte, r mapreduce.MapResult) ([]byte, error) {
-	if len(r.PartBytes) != len(r.Parts) {
-		return dst, fmt.Errorf("persist: encode map result %s: %d sizes for %d partitions", r.SplitID, len(r.PartBytes), len(r.Parts))
-	}
 	return appendFramed(dst, kindMapResult, "map result", func(out []byte) ([]byte, error) {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.SplitID)))
-		out = append(out, r.SplitID...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(r.Records))
-		out = binary.LittleEndian.AppendUint64(out, uint64(r.Bytes))
-		out = binary.LittleEndian.AppendUint64(out, uint64(r.Cost))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.PartBytes)))
-		for _, b := range r.PartBytes {
-			out = binary.LittleEndian.AppendUint64(out, uint64(b))
-		}
-		return appendSetBody(out, r.Parts)
+		return appendSetBody(appendMapResultHead(out, r.SplitID, r.Records, r.Cost), r.Parts)
 	})
+}
+
+// appendMapResultHead appends what a map-result body holds before its
+// payload set.
+func appendMapResultHead(dst []byte, id string, records int64, cost time.Duration) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(id)))
+	dst = append(dst, id...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(records))
+	return binary.LittleEndian.AppendUint64(dst, uint64(cost))
 }
 
 // AppendTaskOutput appends a map task's output as the frame AppendMapResult
 // writes for the MapResult RunMapTask would have returned — byte for byte,
 // but for the cost, which is out's — reading the partitions where the
 // task's scratch holds them (mapreduce.WriteMapTask) instead of payloads
-// built for this one read. The sizes are reserved and patched once the
-// partitions are written, each the sum of its entries' TaskPart.Bytes — the
-// rule the payloads' PartBytes are summed by. A declared sum's partition is
+// built for this one read. Each partition's body length is reserved and
+// patched once the partition is written. A declared sum's partition is
 // written in one pass (appendSumBody); any other by appendKeyedBody, the
 // routine that writes a payload's body. On error dst comes back as it was.
 func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
 	return appendFramed(dst, kindMapResult, "map result", func(out []byte) ([]byte, error) {
 		n := o.NumPartitions()
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(o.SplitID)))
-		out = append(out, o.SplitID...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(o.Records))
-		bytesOff := len(out)
-		out = binary.LittleEndian.AppendUint64(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, uint64(o.Cost))
+		out = appendMapResultHead(out, o.SplitID, o.Records, o.Cost)
 		out = binary.LittleEndian.AppendUint32(out, uint32(n))
-		partBytesOff := len(out)
-		out = append(out, make([]byte, 8*n)...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(n))
-		var total int64
 		for p := range n {
 			part := o.Part(p)
 			lenOff := len(out)
@@ -108,14 +96,7 @@ func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
 				}
 			}
 			binary.LittleEndian.PutUint32(out[lenOff:], uint32(len(out)-lenOff-4))
-			var size int64
-			for i := range part.Len() {
-				size += part.Bytes(i)
-			}
-			binary.LittleEndian.PutUint64(out[partBytesOff+8*p:], uint64(size))
-			total += size
 		}
-		binary.LittleEndian.PutUint64(out[bytesOff:], uint64(total))
 		return out, nil
 	})
 }
@@ -123,60 +104,40 @@ func AppendTaskOutput(dst []byte, o *mapreduce.TaskOutput) ([]byte, error) {
 // DecodeMapResult decodes a map-result frame into a result that shares
 // nothing with frame: what it allocates is the result's own slices and,
 // per non-empty partition, the payload's key arena and entries — the leaf
-// the window keeps.
+// the window keeps. Each partition's size is measured here, as the payload
+// is created (mapreduce.PayloadBytes), the rule a map task's cut sizes by.
 //
-// The counts and sizes are the sender's claims, checksum or not, and the
-// runtime's space accounting takes the sizes over unchecked: a frame whose
-// records or sizes are negative, or whose partition sizes do not add up to
-// its total, is refused. Both writers always frame sizes that agree.
+// The record count is the sender's claim, checksum or not: a negative one
+// is refused. A frame of the map-result layout that carried sizes (kind 4)
+// is refused by its kind.
 func DecodeMapResult(frame []byte) (mapreduce.MapResult, error) {
 	body, err := openFlatKind(frame, kindMapResult, "map result")
 	if err != nil {
 		return mapreduce.MapResult{}, err
 	}
-	short := func(what string) (mapreduce.MapResult, error) {
-		return mapreduce.MapResult{}, fmt.Errorf("%w: map result %s overruns", ErrCorrupt, what)
-	}
 	if len(body) < 4 {
-		return short("id length")
+		return mapreduce.MapResult{}, fmt.Errorf("%w: map result id length overruns", ErrCorrupt)
 	}
 	idLen := uint64(binary.LittleEndian.Uint32(body))
 	body = body[4:]
-	const fixed = 3*8 + 4
+	const fixed = 2 * 8
 	if idLen+fixed > uint64(len(body)) {
-		return short("id")
+		return mapreduce.MapResult{}, fmt.Errorf("%w: map result id overruns", ErrCorrupt)
 	}
 	r := mapreduce.MapResult{
 		SplitID: string(body[:idLen]),
 		Records: int64(binary.LittleEndian.Uint64(body[idLen:])),
-		Bytes:   int64(binary.LittleEndian.Uint64(body[idLen+8:])),
-		Cost:    time.Duration(binary.LittleEndian.Uint64(body[idLen+16:])),
+		Cost:    time.Duration(binary.LittleEndian.Uint64(body[idLen+8:])),
 	}
-	if r.Records < 0 || r.Bytes < 0 {
-		return mapreduce.MapResult{}, fmt.Errorf("%w: map result of %d records and %d bytes", ErrCorrupt, r.Records, r.Bytes)
+	if r.Records < 0 {
+		return mapreduce.MapResult{}, fmt.Errorf("%w: map result of %d records", ErrCorrupt, r.Records)
 	}
-	parts := uint64(binary.LittleEndian.Uint32(body[idLen+24:]))
-	body = body[idLen+fixed:]
-	if parts*8 > uint64(len(body)) {
-		return short("partition sizes")
-	}
-	r.PartBytes = make([]int64, parts)
-	left := r.Bytes // what the partitions not yet read must add up to
-	for i := range r.PartBytes {
-		b := int64(binary.LittleEndian.Uint64(body[8*i:]))
-		if b < 0 || b > left {
-			return mapreduce.MapResult{}, fmt.Errorf("%w: map result partition %d of %d bytes in a total of %d", ErrCorrupt, i, b, r.Bytes)
-		}
-		r.PartBytes[i], left = b, left-b
-	}
-	if left != 0 {
-		return mapreduce.MapResult{}, fmt.Errorf("%w: map result partitions add up to %d bytes, its total is %d", ErrCorrupt, r.Bytes-left, r.Bytes)
-	}
-	if r.Parts, err = decodeSetBody(body[8*parts:]); err != nil {
+	if r.Parts, err = decodeSetBody(body[idLen+fixed:]); err != nil {
 		return mapreduce.MapResult{}, err
 	}
-	if len(r.Parts) != len(r.PartBytes) {
-		return mapreduce.MapResult{}, fmt.Errorf("%w: map result has %d payloads and %d sizes", ErrCorrupt, len(r.Parts), len(r.PartBytes))
+	r.PartBytes = make([]int64, len(r.Parts))
+	for p, part := range r.Parts {
+		r.PartBytes[p] = mapreduce.PayloadBytes(part)
 	}
 	return r, nil
 }

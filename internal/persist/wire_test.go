@@ -3,11 +3,13 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,9 +20,7 @@ func testMapResult() mapreduce.MapResult {
 	parts := []mapreduce.Payload{testPayload(), nil, mapreduce.FromMap(M{"k": int64(1)})}
 	r := mapreduce.MapResult{SplitID: "split-7", Parts: parts, Cost: 1234 * time.Microsecond, Records: 42}
 	for _, p := range parts {
-		b := int64(40 * len(p))
-		r.PartBytes = append(r.PartBytes, b)
-		r.Bytes += b
+		r.PartBytes = append(r.PartBytes, mapreduce.PayloadBytes(p))
 	}
 	return r
 }
@@ -104,8 +104,12 @@ func TestMapResultFrameRoundTrip(t *testing.T) {
 			t.Fatalf("byte %d flipped: err = %v, want ErrCorrupt", i, err)
 		}
 	}
-	if _, err := AppendMapResult(nil, mapreduce.MapResult{SplitID: "s", Parts: r.Parts}); err == nil {
-		t.Fatal("a result without its partition sizes was framed")
+	// No size travels: a result's sizes, whatever they say, leave its frame
+	// as it was.
+	unsized := r
+	unsized.PartBytes = nil
+	if again, err := AppendMapResult(nil, unsized); err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("a result without its sizes frames %d other bytes (%v)", len(again), err)
 	}
 	if _, err := DecodeMapResult(mustEncodePayload(t)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("a payload frame decoded as a map result: %v", err)
@@ -128,8 +132,7 @@ func TestDecodeIntoReleasedParts(t *testing.T) {
 			m[fmt.Sprintf("w%d-%d", p, k)] = int64(k % 100) // unboxed
 		}
 		r.Parts[p] = mapreduce.FromMap(m)
-		r.PartBytes[p] = int64(16 * len(m))
-		r.Bytes += r.PartBytes[p]
+		r.PartBytes[p] = mapreduce.PayloadBytes(r.Parts[p])
 	}
 	frame, err := AppendMapResult(nil, r)
 	if err != nil {
@@ -186,7 +189,8 @@ func mustEncodePayload(t *testing.T) []byte {
 }
 
 // TestHostileMapResultRefusedBeforeAllocating: counts and lengths inside a
-// map-result body whose checksum is right are still the sender's claims.
+// map-result body whose checksum is right are still the sender's claims. A
+// negative record count is refused too.
 func TestHostileMapResultRefusedBeforeAllocating(t *testing.T) {
 	frame, err := AppendMapResult(nil, testMapResult())
 	if err != nil {
@@ -197,12 +201,15 @@ func TestHostileMapResultRefusedBeforeAllocating(t *testing.T) {
 	hugeID := append([]byte(nil), body...)
 	binary.LittleEndian.PutUint32(hugeID, 1<<31)
 	hugeParts := append([]byte(nil), body...)
-	binary.LittleEndian.PutUint32(hugeParts[4+idLen+24:], 1<<31-1)
+	binary.LittleEndian.PutUint32(hugeParts[4+idLen+16:], 1<<31-1)
+	negative := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(negative[4+idLen:], math.MaxUint64)
 	for name, b := range map[string][]byte{
-		"id length":       hugeID,
-		"partition count": hugeParts,
-		"truncated":       body[:4+idLen+10],
-		"empty":           nil,
+		"id length":        hugeID,
+		"partition count":  hugeParts,
+		"negative records": negative,
+		"truncated":        body[:4+idLen+10],
+		"empty":            nil,
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -217,41 +224,31 @@ func TestHostileMapResultRefusedBeforeAllocating(t *testing.T) {
 	}
 }
 
-// TestDishonestMapResultSizesRefused: a map result's record count and
-// sizes are the sender's claims even under a valid checksum, and the
-// runtime's space accounting takes them over. A frame with a negative
-// count or size, or with partition sizes that do not add up to its total,
-// is refused; the honest frame next to them decodes.
-func TestDishonestMapResultSizesRefused(t *testing.T) {
-	honest := testMapResult()
-	for name, lie := range map[string]func(r *mapreduce.MapResult){
-		"negative records":          func(r *mapreduce.MapResult) { r.Records = -1 },
-		"negative total":            func(r *mapreduce.MapResult) { r.Bytes = -r.Bytes },
-		"negative partition":        func(r *mapreduce.MapResult) { r.PartBytes[0], r.PartBytes[2] = -40, r.PartBytes[2]+r.PartBytes[0]+40 },
-		"partitions short of total": func(r *mapreduce.MapResult) { r.Bytes++ },
-		"partitions over the total": func(r *mapreduce.MapResult) { r.PartBytes[1]++ },
-		"partitions wrapping to total": func(r *mapreduce.MapResult) {
-			r.PartBytes[0], r.PartBytes[1], r.PartBytes[2] = math.MaxInt64, math.MaxInt64, r.Bytes+2 // 2⁶⁴ + Bytes
-		},
-		"no partitions, some bytes": func(r *mapreduce.MapResult) { r.Parts, r.PartBytes = nil, nil },
-	} {
-		r := honest
-		r.PartBytes = append([]int64(nil), honest.PartBytes...)
-		lie(&r)
-		frame, err := AppendMapResult(nil, r)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := DecodeMapResult(frame); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
-		}
-	}
-	frame, err := AppendMapResult(nil, honest)
+// oldLayoutMapResult is a map-result frame in the layout that carried the
+// sender's sizes (kind 4), written by that layout's AppendMapResult: result
+// "old" of 2 records over three partitions, {alpha: 2, beta: 1}, none and
+// {gamma: 1}, all of whose sizes claim 0 bytes where its payloads hold 25
+// and 13. That layout decoded it with PartBytes 0 for both.
+const oldLayoutMapResult = "736c643204bf0000000000000045f5ecb3030000006f6c6402000000000000000000000000000000" +
+	"0000000000000000030000000000000000000000000000000000000000000000000000000300000038" +
+	"0000000102000000090000000200000000000000000000000404050000000400000002000000000000" +
+	"000100000000000000616c7068616265746115000000010000000000000000000000000000000000000000" +
+	"270000000101000000050000000100000000000000000000000405000000010000000000000067616d6d61"
+
+// TestOldLayoutMapResultRefused: a reply from a worker that frames its
+// results in the sized layout is refused as corrupt by its frame kind,
+// whatever its sizes claim, and never read field by field.
+func TestOldLayoutMapResultRefused(t *testing.T) {
+	frame, err := hex.DecodeString(oldLayoutMapResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeMapResult(frame); err != nil {
-		t.Fatalf("the honest frame: %v", err)
+	if size, err := FrameSize(frame); err != nil || size != len(frame) {
+		t.Fatalf("FrameSize = %d, %v; the fixture is %d bytes", size, err, len(frame))
+	}
+	got, err := DecodeMapResult(frame)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "kind 4") {
+		t.Fatalf("decoded %d partitions of %v bytes, err %v; want ErrCorrupt naming kind 4", len(got.Parts), got.PartBytes, err)
 	}
 }
 

@@ -189,7 +189,7 @@ func (ls *laterStage) run(inputs []pseudoSplit, rec *metrics.Recorder) (mapreduc
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseMap,
 			Cost:          result.Cost,
-			InputBytes:    result.Bytes,
+			InputBytes:    result.Bytes(),
 			PreferredNode: -1,
 		})
 		rec.Add(metrics.Counters{MapTasks: 1, MapRecords: result.Records})

@@ -340,11 +340,12 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 		// what the cost model and GC use. The payloads live on in the
 		// contraction trees and nothing reads them back from here, so no
 		// value is stored.
-		writeNs := rt.store.Put("map:"+r.SplitID, nil, r.Bytes, id, id+n-1)
+		bytes := r.Bytes()
+		writeNs := rt.store.Put("map:"+r.SplitID, nil, bytes, id, id+n-1)
 		rec.RecordTask(metrics.Task{
 			Phase:         metrics.PhaseMap,
 			Cost:          r.Cost + time.Duration(writeNs),
-			InputBytes:    r.Bytes,
+			InputBytes:    bytes,
 			PreferredNode: int(id % uint64(rt.cfg.Memo.Nodes)),
 		})
 		counters.MapTasks++
