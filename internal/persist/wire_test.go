@@ -224,6 +224,52 @@ func TestHostileMapResultRefusedBeforeAllocating(t *testing.T) {
 	}
 }
 
+// TestDishonestMapResultSizesRefused: a sender cannot make a map result
+// claim sizes its payloads do not have. A negative record count is refused
+// as ErrCorrupt; sizes the sender sets on the result — negative, short of
+// or over what the payloads hold, wrapping past 2⁶⁴ — are not written, and
+// the decoded result is sized by its own payloads, as an honest one is.
+func TestDishonestMapResultSizesRefused(t *testing.T) {
+	honest := testMapResult()
+	frame, err := AppendMapResult(nil, honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMapResult(frame); err != nil {
+		t.Fatalf("the honest frame: %v", err)
+	}
+	negative := honest
+	negative.Records = -1
+	if frame, err = AppendMapResult(nil, negative); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMapResult(frame); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("negative records: err = %v, want ErrCorrupt", err)
+	}
+	for name, lie := range map[string]func(b []int64) []int64{
+		"negative partition":         func(b []int64) []int64 { b[0], b[2] = -40, b[2]+b[0]+40; return b },
+		"all zero":                   func(b []int64) []int64 { clear(b); return b },
+		"partitions over the total":  func(b []int64) []int64 { b[1]++; return b },
+		"partitions wrapping around": func(b []int64) []int64 { b[0], b[1] = math.MaxInt64, math.MaxInt64; return b },
+		"fewer sizes than parts":     func(b []int64) []int64 { return b[:1] },
+		"no sizes":                   func([]int64) []int64 { return nil },
+	} {
+		r := honest
+		r.PartBytes = lie(append([]int64(nil), honest.PartBytes...))
+		frame, err := AppendMapResult(nil, r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := DecodeMapResult(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.PartBytes, honest.PartBytes) || got.Bytes() != honest.Bytes() {
+			t.Errorf("%s: decoded sizes %v (%d), want the payloads' %v (%d)", name, got.PartBytes, got.Bytes(), honest.PartBytes, honest.Bytes())
+		}
+	}
+}
+
 // oldLayoutMapResult is a map-result frame in the layout that carried the
 // sender's sizes (kind 4), written by that layout's AppendMapResult: result
 // "old" of 2 records over three partitions, {alpha: 2, beta: 1}, none and
