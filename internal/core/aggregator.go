@@ -60,10 +60,9 @@ type Aggregator[T any] interface {
 	// FingerprintWith hashes structure and payloads deterministically.
 	FingerprintWith(fp func(T) uint64) uint64
 	// Snapshot captures the minimal state the structure is rebuilt from;
-	// Restore reinstates it — any kind's window-shaped snapshot restores
-	// into any other window-shaped kind — and leaves Stats zero, so a
-	// restored aggregator is indistinguishable from a fresh one restored
-	// from the same snapshot.
+	// Restore reinstates a snapshot of the same kind and leaves Stats zero,
+	// so a restored aggregator is indistinguishable from a fresh one
+	// restored from the same snapshot.
 	Snapshot() State[T]
 	Restore(st State[T]) error
 }
@@ -118,11 +117,13 @@ type Locating[T any] interface {
 }
 
 // State is an aggregator's restorable state as plain values, the shape a
-// checkpoint codec persists.
+// checkpoint codec persists. Each kind restores the state its own Snapshot
+// takes.
 type State[T any] struct {
-	// Elems are the window's elements: oldest first, or — Circular — in the
-	// leaf-position order of a circular structure whose oldest element is
-	// Elems[Victim]. Restore accepts either form; only Victim matters to it.
+	// Elems are the window's elements: oldest first, or — Circular, the
+	// rotating tree's — in the leaf-position order of a circular structure
+	// whose oldest element is Elems[Victim]. Only the rotating tree reads
+	// Victim.
 	Elems    []T
 	Victim   int
 	Circular bool
@@ -141,19 +142,6 @@ type State[T any] struct {
 	// Root and Pending are the coalescing tree's whole state.
 	Root, Pending       T
 	HasRoot, HasPending bool
-}
-
-// windowOrder returns the elements oldest first, rotating a leaf-position
-// snapshot by its victim cursor.
-func (s State[T]) windowOrder() ([]T, error) {
-	if s.Victim == 0 {
-		return s.Elems, nil
-	}
-	if s.Victim < 0 || s.Victim >= len(s.Elems) {
-		return nil, fmt.Errorf("core: victim %d out of range [0,%d)", s.Victim, len(s.Elems))
-	}
-	out := make([]T, 0, len(s.Elems))
-	return append(append(out, s.Elems[s.Victim:]...), s.Elems[:s.Victim]...), nil
 }
 
 // Kind names a window-aggregation structure — the one vocabulary for it:
@@ -326,13 +314,7 @@ func (a *dabaAgg[T]) Snapshot() State[T] {
 	return st
 }
 
-func (a *dabaAgg[T]) Restore(st State[T]) error {
-	elems, err := st.windowOrder()
-	if err != nil {
-		return err
-	}
-	return a.RestoreAt(elems, st.Pos)
-}
+func (a *dabaAgg[T]) Restore(st State[T]) error { return a.RestoreAt(st.Elems, st.Pos) }
 
 // --- finger tree ---------------------------------------------------------
 
@@ -363,11 +345,7 @@ func (a *fingerAgg[T]) Snapshot() State[T] {
 }
 
 func (a *fingerAgg[T]) Restore(st State[T]) error {
-	elems, err := st.windowOrder()
-	if err != nil {
-		return err
-	}
-	if err := a.FingerTree.Restore(elems); err != nil {
+	if err := a.FingerTree.Restore(st.Elems); err != nil {
 		return err
 	}
 	a.ResetStats()
@@ -458,8 +436,7 @@ func (a *rotatingAgg[T]) Background() (bool, error) {
 }
 
 // Snapshot is the one place leaf-position order leaves the tree: buckets as
-// the leaves hold them plus the victim cursor, which State.windowOrder turns
-// into window order for whoever needs that.
+// the leaves hold them plus the victim cursor, which Restore reads back.
 func (a *rotatingAgg[T]) Snapshot() State[T] {
 	st := State[T]{Victim: a.Victim(), Circular: true}
 	st.Elems, st.Filled = a.BucketPayloads()
@@ -574,11 +551,7 @@ func (a *foldingAgg[T]) Roots() []T { return rootOf(a.Root()) }
 func (a *foldingAgg[T]) Snapshot() State[T] { return State[T]{Elems: a.Payloads()} }
 
 func (a *foldingAgg[T]) Restore(st State[T]) error {
-	elems, err := st.windowOrder()
-	if err != nil {
-		return err
-	}
-	a.FoldingTree.Init(elems)
+	a.FoldingTree.Init(st.Elems)
 	a.ResetStats()
 	return nil
 }

@@ -238,10 +238,11 @@ func TestAggregatorConformance(t *testing.T) {
 	}
 }
 
-// TestAggregatorCrossRestore: a window-shaped snapshot restores into any
-// other window-shaped kind — the live backend switch and the restore of
-// pre-backend checkpoints — and the one leaf-position → window-order
-// rotation is State's.
+// TestAggregatorCrossRestore: the rotating tree's snapshot — leaf-position
+// order plus the victim cursor, the one snapshot not in window order —
+// restores into a rotating tree, and a restore refuses a victim cursor
+// outside the window and elements without identities. No kind restores
+// another's snapshot.
 func TestAggregatorCrossRestore(t *testing.T) {
 	rot := aggCase{kind: KindRotating, fixed: true, reorders: true}
 	m := &aggModel{c: rot}
@@ -259,26 +260,16 @@ func TestAggregatorCrossRestore(t *testing.T) {
 	if !snap.Circular || snap.Victim != 4 {
 		t.Fatalf("rotating snapshot = %+v, want leaf order with victim 4", snap)
 	}
-	inOrder := &aggModel{window: m.window}
-	for _, kind := range []Kind{KindDaba, KindFingerTree, KindFolding} {
-		dst := NewAggregator(kind, concat, Options{Width: aggWidth})
-		if err := dst.Restore(snap); err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		inOrder.wantRoots(t, "rotating snapshot in window order", dst)
-		back := rot.new()
-		if err := back.Restore(dst.Snapshot()); err != nil {
-			t.Fatalf("kind %d → rotating: %v", kind, err)
-		}
-		m.wantRoots(t, "and back", back)
+	back := rot.new()
+	if err := back.Restore(snap); err != nil {
+		t.Fatal(err)
 	}
+	m.wantRoots(t, "rotating snapshot restored", back)
 
 	bad := snap
 	bad.Victim = aggWidth
-	for _, kind := range []Kind{KindDaba, KindFingerTree, KindRotating} {
-		if err := NewAggregator(kind, concat, Options{Width: aggWidth}).Restore(bad); err == nil {
-			t.Fatalf("kind %d restored a victim cursor outside the window", kind)
-		}
+	if err := rot.new().Restore(bad); err == nil {
+		t.Fatal("restored a victim cursor outside the window")
 	}
 	ids := NewAggregator(KindStrawman, concat, Options{}).Snapshot()
 	ids.Elems = []leafSeq{{1}, {2}}

@@ -57,8 +57,8 @@ func SortEntries(p Payload) bool {
 	return p.IsSorted()
 }
 
-// FromMap builds the payload holding m's pairs (one sort): how a legacy
-// gob frame, which carries a map, and a test's literal become payloads.
+// FromMap builds the payload holding m's pairs (one sort): how a test's
+// literal becomes a payload.
 func FromMap(m map[string]Value) Payload {
 	if len(m) == 0 {
 		return nil

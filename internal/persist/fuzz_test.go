@@ -91,7 +91,7 @@ func valueFromBytes(data []byte, off *int) any {
 }
 
 // gobRoundTrip pushes m through whole-value gob: one encoder, one decoder,
-// the payload as the map version-1 checkpoints carry.
+// the payload as a map.
 func gobRoundTrip(t *testing.T, m M) M {
 	t.Helper()
 	registerBuiltins()
@@ -109,8 +109,7 @@ func gobRoundTrip(t *testing.T, m M) M {
 // FuzzFlatCodec asserts flat encode→decode ≡ gob encode→decode on
 // payloads mixing every builtin value type plus a custom registered type:
 // the two codecs must agree value-for-value (same keys, same concrete
-// types, same contents), so a version-1 checkpoint's gob maps and a
-// version-2 checkpoint's flat frames restore to the same state. Every
+// types, same contents), so a flat frame holds whatever gob would. Every
 // payload is also written in three entry orders — sorted as live payloads
 // are, shuffled as frames written from hash maps were, and with one key
 // repeated: decode(encode(p)) must be p, strictly sorted, for the first

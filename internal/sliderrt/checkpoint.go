@@ -12,8 +12,8 @@ import (
 // checkpointVersion is the body Checkpoint writes. Version 3 carries payload
 // state as persist's flat payload frames, names the structure by Backend
 // alone and holds the bucket ledger of every Fixed window whose elements are
-// buckets. Bodies of versions 1 and 2 are still restored: upgrade turns them
-// into version 3's, and nothing after it reads a version.
+// buckets. Version-2 bodies, the golden checkpoints', are still restored:
+// upgrade turns them into version 3's, and nothing after it reads a version.
 const checkpointVersion = 3
 
 // checkpointState is the body of a checkpoint: the window bookkeeping plus,
@@ -24,10 +24,10 @@ type checkpointState struct {
 	Mode    Mode
 	// Backend records the resolved aggregation backend: it decides how a
 	// Fixed-mode partition's Buckets are interpreted (window order for
-	// daba, leaf-position order plus Victim for rotating) and lets a
-	// runtime restored under BackendAuto resume on the structure a pinned
-	// writer was using. BackendAuto only in a body upgraded from a
-	// pre-backend frame of the mode's own tree.
+	// daba and the finger tree, leaf-position order plus Victim for
+	// rotating) and lets a runtime restored under BackendAuto resume on the
+	// structure its writer was using. Every writer names one; a body that
+	// names none is refused.
 	Backend       Backend
 	BucketSplits  int
 	WindowBuckets int
@@ -63,76 +63,31 @@ type partCheckpoint struct {
 	FlatLeaves []byte
 }
 
-// legacyBody is what only version-1 and -2 writers put in a body, read by
-// upgrade alone: the selectors that named the structure before Backend
-// existed (Engine 1 = a self-adjusting tree, 2 = the strawman; Randomized),
-// and version 1's payloads, gob maps of the type payloads had when those
-// frames were written — every frame names it in its type descriptor.
-type legacyBody struct {
-	Engine     int
-	Randomized bool
-	Partitions []legacyPart
-}
-
-type legacyPart struct {
-	Root, Pending         payloadV1
-	Buckets, LeafPayloads []payloadV1
-}
-
-// upgrade turns a decoded body into the version-3 state in place, reading
-// the fields only older writers wrote off frame, the body's frame: legacy
-// selectors become Backend; a window of buckets of w, which had no ledger,
-// gets WindowBuckets of them on the clock that counts every bucket it took
-// in (a count the body is too short to hold is refused before it sizes
-// anything); version 1's maps become payload frames.
-func upgrade(st *checkpointState, frame []byte) error {
-	if st.Version == checkpointVersion {
+// upgrade turns a decoded version-2 body of size bytes into the version-3
+// state in place: a window of buckets of w, which had no ledger, gets
+// WindowBuckets of them on the clock that counts every bucket it took in (a
+// count the body is too short to hold is refused before it sizes anything).
+// It refuses every other version and a body that names no backend: what the
+// version-1 and pre-backend writers left, none of which this repository
+// holds.
+func upgrade(st *checkpointState, size int) error {
+	switch {
+	case st.Version != 2 && st.Version != checkpointVersion:
+		return fmt.Errorf("unsupported checkpoint version %d (this reader takes versions 2 and 3)", st.Version)
+	case st.Backend == BackendAuto:
+		return fmt.Errorf("checkpoint names no backend: a pre-backend body, which this reader does not take")
+	case st.Version == checkpointVersion:
 		return nil
 	}
-	if st.Version < 1 || st.Version > checkpointVersion {
-		return fmt.Errorf("unsupported checkpoint version %d", st.Version)
-	}
-	var old legacyBody
-	if err := persist.Decode(frame, &old); err != nil {
-		return err
-	}
-	switch {
-	case st.Backend != BackendAuto:
-	case old.Engine == 2:
-		st.Backend = BackendStrawman
-	case old.Randomized:
-		st.Backend = BackendRandomizedFolding
-	}
-	group := groupOf(st.Mode, st.Backend)
-	if w := st.BucketSplits; group == groupBuckets && w > 0 && st.BucketSizes == nil {
-		if st.WindowBuckets < 1 || st.WindowBuckets > len(frame) {
-			return fmt.Errorf("a body of %d bytes holds no %d buckets", len(frame), st.WindowBuckets)
+	if w := st.BucketSplits; groupOf(st.Mode, st.Backend) == groupBuckets && w > 0 && st.BucketSizes == nil {
+		if st.WindowBuckets < 1 || st.WindowBuckets > size {
+			return fmt.Errorf("a body of %d bytes holds no %d buckets", size, st.WindowBuckets)
 		}
 		st.BucketSizes = make([]int, st.WindowBuckets)
 		for i := range st.BucketSizes {
 			st.BucketSizes[i] = w
 		}
 		st.BucketSeq = st.WindowLo/uint64(w) + uint64(st.WindowBuckets)
-	}
-	for p := 0; st.Version == 1 && p < min(len(st.Partitions), len(old.Partitions)); p++ {
-		pc, v1 := &st.Partitions[p], &old.Partitions[p]
-		var err error
-		switch group {
-		case groupRoot:
-			if pc.HasRoot {
-				pc.FlatRoot, err = persist.EncodePayload(mapreduce.FromMap(v1.Root))
-			}
-			if pc.HasPending && err == nil {
-				pc.FlatPending, err = persist.EncodePayload(mapreduce.FromMap(v1.Pending))
-			}
-		case groupBuckets:
-			pc.FlatBuckets, err = persist.EncodePayloadSet(fromV1(v1.Buckets))
-		default:
-			pc.FlatLeaves, err = persist.EncodePayloadSet(fromV1(v1.LeafPayloads))
-		}
-		if err != nil {
-			return err
-		}
 	}
 	st.Version = checkpointVersion
 	return nil
@@ -190,8 +145,7 @@ const (
 	groupBuckets                   // fixed-width buckets (Fixed mode)
 )
 
-// groupOf is the field group of a window of the mode over the backend;
-// BackendAuto stands for the mode's own structure.
+// groupOf is the field group of a window of the mode over the backend.
 func groupOf(mode Mode, backend Backend) stateGroup {
 	switch {
 	case backend == BackendStrawman:
@@ -202,18 +156,6 @@ func groupOf(mode Mode, backend Backend) stateGroup {
 		return groupBuckets
 	}
 	return groupLeaves
-}
-
-// payloadV1 is a payload as version-1 checkpoints carry it.
-type payloadV1 = map[string]mapreduce.Value
-
-// fromV1 sorts a version-1 payload list into payloads.
-func fromV1(ms []payloadV1) []Payload {
-	out := make([]Payload, len(ms))
-	for i, m := range ms {
-		out[i] = mapreduce.FromMap(m)
-	}
-	return out
 }
 
 // encodePartition writes one aggregator's snapshot into its field group.
@@ -268,9 +210,14 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, seq, pos uint64) (core.St
 		if !pc.Filled {
 			return st, fmt.Errorf("window not filled")
 		}
+		elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
+		// Only the rotating tree holds its buckets in leaf-position order,
+		// the oldest at Victim; every other structure's are in window order.
+		if v := pc.Victim; err == nil && v != 0 && (rt.backend != BackendRotating || v < 0 || v >= len(elems)) {
+			return st, fmt.Errorf("a %v window of %d buckets has no victim cursor %d", rt.backend, len(elems), v)
+		}
 		st.Victim, st.Filled = pc.Victim, true
 		st.Pos = pos
-		elems, err = persist.DecodePayloadSet(pc.FlatBuckets)
 	default:
 		elems, err = persist.DecodePayloadSet(pc.FlatLeaves)
 		st.IDs, st.NextID = pc.LeafIDs, seq
@@ -286,11 +233,12 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, seq, pos uint64) (core.St
 }
 
 // Restore reconstructs a runtime from a checkpoint produced by
-// Checkpoint. The job and configuration must match the checkpointed
-// runtime's (mode, backend, and bucket geometry are verified; under
-// BackendAuto the restore follows the checkpoint's backend). The
-// contraction trees are rebuilt from the persisted leaf state; the next
-// Advance continues the window where the checkpoint left it.
+// Checkpoint, or by the version-2 writer before it (see upgrade). The job
+// and configuration must match the checkpointed runtime's (mode, backend,
+// and bucket geometry are verified; under BackendAuto the restore follows
+// the checkpoint's backend). The contraction trees are rebuilt from the
+// persisted leaf state; the next Advance continues the window where the
+// checkpoint left it.
 func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	frame, err := io.ReadAll(r)
 	if err != nil {
@@ -300,7 +248,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	if err := persist.Decode(frame, &st); err != nil {
 		return nil, fmt.Errorf("sliderrt: restore: %w", err)
 	}
-	if err := upgrade(&st, frame); err != nil {
+	if err := upgrade(&st, len(frame)); err != nil {
 		return nil, fmt.Errorf("sliderrt: restore: %w", err)
 	}
 	// A restore that names no backend follows the checkpoint's, so a pinned
@@ -313,7 +261,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rt.cfg.Mode != st.Mode || (st.Backend != BackendAuto && st.Backend != rt.backend) {
+	if rt.cfg.Mode != st.Mode || st.Backend != rt.backend {
 		return nil, fmt.Errorf("%w: restore: configuration mismatch (checkpoint %v/%v, config %v/%v)",
 			ErrBadBackend, st.Mode, st.Backend, rt.cfg.Mode, rt.backend)
 	}
@@ -331,8 +279,7 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	}
 	// Every partition's frame is decoded and validated, and the bucket
 	// ledger held to what they hold, before any aggregator is touched; the
-	// aggregator's Restore checks what only it can know (identity counts,
-	// the victim cursor against the bucket count).
+	// aggregator's Restore checks what only it can know (identity counts).
 	rt.installAggregators()
 	rt.bucketSizes, rt.bucketSeq = st.BucketSizes, st.BucketSeq
 	states := make([]core.State[sized], rt.parts)

@@ -14,28 +14,11 @@ import (
 	"slider/internal/persist"
 )
 
-// toV1 turns payloads back into the gob maps a version-1 checkpoint
-// carries.
-func toV1(t testing.TB, ps []Payload, err error) []payloadV1 {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]payloadV1, len(ps))
-	for i, p := range ps {
-		out[i] = make(payloadV1, len(p))
-		for _, e := range p {
-			out[i][e.Key] = e.Value
-		}
-	}
-	return out
-}
-
-// oldState is the body as version-1 and -2 writers laid it out: the
-// pre-backend selectors beside Backend, and version 1's payload maps beside
-// the flat fields. A frame of any version decoded into it and encoded again
-// keeps every field it had.
-type oldState struct {
+// goldenBody is a checkpoint body as the version-2 golden checkpoints lay it
+// out: the selectors that named the structure before Backend existed
+// (Engine, Randomized) beside the fields version 3 keeps. A frame of either
+// version decoded into it and encoded again keeps every field it had.
+type goldenBody struct {
 	Version       int
 	Mode          Mode
 	Engine        int
@@ -49,206 +32,43 @@ type oldState struct {
 	Parts         int
 	BucketSizes   []int
 	BucketSeq     uint64
-	Partitions    []oldPart
+	Partitions    []partCheckpoint
 }
 
-type oldPart struct {
-	Root         payloadV1
-	HasRoot      bool
-	Pending      payloadV1
-	HasPending   bool
-	Buckets      []payloadV1
-	Victim       int
-	Filled       bool
-	LeafIDs      []uint64
-	LeafPayloads []payloadV1
-	FlatRoot     []byte
-	FlatPending  []byte
-	FlatBuckets  []byte
-	FlatLeaves   []byte
-}
+// version1 numbers a body as a version-1 writer's, and zeroBackend leaves it
+// without a Backend, as pre-backend writers did: two bodies Restore refuses.
+func version1(st *goldenBody)    { st.Version = 1 }
+func zeroBackend(st *goldenBody) { st.Backend = BackendAuto }
 
-// downgrade rewrites a checkpoint frame of any version into the body a
-// version-1 or -2 writer left for the same state: the structure named by the
-// pre-backend selectors as well as by Backend, no ledger for an in-order
-// window of buckets of w, and for version 1 the payloads in the gob map
-// fields, the flat ones absent. Gob omits nil fields from the stream, so
-// this is what those writers produced, type names aside, and restoring it
-// exercises the real upgrade path.
-func downgrade(t testing.TB, frame []byte, version int) []byte {
-	t.Helper()
-	return rewriteFrame(t, frame, func(st *oldState) {
-		st.Engine, st.Randomized = 1, st.Backend == BackendRandomizedFolding
-		if st.Backend == BackendStrawman {
-			st.Engine = 2
-		}
-		if st.BucketSplits > 0 && st.Backend != BackendFingerTree {
-			st.BucketSizes, st.BucketSeq = nil, 0
-		}
-		st.Version = version
-		if version > 1 {
-			return
-		}
-		for p := range st.Partitions {
-			pc := &st.Partitions[p]
-			if pc.HasRoot {
-				root, err := persist.DecodePayload(pc.FlatRoot)
-				pc.Root = toV1(t, []Payload{root}, err)[0]
-			}
-			if pc.HasPending {
-				pending, err := persist.DecodePayload(pc.FlatPending)
-				pc.Pending = toV1(t, []Payload{pending}, err)[0]
-			}
-			if pc.FlatBuckets != nil {
-				buckets, err := persist.DecodePayloadSet(pc.FlatBuckets)
-				pc.Buckets = toV1(t, buckets, err)
-			}
-			if pc.FlatLeaves != nil {
-				leaves, err := persist.DecodePayloadSet(pc.FlatLeaves)
-				pc.LeafPayloads = toV1(t, leaves, err)
-			}
-			pc.FlatRoot, pc.FlatPending, pc.FlatBuckets, pc.FlatLeaves = nil, nil, nil, nil
-		}
-	})
-}
-
-// v1RoundTrip checkpoints a driven runtime, downgrades the frame to the
-// version-1 layout, restores it, and requires the restored runtime to
-// match both the original and a from-scratch oracle over further slides.
-func v1RoundTrip(t *testing.T, cfg Config, initial int, firstHalf, secondHalf []slide) {
-	t.Helper()
-	job := wordCountJob()
-	cfg.Memo = testMemoConfig()
-	original, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, initial, 4, 7)
-	next := initial
-	if _, err := original.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range firstHalf {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		if _, err := original.Advance(s.drop, add); err != nil {
+// TestRestoreRefusesRetiredBodies: a version-1 body and a body that names no
+// backend — of version 2 or 3 — are refused, under the writer's backend and
+// under BackendAuto, with an error that says which of the two it is.
+func TestRestoreRefusesRetiredBodies(t *testing.T) {
+	for _, c := range identityCases() {
+		golden, err := os.ReadFile(goldenPath(c.name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		window = append(window[s.drop:], add...)
-	}
-
-	var buf bytes.Buffer
-	if err := original.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(downgrade(t, buf.Bytes(), 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, s := range secondHalf {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		origRes, err := original.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("original slide %d: %v", i, err)
+		cfg := c.cfg
+		cfg.Memo = testMemoConfig()
+		auto := cfg
+		auto.Backend = BackendAuto
+		forms := []struct {
+			name, want string
+			frame      []byte
+		}{
+			{"v1", "unsupported checkpoint version 1", rewriteFrame(t, golden, version1)},
+			{"v2 pre-backend", "names no backend", rewriteFrame(t, golden, zeroBackend)},
+			{"v3 pre-backend", "names no backend", rewriteFrame(t, recheckpoint(t, cfg, golden), zeroBackend)},
 		}
-		restRes, err := restored.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("restored slide %d: %v", i, err)
+		for _, form := range forms {
+			for _, under := range []Config{cfg, auto} {
+				_, err := Restore(wordCountJob(), under, bytes.NewReader(form.frame))
+				if err == nil || !strings.Contains(err.Error(), form.want) {
+					t.Fatalf("%s: %s under backend %v: err = %v, want it refused as %q", c.name, form.name, under.Backend, err, form.want)
+				}
+			}
 		}
-		window = append(window[s.drop:], add...)
-		wantSameOutput(t, restRes.Output, origRes.Output)
-		wantSameOutput(t, restRes.Output, scratch(t, job, window))
-	}
-}
-
-func TestRestoreV1Append(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Append}, 4,
-		[]slide{{0, 2}, {0, 1}}, []slide{{0, 3}, {0, 2}})
-}
-
-func TestRestoreV1Fixed(t *testing.T) {
-	cfg := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4}
-	v1RoundTrip(t, cfg, 8,
-		[]slide{{2, 2}, {2, 2}}, []slide{{2, 2}, {4, 4}})
-}
-
-func TestRestoreV1VariableFolding(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Variable}, 8,
-		[]slide{{3, 1}, {0, 5}}, []slide{{6, 2}, {1, 0}})
-}
-
-func TestRestoreV1Strawman(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Variable, Backend: BackendStrawman}, 8,
-		[]slide{{3, 1}}, []slide{{0, 4}})
-}
-
-// TestRestoreV1LegacyVictimIntoDaba is the deepest compatibility path: a
-// true version-1 frame (live map payloads) written by the rotating tree
-// before backends existed — Backend absent (gob zero = BackendAuto),
-// Buckets in leaf-position order, nonzero Victim. Restoring under an auto
-// config must decode the v1 maps AND rotate the buckets into window order
-// for the DABA aggregator, or later slides evict the wrong bucket.
-func TestRestoreV1LegacyVictimIntoDaba(t *testing.T) {
-	job := wordCountJob()
-	cfg := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig()}
-	rotCfg := cfg
-	rotCfg.Backend = BackendRotating
-	original, err := New(job, rotCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, 8, 4, 7)
-	next := 8
-	if _, err := original.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []slide{{2, 2}, {2, 2}, {2, 2}} {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		if _, err := original.Advance(s.drop, add); err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[s.drop:], add...)
-	}
-
-	var buf bytes.Buffer
-	if err := original.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := downgrade(t, buf.Bytes(), 1)
-	var st oldState
-	if err := persist.Decode(v1, &st); err != nil {
-		t.Fatal(err)
-	}
-	victims := 0
-	for _, pc := range st.Partitions {
-		if pc.Victim != 0 {
-			victims++
-		}
-	}
-	if victims == 0 {
-		t.Fatal("test needs a nonzero victim cursor to exercise the rotation")
-	}
-	frame := rewriteFrame(t, v1, zeroBackend) // pre-backend writers had no Backend field
-
-	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.Backend(); got != BackendDaba {
-		t.Fatalf("restored backend = %v, want %v", got, BackendDaba)
-	}
-	for i, s := range []slide{{2, 2}, {2, 2}, {4, 4}, {2, 2}} {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		res, err := restored.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("restored slide %d: %v", i, err)
-		}
-		window = append(window[s.drop:], add...)
-		wantSameOutput(t, res.Output, scratch(t, job, window))
 	}
 }
 
@@ -362,7 +182,7 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 		{"append: pending flagged but absent", Config{Mode: Append},
 			func(st *checkpointState) { st.Partitions[1].HasPending = true }, ""},
 		{"fixed: victim beyond the buckets", Config{Mode: Fixed, Backend: BackendRotating, BucketSplits: 2, WindowBuckets: 2},
-			func(st *checkpointState) { st.Partitions[0].Victim = 2 }, ""},
+			func(st *checkpointState) { st.Partitions[0].Victim = 2 }, "no victim cursor 2"},
 		{"fingertree: ledger a bucket short", fingerTree,
 			func(st *checkpointState) { st.BucketSizes = []int{4} }, ""},
 		{"fingertree: ledger holds an empty bucket", fingerTree,
@@ -381,6 +201,10 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			func(st *checkpointState) { st.BucketSeq++ }, "bucket clock"},
 		{"daba: no ledger", daba,
 			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = nil, 0 }, "bucket ledger sums to 0"},
+		{"daba: a victim cursor", daba,
+			func(st *checkpointState) { st.Partitions[0].Victim = 1 }, "no victim cursor 1"},
+		{"fingertree: a victim cursor", fingerTree,
+			func(st *checkpointState) { st.Partitions[2].Victim = 1 }, "no victim cursor 1"},
 		{"folding: a ledger", Config{Mode: Variable},
 			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = []int{4}, 1 }, "keeps no bucket ledger"},
 		{"fixed: a bucket short", daba,
@@ -442,11 +266,8 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 
 // TestGoldenFramesAcrossFormats restores every golden checkpoint — as
 // written (version 2 under the sld1 header, through persist's legacy
-// reader), rewritten under the sld2 header, downgraded to version 1, as the
-// version-3 frame a restored runtime writes back, and, for the two
-// structures a pre-backend frame names only through the legacy
-// Engine/Randomized selectors, with the Backend field zeroed the way a
-// pre-backend writer left it — and requires the pinned fingerprint (which
+// reader), rewritten under the sld2 header, and as the version-3 frame a
+// restored runtime writes back — and requires the pinned fingerprint (which
 // covers the backend the restore landed on) and a re-checkpoint with the
 // content of upgrade(golden), one sld2 frame whose gob body is exactly the
 // bytes pinned in goldenRewritten. Each form is restored under the writer's
@@ -469,19 +290,10 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 			}
 			auto := cfg
 			auto.Backend = BackendAuto
-			v1 := downgrade(t, golden, 1)
-			type form struct {
+			forms := []struct {
 				name  string
 				frame []byte
-			}
-			forms := []form{{"v2", golden}, {"v2 sld2", rewriteFrame(t, golden, nil)}, {"v1", v1}, {"v3", recheckpoint(t, cfg, golden)}}
-			// The two structures a pre-backend frame names only through its
-			// legacy selectors. (Any other such frame is the mode's own
-			// tree, which resolution picks again; a Fixed one restores into
-			// it whatever its bucket order: TestRestoreV1LegacyVictimIntoDaba.)
-			if writer.Backend() == BackendStrawman || writer.Backend() == BackendRandomizedFolding {
-				forms = append(forms, form{"v2 pre-backend", rewriteFrame(t, golden, zeroBackend)}, form{"v1 pre-backend", rewriteFrame(t, v1, zeroBackend)})
-			}
+			}{{"v2", golden}, {"v2 sld2", rewriteFrame(t, golden, nil)}, {"v3", recheckpoint(t, cfg, golden)}}
 			for _, form := range forms {
 				for _, under := range []Config{cfg, auto} {
 					rt, err := Restore(wordCountJob(), under, bytes.NewReader(form.frame))
@@ -513,11 +325,10 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 
 // TestUpgradeReadsOlderBodies holds upgrade itself to the version-3 body a
 // restored runtime writes back, field by field and payload by payload, for
-// every golden checkpoint as written (version 2), downgraded to version 1 and
-// without a backend: the legacy selectors become Backend, a window of
-// buckets of w gets its WindowBuckets buckets on the clock its oldest bucket
-// puts it at, and version 1's maps become payload frames. A version-3 body
-// it leaves as it is.
+// every golden checkpoint as written (version 2): a window of buckets of w
+// gets its WindowBuckets buckets on the clock its oldest bucket puts it at,
+// the ledger the restored runtime writes back. A version-3 body it leaves
+// as it is.
 func TestUpgradeReadsOlderBodies(t *testing.T) {
 	for _, c := range identityCases() {
 		golden, err := os.ReadFile(goldenPath(c.name))
@@ -527,26 +338,29 @@ func TestUpgradeReadsOlderBodies(t *testing.T) {
 		cfg := c.cfg
 		cfg.Memo = testMemoConfig()
 		v3 := recheckpoint(t, cfg, golden)
-		v1 := downgrade(t, golden, 1)
-		forms := [][]byte{golden, v1, v3}
-		if c.name == "strawman" || c.name == "randomized" {
-			forms = append(forms, rewriteFrame(t, golden, zeroBackend), rewriteFrame(t, v1, zeroBackend))
-		}
-		for _, form := range forms {
-			wantSameCheckpoint(t, v3, form)
-		}
-		var st, before checkpointState
-		if err := errors.Join(persist.Decode(v3, &st), persist.Decode(v3, &before)); err != nil {
+		wantSameCheckpoint(t, v3, golden)
+		var old, st, before checkpointState
+		if err := errors.Join(persist.Decode(golden, &old), persist.Decode(v3, &st), persist.Decode(v3, &before)); err != nil {
 			t.Fatal(err)
 		}
-		if w := st.BucketSplits; st.Mode == Fixed && c.name != "fingertree" {
-			if len(st.BucketSizes) != st.WindowBuckets || slices.ContainsFunc(st.BucketSizes, func(sz int) bool { return sz != w }) ||
-				st.BucketSeq != st.WindowLo/uint64(w)+uint64(st.WindowBuckets) {
-				t.Fatalf("%s: ledger %v on clock %d, want %d buckets of %d on clock %d", c.name, st.BucketSizes, st.BucketSeq,
-					st.WindowBuckets, w, st.WindowLo/uint64(w)+uint64(st.WindowBuckets))
+		if old.Version != 2 {
+			t.Fatalf("%s: the golden checkpoint is a version-%d body, want 2", c.name, old.Version)
+		}
+		if err := upgrade(&old, len(golden)); err != nil {
+			t.Fatal(err)
+		}
+		if w := old.BucketSplits; old.Mode == Fixed && c.name != "fingertree" {
+			if len(old.BucketSizes) != old.WindowBuckets || slices.ContainsFunc(old.BucketSizes, func(sz int) bool { return sz != w }) ||
+				old.BucketSeq != old.WindowLo/uint64(w)+uint64(old.WindowBuckets) {
+				t.Fatalf("%s: ledger %v on clock %d, want %d buckets of %d on clock %d", c.name, old.BucketSizes, old.BucketSeq,
+					old.WindowBuckets, w, old.WindowLo/uint64(w)+uint64(old.WindowBuckets))
 			}
 		}
-		if err := upgrade(&st, v3); err != nil || !reflect.DeepEqual(st, before) {
+		if old.Version != checkpointVersion || !slices.Equal(old.BucketSizes, st.BucketSizes) || old.BucketSeq != st.BucketSeq {
+			t.Fatalf("%s: upgrade made version %d with ledger %v on clock %d, the restored runtime writes %v on clock %d",
+				c.name, old.Version, old.BucketSizes, old.BucketSeq, st.BucketSizes, st.BucketSeq)
+		}
+		if err := upgrade(&st, len(v3)); err != nil || !reflect.DeepEqual(st, before) {
 			t.Fatalf("%s: upgrade moved a version-3 body (%v)", c.name, err)
 		}
 	}
@@ -567,69 +381,11 @@ func recheckpoint(t testing.TB, cfg Config, frame []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestRestoreLedgerlessFrameKeepsBucketClock: a version-2 frame of an
-// in-order Fixed window carries no bucket ledger. Restored into the finger
-// tree — a pre-backend frame under AllowedLateness — its window becomes
-// WindowBuckets buckets of w (upgrade), and the in-order bucket clock goes
-// on from where the window is, its oldest bucket plus WindowBuckets, as it
-// would had the finger tree run the window from the start. A clock that
-// restarted at WindowBuckets would put the effective watermark, and the
-// clock StateFingerprint hashes, behind where the window is.
-func TestRestoreLedgerlessFrameKeepsBucketClock(t *testing.T) {
-	const w, n, slides = 1, 4, 10
-	job := wordCountJob()
-	cfg := Config{Mode: Fixed, BucketSplits: w, WindowBuckets: n, Memo: testMemoConfig()}
-	rt, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, w*n, 4, 7)
-	next := w * n
-	if _, err := rt.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < slides; i++ {
-		add := genSplits(next, w, 4, 7)
-		next += w
-		if _, err := rt.Advance(w, add); err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[w:], add...)
-	}
-	var buf bytes.Buffer
-	if err := rt.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	late := cfg
-	late.AllowedLateness = 2
-	restored, err := Restore(job, late, bytes.NewReader(rewriteFrame(t, downgrade(t, buf.Bytes(), 2), zeroBackend)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Backend() != BackendFingerTree {
-		t.Fatalf("restored backend = %v, want %v", restored.Backend(), BackendFingerTree)
-	}
-	if got, want := restored.bucketSeq, uint64(slides+n); got != want {
-		t.Fatalf("bucket clock %d after restoring a window whose oldest bucket is %d, want %d", got, slides, want)
-	}
-	add := genSplits(next, 1, 4, 7)
-	res, err := restored.AdvanceLate(0, add)
-	if err != nil {
-		t.Fatalf("late arrival at the newest edge: %v", err)
-	}
-	wantSameOutput(t, res.Output, scratch(t, job, append(window, add...)))
-}
-
-// zeroBackend leaves a checkpoint without a Backend, as pre-backend writers
-// did.
-func zeroBackend(st *oldState) { st.Backend = BackendAuto }
-
-// rewriteFrame decodes a checkpoint frame of any version, applies edit (if
-// any) and encodes it again, under the header every writer emits now.
-func rewriteFrame(t testing.TB, frame []byte, edit func(*oldState)) []byte {
+// rewriteFrame decodes a checkpoint frame, applies edit (if any) and
+// encodes it again, under the header every writer emits now.
+func rewriteFrame(t testing.TB, frame []byte, edit func(*goldenBody)) []byte {
 	t.Helper()
-	var st oldState
+	var st goldenBody
 	if err := persist.Decode(frame, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 // as it is — headers, magics, lengths, truncation — or as the gob body of
 // a value frame given a valid header, which puts the mutations where the
 // checkpoint decoder reads them. The seeds are every golden checkpoint as
-// written (sld1), rewritten under sld2, downgraded to version 1, without a
-// backend, and as the version-3 frame a restored runtime writes back, raw
-// and as bodies to reframe.
+// written (sld1), rewritten under sld2 and as the version-3 frame a restored
+// runtime writes back, which restore, and numbered version 1 or without a
+// backend, which Restore refuses — raw and as bodies to reframe.
 func FuzzRestore(f *testing.F) {
 	cases := identityCases()
 	value, err := persist.Encode(0)
@@ -41,7 +41,7 @@ func FuzzRestore(f *testing.F) {
 		}
 		cfg := c.cfg
 		cfg.Memo = testMemoConfig()
-		v1 := downgrade(f, golden, 1)
+		v1 := rewriteFrame(f, golden, version1)
 		f.Add(golden, false, uint8(i))
 		for _, frame := range [][]byte{rewriteFrame(f, golden, nil), v1, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, v1, zeroBackend), recheckpoint(f, cfg, golden)} {
 			f.Add(frame, false, uint8(i))

@@ -304,7 +304,7 @@ func wantSameCheckpoint(t *testing.T, got, want []byte) {
 		if err := persist.Decode(frame, &st); err != nil {
 			t.Fatal(err)
 		}
-		if err := upgrade(&st, frame); err != nil {
+		if err := upgrade(&st, len(frame)); err != nil {
 			t.Fatal(err)
 		}
 		parts := make([]decodedPart, len(st.Partitions))
