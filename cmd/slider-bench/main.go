@@ -10,6 +10,10 @@
 //
 // -json also writes the run it printed as one JSON document: a section
 // per selected experiment, holding the values its text showed.
+//
+// The text's first line and the JSON's "commit" name the commit the run
+// was built from (git rev-parse --short HEAD in the working directory), or
+// "unknown" outside a git checkout.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"strings"
 	"time"
 
@@ -66,7 +71,8 @@ func run(args []string) error {
 		selected = strings.Split(*expList, ",")
 	}
 	start := time.Now()
-	fmt.Fprintf(out, "slider-bench: scale=%s experiments=%s\n\n", *scaleName, *expList)
+	rev := commit("")
+	fmt.Fprintf(out, "slider-bench: scale=%s experiments=%s commit=%s\n\n", *scaleName, *expList, rev)
 	rec, err := bench.Run(out, scale, selected)
 	if err != nil {
 		return err
@@ -74,7 +80,7 @@ func run(args []string) error {
 	elapsed := time.Since(start)
 	fmt.Fprintf(out, "total benchmark time: %v\n", elapsed.Round(time.Millisecond))
 	if *jsonPath != "" {
-		rec.Scale, rec.DurationMs = *scaleName, elapsed.Milliseconds()
+		rec.Scale, rec.Commit, rec.DurationMs = *scaleName, rev, elapsed.Milliseconds()
 		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
 			return err
@@ -85,4 +91,16 @@ func run(args []string) error {
 		fmt.Fprintf(out, "JSON record written to %s\n", *jsonPath)
 	}
 	return nil
+}
+
+// commit names the commit checked out in dir (the working directory when
+// dir is ""), or "unknown" outside a git repository.
+func commit(dir string) string {
+	cmd := exec.Command("git", "rev-parse", "--short", "HEAD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }

@@ -160,6 +160,28 @@ func TestJSONRecordIsThePrintedRun(t *testing.T) {
 	})
 }
 
+// TestRecordNamesItsCommit: the text's first line and the JSON record
+// name the same commit, the one git reports for the working directory
+// (this test runs inside the checkout, or outside any, where both say
+// "unknown"); a directory outside any git repository reads "unknown".
+func TestRecordNamesItsCommit(t *testing.T) {
+	text, fields, rec := runRecorded(t, "fig12")
+	want := commit("")
+	if want == "" || strings.ContainsAny(want, " \n") {
+		t.Fatalf("commit() = %q, want one word", want)
+	}
+	if _, ok := fields["commit"]; !ok || rec.Commit != want {
+		t.Fatalf("JSON commit = %q (present %v), want %q", rec.Commit, ok, want)
+	}
+	first, _, _ := strings.Cut(text, "\n")
+	if !strings.HasSuffix(first, " commit="+want) {
+		t.Fatalf("header %q does not end in commit=%s", first, want)
+	}
+	if got := commit(t.TempDir()); got != "unknown" {
+		t.Fatalf("commit outside a repository = %q, want unknown", got)
+	}
+}
+
 func TestRunRejectsBadScale(t *testing.T) {
 	if err := run([]string{"-scale", "huge"}); err == nil {
 		t.Fatal("bad scale accepted")

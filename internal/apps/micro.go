@@ -82,6 +82,7 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 		panic(fmt.Sprintf("K-Means: k is %d, want at least one centroid", k))
 	}
 	centroids := randomPoints(seed, k, dim)
+	blocks := kernelBlocks(centroids, dim)
 	// A point's key names its centroid: k strings, built here once rather
 	// than one per point.
 	keys := indexKeys("c", len(centroids))
@@ -95,7 +96,7 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 			}
 			sum := make([]float64, len(pt))
 			copy(sum, pt)
-			emit(keys[nearest(pt, centroids)], &CentroidAcc{Sum: sum, Count: 1})
+			emit(keys[nearest(pt, centroids, blocks)], &CentroidAcc{Sum: sum, Count: 1})
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
@@ -121,6 +122,7 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 			panic(fmt.Sprintf("KNN: query %d has dimension %d, query 0 has %d", q, len(query), dim))
 		}
 	}
+	blocks := kernelBlocks(queries, dim)
 	keys := indexKeys("q", len(queries))
 	return &mapreduce.Job{
 		Name:       "KNN",
@@ -135,6 +137,15 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 				emit(keys[q], &Neighbors{K: k, List: []Neighbor{{Dist: d, ID: id}}})
 			}
 			q := 0
+			if blocks != nil {
+				var d [8]float64
+				for ; q+8 <= len(queries); q += 8 {
+					sqDist8(pt, blocks[q*dim:(q+8)*dim], &d)
+					for j, dj := range d {
+						emitQuery(q+j, dj)
+					}
+				}
+			}
 			for ; q+4 <= len(queries); q += 4 {
 				d0, d1, d2, d3 := sqDist4(pt, queries[q], queries[q+1], queries[q+2], queries[q+3])
 				emitQuery(q, d0)
@@ -192,10 +203,25 @@ func point(job string, rec mapreduce.Record, dim int) ([]float64, error) {
 // closest, as a scan that starts from centroid 0's distance and moves on
 // only to a strictly smaller one finds it — so a NaN distance never wins,
 // and a NaN at centroid 0 keeps 0. The distances are sqDist's, bit for
-// bit, four computed per pass (sqDist4) and compared in index order.
-func nearest(p []float64, centroids [][]float64) int {
+// bit, compared in index order: eight per sqDist8 call over blocks, the
+// first len(centroids)/8 blocks of eight as kernelBlocks lays them out, then
+// four per pass (sqDist4) and one at a time. With blocks nil that is the
+// Go loops alone.
+func nearest(p []float64, centroids [][]float64, blocks []float64) int {
 	best, bestD := 0, 0.0
 	c := 0
+	if blocks != nil {
+		n := len(p)
+		var d [8]float64
+		for ; c+8 <= len(centroids); c += 8 {
+			sqDist8(p, blocks[c*n:(c+8)*n], &d)
+			for j, dj := range d {
+				if c+j == 0 || dj < bestD {
+					best, bestD = c+j, dj
+				}
+			}
+		}
+	}
 	for ; c+4 <= len(centroids); c += 4 {
 		d0, d1, d2, d3 := sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
 		if c == 0 || d0 < bestD {
@@ -219,7 +245,49 @@ func nearest(p []float64, centroids [][]float64) int {
 	return best
 }
 
+// kernelBlocks lays the first len(pts)/8 blocks of eight points of
+// dimension dim out for sqDist8, one block after another in one slice:
+// block b is the 8*dim elements from 8*b*dim on, and its element 8*i+j is
+// point 8*b+j's coordinate i. The last len(pts)%8 points are left out.
+// Where this CPU does not run sqDist8's kernel it returns nil, and the
+// callers run the Go loops.
+func kernelBlocks(pts [][]float64, dim int) []float64 {
+	if !haveSqDist8 {
+		return nil
+	}
+	out := make([]float64, len(pts)/8*8*dim)
+	for c := 0; c < len(pts)/8*8; c++ {
+		blk := out[c/8*8*dim:]
+		for i, v := range pts[c][:dim] {
+			blk[8*i+c%8] = v
+		}
+	}
+	return out
+}
+
+// sqDist8 sets out[j] to sqDist(p, centroid j) for the eight centroids blk
+// holds dimension-major (blk[8*i+j] is centroid j's coordinate i), each
+// bit for bit: the kernel subtracts, squares and adds four lanes at a
+// time, one dimension after another, so every lane adds its squares in
+// index order from +0 with each product rounded, as sqDist does; it uses
+// no fused multiply-add, which would round once where sqDist rounds twice.
+// A NaN lane is a NaN, not always the one sqDist yields (see sqDist4).
+// Assembly checks no bounds, so the length of blk is checked here, before
+// every call: anything but 8*len(p) elements panics and the kernel is not
+// run. Callers lay blocks out only where haveSqDist8 holds.
+func sqDist8(p, blk []float64, out *[8]float64) {
+	if len(blk) != 8*len(p) {
+		panic(fmt.Sprintf("apps: sqDist8 block of %d elements for a point of dimension %d, want %d", len(blk), len(p), 8*len(p)))
+	}
+	sqDist8AVX(p, blk, out)
+}
+
 // sqDist returns the squared Euclidean distance, summed in index order.
+// Each square is converted to float64 before it is added: Go may fuse
+// d += x*x into one multiply-add, rounded once (arm64 does, and amd64 at
+// GOAMD64=v3), and the conversion, which the language defines to round,
+// forbids that, so the bits are the same on every architecture and equal
+// to sqDist4's and sqDist8's lanes.
 //
 // Four elements per iteration, still one sum: the order of the additions,
 // and so every bit of the result, is that of the one-element loop. Written
@@ -235,14 +303,14 @@ func sqDist(a, b []float64) float64 {
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		d0, d1, d2, d3 := a[i]-b[i], a[i+1]-b[i+1], a[i+2]-b[i+2], a[i+3]-b[i+3]
-		d += d0 * d0
-		d += d1 * d1
-		d += d2 * d2
-		d += d3 * d3
+		d += float64(d0 * d0)
+		d += float64(d1 * d1)
+		d += float64(d2 * d2)
+		d += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		diff := a[i] - b[i]
-		d += diff * diff
+		d += float64(diff * diff)
 	}
 	return d
 }
@@ -251,12 +319,13 @@ func sqDist(a, b []float64) float64 {
 // sqDist(p, d), each bit for bit: one pass over p feeds four sums, each of
 // which adds its squared differences in index order, as sqDist does. The
 // four chains of additions are independent, so the core runs them side by
-// side where sqDist waits on one. x[i]-p[i] squares to the bits of
-// p[i]-x[i], and saves copying p[i] before each subtraction. A NaN result
-// is a NaN, but not always the same one: which NaN an operation on two
-// NaNs yields follows the order the compiler gave its operands, which Go
-// leaves open, in sqDist as here. a, b, c and d hold at least len(p)
-// elements.
+// side where sqDist waits on one. Each square is converted to float64
+// before it is added, as in sqDist, so that no multiply-add is fused.
+// x[i]-p[i] squares to the bits of p[i]-x[i], and saves copying p[i]
+// before each subtraction. A NaN result is a NaN, but not always the same
+// one: which NaN an operation on two NaNs yields follows the order the
+// compiler gave its operands, which Go leaves open, in sqDist as here. a,
+// b, c and d hold at least len(p) elements.
 func sqDist4(p, a, b, c, d []float64) (da, db, dc, dd float64) {
 	n := len(p)
 	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
@@ -267,22 +336,22 @@ func sqDist4(p, a, b, c, d []float64) (da, db, dc, dd float64) {
 		b0, b1 := b[i]-p0, b[i+1]-p1
 		c0, c1 := c[i]-p0, c[i+1]-p1
 		d0, d1 := d[i]-p0, d[i+1]-p1
-		da += a0 * a0
-		db += b0 * b0
-		dc += c0 * c0
-		dd += d0 * d0
-		da += a1 * a1
-		db += b1 * b1
-		dc += c1 * c1
-		dd += d1 * d1
+		da += float64(a0 * a0)
+		db += float64(b0 * b0)
+		dc += float64(c0 * c0)
+		dd += float64(d0 * d0)
+		da += float64(a1 * a1)
+		db += float64(b1 * b1)
+		dc += float64(c1 * c1)
+		dd += float64(d1 * d1)
 	}
 	if i < n {
 		p0 := p[i]
 		a0, b0, c0, d0 := a[i]-p0, b[i]-p0, c[i]-p0, d[i]-p0
-		da += a0 * a0
-		db += b0 * b0
-		dc += c0 * c0
-		dd += d0 * d0
+		da += float64(a0 * a0)
+		db += float64(b0 * b0)
+		dc += float64(c0 * c0)
+		dd += float64(d0 * d0)
 	}
 	return da, db, dc, dd
 }

@@ -37,7 +37,8 @@ func TestKMeansRefusesNoCentroid(t *testing.T) {
 
 // TestSqDistMatchesIndexOrderSum: the unrolled loop adds in index order,
 // so it agrees with the plain loop to the last bit at every length on
-// either side of the unrolling step.
+// either side of the unrolling step. The reference converts each square to
+// float64, as sqDist does, so that neither is fused into a multiply-add.
 func TestSqDistMatchesIndexOrderSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n <= 50; n++ {
@@ -48,7 +49,7 @@ func TestSqDistMatchesIndexOrderSum(t *testing.T) {
 		var want float64
 		for i := range a {
 			diff := a[i] - b[i]
-			want += diff * diff
+			want += float64(diff * diff)
 		}
 		if got := sqDist(a, b); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("len %d: sqDist = %v, index-order sum = %v", n, got, want)
@@ -111,12 +112,16 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
-// checkNearest holds nearest to scanNearest on one point and every block of
-// four centroids' sqDist4 lanes to sqDist, in bits (sameFloat).
+// checkNearest holds nearest to scanNearest on one point, through the Go
+// loops (no blocks) and, where this CPU runs sqDist8's kernel, through the
+// kernel over kernelBlocks' blocks; and every block of four centroids'
+// sqDist4 lanes and every block of eight's sqDist8 lanes to sqDist, in
+// bits (sameFloat).
 func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
 	t.Helper()
-	if got, want := nearest(p, centroids), scanNearest(p, centroids); got != want {
-		t.Fatalf("k %d, dim %d: nearest = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
+	want := scanNearest(p, centroids)
+	if got := nearest(p, centroids, nil); got != want {
+		t.Fatalf("k %d, dim %d: nearest (Go loops) = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
 	}
 	for c := 0; c+4 <= len(centroids); c += 4 {
 		var lanes [4]float64
@@ -127,18 +132,36 @@ func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
 			}
 		}
 	}
+	blocks := kernelBlocks(centroids, len(p))
+	if blocks == nil {
+		return // no kernel on this CPU
+	}
+	if got := nearest(p, centroids, blocks); got != want {
+		t.Fatalf("k %d, dim %d: nearest (sqDist8) = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
+	}
+	n := len(p)
+	for c := 0; c+8 <= len(centroids); c += 8 {
+		var lanes [8]float64
+		sqDist8(p, blocks[c*n:(c+8)*n], &lanes)
+		for j, got := range lanes {
+			if want := sqDist(p, centroids[c+j]); !sameFloat(got, want) {
+				t.Fatalf("k %d, dim %d: sqDist8 lane %d of block %d = %v, sqDist = %v", len(centroids), len(p), j, c, got, want)
+			}
+		}
+	}
 }
 
 // TestNearestMatchesScan: the blocked argmin picks the scan's centroid —
 // ties to the lowest index, NaN distances never winning, a NaN at
-// centroid 0 keeping it — at every block tail, over random coordinates,
-// duplicated centroids and coordinates drawn from NaN, ±Inf and ±0.
+// centroid 0 keeping it — at every tail of a block of eight and of four,
+// over random coordinates, duplicated centroids and coordinates drawn
+// from NaN, ±Inf and ±0, through the Go loops and the kernel alike.
 func TestNearestMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64}
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65}
 	for _, k := range ks {
-		for dim := 0; dim <= 51; dim++ {
+		for dim := 0; dim <= 67; dim++ {
 			for trial := 0; trial < 6; trial++ {
 				coord := func() float64 { return rng.NormFloat64() }
 				switch trial {
@@ -181,8 +204,8 @@ func TestNearestMatchesScan(t *testing.T) {
 	}
 }
 
-// FuzzNearest holds the blocked argmin and sqDist4 to the scan over raw
-// float bits: the input's 8-byte words are the point's coordinates, then
+// FuzzNearest holds the blocked argmin, sqDist4 and sqDist8 to the scan
+// over raw float bits (checkNearest): the input's 8-byte words are the point's coordinates, then
 // each centroid's, cycling when the input runs out.
 func FuzzNearest(f *testing.F) {
 	word := func(vs ...float64) []byte {
@@ -198,7 +221,7 @@ func FuzzNearest(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, k, dim uint8, data []byte) {
 		n := 1 + int(k)%70
-		d := int(dim) % 60
+		d := int(dim) % 68
 		words := len(data) / 8
 		w := 0
 		next := func() float64 {
@@ -222,6 +245,29 @@ func FuzzNearest(f *testing.F) {
 		}
 		checkNearest(t, p, centroids)
 	})
+}
+
+// TestSqDist8RefusesWrongBlock: a block of any length but eight times the
+// point's dimension panics in the wrapper, naming the lengths, and the
+// kernel — which checks no bounds — never runs: out keeps what it held.
+func TestSqDist8RefusesWrongBlock(t *testing.T) {
+	for _, c := range []struct{ dim, blk int }{{3, 23}, {3, 25}, {3, 0}, {0, 8}, {50, 8 * 49}, {1, 1}} {
+		p, blk := make([]float64, c.dim), make([]float64, c.blk)
+		out := [8]float64{1, 2, 3, 4, 5, 6, 7, 8}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				want := fmt.Sprintf("block of %d elements for a point of dimension %d, want %d", c.blk, c.dim, 8*c.dim)
+				if !strings.Contains(msg, want) {
+					t.Errorf("dim %d, block %d: panicked with %q, want %q", c.dim, c.blk, msg, want)
+				}
+			}()
+			sqDist8(p, blk, &out)
+		}()
+		if out != [8]float64{1, 2, 3, 4, 5, 6, 7, 8} {
+			t.Errorf("dim %d, block %d: the kernel wrote %v", c.dim, c.blk, out)
+		}
+	}
 }
 
 // scalarKMeans is K-Means as it was before its map computed four distances

@@ -37,9 +37,12 @@ type CaseStudyJSON struct {
 }
 
 // ResultsJSON is the machine-readable record of one Run: a section per
-// selected experiment, holding the values its text printed.
+// selected experiment, holding the values its text printed. Run fills the
+// sections; its caller sets Scale, Commit (the commit the run was built
+// from) and DurationMs.
 type ResultsJSON struct {
 	Scale        string                `json:"scale"`
+	Commit       string                `json:"commit"`
 	DurationMs   int64                 `json:"durationMs"`
 	Sweep        []CellJSON            `json:"sweep,omitempty"`
 	Queries      []QueryJSON           `json:"queries,omitempty"`

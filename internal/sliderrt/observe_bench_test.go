@@ -105,7 +105,8 @@ func BenchmarkSlideObs(b *testing.B) {
 // The host this runs on changes speed by the second and hands the CPU to
 // someone else for milliseconds at a time; a slide takes tens of
 // microseconds. So the two arms are two runtimes advanced in lockstep —
-// the same slide on one, then on the other, the order alternating — each
+// the same slide on one, then on the other, the order alternating, each
+// arm mapping its own copy of the input — each
 // Advance timed on the process CPU clock, which does not advance while
 // the process waits for a CPU, and after each pair a fixed reference
 // (overheadReference) is timed the same way. A slow second slows both arms
@@ -145,11 +146,21 @@ func TestObsOffOverhead(t *testing.T) {
 	_, clockErr := cpuclock.Process(0)
 	job := wordCountJob()
 	const slides = 400
-	initial := genSplits(0, 8, 4, 7)
-	adds := make([][]mapreduce.Split, slides)
-	for i := range adds {
-		adds[i] = genSplits(8+i, 1, 4, 7)
+	// Each arm maps its own copy of the input, the same records in storage
+	// of its own: an arm that read records the other had just read would
+	// find them in cache, whichever of the two ran second.
+	type input struct {
+		initial []mapreduce.Split
+		adds    [][]mapreduce.Split
 	}
+	newInput := func() *input {
+		in := &input{initial: genSplits(0, 8, 4, 7), adds: make([][]mapreduce.Split, slides)}
+		for i := range in.adds {
+			in.adds[i] = genSplits(8+i, 1, 4, 7)
+		}
+		return in
+	}
+	noneIn, offIn := newInput(), newInput()
 	ref := newOverheadReference()
 
 	for _, be := range obsBenchBackends() {
@@ -162,17 +173,27 @@ func TestObsOffOverhead(t *testing.T) {
 			budget := share * slideRefs
 			obs := metrics.NewSlideObs() // one bundle for every off arm, as a process has
 			obs.Tracer.SetMode(metrics.TraceOff, 0)
-			start := func(obs *metrics.SlideObs) *Runtime {
+			// An arm is a runtime and the input it maps: the none arm's
+			// (obs nil) or the off arm's.
+			type arm struct {
+				rt *Runtime
+				in *input
+			}
+			start := func(obs *metrics.SlideObs) arm {
 				cfg := be.cfg()
 				cfg.Obs = obs
 				rt, err := New(job, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := rt.Initial(initial); err != nil {
+				in := offIn
+				if obs == nil {
+					in = noneIn
+				}
+				if _, err := rt.Initial(in.initial); err != nil {
 					t.Fatal(err)
 				}
-				return rt
+				return arm{rt, in}
 			}
 			timed := func(f func()) time.Duration {
 				begin, _ := cpuclock.Process(0)
@@ -180,9 +201,9 @@ func TestObsOffOverhead(t *testing.T) {
 				end, _ := cpuclock.Process(0)
 				return end - begin
 			}
-			slide := func(rt *Runtime, i int) time.Duration {
+			slide := func(a arm, i int) time.Duration {
 				return timed(func() {
-					if _, err := rt.Advance(1, adds[i]); err != nil {
+					if _, err := a.rt.Advance(1, a.in.adds[i]); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -199,13 +220,13 @@ func TestObsOffOverhead(t *testing.T) {
 			// collections before each slide empty every pool, so each
 			// slide of each arm starts from none.
 			allocs := func(obs *metrics.SlideObs) float64 {
-				rt := start(obs)
+				a := start(obs)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				for i := range adds {
+				for i := range slides {
 					runtime.GC()
 					runtime.GC()
-					slide(rt, i)
+					slide(a, i)
 				}
 				runtime.ReadMemStats(&after)
 				return float64(after.Mallocs-before.Mallocs) / slides
