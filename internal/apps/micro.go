@@ -94,9 +94,9 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			sum := make([]float64, len(pt))
-			copy(sum, pt)
-			emit(keys[nearest(pt, centroids, blocks)], &CentroidAcc{Sum: sum, Count: 1})
+			// The accumulator's sum is the point itself, not a copy: no
+			// accumulator is written once built, and no record once pushed.
+			emit(keys[nearest(pt, centroids, blocks)], &CentroidAcc{Sum: pt, Count: 1})
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
@@ -133,17 +133,26 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 				return err
 			}
 			id := pointID(pt)
+			// One list and one neighbour array a point, not one of each a
+			// query: query q's value is &ns[q], whose list is nb[q], capped
+			// at one element. No value is written once emitted — Merge
+			// builds fresh lists — so the values may share the arrays.
+			ns, nb := make([]Neighbors, len(queries)), make([]Neighbor, len(queries))
 			emitQuery := func(q int, d float64) {
-				emit(keys[q], &Neighbors{K: k, List: []Neighbor{{Dist: d, ID: id}}})
+				nb[q] = Neighbor{Dist: d, ID: id}
+				ns[q] = Neighbors{K: k, List: nb[q : q+1 : q+1]}
+				emit(keys[q], &ns[q])
 			}
 			q := 0
 			if blocks != nil {
-				var d [8]float64
-				for ; q+8 <= len(queries); q += 8 {
-					sqDist8(pt, blocks[q*dim:(q+8)*dim], &d)
-					for j, dj := range d {
+				var d [kernelLanes]float64
+				for q+8 <= len(queries) {
+					out := d[:min(len(d), (len(queries)-q)&^7)]
+					sqDistBlocks(pt, blocks[q*dim:(q+len(out))*dim], out)
+					for j, dj := range out {
 						emitQuery(q+j, dj)
 					}
+					q += len(out)
 				}
 			}
 			for ; q+4 <= len(queries); q += 4 {
@@ -203,23 +212,25 @@ func point(job string, rec mapreduce.Record, dim int) ([]float64, error) {
 // closest, as a scan that starts from centroid 0's distance and moves on
 // only to a strictly smaller one finds it — so a NaN distance never wins,
 // and a NaN at centroid 0 keeps 0. The distances are sqDist's, bit for
-// bit, compared in index order: eight per sqDist8 call over blocks, the
-// first len(centroids)/8 blocks of eight as kernelBlocks lays them out, then
-// four per pass (sqDist4) and one at a time. With blocks nil that is the
-// Go loops alone.
+// bit, compared in index order: up to kernelLanes per sqDistBlocks call
+// over blocks, the first len(centroids)/8 blocks of eight as kernelBlocks
+// lays them out, then four per pass (sqDist4) and one at a time. With
+// blocks nil that is the Go loops alone.
 func nearest(p []float64, centroids [][]float64, blocks []float64) int {
 	best, bestD := 0, 0.0
 	c := 0
 	if blocks != nil {
 		n := len(p)
-		var d [8]float64
-		for ; c+8 <= len(centroids); c += 8 {
-			sqDist8(p, blocks[c*n:(c+8)*n], &d)
-			for j, dj := range d {
+		var d [kernelLanes]float64
+		for c+8 <= len(centroids) {
+			out := d[:min(len(d), (len(centroids)-c)&^7)]
+			sqDistBlocks(p, blocks[c*n:(c+len(out))*n], out)
+			for j, dj := range out {
 				if c+j == 0 || dj < bestD {
 					best, bestD = c+j, dj
 				}
 			}
+			c += len(out)
 		}
 	}
 	for ; c+4 <= len(centroids); c += 4 {
@@ -245,11 +256,16 @@ func nearest(p []float64, centroids [][]float64, blocks []float64) int {
 	return best
 }
 
+// kernelLanes is the most distances nearest and KNN ask of one
+// sqDistBlocks call: four blocks of eight, the kernel's widest pass, in an
+// array on the caller's stack.
+const kernelLanes = 32
+
 // kernelBlocks lays the first len(pts)/8 blocks of eight points of
-// dimension dim out for sqDist8, one block after another in one slice:
-// block b is the 8*dim elements from 8*b*dim on, and its element 8*i+j is
-// point 8*b+j's coordinate i. The last len(pts)%8 points are left out.
-// Where this CPU does not run sqDist8's kernel it returns nil, and the
+// dimension dim out for sqDistBlocks, one block after another in one
+// slice: block b is the 8*dim elements from 8*b*dim on, and its element
+// 8*i+j is point 8*b+j's coordinate i. The last len(pts)%8 points are left
+// out. Where this CPU does not run the kernel it returns nil, and the
 // callers run the Go loops.
 func kernelBlocks(pts [][]float64, dim int) []float64 {
 	if !haveSqDist8 {
@@ -265,21 +281,25 @@ func kernelBlocks(pts [][]float64, dim int) []float64 {
 	return out
 }
 
-// sqDist8 sets out[j] to sqDist(p, centroid j) for the eight centroids blk
-// holds dimension-major (blk[8*i+j] is centroid j's coordinate i), each
-// bit for bit: the kernel subtracts, squares and adds four lanes at a
-// time, one dimension after another, so every lane adds its squares in
-// index order from +0 with each product rounded, as sqDist does; it uses
-// no fused multiply-add, which would round once where sqDist rounds twice.
+// sqDistBlocks sets out[8*b+j] to sqDist(p, centroid j of block b) for the
+// len(out)/8 blocks blk holds, each laid out dimension-major as
+// kernelBlocks lays them (block b's element 8*i+j is its centroid j's
+// coordinate i), each bit for bit: the kernel subtracts, squares and adds
+// four lanes at a time, one dimension after another, so every lane adds
+// its squares in index order from +0 with each product rounded, as sqDist
+// does; it uses no fused multiply-add, which would round once where sqDist
+// rounds twice. It runs four blocks a pass while four remain, then one.
 // A NaN lane is a NaN, not always the one sqDist yields (see sqDist4).
-// Assembly checks no bounds, so the length of blk is checked here, before
-// every call: anything but 8*len(p) elements panics and the kernel is not
-// run. Callers lay blocks out only where haveSqDist8 holds.
-func sqDist8(p, blk []float64, out *[8]float64) {
-	if len(blk) != 8*len(p) {
-		panic(fmt.Sprintf("apps: sqDist8 block of %d elements for a point of dimension %d, want %d", len(blk), len(p), 8*len(p)))
+// Assembly checks no bounds, so the lengths are checked here, before every
+// call: unless out holds whole blocks and blk len(out)*len(p) elements, it
+// panics and the kernel is not run. Callers lay blocks out only where
+// haveSqDist8 holds.
+func sqDistBlocks(p, blk, out []float64) {
+	if len(out)%8 != 0 || len(blk) != len(out)*len(p) {
+		panic(fmt.Sprintf("apps: sqDistBlocks of %d lanes over %d elements for a point of dimension %d, want lanes a multiple of 8 and %d elements",
+			len(out), len(blk), len(p), len(out)*len(p)))
 	}
-	sqDist8AVX(p, blk, out)
+	sqDistBlocksAVX(p, blk, out)
 }
 
 // sqDist returns the squared Euclidean distance, summed in index order.
@@ -287,7 +307,7 @@ func sqDist8(p, blk []float64, out *[8]float64) {
 // d += x*x into one multiply-add, rounded once (arm64 does, and amd64 at
 // GOAMD64=v3), and the conversion, which the language defines to round,
 // forbids that, so the bits are the same on every architecture and equal
-// to sqDist4's and sqDist8's lanes.
+// to sqDist4's and sqDistBlocks' lanes.
 //
 // Four elements per iteration, still one sum: the order of the additions,
 // and so every bit of the result, is that of the one-element loop. Written

@@ -58,10 +58,11 @@ func TestSqDistMatchesIndexOrderSum(t *testing.T) {
 }
 
 // TestKMeansMapAllocs pins what K-Means' map function allocates per point:
-// the accumulator and its copy of the point, two allocations. The key names
-// the nearest centroid with a string the job built once, so a point costs
-// no key of its own (it cost a third allocation while the key was
-// concatenated per point), and the keys read as before.
+// the accumulator, one allocation, whose sum is the point itself (a copy of
+// the point was a second). The key names the nearest centroid with a
+// string the job built once, so a point costs no key of its own (it cost
+// a third allocation while the key was concatenated per point), and the
+// keys read as before.
 func TestKMeansMapAllocs(t *testing.T) {
 	const k, dim = 64, 50
 	job := KMeans(1, k, dim, 7)
@@ -86,8 +87,8 @@ func TestKMeansMapAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs != 2 {
-		t.Fatalf("the map function allocates %.1f times per point, want 2 (accumulator, point copy)", allocs)
+	if allocs != 1 {
+		t.Fatalf("the map function allocates %.1f times per point, want 1 (the accumulator)", allocs)
 	}
 }
 
@@ -113,10 +114,12 @@ func sameFloat(a, b float64) bool {
 }
 
 // checkNearest holds nearest to scanNearest on one point, through the Go
-// loops (no blocks) and, where this CPU runs sqDist8's kernel, through the
-// kernel over kernelBlocks' blocks; and every block of four centroids'
-// sqDist4 lanes and every block of eight's sqDist8 lanes to sqDist, in
-// bits (sameFloat).
+// loops (no blocks) and, where this CPU runs sqDistBlocks' kernel, through
+// the kernel over kernelBlocks' blocks; and every block of four centroids'
+// sqDist4 lanes and every sqDistBlocks lane to sqDist, in bits (sameFloat).
+// The lanes come from one sqDistBlocks call over all the blocks — four a
+// pass while four remain, then one — and the call writes nothing past its
+// out.
 func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
 	t.Helper()
 	want := scanNearest(p, centroids)
@@ -137,16 +140,23 @@ func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
 		return // no kernel on this CPU
 	}
 	if got := nearest(p, centroids, blocks); got != want {
-		t.Fatalf("k %d, dim %d: nearest (sqDist8) = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
+		t.Fatalf("k %d, dim %d: nearest (sqDistBlocks) = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
 	}
-	n := len(p)
-	for c := 0; c+8 <= len(centroids); c += 8 {
-		var lanes [8]float64
-		sqDist8(p, blocks[c*n:(c+8)*n], &lanes)
-		for j, got := range lanes {
-			if want := sqDist(p, centroids[c+j]); !sameFloat(got, want) {
-				t.Fatalf("k %d, dim %d: sqDist8 lane %d of block %d = %v, sqDist = %v", len(centroids), len(p), j, c, got, want)
-			}
+	m := len(centroids) &^ 7
+	const sentinel = -1.5
+	lanes := make([]float64, m+8)
+	for i := range lanes {
+		lanes[i] = sentinel
+	}
+	sqDistBlocks(p, blocks, lanes[:m])
+	for c, got := range lanes[:m] {
+		if want := sqDist(p, centroids[c]); !sameFloat(got, want) {
+			t.Fatalf("k %d, dim %d: sqDistBlocks lane %d (block %d) = %v, sqDist = %v", len(centroids), len(p), c, c/8, got, want)
+		}
+	}
+	for i, v := range lanes[m:] {
+		if v != sentinel {
+			t.Fatalf("k %d, dim %d: sqDistBlocks of %d lanes wrote %v at lane %d", len(centroids), len(p), m, v, m+i)
 		}
 	}
 }
@@ -154,12 +164,14 @@ func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
 // TestNearestMatchesScan: the blocked argmin picks the scan's centroid —
 // ties to the lowest index, NaN distances never winning, a NaN at
 // centroid 0 keeping it — at every tail of a block of eight and of four,
-// over random coordinates, duplicated centroids and coordinates drawn
-// from NaN, ±Inf and ±0, through the Go loops and the kernel alike.
+// with the kernel's four-block pass run zero to three times and followed
+// by up to three one-block passes, over random coordinates, duplicated
+// centroids and coordinates drawn from NaN, ±Inf and ±0, through the Go
+// loops and the kernel alike.
 func TestNearestMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64}
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 97}
 	for _, k := range ks {
 		for dim := 0; dim <= 67; dim++ {
 			for trial := 0; trial < 6; trial++ {
@@ -204,9 +216,10 @@ func TestNearestMatchesScan(t *testing.T) {
 	}
 }
 
-// FuzzNearest holds the blocked argmin, sqDist4 and sqDist8 to the scan
-// over raw float bits (checkNearest): the input's 8-byte words are the point's coordinates, then
-// each centroid's, cycling when the input runs out.
+// FuzzNearest holds the blocked argmin, sqDist4 and sqDistBlocks to the
+// scan over raw float bits (checkNearest): the input's 8-byte words are the
+// point's coordinates, then each centroid's, cycling when the input runs
+// out. k reaches 104, past three four-block passes.
 func FuzzNearest(f *testing.F) {
 	word := func(vs ...float64) []byte {
 		var b []byte
@@ -220,7 +233,7 @@ func FuzzNearest(f *testing.F) {
 	f.Add(uint8(64), uint8(50), word(0.25, 0.75))
 	f.Add(uint8(4), uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, k, dim uint8, data []byte) {
-		n := 1 + int(k)%70
+		n := 1 + int(k)%104
 		d := int(dim) % 68
 		words := len(data) / 8
 		w := 0
@@ -247,25 +260,34 @@ func FuzzNearest(f *testing.F) {
 	})
 }
 
-// TestSqDist8RefusesWrongBlock: a block of any length but eight times the
-// point's dimension panics in the wrapper, naming the lengths, and the
-// kernel — which checks no bounds — never runs: out keeps what it held.
-func TestSqDist8RefusesWrongBlock(t *testing.T) {
-	for _, c := range []struct{ dim, blk int }{{3, 23}, {3, 25}, {3, 0}, {0, 8}, {50, 8 * 49}, {1, 1}} {
+// TestSqDistBlocksRefusesWrongLength: unless out holds whole blocks of
+// eight lanes and blk len(out) times the point's dimension, the wrapper
+// panics, naming the lengths, and the kernel — which checks no bounds —
+// never runs: out keeps what it held.
+func TestSqDistBlocksRefusesWrongLength(t *testing.T) {
+	for _, c := range []struct{ dim, blk, out int }{
+		{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 8, 8}, {50, 8 * 49, 8}, {1, 1, 8},
+		{3, 96, 8}, {3, 24, 32}, {2, 14, 7}, {2, 18, 9}, {0, 0, 4}, {4, 4 * 33, 33}, {1, 0, 1},
+	} {
 		p, blk := make([]float64, c.dim), make([]float64, c.blk)
-		out := [8]float64{1, 2, 3, 4, 5, 6, 7, 8}
+		out := make([]float64, c.out)
+		for i := range out {
+			out[i] = float64(i + 1)
+		}
 		func() {
 			defer func() {
 				msg := fmt.Sprint(recover())
-				want := fmt.Sprintf("block of %d elements for a point of dimension %d, want %d", c.blk, c.dim, 8*c.dim)
+				want := fmt.Sprintf("sqDistBlocks of %d lanes over %d elements for a point of dimension %d", c.out, c.blk, c.dim)
 				if !strings.Contains(msg, want) {
-					t.Errorf("dim %d, block %d: panicked with %q, want %q", c.dim, c.blk, msg, want)
+					t.Errorf("dim %d, block %d, lanes %d: panicked with %q, want %q", c.dim, c.blk, c.out, msg, want)
 				}
 			}()
-			sqDist8(p, blk, &out)
+			sqDistBlocks(p, blk, out)
 		}()
-		if out != [8]float64{1, 2, 3, 4, 5, 6, 7, 8} {
-			t.Errorf("dim %d, block %d: the kernel wrote %v", c.dim, c.blk, out)
+		for i, v := range out {
+			if v != float64(i+1) {
+				t.Errorf("dim %d, block %d, lanes %d: the kernel wrote %v at lane %d", c.dim, c.blk, c.out, v, i)
+			}
 		}
 	}
 }
@@ -403,10 +425,11 @@ func TestPointDimensionIsChecked(t *testing.T) {
 	}
 }
 
-// TestKNNMapAllocs pins what KNN's map function allocates per point: a
-// neighbour list and its one-element slice per query. The keys are built
-// once, by the job (a point cost a third allocation a query while each key
-// was concatenated), and read as before.
+// TestKNNMapAllocs pins what KNN's map function allocates per point: one
+// array of neighbour lists and one of neighbours, two allocations however
+// many queries there are (a list and its one-element slice a query, 32
+// with 16 queries, before the values shared them). The keys are built
+// once, by the job, and read as before.
 func TestKNNMapAllocs(t *testing.T) {
 	const queries, dim = 16, 50
 	gen := workload.NewPoints(workload.PointsConfig{Seed: 7, PointsPerSplit: 256, Dim: dim})
@@ -432,8 +455,8 @@ func TestKNNMapAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs != 2*queries {
-		t.Fatalf("the map function allocates %.1f times per point, want %d (2 a query)", allocs, 2*queries)
+	if allocs != 2 {
+		t.Fatalf("the map function allocates %.1f times per point, want 2 (the lists, the neighbours)", allocs)
 	}
 }
 

@@ -1,6 +1,6 @@
 package apps
 
-// haveSqDist8 says whether this CPU runs sqDist8's AVX kernel: it has AVX
+// haveSqDist8 says whether this CPU runs sqDistBlocks' AVX kernel: it has AVX
 // (CPUID leaf 1, ECX bit 28) and the operating system saves the YMM
 // registers across context switches (OSXSAVE, ECX bit 27, and XCR0's SSE
 // and AVX state bits). Decided once, at start-up.
@@ -16,11 +16,12 @@ var haveSqDist8 = func() bool {
 	return xgetbv0()&xmmYmm == xmmYmm
 }()
 
-// sqDist8AVX is the kernel behind sqDist8 (sqdist8_amd64.s). It reads
-// len(p) elements of p and 8*len(p) of blk, unchecked.
+// sqDistBlocksAVX is the kernel behind sqDistBlocks (sqdist8_amd64.s). It
+// reads len(p) elements of p and len(out)*len(p) of blk, and writes
+// len(out) of out, unchecked.
 //
 //go:noescape
-func sqDist8AVX(p, blk []float64, out *[8]float64)
+func sqDistBlocksAVX(p, blk, out []float64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -6,6 +6,6 @@ package apps
 // blocks, and K-Means and KNN run the Go loops.
 const haveSqDist8 = false
 
-func sqDist8AVX(p, blk []float64, out *[8]float64) {
-	panic("apps: sqDist8 has no kernel on this architecture")
+func sqDistBlocksAVX(p, blk, out []float64) {
+	panic("apps: sqDistBlocks has no kernel on this architecture")
 }

@@ -14,7 +14,10 @@ import (
 // CentroidAcc accumulates the vector sum and count of the points assigned
 // to one K-Means centroid.
 type CentroidAcc struct {
-	// Sum is the per-dimension sum of assigned points.
+	// Sum is the per-dimension sum of assigned points. It is read and
+	// never written: K-Means' map emits a point's own slice as the sum of
+	// its one-point accumulator, and Add and the job's Combine build fresh
+	// accumulators. A caller must not modify a pushed point, nor a Sum.
 	Sum []float64
 	// Count is the number of assigned points.
 	Count int64

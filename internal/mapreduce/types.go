@@ -55,7 +55,11 @@ type Job struct {
 	Name string
 	// Partitions is the number of reduce partitions (R). Defaults to 1.
 	Partitions int
-	// Map processes one record, emitting intermediate key/value pairs.
+	// Map processes one record, emitting intermediate key/value pairs. It
+	// reads the record and never writes it, and the values it emits may
+	// share the record's memory (K-Means emits a point as its
+	// accumulator's sum): nothing writes a record once it is pushed, nor a
+	// value once it is emitted.
 	Map func(rec Record, emit Emit) error
 	// MapLine, when set, declares that the job maps a record that is a
 	// string as MapLine maps that line: the same pairs, in the same order,
@@ -123,6 +127,11 @@ func (j *Job) NumPartitions() int {
 // memoization layer reuses a map task's output whenever a split with the
 // same ID reappears in the window (paper §2: "reuse the results of Map
 // tasks operating on old but live data").
+//
+// A split's records are read and never written: the map function only
+// reads them, and its values may share their memory, so the payloads built
+// from a split can hold parts of its records for as long as the window
+// does. A caller must not modify a record once it is handed over.
 type Split struct {
 	// ID is the split's stable, globally unique identity.
 	ID string

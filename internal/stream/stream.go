@@ -253,7 +253,9 @@ func NewCountWindow(cfg CountConfig, sink Sink) (*CountWindow, error) {
 }
 
 // Push appends records to the stream; full splits and full slides fire
-// runs synchronously.
+// runs synchronously. The records are read and never written, and the job's
+// map values may share their memory for as long as the window holds them,
+// so a caller must not modify a record once it is pushed.
 func (w *CountWindow) Push(records ...mapreduce.Record) error {
 	if w.stopped {
 		return ErrStopped
@@ -354,6 +356,9 @@ func NewTimeWindow(cfg TimeConfig, sink Sink) (*TimeWindow, error) {
 // Push adds a timestamped record. Crossing a slide boundary closes the
 // current period — and every empty one up to the record's — and may fire
 // runs. A record older than the open period is refused with ErrOutOfOrder.
+// As with CountWindow.Push, the record is read and never written, its map
+// values may share its memory, and a caller must not modify it once it is
+// pushed.
 func (t *TimeWindow) Push(rec TimedRecord) error {
 	if !t.hasEpoch {
 		t.periodStart = rec.At.Truncate(t.cfg.Slide)
