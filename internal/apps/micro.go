@@ -78,11 +78,16 @@ func SubStr(partitions int) *mapreduce.Job {
 // another dimension than dim is an error, and a k below one a panic here:
 // with no centroid there is no nearest one for Map to find.
 func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
+	return kmeans(partitions, k, dim, seed, distKernel)
+}
+
+// kmeans is KMeans computing its distances under kernel kern.
+func kmeans(partitions, k, dim int, seed int64, kern kernel) *mapreduce.Job {
 	if k < 1 {
 		panic(fmt.Sprintf("K-Means: k is %d, want at least one centroid", k))
 	}
 	centroids := randomPoints(seed, k, dim)
-	blocks := kernelBlocks(centroids, dim)
+	blocks := kernelBlocks(kern, centroids, dim)
 	// A point's key names its centroid: k strings, built here once rather
 	// than one per point.
 	keys := indexKeys("c", len(centroids))
@@ -96,14 +101,14 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 			}
 			// The accumulator's sum is the point itself, not a copy: no
 			// accumulator is written once built, and no record once pushed.
-			emit(keys[nearest(pt, centroids, blocks)], &CentroidAcc{Sum: pt, Count: 1})
+			emit(keys[nearest(kern, pt, centroids, blocks)], &CentroidAcc{Sum: pt, Count: 1})
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
 			return sumCentroidAccs(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return sumCentroidAccs(values).Mean()
+			return meanCentroidAccs(values)
 		},
 		Commutative: true,
 	}
@@ -114,6 +119,11 @@ func KMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 // the k nearest data points in the window. The queries share one
 // dimension, and a point of another is an error.
 func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
+	return knn(partitions, k, queries, distKernel)
+}
+
+// knn is KNN computing its distances under kernel kern.
+func knn(partitions, k int, queries [][]float64, kern kernel) *mapreduce.Job {
 	dim := -1 // no query: a point of any dimension
 	for q, query := range queries {
 		if q == 0 {
@@ -122,7 +132,7 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 			panic(fmt.Sprintf("KNN: query %d has dimension %d, query 0 has %d", q, len(query), dim))
 		}
 	}
-	blocks := kernelBlocks(queries, dim)
+	blocks := kernelBlocks(kern, queries, dim)
 	keys := indexKeys("q", len(queries))
 	return &mapreduce.Job{
 		Name:       "KNN",
@@ -148,7 +158,7 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 				var d [kernelLanes]float64
 				for q+8 <= len(queries) {
 					out := d[:min(len(d), (len(queries)-q)&^7)]
-					sqDistBlocks(pt, blocks[q*dim:(q+len(out))*dim], out)
+					sqDistBlocks(kern, pt, blocks[q*dim:(q+len(out))*dim], out)
 					for j, dj := range out {
 						emitQuery(q+j, dj)
 					}
@@ -168,18 +178,10 @@ func KNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*Neighbors)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*Neighbors))
-			}
-			return acc
+			return mergeNeighbors(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*Neighbors)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*Neighbors))
-			}
-			return acc
+			return mergeNeighbors(values)
 		},
 		Commutative: true,
 	}
@@ -208,30 +210,42 @@ func point(job string, rec mapreduce.Record, dim int) ([]float64, error) {
 	return pt, nil
 }
 
+// kernel names one way to compute a point's distances to a job's fixed
+// points. Each computes sqDist's bits for every distance; they differ in
+// how many they compute side by side.
+type kernel uint8
+
+const (
+	// kernelGo is the Go loops: sqDist4 four points a pass, then sqDist.
+	// Every architecture and CPU runs it.
+	kernelGo kernel = iota
+	// kernelAVX is sqDistBlocksAVX (sqdist_avx_amd64.s): blocks of eight
+	// points, four blocks a pass while four remain, then one, in 4-lane
+	// YMM sums; nearest compares its distances in Go.
+	kernelAVX
+	// kernelAVX512 is sqDistBlocksAVX512 and argminBlocksAVX512
+	// (sqdist_avx512_amd64.s): eight blocks a pass while eight remain,
+	// then one, a block to one 8-lane ZMM sum; nearest's argmin runs in
+	// the same pass.
+	kernelAVX512
+)
+
+func (k kernel) String() string { return [...]string{"go", "avx", "avx512"}[k] }
+
 // nearest returns the index of the centroid closest to p: the first of the
 // closest, as a scan that starts from centroid 0's distance and moves on
 // only to a strictly smaller one finds it — so a NaN distance never wins,
 // and a NaN at centroid 0 keeps 0. The distances are sqDist's, bit for
-// bit, compared in index order: up to kernelLanes per sqDistBlocks call
-// over blocks, the first len(centroids)/8 blocks of eight as kernelBlocks
-// lays them out, then four per pass (sqDist4) and one at a time. With
-// blocks nil that is the Go loops alone.
-func nearest(p []float64, centroids [][]float64, blocks []float64) int {
+// bit. Under a kernel with blocks (kernelBlocks' layout of the first
+// len(centroids)/8 blocks of eight) argminBlocks scans those centroids;
+// the rest, and all of them under kernelGo (blocks nil), are compared in
+// index order, four per pass (sqDist4) and then one at a time.
+func nearest(k kernel, p []float64, centroids [][]float64, blocks []float64) int {
 	best, bestD := 0, 0.0
 	c := 0
-	if blocks != nil {
-		n := len(p)
-		var d [kernelLanes]float64
-		for c+8 <= len(centroids) {
-			out := d[:min(len(d), (len(centroids)-c)&^7)]
-			sqDistBlocks(p, blocks[c*n:(c+len(out))*n], out)
-			for j, dj := range out {
-				if c+j == 0 || dj < bestD {
-					best, bestD = c+j, dj
-				}
-			}
-			c += len(out)
-		}
+	if m := len(centroids) &^ 7; blocks != nil && m > 0 {
+		best, bestD = argminBlocks(k, p, blocks[:m*len(p)], m)
+		c = m
 	}
 	for ; c+4 <= len(centroids); c += 4 {
 		d0, d1, d2, d3 := sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
@@ -256,19 +270,19 @@ func nearest(p []float64, centroids [][]float64, blocks []float64) int {
 	return best
 }
 
-// kernelLanes is the most distances nearest and KNN ask of one
-// sqDistBlocks call: four blocks of eight, the kernel's widest pass, in an
+// kernelLanes is the most distances KNN, and nearest under kernelAVX, ask
+// of one sqDistBlocks call: eight blocks of eight, the widest pass, in an
 // array on the caller's stack.
-const kernelLanes = 32
+const kernelLanes = 64
 
 // kernelBlocks lays the first len(pts)/8 blocks of eight points of
-// dimension dim out for sqDistBlocks, one block after another in one
-// slice: block b is the 8*dim elements from 8*b*dim on, and its element
-// 8*i+j is point 8*b+j's coordinate i. The last len(pts)%8 points are left
-// out. Where this CPU does not run the kernel it returns nil, and the
+// dimension dim out for kernel k, one block after another in one slice:
+// block b is the 8*dim elements from 8*b*dim on, and its element 8*i+j is
+// point 8*b+j's coordinate i. The last len(pts)%8 points are left out.
+// Both kernels read this layout; under kernelGo it returns nil, and the
 // callers run the Go loops.
-func kernelBlocks(pts [][]float64, dim int) []float64 {
-	if !haveSqDist8 {
+func kernelBlocks(k kernel, pts [][]float64, dim int) []float64 {
+	if k == kernelGo {
 		return nil
 	}
 	out := make([]float64, len(pts)/8*8*dim)
@@ -282,24 +296,80 @@ func kernelBlocks(pts [][]float64, dim int) []float64 {
 }
 
 // sqDistBlocks sets out[8*b+j] to sqDist(p, centroid j of block b) for the
-// len(out)/8 blocks blk holds, each laid out dimension-major as
-// kernelBlocks lays them (block b's element 8*i+j is its centroid j's
-// coordinate i), each bit for bit: the kernel subtracts, squares and adds
-// four lanes at a time, one dimension after another, so every lane adds
-// its squares in index order from +0 with each product rounded, as sqDist
-// does; it uses no fused multiply-add, which would round once where sqDist
-// rounds twice. It runs four blocks a pass while four remain, then one.
-// A NaN lane is a NaN, not always the one sqDist yields (see sqDist4).
-// Assembly checks no bounds, so the lengths are checked here, before every
-// call: unless out holds whole blocks and blk len(out)*len(p) elements, it
-// panics and the kernel is not run. Callers lay blocks out only where
-// haveSqDist8 holds.
-func sqDistBlocks(p, blk, out []float64) {
+// len(out)/8 blocks blk holds, each laid out as kernelBlocks lays them,
+// each bit for bit: kernel k subtracts, squares and adds four (kernelAVX)
+// or eight (kernelAVX512) lanes at a time, one dimension after another, so
+// every lane adds its squares in index order from +0 with each product
+// rounded, as sqDist does; it uses no fused multiply-add, which would
+// round once where sqDist rounds twice. How many blocks a pass computes
+// side by side never changes the operations of one lane. A NaN lane is a
+// NaN, not always the one sqDist yields (see sqDist4). Assembly checks no
+// bounds, so the lengths are checked here, before every call: unless out
+// holds whole blocks and blk len(out)*len(p) elements, it panics and the
+// kernel is not run. kernelGo has no blocks, and panics.
+func sqDistBlocks(k kernel, p, blk, out []float64) {
 	if len(out)%8 != 0 || len(blk) != len(out)*len(p) {
 		panic(fmt.Sprintf("apps: sqDistBlocks of %d lanes over %d elements for a point of dimension %d, want lanes a multiple of 8 and %d elements",
 			len(out), len(blk), len(p), len(out)*len(p)))
 	}
-	sqDistBlocksAVX(p, blk, out)
+	switch k {
+	case kernelAVX:
+		sqDistBlocksAVX(p, blk, out)
+	case kernelAVX512:
+		sqDistBlocksAVX512(p, blk, out)
+	default:
+		panic("apps: sqDistBlocks under " + k.String() + ", which has no blocks")
+	}
+}
+
+// argminBlocks returns the scan's state after the lanes centroids blk
+// holds, laid out as kernelBlocks lays them: the index of the first of the
+// closest to p, as nearest defines it, and its distance, sqDist's bits.
+// kernelAVX512 computes the distances and their argmin in one pass and
+// stores none (argminBlocksAVX512); kernelAVX computes up to kernelLanes
+// distances a call into an array on the stack and compares them here. The
+// lengths are checked first, as in sqDistBlocks: unless lanes is a
+// positive multiple of 8 and blk holds lanes*len(p) elements, it panics.
+func argminBlocks(k kernel, p, blk []float64, lanes int) (best int, bestD float64) {
+	if lanes < 8 || lanes%8 != 0 || len(blk) != lanes*len(p) {
+		panic(fmt.Sprintf("apps: argminBlocks of %d lanes over %d elements for a point of dimension %d, want a positive multiple of 8 lanes and %d elements",
+			lanes, len(blk), len(p), lanes*len(p)))
+	}
+	switch k {
+	case kernelAVX512:
+		return argminBlocksAVX512(p, blk, lanes)
+	case kernelAVX:
+		n := len(p)
+		var d [kernelLanes]float64
+		for c := 0; c < lanes; {
+			out := d[:min(len(d), lanes-c)]
+			sqDistBlocksAVX(p, blk[c*n:(c+len(out))*n], out)
+			for j, dj := range out {
+				if c+j == 0 || dj < bestD {
+					best, bestD = c+j, dj
+				}
+			}
+			c += len(out)
+		}
+		return best, bestD
+	}
+	panic("apps: argminBlocks under " + k.String() + ", which has no blocks")
+}
+
+// addFloats adds src into dst element by element, dst[i] += src[i] for
+// every i of src: eight elements an instruction under kernelAVX512
+// (addFloatsAVX512), one at a time otherwise. The elements are independent
+// and each is one rounded addition, so both write the same bits. A src
+// longer than dst panics, as indexing dst would.
+func addFloats(k kernel, dst, src []float64) {
+	dst = dst[:len(src)]
+	if k == kernelAVX512 {
+		addFloatsAVX512(dst, src)
+		return
+	}
+	for i, x := range src {
+		dst[i] += x
+	}
 }
 
 // sqDist returns the squared Euclidean distance, summed in index order.

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"slider/internal/israce"
 	"slider/internal/mapreduce"
 	"slider/internal/workload"
 )
@@ -113,34 +115,66 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
-// checkNearest holds nearest to scanNearest on one point, through the Go
-// loops (no blocks) and, where this CPU runs sqDistBlocks' kernel, through
-// the kernel over kernelBlocks' blocks; and every block of four centroids'
-// sqDist4 lanes and every sqDistBlocks lane to sqDist, in bits (sameFloat).
-// The lanes come from one sqDistBlocks call over all the blocks — four a
-// pass while four remain, then one — and the call writes nothing past its
-// out.
-func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
+// kernels are the distance kernels, narrowest first.
+var kernels = []kernel{kernelGo, kernelAVX, kernelAVX512}
+
+// runs reports whether this CPU runs k: every kernel up to distKernel,
+// since a CPU with AVX-512 has AVX.
+func (k kernel) runs() bool { return k <= distKernel }
+
+// underEachKernel runs f as one sub-test a kernel, named for it; a kernel
+// this CPU does not run skips its sub-test, saying so.
+func underEachKernel(t *testing.T, f func(t *testing.T, k kernel)) {
 	t.Helper()
-	want := scanNearest(p, centroids)
-	if got := nearest(p, centroids, nil); got != want {
-		t.Fatalf("k %d, dim %d: nearest (Go loops) = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
-	}
-	for c := 0; c+4 <= len(centroids); c += 4 {
-		var lanes [4]float64
-		lanes[0], lanes[1], lanes[2], lanes[3] = sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
-		for j, got := range lanes {
-			if want := sqDist(p, centroids[c+j]); !sameFloat(got, want) {
-				t.Fatalf("k %d, dim %d: sqDist4 lane %d of block %d = %v, sqDist = %v", len(centroids), len(p), j, c, got, want)
+	for _, k := range kernels {
+		t.Run(k.String(), func(t *testing.T) {
+			if !k.runs() {
+				t.Skipf("this CPU does not run the %s kernel (it runs %s)", k, distKernel)
 			}
+			f(t, k)
+		})
+	}
+}
+
+// TestDistKernel names the kernel this CPU dispatched (run it with -v to
+// see which), and holds the layout to the dispatch: only under a kernel
+// with blocks does a job lay its points out, in whole blocks of eight.
+func TestDistKernel(t *testing.T) {
+	t.Logf("dispatched distance kernel: %s", distKernel)
+	pts := randomPoints(1, 9, 3)
+	for _, k := range kernels {
+		if blocks := kernelBlocks(k, pts, 3); (blocks == nil) != (k == kernelGo) || blocks != nil && len(blocks) != 8*3 {
+			t.Errorf("kernelBlocks under %s: %d elements (nil %v), want %d", k, len(blocks), blocks == nil, 8*3)
 		}
 	}
-	blocks := kernelBlocks(centroids, len(p))
-	if blocks == nil {
-		return // no kernel on this CPU
+}
+
+// checkNearest holds nearest under kernel k to scanNearest on one point.
+// Under kernelGo it also holds every block of four centroids' sqDist4
+// lanes to sqDist, in bits (sameFloat). Under a kernel with blocks it
+// makes one sqDistBlocks call over all of kernelBlocks' blocks — every
+// pass that k admits — and holds every lane to sqDist and the call to
+// writing nothing past its out; and it holds argminBlocks over the same
+// blocks to the scan of those centroids: its index and, to the bit, its
+// distance.
+func checkNearest(t *testing.T, k kernel, p []float64, centroids [][]float64) {
+	t.Helper()
+	want := scanNearest(p, centroids)
+	blocks := kernelBlocks(k, centroids, len(p))
+	if got := nearest(k, p, centroids, blocks); got != want {
+		t.Fatalf("k %d, dim %d: nearest (%s) = %d, the scan finds %d (p %v)", len(centroids), len(p), k, got, want, p)
 	}
-	if got := nearest(p, centroids, blocks); got != want {
-		t.Fatalf("k %d, dim %d: nearest (sqDistBlocks) = %d, the scan finds %d (p %v)", len(centroids), len(p), got, want, p)
+	if k == kernelGo {
+		for c := 0; c+4 <= len(centroids); c += 4 {
+			var lanes [4]float64
+			lanes[0], lanes[1], lanes[2], lanes[3] = sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
+			for j, got := range lanes {
+				if want := sqDist(p, centroids[c+j]); !sameFloat(got, want) {
+					t.Fatalf("k %d, dim %d: sqDist4 lane %d of block %d = %v, sqDist = %v", len(centroids), len(p), j, c, got, want)
+				}
+			}
+		}
+		return
 	}
 	m := len(centroids) &^ 7
 	const sentinel = -1.5
@@ -148,78 +182,109 @@ func checkNearest(t *testing.T, p []float64, centroids [][]float64) {
 	for i := range lanes {
 		lanes[i] = sentinel
 	}
-	sqDistBlocks(p, blocks, lanes[:m])
+	sqDistBlocks(k, p, blocks, lanes[:m])
 	for c, got := range lanes[:m] {
 		if want := sqDist(p, centroids[c]); !sameFloat(got, want) {
-			t.Fatalf("k %d, dim %d: sqDistBlocks lane %d (block %d) = %v, sqDist = %v", len(centroids), len(p), c, c/8, got, want)
+			t.Fatalf("k %d, dim %d: sqDistBlocks (%s) lane %d (block %d) = %v, sqDist = %v", len(centroids), len(p), k, c, c/8, got, want)
 		}
 	}
 	for i, v := range lanes[m:] {
 		if v != sentinel {
-			t.Fatalf("k %d, dim %d: sqDistBlocks of %d lanes wrote %v at lane %d", len(centroids), len(p), m, v, m+i)
+			t.Fatalf("k %d, dim %d: sqDistBlocks (%s) of %d lanes wrote %v at lane %d", len(centroids), len(p), k, m, v, m+i)
 		}
+	}
+	if m == 0 {
+		return
+	}
+	best, bestD := argminBlocks(k, p, blocks, m)
+	wantBest := scanNearest(p, centroids[:m])
+	if wantD := sqDist(p, centroids[wantBest]); best != wantBest || !sameFloat(bestD, wantD) {
+		t.Fatalf("k %d, dim %d: argminBlocks (%s) over %d centroids = %d at %v, the scan finds %d at %v (p %v)",
+			len(centroids), len(p), k, m, best, bestD, wantBest, wantD, p)
 	}
 }
 
-// TestNearestMatchesScan: the blocked argmin picks the scan's centroid —
-// ties to the lowest index, NaN distances never winning, a NaN at
-// centroid 0 keeping it — at every tail of a block of eight and of four,
-// with the kernel's four-block pass run zero to three times and followed
-// by up to three one-block passes, over random coordinates, duplicated
-// centroids and coordinates drawn from NaN, ±Inf and ±0, through the Go
-// loops and the kernel alike.
+// TestNearestMatchesScan: under each kernel, the blocked argmin picks the
+// scan's centroid — ties to the lowest index, NaN distances never winning,
+// a NaN at centroid 0 keeping it — at every tail of a block of eight and
+// of four, with the AVX kernel's four-block pass and the AVX-512 kernel's
+// eight-block pass run zero to four times and followed by up to seven
+// one-block passes, over random coordinates, duplicated centroids,
+// coordinates drawn from NaN, ±Inf and ±0, and distances drawn from a few
+// values (0, 1, 2, 4, +Inf, NaN: ties within a lane, across lanes and
+// across blocks, NaN at lane 0 and in later lanes).
 func TestNearestMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64}
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 97}
-	for _, k := range ks {
-		for dim := 0; dim <= 67; dim++ {
-			for trial := 0; trial < 6; trial++ {
-				coord := func() float64 { return rng.NormFloat64() }
-				switch trial {
-				case 2: // a few exact zeros and a coarse grid: many equal distances
-					coord = func() float64 { return float64(rng.Intn(3)) }
-				case 3, 4: // specials, sparse and dense
-					rate := 0.02 * float64(trial*trial)
-					coord = func() float64 {
-						if rng.Float64() < rate {
-							return specials[rng.Intn(len(specials))]
+	underEachKernel(t, func(t *testing.T, kern kernel) {
+		rng := rand.New(rand.NewSource(43))
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64}
+		// Coordinates whose squares, from a point at 0, are 0, 1, 4, +Inf
+		// or NaN.
+		few := []float64{0, math.Copysign(0, -1), 1, -1, 2, math.Inf(1), math.Inf(-1), 1e200, math.NaN()}
+		ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 97, 120, 127, 128, 129, 130, 136, 191, 192}
+		for _, k := range ks {
+			for dim := 0; dim <= 67; dim++ {
+				for trial := 0; trial < 8; trial++ {
+					coord := func() float64 { return rng.NormFloat64() }
+					switch trial {
+					case 2: // a few exact zeros and a coarse grid: many equal distances
+						coord = func() float64 { return float64(rng.Intn(3)) }
+					case 3, 4: // specials, sparse and dense
+						rate := 0.02 * float64(trial*trial)
+						coord = func() float64 {
+							if rng.Float64() < rate {
+								return specials[rng.Intn(len(specials))]
+							}
+							return rng.NormFloat64()
 						}
-						return rng.NormFloat64()
+					case 6, 7: // few distances, a NaN or an Inf now and then
+						coord = func() float64 {
+							if rng.Intn(16) == 0 {
+								return few[len(few)-1-rng.Intn(4)]
+							}
+							return few[rng.Intn(len(few)-4)]
+						}
 					}
-				}
-				p := make([]float64, dim)
-				for i := range p {
-					p[i] = coord()
-				}
-				centroids := make([][]float64, k)
-				for c := range centroids {
-					if c > 0 && (trial == 1 || trial == 5) && rng.Intn(2) == 0 {
-						// A duplicate of an earlier centroid: the same
-						// distance, which must go to the lower index.
-						centroids[c] = centroids[rng.Intn(c)]
-						continue
+					p := make([]float64, dim)
+					for i := range p {
+						if trial < 6 {
+							p[i] = coord()
+						}
 					}
-					centroids[c] = make([]float64, dim)
-					for i := range centroids[c] {
-						centroids[c][i] = coord()
+					centroids := make([][]float64, k)
+					for c := range centroids {
+						if c > 0 && (trial == 1 || trial == 5) && rng.Intn(2) == 0 {
+							// A duplicate of an earlier centroid: the same
+							// distance, which must go to the lower index.
+							centroids[c] = centroids[rng.Intn(c)]
+							continue
+						}
+						centroids[c] = make([]float64, dim)
+						for i := range centroids[c] {
+							centroids[c][i] = coord()
+						}
 					}
+					switch {
+					case trial == 5 && dim > 0:
+						// The same duplicates, with the point and centroid 0
+						// poisoned by NaN: centroid 0 keeps the point.
+						p[rng.Intn(dim)] = math.NaN()
+					case trial == 7 && dim > 0:
+						// A NaN at centroid 0 alone, later lanes numbers or
+						// NaN: centroid 0 keeps the point.
+						centroids[0][rng.Intn(dim)] = math.NaN()
+					}
+					checkNearest(t, kern, p, centroids)
 				}
-				if trial == 5 && dim > 0 {
-					// The same duplicates, with the point and centroid 0
-					// poisoned by NaN: centroid 0 keeps the point.
-					p[rng.Intn(dim)] = math.NaN()
-				}
-				checkNearest(t, p, centroids)
 			}
 		}
-	}
+	})
 }
 
-// FuzzNearest holds the blocked argmin, sqDist4 and sqDistBlocks to the
-// scan over raw float bits (checkNearest): the input's 8-byte words are the
-// point's coordinates, then each centroid's, cycling when the input runs
-// out. k reaches 104, past three four-block passes.
+// FuzzNearest holds the blocked argmin, sqDist4, sqDistBlocks and
+// argminBlocks to the scan over raw float bits (checkNearest), under every
+// kernel this CPU runs: the input's 8-byte words are the point's
+// coordinates, then each centroid's, cycling when the input runs out. k
+// reaches 136: two eight-block passes and a one-block pass.
 func FuzzNearest(f *testing.F) {
 	word := func(vs ...float64) []byte {
 		var b []byte
@@ -232,9 +297,11 @@ func FuzzNearest(f *testing.F) {
 	f.Add(uint8(9), uint8(7), word(math.NaN(), 1, math.Inf(1), -1, 0.5))
 	f.Add(uint8(64), uint8(50), word(0.25, 0.75))
 	f.Add(uint8(4), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, k, dim uint8, data []byte) {
-		n := 1 + int(k)%104
-		d := int(dim) % 68
+	f.Add(uint8(129), uint8(1), word(0, math.NaN(), 1, 1, math.Inf(1), 2, 0))
+	f.Add(uint8(135), uint8(2), word(0, 0, 1, math.NaN(), -1, 2, math.Inf(-1), 0))
+	f.Fuzz(func(t *testing.T, kByte, dimByte uint8, data []byte) {
+		n := 1 + int(kByte)%136
+		d := int(dimByte) % 68
 		words := len(data) / 8
 		w := 0
 		next := func() float64 {
@@ -256,44 +323,120 @@ func FuzzNearest(f *testing.F) {
 				centroids[c][i] = next()
 			}
 		}
-		checkNearest(t, p, centroids)
+		for _, k := range kernels {
+			if k.runs() {
+				checkNearest(t, k, p, centroids)
+			}
+		}
 	})
 }
 
-// TestSqDistBlocksRefusesWrongLength: unless out holds whole blocks of
-// eight lanes and blk len(out) times the point's dimension, the wrapper
-// panics, naming the lengths, and the kernel — which checks no bounds —
-// never runs: out keeps what it held.
+// TestSqDistBlocksRefusesWrongLength: under each kernel with blocks,
+// unless out holds whole blocks of eight lanes and blk len(out) times the
+// point's dimension, sqDistBlocks panics, naming the lengths, and the
+// kernel — which checks no bounds — never runs: out keeps what it held.
+// argminBlocks panics the same way unless it is asked for a positive
+// multiple of eight lanes over lanes times the dimension's elements.
+// Under kernelGo, which has no blocks, both panic whatever the lengths.
 func TestSqDistBlocksRefusesWrongLength(t *testing.T) {
-	for _, c := range []struct{ dim, blk, out int }{
-		{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 8, 8}, {50, 8 * 49, 8}, {1, 1, 8},
-		{3, 96, 8}, {3, 24, 32}, {2, 14, 7}, {2, 18, 9}, {0, 0, 4}, {4, 4 * 33, 33}, {1, 0, 1},
-	} {
-		p, blk := make([]float64, c.dim), make([]float64, c.blk)
-		out := make([]float64, c.out)
-		for i := range out {
-			out[i] = float64(i + 1)
-		}
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				want := fmt.Sprintf("sqDistBlocks of %d lanes over %d elements for a point of dimension %d", c.out, c.blk, c.dim)
-				if !strings.Contains(msg, want) {
-					t.Errorf("dim %d, block %d, lanes %d: panicked with %q, want %q", c.dim, c.blk, c.out, msg, want)
-				}
-			}()
-			sqDistBlocks(p, blk, out)
+	panics := func(t *testing.T, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Errorf("panicked with %q, want %q", msg, want)
+			}
 		}()
-		for i, v := range out {
-			if v != float64(i+1) {
-				t.Errorf("dim %d, block %d, lanes %d: the kernel wrote %v at lane %d", c.dim, c.blk, c.out, v, i)
+		f()
+	}
+	underEachKernel(t, func(t *testing.T, k kernel) {
+		if k == kernelGo {
+			p, blk := make([]float64, 2), make([]float64, 16)
+			panics(t, "sqDistBlocks under go, which has no blocks", func() { sqDistBlocks(k, p, blk, make([]float64, 8)) })
+			panics(t, "argminBlocks under go, which has no blocks", func() { argminBlocks(k, p, blk, 8) })
+			return
+		}
+		for _, c := range []struct{ dim, blk, out int }{
+			{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 8, 8}, {50, 8 * 49, 8}, {1, 1, 8},
+			{3, 96, 8}, {3, 24, 32}, {2, 14, 7}, {2, 18, 9}, {0, 0, 4}, {4, 4 * 33, 33}, {1, 0, 1},
+			{2, 2 * 64, 72}, {2, 2 * 72, 64},
+		} {
+			p, blk := make([]float64, c.dim), make([]float64, c.blk)
+			out := make([]float64, c.out)
+			for i := range out {
+				out[i] = float64(i + 1)
+			}
+			want := fmt.Sprintf("sqDistBlocks of %d lanes over %d elements for a point of dimension %d", c.out, c.blk, c.dim)
+			panics(t, want, func() { sqDistBlocks(k, p, blk, out) })
+			for i, v := range out {
+				if v != float64(i+1) {
+					t.Errorf("dim %d, block %d, lanes %d: the kernel wrote %v at lane %d", c.dim, c.blk, c.out, v, i)
+				}
 			}
 		}
-	}
+		for _, c := range []struct{ dim, blk, lanes int }{
+			{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 0, 0}, {2, 0, 0}, {2, 14, 7}, {2, 18, 9},
+			{0, 0, -8}, {1, 64, 72}, {1, 72, 64}, {50, 8 * 49, 8},
+		} {
+			p, blk := make([]float64, c.dim), make([]float64, c.blk)
+			want := fmt.Sprintf("argminBlocks of %d lanes over %d elements for a point of dimension %d", c.lanes, c.blk, c.dim)
+			panics(t, want, func() { argminBlocks(k, p, blk, c.lanes) })
+		}
+	})
+}
+
+// TestAddFloatsMatchesLoop: every kernel's addFloats writes the bits the
+// scalar loop writes, element by element, at every length on either side
+// of four and eight lanes, leaves dst past len(src) alone, and panics,
+// writing nothing, on a src longer than dst.
+func TestAddFloatsMatchesLoop(t *testing.T) {
+	underEachKernel(t, func(t *testing.T, k kernel) {
+		rng := rand.New(rand.NewSource(5))
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+		coord := func() float64 {
+			if rng.Intn(8) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return rng.NormFloat64() * math.Exp2(float64(rng.Intn(100)-50))
+		}
+		for n := 0; n <= 70; n++ {
+			dst, src := make([]float64, n+3), make([]float64, n)
+			for i := range dst {
+				dst[i] = coord()
+			}
+			for i := range src {
+				src[i] = coord()
+			}
+			want := append([]float64(nil), dst...)
+			for i, x := range src {
+				want[i] += x
+			}
+			addFloats(k, dst, src)
+			for i := range dst {
+				if !sameFloat(dst[i], want[i]) {
+					t.Fatalf("len %d: element %d = %v, the loop's %v", n, i, dst[i], want[i])
+				}
+			}
+		}
+		dst := []float64{1, 2}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a src longer than dst did not panic")
+				}
+			}()
+			addFloats(k, dst, []float64{1, 1, 1})
+		}()
+		if dst[0] != 1 || dst[1] != 2 {
+			t.Errorf("a refused addition wrote %v", dst)
+		}
+	})
 }
 
 // scalarKMeans is K-Means as it was before its map computed four distances
-// a pass: the same centroids and keys, scanNearest for the argmin.
+// a pass and its Combine added in vector lanes: the same centroids and
+// keys, scanNearest for the argmin, the element-by-element loop for the
+// sums.
 func scalarKMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 	centroids := randomPoints(seed, k, dim)
 	job := KMeans(partitions, k, dim, seed)
@@ -304,11 +447,26 @@ func scalarKMeans(partitions, k, dim int, seed int64) *mapreduce.Job {
 		emit("c"+strconv.Itoa(scanNearest(pt, centroids)), &CentroidAcc{Sum: sum, Count: 1})
 		return nil
 	}
+	sum := func(values []mapreduce.Value) *CentroidAcc {
+		first := values[0].(*CentroidAcc)
+		out := &CentroidAcc{Sum: append([]float64(nil), first.Sum...), Count: first.Count}
+		for _, v := range values[1:] {
+			b := v.(*CentroidAcc)
+			out.Count += b.Count
+			for i, x := range b.Sum {
+				out.Sum[i] += x
+			}
+		}
+		return out
+	}
+	job.Combine = func(_ string, values []mapreduce.Value) mapreduce.Value { return sum(values) }
+	job.Reduce = func(_ string, values []mapreduce.Value) mapreduce.Value { return sum(values).Mean() }
 	return job
 }
 
 // scalarKNN is KNN as it was before its map computed four distances a
-// pass: one sqDist a query, in query order.
+// pass and its Combine folded into one list: one sqDist a query, in query
+// order, and a chain of Merge calls.
 func scalarKNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 	job := KNN(partitions, k, queries)
 	job.Map = func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -320,6 +478,14 @@ func scalarKNN(partitions, k int, queries [][]float64) *mapreduce.Job {
 		}
 		return nil
 	}
+	chain := func(_ string, values []mapreduce.Value) mapreduce.Value {
+		acc := values[0].(*Neighbors)
+		for _, v := range values[1:] {
+			acc = acc.Merge(v.(*Neighbors))
+		}
+		return acc
+	}
+	job.Combine, job.Reduce = chain, chain
 	return job
 }
 
@@ -371,30 +537,36 @@ func assertSameBits(t *testing.T, name string, job, twin *mapreduce.Job, splits 
 	}
 }
 
-// TestKMeansMatchesScalarTwin: the blocked map assigns every point as the
-// scan did, so the means are the twin's to the bit, at centroid counts on
-// either side of a block and dimensions on either side of the unrolling.
+// TestKMeansMatchesScalarTwin: under each kernel the blocked map assigns
+// every point as the scan did, so the means are the twin's to the bit, at
+// centroid counts on either side of a block and of an eight-block pass and
+// dimensions on either side of the unrolling.
 func TestKMeansMatchesScalarTwin(t *testing.T) {
-	for _, k := range []int{1, 3, 4, 7, 64} {
-		for _, dim := range []int{1, 2, 5, 50} {
-			pts := workload.NewPoints(workload.PointsConfig{Seed: int64(k*100 + dim), PointsPerSplit: 64, Dim: dim})
-			name := "k" + strconv.Itoa(k) + "/dim" + strconv.Itoa(dim)
-			assertSameBits(t, name, KMeans(3, k, dim, 11), scalarKMeans(3, k, dim, 11), pts.Range(0, 4))
+	underEachKernel(t, func(t *testing.T, kern kernel) {
+		for _, k := range []int{1, 3, 4, 7, 64, 72} {
+			for _, dim := range []int{1, 2, 5, 50} {
+				pts := workload.NewPoints(workload.PointsConfig{Seed: int64(k*100 + dim), PointsPerSplit: 64, Dim: dim})
+				name := "k" + strconv.Itoa(k) + "/dim" + strconv.Itoa(dim)
+				assertSameBits(t, name, kmeans(3, k, dim, 11, kern), scalarKMeans(3, k, dim, 11), pts.Range(0, 4))
+			}
 		}
-	}
+	})
 }
 
-// TestKNNMatchesScalarTwin: four queries a pass give each query the
-// distances, and so the neighbours, the one-query loop gave.
+// TestKNNMatchesScalarTwin: under each kernel, blocked queries give each
+// query the distances, and so the neighbours, the one-query loop gave, and
+// the one-list fold keeps what a chain of Merge calls kept.
 func TestKNNMatchesScalarTwin(t *testing.T) {
-	for _, queries := range []int{0, 1, 3, 4, 9, 16} {
-		for _, dim := range []int{1, 2, 5, 50} {
-			pts := workload.NewPoints(workload.PointsConfig{Seed: int64(queries*100 + dim), PointsPerSplit: 64, Dim: dim})
-			qs := pts.QueryPoints(queries)
-			name := "q" + strconv.Itoa(queries) + "/dim" + strconv.Itoa(dim)
-			assertSameBits(t, name, KNN(3, 5, qs), scalarKNN(3, 5, qs), pts.Range(0, 4))
+	underEachKernel(t, func(t *testing.T, kern kernel) {
+		for _, queries := range []int{0, 1, 3, 4, 9, 16, 72} {
+			for _, dim := range []int{1, 2, 5, 50} {
+				pts := workload.NewPoints(workload.PointsConfig{Seed: int64(queries*100 + dim), PointsPerSplit: 64, Dim: dim})
+				qs := pts.QueryPoints(queries)
+				name := "q" + strconv.Itoa(queries) + "/dim" + strconv.Itoa(dim)
+				assertSameBits(t, name, knn(3, 5, qs, kern), scalarKNN(3, 5, qs), pts.Range(0, 4))
+			}
 		}
-	}
+	})
 }
 
 // TestPointDimensionIsChecked: a point of another dimension than the job's
@@ -461,17 +633,35 @@ func TestKNNMapAllocs(t *testing.T) {
 }
 
 // BenchmarkKMeansMap is K-Means' map function in ns a point at the
-// benchmark's shape: 64 centroids of 50 dimensions.
+// benchmark's shape, 64 centroids of 50 dimensions, one sub-benchmark a
+// kernel this CPU runs (go, avx, avx512).
 func BenchmarkKMeansMap(b *testing.B) {
-	benchMap(b, KMeans(1, 64, 50, 7))
+	benchEachKernel(b, func(b *testing.B, k kernel) {
+		benchMap(b, kmeans(1, 64, 50, 7, k))
+	})
 }
 
 // BenchmarkKNNMap is KNN's map function in ns a point with 64 queries of
-// 50 dimensions: as many distances a point as K-Means at its benchmark
-// shape.
+// 50 dimensions, as many distances a point as K-Means at its benchmark
+// shape, one sub-benchmark a kernel this CPU runs.
 func BenchmarkKNNMap(b *testing.B) {
 	gen := workload.NewPoints(workload.PointsConfig{Seed: 7, Dim: 50})
-	benchMap(b, KNN(1, 8, gen.QueryPoints(64)))
+	benchEachKernel(b, func(b *testing.B, k kernel) {
+		benchMap(b, knn(1, 8, gen.QueryPoints(64), k))
+	})
+}
+
+// benchEachKernel runs f as one sub-benchmark a kernel, named for it; a
+// kernel this CPU does not run skips its sub-benchmark, saying so.
+func benchEachKernel(b *testing.B, f func(b *testing.B, k kernel)) {
+	for _, k := range kernels {
+		b.Run(k.String(), func(b *testing.B) {
+			if !k.runs() {
+				b.Skipf("this CPU does not run the %s kernel (it runs %s)", k, distKernel)
+			}
+			f(b, k)
+		})
+	}
 }
 
 func benchMap(b *testing.B, job *mapreduce.Job) {
@@ -482,6 +672,175 @@ func benchMap(b *testing.B, job *mapreduce.Job) {
 	for i := 0; i < b.N; i++ {
 		if err := job.Map(pts[i%len(pts)], drop); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestKNNTaskAllocs pins what KNN's Combine and Reduce allocate: one fresh
+// list and its header a call, however many values they fold — 2 for a
+// key's 256 values, and in a map task over a 256-point split of 16 queries
+// 2 a Combine call, counted as the task's allocations less
+// those of the same task whose Combine keeps a key's first value and
+// allocates nothing. The task calls Combine twice a key here (when 2 048
+// values are pending, and at its end), so the fold's share is 64 of the
+// task's 582 allocations, 512 of them the map function's two arrays a
+// point. A chain of Merge calls allocated a list and its header a merge:
+// 8 160 for the keys' 4 080 merges.
+func TestKNNTaskAllocs(t *testing.T) {
+	gen := workload.NewPoints(workload.PointsConfig{Seed: 7, PointsPerSplit: 256, Dim: 50})
+	job := KNN(1, 4, gen.QueryPoints(16))
+	split := gen.Split(0)
+	values := make([]mapreduce.Value, len(split.Records))
+	for i, rec := range split.Records {
+		if err := job.Map(rec, func(key string, v mapreduce.Value) {
+			if key == "q0" {
+				values[i] = v
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, f := range map[string]func(string, []mapreduce.Value) mapreduce.Value{"Combine": job.Combine, "Reduce": job.Reduce} {
+		if allocs := testing.AllocsPerRun(20, func() { f("q0", values) }); allocs != 2 {
+			t.Fatalf("%s of %d values allocates %.1f times, want 2: one list and its header", name, len(values), allocs)
+		}
+	}
+	if israce.Enabled {
+		t.Skip("the race detector drops the map task's pooled scratch at random")
+	}
+	calls := 0
+	counted := *job
+	counted.Combine = func(key string, values []mapreduce.Value) mapreduce.Value {
+		calls++
+		return job.Combine(key, values)
+	}
+	if _, err := mapreduce.RunMapTask(&counted, split); err != nil {
+		t.Fatal(err)
+	}
+	taskAllocs := func(job *mapreduce.Job) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := mapreduce.RunMapTask(job, split); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare := *job
+	bare.Combine = func(_ string, values []mapreduce.Value) mapreduce.Value { return values[0] }
+	all, rest := taskAllocs(job), taskAllocs(&bare)
+	if fold := all - rest; fold != float64(2*calls) {
+		t.Fatalf("the fold allocates %.0f times in a task (%.0f in all, %.0f without it) over %d Combine calls, want %d: one list and its header a call",
+			fold, all, rest, calls, 2*calls)
+	}
+}
+
+// refMerge is Merge as it was written before the fold shared its loop:
+// the k nearest of a ∪ b in a fresh list, b's first of equal neighbors.
+func refMerge(a, b *Neighbors) *Neighbors {
+	k := max(a.K, b.K)
+	out := &Neighbors{K: k, List: make([]Neighbor, 0, k)}
+	i, j := 0, 0
+	for len(out.List) < k && (i < len(a.List) || j < len(b.List)) {
+		switch {
+		case i == len(a.List):
+			out.List = append(out.List, b.List[j])
+			j++
+		case j == len(b.List):
+			out.List = append(out.List, a.List[i])
+			i++
+		case less(a.List[i], b.List[j]):
+			out.List = append(out.List, a.List[i])
+			i++
+		default:
+			out.List = append(out.List, b.List[j])
+			j++
+		}
+	}
+	return out
+}
+
+// TestMergeNeighborsMatchesChain: Merge keeps what it kept, and KNN's
+// one-list fold keeps what a chain of those merges kept, neighbor for neighbor and bit for bit, over lists
+// of mixed capacities (the capacity grows along the chain), equal
+// distances and equal IDs (which Merge orders b's first), NaN distances
+// (which no order ranks, so only the same comparisons in the same order
+// give the same list) and capacities past the fold's stack scratch; a lone
+// list comes back as it is.
+func TestMergeNeighborsMatchesChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dists := []float64{0, 1, 1, 2, 3, math.Inf(1), math.NaN()}
+	list := func() *Neighbors {
+		k := 1 + rng.Intn(6)
+		if rng.Intn(8) == 0 {
+			k = 17 + rng.Intn(8)
+		}
+		l := make([]Neighbor, rng.Intn(k+1))
+		for i := range l {
+			l[i] = Neighbor{Dist: dists[rng.Intn(len(dists))], ID: uint64(rng.Intn(4))}
+		}
+		sort.SliceStable(l, func(i, j int) bool { return less(l[i], l[j]) })
+		return &Neighbors{K: k, List: l}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		values := make([]mapreduce.Value, 1+rng.Intn(12))
+		for i := range values {
+			values[i] = list()
+		}
+		want := values[0].(*Neighbors)
+		for _, v := range values[1:] {
+			b := v.(*Neighbors)
+			if got, ref := want.Merge(b), refMerge(want, b); !sameBits(got, ref) {
+				t.Fatalf("trial %d: Merge = %+v, the two-way merge's %+v", trial, *got, *ref)
+			}
+			want = refMerge(want, b)
+		}
+		got := mergeNeighbors(values)
+		if !sameBits(got, want) {
+			t.Fatalf("trial %d: the fold of %d lists = %+v, the chain's %+v", trial, len(values), *got, *want)
+		}
+		if len(values) == 1 && got != values[0] {
+			t.Fatalf("trial %d: a lone list came back as a copy", trial)
+		}
+	}
+}
+
+// TestKMeansReduceMatchesMean: K-Means' Reduce is the mean of Combine's
+// fold, bit for bit — counts of zero, one value, NaN and ±Inf included —
+// and allocates the mean alone and its interface header, where the mean
+// of a fresh accumulator allocated that accumulator too once the fold
+// stopped being inlined into the Reduce. Combine allocates the
+// accumulator and its sum.
+func TestKMeansReduceMatchesMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	job := KMeans(1, 8, 50, 3)
+	for trial := 0; trial < 500; trial++ {
+		values := make([]mapreduce.Value, 1+rng.Intn(9))
+		for i := range values {
+			acc := &CentroidAcc{Sum: make([]float64, 50), Count: int64(rng.Intn(3))}
+			for d := range acc.Sum {
+				acc.Sum[d] = rng.NormFloat64()
+				if rng.Intn(64) == 0 {
+					acc.Sum[d] = specials[rng.Intn(len(specials))]
+				}
+			}
+			values[i] = acc
+		}
+		want := sumCentroidAccs(values).Mean()
+		if got := job.Reduce("c0", values); !sameBits(got, want) {
+			t.Fatalf("trial %d: Reduce of %d accumulators = %v, the mean of their sum %v", trial, len(values), got, want)
+		}
+	}
+	values := []mapreduce.Value{
+		&CentroidAcc{Sum: make([]float64, 50), Count: 1},
+		&CentroidAcc{Sum: make([]float64, 50), Count: 2},
+		&CentroidAcc{Sum: make([]float64, 50), Count: 3},
+	}
+	for name, c := range map[string]struct {
+		f    func(string, []mapreduce.Value) mapreduce.Value
+		want float64
+	}{"Combine": {job.Combine, 2}, "Reduce": {job.Reduce, 2}} {
+		if allocs := testing.AllocsPerRun(20, func() { c.f("c0", values) }); allocs != c.want {
+			t.Errorf("%s of %d accumulators allocates %.1f times, want %.0f", name, len(values), allocs, c.want)
 		}
 	}
 }

@@ -44,16 +44,42 @@ func sumCentroidAccs(values []mapreduce.Value) *CentroidAcc {
 	if len(values) == 1 {
 		return first
 	}
-	out := &CentroidAcc{Sum: make([]float64, len(first.Sum)), Count: first.Count}
-	copy(out.Sum, first.Sum)
+	sum := make([]float64, len(first.Sum))
+	return &CentroidAcc{Sum: sum, Count: foldCentroidAccs(sum, values)}
+}
+
+// meanCentroidAccs is K-Means' Reduce: sumCentroidAccs(values).Mean(), bit
+// for bit, with the sum folded into the slice the mean then overwrites, so
+// the slice is all it allocates, where that expression allocates the
+// accumulator as well.
+func meanCentroidAccs(values []mapreduce.Value) []float64 {
+	sum := make([]float64, len(values[0].(*CentroidAcc).Sum))
+	count := foldCentroidAccs(sum, values)
+	if count == 0 {
+		clear(sum)
+		return sum
+	}
+	for i, v := range sum {
+		sum[i] = v / float64(count)
+	}
+	return sum
+}
+
+// foldCentroidAccs writes the left fold of the sums of values'
+// accumulators into sum, which holds as many elements as the first one's,
+// and returns the fold of their counts. Each later Sum is added in vector
+// lanes (addFloats), element by element in values' order, so the bits are
+// those of the scalar loop. The inputs are not modified.
+func foldCentroidAccs(sum []float64, values []mapreduce.Value) int64 {
+	first := values[0].(*CentroidAcc)
+	copy(sum, first.Sum)
+	count := first.Count
 	for _, v := range values[1:] {
 		b := v.(*CentroidAcc)
-		out.Count += b.Count
-		for i, x := range b.Sum {
-			out.Sum[i] += x
-		}
+		count += b.Count
+		addFloats(distKernel, sum, b.Sum)
 	}
-	return out
+	return count
 }
 
 // SizeBytes implements mapreduce.Sizer.
@@ -121,27 +147,61 @@ func less(a, b Neighbor) bool {
 
 // Merge returns a fresh list holding the k nearest of a ∪ b.
 func (a *Neighbors) Merge(b *Neighbors) *Neighbors {
-	k := a.K
-	if b.K > k {
-		k = b.K
-	}
-	out := &Neighbors{K: k, List: make([]Neighbor, 0, k)}
-	i, j := 0, 0
-	for len(out.List) < k && (i < len(a.List) || j < len(b.List)) {
+	k := max(a.K, b.K)
+	list := make([]Neighbor, k)
+	return &Neighbors{K: k, List: list[:mergeLists(list, a.List, b.List)]}
+}
+
+// mergeLists writes the first len(dst) of a and b merged by (Dist, ID),
+// b's first of equal neighbors, into dst — all of them if there are fewer —
+// and returns how many it wrote.
+func mergeLists(dst, a, b []Neighbor) int {
+	i, j, n := 0, 0, 0
+	for ; n < len(dst) && (i < len(a) || j < len(b)); n++ {
 		switch {
-		case i == len(a.List):
-			out.List = append(out.List, b.List[j])
+		case i == len(a):
+			dst[n] = b[j]
 			j++
-		case j == len(b.List):
-			out.List = append(out.List, a.List[i])
+		case j == len(b):
+			dst[n] = a[i]
 			i++
-		case less(a.List[i], b.List[j]):
-			out.List = append(out.List, a.List[i])
+		case less(a[i], b[j]):
+			dst[n] = a[i]
 			i++
 		default:
-			out.List = append(out.List, b.List[j])
+			dst[n] = b[j]
 			j++
 		}
+	}
+	return n
+}
+
+// mergeNeighbors is KNN's Combine and Reduce: the left fold of the lists in
+// values by Merge — the same neighbors in the same order, bit for bit —
+// built in one fresh list however many there are. Each merge is written to
+// scratch and copied back, on the stack for k up to 16. The inputs are not
+// modified; a lone list is returned as it is.
+func mergeNeighbors(values []mapreduce.Value) *Neighbors {
+	first := values[0].(*Neighbors)
+	if len(values) == 1 {
+		return first
+	}
+	k := first.K
+	for _, v := range values[1:] {
+		k = max(k, v.(*Neighbors).K)
+	}
+	out := &Neighbors{K: first.K, List: make([]Neighbor, len(first.List), max(k, len(first.List)))}
+	copy(out.List, first.List)
+	var stack [16]Neighbor
+	tmp := stack[:]
+	if k > len(tmp) {
+		tmp = make([]Neighbor, k)
+	}
+	for _, v := range values[1:] {
+		b := v.(*Neighbors)
+		out.K = max(out.K, b.K)
+		n := mergeLists(tmp[:out.K], out.List, b.List)
+		out.List = append(out.List[:0], tmp[:n]...)
 	}
 	return out
 }
