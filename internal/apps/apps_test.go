@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -376,5 +378,169 @@ func TestSortedKeys(t *testing.T) {
 	keys := SortedKeys(out)
 	if keys[0] != "a" || keys[2] != "c" {
 		t.Fatalf("keys = %v", keys)
+	}
+}
+
+// TestFingerprintsArePinned holds every FNV-1a fingerprint of the package
+// — the four value types' and pointID — to its value on fixed inputs, so
+// that no rewrite of the hash moves a checkpoint's StateFingerprint or a
+// KNN neighbour's ID.
+func TestFingerprintsArePinned(t *testing.T) {
+	for i, c := range []struct {
+		v    interface{ Fingerprint() uint64 }
+		want uint64
+	}{
+		{&CentroidAcc{Sum: []float64{1.5, -2, math.Inf(1), math.Copysign(0, -1)}, Count: 7}, 0x9b64a288deeb456a},
+		{&CentroidAcc{}, 0xa8c7f832281a39c5},
+		{&Neighbors{K: 3, List: []Neighbor{{Dist: 0.25, ID: 9}, {Dist: 4, ID: 1 << 40}}}, 0xe335f2088dc5a879},
+		{&Neighbors{K: 1}, 0x89cd31291d2aefa4},
+		{&PostList{Posts: []Post{{User: 3, Time: 10}, {User: -1, Time: 1 << 33}}}, 0xe271b5a61ceedbe8},
+		{&PostList{}, 0xcbf29ce484222325},
+		{&RTTHist{Buckets: map[int32]int64{12: 4, -3: 1, 250: 1 << 35}}, 0xd10e9767c59b63b8},
+		{&RTTHist{}, 0xcbf29ce484222325},
+	} {
+		if got := c.v.Fingerprint(); got != c.want {
+			t.Errorf("value %d (%T): fingerprint %#x, want %#x", i, c.v, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		pt   []float64
+		want uint64
+	}{{[]float64{0.5, -0.25, 3}, 0x2533c235d8d01d71}, {nil, 0xcbf29ce484222325}} {
+		if got := pointID(c.pt); got != c.want {
+			t.Errorf("pointID(%v) = %#x, want %#x", c.pt, got, c.want)
+		}
+	}
+}
+
+// refPostMerge is PostList.Merge as it was written before the one-call
+// fold: a fresh sorted union of the two lists, other's first of equal
+// posts.
+func refPostMerge(l, other *PostList) *PostList {
+	out := &PostList{Posts: make([]Post, 0, len(l.Posts)+len(other.Posts))}
+	i, j := 0, 0
+	for i < len(l.Posts) || j < len(other.Posts) {
+		switch {
+		case i == len(l.Posts):
+			out.Posts = append(out.Posts, other.Posts[j])
+			j++
+		case j == len(other.Posts):
+			out.Posts = append(out.Posts, l.Posts[i])
+			i++
+		case postLess(l.Posts[i], other.Posts[j]):
+			out.Posts = append(out.Posts, l.Posts[i])
+			i++
+		default:
+			out.Posts = append(out.Posts, other.Posts[j])
+			j++
+		}
+	}
+	return out
+}
+
+// refHistMerge is RTTHist.Merge as it was written before the one-call
+// fold: a fresh histogram union.
+func refHistMerge(h, other *RTTHist) *RTTHist {
+	out := &RTTHist{Buckets: make(map[int32]int64, len(h.Buckets)+len(other.Buckets))}
+	for b, c := range h.Buckets {
+		out.Buckets[b] = c
+	}
+	for b, c := range other.Buckets {
+		out.Buckets[b] += c
+	}
+	return out
+}
+
+// refAuditAdd is AuditSum.Add as it was written before the one-call fold.
+func refAuditAdd(a, b *AuditSum) *AuditSum {
+	return &AuditSum{Logs: a.Logs + b.Logs, Entries: a.Entries + b.Entries, Violations: a.Violations + b.Violations}
+}
+
+// caseStudyJobs returns the three case studies' jobs.
+func caseStudyJobs() (twitter, glasnost, netsession *mapreduce.Job) {
+	graph := workload.NewTwitter(workload.TwitterConfig{Seed: 8, Users: 10, MeanFollows: 2, URLs: 3, TweetsPerSplit: 10}).Graph()
+	return TwitterPropagation(1, graph), GlasnostMonitor(1), NetSessionAudit(1, 4)
+}
+
+// TestCaseStudyFoldsMatchChain: each case study's Combine — one fold
+// into one fresh value, which its Reduce reads too — holds what a chain
+// of the two-value merges written before it held, by Fingerprint, over 1
+// to 40 values of random sizes, empty ones, equal posts and equal buckets
+// included; each Merge and Add holds what its earlier form built; and a
+// lone value comes back as it is.
+func TestCaseStudyFoldsMatchChain(t *testing.T) {
+	twitter, glasnost, netsession := caseStudyJobs()
+	rng := rand.New(rand.NewSource(17))
+	fp := func(v mapreduce.Value) uint64 { return v.(mapreduce.Fingerprinter).Fingerprint() }
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		posts, hists, audits := make([]mapreduce.Value, n), make([]mapreduce.Value, n), make([]mapreduce.Value, n)
+		for i := range n {
+			l := make([]Post, rng.Intn(6))
+			for j := range l {
+				l[j] = Post{User: int32(rng.Intn(4)), Time: int64(rng.Intn(8))}
+			}
+			sort.Slice(l, func(a, b int) bool { return postLess(l[a], l[b]) })
+			posts[i] = &PostList{Posts: l}
+			h := &RTTHist{Buckets: map[int32]int64{}}
+			for range rng.Intn(4) {
+				h.Buckets[int32(rng.Intn(10))] += int64(1 + rng.Intn(3))
+			}
+			hists[i] = h
+			audits[i] = &AuditSum{Logs: rng.Int63n(9), Entries: rng.Int63n(99), Violations: rng.Int63n(3)}
+		}
+		wantPosts, wantHist, wantAudit := posts[0].(*PostList), hists[0].(*RTTHist), audits[0].(*AuditSum)
+		for i := 1; i < n; i++ {
+			p, h, a := posts[i].(*PostList), hists[i].(*RTTHist), audits[i].(*AuditSum)
+			if got, want := wantPosts.Merge(p), refPostMerge(wantPosts, p); fp(got) != fp(want) {
+				t.Fatalf("trial %d: PostList.Merge = %v, the two-way merge's %v", trial, got.Posts, want.Posts)
+			}
+			if got, want := wantHist.Merge(h), refHistMerge(wantHist, h); fp(got) != fp(want) {
+				t.Fatalf("trial %d: RTTHist.Merge = %v, the union's %v", trial, got.Buckets, want.Buckets)
+			}
+			if got, want := wantAudit.Add(a), refAuditAdd(wantAudit, a); *got != *want {
+				t.Fatalf("trial %d: AuditSum.Add = %+v, the sum's %+v", trial, *got, *want)
+			}
+			wantPosts, wantHist, wantAudit = refPostMerge(wantPosts, p), refHistMerge(wantHist, h), refAuditAdd(wantAudit, a)
+		}
+		for _, c := range []struct {
+			job    *mapreduce.Job
+			values []mapreduce.Value
+			want   mapreduce.Value
+		}{{twitter, posts, wantPosts}, {glasnost, hists, wantHist}, {netsession, audits, wantAudit}} {
+			got := c.job.Combine("k", c.values)
+			if fp(got) != fp(c.want) {
+				t.Fatalf("trial %d: %s's Combine of %d values = %+v, the chain's %+v", trial, c.job.Name, n, got, c.want)
+			}
+			if n == 1 && got != c.values[0] {
+				t.Fatalf("trial %d: %s's Combine returned a lone value as a copy", trial, c.job.Name)
+			}
+		}
+	}
+}
+
+// TestCaseStudyFoldAllocs pins what the case studies' Combine allocates
+// for a key's 256 one-entry values: the list, its scratch and its header
+// for Twitter, where a chain of Merge calls allocated 510; the map and its
+// tables as it grows to the 13 buckets, 6, for Glasnost, where the chain
+// allocated 1 261; the sum alone for NetSession, where the chain
+// allocated 255.
+func TestCaseStudyFoldAllocs(t *testing.T) {
+	twitter, glasnost, netsession := caseStudyJobs()
+	const n = 256
+	posts, hists, audits := make([]mapreduce.Value, n), make([]mapreduce.Value, n), make([]mapreduce.Value, n)
+	for i := range n {
+		posts[i] = &PostList{Posts: []Post{{User: int32(i % 7), Time: int64(i * 31 % 97)}}}
+		hists[i] = &RTTHist{Buckets: map[int32]int64{int32(i % 13): 1}}
+		audits[i] = &AuditSum{Logs: 1, Entries: int64(i)}
+	}
+	for _, c := range []struct {
+		job    *mapreduce.Job
+		values []mapreduce.Value
+		want   float64
+	}{{twitter, posts, 3}, {glasnost, hists, 6}, {netsession, audits, 1}} {
+		if allocs := testing.AllocsPerRun(20, func() { c.job.Combine("k", c.values) }); allocs != c.want {
+			t.Errorf("%s's Combine of %d values allocates %.1f times, want %.0f", c.job.Name, n, allocs, c.want)
+		}
 	}
 }

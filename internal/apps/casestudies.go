@@ -40,25 +40,67 @@ func postLess(a, b Post) bool {
 
 // Merge returns a fresh sorted union of the two lists.
 func (l *PostList) Merge(other *PostList) *PostList {
-	out := &PostList{Posts: make([]Post, 0, len(l.Posts)+len(other.Posts))}
+	return mergePostLists([]mapreduce.Value{l, other})
+}
+
+// mergePostLists is TwitterPropagation's Combine, and the list its Reduce
+// reads: the sorted union of the lists in values, in one fresh list. Equal
+// posts are identical, so it is the list a chain of Merge calls builds;
+// merging halves (unionPosts) copies a post once a halving, not once a
+// value. The inputs are not modified; a lone list is returned as it is.
+func mergePostLists(values []mapreduce.Value) *PostList {
+	if len(values) == 1 {
+		return values[0].(*PostList)
+	}
+	n := countPosts(values)
+	var scratch []Post
+	if len(values) > 2 {
+		scratch = make([]Post, n)
+	}
+	out := &PostList{Posts: make([]Post, n)}
+	unionPosts(out.Posts, scratch, values)
+	return out
+}
+
+func countPosts(values []mapreduce.Value) int {
+	n := 0
+	for _, v := range values {
+		n += len(v.(*PostList).Posts)
+	}
+	return n
+}
+
+// unionPosts writes the sorted union of the lists in values into dst; it
+// overwrites scratch, as long as dst, when there are more than two.
+func unionPosts(dst, scratch []Post, values []mapreduce.Value) {
+	switch len(values) {
+	case 1:
+		copy(dst, values[0].(*PostList).Posts)
+		return
+	case 2:
+		mergePosts(dst, values[0].(*PostList).Posts, values[1].(*PostList).Posts)
+		return
+	}
+	h := len(values) / 2
+	n := countPosts(values[:h])
+	unionPosts(scratch[:n], dst[:n], values[:h])
+	unionPosts(scratch[n:], dst[n:], values[h:])
+	mergePosts(dst, scratch[:n], scratch[n:])
+}
+
+// mergePosts writes a and b, each sorted, merged by (Time, User) into dst,
+// which holds len(a)+len(b) posts.
+func mergePosts(dst, a, b []Post) {
 	i, j := 0, 0
-	for i < len(l.Posts) || j < len(other.Posts) {
-		switch {
-		case i == len(l.Posts):
-			out.Posts = append(out.Posts, other.Posts[j])
-			j++
-		case j == len(other.Posts):
-			out.Posts = append(out.Posts, l.Posts[i])
+	for n := range dst {
+		if j == len(b) || i < len(a) && postLess(a[i], b[j]) {
+			dst[n] = a[i]
 			i++
-		case postLess(l.Posts[i], other.Posts[j]):
-			out.Posts = append(out.Posts, l.Posts[i])
-			i++
-		default:
-			out.Posts = append(out.Posts, other.Posts[j])
+		} else {
+			dst[n] = b[j]
 			j++
 		}
 	}
-	return out
 }
 
 // SizeBytes implements mapreduce.Sizer.
@@ -66,14 +108,9 @@ func (l *PostList) SizeBytes() int64 { return int64(16*len(l.Posts)) + 24 }
 
 // Fingerprint implements mapreduce.Fingerprinter.
 func (l *PostList) Fingerprint() uint64 {
-	h := uint64(14695981039346656037)
+	h := fnvOffset
 	for _, p := range l.Posts {
-		x := uint64(p.Time)<<32 ^ uint64(uint32(p.User))
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= 1099511628211
-			x >>= 8
-		}
+		h = fnvMix(h, uint64(p.Time)<<32^uint64(uint32(p.User)))
 	}
 	return h
 }
@@ -108,18 +145,10 @@ func TwitterPropagation(partitions int, graph *workload.FollowGraph) *mapreduce.
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*PostList)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*PostList))
-			}
-			return acc
+			return mergePostLists(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*PostList)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*PostList))
-			}
-			return buildPropagationTree(graph, acc)
+			return buildPropagationTree(graph, mergePostLists(values))
 		},
 		Commutative: true,
 	}
@@ -175,12 +204,28 @@ var (
 
 // Merge returns a fresh histogram union.
 func (h *RTTHist) Merge(other *RTTHist) *RTTHist {
-	out := &RTTHist{Buckets: make(map[int32]int64, len(h.Buckets)+len(other.Buckets))}
-	for b, c := range h.Buckets {
-		out.Buckets[b] = c
+	return mergeRTTHists([]mapreduce.Value{h, other})
+}
+
+// mergeRTTHists is GlasnostMonitor's Combine, and the histogram its Reduce
+// reads: the union of the histograms in values, counts added, in one fresh
+// map. The map starts at the largest value's size and grows to the
+// union's: the values' sizes summed may be many times the union, and a
+// Combine's histogram is kept in the window's state. The inputs are not
+// modified; a lone histogram is returned as it is.
+func mergeRTTHists(values []mapreduce.Value) *RTTHist {
+	if len(values) == 1 {
+		return values[0].(*RTTHist)
 	}
-	for b, c := range other.Buckets {
-		out.Buckets[b] += c
+	n := 0
+	for _, v := range values {
+		n = max(n, len(v.(*RTTHist).Buckets))
+	}
+	out := &RTTHist{Buckets: make(map[int32]int64, n)}
+	for _, v := range values {
+		for b, c := range v.(*RTTHist).Buckets {
+			out.Buckets[b] += c
+		}
 	}
 	return out
 }
@@ -217,14 +262,9 @@ func (h *RTTHist) Fingerprint() uint64 {
 		keys = append(keys, b)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	acc := uint64(14695981039346656037)
+	acc := fnvOffset
 	for _, b := range keys {
-		x := uint64(uint32(b))<<32 ^ uint64(h.Buckets[b])
-		for i := 0; i < 8; i++ {
-			acc ^= x & 0xff
-			acc *= 1099511628211
-			x >>= 8
-		}
+		acc = fnvMix(acc, uint64(uint32(b))<<32^uint64(h.Buckets[b]))
 	}
 	return acc
 }
@@ -247,18 +287,10 @@ func GlasnostMonitor(partitions int) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*RTTHist)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*RTTHist))
-			}
-			return acc
+			return mergeRTTHists(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*RTTHist)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*RTTHist))
-			}
-			return acc.Median()
+			return mergeRTTHists(values).Median()
 		},
 		Commutative: true,
 	}
@@ -282,11 +314,24 @@ var (
 
 // Add returns a fresh sum.
 func (a *AuditSum) Add(b *AuditSum) *AuditSum {
-	return &AuditSum{
-		Logs:       a.Logs + b.Logs,
-		Entries:    a.Entries + b.Entries,
-		Violations: a.Violations + b.Violations,
+	return sumAudits([]mapreduce.Value{a, b})
+}
+
+// sumAudits is NetSessionAudit's Combine and Reduce: the sum of values'
+// sums, in one fresh sum; a lone sum is returned as it is.
+func sumAudits(values []mapreduce.Value) *AuditSum {
+	first := values[0].(*AuditSum)
+	if len(values) == 1 {
+		return first
 	}
+	out := *first
+	for _, v := range values[1:] {
+		b := v.(*AuditSum)
+		out.Logs += b.Logs
+		out.Entries += b.Entries
+		out.Violations += b.Violations
+	}
+	return &out
 }
 
 // SizeBytes implements mapreduce.Sizer.
@@ -330,18 +375,10 @@ func NetSessionAudit(partitions, clientGroups int) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*AuditSum)
-			for _, v := range values[1:] {
-				acc = acc.Add(v.(*AuditSum))
-			}
-			return acc
+			return sumAudits(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*AuditSum)
-			for _, v := range values[1:] {
-				acc = acc.Add(v.(*AuditSum))
-			}
-			return acc
+			return sumAudits(values)
 		},
 		Commutative: true,
 	}

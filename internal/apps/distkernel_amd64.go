@@ -44,10 +44,7 @@ var distKernel = func() kernel {
 func sqDistBlocksAVX(p, blk, out []float64)
 
 //go:noescape
-func sqDistBlocksAVX512(p, blk, out []float64)
-
-//go:noescape
-func argminBlocksAVX512(p, blk []float64, lanes int) (best int, bestD float64)
+func argminBlocksAVX512(p, blk []float64, lanes int) (best int)
 
 //go:noescape
 func addFloatsAVX512(dst, src []float64)

@@ -8,9 +8,7 @@ const distKernel = kernelGo
 
 func sqDistBlocksAVX(p, blk, out []float64) { noKernel() }
 
-func sqDistBlocksAVX512(p, blk, out []float64) { noKernel() }
-
-func argminBlocksAVX512(p, blk []float64, lanes int) (int, float64) { noKernel(); return 0, 0 }
+func argminBlocksAVX512(p, blk []float64, lanes int) int { noKernel(); return 0 }
 
 func addFloatsAVX512(dst, src []float64) { noKernel() }
 

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -153,27 +154,27 @@ func knn(partitions, k int, queries [][]float64, kern kernel) *mapreduce.Job {
 				ns[q] = Neighbors{K: k, List: nb[q : q+1 : q+1]}
 				emit(keys[q], &ns[q])
 			}
-			q := 0
-			if blocks != nil {
-				var d [kernelLanes]float64
-				for q+8 <= len(queries) {
-					out := d[:min(len(d), (len(queries)-q)&^7)]
-					sqDistBlocks(kern, pt, blocks[q*dim:(q+len(out))*dim], out)
-					for j, dj := range out {
-						emitQuery(q+j, dj)
-					}
-					q += len(out)
+			if blocks == nil {
+				q := 0
+				for ; q+4 <= len(queries); q += 4 {
+					d0, d1, d2, d3 := sqDist4(pt, queries[q], queries[q+1], queries[q+2], queries[q+3])
+					emitQuery(q, d0)
+					emitQuery(q+1, d1)
+					emitQuery(q+2, d2)
+					emitQuery(q+3, d3)
 				}
+				for ; q < len(queries); q++ {
+					emitQuery(q, sqDist(pt, queries[q]))
+				}
+				return nil
 			}
-			for ; q+4 <= len(queries); q += 4 {
-				d0, d1, d2, d3 := sqDist4(pt, queries[q], queries[q+1], queries[q+2], queries[q+3])
-				emitQuery(q, d0)
-				emitQuery(q+1, d1)
-				emitQuery(q+2, d2)
-				emitQuery(q+3, d3)
-			}
-			for ; q < len(queries); q++ {
-				emitQuery(q, sqDist(pt, queries[q]))
+			var d [kernelLanes]float64
+			for q := 0; q < len(queries); q += kernelLanes {
+				out := d[:min(len(d), wholeBlocks(len(queries))-q)]
+				sqDistBlocks(pt, blocks[q*dim:(q+len(out))*dim], out)
+				for j, dj := range out[:min(len(out), len(queries)-q)] {
+					emitQuery(q+j, dj)
+				}
 			}
 			return nil
 		},
@@ -217,16 +218,16 @@ type kernel uint8
 
 const (
 	// kernelGo is the Go loops: sqDist4 four points a pass, then sqDist.
-	// Every architecture and CPU runs it.
+	// Every architecture and CPU runs it, and it alone calls them.
 	kernelGo kernel = iota
 	// kernelAVX is sqDistBlocksAVX (sqdist_avx_amd64.s): blocks of eight
 	// points, four blocks a pass while four remain, then one, in 4-lane
 	// YMM sums; nearest compares its distances in Go.
 	kernelAVX
-	// kernelAVX512 is sqDistBlocksAVX512 and argminBlocksAVX512
-	// (sqdist_avx512_amd64.s): eight blocks a pass while eight remain,
-	// then one, a block to one 8-lane ZMM sum; nearest's argmin runs in
-	// the same pass.
+	// kernelAVX512 is kernelAVX with nearest's argmin in
+	// argminBlocksAVX512 (sqdist_avx512_amd64.s): eight blocks a pass
+	// while eight remain, then one, a block to one 8-lane ZMM sum, and the
+	// argmin in the same pass.
 	kernelAVX512
 )
 
@@ -236,17 +237,16 @@ func (k kernel) String() string { return [...]string{"go", "avx", "avx512"}[k] }
 // closest, as a scan that starts from centroid 0's distance and moves on
 // only to a strictly smaller one finds it — so a NaN distance never wins,
 // and a NaN at centroid 0 keeps 0. The distances are sqDist's, bit for
-// bit. Under a kernel with blocks (kernelBlocks' layout of the first
-// len(centroids)/8 blocks of eight) argminBlocks scans those centroids;
-// the rest, and all of them under kernelGo (blocks nil), are compared in
-// index order, four per pass (sqDist4) and then one at a time.
+// bit. Under a kernel with blocks (kernelBlocks' layout) argminBlocks
+// scans every block, spare lanes included, which never win; under
+// kernelGo (blocks nil) the centroids are compared in index order, four
+// per pass (sqDist4) and then one at a time.
 func nearest(k kernel, p []float64, centroids [][]float64, blocks []float64) int {
+	if blocks != nil {
+		return argminBlocks(k, p, blocks, wholeBlocks(len(centroids)))
+	}
 	best, bestD := 0, 0.0
 	c := 0
-	if m := len(centroids) &^ 7; blocks != nil && m > 0 {
-		best, bestD = argminBlocks(k, p, blocks[:m*len(p)], m)
-		c = m
-	}
 	for ; c+4 <= len(centroids); c += 4 {
 		d0, d1, d2, d3 := sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
 		if c == 0 || d0 < bestD {
@@ -271,66 +271,66 @@ func nearest(k kernel, p []float64, centroids [][]float64, blocks []float64) int
 }
 
 // kernelLanes is the most distances KNN, and nearest under kernelAVX, ask
-// of one sqDistBlocks call: eight blocks of eight, the widest pass, in an
-// array on the caller's stack.
-const kernelLanes = 64
+// of one sqDistBlocks call: four blocks of eight, one pass, in an array on
+// the caller's stack.
+const kernelLanes = 32
 
-// kernelBlocks lays the first len(pts)/8 blocks of eight points of
-// dimension dim out for kernel k, one block after another in one slice:
-// block b is the 8*dim elements from 8*b*dim on, and its element 8*i+j is
-// point 8*b+j's coordinate i. The last len(pts)%8 points are left out.
-// Both kernels read this layout; under kernelGo it returns nil, and the
-// callers run the Go loops.
+// wholeBlocks is the lanes kernelBlocks lays n points out in.
+func wholeBlocks(n int) int { return (n + 7) &^ 7 }
+
+// kernelBlocks lays pts, points of dimension dim, out for kernel k in
+// blocks of eight, one after another in one slice: block b is the 8*dim
+// elements from 8*b*dim on, and its element 8*i+j is point 8*b+j's
+// coordinate i. The last block's spare lanes hold NaN coordinates, so
+// their distances are NaN (+0 at dimension 0, as every distance is
+// there), never strictly less than centroid 0's: every path with blocks
+// scans whole blocks, nearest's never answers a spare lane, and KNN emits
+// only its real queries. Under kernelGo it returns nil, and the callers
+// run the Go loops.
 func kernelBlocks(k kernel, pts [][]float64, dim int) []float64 {
 	if k == kernelGo {
 		return nil
 	}
-	out := make([]float64, len(pts)/8*8*dim)
-	for c := 0; c < len(pts)/8*8; c++ {
+	out := make([]float64, wholeBlocks(len(pts))*dim)
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	for c, pt := range pts {
 		blk := out[c/8*8*dim:]
-		for i, v := range pts[c][:dim] {
+		for i, v := range pt[:dim] {
 			blk[8*i+c%8] = v
 		}
 	}
 	return out
 }
 
-// sqDistBlocks sets out[8*b+j] to sqDist(p, centroid j of block b) for the
-// len(out)/8 blocks blk holds, each laid out as kernelBlocks lays them,
-// each bit for bit: kernel k subtracts, squares and adds four (kernelAVX)
-// or eight (kernelAVX512) lanes at a time, one dimension after another, so
-// every lane adds its squares in index order from +0 with each product
-// rounded, as sqDist does; it uses no fused multiply-add, which would
-// round once where sqDist rounds twice. How many blocks a pass computes
-// side by side never changes the operations of one lane. A NaN lane is a
-// NaN, not always the one sqDist yields (see sqDist4). Assembly checks no
-// bounds, so the lengths are checked here, before every call: unless out
-// holds whole blocks and blk len(out)*len(p) elements, it panics and the
-// kernel is not run. kernelGo has no blocks, and panics.
-func sqDistBlocks(k kernel, p, blk, out []float64) {
+// sqDistBlocks sets out[8*b+j] to sqDist(p, point j of block b) for the
+// len(out)/8 blocks blk holds, laid out as kernelBlocks lays them, each
+// bit for bit: sqDistBlocksAVX subtracts, squares and adds four lanes at a
+// time, one dimension after another, so every lane adds its squares in
+// index order from +0 with each product rounded, as sqDist does; it uses
+// no fused multiply-add, which would round once where sqDist rounds twice.
+// A NaN lane is a NaN, not always the one sqDist yields (see sqDist4).
+// Assembly checks no bounds, so the lengths are checked here, before every
+// call: unless out holds whole blocks and blk len(out)*len(p) elements, it
+// panics and the kernel is not run. Only a CPU with AVX may call it.
+func sqDistBlocks(p, blk, out []float64) {
 	if len(out)%8 != 0 || len(blk) != len(out)*len(p) {
 		panic(fmt.Sprintf("apps: sqDistBlocks of %d lanes over %d elements for a point of dimension %d, want lanes a multiple of 8 and %d elements",
 			len(out), len(blk), len(p), len(out)*len(p)))
 	}
-	switch k {
-	case kernelAVX:
-		sqDistBlocksAVX(p, blk, out)
-	case kernelAVX512:
-		sqDistBlocksAVX512(p, blk, out)
-	default:
-		panic("apps: sqDistBlocks under " + k.String() + ", which has no blocks")
-	}
+	sqDistBlocksAVX(p, blk, out)
 }
 
-// argminBlocks returns the scan's state after the lanes centroids blk
-// holds, laid out as kernelBlocks lays them: the index of the first of the
-// closest to p, as nearest defines it, and its distance, sqDist's bits.
-// kernelAVX512 computes the distances and their argmin in one pass and
-// stores none (argminBlocksAVX512); kernelAVX computes up to kernelLanes
-// distances a call into an array on the stack and compares them here. The
-// lengths are checked first, as in sqDistBlocks: unless lanes is a
-// positive multiple of 8 and blk holds lanes*len(p) elements, it panics.
-func argminBlocks(k kernel, p, blk []float64, lanes int) (best int, bestD float64) {
+// argminBlocks returns the index of the first of the closest to p of the
+// lanes points blk holds, laid out as kernelBlocks lays them, as nearest
+// defines it. kernelAVX512 computes the distances and their argmin in one
+// pass and stores none (argminBlocksAVX512); kernelAVX computes up to
+// kernelLanes distances a call into an array on the stack and compares
+// them here. The lengths are checked first, as in sqDistBlocks: unless
+// lanes is a positive multiple of 8 and blk holds lanes*len(p) elements,
+// it panics.
+func argminBlocks(k kernel, p, blk []float64, lanes int) int {
 	if lanes < 8 || lanes%8 != 0 || len(blk) != lanes*len(p) {
 		panic(fmt.Sprintf("apps: argminBlocks of %d lanes over %d elements for a point of dimension %d, want a positive multiple of 8 lanes and %d elements",
 			lanes, len(blk), len(p), lanes*len(p)))
@@ -341,7 +341,8 @@ func argminBlocks(k kernel, p, blk []float64, lanes int) (best int, bestD float6
 	case kernelAVX:
 		n := len(p)
 		var d [kernelLanes]float64
-		for c := 0; c < lanes; {
+		best, bestD := 0, 0.0
+		for c := 0; c < lanes; c += kernelLanes {
 			out := d[:min(len(d), lanes-c)]
 			sqDistBlocksAVX(p, blk[c*n:(c+len(out))*n], out)
 			for j, dj := range out {
@@ -349,9 +350,8 @@ func argminBlocks(k kernel, p, blk []float64, lanes int) (best int, bestD float6
 					best, bestD = c+j, dj
 				}
 			}
-			c += len(out)
 		}
-		return best, bestD
+		return best
 	}
 	panic("apps: argminBlocks under " + k.String() + ", which has no blocks")
 }
@@ -448,14 +448,9 @@ func sqDist4(p, a, b, c, d []float64) (da, db, dc, dd float64) {
 
 // pointID derives a stable identity from a point's coordinates.
 func pointID(pt []float64) uint64 {
-	h := uint64(14695981039346656037)
+	h := fnvOffset
 	for _, v := range pt {
-		bits := uint64(int64(v * (1 << 30)))
-		for i := 0; i < 8; i++ {
-			h ^= bits & 0xff
-			h *= 1099511628211
-			bits >>= 8
-		}
+		h = fnvMix(h, uint64(int64(v*(1<<30))))
 	}
 	return h
 }

@@ -138,76 +138,87 @@ func underEachKernel(t *testing.T, f func(t *testing.T, k kernel)) {
 
 // TestDistKernel names the kernel this CPU dispatched (run it with -v to
 // see which), and holds the layout to the dispatch: only under a kernel
-// with blocks does a job lay its points out, in whole blocks of eight.
+// with blocks does a job lay its points out, in whole blocks of eight, the
+// last one padded.
 func TestDistKernel(t *testing.T) {
 	t.Logf("dispatched distance kernel: %s", distKernel)
 	pts := randomPoints(1, 9, 3)
 	for _, k := range kernels {
-		if blocks := kernelBlocks(k, pts, 3); (blocks == nil) != (k == kernelGo) || blocks != nil && len(blocks) != 8*3 {
-			t.Errorf("kernelBlocks under %s: %d elements (nil %v), want %d", k, len(blocks), blocks == nil, 8*3)
+		if blocks := kernelBlocks(k, pts, 3); (blocks == nil) != (k == kernelGo) || blocks != nil && len(blocks) != 16*3 {
+			t.Errorf("kernelBlocks under %s: %d elements (nil %v), want %d", k, len(blocks), blocks == nil, 16*3)
 		}
 	}
 }
 
 // checkNearest holds nearest under kernel k to scanNearest on one point.
 // Under kernelGo it also holds every block of four centroids' sqDist4
-// lanes to sqDist, in bits (sameFloat). Under a kernel with blocks it
-// makes one sqDistBlocks call over all of kernelBlocks' blocks — every
-// pass that k admits — and holds every lane to sqDist and the call to
-// writing nothing past its out; and it holds argminBlocks over the same
-// blocks to the scan of those centroids: its index and, to the bit, its
-// distance.
+// lanes to sqDist, in bits (sameFloat). Under a kernel with blocks, where
+// nearest is one argminBlocks call over every block, it holds that call
+// to never answer a spare lane; it holds every spare lane of kernelBlocks'
+// last block to NaN coordinates; and it makes one sqDistBlocks call over
+// all the blocks — every pass the AVX kernel admits — and holds every
+// real lane to sqDist, every spare lane to a NaN (+0 at dimension 0) and
+// the call to writing nothing past its out.
 func checkNearest(t *testing.T, k kernel, p []float64, centroids [][]float64) {
 	t.Helper()
+	n, dim := len(centroids), len(p)
 	want := scanNearest(p, centroids)
-	blocks := kernelBlocks(k, centroids, len(p))
-	if got := nearest(k, p, centroids, blocks); got != want {
-		t.Fatalf("k %d, dim %d: nearest (%s) = %d, the scan finds %d (p %v)", len(centroids), len(p), k, got, want, p)
+	blocks := kernelBlocks(k, centroids, dim)
+	got := nearest(k, p, centroids, blocks)
+	if got >= n {
+		t.Fatalf("k %d, dim %d: nearest (%s) = %d, a spare lane (p %v)", n, dim, k, got, p)
+	}
+	if got != want {
+		t.Fatalf("k %d, dim %d: nearest (%s) = %d, the scan finds %d (p %v)", n, dim, k, got, want, p)
 	}
 	if k == kernelGo {
-		for c := 0; c+4 <= len(centroids); c += 4 {
+		for c := 0; c+4 <= n; c += 4 {
 			var lanes [4]float64
 			lanes[0], lanes[1], lanes[2], lanes[3] = sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
 			for j, got := range lanes {
 				if want := sqDist(p, centroids[c+j]); !sameFloat(got, want) {
-					t.Fatalf("k %d, dim %d: sqDist4 lane %d of block %d = %v, sqDist = %v", len(centroids), len(p), j, c, got, want)
+					t.Fatalf("k %d, dim %d: sqDist4 lane %d of block %d = %v, sqDist = %v", n, dim, j, c, got, want)
 				}
 			}
 		}
 		return
 	}
-	m := len(centroids) &^ 7
+	m := wholeBlocks(n)
+	for c := n; c < m; c++ {
+		for i := 0; i < dim; i++ {
+			if v := blocks[c/8*8*dim+8*i+c%8]; !math.IsNaN(v) {
+				t.Fatalf("k %d, dim %d: spare lane %d holds %v at coordinate %d, want NaN", n, dim, c, v, i)
+			}
+		}
+	}
 	const sentinel = -1.5
 	lanes := make([]float64, m+8)
 	for i := range lanes {
 		lanes[i] = sentinel
 	}
-	sqDistBlocks(k, p, blocks, lanes[:m])
+	sqDistBlocks(p, blocks, lanes[:m])
 	for c, got := range lanes[:m] {
+		if c >= n {
+			if dim > 0 && !math.IsNaN(got) || dim == 0 && math.Float64bits(got) != 0 {
+				t.Fatalf("k %d, dim %d: sqDistBlocks spare lane %d = %v, want NaN (+0 at dimension 0)", n, dim, c, got)
+			}
+			continue
+		}
 		if want := sqDist(p, centroids[c]); !sameFloat(got, want) {
-			t.Fatalf("k %d, dim %d: sqDistBlocks (%s) lane %d (block %d) = %v, sqDist = %v", len(centroids), len(p), k, c, c/8, got, want)
+			t.Fatalf("k %d, dim %d: sqDistBlocks lane %d (block %d) = %v, sqDist = %v", n, dim, c, c/8, got, want)
 		}
 	}
 	for i, v := range lanes[m:] {
 		if v != sentinel {
-			t.Fatalf("k %d, dim %d: sqDistBlocks (%s) of %d lanes wrote %v at lane %d", len(centroids), len(p), k, m, v, m+i)
+			t.Fatalf("k %d, dim %d: sqDistBlocks of %d lanes wrote %v at lane %d", n, dim, m, v, m+i)
 		}
-	}
-	if m == 0 {
-		return
-	}
-	best, bestD := argminBlocks(k, p, blocks, m)
-	wantBest := scanNearest(p, centroids[:m])
-	if wantD := sqDist(p, centroids[wantBest]); best != wantBest || !sameFloat(bestD, wantD) {
-		t.Fatalf("k %d, dim %d: argminBlocks (%s) over %d centroids = %d at %v, the scan finds %d at %v (p %v)",
-			len(centroids), len(p), k, m, best, bestD, wantBest, wantD, p)
 	}
 }
 
 // TestNearestMatchesScan: under each kernel, the blocked argmin picks the
 // scan's centroid — ties to the lowest index, NaN distances never winning,
-// a NaN at centroid 0 keeping it — at every tail of a block of eight and
-// of four, with the AVX kernel's four-block pass and the AVX-512 kernel's
+// a NaN at centroid 0 keeping it, a spare lane never — at every count mod
+// eight (the last block padded) and mod four, with the AVX kernel's four-block pass and the AVX-512 kernel's
 // eight-block pass run zero to four times and followed by up to seven
 // one-block passes, over random coordinates, duplicated centroids,
 // coordinates drawn from NaN, ±Inf and ±0, and distances drawn from a few
@@ -280,8 +291,8 @@ func TestNearestMatchesScan(t *testing.T) {
 	})
 }
 
-// FuzzNearest holds the blocked argmin, sqDist4, sqDistBlocks and
-// argminBlocks to the scan over raw float bits (checkNearest), under every
+// FuzzNearest holds nearest, sqDist4, sqDistBlocks and the padding to the
+// scan and to sqDist over raw float bits (checkNearest), under every
 // kernel this CPU runs: the input's 8-byte words are the point's
 // coordinates, then each centroid's, cycling when the input runs out. k
 // reaches 136: two eight-block passes and a one-block pass.
@@ -331,13 +342,13 @@ func FuzzNearest(f *testing.F) {
 	})
 }
 
-// TestSqDistBlocksRefusesWrongLength: under each kernel with blocks,
-// unless out holds whole blocks of eight lanes and blk len(out) times the
-// point's dimension, sqDistBlocks panics, naming the lengths, and the
-// kernel — which checks no bounds — never runs: out keeps what it held.
+// TestSqDistBlocksRefusesWrongLength: unless out holds whole blocks of
+// eight lanes and blk len(out) times the point's dimension, sqDistBlocks
+// panics, naming the lengths, and the kernel — which checks no bounds —
+// never runs: out keeps what it held. Under each kernel with blocks,
 // argminBlocks panics the same way unless it is asked for a positive
-// multiple of eight lanes over lanes times the dimension's elements.
-// Under kernelGo, which has no blocks, both panic whatever the lengths.
+// multiple of eight lanes over lanes times the dimension's elements; under
+// kernelGo, which has no blocks, it panics whatever the lengths.
 func TestSqDistBlocksRefusesWrongLength(t *testing.T) {
 	panics := func(t *testing.T, want string, f func()) {
 		t.Helper()
@@ -349,30 +360,28 @@ func TestSqDistBlocksRefusesWrongLength(t *testing.T) {
 		}()
 		f()
 	}
+	for _, c := range []struct{ dim, blk, out int }{
+		{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 8, 8}, {50, 8 * 49, 8}, {1, 1, 8},
+		{3, 96, 8}, {3, 24, 32}, {2, 14, 7}, {2, 18, 9}, {0, 0, 4}, {4, 4 * 33, 33}, {1, 0, 1},
+		{2, 2 * 32, 40}, {2, 2 * 40, 32},
+	} {
+		p, blk := make([]float64, c.dim), make([]float64, c.blk)
+		out := make([]float64, c.out)
+		for i := range out {
+			out[i] = float64(i + 1)
+		}
+		want := fmt.Sprintf("sqDistBlocks of %d lanes over %d elements for a point of dimension %d", c.out, c.blk, c.dim)
+		panics(t, want, func() { sqDistBlocks(p, blk, out) })
+		for i, v := range out {
+			if v != float64(i+1) {
+				t.Errorf("dim %d, block %d, lanes %d: the kernel wrote %v at lane %d", c.dim, c.blk, c.out, v, i)
+			}
+		}
+	}
 	underEachKernel(t, func(t *testing.T, k kernel) {
 		if k == kernelGo {
-			p, blk := make([]float64, 2), make([]float64, 16)
-			panics(t, "sqDistBlocks under go, which has no blocks", func() { sqDistBlocks(k, p, blk, make([]float64, 8)) })
-			panics(t, "argminBlocks under go, which has no blocks", func() { argminBlocks(k, p, blk, 8) })
+			panics(t, "argminBlocks under go, which has no blocks", func() { argminBlocks(k, make([]float64, 2), make([]float64, 16), 8) })
 			return
-		}
-		for _, c := range []struct{ dim, blk, out int }{
-			{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 8, 8}, {50, 8 * 49, 8}, {1, 1, 8},
-			{3, 96, 8}, {3, 24, 32}, {2, 14, 7}, {2, 18, 9}, {0, 0, 4}, {4, 4 * 33, 33}, {1, 0, 1},
-			{2, 2 * 64, 72}, {2, 2 * 72, 64},
-		} {
-			p, blk := make([]float64, c.dim), make([]float64, c.blk)
-			out := make([]float64, c.out)
-			for i := range out {
-				out[i] = float64(i + 1)
-			}
-			want := fmt.Sprintf("sqDistBlocks of %d lanes over %d elements for a point of dimension %d", c.out, c.blk, c.dim)
-			panics(t, want, func() { sqDistBlocks(k, p, blk, out) })
-			for i, v := range out {
-				if v != float64(i+1) {
-					t.Errorf("dim %d, block %d, lanes %d: the kernel wrote %v at lane %d", c.dim, c.blk, c.out, v, i)
-				}
-			}
 		}
 		for _, c := range []struct{ dim, blk, lanes int }{
 			{3, 23, 8}, {3, 25, 8}, {3, 0, 8}, {0, 0, 0}, {2, 0, 0}, {2, 14, 7}, {2, 18, 9},
@@ -537,33 +546,53 @@ func assertSameBits(t *testing.T, name string, job, twin *mapreduce.Job, splits 
 	}
 }
 
+// twinPoints returns four splits of 64 points of dimension dim, and n
+// query points of it: the workload's unit-cube points, or at dimension 0,
+// which the workload does not generate, empty ones.
+func twinPoints(seed int64, dim, n int) ([]mapreduce.Split, [][]float64) {
+	if dim > 0 {
+		pts := workload.NewPoints(workload.PointsConfig{Seed: seed, PointsPerSplit: 64, Dim: dim})
+		return pts.Range(0, 4), pts.QueryPoints(n)
+	}
+	splits := make([]mapreduce.Split, 4)
+	for i := range splits {
+		splits[i].ID = "empty" + strconv.Itoa(i)
+		for range 64 {
+			splits[i].Records = append(splits[i].Records, []float64{})
+		}
+	}
+	return splits, make([][]float64, n)
+}
+
 // TestKMeansMatchesScalarTwin: under each kernel the blocked map assigns
 // every point as the scan did, so the means are the twin's to the bit, at
-// centroid counts on either side of a block and of an eight-block pass and
-// dimensions on either side of the unrolling.
+// centroid counts of every remainder mod 8 and on either side of an
+// eight-block pass, and at dimensions on either side of the unrolling and
+// of none.
 func TestKMeansMatchesScalarTwin(t *testing.T) {
 	underEachKernel(t, func(t *testing.T, kern kernel) {
-		for _, k := range []int{1, 3, 4, 7, 64, 72} {
-			for _, dim := range []int{1, 2, 5, 50} {
-				pts := workload.NewPoints(workload.PointsConfig{Seed: int64(k*100 + dim), PointsPerSplit: 64, Dim: dim})
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 20, 64, 72, 77} {
+			for _, dim := range []int{0, 1, 2, 5, 50} {
+				splits, _ := twinPoints(int64(k*100+dim), dim, 0)
 				name := "k" + strconv.Itoa(k) + "/dim" + strconv.Itoa(dim)
-				assertSameBits(t, name, kmeans(3, k, dim, 11, kern), scalarKMeans(3, k, dim, 11), pts.Range(0, 4))
+				assertSameBits(t, name, kmeans(3, k, dim, 11, kern), scalarKMeans(3, k, dim, 11), splits)
 			}
 		}
 	})
 }
 
 // TestKNNMatchesScalarTwin: under each kernel, blocked queries give each
-// query the distances, and so the neighbours, the one-query loop gave, and
-// the one-list fold keeps what a chain of Merge calls kept.
+// query the distances, and so the neighbours, the one-query loop gave —
+// at query counts of every remainder mod 8 and past one sqDistBlocks call,
+// and at dimension 0 — and the one-list fold keeps what a chain of Merge
+// calls kept.
 func TestKNNMatchesScalarTwin(t *testing.T) {
 	underEachKernel(t, func(t *testing.T, kern kernel) {
-		for _, queries := range []int{0, 1, 3, 4, 9, 16, 72} {
-			for _, dim := range []int{1, 2, 5, 50} {
-				pts := workload.NewPoints(workload.PointsConfig{Seed: int64(queries*100 + dim), PointsPerSplit: 64, Dim: dim})
-				qs := pts.QueryPoints(queries)
+		for _, queries := range []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 16, 37, 72} {
+			for _, dim := range []int{0, 1, 2, 5, 50} {
+				splits, qs := twinPoints(int64(queries*100+dim), dim, queries)
 				name := "q" + strconv.Itoa(queries) + "/dim" + strconv.Itoa(dim)
-				assertSameBits(t, name, knn(3, 5, qs, kern), scalarKNN(3, 5, qs), pts.Range(0, 4))
+				assertSameBits(t, name, knn(3, 5, qs, kern), scalarKNN(3, 5, qs), splits)
 			}
 		}
 	})

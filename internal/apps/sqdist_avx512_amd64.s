@@ -1,9 +1,9 @@
 #include "textflag.h"
 
-// The AVX-512 kernels. A block is eight centroids laid out dimension-major
-// (blk[8*i+j] is centroid j's coordinate i), so one ZMM register holds
-// dimension i of a whole block, and one accumulator holds a block's eight
-// distances. Every lane adds its squares in index order from +0: per
+// The AVX-512 kernels: nearest's argmin and addFloats. A block is eight
+// centroids laid out dimension-major (blk[8*i+j] is centroid j's
+// coordinate i), so one ZMM register holds dimension i of a whole block,
+// and one accumulator holds a block's eight distances. Every lane adds its squares in index order from +0: per
 // dimension one broadcast of p[i], then per block one subtraction (p - c),
 // one multiplication and one addition, no fused multiply-add and no
 // reassociation, so every lane is sqDist's to the bit.
@@ -87,61 +87,6 @@ label: \
 	JNZ  label \
 done:
 
-// SETUP loads p into SI (base) and CX (length), blk's base into DI, and
-// one block's bytes, 64*len(p), into BX, with R11 = 3*BX, R12 = 5*BX and
-// R13 = 7*BX.
-#define SETUP \
-	MOVQ p_base+0(FP), SI \
-	MOVQ p_len+8(FP), CX \
-	MOVQ blk_base+24(FP), DI \
-	MOVQ CX, BX \
-	SHLQ $6, BX \
-	LEAQ (BX)(BX*2), R11 \
-	LEAQ (BX)(BX*4), R12 \
-	LEAQ (R11)(BX*4), R13
-
-// func sqDistBlocksAVX512(p []float64, blk []float64, out []float64)
-//
-// out[8*b+j] = Σ_i (p[i] - blk[8*dim*b+8*i+j])², dim = len(p), for the
-// len(out)/8 blocks of blk: eight blocks a pass while eight remain, then
-// one block a pass. The caller guarantees len(out)%8 == 0 and
-// len(blk) == len(out)*len(p).
-TEXT ·sqDistBlocksAVX512(SB), NOSPLIT, $0-72
-	SETUP
-	MOVQ out_base+48(FP), DX
-	MOVQ out_len+56(FP), AX
-	SHRQ $3, AX               // AX = blocks left
-
-distoct:
-	CMPQ AX, $8
-	JLT  distsingle
-	BLOCKS8(distoctloop, distoctloopend)
-	VMOVUPD Z0, (DX)
-	VMOVUPD Z1, 64(DX)
-	VMOVUPD Z2, 128(DX)
-	VMOVUPD Z3, 192(DX)
-	VMOVUPD Z4, 256(DX)
-	VMOVUPD Z5, 320(DX)
-	VMOVUPD Z6, 384(DX)
-	VMOVUPD Z7, 448(DX)
-	ADDQ $512, DX
-	ADDQ R13, DI              // DI walked block 0; skip blocks 1–7
-	SUBQ $8, AX
-	JMP  distoct
-
-distsingle:
-	TESTQ AX, AX
-	JZ   distdone
-	BLOCK1(distsingleloop, distsingleloopend)
-	VMOVUPD Z0, (DX)
-	ADDQ $64, DX
-	DECQ AX
-	JMP  distsingle
-
-distdone:
-	VZEROUPPER
-	RET
-
 // BLEND folds block accumulator Zn, whose lanes are the centroids Z19
 // indexes, into the running minimum: lane by lane, Z17 (the least
 // distance so far) and Z18 (its centroid) take Zn's distance and index
@@ -154,9 +99,9 @@ distdone:
 	VMOVDQA64 Z19, K1, Z18 \
 	VPADDQ Z20, Z19, Z19
 
-// FIRST returns centroid 0 and its distance, lane 0 of Z0, if that is a
-// NaN: the scan keeps centroid 0 then, whatever follows. R10 is set until
-// the first pass has been looked at.
+// FIRST returns centroid 0 if its distance, lane 0 of Z0, is a NaN: the
+// scan keeps centroid 0 then, whatever follows. R10 is set until the first
+// pass has been looked at.
 #define FIRST(label) \
 	TESTQ R10, R10 \
 	JZ   label \
@@ -165,12 +110,11 @@ distdone:
 	JPS  nan0 \
 label:
 
-// func argminBlocksAVX512(p []float64, blk []float64, lanes int) (best int, bestD float64)
+// func argminBlocksAVX512(p []float64, blk []float64, lanes int) (best int)
 //
-// best is the index of the first of the least of the distances
-// sqDistBlocksAVX512 computes over the lanes/8 blocks of blk (lanes
-// centroids), as a scan finds it that starts from centroid 0 and moves on
-// only to a strictly smaller distance, and bestD is that distance: a NaN
+// best is the index of the first of the least of the distances of p to the
+// lanes centroids of blk's lanes/8 blocks, as a scan finds it that starts
+// from centroid 0 and moves on only to a strictly smaller distance: a NaN
 // never wins, and a NaN at centroid 0 keeps 0. Eight blocks a pass while
 // eight remain, then one block a pass, each block folded into a per-lane
 // minimum as soon as it is computed; no distance is stored. The caller
@@ -187,8 +131,15 @@ label:
 // every lane holds +Inf and lane 0 holds index 0, the scan's answer.
 // Distances are sums of squares from +0, never -0, so the least distance
 // has one bit pattern.
-TEXT ·argminBlocksAVX512(SB), NOSPLIT, $0-72
-	SETUP
+TEXT ·argminBlocksAVX512(SB), NOSPLIT, $0-64
+	MOVQ p_base+0(FP), SI
+	MOVQ p_len+8(FP), CX
+	MOVQ blk_base+24(FP), DI
+	MOVQ CX, BX
+	SHLQ $6, BX               // BX = one block's bytes, 64*len(p)
+	LEAQ (BX)(BX*2), R11
+	LEAQ (BX)(BX*4), R12
+	LEAQ (R11)(BX*4), R13
 	MOVQ lanes+48(FP), AX
 	SHRQ $3, AX               // AX = blocks left
 	MOVQ $0x7FF0000000000000, R10
@@ -247,16 +198,13 @@ argreduce:
 	VPMINSQ Z23, Z22, Z22
 	VPSHUFD $0x4E, Z22, Z23
 	VPMINSQ Z23, Z22, Z22
-	VMOVAPD Z21, Z0
 	VMOVDQA64 Z22, Z1
 	VMOVQ X1, best+56(FP)
-	VMOVSD X0, bestD+64(FP)
 	VZEROUPPER
 	RET
 
 nan0:
 	MOVQ $0, best+56(FP)
-	VMOVSD X0, bestD+64(FP)
 	VZEROUPPER
 	RET
 

@@ -85,19 +85,26 @@ func foldCentroidAccs(sum []float64, values []mapreduce.Value) int64 {
 // SizeBytes implements mapreduce.Sizer.
 func (a *CentroidAcc) SizeBytes() int64 { return int64(8*len(a.Sum)) + 16 }
 
+// fnvOffset is the 64-bit FNV-1a offset basis: the hash of nothing, where
+// every fingerprint of the package starts.
+const fnvOffset uint64 = 14695981039346656037
+
+// fnvMix returns h with x's eight bytes, low byte first, hashed in by
+// 64-bit FNV-1a.
+func fnvMix(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xff
+		h *= 1099511628211
+		x >>= 8
+	}
+	return h
+}
+
 // Fingerprint implements mapreduce.Fingerprinter.
 func (a *CentroidAcc) Fingerprint() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= 1099511628211
-			x >>= 8
-		}
-	}
-	mix(uint64(a.Count))
+	h := fnvMix(fnvOffset, uint64(a.Count))
 	for _, v := range a.Sum {
-		mix(math.Float64bits(v))
+		h = fnvMix(h, math.Float64bits(v))
 	}
 	return h
 }
@@ -211,18 +218,9 @@ func (a *Neighbors) SizeBytes() int64 { return int64(16*len(a.List)) + 32 }
 
 // Fingerprint implements mapreduce.Fingerprinter.
 func (a *Neighbors) Fingerprint() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= 1099511628211
-			x >>= 8
-		}
-	}
-	mix(uint64(a.K))
+	h := fnvMix(fnvOffset, uint64(a.K))
 	for _, n := range a.List {
-		mix(math.Float64bits(n.Dist))
-		mix(n.ID)
+		h = fnvMix(fnvMix(h, math.Float64bits(n.Dist)), n.ID)
 	}
 	return h
 }

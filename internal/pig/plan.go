@@ -438,18 +438,10 @@ func makeGroupStage(gs *GroupStmt, fe *ForeachStmt, schema Schema, ops []rowOp, 
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*AggVal)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*AggVal))
-			}
-			return acc
+			return mergeAggVals(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*AggVal)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*AggVal))
-			}
-			return acc
+			return mergeAggVals(values)
 		},
 		Commutative: true,
 	}
@@ -584,18 +576,10 @@ func makeOrderStage(st *OrderStmt, schema Schema, ops []rowOp, limit int) (*Stag
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*SortedRows)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*SortedRows))
-			}
-			return acc
+			return mergeSortedRows(values)
 		},
 		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			acc := values[0].(*SortedRows)
-			for _, v := range values[1:] {
-				acc = acc.Merge(v.(*SortedRows))
-			}
-			return acc
+			return mergeSortedRows(values)
 		},
 		Commutative: true,
 	}

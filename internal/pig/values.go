@@ -115,9 +115,26 @@ var (
 
 // Merge returns a fresh merged aggregate.
 func (a *AggVal) Merge(b *AggVal) *AggVal {
-	out := &AggVal{KeyVals: a.KeyVals, Cells: make([]AggCell, len(a.Cells))}
-	for i := range a.Cells {
-		out.Cells[i] = mergeCell(a.Cells[i], b.Cells[i])
+	return mergeAggVals([]mapreduce.Value{a, b})
+}
+
+// mergeAggVals is a GROUP stage's Combine and Reduce: the left fold of the
+// aggregates in values by Merge, cell by cell in values' order — so the
+// float sums are a chain of Merge calls', bit for bit — in one fresh
+// aggregate however many there are. The inputs are not modified; a lone
+// aggregate is returned as it is.
+func mergeAggVals(values []mapreduce.Value) *AggVal {
+	first := values[0].(*AggVal)
+	if len(values) == 1 {
+		return first
+	}
+	out := &AggVal{KeyVals: first.KeyVals, Cells: make([]AggCell, len(first.Cells))}
+	copy(out.Cells, first.Cells)
+	for _, v := range values[1:] {
+		b := v.(*AggVal)
+		for i := range out.Cells {
+			out.Cells[i] = mergeCell(out.Cells[i], b.Cells[i])
+		}
 	}
 	return out
 }
@@ -200,34 +217,65 @@ func (s *SortedRows) rowLess(a, b Row) bool {
 
 // Merge returns a fresh sorted (and capped) union.
 func (s *SortedRows) Merge(other *SortedRows) *SortedRows {
-	limit := s.Limit
-	if other.Limit > limit {
-		limit = other.Limit
+	return mergeSortedRows([]mapreduce.Value{s, other})
+}
+
+// mergeSortedRows is an ORDER stage's Combine and Reduce: the left fold of
+// the lists in values by Merge, in one fresh list however many there are.
+// Each step merges by the first list's rowLess, other's first of equal
+// rows, capped at the largest Limit so far, so the rows are the chain's
+// in the chain's order even where rowLess is no order (it compares a
+// number and a string as strings). The steps run between two buffers
+// sized for the longest list the chain builds. The inputs are not
+// modified; a lone list is returned as it is.
+func mergeSortedRows(values []mapreduce.Value) *SortedRows {
+	first := values[0].(*SortedRows)
+	if len(values) == 1 {
+		return first
 	}
-	out := &SortedRows{KeyIdx: s.KeyIdx, Desc: s.Desc, Limit: limit}
-	capacity := len(s.Rows) + len(other.Rows)
-	if limit > 0 && capacity > limit {
-		capacity = limit
+	capped := func(n, limit int) int {
+		if limit > 0 {
+			return min(n, limit)
+		}
+		return n
 	}
-	out.Rows = make([]Row, 0, capacity)
-	i, j := 0, 0
-	for (limit == 0 || len(out.Rows) < limit) && (i < len(s.Rows) || j < len(other.Rows)) {
-		switch {
-		case i == len(s.Rows):
-			out.Rows = append(out.Rows, other.Rows[j])
-			j++
-		case j == len(other.Rows):
-			out.Rows = append(out.Rows, s.Rows[i])
+	limit, n, longest := first.Limit, len(first.Rows), 0
+	for _, v := range values[1:] {
+		b := v.(*SortedRows)
+		limit = max(limit, b.Limit)
+		n = capped(n+len(b.Rows), limit)
+		longest = max(longest, n)
+	}
+	buf, spare := make([]Row, longest), []Row(nil)
+	if len(values) > 2 {
+		spare = make([]Row, longest)
+	}
+	out := &SortedRows{KeyIdx: first.KeyIdx, Desc: first.Desc, Limit: first.Limit, Rows: first.Rows}
+	for _, v := range values[1:] {
+		b := v.(*SortedRows)
+		out.Limit = max(out.Limit, b.Limit)
+		dst := buf[:capped(len(out.Rows)+len(b.Rows), out.Limit)]
+		out.Rows = dst[:first.mergeRows(dst, out.Rows, b.Rows)]
+		buf, spare = spare, buf
+	}
+	return out
+}
+
+// mergeRows writes the first len(dst) of a and b, each sorted by rowLess,
+// merged into dst, b's first of equal rows — all of them if there are
+// fewer — and returns how many it wrote.
+func (s *SortedRows) mergeRows(dst, a, b []Row) int {
+	i, j, n := 0, 0, 0
+	for ; n < len(dst) && (i < len(a) || j < len(b)); n++ {
+		if j == len(b) || i < len(a) && s.rowLess(a[i], b[j]) {
+			dst[n] = a[i]
 			i++
-		case s.rowLess(s.Rows[i], other.Rows[j]):
-			out.Rows = append(out.Rows, s.Rows[i])
-			i++
-		default:
-			out.Rows = append(out.Rows, other.Rows[j])
+		} else {
+			dst[n] = b[j]
 			j++
 		}
 	}
-	return out
+	return n
 }
 
 // Normalize sorts (and caps) the rows in place; used when building the

@@ -1,9 +1,12 @@
 package pig
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"slider/internal/mapreduce"
 )
 
 func TestAggCellMerge(t *testing.T) {
@@ -138,5 +141,134 @@ func TestValueSizes(t *testing.T) {
 	sr := &SortedRows{Rows: []Row{{"a"}}}
 	if sr.SizeBytes() <= 0 {
 		t.Fatal("sorted size")
+	}
+}
+
+// refAggMerge is AggVal.Merge as it was written before the one-call fold.
+func refAggMerge(a, b *AggVal) *AggVal {
+	out := &AggVal{KeyVals: a.KeyVals, Cells: make([]AggCell, len(a.Cells))}
+	for i := range a.Cells {
+		out.Cells[i] = mergeCell(a.Cells[i], b.Cells[i])
+	}
+	return out
+}
+
+// refSortedMerge is SortedRows.Merge as it was written before the
+// one-call fold: s's rowLess, other's first of equal rows, capped at the
+// larger Limit.
+func refSortedMerge(s, other *SortedRows) *SortedRows {
+	limit := s.Limit
+	if other.Limit > limit {
+		limit = other.Limit
+	}
+	out := &SortedRows{KeyIdx: s.KeyIdx, Desc: s.Desc, Limit: limit}
+	i, j := 0, 0
+	for (limit == 0 || len(out.Rows) < limit) && (i < len(s.Rows) || j < len(other.Rows)) {
+		switch {
+		case i == len(s.Rows):
+			out.Rows = append(out.Rows, other.Rows[j])
+			j++
+		case j == len(other.Rows):
+			out.Rows = append(out.Rows, s.Rows[i])
+			i++
+		case s.rowLess(s.Rows[i], other.Rows[j]):
+			out.Rows = append(out.Rows, s.Rows[i])
+			i++
+		default:
+			out.Rows = append(out.Rows, other.Rows[j])
+			j++
+		}
+	}
+	return out
+}
+
+// TestPigFoldsMatchChain: the GROUP and ORDER stages' one-call folds hold
+// what a chain of the two-value merges written before them held, by
+// Fingerprint, over 1 to 30 values: float sums with NaN, ±Inf and -0
+// (which only the same additions in the same order reproduce), empty
+// cells, sort keys mixing numbers and strings (which rowLess does not
+// order transitively), ties broken by the encoded row, and Limits that
+// differ between the values of one call, 0 among them. Merge holds what
+// its earlier form built, and a lone value comes back as it is.
+func TestPigFoldsMatchChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sums := []float64{0, 1, 0.1, 1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	keys := []Value{1.0, 9.0, 10.0, "1z", "9", "a", math.NaN(), "10"}
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + rng.Intn(30)
+		desc, limits := rng.Intn(2) == 0, []int{0, 0, 2, 3, 5}
+		aggs, sorted := make([]mapreduce.Value, n), make([]mapreduce.Value, n)
+		for i := range n {
+			cells := make([]AggCell, 3)
+			for c := range cells {
+				if rng.Intn(4) > 0 {
+					cells[c] = AggCell{Sum: sums[rng.Intn(len(sums))], Min: sums[rng.Intn(len(sums))], Max: sums[rng.Intn(len(sums))], Count: 1 + rng.Int63n(3)}
+				}
+			}
+			aggs[i] = &AggVal{KeyVals: Row{"k"}, Cells: cells}
+			limit := limits[rng.Intn(len(limits))]
+			l := &SortedRows{KeyIdx: 0, Desc: desc, Limit: limit}
+			for range rng.Intn(5) {
+				l = refSortedMerge(l, &SortedRows{KeyIdx: 0, Desc: desc, Limit: limit, Rows: []Row{{keys[rng.Intn(len(keys))], float64(rng.Intn(3))}}})
+			}
+			sorted[i] = l
+		}
+		wantAgg, wantSorted := aggs[0].(*AggVal), sorted[0].(*SortedRows)
+		for i := 1; i < n; i++ {
+			a, s := aggs[i].(*AggVal), sorted[i].(*SortedRows)
+			if got, want := wantAgg.Merge(a), refAggMerge(wantAgg, a); got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("trial %d: AggVal.Merge = %+v, the two-way merge's %+v", trial, got.Cells, want.Cells)
+			}
+			if got, want := wantSorted.Merge(s), refSortedMerge(wantSorted, s); got.Fingerprint() != want.Fingerprint() || got.Limit != want.Limit {
+				t.Fatalf("trial %d: SortedRows.Merge = %v (limit %d), the two-way merge's %v (limit %d)", trial, got.Rows, got.Limit, want.Rows, want.Limit)
+			}
+			wantAgg, wantSorted = refAggMerge(wantAgg, a), refSortedMerge(wantSorted, s)
+		}
+		gotAgg, gotSorted := mergeAggVals(aggs), mergeSortedRows(sorted)
+		if gotAgg.Fingerprint() != wantAgg.Fingerprint() {
+			t.Fatalf("trial %d: the fold of %d aggregates = %+v, the chain's %+v", trial, n, gotAgg.Cells, wantAgg.Cells)
+		}
+		if gotSorted.Fingerprint() != wantSorted.Fingerprint() || gotSorted.Limit != wantSorted.Limit {
+			t.Fatalf("trial %d: the fold of %d lists = %v (limit %d), the chain's %v (limit %d)", trial, n, gotSorted.Rows, gotSorted.Limit, wantSorted.Rows, wantSorted.Limit)
+		}
+		if n == 1 && (gotAgg != aggs[0] || gotSorted != sorted[0]) {
+			t.Fatalf("trial %d: a lone value came back as a copy", trial)
+		}
+	}
+}
+
+// TestPigFoldAllocs pins what the GROUP and ORDER stages' Combine
+// allocates for a key's 256 one-row values: the cells and the aggregate
+// (510 for a chain of Merge calls), and the two row buffers and the list,
+// with a LIMIT and without (510 for the chain, with distinct keys, so that
+// no tie encodes a row).
+func TestPigFoldAllocs(t *testing.T) {
+	script, err := Parse("raw = LOAD 'e' AS (user, t); g = GROUP raw BY user; c = FOREACH g GENERATE group AS user, COUNT(*) AS n, SUM(t) AS s, MAX(t) AS hi; o = ORDER c BY s DESC; STORE o INTO 'o';")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(script, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	aggs, sorted, limited := make([]mapreduce.Value, n), make([]mapreduce.Value, n), make([]mapreduce.Value, n)
+	for i := range n {
+		f := float64(i*37%n) / 8
+		cell := AggCell{Sum: f, Min: f, Max: f, Count: 1}
+		aggs[i] = &AggVal{KeyVals: Row{"u"}, Cells: []AggCell{cell, cell, cell}}
+		sorted[i] = &SortedRows{KeyIdx: 1, Desc: true, Rows: []Row{{"u", f}}}
+		limited[i] = &SortedRows{KeyIdx: 1, Desc: true, Limit: 10, Rows: []Row{{"u", f}}}
+	}
+	group, order := plan.Stages[0].Job, plan.Stages[1].Job
+	for _, c := range []struct {
+		name   string
+		job    *mapreduce.Job
+		values []mapreduce.Value
+		want   float64
+	}{{"GROUP", group, aggs, 2}, {"ORDER", order, sorted, 3}, {"ORDER with LIMIT", order, limited, 3}} {
+		if allocs := testing.AllocsPerRun(20, func() { c.job.Combine("k", c.values) }); allocs != c.want {
+			t.Errorf("%s's Combine of %d values allocates %.1f times, want %.0f", c.name, n, allocs, c.want)
+		}
 	}
 }
