@@ -3,10 +3,11 @@
 // The AVX-512 kernels: nearest's argmin and addFloats. A block is eight
 // centroids laid out dimension-major (blk[8*i+j] is centroid j's
 // coordinate i), so one ZMM register holds dimension i of a whole block,
-// and one accumulator holds a block's eight distances. Every lane adds its squares in index order from +0: per
-// dimension one broadcast of p[i], then per block one subtraction (p - c),
-// one multiplication and one addition, no fused multiply-add and no
-// reassociation, so every lane is sqDist's to the bit.
+// and one accumulator holds a block's eight distances. Every lane adds its
+// squares in index order from +0: per dimension one broadcast of p[i],
+// then per block one subtraction (p - c), one multiplication and one
+// addition, no fused multiply-add and no reassociation, so every lane is
+// sqDist's to the bit.
 
 // laneIdx<> holds 0, 1, …, 7: lane j's index within a block.
 DATA laneIdx<>+0(SB)/8, $0
@@ -129,8 +130,6 @@ label:
 // number, the scan's answer is the first of the least non-NaN distances,
 // and if that least distance is +Inf no lane moved off its start, so
 // every lane holds +Inf and lane 0 holds index 0, the scan's answer.
-// Distances are sums of squares from +0, never -0, so the least distance
-// has one bit pattern.
 TEXT ·argminBlocksAVX512(SB), NOSPLIT, $0-64
 	MOVQ p_base+0(FP), SI
 	MOVQ p_len+8(FP), CX
