@@ -66,17 +66,16 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	// With -workers the map phase runs on remote slider-worker processes.
-	// The pool shares the runtime's fault recorder and tracer so retries,
-	// hedges, and the workers' own span trees all land in one place, and
-	// polls every worker's stats to keep a federated cluster view.
-	faults := &slider.FaultRecorder{}
+	// The pool shares the runtime's tracer so the workers' own span trees
+	// land in the slide's trace, the runtime records its degradation events
+	// into the pool's fault recorder, and the pool polls every worker's
+	// stats to keep a federated cluster view.
 	var pool *slider.WorkerPool
 	if *workerAddrs != "" {
 		pool, err = slider.NewWorkerPoolConfig("stream-wordcount",
 			strings.Split(*workerAddrs, ","), slider.WorkerPoolConfig{
 				Hedge:         true,
 				StatsInterval: time.Second,
-				Faults:        faults,
 				Tracer:        so.Tracer,
 			})
 		if err != nil {
@@ -130,7 +129,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return nil
 	}
 
-	rtCfg := slider.Config{Obs: so, Backend: backend, AllowedLateness: *lateness, Faults: faults}
+	rtCfg := slider.Config{Obs: so, Backend: backend, AllowedLateness: *lateness}
 	if pool != nil {
 		rtCfg.MapRunner = pool
 	}

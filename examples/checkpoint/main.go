@@ -39,7 +39,6 @@ func wordCount() *slider.Job {
 			return nil
 		},
 		Combine:     sum,
-		Reduce:      sum,
 		Commutative: true,
 	}
 }

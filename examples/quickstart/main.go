@@ -38,7 +38,6 @@ func main() {
 			return nil
 		},
 		Combine:     sum,
-		Reduce:      sum,
 		Commutative: true, // required for Fixed (rotating-tree) mode
 	}
 

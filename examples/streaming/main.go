@@ -48,7 +48,6 @@ func errorRateJob() *slider.Job {
 			return nil
 		},
 		Combine:     sum,
-		Reduce:      sum,
 		Commutative: true,
 	}
 }

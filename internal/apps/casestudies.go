@@ -317,7 +317,7 @@ func (a *AuditSum) Add(b *AuditSum) *AuditSum {
 	return sumAudits([]mapreduce.Value{a, b})
 }
 
-// sumAudits is NetSessionAudit's Combine and Reduce: the sum of values'
+// sumAudits is NetSessionAudit's Combine: the sum of values'
 // sums, in one fresh sum; a lone sum is returned as it is.
 func sumAudits(values []mapreduce.Value) *AuditSum {
 	first := values[0].(*AuditSum)
@@ -375,9 +375,6 @@ func NetSessionAudit(partitions, clientGroups int) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return sumAudits(values)
-		},
-		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
 			return sumAudits(values)
 		},
 		Commutative: true,

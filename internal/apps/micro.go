@@ -11,7 +11,7 @@ import (
 	"slider/internal/mapreduce"
 )
 
-// sumJob returns the shared Combine/Reduce pair for int64-count jobs.
+// sumValues is the int64-count jobs' Combine: the sum of their counts.
 func sumValues(_ string, values []mapreduce.Value) mapreduce.Value {
 	var sum int64
 	for _, v := range values {
@@ -179,9 +179,6 @@ func knn(partitions, k int, queries [][]float64, kern kernel) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return mergeNeighbors(values)
-		},
-		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
 			return mergeNeighbors(values)
 		},
 		Commutative: true,

@@ -183,7 +183,7 @@ func mergeLists(dst, a, b []Neighbor) int {
 	return n
 }
 
-// mergeNeighbors is KNN's Combine and Reduce: the left fold of the lists in
+// mergeNeighbors is KNN's Combine: the left fold of the lists in
 // values by Merge — the same neighbors in the same order, bit for bit —
 // built in one fresh list however many there are. Each merge is written to
 // scratch and copied back, on the stack for k up to 16. The inputs are not

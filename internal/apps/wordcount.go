@@ -30,7 +30,6 @@ func lineJob(name string, partitions int, mapLine func(line string, emit mapredu
 		},
 		MapLine:     mapText,
 		Combine:     sumValues,
-		Reduce:      sumValues,
 		Commutative: true,
 		SumInt64:    true,
 	}

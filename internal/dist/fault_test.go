@@ -7,7 +7,6 @@ import (
 
 	"slider/internal/mapreduce"
 	"slider/internal/memo"
-	"slider/internal/metrics"
 	"slider/internal/sliderrt"
 )
 
@@ -550,12 +549,10 @@ func TestBreakerOpenedAtConstruction(t *testing.T) {
 // recomputation from scratch.
 func TestRuntimeLocalFallback(t *testing.T) {
 	workers, addrs, _ := newCluster(t, 2)
-	rec := &metrics.FaultRecorder{}
 	pool, err := NewPoolConfig("dist-wordcount", addrs, PoolConfig{
 		BackoffBase:    2 * time.Millisecond,
 		BackoffMax:     30 * time.Millisecond,
 		HealthInterval: -1,
-		Faults:         rec,
 		Seed:           1,
 	})
 	if err != nil {
@@ -569,7 +566,6 @@ func TestRuntimeLocalFallback(t *testing.T) {
 		Mode: sliderrt.Fixed, BucketSplits: 2, WindowBuckets: 4,
 		Memo:      memoCfg,
 		MapRunner: pool,
-		Faults:    rec,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,11 +106,6 @@ type PoolConfig struct {
 	// HedgeMin is the floor below which no hedge fires (also the
 	// threshold used before any latency samples exist). Default 20ms.
 	HedgeMin time.Duration
-	// Faults receives the pool's fault-tolerance event counters; nil
-	// allocates a private recorder (see Pool.FaultStats). Share one
-	// recorder with sliderrt.Config.Faults to see the whole degradation
-	// ladder in a single snapshot.
-	Faults *metrics.FaultRecorder
 	// Tracer, when non-nil, lets the pool attach events (retries, hedges,
 	// budget exhaustion) to the currently active slide span
 	// (metrics.Tracer.Active), correlating fault handling with the slide
@@ -154,9 +149,6 @@ func (c *PoolConfig) normalize() {
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 20 * time.Millisecond
-	}
-	if c.Faults == nil {
-		c.Faults = &metrics.FaultRecorder{}
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()
@@ -226,7 +218,7 @@ func NewPoolConfig(jobName string, addrs []string, cfg PoolConfig) (*Pool, error
 	p := &Pool{
 		jobName: jobName,
 		cfg:     cfg,
-		faults:  cfg.Faults,
+		faults:  &metrics.FaultRecorder{},
 		tracer:  cfg.Tracer,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		stop:    make(chan struct{}),
@@ -318,8 +310,7 @@ func (p *Pool) Close() {
 }
 
 // Retries reports how many splits were re-queued after worker failures:
-// FaultStats().Retries, which counts other pools' too where they share
-// the recorder.
+// FaultStats().Retries.
 func (p *Pool) Retries() int64 { return p.faults.Retries.Load() }
 
 // LiveWorkers reports how many workers are currently considered up.
@@ -343,6 +334,13 @@ func (p *Pool) isClosed() bool {
 
 // FaultStats snapshots the pool's fault-tolerance event counters.
 func (p *Pool) FaultStats() metrics.FaultStats { return p.faults.Snapshot() }
+
+// FaultRecorder returns the recorder the pool counts its fault-tolerance
+// events into. A runtime whose MapRunner is the pool records its own
+// degradation events (local fallbacks, memo recomputes) into it too, so the
+// whole ladder — remote → retry → hedge → local → recompute — lands in one
+// snapshot.
+func (p *Pool) FaultRecorder() *metrics.FaultRecorder { return p.faults }
 
 // PollStats pulls a Stats snapshot from every live worker right now and
 // caches it for ClusterStats. A poll never queues behind a batch: a

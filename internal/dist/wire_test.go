@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"net"
 	"time"
+
+	"slider/internal/metrics"
 )
 
 // loopConn is a connection with no peer: reads drain in, writes collect in
@@ -34,7 +36,7 @@ func (c *loopConn) Write(p []byte) (int, error) {
 func loopPool(jobName string) *Pool {
 	cfg := PoolConfig{TaskTimeout: -1, HealthInterval: -1, StatsInterval: -1, Seed: 1}
 	cfg.normalize()
-	return &Pool{jobName: jobName, cfg: cfg, faults: cfg.Faults, rng: rand.New(rand.NewSource(1))}
+	return &Pool{jobName: jobName, cfg: cfg, faults: &metrics.FaultRecorder{}, rng: rand.New(rand.NewSource(1))}
 }
 
 func (c *loopConn) Close() error                     { return nil }

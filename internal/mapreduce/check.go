@@ -29,6 +29,13 @@ var (
 	// next key — one pair per merge, one arena per K-way merge — so a
 	// retained slice changes under the value that holds it.
 	ErrRetainsArgs = errors.New("mapreduce: function retains its values argument slice")
+	// ErrReduceNotFold means a declared Reduce gave another output for a
+	// key's values than for their Combine: Reduce(k, [a, b, c]) differs from
+	// Reduce(k, [Combine(k, [a, b, c])]), or the two-value form does. The
+	// runtime reduces a key's window from one, two or more roots, so a
+	// Reduce that is no lower of the fold outputs something that depends
+	// on how the window happened to be grouped.
+	ErrReduceNotFold = errors.New("mapreduce: Reduce of several values differs from Reduce of their Combine")
 	// ErrNotSum means the job declares SumInt64 but Map emitted a value
 	// that is no int64, or Combine is not the wrapping int64 sum: the map
 	// task would compute something other than what Combine does.
@@ -110,11 +117,14 @@ func checkSum(job *Job, key string) (err error) {
 // least three values, that Combine is associative — over two values and
 // over three handed over in one call, which must equal their left fold —,
 // commutative (when the job declares it), does not mutate its inputs, and
-// does not return a value aliasing an input; and that neither Combine nor
-// Reduce retains its values argument slice (the result must fingerprint the
-// same after the slice is overwritten). Values are compared by Fingerprint with a
-// relative tolerance for floats (contraction trees re-associate float
-// arithmetic by design). A job that declares SumInt64 must emit only int64
+// does not return a value aliasing an input; that neither Combine nor a
+// declared Reduce retains its values argument slice (the result must
+// fingerprint the same after the slice is overwritten); and that a declared
+// Reduce lowers the fold: over two or three values it equals Reduce over
+// their Combine (ErrReduceNotFold). Values are compared field by field with a
+// relative tolerance for floats, wherever they sit in the value (contraction
+// trees re-associate float arithmetic by design), or by Fingerprint where
+// the type defines one. A job that declares SumInt64 must emit only int64
 // values, and its Combine must return their wrapping sum, on every sampled
 // key, for lists of one to four values that include zero, negatives and
 // overflow (ErrNotSum). A job that declares MapLine must map every string
@@ -182,11 +192,6 @@ func CheckJob(job *Job, samples []Split) error {
 		if retainsArgs(job.Combine, key, []Value{a, b}, []Value{b, c}) {
 			return fmt.Errorf("%w: Combine (key %q)", ErrRetainsArgs, key)
 		}
-		if retainsArgs(job.Reduce, key, []Value{a, b}, []Value{b, c}) ||
-			retainsArgs(job.Reduce, key, []Value{ab}, []Value{c}) {
-			return fmt.Errorf("%w: Reduce (key %q)", ErrRetainsArgs, key)
-		}
-
 		// Alias-freedom: the result must not share storage with an input.
 		if aliases(ab, a) || aliases(ab, b) {
 			return fmt.Errorf("%w (key %q)", ErrAliasesInput, key)
@@ -224,9 +229,35 @@ func CheckJob(job *Job, samples []Split) error {
 				return fmt.Errorf("%w (key %q)", ErrNotCommutative, key)
 			}
 		}
+
+		// A declared Reduce, held once the Combine it lowers is.
+		if job.Reduce != nil {
+			if err := checkReduce(job, key, a, b, c); err != nil {
+				return err
+			}
+		}
 	}
 	if checked == 0 {
 		return fmt.Errorf("mapreduce: samples produced no key with ≥3 values; provide more data")
+	}
+	return nil
+}
+
+// checkReduce holds a declared Reduce, on one key's three values, to the
+// slice rule and to the fold: Reduce over the values, two or three, equals
+// Reduce over their Combine. A job that declares none reduces by the fold,
+// which meets both by construction.
+func checkReduce(job *Job, key string, a, b, c Value) error {
+	if retainsArgs(job.Reduce, key, []Value{a, b}, []Value{b, c}) ||
+		retainsArgs(job.Reduce, key, []Value{job.Combine(key, []Value{a, b})}, []Value{c}) {
+		return fmt.Errorf("%w: Reduce (key %q)", ErrRetainsArgs, key)
+	}
+	for _, vs := range [][]Value{{a, b}, {a, b, c}} {
+		whole := job.Reduce(key, vs)
+		folded := job.Reduce(key, []Value{job.Combine(key, vs)})
+		if !valuesEquivalent(whole, folded) {
+			return fmt.Errorf("%w (key %q, %d values): %v, of their Combine %v", ErrReduceNotFold, key, len(vs), whole, folded)
+		}
 	}
 	return nil
 }
@@ -282,27 +313,60 @@ func pickDistinct(vs []Value) (Value, Value, Value) {
 	return picked[0], picked[1], picked[2]
 }
 
-// valuesEquivalent compares combiner outputs, tolerating float
-// re-association error.
+// valuesEquivalent compares combiner and reducer outputs, tolerating float
+// re-association error: values of the same shape whose floats are close and
+// whose every other field, element and map entry is equal — the floats
+// inside an accumulator struct (K-Means' sums) as much as a bare float64 —
+// and values of a Fingerprinter type whose fingerprints are equal.
 func valuesEquivalent(a, b Value) bool {
-	switch x := a.(type) {
-	case float64:
-		y, ok := b.(float64)
-		return ok && floatsClose(x, y)
-	case []float64:
-		y, ok := b.([]float64)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if !floatsClose(x[i], y[i]) {
+	if _, ok := a.(Fingerprinter); ok && Fingerprint(a) == Fingerprint(b) {
+		return true
+	}
+	return closeValues(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// closeValues walks two values in step: floats by floatsClose, everything
+// else exactly.
+func closeValues(a, b reflect.Value) bool {
+	if !a.IsValid() || !b.IsValid() || a.Type() != b.Type() {
+		return !a.IsValid() && !b.IsValid()
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return floatsClose(a.Float(), b.Float())
+	case reflect.Pointer, reflect.Interface:
+		return a.IsNil() && b.IsNil() || !a.IsNil() && !b.IsNil() && closeValues(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !closeValues(a.Field(i), b.Field(i)) {
 				return false
 			}
 		}
 		return true
-	default:
-		return Fingerprint(a) == Fingerprint(b)
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !closeValues(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			if !closeValues(it.Value(), b.MapIndex(it.Key())) {
+				return false
+			}
+		}
+		return true
+	case reflect.Func:
+		return a.IsNil() && b.IsNil()
 	}
+	return a.Equal(b)
 }
 
 func floatsClose(x, y float64) bool {

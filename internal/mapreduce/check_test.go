@@ -96,7 +96,6 @@ func TestCheckJobDetectsNonCommutativity(t *testing.T) {
 			}
 			return sb.String()
 		},
-		Reduce:      func(_ string, values []Value) Value { return values[0] },
 		Commutative: true, // falsely declared
 	}
 	if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrNotCommutative) {
@@ -149,7 +148,6 @@ func TestCheckJobToleratesFloatReassociation(t *testing.T) {
 			}
 			return sum
 		},
-		Reduce:      func(_ string, values []Value) Value { return values[0] },
 		Commutative: true,
 	}
 	if err := CheckJob(job, checkSamples()); err != nil {
@@ -227,9 +225,61 @@ func TestCheckJobDetectsRetainedArgs(t *testing.T) {
 
 	// Copying the values out is fine.
 	copying := sumJob(1)
-	copying.Reduce = func(_ string, values []Value) Value { return append([]Value(nil), values...) }
+	copying.Reduce = func(key string, values []Value) Value {
+		return copying.Combine(key, append([]Value(nil), values...))
+	}
 	if err := CheckJob(copying, checkSamples()); err != nil {
 		t.Fatalf("copying reducer rejected: %v", err)
+	}
+}
+
+// TestCheckJobHoldsReduceToTheFold: a declared Reduce must give for a key's
+// values what it gives for their Combine — a lower of the fold, like a mean —
+// since the runtime reduces a window from one, two or more roots; a job
+// that declares none reduces by the fold and meets it by construction.
+func TestCheckJobHoldsReduceToTheFold(t *testing.T) {
+	undeclared := sumJob(1)
+	undeclared.Reduce = nil
+	half := sumJob(1)
+	half.Reduce = func(key string, values []Value) Value {
+		return float64(half.Combine(key, values).(int64)) / 2
+	}
+	for _, job := range []*Job{undeclared, half} {
+		if err := CheckJob(job, checkSamples()); err != nil {
+			t.Fatalf("lawful Reduce rejected: %v", err)
+		}
+	}
+	for name, reduce := range map[string]func(string, []Value) Value{
+		"first value": func(_ string, values []Value) Value { return values[0] },
+		"count":       func(_ string, values []Value) Value { return int64(len(values)) },
+		"last two": func(_ string, values []Value) Value {
+			return values[len(values)-1].(int64) + values[max(0, len(values)-2)].(int64)
+		},
+	} {
+		job := sumJob(1)
+		job.Reduce = reduce
+		if err := CheckJob(job, checkSamples()); !errors.Is(err, ErrReduceNotFold) {
+			t.Fatalf("%s: err = %v, want ErrReduceNotFold", name, err)
+		}
+	}
+}
+
+// TestCheckJobComparesFloatsInsideValues: the float tolerance reaches floats
+// inside a struct behind a pointer (an accumulator), while every other field
+// is compared exactly.
+func TestCheckJobComparesFloatsInsideValues(t *testing.T) {
+	type acc struct {
+		Sum   []float64
+		Count int64
+	}
+	a := &acc{Sum: []float64{0.1 + 0.2, 1}, Count: 3}
+	if !valuesEquivalent(a, &acc{Sum: []float64{0.3, 1}, Count: 3}) {
+		t.Fatal("sums a rounding apart are not equivalent")
+	}
+	for _, b := range []*acc{{Sum: []float64{0.3, 1}, Count: 4}, {Sum: []float64{0.31, 1}, Count: 3}, {Sum: []float64{0.3}, Count: 3}, nil} {
+		if valuesEquivalent(a, b) {
+			t.Fatalf("%v and %v are equivalent", a, b)
+		}
 	}
 }
 

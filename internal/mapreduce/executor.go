@@ -158,10 +158,10 @@ func (e Executor) RunMapTasks(job *Job, splits []Split, rec *metrics.Recorder) (
 	return results, nil
 }
 
-// ReducePayload applies the job's Reduce to every key of the root
-// payload(s) and returns the final output. Multiple payloads for the same
-// key are passed to Reduce together, in window order (the "union"
-// reduction of §4.2's foreground step).
+// ReducePayload reduces every key of the root payload(s) (see
+// Job.Reduce) and returns the final output. Multiple payloads for the same
+// key are reduced together, in window order (the "union" reduction of
+// §4.2's foreground step).
 func ReducePayload(job *Job, roots []Payload) (Output, int64) {
 	sized := make([]Sized, len(roots))
 	total := 0
@@ -176,17 +176,19 @@ func ReducePayload(job *Job, roots []Payload) (Output, int64) {
 // ReduceInto is ReducePayload writing into a caller-owned output, so the
 // per-partition reduces of one run fill a single map (partitions are
 // key-disjoint); it takes the roots as the trees hold them and ignores
-// their sizes. It returns the number of Reduce calls.
+// their sizes. It returns the number of keys reduced: one Reduce call each
+// (see Job.Reduce).
 //
 // A lone non-empty root — every slide outside split processing — is
 // already the key-ordered stream: its entries are walked as they lie, each
-// value handed to Reduce through one reused one-element slice. Two — the
-// daba kind's halves when a slide refills the output — are walked with two
-// cursors (reduceTwo). More roots are joined into that stream (joinK). Each
-// way a key's values reach Reduce together, in window order, keys reach it
-// in ascending order, and the slice it receives is only valid for the
-// duration of the call (see Job.Reduce).
+// value handed to the reducer through one reused one-element slice. Two —
+// the daba kind's halves when a slide refills the output — are walked with
+// two cursors (reduceTwo). More roots are joined into that stream (joinK).
+// Each way a key's values reach the reducer together, in window order, keys
+// reach it in ascending order, and the slice it receives is only valid for
+// the duration of the call (see Job.Reduce).
 func ReduceInto(job *Job, roots []Sized, out Output) int64 {
+	reduce := job.reducer()
 	var left, right Payload
 	nonEmpty := 0
 	for _, r := range roots {
@@ -205,15 +207,15 @@ func ReduceInto(job *Job, roots []Sized, out Output) int64 {
 		one := make([]Value, 1)
 		for _, e := range right {
 			one[0] = e.Value
-			out[e.Key] = job.Reduce(e.Key, one)
+			out[e.Key] = reduce(e.Key, one)
 		}
 		return int64(len(right))
 	case 2:
-		return reduceTwo(job, left, right, out)
+		return reduceTwo(reduce, left, right, out)
 	}
 	var calls int64
 	joinK(roots, func(key string, vals []Value) {
-		out[key] = job.Reduce(key, vals)
+		out[key] = reduce(key, vals)
 		calls++
 	})
 	return calls
@@ -221,10 +223,10 @@ func ReduceInto(job *Job, roots []Sized, out Output) int64 {
 
 // reduceTwo is ReduceInto over two non-empty roots, left before right in
 // window order: what joinK gives over them, without its heap. A key both
-// hold hands Reduce the left value then the right one, under the right
+// hold hands reduce the left value then the right one, under the right
 // root's key string, as joinK's rightmost holder; the values pass through
 // one reused two-element slice.
-func reduceTwo(job *Job, left, right Payload, out Output) int64 {
+func reduceTwo(reduce func(string, []Value) Value, left, right Payload, out Output) int64 {
 	pair := make([]Value, 2)
 	i, j := 0, 0
 	var calls int64
@@ -233,15 +235,15 @@ func reduceTwo(job *Job, left, right Payload, out Output) int64 {
 		switch c := strings.Compare(l.Key, r.Key); {
 		case c < 0:
 			pair[0] = l.Value
-			out[l.Key] = job.Reduce(l.Key, pair[:1])
+			out[l.Key] = reduce(l.Key, pair[:1])
 			i++
 		case c > 0:
 			pair[0] = r.Value
-			out[r.Key] = job.Reduce(r.Key, pair[:1])
+			out[r.Key] = reduce(r.Key, pair[:1])
 			j++
 		default:
 			pair[0], pair[1] = l.Value, r.Value
-			out[r.Key] = job.Reduce(r.Key, pair)
+			out[r.Key] = reduce(r.Key, pair)
 			i, j = i+1, j+1
 		}
 		calls++
@@ -249,7 +251,7 @@ func reduceTwo(job *Job, left, right Payload, out Output) int64 {
 	for _, rest := range [2]Payload{left[i:], right[j:]} {
 		for _, e := range rest {
 			pair[0] = e.Value
-			out[e.Key] = job.Reduce(e.Key, pair[:1])
+			out[e.Key] = reduce(e.Key, pair[:1])
 		}
 		calls += int64(len(rest))
 	}
@@ -301,7 +303,7 @@ func ReduceDelta(job *Job, evicted, added []Sized, at Located, roots []Sized, ou
 	for range roots {
 		next = append(next, 0)
 	}
-	d := deltaReduce{job: job, roots: roots, out: out, changed: changed, vals: make([]Value, 0, len(roots))}
+	d := deltaReduce{reduce: job.reducer(), roots: roots, out: out, changed: changed, vals: make([]Value, 0, len(roots))}
 	if len(evicted) > 1 || len(added) > 1 {
 		var buf [16]Sized // one slide's elements of one partition
 		moved := append(append(buf[:0], evicted...), added...)
@@ -354,7 +356,7 @@ const unlocated int32 = math.MinInt32
 
 // deltaReduce is one ReduceDelta's state.
 type deltaReduce struct {
-	job     *Job
+	reduce  func(string, []Value) Value
 	roots   []Sized
 	out     Output
 	changed []string
@@ -403,7 +405,7 @@ func (d *deltaReduce) touch(next []int, key string, front, back int32) {
 	if len(d.vals) == 0 {
 		delete(d.out, key)
 	} else {
-		d.out[key] = d.job.Reduce(key, d.vals)
+		d.out[key] = d.reduce(key, d.vals)
 		d.counts.Calls++
 	}
 	d.changed = append(d.changed, key)
@@ -435,8 +437,8 @@ func seek(p Payload, key string) Payload {
 
 // RunScratch executes the whole job non-incrementally: map over every
 // split, then one reduce task per partition that — like vanilla Hadoop —
-// groups the (map-side combined) values per key and applies Reduce once
-// to each group. This is the "recompute from scratch" baseline of §7.2.
+// groups the (map-side combined) values per key and reduces each group
+// once (see Job.Reduce). This is the "recompute from scratch" baseline of §7.2.
 func RunScratch(job *Job, splits []Split, par int, rec *metrics.Recorder) (Output, error) {
 	results, err := Executor{Parallelism: par}.RunMapTasks(job, splits, rec)
 	if err != nil {

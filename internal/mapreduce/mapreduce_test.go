@@ -50,10 +50,10 @@ func TestValidate(t *testing.T) {
 	if err := broken.Validate(); err == nil {
 		t.Fatal("job without Combine validated")
 	}
-	broken = *job
-	broken.Reduce = nil
-	if err := broken.Validate(); err == nil {
-		t.Fatal("job without Reduce validated")
+	undeclared := *job
+	undeclared.Reduce = nil
+	if err := undeclared.Validate(); err != nil {
+		t.Fatalf("job without Reduce refused: %v", err)
 	}
 	broken = *job
 	broken.Partitions = -1

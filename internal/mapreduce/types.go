@@ -80,10 +80,16 @@ type Job struct {
 	// sub-slice of it (the values it holds may be kept). CheckJob
 	// enforces this (ErrRetainsArgs).
 	Combine func(key string, values []Value) Value
-	// Reduce produces the final per-key output from the combined
-	// value(s) at the contraction-tree root. Like Combine's, its values
-	// slice is only valid for the duration of the call and must not be
-	// retained or returned.
+	// Reduce, when set, produces the final per-key output from the
+	// combined value(s) at the contraction-tree roots, in window order. It
+	// is optional: a job that declares none outputs each key's fold — the
+	// lone value itself, or one Combine call over several. Declare it only
+	// to lower that fold into something else (K-Means' mean, a median), and
+	// as a lower of the fold: Reduce(k, [a, b]) must equal
+	// Reduce(k, [Combine(k, [a, b])]), since the runtime hands it one, two or
+	// more roots for the same window (CheckJob holds it, ErrReduceNotFold).
+	// Like Combine's, its values slice is only valid for the duration of the
+	// call and must not be retained or returned.
 	Reduce func(key string, values []Value) Value
 	// Commutative declares that Combine is order-insensitive.
 	Commutative bool
@@ -107,12 +113,26 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("mapreduce: job %q has no Map", j.Name)
 	case j.Combine == nil:
 		return fmt.Errorf("mapreduce: job %q has no Combine", j.Name)
-	case j.Reduce == nil:
-		return fmt.Errorf("mapreduce: job %q has no Reduce", j.Name)
 	case j.Partitions < 0:
 		return fmt.Errorf("mapreduce: job %q has negative partitions", j.Name)
 	}
 	return nil
+}
+
+// reducer is the function that reduces a key's window values: the job's
+// Reduce as it is when it declares one, else the fold — a lone value as it
+// is, several folded by one Combine call. Reduces pick it once, not once per
+// key.
+func (j *Job) reducer() func(key string, values []Value) Value {
+	if j.Reduce != nil {
+		return j.Reduce
+	}
+	return func(key string, values []Value) Value {
+		if len(values) == 1 {
+			return values[0]
+		}
+		return j.Combine(key, values)
+	}
 }
 
 // NumPartitions returns the effective reduce partition count.

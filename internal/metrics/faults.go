@@ -125,10 +125,10 @@ func (s FaultStats) String() string {
 
 // FaultRecorder accumulates fault-tolerance events. All fields are
 // atomics, so producers on any goroutine (pool senders, the health
-// checker, partition workers) increment without locking. One recorder is
-// typically shared between a dist.Pool and the sliderrt.Runtime driving
-// it (sliderrt.Config.Faults), so the whole degradation ladder lands in a
-// single snapshot. Use by pointer; the zero value is ready.
+// checker, partition workers) increment without locking. A dist.Pool owns
+// one, and a sliderrt.Runtime whose map tasks run on the pool records into
+// it too, so the whole degradation ladder lands in a single snapshot. Use
+// by pointer; the zero value is ready.
 type FaultRecorder struct {
 	Retries          atomic.Int64
 	DeadlinesExpired atomic.Int64

@@ -57,7 +57,6 @@ func TestClusterObservability(t *testing.T) {
 	}
 
 	so := metrics.NewSlideObs()
-	faults := &metrics.FaultRecorder{}
 	pool, err := dist.NewPoolConfig("obs-wordcount", addrs, dist.PoolConfig{
 		TaskTimeout:     time.Second,
 		BackoffBase:     2 * time.Millisecond,
@@ -66,7 +65,6 @@ func TestClusterObservability(t *testing.T) {
 		StatsInterval:   5 * time.Millisecond,
 		Hedge:           true,
 		HedgeMin:        20 * time.Millisecond,
-		Faults:          faults,
 		Tracer:          so.Tracer,
 		Seed:            1,
 	})
@@ -74,11 +72,11 @@ func TestClusterObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	faults := pool.FaultRecorder()
 
 	rt, err := sliderrt.New(obsTestJob(), sliderrt.Config{
 		Mode:      sliderrt.Variable,
 		MapRunner: pool,
-		Faults:    faults,
 		Obs:       so,
 	})
 	if err != nil {

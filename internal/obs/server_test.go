@@ -108,15 +108,14 @@ func TestServerEndpointsLive(t *testing.T) {
 	}
 
 	so := metrics.NewSlideObs()
-	faults := &metrics.FaultRecorder{}
 	pool, err := dist.NewPoolConfig("obs-wordcount", addrs, dist.PoolConfig{
-		Faults: faults,
 		Tracer: so.Tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	faults := pool.FaultRecorder()
 
 	memoCfg := memo.DefaultConfig()
 	memoCfg.Nodes = 4
@@ -124,7 +123,6 @@ func TestServerEndpointsLive(t *testing.T) {
 		Mode:      sliderrt.Variable,
 		Memo:      memoCfg,
 		MapRunner: pool,
-		Faults:    faults,
 		Obs:       so,
 	})
 	if err != nil {

@@ -440,9 +440,6 @@ func makeGroupStage(gs *GroupStmt, fe *ForeachStmt, schema Schema, ops []rowOp, 
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
 			return mergeAggVals(values)
 		},
-		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return mergeAggVals(values)
-		},
 		Commutative: true,
 	}
 	finalize := func(out mapreduce.Output) []Row {
@@ -520,11 +517,10 @@ func makeDistinctStage(st *DistinctStmt, schema Schema, ops []rowOp, partitions 
 			}
 			return nil
 		},
+		// Combine keeps the first row, in a fresh value: a combiner's result
+		// shares no pointer with its inputs (mapreduce.ErrAliasesInput).
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return values[0]
-		},
-		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return values[0]
+			return &RowVal{Row: values[0].(*RowVal).Row}
 		},
 		Commutative: true,
 	}
@@ -576,9 +572,6 @@ func makeOrderStage(st *OrderStmt, schema Schema, ops []rowOp, limit int) (*Stag
 			return nil
 		},
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return mergeSortedRows(values)
-		},
-		Reduce: func(_ string, values []mapreduce.Value) mapreduce.Value {
 			return mergeSortedRows(values)
 		},
 		Commutative: true,

@@ -1,8 +1,10 @@
 package pig
 
 import (
+	"cmp"
 	"math"
 	"sort"
+	"strings"
 
 	"slider/internal/mapreduce"
 )
@@ -118,7 +120,7 @@ func (a *AggVal) Merge(b *AggVal) *AggVal {
 	return mergeAggVals([]mapreduce.Value{a, b})
 }
 
-// mergeAggVals is a GROUP stage's Combine and Reduce: the left fold of the
+// mergeAggVals is a GROUP stage's Combine: the left fold of the
 // aggregates in values by Merge, cell by cell in values' order — so the
 // float sums are a chain of Merge calls', bit for bit — in one fresh
 // aggregate however many there are. The inputs are not modified; a lone
@@ -191,28 +193,36 @@ var (
 	_ mapreduce.Fingerprinter = (*SortedRows)(nil)
 )
 
-// rowLess orders rows by the sort key with a deterministic tie-break.
+// rowLess orders rows by the sort key with a deterministic tie-break. The
+// keys are ordered by kind first, numbers before strings (every value that
+// is no number compares as its ToString), then within the kind; DESC
+// reverses the whole key order. So it is a total order, and any merge of
+// sorted lists gives the rows a sort does.
 func (s *SortedRows) rowLess(a, b Row) bool {
-	av, bv := a[s.KeyIdx], b[s.KeyIdx]
-	if af, aok := strictNum(av); aok {
-		if bf, bok := strictNum(bv); bok {
-			if af != bf {
-				if s.Desc {
-					return af > bf
-				}
-				return af < bf
-			}
-			return encodeRow(a) < encodeRow(b)
-		}
+	c := compareKeys(a[s.KeyIdx], b[s.KeyIdx])
+	if s.Desc {
+		c = -c
 	}
-	as, bs := ToString(av), ToString(bv)
-	if as != bs {
-		if s.Desc {
-			return as > bs
-		}
-		return as < bs
+	if c != 0 {
+		return c < 0
 	}
 	return encodeRow(a) < encodeRow(b)
+}
+
+// compareKeys is rowLess's key order, ascending.
+func compareKeys(a, b Value) int {
+	af, aNum := strictNum(a)
+	bf, bNum := strictNum(b)
+	switch {
+	case aNum && bNum:
+		return cmp.Compare(af, bf)
+	case aNum != bNum:
+		if aNum {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(ToString(a), ToString(b))
 }
 
 // Merge returns a fresh sorted (and capped) union.
@@ -220,12 +230,11 @@ func (s *SortedRows) Merge(other *SortedRows) *SortedRows {
 	return mergeSortedRows([]mapreduce.Value{s, other})
 }
 
-// mergeSortedRows is an ORDER stage's Combine and Reduce: the left fold of
+// mergeSortedRows is an ORDER stage's Combine: the left fold of
 // the lists in values by Merge, in one fresh list however many there are.
 // Each step merges by the first list's rowLess, other's first of equal
 // rows, capped at the largest Limit so far, so the rows are the chain's
-// in the chain's order even where rowLess is no order (it compares a
-// number and a string as strings). The steps run between two buffers
+// in the chain's order. The steps run between two buffers
 // sized for the longest list the chain builds. The inputs are not
 // modified; a lone list is returned as it is.
 func mergeSortedRows(values []mapreduce.Value) *SortedRows {

@@ -94,7 +94,6 @@ func TestChaosClusterCountsFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.MapRunner = chaos.pool
-	cfg.Faults = chaos.rec
 	rt, err := sliderrt.New(simJob(7), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func TestChaosClusterCountsFaults(t *testing.T) {
 	}
 	advance()
 
-	st := chaos.rec.Snapshot()
+	st := chaos.pool.FaultStats()
 	t.Logf("%s", chaos.faultLine())
 	if st.Retries == 0 {
 		t.Error("dropped responses caused no retries")

@@ -7,7 +7,6 @@ import (
 
 	"slider/internal/dist"
 	"slider/internal/mapreduce"
-	"slider/internal/metrics"
 )
 
 // chaosTaskTimeout and chaosDelay are tuned together: an injected delay
@@ -33,7 +32,6 @@ type chaosCluster struct {
 	workers []*dist.Worker
 	addrs   []string
 	pool    *dist.Pool
-	rec     *metrics.FaultRecorder
 }
 
 // newChaosCluster starts the workers and the pool; the workers serve the
@@ -43,7 +41,7 @@ type chaosCluster struct {
 // a worker runs is the declared kernel, every one mapped in process is the
 // chain-and-fold one, and the oracle holds the two to each other.
 func newChaosCluster(n int, seed uint64) (*chaosCluster, error) {
-	c := &chaosCluster{reg: &dist.Registry{}, rec: &metrics.FaultRecorder{}}
+	c := &chaosCluster{reg: &dist.Registry{}}
 	served := func() *mapreduce.Job {
 		job := simJob(seed)
 		job.SumInt64 = seed%3 != 2
@@ -71,7 +69,6 @@ func newChaosCluster(n int, seed uint64) (*chaosCluster, error) {
 		StatsInterval:   5 * time.Millisecond,
 		Hedge:           true,
 		HedgeMin:        20 * time.Millisecond,
-		Faults:          c.rec,
 		Seed:            1, // deterministic backoff jitter
 	})
 	if err != nil {
@@ -135,5 +132,5 @@ func (c *chaosCluster) Close() {
 
 // faultLine renders the cluster's fault counters (test logs).
 func (c *chaosCluster) faultLine() string {
-	return fmt.Sprintf("dist faults: %s", c.rec.Snapshot())
+	return fmt.Sprintf("dist faults: %s", c.pool.FaultStats())
 }

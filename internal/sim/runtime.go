@@ -71,7 +71,6 @@ func simJob(seed uint64) *mapreduce.Job {
 			return nil
 		},
 		Combine:     sum,
-		Reduce:      sum,
 		Commutative: true,
 	}
 }
@@ -220,7 +219,6 @@ func runRuntime(tr Trace, opt Options) error {
 		}
 		if chaos != nil {
 			cfg.MapRunner = chaos.pool
-			cfg.Faults = chaos.rec
 		}
 		rt, err := sliderrt.New(simJob(tr.Seed), cfg)
 		if err != nil {

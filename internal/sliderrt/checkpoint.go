@@ -277,15 +277,25 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 		return nil, fmt.Errorf("sliderrt: restore: checkpoint holds %d partitions, header says %d",
 			len(st.Partitions), rt.parts)
 	}
-	// Every partition's frame is decoded and validated, and the bucket
-	// ledger held to what they hold, before any aggregator is touched; the
-	// aggregator's Restore checks what only it can know (identity counts).
+	// Every partition's frame is decoded and validated, each key held to the
+	// partition it hashes to, and the bucket ledger held to what they hold,
+	// before any aggregator is touched; the aggregator's Restore checks what
+	// only it can know (identity counts). A frame whose partitions were
+	// swapped passes every length check, and a key restored into the wrong
+	// partition is one no slide that evicts or adds it ever touches.
 	rt.installAggregators()
 	rt.bucketSizes, rt.bucketSeq = st.BucketSizes, st.BucketSeq
 	states := make([]core.State[sized], rt.parts)
 	for p := range st.Partitions {
 		if states[p], err = rt.decodePartition(&st.Partitions[p], st.Seq, rt.firstBucket()); err != nil {
 			return nil, fmt.Errorf("sliderrt: restore partition %d: %w", p, err)
+		}
+		for _, s := range append([]sized{states[p].Root, states[p].Pending}, states[p].Elems...) {
+			for _, e := range s.P {
+				if q := mapreduce.Partition(e.Key, rt.parts); q != p {
+					return nil, fmt.Errorf("sliderrt: restore partition %d: key %q belongs to partition %d", p, e.Key, q)
+				}
+			}
 		}
 	}
 	if err := rt.checkLedger(st.WindowLo, st.Live, states); err != nil {

@@ -149,6 +149,13 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 	}
 }
 
+// swapPartitions exchanges the state of partitions 0 and 1: every length,
+// flag and ledger still holds, but each key sits in a partition it does not
+// hash to.
+func swapPartitions(st *checkpointState) {
+	st.Partitions[0], st.Partitions[1] = st.Partitions[1], st.Partitions[0]
+}
+
 // TestRestoreRejectsInconsistentFrames fabricates frames that pass the
 // CRC and the header checks but whose partition state contradicts itself.
 // Each used to index past a slice (or restore a made-up window); each must
@@ -207,6 +214,12 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 			func(st *checkpointState) { st.Partitions[2].Victim = 1 }, "no victim cursor 1"},
 		{"folding: a ledger", Config{Mode: Variable},
 			func(st *checkpointState) { st.BucketSizes, st.BucketSeq = []int{4}, 1 }, "keeps no bucket ledger"},
+		{"folding: leaves of partitions 0 and 1 swapped", Config{Mode: Variable},
+			swapPartitions, "belongs to partition"},
+		{"daba: buckets of partitions 0 and 1 swapped", daba,
+			swapPartitions, "belongs to partition"},
+		{"append: root and pending of partitions 0 and 1 swapped", Config{Mode: Append},
+			swapPartitions, "belongs to partition"},
 		{"fixed: a bucket short", daba,
 			func(st *checkpointState) {
 				buckets, err := persist.DecodePayloadSet(st.Partitions[0].FlatBuckets)

@@ -113,12 +113,6 @@ type Config struct {
 	// entries (the paper's "more aggressive user-defined policy", §6).
 	// Return true to evict the entry.
 	GCPolicy func(key string, lo, hi uint64, size int64) bool
-	// Faults receives the runtime's degradation event counters
-	// (local fallbacks, memo recomputes). Share one recorder with
-	// dist.PoolConfig.Faults so the whole degradation ladder — remote →
-	// retry → hedge → local → recompute — lands in a single snapshot.
-	// Nil allocates a private recorder (see Runtime.FaultStats).
-	Faults *metrics.FaultRecorder
 	// Obs, when set, instruments every slide: end-to-end and per-phase
 	// latency histograms, memo read/write latency, and span traces
 	// (subject to Obs.Tracer's mode). Nil — the default — disables the
@@ -160,9 +154,6 @@ func (c *Config) validate() error {
 	}
 	if c.Memo.Nodes <= 0 {
 		c.Memo = memo.DefaultConfig()
-	}
-	if c.Faults == nil {
-		c.Faults = &metrics.FaultRecorder{}
 	}
 	return nil
 }

@@ -22,8 +22,9 @@ import (
 // a value frame given a valid header, which puts the mutations where the
 // checkpoint decoder reads them. The seeds are every golden checkpoint as
 // written (sld1), rewritten under sld2 and as the version-3 frame a restored
-// runtime writes back, which restore, and numbered version 1 or without a
-// backend, which Restore refuses — raw and as bodies to reframe.
+// runtime writes back, which restore, and numbered version 1, without a
+// backend or with the state of partitions 0 and 1 swapped, which Restore
+// refuses — raw and as bodies to reframe.
 func FuzzRestore(f *testing.F) {
 	cases := identityCases()
 	value, err := persist.Encode(0)
@@ -43,7 +44,11 @@ func FuzzRestore(f *testing.F) {
 		cfg.Memo = testMemoConfig()
 		v1 := rewriteFrame(f, golden, version1)
 		f.Add(golden, false, uint8(i))
-		for _, frame := range [][]byte{rewriteFrame(f, golden, nil), v1, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, v1, zeroBackend), recheckpoint(f, cfg, golden)} {
+		v3 := recheckpoint(f, cfg, golden)
+		swapped := rewriteFrame(f, v3, func(st *goldenBody) {
+			st.Partitions[0], st.Partitions[1] = st.Partitions[1], st.Partitions[0]
+		})
+		for _, frame := range [][]byte{rewriteFrame(f, golden, nil), v1, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, v1, zeroBackend), v3, swapped} {
 			f.Add(frame, false, uint8(i))
 			f.Add(frame[persist.FramePrefixLen:], true, uint8(i))
 		}

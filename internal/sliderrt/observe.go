@@ -72,8 +72,8 @@ func (rt *Runtime) TreeSnapshot() *TreeSnapshot {
 // the runtime runs unobserved).
 func (rt *Runtime) Observability() *metrics.SlideObs { return rt.cfg.Obs }
 
-// FaultRecorder returns the runtime's fault-event recorder (shared with
-// the dist pool when Config.Faults is).
+// FaultRecorder returns the runtime's fault-event recorder: its MapRunner's
+// when the runner has one (a dist.Pool does), else its own.
 func (rt *Runtime) FaultRecorder() *metrics.FaultRecorder { return rt.faults }
 
 // publishTreeSnapshot swaps in a fresh snapshot when one was requested

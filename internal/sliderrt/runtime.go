@@ -195,7 +195,13 @@ func New(job *mapreduce.Job, cfg Config) (*Runtime, error) {
 		backend: backend,
 		store:   memo.NewStore(cfg.Memo),
 		parts:   job.NumPartitions(),
-		faults:  cfg.Faults,
+		faults:  &metrics.FaultRecorder{},
+	}
+	// The runtime counts its degradation events (local fallbacks, memo
+	// recomputes) into its MapRunner's recorder when the runner has one (a
+	// dist.Pool does), so the whole degradation ladder lands in one snapshot.
+	if r, ok := cfg.MapRunner.(interface{ FaultRecorder() *metrics.FaultRecorder }); ok {
+		rt.faults = r.FaultRecorder()
 	}
 	rt.treeBytes = make([]byteSum, rt.parts)
 	rt.partKeys = make([]string, rt.parts)
@@ -1344,8 +1350,8 @@ func (rt *Runtime) Store() *memo.Store { return rt.store }
 // metrics federation (a dist.Pool implements ClusterStats).
 func (rt *Runtime) MapRunner() mapreduce.MapRunner { return rt.cfg.MapRunner }
 
-// FaultStats snapshots the degradation event counters (shared with the
-// dist pool when Config.Faults is).
+// FaultStats snapshots the degradation event counters (the MapRunner's
+// too, see FaultRecorder).
 func (rt *Runtime) FaultStats() metrics.FaultStats { return rt.faults.Snapshot() }
 
 // Live returns the number of splits currently in the window.

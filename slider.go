@@ -3,8 +3,9 @@
 // Rodrigues (ACM Middleware 2014).
 //
 // Slider lets you write an ordinary, non-incremental MapReduce job — a
-// Map function, an associative Combine function, and a Reduce function —
-// and then run it over a sliding window of input splits. When the window
+// Map function, an associative Combine function, and optionally a Reduce
+// function that lowers each key's combined value into its output — and
+// then run it over a sliding window of input splits. When the window
 // slides, Slider updates the output incrementally using self-adjusting
 // contraction trees: balanced trees of Combiner sub-computations through
 // which only the changed paths are recomputed, so an update costs work
@@ -21,7 +22,7 @@
 //	        }
 //	        return nil
 //	    },
-//	    Combine: sum, Reduce: sum, Commutative: true,
+//	    Combine: sum, Commutative: true, // no Reduce: a key's output is its sum
 //	}
 //	rt, _ := slider.New(job, slider.Config{Mode: slider.Fixed,
 //	    BucketSplits: 2, WindowBuckets: 8})
@@ -347,8 +348,9 @@ type (
 	// FaultStats is a snapshot of fault-tolerance event counters and
 	// RPC latency quantiles.
 	FaultStats = metrics.FaultStats
-	// FaultRecorder accumulates fault-tolerance events; share one
-	// between Config.Faults and the worker pool.
+	// FaultRecorder accumulates fault-tolerance events: a worker pool's
+	// (WorkerPool.FaultRecorder), which a runtime running its map tasks on
+	// the pool records into too, or a runtime's own.
 	FaultRecorder = metrics.FaultRecorder
 	// TreeSnapshot is an immutable structural snapshot of the runtime's
 	// contraction trees (see Runtime.TreeSnapshot, /debug/tree).
