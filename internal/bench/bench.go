@@ -11,7 +11,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -208,46 +207,20 @@ func estimateInputBytes(splits []mapreduce.Split) int64 {
 	return total
 }
 
-// sameOutput verifies two job outputs agree. Floating-point outputs are
-// compared with a relative tolerance: contraction trees re-associate
-// additions, so float sums differ from the sequential baseline in the
-// last bits.
+// sameOutput verifies two job outputs agree, value by value under
+// mapreduce.ValuesEquivalent: floats within a relative tolerance, since
+// contraction trees re-associate additions, everything else exactly.
 func sameOutput(a, b mapreduce.Output) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for k, av := range a {
 		bv, ok := b[k]
-		if !ok || !sameValue(av, bv) {
+		if !ok || !mapreduce.ValuesEquivalent(av, bv) {
 			return false
 		}
 	}
 	return true
-}
-
-func sameValue(a, b mapreduce.Value) bool {
-	switch x := a.(type) {
-	case float64:
-		y, ok := b.(float64)
-		return ok && closeEnough(x, y)
-	case []float64:
-		y, ok := b.([]float64)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if !closeEnough(x[i], y[i]) {
-				return false
-			}
-		}
-		return true
-	default:
-		return mapreduce.Fingerprint(a) == mapreduce.Fingerprint(b)
-	}
-}
-
-func closeEnough(x, y float64) bool {
-	return math.Abs(x-y) <= 1e-9*max(1, math.Abs(x), math.Abs(y))
 }
 
 // simulate turns a report into a makespan under the given policy.

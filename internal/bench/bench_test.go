@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"slider/internal/apps"
+	"slider/internal/mapreduce"
 	"slider/internal/metrics"
 	"slider/internal/sliderrt"
 )
@@ -244,6 +246,35 @@ func TestTables(t *testing.T) {
 	for _, r := range t2 {
 		if r.ReductionPct <= 0 {
 			t.Errorf("table2 %s: caching saved nothing (%.2f%%)", r.App, r.ReductionPct)
+		}
+	}
+}
+
+// TestSameOutputTellsValuesApart: the tables' check that incremental
+// output equals recomputation compares values, not only keys. Twitter's
+// PropStats defines no Fingerprint, so two that differ in one field must
+// fingerprint apart by their structure, and sameOutput must refuse them;
+// floats still agree within the re-association tolerance.
+func TestSameOutputTellsValuesApart(t *testing.T) {
+	a, b := apps.PropStats{Posts: 1, Depth: 2}, apps.PropStats{Posts: 9, Depth: 7}
+	if mapreduce.Fingerprint(a) == mapreduce.Fingerprint(b) {
+		t.Errorf("PropStats %+v and %+v fingerprint alike", a, b)
+	}
+	for _, c := range []struct {
+		x, y mapreduce.Value
+		same bool
+	}{
+		{a, a, true},
+		{a, b, false},
+		{a, apps.PropStats{Posts: 1, Depth: 3}, false},
+		{&a, &b, false},
+		{0.1 + 0.2, 0.3, true},
+		{1.0, 1.0001, false},
+		{[]float64{0.1 + 0.2, 1}, []float64{0.3, 1}, true},
+		{int64(3), int64(4), false},
+	} {
+		if got := sameOutput(mapreduce.Output{"k": c.x}, mapreduce.Output{"k": c.y}); got != c.same {
+			t.Errorf("sameOutput(%v, %v) = %v, want %v", c.x, c.y, got, c.same)
 		}
 	}
 }

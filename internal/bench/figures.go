@@ -349,20 +349,15 @@ outer:
 	return true
 }
 
+// rowApprox reports whether two rows agree column by column: floats
+// within mapreduce.ValuesEquivalent's tolerance, anything else as pig
+// prints it.
 func rowApprox(a, b pig.Row) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		af, aok := a[i].(float64)
-		bf, bok := b[i].(float64)
-		if aok && bok {
-			if !closeEnough(af, bf) {
-				return false
-			}
-			continue
-		}
-		if pig.ToString(a[i]) != pig.ToString(b[i]) {
+		if !mapreduce.ValuesEquivalent(a[i], b[i]) && pig.ToString(a[i]) != pig.ToString(b[i]) {
 			return false
 		}
 	}

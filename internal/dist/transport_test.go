@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"slider/internal/apps"
 	"slider/internal/mapreduce"
 	"slider/internal/persist"
+	"slider/internal/sliderrt"
 	"slider/internal/workload"
 )
 
@@ -279,6 +281,79 @@ func TestMisroutedKeysCaught(t *testing.T) {
 	matchesLocal(t, job, splits, remote)
 	if st := pool.FaultStats(); st.CorruptFrames == 0 || st.Retries == 0 {
 		t.Fatalf("corrupt frames = %d, retries = %d: the misrouted keys went unnoticed", st.CorruptFrames, st.Retries)
+	}
+}
+
+// TestMisorderedReplyRetriedElsewhere: a payload whose keys are not
+// strictly ascending is corrupt on arrival (persist.DecodeMapResult), not
+// sorted by the driver. A worker that reverses every partition it returns
+// is treated as one that returned a corrupt result: counted, failed, its
+// batch re-executed elsewhere, and every slide of a runtime over the pool
+// equals the from-scratch answer.
+func TestMisorderedReplyRetriedElsewhere(t *testing.T) {
+	job := testJob()
+	reversing := stubWorker(t, func(c *wireConn, env call) error {
+		c.wbuf = appendReply(c.wbuf[:0], env.id, statusOK, env.items, "stub", "")
+		for i := uint32(0); i < env.items; i++ {
+			frame, err := c.next()
+			if err != nil {
+				return err
+			}
+			split, err := persist.DecodeSplit(frame)
+			if err != nil {
+				return err
+			}
+			res, err := mapreduce.RunMapTask(job, split)
+			if err != nil {
+				return err
+			}
+			for _, part := range res.Parts {
+				slices.Reverse(part)
+			}
+			if c.wbuf, err = persist.AppendMapResult(c.wbuf, res); err != nil {
+				return err
+			}
+		}
+		return c.flush()
+	})
+	_, addrs, _ := newCluster(t, 1)
+	pool, err := NewPoolConfig("dist-wordcount", []string{reversing, addrs[0]}, PoolConfig{
+		BackoffBase:      2 * time.Millisecond,
+		BreakerThreshold: 1, // the stub is not asked twice
+		BreakerCooldown:  10 * time.Second,
+		HealthInterval:   -1,
+		Seed:             1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	rt, err := sliderrt.New(job, sliderrt.Config{Mode: sliderrt.Fixed, BucketSplits: 2, WindowBuckets: 3, MapRunner: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := textSplits(0, 6)
+	res, err := rt.Initial(window)
+	for slide := 0; ; slide++ {
+		if err != nil {
+			t.Fatalf("slide %d: %v", slide, err)
+		}
+		want, err := mapreduce.RunScratch(job, window, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Output, want) {
+			t.Fatalf("slide %d: output %v, from scratch %v", slide, res.Output, want)
+		}
+		if slide == 2 {
+			break
+		}
+		add := textSplits(6+2*slide, 8+2*slide)
+		window = append(window[2:], add...)
+		res, err = rt.Advance(2, add)
+	}
+	if st := pool.FaultStats(); st.CorruptFrames == 0 || st.Retries == 0 {
+		t.Fatalf("corrupt frames = %d, retries = %d: the misordered payloads went unnoticed", st.CorruptFrames, st.Retries)
 	}
 }
 

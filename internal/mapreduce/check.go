@@ -212,20 +212,20 @@ func CheckJob(job *Job, samples []Split) error {
 		if retainsArgs(job.Combine, key, []Value{a, b, c}, []Value{c, a, b}) {
 			return fmt.Errorf("%w: Combine (key %q, three values)", ErrRetainsArgs, key)
 		}
-		if !valuesEquivalent(abc, left) {
+		if !ValuesEquivalent(abc, left) {
 			return fmt.Errorf("%w (key %q): three values in one call differ from their left fold", ErrNotAssociative, key)
 		}
 
 		// Associativity: (a⊕b)⊕c == a⊕(b⊕c).
 		right := job.Combine(key, []Value{a, job.Combine(key, []Value{b, c})})
-		if !valuesEquivalent(left, right) {
+		if !ValuesEquivalent(left, right) {
 			return fmt.Errorf("%w (key %q)", ErrNotAssociative, key)
 		}
 
 		// Commutativity, when declared.
 		if job.Commutative {
 			ba := job.Combine(key, []Value{b, a})
-			if !valuesEquivalent(ab, ba) {
+			if !ValuesEquivalent(ab, ba) {
 				return fmt.Errorf("%w (key %q)", ErrNotCommutative, key)
 			}
 		}
@@ -255,7 +255,7 @@ func checkReduce(job *Job, key string, a, b, c Value) error {
 	for _, vs := range [][]Value{{a, b}, {a, b, c}} {
 		whole := job.Reduce(key, vs)
 		folded := job.Reduce(key, []Value{job.Combine(key, vs)})
-		if !valuesEquivalent(whole, folded) {
+		if !ValuesEquivalent(whole, folded) {
 			return fmt.Errorf("%w (key %q, %d values): %v, of their Combine %v", ErrReduceNotFold, key, len(vs), whole, folded)
 		}
 	}
@@ -313,12 +313,16 @@ func pickDistinct(vs []Value) (Value, Value, Value) {
 	return picked[0], picked[1], picked[2]
 }
 
-// valuesEquivalent compares combiner and reducer outputs, tolerating float
-// re-association error: values of the same shape whose floats are close and
-// whose every other field, element and map entry is equal — the floats
-// inside an accumulator struct (K-Means' sums) as much as a bare float64 —
-// and values of a Fingerprinter type whose fingerprints are equal.
-func valuesEquivalent(a, b Value) bool {
+// ValuesEquivalent reports whether two values a job computed agree,
+// tolerating float re-association error (contraction trees re-associate
+// additions, so float sums differ in the last bits): values of the same
+// shape whose floats are within a relative 1e-9 and whose every other
+// field, element and map entry is equal — the floats inside an accumulator
+// struct (K-Means' sums) as much as a bare float64 — and values of a
+// Fingerprinter type whose fingerprints are equal. CheckJob compares
+// combiner and reducer outputs by it, and the benchmarks incremental
+// output against recomputation.
+func ValuesEquivalent(a, b Value) bool {
 	if _, ok := a.(Fingerprinter); ok && Fingerprint(a) == Fingerprint(b) {
 		return true
 	}

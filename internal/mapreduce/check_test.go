@@ -273,11 +273,11 @@ func TestCheckJobComparesFloatsInsideValues(t *testing.T) {
 		Count int64
 	}
 	a := &acc{Sum: []float64{0.1 + 0.2, 1}, Count: 3}
-	if !valuesEquivalent(a, &acc{Sum: []float64{0.3, 1}, Count: 3}) {
+	if !ValuesEquivalent(a, &acc{Sum: []float64{0.3, 1}, Count: 3}) {
 		t.Fatal("sums a rounding apart are not equivalent")
 	}
 	for _, b := range []*acc{{Sum: []float64{0.3, 1}, Count: 4}, {Sum: []float64{0.31, 1}, Count: 3}, {Sum: []float64{0.3}, Count: 3}, nil} {
-		if valuesEquivalent(a, b) {
+		if ValuesEquivalent(a, b) {
 			t.Fatalf("%v and %v are equivalent", a, b)
 		}
 	}

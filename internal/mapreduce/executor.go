@@ -38,6 +38,12 @@ type MapResult struct {
 // payloads from elsewhere measures them as it decodes them, or leaves
 // PartBytes nil.
 //
+// Every payload of a result holds the payload invariant, keys strictly
+// ascending: the runtime's merges read them as sorted and compare no key
+// twice. A map task's cut sorts them, and persist's decoder refuses a frame
+// that is not. sliderrt checks the order of a result that leaves PartBytes
+// nil, and fails the slide on one that breaks it, naming its split.
+//
 // A split is one map task's input, which need not be one split of the
 // stream: sliderrt maps a Fixed window's bucket in ranges of its splits, each
 // range one Split holding the range's records in order, named for its first

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -326,6 +327,84 @@ func TestFingerprint(t *testing.T) {
 	b := map[string]int64{"z": 3, "y": 2, "x": 1}
 	if Fingerprint(a) != Fingerprint(b) {
 		t.Fatal("map fingerprint depends on iteration order")
+	}
+}
+
+// TestFingerprintKeepsItsHashes pins what Fingerprint and
+// FingerprintPayload return for a value of every case Fingerprint has and
+// of a type that defines its own: they were these before values of other
+// types were hashed by their structure, and change detection compares
+// fingerprints across runs.
+func TestFingerprintKeepsItsHashes(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		want uint64
+	}{
+		{fpValue(42), 0x8f94ef2a5d59ed4e}, {nil, 0xe6bd86443df8ce07},
+		{true, 0xf618fc8a7f03c6c7}, {false, 0xc7c2bf3b330983e6},
+		{7, 0xe70dabc64b577606}, {int64(-3), 0xfc19482989d72dda},
+		{uint64(9), 0xc2ff656887603aca}, {2.5, 0x9b33b66127cc1506},
+		{"word", 0xed326240242d08b5}, {[]byte("ab"), 0x16c6f2e4b886ee0f},
+		{[]float64{1, 2}, 0x3cfd19a5337f604e}, {[]int64{3, 4}, 0x12ce01046a231fa9},
+		{[]string{"a", "b"}, 0x3aef84404f0bc440}, {[]Value{int64(1), "x"}, 0x312fa7909e9b3ec3},
+		{map[string]int64{"b": 2, "a": 1}, 0xaf2cf986e9f946e5}, {map[string]float64{"z": 0.5}, 0x3863cf3b2a0bdbd},
+	} {
+		if got := Fingerprint(c.v); got != c.want {
+			t.Errorf("Fingerprint(%#v) = %#x, pinned %#x", c.v, got, c.want)
+		}
+	}
+	if got := FingerprintPayload(Payload{{"a", int64(1)}, {"b", "x"}}); got != 0x80abc3980162e05d {
+		t.Errorf("FingerprintPayload = %#x, pinned 0x80abc3980162e05d", got)
+	}
+}
+
+// structValue defines no Fingerprint: it is hashed by its structure.
+type structValue struct {
+	N      int
+	F      float64
+	Tags   map[string]int
+	Next   *structValue
+	Inner  fpValue
+	hidden []string
+}
+
+// TestFingerprintHashesStructure: a value of a type that defines no
+// Fingerprint and has no case of its own is hashed by what it holds —
+// every field, unexported ones too, every element, every map entry
+// whatever the iteration order, what a pointer points at — so two such
+// values that differ anywhere fingerprint apart and equal ones alike, and
+// a part of a type that defines Fingerprint is hashed by it.
+func TestFingerprintHashesStructure(t *testing.T) {
+	base := func() structValue {
+		return structValue{N: 1, F: 0.5, Tags: map[string]int{"a": 1, "b": 2, "c": 3}, Next: &structValue{N: 2}, Inner: 7, hidden: []string{"x"}}
+	}
+	want := Fingerprint(base())
+	for i := 0; i < 20; i++ { // map iteration order varies from call to call
+		if got := Fingerprint(base()); got != want {
+			t.Fatalf("equal values fingerprint apart: %#x, %#x", got, want)
+		}
+	}
+	for name, edit := range map[string]func(*structValue){
+		"int":           func(v *structValue) { v.N = 9 },
+		"float bits":    func(v *structValue) { v.F = math.Nextafter(0.5, 1) },
+		"map value":     func(v *structValue) { v.Tags["b"] = 4 },
+		"map key":       func(v *structValue) { delete(v.Tags, "c"); v.Tags["d"] = 3 },
+		"pointee":       func(v *structValue) { v.Next.N = 3 },
+		"nil pointer":   func(v *structValue) { v.Next = nil },
+		"fingerprinter": func(v *structValue) { v.Inner = 8 },
+		"unexported":    func(v *structValue) { v.hidden[0] = "y" },
+		"element count": func(v *structValue) { v.hidden = append(v.hidden, "") },
+	} {
+		v := base()
+		edit(&v)
+		if Fingerprint(v) == want {
+			t.Errorf("%s: a value that differs fingerprints alike", name)
+		}
+	}
+	// Two values that differ in one field, as apps.PropStats' do.
+	type stats struct{ Posts, Depth int }
+	if Fingerprint(stats{1, 2}) == Fingerprint(stats{9, 2}) || Fingerprint(stats{1, 2}) == Fingerprint(stats{1, 7}) {
+		t.Error("structs that differ in one field fingerprint alike")
 	}
 }
 

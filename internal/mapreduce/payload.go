@@ -1,7 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -46,15 +49,6 @@ func (p Payload) Get(key string) (Value, bool) {
 		return nil, false
 	}
 	return p[i].Value, true
-}
-
-// SortEntries establishes the payload invariant on entries gathered in
-// arbitrary order — a frame written when payloads were hash maps, a
-// foreign producer's output — with one in-place sort. It reports false
-// when two entries share a key.
-func SortEntries(p Payload) bool {
-	slices.SortFunc(p, compareKeys)
-	return p.IsSorted()
 }
 
 // FromMap builds the payload holding m's pairs (one sort): how a test's
@@ -611,7 +605,9 @@ func valueBytes(v Value) int64 {
 
 // Fingerprint computes a structural content hash of a value, used by
 // multi-level change detection (§5) to decide whether a downstream stage's
-// input changed. Values may implement Fingerprinter to override.
+// input changed. Values may implement Fingerprinter to override; a value of
+// a type with neither a Fingerprint method nor a case of its own here is
+// hashed by its structure (structuralFingerprint).
 func Fingerprint(v Value) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -704,9 +700,58 @@ func Fingerprint(v Value) uint64 {
 			mix(math.Float64bits(x[k]))
 		}
 	default:
-		mix(0xdeadbeefcafebabe)
+		mix(16)
+		mix(structuralFingerprint(reflect.ValueOf(x)))
 	}
 	return h
+}
+
+// structuralFingerprint hashes a value by its structure: the Fingerprint of
+// the list of its kind and then a float's bits, a scalar's text, or every
+// field, element or map entry in turn. A part that can be handed out is
+// hashed by Fingerprint, so it keeps its own type's hash; one that cannot
+// (an unexported field) by its structure. Map entries are taken in the
+// order of their keys' hashes, which no iteration order moves. A channel or
+// a function is hashed by its kind alone, and a value must be a tree: a
+// pointer cycle does not end.
+func structuralFingerprint(v reflect.Value) uint64 {
+	part := func(v reflect.Value) uint64 {
+		if v.CanInterface() {
+			return Fingerprint(v.Interface())
+		}
+		return structuralFingerprint(v)
+	}
+	parts := []Value{uint64(v.Kind())}
+	switch v.Kind() {
+	case reflect.Chan, reflect.Func, reflect.UnsafePointer:
+	case reflect.Float32, reflect.Float64:
+		parts = append(parts, math.Float64bits(v.Float()))
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			parts = append(parts, part(v.Elem()))
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			parts = append(parts, part(v.Field(i)))
+		}
+	case reflect.Slice, reflect.Array:
+		parts = append(parts, uint64(v.Len()))
+		for i := range v.Len() {
+			parts = append(parts, part(v.Index(i)))
+		}
+	case reflect.Map:
+		entries := make([][2]uint64, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			entries = append(entries, [2]uint64{part(it.Key()), part(it.Value())})
+		}
+		slices.SortFunc(entries, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		for _, e := range entries {
+			parts = append(parts, e[0], e[1])
+		}
+	default: // a bool, an integer, a complex number, a string: its text
+		parts = append(parts, fmt.Sprint(v))
+	}
+	return Fingerprint(parts)
 }
 
 // FingerprintPayload hashes a whole payload in entry (key) order.

@@ -424,9 +424,9 @@ func decodeSetBody(data []byte) ([]mapreduce.Payload, error) {
 // (mapreduce.TakeTaskPayload), which a body that does not check out hands
 // back: the key arena is copied once and every key is a substring of the
 // copy; string and []byte values are copied one by one. Entries are
-// appended in wire order with their order checked on the way; a body that
-// is not strictly sorted — written while payloads were hash maps — is
-// sorted once, and one that holds a key twice is corrupt.
+// appended in wire order with their order checked on the way: every writer
+// emits keys strictly ascending (the payload invariant), so a body whose
+// keys are not — out of order, or a key twice — is corrupt.
 func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 	v, err := makeView(data, true)
 	if err != nil {
@@ -437,7 +437,7 @@ func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 	}
 	arena := string(data[v.keyArenaOff:v.byteArena])
 	out := mapreduce.TakeTaskPayload(v.n)
-	keyOff, sorted := 0, true
+	keyOff := 0
 	err = v.forEach(func(i int, val any) error {
 		kl := int(binary.LittleEndian.Uint32(data[v.keyLensOff+4*i:]))
 		if kl < 0 || kl > len(arena)-keyOff {
@@ -445,12 +445,11 @@ func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 		}
 		out[i] = mapreduce.Entry{Key: arena[keyOff : keyOff+kl], Value: detach(val)}
 		keyOff += kl
-		sorted = sorted && (i == 0 || out[i-1].Key < out[i].Key)
+		if i > 0 && out[i-1].Key >= out[i].Key {
+			return fmt.Errorf("%w: key %d is not above key %d", ErrCorrupt, i, i-1)
+		}
 		return nil
 	})
-	if err == nil && !sorted && !mapreduce.SortEntries(out) {
-		err = fmt.Errorf("%w: duplicate key", ErrCorrupt)
-	}
 	if err != nil {
 		mapreduce.ReleaseTaskPayload(out)
 		return nil, err

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,24 +94,46 @@ func TestEmptyPayload(t *testing.T) {
 	}
 }
 
-// TestUnsortedFrameIsSortedOnce covers frames written while payloads were
-// hash maps: entries in any order decode to the sorted payload, and the
-// encoder writes entries exactly as it is handed them — which is how such
-// a frame is fabricated here.
-func TestUnsortedFrameIsSortedOnce(t *testing.T) {
-	want := fromMap(M{"a": int64(1), "b": "two", "c": nil, "d": 2.5})
-	mapOrder := mapreduce.Payload{want[2], want[0], want[3], want[1]}
-	body := encodeBody(t, mapOrder)
-	sorted := encodeBody(t, want)
-	if bytes.Equal(body, sorted) || len(body) != len(sorted) {
-		t.Fatal("entry order must be wire order, and must not change the frame size")
-	}
-	got, err := decodePayloadBody(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("unsorted frame decoded to %v, want %v", got, want)
+// TestMisorderedPayloadIsCorrupt: every writer emits keys strictly
+// ascending, so a payload whose keys are not is ErrCorrupt wherever it is
+// decoded — a payload frame, a payload set (a checkpoint's buckets and
+// leaves), a map-result frame (a worker's reply). The encoder writes entries
+// exactly as it is handed them, which is how such frames are fabricated
+// here.
+func TestMisorderedPayloadIsCorrupt(t *testing.T) {
+	sorted := fromMap(M{"a": int64(1), "b": "two", "c": nil, "d": 2.5})
+	for name, p := range map[string]mapreduce.Payload{
+		"shuffled":         {sorted[2], sorted[0], sorted[3], sorted[1]},
+		"last two swapped": {sorted[0], sorted[1], sorted[3], sorted[2]},
+		"reversed":         {sorted[3], sorted[2], sorted[1], sorted[0]},
+	} {
+		body := encodeBody(t, p)
+		if len(body) != len(encodeBody(t, sorted)) {
+			t.Fatal("entry order must not change the body's size")
+		}
+		if got, err := decodePayloadBody(body); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s body: decoded to %v, %v; want ErrCorrupt", name, got, err)
+		}
+		frame, err := EncodePayload(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodePayload(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s payload frame: decoded to %v, %v; want ErrCorrupt", name, got, err)
+		}
+		if frame, err = EncodePayloadSet([]mapreduce.Payload{sorted, p}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodePayloadSet(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s in a payload set: decoded to %v, %v; want ErrCorrupt", name, got, err)
+		}
+		res := mapreduce.MapResult{SplitID: "s", Parts: []mapreduce.Payload{sorted, p}, Records: 4}
+		if frame, err = AppendMapResult(nil, res); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeMapResult(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s in a map result: decoded to %+v, %v; want ErrCorrupt", name, got, err)
+		}
 	}
 }
 
@@ -302,6 +323,13 @@ func TestDecodeAllocsPerPayload(t *testing.T) {
 		frame, err := EncodePayload(fromMap(m))
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A decode takes its entries from the task stock when a slice there
+		// fits, and a refused decode hands its slice back: take out every
+		// slice an earlier test left that fits, so that each decode here
+		// makes its own.
+		for range mapreduce.FreeListBuffers {
+			mapreduce.TakeTaskPayload(n)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			if p, err := DecodePayload(frame); err != nil || len(p) != n {

@@ -10,9 +10,9 @@
 // naming its body: the flat columnar body of a payload, a split, a
 // payload set or a map task's result (body.go), or the gob encoding of
 // an arbitrary value (kindValue: checkpoints, FileStore objects, a
-// transport's small answers). Decode also reads sld1, the gob-only header
-// that checkpoints and FileStore objects were written under before, so
-// that what older writers left on disk still restores.
+// transport's small answers). Every decoder reads that header alone: a
+// frame under any other, sld1 (the gob-only header checkpoints and
+// FileStore objects had before) included, is ErrCorrupt.
 package persist
 
 import (
@@ -79,15 +79,9 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 }
 
 // Decode deserializes a value frame (Encode, AppendValue) into out (a
-// pointer). A frame under the sld1 header is read too.
+// pointer).
 func Decode(frame []byte, out any) error {
-	var body []byte
-	var err error
-	if isFlatFrame(frame) {
-		body, err = openFlatKind(frame, kindValue, "value")
-	} else {
-		body, err = openLegacyFrame(frame)
-	}
+	body, err := openFlatKind(frame, kindValue, "value")
 	if err != nil {
 		return err
 	}
@@ -151,18 +145,6 @@ func holdsMap(t reflect.Type) bool {
 	holds := reaches(t)
 	mapHolders.Store(t, holds)
 	return holds
-}
-
-// openLegacyFrame validates an sld1 frame — magic (4) | length (8) |
-// crc32 (4) | gob bytes — and returns its body. Checkpoints and FileStore
-// objects written before every frame took the sld2 header have it; no
-// writer emits it any more.
-func openLegacyFrame(frame []byte) ([]byte, error) {
-	const headerLen = 4 + 8 + 4
-	if len(frame) < headerLen || string(frame[:4]) != "sld1" {
-		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
-	}
-	return checkedBody(frame[headerLen:], frame[4:12], frame[12:16])
 }
 
 // gobMessagesFit walks the length prefixes of a gob stream's messages. The

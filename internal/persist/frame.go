@@ -60,20 +60,14 @@ func OpenFrame(frame []byte) (byte, []byte, error) {
 	if len(frame) < flatHeaderLen || !isFlatFrame(frame) {
 		return 0, nil, fmt.Errorf("%w: no flat frame header", ErrCorrupt)
 	}
-	body, err := checkedBody(frame[flatHeaderLen:], frame[5:13], frame[13:17])
-	return frame[4], body, err
-}
-
-// checkedBody returns body once it has the length and the crc32 that the
-// header fields (little-endian u64 and u32) claim for it.
-func checkedBody(body, length, crc []byte) ([]byte, error) {
-	if n := binary.LittleEndian.Uint64(length); uint64(len(body)) != n {
-		return nil, fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(body), n)
+	body := frame[flatHeaderLen:]
+	if n := binary.LittleEndian.Uint64(frame[5:13]); uint64(len(body)) != n {
+		return 0, nil, fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(body), n)
 	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crc) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(frame[13:17]) {
+		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return body, nil
+	return frame[4], body, nil
 }
 
 // isFlatFrame reports whether frame starts with the sld2 magic.
@@ -133,8 +127,8 @@ func EncodePayload(p mapreduce.Payload) ([]byte, error) {
 }
 
 // DecodePayload decodes a payload frame into a fresh payload: entries are
-// appended in frame order, and a frame written before payloads were
-// sorted is sorted once.
+// appended in frame order, and a frame whose keys are not strictly
+// ascending is ErrCorrupt.
 func DecodePayload(frame []byte) (mapreduce.Payload, error) {
 	body, err := openFlatKind(frame, kindPayload, "payload")
 	if err != nil {

@@ -56,10 +56,11 @@ func sld1Frame(body []byte) []byte {
 	return append(frame, body...)
 }
 
-// TestLegacyGobFramesDecode: an sld1 frame — the gob bytes of a value
-// frame under the old header — decodes through Decode, and through Decode
-// only, while every encoder writes sld2.
-func TestLegacyGobFramesDecode(t *testing.T) {
+// TestSld1FramesAreRefused: every encoder writes sld2, and no decoder reads
+// anything else — an sld1 frame, the gob bytes of a value under the header
+// value frames had before, is ErrCorrupt to Decode as much as to the flat
+// decoders.
+func TestSld1FramesAreRefused(t *testing.T) {
 	p := testPayload()
 	set := []mapreduce.Payload{p, mapreduce.FromMap(M{"k": int64(1)})}
 	split := mapreduce.Split{ID: "s1", Records: []mapreduce.Record{"a b", "c"}}
@@ -85,8 +86,8 @@ func TestLegacyGobFramesDecode(t *testing.T) {
 	}
 	legacy := sld1Frame(frame[flatHeaderLen:])
 	var out testValue
-	if err := Decode(legacy, &out); err != nil || !reflect.DeepEqual(out, value) {
-		t.Fatalf("sld1 value frame decoded to %+v, %v", out, err)
+	if err := Decode(legacy, &out); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode of an sld1 value frame: %+v, %v; want ErrCorrupt", out, err)
 	}
 	if _, err := DecodePayload(legacy); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("DecodePayload of an sld1 frame: %v, want ErrCorrupt", err)
@@ -103,20 +104,19 @@ func TestLegacyGobFramesDecode(t *testing.T) {
 // "ratio": 0.25, "word": "hello"}.
 const parentFlatUnsorted = "736c643201a000000000000000dc8c9f3c010500000017000000020000000200000043000000070406090204000000050000000500000004000000050000002a00000000000000000000000000d03f050000003e000000776f7264636f756e74726174696f6c6973746170706c6568656c6c6f1cff8503010108676f6256616c756501ff86000101010156011000000017ff8601075b5d696e743634ff81020102ff82000104000008ff820400020e1000"
 
-// TestFramesFromBeforeSortedPayloadsDecode: bytes an older writer left in
-// a checkpoint decode, unmodified, to the sorted payload.
-func TestFramesFromBeforeSortedPayloadsDecode(t *testing.T) {
-	want := mapreduce.FromMap(M{"apple": true, "count": int64(42), "list": []int64{7, 8}, "ratio": 0.25, "word": "hello"})
+// TestFramesFromBeforeSortedPayloadsAreRefused: bytes a writer left while
+// payloads were hash maps are keys out of order, which no writer emits
+// now: ErrCorrupt, not a payload sorted on the way in.
+func TestFramesFromBeforeSortedPayloadsAreRefused(t *testing.T) {
 	frame, err := hex.DecodeString(parentFlatUnsorted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePayload(frame)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := OpenFrame(frame); err != nil {
+		t.Fatalf("the frame does not open: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("decoded to %#v, want %#v", got, want)
+	if got, err := DecodePayload(frame); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("decoded to %#v, %v; want ErrCorrupt", got, err)
 	}
 }
 

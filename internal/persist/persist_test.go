@@ -116,9 +116,10 @@ func TestFileStoreSaveLoad(t *testing.T) {
 // header.
 const parentFileStoreObject = "736c6431920000000000000021b67a34347f030101097465737456616c756501ff8000010301044e616d65010c000105436f756e740104000105496e6e657201ff8200000027ff81040101176d61705b737472696e675d696e74657266616365207b7d01ff8200010c0110000029ff800106706172656e74010e0101046c697374095b5d666c6f61743634ff83020102ff8400010800000aff84060002fef03f4000"
 
-// TestFileStoreLoadsObjectsFromBeforeSld2: an object an older writer left
-// on disk still loads, and saving over it writes sld2.
-func TestFileStoreLoadsObjectsFromBeforeSld2(t *testing.T) {
+// TestFileStoreRefusesObjectsFromBeforeSld2: an object an older writer left
+// on disk under the sld1 header is a corrupt object to Load, and saving over
+// it writes one Load reads.
+func TestFileStoreRefusesObjectsFromBeforeSld2(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewFileStore(dir, 1)
 	if err != nil {
@@ -132,16 +133,16 @@ func TestFileStoreLoadsObjectsFromBeforeSld2(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := testValue{Name: "parent", Count: 7, Inner: map[string]any{"list": []float64{1, 2}}}
 	var out testValue
-	if err := store.Load("obj/parent", &out); err != nil || !reflect.DeepEqual(out, want) {
-		t.Fatalf("loaded %+v, %v; want %+v", out, err, want)
+	if err := store.Load("obj/parent", &out); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("loaded %+v, %v; want ErrCorrupt", out, err)
 	}
-	if err := store.Save("obj/parent", out); err != nil {
+	want := testValue{Name: "parent", Count: 7, Inner: map[string]any{"list": []float64{1, 2}}}
+	if err := store.Save("obj/parent", want); err != nil {
 		t.Fatal(err)
 	}
-	if rewritten, err := os.ReadFile(path); err != nil || !isFlatFrame(rewritten) {
-		t.Fatalf("the object saved over it is no sld2 frame (%v)", err)
+	if err := store.Load("obj/parent", &out); err != nil || !reflect.DeepEqual(out, want) {
+		t.Fatalf("loaded %+v, %v; want %+v", out, err, want)
 	}
 }
 

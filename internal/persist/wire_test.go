@@ -334,8 +334,8 @@ func TestAppendValueBehindAMessage(t *testing.T) {
 // — when the bytes behind it cannot hold what it says: 0x80 (the negated
 // byte count that does not fit an int8) and the rest of the over-long
 // counts, a count the input is too short for, a length that overruns. It
-// holds for a value frame, for the sld1 frame Decode still reads, and for
-// a record in a split's gob column, the worker's way in.
+// holds for a value frame and for a record in a split's gob column, the
+// worker's way in.
 func TestHostileGobLengthsRefused(t *testing.T) {
 	cases := map[string][]byte{
 		"9 MiB follow":    {0xFC, 0x00, 0x90, 0x00, 0x00, 1, 2, 3},
@@ -350,18 +350,16 @@ func TestHostileGobLengthsRefused(t *testing.T) {
 		if err := gobMessagesFit(body); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: gobMessagesFit = %v, want ErrCorrupt", name, err)
 		}
-		for form, frame := range map[string][]byte{"value": reframe(kindValue, body), "sld1": sld1Frame(body)} {
-			var out struct{ A int }
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := Decode(frame, &out)
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s in a %s frame: Decode = %v, want ErrCorrupt", name, form, err)
-			}
-			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
-				t.Errorf("%s in a %s frame: %d bytes allocated refusing a gob length claim", name, form, n)
-			}
+		var out struct{ A int }
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Decode(reframe(kindValue, body), &out)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s in a value frame: Decode = %v, want ErrCorrupt", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+			t.Errorf("%s in a value frame: %d bytes allocated refusing a gob length claim", name, n)
 		}
 	}
 	// The same byte as a split's one record, in the gob column.
@@ -386,7 +384,7 @@ func TestHostileGobLengthsRefused(t *testing.T) {
 // TestHostileGobMapCountRefused: gob makes a map with room for the count
 // the stream claims before it reads an entry, so a count of 2^20 in a
 // stream of two dozen bytes would cost tens of megabytes. It is refused as
-// ErrCorrupt, in a value frame and in an sld1 frame, before that.
+// ErrCorrupt before that.
 func TestHostileGobMapCountRefused(t *testing.T) {
 	frame, err := Encode(map[string]int64{"k": 7})
 	if err != nil {
@@ -409,17 +407,15 @@ func TestHostileGobMapCountRefused(t *testing.T) {
 	// behind its width byte.
 	msg := append(append([]byte(nil), typeID...), 0x00, 0xfd, 0x10, 0x00, 0x00, 0x01, 'k', 0x0e)
 	hostile := append(append(append([]byte(nil), body[:last]...), byte(len(msg))), msg...)
-	for form, frame := range map[string][]byte{"value": reframe(kindValue, hostile), "sld1": sld1Frame(hostile)} {
-		var out map[string]int64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := Decode(frame, &out)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s frame: Decode = %v, want ErrCorrupt", form, err)
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
-			t.Errorf("%s frame: %d bytes allocated refusing a map count of 2^20", form, n)
-		}
+	var out map[string]int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = Decode(reframe(kindValue, hostile), &out)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+		t.Errorf("%d bytes allocated refusing a map count of 2^20", n)
 	}
 }

@@ -517,10 +517,17 @@ func makeDistinctStage(st *DistinctStmt, schema Schema, ops []rowOp, partitions 
 			}
 			return nil
 		},
-		// Combine keeps the first row, in a fresh value: a combiner's result
-		// shares no pointer with its inputs (mapreduce.ErrAliasesInput).
+		// Combine keeps the least row by kindOrder (rows that print alike
+		// share a key), in a fresh value: a combiner's result shares no
+		// pointer with its inputs (mapreduce.ErrAliasesInput).
 		Combine: func(_ string, values []mapreduce.Value) mapreduce.Value {
-			return &RowVal{Row: values[0].(*RowVal).Row}
+			row := values[0].(*RowVal).Row
+			for _, v := range values[1:] {
+				if r := v.(*RowVal).Row; kindOrder(r, row) < 0 {
+					row = r
+				}
+			}
+			return &RowVal{Row: row}
 		},
 		Commutative: true,
 	}

@@ -3,6 +3,7 @@ package pig
 import (
 	"cmp"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -134,6 +135,9 @@ func mergeAggVals(values []mapreduce.Value) *AggVal {
 	copy(out.Cells, first.Cells)
 	for _, v := range values[1:] {
 		b := v.(*AggVal)
+		if kindOrder(b.KeyVals, out.KeyVals) < 0 {
+			out.KeyVals = b.KeyVals
+		}
 		for i := range out.Cells {
 			out.Cells[i] = mergeCell(out.Cells[i], b.Cells[i])
 		}
@@ -184,7 +188,7 @@ type SortedRows struct {
 	Desc bool
 	// Limit caps the kept rows (0 = unlimited).
 	Limit int
-	// Rows is sorted by (key, encodeRow).
+	// Rows is sorted by rowLess: (key, encodeRow, kindOrder).
 	Rows []Row
 }
 
@@ -206,7 +210,25 @@ func (s *SortedRows) rowLess(a, b Row) bool {
 	if c != 0 {
 		return c < 0
 	}
-	return encodeRow(a) < encodeRow(b)
+	if ea, eb := encodeRow(a), encodeRow(b); ea != eb {
+		return ea < eb
+	}
+	return kindOrder(a, b) < 0
+}
+
+// kindOrder compares two rows column by column by the kinds of their
+// values (reflect.Kind's order: nil, bool, int, int64, float64, string).
+// Values of two kinds can print alike (int64(3) and "3", 2 and 2.0), and so
+// share a GROUP key or a DISTINCT row: the value that stands for them is
+// the least of them by kindOrder, and rows that ORDER finds equal
+// otherwise are ordered by it, so no combining order shows.
+func kindOrder(a, b Row) int {
+	for i := range min(len(a), len(b)) {
+		if c := cmp.Compare(reflect.ValueOf(a[i]).Kind(), reflect.ValueOf(b[i]).Kind()); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // compareKeys is rowLess's key order, ascending.

@@ -9,11 +9,10 @@ import (
 	"slider/internal/persist"
 )
 
-// checkpointVersion is the body Checkpoint writes. Version 3 carries payload
-// state as persist's flat payload frames, names the structure by Backend
-// alone and holds the bucket ledger of every Fixed window whose elements are
-// buckets. Version-2 bodies, the golden checkpoints', are still restored:
-// upgrade turns them into version 3's, and nothing after it reads a version.
+// checkpointVersion is the body Checkpoint writes and the one Restore
+// takes. Version 3 carries payload state as persist's flat payload frames,
+// names the structure by Backend alone and holds the bucket ledger of every
+// Fixed window whose elements are buckets.
 const checkpointVersion = 3
 
 // checkpointState is the body of a checkpoint: the window bookkeeping plus,
@@ -61,36 +60,6 @@ type partCheckpoint struct {
 	// Variable mode and the strawman (leaf sequences).
 	LeafIDs    []uint64
 	FlatLeaves []byte
-}
-
-// upgrade turns a decoded version-2 body of size bytes into the version-3
-// state in place: a window of buckets of w, which had no ledger, gets
-// WindowBuckets of them on the clock that counts every bucket it took in (a
-// count the body is too short to hold is refused before it sizes anything).
-// It refuses every other version and a body that names no backend: what the
-// version-1 and pre-backend writers left, none of which this repository
-// holds.
-func upgrade(st *checkpointState, size int) error {
-	switch {
-	case st.Version != 2 && st.Version != checkpointVersion:
-		return fmt.Errorf("unsupported checkpoint version %d (this reader takes versions 2 and 3)", st.Version)
-	case st.Backend == BackendAuto:
-		return fmt.Errorf("checkpoint names no backend: a pre-backend body, which this reader does not take")
-	case st.Version == checkpointVersion:
-		return nil
-	}
-	if w := st.BucketSplits; groupOf(st.Mode, st.Backend) == groupBuckets && w > 0 && st.BucketSizes == nil {
-		if st.WindowBuckets < 1 || st.WindowBuckets > size {
-			return fmt.Errorf("a body of %d bytes holds no %d buckets", size, st.WindowBuckets)
-		}
-		st.BucketSizes = make([]int, st.WindowBuckets)
-		for i := range st.BucketSizes {
-			st.BucketSizes[i] = w
-		}
-		st.BucketSeq = st.WindowLo/uint64(w) + uint64(st.WindowBuckets)
-	}
-	st.Version = checkpointVersion
-	return nil
 }
 
 // Checkpoint serializes the runtime's window state so that processing can
@@ -233,7 +202,7 @@ func (rt *Runtime) decodePartition(pc *partCheckpoint, seq, pos uint64) (core.St
 }
 
 // Restore reconstructs a runtime from a checkpoint produced by
-// Checkpoint, or by the version-2 writer before it (see upgrade). The job
+// Checkpoint: one sld2 value frame holding a version-3 body. The job
 // and configuration must match the checkpointed runtime's (mode, backend,
 // and bucket geometry are verified; under BackendAuto the restore follows
 // the checkpoint's backend). The contraction trees are rebuilt from the
@@ -248,8 +217,11 @@ func Restore(job *mapreduce.Job, cfg Config, r io.Reader) (*Runtime, error) {
 	if err := persist.Decode(frame, &st); err != nil {
 		return nil, fmt.Errorf("sliderrt: restore: %w", err)
 	}
-	if err := upgrade(&st, len(frame)); err != nil {
-		return nil, fmt.Errorf("sliderrt: restore: %w", err)
+	switch {
+	case st.Version != checkpointVersion:
+		return nil, fmt.Errorf("sliderrt: restore: unsupported checkpoint version %d (this reader takes version %d)", st.Version, checkpointVersion)
+	case st.Backend == BackendAuto:
+		return nil, fmt.Errorf("sliderrt: restore: checkpoint names no backend")
 	}
 	// A restore that names no backend follows the checkpoint's, so a pinned
 	// writer's state is never reinterpreted; New holds the followed backend

@@ -2,47 +2,37 @@ package sliderrt
 
 import (
 	"bytes"
-	"crypto/sha256"
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/crc32"
 	"os"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"slider/internal/persist"
 )
 
-// goldenBody is a checkpoint body as the version-2 golden checkpoints lay it
-// out: the selectors that named the structure before Backend existed
-// (Engine, Randomized) beside the fields version 3 keeps. A frame of either
-// version decoded into it and encoded again keeps every field it had.
-type goldenBody struct {
-	Version       int
-	Mode          Mode
-	Engine        int
-	Randomized    bool
-	Backend       Backend
-	BucketSplits  int
-	WindowBuckets int
-	Seq           uint64
-	WindowLo      uint64
-	Live          int
-	Parts         int
-	BucketSizes   []int
-	BucketSeq     uint64
-	Partitions    []partCheckpoint
+// version1 and version2 number a body as an older writer's, and
+// zeroBackend leaves it without a Backend, as pre-backend writers did:
+// bodies Restore refuses.
+func version1(st *checkpointState)    { st.Version = 1 }
+func version2(st *checkpointState)    { st.Version = 2 }
+func zeroBackend(st *checkpointState) { st.Backend = BackendAuto }
+
+// sld1Frame frames a body under the sld1 header — magic (4) | length (8) |
+// crc32 (4) — as checkpoints were written before every frame took sld2.
+func sld1Frame(body []byte) []byte {
+	frame := append([]byte("sld1"), binary.LittleEndian.AppendUint64(nil, uint64(len(body)))...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	return append(frame, body...)
 }
 
-// version1 numbers a body as a version-1 writer's, and zeroBackend leaves it
-// without a Backend, as pre-backend writers did: two bodies Restore refuses.
-func version1(st *goldenBody)    { st.Version = 1 }
-func zeroBackend(st *goldenBody) { st.Backend = BackendAuto }
-
-// TestRestoreRefusesRetiredBodies: a version-1 body and a body that names no
-// backend — of version 2 or 3 — are refused, under the writer's backend and
-// under BackendAuto, with an error that says which of the two it is.
+// TestRestoreRefusesRetiredBodies: Restore reads what Checkpoint writes and
+// nothing else. Each golden checkpoint's body numbered version 1 or 2, the
+// body without a backend, and its gob body under the sld1 header — alone
+// and numbered version 2, the form the golden checkpoints had before — are
+// refused, under the writer's backend and under BackendAuto, with an error
+// that says which.
 func TestRestoreRefusesRetiredBodies(t *testing.T) {
 	for _, c := range identityCases() {
 		golden, err := os.ReadFile(goldenPath(c.name))
@@ -53,13 +43,16 @@ func TestRestoreRefusesRetiredBodies(t *testing.T) {
 		cfg.Memo = testMemoConfig()
 		auto := cfg
 		auto.Backend = BackendAuto
+		v2 := rewriteFrame(t, golden, version2)
 		forms := []struct {
 			name, want string
 			frame      []byte
 		}{
 			{"v1", "unsupported checkpoint version 1", rewriteFrame(t, golden, version1)},
-			{"v2 pre-backend", "names no backend", rewriteFrame(t, golden, zeroBackend)},
-			{"v3 pre-backend", "names no backend", rewriteFrame(t, recheckpoint(t, cfg, golden), zeroBackend)},
+			{"v2", "unsupported checkpoint version 2", v2},
+			{"pre-backend", "names no backend", rewriteFrame(t, golden, zeroBackend)},
+			{"sld1", "no flat frame header", sld1Frame(golden[persist.FramePrefixLen:])},
+			{"v2 sld1", "no flat frame header", sld1Frame(v2[persist.FramePrefixLen:])},
 		}
 		for _, form := range forms {
 			for _, under := range []Config{cfg, auto} {
@@ -278,15 +271,13 @@ func TestRestoreRejectsInconsistentFrames(t *testing.T) {
 }
 
 // TestGoldenFramesAcrossFormats restores every golden checkpoint — as
-// written (version 2 under the sld1 header, through persist's legacy
-// reader), rewritten under the sld2 header, and as the version-3 frame a
-// restored runtime writes back — and requires the pinned fingerprint (which
-// covers the backend the restore landed on) and a re-checkpoint with the
-// content of upgrade(golden), one sld2 frame whose gob body is exactly the
-// bytes pinned in goldenRewritten. Each form is restored under the writer's
-// configuration and under BackendAuto: a restore that names no backend
-// follows the checkpoint's, so a pinned writer's state is never
-// reinterpreted.
+// committed, and as the frame a runtime restored from it writes back — and
+// requires the pinned fingerprint (which covers the backend the restore
+// landed on) and a re-checkpoint that is one sld2 frame equal to the golden
+// (wantSameCheckpoint: every decoded field, every flat payload frame byte
+// for byte). Each form is restored under the writer's configuration and
+// under BackendAuto: a restore that names no backend follows the
+// checkpoint's, so a pinned writer's state is never reinterpreted.
 func TestGoldenFramesAcrossFormats(t *testing.T) {
 	for _, c := range identityCases() {
 		c := c
@@ -306,7 +297,7 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 			forms := []struct {
 				name  string
 				frame []byte
-			}{{"v2", golden}, {"v2 sld2", rewriteFrame(t, golden, nil)}, {"v3", recheckpoint(t, cfg, golden)}}
+			}{{"golden", golden}, {"re-checkpoint", recheckpoint(t, cfg, golden)}}
 			for _, form := range forms {
 				for _, under := range []Config{cfg, auto} {
 					rt, err := Restore(wordCountJob(), under, bytes.NewReader(form.frame))
@@ -323,59 +314,13 @@ func TestGoldenFramesAcrossFormats(t *testing.T) {
 					if err := rt.Checkpoint(&again); err != nil {
 						t.Fatal(err)
 					}
-					wantSameCheckpoint(t, again.Bytes(), golden)
 					if size, err := persist.FrameSize(again.Bytes()); err != nil || size != again.Len() {
 						t.Fatalf("%s under backend %v: the re-checkpoint is no single sld2 frame (%d of %d bytes, %v)", form.name, under.Backend, size, again.Len(), err)
 					}
-					if got := fmt.Sprintf("%x", sha256.Sum256(again.Bytes()[persist.FramePrefixLen:])); got != goldenRewritten[c.name] {
-						t.Fatalf("%s under backend %v: re-checkpoint body moved: sha256 %s, pinned %s", form.name, under.Backend, got, goldenRewritten[c.name])
-					}
+					wantSameCheckpoint(t, again.Bytes(), golden)
 				}
 			}
 		})
-	}
-}
-
-// TestUpgradeReadsOlderBodies holds upgrade itself to the version-3 body a
-// restored runtime writes back, field by field and payload by payload, for
-// every golden checkpoint as written (version 2): a window of buckets of w
-// gets its WindowBuckets buckets on the clock its oldest bucket puts it at,
-// the ledger the restored runtime writes back. A version-3 body it leaves
-// as it is.
-func TestUpgradeReadsOlderBodies(t *testing.T) {
-	for _, c := range identityCases() {
-		golden, err := os.ReadFile(goldenPath(c.name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := c.cfg
-		cfg.Memo = testMemoConfig()
-		v3 := recheckpoint(t, cfg, golden)
-		wantSameCheckpoint(t, v3, golden)
-		var old, st, before checkpointState
-		if err := errors.Join(persist.Decode(golden, &old), persist.Decode(v3, &st), persist.Decode(v3, &before)); err != nil {
-			t.Fatal(err)
-		}
-		if old.Version != 2 {
-			t.Fatalf("%s: the golden checkpoint is a version-%d body, want 2", c.name, old.Version)
-		}
-		if err := upgrade(&old, len(golden)); err != nil {
-			t.Fatal(err)
-		}
-		if w := old.BucketSplits; old.Mode == Fixed && c.name != "fingertree" {
-			if len(old.BucketSizes) != old.WindowBuckets || slices.ContainsFunc(old.BucketSizes, func(sz int) bool { return sz != w }) ||
-				old.BucketSeq != old.WindowLo/uint64(w)+uint64(old.WindowBuckets) {
-				t.Fatalf("%s: ledger %v on clock %d, want %d buckets of %d on clock %d", c.name, old.BucketSizes, old.BucketSeq,
-					old.WindowBuckets, w, old.WindowLo/uint64(w)+uint64(old.WindowBuckets))
-			}
-		}
-		if old.Version != checkpointVersion || !slices.Equal(old.BucketSizes, st.BucketSizes) || old.BucketSeq != st.BucketSeq {
-			t.Fatalf("%s: upgrade made version %d with ledger %v on clock %d, the restored runtime writes %v on clock %d",
-				c.name, old.Version, old.BucketSizes, old.BucketSeq, st.BucketSizes, st.BucketSeq)
-		}
-		if err := upgrade(&st, len(v3)); err != nil || !reflect.DeepEqual(st, before) {
-			t.Fatalf("%s: upgrade moved a version-3 body (%v)", c.name, err)
-		}
 	}
 }
 
@@ -395,10 +340,10 @@ func recheckpoint(t testing.TB, cfg Config, frame []byte) []byte {
 }
 
 // rewriteFrame decodes a checkpoint frame, applies edit (if any) and
-// encodes it again, under the header every writer emits now.
-func rewriteFrame(t testing.TB, frame []byte, edit func(*goldenBody)) []byte {
+// encodes it again.
+func rewriteFrame(t testing.TB, frame []byte, edit func(*checkpointState)) []byte {
 	t.Helper()
-	var st goldenBody
+	var st checkpointState
 	if err := persist.Decode(frame, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -410,24 +355,6 @@ func rewriteFrame(t testing.TB, frame []byte, edit func(*goldenBody)) []byte {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// goldenRewritten pins, per golden checkpoint, the sha256 of the gob body
-// of the frame a restored runtime writes back: a version-3 body, the bytes
-// after the sld2 header. (Not the golden file's own body: those are
-// version-2 frames, which predate key-sorted payloads and name their
-// structure by the legacy selectors too, and carry no ledger for a window of
-// buckets of w.)
-var goldenRewritten = map[string]string{
-	"folding":          "868a8a68d29cab79ec8090238f44bfc0dc3fe722c7575060afe1b8d90dd23029",
-	"randomized":       "a12bd28012743088dcdfc200ddc596e8980900b2c4b64e26dd49f5e555c2de96",
-	"rotating":         "8d404736728ac74c5f1f34e7d3415ffd4a913fc3c7ef16d7971ad1df874012a1",
-	"rotating-split":   "8d404736728ac74c5f1f34e7d3415ffd4a913fc3c7ef16d7971ad1df874012a1",
-	"coalescing":       "d6e51c70fbd2a26c38e78083637706d87f33aa6e3377454dd939bd957b1a41c5",
-	"coalescing-split": "d6e51c70fbd2a26c38e78083637706d87f33aa6e3377454dd939bd957b1a41c5",
-	"strawman":         "3dd884bb2ee1e3384bcb9c43ecf198b63bf264e79bfe75f9592780f88921d0d8",
-	"daba":             "0472cdae9bac0ea1b3738218a09effa9bf5fd7520d8b775a1319384250d3ac5f",
-	"fingertree":       "9547675efd5feace1aeb369af7aaa4c2c0060a327532ce3b89b9b6f3832e222f",
 }
 
 // TestRestoreMismatchNamesBothBackends: a restore whose explicit backend

@@ -239,7 +239,7 @@ func TestRestoreLegacyVictimOutOfRange(t *testing.T) {
 	if err := rt.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	frame := rewriteFrame(t, buf.Bytes(), func(st *goldenBody) {
+	frame := rewriteFrame(t, buf.Bytes(), func(st *checkpointState) {
 		for p := range st.Partitions {
 			buckets, err := persist.DecodePayloadSet(st.Partitions[p].FlatBuckets)
 			if err != nil {

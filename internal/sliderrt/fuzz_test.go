@@ -21,10 +21,12 @@ import (
 // as it is — headers, magics, lengths, truncation — or as the gob body of
 // a value frame given a valid header, which puts the mutations where the
 // checkpoint decoder reads them. The seeds are every golden checkpoint as
-// written (sld1), rewritten under sld2 and as the version-3 frame a restored
-// runtime writes back, which restore, and numbered version 1, without a
-// backend or with the state of partitions 0 and 1 swapped, which Restore
-// refuses — raw and as bodies to reframe.
+// committed and as the frame a restored runtime writes back, which restore;
+// and the same body numbered version 1 or 2, without a backend, with the
+// state of partitions 0 and 1 swapped, under the sld1 header, and numbered
+// version 2 under the sld1 header (the form the golden checkpoints had
+// before), which Restore refuses — raw and, for sld2 frames, as bodies to
+// reframe.
 func FuzzRestore(f *testing.F) {
 	cases := identityCases()
 	value, err := persist.Encode(0)
@@ -42,13 +44,11 @@ func FuzzRestore(f *testing.F) {
 		}
 		cfg := c.cfg
 		cfg.Memo = testMemoConfig()
-		v1 := rewriteFrame(f, golden, version1)
+		v2 := rewriteFrame(f, golden, version2)
 		f.Add(golden, false, uint8(i))
-		v3 := recheckpoint(f, cfg, golden)
-		swapped := rewriteFrame(f, v3, func(st *goldenBody) {
-			st.Partitions[0], st.Partitions[1] = st.Partitions[1], st.Partitions[0]
-		})
-		for _, frame := range [][]byte{rewriteFrame(f, golden, nil), v1, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, v1, zeroBackend), v3, swapped} {
+		f.Add(sld1Frame(golden[persist.FramePrefixLen:]), false, uint8(i))
+		f.Add(sld1Frame(v2[persist.FramePrefixLen:]), false, uint8(i))
+		for _, frame := range [][]byte{recheckpoint(f, cfg, golden), rewriteFrame(f, golden, version1), v2, rewriteFrame(f, golden, zeroBackend), rewriteFrame(f, golden, swapPartitions)} {
 			f.Add(frame, false, uint8(i))
 			f.Add(frame[persist.FramePrefixLen:], true, uint8(i))
 		}

@@ -24,9 +24,14 @@ import (
 //
 //	go test ./internal/sliderrt -run TestIdentityPinned -args -pin
 //
-// and must only ever be regenerated together with a stated reason. Three
+// and must only ever be regenerated together with a stated reason. The
+// golden frames were written then as version-2 bodies under the sld1
+// header; each was converted once to the frame a runtime restored from it
+// wrote back (one sld2 value frame, a version-3 body: the same windows, now
+// with key-sorted payload frames and a bucket ledger), which is exactly
+// what this run checkpoints mid-way, and the only form Restore reads. Three
 // rows have moved since, in their work counters only — every fingerprint,
-// Space and golden frame stayed. The daba row's Merges 174 → 150 and
+// Space and golden checkpoint's content stayed. The daba row's Merges 174 → 150 and
 // Combines 651 → 587 when the reduce began to take DABA Lite's two halves
 // unmerged (24 queries × one merge; DESIGN.md §9, seventh revision); then
 // its Fg {150 210 66} split into Fg {126 186 48} + Bg {24 24 18} when the
@@ -186,7 +191,8 @@ func goldenPath(name string) string {
 }
 
 // TestIdentityPinned replays every pinned configuration from scratch, at
-// parallelism 1 and 4, and requires the pinned numbers.
+// parallelism 1 and 4, and requires the pinned numbers and a mid-run
+// checkpoint equal to the golden one.
 func TestIdentityPinned(t *testing.T) {
 	for _, c := range identityCases() {
 		for _, par := range []int{1, 4} {
@@ -234,16 +240,21 @@ func TestIdentityPinned(t *testing.T) {
 				if r.got != c.pin {
 					t.Fatalf("identity moved:\n got  %+v\n want %+v", r.got, c.pin)
 				}
+				frame, err := os.ReadFile(goldenPath(c.name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSameCheckpoint(t, golden.Bytes(), frame)
 			})
 		}
 	}
 }
 
-// TestGoldenCheckpointRestores restores each parent-written checkpoint at
+// TestGoldenCheckpointRestores restores each golden checkpoint at
 // parallelism 1, 4 and 8: the restored state must fingerprint as pinned,
-// re-checkpoint to a frame with the same decoded content (the wire format
-// did not move), keep sliding correctly against the from-scratch oracle and
-// end on the pinned final fingerprint.
+// re-checkpoint to the same body (the format did not move), keep sliding
+// correctly against the from-scratch oracle and end on the pinned final
+// fingerprint.
 func TestGoldenCheckpointRestores(t *testing.T) {
 	for _, c := range identityCases() {
 		for _, par := range []int{1, 4, 8} {
@@ -285,66 +296,22 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 	}
 }
 
-// wantSameCheckpoint compares two checkpoint frames field by field after
-// decoding and upgrading each to the version-3 state (flat payload frames
-// are map-order dependent, so bytes may differ where content does not):
-// same metadata, bucket ledger included, same populated field groups, same
-// payloads.
+// wantSameCheckpoint requires two checkpoint frames to hold the same body:
+// every decoded field equal, and every partition's flat payload frame byte
+// for byte. The payload frames are persist's own encoding of sorted
+// payloads, so they do not depend on what the process encoded before; the
+// gob envelope around them does (gob numbers types in first-use order), so
+// the frames themselves are not compared.
 func wantSameCheckpoint(t *testing.T, got, want []byte) {
 	t.Helper()
-	type decodedPart struct {
-		Meta                          partCheckpoint
-		HasFlatRoot, HasFlatPending   bool
-		HasFlatBuckets, HasFlatLeaves bool
-		Root, Pending                 Payload
-		Buckets, Leaves               []Payload
+	var gotSt, wantSt checkpointState
+	if err := persist.Decode(got, &gotSt); err != nil {
+		t.Fatal(err)
 	}
-	decode := func(frame []byte) (checkpointState, []decodedPart) {
-		var st checkpointState
-		if err := persist.Decode(frame, &st); err != nil {
-			t.Fatal(err)
-		}
-		if err := upgrade(&st, len(frame)); err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]decodedPart, len(st.Partitions))
-		for p, pc := range st.Partitions {
-			d := &parts[p]
-			d.HasFlatRoot, d.HasFlatPending = pc.FlatRoot != nil, pc.FlatPending != nil
-			d.HasFlatBuckets, d.HasFlatLeaves = pc.FlatBuckets != nil, pc.FlatLeaves != nil
-			var err error
-			if d.HasFlatRoot {
-				if d.Root, err = persist.DecodePayload(pc.FlatRoot); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d.HasFlatPending {
-				if d.Pending, err = persist.DecodePayload(pc.FlatPending); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d.HasFlatBuckets {
-				if d.Buckets, err = persist.DecodePayloadSet(pc.FlatBuckets); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d.HasFlatLeaves {
-				if d.Leaves, err = persist.DecodePayloadSet(pc.FlatLeaves); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pc.FlatRoot, pc.FlatPending, pc.FlatBuckets, pc.FlatLeaves = nil, nil, nil, nil
-			d.Meta = pc
-		}
-		st.Partitions = nil
-		return st, parts
+	if err := persist.Decode(want, &wantSt); err != nil {
+		t.Fatal(err)
 	}
-	gotSt, gotParts := decode(got)
-	wantSt, wantParts := decode(want)
 	if !reflect.DeepEqual(gotSt, wantSt) {
-		t.Fatalf("checkpoint header moved:\n got  %+v\n want %+v", gotSt, wantSt)
-	}
-	if !reflect.DeepEqual(gotParts, wantParts) {
-		t.Fatalf("checkpoint partitions moved:\n got  %+v\n want %+v", gotParts, wantParts)
+		t.Fatalf("checkpoint moved:\n got  %+v\n want %+v", gotSt, wantSt)
 	}
 }

@@ -335,6 +335,17 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 			return nil, err
 		}
 	}
+	// The merges read every payload as sorted. A result with PartBytes was
+	// built sorted by a map task or refused unsorted by the decoder
+	// (Executor, dist.Pool); one without is a foreign runner's, checked
+	// here before the window moves.
+	for _, r := range results {
+		for p, part := range r.Parts {
+			if len(r.PartBytes) != len(r.Parts) && !part.IsSorted() {
+				return nil, fmt.Errorf("sliderrt: map result of split %q: partition %d's keys are not strictly ascending", r.SplitID, p)
+			}
+		}
+	}
 	var counters metrics.Counters
 	id := base
 	for i, r := range results {

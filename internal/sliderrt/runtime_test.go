@@ -3,6 +3,7 @@ package sliderrt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -502,4 +503,53 @@ func TestUserDefinedGCPolicy(t *testing.T) {
 	if n := rt.Store().Stats().Entries; n != int64(rt.parts) {
 		t.Fatalf("store holds %d entries after aggressive GC, want %d", n, rt.parts)
 	}
+}
+
+// foreignRunner maps in-process and hands its results over as a runner
+// that gets payloads from elsewhere may: PartBytes nil, and — while reverse
+// is set — every partition's entries in descending key order.
+type foreignRunner struct{ reverse bool }
+
+func (r *foreignRunner) RunMap(job *mapreduce.Job, splits []mapreduce.Split) ([]mapreduce.MapResult, error) {
+	results, err := mapreduce.Executor{}.RunMap(job, splits)
+	for i := range results {
+		results[i].PartBytes = nil
+		for _, part := range results[i].Parts {
+			if r.reverse {
+				slices.Reverse(part)
+			}
+		}
+	}
+	return results, err
+}
+
+// TestForeignRunnerMisorderFailsTheSlide: a MapRunner whose payloads carry
+// no sizes has their key order checked before the window moves. Sorted
+// ones slide like any others; a partition out of order fails the slide with
+// an error naming the split, and leaves the window where it was, so the
+// same slide succeeds once the runner is mended.
+func TestForeignRunnerMisorderFailsTheSlide(t *testing.T) {
+	runner := &foreignRunner{}
+	job := wordCountJob()
+	rt, err := New(job, Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, MapRunner: runner, Memo: testMemoConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := genSplits(0, 8, 4, 7)
+	res, err := rt.Initial(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameOutput(t, res.Output, scratch(t, job, window))
+	add := genSplits(8, 2, 4, 7)
+	runner.reverse = true
+	if _, err := rt.Advance(2, add); err == nil || !strings.Contains(err.Error(), `split "s8"`) {
+		t.Fatalf("a slide over misordered payloads: err = %v, want it failed naming split s8", err)
+	}
+	runner.reverse = false
+	res, err = rt.Advance(2, add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameOutput(t, res.Output, scratch(t, job, append(window[2:], add...)))
 }
