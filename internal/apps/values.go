@@ -144,10 +144,15 @@ var (
 	_ mapreduce.Fingerprinter = (*Neighbors)(nil)
 )
 
-// less orders neighbors by (Dist, ID).
+// less orders neighbors by (Dist, ID), a NaN distance after every number:
+// a total order, so that merging lists is associative and commutative
+// whatever the distances (a point with a NaN coordinate has NaN ones).
 func less(a, b Neighbor) bool {
-	if a.Dist != b.Dist {
+	if a.Dist < b.Dist || a.Dist > b.Dist {
 		return a.Dist < b.Dist
+	}
+	if an, bn := math.IsNaN(a.Dist), math.IsNaN(b.Dist); an != bn {
+		return bn
 	}
 	return a.ID < b.ID
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"slider/internal/apps"
@@ -42,6 +44,16 @@ func TestEveryJobMeetsCheckJob(t *testing.T) {
 	jobs = append(jobs,
 		sampled{apps.GlasnostMonitor(s.Partitions), rtt},
 		sampled{apps.NetSessionAudit(s.Partitions, 8), logs})
+
+	// K-Means and KNN over points with a coordinate of +Inf, -Inf or NaN.
+	for _, app := range MicroApps(s) {
+		if app.Name != "K-Means" && app.Name != "KNN" {
+			continue
+		}
+		for _, special := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			jobs = append(jobs, sampled{app.NewJob(), nonFinitePoints(app.Gen(0, 3), special)})
+		}
+	}
 
 	for _, j := range jobs {
 		if err := mapreduce.CheckJob(j.job, j.samples); err != nil {
@@ -99,6 +111,23 @@ STORE top INTO 'out';
 	for _, q := range edgeQueries {
 		checkPigStages(t, q.name, q.src, nil, s.Partitions, pigEdgeWindows())
 	}
+}
+
+// nonFinitePoints returns splits with three points in front of the first
+// split's, copies of its first three with special at one coordinate each —
+// a different one a point — so that the first values CheckJob picks for
+// the keys they reach are theirs.
+func nonFinitePoints(splits []mapreduce.Split, special float64) []mapreduce.Split {
+	out := slices.Clone(splits)
+	first := out[0].Records
+	recs := make([]mapreduce.Record, 0, len(first)+3)
+	for i := 0; i < 3; i++ {
+		pt := slices.Clone(first[i].([]float64))
+		pt[i] = special
+		recs = append(recs, pt)
+	}
+	out[0] = mapreduce.Split{ID: out[0].ID, Records: append(recs, first...)}
+	return out
 }
 
 // pigEdgeWindows generates three windows of (k, v) rows with pig's edge

@@ -316,8 +316,9 @@ func pickDistinct(vs []Value) (Value, Value, Value) {
 // ValuesEquivalent reports whether two values a job computed agree,
 // tolerating float re-association error (contraction trees re-associate
 // additions, so float sums differ in the last bits): values of the same
-// shape whose floats are within a relative 1e-9 and whose every other
-// field, element and map entry is equal — the floats inside an accumulator
+// shape whose floats are within a relative 1e-9 (equal infinities and two
+// NaNs count as close, see floatsClose) and whose every other field,
+// element and map entry is equal — the floats inside an accumulator
 // struct (K-Means' sums) as much as a bare float64 — and values of a
 // Fingerprinter type whose fingerprints are equal. CheckJob compares
 // combiner and reducer outputs by it, and the benchmarks incremental
@@ -373,7 +374,16 @@ func closeValues(a, b reflect.Value) bool {
 	return a.Equal(b)
 }
 
+// floatsClose reports whether x and y are within a relative 1e-9 of each
+// other. Equal values are close, infinities included, and so are two NaNs
+// in the same place; an infinity is close to nothing else.
 func floatsClose(x, y float64) bool {
+	if x == y || math.IsNaN(x) && math.IsNaN(y) {
+		return true
+	}
+	if math.IsInf(x, 0) || math.IsInf(y, 0) {
+		return false
+	}
 	scale := math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
 	return math.Abs(x-y) <= 1e-9*scale
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -152,6 +153,47 @@ func TestCheckJobToleratesFloatReassociation(t *testing.T) {
 	}
 	if err := CheckJob(job, checkSamples()); err != nil {
 		t.Fatalf("float sum rejected: %v", err)
+	}
+}
+
+// TestCheckJobToleratesNonFiniteFloats: a float sum is as lawful with an
+// infinity or a NaN among its values as without — every order of adding
+// them gives the same infinity, or NaN — and the equivalence it is held
+// to tells an infinity from anything else.
+func TestCheckJobToleratesNonFiniteFloats(t *testing.T) {
+	for _, special := range []string{"+Inf", "-Inf", "NaN"} {
+		job := &Job{
+			Name: "fsum",
+			Map: func(rec Record, emit Emit) error {
+				for _, w := range strings.Fields(rec.(string)) {
+					v, err := strconv.ParseFloat(w, 64)
+					if err != nil {
+						return err
+					}
+					emit("k", v)
+				}
+				return nil
+			},
+			Combine: func(_ string, values []Value) Value {
+				var sum float64
+				for _, v := range values {
+					sum += v.(float64)
+				}
+				return sum
+			},
+			Commutative: true,
+		}
+		samples := []Split{{ID: "f", Records: []Record{special + " 0.1 0.2", "0.3 1e300"}}}
+		if err := CheckJob(job, samples); err != nil {
+			t.Errorf("float sum with %s rejected: %v", special, err)
+		}
+	}
+	for _, pair := range [][2]float64{
+		{math.Inf(1), math.MaxFloat64}, {math.Inf(1), math.Inf(-1)}, {math.Inf(-1), 0}, {math.NaN(), 1}, {math.NaN(), math.Inf(1)},
+	} {
+		if ValuesEquivalent(pair[0], pair[1]) || ValuesEquivalent(pair[1], pair[0]) {
+			t.Errorf("%v and %v are equivalent", pair[0], pair[1])
+		}
 	}
 }
 

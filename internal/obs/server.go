@@ -41,9 +41,10 @@ type Config struct {
 	Slide *metrics.SlideObs
 	// Fault is the shared fault-event recorder (counters + RPC latency).
 	Fault *metrics.FaultRecorder
-	// Tree supplies the latest contraction-tree snapshot (and, as a side
-	// effect of how the runtime implements it, requests a refresh).
-	// Typically sliderrt's (*Runtime).TreeSnapshot.
+	// Tree supplies the latest contraction-tree snapshot for /debug/tree
+	// and, as the runtime implements it, requests the next one. Start calls
+	// it once, so the runtime's next upkeep publishes a snapshot; /metrics
+	// never calls it. Typically sliderrt's (*Runtime).TreeSnapshot.
 	Tree func() *sliderrt.TreeSnapshot
 	// Memo supplies live memoization-layer counters (hit ratio in
 	// /metrics). Typically a closure over (*memo.Store).Stats.
@@ -52,9 +53,9 @@ type Config struct {
 	// (default Slide.Tracer). A worker daemon, which has no SlideObs,
 	// points this at its WorkerObs tracer to expose batch traces.
 	Tracer *metrics.Tracer
-	// Window supplies the out-of-order window gauges (watermark lag,
-	// bucket-ledger width, late accept/reject counters) and the free
-	// lists' holding. Typically
+	// Window supplies the run count and live splits, the out-of-order
+	// window gauges (watermark lag, bucket-ledger width, late
+	// accept/reject counters) and the free lists' holding. Typically
 	// (*sliderrt.Runtime).WindowStats.
 	Window func() sliderrt.WindowStats
 	// Cluster supplies the pool's federated per-worker stats; /metrics
@@ -82,6 +83,11 @@ func Start(addr string, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s := &Server{cfg: cfg, ln: ln}
+	if cfg.Tree != nil {
+		// The server's start is the first request: /debug/tree has a
+		// snapshot once the next slide's upkeep has run.
+		cfg.Tree()
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -231,7 +237,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.cfg.Tree()
 	if snap == nil {
-		fmt.Fprintln(w, "no slide completed yet")
+		fmt.Fprintln(w, "snapshot requested; published after the next slide's upkeep")
 		return
 	}
 	fmt.Fprintf(w, "variant: %s (mode %s)\n", snap.Variant, snap.Mode)
@@ -294,16 +300,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# TYPE slider_memo_entries gauge")
 		fmt.Fprintf(w, "slider_memo_entries %d\n", ms.Entries)
 	}
-	if s.cfg.Tree != nil {
-		if snap := s.cfg.Tree(); snap != nil {
-			fmt.Fprintln(w, "# TYPE slider_slides_total counter")
-			fmt.Fprintf(w, "slider_slides_total %d\n", snap.SlideID)
-			fmt.Fprintln(w, "# TYPE slider_window_live_splits gauge")
-			fmt.Fprintf(w, "slider_window_live_splits %d\n", snap.Live)
-		}
-	}
 	if s.cfg.Window != nil {
 		ws := s.cfg.Window()
+		fmt.Fprintln(w, "# TYPE slider_slides_total counter")
+		fmt.Fprintf(w, "slider_slides_total %d\n", ws.Slides)
+		fmt.Fprintln(w, "# TYPE slider_window_live_splits gauge")
+		fmt.Fprintf(w, "slider_window_live_splits %d\n", ws.LiveSplits)
 		fmt.Fprintln(w, "# HELP slider_window_live_buckets Bucket-ledger width: live buckets of a Fixed window, late inserts included (0 for a window of splits: Append, Variable, the strawman).")
 		fmt.Fprintln(w, "# TYPE slider_window_live_buckets gauge")
 		fmt.Fprintf(w, "slider_window_live_buckets %d\n", ws.LiveBuckets)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slider/internal/dist"
@@ -274,4 +275,142 @@ func TestServerEmptyConfig(t *testing.T) {
 		t.Errorf("/debug/tree = %q", tr)
 	}
 	get(t, base+"/debug/pprof/")
+}
+
+// TestMetricsScrapesBuildNoSnapshot: /metrics reads the run count and the
+// live splits from the window gauges and never asks for a tree snapshot,
+// so ten scrapes between every two slides leave the snapshot the server's
+// start requested as the only one built.
+func TestMetricsScrapesBuildNoSnapshot(t *testing.T) {
+	rt, err := sliderrt.New(obsTestJob(), sliderrt.Config{Mode: sliderrt.Variable, Memo: memo.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var polls atomic.Int64
+	srv, err := Start("127.0.0.1:0", Config{
+		Tree: func() *sliderrt.TreeSnapshot {
+			polls.Add(1)
+			return rt.TreeSnapshot()
+		},
+		Window: rt.WindowStats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	if _, err := rt.Initial(obsTestSplits(0, 6)); err != nil {
+		t.Fatal(err)
+	}
+	for slide := 1; slide <= 6; slide++ {
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			m := get(t, base+"/metrics")
+			if got := metricValue(t, m, "slider_slides_total"); got != float64(slide) {
+				t.Fatalf("slider_slides_total = %v after slide %d", got, slide)
+			}
+			if got := metricValue(t, m, "slider_window_live_splits"); got != 6 {
+				t.Fatalf("slider_window_live_splits = %v, want 6", got)
+			}
+		}
+		if _, err := rt.Advance(1, obsTestSplits(5+slide, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := polls.Load(); n != 1 {
+		t.Fatalf("the tree source was called %d times, want once (by Start)", n)
+	}
+	// The one request was served at the initial run's upkeep; nothing has
+	// asked since.
+	if snap := rt.TreeSnapshot(); snap == nil || snap.SlideID != 1 {
+		t.Fatalf("snapshot = %+v, want the initial run's", snap)
+	}
+}
+
+// TestScrapesDuringSlides: /metrics and /debug/tree read the runtime from
+// the server's goroutines while slides run (run it with -race): the slide
+// counter a scrape reads never goes back, and /debug/tree serves either
+// the pending message or a whole snapshot.
+func TestScrapesDuringSlides(t *testing.T) {
+	rt, err := sliderrt.New(obsTestJob(), sliderrt.Config{Mode: sliderrt.Variable, Memo: memo.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := StartForRuntime("127.0.0.1:0", rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		last := -1.0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(base + "/metrics")
+			if err != nil {
+				t.Errorf("GET /metrics: %v", err)
+				return
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("read /metrics: %v", err)
+				return
+			}
+			for _, line := range strings.Split(string(body), "\n") {
+				if v, ok := strings.CutPrefix(line, "slider_slides_total "); ok {
+					n, err := strconv.ParseFloat(v, 64)
+					if err != nil || n < last {
+						t.Errorf("slider_slides_total %q after %v", v, last)
+						return
+					}
+					last = n
+				}
+			}
+			resp, err = http.Get(base + "/debug/tree")
+			if err != nil {
+				t.Errorf("GET /debug/tree: %v", err)
+				return
+			}
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("read /debug/tree: %v", err)
+				return
+			}
+			if tree := string(body); !strings.HasPrefix(tree, "snapshot requested") && !strings.Contains(tree, "fingerprint:") {
+				t.Errorf("/debug/tree = %q", tree)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	if _, err := rt.Initial(obsTestSplits(0, 6)); err != nil {
+		t.Fatal(err)
+	}
+	for next := 6; next < 26; next++ {
+		if err := rt.Background(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Advance(1, obsTestSplits(next, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rt.WindowStats().Slides; got != 21 {
+		t.Fatalf("WindowStats().Slides = %d, want 21", got)
+	}
 }

@@ -17,7 +17,8 @@ import (
 // swapped in at slide boundaries.
 
 // TreeSnapshot is an immutable structural snapshot of the runtime's
-// contraction trees, published at the end of a slide's upkeep. It is what
+// contraction trees, built and published at the end of a slide's upkeep
+// when one was requested (Runtime.TreeSnapshot). It is what
 // /debug/tree serves: the §3 shape invariants (height, per-level node
 // population), the memoization hit ratio, and the window fingerprint,
 // all safe to read while the next slide runs.
@@ -40,10 +41,12 @@ type TreeSnapshot struct {
 	// stats at the start of every run).
 	MemoHits   int64
 	MemoMisses int64
-	// Fingerprint is an order-dependent combination of every partition
-	// tree's payload fingerprint — two runtimes that processed the same
-	// window agree on it (the sim harness's differential-oracle check,
-	// made visible to operators).
+	// Fingerprint hashes, partition by partition, the payloads the window's
+	// reduce consumes (each aggregator's Roots, in window order, with
+	// mapreduce.FingerprintPayload): two runtimes that processed the same
+	// window with the same backend agree on it, a runtime restored from a
+	// checkpoint of either too. It costs the roots' entries, not every
+	// memoized payload of the trees.
 	Fingerprint uint64
 }
 
@@ -56,13 +59,13 @@ func (s *TreeSnapshot) HitRatio() float64 {
 	return float64(s.MemoHits) / float64(s.MemoHits+s.MemoMisses)
 }
 
-// TreeSnapshot returns the latest published tree snapshot (nil before
-// the first slide's upkeep has run) and requests a fresh one: the runtime
-// re-publishes once the next slide's upkeep has run (Background, or the
-// entry point after it that runs it first). Safe to call from any
-// goroutine — repeated polling (the /debug/tree endpoint) therefore
-// stays at most one slide stale while costing the slide path nothing
-// beyond one atomic check.
+// TreeSnapshot returns the latest published tree snapshot and requests a
+// fresh one: the runtime builds and publishes it once the next slide's
+// upkeep has run (Background, or the entry point after it that runs it
+// first). It is nil until a requested snapshot has been published — a
+// runtime nobody asks builds none. Safe to call from any goroutine:
+// repeated polling (the /debug/tree endpoint) stays at most one slide
+// stale, and only a slide after a poll pays for a build.
 func (rt *Runtime) TreeSnapshot() *TreeSnapshot {
 	rt.snapReq.Store(true)
 	return rt.treeSnap.Load()
@@ -76,23 +79,18 @@ func (rt *Runtime) Observability() *metrics.SlideObs { return rt.cfg.Obs }
 // when the runner has one (a dist.Pool does), else its own.
 func (rt *Runtime) FaultRecorder() *metrics.FaultRecorder { return rt.faults }
 
-// publishTreeSnapshot swaps in a fresh snapshot when one was requested
-// (or none exists yet). Called at the end of every slide's upkeep
-// (Background) from the runtime's own goroutine, where walking live trees
-// is safe: off the answer path, and with nothing left pending, so that the
-// shapes and the fingerprint describe one state and taking the fingerprint
-// replays nothing.
+// publishTreeSnapshot builds and swaps in a snapshot when one was
+// requested. Called at the end of every slide's upkeep (Background) from
+// the runtime's own goroutine, where reading live trees is safe: off the
+// answer path, and with nothing left pending, so that the shapes and the
+// fingerprint describe one state.
 func (rt *Runtime) publishTreeSnapshot() {
-	requested := rt.snapReq.Swap(false)
-	if !requested && rt.treeSnap.Load() != nil {
-		return
+	if rt.snapReq.Swap(false) {
+		rt.treeSnap.Store(rt.buildTreeSnapshot())
 	}
-	rt.treeSnap.Store(rt.buildTreeSnapshot())
 }
 
-// buildTreeSnapshot walks every partition tree for its shape and payload
-// fingerprint. O(materialized nodes) — runs only when a snapshot was
-// requested.
+// buildTreeSnapshot reads every partition's shape and hashes its roots.
 func (rt *Runtime) buildTreeSnapshot() *TreeSnapshot {
 	snap := &TreeSnapshot{
 		SlideID:  uint64(rt.runs),
@@ -103,10 +101,14 @@ func (rt *Runtime) buildTreeSnapshot() *TreeSnapshot {
 	}
 	ms := rt.store.Stats()
 	snap.MemoHits, snap.MemoMisses = ms.Hits, ms.Misses
-	pfp := func(s sized) uint64 { return mapreduce.FingerprintPayload(s.P) }
 	for _, agg := range rt.aggs {
 		snap.Partitions = append(snap.Partitions, agg.Shape())
-		snap.Fingerprint = snap.Fingerprint*0x9e3779b97f4a7c15 + agg.FingerprintWith(pfp)
+		roots := agg.Roots()
+		h := uint64(len(roots))
+		for _, r := range roots {
+			h = h*0x9e3779b97f4a7c15 + mapreduce.FingerprintPayload(r.P)
+		}
+		snap.Fingerprint = snap.Fingerprint*0x9e3779b97f4a7c15 + h
 	}
 	return snap
 }

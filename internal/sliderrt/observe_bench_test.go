@@ -14,6 +14,7 @@ import (
 	"slider/internal/israce"
 	"slider/internal/mapreduce"
 	"slider/internal/metrics"
+	"slider/internal/workload"
 )
 
 // obsBenchBackends are the backend configurations the tracing-off
@@ -349,5 +350,36 @@ func countWords(line string, counts map[string]int64) {
 		w, rest, _ := strings.Cut(line, " ")
 		counts[w]++
 		line = rest
+	}
+}
+
+// treeSnapshotSink keeps BenchmarkTreeSnapshot's result live.
+var treeSnapshotSink *TreeSnapshot
+
+// BenchmarkTreeSnapshot is what one requested /debug/tree snapshot costs:
+// a Fixed daba window of 64 one-split buckets, each split 200 lines of 12
+// Zipf words over a 20 000-word vocabulary (the wide benchmark workload's
+// text), after a full cycle of 64 slides and its upkeep.
+func BenchmarkTreeSnapshot(b *testing.B) {
+	const buckets = 64
+	text := workload.NewText(workload.TextConfig{Seed: 1, LinesPerSplit: 200, WordsPerLine: 12, Vocabulary: 20000, ZipfS: 1.2})
+	rt, err := New(wordCountJob(), Config{Mode: Fixed, BucketSplits: 1, WindowBuckets: buckets, Memo: testMemoConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := rt.Initial(text.Range(0, buckets)); err != nil {
+		b.Fatal(err)
+	}
+	for i := buckets; i < 2*buckets; i++ {
+		if _, err := rt.Advance(1, text.Range(i, i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := rt.Background(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		treeSnapshotSink = rt.buildTreeSnapshot()
 	}
 }

@@ -1,11 +1,14 @@
 package sliderrt
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"slider/internal/core"
 	"slider/internal/metrics"
 )
 
@@ -164,19 +167,15 @@ func TestObsDegradedSlideTrace(t *testing.T) {
 	}
 }
 
-// TestTreeSnapshotPublish covers the request-flag protocol: a snapshot
-// appears after the first slide's upkeep — not on its answer path —, goes
-// stale while nobody polls, and refreshes on the slide after a poll.
+// TestTreeSnapshotPublish covers the request-flag protocol: a runtime
+// nobody polls builds no snapshot, fresh or restored; a poll before the
+// initial run is served at its upkeep — not on its answer path —; the
+// snapshot goes stale while nobody polls and refreshes on the slide after
+// a poll.
 func TestTreeSnapshotPublish(t *testing.T) {
 	job := wordCountJob()
-	rt, err := New(job, Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.TreeSnapshot() != nil {
-		t.Fatal("snapshot before any slide")
-	}
-	slide := func(from int) {
+	cfg := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig()}
+	slide := func(rt *Runtime, from int) {
 		t.Helper()
 		if _, err := rt.Advance(2, genSplits(from, 2, 4, 7)); err != nil {
 			t.Fatal(err)
@@ -184,6 +183,45 @@ func TestTreeSnapshotPublish(t *testing.T) {
 		if err := rt.Background(); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	unpolled, err := New(job, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unpolled.Initial(genSplits(0, 8, 4, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := unpolled.Background(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		slide(unpolled, 8+2*i)
+	}
+	if snap := unpolled.treeSnap.Load(); snap != nil {
+		t.Fatalf("a runtime nobody polled built a snapshot: %+v", snap)
+	}
+	var buf bytes.Buffer
+	if err := unpolled.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(job, cfg, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		slide(restored, 18+2*i)
+	}
+	if snap := restored.treeSnap.Load(); snap != nil {
+		t.Fatalf("a restored runtime nobody polled built a snapshot: %+v", snap)
+	}
+
+	rt, err := New(job, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.TreeSnapshot() != nil {
+		t.Fatal("snapshot before any slide")
 	}
 	if _, err := rt.Initial(genSplits(0, 8, 4, 7)); err != nil {
 		t.Fatal(err)
@@ -194,8 +232,7 @@ func TestTreeSnapshotPublish(t *testing.T) {
 	if err := rt.Background(); err != nil {
 		t.Fatal(err)
 	}
-	// The poll above left a pending request, so the initial run's upkeep
-	// published.
+	// The poll before the initial run is served at its upkeep.
 	snap := rt.TreeSnapshot()
 	if snap == nil || snap.SlideID != 1 {
 		t.Fatalf("snapshot after initial = %+v", snap)
@@ -211,15 +248,15 @@ func TestTreeSnapshotPublish(t *testing.T) {
 	}
 
 	// That poll requested a refresh; the next slide publishes slide 2.
-	slide(8)
+	slide(rt, 8)
 	// No poll happened since publishing: a further slide must NOT rebuild.
-	slide(10)
+	slide(rt, 10)
 	snap = rt.TreeSnapshot()
 	if snap.SlideID != 2 {
 		t.Fatalf("unpolled snapshot advanced to slide %d, want stale slide 2", snap.SlideID)
 	}
 	// Now a request is pending again: the next slide refreshes.
-	slide(12)
+	slide(rt, 12)
 	if snap = rt.TreeSnapshot(); snap.SlideID != 4 {
 		t.Fatalf("snapshot after poll = slide %d, want 4", snap.SlideID)
 	}
@@ -236,57 +273,106 @@ func TestTreeSnapshotPublish(t *testing.T) {
 	}
 }
 
-// TestTreeSnapshotFingerprintAgrees: two runtimes that processed the same
-// window report the same fingerprint — the sim harness's differential
-// oracle, exposed to operators.
+// TestTreeSnapshotFingerprintAgrees: on every backend in every mode that
+// takes it, two runtimes that went through the same operations report the
+// same fingerprint — the sim harness's differential oracle, exposed to
+// operators —, a runtime restored from either agrees with it, at once and
+// after one more slide, and a different window disagrees.
 func TestTreeSnapshotFingerprintAgrees(t *testing.T) {
 	job := wordCountJob()
-	run := func() *TreeSnapshot {
-		rt, err := New(job, Config{Mode: Variable, Memo: testMemoConfig()})
-		if err != nil {
-			t.Fatal(err)
+	for _, mode := range []Mode{Append, Fixed, Variable} {
+		for _, kind := range core.Kinds() {
+			for _, split := range []bool{false, true} {
+				cfg := Config{Mode: mode, Backend: kind, SplitProcessing: split, BucketSplits: 1, WindowBuckets: 6, Memo: testMemoConfig()}
+				if _, err := New(job, cfg); errors.Is(err, ErrBadBackend) || errors.Is(err, ErrBadMode) {
+					continue
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%v/%v", mode, kind)
+				if split {
+					name += "/split"
+				}
+				t.Run(name, func(t *testing.T) {
+					drop := 1
+					if mode == Append {
+						drop = 0
+					}
+					// advance runs one slide from split `from`, polling first —
+					// after the previous run's upkeep, which would serve the poll —
+					// so that its own upkeep publishes, and returns the snapshot.
+					advance := func(rt *Runtime, from int, seed int64) *TreeSnapshot {
+						t.Helper()
+						if err := rt.Background(); err != nil {
+							t.Fatal(err)
+						}
+						rt.TreeSnapshot()
+						if _, err := rt.Advance(drop, genSplits(from, 1, 4, seed)); err != nil {
+							t.Fatal(err)
+						}
+						if err := rt.Background(); err != nil {
+							t.Fatal(err)
+						}
+						snap := rt.TreeSnapshot()
+						if snap == nil || snap.SlideID != uint64(rt.runs) {
+							t.Fatalf("snapshot after slide %d = %+v", rt.runs, snap)
+						}
+						return snap
+					}
+					run := func(seed int64) (*Runtime, *TreeSnapshot) {
+						rt, err := New(job, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := rt.Initial(genSplits(0, 6, 4, seed)); err != nil {
+							t.Fatal(err)
+						}
+						// Seven slides: the daba kind flips every six.
+						for from := 6; from < 12; from++ {
+							advance(rt, from, seed)
+						}
+						return rt, advance(rt, 12, seed)
+					}
+					ra, a := run(7)
+					rb, b := run(7)
+					if a.Fingerprint != b.Fingerprint {
+						t.Fatalf("fingerprints disagree: %016x vs %016x", a.Fingerprint, b.Fingerprint)
+					}
+					for _, orig := range []*Runtime{ra, rb} {
+						var buf bytes.Buffer
+						if err := orig.Checkpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+						restored, err := Restore(job, cfg, &buf)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := restored.buildTreeSnapshot().Fingerprint; got != a.Fingerprint {
+							t.Fatalf("restored fingerprint %016x, original %016x", got, a.Fingerprint)
+						}
+						if got, want := advance(restored, 13, 7).Fingerprint, advance(orig, 13, 7).Fingerprint; got != want {
+							t.Fatalf("after one more slide: restored fingerprint %016x, original %016x", got, want)
+						}
+					}
+					// A different window disagrees (with overwhelming probability).
+					if _, c := run(99); c.Fingerprint == a.Fingerprint {
+						t.Fatal("different windows fingerprint equal")
+					}
+				})
+			}
 		}
-		if _, err := rt.Initial(genSplits(0, 6, 4, 7)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.Advance(2, genSplits(6, 2, 4, 7)); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Background(); err != nil {
-			t.Fatal(err)
-		}
-		snap := rt.TreeSnapshot()
-		if snap == nil {
-			t.Fatal("no snapshot")
-		}
-		return snap
-	}
-	a, b := run(), run()
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("fingerprints disagree: %016x vs %016x", a.Fingerprint, b.Fingerprint)
-	}
-	// A different window disagrees (with overwhelming probability).
-	rt, err := New(job, Config{Mode: Variable, Memo: testMemoConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Initial(genSplits(0, 6, 4, 99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Background(); err != nil {
-		t.Fatal(err)
-	}
-	if c := rt.TreeSnapshot(); c.Fingerprint == a.Fingerprint {
-		t.Fatal("different windows fingerprint equal")
 	}
 }
 
 // TestObsNilIsInert: with Config.Obs unset the runtime still stamps slide
-// IDs and publishes tree snapshots, and nothing panics.
+// IDs and publishes a requested tree snapshot, and nothing panics.
 func TestObsNilIsInert(t *testing.T) {
 	rt, err := New(wordCountJob(), Config{Mode: Variable, Memo: testMemoConfig()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rt.TreeSnapshot() != nil {
+		t.Fatal("tree snapshot before any slide")
 	}
 	res, err := rt.Initial(genSplits(0, 4, 4, 7))
 	if err != nil {

@@ -164,8 +164,8 @@ type Runtime struct {
 	changed []string
 
 	// treeSnap is the immutable tree snapshot served to concurrent
-	// readers (/debug/tree); snapReq asks the next slide's upkeep to
-	// refresh it.
+	// readers (/debug/tree), nil until one was requested; snapReq asks
+	// the next slide's upkeep to build one.
 	treeSnap atomic.Pointer[TreeSnapshot]
 	snapReq  atomic.Bool
 

@@ -353,7 +353,9 @@ type (
 	// the pool records into too, or a runtime's own.
 	FaultRecorder = metrics.FaultRecorder
 	// TreeSnapshot is an immutable structural snapshot of the runtime's
-	// contraction trees (see Runtime.TreeSnapshot, /debug/tree).
+	// contraction trees (see Runtime.TreeSnapshot, /debug/tree). A runtime
+	// builds one only when asked: Runtime.TreeSnapshot is nil until the
+	// upkeep after its first call has published one.
 	TreeSnapshot = sliderrt.TreeSnapshot
 	// ObsServer is the introspection HTTP server (/metrics,
 	// /debug/pprof, /debug/slides, /debug/tree).
