@@ -358,7 +358,7 @@ func TestFailedMapTaskLeavesNothingBehind(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	good := mapreduce.Split{ID: "good", Records: []mapreduce.Record{"beta alpha beta", "gamma alpha beta"}}
 	want := make([]mapreduce.Payload, 3)
-	for _, e := range []mapreduce.Entry{{Key: "alpha", Value: int64(2)}, {Key: "beta", Value: int64(3)}, {Key: "gamma", Value: int64(1)}} {
+	for _, e := range []mapreduce.Entry{mapreduce.NewEntry("alpha", int64(2)), mapreduce.NewEntry("beta", int64(3)), mapreduce.NewEntry("gamma", int64(1))} {
 		p := mapreduce.Partition(e.Key, 3)
 		want[p] = append(want[p], e) // in key order
 	}

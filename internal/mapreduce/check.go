@@ -53,7 +53,7 @@ var (
 func checkMapLine(job *Job, samples []Split) error {
 	var byMap, byLine []Entry
 	collect := func(into *[]Entry) Emit {
-		return func(key string, value Value) { *into = append(*into, Entry{key, value}) }
+		return func(key string, value Value) { *into = append(*into, NewEntry(key, value)) }
 	}
 	for _, split := range samples {
 		for _, rec := range split.Records {

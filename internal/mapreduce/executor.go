@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,6 +42,13 @@ type MapResult struct {
 // twice. A map task's cut sorts them, and persist's decoder refuses a frame
 // that is not. sliderrt checks the order of a result that leaves PartBytes
 // nil, and fails the slide on one that breaks it, naming its split.
+//
+// A result's entries carry their keys' prefixes (see Entry): a map task's
+// cut and persist's decoder derive them, and sliderrt derives those of a
+// result that leaves PartBytes nil as it checks its order. A runner that
+// builds its own payloads sets Key and Value, or uses NewEntry; an entry
+// whose prefix is zero is not derived, and is compared by its key's bytes
+// — correctly, only more slowly.
 //
 // A split is one map task's input, which need not be one split of the
 // stream: sliderrt maps a Fixed window's bucket in ranges of its splits, each
@@ -220,7 +226,7 @@ func ReduceInto(job *Job, roots []Sized, out Output) int64 {
 		return reduceTwo(reduce, left, right, out)
 	}
 	var calls int64
-	joinK(roots, func(key string, vals []Value) {
+	joinK(roots, func(key string, _ uint64, vals []Value) {
 		out[key] = reduce(key, vals)
 		calls++
 	})
@@ -238,7 +244,7 @@ func reduceTwo(reduce func(string, []Value) Value, left, right Payload, out Outp
 	var calls int64
 	for i < len(left) && j < len(right) {
 		l, r := &left[i], &right[j]
-		switch c := strings.Compare(l.Key, r.Key); {
+		switch c := compareKeys(*l, *r); {
 		case c < 0:
 			pair[0] = l.Value
 			out[l.Key] = reduce(l.Key, pair[:1])
@@ -313,7 +319,7 @@ func ReduceDelta(job *Job, evicted, added []Sized, at Located, roots []Sized, ou
 	if len(evicted) > 1 || len(added) > 1 {
 		var buf [16]Sized // one slide's elements of one partition
 		moved := append(append(buf[:0], evicted...), added...)
-		joinK(moved, func(key string, _ []Value) { d.touch(next, key, unlocated, unlocated) })
+		joinK(moved, func(key string, prefix uint64, _ []Value) { d.touch(next, key, prefix, unlocated, unlocated) })
 		return d.changed, d.counts
 	}
 	var e, a Payload
@@ -333,25 +339,26 @@ func ReduceDelta(job *Job, evicted, added []Sized, at Located, roots []Sized, ou
 		case i == len(e):
 			c = 1
 		default:
-			c = strings.Compare(e[i].Key, a[j].Key)
+			c = compareKeys(e[i], a[j])
 		}
 		front, back := unlocated, unlocated
 		var key string
+		var prefix uint64
 		if c <= 0 {
-			key = e[i].Key
+			key, prefix = e[i].Key, e[i].prefix
 			if ea != nil {
 				front = ea[i]
 			}
 			i++
 		}
 		if c >= 0 {
-			key = a[j].Key
+			key, prefix = a[j].Key, a[j].prefix
 			if aa != nil {
 				back = aa[j]
 			}
 			j++
 		}
-		d.touch(next, key, front, back)
+		d.touch(next, key, prefix, front, back)
 	}
 	return d.changed, d.counts
 }
@@ -370,10 +377,11 @@ type deltaReduce struct {
 	counts  DeltaCounts
 }
 
-// touch re-reduces one touched key over the roots. next is, per root, the
-// index of the first entry no lookup has passed yet; front and back are the
-// key's recorded positions in the first and the last root, or unlocated.
-func (d *deltaReduce) touch(next []int, key string, front, back int32) {
+// touch re-reduces one touched key, of the given prefix, over the roots. next
+// is, per root, the index of the first entry no lookup has passed yet; front
+// and back are the key's recorded positions in the first and the last root,
+// or unlocated.
+func (d *deltaReduce) touch(next []int, key string, prefix uint64, front, back int32) {
 	d.vals = d.vals[:0]
 	last := len(d.roots) - 1
 	for i, r := range d.roots {
@@ -398,7 +406,7 @@ func (d *deltaReduce) touch(next []int, key string, front, back int32) {
 			k = int(-pos - 1)
 		default:
 			d.counts.Seeks++
-			k = len(p) - len(seek(p[next[i]:], key))
+			k = len(p) - len(seek(p[next[i]:], key, prefix))
 			found = k < len(p) && p[k].Key == key
 		}
 		if found {
@@ -418,21 +426,23 @@ func (d *deltaReduce) touch(next []int, key string, front, back int32) {
 }
 
 // seek returns the suffix of p that starts at its first entry with a key
-// ≥ key, by galloping from the front: doubling steps until one overshoots,
-// then a binary search inside that step. A run of lookups in ascending key
-// order therefore costs O(log gap) each and O(len(p)) at most in total.
-func seek(p Payload, key string) Payload {
-	if len(p) == 0 || p[0].Key >= key {
+// ≥ key, whose prefix is given (zero when not derived), by galloping from the
+// front: doubling steps until one overshoots, then a binary search inside
+// that step. A run of lookups in ascending key order therefore costs
+// O(log gap) each and O(len(p)) at most in total. Each probe compares by
+// keyBefore, so most decide on the prefixes alone.
+func seek(p Payload, key string, prefix uint64) Payload {
+	if len(p) == 0 || !keyBefore(p[0].Key, p[0].prefix, key, prefix) {
 		return p
 	}
 	lo, step := 0, 1 // p[lo].Key < key
-	for lo+step < len(p) && p[lo+step].Key < key {
+	for lo+step < len(p) && keyBefore(p[lo+step].Key, p[lo+step].prefix, key, prefix) {
 		lo += step
 		step <<= 1
 	}
 	hi := min(lo+step, len(p)) // hi == len(p) or p[hi].Key ≥ key
 	for lo+1 < hi {
-		if mid := int(uint(lo+hi) >> 1); p[mid].Key < key {
+		if mid := int(uint(lo+hi) >> 1); keyBefore(p[mid].Key, p[mid].prefix, key, prefix) {
 			lo = mid
 		} else {
 			hi = mid

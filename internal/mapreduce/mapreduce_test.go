@@ -144,7 +144,7 @@ func TestMergeOrderedNeverAliasesInputs(t *testing.T) {
 			rightFP := FingerprintPayload(tc.right)
 			out, _ := MergeOrdered(job, tc.left, tc.right)
 			for i := range out {
-				out[i] = Entry{"smashed", int64(99)}
+				out[i] = Entry{Key: "smashed", Value: int64(99)}
 			}
 			if FingerprintPayload(tc.left) != leftFP {
 				t.Fatal("mutating the merged result corrupted the left input")
@@ -353,7 +353,7 @@ func TestFingerprintKeepsItsHashes(t *testing.T) {
 			t.Errorf("Fingerprint(%#v) = %#x, pinned %#x", c.v, got, c.want)
 		}
 	}
-	if got := FingerprintPayload(Payload{{"a", int64(1)}, {"b", "x"}}); got != 0x80abc3980162e05d {
+	if got := FingerprintPayload(Payload{NewEntry("a", int64(1)), NewEntry("b", "x")}); got != 0x80abc3980162e05d {
 		t.Errorf("FingerprintPayload = %#x, pinned 0x80abc3980162e05d", got)
 	}
 }
@@ -410,7 +410,7 @@ func TestFingerprintHashesStructure(t *testing.T) {
 
 func TestFingerprintPayload(t *testing.T) {
 	a := FromMap(M{"k1": int64(1), "k2": "v"})
-	b := Payload{{"k1", int64(1)}, {"k2", "v"}}
+	b := Payload{{Key: "k1", Value: int64(1)}, {Key: "k2", Value: "v"}}
 	if FingerprintPayload(a) != FingerprintPayload(b) {
 		t.Fatal("payload fingerprint depends on how the payload was built")
 	}

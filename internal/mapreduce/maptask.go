@@ -637,7 +637,8 @@ func (p TaskPart) Value(i int) Value {
 // at most twice its length, else one of exactly its length; nil when nothing
 // was emitted to it), read through the partition's TaskPart and sized by
 // valueBytes as each entry is written, with the task's cost up to the end of
-// the cut. A declared sum's totals are boxed here.
+// the cut. Each entry takes its key's prefix from the sort key that ordered
+// it. A declared sum's totals are boxed here.
 //
 // The keys are copied once, into one string for the task, in partition then
 // key order, and every output key is a substring of it — the layout a decoded
@@ -660,7 +661,7 @@ func (o *TaskOutput) cut() MapResult {
 			key, v := part.Key(i), part.Value(i)
 			off := arena.Len()
 			arena.WriteString(key)
-			out[i] = Entry{arena.String()[off:], v}
+			out[i] = Entry{Key: arena.String()[off:], Value: v, prefix: part.run[i].prefix}
 			res.PartBytes[p] += int64(len(key)) + valueBytes(v)
 		}
 		res.Parts[p] = out

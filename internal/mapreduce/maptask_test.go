@@ -91,9 +91,9 @@ func scriptSplit(rng *rand.Rand, id string, ints bool) Split {
 		}
 		for i := 0; i < n; i++ {
 			if ints {
-				emits = append(emits, Entry{k, int64(1 + i%3)})
+				emits = append(emits, Entry{Key: k, Value: int64(1 + i%3)})
 			} else {
-				emits = append(emits, Entry{k, fmt.Sprintf("%d.", i)})
+				emits = append(emits, Entry{Key: k, Value: fmt.Sprintf("%d.", i)})
 			}
 		}
 	}
@@ -122,9 +122,9 @@ func boundarySplit(ints bool) Split {
 				continue
 			}
 			if ints {
-				emits = append(emits, Entry{fmt.Sprintf("emitted-%d", n), int64(i)})
+				emits = append(emits, Entry{Key: fmt.Sprintf("emitted-%d", n), Value: int64(i)})
 			} else {
-				emits = append(emits, Entry{fmt.Sprintf("emitted-%d", n), fmt.Sprintf("%d.", i)})
+				emits = append(emits, Entry{Key: fmt.Sprintf("emitted-%d", n), Value: fmt.Sprintf("%d.", i)})
 			}
 		}
 	}
@@ -352,9 +352,9 @@ func radixSplit(rng *rand.Rand, ints bool) Split {
 	for _, k := range radixKeys() {
 		for i := rng.Intn(3); i >= 0; i-- {
 			if ints {
-				emits = append(emits, Entry{k, int64(1 + i)})
+				emits = append(emits, Entry{Key: k, Value: int64(1 + i)})
 			} else {
-				emits = append(emits, Entry{k, fmt.Sprintf("%d.", i)})
+				emits = append(emits, Entry{Key: k, Value: fmt.Sprintf("%d.", i)})
 			}
 		}
 	}
@@ -553,9 +553,9 @@ func FuzzMapTask(f *testing.F) {
 func wrapSplit() Split {
 	var emits script
 	for i := 0; i < 3*mapPendingBound; i++ {
-		emits = append(emits, Entry{"max", int64(math.MaxInt64 - i%3)}, Entry{"min", int64(math.MinInt64 + i%5)})
+		emits = append(emits, Entry{Key: "max", Value: int64(math.MaxInt64 - i%3)}, Entry{Key: "min", Value: int64(math.MinInt64 + i%5)})
 		if i%7 == 0 {
-			emits = append(emits, Entry{fmt.Sprintf("mixed-%d", i%11), int64(i) << 60})
+			emits = append(emits, Entry{Key: fmt.Sprintf("mixed-%d", i%11), Value: int64(i) << 60})
 		}
 	}
 	return Split{ID: "wrap", Records: []Record{emits[:len(emits)/3], emits[len(emits)/3:]}}
@@ -621,7 +621,7 @@ func TestMapTaskSumMatchesChain(t *testing.T) {
 // value's type, without a panic, and leaves its scratch as a finished task
 // does: the next task run in it gets its exact output.
 func TestDeclaredSumRefusesOtherValues(t *testing.T) {
-	good := Split{ID: "good", Records: []Record{script{{"a", int64(1)}, {"b", int64(2)}, {"a", int64(3)}}}}
+	good := Split{ID: "good", Records: []Record{script{{Key: "a", Value: int64(1)}, {Key: "b", Value: int64(2)}, {Key: "a", Value: int64(3)}}}}
 	job := scriptJob(3, sumJob(1).Combine)
 	want, err := refRunMapTask(job, good)
 	if err != nil {
@@ -634,8 +634,8 @@ func TestDeclaredSumRefusesOtherValues(t *testing.T) {
 		typ   string
 	}{{1.5, "float64"}, {int(1), "int"}, {"1", "string"}, {nil, "<nil>"}} {
 		split := Split{ID: "bad", Records: []Record{
-			script{{"a", int64(1)}, {"b", int64(1)}},
-			script{{"a", bad.value}, {"c", int64(1)}},
+			script{{Key: "a", Value: int64(1)}, {Key: "b", Value: int64(1)}},
+			script{{Key: "a", Value: bad.value}, {Key: "c", Value: int64(1)}},
 		}}
 		s := newMapScratch()
 		_, err := runIn(s, &declared, split)
@@ -760,7 +760,7 @@ func TestSmallTaskAfterLargeOne(t *testing.T) {
 	job := scriptJob(3, joinStrings)
 	var large script
 	for i := 0; i < 5000; i++ {
-		large = append(large, Entry{fmt.Sprintf("word-%04d", i), "x"})
+		large = append(large, Entry{Key: fmt.Sprintf("word-%04d", i), Value: "x"})
 	}
 	s := newMapScratch()
 	if _, err := runIn(s, job, Split{ID: "large", Records: []Record{large}}); err != nil {
@@ -811,8 +811,8 @@ func TestLeakedEmitIsDead(t *testing.T) {
 		return emitScript(rec, emit)
 	}
 	split := Split{ID: "s", Records: []Record{
-		script{{"a", "1"}, {"b", "2"}, {"a", "3"}},
-		script{{"c", "4"}, {"a", "5"}},
+		script{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}, {Key: "a", Value: "3"}},
+		script{{Key: "c", Value: "4"}, {Key: "a", Value: "5"}},
 	}}
 	want, err := refRunMapTask(scriptJob(3, joinStrings), split)
 	if err != nil {
@@ -842,7 +842,7 @@ func TestLeakedEmitIsDead(t *testing.T) {
 // through the pool and a worker's recover, with the collector as the judge.)
 func TestScratchCleanAfterFailedTask(t *testing.T) {
 	boom := errors.New("boom")
-	good := Split{ID: "good", Records: []Record{script{{"a", "1"}, {"zz", "2"}, {"a", "3"}, {"m", "4"}}}}
+	good := Split{ID: "good", Records: []Record{script{{Key: "a", Value: "1"}, {Key: "zz", Value: "2"}, {Key: "a", Value: "3"}, {Key: "m", Value: "4"}}}}
 	want, err := refRunMapTask(scriptJob(4, joinStrings), good)
 	if err != nil {
 		t.Fatal(err)

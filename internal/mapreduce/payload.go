@@ -10,11 +10,25 @@ import (
 	"strings"
 )
 
-// Entry is one key/value pair of a Payload.
+// Entry is one key/value pair of a Payload, with its key's prefix: the first
+// eight bytes, big endian and zero padded (keyPrefix), which decides nearly
+// every comparison of two keys without reading them (compareKey). The prefix
+// is derived where an entry arrives — a map task's cut, a decoded payload,
+// NewEntry, a foreign MapRunner's result as the runtime checks its order —
+// and a merge carries it with the key. It is never written out: the codec,
+// the fingerprints and the checkpoints see the key and the value only. A
+// zero prefix means "not derived" (an entry keyed outside those paths, a
+// test's literal): such a key is compared by its bytes, so a payload of them
+// is ordered as any other, only more slowly. Layout: Key (16 bytes), Value
+// (16), prefix (8) — 40 bytes on a 64-bit platform.
 type Entry struct {
-	Key   string
-	Value Value
+	Key    string
+	Value  Value
+	prefix uint64
 }
+
+// NewEntry returns the entry of key and v, its prefix derived.
+func NewEntry(key string, v Value) Entry { return Entry{Key: key, Value: v, prefix: keyPrefix(key)} }
 
 // Payload is the unit of data flowing through the contraction phase: the
 // combined key→value pairs a map task (or contraction-tree node)
@@ -22,24 +36,92 @@ type Entry struct {
 // sorted by key (byte order, no key twice). The order is the invariant
 // everything downstream leans on: a merge is a merge-join over two
 // cursors, the codec writes entries as they lie, and fingerprints walk
-// them without sorting. A nil slice is the empty payload. Nothing writes to
+// them without sorting. Every path that builds a payload derives its
+// entries' prefixes (see Entry), which its merges and seeks compare before
+// any key byte. A nil slice is the empty payload. Nothing writes to
 // a payload while it is live; the storage of one that has died — an
 // aggregate its structure overwrote or evicted — may carry a later merge
 // (see FreeList), so a reader keeps a payload no longer than the run that
 // handed it over.
 type Payload []Entry
 
-func compareKeys(a, b Entry) int { return strings.Compare(a.Key, b.Key) }
+// compareKey is the one rule every comparison of two payload keys follows —
+// the merges, the seeks, the reduces' walks, IsSorted — for keys a and b with
+// prefixes pa and pb: two derived prefixes that differ decide; equal ones,
+// when either key is at most eight bytes, leave the shorter key first (zero
+// padding makes it a prefix of the longer, so "ab" < "ab\x00"), and
+// otherwise the bytes past the prefix decide. A zero prefix is not derived:
+// the keys' bytes decide. The result is strings.Compare's.
+func compareKey(a string, pa uint64, b string, pb uint64) int {
+	if pa != 0 && pb != 0 {
+		if pa != pb {
+			if pa < pb {
+				return -1
+			}
+			return 1
+		}
+		if len(a) <= 8 || len(b) <= 8 {
+			return len(a) - len(b)
+		}
+		a, b = a[8:], b[8:]
+	}
+	return strings.Compare(a, b)
+}
+
+func compareKeys(a, b Entry) int { return compareKey(a.Key, a.prefix, b.Key, b.prefix) }
+
+// keyBefore reports whether key a sorts before key b: compareKey < 0, with
+// the rule's first clause — two derived prefixes that differ decide — written
+// out, so that it inlines into seek's probes and calls compareKey only where
+// that clause does not decide.
+func keyBefore(a string, pa uint64, b string, pb uint64) bool {
+	if pa != pb && min(pa, pb) != 0 {
+		return pa < pb
+	}
+	return compareKey(a, pa, b, pb) < 0
+}
 
 // IsSorted reports whether p holds the payload invariant: keys strictly
 // ascending.
 func (p Payload) IsSorted() bool {
 	for i := 1; i < len(p); i++ {
-		if p[i-1].Key >= p[i].Key {
+		if !keyBefore(p[i-1].Key, p[i-1].prefix, p[i].Key, p[i].prefix) {
 			return false
 		}
 	}
 	return true
+}
+
+// DerivePrefixes sets every entry's prefix from its key, for a payload whose
+// entries were written key and value alone — a decoded body, a foreign
+// MapRunner's result — and reports, from the same pass, whether p holds the
+// payload invariant (IsSorted).
+func (p Payload) DerivePrefixes() (sorted bool) {
+	sorted = true
+	var last uint64
+	for i := range p {
+		prefix := keyPrefix(p[i].Key)
+		p[i].prefix = prefix
+		if i > 0 && sorted && !keyBefore(p[i-1].Key, last, p[i].Key, prefix) {
+			sorted = false
+		}
+		last = prefix
+	}
+	return sorted
+}
+
+// CheckPrefixes returns an error naming the first entry of p whose prefix is
+// not its key's (keyPrefix). Every path that builds a payload derives its
+// entries' prefixes — a foreign result's on arrival (DerivePrefixes) — and
+// carries them through the merges, and a test holds it to that: a prefix
+// left zero only slows a payload down, but a wrong one misorders it.
+func (p Payload) CheckPrefixes() error {
+	for i, e := range p {
+		if want := keyPrefix(e.Key); e.prefix != want {
+			return fmt.Errorf("entry %d, key %q, carries prefix %#x, not its key's %#x", i, e.Key, e.prefix, want)
+		}
+	}
+	return nil
 }
 
 // Get returns the value stored under key, by binary search.
@@ -59,7 +141,7 @@ func FromMap(m map[string]Value) Payload {
 	}
 	p := make(Payload, 0, len(m))
 	for k, v := range m {
-		p = append(p, Entry{k, v})
+		p = append(p, NewEntry(k, v))
 	}
 	slices.SortFunc(p, compareKeys)
 	return p
@@ -300,7 +382,7 @@ func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload,
 	var combines int64
 	i, j := 0, 0
 	for i < len(l) && j < len(r) {
-		switch c := strings.Compare(l[i].Key, r[j].Key); {
+		switch c := compareKeys(l[i], r[j]); {
 		case c < 0:
 			if loc != nil && loc.rawLeft {
 				loc.note(len(out), j, false)
@@ -321,7 +403,8 @@ func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload,
 			existing := l[i].Value
 			pair[0], pair[1] = existing, r[j].Value
 			combined := job.Combine(r[j].Key, pair)
-			out = append(out, Entry{r[j].Key, combined})
+			out = append(out, r[j])
+			out[len(out)-1].Value = combined
 			bytes += valueBytes(combined) - valueBytes(existing)
 			combines++
 			i, j = i+1, j+1
@@ -360,8 +443,9 @@ func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64, 
 	rawSmall := loc != nil && loc.rawLeft == smallIsLeft
 	rawLarge := loc != nil && !rawSmall
 	n := len(large) // large's entries are at n−len(large) onwards
-	for si, e := range small {
-		rest := seek(large, e.Key)
+	for si := range small {
+		e := &small[si]
+		rest := seek(large, e.Key, e.prefix)
 		if rawLarge {
 			loc.run(len(out), len(large)-len(rest), si)
 		}
@@ -371,7 +455,7 @@ func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64, 
 			if rawSmall {
 				loc.note(len(out), n-len(large), false)
 			}
-			out = append(out, e)
+			out = append(out, *e)
 			bytes += int64(len(e.Key)) + valueBytes(e.Value)
 			continue
 		}
@@ -381,14 +465,15 @@ func gallop(job *Job, out, small, large Payload, smallIsLeft bool, bytes int64, 
 		case rawLarge:
 			loc.note(len(out), si, true)
 		}
-		held, key := large[0], e.Key
+		held, kept := &large[0], e
 		if smallIsLeft {
-			pair[0], pair[1], key = e.Value, held.Value, held.Key
+			pair[0], pair[1], kept = e.Value, held.Value, held
 		} else {
 			pair[0], pair[1] = held.Value, e.Value
 		}
-		combined := job.Combine(key, pair)
-		out = append(out, Entry{key, combined})
+		combined := job.Combine(kept.Key, pair)
+		out = append(out, *kept)
+		out[len(out)-1].Value = combined
 		bytes += valueBytes(combined) - valueBytes(held.Value)
 		combines++
 		large = large[1:]
@@ -406,7 +491,7 @@ type cursor struct {
 }
 
 func (a cursor) before(b cursor) bool {
-	c := strings.Compare(a.rest[0].Key, b.rest[0].Key)
+	c := compareKeys(a.rest[0], b.rest[0])
 	return c < 0 || c == 0 && a.idx < b.idx
 }
 
@@ -430,11 +515,11 @@ func siftDown(h []cursor, i int) {
 // joinK walks any number of payloads as one key-ordered stream — a min-heap
 // of cursors, ordered by head key and then input position. visit runs once
 // per distinct key, in key order, with the key's values in input (window)
-// order; a key occurs at most once per payload. key is the rightmost
-// holder's string (see MergeOrderedSizedInto); vals is scratch, overwritten
+// order; a key occurs at most once per payload. key and prefix are the
+// rightmost holder's (see MergeOrderedSizedInto); vals is scratch, overwritten
 // for the next key (see Job.Combine). It allocates the scratch, and the
 // heap when more than a handful of payloads are live — nothing per key.
-func joinK(payloads []Sized, visit func(key string, vals []Value)) {
+func joinK(payloads []Sized, visit func(key string, prefix uint64, vals []Value)) {
 	var few [8]cursor
 	h := few[:0]
 	for i, p := range payloads {
@@ -447,11 +532,11 @@ func joinK(payloads []Sized, visit func(key string, vals []Value)) {
 	}
 	vals := make([]Value, 0, len(h))
 	for len(h) > 0 {
-		key := h[0].rest[0].Key
+		key, prefix := h[0].rest[0].Key, h[0].rest[0].prefix
 		vals = vals[:0]
 		for len(h) > 0 && h[0].rest[0].Key == key {
 			head := &h[0]
-			key = head.rest[0].Key
+			key, prefix = head.rest[0].Key, head.rest[0].prefix
 			vals = append(vals, head.rest[0].Value)
 			if head.rest = head.rest[1:]; len(head.rest) == 0 {
 				*head = h[len(h)-1]
@@ -459,7 +544,7 @@ func joinK(payloads []Sized, visit func(key string, vals []Value)) {
 			}
 			siftDown(h, 0)
 		}
-		visit(key, vals)
+		visit(key, prefix, vals)
 	}
 }
 
@@ -526,13 +611,13 @@ func MergeOrderedKSizedInto(job *Job, dst Payload, payloads []Sized) (Sized, int
 		return Sized{P: out, Bytes: payloads[last].Bytes}, 0
 	}
 	var bytes, combines int64
-	joinK(payloads, func(key string, vals []Value) {
+	joinK(payloads, func(key string, prefix uint64, vals []Value) {
 		v := vals[0]
 		if len(vals) > 1 {
 			v = job.Combine(key, vals)
 			combines++
 		}
-		out = append(out, Entry{key, v})
+		out = append(out, Entry{Key: key, Value: v, prefix: prefix})
 		bytes += int64(len(key)) + valueBytes(v)
 	})
 	releaseStorage(dst, out, used)

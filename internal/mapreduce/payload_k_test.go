@@ -196,11 +196,11 @@ func TestMergeOrderedKFastPaths(t *testing.T) {
 func TestMergeOrderedKNeverAliasesInputs(t *testing.T) {
 	job := sumJob(1)
 	inputs := []Payload{
-		{{"a", int64(1)}},
+		{NewEntry("a", int64(1))},
 		nil,
-		{{"a", int64(2)}, {"b", int64(3)}},
+		{NewEntry("a", int64(2)), NewEntry("b", int64(3))},
 		{},
-		{{"c", int64(4)}},
+		{NewEntry("c", int64(4))},
 	}
 	fps := make([]uint64, len(inputs))
 	for i, p := range inputs {
@@ -208,7 +208,7 @@ func TestMergeOrderedKNeverAliasesInputs(t *testing.T) {
 	}
 	out, _ := MergeOrderedK(job, inputs...)
 	for i := range out {
-		out[i] = Entry{"smashed", int64(99)}
+		out[i] = Entry{Key: "smashed", Value: int64(99)}
 	}
 	for i, p := range inputs {
 		if FingerprintPayload(p) != fps[i] {

@@ -330,7 +330,7 @@ func refRunMapTask(job *Job, split Split) (MapResult, error) {
 				parts[p] = make(Payload, 0, 16)
 			}
 			index[p][key] = len(parts[p])
-			parts[p] = append(parts[p], Entry{key, value})
+			parts[p] = append(parts[p], NewEntry(key, value))
 		}
 	}
 	for _, rec := range split.Records {

@@ -214,7 +214,7 @@ func TestReducePathsEquivalent(t *testing.T) {
 		"two roots, reversed":   {b, a},
 		"three roots":           {a, b, c},
 		"roots around an empty": {a, {}, b},
-		"key-disjoint halves":   {{{"x", "a1"}}, {{"y", "a2"}, {"z", "a3"}}},
+		"key-disjoint halves":   {{NewEntry("x", "a1")}, {NewEntry("y", "a2"), NewEntry("z", "a3")}},
 	}
 	for name, roots := range cases {
 		want, wantCalls := refReducePayload(job, toMaps(roots))
@@ -259,7 +259,7 @@ func TestReduceIntoLoneRoot(t *testing.T) {
 		root := ps[0]
 		want := make(Output)
 		var wantCalls int64
-		joinK([]Sized{root}, func(key string, vals []Value) {
+		joinK([]Sized{root}, func(key string, _ uint64, vals []Value) {
 			want[key] = job.Reduce(key, vals)
 			wantCalls++
 		})
@@ -337,7 +337,7 @@ func TestReduceIntoTwoRoots(t *testing.T) {
 			calls = calls[:0]
 			want := make(Output)
 			var wantCalls int64
-			joinK([]Sized{left, right}, func(key string, vals []Value) {
+			joinK([]Sized{left, right}, func(key string, _ uint64, vals []Value) {
 				want[key] = job.Reduce(key, vals)
 				wantCalls++
 			})

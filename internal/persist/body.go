@@ -424,9 +424,12 @@ func decodeSetBody(data []byte) ([]mapreduce.Payload, error) {
 // (mapreduce.TakeTaskPayload), which a body that does not check out hands
 // back: the key arena is copied once and every key is a substring of the
 // copy; string and []byte values are copied one by one. Entries are
-// appended in wire order with their order checked on the way: every writer
-// emits keys strictly ascending (the payload invariant), so a body whose
-// keys are not — out of order, or a key twice — is corrupt.
+// written in wire order, and then one pass (Payload.DerivePrefixes) derives
+// their keys' prefixes and checks their order by them: every writer emits
+// keys strictly ascending (the payload invariant), so a body whose keys are
+// not — out of order, or a key twice — is corrupt. The pass costs less than
+// building each entry with mapreduce.NewEntry did: that entry went through a
+// stack temporary whose reload stalled on its own stores on every entry.
 func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 	v, err := makeView(data, true)
 	if err != nil {
@@ -443,13 +446,13 @@ func decodePayloadBody(data []byte) (mapreduce.Payload, error) {
 		if kl < 0 || kl > len(arena)-keyOff {
 			return fmt.Errorf("%w: key %d overruns arena", ErrCorrupt, i)
 		}
-		out[i] = mapreduce.Entry{Key: arena[keyOff : keyOff+kl], Value: detach(val)}
+		out[i].Key, out[i].Value = arena[keyOff:keyOff+kl], detach(val)
 		keyOff += kl
-		if i > 0 && out[i-1].Key >= out[i].Key {
-			return fmt.Errorf("%w: key %d is not above key %d", ErrCorrupt, i, i-1)
-		}
 		return nil
 	})
+	if err == nil && !out.DerivePrefixes() {
+		err = fmt.Errorf("%w: keys not strictly ascending", ErrCorrupt)
+	}
 	if err != nil {
 		mapreduce.ReleaseTaskPayload(out)
 		return nil, err

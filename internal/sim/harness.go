@@ -77,6 +77,11 @@ type Options struct {
 	// The oracle checks are unchanged: every slide must still match the
 	// from-scratch result, whatever the fault timing.
 	DistFaults bool
+	// LongKeys draws the runtime layer's splits from a vocabulary of keys
+	// whose 8-byte prefixes do not order them on their own (genLongKeySplit)
+	// in place of genSplit's, so that a trace's seed keeps the splits and the
+	// replay lines it had.
+	LongKeys bool
 }
 
 func (o Options) pars() []int {

@@ -61,6 +61,9 @@ func optionsLiteral(opt Options) string {
 	if opt.DistFaults {
 		fields = append(fields, "DistFaults: true")
 	}
+	if opt.LongKeys {
+		fields = append(fields, "LongKeys: true")
+	}
 	if len(fields) == 0 {
 		return "sim.Options{}"
 	}

@@ -93,19 +93,53 @@ func genSplit(seed, id uint64) mapreduce.Split {
 	if seed%2 == 0 {
 		vocab = 256
 	}
+	return genWords(seed, id, vocab, func(i uint64) string { return "w" + strconv.FormatUint(i, 10) })
+}
+
+// genLongKeySplit is genSplit over a vocabulary whose keys an 8-byte prefix
+// does not order on its own: words of 9 to 28 bytes that share their first
+// eight, the 8-byte word they share them with, and short words that differ
+// only in trailing zero bytes ("w3", "w3\x00", "w3\x00\x00"), whose padded
+// prefixes are equal. Sixteen words on odd seeds, 128 on even ones, as
+// genSplit's eight and 256.
+func genLongKeySplit(seed, id uint64) mapreduce.Split {
+	vocab := uint64(16)
+	if seed%2 == 0 {
+		vocab = 128
+	}
+	return genWords(seed, id, vocab, longKeyWord)
+}
+
+// genWords is split #id of a trace: three lines of four words, each
+// word(i) for an i below vocab drawn from the seed.
+func genWords(seed, id, vocab uint64, word func(uint64) string) mapreduce.Split {
 	h := mix64(seed ^ mix64(id+1))
 	records := make([]mapreduce.Record, 3)
 	for r := range records {
 		var sb strings.Builder
 		for w := 0; w < 4; w++ {
 			h = mix64(h)
-			sb.WriteString("w")
-			sb.WriteString(strconv.Itoa(int(h % vocab)))
+			sb.WriteString(word(h % vocab))
 			sb.WriteByte(' ')
 		}
 		records[r] = sb.String()
 	}
 	return mapreduce.Split{ID: "sim-" + strconv.FormatUint(id, 10), Records: records}
+}
+
+// longKeyWord is word i of genLongKeySplit's vocabulary.
+func longKeyWord(i uint64) string {
+	n := strconv.FormatUint(i/4, 10)
+	zeros := strings.Repeat("\x00", int(i/4%3))
+	switch i % 4 {
+	case 0:
+		return "sharedpf" + n
+	case 1:
+		return "sharedpf" + n + "-past-sixteen-bytes"
+	case 2:
+		return "w" + strconv.FormatUint(i/12%8, 10) + zeros
+	}
+	return "sharedpf" + zeros
 }
 
 // rtReplica is one runtime instance of the lockstep ensemble.
@@ -240,10 +274,14 @@ func runRuntime(tr Trace, opt Options) error {
 
 	var window []mapreduce.Split
 	var nextID uint64
+	gen := genSplit
+	if opt.LongKeys {
+		gen = genLongKeySplit
+	}
 	takeSplits := func(n int) []mapreduce.Split {
 		out := make([]mapreduce.Split, n)
 		for i := range out {
-			out[i] = genSplit(tr.Seed, nextID)
+			out[i] = gen(tr.Seed, nextID)
 			nextID++
 		}
 		return out

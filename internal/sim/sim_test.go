@@ -105,6 +105,32 @@ func TestRuntimeSeedMatrix(t *testing.T) {
 	}
 }
 
+// TestLongKeyRuntimeMatrix drives every kind through runtimes at parallelism
+// 1, 4 and 8 over splits whose keys the 8-byte prefix every entry carries
+// cannot order on its own — long words sharing their first eight bytes, and
+// words that differ only in trailing zero bytes (genLongKeySplit) — against
+// the from-scratch oracle. Every runtime holds each entry of its window to
+// its key's prefix after every contraction (Runtime.CheckPositions). The
+// matrix is its own, so that the other matrices' seeds keep their splits.
+func TestLongKeyRuntimeMatrix(t *testing.T) {
+	steps := 40
+	if testing.Short() {
+		steps = 20
+	}
+	for _, kind := range Kinds() {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range simSeeds[:2] {
+				tr := Generate(kind, seed, steps)
+				if err := Run(tr, Options{Layer: LayerRuntime, Pars: []int{1, 4, 8}, LongKeys: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestOwnershipRuntimeMatrix runs the runtime layer's matrices — the seed
 // matrix, the out-of-order one, the chaos one — with the storage the
 // structures release scribbled over instead of recycled, at parallelism

@@ -35,7 +35,7 @@ type Ownership struct {
 
 // NewOwnership returns an oracle that watches nothing yet.
 func NewOwnership() *Ownership {
-	return &Ownership{oracle: core.NewOwnershipOracle(mapreduce.Entry{Key: releasedKey},
+	return &Ownership{oracle: core.NewOwnershipOracle(mapreduce.NewEntry(releasedKey, nil),
 		func(e mapreduce.Entry) bool { return e.Key == releasedKey })}
 }
 

@@ -105,12 +105,13 @@ type Runtime struct {
 	// memoized state: SpaceBytes leaves it out (RuntimeStats.FreeList has
 	// it). handed is what the last run handed to the reduce: its roots, which
 	// its upkeep ends the lifetime of, and its evicted elements, which go to
-	// the free lists once the upkeep has run (recycle). own, when set,
-	// receives the released payloads and the evicted elements instead, and
-	// scans the roots (see Ownership).
+	// the free lists — or, lone[i] set, the i-th to the task stock — once the
+	// upkeep has run (recycle). own, when set, receives the released payloads
+	// and the evicted elements instead, and scans the roots (see Ownership).
 	free   []mapreduce.FreeList
 	own    *Ownership
 	handed []partDelta
+	lone   []bool
 
 	// The upkeep a successful run leaves for after its answer (Background):
 	// due until it has run; span is the run's slide span, which its
@@ -285,8 +286,9 @@ func (rt *Runtime) kmergeFor(p int) core.KMergeFunc[sized] {
 // The payloads are map outputs (mapAdds) that nobody else holds, so the fold
 // of two or more is where they die: their entry slices go to the task stock
 // (mapreduce.ReleaseTaskPayload), which the next map outputs are decoded and
-// cut into, or to the oracle when one watches. A lone one, the bucket
-// itself, is never released.
+// cut into, or to the oracle when one watches. A lone one is the bucket until
+// the bucket leaves the window; then it is a dead map output like any other,
+// and recycle hands it to the task stock (see noteLone).
 func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	out, _ := core.ReduceOrderedK(rt.kmergeFor(p), ps)
 	if len(ps) > 1 || rt.own.releasesLone() {
@@ -301,8 +303,9 @@ func (rt *Runtime) foldPayloads(p int, ps []sized) sized {
 	return out
 }
 
-// releaseTaskPayload is where foldPayloads hands a consumed map output; a
-// test that measures what the release saves swaps it.
+// releaseTaskPayload is where foldPayloads hands a consumed map output, and
+// recycle an evicted lone one; a test that measures what the release saves
+// swaps it.
 var releaseTaskPayload = mapreduce.ReleaseTaskPayload
 
 // mapAdds is a run's map phase: it runs map tasks for new splits with
@@ -335,13 +338,14 @@ func (rt *Runtime) mapAdds(so *slideObs, splits []mapreduce.Split, rec *metrics.
 			return nil, err
 		}
 	}
-	// The merges read every payload as sorted. A result with PartBytes was
-	// built sorted by a map task or refused unsorted by the decoder
-	// (Executor, dist.Pool); one without is a foreign runner's, checked
-	// here before the window moves.
+	// The merges read every payload as sorted, and compare its entries'
+	// prefixes. A result with PartBytes was built sorted, prefixes derived,
+	// by a map task or refused unsorted by the decoder (Executor, dist.Pool);
+	// one without is a foreign runner's: its prefixes are derived and its
+	// order checked here, in one pass, before the window moves.
 	for _, r := range results {
 		for p, part := range r.Parts {
-			if len(r.PartBytes) != len(r.Parts) && !part.IsSorted() {
+			if len(r.PartBytes) != len(r.Parts) && !part.DerivePrefixes() {
 				return nil, fmt.Errorf("sliderrt: map result of split %q: partition %d's keys are not strictly ascending", r.SplitID, p)
 			}
 		}
@@ -602,6 +606,7 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	}, func() {
 		rt.windowLo += uint64(drop)
 		rt.live -= drop
+		rt.noteLone(evict)
 		if rt.bucketed() {
 			rt.bucketSizes = append(append(rt.bucketSizes[:0], rt.bucketSizes[evict:]...), rt.adding...)
 			rt.bucketSeq += uint64(len(rt.adding))
@@ -803,16 +808,43 @@ func (rt *Runtime) Background() error {
 // recycle hands the elements a run evicted to their partitions' free lists,
 // or to the oracle when one watches. The runtime built them — a bucket fold
 // or a map task, whose payloads nobody else holds — and no structure releases
-// an element (core.Releaser), so this is the one place they die.
+// an element (core.Releaser), so this is the one place they die. A bucket
+// that was one map task's output (lone, see noteLone) goes to the task stock
+// instead: it was cut or decoded there, at its task's size, and the next map
+// outputs are cut and decoded from there. What a full free list turns down
+// is dropped, never spilled into the stock, whose takes want slices near a
+// task's size.
 func (rt *Runtime) recycle(parts []partDelta) {
 	for p, part := range parts {
-		for _, e := range part.evicted {
-			if rt.own != nil {
+		for i, e := range part.evicted {
+			switch {
+			case rt.own != nil:
 				rt.own.oracle.Release(e.P)
-			} else {
+			case i < len(rt.lone) && rt.lone[i]:
+				releaseTaskPayload(e.P)
+			default:
 				rt.free[p].Put(e.P)
 			}
 		}
+	}
+}
+
+// noteLone records, before a slide moves the bucket ledger, which of the evict
+// buckets it evicts — the oldest, in order — were each mapped as one range
+// (ranges(n) == 1): the bucket fold handed that range's output through
+// uncopied, so the bucket is a map output, and recycle returns it to the task
+// stock. A late bucket is not mapped in ranges but a task a split, and folded
+// when it holds several, so in a window that takes them a bucket counts as
+// lone only when it holds one split. A window whose elements are not buckets
+// notes none.
+func (rt *Runtime) noteLone(evict int) {
+	rt.lone = rt.lone[:0]
+	if !rt.bucketed() {
+		return
+	}
+	late := rt.outOfOrder()
+	for _, n := range rt.bucketSizes[:evict] {
+		rt.lone = append(rt.lone, ranges(n) == 1 && (!late || n == 1))
 	}
 }
 
@@ -917,13 +949,28 @@ type partDelta struct {
 }
 
 // CheckPositions makes every later run hold each position its structures
-// recorded (core.Locating) to the key it was recorded for, before the reduce
-// reads it, and fail — poisoning the window, as any failed contraction does —
-// at the first that does not hold. It is the simulation harness's hook: the
-// reduce trusts a position without comparing keys, so a wrong one would read
-// another key's value silently. It walks every moved entry; nothing else sets
+// recorded (core.Locating) to the key it was recorded for, and every entry
+// its structures hold to its key's prefix (mapreduce.Payload.CheckPrefixes),
+// before the reduce reads them, and fail — poisoning the window, as any
+// failed contraction does — at the first that does not hold. It is the
+// simulation harness's hook: the reduce trusts a position without comparing
+// keys, and the merges and seeks a prefix before the key's bytes, so a wrong
+// one would read another key's value or misorder a payload silently. It
+// walks every moved entry and every payload of the window; nothing else sets
 // it.
 func (rt *Runtime) CheckPositions() { rt.checkPositions = true }
+
+// checkPrefixes holds every entry agg holds to its key's prefix. A foreign
+// MapRunner's result has its prefixes derived on arrival (mapAdds), so no
+// entry of the window is exempt.
+func checkPrefixes(agg core.Aggregator[sized]) (err error) {
+	agg.ForEachPayload(func(s sized) {
+		if err == nil {
+			err = s.P.CheckPrefixes()
+		}
+	})
+	return err
+}
 
 // checkLocated holds a partition's recorded positions to its roots, see
 // mapreduce.Located: every evicted key where its position in the first root
@@ -989,6 +1036,11 @@ func (rt *Runtime) contract(so *slideObs, rec *metrics.Recorder, results []mapre
 				if err := checkLocated(part); err != nil {
 					return fmt.Errorf("sliderrt: partition %d: %w", p, err)
 				}
+			}
+		}
+		if rt.checkPositions {
+			if err := checkPrefixes(rt.aggs[p]); err != nil {
+				return fmt.Errorf("sliderrt: partition %d: %w", p, err)
 			}
 		}
 		parts[p] = part
