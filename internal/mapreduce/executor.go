@@ -244,7 +244,13 @@ func reduceTwo(reduce func(string, []Value) Value, left, right Payload, out Outp
 	var calls int64
 	for i < len(left) && j < len(right) {
 		l, r := &left[i], &right[j]
-		switch c := compareKeys(*l, *r); {
+		c := 1 // compareKeys, its first clause written out as in mergeJoin
+		if pl, pr := l.prefix, r.prefix; pl == pr || min(pl, pr) == 0 {
+			c = compareKeys(*l, *r)
+		} else if pl < pr {
+			c = -1
+		}
+		switch {
 		case c < 0:
 			pair[0] = l.Value
 			out[l.Key] = reduce(l.Key, pair[:1])

@@ -382,7 +382,16 @@ func mergeJoin(job *Job, out, l, r Payload, bytes int64, loc *locator) (Payload,
 	var combines int64
 	i, j := 0, 0
 	for i < len(l) && j < len(r) {
-		switch c := compareKeys(l[i], r[j]); {
+		// compareKey's first clause written out: the three-way rule does not
+		// inline, and two derived prefixes that differ decide most of a
+		// merge's comparisons.
+		c := 1
+		if pl, pr := l[i].prefix, r[j].prefix; pl == pr || min(pl, pr) == 0 {
+			c = compareKeys(l[i], r[j])
+		} else if pl < pr {
+			c = -1
+		}
+		switch {
 		case c < 0:
 			if loc != nil && loc.rawLeft {
 				loc.note(len(out), j, false)
